@@ -67,10 +67,10 @@ def replay_storm(
     failed: list[tuple] = []
 
     def submit(query) -> None:
+        handle = engine.submit(query.sql)
         try:
-            handle, execution = cluster.submit_engine_handle(
-                engine,
-                query.sql,
+            execution = cluster.submit_handle(
+                handle,
                 user=query.user,
                 resource_group=f"storm.{query.user}",
             )
@@ -80,7 +80,7 @@ def replay_storm(
         finished.append((query, handle, execution))
 
     for query in storm.queries:
-        cluster._at(query.arrival_ms, lambda q=query: submit(q))
+        cluster.call_at(query.arrival_ms, lambda q=query: submit(q))
     cluster.run_until_idle(max_events=10_000_000)
 
     completed = [(q, h, ex) for q, h, ex in finished if h.state == "finished"]

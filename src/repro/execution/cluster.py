@@ -22,18 +22,20 @@ Splits are scheduled FIFO (submission order), so completion order, cache
 warm-up order, and task records all follow the order work was produced.
 Time is fully simulated; `run_until_idle` drives the event loop.
 
-**Concurrent serving** (the multi-query scheduler): a cluster can also
-drive steppable engine queries — :meth:`PrestoClusterSim.submit_handle`
-admits a :class:`~repro.execution.engine.QueryHandle` through a
+**One admission path.**  Every query is a steppable *handle* admitted by
+:meth:`PrestoClusterSim.submit_handle` — an engine
+:class:`~repro.execution.engine.QueryHandle`, or the pre-planned
+:class:`SyntheticQuery` that :meth:`PrestoClusterSim.submit_query`
+builds for the section VIII/IX simulations.  Admission goes through a
 :class:`ResourceGroup` tree (memory + concurrency quotas, nested by
 user/group, per the paper's resource-management section and the Twitter
-serving-layer follow-up), queues it per-user with priority/fair-share
-dequeue when its group is at quota, sheds load with
+serving-layer follow-up): a query queues per-user with priority/fair-share
+dequeue when its group is at quota, is shed with
 ``AdmissionRejectedError`` (INSUFFICIENT_RESOURCES + retry-after) when
-the queue exceeds its SLO, and — once admitted — *pumps* the handle's
-tasks into the ordinary split-scheduling machinery one stage at a time.
-Many admitted queries interleave on the shared simulated clock; worker
-crashes requeue in-flight splits across all of them.
+the queue exceeds its SLO, and — once admitted — has its tasks *pumped*
+into the split-scheduling machinery one stage at a time.  Many admitted
+queries interleave on the shared simulated clock; worker crashes requeue
+in-flight splits across all of them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.cache.data_cache import DataCacheConfig, TieredDataCache
 from repro.common.clock import SimulatedClock
 from repro.common.errors import AdmissionRejectedError, ExecutionError, PrestoError
 from repro.common.ring import ConsistentHashRing
-from repro.obs.trace import QueryTrace, activate, current_tracer
+from repro.obs.trace import QueryTrace
 
 
 class WorkerState(enum.Enum):
@@ -97,9 +99,6 @@ class Worker:
     data_cache: Optional[TieredDataCache] = None
     cache_hits: int = 0
 
-    def has_capacity(self) -> bool:
-        return self.state is WorkerState.ACTIVE and self.running < self.slots
-
     def schedulable(self, now_ms: float) -> bool:
         """Whether the coordinator will send new tasks to this worker.
 
@@ -126,9 +125,9 @@ class QueryExecution:
     # splits go back to the front so recovered work runs first.
     pending: deque = field(default_factory=deque)
     splits_requeued: int = 0
-    # Admission-control accounting (concurrent serving): who submitted,
-    # through which resource group, and how the latency decomposes into
-    # time spent queued at admission vs. time spent actually running.
+    # Admission-control accounting: who submitted, through which
+    # resource group, and how the latency decomposes into time spent
+    # queued at admission vs. time spent actually running.
     user: str = ""
     resource_group: str = ""
     queued_ms: float = 0.0
@@ -142,7 +141,7 @@ class QueryExecution:
 
 
 class QueryState(enum.Enum):
-    """Lifecycle of a concurrently-served query."""
+    """Lifecycle of a query on the cluster."""
 
     QUEUED = "queued"  # admitted to a queue, waiting for group capacity
     RUNNING = "running"  # holding group resources, tasks interleaving
@@ -227,11 +226,6 @@ class ResourceGroup:
                 return False
         return True
 
-    def effective_max_running(self) -> Optional[int]:
-        """Tightest ``max_running`` along the ancestor chain (None = ∞)."""
-        caps = [g.max_running for g in self._chain() if g.max_running is not None]
-        return min(caps) if caps else None
-
     def acquire(self, memory_mb: float) -> None:
         for group in self._chain():
             group.running += 1
@@ -252,10 +246,45 @@ class ResourceGroup:
 
 
 @dataclass
-class ConcurrentRun:
-    """Cluster-side state of one concurrently-served engine query."""
+class SyntheticStep:
+    """One pre-planned task: what the pump reads off a ``TaskStep``."""
 
-    handle: object  # repro.execution.engine.QueryHandle
+    sim_ms: float
+    data_key: Optional[str] = None
+    data_bytes: Optional[int] = None
+    stage: int = 0
+
+
+class SyntheticQuery:
+    """A pre-planned single-stage query speaking the handle protocol.
+
+    The synthetic workloads of the section VIII/IX simulations know their
+    split durations up front; this hands them to the pump one step at a
+    time, exactly as an engine ``QueryHandle`` hands over executed tasks.
+    """
+
+    trace = None
+
+    def __init__(self, query_id: str, steps: list[SyntheticStep]) -> None:
+        self.query_id = query_id
+        self._steps = deque(steps)
+
+    @property
+    def done(self) -> bool:
+        return not self._steps
+
+    def peek_stage(self) -> Optional[int]:
+        return self._steps[0].stage if self._steps else None
+
+    def step(self) -> Optional[SyntheticStep]:
+        return self._steps.popleft() if self._steps else None
+
+
+@dataclass
+class ConcurrentRun:
+    """Cluster-side state of one admitted (or queued) query."""
+
+    handle: object  # QueryHandle or SyntheticQuery
     execution: QueryExecution
     group: ResourceGroup
     user: str
@@ -330,8 +359,8 @@ class PrestoClusterSim:
         self._worker_ids = itertools.count()
         self._query_ids = itertools.count()
         self.queries: dict[str, QueryExecution] = {}
-        # Concurrent serving: the resource-group tree, per-query run
-        # state, and the admission queue (fair-share dequeue order is
+        # Admission: the resource-group tree, per-query run state, and
+        # the admission queue (fair-share dequeue order is
         # computed at dequeue time, so one list suffices).
         self.root_group = ResourceGroup("root")
         self._runs: dict[str, ConcurrentRun] = {}
@@ -341,7 +370,7 @@ class PrestoClusterSim:
         self._completed_runs = 0
         self._completed_running_ms = 0.0
         self.queries_shed = 0
-        # Finished concurrent runs, for the cluster timeline trace.
+        # Finished runs, for the cluster timeline trace.
         self._timeline: list[dict] = []
         # Workers the coordinator will never schedule on again (crashed).
         self.blacklisted_workers: set[str] = set()
@@ -439,7 +468,7 @@ class PrestoClusterSim:
         # After sleeping the grace period the coordinator is aware and
         # stops sending tasks to the worker.
         worker.shutdown_visible_at = now + grace_period_ms
-        self._at(now + grace_period_ms, lambda: self._try_finish_shutdown(worker, grace_period_ms))
+        self.call_at(now + grace_period_ms, lambda: self._try_finish_shutdown(worker, grace_period_ms))
 
     def _try_finish_shutdown(self, worker: Worker, grace_period_ms: float) -> None:
         if worker.state is not WorkerState.SHUTTING_DOWN:
@@ -457,7 +486,7 @@ class PrestoClusterSim:
             worker.shut_down_at = self.clock.now_ms()
             self._update_worker_gauge()
 
-        self._at(shutdown_time, finish)
+        self.call_at(shutdown_time, finish)
 
     def crash_worker(self, worker_id: str) -> list[SplitWork]:
         """Kill a worker without draining (the ungraceful path).
@@ -503,12 +532,12 @@ class PrestoClusterSim:
 
     def crash_worker_at(self, time_ms: float, worker_id: str) -> None:
         """Schedule a crash event at an absolute simulated time."""
-        self._at(time_ms, lambda: self.crash_worker(worker_id))
+        self.call_at(time_ms, lambda: self.crash_worker(worker_id))
 
     def active_worker_count(self) -> int:
         return sum(1 for w in self.workers.values() if w.state is WorkerState.ACTIVE)
 
-    # -- query admission ----------------------------------------------------------
+    # -- synthetic front door, query counts ---------------------------------------
 
     def submit_query(
         self,
@@ -517,10 +546,13 @@ class PrestoClusterSim:
         split_keys: Optional[list[str]] = None,
         split_sizes: Optional[list[int]] = None,
     ) -> QueryExecution:
-        """Admit a query whose work is the given split durations.
+        """Admit a synthetic query whose work is the given split durations.
 
-        ``split_keys`` (optional, parallel to the durations) name the data
-        each split reads, enabling affinity scheduling and cache hits;
+        The front door of the section VIII/IX simulations: wraps the
+        durations in a :class:`SyntheticQuery` and admits it through
+        :meth:`submit_handle` like any engine query.  ``split_keys``
+        (optional, parallel to the durations) name the data each split
+        reads, enabling affinity scheduling and cache hits;
         ``split_sizes`` (optional, parallel) are the splits' data sizes in
         bytes for cache capacity accounting.
         """
@@ -530,119 +562,33 @@ class PrestoClusterSim:
             raise ExecutionError("split_keys length must match split durations")
         if split_sizes is not None and len(split_sizes) != len(split_durations_ms):
             raise ExecutionError("split_sizes length must match split durations")
-        tasks = [
-            SplitWork(
-                "",
+        steps = [
+            SyntheticStep(
                 duration,
                 split_keys[i] if split_keys else None,
                 split_sizes[i] if split_sizes else None,
             )
             for i, duration in enumerate(split_durations_ms)
         ]
-        return self.submit_tasks(tasks, query_id=query_id)
-
-    def submit_tasks(
-        self, tasks: list[SplitWork], query_id: Optional[str] = None
-    ) -> QueryExecution:
-        """Admit a query whose work is the given tasks.
-
-        Generalizes :meth:`submit_query` to pre-built :class:`SplitWork`
-        items — the shape staged execution produces (one per task, with
-        the task's simulated duration, its affinity data key, and its
-        data size for the worker caches).
-        """
-        if not tasks:
-            raise ExecutionError("query needs at least one task")
-        query_id = query_id or f"{self.name}-q{next(self._query_ids)}"
-        # Engine-assigned ids can repeat across engines (or gateway
-        # failovers); keep cluster-side records unambiguous.
-        query_id = self._unique_query_id(query_id)
-        for task in tasks:
-            task.query_id = query_id
-        now = self.clock.now_ms()
-        execution = QueryExecution(
-            query_id, splits_total=len(tasks), submitted_at=now
-        )
-        self.queries[query_id] = execution
-        self._count("cluster_queries_total")
-        self._set_query_gauges()
-        planning = self.coordinator.planning_cost_ms(
-            len([w for w in self.workers.values() if w.state is not WorkerState.SHUT_DOWN]),
-            self.running_query_count() + 1,
-        )
-        execution.started_at = now + planning
-        execution.pending = deque(tasks)
-        self._at(execution.started_at, self._schedule_pending)
-        return execution
-
-    def submit_engine_query(self, engine, sql: str) -> tuple:
-        """Run ``sql`` on ``engine`` staged, then schedule its real tasks.
-
-        The bridge from query execution to the cluster simulation: the
-        engine's StageScheduler records one task record per executed task
-        (stage, split, rows, simulated cost); those records — not
-        synthetic durations — become the cluster's work.  Returns
-        ``(QueryResult, QueryExecution)``.
-        """
-        # Run under a span so the cluster hop shows up in the query's
-        # trace: an existing active trace (a gateway submission) is
-        # reused; a standalone submission to a tracing engine gets its
-        # own tree with cluster admission at the root.
-        tracer = current_tracer()
-        if tracer is None and getattr(engine, "tracing", False):
-            tracer = QueryTrace()
-        if tracer is not None:
-            with activate(tracer), tracer.span("cluster.admission", cluster=self.name):
-                result = engine.execute(sql)
-        else:
-            result = engine.execute(sql)
-        # Thread the engine's query id through (namespaced by cluster) so
-        # cluster-side records (QueryExecution, SplitWork) join back to
-        # the engine query that produced them.
-        query_id = (
-            f"{self.name}-{result.stats.query_id}" if result.stats.query_id else None
-        )
-        records = result.stats.task_records
-        if records:
-            tasks = [
-                SplitWork(
-                    query_id=query_id or "",
-                    duration_ms=record["sim_ms"],
-                    data_key=record["data_key"],
-                    data_size_bytes=record.get("data_bytes"),
-                )
-                for record in records
-            ]
-        else:
-            # Metadata statements and direct execution produce no task
-            # records; account a single coordinator-side task.
-            tasks = [SplitWork(query_id=query_id or "", duration_ms=1.0)]
-        execution = self.submit_tasks(tasks, query_id=query_id)
-        return result, execution
+        query_id = query_id or f"q{next(self._query_ids)}"
+        return self.submit_handle(SyntheticQuery(query_id, steps))
 
     def running_query_count(self) -> int:
         """Admitted-and-unfinished queries (planning or executing).
 
         Queries sitting in an admission queue are *not* running — they
         hold no resources and no coordinator attention; count them with
-        :meth:`queued_query_count`.  (Legacy ``submit_query`` admissions
-        are admitted immediately, so their semantics are unchanged.)
+        :meth:`queued_query_count`.
         """
-        running = 0
-        for execution in self.queries.values():
-            if execution.finished_at is not None:
-                continue
-            run = self._runs.get(execution.query_id)
-            if run is not None and run.state is not QueryState.RUNNING:
-                continue
-            running += 1
-        return running
+        return sum(
+            1 for run in self._runs.values() if run.state is QueryState.RUNNING
+        )
 
     def queued_query_count(self) -> int:
         """Queries admitted to a queue but not yet holding resources."""
         return len(self._queued_runs)
 
-    # -- concurrent serving ---------------------------------------------------
+    # -- resource groups, admission, pump -------------------------------------
 
     def resource_group(self, path: str, **limits) -> ResourceGroup:
         """Get-or-create a nested group by dotted path under the root.
@@ -702,12 +648,14 @@ class PrestoClusterSim:
         priority: int = 0,
         on_finish: Optional[Callable[[ConcurrentRun], None]] = None,
     ) -> QueryExecution:
-        """Admit a steppable engine query for concurrent execution.
+        """Admit a steppable query — the one admission state machine.
 
         ``handle`` is a :meth:`repro.execution.engine.PrestoEngine.submit`
-        result.  Returns immediately with the cluster-side
-        :class:`QueryExecution`; drive :meth:`run_until_idle` (or keep
-        submitting) and collect the result from ``handle.result()``.
+        result (or anything speaking its protocol: ``query_id``, ``done``,
+        ``peek_stage()``, ``step()``, ``trace``).  Returns immediately
+        with the cluster-side :class:`QueryExecution`; drive
+        :meth:`run_until_idle` (or keep submitting) and collect the result
+        from ``handle.result()``.
 
         ``resource_group`` is a dotted path, a :class:`ResourceGroup`, or
         None for the per-user default queue ``root.<user>``.  If the
@@ -780,20 +728,6 @@ class PrestoClusterSim:
             self._admit(run)
         return execution
 
-    def submit_engine_handle(
-        self, engine, sql: str, **admission
-    ) -> tuple[object, QueryExecution]:
-        """Plan ``sql`` on ``engine`` and admit its handle; non-blocking.
-
-        The concurrent counterpart of :meth:`submit_engine_query`:
-        returns ``(QueryHandle, QueryExecution)`` before any task has
-        run.  ``admission`` keywords pass through to
-        :meth:`submit_handle`.
-        """
-        handle = engine.submit(sql)
-        execution = self.submit_handle(handle, **admission)
-        return handle, execution
-
     def _admit(self, run: ConcurrentRun) -> None:
         """Grant resources and schedule the first pump after planning."""
         now = self.clock.now_ms()
@@ -831,15 +765,15 @@ class PrestoClusterSim:
         execution.started_at = now + planning
         self._set_query_gauges()
         self._set_group_gauges(run.group)
-        self._at(execution.started_at, lambda: self._pump(run))
+        self.call_at(execution.started_at, lambda: self._pump(run))
 
     def _pump(self, run: ConcurrentRun) -> None:
         """Advance one query: dispatch its ready tasks as split work.
 
         Steps the handle through the current stage, turning each executed
         task into a :class:`SplitWork` on the ordinary FIFO/affinity
-        scheduling path (so worker crashes requeue concurrent queries'
-        splits exactly like legacy ones).  Stops at stage barriers — the
+        scheduling path (so worker crashes requeue any query's in-flight
+        splits the same way).  Stops at stage barriers — the
         next stage's tasks are not planned until every dispatched split
         of the current stage has drained through the workers.
         """
@@ -1033,11 +967,12 @@ class PrestoClusterSim:
 
     # -- event loop -----------------------------------------------------------------
 
-    def _at(self, time_ms: float, callback: Callable[[], None]) -> None:
+    def call_at(self, time_ms: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at an absolute simulated time."""
         heapq.heappush(self._events, (time_ms, next(self._event_sequence), callback))
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> None:
-        """Process events until no work remains."""
+    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+        """Process events until no work remains; returns how many ran."""
         processed = 0
         while self._events:
             time_ms, _, callback = heapq.heappop(self._events)
@@ -1047,6 +982,7 @@ class PrestoClusterSim:
             processed += 1
             if processed > max_events:
                 raise ExecutionError("cluster simulation did not converge")
+        return processed
 
     def _schedule_pending(self) -> None:
         self._assign_splits()
@@ -1086,7 +1022,7 @@ class PrestoClusterSim:
                         self._count("cluster_affinity_cache_hits_total")
                 assignment_id = next(self._assignment_sequence)
                 self._assignments[assignment_id] = (worker, execution, split)
-                self._at(
+                self.call_at(
                     now + duration,
                     lambda a=assignment_id: self._on_split_done(a),
                 )
@@ -1133,19 +1069,11 @@ class PrestoClusterSim:
         worker.completed_splits += 1
         self._count("cluster_splits_completed_total")
         execution.splits_done += 1
-        run = self._runs.get(execution.query_id)
-        if run is None:
-            # Legacy path: all splits were known up front, so exhausting
-            # them finishes the query.
-            if execution.splits_done == execution.splits_total and not execution.pending:
-                execution.finished_at = self.clock.now_ms()
-                self._set_query_gauges()
-        else:
-            # Concurrent path: splits_total grows as stages dispatch, so
-            # completion is decided by the pump (handle done + drained).
-            run.inflight -= 1
-            if run.state is QueryState.RUNNING:
-                self._pump(run)
+        # splits_total grows as stages dispatch, so completion is decided
+        # by the pump (handle done + every dispatched split drained).
+        run = self._runs[execution.query_id]
+        run.inflight -= 1
+        self._pump(run)
         if worker.state is WorkerState.SHUTTING_DOWN and worker.running == 0:
             visible = (
                 worker.shutdown_visible_at is not None

@@ -66,7 +66,7 @@ class QueryStats:
     stage_summaries: list = field(default_factory=list)
     # One dict per task: stage, task index, split count, rows in/out, the
     # data key driving affinity scheduling, and the simulated duration.
-    # PrestoClusterSim.submit_engine_query turns these into SplitWork.
+    # PrestoClusterSim's pump turns each stepped task into SplitWork.
     task_records: list = field(default_factory=list)
 
     def as_dict(self) -> dict:

@@ -21,8 +21,8 @@ query context that pins scans to the task's splits and resolves
 RemoteSource leaves against the upstream exchange buffers.  Task costs
 are simulated from real row counts (a fixed per-task overhead plus a per
 row cost) and recorded in :class:`repro.execution.context.QueryStats`;
-``EXPLAIN ANALYZE`` renders them and
-``PrestoClusterSim.submit_engine_query`` replays them as cluster work.
+``EXPLAIN ANALYZE`` renders them and ``PrestoClusterSim.submit_handle``
+replays each stepped task as cluster work.
 
 **Fault tolerance.**  Each task runs inside a bounded retry loop.  A task
 attempt can fail three ways: the configured

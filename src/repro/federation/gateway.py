@@ -14,15 +14,14 @@ query's data path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from typing import Optional
 
-from contextlib import nullcontext
-
 from repro.common.errors import AdmissionRejectedError, GatewayError, PrestoError
-from repro.execution.cluster import PrestoClusterSim, QueryExecution
+from repro.execution.cluster import ConcurrentRun, PrestoClusterSim, QueryExecution
 from repro.federation.routing import RoutingTable
-from repro.obs.trace import QueryTrace, activate
+from repro.obs.trace import activate
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,25 @@ class Redirect:
 
 @dataclass
 class GatewaySubmission:
-    """One non-blocking gateway submission and where it currently lives.
+    """One gateway submission and where it currently lives.
 
-    ``cluster_name``/``execution`` are updated if the gateway later
-    re-routes the query (admission spill, drain eviction); ``handle``
-    is the engine-side query and owns the result.
+    ``handle`` is the engine-side query and owns the result;
+    ``cluster_name``/``execution`` say where it was last admitted.  All
+    three are updated when the gateway re-routes the query (admission
+    spill, drain eviction, retryable-failure failover — the last re-plans,
+    so ``handle`` is the newest attempt).  ``tried`` lists every cluster
+    the query was routed to, in order.
     """
 
     user: str
     handle: object  # repro.execution.engine.QueryHandle
-    cluster_name: str
-    execution: QueryExecution
-    attempts: int = 1
+    cluster_name: str = ""
+    execution: Optional[QueryExecution] = None
+    tried: list = field(default_factory=list, init=False)
+
+    @property
+    def attempts(self) -> int:
+        return len(self.tried)
 
 
 class PrestoGateway:
@@ -61,9 +67,9 @@ class PrestoGateway:
         self.failovers = 0
         self.load_sheds = 0
         self.all_sheds = 0
-        # Live non-blocking submissions (submit_sql_async), so a drain
-        # can re-route the still-queued ones.
-        self._submissions: list[GatewaySubmission] = []
+        # Unfinished submit_sql submissions by handle, so a drain can
+        # re-point the ones it re-routes.
+        self._submissions: dict[object, GatewaySubmission] = {}
         # Optional observability: ``gateway_redirects_total``,
         # ``gateway_queries_routed_total{cluster}`` and
         # ``gateway_failovers_total{cluster}``.
@@ -111,11 +117,11 @@ class PrestoGateway:
                 priority=run.priority,
                 on_finish=run.on_finish,
             )
-            for submission in self._submissions:
-                if submission.handle is run.handle:
-                    submission.cluster_name = fallback
-                    submission.execution = execution
-                    submission.attempts += 1
+            submission = self._submissions.get(run.handle)
+            if submission is not None:
+                submission.tried.append(fallback)
+                submission.cluster_name = fallback
+                submission.execution = execution
 
     def undrain_cluster(self, name: str) -> None:
         self._drained.discard(name)
@@ -147,68 +153,6 @@ class PrestoGateway:
         redirect = self.redirect(user, groups)
         return self.clusters[redirect.cluster_name].submit_query(split_durations_ms)
 
-    def submit_sql(
-        self,
-        user: str,
-        engine,
-        sql: str,
-        groups: tuple[str, ...] = (),
-        max_failovers: Optional[int] = None,
-    ) -> tuple:
-        """Follow the redirect and run a real query on the target cluster.
-
-        The query executes on ``engine`` through staged execution; the
-        resulting task records are scheduled as cluster work on whichever
-        cluster the route resolves to.  Returns ``(QueryResult,
-        QueryExecution)``.
-
-        Failover (the Twitter hybrid-cloud gateway pattern): when the run
-        fails with a *retryable* error (INTERNAL_ERROR / EXTERNAL — the
-        cluster or its infrastructure, not the query), the gateway
-        resubmits to another registered, undrained cluster, up to
-        ``max_failovers`` re-routes (default: every other cluster once).
-        USER_ERRORs and INSUFFICIENT_RESOURCES fail fast — no amount of
-        re-routing fixes a bad query or an over-large join.
-        """
-        redirect = self.redirect(user, groups)
-        cluster_name = redirect.cluster_name
-        if max_failovers is None:
-            max_failovers = len(self.clusters) - 1
-        # One trace per gateway submission, rooted at the routing hop, so
-        # a failed-over query's tree shows every cluster it touched.
-        tracer = QueryTrace() if getattr(engine, "tracing", False) else None
-        submit_span = (
-            tracer.span("gateway.submit", user=user)
-            if tracer is not None
-            else nullcontext()
-        )
-        tried: list[str] = []
-        with activate(tracer) if tracer is not None else nullcontext(), submit_span:
-            while True:
-                tried.append(cluster_name)
-                self._count("gateway_queries_routed_total", cluster=cluster_name)
-                if tracer is not None:
-                    tracer.instant(
-                        "gateway.route", cluster=cluster_name, attempt=len(tried)
-                    )
-                try:
-                    return self.clusters[cluster_name].submit_engine_query(engine, sql)
-                except PrestoError as error:
-                    if not error.retryable:
-                        raise
-                    candidates = [
-                        name
-                        for name in self.clusters
-                        if name not in tried and name not in self._drained
-                    ]
-                    if not candidates or len(tried) > max_failovers:
-                        raise
-                    self.failovers += 1
-                    self._count("gateway_failovers_total", cluster=cluster_name)
-                    cluster_name = candidates[0]
-
-    # -- non-blocking submission ------------------------------------------------
-
     def queue_depths(self) -> dict[str, int]:
         """Per-cluster admission-queue depth, surfaced to routing.
 
@@ -226,7 +170,7 @@ class PrestoGateway:
                 )
         return depths
 
-    def submit_sql_async(
+    def submit_sql(
         self,
         user: str,
         engine,
@@ -235,83 +179,142 @@ class PrestoGateway:
         resource_group: Optional[str] = None,
         memory_mb: float = 100.0,
         priority: int = 0,
+        max_failovers: Optional[int] = None,
     ) -> GatewaySubmission:
         """Route and admit ``sql`` without blocking on its execution.
 
         The gateway resolves the route, plans the query on ``engine``
-        (coordinator work — synchronous, as in production), and admits
-        the resulting handle to the target cluster's resource groups.
-        Execution proceeds as the cluster's event loop is driven; the
-        caller collects rows from ``submission.handle.result()``.
+        (coordinator work — synchronous, so USER_ERRORs raise here, as in
+        production), and admits the resulting handle to the target
+        cluster's resource groups.  Execution proceeds as the clusters'
+        event loops are driven; blocking use is "submit, drive the
+        clusters idle, ``submission.handle.result()``".
 
-        If the routed cluster sheds the query at admission
-        (:class:`AdmissionRejectedError`), the gateway *spills*: it
-        retries the remaining undrained clusters from the shallowest
-        admission queue up — the per-cluster queue depth surfaced by
-        :meth:`queue_depths` is exactly what this decision reads.  If
-        every cluster sheds, the rejection with the *minimum*
-        ``retry_after_ms`` propagates to the client: the soonest any
-        cluster expects capacity is when the client should retry, not
-        whenever the last-tried (deepest-queued) cluster frees up.
+        **Spill.**  If the routed cluster sheds the query at admission
+        (:class:`AdmissionRejectedError`), the gateway retries the
+        remaining undrained clusters from the shallowest admission queue
+        up — the per-cluster queue depth surfaced by :meth:`queue_depths`
+        is exactly what this decision reads.  If every cluster sheds, the
+        rejection with the *minimum* ``retry_after_ms`` propagates to the
+        client: the soonest any cluster expects capacity is when the
+        client should retry, not whenever the last-tried (deepest-queued)
+        cluster frees up.
+
+        **Failover** (the Twitter hybrid-cloud gateway pattern).  When a
+        run fails with a *retryable* error (INTERNAL_ERROR / EXTERNAL —
+        the cluster or its infrastructure, not the query), the gateway
+        re-plans the query under the same trace and admits it on the next
+        registered, undrained, untried cluster, up to ``max_failovers``
+        re-routes (default: every other cluster once).  USER_ERRORs and
+        INSUFFICIENT_RESOURCES stay failed — no amount of re-routing
+        fixes a bad query or an over-large join.
         """
         redirect = self.redirect(user, groups)
+        if max_failovers is None:
+            max_failovers = len(self.clusters) - 1
         handle = engine.submit(sql)
-        tracer = getattr(handle, "trace", None)
+        # One trace per gateway submission, rooted at the routing hop, so
+        # a failed-over query's tree shows every cluster it touched.
+        tracer = handle.trace
         span = tracer.open_span("gateway.submit", user=user) if tracer is not None else None
+        submission = GatewaySubmission(user=user, handle=handle)
 
-        def finished(run) -> None:
-            if tracer is not None and span is not None:
+        def finished(run: ConcurrentRun) -> None:
+            error = run.handle.error
+            if (
+                error is not None
+                and error.retryable
+                and submission.attempts <= max_failovers
+                and (candidates := self._untried(submission))
+            ):
+                failed_on = submission.cluster_name
+                try:
+                    with activate(tracer) if tracer is not None else nullcontext():
+                        rerun = engine.submit(sql)
+                    self._admit(submission, rerun, candidates, admission)
+                except PrestoError:
+                    pass  # no cluster took the rerun: the first error stands
+                else:
+                    self.failovers += 1
+                    self._count("gateway_failovers_total", cluster=failed_on)
+                    return
+            del self._submissions[submission.handle]
+            if span is not None:
                 tracer.close_span(span)
 
+        admission = dict(
+            user=user,
+            resource_group=resource_group,
+            memory_mb=memory_mb,
+            priority=priority,
+            on_finish=finished,
+        )
         depths = self.queue_depths()
         spill_order = [redirect.cluster_name] + sorted(
-            (
-                name
-                for name in self.clusters
-                if name != redirect.cluster_name and name not in self._drained
-            ),
+            (name for name in self._untried(submission) if name != redirect.cluster_name),
             key=lambda name: (depths[name], name),
         )
+        try:
+            self._admit(submission, handle, spill_order, admission)
+        except AdmissionRejectedError:
+            if span is not None:
+                tracer.close_span(span)
+            raise
+        if submission.attempts > 1:
+            self.failovers += 1
+            self._count("gateway_failovers_total", cluster=redirect.cluster_name)
+        return submission
+
+    def run_until_idle(self) -> None:
+        """Drive every cluster until none has work left.
+
+        A failover can hand a query to a cluster that was already idle,
+        so one pass over the clusters is not enough.
+        """
+        while sum(cluster.run_until_idle() for cluster in self.clusters.values()):
+            pass
+
+    def _untried(self, submission: GatewaySubmission) -> list[str]:
+        """Registered, undrained clusters ``submission`` has not been on."""
+        return [
+            name
+            for name in self.clusters
+            if name not in submission.tried and name not in self._drained
+        ]
+
+    def _admit(
+        self, submission: GatewaySubmission, handle, order: list[str], admission: dict
+    ) -> None:
+        """Admit ``handle`` on the first cluster of ``order`` not shedding it.
+
+        Raises the rejection with the minimum ``retry_after_ms`` if every
+        cluster of the (non-empty) ``order`` sheds.
+        """
         rejections: list[AdmissionRejectedError] = []
-        for attempt, cluster_name in enumerate(spill_order, start=1):
+        for cluster_name in order:
             cluster = self.clusters[cluster_name]
+            submission.tried.append(cluster_name)
             self._count("gateway_queries_routed_total", cluster=cluster_name)
-            if tracer is not None:
-                tracer.instant(
+            if handle.trace is not None:
+                handle.trace.instant(
                     "gateway.route",
                     cluster=cluster_name,
-                    attempt=attempt,
+                    attempt=submission.attempts,
                     queue_depth=cluster.queued_query_count(),
                 )
             try:
-                execution = cluster.submit_handle(
-                    handle,
-                    user=user,
-                    resource_group=resource_group,
-                    memory_mb=memory_mb,
-                    priority=priority,
-                    on_finish=finished,
-                )
+                execution = cluster.submit_handle(handle, **admission)
             except AdmissionRejectedError as error:
                 rejections.append(error)
                 self.load_sheds += 1
                 self._count("gateway_load_shed_total", cluster=cluster_name)
                 continue
-            if attempt > 1:
-                self.failovers += 1
-                self._count("gateway_failovers_total", cluster=spill_order[0])
-            submission = GatewaySubmission(
-                user=user,
-                handle=handle,
-                cluster_name=cluster_name,
-                execution=execution,
-                attempts=attempt,
-            )
-            self._submissions.append(submission)
-            return submission
-        if tracer is not None and span is not None:
-            tracer.close_span(span)
-        assert rejections
+            self._submissions.pop(submission.handle, None)
+            self._submissions[handle] = submission
+            submission.handle = handle
+            submission.cluster_name = cluster_name
+            submission.execution = execution
+            return
         self.all_sheds += 1
         self._count("gateway_all_shed_total")
         raise min(rejections, key=lambda error: error.retry_after_ms)

@@ -140,9 +140,10 @@ class TestAdaptiveConcurrent:
     def run_concurrent(self, fault_injector=None):
         engine = make_adaptive_engine(fault_injector=fault_injector)
         cluster = PrestoClusterSim(workers=4, slots_per_worker=2)
-        handles = [
-            cluster.submit_engine_handle(engine, sql)[0] for sql in QUERIES
-        ]
+        handles = []
+        for sql in QUERIES:
+            handles.append(engine.submit(sql))
+            cluster.submit_handle(handles[-1])
         cluster.run_until_idle()
         assert cluster.max_concurrent_running() > 1, "nothing actually overlapped"
         return handles

@@ -52,6 +52,60 @@ class TestScheduling:
             PrestoClusterSim().submit_query([])
 
 
+class TestOneAdmissionPath:
+    """Synthetic queries are admitted, pumped handles like any other."""
+
+    def test_synthetic_and_engine_queries_start_at_the_same_time(self):
+        # Regression: the synthetic path used to register the query and
+        # then plan with running_query_count() + 1 — counting it twice
+        # (50.0096 ms vs an engine handle's 50.0048 ms on 4 idle workers).
+        from repro.connectors.memory import MemoryConnector
+        from repro.core.types import BIGINT
+        from repro.execution.engine import PrestoEngine
+        from repro.planner.analyzer import Session
+
+        connector = MemoryConnector()
+        connector.create_table("db", "t", [("v", BIGINT)], [(1,)])
+        engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
+        engine.register_connector("memory", connector)
+        synthetic = PrestoClusterSim(workers=4).submit_query([20.0])
+        handle = PrestoClusterSim(workers=4).submit_handle(
+            engine.submit("SELECT v FROM t")
+        )
+        assert synthetic.started_at == handle.started_at
+        assert synthetic.started_at == CoordinatorModel().planning_cost_ms(4, 1)
+
+    def test_synthetic_queries_show_in_timeline_and_histograms(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        cluster = PrestoClusterSim(workers=2, slots_per_worker=2, metrics=metrics)
+        executions = [cluster.submit_query([100.0] * 2) for _ in range(3)]
+        assert cluster.running_query_count() == 3
+        cluster.run_until_idle()
+        assert all(e.splits_done == e.splits_total == 2 for e in executions)
+        assert all(e.running_ms > 0.0 and e.queued_ms == 0.0 for e in executions)
+        assert cluster.max_concurrent_running() == 3
+        spans = cluster.timeline_trace().find("cluster.query")
+        assert [s.attributes["query_id"] for s in spans] == [
+            e.query_id for e in executions
+        ]
+        for name in ("cluster_queued_ms", "cluster_running_ms"):
+            assert metrics.histogram(name, cluster=cluster.name).count == 3
+
+    def test_synthetic_queries_obey_resource_groups(self):
+        # The default group is root.anonymous; capping it queues the
+        # second synthetic query behind the first.
+        cluster = PrestoClusterSim(workers=2)
+        cluster.resource_group("anonymous", max_running=1)
+        first = cluster.submit_query([100.0])
+        second = cluster.submit_query([100.0])
+        assert cluster.queued_query_count() == 1
+        cluster.run_until_idle()
+        assert second.queued_ms == pytest.approx(first.running_ms)
+        assert cluster.max_concurrent_running() == 1
+
+
 class TestCoordinatorBottleneck:
     def test_planning_cost_grows_with_workers(self):
         model = CoordinatorModel()

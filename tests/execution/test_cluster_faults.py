@@ -71,7 +71,7 @@ class TestWorkerCrash:
         only = next(iter(cluster.workers))
         cluster.crash_worker_at(150.0, only)
         # New worker registers and picks up the orphaned work.
-        cluster._at(200.0, cluster.add_worker)
+        cluster.call_at(200.0, cluster.add_worker)
         cluster.run_until_idle()
         assert execution.finished_at is not None
         assert execution.splits_done == 3
@@ -91,13 +91,12 @@ class TestWorkerCrash:
         engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
         engine.register_connector("memory", connector)
         cluster = PrestoClusterSim(workers=2, slots_per_worker=1, clock=SimulatedClock())
-        result, execution = cluster.submit_engine_query(
-            engine, "SELECT k, count(*) FROM events GROUP BY k"
-        )
+        handle = engine.submit("SELECT k, count(*) FROM events GROUP BY k")
+        execution = cluster.submit_handle(handle)
         victim = next(iter(cluster.workers))
         cluster.crash_worker_at(60.0, victim)
         cluster.run_until_idle()
-        assert result.rows  # engine result intact
+        assert handle.result().rows  # engine result intact
         assert execution.finished_at is not None
         assert execution.splits_done == execution.splits_total
 
@@ -314,19 +313,18 @@ class TestQueryIdThreading:
         engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
         engine.register_connector("memory", connector)
         cluster = PrestoClusterSim(workers=2, clock=SimulatedClock(), name="adhoc")
-        result, execution = cluster.submit_engine_query(engine, "SELECT sum(v) FROM t")
+        handle = engine.submit("SELECT sum(v) FROM t")
+        execution = cluster.submit_handle(handle)
         cluster.run_until_idle()
-        engine_id = result.stats.query_id
+        engine_id = handle.result().stats.query_id
         assert engine_id
         assert execution.query_id == f"adhoc-{engine_id}"
         assert execution.query_id in cluster.queries
 
     def test_resubmitting_same_engine_query_gets_unique_cluster_id(self):
         cluster = PrestoClusterSim(workers=1, clock=SimulatedClock())
-        from repro.execution.cluster import SplitWork
-
-        first = cluster.submit_tasks([SplitWork("", 1.0)], query_id="dup")
-        second = cluster.submit_tasks([SplitWork("", 1.0)], query_id="dup")
-        assert first.query_id == "dup"
-        assert second.query_id != "dup"
+        first = cluster.submit_query([1.0], query_id="dup")
+        second = cluster.submit_query([1.0], query_id="dup")
+        assert first.query_id == "cluster-dup"
+        assert second.query_id != first.query_id
         assert len(cluster.queries) == 2

@@ -47,12 +47,12 @@ def run_concurrent(fault_injector=None, max_running=None):
     cluster = PrestoClusterSim(workers=4, slots_per_worker=2)
     if max_running is not None:
         cluster.resource_group("g", max_running=max_running)
-    handles = [
-        cluster.submit_engine_handle(
-            engine, sql, resource_group="g" if max_running is not None else None
-        )[0]
-        for sql in QUERIES
-    ]
+    handles = []
+    for sql in QUERIES:
+        handles.append(engine.submit(sql))
+        cluster.submit_handle(
+            handles[-1], resource_group="g" if max_running is not None else None
+        )
     cluster.run_until_idle()
     assert cluster.max_concurrent_running() > 1, "nothing actually overlapped"
     return handles

@@ -42,6 +42,12 @@ def make_engine(rows=60, split_size=7, **kwargs):
     return engine
 
 
+def submit(cluster, engine, sql, **admission):
+    """Plan on the engine, admit on the cluster: (handle, execution)."""
+    handle = engine.submit(sql)
+    return handle, cluster.submit_handle(handle, **admission)
+
+
 class TestQuerySchedulerStateMachine:
     def test_stepping_matches_blocking_run(self):
         stepped_engine = make_engine()
@@ -160,8 +166,8 @@ class TestAdmissionControl:
         cluster, metrics = self.make_cluster()
         cluster.resource_group("g", max_running=1)
         engine = make_engine()
-        first, ex1 = cluster.submit_engine_handle(engine, SQL, resource_group="g")
-        second, ex2 = cluster.submit_engine_handle(engine, SQL, resource_group="g")
+        first, ex1 = submit(cluster, engine, SQL, resource_group="g")
+        second, ex2 = submit(cluster, engine, SQL, resource_group="g")
         assert cluster.running_query_count() == 1
         assert cluster.queued_query_count() == 1
         cluster.run_until_idle()
@@ -179,10 +185,10 @@ class TestAdmissionControl:
         cluster, _ = self.make_cluster()
         cluster.resource_group("g", max_running=1, max_queued=1)
         engine = make_engine()
-        cluster.submit_engine_handle(engine, SQL, resource_group="g")
-        cluster.submit_engine_handle(engine, SQL, resource_group="g")
+        submit(cluster, engine, SQL, resource_group="g")
+        submit(cluster, engine, SQL, resource_group="g")
         with pytest.raises(AdmissionRejectedError) as rejection:
-            cluster.submit_engine_handle(engine, SQL, resource_group="g")
+            submit(cluster, engine, SQL, resource_group="g")
         assert rejection.value.retry_after_ms > 0
         assert rejection.value.category is ErrorCategory.INSUFFICIENT_RESOURCES
         assert not rejection.value.retryable
@@ -196,22 +202,22 @@ class TestAdmissionControl:
         # SLO below one average wait: any queueing at all is over budget.
         cluster.resource_group("g", max_running=1, queue_slo_ms=1.0)
         engine = make_engine()
-        cluster.submit_engine_handle(engine, SQL, resource_group="g")
+        submit(cluster, engine, SQL, resource_group="g")
         with pytest.raises(AdmissionRejectedError, match="over SLO"):
-            cluster.submit_engine_handle(engine, SQL, resource_group="g")
+            submit(cluster, engine, SQL, resource_group="g")
 
     def test_fair_share_dequeue_prefers_starved_user(self):
         cluster, _ = self.make_cluster()
         cluster.resource_group("g", max_running=2)
         engine = make_engine()
         # alice fills the group, then queues a third; bob queues one last.
-        cluster.submit_engine_handle(engine, SQL, user="alice", resource_group="g")
-        cluster.submit_engine_handle(engine, SQL, user="alice", resource_group="g")
-        a3, a3_ex = cluster.submit_engine_handle(
-            engine, SQL, user="alice", resource_group="g"
+        submit(cluster, engine, SQL, user="alice", resource_group="g")
+        submit(cluster, engine, SQL, user="alice", resource_group="g")
+        a3, a3_ex = submit(
+            cluster, engine, SQL, user="alice", resource_group="g"
         )
-        b1, b1_ex = cluster.submit_engine_handle(
-            engine, SQL, user="bob", resource_group="g"
+        b1, b1_ex = submit(
+            cluster, engine, SQL, user="bob", resource_group="g"
         )
         assert [run.handle for run in cluster._queued_runs] == [a3, b1]
         cluster.run_until_idle()
@@ -226,12 +232,12 @@ class TestAdmissionControl:
         cluster, _ = self.make_cluster()
         cluster.resource_group("g", max_running=1)
         engine = make_engine()
-        cluster.submit_engine_handle(engine, SQL, user="alice", resource_group="g")
-        low, low_ex = cluster.submit_engine_handle(
-            engine, SQL, user="bob", resource_group="g", priority=0
+        submit(cluster, engine, SQL, user="alice", resource_group="g")
+        low, low_ex = submit(
+            cluster, engine, SQL, user="bob", resource_group="g", priority=0
         )
-        high, high_ex = cluster.submit_engine_handle(
-            engine, SQL, user="carol", resource_group="g", priority=5
+        high, high_ex = submit(
+            cluster, engine, SQL, user="carol", resource_group="g", priority=5
         )
         cluster.run_until_idle()
         assert high.state == low.state == "finished"
@@ -241,8 +247,8 @@ class TestAdmissionControl:
         cluster, metrics = self.make_cluster()
         cluster.resource_group("g", max_running=1)
         engine = make_engine()
-        cluster.submit_engine_handle(engine, SQL, resource_group="g")
-        cluster.submit_engine_handle(engine, SQL, resource_group="g")
+        submit(cluster, engine, SQL, resource_group="g")
+        submit(cluster, engine, SQL, resource_group="g")
         name = cluster.name
         assert metrics.gauge("cluster_queries_running", cluster=name).value == 1
         assert metrics.gauge("cluster_queries_queued", cluster=name).value == 1
@@ -279,7 +285,7 @@ class TestAdmissionControl:
         cluster = PrestoClusterSim(workers=4, coordinator=SpyCoordinator())
         engine = make_engine()
         for _ in range(3):
-            cluster.submit_engine_handle(engine, SQL)
+            submit(cluster, engine, SQL)
         assert calls == [1, 2, 3]
 
 
@@ -288,7 +294,7 @@ class TestInterleavedExecution:
         metrics = MetricsRegistry()
         cluster = PrestoClusterSim(workers=4, slots_per_worker=2, metrics=metrics)
         engine = make_engine()
-        handles = [cluster.submit_engine_handle(engine, SQL)[0] for _ in range(3)]
+        handles = [submit(cluster, engine, SQL)[0] for _ in range(3)]
         assert cluster.running_query_count() == 3
         cluster.run_until_idle()
         assert all(h.state == "finished" for h in handles)
@@ -308,7 +314,7 @@ class TestInterleavedExecution:
         concurrent_engine = make_engine()
         cluster = PrestoClusterSim(workers=2, slots_per_worker=1)
         sqls = [SQL, "SELECT count(*) FROM t WHERE a < 30", SQL]
-        handles = [cluster.submit_engine_handle(concurrent_engine, s)[0] for s in sqls]
+        handles = [submit(cluster, concurrent_engine, s)[0] for s in sqls]
         cluster.run_until_idle()
         sequential_engine = make_engine()
         for handle, sql in zip(handles, sqls):
@@ -318,7 +324,7 @@ class TestInterleavedExecution:
         metrics = MetricsRegistry()
         cluster = PrestoClusterSim(workers=4, metrics=metrics)
         engine = make_engine(metrics=metrics)
-        handles = [cluster.submit_engine_handle(engine, SQL)[0] for _ in range(2)]
+        handles = [submit(cluster, engine, SQL)[0] for _ in range(2)]
         cluster.run_until_idle()
         for handle in handles:
             assert_query_observable(handle.result(), metrics)
@@ -326,7 +332,7 @@ class TestInterleavedExecution:
     def test_stage_barrier_no_downstream_task_before_upstream_drains(self):
         cluster = PrestoClusterSim(workers=1, slots_per_worker=1)
         engine = make_engine()
-        handle, execution = cluster.submit_engine_handle(engine, SQL)
+        handle, execution = submit(cluster, engine, SQL)
         cluster.run_until_idle()
         # Replay the split completion order recorded by the cluster: all
         # of stage N's splits must complete before stage N+1 dispatches.
@@ -343,7 +349,7 @@ class TestCrashRecoveryAcrossQueries:
     def test_crash_requeues_splits_of_all_inflight_queries(self):
         cluster = PrestoClusterSim(workers=2, slots_per_worker=2)
         engine = make_engine(rows=120, split_size=5)
-        handles = [cluster.submit_engine_handle(engine, SQL)[0] for _ in range(3)]
+        handles = [submit(cluster, engine, SQL)[0] for _ in range(3)]
         victim = next(iter(cluster.workers))
         # Admission planning costs ~50ms, so splits are in flight shortly
         # after; crash while all three queries have work on the workers.
@@ -363,7 +369,7 @@ class TestCrashRecoveryAcrossQueries:
     def test_crash_does_not_block_other_queries_progress(self):
         cluster = PrestoClusterSim(workers=3, slots_per_worker=1)
         engine = make_engine(rows=90, split_size=6)
-        handles = [cluster.submit_engine_handle(engine, SQL)[0] for _ in range(2)]
+        handles = [submit(cluster, engine, SQL)[0] for _ in range(2)]
         victim = list(cluster.workers)[0]
         cluster.crash_worker_at(55.0, victim)
         cluster.run_until_idle()
@@ -385,9 +391,9 @@ class TestDrainEviction:
         cluster = PrestoClusterSim(workers=2)
         cluster.resource_group("g", max_running=1)
         engine = make_engine()
-        running, _ = cluster.submit_engine_handle(engine, SQL, resource_group="g")
-        queued, queued_ex = cluster.submit_engine_handle(
-            engine, SQL, resource_group="g"
+        running, _ = submit(cluster, engine, SQL, resource_group="g")
+        queued, queued_ex = submit(
+            cluster, engine, SQL, resource_group="g"
         )
         evicted = cluster.evict_queued()
         assert [run.handle for run in evicted] == [queued]

@@ -8,7 +8,7 @@ from repro.common.hashing import stable_hash
 from repro.common.ring import ConsistentHashRing
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, VARCHAR
-from repro.execution.cluster import PrestoClusterSim, SplitWork
+from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
 from repro.federation.gateway import PrestoGateway
 from repro.planner.analyzer import Session
@@ -101,25 +101,15 @@ class TestDirectOracle:
 
 
 class TestClusterBridge:
-    def test_submit_tasks_generalizes_submit_query(self):
-        cluster = PrestoClusterSim(workers=2, clock=SimulatedClock())
-        execution = cluster.submit_tasks(
-            [SplitWork("", 10.0, "a"), SplitWork("", 20.0, "b")]
-        )
-        cluster.run_until_idle()
-        assert execution.finished_at is not None
-        assert execution.splits_total == 2
-
-    def test_submit_engine_query_schedules_real_tasks(self):
+    def test_engine_handle_schedules_real_tasks(self):
         engine = make_engine()
         cluster = PrestoClusterSim(workers=3, clock=SimulatedClock())
-        result, execution = cluster.submit_engine_query(
-            engine, "SELECT k, sum(v) FROM events GROUP BY k"
-        )
+        handle = engine.submit("SELECT k, sum(v) FROM events GROUP BY k")
+        execution = cluster.submit_handle(handle)
         cluster.run_until_idle()
         assert execution.finished_at is not None
         # One cluster task per staged-execution task, not a synthetic count.
-        assert execution.splits_total == result.stats.tasks_total
+        assert execution.splits_total == handle.result().stats.tasks_total
 
     def test_engine_queries_warm_affinity_caches(self):
         engine = make_engine()
@@ -127,7 +117,7 @@ class TestClusterBridge:
             workers=4, clock=SimulatedClock(), affinity_scheduling=True
         )
         for _ in range(3):
-            cluster.submit_engine_query(engine, "SELECT sum(v) FROM events")
+            cluster.submit_handle(engine.submit("SELECT sum(v) FROM events"))
             cluster.run_until_idle()
         # The split data keys repeat across queries, so repeat scans hit
         # the preferred workers' caches.
@@ -136,8 +126,8 @@ class TestClusterBridge:
     def test_graceful_shutdown_drains_engine_tasks(self):
         engine = make_engine()
         cluster = PrestoClusterSim(workers=2, clock=SimulatedClock())
-        _, execution = cluster.submit_engine_query(
-            engine, "SELECT k, count(*) FROM events GROUP BY k"
+        execution = cluster.submit_handle(
+            engine.submit("SELECT k, count(*) FROM events GROUP BY k")
         )
         victim = next(iter(cluster.workers))
         cluster.request_graceful_shutdown(victim, grace_period_ms=1.0)
@@ -153,11 +143,11 @@ class TestClusterBridge:
         adhoc = PrestoClusterSim(workers=2, clock=SimulatedClock(), name="adhoc")
         gateway.register_cluster(adhoc)
         gateway.routing.set_default("adhoc")
-        result, execution = gateway.submit_sql("alice", engine, "SELECT count(*) FROM events")
-        adhoc.run_until_idle()
-        assert result.rows == [(40,)]
-        assert execution.finished_at is not None
-        assert execution.query_id.startswith("adhoc-")
+        submission = gateway.submit_sql("alice", engine, "SELECT count(*) FROM events")
+        gateway.run_until_idle()
+        assert submission.handle.result().rows == [(40,)]
+        assert submission.execution.finished_at is not None
+        assert submission.execution.query_id.startswith("adhoc-")
 
 
 class TestStableAffinityHash:

@@ -37,20 +37,30 @@ def make_engine(**kwargs):
 
 
 class FlakyEngine:
-    """Engine stub: raises a configured error for the first N executions,
-    then delegates to a real engine."""
+    """Engine stub: the first N submissions are doomed, then it delegates
+    to a real engine.  A doomed submission raises the configured error at
+    ``submit`` (planning) when ``fail_in="submit"``, else at the handle's
+    first ``step`` — on the cluster, mid-run."""
 
-    def __init__(self, failures, error_factory):
+    def __init__(self, failures, error_factory, fail_in="step"):
         self.calls = 0
         self.failures = failures
         self.error_factory = error_factory
+        self.fail_in = fail_in
         self.real = make_engine()
 
-    def execute(self, sql):
+    def submit(self, sql):
         self.calls += 1
-        if self.calls <= self.failures:
+        doomed = self.calls <= self.failures
+        if doomed and self.fail_in == "submit":
             raise self.error_factory()
-        return self.real.execute(sql)
+        handle = self.real.submit(sql)
+        if doomed:
+            def fail():
+                raise self.error_factory()
+
+            handle._machine.step = fail
+        return handle
 
 
 class TestRoutingTable:
@@ -149,17 +159,20 @@ class TestGatewayFailover:
     def test_retryable_failure_fails_over_to_next_cluster(self):
         gateway = make_gateway()
         engine = FlakyEngine(1, lambda: ExecutionError("worker pool collapsed"))
-        result, execution = gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        submission = gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        assert submission.cluster_name == "dedicated-a"
+        gateway.run_until_idle()
         assert engine.calls == 2
         assert gateway.failovers == 1
         # Routed to dedicated-a first; the rerun landed on the next
         # registered, undrained cluster.
-        assert execution.query_id.startswith("dedicated-b")
-        assert result.rows == [(sum(range(30)),)]
+        assert submission.tried == ["dedicated-a", "dedicated-b"]
+        assert submission.execution.query_id.startswith("dedicated-b")
+        assert submission.handle.result().rows == [(sum(range(30)),)]
 
     def test_user_error_fails_fast_without_failover(self):
         gateway = make_gateway()
-        engine = FlakyEngine(99, lambda: SemanticError("no such column"))
+        engine = FlakyEngine(99, lambda: SemanticError("no such column"), "submit")
         with pytest.raises(SemanticError):
             gateway.submit_sql("alice", engine, "SELECT nope FROM t")
         assert engine.calls == 1
@@ -169,45 +182,79 @@ class TestGatewayFailover:
         # Re-routing does not shrink an over-large join (section XII.C).
         gateway = make_gateway()
         engine = FlakyEngine(99, lambda: InsufficientResourcesError("query too big"))
+        submission = gateway.submit_sql("alice", engine, "SELECT v FROM t")
+        gateway.run_until_idle()
         with pytest.raises(InsufficientResourcesError):
-            gateway.submit_sql("alice", engine, "SELECT v FROM t")
+            submission.handle.result()
         assert engine.calls == 1
         assert gateway.failovers == 0
 
     def test_exhausting_all_clusters_surfaces_the_error(self):
         gateway = make_gateway()
         engine = FlakyEngine(99, lambda: ExecutionError("still down"))
+        submission = gateway.submit_sql("alice", engine, "SELECT v FROM t")
+        gateway.run_until_idle()
         with pytest.raises(ExecutionError):
-            gateway.submit_sql("alice", engine, "SELECT v FROM t")
+            submission.handle.result()
         assert engine.calls == 3  # every registered cluster tried once
         assert gateway.failovers == 2
+        assert not gateway._submissions
 
     def test_max_failovers_zero_disables_rerouting(self):
         gateway = make_gateway()
         engine = FlakyEngine(99, lambda: ExecutionError("down"))
+        submission = gateway.submit_sql(
+            "alice", engine, "SELECT v FROM t", max_failovers=0
+        )
+        gateway.run_until_idle()
         with pytest.raises(ExecutionError):
-            gateway.submit_sql("alice", engine, "SELECT v FROM t", max_failovers=0)
+            submission.handle.result()
         assert engine.calls == 1
+
+    def test_failed_replan_leaves_the_first_error(self):
+        # The rerun's planning fails: nothing took it, so the submission
+        # stays failed with the error of the run that actually happened.
+        gateway = make_gateway()
+        engine = FlakyEngine(1, lambda: ExecutionError("down"))
+        submission = gateway.submit_sql("alice", engine, "SELECT v FROM t")
+        engine.failures, engine.fail_in = 99, "submit"
+        gateway.run_until_idle()
+        with pytest.raises(ExecutionError, match="down"):
+            submission.handle.result()
+        assert submission.tried == ["dedicated-a"]
+        assert gateway.failovers == 0
 
     def test_drained_cluster_excluded_from_failover(self):
         gateway = make_gateway()
         gateway.drain_cluster("dedicated-b", fallback="shared")
         engine = FlakyEngine(1, lambda: ExecutionError("down"))
-        _, execution = gateway.submit_sql("alice", engine, "SELECT v FROM t")
-        assert execution.query_id.startswith("shared")
+        submission = gateway.submit_sql("alice", engine, "SELECT v FROM t")
+        gateway.run_until_idle()
+        assert submission.execution.query_id.startswith("shared")
         assert gateway.failovers == 1
+
+    def test_failover_to_an_already_idle_cluster_is_driven(self):
+        # bob routes to "shared", registered last: its failover target is
+        # dedicated-a, which a single pass over the clusters already left.
+        gateway = make_gateway()
+        engine = FlakyEngine(1, lambda: ExecutionError("down"))
+        submission = gateway.submit_sql("bob", engine, "SELECT sum(v) FROM t")
+        gateway.run_until_idle()
+        assert submission.tried == ["shared", "dedicated-a"]
+        assert submission.handle.result().rows == [(sum(range(30)),)]
 
     def test_injected_faults_drive_real_failover(self):
         # End-to-end: retries disabled, so the injected INTERNAL_ERROR on
-        # the first engine run escapes to the gateway, which reruns the
-        # query on another cluster — where it deterministically succeeds
-        # (seed 18 fails query-0, passes query-1).
+        # the first engine run fails it on dedicated-a; the gateway reruns
+        # the query on another cluster — where it deterministically
+        # succeeds (seed 18 fails query-0, passes query-1).
         gateway = make_gateway()
         engine = make_engine(
             fault_injector=FaultInjector(seed=18, task_failure_rate=0.05),
             max_task_retries=0,
         )
-        result, execution = gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        submission = gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        gateway.run_until_idle()
         assert gateway.failovers == 1
-        assert execution.query_id.startswith("dedicated-b")
-        assert result.rows == [(sum(range(30)),)]
+        assert submission.execution.query_id.startswith("dedicated-b")
+        assert submission.handle.result().rows == [(sum(range(30)),)]

@@ -42,20 +42,15 @@ def make_gateway(metrics=None, workers=2):
     return gateway
 
 
-def drive(gateway):
-    for cluster in gateway.clusters.values():
-        cluster.run_until_idle()
-
-
-class TestSubmitAsync:
+class TestSubmitSql:
     def test_routes_admits_and_completes(self):
         gateway = make_gateway()
         engine = make_engine()
-        submission = gateway.submit_sql_async("alice", engine, SQL)
+        submission = gateway.submit_sql("alice", engine, SQL)
         assert submission.cluster_name == "dedicated-a"
         assert submission.attempts == 1
         assert submission.handle.state == "running"
-        drive(gateway)
+        gateway.run_until_idle()
         result = submission.handle.result()
         assert result.rows == make_engine().execute(SQL).rows
         # The trace shows the whole serving path, all spans closed.
@@ -76,15 +71,15 @@ class TestSubmitAsync:
         gateway.clusters["dedicated-a"].resource_group(
             "alice", max_running=1, max_queued=0
         )
-        first = gateway.submit_sql_async("alice", engine, SQL)
-        second = gateway.submit_sql_async("alice", engine, SQL)
+        first = gateway.submit_sql("alice", engine, SQL)
+        second = gateway.submit_sql("alice", engine, SQL)
         assert first.cluster_name == "dedicated-a"
         assert second.cluster_name != "dedicated-a"
         assert second.attempts == 2
         assert gateway.load_sheds == 1
         assert gateway.failovers == 1
         assert metrics.total("gateway_load_shed_total", cluster="dedicated-a") == 1
-        drive(gateway)
+        gateway.run_until_idle()
         oracle = make_engine().execute(SQL).rows
         assert first.handle.result().rows == oracle
         assert second.handle.result().rows == oracle
@@ -97,12 +92,12 @@ class TestSubmitAsync:
             cluster.root_group.max_running = 1
             cluster.root_group.max_queued = 0
             # Occupy the only slot everywhere.
-            cluster.submit_engine_handle(engine, SQL, user="anonymous")
+            cluster.submit_handle(engine.submit(SQL), user="anonymous")
         with pytest.raises(AdmissionRejectedError) as rejection:
-            gateway.submit_sql_async("bob", engine, SQL)
+            gateway.submit_sql("bob", engine, SQL)
         assert rejection.value.retry_after_ms > 0
         assert gateway.all_sheds == 1
-        drive(gateway)  # the occupying queries still complete
+        gateway.run_until_idle()  # the occupying queries still complete
 
     def test_all_shed_raises_minimum_retry_after(self, monkeypatch):
         # Regression: the gateway used to propagate the *last* attempted
@@ -121,7 +116,7 @@ class TestSubmitAsync:
         with pytest.raises(AdmissionRejectedError) as rejection:
             # alice routes to dedicated-a first; the spill order ends on
             # "shared" (900ms) — the old code would raise that.
-            gateway.submit_sql_async("alice", engine, SQL)
+            gateway.submit_sql("alice", engine, SQL)
         assert rejection.value.retry_after_ms == 120.0
         assert gateway.all_sheds == 1
         assert gateway.load_sheds == 3
@@ -133,14 +128,14 @@ class TestSubmitAsync:
         gateway = make_gateway(metrics=metrics)
         engine = make_engine()
         gateway.clusters["shared"].resource_group("bob", max_running=1)
-        gateway.submit_sql_async("bob", engine, SQL)
-        gateway.submit_sql_async("bob", engine, SQL)
+        gateway.submit_sql("bob", engine, SQL)
+        gateway.submit_sql("bob", engine, SQL)
         depths = gateway.queue_depths()
         assert depths == {"dedicated-a": 0, "dedicated-b": 0, "shared": 1}
         assert (
             metrics.gauge("gateway_cluster_queue_depth", cluster="shared").value == 1
         )
-        drive(gateway)
+        gateway.run_until_idle()
         assert gateway.queue_depths()["shared"] == 0
 
 
@@ -150,8 +145,8 @@ class TestDrainWithInflightQueries:
         gateway = make_gateway()
         engine = make_engine()
         gateway.clusters["dedicated-a"].resource_group("alice", max_running=1)
-        running = gateway.submit_sql_async("alice", engine, SQL)
-        queued = [gateway.submit_sql_async("alice", engine, SQL) for _ in range(2)]
+        running = gateway.submit_sql("alice", engine, SQL)
+        queued = [gateway.submit_sql("alice", engine, SQL) for _ in range(2)]
         assert gateway.clusters["dedicated-a"].queued_query_count() == 2
         return gateway, engine, running, queued
 
@@ -165,7 +160,7 @@ class TestDrainWithInflightQueries:
             assert submission.attempts == 2
         assert gateway.failovers == 2
         assert gateway.clusters["dedicated-a"].queued_query_count() == 0
-        drive(gateway)
+        gateway.run_until_idle()
         oracle = make_engine().execute(SQL).rows
         assert running.handle.result().rows == oracle
         for submission in queued:
@@ -174,7 +169,7 @@ class TestDrainWithInflightQueries:
     def test_no_double_publish_across_clusters(self):
         gateway, _, running, queued = self.setup_drain()
         gateway.drain_cluster("dedicated-a", "shared")
-        drive(gateway)
+        gateway.run_until_idle()
         # The drained cluster's executions for the evicted queries never
         # dispatched a split; the fallback ran every task exactly once.
         drained = gateway.clusters["dedicated-a"]
@@ -205,15 +200,15 @@ class TestDrainWithInflightQueries:
         for run in evicted_before:
             assert run.state is QueryState.EVICTED
         # New alice traffic routes straight to the fallback.
-        late = gateway.submit_sql_async("alice", engine, SQL)
+        late = gateway.submit_sql("alice", engine, SQL)
         assert late.cluster_name == "shared"
-        drive(gateway)
+        gateway.run_until_idle()
         assert late.handle.state == "finished"
 
     def test_drain_keeps_gateway_span_tree_well_formed(self):
         gateway, _, running, queued = self.setup_drain()
         gateway.drain_cluster("dedicated-a", "shared")
-        drive(gateway)
+        gateway.run_until_idle()
         for submission in (running, *queued):
             trace = submission.handle.trace
             roots = [s for s in trace.spans if s.parent_id is None]
@@ -225,3 +220,105 @@ class TestDrainWithInflightQueries:
             assert len(admissions) == 1
             expected = submission.cluster_name
             assert admissions[0].attributes["cluster"] == expected
+
+
+class TestFailoverWithInflightQueries:
+    """Retryable-failure failover on the one serving path.
+
+    Seed 15 (5% task faults, task retries off) dooms exactly one of four
+    concurrent alice queries — the second, on the second task of its hash
+    stage, with one split of that stage still on a worker.
+    """
+
+    def run_storm(self, **fault_options):
+        from repro.execution.faults import FaultInjector
+
+        metrics = MetricsRegistry()
+        gateway = make_gateway(metrics=metrics)
+        engine = make_engine(
+            fault_injector=FaultInjector(
+                seed=15, task_failure_rate=0.05, **fault_options
+            ),
+            max_task_retries=0,
+        )
+        return gateway, engine, metrics
+
+    def test_one_query_fails_over_mid_stage_others_untouched(self):
+        gateway, engine, metrics = self.run_storm()
+        submissions = [gateway.submit_sql("alice", engine, SQL) for _ in range(4)]
+        home = gateway.clusters["dedicated-a"]
+        assert home.running_query_count() == 4
+        doomed_execution = submissions[1].execution
+        gateway.run_until_idle()
+
+        oracle = make_engine().execute(SQL).rows
+        moved = submissions[1]
+        assert moved.tried == ["dedicated-a", "dedicated-b"]
+        assert moved.execution.query_id.startswith("dedicated-b")
+        assert moved.handle.result().rows == oracle
+        # Mid-stage: splits were dispatched and some were still out.
+        assert 0 < doomed_execution.splits_done < doomed_execution.splits_total
+        # One tree holds both attempts, every span closed.
+        trace = moved.handle.trace
+        assert [s.name for s in trace.spans if s.parent_id is None] == [
+            "gateway.submit"
+        ]
+        assert [s.attributes["cluster"] for s in trace.find("gateway.route")] == [
+            "dedicated-a",
+            "dedicated-b",
+        ]
+        assert [s.attributes["state"] for s in trace.find("cluster.admission")] == [
+            "failed",
+            "finished",
+        ]
+        assert len(trace.find("query")) == 2
+        assert all(s.end_ms is not None for s in trace.spans)
+        # The failed run gave everything back on dedicated-a.
+        for group in (home.resource_group("alice"), home.root_group):
+            assert group.running == 0
+            assert group.memory_used_mb == 0.0
+        assert all(w.running == 0 for w in home.workers.values())
+        assert not gateway._submissions
+        # The other three never left, and ran exactly once.
+        for other in (submissions[0], submissions[2], submissions[3]):
+            assert other.tried == ["dedicated-a"]
+            assert other.handle.result().rows == oracle
+            assert len(other.handle.trace.find("gateway.route")) == 1
+            assert other.execution.splits_done == other.execution.splits_total
+        assert gateway.failovers == 1
+        assert metrics.total("gateway_failovers_total", cluster="dedicated-a") == 1
+        assert metrics.total("cluster_queries_failed_total", cluster="dedicated-a") == 1
+
+    def test_non_retryable_failure_does_not_reroute(self):
+        from repro.common.errors import ErrorCategory, InjectedFaultError
+
+        gateway, engine, _ = self.run_storm(
+            task_error_category=ErrorCategory.INSUFFICIENT_RESOURCES
+        )
+        submissions = [gateway.submit_sql("alice", engine, SQL) for _ in range(4)]
+        gateway.run_until_idle()
+        assert [s.tried for s in submissions] == [["dedicated-a"]] * 4
+        with pytest.raises(InjectedFaultError):
+            submissions[1].handle.result()
+        assert gateway.failovers == 0
+        trace = submissions[1].handle.trace
+        assert all(s.end_ms is not None for s in trace.spans)
+        oracle = make_engine().execute(SQL).rows
+        for other in (submissions[0], submissions[2], submissions[3]):
+            assert other.handle.result().rows == oracle
+
+    def test_max_failovers_zero_does_not_reroute(self):
+        from repro.common.errors import InjectedFaultError
+
+        gateway, engine, _ = self.run_storm()
+        submissions = [
+            gateway.submit_sql("alice", engine, SQL, max_failovers=0)
+            for _ in range(4)
+        ]
+        gateway.run_until_idle()
+        assert [s.tried for s in submissions] == [["dedicated-a"]] * 4
+        with pytest.raises(InjectedFaultError):
+            submissions[1].handle.result()
+        assert submissions[1].handle.error.retryable
+        assert gateway.failovers == 0
+        assert not gateway._submissions

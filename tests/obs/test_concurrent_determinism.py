@@ -30,12 +30,10 @@ def run_once(seed=7, fault_rate=0.1):
         metrics=metrics,
         fault_injector=FaultInjector(seed=seed, task_failure_rate=fault_rate),
     )
-    handles = [
-        cluster.submit_engine_handle(
-            engine, sql, user=f"user{i}", resource_group="ci"
-        )[0]
-        for i, sql in enumerate(SQLS)
-    ]
+    handles = []
+    for i, sql in enumerate(SQLS):
+        handles.append(engine.submit(sql))
+        cluster.submit_handle(handles[-1], user=f"user{i}", resource_group="ci")
     cluster.run_until_idle()
     assert all(h.state == "finished" for h in handles)
     assert cluster.max_concurrent_running() == 2

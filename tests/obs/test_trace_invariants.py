@@ -147,7 +147,9 @@ class TestGatewayTrace:
     def test_single_submission_rooted_at_gateway(self):
         gateway = self.make_gateway()
         engine = self.make_tiny_engine()
-        result, _ = gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        submission = gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        gateway.run_until_idle()
+        result = submission.handle.result()
         trace = result.trace
         assert trace.root.name == "gateway.submit"
         assert [s.attributes["cluster"] for s in trace.find("gateway.route")] == [
@@ -165,10 +167,14 @@ class TestGatewayTrace:
             fault_injector=FaultInjector(seed=18, task_failure_rate=0.05),
             max_task_retries=0,
         )
-        result, execution = gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        submission = gateway.submit_sql("alice", engine, "SELECT sum(v) FROM t")
+        gateway.run_until_idle()
         assert gateway.failovers == 1
-        assert execution.query_id.startswith("dedicated-b")
+        assert submission.execution.query_id.startswith("dedicated-b")
+        result = submission.handle.result()
         trace = result.trace
+        assert trace.root.name == "gateway.submit"
+        assert all(s.end_ms is not None for s in trace.spans)
         assert [s.attributes["cluster"] for s in trace.find("gateway.route")] == [
             "dedicated-a",
             "dedicated-b",

@@ -216,13 +216,13 @@ class TestConcurrentWithLivePipeline:
             def fire():
                 lh.pipeline.step()
                 drive_pipeline()
-            cluster._at(due, fire)
+            cluster.call_at(due, fire)
 
         drive_pipeline()
-        handles = [
-            cluster.submit_engine_handle(engine, template.format(table=pinned))[0]
-            for template in TEMPLATES
-        ]
+        handles = []
+        for template in TEMPLATES:
+            handles.append(engine.submit(template.format(table=pinned)))
+            cluster.submit_handle(handles[-1])
         sealed_before = lh.table.sealed_watermark()
         cluster.run_until_idle()
 
