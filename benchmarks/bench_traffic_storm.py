@@ -62,7 +62,9 @@ def replay_storm(
     cluster.resource_group("storm", max_running=max_running, queue_slo_ms=queue_slo_ms)
     engine = make_storm_engine(rows=rows, tracing=tracing, metrics=metrics)
 
-    finished: list[tuple] = []  # (StormQuery, QueryHandle, QueryExecution)
+    # (StormQuery, QueryHandle, QueryExecution): the record is the cluster's
+    # one object for the query (cluster.queries[id]); record.handle is the handle.
+    finished: list[tuple] = []
     shed: list[tuple] = []  # (StormQuery, retry_after_ms)
     failed: list[tuple] = []
 

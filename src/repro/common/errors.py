@@ -10,7 +10,7 @@ Every error carries an :class:`ErrorCategory`, mirroring Presto's
 standardized error categories (``USER_ERROR`` / ``INTERNAL_ERROR`` /
 ``INSUFFICIENT_RESOURCES`` / ``EXTERNAL``).  The category decides the
 retry policy at every level of the fault-tolerance stack: the
-``StageScheduler`` retries a failing task only when its error is
+``QueryScheduler`` retries a failing task only when its error is
 ``retryable`` (INTERNAL_ERROR and EXTERNAL — transient infrastructure
 problems), while USER_ERRORs fail fast (re-running a bad query cannot
 help) and INSUFFICIENT_RESOURCES escalates instead of retrying (the
@@ -125,6 +125,28 @@ class InjectedFaultError(ExecutionError):
 
 class TaskTimeoutError(ExecutionError):
     """A task exceeded its per-task simulated-time budget."""
+
+
+class InvalidValueError(ExecutionError):
+    """A value made an expression fail at run time.
+
+    Division by zero, a cast of unparseable text, integer overflow —
+    Presto's DIVISION_BY_ZERO / INVALID_CAST_ARGUMENT /
+    NUMERIC_VALUE_OUT_OF_RANGE, all the query's own fault.
+    """
+
+    category = ErrorCategory.USER_ERROR
+
+
+class EngineDefectError(ExecutionError):
+    """A raw (non-Presto) exception escaped a task's operator pipeline.
+
+    Not the user's fault, so it stays INTERNAL_ERROR, but an engine bug
+    is deterministic: neither a task retry nor a gateway failover can
+    help.  The original exception is the ``__cause__``.
+    """
+
+    retryable = False
 
 
 class SchemaEvolutionError(PrestoError):

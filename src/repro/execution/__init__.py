@@ -3,8 +3,8 @@
 Section III: a plan is divided into fragments; "each running plan fragment
 is called a stage ... Stage consists of tasks, which are processing one or
 many splits of input data."  In this single-process reproduction queries
-run *staged* by default: :class:`repro.execution.scheduler.StageScheduler`
-expands each fragment into tasks (one per connector split for leaf
+run *staged*: one :class:`repro.execution.scheduler.QueryScheduler` per
+query expands each fragment into tasks (one per connector split for leaf
 stages) and moves pages between stages over
 :class:`repro.execution.exchange.ExchangeBuffer` objects, while every
 task's operators execute as a pull-based pipeline of vectorized operators
@@ -18,7 +18,7 @@ from repro.execution.context import ExecutionContext, QueryStats
 from repro.execution.driver import execute_plan
 from repro.execution.engine import PrestoEngine, QueryResult
 from repro.execution.exchange import ExchangeBuffer
-from repro.execution.scheduler import StageScheduler
+from repro.execution.scheduler import QueryScheduler
 
 __all__ = [
     "ExecutionContext",
@@ -27,5 +27,5 @@ __all__ = [
     "PrestoEngine",
     "QueryResult",
     "ExchangeBuffer",
-    "StageScheduler",
+    "QueryScheduler",
 ]

@@ -113,33 +113,6 @@ class Worker:
         return False
 
 
-@dataclass
-class QueryExecution:
-    query_id: str
-    splits_total: int
-    splits_done: int = 0
-    submitted_at: float = 0.0
-    started_at: float = 0.0
-    finished_at: Optional[float] = None
-    # FIFO: splits schedule in submission order (popleft); crash-requeued
-    # splits go back to the front so recovered work runs first.
-    pending: deque = field(default_factory=deque)
-    splits_requeued: int = 0
-    # Admission-control accounting: who submitted, through which
-    # resource group, and how the latency decomposes into time spent
-    # queued at admission vs. time spent actually running.
-    user: str = ""
-    resource_group: str = ""
-    queued_ms: float = 0.0
-    running_ms: float = 0.0
-
-    @property
-    def latency_ms(self) -> Optional[float]:
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
-
 class QueryState(enum.Enum):
     """Lifecycle of a query on the cluster."""
 
@@ -247,7 +220,7 @@ class ResourceGroup:
 
 @dataclass
 class SyntheticStep:
-    """One pre-planned task: what the pump reads off a ``TaskStep``."""
+    """One pre-planned task: what the pump reads off a ``TaskRecord``."""
 
     sim_ms: float
     data_key: Optional[str] = None
@@ -280,23 +253,46 @@ class SyntheticQuery:
         return self._steps.popleft() if self._steps else None
 
 
-@dataclass
-class ConcurrentRun:
-    """Cluster-side state of one admitted (or queued) query."""
+@dataclass(eq=False)
+class QueryExecution:
+    """One query on one cluster: the single record of its lifecycle.
 
+    Created by :meth:`PrestoClusterSim.submit_handle` (queued or
+    admitted), kept in ``cluster.queries`` for the life of the cluster,
+    and handed to ``on_finish`` when it reaches FINISHED or FAILED.
+    """
+
+    query_id: str
     handle: object  # QueryHandle or SyntheticQuery
-    execution: QueryExecution
     group: ResourceGroup
     user: str
     memory_mb: float
     priority: int
     sequence: int  # submission order; the FIFO tie-break
+    submitted_at: float
     state: QueryState = QueryState.QUEUED
+    admitted_at: Optional[float] = None
+    started_at: float = 0.0  # admission + coordinator planning
+    finished_at: Optional[float] = None
+    # How the latency decomposes: queued at admission vs. running.
+    queued_ms: float = 0.0
+    running_ms: float = 0.0
+    splits_total: int = 0
+    splits_done: int = 0
+    splits_requeued: int = 0
+    # FIFO: splits schedule in submission order (popleft); crash-requeued
+    # splits go back to the front so recovered work runs first.
+    pending: deque = field(default_factory=deque)
     inflight: int = 0  # dispatched-but-uncompleted splits
     last_stage: Optional[int] = None
-    admitted_at: Optional[float] = None
     admission_span: Optional[object] = None
-    on_finish: Optional[Callable[["ConcurrentRun"], None]] = None
+    on_finish: Optional[Callable[["QueryExecution"], None]] = None
+
+    @property
+    def latency_ms(self) -> Optional[float]:
+        if self.finished_at is None:
+            return None
+        return self.finished_at - self.submitted_at
 
 
 @dataclass
@@ -358,20 +354,19 @@ class PrestoClusterSim:
         self.workers: dict[str, Worker] = {}
         self._worker_ids = itertools.count()
         self._query_ids = itertools.count()
+        # Every query ever submitted, in submission order (split
+        # assignment iterates it, so the order is load-bearing).
         self.queries: dict[str, QueryExecution] = {}
-        # Admission: the resource-group tree, per-query run state, and
-        # the admission queue (fair-share dequeue order is
-        # computed at dequeue time, so one list suffices).
+        # Admission: the resource-group tree and the admission queue
+        # (fair-share dequeue order is computed at dequeue time, so one
+        # list suffices).
         self.root_group = ResourceGroup("root")
-        self._runs: dict[str, ConcurrentRun] = {}
-        self._queued_runs: list[ConcurrentRun] = []
+        self._queued_runs: list[QueryExecution] = []
         self._run_sequence = itertools.count()
         self._user_running: dict[str, int] = {}
         self._completed_runs = 0
         self._completed_running_ms = 0.0
         self.queries_shed = 0
-        # Finished runs, for the cluster timeline trace.
-        self._timeline: list[dict] = []
         # Workers the coordinator will never schedule on again (crashed).
         self.blacklisted_workers: set[str] = set()
         # In-flight split assignments: id -> (worker, execution, split).
@@ -581,7 +576,7 @@ class PrestoClusterSim:
         :meth:`queued_query_count`.
         """
         return sum(
-            1 for run in self._runs.values() if run.state is QueryState.RUNNING
+            1 for run in self.queries.values() if run.state is QueryState.RUNNING
         )
 
     def queued_query_count(self) -> int:
@@ -646,14 +641,15 @@ class PrestoClusterSim:
         resource_group=None,
         memory_mb: float = 100.0,
         priority: int = 0,
-        on_finish: Optional[Callable[[ConcurrentRun], None]] = None,
+        on_finish: Optional[Callable[[QueryExecution], None]] = None,
     ) -> QueryExecution:
         """Admit a steppable query — the one admission state machine.
 
         ``handle`` is a :meth:`repro.execution.engine.PrestoEngine.submit`
         result (or anything speaking its protocol: ``query_id``, ``done``,
         ``peek_stage()``, ``step()``, ``trace``).  Returns immediately
-        with the cluster-side :class:`QueryExecution`; drive
+        with the query's :class:`QueryExecution` — the same object
+        ``cluster.queries`` keeps and ``on_finish`` later receives; drive
         :meth:`run_until_idle` (or keep submitting) and collect the result
         from ``handle.result()``.
 
@@ -697,28 +693,20 @@ class PrestoClusterSim:
                     retry_after_ms=retry_after,
                 )
         query_id = self._unique_query_id(f"{self.name}-{handle.query_id}")
-        execution = QueryExecution(
+        run = QueryExecution(
             query_id,
-            splits_total=0,
-            submitted_at=now,
-            user=user,
-            resource_group=group.path,
-        )
-        self.queries[query_id] = execution
-        run = ConcurrentRun(
             handle=handle,
-            execution=execution,
             group=group,
             user=user,
             memory_mb=memory_mb,
             priority=priority,
             sequence=next(self._run_sequence),
+            submitted_at=now,
             on_finish=on_finish,
         )
-        self._runs[query_id] = run
+        self.queries[query_id] = run
         self._count("cluster_queries_total")
         if must_queue:
-            run.state = QueryState.QUEUED
             group.enqueue()
             self._queued_runs.append(run)
             self._count("cluster_queries_queued_total")
@@ -726,17 +714,16 @@ class PrestoClusterSim:
             self._set_group_gauges(group)
         else:
             self._admit(run)
-        return execution
+        return run
 
-    def _admit(self, run: ConcurrentRun) -> None:
+    def _admit(self, run: QueryExecution) -> None:
         """Grant resources and schedule the first pump after planning."""
         now = self.clock.now_ms()
-        execution = run.execution
         run.state = QueryState.RUNNING
         run.admitted_at = now
         run.group.acquire(run.memory_mb)
         self._user_running[run.user] = self._user_running.get(run.user, 0) + 1
-        execution.queued_ms = now - execution.submitted_at
+        run.queued_ms = now - run.submitted_at
         tracer = getattr(run.handle, "trace", None)
         if tracer is not None:
             run.admission_span = tracer.open_span(
@@ -744,11 +731,11 @@ class PrestoClusterSim:
                 cluster=self.name,
                 group=run.group.path,
                 user=run.user,
-                queued_ms=execution.queued_ms,
+                queued_ms=run.queued_ms,
             )
         if self.metrics is not None:
             self.metrics.histogram("cluster_queued_ms", cluster=self.name).observe(
-                execution.queued_ms
+                run.queued_ms
             )
         # planning_cost_ms's concurrent_queries argument sees the *real*
         # number of in-flight queries (this one included).
@@ -762,12 +749,12 @@ class PrestoClusterSim:
             ),
             self.running_query_count(),
         )
-        execution.started_at = now + planning
+        run.started_at = now + planning
         self._set_query_gauges()
         self._set_group_gauges(run.group)
-        self.call_at(execution.started_at, lambda: self._pump(run))
+        self.call_at(run.started_at, lambda: self._pump(run))
 
-    def _pump(self, run: ConcurrentRun) -> None:
+    def _pump(self, run: QueryExecution) -> None:
         """Advance one query: dispatch its ready tasks as split work.
 
         Steps the handle through the current stage, turning each executed
@@ -780,7 +767,6 @@ class PrestoClusterSim:
         if run.state is not QueryState.RUNNING:
             return
         handle = run.handle
-        execution = run.execution
         dispatched = False
         while not handle.done:
             next_stage = handle.peek_stage()
@@ -799,17 +785,17 @@ class PrestoClusterSim:
                 break
             run.last_stage = step.stage
             run.inflight += 1
-            execution.splits_total += 1
-            execution.pending.append(
+            run.splits_total += 1
+            run.pending.append(
                 SplitWork(
-                    execution.query_id,
+                    run.query_id,
                     step.sim_ms,
                     step.data_key,
                     step.data_bytes,
                 )
             )
             dispatched = True
-        if handle.done and run.inflight == 0 and not execution.pending:
+        if handle.done and run.inflight == 0 and not run.pending:
             self._finish_run(run)
             return
         if dispatched:
@@ -828,46 +814,29 @@ class PrestoClusterSim:
         execution.pending.clear()
         self._set_slot_gauge()
 
-    def _finish_run(self, run: ConcurrentRun, failed: bool = False) -> None:
+    def _finish_run(self, run: QueryExecution, failed: bool = False) -> None:
         if run.state is not QueryState.RUNNING:
             return
         now = self.clock.now_ms()
-        execution = run.execution
         run.state = QueryState.FAILED if failed else QueryState.FINISHED
         if failed:
-            self._cancel_splits(execution)
+            self._cancel_splits(run)
             self._count("cluster_queries_failed_total")
-        execution.finished_at = now
-        admitted = run.admitted_at if run.admitted_at is not None else now
-        execution.running_ms = now - admitted
+        run.finished_at = now
+        run.running_ms = now - run.admitted_at
         run.group.release(run.memory_mb)
         run.group.queries_completed += 1
         self._user_running[run.user] -= 1
         self._completed_runs += 1
-        self._completed_running_ms += execution.running_ms
+        self._completed_running_ms += run.running_ms
         tracer = getattr(run.handle, "trace", None)
         if tracer is not None and run.admission_span is not None:
-            run.admission_span.set(
-                running_ms=execution.running_ms, state=run.state.value
-            )
+            run.admission_span.set(running_ms=run.running_ms, state=run.state.value)
             tracer.close_span(run.admission_span)
         if self.metrics is not None:
             self.metrics.histogram("cluster_running_ms", cluster=self.name).observe(
-                execution.running_ms
+                run.running_ms
             )
-        self._timeline.append(
-            {
-                "query_id": execution.query_id,
-                "user": run.user,
-                "group": run.group.path,
-                "state": run.state.value,
-                "submitted_ms": execution.submitted_at,
-                "admitted_ms": run.admitted_at,
-                "finished_ms": now,
-                "queued_ms": execution.queued_ms,
-                "running_ms": execution.running_ms,
-            }
-        )
         self._set_query_gauges()
         self._set_group_gauges(run.group)
         if run.on_finish is not None:
@@ -899,7 +868,7 @@ class PrestoClusterSim:
             chosen.group.dequeue()
             self._admit(chosen)
 
-    def evict_queued(self) -> list[ConcurrentRun]:
+    def evict_queued(self) -> list[QueryExecution]:
         """Drop every queued (never-admitted) query, e.g. for a drain.
 
         The runs never executed a task — no split was dispatched and no
@@ -913,9 +882,8 @@ class PrestoClusterSim:
         for run in evicted:
             run.group.dequeue()
             run.state = QueryState.EVICTED
-            run.execution.finished_at = now
-            run.execution.queued_ms = now - run.execution.submitted_at
-            del self._runs[run.execution.query_id]
+            run.finished_at = now
+            run.queued_ms = now - run.submitted_at
             self._count("cluster_queries_evicted_total")
             self._set_group_gauges(run.group)
         self._set_query_gauges()
@@ -935,29 +903,37 @@ class PrestoClusterSim:
         root = trace.add_span(
             "cluster.timeline", 0.0, self.clock.now_ms(), cluster=self.name
         )
-        for record in sorted(
-            self._timeline, key=lambda r: (r["admitted_ms"], r["query_id"])
+        for run in sorted(
+            self._served_runs(), key=lambda r: (r.admitted_at, r.query_id)
         ):
             trace.add_span(
                 "cluster.query",
-                record["admitted_ms"],
-                record["finished_ms"],
+                run.admitted_at,
+                run.finished_at,
                 parent=root,
-                query_id=record["query_id"],
-                user=record["user"],
-                group=record["group"],
-                state=record["state"],
-                queued_ms=record["queued_ms"],
-                running_ms=record["running_ms"],
+                query_id=run.query_id,
+                user=run.user,
+                group=run.group.path,
+                state=run.state.value,
+                queued_ms=run.queued_ms,
+                running_ms=run.running_ms,
             )
         return trace
+
+    def _served_runs(self) -> list[QueryExecution]:
+        """Queries that were admitted and have ended (FINISHED or FAILED)."""
+        return [
+            run
+            for run in self.queries.values()
+            if run.state in (QueryState.FINISHED, QueryState.FAILED)
+        ]
 
     def max_concurrent_running(self) -> int:
         """Peak number of concurrently-running served queries."""
         events: list[tuple[float, int]] = []
-        for record in self._timeline:
-            events.append((record["admitted_ms"], 1))
-            events.append((record["finished_ms"], -1))
+        for run in self._served_runs():
+            events.append((run.admitted_at, 1))
+            events.append((run.finished_at, -1))
         events.sort()
         current = peak = 0
         for _, delta in events:
@@ -1071,9 +1047,8 @@ class PrestoClusterSim:
         execution.splits_done += 1
         # splits_total grows as stages dispatch, so completion is decided
         # by the pump (handle done + every dispatched split drained).
-        run = self._runs[execution.query_id]
-        run.inflight -= 1
-        self._pump(run)
+        execution.inflight -= 1
+        self._pump(execution)
         if worker.state is WorkerState.SHUTTING_DOWN and worker.running == 0:
             visible = (
                 worker.shutdown_visible_at is not None

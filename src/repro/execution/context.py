@@ -33,7 +33,7 @@ class QueryStats:
     rows_processed_vectorized: int = 0
     rows_processed_fallback: int = 0
     # Staged execution counters (section III: fragments → stages → tasks):
-    # filled by the StageScheduler when a query runs fragmented.
+    # filled by the QueryScheduler when a query runs fragmented.
     stages_total: int = 0
     tasks_total: int = 0
     rows_exchanged: int = 0
@@ -108,7 +108,7 @@ class ExecutionContext:
     it raises ``InsufficientResourcesError``, reproducing the
     "Insufficient Resource" failures of section XII.C.
 
-    During staged execution the StageScheduler derives one shallow copy of
+    During staged execution the QueryScheduler derives one shallow copy of
     the query context per task (sharing ``stats``): ``scan_splits`` pins
     each table scan to the task's assigned connector splits, and
     ``exchange_inputs`` resolves the task's RemoteSource leaves to pages

@@ -120,7 +120,7 @@ def _dispatch(node: PlanNode, ctx: ExecutionContext) -> Iterator[Page]:
 
 
 def _execute_remote_source(node: RemoteSourceNode, ctx: ExecutionContext) -> Iterator[Page]:
-    # Staged execution: the StageScheduler resolved this exchange against
+    # Staged execution: the QueryScheduler resolved this exchange against
     # the upstream stage's buffer before starting the task.
     if ctx.exchange_inputs is None or node.exchange not in ctx.exchange_inputs:
         raise ExecutionError(

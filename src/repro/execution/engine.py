@@ -14,15 +14,17 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.common.clock import SimulatedClock
-from repro.common.errors import ExecutionError, PrestoError
+from repro.common.errors import ExecutionError, PrestoError, SemanticError
 from repro.connectors.spi import Catalog
 from repro.core.functions import FunctionRegistry, default_registry
 from repro.core.page import Page
 from repro.execution.context import ExecutionContext, QueryStats
 from repro.execution.driver import execute_plan, record_operator_spans
+from repro.execution.scheduler import DEFAULT_TARGET_PARTITION_ROWS, QueryScheduler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import QueryTrace, activate, current_tracer
 from repro.planner.analyzer import Analyzer, Session
+from repro.planner.fragmenter import Fragmenter
 from repro.planner.optimizer import Optimizer
 from repro.planner.plan import OutputNode
 from repro.sql import parse_sql
@@ -116,7 +118,7 @@ class QueryHandle:
     # -- driving --------------------------------------------------------------
 
     def step(self):
-        """Run one task; returns its :class:`TaskStep` (None if finished).
+        """Run one task; returns its ``TaskRecord`` (None if finished).
 
         On terminal failure the error is recorded on :attr:`error` *and*
         raised, mirroring the blocking path's exception behavior.
@@ -184,7 +186,6 @@ class PrestoEngine:
         max_build_rows: int = 10_000_000,
         enable_optimizer: bool = True,
         fragment_result_cache=None,
-        staged_execution: bool = True,
         hash_partitions: int = 4,
         fault_injector=None,
         max_task_retries: int = 3,
@@ -192,7 +193,7 @@ class PrestoEngine:
         task_timeout_ms: Optional[float] = None,
         enable_dynamic_filtering: bool = True,
         adaptive_partitioning: bool = False,
-        target_partition_rows: Optional[int] = None,
+        target_partition_rows: int = DEFAULT_TARGET_PARTITION_ROWS,
         evaluator_options=None,
         metrics: Optional[MetricsRegistry] = None,
         tracing: bool = True,
@@ -210,11 +211,10 @@ class PrestoEngine:
         # Staged execution (section III): execute() fragments the plan and
         # runs it stage by stage through exchanges.  The direct pipeline
         # stays available as execute_direct(), the differential oracle.
-        self.staged_execution = staged_execution
         self.hash_partitions = hash_partitions
         # Fault tolerance (sections VIII/IX/XII.C): an optional seeded
         # FaultInjector dooms a deterministic fraction of task attempts;
-        # the StageScheduler retries retryable failures up to
+        # the QueryScheduler retries retryable failures up to
         # max_task_retries with exponential simulated backoff.
         self.fault_injector = fault_injector
         self.max_task_retries = max_task_retries
@@ -288,18 +288,15 @@ class PrestoEngine:
         Shows the stages of section III — where partial aggregations run,
         where the build side of a join is exchanged, where results gather.
         """
-        from repro.planner.fragmenter import Fragmenter
-
         return Fragmenter().fragment(self.plan(sql)).describe()
 
     def execute(self, sql: str) -> QueryResult:
         """Run ``sql`` to completion and materialize the result.
 
-        SELECT queries run through staged execution by default: the plan
-        is fragmented (section III), each fragment runs as a stage of
-        tasks, and pages move between stages over exchange buffers.  Pass
-        ``staged_execution=False`` to the engine (or call
-        :meth:`execute_direct`) for the single-pipeline path.
+        SELECT queries run through staged execution: the plan is
+        fragmented (section III), each fragment runs as a stage of tasks,
+        and pages move between stages over exchange buffers.
+        :meth:`execute_direct` is the single-pipeline reference.
 
         Besides SELECT queries, the metadata statements are supported:
         ``EXPLAIN [ANALYZE | (TYPE DISTRIBUTED)] <query>``,
@@ -309,9 +306,10 @@ class PrestoEngine:
         statement = _match_metadata_statement(sql)
         if statement is not None:
             return statement(self)
-        if self.staged_execution:
-            return self._execute_staged(self.plan(sql))
-        return self._execute_pipeline(self.plan(sql))
+        # The blocking path is the steppable path driven to completion in
+        # one go — one code path, so traces/stats cannot drift between
+        # single-query and concurrent execution.
+        return self._submit_plan(self.plan(sql)).run_to_completion()
 
     def execute_direct(self, sql: str) -> QueryResult:
         """Run ``sql`` through the single in-process pipeline.
@@ -324,10 +322,6 @@ class PrestoEngine:
         if statement is not None:
             return statement(self)
         return self._execute_pipeline(self.plan(sql))
-
-    def execute_staged(self, sql: str) -> QueryResult:
-        """Run ``sql`` through fragments, stages, tasks and exchanges."""
-        return self._execute_staged(self.plan(sql))
 
     def submit(self, sql: str) -> QueryHandle:
         """Non-blocking submit: plan ``sql`` and return a steppable handle.
@@ -344,13 +338,10 @@ class PrestoEngine:
         return self._submit_plan(self.plan(sql))
 
     def _submit_plan(self, plan: OutputNode) -> QueryHandle:
-        from repro.execution.scheduler import StageScheduler
-        from repro.planner.fragmenter import Fragmenter
-
-        fragmented = Fragmenter().fragment(plan)
         ctx = self._fresh_context()
-        scheduler = StageScheduler(
+        machine = QueryScheduler(
             ctx,
+            Fragmenter().fragment(plan),
             hash_partitions=self.hash_partitions,
             fault_injector=self.fault_injector,
             max_task_retries=self.max_task_retries,
@@ -358,13 +349,9 @@ class PrestoEngine:
             task_timeout_ms=self.task_timeout_ms,
             dynamic_filtering=self.enable_dynamic_filtering,
             adaptive_partitioning=self.adaptive_partitioning,
-            **(
-                {"target_partition_rows": self.target_partition_rows}
-                if self.target_partition_rows is not None
-                else {}
-            ),
+            target_partition_rows=self.target_partition_rows,
         )
-        return QueryHandle(self, plan, ctx, scheduler.start(fragmented))
+        return QueryHandle(self, plan, ctx, machine)
 
     # -- internals -----------------------------------------------------------
 
@@ -413,19 +400,11 @@ class PrestoEngine:
                 record_operator_spans(tracer, plan, ctx.operator_rows)
         return QueryResult(list(plan.column_names), rows, ctx.stats, trace=tracer)
 
-    def _execute_staged(self, plan: OutputNode) -> QueryResult:
-        # The blocking path is the steppable path driven to completion in
-        # one go — one code path, so traces/stats cannot drift between
-        # single-query and concurrent execution.
-        return self._submit_plan(plan).run_to_completion()
-
     def explain_analyze(self, sql: str) -> str:
         """EXPLAIN ANALYZE: run staged, report per-stage execution stats."""
-        plan = self.plan(sql)
-        from repro.planner.fragmenter import Fragmenter
-
-        fragmented = Fragmenter().fragment(plan)
-        result = self._execute_staged(plan)
+        handle = self._submit_plan(self.plan(sql))
+        fragmented = handle._machine.fragmented
+        result = handle.run_to_completion()
         stats = result.stats
         lines = [
             f"Query: {stats.stages_total} stages, {stats.tasks_total} tasks "
@@ -483,6 +462,22 @@ def _format_row_estimate(rows: float) -> str:
     return f"{rows:.2f}"
 
 
+def _resolve_table(engine: "PrestoEngine", name: str):
+    """``name`` → ((catalog, schema, table), connector metadata, table handle).
+
+    Reuses SELECT name resolution by parsing a probe query.
+    """
+    probe = parse_sql(f"SELECT count(*) FROM {name}")
+    analyzer = Analyzer(engine.catalog, engine.session, engine.registry)
+    qualified = analyzer.qualify(probe.from_relation.parts)
+    catalog_name, schema_name, table_name = qualified
+    metadata = engine.catalog.connector(catalog_name).metadata()
+    handle = metadata.get_table_handle(schema_name, table_name)
+    if handle is None:
+        raise SemanticError(f"table {'.'.join(qualified)} does not exist")
+    return qualified, metadata, handle
+
+
 def _match_metadata_statement(sql: str):
     """Recognize EXPLAIN / SHOW / DESCRIBE; returns a handler or None."""
     import re
@@ -535,8 +530,6 @@ def _match_metadata_statement(sql: str):
         def run_show_schemas(engine: "PrestoEngine") -> QueryResult:
             catalog_name = schemas.group(1) or engine.session.catalog
             if catalog_name is None:
-                from repro.common.errors import SemanticError
-
                 raise SemanticError("SHOW SCHEMAS requires a catalog")
             metadata = engine.catalog.connector(catalog_name).metadata()
             return QueryResult(
@@ -550,8 +543,6 @@ def _match_metadata_statement(sql: str):
     )
     if tables:
         def run_show_tables(engine: "PrestoEngine") -> QueryResult:
-            from repro.common.errors import SemanticError
-
             if tables.group(2):
                 catalog_name, schema_name = tables.group(1), tables.group(2)
             elif tables.group(1):
@@ -574,35 +565,16 @@ def _match_metadata_statement(sql: str):
     )
     if analyze_table:
         def run_analyze(engine: "PrestoEngine") -> QueryResult:
-            from repro.common.errors import SemanticError
-            from repro.planner.analyzer import Analyzer
-            from repro.sql import parse_sql as _parse
-
-            probe = _parse(f"SELECT count(*) FROM {analyze_table.group(1)}")
-            reference = probe.from_relation
-            analyzer = Analyzer(engine.catalog, engine.session, engine.registry)
-            catalog_name, schema_name, table_name = analyzer.qualify(reference.parts)
-            metadata = engine.catalog.connector(catalog_name).metadata()
-            handle = metadata.get_table_handle(schema_name, table_name)
-            if handle is None:
-                raise SemanticError(
-                    f"table {catalog_name}.{schema_name}.{table_name} does not exist"
-                )
+            qualified, metadata, handle = _resolve_table(engine, analyze_table.group(1))
             statistics = metadata.collect_table_statistics(handle)
             if statistics is None:
                 raise SemanticError(
-                    f"connector {catalog_name!r} does not support ANALYZE"
+                    f"connector {qualified[0]!r} does not support ANALYZE"
                 )
             engine.metrics.counter("engine_tables_analyzed_total").inc()
             return QueryResult(
                 ["Table", "Rows", "Columns Analyzed"],
-                [
-                    (
-                        f"{catalog_name}.{schema_name}.{table_name}",
-                        statistics.row_count,
-                        len(statistics.columns),
-                    )
-                ],
+                [(".".join(qualified), statistics.row_count, len(statistics.columns))],
                 QueryStats(),
             )
 
@@ -611,21 +583,7 @@ def _match_metadata_statement(sql: str):
     describe = re.match(r"(?:describe|desc)\s+([\w.\"$=]+)$", stripped, re.IGNORECASE)
     if describe:
         def run_describe(engine: "PrestoEngine") -> QueryResult:
-            from repro.common.errors import SemanticError
-            from repro.planner.analyzer import Analyzer
-            from repro.sql import parse_sql as _parse
-
-            # Reuse SELECT name resolution by parsing a probe query.
-            probe = _parse(f"SELECT count(*) FROM {describe.group(1)}")
-            reference = probe.from_relation
-            analyzer = Analyzer(engine.catalog, engine.session, engine.registry)
-            catalog_name, schema_name, table_name = analyzer.qualify(reference.parts)
-            metadata = engine.catalog.connector(catalog_name).metadata()
-            handle = metadata.get_table_handle(schema_name, table_name)
-            if handle is None:
-                raise SemanticError(
-                    f"table {catalog_name}.{schema_name}.{table_name} does not exist"
-                )
+            _, metadata, handle = _resolve_table(engine, describe.group(1))
             table_metadata = metadata.get_table_metadata(handle)
             rows = [(c.name, c.type.display()) for c in table_metadata.columns]
             return QueryResult(["Column", "Type"], rows, QueryStats())

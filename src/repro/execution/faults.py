@@ -16,7 +16,7 @@ would fail in correlated pairs instead of independently.
 Three levels can fail, each with its own rate and error category:
 
 - **tasks** (``task_failure_rate``) — a whole task attempt in the
-  ``StageScheduler`` fails before doing work, default INTERNAL_ERROR
+  ``QueryScheduler`` fails before doing work, default INTERNAL_ERROR
   (a worker died mid-task);
 - **splits** (``split_failure_rate``) — reading one assigned connector
   split fails, default EXTERNAL (the storage system refused the read);

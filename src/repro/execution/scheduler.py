@@ -3,8 +3,8 @@
 Section III of the paper: "Each running plan fragment is called a stage
 ... Stage consists of tasks, which are processing one or many splits of
 input data."  This module is the execution half of that sentence —
-:class:`repro.planner.fragmenter.Fragmenter` produces the fragments, the
-:class:`StageScheduler` turns each into a stage:
+:class:`repro.planner.fragmenter.Fragmenter` produces the fragments, one
+:class:`QueryScheduler` per query turns each into a stage:
 
 - **source** fragments expand into one task per connector split (the SPI
   split enumeration that the direct pipeline hides inside the scan
@@ -29,10 +29,14 @@ attempt can fail three ways: the configured
 :class:`repro.execution.faults.FaultInjector` dooms the attempt (or one
 of its split reads), the operator pipeline raises a real
 :class:`~repro.common.errors.PrestoError`, or the attempt's simulated
-cost exceeds ``task_timeout_ms``.  Retryable errors (INTERNAL_ERROR /
-EXTERNAL categories) are retried up to ``max_task_retries`` times with
-exponential backoff charged to simulated time; USER_ERRORs and
-INSUFFICIENT_RESOURCES surface immediately with their category intact.
+cost exceeds ``task_timeout_ms``.  A raw Python exception escaping the
+pipeline is categorized at that same boundary (arithmetic, cast and
+overflow failures are the query's own USER_ERROR; anything else is a
+non-retryable engine defect), so only :class:`PrestoError` ever leaves a
+task.  Retryable errors (INTERNAL_ERROR / EXTERNAL categories) are
+retried up to ``max_task_retries`` times with exponential backoff
+charged to simulated time; USER_ERRORs and INSUFFICIENT_RESOURCES
+surface immediately with their category intact.
 A task's pages are committed to its output exchanges only after the
 attempt succeeds, so a retried task never double-publishes rows and the
 query's results are identical to a zero-fault run.
@@ -44,7 +48,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace as dc_replace
 from typing import Optional
 
-from repro.common.errors import ExecutionError, PrestoError, TaskTimeoutError
+from repro.common.errors import (
+    EngineDefectError,
+    ExecutionError,
+    InvalidValueError,
+    PrestoError,
+    TaskTimeoutError,
+)
 from repro.core.expressions import (
     VariableReferenceExpression,
     combine_conjuncts,
@@ -117,8 +127,23 @@ class TaskRecord:
         }
 
 
-class StageScheduler:
-    """Executes a :class:`FragmentedPlan` stage by stage.
+class QueryScheduler:
+    """Steppable execution of one query's :class:`FragmentedPlan`.
+
+    Holds everything one query's execution needs (exchange buffers, the
+    current fragment's planned tasks, the open stage span) so it can be
+    advanced one task at a time — by a blocking loop
+    (:meth:`QueryHandle.run_to_completion
+    <repro.execution.engine.QueryHandle.run_to_completion>`) or from a
+    cluster-level event loop, interleaved with other queries on the
+    shared simulated clock.
+
+    Each :meth:`step` runs exactly one task — retries, trace charging,
+    exchange commits, and stats accounting included — so traces and
+    :class:`QueryStats` are byte-identical however the steps are driven.
+    The *ready-task frontier* is the remainder of the current stage:
+    fragments are topologically ordered and a stage's tasks are planned
+    lazily when the previous stage's output buffers are complete.
 
     ``hash_partitions`` fixes the task count of hash-distributed stages.
     The cost model charges ``task_overhead_ms`` per task (task creation,
@@ -137,6 +162,7 @@ class StageScheduler:
     def __init__(
         self,
         ctx: ExecutionContext,
+        fragmented: FragmentedPlan,
         hash_partitions: int = 4,
         task_overhead_ms: float = 1.0,
         row_cost_ms: float = 0.001,
@@ -152,7 +178,10 @@ class StageScheduler:
             raise ExecutionError("hash_partitions must be at least 1")
         if max_task_retries < 0:
             raise ExecutionError("max_task_retries must be non-negative")
+        if target_partition_rows < 1:
+            raise ExecutionError("target_partition_rows must be at least 1")
         self.ctx = ctx
+        self.fragmented = fragmented
         self.hash_partitions = hash_partitions
         self.task_overhead_ms = task_overhead_ms
         self.row_cost_ms = row_cost_ms
@@ -169,27 +198,26 @@ class StageScheduler:
         # buffered, shrink the downstream hash-partition count so each
         # task owns ~target_partition_rows rows instead of paying the
         # per-task overhead of hash_partitions near-empty tasks.
-        if target_partition_rows < 1:
-            raise ExecutionError("target_partition_rows must be at least 1")
         self.adaptive_partitioning = adaptive_partitioning
         self.target_partition_rows = target_partition_rows
-
-    def run(self, fragmented: FragmentedPlan) -> list[Page]:
-        """Run every stage in dependency order; returns the root's pages.
-
-        The blocking driver over :meth:`start`: steps the per-query state
-        machine until it is exhausted.  One query at a time — concurrent
-        serving drives many :class:`QueryScheduler` machines from the
-        cluster event loop instead.
-        """
-        query = self.start(fragmented)
-        while not query.done:
-            query.step()
-        return query.result_pages
-
-    def start(self, fragmented: FragmentedPlan) -> "QueryScheduler":
-        """Begin steppable execution; returns the per-query state machine."""
-        return QueryScheduler(self, fragmented)
+        if dynamic_filtering and ctx.dynamic_filters is None:
+            ctx.dynamic_filters = {}
+        self.buffers: dict[Exchange, ExchangeBuffer] = {}
+        self._consumer_exchanges = [
+            exchange
+            for fragment in fragmented.fragments
+            for exchange in fragment.inputs
+        ]
+        self.result_pages: list[Page] = []
+        self.done = False
+        self._fragment_index = 0
+        self._tasks: Optional[list] = None
+        self._task_index = 0
+        self._out_buffers: list[ExchangeBuffer] = []
+        self._stage_span = None
+        self._stage_rows_in = 0
+        self._stage_rows_out = 0
+        self._stage_sim_ms = 0.0
 
     # -- observability -------------------------------------------------------
 
@@ -387,6 +415,16 @@ class StageScheduler:
         scanned_before = stats.rows_scanned
         try:
             pages = [page.loaded() for page in execute_plan(fragment.root, task_ctx)]
+        except PrestoError:
+            raise
+        except (ArithmeticError, ValueError) as error:
+            # Division by zero, an unparseable cast, integer overflow: the
+            # query's own data made an expression fail.
+            raise InvalidValueError(str(error)) from error
+        except Exception as error:
+            # Anything raw is an engine defect; categorize it so it fails
+            # this query instead of escaping the cluster's event loop.
+            raise EngineDefectError(f"{type(error).__name__}: {error}") from error
         finally:
             # Emit operator spans even when the pipeline fails mid-drain:
             # the rows it did process are in QueryStats, so the spans must
@@ -400,9 +438,10 @@ class StageScheduler:
     # -- task planning -------------------------------------------------------
 
     def _plan_tasks(
-        self, fragment: PlanFragment, buffers: dict[Exchange, ExchangeBuffer]
+        self, fragment: PlanFragment
     ) -> list[tuple[Optional[dict], dict, str, int]]:
         """One entry per task: (scan_splits, exchange_inputs, data_key, splits)."""
+        buffers = self.buffers
         partitioned_inputs = [e for e in fragment.inputs if e.partitioned]
         full_inputs = [e for e in fragment.inputs if not e.partitioned]
         for exchange in fragment.inputs:
@@ -483,70 +522,6 @@ class StageScheduler:
             )
         ]
 
-
-@dataclass
-class TaskStep:
-    """What one :meth:`QueryScheduler.step` executed, for the event loop.
-
-    ``sim_ms`` is the task's simulated engine cost — the cluster replays
-    it as split work on a worker slot.  ``stage_done``/``query_done``
-    mark barrier crossings: the scheduler will not plan the next stage's
-    tasks until every in-flight task of this stage has drained.
-    """
-
-    stage: int
-    task: int
-    data_key: str
-    sim_ms: float
-    splits: int
-    stage_done: bool
-    query_done: bool
-    data_bytes: int = 0
-
-
-class QueryScheduler:
-    """Steppable per-query execution state machine.
-
-    The heart of the run-to-completion → incremental refactor: holds all
-    the state :meth:`StageScheduler.run` used to keep in local variables
-    (exchange buffers, the current fragment's planned tasks, the open
-    stage span) so that execution can be advanced one task at a time from
-    a cluster-level event loop, interleaved with other queries on the
-    shared simulated clock.
-
-    Each :meth:`step` runs exactly one task — retries, trace charging,
-    exchange commits, and stats accounting included — in the same order
-    the blocking loop did, so traces and :class:`QueryStats` stay
-    byte-identical with single-query execution.  The *ready-task
-    frontier* is the remainder of the current stage: fragments are
-    topologically ordered and a stage's tasks are planned lazily when the
-    previous stage's output buffers are complete.
-    """
-
-    def __init__(self, scheduler: StageScheduler, fragmented: FragmentedPlan) -> None:
-        self._scheduler = scheduler
-        self.fragmented = fragmented
-        self.ctx = scheduler.ctx
-        self.buffers: dict[Exchange, ExchangeBuffer] = {}
-        self._consumer_exchanges = [
-            exchange
-            for fragment in fragmented.fragments
-            for exchange in fragment.inputs
-        ]
-        self.result_pages: list[Page] = []
-        self.done = False
-        self.failed = False
-        self._fragment_index = 0
-        if scheduler.dynamic_filtering and self.ctx.dynamic_filters is None:
-            self.ctx.dynamic_filters = {}
-        self._tasks: Optional[list] = None
-        self._task_index = 0
-        self._out_buffers: list[ExchangeBuffer] = []
-        self._stage_span = None
-        self._stage_rows_in = 0
-        self._stage_rows_out = 0
-        self._stage_sim_ms = 0.0
-
     # -- frontier inspection --------------------------------------------------
 
     def peek_stage(self) -> Optional[int]:
@@ -555,16 +530,9 @@ class QueryScheduler:
             return None
         return self.fragmented.fragments[self._fragment_index].fragment_id
 
-    def tasks_remaining_in_stage(self) -> Optional[int]:
-        """Unexecuted tasks of the current stage, or None before planning."""
-        if self.done or self._tasks is None:
-            return None
-        return len(self._tasks) - self._task_index
-
     # -- stage lifecycle ------------------------------------------------------
 
     def _begin_stage(self, fragment: PlanFragment) -> None:
-        scheduler = self._scheduler
         outgoing = [
             e
             for e in self._consumer_exchanges
@@ -578,16 +546,16 @@ class QueryScheduler:
                 else None
             )
             buffer = ExchangeBuffer(
-                exchange, scheduler.hash_partitions, key_channels
+                exchange, self.hash_partitions, key_channels
             )
             self.buffers[exchange] = buffer
             self._out_buffers.append(buffer)
 
-        if scheduler.dynamic_filtering:
+        if self.dynamic_filtering:
             self._collect_dynamic_filters(fragment)
-        if scheduler.adaptive_partitioning:
+        if self.adaptive_partitioning:
             self._adapt_partition_counts(fragment)
-        self._tasks = scheduler._plan_tasks(fragment, self.buffers)
+        self._tasks = self._plan_tasks(fragment)
         self._task_index = 0
         self._stage_rows_in = 0
         self._stage_rows_out = 0
@@ -611,7 +579,6 @@ class QueryScheduler:
         this stage's tasks are planned.  Every partitioned input gets the
         *same* count, keeping join sides co-partitioned.
         """
-        scheduler = self._scheduler
         if fragment.distribution != "hash":
             return
         partitioned = [
@@ -622,15 +589,14 @@ class QueryScheduler:
         if not partitioned:
             return
         rows = max(buffer.rows_added for buffer in partitioned)
-        target = scheduler.target_partition_rows
         count = min(
-            scheduler.hash_partitions, max(1, -(-rows // target))
+            self.hash_partitions, max(1, -(-rows // self.target_partition_rows))
         )
         if all(buffer.partition_count == count for buffer in partitioned):
             return
         for buffer in partitioned:
             buffer.set_partition_count(count)
-        scheduler._count_task(
+        self._count_task(
             "scheduler_adaptive_partitions_total", fragment.fragment_id
         )
         if self.ctx.tracer is not None:
@@ -688,7 +654,7 @@ class QueryScheduler:
                 )
                 filter_set.filters.setdefault(column, []).append(dynamic_filter)
                 ctx.stats.dynamic_filters_built += 1
-                self._scheduler._count_task(
+                self._count_task(
                     "scheduler_dynamic_filters_built_total", fragment.fragment_id
                 )
                 if ctx.tracer is not None:
@@ -753,36 +719,47 @@ class QueryScheduler:
         if tracer is not None and self._stage_span is not None:
             tracer.close_span(self._stage_span)
         self._stage_span = None
-        self.done = True
-        self.failed = True
+        self._release()
 
     def _finish(self) -> None:
         self.ctx.stats.rows_exchanged = sum(
             b.rows_added for b in self.buffers.values()
         )
+        self._release()
+
+    def _release(self) -> None:
+        """Done: keep ``result_pages``, drop every stage's intermediates.
+
+        A cluster keeps finished handles for its lifetime; without this
+        each would pin every exchange page of every stage.
+        """
         self.done = True
+        self.buffers = {}
+        self._out_buffers = []
+        self._tasks = None
 
     # -- the state machine ----------------------------------------------------
 
-    def step(self) -> TaskStep:
+    def step(self) -> TaskRecord:
         """Run exactly one task (with retries) and commit its output.
 
-        Raises the task's terminal :class:`PrestoError` on unrecoverable
-        failure, leaving the machine ``done`` and ``failed``.
+        Returns the :class:`TaskRecord` just appended to
+        ``stats.task_records``.  Raises the task's terminal
+        :class:`PrestoError` on unrecoverable failure, leaving the
+        machine ``done``.
         """
         if self.done:
             raise ExecutionError("query scheduler already finished")
-        scheduler = self._scheduler
         stats = self.ctx.stats
         fragments = self.fragmented.fragments
         fragment = fragments[self._fragment_index]
-        if self._tasks is None:
-            self._begin_stage(fragment)
-        assert self._tasks is not None
-        task_index = self._task_index
-        task_plan = self._tasks[task_index]
         try:
-            record, pages = scheduler._run_task(fragment, task_index, task_plan)
+            if self._tasks is None:
+                self._begin_stage(fragment)
+            task_index = self._task_index
+            record, pages = self._run_task(
+                fragment, task_index, self._tasks[task_index]
+            )
         except PrestoError:
             self._fail()
             raise
@@ -795,12 +772,12 @@ class QueryScheduler:
                 before = buffer.rows_added
                 for page in pages:
                     buffer.add(page)
-                scheduler._record_exchange(
+                self._record_exchange(
                     buffer, task_index, buffer.rows_added - before, pages
                 )
         stats.task_records.append(record.as_dict())
         stats.tasks_total += 1
-        scheduler._count_task("scheduler_tasks_run_total", fragment.fragment_id)
+        self._count_task("scheduler_tasks_run_total", fragment.fragment_id)
         if self.ctx.metrics is not None:
             self.ctx.metrics.histogram(
                 "scheduler_task_sim_ms", query_id=stats.query_id
@@ -810,22 +787,11 @@ class QueryScheduler:
         self._stage_sim_ms += record.sim_ms
 
         self._task_index += 1
-        stage_done = self._task_index >= len(self._tasks)
-        if stage_done:
+        if self._task_index >= len(self._tasks):
             self._end_stage(fragment)
-        query_done = stage_done and self._fragment_index >= len(fragments)
-        if query_done:
-            self._finish()
-        return TaskStep(
-            stage=fragment.fragment_id,
-            task=task_index,
-            data_key=record.data_key,
-            sim_ms=record.sim_ms,
-            splits=record.splits,
-            stage_done=stage_done,
-            query_done=query_done,
-            data_bytes=record.data_bytes,
-        )
+            if self._fragment_index >= len(fragments):
+                self._finish()
+        return record
 
 
 def _trace_to_scan_column(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import AdmissionRejectedError, GatewayError, PrestoError
-from repro.execution.cluster import ConcurrentRun, PrestoClusterSim, QueryExecution
+from repro.execution.cluster import PrestoClusterSim, QueryExecution
 from repro.federation.routing import RoutingTable
 from repro.obs.trace import activate
 
@@ -37,7 +37,8 @@ class GatewaySubmission:
     """One gateway submission and where it currently lives.
 
     ``handle`` is the engine-side query and owns the result;
-    ``cluster_name``/``execution`` say where it was last admitted.  All
+    ``cluster_name``/``execution`` say where it was last admitted
+    (``execution`` is that cluster's own record, ``cluster.queries[id]``).  All
     three are updated when the gateway re-routes the query (admission
     spill, drain eviction, retryable-failure failover — the last re-plans,
     so ``handle`` is the newest attempt).  ``tried`` lists every cluster
@@ -219,7 +220,7 @@ class PrestoGateway:
         span = tracer.open_span("gateway.submit", user=user) if tracer is not None else None
         submission = GatewaySubmission(user=user, handle=handle)
 
-        def finished(run: ConcurrentRun) -> None:
+        def finished(run: QueryExecution) -> None:
             error = run.handle.error
             if (
                 error is not None

@@ -19,7 +19,7 @@ machines and groups the operators between boundaries into
 - at the top: a GATHER exchange into the single-node output fragment.
 
 Fragments are *executable*: :class:`RemoteSourceNode` leaves are wired to
-:class:`Exchange` edges that :class:`repro.execution.scheduler.StageScheduler`
+:class:`Exchange` edges that :class:`repro.execution.scheduler.QueryScheduler`
 resolves against in-memory exchange buffers, so the fragmented plan is the
 engine's actual execution path (``PrestoEngine.execute``).  The fragments
 also drive the distributed EXPLAIN, ``EXPLAIN ANALYZE``, the cluster

@@ -1,0 +1,68 @@
+"""docs/API.md names only symbols that import.
+
+Every table whose second column is ``Module`` maps names to the module
+that defines them.  Each back-quoted name in a row's first cell must be
+an attribute of that module (``Class.method(args)`` is checked as
+``Class``); the module may be written with or without the ``repro.``
+prefix, and ``writer_*``-style globs match any module of that shape.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src"
+QUOTED = re.compile(r"`([^`]+)`")
+
+
+def documented_symbols() -> list[tuple[str, str]]:
+    """(name, module pattern) for every row of every Object/Module table."""
+    symbols = []
+    in_module_table = False
+    for line in (REPO / "docs" / "API.md").read_text().splitlines():
+        if not line.startswith("|"):
+            in_module_table = False
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) > 1 and cells[1] == "Module":
+            in_module_table = True
+            continue
+        if not in_module_table or not cells[0].startswith("`"):
+            continue
+        modules = QUOTED.findall(cells[1])
+        if not modules:
+            continue
+        for name in QUOTED.findall(cells[0]):
+            symbols.append((name.split(".")[0].split("(")[0], modules[0]))
+    return symbols
+
+
+def candidate_modules(pattern: str) -> list[str]:
+    dotted = pattern if pattern.startswith("repro") else f"repro.{pattern}"
+    if "*" not in dotted:
+        return [dotted]
+    return sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for path in SRC.glob(dotted.replace(".", "/") + ".py")
+    )
+
+
+def resolves(name: str, pattern: str) -> bool:
+    return any(
+        hasattr(importlib.import_module(module), name)
+        for module in candidate_modules(pattern)
+    )
+
+
+def test_api_tables_are_seen():
+    assert len(documented_symbols()) > 60  # the row parser still finds them
+
+
+def test_every_documented_symbol_imports():
+    missing = [
+        f"{name} ({pattern})"
+        for name, pattern in documented_symbols()
+        if not resolves(name, pattern)
+    ]
+    assert not missing, f"docs/API.md names symbols that do not import: {missing}"

@@ -15,6 +15,7 @@ from repro.common.errors import (
     ErrorCategory,
     ExecutionError,
     InjectedFaultError,
+    PrestoError,
 )
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT
@@ -53,18 +54,28 @@ class TestQuerySchedulerStateMachine:
         stepped_engine = make_engine()
         blocking_engine = make_engine()
         handle = stepped_engine.submit(SQL)
-        steps = []
+        steps, done_after, frontier_after = [], [], []
         while not handle.done:
             steps.append(handle.step())
+            done_after.append(handle.done)
+            frontier_after.append(handle.peek_stage())
         oracle = blocking_engine.execute(SQL)
         result = handle.result()
         assert result.rows == oracle.rows
         assert result.stats.task_records == oracle.stats.task_records
         assert result.stats.simulated_ms == oracle.stats.simulated_ms
-        # One step per task, ending with the query_done marker.
+        # One step per task, each returning the record it just appended.
         assert len(steps) == result.stats.tasks_total
-        assert steps[-1].query_done and steps[-1].stage_done
-        assert all(not s.query_done for s in steps[:-1])
+        assert [step.as_dict() for step in steps] == result.stats.task_records
+        # The query is done after the last step and no earlier, and that
+        # step also closed its stage: the frontier has moved off it.
+        assert done_after == [False] * (len(steps) - 1) + [True]
+        assert frontier_after[-1] is None
+        # A stage closes exactly when the frontier leaves the step's stage.
+        stage_closings = [
+            step.stage != after for step, after in zip(steps, frontier_after)
+        ]
+        assert sum(stage_closings) == result.stats.stages_total
 
     def test_stepped_trace_is_byte_identical_to_blocking(self):
         handle = make_engine().submit(SQL)
@@ -91,6 +102,17 @@ class TestQuerySchedulerStateMachine:
         handle.run_to_completion()
         assert handle.step() is None
         assert handle.state == "finished"
+
+    def test_finished_query_keeps_rows_not_intermediates(self):
+        handle = make_engine().submit(SQL)
+        machine = handle._machine
+        handle.step()
+        assert machine.buffers and machine._tasks  # live: pages buffered
+        result = handle.run_to_completion()
+        assert result.rows == make_engine().execute(SQL).rows
+        assert result.stats.rows_exchanged > 0  # summed before the drop
+        assert machine.buffers == {} and machine._out_buffers == []
+        assert machine._tasks is None
 
     def test_result_before_done_raises(self):
         handle = make_engine().submit(SQL)
@@ -224,9 +246,7 @@ class TestAdmissionControl:
         assert a3.state == b1.state == "finished"
         # Fair share: when the first slot freed, bob (0 running) beat
         # alice's third query (1 still running) despite arriving later.
-        b1_run = cluster._runs[b1_ex.query_id]
-        a3_run = cluster._runs[a3_ex.query_id]
-        assert b1_run.admitted_at < a3_run.admitted_at
+        assert b1_ex.admitted_at < a3_ex.admitted_at
 
     def test_priority_beats_fair_share(self):
         cluster, _ = self.make_cluster()
@@ -404,3 +424,86 @@ class TestDrainEviction:
         assert queued_ex.splits_total == 0
         cluster.run_until_idle()
         assert running.state == "finished"
+
+
+class TestOneRecordPerQuery:
+    """``submit_handle``'s return value is the query's only cluster record."""
+
+    def test_same_object_from_queue_to_finish(self):
+        cluster = PrestoClusterSim(workers=2)
+        cluster.resource_group("g", max_running=1)
+        engine = make_engine()
+        finished = []
+        first, first_ex = submit(
+            cluster, engine, SQL, resource_group="g", on_finish=finished.append
+        )
+        second, second_ex = submit(
+            cluster, engine, SQL, resource_group="g", on_finish=finished.append
+        )
+        assert cluster.queries[first_ex.query_id] is first_ex
+        assert cluster.queries[second_ex.query_id] is second_ex
+        assert list(cluster.queries.values()) == [first_ex, second_ex]
+        assert (first_ex.handle, second_ex.handle) == (first, second)
+        assert first_ex.state is QueryState.RUNNING
+        assert second_ex.state is QueryState.QUEUED
+        assert cluster._queued_runs == [second_ex]
+        cluster.run_until_idle()
+        # Queue → admit → finish happened to the very same two objects.
+        assert finished[0] is first_ex and finished[1] is second_ex
+        assert cluster.queries[second_ex.query_id] is second_ex
+        assert first_ex.state is second_ex.state is QueryState.FINISHED
+        assert second_ex.admitted_at == first_ex.finished_at
+        assert second_ex.queued_ms == second_ex.admitted_at - second_ex.submitted_at
+        assert second_ex.group is cluster.resource_group("g")
+
+    def test_evicted_record_stays_but_is_not_running(self):
+        cluster = PrestoClusterSim(workers=2)
+        cluster.resource_group("g", max_running=1)
+        engine = make_engine()
+        _, running_ex = submit(cluster, engine, SQL, resource_group="g")
+        _, queued_ex = submit(cluster, engine, SQL, resource_group="g")
+        assert cluster.evict_queued() == [queued_ex]
+        assert queued_ex.state is QueryState.EVICTED
+        assert cluster.queries[queued_ex.query_id] is queued_ex
+        assert cluster.running_query_count() == 1
+        assert cluster.queued_query_count() == 0
+        cluster.run_until_idle()
+        assert cluster.running_query_count() == 0
+        # Never admitted, so never on the timeline.
+        timeline = cluster.timeline_trace().find("cluster.query")
+        assert [s.attributes["query_id"] for s in timeline] == [running_ex.query_id]
+        assert cluster.max_concurrent_running() == 1
+
+
+class TestRawExceptionDoesNotKillTheCluster:
+    """A raw ``ZeroDivisionError`` used to escape ``run_until_idle``, leave
+    its query RUNNING with the group's only slot, and starve the queue."""
+
+    @pytest.mark.parametrize(
+        "bad_sql",
+        [
+            "SELECT a / 0 FROM t",
+            "SELECT CAST('x' AS bigint) FROM t",
+            "SELECT -9223372036854775808 - 1 FROM t",
+        ],
+    )
+    def test_bad_query_fails_alone_and_frees_its_slot(self, bad_sql):
+        cluster = PrestoClusterSim(workers=2)
+        group = cluster.resource_group("g", max_running=1)
+        engine = make_engine()
+        bad, bad_ex = submit(cluster, engine, bad_sql, resource_group="g")
+        good, good_ex = submit(cluster, engine, SQL, resource_group="g")
+        assert cluster.queued_query_count() == 1
+        cluster.run_until_idle()
+        assert bad.state == "failed"
+        assert isinstance(bad.error, PrestoError)
+        assert bad.error.category is ErrorCategory.USER_ERROR
+        assert not bad.error.retryable
+        assert bad_ex.state is QueryState.FAILED
+        assert group.running == 0 and group.memory_used_mb == 0.0
+        assert cluster.running_query_count() == cluster.queued_query_count() == 0
+        assert all(w.running == 0 for w in cluster.workers.values())
+        assert good_ex.state is QueryState.FINISHED
+        assert good.result().rows == make_engine().execute(SQL).rows
+        # Every span of the failed query's trace is closed.
+        assert all(s.end_ms is not None for s in bad.trace.spans)

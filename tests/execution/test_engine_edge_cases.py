@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.common.errors import SemanticError
+from repro.common.errors import (
+    ErrorCategory,
+    ExecutionError,
+    PrestoError,
+    SemanticError,
+)
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import ArrayType, BIGINT, BOOLEAN, DOUBLE, VARCHAR
 from repro.execution.engine import PrestoEngine
@@ -143,6 +148,53 @@ class TestOddButLegal:
         )
         result = engine.execute("SELECT k, v FROM t ORDER BY k DESC, v ASC")
         assert result.rows == [(2, 9.0), (1, 1.0), (1, 2.0)]
+
+
+class TestRuntimeErrorsAreCategorized:
+    """Only ``PrestoError`` leaves a task; raw exceptions become its cause."""
+
+    def setup_method(self):
+        self.engine = make_engine([(1, 1.0, "x"), (2, 2.0, "y")])
+
+    @pytest.mark.parametrize(
+        "sql, cause",
+        [
+            ("SELECT k / 0 FROM t", ZeroDivisionError),
+            ("SELECT CAST(s AS bigint) FROM t", ValueError),
+            ("SELECT -9223372036854775808 - 1 FROM t", OverflowError),
+        ],
+    )
+    def test_value_errors_are_user_errors(self, sql, cause):
+        handle = self.engine.submit(sql)
+        with pytest.raises(PrestoError) as raised:
+            handle.run_to_completion()
+        error = raised.value
+        assert error.category is ErrorCategory.USER_ERROR and not error.retryable
+        assert isinstance(error.__cause__, cause)
+        assert handle.state == "failed" and handle.error is error
+        # Fail fast: a user error is never retried.
+        assert handle.stats.tasks_retried == 0
+        assert handle.stats.tasks_failed == 1
+        assert all(span.end_ms is not None for span in handle.trace.spans)
+        with pytest.raises(PrestoError):
+            self.engine.execute(sql)
+
+    def test_any_other_raw_exception_is_a_non_retryable_defect(self, monkeypatch):
+        def broken_pipeline(plan, ctx):
+            raise KeyError("operator bug")
+
+        monkeypatch.setattr(
+            "repro.execution.scheduler.execute_plan", broken_pipeline
+        )
+        handle = self.engine.submit("SELECT k FROM t")
+        with pytest.raises(ExecutionError, match="KeyError") as raised:
+            handle.run_to_completion()
+        error = raised.value
+        assert error.category is ErrorCategory.INTERNAL_ERROR
+        assert not error.retryable
+        assert isinstance(error.__cause__, KeyError)
+        assert handle.state == "failed"
+        assert handle.stats.tasks_retried == 0
 
 
 class TestSessionProperties:

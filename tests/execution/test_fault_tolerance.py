@@ -234,7 +234,7 @@ class TestTaskRetries:
 class TestFailureAccounting:
     def test_exhausted_retries_counted_as_failed(self):
         from repro.execution.context import ExecutionContext, QueryStats
-        from repro.execution.scheduler import StageScheduler
+        from repro.execution.scheduler import QueryScheduler
         from repro.planner.fragmenter import Fragmenter
 
         engine = make_engine()
@@ -245,13 +245,16 @@ class TestFailureAccounting:
             registry=engine.registry,
             stats=QueryStats(query_id="query-x"),
         )
-        scheduler = StageScheduler(
+        query = QueryScheduler(
             ctx,
+            Fragmenter().fragment(plan),
             fault_injector=FaultInjector(seed=1, task_failure_rate=1.0),
             max_task_retries=2,
         )
         with pytest.raises(InjectedFaultError):
-            scheduler.run(Fragmenter().fragment(plan))
+            while not query.done:
+                query.step()
+        assert query.done
         assert ctx.stats.tasks_failed == 1
         assert ctx.stats.tasks_retried == 2
         failed = [r for r in ctx.stats.task_records if r["failed"]]

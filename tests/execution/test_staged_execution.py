@@ -93,11 +93,13 @@ class TestDirectOracle:
         assert result.stats.stages_total == 0
         assert result.stats.task_records == []
 
-    def test_staged_flag_off_disables_staging(self):
-        engine = make_engine(staged_execution=False)
-        result = engine.execute("SELECT count(*) FROM events")
+    def test_execute_direct_does_not_stage(self):
+        engine = make_engine()
+        result = engine.execute_direct("SELECT count(*) FROM events")
         assert result.stats.stages_total == 0
         assert result.rows == [(40,)]
+        # execute() has no such switch: it always stages.
+        assert engine.execute("SELECT count(*) FROM events").stats.stages_total > 0
 
 
 class TestClusterBridge:

@@ -256,6 +256,15 @@ class TestFailoverWithInflightQueries:
         assert moved.tried == ["dedicated-a", "dedicated-b"]
         assert moved.execution.query_id.startswith("dedicated-b")
         assert moved.handle.result().rows == oracle
+        # Each cluster holds its own record of its own attempt: the failed
+        # one stays on dedicated-a, the submission points at dedicated-b's.
+        assert home.queries[doomed_execution.query_id] is doomed_execution
+        assert doomed_execution.state is QueryState.FAILED
+        assert moved.execution is not doomed_execution
+        away = gateway.clusters["dedicated-b"]
+        assert away.queries[moved.execution.query_id] is moved.execution
+        assert moved.execution.handle is moved.handle
+        assert moved.execution.state is QueryState.FINISHED
         # Mid-stage: splits were dispatched and some were still out.
         assert 0 < doomed_execution.splits_done < doomed_execution.splits_total
         # One tree holds both attempts, every span closed.
