@@ -2,9 +2,9 @@
 
 Section III's engine claim — column values are processed "vectorized,
 instead of row by row" — only pays off if the relational operators keep
-data columnar.  This bench measures the two operators that dominate
-analytics CPU time, grouped aggregation and hash join, through both the
-vectorized kernel layer (``repro.execution.kernels``) and the retained
+data columnar.  This bench measures the operators that dominate
+analytics CPU time, grouped aggregation, hash join and top-N, through both
+the vectorized kernel layer (``repro.execution.kernels``) and the retained
 row-at-a-time reference implementations, asserts the outputs are
 identical, and records the speedup trajectory in ``BENCH_operators.json``
 for later PRs.
@@ -35,7 +35,14 @@ from repro.execution.operators.aggregation import (
     execute_aggregation_rows,
 )
 from repro.execution.operators.joins import _hash_join_rows, execute_join
-from repro.planner.plan import Aggregation, AggregationNode, JoinNode, ValuesNode
+from repro.execution.operators.sorting import _sorted_rows, execute_topn
+from repro.planner.plan import (
+    Aggregation,
+    AggregationNode,
+    JoinNode,
+    TopNNode,
+    ValuesNode,
+)
 
 PAGE_SIZE = 8192
 
@@ -144,17 +151,13 @@ def _rows(pages: list[Page]) -> list[tuple]:
     return rows
 
 
-def bench_aggregation(rows: int, groups: int, compare: bool) -> dict:
-    node = make_aggregation_node()
-    pages = make_aggregation_input(rows, groups)
-    vec_ms, vec_pages = _time(
-        lambda: execute_aggregation(node, ExecutionContext(catalog=None), iter(pages))
-    )
+def _bench(name: str, rows: int, shape: dict, vectorized, reference, compare: bool) -> dict:
+    """Time the kernel lane and, when ``compare``, the reference; both yield pages."""
+    vec_ms, vec_pages = _time(vectorized)
     entry = {
-        "name": "grouped_aggregation",
+        "name": name,
         "rows": rows,
-        "groups": groups,
-        "aggregates": ["sum", "count", "avg"],
+        **shape,
         "vectorized_ms": round(vec_ms, 3),
         "rows_per_sec": round(rows / (vec_ms / 1000.0)) if vec_ms else None,
         "reference_ms": None,
@@ -162,61 +165,94 @@ def bench_aggregation(rows: int, groups: int, compare: bool) -> dict:
         "identical": None,
     }
     if compare:
-        ref_ms, ref_pages = _time(
-            lambda: execute_aggregation_rows(
-                node, ExecutionContext(catalog=None), iter(pages)
-            )
-        )
+        ref_ms, ref_pages = _time(reference)
         entry["reference_ms"] = round(ref_ms, 3)
         entry["speedup"] = round(ref_ms / vec_ms, 2) if vec_ms else None
         entry["identical"] = _rows(vec_pages) == _rows(ref_pages)
     return entry
+
+
+def bench_aggregation(rows: int, groups: int, compare: bool) -> dict:
+    node = make_aggregation_node()
+    pages = make_aggregation_input(rows, groups)
+    return _bench(
+        "grouped_aggregation",
+        rows,
+        {"groups": groups, "aggregates": ["sum", "count", "avg"]},
+        lambda: execute_aggregation(node, ExecutionContext(catalog=None), iter(pages)),
+        lambda: execute_aggregation_rows(node, ExecutionContext(catalog=None), iter(pages)),
+        compare,
+    )
 
 
 def bench_join(probe_rows: int, build_rows: int, compare: bool) -> dict:
     node = make_join_node()
     probe_pages, build_pages = make_join_inputs(probe_rows, build_rows)
-    vec_ms, vec_pages = _time(
-        lambda: execute_join(
-            node, ExecutionContext(catalog=None), iter(probe_pages), iter(build_pages)
-        )
+
+    def run_with(join):
+        return join(node, ExecutionContext(catalog=None), iter(probe_pages), iter(build_pages))
+
+    return _bench(
+        "hash_join",
+        probe_rows,
+        {"build_rows": build_rows},
+        lambda: run_with(execute_join),
+        lambda: run_with(_hash_join_rows),
+        compare,
     )
-    entry = {
-        "name": "hash_join",
-        "rows": probe_rows,
-        "build_rows": build_rows,
-        "vectorized_ms": round(vec_ms, 3),
-        "rows_per_sec": round(probe_rows / (vec_ms / 1000.0)) if vec_ms else None,
-        "reference_ms": None,
-        "speedup": None,
-        "identical": None,
-    }
-    if compare:
-        ref_ms, ref_pages = _time(
-            lambda: _hash_join_rows(
-                node,
-                ExecutionContext(catalog=None),
-                iter(probe_pages),
-                iter(build_pages),
-            )
-        )
-        entry["reference_ms"] = round(ref_ms, 3)
-        entry["speedup"] = round(ref_ms / vec_ms, 2) if vec_ms else None
-        entry["identical"] = _rows(vec_pages) == _rows(ref_pages)
-    return entry
+
+
+def make_topn_input(rows: int, seed: int = 13) -> list[Page]:
+    rng = np.random.default_rng(seed)
+    # Prices repeat (ties) and 5% are NULL; the row id breaks ties.
+    prices = rng.integers(0, rows // 4 + 1, size=rows) / 4.0
+    null_mask = rng.random(rows) < 0.05
+    ids = np.arange(rows, dtype=np.int64)
+
+    def blocks(start, end):
+        nulls = null_mask[start:end]
+        return [
+            PrimitiveBlock(DOUBLE, prices[start:end], nulls.copy() if nulls.any() else None),
+            PrimitiveBlock(BIGINT, ids[start:end]),
+        ]
+
+    return _paged(blocks, rows)
+
+
+def make_topn_node(count: int) -> TopNNode:
+    source = _source([("price", DOUBLE), ("id", BIGINT)])
+    price, row_id = source.outputs
+    return TopNNode(source=source, count=count, order_by=((price, False), (row_id, True)))
+
+
+def bench_topn(rows: int, count: int, compare: bool) -> dict:
+    node = make_topn_node(count)
+    pages = make_topn_input(rows)
+    types = [v.type for v in node.outputs]
+    return _bench(
+        "topn",
+        rows,
+        {"count": count},
+        lambda: execute_topn(node, ExecutionContext(catalog=None), iter(pages)),
+        lambda: [Page.from_rows(types, _sorted_rows(node, iter(pages))[:count])],
+        compare,
+    )
 
 
 def run(smoke: bool) -> dict:
     if smoke:
         agg_cases = [(5_000, 100, True)]
         join_cases = [(5_000, 500, True)]
+        topn_cases = [(5_000, 100, True)]
     else:
         # Reference timed at 100k (the acceptance comparison); the 1M-row
         # case tracks vectorized throughput only, to keep the bench quick.
         agg_cases = [(100_000, 1_000, True), (1_000_000, 1_000, False)]
         join_cases = [(100_000, 10_000, True), (1_000_000, 10_000, False)]
+        topn_cases = [(100_000, 100, True), (1_000_000, 100, False)]
     benchmarks = [bench_aggregation(r, g, c) for r, g, c in agg_cases]
     benchmarks += [bench_join(p, b, c) for p, b, c in join_cases]
+    benchmarks += [bench_topn(r, n, c) for r, n, c in topn_cases]
     return {
         "benchmark": "operator_kernels",
         "paper_section": "III (vectorized engine)",
@@ -240,7 +276,7 @@ def main() -> None:
         [
             b["name"],
             b["rows"],
-            b.get("groups") or b.get("build_rows"),
+            b.get("groups") or b.get("build_rows") or b.get("count"),
             b["vectorized_ms"],
             b["reference_ms"] if b["reference_ms"] is not None else "-",
             b["speedup"] if b["speedup"] is not None else "-",
@@ -250,7 +286,7 @@ def main() -> None:
     ]
     print_table(
         "Operator kernels: vectorized vs row-at-a-time",
-        ["operator", "rows", "groups/build", "vec ms", "ref ms", "speedup", "identical"],
+        ["operator", "rows", "groups/build/n", "vec ms", "ref ms", "speedup", "identical"],
         rows,
     )
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.common.errors import ConnectorError
-from repro.core.blocks import Block, block_from_values
-from repro.core.evaluator import Evaluator, constant_block
+from repro.core.blocks import Block, block_from_values, constant_block
+from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
     RowExpression,
     combine_conjuncts,

@@ -30,7 +30,7 @@ from repro.core.blocks import (
     VarcharBlock,
     _numpy_dtype_for,
     block_from_values,
-    constant_block,  # noqa: F401  (re-exported; historical home of this helper)
+    constant_block,
     with_extra_nulls,
 )
 from repro.core.compiler import (
@@ -52,9 +52,6 @@ from repro.core.expressions import (
 )
 from repro.core.functions import FunctionRegistry, default_registry
 from repro.core.types import BOOLEAN, PrestoType
-
-_with_extra_nulls = with_extra_nulls  # historical private alias
-_bool_arrays = bool_arrays  # historical private alias
 
 
 class Evaluator:
@@ -318,7 +315,7 @@ class Evaluator:
             block = self.evaluate_interpreted(
                 expression.arguments[0], bindings, position_count
             ).loaded()
-            values, nulls = _bool_arrays(block)
+            values, nulls = bool_arrays(block)
             return PrimitiveBlock(BOOLEAN, ~values, nulls if nulls.any() else None)
         if form is SpecialForm.IS_NULL:
             block = self.evaluate_interpreted(
@@ -346,7 +343,7 @@ class Evaluator:
         result_nulls = np.zeros(position_count, dtype=bool)
         for argument in arguments:
             block = self.evaluate_interpreted(argument, bindings, position_count).loaded()
-            values, nulls = _bool_arrays(block)
+            values, nulls = bool_arrays(block)
             if is_and:
                 # false wins over null; null wins over true
                 result_nulls = (result_nulls & (values | nulls)) | (nulls & result)
@@ -411,7 +408,7 @@ class Evaluator:
         condition = self.evaluate_interpreted(
             expression.arguments[0], bindings, position_count
         ).loaded()
-        cond_values, cond_nulls = _bool_arrays(condition)
+        cond_values, cond_nulls = bool_arrays(condition)
         take_then = cond_values & ~cond_nulls
         then_block = self.evaluate_interpreted(
             expression.arguments[1], bindings, position_count
@@ -463,7 +460,7 @@ class Evaluator:
         if isinstance(base, RowBlock):
             if base.has_field(field_name):
                 field_block = base.field(field_name)
-                return _with_extra_nulls(field_block, base.null_mask())
+                return with_extra_nulls(field_block, base.null_mask())
             # Schema evolution: newly added field absent from old data → null.
             return constant_block(None, expression.type, position_count)
         # Fallback: base produced dict values row by row.

@@ -24,10 +24,9 @@ module is the kernel layer that keeps them columnar:
   state machine for the cases the array kernels do not cover (DISTINCT,
   object-dtype inputs, avg in merge mode) and is also the differential
   reference.
-- **Join probe expansion** (:func:`expand_matches`): given probe codes
-  and per-code build-position arrays, produce the
-  ``(probe_positions, build_positions)`` index pair in probe-row order
-  via ``repeat``/``tile`` plus one stable argsort.
+- **Hash-join index** (:class:`JoinKeyIndex`): the build side factorizes
+  once; probe pages map into the same code space and expand into the
+  ``(probe_positions, build_positions)`` index pair in probe-row order.
 - **Sort ranks** (:func:`sort_order`): per-key rank arrays (nulls
   ranked last ascending, first descending — matching ``_SortKey``) fed
   to a stable ``np.lexsort``.
@@ -573,8 +572,6 @@ def make_accumulator(aggregation, impl, merge_mode: bool) -> GroupedAccumulator:
     dtypes = [_numpy_dtype_for(t) for t in argument_types]
     try:
         if name == "count" and len(dtypes) <= 1:
-            if merge_mode and not dtypes:
-                return GenericAccumulator(impl, False, merge_mode)
             return CountAccumulator(bool(dtypes), merge_mode)
         if len(dtypes) == 1 and dtypes[0] is not object:
             if name == "sum":
@@ -589,57 +586,8 @@ def make_accumulator(aggregation, impl, merge_mode: bool) -> GroupedAccumulator:
 
 
 # ---------------------------------------------------------------------------
-# Join probe expansion
+# Hash-join index
 # ---------------------------------------------------------------------------
-
-
-def positions_by_code(codes: np.ndarray, code_count: int) -> list[np.ndarray]:
-    """Row positions per code, ascending within each code."""
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    all_codes = np.arange(code_count, dtype=np.int64)
-    starts = np.searchsorted(sorted_codes, all_codes, side="left")
-    ends = np.searchsorted(sorted_codes, all_codes, side="right")
-    return [order[s:e] for s, e in zip(starts, ends)]
-
-
-def expand_matches(
-    probe_codes: np.ndarray,
-    match_positions: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross probe rows with their matching build positions.
-
-    ``match_positions[c]`` holds the build-side positions matching probe
-    code ``c``.  Returns ``(probe_positions, build_positions)`` ordered
-    exactly like the row-at-a-time loop: probe position ascending, build
-    positions in table insertion order within one probe row.  Negative
-    probe codes (NULL keys) match nothing.
-    """
-    if len(probe_codes) == 0 or not match_positions:
-        return EMPTY_POSITIONS, EMPTY_POSITIONS
-    counts = np.fromiter(
-        (len(m) for m in match_positions), dtype=np.int64, count=len(match_positions)
-    )
-    if not counts.any():
-        return EMPTY_POSITIONS, EMPTY_POSITIONS
-    offsets = np.zeros(len(match_positions) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    flat = np.concatenate(list(match_positions))
-    valid = probe_codes >= 0
-    row_counts = np.where(valid, counts[np.where(valid, probe_codes, 0)], 0)
-    total = int(row_counts.sum())
-    if total == 0:
-        return EMPTY_POSITIONS, EMPTY_POSITIONS
-    probe_positions = np.repeat(
-        np.arange(len(probe_codes), dtype=np.int64), row_counts
-    )
-    # Index-within-probe-row for every output row: counting resets at each
-    # probe row's exclusive prefix sum.  Adding it to the code's offset into
-    # ``flat`` reads the matches in insertion order, so no sort is needed.
-    row_starts = np.cumsum(row_counts) - row_counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(row_starts, row_counts)
-    build_positions = flat[offsets[probe_codes[probe_positions]] + within]
-    return probe_positions, build_positions
 
 
 class JoinKeyIndex:
@@ -699,7 +647,13 @@ class JoinKeyIndex:
         return np.where(found, idx, -1)
 
     def expand(self, probe_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``expand_matches`` over this index's precomputed flat layout."""
+        """Cross probe rows with their matching build positions.
+
+        Returns ``(probe_positions, build_positions)`` ordered exactly like
+        the row-at-a-time loop: probe position ascending, build positions
+        in insertion order within one probe row.  Negative probe codes
+        (NULL or unmatched keys) match nothing.
+        """
         if not len(probe_codes) or not len(self.flat):
             return EMPTY_POSITIONS, EMPTY_POSITIONS
         valid = probe_codes >= 0
@@ -712,6 +666,10 @@ class JoinKeyIndex:
         probe_positions = np.repeat(
             np.arange(len(probe_codes), dtype=np.int64), row_counts
         )
+        # Index-within-probe-row for every output row: counting resets at
+        # each probe row's exclusive prefix sum.  Adding it to the code's
+        # offset into ``flat`` reads the matches in insertion order, so no
+        # sort is needed.
         row_starts = np.cumsum(row_counts) - row_counts
         within = np.arange(total, dtype=np.int64) - np.repeat(row_starts, row_counts)
         build_positions = self.flat[
@@ -883,13 +841,14 @@ def sort_order(
     """
     rank_keys = []
     for block, ascending in zip(blocks, ascending_flags):
-        factorized = column_codes(block)
+        # Only the number of distinct values is needed, not the values.
+        factorized = _column_codes_raw(block)
         if factorized is None:
             return None
         codes, uniques = factorized
         ranks = np.where(codes < 0, len(uniques), codes)
         rank_keys.append(ranks if ascending else -ranks)
     if not rank_keys:
-        return np.arange(0, dtype=np.int64)
+        return None  # nothing to rank by: arrival order is the caller's
     # np.lexsort treats its *last* key as primary.
     return np.lexsort(rank_keys[::-1]).astype(np.int64, copy=False)

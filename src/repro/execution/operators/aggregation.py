@@ -7,10 +7,14 @@ combines them with merge semantics rather than re-accumulating raw rows.
 
 The hot path is vectorized (section III): group keys factorize into dense
 int64 codes per page (:mod:`repro.execution.kernels`) and count/sum/min/
-max/avg accumulate with array kernels.  DISTINCT aggregates, unsupported
-key or argument block kinds, and exotic aggregates drop to the retained
-row-at-a-time reference (:func:`execute_aggregation_rows` is the original
-implementation, kept verbatim as the differential-test oracle).
+max/avg accumulate with array kernels.  A page whose keys do not factorize
+maps them row by row (``GroupIndex.map_rows``); an aggregate no array
+kernel covers (DISTINCT, object-dtype arguments, FINAL avg, exotic
+functions), or whose kernel raises ``FallbackNeeded``, runs on the
+reference state machine (``GenericAccumulator``).  Either way the page
+counts in ``rows_processed_fallback``.  :func:`execute_aggregation_rows`
+is the original implementation, kept verbatim as the differential-test
+oracle and benchmark baseline.
 """
 
 from __future__ import annotations

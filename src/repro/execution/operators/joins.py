@@ -21,11 +21,12 @@ while the indexed path builds a QuadTree over the polygons on the fly
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.common.errors import ExecutionError, InsufficientResourcesError
+from repro.core.blocks import constant_block
 from repro.core.page import Page, concat_pages
 from repro.execution import kernels
 from repro.execution.context import ExecutionContext
@@ -64,9 +65,7 @@ def execute_join(
     yield from _hash_join(node, ctx, left_source, right_source)
 
 
-def _build_rows(
-    ctx: ExecutionContext, source: Iterator[Page], width: int
-) -> list[tuple]:
+def _build_rows(ctx: ExecutionContext, source: Iterator[Page]) -> list[tuple]:
     rows: list[tuple] = []
     for page in source:
         page = page.loaded()
@@ -122,7 +121,9 @@ def _hash_join(
     if index is None:
         # Unsupported key kind (nested types, mixed object values): the
         # original row-at-a-time join is the reference fallback.
-        yield from _hash_join_rows(node, ctx, left_source, iter(pages))
+        yield from _hash_join_rows(
+            node, ctx, _counted_fallback(ctx, left_source), iter(pages)
+        )
         return
 
     evaluator = ctx.evaluator
@@ -130,8 +131,6 @@ def _hash_join(
     is_left_join = node.join_type == "left"
     left_width = len(left_outputs)
     right_width = len(right_outputs)
-    build_rows_cache: Optional[list[tuple]] = None
-    tuple_table: Optional[dict[tuple, np.ndarray]] = None
 
     for page in left_source:
         count = page.position_count
@@ -145,15 +144,9 @@ def _hash_join(
             )
         except kernels.FallbackNeeded:
             # Probe values incomparable with the build side's (e.g. mixed
-            # object types): row-at-a-time probe against a key-tuple table
-            # built lazily on first need.
-            if tuple_table is None:
-                tuple_table = _tuple_table(build_page, right_key_indexes)
-            if build_rows_cache is None:
-                build_rows_cache = build_page.to_rows()
-            ctx.stats.rows_processed_fallback += count
-            yield _probe_page_rows(
-                node, evaluator, page, left_key_indexes, tuple_table, build_rows_cache
+            # object types): the reference joins this one page.
+            yield from _hash_join_rows(
+                node, ctx, _counted_fallback(ctx, iter([page])), iter(pages)
             )
             continue
         ctx.stats.rows_processed_vectorized += count
@@ -198,63 +191,10 @@ def _hash_join(
         yield Page(blocks, len(probe_positions))
 
 
-def _tuple_table(build_page: Page, key_indexes: list[int]) -> dict[tuple, np.ndarray]:
-    """Key-tuple -> build positions, for the row-at-a-time probe fallback.
-
-    Only built when a probe page's values cannot be compared against the
-    build side vectorized; ``factorize_keys`` succeeds whenever
-    ``build_join_index`` did, since both share the column factorizer.
-    """
-    table: dict[tuple, np.ndarray] = {}
-    if not build_page.position_count:
-        return table
-    factorized = kernels.factorize_keys(
-        [build_page.block(i) for i in key_indexes]
-    )
-    assert factorized is not None
-    codes, uniques = factorized
-    by_code = kernels.positions_by_code(codes, len(uniques))
-    for code, key in enumerate(uniques):
-        if any(component is None for component in key):
-            continue  # SQL: null keys never match
-        table[key] = by_code[code]
-    return table
-
-
-def _probe_page_rows(
-    node: JoinNode,
-    evaluator,
-    page: Page,
-    left_key_indexes: list[int],
-    table: dict[tuple, np.ndarray],
-    build_rows: list[tuple],
-) -> Page:
-    """Row-at-a-time probe of one page against the vectorized build table."""
-    page = page.loaded()
-    output_types = [v.type for v in node.outputs]
-    all_outputs = node.outputs
-    join_filter = node.filter
-    is_left_join = node.join_type == "left"
-    right_null_row = (None,) * len(node.right.outputs)
-    result_rows: list[tuple] = []
-    for probe_row in page.rows():
-        key = tuple(kernels.canonical_key(probe_row[i]) for i in left_key_indexes)
-        if any(k is None for k in key):
-            matches: Any = ()
-        else:
-            matches = table.get(key, ())
-        matched = False
-        for build_position in matches:
-            combined = probe_row + build_rows[int(build_position)]
-            if join_filter is not None and not _filter_row(
-                evaluator, join_filter, all_outputs, combined
-            ):
-                continue
-            matched = True
-            result_rows.append(combined)
-        if is_left_join and not matched:
-            result_rows.append(probe_row + right_null_row)
-    return Page.from_rows(output_types, result_rows)
+def _counted_fallback(ctx: ExecutionContext, pages: Iterator[Page]) -> Iterator[Page]:
+    for page in pages:
+        ctx.stats.rows_processed_fallback += page.position_count
+        yield page
 
 
 def _hash_join_rows(
@@ -279,7 +219,7 @@ def _hash_join_rows(
     ]
     output_types = [v.type for v in node.outputs]
 
-    build_rows = _build_rows(ctx, right_source, len(right_outputs))
+    build_rows = _build_rows(ctx, right_source)
     table: dict[tuple, list[tuple]] = {}
     for row in build_rows:
         key = tuple(kernels.canonical_key(row[i]) for i in right_key_indexes)
@@ -323,7 +263,7 @@ def _nested_loop_join(
 ) -> Iterator[Page]:
     if node.join_type not in ("cross", "inner", "left"):
         raise ExecutionError(f"unsupported non-equi join type {node.join_type}")
-    right_rows = _build_rows(ctx, right_source, len(node.right.outputs))
+    right_rows = _build_rows(ctx, right_source)
     output_types = [v.type for v in node.outputs]
     evaluator = ctx.evaluator
     right_outputs = node.right.outputs
@@ -343,8 +283,6 @@ def _nested_loop_join(
         probe_rows = page.to_rows()
         for build_row in right_rows:
             if node.filter is not None:
-                from repro.core.evaluator import constant_block
-
                 bindings = dict(probe_bindings)
                 for variable, value in zip(right_outputs, build_row):
                     bindings[variable.name] = constant_block(value, variable.type, n)
@@ -382,7 +320,7 @@ def execute_spatial_join(
 
     right_outputs = node.right.outputs
     polygon_index = [v.name for v in right_outputs].index(node.polygon_variable.name)
-    build_rows = _build_rows(ctx, right_source, len(right_outputs))
+    build_rows = _build_rows(ctx, right_source)
 
     index: Optional[GeoIndex] = None
     if node.use_index:

@@ -1,18 +1,17 @@
 """Sort, TopN, and Limit operators.
 
-``execute_sort`` is vectorized: input pages concatenate block-wise
+Sort and TopN share one vectorized lane: pages concatenate block-wise
 (:func:`repro.core.page.concat_pages`), each key column factorizes to a
 dense rank array, and one stable ``np.lexsort`` orders the page
-(:func:`repro.execution.kernels.sort_order`).  Key kinds the factorizer
-does not support fall back to the retained row-at-a-time reference,
-:func:`_sorted_rows`.  TopN keeps a bounded heap of ``count`` rows
-instead of re-sorting its buffer on every overflow.
+(:func:`repro.execution.kernels.sort_order`).  Sort orders its whole
+input once; TopN orders its ``count`` survivors plus the next page and
+cuts back to ``count``.  Key kinds the factorizer does not support go to
+the retained row-at-a-time reference, :func:`_sorted_rows`.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -45,18 +44,6 @@ class _SortKey:
         return isinstance(other, _SortKey) and self.value == other.value
 
 
-class _ReversedEntry:
-    """Max-heap adapter for heapq: reverses comparison of (key, seq) entries."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, item) -> None:
-        self.item = item
-
-    def __lt__(self, other: "_ReversedEntry") -> bool:
-        return other.item[:2] < self.item[:2]
-
-
 def _key_indexes(node) -> list[tuple[int, bool]]:
     return [
         ([v.name for v in node.source.outputs].index(variable.name), ascending)
@@ -74,23 +61,23 @@ def _sorted_rows(node, source: Iterator[Page]) -> list[tuple]:
     return rows
 
 
+def _kernel_order(page: Page, key_indexes) -> Optional[np.ndarray]:
+    """Stable kernel order of ``page``; ``None`` sends it to ``_sorted_rows``."""
+    return kernels.sort_order(
+        [page.block(i) for i, _ in key_indexes],
+        [ascending for _, ascending in key_indexes],
+    )
+
+
 def execute_sort(
     node: SortNode, ctx: ExecutionContext, source: Iterator[Page]
 ) -> Iterator[Page]:
-    key_indexes = _key_indexes(node)
     types = [v.type for v in node.outputs]
     page = concat_pages(types, list(source))
-    order = None
-    if key_indexes:
-        order = kernels.sort_order(
-            [page.block(i) for i, _ in key_indexes],
-            [ascending for _, ascending in key_indexes],
-        )
+    order = _kernel_order(page, _key_indexes(node))
     if order is None:
-        rows = page.to_rows()
-        rows.sort(key=lambda row: tuple(_SortKey(row[i], asc) for i, asc in key_indexes))
         ctx.stats.rows_processed_fallback += page.position_count
-        yield Page.from_rows(types, rows)
+        yield Page.from_rows(types, _sorted_rows(node, iter([page])))
         return
     ctx.stats.rows_processed_vectorized += page.position_count
     yield page.take(order)
@@ -99,26 +86,27 @@ def execute_sort(
 def execute_topn(
     node: TopNNode, ctx: ExecutionContext, source: Iterator[Page]
 ) -> Iterator[Page]:
-    # TopN keeps only ``count`` rows resident in a bounded max-heap; the
-    # arrival sequence number breaks key ties so the output matches a
-    # stable full sort truncated to ``count``.
+    # Only ``count`` survivors stay resident.  They go first into each
+    # merge and the kernel sort is stable, so key ties keep arrival order
+    # and the output is the stable full sort cut to ``count``.
     key_indexes = _key_indexes(node)
-
-    def sort_key(row: tuple):
-        return tuple(_SortKey(row[i], asc) for i, asc in key_indexes)
-
-    heap: list[_ReversedEntry] = []
-    sequence = 0
-    for page in source:
-        for row in page.loaded().rows():
-            entry = (sort_key(row), sequence, row)
-            sequence += 1
-            if len(heap) < node.count:
-                heapq.heappush(heap, _ReversedEntry(entry))
-            elif heap and entry[:2] < heap[0].item[:2]:
-                heapq.heapreplace(heap, _ReversedEntry(entry))
-    ordered = sorted((entry.item for entry in heap), key=lambda item: item[:2])
-    yield Page.from_rows([v.type for v in node.outputs], [item[2] for item in ordered])
+    types = [v.type for v in node.outputs]
+    survivors: list[Page] = []  # one page once any input has been seen
+    pages = iter(source)
+    for page in pages:
+        merged = concat_pages(types, survivors + [page])
+        order = _kernel_order(merged, key_indexes)
+        if order is None:
+            # This page's keys have no kernel order: the reference sorts the
+            # survivors, this page and everything after it.
+            rest = [page, *pages]
+            ctx.stats.rows_processed_fallback += sum(p.position_count for p in rest)
+            rows = _sorted_rows(node, iter(survivors + rest))[: node.count]
+            yield Page.from_rows(types, rows)
+            return
+        ctx.stats.rows_processed_vectorized += page.position_count
+        survivors = [merged.take(order[: node.count])]
+    yield concat_pages(types, survivors)
 
 
 def execute_limit(

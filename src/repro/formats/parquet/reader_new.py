@@ -275,7 +275,7 @@ class NewParquetReader:
                 # Schema evolution: the field was added to the table after
                 # this file was written — "Presto will return null" (V.A).
                 num_rows = self.file.metadata.row_groups[group_index].num_rows
-                from repro.core.evaluator import constant_block
+                from repro.core.blocks import constant_block
                 from repro.core.types import UNKNOWN
 
                 decoded[path] = _DecodedLeaf(

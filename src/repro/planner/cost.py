@@ -94,16 +94,6 @@ class CostEstimator:
             self._memo[node.id] = cached
         return cached
 
-    def cumulative_rows(self, node: PlanNode) -> Optional[float]:
-        """Total rows flowing through the subtree — the plan's "cost"."""
-        total = 0.0
-        for current in node.walk():
-            estimate = self.estimate(current)
-            if estimate is None:
-                return None
-            total += estimate.row_count
-        return total
-
     # -- per-node estimation -------------------------------------------------
 
     def _estimate(self, node: PlanNode) -> Optional[PlanEstimate]:
@@ -198,16 +188,12 @@ class CostEstimator:
             pass
         else:
             for left_variable, right_variable in node.criteria:
-                left_entry = left.column(left_variable.name)
-                right_entry = right.column(right_variable.name)
-                ndv = max(
-                    left_entry.ndv if left_entry is not None else 1,
-                    right_entry.ndv if right_entry is not None else 1,
-                    1,
+                rows /= join_key_ndv(
+                    left.column(left_variable.name),
+                    right.column(right_variable.name),
+                    left.row_count,
+                    right.row_count,
                 )
-                if left_entry is None and right_entry is None:
-                    ndv = max((left.row_count * right.row_count) ** 0.25, 1.0)
-                rows /= ndv
         if node.filter is not None:
             rows *= predicate_selectivity(node.filter, merged)
         if node.join_type == "left":
@@ -215,6 +201,23 @@ class CostEstimator:
         elif node.join_type == "right":
             rows = max(rows, right.row_count)
         return PlanEstimate(rows, merged)
+
+
+def join_key_ndv(
+    left_entry: Optional[ColumnStatisticsEntry],
+    right_entry: Optional[ColumnStatisticsEntry],
+    left_rows: float,
+    right_rows: float,
+) -> float:
+    """What one equi-join key pair divides ``|L|·|R|`` by: the larger NDV."""
+    if left_entry is None and right_entry is None:
+        # No statistics on either key: guess between 1 and the cross product.
+        return max((left_rows * right_rows) ** 0.25, 1.0)
+    return max(
+        left_entry.ndv if left_entry is not None else 1,
+        right_entry.ndv if right_entry is not None else 1,
+        1,
+    )
 
 
 # -- selectivity --------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.core.expressions import VariableReferenceExpression
-from repro.planner.cost import CostEstimator
+from repro.planner.cost import CostEstimator, join_key_ndv
 from repro.planner.plan import JoinNode, PlanNode, ProjectNode, rewrite_plan
 
 # Build sides estimated under this many rows broadcast by default; the
@@ -172,16 +172,12 @@ def _reorder(
                 continue  # only join along edges; never introduce a cross join
             joined = current_rows * rows[candidate]
             for probe_variable, build_variable in criteria:
-                left_entry = estimates[producer[probe_variable.name]].column(
-                    probe_variable.name
+                joined /= join_key_ndv(
+                    estimates[producer[probe_variable.name]].column(probe_variable.name),
+                    estimates[candidate].column(build_variable.name),
+                    current_rows,
+                    rows[candidate],
                 )
-                right_entry = estimates[candidate].column(build_variable.name)
-                ndv = max(
-                    left_entry.ndv if left_entry is not None else 1,
-                    right_entry.ndv if right_entry is not None else 1,
-                    1,
-                )
-                joined /= ndv
             if best is None or joined < best[2] or (
                 joined == best[2] and candidate < best[0]
             ):

@@ -255,3 +255,20 @@ class TestSchemaEvolutionThroughHive:
         )
         result = engine.execute("SELECT count(*) FROM trips WHERE base.surge > 1.0")
         assert result.rows == [(0,)]
+
+
+class TestAnalyzedScanEstimate:
+    def test_pushed_data_constraint_scales_the_scan_estimate(self):
+        # The filter leaves the plan (it is pushed into the scan handle as a
+        # serialized ``data`` constraint), so EXPLAIN's estimate has to read
+        # it back: fare spans [0, 199], 200 × 50 / 199.
+        engine, *_ = make_environment()
+        assert engine.execute("ANALYZE TABLE trips").rows == [("hive.rawdata.trips", 200, 2)]
+        text = engine.explain("SELECT fare FROM trips WHERE fare < 50")
+        assert "Filter" not in text
+        assert "TableScan[hive.rawdata.trips](fare) [pushed-filter] {rows: 50.25}" in text
+        # The partition key has no column statistics: the default 0.25.
+        text = engine.explain(
+            "SELECT fare FROM trips WHERE datestr = '2017-03-02' AND fare < 50"
+        )
+        assert "{rows: 12.56}" in text

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.blocks import DictionaryBlock, LazyBlock, PrimitiveBlock, RowBlock
-from repro.core.evaluator import Evaluator, constant_block
+from repro.core.blocks import (
+    DictionaryBlock,
+    LazyBlock,
+    PrimitiveBlock,
+    RowBlock,
+    constant_block,
+)
+from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
     CallExpression,
     SpecialForm,

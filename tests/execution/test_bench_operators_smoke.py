@@ -38,7 +38,7 @@ def test_bench_operator_kernels_smoke(tmp_path):
     assert report["smoke"] is True
 
     entries = report["benchmarks"]
-    assert {b["name"] for b in entries} == {"grouped_aggregation", "hash_join"}
+    assert {b["name"] for b in entries} == {"grouped_aggregation", "hash_join", "topn"}
     for entry in entries:
         assert entry["rows"] > 0
         assert entry["vectorized_ms"] > 0

@@ -12,16 +12,22 @@ inputs, DISTINCT, merge (FINAL) mode, empty input, and object-dtype
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.blocks import DictionaryBlock, PrimitiveBlock, block_from_values
+from repro.core.blocks import (
+    DictionaryBlock,
+    PrimitiveBlock,
+    block_from_values,
+    constant_block,
+)
 from repro.core.expressions import CallExpression, variable
 from repro.core.functions import default_registry
 from repro.core.page import Page, concat_pages
-from repro.core.types import BIGINT, DOUBLE, VARCHAR
+from repro.core.types import BIGINT, DOUBLE, VARCHAR, ArrayType
 from repro.execution import kernels
 from repro.execution.context import ExecutionContext
 from repro.execution.operators.aggregation import (
@@ -237,6 +243,33 @@ class TestAggregationDifferential:
         )
         vec, ref = run_agg_both(node, pages)
         assert_identical(vec, ref)
+
+    def test_final_count_star_merges_partial_counts_on_the_kernel(self):
+        # The fragmenter's FINAL count(*) keeps the zero-argument handle and
+        # takes the partial-count column as its one argument.
+        src = source_node([("k", BIGINT), ("pc", BIGINT)])
+        node = agg_node(src, ["k"], [("count", [], False, "c")], step="FINAL")
+        merging = replace(node.aggregations[0], arguments=(src.outputs[1],))
+        node = replace(node, aggregations=(merging,))
+        rng = random.Random(4)
+        rows = [(rng.choice([1, 2, None]), rng.randint(0, 9)) for _ in range(50)]
+        pages = paged([BIGINT, BIGINT], rows)
+        ctx = make_ctx()
+        vec = rows_of(execute_aggregation(node, ctx, iter(pages)))
+        ref = rows_of(execute_aggregation_rows(node, make_ctx(), iter(pages)))
+        assert_identical(vec, ref)
+        assert ctx.stats.rows_processed_vectorized == 50
+        assert ctx.stats.rows_processed_fallback == 0
+
+        # A NULL partial count spills to GenericAccumulator mid-stream, so
+        # the error is the reference's own.
+        pages = paged([BIGINT, BIGINT], rows + [(1, None)])
+        errors = []
+        for operator in (execute_aggregation, execute_aggregation_rows):
+            with pytest.raises(TypeError) as raised:
+                rows_of(operator(node, make_ctx(), iter(pages)))
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
 
     def test_empty_input_grouped_and_global(self):
         types = [BIGINT, DOUBLE]
@@ -546,6 +579,25 @@ class TestJoinDifferential:
         assert ctx.stats.rows_processed_fallback == 2
         assert ctx.stats.rows_processed_vectorized == 2
 
+    def test_unfactorizable_build_keys_count_probe_rows_as_fallback(self):
+        # str and int build keys in one object column defeat np.unique, so
+        # there is no index and the reference joins every probe page.
+        left_pages = paged([VARCHAR, BIGINT], [("a", 1), ("b", 2), (None, 3), ("a", 4)], 3)
+        build_keys = PrimitiveBlock.from_values(VARCHAR, ["a", 7, "a"])
+        right_pages = [Page([build_keys, PrimitiveBlock.from_values(BIGINT, [10, 70, 11])])]
+        node = join_node(
+            "left",
+            [("lk", VARCHAR), ("lv", BIGINT)],
+            [("rk", VARCHAR), ("rv", BIGINT)],
+            [("lk", "rk")],
+        )
+        ctx = make_ctx()
+        vec = rows_of(execute_join(node, ctx, iter(left_pages), iter(right_pages)))
+        ref = rows_of(reference_join(node, make_ctx(), left_pages, right_pages))
+        assert_identical(vec, ref)
+        assert ctx.stats.rows_processed_fallback == 4
+        assert ctx.stats.rows_processed_vectorized == 0
+
     @settings(max_examples=25, deadline=None)
     @given(
         left=st.lists(
@@ -575,6 +627,28 @@ class TestJoinDifferential:
         )
         vec, ref = run_join_both(node, left_pages, right_pages)
         assert_identical(vec, ref)
+
+
+def topn_node(names_and_types, order_by, count) -> TopNNode:
+    """``order_by`` is a list of (column name, ascending)."""
+    src = source_node(names_and_types)
+    by_name = {v.name: v for v in src.outputs}
+    return TopNNode(
+        source=src,
+        count=count,
+        order_by=tuple((by_name[name], ascending) for name, ascending in order_by),
+    )
+
+
+def nan_tagged(*row_lists):
+    """NaN never equals itself; compare it as a tag instead."""
+    return [
+        [
+            tuple("NaN" if isinstance(v, float) and v != v else v for v in row)
+            for row in rows
+        ]
+        for rows in row_lists
+    ]
 
 
 class TestSortAndTopNDifferential:
@@ -631,6 +705,104 @@ class TestSortAndTopNDifferential:
         expected = _sorted_rows(node, iter(self._pages(6)))[:count]
         assert_identical(got, expected)
 
+    @pytest.mark.parametrize(
+        "directions", [[True, True], [False, True], [True, False], [False, False]]
+    )
+    @pytest.mark.parametrize("count", [3, 40, 500])
+    def test_topn_kernel_lane_matches_reference(self, directions, count):
+        # Double and varchar keys with NULL, -0.0 beside 0.0 and few distinct
+        # values, so ties straddle every 19-row page boundary; a NaN payload
+        # column rides along.  ``count`` 500 exceeds the 120 input rows.
+        rng = random.Random(12)
+        rows = [
+            (
+                rng.choice([None, -0.0, 0.0, 1.5, -2.25]),
+                rng.choice(["a", "bb", None, ""]),
+                rng.choice([float("nan"), float(i)]),
+            )
+            for i in range(120)
+        ]
+        pages = paged([DOUBLE, VARCHAR, DOUBLE], rows, page_size=19)
+        node = topn_node(
+            [("d", DOUBLE), ("s", VARCHAR), ("v", DOUBLE)],
+            [("d", directions[0]), ("s", directions[1])],
+            count,
+        )
+        ctx = make_ctx()
+        got = rows_of(execute_topn(node, ctx, iter(pages)))
+        assert_identical(*nan_tagged(got, _sorted_rows(node, iter(pages))[:count]))
+        assert ctx.stats.rows_processed_vectorized == 120
+        assert ctx.stats.rows_processed_fallback == 0
+
+    def test_topn_nan_keys_rank_with_null_like_sort(self):
+        # ``_sorted_rows`` has no total order over NaN (it compares false
+        # both ways), so the reference for NaN keys is the kernel sort: NaN
+        # canonicalizes to NULL, last ascending and first descending.
+        nan = float("nan")
+        rows = [(nan, 0), (2.0, 1), (None, 2), (1.0, 3), (nan, 4), (3.0, 5)]
+        pages = paged([DOUBLE, BIGINT], rows, page_size=2)
+        for ascending, expected in ((True, [3, 1, 5, 0]), (False, [0, 2, 4, 5])):
+            node = topn_node([("d", DOUBLE), ("i", BIGINT)], [("d", ascending)], 4)
+            got = rows_of(execute_topn(node, make_ctx(), iter(pages)))
+            assert [row[1] for row in got] == expected
+            sort = SortNode(source=node.source, order_by=node.order_by)
+            full = rows_of(execute_sort(sort, make_ctx(), iter(pages)))
+            assert_identical(*nan_tagged(got, full[:4]))
+
+    def test_array_keys_take_the_reference_lane(self):
+        # Arrays order fine in Python but do not factorize.  The first page
+        # carries the key column as the all-NULL block a hive scan fills in
+        # for a column its file predates, which the kernel ranks; the
+        # ArrayBlock on the second page sends the survivors and everything
+        # after them to ``_sorted_rows``.
+        array = ArrayType(BIGINT)
+        first = Page(
+            [constant_block(None, array, 3), PrimitiveBlock.from_values(BIGINT, [0, 1, 2])]
+        )
+        rest = paged(
+            [array, BIGINT], [([2], 3), ([1, 5], 4), (None, 5), ([1], 6), ([2], 7)], 2
+        )
+        pages = [first] + rest
+        for ascending in (True, False):
+            node = topn_node([("a", array), ("i", BIGINT)], [("a", ascending)], 4)
+            ctx = make_ctx()
+            got = rows_of(execute_topn(node, ctx, iter(pages)))
+            assert_identical(got, _sorted_rows(node, iter(pages))[:4])
+            assert ctx.stats.rows_processed_vectorized == 3
+            assert ctx.stats.rows_processed_fallback == 5
+
+            sort = SortNode(source=node.source, order_by=node.order_by)
+            ctx = make_ctx()
+            got = rows_of(execute_sort(sort, ctx, iter(pages)))
+            assert_identical(got, _sorted_rows(sort, iter(pages)))
+            assert ctx.stats.rows_processed_vectorized == 0
+            assert ctx.stats.rows_processed_fallback == 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])),
+                st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b"])),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=50,
+        ),
+        directions=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        count=st.integers(min_value=0, max_value=60),
+        page_size=st.integers(min_value=1, max_value=9),
+    )
+    def test_property_topn_matches_reference(self, rows, directions, count, page_size):
+        rows = [row + (position,) for position, row in enumerate(rows)]
+        pages = paged([DOUBLE, VARCHAR, BIGINT, BIGINT], rows, page_size)
+        node = topn_node(
+            [("d", DOUBLE), ("s", VARCHAR), ("i", BIGINT), ("arrival", BIGINT)],
+            list(zip(["d", "s", "i"], directions)),
+            count,
+        )
+        got = rows_of(execute_topn(node, make_ctx(), iter(pages)))
+        assert_identical(got, _sorted_rows(node, iter(pages))[:count])
+
 
 class TestKernels:
     def test_factorize_keys_null_and_values(self):
@@ -642,7 +814,6 @@ class TestKernels:
         assert codes[0] == codes[2] and codes[1] == codes[4]
 
     def test_factorize_keys_unsupported_returns_none(self):
-        from repro.core.types import ArrayType
         block = block_from_values(ArrayType(BIGINT), [[1], [2]])
         assert kernels.factorize_keys([block]) is None
 
@@ -652,17 +823,6 @@ class TestKernels:
         mask = positions < 0
         taken = kernels.take_nullable(block, positions, mask)
         assert taken.to_list() == [30, None, 10]
-
-    def test_expand_matches_preserves_probe_order(self):
-        codes = np.array([1, 0, 1, 2], dtype=np.int64)
-        matches = [
-            np.array([5], dtype=np.int64),
-            np.array([7, 8], dtype=np.int64),
-            np.array([], dtype=np.int64),
-        ]
-        probe, build = kernels.expand_matches(codes, matches)
-        assert probe.tolist() == [0, 0, 1, 2, 2]
-        assert build.tolist() == [7, 8, 5, 7, 8]
 
     def test_join_key_index_probe_and_expand(self):
         build = PrimitiveBlock.from_values(BIGINT, [10, 20, None, 10])

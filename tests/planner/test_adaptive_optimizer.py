@@ -244,3 +244,27 @@ class TestExplainEstimates:
         engine.execute("ANALYZE TABLE small")
         text = engine.explain("SELECT * FROM small")
         assert "{rows: 10}" in text
+
+    def test_equi_join_divides_by_the_larger_key_ndv(self):
+        engine, _ = make_engine()
+        analyze_all(engine)
+        # big.k has 40 distinct values, small.k 10: 1000 × 10 / 40.
+        text = engine.explain("SELECT * FROM big b JOIN small s ON b.k = s.k")
+        assert "Join[inner, partitioned](k$0 = k$2) {rows: 250}" in text
+        # An outer join keeps at least its preserved side.
+        text = engine.explain("SELECT * FROM big b LEFT JOIN small s ON b.k = s.k")
+        assert "Join[left, partitioned](k$0 = k$2) {rows: 1000}" in text
+        # A cross join divides by nothing.
+        text = engine.explain("SELECT * FROM mid CROSS JOIN small")
+        assert "{rows: 1000}" in text.splitlines()[0]
+
+    def test_range_filter_interpolates_between_min_and_max(self):
+        engine, _ = make_engine()
+        engine.execute("ANALYZE TABLE big")
+        # v spans [0, 999]: 1000 × (999 - 900) / 999.
+        text = engine.explain("SELECT * FROM big WHERE v >= 900")
+        assert "Filter[(v$1 >= 900)] {rows: 99.10}" in text
+        # The constant on the left flips the comparison: 1000 × 50 / 999.
+        assert "{rows: 50.05}" in engine.explain("SELECT * FROM big WHERE 50 > v")
+        # A bound outside [min, max] clamps.
+        assert "{rows: 0}" in engine.explain("SELECT * FROM big WHERE v > 5000")
