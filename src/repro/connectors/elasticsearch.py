@@ -25,16 +25,12 @@ from repro.connectors.spi import (
     TableMetadata,
 )
 from repro.core.expressions import (
-    CallExpression,
-    ConstantExpression,
+    ColumnTest,
     RowExpression,
-    SpecialForm,
-    SpecialFormExpression,
-    VariableReferenceExpression,
     and_,
     combine_conjuncts,
     conjuncts,
-    expression_from_dict,
+    match_column_test,
 )
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, PrestoType, VARCHAR
@@ -198,30 +194,21 @@ class _EsMetadata(ConnectorMetadata):
                 remaining.append(conjunct)
         if not absorbed:
             return None
-        if handle.constraint is not None:
-            absorbed.insert(0, expression_from_dict(handle.constraint))
         remaining_expression = combine_conjuncts(remaining)
         return FilterPushdownResult(
-            handle.with_(constraint=and_(*absorbed).to_dict()),
+            handle.with_conjunct(and_(*absorbed)),
             None if remaining_expression is None else remaining_expression.to_dict(),
         )
 
     def apply_limit(
         self, handle: ConnectorTableHandle, limit: int
     ) -> Optional[ConnectorTableHandle]:
-        if handle.limit is not None and handle.limit <= limit:
-            return None
-        return handle.with_(limit=limit)
+        return handle.with_limit(limit)
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
     ) -> Optional[ConnectorTableHandle]:
-        top_level: list[str] = []
-        for path in columns:
-            top = path.split(".")[0]
-            if top not in top_level:
-                top_level.append(top)
-        return handle.with_(projected_columns=tuple(top_level))
+        return handle.with_top_level_columns(columns)
 
 
 class _EsSplitManager(ConnectorSplitManager):
@@ -252,21 +239,22 @@ class _EsProvider(ConnectorRecordSetProvider):
         cluster = self._connector.cluster
         term_filters: list[tuple[str, list[Any]]] = []
         range_filters: dict[str, tuple[Optional[float], Optional[float]]] = {}
-        if handle.constraint is not None:
-            predicate = expression_from_dict(handle.constraint)
-            for conjunct in conjuncts(predicate):
-                parsed = _as_term_or_range(conjunct)
-                if parsed is None:
-                    continue
-                kind, field, payload = parsed
-                if kind == "term":
-                    term_filters.append((field, payload))
-                else:
-                    low, high = range_filters.get(field, (None, None))
-                    new_low, new_high = payload
-                    low = new_low if low is None else max(low, new_low) if new_low is not None else low
-                    high = new_high if high is None else min(high, new_high) if new_high is not None else high
-                    range_filters[field] = (low, high)
+        for conjunct in conjuncts(handle.constraint_expression()):
+            test = _as_term_or_range(conjunct)
+            if test is None:
+                continue
+            if not test.values or test.op in ("equal", "in"):
+                # A terms clause; with no values (a NULL constant) it matches
+                # no document, which is what a range against NULL means too.
+                term_filters.append((test.column, list(test.values)))
+                continue
+            low, high = range_filters.get(test.column, (None, None))
+            bound = test.values[0]
+            if test.op == "greater_than_or_equal":
+                low = bound if low is None else max(low, bound)
+            else:
+                high = bound if high is None else min(high, bound)
+            range_filters[test.column] = (low, high)
         hits = cluster.search_shard(
             handle.table_name,
             split.info_dict()["shard"],
@@ -282,34 +270,18 @@ class _EsProvider(ConnectorRecordSetProvider):
         )
 
 
-def _as_term_or_range(conjunct: RowExpression):
-    """Classify a conjunct as a term query, range query, or neither."""
-    if (
-        isinstance(conjunct, CallExpression)
-        and len(conjunct.arguments) == 2
-        and isinstance(conjunct.arguments[0], VariableReferenceExpression)
-        and isinstance(conjunct.arguments[1], ConstantExpression)
+def _as_term_or_range(conjunct: RowExpression) -> Optional[ColumnTest]:
+    """The conjunct as a term (``=``/``IN``) or range query, else ``None``.
+
+    Only inclusive bounds map onto the simulated range query; strict
+    comparisons stay engine-side to keep semantics exact.
+    """
+    test = match_column_test(conjunct)
+    if test is not None and test.op in (
+        "equal",
+        "in",
+        "greater_than_or_equal",
+        "less_than_or_equal",
     ):
-        field = conjunct.arguments[0].name
-        value = conjunct.arguments[1].value
-        name = conjunct.function_handle.name
-        if name == "equal":
-            return ("term", field, [value])
-        # Only inclusive bounds map onto the simulated range query; strict
-        # comparisons stay engine-side to keep semantics exact.
-        if name == "greater_than_or_equal":
-            return ("range", field, (value, None))
-        if name == "less_than_or_equal":
-            return ("range", field, (None, value))
-    if (
-        isinstance(conjunct, SpecialFormExpression)
-        and conjunct.form is SpecialForm.IN
-        and isinstance(conjunct.arguments[0], VariableReferenceExpression)
-        and all(isinstance(a, ConstantExpression) for a in conjunct.arguments[1:])
-    ):
-        return (
-            "term",
-            conjunct.arguments[0].name,
-            [a.value for a in conjunct.arguments[1:]],
-        )
+        return test
     return None

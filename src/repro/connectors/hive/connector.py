@@ -49,7 +49,7 @@ from repro.connectors.spi import (
 )
 from repro.cache.file_list_cache import FileListCache
 from repro.cache.footer_cache import FileHandleAndFooterCache
-from repro.formats.parquet.encoding import decode_plain_scalar
+from repro.formats.parquet.encoding import count_prefixed_entries, decode_plain_scalar
 from repro.formats.parquet.file import ParquetFile, read_footer
 from repro.formats.parquet.options import ReaderOptions
 from repro.formats.parquet.reader_new import NewParquetReader
@@ -208,7 +208,7 @@ class _HiveMetadata(ConnectorMetadata):
                             data = file.read_segment(group_index, name, "dict")
                             dictionary = decode_plain_scalar(
                                 data, accumulators[name].presto_type,
-                                _count_prefixed_entries(data),
+                                count_prefixed_entries(data),
                             )
                         accumulators[name].add_chunk(chunk.statistics, dictionary)
 
@@ -235,8 +235,7 @@ class _HiveMetadata(ConnectorMetadata):
         partition_keys = set(table.partition_key_names())
         data_leaf_paths = self._scalar_leaf_paths(table)
 
-        partition_terms: list[RowExpression] = []
-        data_terms: list[RowExpression] = []
+        absorbed: list[RowExpression] = []
         remaining: list[RowExpression] = []
         data_pushdown_allowed = (
             self._connector.reader == NEW_READER
@@ -245,7 +244,7 @@ class _HiveMetadata(ConnectorMetadata):
         for conjunct in conjuncts(predicate):
             names = {v.name for v in conjunct.variables()}
             if names and names <= partition_keys:
-                partition_terms.append(conjunct)
+                absorbed.append(conjunct)
                 continue
             # Nested field access arrives as DEREFERENCE chains; normalize
             # them into dotted-path variables the reader understands.
@@ -256,25 +255,16 @@ class _HiveMetadata(ConnectorMetadata):
                 and normalized_names
                 and normalized_names <= data_leaf_paths
             ):
-                data_terms.append(normalized)
+                absorbed.append(normalized)
             else:
                 remaining.append(conjunct)
-        if not partition_terms and not data_terms:
+        if not absorbed:
             return None
-
-        constraint = dict(handle.constraint or {})
-        if partition_terms:
-            existing = constraint.get("partition")
-            terms = ([expression_from_dict(existing)] if existing else []) + partition_terms
-            constraint["partition"] = combine_conjuncts(terms).to_dict()
-        if data_terms:
-            existing = constraint.get("data")
-            terms = ([expression_from_dict(existing)] if existing else []) + data_terms
-            constraint["data"] = combine_conjuncts(terms).to_dict()
-
+        # One conjunction; the split manager and the reader each take their
+        # half of it with ``_split_on_partition_keys``.
         remaining_expression = combine_conjuncts(remaining)
         return FilterPushdownResult(
-            handle.with_(constraint=constraint),
+            handle.with_conjunct(combine_conjuncts(absorbed)),
             None if remaining_expression is None else remaining_expression.to_dict(),
         )
 
@@ -306,15 +296,10 @@ class _HiveSplitManager(ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         connector = self._connector
         table = connector._table(handle)
-        constraint = handle.constraint or {}
-        partition_predicate = (
-            expression_from_dict(constraint["partition"])
-            if constraint.get("partition")
-            else None
-        )
+        partition_predicate, _ = _split_on_partition_keys(handle.constraint, table)
         # Runtime dynamic filters: conjuncts over partition keys prune
         # partitions right here, before any file is even listed.
-        dynamic_partition, _ = _split_dynamic_conjuncts(
+        dynamic_partition, _ = _split_on_partition_keys(
             handle.dynamic_filter, table
         )
         if dynamic_partition is not None:
@@ -412,16 +397,13 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
                 file, table, columns, data_columns, partition_values, partition_types
             )
 
-        constraint = handle.constraint or {}
-        predicate = (
-            expression_from_dict(constraint["data"]) if constraint.get("data") else None
-        )
+        _, predicate = _split_on_partition_keys(handle.constraint, table)
         # Runtime dynamic filters.  Partition-key conjuncts are evaluated
         # against this split's partition values (they must never reach the
         # reader's row mask — a partition key is not a file leaf, so it
         # would decode as all-null and wrongly drop every row); the data
         # conjuncts ride into the reader as its dynamic predicate.
-        dynamic_partition, dynamic_data = _split_dynamic_conjuncts(
+        dynamic_partition, dynamic_data = _split_on_partition_keys(
             handle.dynamic_filter, table
         )
         if dynamic_partition is not None and not self._partition_matches(
@@ -583,30 +565,28 @@ class _ReaderPages:
         return next(self._pages)
 
 
-def _split_dynamic_conjuncts(
-    dynamic: Optional[dict], table: TableInfo
+def _split_on_partition_keys(
+    serialized: Optional[dict], table: TableInfo
 ) -> tuple[Optional[RowExpression], Optional[RowExpression]]:
-    """Split a serialized dynamic filter into (partition, data) predicates.
+    """Split a handle's ``constraint`` or ``dynamic_filter`` into
+    (partition, data) predicates.
 
     Conjuncts whose variables are all partition keys go left; everything
-    else goes right (each dynamic filter conjunct targets one column, so
-    mixed conjuncts cannot occur).
+    else goes right (``apply_filter`` absorbs no conjunct mixing the two,
+    and each dynamic filter conjunct targets one column).
     """
-    if not dynamic:
+    if not serialized:
         return None, None
     partition_keys = set(table.partition_key_names())
     partition_terms: list[RowExpression] = []
     data_terms: list[RowExpression] = []
-    for conjunct in conjuncts(expression_from_dict(dynamic)):
+    for conjunct in conjuncts(expression_from_dict(serialized)):
         names = {v.name for v in conjunct.variables()}
         if names and names <= partition_keys:
             partition_terms.append(conjunct)
         else:
             data_terms.append(conjunct)
-    return (
-        combine_conjuncts(partition_terms) if partition_terms else None,
-        combine_conjuncts(data_terms) if data_terms else None,
-    )
+    return combine_conjuncts(partition_terms), combine_conjuncts(data_terms)
 
 
 class _ColumnAccumulator:
@@ -660,19 +640,6 @@ class _ColumnAccumulator:
             max_value=self.max_value,
             null_fraction=(self.null_count / self.total) if self.total else 0.0,
         )
-
-
-def _count_prefixed_entries(data: bytes) -> int:
-    """Entry count of a length-prefixed PLAIN segment (dictionary pages)."""
-    import struct
-
-    count = 0
-    pos = 0
-    while pos < len(data):
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4 + length
-        count += 1
-    return count
 
 
 def _dereferences_to_paths(expression: RowExpression) -> RowExpression:

@@ -29,13 +29,11 @@ from repro.connectors.spi import (
     TableMetadata,
 )
 from repro.core.expressions import (
-    CallExpression,
-    ConstantExpression,
+    ColumnTest,
     RowExpression,
-    VariableReferenceExpression,
     combine_conjuncts,
     conjuncts,
-    expression_from_dict,
+    match_column_test,
 )
 from repro.core.page import Page
 from repro.core.types import BIGINT, PrestoType
@@ -225,48 +223,39 @@ class _KafkaMetadata(ConnectorMetadata):
                 remaining.append(conjunct)
         if not absorbed:
             return None
-        if handle.constraint is not None:
-            absorbed.insert(0, expression_from_dict(handle.constraint))
         remaining_expression = combine_conjuncts(remaining)
         return FilterPushdownResult(
-            handle.with_(constraint=combine_conjuncts(absorbed).to_dict()),
+            handle.with_conjunct(combine_conjuncts(absorbed)),
             None if remaining_expression is None else remaining_expression.to_dict(),
         )
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
     ) -> Optional[ConnectorTableHandle]:
-        top_level: list[str] = []
-        for path in columns:
-            top = path.split(".")[0]
-            if top not in top_level:
-                top_level.append(top)
-        return handle.with_(projected_columns=tuple(top_level))
+        return handle.with_top_level_columns(columns)
 
     def apply_limit(
         self, handle: ConnectorTableHandle, limit: int
     ) -> Optional[ConnectorTableHandle]:
-        if handle.limit is not None and handle.limit <= limit:
-            return None
-        return handle.with_(limit=limit)
+        return handle.with_limit(limit)
 
 
-def _as_log_range(conjunct: RowExpression) -> Optional[tuple[str, str, int]]:
-    """Match ``_offset``/``_timestamp_ms`` range conjuncts."""
-    if not (
-        isinstance(conjunct, CallExpression)
-        and len(conjunct.arguments) == 2
-        and isinstance(conjunct.arguments[0], VariableReferenceExpression)
-        and isinstance(conjunct.arguments[1], ConstantExpression)
+def _as_log_range(conjunct: RowExpression) -> Optional[ColumnTest]:
+    """The conjunct as an ``_offset``/``_timestamp_ms`` log seek, else ``None``.
+
+    The log is sought by integer positions only: a NULL or fractional
+    bound stays with the engine.
+    """
+    test = match_column_test(conjunct)
+    if (
+        test is not None
+        and test.column in ("_offset", "_timestamp_ms")
+        and test.op in ("greater_than_or_equal", "less_than_or_equal", "equal")
+        and test.values
+        and type(test.values[0]) is int
     ):
-        return None
-    column = conjunct.arguments[0].name
-    if column not in ("_offset", "_timestamp_ms"):
-        return None
-    name = conjunct.function_handle.name
-    if name not in ("greater_than_or_equal", "less_than_or_equal", "equal"):
-        return None
-    return column, name, conjunct.arguments[1].value
+        return test
+    return None
 
 
 class _KafkaSplitManager(ConnectorSplitManager):
@@ -301,18 +290,17 @@ class _KafkaProvider(ConnectorRecordSetProvider):
             "_offset": [0, None],
             "_timestamp_ms": [None, None],
         }
-        if handle.constraint is not None:
-            for conjunct in conjuncts(expression_from_dict(handle.constraint)):
-                parsed = _as_log_range(conjunct)
-                if parsed is None:
-                    continue
-                column, op, value = parsed
-                low, high = ranges[column]
-                if op in ("greater_than_or_equal", "equal"):
-                    low = value if low is None else max(low, value)
-                if op in ("less_than_or_equal", "equal"):
-                    high = value if high is None else min(high, value)
-                ranges[column] = [low, high]
+        for conjunct in conjuncts(handle.constraint_expression()):
+            test = _as_log_range(conjunct)
+            if test is None:
+                continue
+            (bound,) = test.values
+            low, high = ranges[test.column]
+            if test.op in ("greater_than_or_equal", "equal"):
+                low = bound if low is None else max(low, bound)
+            if test.op in ("less_than_or_equal", "equal"):
+                high = bound if high is None else min(high, bound)
+            ranges[test.column] = [low, high]
 
         records = connector.broker.fetch(
             handle.table_name,

@@ -23,12 +23,9 @@ from repro.connectors.spi import (
     FilterPushdownResult,
     TableMetadata,
 )
-from repro.core.expressions import (
-    RowExpression,
-    and_,
-    expression_from_dict,
-)
+from repro.core.expressions import RowExpression
 from repro.core.page import Page
+from repro.core.types import PrestoType
 from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.reader_new import NewParquetReader
 
@@ -114,9 +111,7 @@ class _IcebergMetadata(ConnectorMetadata):
         columns = {n for n, _ in self._connector.table(base).columns}
         if not all(v.name in columns for v in predicate.variables()):
             return None
-        if handle.constraint is not None:
-            predicate = and_(expression_from_dict(handle.constraint), predicate)
-        return FilterPushdownResult(handle.with_(constraint=predicate.to_dict()), None)
+        return FilterPushdownResult(handle.with_conjunct(predicate), None)
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
@@ -163,23 +158,29 @@ class _IcebergProvider(ConnectorRecordSetProvider):
         table = self._connector.table(base)
         path = split.info_dict()["path"]
         column_types = dict(table.columns)
+        output_types = [column_types[c.split(".")[0]] for c in columns]
         if not path:
-            yield Page.from_columns(
-                [column_types[c.split(".")[0]] for c in columns], [[] for _ in columns]
-            )
+            yield Page.from_columns(output_types, [[] for _ in columns])
             return
-        file = ParquetFile(table.filesystem.open(path))
-        predicate = (
-            expression_from_dict(handle.constraint)
-            if handle.constraint is not None
-            else None
+        yield from data_file_pages(
+            ParquetFile(table.filesystem.open(path)), handle, columns, output_types
         )
-        reader = NewParquetReader(file, list(columns), predicate=predicate)
-        produced = False
-        for page in reader.read_pages():
-            produced = True
-            yield page
-        if not produced:
-            yield Page.from_columns(
-                [column_types[c.split(".")[0]] for c in columns], [[] for _ in columns]
-            )
+
+
+def data_file_pages(
+    file: ParquetFile,
+    handle: ConnectorTableHandle,
+    columns: Sequence[str],
+    output_types: Sequence[PrestoType],
+) -> Iterator[Page]:
+    """Stream one parquet data file with the handle's constraint pushed
+    into the reader; one empty typed page when no row group survives."""
+    reader = NewParquetReader(
+        file, list(columns), predicate=handle.constraint_expression()
+    )
+    produced = False
+    for page in reader.read_pages():
+        produced = True
+        yield page
+    if not produced:
+        yield Page.from_columns(output_types, [[] for _ in columns])

@@ -27,7 +27,7 @@ from repro.connectors.spi import (
 )
 from repro.core.blocks import PrimitiveBlock
 from repro.core.evaluator import Evaluator
-from repro.core.expressions import RowExpression, and_, expression_from_dict
+from repro.core.expressions import RowExpression
 from repro.core.page import Page
 from repro.core.types import PrestoType
 
@@ -169,26 +169,17 @@ class _MySqlMetadata(ConnectorMetadata):
         }
         if not all(v.name in columns for v in predicate.variables()):
             return None
-        if handle.constraint is not None:
-            predicate = and_(expression_from_dict(handle.constraint), predicate)
-        return FilterPushdownResult(handle.with_(constraint=predicate.to_dict()), None)
+        return FilterPushdownResult(handle.with_conjunct(predicate), None)
 
     def apply_limit(
         self, handle: ConnectorTableHandle, limit: int
     ) -> Optional[ConnectorTableHandle]:
-        if handle.limit is not None and handle.limit <= limit:
-            return None
-        return handle.with_(limit=limit)
+        return handle.with_limit(limit)
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
     ) -> Optional[ConnectorTableHandle]:
-        top_level: list[str] = []
-        for path in columns:
-            top = path.split(".")[0]
-            if top not in top_level:
-                top_level.append(top)
-        return handle.with_(projected_columns=tuple(top_level))
+        return handle.with_top_level_columns(columns)
 
 
 class _MySqlSplitManager(ConnectorSplitManager):
@@ -212,16 +203,11 @@ class _MySqlProvider(ConnectorRecordSetProvider):
         columns: Sequence[str],
     ) -> Iterator[Page]:
         server = self._connector.server
-        predicate = (
-            expression_from_dict(handle.constraint)
-            if handle.constraint is not None
-            else None
-        )
         rows = server.execute(
             handle.schema_name,
             handle.table_name,
             projection=list(columns),
-            predicate=predicate,
+            predicate=handle.constraint_expression(),
             limit=handle.limit,
         )
         types = dict(server.columns(handle.schema_name, handle.table_name))

@@ -25,7 +25,7 @@ from repro.connectors.spi import (
     FilterPushdownResult,
     TableMetadata,
 )
-from repro.core.expressions import RowExpression, expression_from_dict
+from repro.core.expressions import RowExpression
 from repro.core.functions import default_registry
 from repro.core.page import Page
 from repro.core.types import parse_type
@@ -95,31 +95,17 @@ class _Metadata(ConnectorMetadata):
         columns = {n for n, _ in self._connector.store.datasource_columns(handle.table_name)}
         if not all(v.name in columns for v in predicate.variables()):
             return None
-        existing = handle.constraint
-        if existing is not None:
-            from repro.core.expressions import and_
-
-            predicate = and_(expression_from_dict(existing), predicate)
-        return FilterPushdownResult(
-            handle.with_(constraint=predicate.to_dict()), None
-        )
+        return FilterPushdownResult(handle.with_conjunct(predicate), None)
 
     def apply_limit(
         self, handle: ConnectorTableHandle, limit: int
     ) -> Optional[ConnectorTableHandle]:
-        if handle.limit is not None and handle.limit <= limit:
-            return None
-        return handle.with_(limit=limit)
+        return handle.with_limit(limit)
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
     ) -> Optional[ConnectorTableHandle]:
-        top_level = []
-        for path in columns:
-            top = path.split(".")[0]
-            if top not in top_level:
-                top_level.append(top)
-        return handle.with_(projected_columns=tuple(top_level))
+        return handle.with_top_level_columns(columns)
 
     def apply_aggregation(
         self,

@@ -20,14 +20,11 @@ from repro.common.errors import ConnectorError
 from repro.core.blocks import Block, PrimitiveBlock
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
-    CallExpression,
-    ConstantExpression,
     RowExpression,
-    SpecialForm,
-    SpecialFormExpression,
-    VariableReferenceExpression,
+    combine_conjuncts,
     conjuncts,
     expression_from_dict,
+    match_column_test,
 )
 from repro.core.functions import FunctionHandle, default_registry
 from repro.core.types import BIGINT, DOUBLE, PrestoType, VARCHAR
@@ -237,8 +234,6 @@ class RealtimeOlapStore:
             )
 
         if residual_conjuncts:
-            from repro.core.expressions import combine_conjuncts
-
             residual = combine_conjuncts(residual_conjuncts)
             bindings = self._bindings(segment, selected, residual.variables())
             mask = self._evaluator.filter_mask(residual, bindings, len(selected))
@@ -264,31 +259,20 @@ class RealtimeOlapStore:
         self, segment: Segment, conjunct: RowExpression
     ) -> Optional[np.ndarray]:
         """Serve equality/IN conjuncts from the inverted index."""
+        test = match_column_test(conjunct)
         if (
-            isinstance(conjunct, CallExpression)
-            and conjunct.function_handle.name == "equal"
-            and isinstance(conjunct.arguments[0], VariableReferenceExpression)
-            and isinstance(conjunct.arguments[1], ConstantExpression)
+            test is None
+            or test.op not in ("equal", "in")
+            or test.column not in segment.inverted
         ):
-            column = conjunct.arguments[0].name
-            if column in segment.inverted:
-                return segment.inverted[column].get(
-                    conjunct.arguments[1].value, np.array([], dtype=np.int64)
-                )
-        if (
-            isinstance(conjunct, SpecialFormExpression)
-            and conjunct.form is SpecialForm.IN
-            and isinstance(conjunct.arguments[0], VariableReferenceExpression)
-            and all(isinstance(a, ConstantExpression) for a in conjunct.arguments[1:])
-        ):
-            column = conjunct.arguments[0].name
-            if column in segment.inverted:
-                parts = [
-                    segment.inverted[column].get(a.value, np.array([], dtype=np.int64))
-                    for a in conjunct.arguments[1:]
-                ]
-                return np.unique(np.concatenate(parts)) if parts else np.array([], dtype=np.int64)
-        return None
+            return None
+        postings = segment.inverted[test.column]
+        parts = [postings[value] for value in test.values if value in postings]
+        if not parts:
+            return np.array([], dtype=np.int64)
+        if len(parts) == 1:
+            return parts[0]  # a posting list is already sorted and unique
+        return np.unique(np.concatenate(parts))
 
     def _bindings(
         self, segment: Segment, selected: np.ndarray, variables

@@ -21,11 +21,12 @@ how real Presto keeps connectors decoupled from engine internals.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.common.errors import ConnectorError
-from repro.core.expressions import RowExpression
+from repro.core.expressions import RowExpression, and_, expression_from_dict
 from repro.core.functions import FunctionHandle
 from repro.core.page import Page
 from repro.core.types import PrestoType
@@ -65,7 +66,8 @@ class ConnectorTableHandle:
     ``constraint`` / ``limit`` / ``aggregation`` record what the connector
     has agreed to evaluate natively; ``projected_columns`` records projection
     pushdown.  All pushed expressions are stored in serialized form so the
-    handle itself stays self-contained.
+    handle itself stays self-contained; ``constraint`` is one serialized
+    RowExpression (a conjunction) for every connector.
     """
 
     schema_name: str
@@ -83,6 +85,41 @@ class ConnectorTableHandle:
 
     def with_(self, **updates: Any) -> "ConnectorTableHandle":
         return replace(self, **updates)
+
+    def constraint_expression(self) -> Optional[RowExpression]:
+        """The absorbed constraint, deserialized; ``None`` when there is none."""
+        if self.constraint is None:
+            return None
+        return expression_from_dict(self.constraint)
+
+    def with_conjunct(self, predicate: RowExpression) -> "ConnectorTableHandle":
+        """AND ``predicate`` onto whatever constraint is already absorbed."""
+        if self.constraint is not None:
+            predicate = and_(self.constraint_expression(), predicate)
+        return self.with_(constraint=predicate.to_dict())
+
+    def with_limit(self, limit: int) -> Optional["ConnectorTableHandle"]:
+        """Absorb a row limit; ``None`` when one at least as tight is held."""
+        if self.limit is not None and self.limit <= limit:
+            return None
+        return self.with_(limit=limit)
+
+    def with_top_level_columns(self, columns: Sequence[str]) -> "ConnectorTableHandle":
+        """Absorb a projection, widening dotted paths to their top-level column."""
+        top_level = dict.fromkeys(path.split(".")[0] for path in columns)
+        return self.with_(projected_columns=tuple(top_level))
+
+    def pushdown_key(self) -> str:
+        """Canonical text of every plan-time pushdown the handle carries.
+
+        Two scans of one table may share cached results only when this
+        matches.  ``dynamic_filter`` is runtime state and is left out.
+        """
+        return json.dumps(
+            [self.constraint, self.limit, self.projected_columns, self.aggregation],
+            sort_keys=True,
+            default=repr,
+        )
 
 
 @dataclass(frozen=True)

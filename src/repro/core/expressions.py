@@ -27,6 +27,7 @@ connector consistently re-resolve the function on its side.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 
@@ -329,6 +330,75 @@ def combine_conjuncts(terms: Sequence[RowExpression]) -> Optional[RowExpression]
     if not terms:
         return None
     return and_(*terms)
+
+
+# Comparison function name -> (value-vs-bound test, name once the operands swap).
+_COMPARISONS = {
+    "equal": (operator.eq, "equal"),
+    "greater_than": (operator.gt, "less_than"),
+    "greater_than_or_equal": (operator.ge, "less_than_or_equal"),
+    "less_than": (operator.lt, "greater_than"),
+    "less_than_or_equal": (operator.le, "greater_than_or_equal"),
+}
+
+
+@dataclass(frozen=True)
+class ColumnTest:
+    """``column <op> constant`` or ``column IN (constants)``.
+
+    The one conjunct shape pushdown consumers absorb (statistics and
+    dictionary skipping, selectivity, term/range queries, index probes,
+    log seeks).  ``op`` is ``"in"`` or a comparison function name with the
+    column on the left.  NULL constants are dropped — comparing with NULL
+    is never true — so empty ``values`` means no row satisfies the test.
+    """
+
+    column: str
+    op: str
+    values: tuple[Any, ...]
+
+    def admits(self, value: Any) -> bool:
+        """Whether a row holding ``value`` in the column passes the test."""
+        if value is None:
+            return False
+        compare = operator.eq if self.op == "in" else _COMPARISONS[self.op][0]
+        return any(compare(value, constant) for constant in self.values)
+
+    def excludes_range(self, low: Any, high: Any) -> bool:
+        """True when no value in ``[low, high]`` (min/max statistics) passes."""
+        if self.op in ("in", "equal"):
+            return all(v < low or v > high for v in self.values)
+        # A one-sided bound admits some value of the range iff it admits
+        # the end of the range on its open side.
+        return not self.admits(high if self.op.startswith("greater") else low)
+
+
+def match_column_test(conjunct: RowExpression) -> Optional[ColumnTest]:
+    """Read a conjunct as a :class:`ColumnTest`; ``None`` for any other shape.
+
+    A constant on the left is flipped (``5 <= c`` is ``c >= 5``).
+    """
+    if isinstance(conjunct, SpecialFormExpression) and conjunct.form is SpecialForm.IN:
+        op, column, constants = "in", conjunct.arguments[0], conjunct.arguments[1:]
+    elif (
+        isinstance(conjunct, CallExpression)
+        and conjunct.function_handle.name in _COMPARISONS
+        and len(conjunct.arguments) == 2
+    ):
+        op = conjunct.function_handle.name
+        column, constant = conjunct.arguments
+        if isinstance(column, ConstantExpression):
+            op, column, constant = _COMPARISONS[op][1], constant, column
+        constants = (constant,)
+    else:
+        return None
+    if not isinstance(column, VariableReferenceExpression) or not all(
+        isinstance(c, ConstantExpression) for c in constants
+    ):
+        return None
+    return ColumnTest(
+        column.name, op, tuple(c.value for c in constants if c.value is not None)
+    )
 
 
 def substitute(

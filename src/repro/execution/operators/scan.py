@@ -20,40 +20,48 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.connectors.spi import ConnectorTableHandle
 from repro.core.page import Page
 from repro.execution.context import ExecutionContext
 from repro.execution.dynamic_filters import DynamicFilterSet
 from repro.planner.plan import TableScanNode, ValuesNode
 
 
-def execute_table_scan(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]:
-    connector = ctx.catalog.connector(node.catalog)
-    provider = connector.record_set_provider()
-    columns = [column for _, column in node.assignments]
+def plan_scan(
+    node: TableScanNode, ctx: ExecutionContext, pinned: Optional[list] = None
+) -> tuple[ConnectorTableHandle, Optional[DynamicFilterSet], list]:
+    """``(handle, dynamic filters, splits)`` for one scan of ``node``.
 
-    filter_set: Optional[DynamicFilterSet] = None
-    if ctx.dynamic_filters is not None:
-        filter_set = ctx.dynamic_filters.get(node.id)
-
+    The one place a runtime dynamic filter meets split enumeration, shared
+    by the staged scheduler (which plans a task per split) and the direct
+    pipeline: an empty build side matches nothing, so every split is
+    skipped (and counted); otherwise the filter's expression form rides on
+    the handle, where split managers that understand it (hive) prune
+    partitions at enumeration.  ``pinned`` splits — a staged task's
+    assignment — are read as given.
+    """
+    split_manager = ctx.catalog.connector(node.catalog).split_manager()
+    filter_set = (ctx.dynamic_filters or {}).get(node.id)
     handle = node.handle
+    if pinned is None and filter_set is not None and filter_set.is_empty:
+        skipped = len(split_manager.get_splits(handle))
+        ctx.stats.dynamic_filter_splits_skipped += skipped
+        return handle, filter_set, []
     if filter_set is not None and filter_set.expression_dict:
         handle = handle.with_(dynamic_filter=filter_set.expression_dict)
+    if pinned is None:
+        pinned = split_manager.get_splits(handle)
+    return handle, filter_set, pinned
 
+
+def execute_table_scan(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]:
+    provider = ctx.catalog.connector(node.catalog).record_set_provider()
+    columns = [column for _, column in node.assignments]
     # Staged execution pins each task to its assigned splits; the direct
     # pipeline enumerates every split of the table in one pass.
-    splits = None
-    if ctx.scan_splits is not None:
-        splits = ctx.scan_splits.get(node.id)
-    if splits is None:
-        if filter_set is not None and filter_set.is_empty:
-            # An empty build side means no probe row can ever match: skip
-            # split enumeration entirely (mirrors the scheduler's staged
-            # shortcut, counted the same way).
-            skipped = len(connector.split_manager().get_splits(handle))
-            ctx.stats.dynamic_filter_splits_skipped += skipped
-            splits = []
-        else:
-            splits = connector.split_manager().get_splits(handle)
+    handle, filter_set, splits = plan_scan(
+        node, ctx, (ctx.scan_splits or {}).get(node.id)
+    )
 
     mask_channels = _dynamic_mask_channels(node, filter_set)
 
@@ -149,10 +157,12 @@ def _harvest_reader_stats(ctx: ExecutionContext, pages) -> None:
 def _split_pages(node, ctx, provider, handle, split, columns, filter_set):
     """One split's pages, optionally served from the fragment result cache.
 
-    The cache key is the scan fragment's canonical description plus the
-    split id plus the split's data version; a version change (file rewrite,
-    new rows) makes the old entry unreachable, so stale results are never
-    served (section VII).  Returns ``(pages, cache_status)`` where the
+    The cache key is the scan's description and columns, the handle's
+    ``pushdown_key()`` (two scans differing in a pushed predicate, limit,
+    projection or aggregation read different pages), the split id and the
+    split's data version; a version change (file rewrite, new rows) makes
+    the old entry unreachable, so stale results are never served
+    (section VII).  Returns ``(pages, cache_status)`` where the
     status is ``"hit"``/``"miss"`` when the fragment cache was consulted,
     else None.  Dynamically-filtered scans never touch the cache — the
     key excludes the runtime filter.
@@ -162,7 +172,9 @@ def _split_pages(node, ctx, provider, handle, split, columns, filter_set):
     if cache is None or data_version is None or filter_set is not None:
         return provider.pages(handle, split, columns), None
     key = cache.fragment_key(
-        node.describe() + "|" + ",".join(columns), split.split_id, data_version
+        "|".join((node.describe(), ",".join(columns), handle.pushdown_key())),
+        split.split_id,
+        data_version,
     )
     pages, hit = cache.get_or_compute_with_status(
         key, lambda: provider.pages(handle, split, columns)

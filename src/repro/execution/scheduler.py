@@ -68,6 +68,7 @@ from repro.execution.dynamic_filters import (
 )
 from repro.execution.exchange import ExchangeBuffer, key_channels_for
 from repro.execution.faults import FaultInjector
+from repro.execution.operators.scan import plan_scan
 from repro.planner.fragmenter import (
     Exchange,
     FragmentedPlan,
@@ -466,22 +467,7 @@ class QueryScheduler:
         scans = _find_table_scans(fragment.root)
         if fragment.distribution == "source" and len(scans) == 1:
             scan = scans[0]
-            connector = self.ctx.catalog.connector(scan.catalog)
-            handle = scan.handle
-            filter_set = (self.ctx.dynamic_filters or {}).get(scan.id)
-            if filter_set is not None and filter_set.is_empty:
-                # An empty build side matches nothing: skip every split.
-                skipped = len(connector.split_manager().get_splits(handle))
-                self.ctx.stats.dynamic_filter_splits_skipped += skipped
-                splits = []
-            else:
-                if filter_set is not None and filter_set.expression_dict:
-                    # Split managers that understand the pushed filter
-                    # (hive) prune partitions against it at enumeration.
-                    handle = handle.with_(
-                        dynamic_filter=filter_set.expression_dict
-                    )
-                splits = connector.split_manager().get_splits(handle)
+            _, _, splits = plan_scan(scan, self.ctx)
             if splits:
                 return [
                     (

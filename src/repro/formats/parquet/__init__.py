@@ -19,7 +19,7 @@ Two writers (:mod:`writer_old`, :mod:`writer_native`) and two readers
 """
 
 from repro.formats.parquet.schema import ParquetSchema, LeafColumn
-from repro.formats.parquet.file import ParquetFile, read_footer, write_file_bytes
+from repro.formats.parquet.file import ParquetFile, read_footer
 from repro.formats.parquet.metadata import (
     ColumnChunkMetadata,
     ColumnStatistics,
@@ -37,7 +37,6 @@ __all__ = [
     "LeafColumn",
     "ParquetFile",
     "read_footer",
-    "write_file_bytes",
     "ColumnChunkMetadata",
     "ColumnStatistics",
     "FileMetadata",

@@ -213,6 +213,17 @@ def decode_plain_varchar(data: bytes, count: int) -> tuple[np.ndarray, np.ndarra
     return raw[index], offsets
 
 
+def count_prefixed_entries(data: bytes) -> int:
+    """Entry count of a length-prefixed PLAIN segment (dictionary pages)."""
+    count = 0
+    pos = 0
+    while pos < len(data):
+        (length,) = struct.unpack_from("<I", data, pos)
+        pos += 4 + length
+        count += 1
+    return count
+
+
 def decode_plain_scalar(data: bytes, presto_type: PrestoType, count: int) -> list[Any]:
     """Value-at-a-time decode (the pre-vectorized reader path)."""
     values: list[Any] = []

@@ -169,17 +169,6 @@ class ParquetBlobWriter:
         )
 
 
-def write_file_bytes(
-    schema: ParquetSchema,
-    row_groups: list[tuple[int, dict[str, LeafChunk]]],
-    codec: str = compression.SNAPPY,
-) -> bytes:
-    writer = ParquetBlobWriter(schema, codec)
-    for num_rows, chunks in row_groups:
-        writer.add_row_group(num_rows, chunks)
-    return writer.finish()
-
-
 def read_footer(stream: SeekableInput) -> FileMetadata:
     """Read and parse the footer from the end of the file."""
     size = stream.size()

@@ -75,9 +75,6 @@ class ColumnChunkMetadata:
     def has_dictionary(self) -> bool:
         return "dict" in self.segments
 
-    def total_compressed_bytes(self) -> int:
-        return sum(length for _, length in self.segments.values())
-
     def to_dict(self) -> dict:
         return {
             "path": self.path,

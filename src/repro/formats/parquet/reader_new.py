@@ -39,19 +39,17 @@ from repro.core.blocks import (
 )
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
-    CallExpression,
-    ConstantExpression,
+    ColumnTest,
     RowExpression,
-    SpecialForm,
-    SpecialFormExpression,
-    VariableReferenceExpression,
     combine_conjuncts,
     conjuncts,
+    match_column_test,
 )
 from repro.core.page import Page
 from repro.core.types import VARCHAR, ArrayType, MapType, PrestoType, RowType
 from repro.formats.parquet.encoding import (
     DICTIONARY,
+    count_prefixed_entries,
     decode_dictionary_indices_scalar,
     decode_dictionary_indices_vectorized,
     decode_levels,
@@ -118,6 +116,9 @@ class NewParquetReader:
         self._row_predicate: Optional[RowExpression] = (
             combine_conjuncts(row_terms) if row_terms else None
         )
+        # Row-group skipping reads each predicate as column tests, once.
+        self._static_tests = _column_tests(predicate)
+        self._dynamic_tests = _column_tests(dynamic_predicate)
         self.stats = ReaderStats()
         self._evaluator = evaluator or Evaluator()
         self._dictionary_cache: dict[tuple[int, str], Block] = {}
@@ -155,74 +156,51 @@ class NewParquetReader:
         for group_index in range(self.file.num_row_groups()):
             self.stats.row_groups_total += 1
             if self.options.predicate_pushdown:
-                if self.predicate is not None:
-                    if self._skippable_by_stats(group_index, self.predicate):
-                        self.stats.row_groups_skipped_by_stats += 1
-                        continue
-                    if self.options.dictionary_pushdown and self._skippable_by_dictionary(
-                        group_index, self.predicate
-                    ):
-                        self.stats.row_groups_skipped_by_dictionary += 1
-                        continue
-                if self.dynamic_predicate is not None:
-                    if self._skippable_by_stats(
-                        group_index, self.dynamic_predicate
-                    ) or (
-                        self.options.dictionary_pushdown
-                        and self._skippable_by_dictionary(
-                            group_index, self.dynamic_predicate
-                        )
-                    ):
-                        self.stats.row_groups_skipped_by_dynamic_filter += 1
-                        continue
+                if self._skippable_by_stats(group_index, self._static_tests):
+                    self.stats.row_groups_skipped_by_stats += 1
+                    continue
+                if self._skippable_by_dictionary(group_index, self._static_tests):
+                    self.stats.row_groups_skipped_by_dictionary += 1
+                    continue
+                if self._skippable_by_stats(
+                    group_index, self._dynamic_tests
+                ) or self._skippable_by_dictionary(group_index, self._dynamic_tests):
+                    self.stats.row_groups_skipped_by_dynamic_filter += 1
+                    continue
             page = self._read_group(group_index, predicate_paths)
             if page is not None:
                 yield page
 
     # -- statistics / dictionary pushdown ---------------------------------------
 
-    def _skippable_by_stats(self, group_index: int, predicate: RowExpression) -> bool:
+    def _skippable_by_stats(self, group_index: int, tests: list[ColumnTest]) -> bool:
         group = self.file.metadata.row_groups[group_index]
-        for conjunct in conjuncts(predicate):
-            test = _extract_range_test(conjunct)
-            if test is None:
+        for test in tests:
+            chunk = group.columns.get(test.column)
+            if chunk is None:
                 continue
-            path, op, constants = test
-            if path not in group.columns:
-                continue
-            statistics = group.columns[path].statistics
-            if statistics.min_value is None or statistics.max_value is None:
-                continue
-            low, high = statistics.min_value, statistics.max_value
-            if op == "in" and all(c < low or c > high for c in constants):
-                return True
-            if op == "equal" and (constants[0] < low or constants[0] > high):
-                return True
-            if op == "greater_than" and high <= constants[0]:
-                return True
-            if op == "greater_than_or_equal" and high < constants[0]:
-                return True
-            if op == "less_than" and low >= constants[0]:
-                return True
-            if op == "less_than_or_equal" and low > constants[0]:
+            low, high = chunk.statistics.min_value, chunk.statistics.max_value
+            if low is not None and high is not None and test.excludes_range(low, high):
                 return True
         return False
 
     def _skippable_by_dictionary(
-        self, group_index: int, predicate: RowExpression
+        self, group_index: int, tests: list[ColumnTest]
     ) -> bool:
+        if not self.options.dictionary_pushdown:
+            return False
         group = self.file.metadata.row_groups[group_index]
-        for conjunct in conjuncts(predicate):
-            test = _extract_range_test(conjunct)
-            if test is None or test[1] not in ("equal", "in"):
+        for test in tests:
+            chunk = group.columns.get(test.column)
+            if (
+                test.op not in ("equal", "in")
+                or chunk is None
+                or not chunk.has_dictionary
+            ):
                 continue
-            path, _, constants = test
-            chunk = group.columns.get(path)
-            if chunk is None or not chunk.has_dictionary:
-                continue
-            dictionary = self._read_dictionary(group_index, path, chunk)
+            dictionary = self._read_dictionary(group_index, test.column, chunk)
             entries = set(dictionary.to_list())
-            if not any(c in entries for c in constants):
+            if not any(value in entries for value in test.values):
                 return True
         return False
 
@@ -298,7 +276,7 @@ class NewParquetReader:
             return cached
         leaf = self.file.schema.leaf(path)
         data = self.file.read_segment(group_index, path, "dict")
-        size = _count_varchar_entries(data)
+        size = count_prefixed_entries(data)
         if self.options.vectorized:
             if leaf.type is VARCHAR and varchar_blocks_enabled():
                 # Dictionary page straight into the offsets layout: the
@@ -541,60 +519,7 @@ def _scatter_block(
     return PrimitiveBlock(presto_type, storage, nulls if nulls.any() else None)
 
 
-def _count_varchar_entries(data: bytes) -> int:
-    import struct
-
-    count = 0
-    pos = 0
-    while pos < len(data):
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4 + length
-        count += 1
-    return count
-
-
-def _extract_range_test(
-    conjunct: RowExpression,
-) -> Optional[tuple[str, str, list[Any]]]:
-    """Match ``path <op> constant`` / ``path IN (constants)`` conjuncts."""
-    if (
-        isinstance(conjunct, SpecialFormExpression)
-        and conjunct.form is SpecialForm.IN
-        and isinstance(conjunct.arguments[0], VariableReferenceExpression)
-        and all(isinstance(a, ConstantExpression) for a in conjunct.arguments[1:])
-    ):
-        constants = [a.value for a in conjunct.arguments[1:] if a.value is not None]
-        if constants:
-            return conjunct.arguments[0].name, "in", constants
-        return None
-    if isinstance(conjunct, CallExpression) and len(conjunct.arguments) == 2:
-        name = conjunct.function_handle.name
-        if name not in (
-            "equal",
-            "greater_than",
-            "greater_than_or_equal",
-            "less_than",
-            "less_than_or_equal",
-        ):
-            return None
-        left, right = conjunct.arguments
-        if isinstance(left, VariableReferenceExpression) and isinstance(
-            right, ConstantExpression
-        ):
-            if right.value is None:
-                return None
-            return left.name, name, [right.value]
-        if isinstance(left, ConstantExpression) and isinstance(
-            right, VariableReferenceExpression
-        ):
-            flipped = {
-                "equal": "equal",
-                "greater_than": "less_than",
-                "greater_than_or_equal": "less_than_or_equal",
-                "less_than": "greater_than",
-                "less_than_or_equal": "greater_than_or_equal",
-            }
-            if left.value is None:
-                return None
-            return right.name, flipped[name], [left.value]
-    return None
+def _column_tests(predicate: Optional[RowExpression]) -> list[ColumnTest]:
+    """The conjuncts of ``predicate`` that statistics or dictionaries can test."""
+    matched = (match_column_test(conjunct) for conjunct in conjuncts(predicate))
+    return [test for test in matched if test is not None]

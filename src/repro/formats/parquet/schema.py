@@ -50,9 +50,6 @@ class ParquetSchema:
             self._leaves.extend(_enumerate_leaves(name, presto_type, 0, 0))
         self._leaf_index = {leaf.path: leaf for leaf in self._leaves}
 
-    def column_type(self, name: str) -> PrestoType:
-        return self._types[name]
-
     def column_names(self) -> list[str]:
         return [name for name, _ in self.columns]
 

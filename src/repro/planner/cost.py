@@ -28,14 +28,10 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.core.expressions import (
-    CallExpression,
-    ConstantExpression,
     RowExpression,
-    SpecialForm,
-    SpecialFormExpression,
     VariableReferenceExpression,
     conjuncts,
-    expression_from_dict,
+    match_column_test,
 )
 from repro.metastore.statistics import ColumnStatisticsEntry
 from repro.planner.plan import (
@@ -160,12 +156,8 @@ class CostEstimator:
         if resolved is None:
             return None
         row_count, column_stats = resolved
-        selectivity = 1.0
-        constraint = getattr(node.handle, "constraint", None) or {}
-        for serialized in constraint.values():
-            predicate = _deserialize_constraint(serialized)
-            if predicate is None:
-                continue
+        predicate = node.handle.constraint_expression()
+        if predicate is not None:
             # Pushed predicates name connector columns; map them back to
             # variable space for the stats lookup.
             by_column = {
@@ -173,8 +165,8 @@ class CostEstimator:
                 for variable, column in node.assignments
                 if variable in column_stats
             }
-            selectivity *= predicate_selectivity(predicate, by_column)
-        return PlanEstimate(row_count * selectivity, column_stats)
+            row_count *= predicate_selectivity(predicate, by_column)
+        return PlanEstimate(row_count, column_stats)
 
     def _estimate_join(self, node: JoinNode) -> Optional[PlanEstimate]:
         left = self.estimate(node.left)
@@ -238,19 +230,20 @@ def _conjunct_selectivity(
     conjunct: RowExpression,
     column_stats: Mapping[str, ColumnStatisticsEntry],
 ) -> float:
-    matched = _match_comparison(conjunct)
-    if matched is None:
+    test = match_column_test(conjunct)
+    if test is None:
         return UNKNOWN_FILTER_COEFFICIENT
-    name, op, constants = matched
-    entry = column_stats.get(name)
+    if not test.values:
+        return 0.0  # compared with NULL only: no row passes
+    entry = column_stats.get(test.column)
     if entry is None:
         return DEFAULT_COMPARISON_SELECTIVITY
     defined = 1.0 - entry.null_fraction
-    if op == "equal":
+    if test.op == "equal":
         return defined / max(entry.ndv, 1)
-    if op == "in":
-        return defined * min(len(constants) / max(entry.ndv, 1), 1.0)
-    return defined * _range_fraction(entry, op, constants[0])
+    if test.op == "in":
+        return defined * min(len(test.values) / max(entry.ndv, 1), 1.0)
+    return defined * _range_fraction(entry, test.op, test.values[0])
 
 
 def _range_fraction(entry: ColumnStatisticsEntry, op: str, bound: Any) -> float:
@@ -271,57 +264,3 @@ def _range_fraction(entry: ColumnStatisticsEntry, op: str, bound: Any) -> float:
     else:
         fraction = (high - bound) / width
     return max(min(fraction, 1.0), 0.0)
-
-
-def _match_comparison(
-    conjunct: RowExpression,
-) -> Optional[tuple[str, str, list[Any]]]:
-    """Match ``var <op> constant`` and ``var IN (constants)`` conjuncts."""
-    if (
-        isinstance(conjunct, SpecialFormExpression)
-        and conjunct.form is SpecialForm.IN
-        and isinstance(conjunct.arguments[0], VariableReferenceExpression)
-        and all(isinstance(a, ConstantExpression) for a in conjunct.arguments[1:])
-    ):
-        constants = [a.value for a in conjunct.arguments[1:] if a.value is not None]
-        return (conjunct.arguments[0].name, "in", constants) if constants else None
-    if isinstance(conjunct, CallExpression) and len(conjunct.arguments) == 2:
-        name = conjunct.function_handle.name
-        if name not in (
-            "equal",
-            "greater_than",
-            "greater_than_or_equal",
-            "less_than",
-            "less_than_or_equal",
-        ):
-            return None
-        left, right = conjunct.arguments
-        if isinstance(left, VariableReferenceExpression) and isinstance(
-            right, ConstantExpression
-        ):
-            return None if right.value is None else (left.name, name, [right.value])
-        if isinstance(left, ConstantExpression) and isinstance(
-            right, VariableReferenceExpression
-        ):
-            flipped = {
-                "equal": "equal",
-                "greater_than": "less_than",
-                "greater_than_or_equal": "less_than_or_equal",
-                "less_than": "greater_than",
-                "less_than_or_equal": "greater_than_or_equal",
-            }
-            return (
-                None
-                if left.value is None
-                else (right.name, flipped[name], [left.value])
-            )
-    return None
-
-
-def _deserialize_constraint(serialized: Any) -> Optional[RowExpression]:
-    if not isinstance(serialized, dict):
-        return None
-    try:
-        return expression_from_dict(serialized)
-    except Exception:
-        return None  # connector-specific constraint payload, not an expression

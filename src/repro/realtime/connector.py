@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.common.errors import ConnectorError
+from repro.connectors.lakehouse.connector import data_file_pages
 from repro.connectors.spi import (
     ColumnMetadata,
     Connector,
@@ -41,7 +42,7 @@ from repro.connectors.spi import (
 )
 from repro.core.blocks import Block, block_from_values
 from repro.core.evaluator import Evaluator
-from repro.core.expressions import RowExpression, and_, expression_from_dict
+from repro.core.expressions import RowExpression
 from repro.core.page import Page
 from repro.core.types import PrestoType
 from repro.formats.parquet.file import ParquetFile
@@ -213,19 +214,12 @@ class _HybridMetadata(ConnectorMetadata):
         columns = {n for n, _ in self._connector._columns(handle.table_name)}
         if not all(v.name in columns for v in predicate.variables()):
             return None
-        if handle.constraint is not None:
-            predicate = and_(expression_from_dict(handle.constraint), predicate)
-        return FilterPushdownResult(handle.with_(constraint=predicate.to_dict()), None)
+        return FilterPushdownResult(handle.with_conjunct(predicate), None)
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
     ) -> Optional[ConnectorTableHandle]:
-        top_level: list[str] = []
-        for path in columns:
-            top = path.split(".")[0]
-            if top not in top_level:
-                top_level.append(top)
-        return handle.with_(projected_columns=tuple(top_level))
+        return handle.with_top_level_columns(columns)
 
 
 class _HybridSplitManager(ConnectorSplitManager):
@@ -340,7 +334,7 @@ class _HybridProvider(ConnectorRecordSetProvider):
             table.clock.advance(
                 len(rows) * len(layout) * table.store.cost.scan_ns_per_value / 1e6
             )
-        rows = self._filter(rows, layout, handle.constraint)
+        rows = self._filter(rows, layout, handle.constraint_expression())
         names = [n for n, _ in layout]
         indexes = [names.index(c.split(".")[0]) for c in columns]
         yield Page.from_rows(
@@ -357,22 +351,11 @@ class _HybridProvider(ConnectorRecordSetProvider):
     ) -> Iterator[Page]:
         table = self._connector.table(info["table"])
         file = ParquetFile(table.lake.filesystem.open(info["path"]))
-        predicate = (
-            expression_from_dict(handle.constraint)
-            if handle.constraint is not None
-            else None
-        )
         cut = info.get("cut")
         if cut is None:
             # The whole file is visible: stream straight from the reader
             # with predicate pushdown, exactly like the iceberg connector.
-            reader = NewParquetReader(file, list(columns), predicate=predicate)
-            produced = False
-            for page in reader.read_pages():
-                produced = True
-                yield page
-            if not produced:
-                yield Page.from_columns(output_types, [[] for _ in columns])
+            yield from data_file_pages(file, handle, columns, output_types)
             return
         # Time travel below the sealed watermark: materialize full rows,
         # mask by the pinned offset cut, then filter and project.
@@ -387,7 +370,7 @@ class _HybridProvider(ConnectorRecordSetProvider):
             for row in rows
             if watermark.covers(row[partition_index], row[offset_index])
         ]
-        rows = self._filter(rows, layout, handle.constraint)
+        rows = self._filter(rows, layout, handle.constraint_expression())
         indexes = [names.index(c.split(".")[0]) for c in columns]
         yield Page.from_rows(
             output_types, [tuple(row[i] for i in indexes) for row in rows]
@@ -397,11 +380,10 @@ class _HybridProvider(ConnectorRecordSetProvider):
         self,
         rows: list[tuple],
         layout: list[tuple[str, PrestoType]],
-        constraint: Optional[dict],
+        predicate: Optional[RowExpression],
     ) -> list[tuple]:
-        if constraint is None or not rows:
+        if predicate is None or not rows:
             return rows
-        predicate = expression_from_dict(constraint)
         names = [n for n, _ in layout]
         bindings: dict[str, Block] = {}
         for variable in predicate.variables():

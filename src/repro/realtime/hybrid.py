@@ -109,10 +109,6 @@ class HybridTable:
             return Watermark.zero(self.partitions)
         return Watermark.decode(encoded)
 
-    def current_watermark(self) -> Watermark:
-        """The consistent read watermark for fresh queries: committed."""
-        return self.committed
-
     def sealed_max_timestamp_ms(self) -> int:
         """Newest event timestamp visible through the sealed lake alone."""
         encoded = self.lake.current_snapshot().properties_dict().get(

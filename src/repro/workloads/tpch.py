@@ -92,12 +92,6 @@ def generate_lineitem(rows: int, seed: int = 7) -> list[tuple]:
     return result
 
 
-def lineitem_page(rows: int, seed: int = 7) -> Page:
-    return Page.from_rows(
-        [t for _, t in LINEITEM_COLUMNS], generate_lineitem(rows, seed)
-    )
-
-
 def _random_string(rng: np.random.Generator, length: int) -> str:
     letters = "abcdefghijklmnopqrstuvwxyz"
     return "".join(letters[int(i)] for i in rng.integers(0, 26, length))
