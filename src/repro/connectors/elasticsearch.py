@@ -14,26 +14,21 @@ from typing import Any, Iterator, Optional, Sequence
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.connectors.spi import (
-    ColumnMetadata,
     Connector,
     ConnectorMetadata,
     ConnectorRecordSetProvider,
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
-    FilterPushdownResult,
-    TableMetadata,
 )
 from repro.core.expressions import (
     ColumnTest,
     RowExpression,
-    and_,
-    combine_conjuncts,
     conjuncts,
     match_column_test,
 )
 from repro.core.page import Page
-from repro.core.types import BIGINT, DOUBLE, PrestoType, VARCHAR
+from repro.core.types import PrestoType
 
 
 @dataclass
@@ -142,18 +137,7 @@ class ElasticsearchConnector(Connector):
     def __init__(self, cluster: ElasticsearchCluster, schema_name: str = "default") -> None:
         self.cluster = cluster
         self.schema_name = schema_name
-        self._metadata = _EsMetadata(self)
-        self._split_manager = _EsSplitManager(self)
-        self._provider = _EsProvider(self)
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._provider
+        super().__init__(_EsMetadata(self), _EsSplitManager(self), _EsProvider(self))
 
 
 class _EsMetadata(ConnectorMetadata):
@@ -164,41 +148,23 @@ class _EsMetadata(ConnectorMetadata):
         return [self._connector.schema_name]
 
     def list_tables(self, schema_name: str) -> list[str]:
+        if schema_name != self._connector.schema_name:
+            return []
         return self._connector.cluster.indices()
 
-    def get_table_handle(
+    def table_columns(
         self, schema_name: str, table_name: str
-    ) -> Optional[ConnectorTableHandle]:
-        if table_name in self._connector.cluster.indices():
-            return ConnectorTableHandle(schema_name, table_name)
-        return None
-
-    def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        fields = self._connector.cluster.fields(handle.table_name)
-        return TableMetadata(
-            handle.schema_name,
-            handle.table_name,
-            tuple(ColumnMetadata(n, t) for n, t in fields),
-        )
-
-    def apply_filter(
-        self, handle: ConnectorTableHandle, predicate: RowExpression
-    ) -> Optional[FilterPushdownResult]:
-        """Absorb term (equality/IN) and range conjuncts; leave the rest."""
-        absorbed: list[RowExpression] = []
-        remaining: list[RowExpression] = []
-        for conjunct in conjuncts(predicate):
-            if _as_term_or_range(conjunct) is not None:
-                absorbed.append(conjunct)
-            else:
-                remaining.append(conjunct)
-        if not absorbed:
+    ) -> Optional[list[tuple[str, PrestoType]]]:
+        cluster = self._connector.cluster
+        if schema_name != self._connector.schema_name or table_name not in cluster.indices():
             return None
-        remaining_expression = combine_conjuncts(remaining)
-        return FilterPushdownResult(
-            handle.with_conjunct(and_(*absorbed)),
-            None if remaining_expression is None else remaining_expression.to_dict(),
-        )
+        return cluster.fields(table_name)
+
+    def absorb_conjunct(
+        self, handle: ConnectorTableHandle, conjunct: RowExpression
+    ) -> Optional[RowExpression]:
+        """Absorb term (equality/IN) and range conjuncts; leave the rest."""
+        return conjunct if _as_term_or_range(conjunct) is not None else None
 
     def apply_limit(
         self, handle: ConnectorTableHandle, limit: int

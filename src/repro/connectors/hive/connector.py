@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
 
-from repro.common.errors import ConnectorError
 from repro.core.blocks import Block, block_from_values, constant_block
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
@@ -37,20 +36,17 @@ from repro.core.types import (
     RowType,
 )
 from repro.connectors.spi import (
-    ColumnMetadata,
     Connector,
     ConnectorMetadata,
     ConnectorRecordSetProvider,
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
-    FilterPushdownResult,
-    TableMetadata,
 )
 from repro.cache.file_list_cache import FileListCache
 from repro.cache.footer_cache import FileHandleAndFooterCache
 from repro.formats.parquet.encoding import count_prefixed_entries, decode_plain_scalar
-from repro.formats.parquet.file import ParquetFile, read_footer
+from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.options import ReaderOptions
 from repro.formats.parquet.reader_new import NewParquetReader
 from repro.formats.parquet.reader_old import OldParquetReader
@@ -89,18 +85,9 @@ class HiveConnector(Connector):
         # attached per-file so reads skip storage IO on cache hits.
         self.data_cache = data_cache
         self._evaluator = Evaluator()
-        self._metadata = _HiveMetadata(self)
-        self._split_manager = _HiveSplitManager(self)
-        self._provider = _HiveRecordSetProvider(self)
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._provider
+        super().__init__(
+            _HiveMetadata(self), _HiveSplitManager(self), _HiveRecordSetProvider(self)
+        )
 
     # -- shared internals ---------------------------------------------------
 
@@ -136,20 +123,13 @@ class _HiveMetadata(ConnectorMetadata):
     def list_tables(self, schema_name: str) -> list[str]:
         return self._connector.metastore.list_tables(schema_name)
 
-    def get_table_handle(
+    def table_columns(
         self, schema_name: str, table_name: str
-    ) -> Optional[ConnectorTableHandle]:
-        if self._connector.metastore.has_table(schema_name, table_name):
-            return ConnectorTableHandle(schema_name, table_name)
-        return None
-
-    def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        table = self._connector._table(handle)
-        return TableMetadata(
-            handle.schema_name,
-            handle.table_name,
-            tuple(ColumnMetadata(n, t) for n, t in table.all_columns()),
-        )
+    ) -> Optional[list[tuple[str, PrestoType]]]:
+        metastore = self._connector.metastore
+        if not metastore.has_table(schema_name, table_name):
+            return None
+        return metastore.get_table(schema_name, table_name).all_columns()
 
     # -- statistics (ANALYZE TABLE) ----------------------------------------
 
@@ -228,45 +208,30 @@ class _HiveMetadata(ConnectorMetadata):
             )
         return TableStatistics(row_count=row_count, columns=columns)
 
-    def apply_filter(
-        self, handle: ConnectorTableHandle, predicate: RowExpression
-    ) -> Optional[FilterPushdownResult]:
-        table = self._connector._table(handle)
-        partition_keys = set(table.partition_key_names())
-        data_leaf_paths = self._scalar_leaf_paths(table)
+    def absorb_conjunct(
+        self, handle: ConnectorTableHandle, conjunct: RowExpression
+    ) -> Optional[RowExpression]:
+        """Partition-key conjuncts as they are; with the new reader's
+        predicate pushdown on, conjuncts over scalar data leaves too.
 
-        absorbed: list[RowExpression] = []
-        remaining: list[RowExpression] = []
-        data_pushdown_allowed = (
-            self._connector.reader == NEW_READER
-            and self._connector.reader_options.predicate_pushdown
-        )
-        for conjunct in conjuncts(predicate):
-            names = {v.name for v in conjunct.variables()}
-            if names and names <= partition_keys:
-                absorbed.append(conjunct)
-                continue
-            # Nested field access arrives as DEREFERENCE chains; normalize
-            # them into dotted-path variables the reader understands.
-            normalized = _dereferences_to_paths(conjunct)
-            normalized_names = {v.name for v in normalized.variables()}
-            if (
-                data_pushdown_allowed
-                and normalized_names
-                and normalized_names <= data_leaf_paths
-            ):
-                absorbed.append(normalized)
-            else:
-                remaining.append(conjunct)
-        if not absorbed:
+        Both kinds land in the handle's one conjunction; the split manager
+        and the reader each take their half of it with
+        ``_split_on_partition_keys``.
+        """
+        connector = self._connector
+        table = connector._table(handle)
+        names = {v.name for v in conjunct.variables()}
+        if names and names <= set(table.partition_key_names()):
+            return conjunct
+        if connector.reader != NEW_READER or not connector.reader_options.predicate_pushdown:
             return None
-        # One conjunction; the split manager and the reader each take their
-        # half of it with ``_split_on_partition_keys``.
-        remaining_expression = combine_conjuncts(remaining)
-        return FilterPushdownResult(
-            handle.with_conjunct(combine_conjuncts(absorbed)),
-            None if remaining_expression is None else remaining_expression.to_dict(),
-        )
+        # Nested field access arrives as DEREFERENCE chains; normalize
+        # them into dotted-path variables the reader understands.
+        normalized = _dereferences_to_paths(conjunct)
+        normalized_names = {v.name for v in normalized.variables()}
+        if normalized_names and normalized_names <= self._scalar_leaf_paths(table):
+            return normalized
+        return None
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
@@ -393,8 +358,14 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
         file = connector._open_parquet(path)
 
         if connector.reader == OLD_READER:
-            return self._pages_old_reader(
-                file, table, columns, data_columns, partition_values, partition_types
+            # The old reader decodes every column of the file, in file order.
+            return self._stream_reader(
+                OldParquetReader(file),
+                columns,
+                file.schema.column_names(),
+                partition_values,
+                partition_types,
+                table,
             )
 
         _, predicate = _split_on_partition_keys(handle.constraint, table)
@@ -424,15 +395,15 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
             dynamic_predicate=dynamic_data,
         )
         return _ReaderPages(
-            self._stream_new_reader(
+            self._stream_reader(
                 reader, columns, present, partition_values, partition_types, table
             ),
             reader.stats,
         )
 
-    def _stream_new_reader(
+    def _stream_reader(
         self,
-        reader: NewParquetReader,
+        reader,  # NewParquetReader or OldParquetReader
         columns: Sequence[str],
         present: list[str],
         partition_values: dict,
@@ -479,40 +450,6 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
                 restrict.pop(path, None)
         return restrict or None
 
-    def _pages_old_reader(
-        self,
-        file: ParquetFile,
-        table: TableInfo,
-        columns: Sequence[str],
-        data_columns: list[str],
-        partition_values: dict,
-        partition_types: dict,
-    ) -> Iterator[Page]:
-        reader = OldParquetReader(file)
-        file_columns = file.schema.column_names()
-        produced = False
-        for page in reader.read_pages():
-            produced = True
-            blocks: list[Block] = []
-            for column in columns:
-                if column in partition_values:
-                    blocks.append(
-                        constant_block(
-                            _coerce(partition_values[column], partition_types[column]),
-                            partition_types[column],
-                            page.position_count,
-                        )
-                    )
-                elif column in file_columns:
-                    blocks.append(page.block(file_columns.index(column)))
-                else:
-                    # Column added to the table after this file was written.
-                    column_type = dict(table.columns)[column]
-                    blocks.append(constant_block(None, column_type, page.position_count))
-            yield Page(blocks, page.position_count)
-        if not produced:
-            yield self._empty_page(columns, table, partition_types)
-
     def _attach_partition_columns(
         self,
         page: Page,
@@ -535,6 +472,7 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
             elif column in present_columns:
                 blocks.append(page.block(present_columns.index(column)))
             else:
+                # Column added to the table after this file was written.
                 column_type = dict(table.columns)[column]
                 blocks.append(constant_block(None, column_type, page.position_count))
         return Page(blocks, page.position_count)
@@ -543,7 +481,7 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
         self, columns: Sequence[str], table: TableInfo, partition_types: dict
     ) -> Page:
         all_types = dict(table.all_columns())
-        return Page.from_columns([all_types[c] for c in columns], [[] for _ in columns])
+        return Page.from_rows([all_types[c] for c in columns], [])
 
 
 class _ReaderPages:

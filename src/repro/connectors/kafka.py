@@ -11,27 +11,23 @@ scan the whole topic.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.common.hashing import stable_hash
 from repro.connectors.spi import (
-    ColumnMetadata,
     Connector,
     ConnectorMetadata,
     ConnectorRecordSetProvider,
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
-    FilterPushdownResult,
-    TableMetadata,
 )
 from repro.core.expressions import (
     ColumnTest,
     RowExpression,
-    combine_conjuncts,
     conjuncts,
     match_column_test,
 )
@@ -166,18 +162,9 @@ class KafkaConnector(Connector):
     def __init__(self, broker: KafkaBroker, schema_name: str = "kafka") -> None:
         self.broker = broker
         self.schema_name = schema_name
-        self._metadata = _KafkaMetadata(self)
-        self._split_manager = _KafkaSplitManager(self)
-        self._provider = _KafkaProvider(self)
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._provider
+        super().__init__(
+            _KafkaMetadata(self), _KafkaSplitManager(self), _KafkaProvider(self)
+        )
 
     def all_columns(self, topic: str) -> list[tuple[str, PrestoType]]:
         return self.broker.fields(topic) + HIDDEN_COLUMNS
@@ -191,43 +178,23 @@ class _KafkaMetadata(ConnectorMetadata):
         return [self._connector.schema_name]
 
     def list_tables(self, schema_name: str) -> list[str]:
+        if schema_name != self._connector.schema_name:
+            return []
         return self._connector.broker.topics()
 
-    def get_table_handle(
+    def table_columns(
         self, schema_name: str, table_name: str
-    ) -> Optional[ConnectorTableHandle]:
-        if table_name in self._connector.broker.topics():
-            return ConnectorTableHandle(schema_name, table_name)
-        return None
-
-    def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        return TableMetadata(
-            handle.schema_name,
-            handle.table_name,
-            tuple(
-                ColumnMetadata(n, t)
-                for n, t in self._connector.all_columns(handle.table_name)
-            ),
-        )
-
-    def apply_filter(
-        self, handle: ConnectorTableHandle, predicate: RowExpression
-    ) -> Optional[FilterPushdownResult]:
-        """Absorb offset/timestamp range conjuncts as log seeks."""
-        absorbed: list[RowExpression] = []
-        remaining: list[RowExpression] = []
-        for conjunct in conjuncts(predicate):
-            if _as_log_range(conjunct) is not None:
-                absorbed.append(conjunct)
-            else:
-                remaining.append(conjunct)
-        if not absorbed:
+    ) -> Optional[list[tuple[str, PrestoType]]]:
+        connector = self._connector
+        if schema_name != connector.schema_name or table_name not in connector.broker.topics():
             return None
-        remaining_expression = combine_conjuncts(remaining)
-        return FilterPushdownResult(
-            handle.with_conjunct(combine_conjuncts(absorbed)),
-            None if remaining_expression is None else remaining_expression.to_dict(),
-        )
+        return connector.all_columns(table_name)
+
+    def absorb_conjunct(
+        self, handle: ConnectorTableHandle, conjunct: RowExpression
+    ) -> Optional[RowExpression]:
+        """Absorb offset/timestamp range conjuncts as log seeks."""
+        return conjunct if _as_log_range(conjunct) is not None else None
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]

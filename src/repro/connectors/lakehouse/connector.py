@@ -13,17 +13,13 @@ from typing import Iterator, Optional, Sequence
 from repro.common.errors import ConnectorError
 from repro.connectors.lakehouse.table_format import IcebergTable
 from repro.connectors.spi import (
-    ColumnMetadata,
     Connector,
     ConnectorMetadata,
     ConnectorRecordSetProvider,
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
-    FilterPushdownResult,
-    TableMetadata,
 )
-from repro.core.expressions import RowExpression
 from repro.core.page import Page
 from repro.core.types import PrestoType
 from repro.formats.parquet.file import ParquetFile
@@ -40,9 +36,9 @@ class IcebergConnector(Connector):
     def __init__(self, schema_name: str = "lake") -> None:
         self.schema_name = schema_name
         self._tables: dict[str, IcebergTable] = {}
-        self._metadata = _IcebergMetadata(self)
-        self._split_manager = _IcebergSplitManager(self)
-        self._provider = _IcebergProvider(self)
+        super().__init__(
+            _IcebergMetadata(self), _IcebergSplitManager(self), _IcebergProvider(self)
+        )
 
     def register_table(self, name: str, table: IcebergTable) -> None:
         self._tables[name] = table
@@ -52,15 +48,6 @@ class IcebergConnector(Connector):
         if table is None:
             raise ConnectorError(f"iceberg: no table {name!r}")
         return table
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._provider
 
 
 def _parse_table_name(name: str) -> tuple[str, Optional[int]]:
@@ -82,36 +69,24 @@ class _IcebergMetadata(ConnectorMetadata):
         return [self._connector.schema_name]
 
     def list_tables(self, schema_name: str) -> list[str]:
+        if schema_name != self._connector.schema_name:
+            return []
         return sorted(self._connector._tables)
 
-    def get_table_handle(
+    def table_columns(
         self, schema_name: str, table_name: str
-    ) -> Optional[ConnectorTableHandle]:
+    ) -> Optional[list[tuple[str, PrestoType]]]:
         base, snapshot_id = _parse_table_name(table_name)
-        if base not in self._connector._tables:
+        table = self._connector._tables.get(base)
+        if schema_name != self._connector.schema_name or table is None:
             return None
         if snapshot_id is not None:
             # Validate eagerly so bad snapshot ids fail at analysis time.
-            self._connector.table(base).snapshot(snapshot_id)
-        return ConnectorTableHandle(schema_name, table_name)
+            table.snapshot(snapshot_id)
+        return table.columns
 
-    def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        base, _ = _parse_table_name(handle.table_name)
-        table = self._connector.table(base)
-        return TableMetadata(
-            handle.schema_name,
-            handle.table_name,
-            tuple(ColumnMetadata(n, t) for n, t in table.columns),
-        )
-
-    def apply_filter(
-        self, handle: ConnectorTableHandle, predicate: RowExpression
-    ) -> Optional[FilterPushdownResult]:
-        base, _ = _parse_table_name(handle.table_name)
-        columns = {n for n, _ in self._connector.table(base).columns}
-        if not all(v.name in columns for v in predicate.variables()):
-            return None
-        return FilterPushdownResult(handle.with_conjunct(predicate), None)
+    # The parquet reader evaluates any predicate over the table's columns.
+    absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
@@ -160,7 +135,7 @@ class _IcebergProvider(ConnectorRecordSetProvider):
         column_types = dict(table.columns)
         output_types = [column_types[c.split(".")[0]] for c in columns]
         if not path:
-            yield Page.from_columns(output_types, [[] for _ in columns])
+            yield Page.from_rows(output_types, [])
             return
         yield from data_file_pages(
             ParquetFile(table.filesystem.open(path)), handle, columns, output_types
@@ -183,4 +158,4 @@ def data_file_pages(
         produced = True
         yield page
     if not produced:
-        yield Page.from_columns(output_types, [[] for _ in columns])
+        yield Page.from_rows(output_types, [])

@@ -15,11 +15,10 @@ copy-on-write: affected files are rewritten without the matching rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from repro.common.errors import ConnectorError
-from repro.core.blocks import Block
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import RowExpression
 from repro.core.page import Page
@@ -173,12 +172,11 @@ class IcebergTable:
         update: Optional[Callable[[tuple], tuple]],
         operation: str,
     ) -> Snapshot:
-        column_names = [n for n, _ in self.columns]
         kept_files: list[DataFile] = []
         rewritten: list[DataFile] = []
         for data_file in self.current_snapshot().files:
             rows = self.read_file_rows(data_file)
-            matches = self._matching_mask(rows, predicate)
+            matches = self._evaluator.row_mask(predicate, self.columns, rows)
             if not any(matches):
                 kept_files.append(data_file)  # untouched files stay as-is
                 continue
@@ -198,21 +196,6 @@ class IcebergTable:
         file = ParquetFile(self.filesystem.open(data_file.path))
         reader = NewParquetReader(file, [n for n, _ in self.columns])
         return [row for page in reader.read_pages() for row in page.loaded().rows()]
-
-    def _matching_mask(
-        self, rows: list[tuple], predicate: RowExpression
-    ) -> list[bool]:
-        from repro.core.blocks import block_from_values
-
-        if not rows:
-            return []
-        bindings: dict[str, Block] = {}
-        for index, (name, presto_type) in enumerate(self.columns):
-            bindings[name] = block_from_values(
-                presto_type, [row[index] for row in rows]
-            )
-        mask = self._evaluator.filter_mask(predicate, bindings, len(rows))
-        return [bool(m) for m in mask]
 
     def scan_files(self, snapshot_id: Optional[int] = None) -> tuple[Snapshot, tuple[DataFile, ...]]:
         snapshot = (

@@ -15,20 +15,19 @@ from repro.common.errors import ConnectorError
 from repro.core.page import Page
 from repro.core.types import PrestoType
 from repro.connectors.spi import (
-    ColumnMetadata,
     Connector,
     ConnectorMetadata,
     ConnectorRecordSetProvider,
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
-    TableMetadata,
+    project_rows,
 )
 
 
 class _MemoryTable:
-    def __init__(self, metadata: TableMetadata, rows: list[tuple]) -> None:
-        self.metadata = metadata
+    def __init__(self, columns: list[tuple[str, PrestoType]], rows: list[tuple]) -> None:
+        self.columns = columns
         self.rows = rows
         # ANALYZE results plus the row count they were computed at, so
         # stale statistics are dropped after inserts rather than served.
@@ -44,9 +43,11 @@ class MemoryConnector(Connector):
     def __init__(self, split_size: int = 10_000) -> None:
         self._tables: dict[tuple[str, str], _MemoryTable] = {}
         self._split_size = split_size
-        self._metadata = _MemoryMetadata(self)
-        self._split_manager = _MemorySplitManager(self)
-        self._provider = _MemoryRecordSetProvider(self)
+        super().__init__(
+            _MemoryMetadata(self),
+            _MemorySplitManager(self),
+            _MemoryRecordSetProvider(self),
+        )
 
     # -- population API ----------------------------------------------------
 
@@ -58,13 +59,8 @@ class MemoryConnector(Connector):
         rows: Sequence[Sequence[Any]] = (),
     ) -> None:
         """Create (or replace) a table with the given columns and rows."""
-        metadata = TableMetadata(
-            schema_name,
-            table_name,
-            tuple(ColumnMetadata(n, t) for n, t in columns),
-        )
         self._tables[(schema_name, table_name)] = _MemoryTable(
-            metadata, [tuple(r) for r in rows]
+            list(columns), [tuple(r) for r in rows]
         )
 
     def insert(self, schema_name: str, table_name: str, rows: Sequence[Sequence[Any]]) -> None:
@@ -77,17 +73,6 @@ class MemoryConnector(Connector):
             raise ConnectorError(f"memory table {schema_name}.{table_name} does not exist")
         return table
 
-    # -- SPI ---------------------------------------------------------------
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._provider
-
 
 class _MemoryMetadata(ConnectorMetadata):
     def __init__(self, connector: MemoryConnector) -> None:
@@ -99,15 +84,11 @@ class _MemoryMetadata(ConnectorMetadata):
     def list_tables(self, schema_name: str) -> list[str]:
         return sorted(t for s, t in self._connector._tables if s == schema_name)
 
-    def get_table_handle(
+    def table_columns(
         self, schema_name: str, table_name: str
-    ) -> Optional[ConnectorTableHandle]:
-        if (schema_name, table_name) in self._connector._tables:
-            return ConnectorTableHandle(schema_name, table_name)
-        return None
-
-    def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        return self._connector._table(handle.schema_name, handle.table_name).metadata
+    ) -> Optional[list[tuple[str, PrestoType]]]:
+        table = self._connector._tables.get((schema_name, table_name))
+        return None if table is None else table.columns
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
@@ -120,7 +101,7 @@ class _MemoryMetadata(ConnectorMetadata):
 
         table = self._connector._table(handle.schema_name, handle.table_name)
         table.statistics = statistics_from_rows(
-            table.metadata.column_names(), table.rows
+            [n for n, _ in table.columns], table.rows
         )
         table.statistics_row_count = len(table.rows)
         return table.statistics
@@ -168,11 +149,5 @@ class _MemoryRecordSetProvider(ConnectorRecordSetProvider):
         table = self._connector._table(handle.schema_name, handle.table_name)
         info = split.info_dict()
         rows = table.rows[info["start"] : info["end"]]
-        all_names = table.metadata.column_names()
-        indexes = [all_names.index(c) for c in columns]
-        types = [table.metadata.column(c).type for c in columns]
-        for start in range(0, len(rows), self.PAGE_SIZE):
-            chunk = rows[start : start + self.PAGE_SIZE]
-            yield Page.from_rows(types, [tuple(row[i] for i in indexes) for row in chunk])
-        if not rows:
-            yield Page.from_rows(types, [])
+        for start in range(0, max(len(rows), 1), self.PAGE_SIZE):
+            yield project_rows(table.columns, rows[start : start + self.PAGE_SIZE], columns)

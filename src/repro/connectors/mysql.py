@@ -10,22 +10,18 @@ engine — tables are addressed as ``mysql.schemaName.tableName``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.connectors.spi import (
-    ColumnMetadata,
     Connector,
     ConnectorMetadata,
     ConnectorRecordSetProvider,
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
-    FilterPushdownResult,
-    TableMetadata,
 )
-from repro.core.blocks import PrimitiveBlock
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import RowExpression
 from repro.core.page import Page
@@ -90,20 +86,11 @@ class MySqlServer:
         """Run a structured query server-side (WHERE, SELECT list, LIMIT)."""
         columns, rows = self._require(database, table)
         names = [n for n, _ in columns]
-        types = dict(columns)
         self.stats.queries += 1
         self.stats.rows_examined += len(rows)
         self.clock.advance(self.query_latency_ms + len(rows) * self.row_eval_ms)
 
-        if predicate is not None:
-            bindings = {
-                name: PrimitiveBlock.from_values(
-                    types[name], [row[names.index(name)] for row in rows]
-                )
-                for name in {v.name for v in predicate.variables()}
-            }
-            mask = self._evaluator.filter_mask(predicate, bindings, len(rows))
-            rows = [row for row, keep in zip(rows, mask) if keep]
+        rows = self._evaluator.filter_rows(predicate, columns, rows)
         if limit is not None:
             rows = rows[:limit]
         indexes = [names.index(c) for c in projection]
@@ -120,18 +107,9 @@ class MySqlConnector(Connector):
 
     def __init__(self, server: MySqlServer) -> None:
         self.server = server
-        self._metadata = _MySqlMetadata(self)
-        self._split_manager = _MySqlSplitManager()
-        self._provider = _MySqlProvider(self)
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._provider
+        super().__init__(
+            _MySqlMetadata(self), _MySqlSplitManager(), _MySqlProvider(self)
+        )
 
 
 class _MySqlMetadata(ConnectorMetadata):
@@ -144,32 +122,16 @@ class _MySqlMetadata(ConnectorMetadata):
     def list_tables(self, schema_name: str) -> list[str]:
         return self._connector.server.tables(schema_name)
 
-    def get_table_handle(
+    def table_columns(
         self, schema_name: str, table_name: str
-    ) -> Optional[ConnectorTableHandle]:
+    ) -> Optional[list[tuple[str, PrestoType]]]:
         try:
-            self._connector.server.columns(schema_name, table_name)
+            return self._connector.server.columns(schema_name, table_name)
         except ConnectorError:
             return None
-        return ConnectorTableHandle(schema_name, table_name)
 
-    def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        columns = self._connector.server.columns(handle.schema_name, handle.table_name)
-        return TableMetadata(
-            handle.schema_name,
-            handle.table_name,
-            tuple(ColumnMetadata(n, t) for n, t in columns),
-        )
-
-    def apply_filter(
-        self, handle: ConnectorTableHandle, predicate: RowExpression
-    ) -> Optional[FilterPushdownResult]:
-        columns = {
-            n for n, _ in self._connector.server.columns(handle.schema_name, handle.table_name)
-        }
-        if not all(v.name in columns for v in predicate.variables()):
-            return None
-        return FilterPushdownResult(handle.with_conjunct(predicate), None)
+    # The server evaluates arbitrary predicates (WHERE) itself.
+    absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
     def apply_limit(
         self, handle: ConnectorTableHandle, limit: int

@@ -22,13 +22,10 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
-    FilterPushdownResult,
-    TableMetadata,
+    project_rows,
 )
-from repro.core.expressions import RowExpression
-from repro.core.functions import default_registry
 from repro.core.page import Page
-from repro.core.types import parse_type
+from repro.core.types import PrestoType, parse_type
 
 
 class RealtimeOlapConnector(Connector):
@@ -47,18 +44,7 @@ class RealtimeOlapConnector(Connector):
         self.schema_name = schema_name
         self.presto_workers = presto_workers
         self.name = store.name
-        self._metadata = _Metadata(self)
-        self._split_manager = _SplitManager(self)
-        self._provider = _Provider(self)
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._provider
+        super().__init__(_Metadata(self), _SplitManager(self), _Provider(self))
 
 
 class _Metadata(ConnectorMetadata):
@@ -69,33 +55,21 @@ class _Metadata(ConnectorMetadata):
         return [self._connector.schema_name]
 
     def list_tables(self, schema_name: str) -> list[str]:
+        if schema_name != self._connector.schema_name:
+            return []
         return self._connector.store.datasource_names()
 
-    def get_table_handle(
+    def table_columns(
         self, schema_name: str, table_name: str
-    ) -> Optional[ConnectorTableHandle]:
-        if table_name in self._connector.store.datasource_names():
-            return ConnectorTableHandle(schema_name, table_name)
-        return None
-
-    def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        columns = self._connector.store.datasource_columns(handle.table_name)
-        return TableMetadata(
-            handle.schema_name,
-            handle.table_name,
-            tuple(ColumnMetadata(n, t) for n, t in columns),
-        )
-
-    def apply_filter(
-        self, handle: ConnectorTableHandle, predicate: RowExpression
-    ) -> Optional[FilterPushdownResult]:
-        # The store evaluates arbitrary RowExpressions over its columns, so
-        # the whole predicate is absorbed (indexed conjuncts are served from
-        # inverted indexes, the rest by scanning).
-        columns = {n for n, _ in self._connector.store.datasource_columns(handle.table_name)}
-        if not all(v.name in columns for v in predicate.variables()):
+    ) -> Optional[list[tuple[str, PrestoType]]]:
+        store = self._connector.store
+        if schema_name != self._connector.schema_name or table_name not in store.datasource_names():
             return None
-        return FilterPushdownResult(handle.with_conjunct(predicate), None)
+        return store.datasource_columns(table_name)
+
+    # The store evaluates arbitrary RowExpressions over its columns (indexed
+    # conjuncts are served from inverted indexes, the rest by scanning).
+    absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
     def apply_limit(
         self, handle: ConnectorTableHandle, limit: int
@@ -181,18 +155,14 @@ class _Provider(ConnectorRecordSetProvider):
                 aggregations=tuple(spec["aggregations"]),
                 limit=handle.limit,
             )
-            output_names = list(spec["grouping"]) + [
-                AggregationFunction.from_dict(a).output_name
-                for a in spec["aggregations"]
-            ]
-            output_types = {
-                c.name: c.type
-                for c in connector._metadata.apply_aggregation(
+            layout = [
+                (c.name, c.type)
+                for c in connector.metadata().apply_aggregation(
                     ConnectorTableHandle(handle.schema_name, handle.table_name),
                     [AggregationFunction.from_dict(a) for a in spec["aggregations"]],
                     spec["grouping"],
                 ).output_columns
-            }
+            ]
         else:
             native = NativeQuery(
                 datasource=handle.table_name,
@@ -200,8 +170,8 @@ class _Provider(ConnectorRecordSetProvider):
                 filter=handle.constraint,
                 limit=handle.limit,
             )
-            output_names = list(columns)
-            output_types = dict(store.datasource_columns(handle.table_name))
+            types = dict(store.datasource_columns(handle.table_name))
+            layout = [(c, types[c]) for c in columns]
 
         if segment_index < 0:
             rows: list[tuple] = []
@@ -220,8 +190,4 @@ class _Provider(ConnectorRecordSetProvider):
         # Streaming into the engine costs network time per row.
         store.clock.advance(len(rows) * connector.stream_ms_per_row)
 
-        indexes = [output_names.index(c) for c in columns]
-        types = [output_types[c] for c in columns]
-        yield Page.from_rows(
-            types, [tuple(row[i] for i in indexes) for row in rows]
-        )
+        yield project_rows(layout, rows, columns)

@@ -22,11 +22,17 @@ how real Presto keeps connectors decoupled from engine internals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.common.errors import ConnectorError
-from repro.core.expressions import RowExpression, and_, expression_from_dict
+from repro.core.expressions import (
+    RowExpression,
+    and_,
+    combine_conjuncts,
+    conjuncts,
+    expression_from_dict,
+)
 from repro.core.functions import FunctionHandle
 from repro.core.page import Page
 from repro.core.types import PrestoType
@@ -186,7 +192,12 @@ class AggregationPushdownResult:
 
 
 class ConnectorMetadata:
-    """Schemas, tables, columns — and the pushdown negotiation surface."""
+    """Schemas, tables, columns — and the pushdown negotiation surface.
+
+    A connector states two facts, :meth:`table_columns` and
+    :meth:`absorb_conjunct`; table lookup and the filter negotiation are
+    derived from them here, once, for every connector.
+    """
 
     def list_schemas(self) -> list[str]:
         raise NotImplementedError
@@ -194,11 +205,34 @@ class ConnectorMetadata:
     def list_tables(self, schema_name: str) -> list[str]:
         raise NotImplementedError
 
-    def get_table_handle(self, schema_name: str, table_name: str) -> Optional[ConnectorTableHandle]:
+    def table_columns(
+        self, schema_name: str, table_name: str
+    ) -> Optional[Sequence[tuple[str, PrestoType]]]:
+        """The table's ``(name, type)`` columns; ``None`` when
+        ``schema_name.table_name`` does not exist.
+
+        Runs at analysis time, so a table name that pins a version
+        (snapshot id, watermark) is validated here and raises
+        :class:`ConnectorError` before any split is enumerated.
+        """
         raise NotImplementedError
 
+    def get_table_handle(self, schema_name: str, table_name: str) -> Optional[ConnectorTableHandle]:
+        if self.table_columns(schema_name, table_name) is None:
+            return None
+        return ConnectorTableHandle(schema_name, table_name)
+
     def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        raise NotImplementedError
+        columns = self.table_columns(handle.schema_name, handle.table_name)
+        if columns is None:
+            raise ConnectorError(
+                f"table {handle.schema_name}.{handle.table_name} does not exist"
+            )
+        return TableMetadata(
+            handle.schema_name,
+            handle.table_name,
+            tuple(ColumnMetadata(n, t) for n, t in columns),
+        )
 
     # -- statistics (cost-based planning) ----------------------------------
 
@@ -221,11 +255,47 @@ class ConnectorMetadata:
 
     # -- pushdown negotiation (sections IV.A / IV.B) -----------------------
 
+    def absorb_conjunct(
+        self, handle: ConnectorTableHandle, conjunct: RowExpression
+    ) -> Optional[RowExpression]:
+        """The form of ``conjunct`` this connector will evaluate natively
+        for ``handle``'s table, or ``None`` to leave it with the engine.
+        Default: decline."""
+        return None
+
+    def absorb_over_own_columns(
+        self, handle: ConnectorTableHandle, conjunct: RowExpression
+    ) -> Optional[RowExpression]:
+        """The :meth:`absorb_conjunct` answer of a store that evaluates any
+        expression itself: every conjunct naming only the table's columns
+        (so never an aggregate output of a handle carrying ``aggregation``)."""
+        columns = {n for n, _ in self.table_columns(handle.schema_name, handle.table_name)}
+        if all(v.name in columns for v in conjunct.variables()):
+            return conjunct
+        return None
+
     def apply_filter(
         self, handle: ConnectorTableHandle, predicate: RowExpression
     ) -> Optional[FilterPushdownResult]:
-        """Offer ``predicate`` for native evaluation.  Default: decline."""
-        return None
+        """Offer ``predicate`` for native evaluation: each top-level
+        conjunct goes to :meth:`absorb_conjunct`; the absorbed forms are
+        ANDed onto the handle and the rest is handed back.  ``None`` when
+        no conjunct is absorbed."""
+        absorbed: list[RowExpression] = []
+        remaining: list[RowExpression] = []
+        for conjunct in conjuncts(predicate):
+            native = self.absorb_conjunct(handle, conjunct)
+            if native is None:
+                remaining.append(conjunct)
+            else:
+                absorbed.append(native)
+        if not absorbed:
+            return None
+        remaining_expression = combine_conjuncts(remaining)
+        return FilterPushdownResult(
+            handle.with_conjunct(and_(*absorbed)),
+            None if remaining_expression is None else remaining_expression.to_dict(),
+        )
 
     def apply_limit(
         self, handle: ConnectorTableHandle, limit: int
@@ -268,19 +338,47 @@ class ConnectorRecordSetProvider:
         raise NotImplementedError
 
 
+def project_rows(
+    layout: Sequence[tuple[str, PrestoType]],
+    rows: Sequence[Sequence[Any]],
+    columns: Sequence[str],
+) -> Page:
+    """One page holding ``columns`` of row tuples laid out as ``layout``.
+
+    A dotted path selects its top-level column, whole — what
+    ``with_top_level_columns`` promised the engine.
+    """
+    names = [n for n, _ in layout]
+    indexes = [names.index(c.split(".")[0]) for c in columns]
+    return Page.from_rows(
+        [layout[i][1] for i in indexes],
+        [tuple(row[i] for i in indexes) for row in rows],
+    )
+
+
 class Connector:
     """A bundle of the four SPI objects, registered under a catalog name."""
 
     name: str = "connector"
 
+    def __init__(
+        self,
+        metadata: ConnectorMetadata,
+        split_manager: ConnectorSplitManager,
+        record_set_provider: ConnectorRecordSetProvider,
+    ) -> None:
+        self._metadata = metadata
+        self._split_manager = split_manager
+        self._record_set_provider = record_set_provider
+
     def metadata(self) -> ConnectorMetadata:
-        raise NotImplementedError
+        return self._metadata
 
     def split_manager(self) -> ConnectorSplitManager:
-        raise NotImplementedError
+        return self._split_manager
 
     def record_set_provider(self) -> ConnectorRecordSetProvider:
-        raise NotImplementedError
+        return self._record_set_provider
 
 
 class Catalog:

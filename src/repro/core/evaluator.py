@@ -17,7 +17,7 @@ observe nulls without propagating them.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -139,6 +139,37 @@ class Evaluator:
         block = self.evaluate(predicate, bindings, position_count)
         values, nulls = bool_arrays(block)
         return values & ~nulls
+
+    def row_mask(
+        self,
+        predicate: RowExpression,
+        columns: Sequence[tuple[str, PrestoType]],
+        rows: Sequence[Sequence[Any]],
+    ) -> np.ndarray:
+        """:meth:`filter_mask` over row tuples laid out as ``columns``
+        (``(name, type)`` pairs); only the columns the predicate names
+        are shredded into blocks."""
+        names = [n for n, _ in columns]
+        bindings: dict[str, Block] = {}
+        for name in {v.name for v in predicate.variables()}:
+            index = names.index(name)
+            bindings[name] = block_from_values(
+                columns[index][1], [row[index] for row in rows]
+            )
+        return self.filter_mask(predicate, bindings, len(rows))
+
+    def filter_rows(
+        self,
+        predicate: Optional[RowExpression],
+        columns: Sequence[tuple[str, PrestoType]],
+        rows: list[tuple],
+    ) -> list[tuple]:
+        """The rows :meth:`row_mask` selects, in order; all of them when
+        ``predicate`` is ``None``."""
+        if predicate is None:
+            return rows
+        mask = self.row_mask(predicate, columns, rows)
+        return [row for row, keep in zip(rows, mask) if keep]
 
     # -- interpreter lane (differential oracle) ------------------------------
 

@@ -7,7 +7,6 @@ from typing import Optional
 
 from repro.common.clock import SimulatedClock
 from repro.connectors.spi import Catalog
-from repro.core.compiler import EvaluatorOptions
 from repro.core.evaluator import Evaluator
 from repro.core.functions import FunctionRegistry, default_registry
 from repro.obs.metrics import MetricsRegistry
@@ -134,9 +133,6 @@ class ExecutionContext:
     # when a join's build side completes, before the probe stage's tasks
     # are planned; task contexts share the dict by reference.
     dynamic_filters: Optional[dict] = None
-    # Expression-evaluation lane (compiled vs interpreted oracle) and its
-    # optimization toggles; shared by every operator of the query.
-    evaluator_options: EvaluatorOptions = field(default_factory=EvaluatorOptions)
     # Observability: the query's span tracer (one deterministic span tree
     # per query, stamped from its own simulated clock) and the engine's
     # metrics registry.  Both optional — None disables instrumentation.
@@ -153,7 +149,5 @@ class ExecutionContext:
     @property
     def evaluator(self) -> Evaluator:
         if self._evaluator is None:
-            self._evaluator = Evaluator(
-                self.registry, options=self.evaluator_options, stats=self.stats
-            )
+            self._evaluator = Evaluator(self.registry, stats=self.stats)
         return self._evaluator

@@ -194,7 +194,6 @@ class PrestoEngine:
         enable_dynamic_filtering: bool = True,
         adaptive_partitioning: bool = False,
         target_partition_rows: int = DEFAULT_TARGET_PARTITION_ROWS,
-        evaluator_options=None,
         metrics: Optional[MetricsRegistry] = None,
         tracing: bool = True,
     ) -> None:
@@ -229,11 +228,6 @@ class PrestoEngine:
         # (and thus the simulated schedule), not results.
         self.adaptive_partitioning = adaptive_partitioning
         self.target_partition_rows = target_partition_rows
-        # Expression-evaluation lane: compiled kernel DAGs by default,
-        # EvaluatorOptions(mode="interpreted") for the row-at-a-time oracle.
-        from repro.core.compiler import EvaluatorOptions
-
-        self.evaluator_options = evaluator_options or EvaluatorOptions()
         # Observability (on by default): every query gets a deterministic
         # span tree on ``QueryResult.trace``, and the engine's components
         # report into one shared metrics registry.
@@ -376,7 +370,6 @@ class PrestoEngine:
             max_build_rows=self.max_build_rows,
             fragment_cache=self.fragment_result_cache,
             stats=stats,
-            evaluator_options=self.evaluator_options,
             tracer=tracer,
             metrics=self.metrics,
         )

@@ -92,6 +92,11 @@ _DYNAMIC_FILTER_JOIN_TYPES = ("inner", "right")
 # [1, hash_partitions].
 DEFAULT_TARGET_PARTITION_ROWS = 65_536
 
+# Cost model: simulated milliseconds per task (task creation, the
+# coordinator RPC of section VIII) and per row in and out of a task.
+TASK_OVERHEAD_MS = 1.0
+ROW_COST_MS = 0.001
+
 
 @dataclass
 class TaskRecord:
@@ -147,10 +152,10 @@ class QueryScheduler:
     lazily when the previous stage's output buffers are complete.
 
     ``hash_partitions`` fixes the task count of hash-distributed stages.
-    The cost model charges ``task_overhead_ms`` per task (task creation,
-    the coordinator RPC of section VIII) plus ``row_cost_ms`` per row in
-    and out — deterministic, derived only from real row counts, so the
-    same query always produces the same simulated schedule.
+    The cost model charges ``TASK_OVERHEAD_MS`` per task plus
+    ``ROW_COST_MS`` per row in and out — deterministic, derived only from
+    real row counts, so the same query always produces the same simulated
+    schedule.
 
     ``fault_injector`` (optional) dooms a deterministic fraction of task
     attempts and split reads; ``max_task_retries`` bounds how many times
@@ -165,8 +170,6 @@ class QueryScheduler:
         ctx: ExecutionContext,
         fragmented: FragmentedPlan,
         hash_partitions: int = 4,
-        task_overhead_ms: float = 1.0,
-        row_cost_ms: float = 0.001,
         fault_injector: Optional[FaultInjector] = None,
         max_task_retries: int = 3,
         retry_backoff_ms: float = 10.0,
@@ -184,8 +187,6 @@ class QueryScheduler:
         self.ctx = ctx
         self.fragmented = fragmented
         self.hash_partitions = hash_partitions
-        self.task_overhead_ms = task_overhead_ms
-        self.row_cost_ms = row_cost_ms
         self.fault_injector = fault_injector
         self.max_task_retries = max_task_retries
         self.retry_backoff_ms = retry_backoff_ms
@@ -270,7 +271,7 @@ class QueryScheduler:
         """Run one task to success (or terminal failure) with retries.
 
         Trace-clock accounting mirrors the cost model exactly: a failed
-        attempt advances ``task_overhead_ms``, each retry backoff advances
+        attempt advances ``TASK_OVERHEAD_MS``, each retry backoff advances
         its charge, and a successful attempt advances ``work_ms`` — so the
         task span's duration equals the task record's ``sim_ms`` and the
         whole trace telescopes to ``stats.simulated_ms``.
@@ -304,7 +305,7 @@ class QueryScheduler:
                             rows_in, rows_out, pages = self._run_attempt(
                                 fragment, task_index, task_plan, attempts
                             )
-                            work_ms = self.task_overhead_ms + self.row_cost_ms * (
+                            work_ms = TASK_OVERHEAD_MS + ROW_COST_MS * (
                                 rows_in + rows_out
                             )
                             if (
@@ -318,7 +319,7 @@ class QueryScheduler:
                         except PrestoError as error:
                             if tracer is not None:
                                 # A failed attempt costs the task setup overhead.
-                                tracer.advance(self.task_overhead_ms)
+                                tracer.advance(TASK_OVERHEAD_MS)
                                 span.set(outcome="failed",
                                          error=type(error).__name__)
                             raise
@@ -340,7 +341,7 @@ class QueryScheduler:
                     return record, pages
                 except PrestoError as error:
                     # A failed attempt still costs the task setup overhead.
-                    penalty_ms += self.task_overhead_ms
+                    penalty_ms += TASK_OVERHEAD_MS
                     if not error.retryable or attempts > self.max_task_retries:
                         stats.tasks_failed += 1
                         self._count_task("scheduler_tasks_failed_total", stage)

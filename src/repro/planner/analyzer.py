@@ -490,9 +490,6 @@ class Analyzer:
             return self._session.catalog, self._session.schema, parts[0]
         raise SemanticError(f"invalid table name {'.'.join(parts)!r}")
 
-    # Backwards-compatible alias for the pre-public spelling.
-    _qualify = qualify
-
     # -- aggregation ----------------------------------------------------------------
 
     def _expand_group_by(self, query: ast.Query) -> list[ast.Expression]:

@@ -30,19 +30,15 @@ from typing import Iterator, Optional, Sequence
 from repro.common.errors import ConnectorError
 from repro.connectors.lakehouse.connector import data_file_pages
 from repro.connectors.spi import (
-    ColumnMetadata,
     Connector,
     ConnectorMetadata,
     ConnectorRecordSetProvider,
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
-    FilterPushdownResult,
-    TableMetadata,
+    project_rows,
 )
-from repro.core.blocks import Block, block_from_values
 from repro.core.evaluator import Evaluator
-from repro.core.expressions import RowExpression
 from repro.core.page import Page
 from repro.core.types import PrestoType
 from repro.formats.parquet.file import ParquetFile
@@ -79,9 +75,9 @@ class HybridTableConnector(Connector):
         self.schema_name = schema_name
         self._tables: dict[str, HybridTable] = {}
         self._views: dict[str, MaterializedView] = {}
-        self._metadata = _HybridMetadata(self)
-        self._split_manager = _HybridSplitManager(self)
-        self._provider = _HybridProvider(self)
+        super().__init__(
+            _HybridMetadata(self), _HybridSplitManager(self), _HybridProvider(self)
+        )
 
     def register_table(self, table: HybridTable) -> None:
         self._tables[table.name] = table
@@ -102,15 +98,6 @@ class HybridTableConnector(Connector):
         if view is None:
             raise ConnectorError(f"hybrid: no view {name!r}")
         return view
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._provider
 
     # -- planner surface ------------------------------------------------------
 
@@ -166,55 +153,41 @@ class _HybridMetadata(ConnectorMetadata):
         return [self._connector.schema_name]
 
     def list_tables(self, schema_name: str) -> list[str]:
+        if schema_name != self._connector.schema_name:
+            return []
         return sorted(self._connector._tables) + sorted(self._connector._views)
 
-    def get_table_handle(
+    def table_columns(
         self, schema_name: str, table_name: str
-    ) -> Optional[ConnectorTableHandle]:
+    ) -> Optional[list[tuple[str, PrestoType]]]:
         base, watermark = parse_table_name(table_name)
         connector = self._connector
-        if base in connector._tables:
-            table = connector._tables[base]
-            if watermark is not None:
-                if watermark.partitions != table.partitions:
-                    raise ConnectorError(
-                        f"hybrid: watermark arity {watermark.partitions} != "
-                        f"{table.partitions} partitions of {base!r}"
-                    )
-                if not table.committed.dominates(watermark):
-                    raise ConnectorError(
-                        f"hybrid: cannot read {base!r} at future watermark "
-                        f"{watermark.encode()} (committed "
-                        f"{table.committed.encode()})"
-                    )
-            return ConnectorTableHandle(schema_name, table_name)
-        if base in connector._views:
-            view = connector._views[base]
-            if watermark is not None and view.watermark != watermark:
-                raise ConnectorError(
-                    f"hybrid: view {base!r} is at {view.watermark.encode()}, "
-                    f"not {watermark.encode()}"
-                )
-            return ConnectorTableHandle(schema_name, table_name)
-        return None
-
-    def get_table_metadata(self, handle: ConnectorTableHandle) -> TableMetadata:
-        return TableMetadata(
-            handle.schema_name,
-            handle.table_name,
-            tuple(
-                ColumnMetadata(n, t)
-                for n, t in self._connector._columns(handle.table_name)
-            ),
-        )
-
-    def apply_filter(
-        self, handle: ConnectorTableHandle, predicate: RowExpression
-    ) -> Optional[FilterPushdownResult]:
-        columns = {n for n, _ in self._connector._columns(handle.table_name)}
-        if not all(v.name in columns for v in predicate.variables()):
+        table = connector._tables.get(base)
+        view = connector._views.get(base)
+        if schema_name != connector.schema_name or (table is None and view is None):
             return None
-        return FilterPushdownResult(handle.with_conjunct(predicate), None)
+        if watermark is not None and table is not None:
+            if watermark.partitions != table.partitions:
+                raise ConnectorError(
+                    f"hybrid: watermark arity {watermark.partitions} != "
+                    f"{table.partitions} partitions of {base!r}"
+                )
+            if not table.committed.dominates(watermark):
+                raise ConnectorError(
+                    f"hybrid: cannot read {base!r} at future watermark "
+                    f"{watermark.encode()} (committed "
+                    f"{table.committed.encode()})"
+                )
+        elif watermark is not None and view.watermark != watermark:
+            raise ConnectorError(
+                f"hybrid: view {base!r} is at {view.watermark.encode()}, "
+                f"not {watermark.encode()}"
+            )
+        return connector._columns(table_name)
+
+    # Tail rows are filtered here and lake files by the parquet reader,
+    # both with the engine's own evaluator: any predicate is served.
+    absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
@@ -319,7 +292,7 @@ class _HybridProvider(ConnectorRecordSetProvider):
         output_types = [column_types[c.split(".")[0]] for c in columns]
 
         if kind == "empty":
-            yield Page.from_columns(output_types, [[] for _ in columns])
+            yield Page.from_rows(output_types, [])
             return
 
         if kind == "lake":
@@ -334,12 +307,8 @@ class _HybridProvider(ConnectorRecordSetProvider):
             table.clock.advance(
                 len(rows) * len(layout) * table.store.cost.scan_ns_per_value / 1e6
             )
-        rows = self._filter(rows, layout, handle.constraint_expression())
-        names = [n for n, _ in layout]
-        indexes = [names.index(c.split(".")[0]) for c in columns]
-        yield Page.from_rows(
-            output_types, [tuple(row[i] for i in indexes) for row in rows]
-        )
+        rows = self._evaluator.filter_rows(handle.constraint_expression(), layout, rows)
+        yield project_rows(layout, rows, columns)
 
     def _lake_pages(
         self,
@@ -370,26 +339,5 @@ class _HybridProvider(ConnectorRecordSetProvider):
             for row in rows
             if watermark.covers(row[partition_index], row[offset_index])
         ]
-        rows = self._filter(rows, layout, handle.constraint_expression())
-        indexes = [names.index(c.split(".")[0]) for c in columns]
-        yield Page.from_rows(
-            output_types, [tuple(row[i] for i in indexes) for row in rows]
-        )
-
-    def _filter(
-        self,
-        rows: list[tuple],
-        layout: list[tuple[str, PrestoType]],
-        predicate: Optional[RowExpression],
-    ) -> list[tuple]:
-        if predicate is None or not rows:
-            return rows
-        names = [n for n, _ in layout]
-        bindings: dict[str, Block] = {}
-        for variable in predicate.variables():
-            index = names.index(variable.name)
-            bindings[variable.name] = block_from_values(
-                layout[index][1], [row[index] for row in rows]
-            )
-        mask = self._evaluator.filter_mask(predicate, bindings, len(rows))
-        return [row for row, keep in zip(rows, mask) if keep]
+        rows = self._evaluator.filter_rows(handle.constraint_expression(), layout, rows)
+        yield project_rows(layout, rows, columns)

@@ -1,0 +1,186 @@
+"""One SPI contract, every connector.
+
+``ConnectorMetadata`` derives table lookup and the filter negotiation
+from two facts each connector states (``table_columns`` and
+``absorb_conjunct``).  These tests hold all eight connector modules —
+nine catalogs, Druid and Pinot sharing one — to what the engine relies
+on, over the tables and the predicate matrix of the pushdown
+differential suite.
+"""
+
+import json
+
+import pytest
+
+from repro.common.errors import ConnectorError, SemanticError
+from repro.connectors.hive.connector import _dereferences_to_paths
+from repro.connectors.spi import AggregationFunction
+from repro.core.expressions import (
+    VariableReferenceExpression,
+    conjuncts,
+    expression_from_dict,
+    substitute,
+)
+from repro.core.types import BIGINT
+from repro.planner.analyzer import Analyzer
+from repro.planner.plan import FilterNode, TableScanNode
+from repro.sql.parser import parse_sql
+from tests.connectors.test_pushdown_differential import (  # noqa: F401 (engine is a fixture)
+    COLUMNS,
+    KAFKA_PREDICATES,
+    PREDICATES,
+    TABLES,
+    engine,
+)
+
+ALL_TABLES = {**TABLES, "memory": "memory.db.t", "kafka": "kafka.kafka.t"}
+# The six connectors that serve exactly one schema, ``connector.schema_name``.
+SINGLE_SCHEMA = ["elasticsearch", "kafka", "druid", "pinot", "iceberg", "hybrid"]
+
+
+def _spi(engine, connector: str):
+    """(metadata, schema name, table name) behind one catalog of the fixture."""
+    catalog, schema_name, table_name = ALL_TABLES[connector].split(".")
+    return engine.catalog.connector(catalog).metadata(), schema_name, table_name
+
+
+def _offered(engine, sql: str):
+    """(scan handle, WHERE predicate over connector column names), as the
+    predicate-pushdown rule offers them, from the unoptimized plan."""
+    analyzer = Analyzer(engine.catalog, engine.session, engine.registry)
+    node = analyzer.analyze(parse_sql(sql))
+    while not isinstance(node, FilterNode):
+        (node,) = node.sources()
+    scan = node.source
+    assert isinstance(scan, TableScanNode)
+    types = {v.name: v.type for v in scan.output_variables}
+    to_columns = {
+        name: VariableReferenceExpression(column, types[name])
+        for name, column in scan.assignments
+    }
+    return scan.handle, substitute(node.predicate, to_columns)
+
+
+def _conjunct_multiset(*expressions) -> list[str]:
+    """Canonical text of every top-level conjunct, after hive's
+    dereference → dotted-path normalization (the identity elsewhere)."""
+    return sorted(
+        json.dumps(_dereferences_to_paths(conjunct).to_dict(), sort_keys=True)
+        for expression in expressions
+        for conjunct in conjuncts(expression)
+    )
+
+
+def _assert_nothing_lost_or_duplicated(metadata, handle, offered) -> bool:
+    """The ``apply_filter`` contract; returns whether anything was absorbed."""
+    result = metadata.apply_filter(handle, offered)
+    if result is None:
+        return False
+    assert result.handle.constraint is not None
+    remaining = (
+        None
+        if result.remaining_expression is None
+        else expression_from_dict(result.remaining_expression)
+    )
+    assert _conjunct_multiset(
+        result.handle.constraint_expression(), remaining
+    ) == _conjunct_multiset(offered)
+    return True
+
+
+@pytest.mark.parametrize("predicate", PREDICATES)
+@pytest.mark.parametrize("connector", sorted(ALL_TABLES))
+def test_apply_filter_partitions_the_offered_conjuncts(engine, connector, predicate):
+    metadata, _, _ = _spi(engine, connector)
+    handle, offered = _offered(
+        engine, f"SELECT id FROM {ALL_TABLES[connector]} WHERE {predicate}"
+    )
+    absorbed = _assert_nothing_lost_or_duplicated(metadata, handle, offered)
+    if connector == "memory":
+        assert not absorbed
+
+
+@pytest.mark.parametrize("predicate", KAFKA_PREDICATES)
+def test_kafka_log_seeks_partition_the_offered_conjuncts(engine, predicate):
+    metadata, _, _ = _spi(engine, "kafka")
+    handle, offered = _offered(engine, f"SELECT id FROM kafka.kafka.t WHERE {predicate}")
+    _assert_nothing_lost_or_duplicated(metadata, handle, offered)
+
+
+def test_hive_absorbs_a_nested_leaf_as_its_dotted_path():
+    from repro.cli import build_demo_engine
+
+    demo = build_demo_engine()
+    metadata = demo.catalog.connector("hive").metadata()
+    handle, offered = _offered(
+        demo, "SELECT fare_usd FROM trips WHERE base.city_id = 12 AND fare_usd % 2 = 0"
+    )
+    assert _assert_nothing_lost_or_duplicated(metadata, handle, offered)
+    absorbed = metadata.apply_filter(handle, offered).handle.constraint_expression()
+    assert "base.city_id" in {v.name for v in absorbed.variables()}
+
+
+@pytest.mark.parametrize("connector", sorted(ALL_TABLES))
+def test_metadata_is_table_columns(engine, connector):
+    metadata, schema_name, table_name = _spi(engine, connector)
+    columns = list(metadata.table_columns(schema_name, table_name))
+    assert columns[: len(COLUMNS)] == COLUMNS
+    handle = metadata.get_table_handle(schema_name, table_name)
+    assert (handle.schema_name, handle.table_name) == (schema_name, table_name)
+    table_metadata = metadata.get_table_metadata(handle)
+    assert [(c.name, c.type) for c in table_metadata.columns] == columns
+
+
+@pytest.mark.parametrize("connector", sorted(ALL_TABLES))
+def test_unknown_table_and_unknown_schema_are_none(engine, connector):
+    metadata, schema_name, table_name = _spi(engine, connector)
+    for schema, table in [(schema_name, "nosuch"), ("nosuch", table_name)]:
+        assert metadata.table_columns(schema, table) is None
+        assert metadata.get_table_handle(schema, table) is None
+
+
+@pytest.mark.parametrize("connector", SINGLE_SCHEMA)
+def test_a_table_resolves_under_its_own_schema_only(engine, connector):
+    catalog, schema_name, table_name = ALL_TABLES[connector].split(".")
+    with pytest.raises(SemanticError, match="does not exist"):
+        engine.execute(f"SELECT count(*) FROM {catalog}.nosuch.{table_name}")
+    assert engine.execute(f"SHOW TABLES FROM {catalog}.nosuch").rows == []
+    assert (table_name,) in engine.execute(f"SHOW TABLES FROM {catalog}.{schema_name}").rows
+    assert engine.execute(f"SHOW SCHEMAS FROM {catalog}").rows == [(schema_name,)]
+
+
+@pytest.mark.parametrize("connector", sorted(ALL_TABLES))
+def test_a_looser_limit_is_declined(engine, connector):
+    metadata, schema_name, table_name = _spi(engine, connector)
+    limited = metadata.apply_limit(metadata.get_table_handle(schema_name, table_name), 5)
+    if limited is None:
+        assert connector in ("memory", "hive", "iceberg", "hybrid")
+        return
+    assert limited.limit == 5
+    assert metadata.apply_limit(limited, 5) is None
+    assert metadata.apply_limit(limited, 10) is None
+    assert metadata.apply_limit(limited, 3).limit == 3
+
+
+@pytest.mark.parametrize("connector", ["druid", "pinot"])
+def test_an_aggregate_output_is_never_absorbed(engine, connector):
+    metadata, schema_name, table_name = _spi(engine, connector)
+    count, _ = engine.registry.resolve_aggregate("count", [BIGINT])
+    pushed = metadata.apply_aggregation(
+        metadata.get_table_handle(schema_name, table_name),
+        [AggregationFunction(count, ("code",), "n")],
+        ["level"],
+    ).handle
+    _, over_output = _offered(engine, "SELECT id FROM memory.db.t WHERE id > 1")
+    over_output = substitute(
+        over_output, {"id": VariableReferenceExpression("n", BIGINT)}
+    )
+    assert metadata.absorb_conjunct(pushed, over_output) is None
+    assert metadata.apply_filter(pushed, over_output) is None
+
+
+def test_pinned_versions_are_validated_at_analysis(engine):
+    with pytest.raises(ConnectorError, match="no snapshot 99"):
+        engine.plan('SELECT count(*) FROM iceberg.lake."t$snapshot=99"')
+    with pytest.raises(ConnectorError, match="future watermark"):
+        engine.plan('SELECT count(*) FROM hybrid.rt."t$watermark=999-999-999"')
