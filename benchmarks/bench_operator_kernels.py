@@ -241,13 +241,17 @@ def bench_topn(rows: int, count: int, compare: bool) -> dict:
 
 def run(smoke: bool) -> dict:
     if smoke:
-        agg_cases = [(5_000, 100, True)]
+        agg_cases = [(5_000, 100, True), (5_000, 5_000, True)]
         join_cases = [(5_000, 500, True)]
         topn_cases = [(5_000, 100, True)]
     else:
         # Reference timed at 100k (the acceptance comparison); the 1M-row
         # case tracks vectorized throughput only, to keep the bench quick.
-        agg_cases = [(100_000, 1_000, True), (1_000_000, 1_000, False)]
+        agg_cases = [
+            (100_000, 1_000, True),
+            (100_000, 100_000, True),  # high cardinality: most keys are distinct
+            (1_000_000, 1_000, False),
+        ]
         join_cases = [(100_000, 10_000, True), (1_000_000, 10_000, False)]
         topn_cases = [(100_000, 100, True), (1_000_000, 100, False)]
     benchmarks = [bench_aggregation(r, g, c) for r, g, c in agg_cases]

@@ -12,7 +12,8 @@ Page construction happens outside the timed region (both lanes pay the
 same row->block conversion); repetitions re-wrap blocks to drop
 per-block caches so steady-state kernel cost is what gets measured.
 The ``page_shredding`` suite times that row->page conversion itself —
-``Page.from_rows`` transposes through one 2-D object array — so the
+``Page.from_rows`` transposes with one ``zip`` and each column converts in
+bulk (one ``np.array``; one join and one encode for ASCII text) — so the
 conversion cost is tracked against the committed baseline too.
 
 Usage::

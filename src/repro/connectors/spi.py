@@ -350,9 +350,9 @@ def project_rows(
     """
     names = [n for n, _ in layout]
     indexes = [names.index(c.split(".")[0]) for c in columns]
-    return Page.from_rows(
+    return Page.from_columns(
         [layout[i][1] for i in indexes],
-        [tuple(row[i] for i in indexes) for row in rows],
+        [[row[i] for row in rows] for i in indexes],
     )
 
 

@@ -114,6 +114,14 @@ def _numpy_dtype_for(presto_type: PrestoType) -> Any:
     return object
 
 
+def masked_tolist(values: np.ndarray, nulls: Optional[np.ndarray]) -> list[Any]:
+    """A numeric array as Python scalars through one ``tolist()``, ``None`` at nulls."""
+    if nulls is not None and nulls.any():
+        values = values.astype(object)
+        values[nulls] = None
+    return values.tolist()
+
+
 class Block:
     """One column of values for a batch of rows."""
 
@@ -181,33 +189,31 @@ class PrimitiveBlock(Block):
     def from_values(
         cls, presto_type: PrestoType, values: Sequence[Any]
     ) -> "PrimitiveBlock":
-        """Build from Python values, inferring the null mask from ``None``s."""
-        count = len(values)
-        if isinstance(values, np.ndarray) and values.dtype == object:
-            # Object-ndarray fast path (Page.from_rows column slices):
-            # elementwise identity against None without a Python loop.
-            nulls = np.asarray(np.equal(values, None), dtype=bool)
-        else:
-            nulls = np.fromiter((v is None for v in values), dtype=bool, count=count)
-        has_nulls = bool(nulls.any())
+        """Build from Python values, inferring the null mask from ``None``s.
+
+        A numeric column holding no ``None`` converts with one ``np.array``
+        call; with a ``None`` in it, it is tested and copied value by
+        value.  An object-dtype column is one bulk assignment and one
+        elementwise comparison against ``None``.
+        """
         dtype = _numpy_dtype_for(presto_type)
-        if dtype is object:
-            storage = np.empty(count, dtype=object)
-            try:
-                # Bulk object assignment; numpy rejects it when elements
-                # are equal-length sequences, hence the per-item fallback.
-                storage[:] = values if isinstance(values, (list, np.ndarray)) else list(values)
-            except ValueError:
-                for i, v in enumerate(values):
-                    storage[i] = v
-        elif has_nulls:
-            if isinstance(values, np.ndarray):
-                storage = np.where(nulls, 0, values).astype(dtype)
-            else:
-                storage = np.array([0 if v is None else v for v in values], dtype=dtype)
-        else:
-            storage = np.array(values, dtype=dtype)
-        return cls(presto_type, storage, nulls if has_nulls else None)
+        count = len(values)
+        if dtype is not object:
+            if None not in values:
+                return cls(presto_type, np.array(values, dtype=dtype))
+            nulls = np.fromiter((v is None for v in values), dtype=bool, count=count)
+            storage = np.array([0 if v is None else v for v in values], dtype=dtype)
+            return cls(presto_type, storage, nulls)
+        storage = np.empty(count, dtype=object)
+        try:
+            # Bulk object assignment; numpy rejects it when elements
+            # are equal-length sequences, hence the per-item fallback.
+            storage[:] = values if isinstance(values, (list, np.ndarray)) else list(values)
+        except ValueError:
+            for i, v in enumerate(values):
+                storage[i] = v
+        nulls = np.asarray(np.equal(storage, None), dtype=bool)
+        return cls(presto_type, storage, nulls if nulls.any() else None)
 
     def get(self, position: int) -> Any:
         if self.is_null(position):
@@ -226,6 +232,12 @@ class PrimitiveBlock(Block):
                 self._zero_mask = np.zeros(self.position_count, dtype=bool)
             return self._zero_mask
         return self.nulls
+
+    def to_list(self) -> list[Any]:
+        if self.values.dtype == object:
+            # May hold numpy scalars, which ``get`` unwraps one by one.
+            return super().to_list()
+        return masked_tolist(self.values, self.nulls)
 
     def take(self, positions: np.ndarray) -> "PrimitiveBlock":
         new_nulls = self.nulls[positions] if self.nulls is not None else None
@@ -281,15 +293,31 @@ class VarcharBlock(Block):
     def from_values(
         cls, values: Sequence[Optional[str]], presto_type: PrestoType = VARCHAR
     ) -> "VarcharBlock":
-        """Build from Python strings (``None`` for nulls)."""
+        """Build from Python strings (``None`` for nulls).
+
+        A column of ASCII ``str`` only is one join, one encode and one
+        ``map(len, ...)``: characters are bytes.  A ``None``, a non-``str``
+        payload or non-ASCII text is encoded value by value below.
+        """
         count = len(values)
-        nulls = np.fromiter((v is None for v in values), dtype=bool, count=count)
-        encoded = [b"" if v is None else v.encode("utf-8") for v in values]
-        lengths = np.fromiter((len(e) for e in encoded), dtype=np.int64, count=count)
+        try:
+            joined = "".join(values)
+        except TypeError:
+            joined = None
+        if joined is not None and joined.isascii():
+            nulls = None
+            lengths = np.fromiter(map(len, values), dtype=np.int64, count=count)
+            data = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+        else:
+            nulls = np.fromiter((v is None for v in values), dtype=bool, count=count)
+            if not nulls.any():
+                nulls = None
+            encoded = [b"" if v is None else v.encode("utf-8") for v in values]
+            lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=count)
+            data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-        return cls(presto_type, data, offsets, nulls if nulls.any() else None)
+        return cls(presto_type, data, offsets, nulls)
 
     @classmethod
     def all_null(cls, count: int, presto_type: PrestoType = VARCHAR) -> "VarcharBlock":
@@ -830,6 +858,9 @@ class LazyBlock(Block):
 
     def get(self, position: int) -> Any:
         return self.loaded().get(position)
+
+    def to_list(self) -> list[Any]:
+        return self.loaded().to_list()
 
     def is_null(self, position: int) -> bool:
         return self.loaded().is_null(position)

@@ -53,24 +53,8 @@ class Page:
 
     @classmethod
     def from_rows(cls, types: Sequence[PrestoType], rows: Sequence[Sequence[Any]]) -> "Page":
-        """Build a page from row tuples (convenience for tests/workloads).
-
-        The transpose goes through one 2-D object array when the rows are
-        rectangular scalars — one bulk assignment plus column slices
-        instead of materializing a Python tuple per column.  Rows whose
-        cells are themselves sequences (arrays/maps/structs) confuse the
-        2-D assignment and fall back to ``zip``.
-        """
-        if not rows:
-            columns: Sequence[Sequence[Any]] = [[] for _ in types]
-            return cls.from_columns(types, columns)
-        try:
-            transposed = np.empty((len(rows), len(types)), dtype=object)
-            transposed[:] = rows
-        except ValueError:
-            columns = list(zip(*rows))
-        else:
-            columns = [transposed[:, channel] for channel in range(len(types))]
+        """Build a page from row tuples: one ``zip`` transposes them."""
+        columns = list(zip(*rows)) if rows else [[] for _ in types]
         return cls.from_columns(types, columns)
 
     @property
@@ -105,7 +89,10 @@ class Page:
             yield self.row(i)
 
     def to_rows(self) -> list[tuple]:
-        return list(self.rows())
+        """Every row, built from one ``to_list()`` per block and one ``zip``."""
+        if not self.blocks:
+            return [()] * self.position_count
+        return list(zip(*[block.to_list() for block in self.blocks]))
 
     def size_in_bytes(self) -> int:
         return sum(b.size_in_bytes() for b in self.blocks)

@@ -29,6 +29,7 @@ CRC32-based :func:`repro.common.hashing.stable_hash`, so a retried task
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.core.expressions import (
     combine_conjuncts,
 )
 from repro.core.types import BOOLEAN, PrestoType
+from repro.execution.kernels import column_codes
 
 # Keep the exact value set up to this many distinct build keys; beyond it
 # the filter degrades to min/max + bloom.
@@ -123,8 +125,8 @@ class DynamicFilter:
         return self.build_distinct == 0
 
     def matches(self, value: Any) -> bool:
-        if value is None:
-            return False  # NULL never equals a build key (inner/right join)
+        if value is None or value != value:
+            return False  # NULL and NaN never equal a build key (inner/right join)
         if self.build_distinct == 0:
             return False  # empty build: nothing can match
         if self.values is not None:
@@ -137,11 +139,37 @@ class DynamicFilter:
                 pass
         return self.bloom is None or self.bloom.contains(value)
 
+    @cached_property
+    def _int64_values(self) -> Optional[np.ndarray]:
+        """The exact set's integers, when membership in them is all an
+        int64 column can ask: other members never equal an integer."""
+        if self.values is None:
+            return None
+        try:
+            return np.array(
+                [v for v in self.values if isinstance(v, int)], dtype=np.int64
+            )
+        except OverflowError:
+            return None
+
     def mask(self, block: Block) -> np.ndarray:
-        values = block.loaded().to_list()
-        return np.fromiter(
-            (self.matches(v) for v in values), dtype=bool, count=len(values)
-        )
+        """``matches`` of every position, asked once per distinct value."""
+        factorized = column_codes(block)
+        if factorized is None:
+            values = block.loaded().to_list()
+            return np.fromiter(
+                (self.matches(v) for v in values), dtype=bool, count=len(values)
+            )
+        codes, uniq = factorized
+        # One trailing False slot: code -1 (NULL, NaN) indexes it.
+        table = np.zeros(len(uniq) + 1, dtype=bool)
+        if uniq.dtype == np.int64 and self._int64_values is not None:
+            table[:-1] = np.isin(uniq, self._int64_values)
+        else:
+            table[:-1] = np.fromiter(
+                map(self.matches, uniq.tolist()), dtype=bool, count=len(uniq)
+            )
+        return table[codes]
 
     def to_expression(
         self, column: str, presto_type: PrestoType, registry

@@ -145,7 +145,7 @@ class QueryHandle:
     def _finalize(self) -> None:
         rows: list[tuple] = []
         for page in self._machine.result_pages:
-            rows.extend(page.rows())
+            rows.extend(page.to_rows())
         tracer = self.trace
         if tracer is not None:
             if self._query_span is not None:
@@ -379,7 +379,7 @@ class PrestoEngine:
         rows: list[tuple] = []
         if ctx.tracer is None:
             for page in execute_plan(plan, ctx):
-                rows.extend(page.rows())
+                rows.extend(page.to_rows())
             return QueryResult(list(plan.column_names), rows, ctx.stats)
         tracer = ctx.tracer
         ctx.operator_rows = {}
@@ -388,7 +388,7 @@ class PrestoEngine:
         ):
             try:
                 for page in execute_plan(plan, ctx):
-                    rows.extend(page.rows())
+                    rows.extend(page.to_rows())
             finally:
                 record_operator_spans(tracer, plan, ctx.operator_rows)
         return QueryResult(list(plan.column_names), rows, ctx.stats, trace=tracer)

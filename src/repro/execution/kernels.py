@@ -40,16 +40,19 @@ like SQL NULL.  NULL keys are handled exactly.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from itertools import repeat
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.common.hashing import stable_hash, stable_hash_keys
 from repro.core.blocks import (
     Block,
     DictionaryBlock,
     PrimitiveBlock,
     VarcharBlock,
     _numpy_dtype_for,
+    masked_tolist,
 )
 from repro.core.types import parse_type
 
@@ -77,26 +80,15 @@ def canonical_key(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _to_python(value: Any) -> Any:
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def column_codes(block: Block) -> Optional[tuple[np.ndarray, list]]:
+def column_codes(block: Block) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Factorize one column into ``(codes, uniques)``.
 
-    ``codes`` is an int64 array with ``-1`` marking nulls; ``uniques[c]``
-    is the Python value for code ``c``, in ascending sorted order.
-    Returns ``None`` when the block kind or value mix is unsupported.
+    ``codes`` is an int64 array with ``-1`` marking nulls; ``uniques`` is
+    the ascending sorted ndarray of the distinct non-null values, so
+    ``uniques[c]`` is the value for code ``c`` and ``uniques.tolist()``
+    the distinct values as Python scalars.  Returns ``None`` when the
+    block kind or value mix is unsupported.
     """
-    raw = _column_codes_raw(block)
-    if raw is None:
-        return None
-    codes, uniq = raw
-    return codes, [_to_python(v) for v in uniq]
-
-
-def _column_codes_raw(block: Block) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``column_codes`` keeping the distinct values as a sorted ndarray."""
     block = block.loaded()
     if isinstance(block, DictionaryBlock):
         return _dictionary_codes(block)
@@ -134,7 +126,7 @@ def _dictionary_codes(block: DictionaryBlock) -> Optional[tuple[np.ndarray, np.n
     dictionary is factorized once, then the remap table is applied to
     the full id array with one vectorized gather.
     """
-    raw = _column_codes_raw(block.dictionary)
+    raw = column_codes(block.dictionary)
     if raw is None:
         return None
     dict_codes, uniq = raw
@@ -147,15 +139,17 @@ def _dictionary_codes(block: DictionaryBlock) -> Optional[tuple[np.ndarray, np.n
     return remap[safe_ids], uniq
 
 
-def factorize_keys(blocks: Sequence[Block]) -> Optional[tuple[np.ndarray, list[tuple]]]:
-    """Encode multi-column row keys into dense int64 group codes.
+def _factorize(
+    blocks: Sequence[Block],
+) -> Optional[tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
+    """Dense group codes, one representative row per group, per-column codes.
 
-    Returns ``(codes, uniques)`` where ``codes[row]`` indexes into
-    ``uniques``, a list of distinct key tuples (``None`` components for
-    null keys).  Columns are combined with mixed-radix arithmetic,
-    re-compacting through ``np.unique`` whenever the radix product could
-    overflow int64.  Returns ``None`` when any column is unsupported so
-    the caller can take the row-at-a-time path.
+    ``group_codes[row]`` numbers the distinct keys in first-appearance
+    order and ``reps[group]`` is the first row holding that key;
+    ``columns`` are the :func:`column_codes` pairs the keys decode
+    from.  Columns are combined with mixed-radix arithmetic, re-compacting
+    through ``np.unique`` whenever the radix product could overflow int64.
+    Returns ``None`` when any column is unsupported.
     """
     if not blocks:
         return None
@@ -200,47 +194,93 @@ def factorize_keys(blocks: Sequence[Block]) -> Optional[tuple[np.ndarray, list[t
         rank[appearance] = np.arange(len(appearance), dtype=np.int64)
         group_codes = rank[inverse]
         reps = first_rows[appearance]
-    uniques_out: list[tuple] = []
-    for rep in reps:
-        key = tuple(
-            uniques[codes[rep]] if codes[rep] >= 0 else None
-            for codes, uniques in columns
-        )
-        uniques_out.append(key)
-    return group_codes, uniques_out
+    return group_codes, reps, columns
+
+
+def _key_tuples(
+    columns: Sequence[tuple[np.ndarray, np.ndarray]], reps: np.ndarray
+) -> Iterator[tuple]:
+    """Key tuples of the rows ``reps``: one gather per column, one ``zip``.
+
+    Values leave numpy through ``tolist()``, so numeric components are
+    Python scalars (``int``, never ``np.int64``); an object column's
+    elements pass through as they are.  ``None`` at nulls.
+    """
+    gathered = []
+    for codes, uniq in columns:
+        rep_codes = codes[reps]
+        if len(rep_codes) and rep_codes.min() < 0:
+            # One trailing None slot: code -1 indexes it.
+            table = np.empty(len(uniq) + 1, dtype=object)
+            table[:-1] = uniq
+            gathered.append(table[rep_codes].tolist())
+        else:
+            gathered.append(uniq[rep_codes].tolist())
+    return zip(*gathered)
+
+
+def factorize_keys(blocks: Sequence[Block]) -> Optional[tuple[np.ndarray, list[tuple]]]:
+    """Encode multi-column row keys into dense int64 group codes.
+
+    Returns ``(codes, uniques)`` where ``codes[row]`` indexes into
+    ``uniques``, the distinct key tuples in first-appearance order
+    (``None`` components for null keys; pairwise unequal).  Returns
+    ``None`` when any column is unsupported so the caller can take the
+    row-at-a-time path.
+    """
+    factorized = _factorize(blocks)
+    if factorized is None:
+        return None
+    group_codes, reps, columns = factorized
+    return group_codes, list(_key_tuples(columns, reps))
+
+
+def _positive_zero(value: Any) -> Any:
+    """``-0.0`` equals ``0.0`` in SQL but prints differently: hash it as zero.
+
+    Takes one key component or a column's distinct values.  IEEE addition:
+    ``-0.0 + 0.0`` is ``+0.0``, every other float is itself.
+    """
+    if isinstance(value, float) or (
+        isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating)
+    ):
+        return value + 0.0
+    return value
 
 
 def partition_assignments(blocks: Sequence[Block], n_partitions: int) -> np.ndarray:
     """Per-row partition indexes for a hash-partitioned exchange.
 
-    Vectorized path: the key columns factorize into dense codes
-    (:func:`factorize_keys`), one :func:`stable_hash` is computed per
-    *distinct* key tuple, and the per-row assignment is a single gather.
-    Unsupported key kinds fall back to hashing row tuples directly.  Both
-    paths use the CRC32-based :func:`repro.common.hashing.stable_hash`,
-    so placement is identical across processes (no ``PYTHONHASHSEED``
-    dependence).
+    ``out[row] == stable_hash(key_tuple) % n_partitions`` where the key
+    tuple holds :func:`canonical_key` components with negative zero
+    folded onto zero, so keys that are one SQL group share a partition.
+    Vectorized path: the key columns factorize into dense codes, one hash
+    is computed per *distinct* key tuple, and the per-row assignment is a
+    single gather.  Unsupported key kinds hash row tuples directly.  The
+    CRC32-based hash makes placement identical across processes (no
+    ``PYTHONHASHSEED`` dependence).
     """
-    from repro.common.hashing import stable_hash
-
     if not blocks:
         raise ValueError("partitioning requires at least one key column")
     count = blocks[0].position_count
-    factorized = factorize_keys(blocks)
+    factorized = _factorize(blocks)
     if factorized is None:
         loaded = [b.loaded() for b in blocks]
         out = np.empty(count, dtype=np.int64)
         for position in range(count):
-            key = tuple(canonical_key(block.get(position)) for block in loaded)
+            key = tuple(
+                _positive_zero(canonical_key(block.get(position))) for block in loaded
+            )
             out[position] = stable_hash(key) % n_partitions
         return out
-    codes, uniques = factorized
-    table = np.fromiter(
-        (stable_hash(key) % n_partitions for key in uniques),
-        dtype=np.int64,
-        count=len(uniques),
+    codes, reps, columns = factorized
+    if not len(reps):
+        return np.zeros(count, dtype=np.int64)
+    columns = [(column, _positive_zero(uniq)) for column, uniq in columns]
+    hashes = np.fromiter(
+        stable_hash_keys(_key_tuples(columns, reps)), dtype=np.int64, count=len(reps)
     )
-    return table[codes] if len(uniques) else np.zeros(count, dtype=np.int64)
+    return (hashes % n_partitions)[codes]
 
 
 class GroupIndex:
@@ -258,15 +298,23 @@ class GroupIndex:
         return len(self.keys)
 
     def map_codes(self, codes: np.ndarray, uniques: Sequence[tuple]) -> np.ndarray:
-        """Translate page-local codes into global group ids."""
-        remap = np.empty(len(uniques), dtype=np.int64)
-        for local, key in enumerate(uniques):
-            group = self._ids.get(key)
-            if group is None:
-                group = len(self.keys)
-                self._ids[key] = group
-                self.keys.append(key)
-            remap[local] = group
+        """Translate page-local codes into global group ids.
+
+        ``uniques`` are pairwise unequal (:func:`factorize_keys`), so the
+        keys not seen before take consecutive new ids in page order.
+        """
+        remap = np.fromiter(
+            map(self._ids.get, uniques, repeat(-1)), dtype=np.int64, count=len(uniques)
+        )
+        unseen = np.flatnonzero(remap < 0)
+        if len(unseen):
+            new_keys = uniques
+            if len(unseen) < len(uniques):
+                new_keys = [uniques[i] for i in unseen.tolist()]
+            first = len(self.keys)
+            self._ids.update(zip(new_keys, range(first, first + len(new_keys))))
+            self.keys.extend(new_keys)
+            remap[unseen] = np.arange(first, first + len(new_keys), dtype=np.int64)
         return remap[codes]
 
     def map_rows(self, key_blocks: Sequence[Block], count: int) -> np.ndarray:
@@ -435,10 +483,10 @@ class CountAccumulator(_ArrayAccumulator):
 
     def finalize_all(self, group_count):
         self._grow(group_count)
-        return [int(c) for c in self.counts]
+        return self.counts.tolist()
 
     def to_states(self):
-        return [int(c) for c in self.counts]
+        return self.counts.tolist()
 
 
 class SumAccumulator(_ArrayAccumulator):
@@ -465,17 +513,12 @@ class SumAccumulator(_ArrayAccumulator):
         np.add.at(self.sums, group_ids, values)
         self.has_value[group_ids] = True
 
-    def _python_value(self, index: int):
-        if not self.has_value[index]:
-            return None
-        return _to_python(self.sums[index])
-
     def finalize_all(self, group_count):
         self._grow(group_count)
-        return [self._python_value(i) for i in range(self._size)]
+        return self.to_states()
 
     def to_states(self):
-        return [self._python_value(i) for i in range(self._size)]
+        return masked_tolist(self.sums, ~self.has_value)
 
 
 class MinMaxAccumulator(_ArrayAccumulator):
@@ -511,17 +554,12 @@ class MinMaxAccumulator(_ArrayAccumulator):
         ufunc.at(self.best, group_ids, values)
         self.has_value[group_ids] = True
 
-    def _python_value(self, index: int):
-        if not self.has_value[index]:
-            return None
-        return _to_python(self.best[index])
-
     def finalize_all(self, group_count):
         self._grow(group_count)
-        return [self._python_value(i) for i in range(self._size)]
+        return self.to_states()
 
     def to_states(self):
-        return [self._python_value(i) for i in range(self._size)]
+        return masked_tolist(self.best, ~self.has_value)
 
 
 class AvgAccumulator(_ArrayAccumulator):
@@ -548,13 +586,15 @@ class AvgAccumulator(_ArrayAccumulator):
 
     def finalize_all(self, group_count):
         self._grow(group_count)
-        return [
-            float(self.sums[i]) / int(self.counts[i]) if self.counts[i] else None
-            for i in range(self._size)
-        ]
+        empty = self.counts == 0
+        # float64 / int64 is the division ``float / int`` does, elementwise.
+        means = np.divide(
+            self.sums, self.counts, out=np.zeros_like(self.sums), where=~empty
+        )
+        return masked_tolist(means, empty)
 
     def to_states(self):
-        return [(float(self.sums[i]), int(self.counts[i])) for i in range(self._size)]
+        return list(zip(self.sums.tolist(), self.counts.tolist()))
 
 
 def make_accumulator(aggregation, impl, merge_mode: bool) -> GroupedAccumulator:
@@ -742,7 +782,7 @@ def build_join_index(blocks: Sequence[Block]) -> Optional[JoinKeyIndex]:
     """
     columns = []
     for block in blocks:
-        raw = _column_codes_raw(block)
+        raw = column_codes(block)
         if raw is None:
             return None
         columns.append(raw)
@@ -842,7 +882,7 @@ def sort_order(
     rank_keys = []
     for block, ascending in zip(blocks, ascending_flags):
         # Only the number of distinct values is needed, not the values.
-        factorized = _column_codes_raw(block)
+        factorized = column_codes(block)
         if factorized is None:
             return None
         codes, uniques = factorized

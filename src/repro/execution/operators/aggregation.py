@@ -19,7 +19,7 @@ oracle and benchmark baseline.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -99,9 +99,9 @@ def execute_aggregation(
 
     group_count = len(index)
     output_types = [v.type for v in node.outputs]
-    columns: list[list[Any]] = [
-        [key[channel] for key in index.keys] for channel in range(len(key_names))
-    ]
+    columns: list[Sequence[Any]] = (
+        list(zip(*index.keys)) if index.keys else [[] for _ in key_names]
+    )
     if node.step == AggregationStep.PARTIAL:
         # Partial aggregations (staged execution) emit raw accumulator
         # states: the FINAL stage beyond the exchange merges them.  States
@@ -117,15 +117,16 @@ def execute_aggregation(
     yield Page.from_columns(output_types, columns)
 
 
-_SCALAR_STATE_TYPES = (int, float, str, bool, bytes)
+_SCALAR_STATE_TYPES = (int, float, str, bool, bytes, type(None))
 
 
 def _partial_page(output_types, key_count, columns, group_count) -> Page:
     """Page of per-group partial states, tolerating non-scalar states."""
     blocks = []
     for channel, (presto_type, values) in enumerate(zip(output_types, columns)):
+        # One test per distinct type in the column, not one per group.
         scalar = channel < key_count or all(
-            v is None or isinstance(v, _SCALAR_STATE_TYPES) for v in values
+            issubclass(t, _SCALAR_STATE_TYPES) for t in set(map(type, values))
         )
         if scalar:
             try:

@@ -1,8 +1,13 @@
 """Unit tests for columnar blocks and pages."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.connectors.spi import project_rows
 from repro.core.blocks import (
     ArrayBlock,
     DictionaryBlock,
@@ -10,12 +15,15 @@ from repro.core.blocks import (
     MapBlock,
     PrimitiveBlock,
     RowBlock,
+    VarcharBlock,
     block_from_values,
+    object_varchar_lane,
 )
 from repro.core.page import Page, concat_pages
 from repro.core.types import (
     ArrayType,
     BIGINT,
+    BOOLEAN,
     DOUBLE,
     MapType,
     RowType,
@@ -224,11 +232,14 @@ class TestPage:
         assert Page.from_rows([BIGINT, VARCHAR], rows).to_rows() == rows
 
     def test_from_rows_nested_cells_fall_back(self):
-        # Sequence-valued cells confuse the bulk 2-D transpose; they must
-        # take the zip path and still round-trip.
-        rows = [([1, 2], "a"), ([3], "b"), (None, "c")]
-        page = Page.from_rows([ArrayType(BIGINT), VARCHAR], rows)
-        assert page.to_rows() == rows
+        # Sequence-valued cells (equal lengths included) transpose as one
+        # value each and reach the nested block builders whole.
+        for rows in (
+            [([1, 2], "a"), ([3], "b"), (None, "c")],
+            [([1, 2], "a"), ([3, 4], "b")],
+        ):
+            page = Page.from_rows([ArrayType(BIGINT), VARCHAR], rows)
+            assert page.to_rows() == rows
 
     def test_from_rows_nan_round_trips(self):
         page = Page.from_rows([DOUBLE], [(1.5,), (float("nan"),), (None,)])
@@ -251,3 +262,160 @@ class TestBlockFromValues:
         assert isinstance(
             block_from_values(RowType.of(("a", BIGINT)), [{"a": 1}]), RowBlock
         )
+
+
+# -- rows -> blocks: the bulk lanes against the per-value code ---------------
+
+TABLE_TYPES = [BIGINT, DOUBLE, BOOLEAN, VARCHAR, ArrayType(BIGINT)]
+LAYOUT = [(f"c{i}", t) for i, t in enumerate(TABLE_TYPES)]
+
+_int64 = st.integers(-(2**63), 2**63 - 1)
+# ASCII, 2/3/4-byte UTF-8, an embedded NUL and a lone surrogate.
+_texts = st.text(
+    alphabet="abZ09 -\u00e9\u03bb\u6f22\U0001f388\x00\ud800", max_size=6
+)
+_cells = [
+    st.one_of(_int64, st.booleans()),  # True in a BIGINT column
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, float("nan")]),
+        st.integers(-(2**53), 2**53),  # an int in a DOUBLE column
+    ),
+    st.booleans(),
+    st.text(alphabet="abZ09 -\x00", max_size=6),
+    st.lists(st.one_of(st.none(), _int64), max_size=3),
+]
+# Payloads a VARCHAR column is not declared to hold but tests feed it.
+_stray_varchar = st.one_of(st.binary(max_size=4), st.integers(-5, 5))
+
+
+@st.composite
+def tables(draw):
+    """Rows over ``TABLE_TYPES``; each column is NULL-free or not, by a coin."""
+    cells = []
+    for channel, cell in enumerate(_cells):
+        if channel == 3:
+            cell = draw(
+                st.sampled_from([cell, _texts, st.one_of(_texts, _stray_varchar)])
+            )
+        if draw(st.booleans()):
+            cell = st.one_of(st.none(), cell)
+        cells.append(cell)
+    rows = draw(st.lists(st.tuples(*cells), max_size=12))
+    if draw(st.booleans()):
+        rows = [list(row) for row in rows]  # list rows, not tuples
+    return rows
+
+
+def per_value_block(presto_type, values):
+    """The block the per-value code builds for ``values``.
+
+    A ``None`` in the column selects that code for every block kind, so
+    the reference is the column with one NULL appended, cut back off.
+    """
+    longer = block_from_values(presto_type, list(values) + [None])
+    return longer.take(np.arange(len(values), dtype=np.int64))
+
+
+def assert_same_block(actual, expected):
+    assert type(actual) is type(expected)
+    if isinstance(actual, PrimitiveBlock):
+        assert actual.values.dtype == expected.values.dtype
+    assert actual.position_count == expected.position_count
+    assert actual.null_mask().tolist() == expected.null_mask().tolist()
+    # repr tells 1 from True, 0.0 from -0.0, and lets NaN equal NaN.
+    assert repr(actual.to_list()) == repr(expected.to_list())
+
+
+class TestRowsBecomeBlocksInBulk:
+    @given(tables())
+    @settings(max_examples=300, deadline=None)
+    def test_every_entry_point_builds_what_the_per_value_code_builds(self, rows):
+        columns = [[row[i] for row in rows] for i in range(len(TABLE_TYPES))]
+        names = [name for name, _ in LAYOUT]
+        for lane in (nullcontext, object_varchar_lane):
+            with lane():
+                expected = [
+                    per_value_block(t, c) for t, c in zip(TABLE_TYPES, columns)
+                ]
+                pages = [
+                    Page.from_rows(TABLE_TYPES, rows),
+                    Page.from_columns(TABLE_TYPES, columns),
+                    project_rows(LAYOUT, rows, names),
+                ]
+            for page in pages:
+                assert page.position_count == len(rows)
+                for block, reference in zip(page.blocks, expected):
+                    assert_same_block(block, reference)
+                assert repr(page.to_rows()) == repr(list(page.rows()))
+
+    def test_project_rows_selects_and_reorders(self):
+        rows = [(1, 1.5, True, "a", [1]), (2, 2.5, False, "b", None)]
+        page = project_rows(LAYOUT, rows, ["c3", "c0.anything", "c3"])
+        assert page.to_rows() == [("a", 1, "a"), ("b", 2, "b")]
+        assert project_rows(LAYOUT, [], ["c1"]).position_count == 0
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_zero_and_one_row(self, count):
+        rows = [(7, 0.5, True, "x", [1, None])][:count]
+        page = Page.from_rows(TABLE_TYPES, rows)
+        assert page.position_count == count
+        assert page.to_rows() == rows
+
+    def test_what_selects_the_per_value_code(self):
+        # Clean columns carry no null mask; non-ASCII text is still a
+        # VarcharBlock; a non-str payload or a lone surrogate keeps the
+        # whole column in the permissive object representation.
+        assert PrimitiveBlock.from_values(BIGINT, (1, 2)).nulls is None
+        ascii_block = block_from_values(VARCHAR, ["ab", "", "c\x00d"])
+        assert isinstance(ascii_block, VarcharBlock) and ascii_block.nulls is None
+        assert ascii_block.to_list() == ["ab", "", "c\x00d"]
+        assert block_from_values(VARCHAR, ["\u00e9", "a"]).to_list() == ["\u00e9", "a"]
+        for stray in (b"ab", 3, "\ud800"):
+            block = block_from_values(VARCHAR, ["a", stray])
+            assert isinstance(block, PrimitiveBlock)
+            assert block.to_list() == ["a", stray]
+
+    @pytest.mark.parametrize("values", [[1, 2**70], [None, 2**70], (2**70,)])
+    def test_out_of_range_bigint_still_raises(self, values):
+        with pytest.raises(OverflowError):
+            block_from_values(BIGINT, values)
+        with pytest.raises(OverflowError):
+            Page.from_rows([BIGINT], [(v,) for v in values])
+
+
+class TestToRows:
+    """``Page.to_rows`` is ``list(page.rows())`` for every block kind."""
+
+    def test_every_block_kind(self):
+        row_type = RowType.of(("a", BIGINT), ("b", VARCHAR))
+        dictionary = block_from_values(VARCHAR, ["x", None, "\u6f22"])
+        with object_varchar_lane():
+            legacy = block_from_values(VARCHAR, ["p", None, "q", ""])
+        blocks = [
+            PrimitiveBlock.from_values(BIGINT, [1, None, 3, -4]),
+            PrimitiveBlock.from_values(DOUBLE, [0.5, -0.0, None, float("nan")]),
+            PrimitiveBlock.from_values(BOOLEAN, [True, False, None, True]),
+            PrimitiveBlock(BIGINT, np.array([1, 2, 3, 4], dtype=np.int32)),
+            legacy,
+            block_from_values(VARCHAR, ["a", None, "\u00e9", ""]),
+            DictionaryBlock(dictionary, np.array([2, -1, 1, 0], dtype=np.int64)),
+            DictionaryBlock(
+                PrimitiveBlock.from_values(BIGINT, [10, 20]),
+                np.array([1, 1, -1, 0], dtype=np.int64),
+            ),
+            block_from_values(row_type, [{"a": 1, "b": "u"}, None, {"a": None, "b": None}, {"a": 2, "b": "v"}]),
+            block_from_values(ArrayType(BIGINT), [[1, None], [], None, [2]]),
+            block_from_values(MapType(VARCHAR, BIGINT), [{"k": 1}, {}, None, {"j": None}]),
+            LazyBlock(BIGINT, 4, lambda: PrimitiveBlock.from_values(BIGINT, [4, 3, None, 1])),
+        ]
+        page = Page(blocks)
+        rows = page.to_rows()
+        assert repr(rows) == repr(list(page.rows()))
+        for row in rows:
+            for cell in row:
+                assert not isinstance(cell, np.generic)
+
+    def test_zero_channel_page_keeps_its_rows(self):
+        assert Page([], 3).to_rows() == [(), (), ()]
+        assert Page([], 0).to_rows() == []

@@ -10,6 +10,8 @@ strings containing NUL bytes (which force the S-dtype fast paths to fall
 back, since numpy S arrays strip trailing ``\\x00``).
 """
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,22 @@ def test_roundtrip_and_get(values):
         assert native.get(i) == v
         assert native.is_null(i) == (v is None)
     assert native.null_mask().tolist() == [v is None for v in values]
+
+
+# NULL-free ASCII (NUL included) is the column ``from_values`` joins and
+# encodes once; anything else it encodes value by value.  One layout.
+ascii_lists = st.lists(st.text(alphabet="abAB01 -\x00", max_size=10), max_size=40)
+
+
+@given(st.one_of(ascii_lists, values_lists))
+@settings(max_examples=300, deadline=None)
+def test_from_values_layout_is_the_per_value_encoding(values):
+    block = VarcharBlock.from_values(values)
+    encoded = [b"" if v is None else v.encode("utf-8") for v in values]
+    assert block.data.tobytes() == b"".join(encoded)
+    assert block.offsets.tolist() == [0, *accumulate(map(len, encoded))]
+    assert block.null_mask().tolist() == [v is None for v in values]
+    assert block.to_list() == values
 
 
 @given(values_lists, st.lists(st.integers(0, 39), max_size=60))

@@ -11,10 +11,17 @@ filter and produce identical rows.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.connectors.hive import HiveConnector, write_hive_partition
 from repro.connectors.memory import MemoryConnector
+from repro.core.blocks import (
+    DictionaryBlock,
+    PrimitiveBlock,
+    block_from_values,
+    object_varchar_lane,
+)
 from repro.core.functions import default_registry
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
@@ -130,6 +137,90 @@ class TestBuildDynamicFilter:
         f = build_dynamic_filter([1, "a"])  # unorderable: no min/max
         assert f.min_value is None and f.matches(1) and f.matches("a")
         assert not f.matches(2)
+
+
+# -- unit: page masks ---------------------------------------------------------
+
+NAN = float("nan")
+
+
+def _mask_blocks():
+    with object_varchar_lane():
+        legacy = block_from_values(VARCHAR, ["a", None, "\u00e9", "zz", "a"])
+    int_dictionary = PrimitiveBlock.from_values(BIGINT, [1, 7, 7, None, 99])
+    text_dictionary = block_from_values(VARCHAR, ["a", "\u6f22", None, "q"])
+    return {
+        "bigint": PrimitiveBlock.from_values(BIGINT, [1, 2, 2, 7, -3, 99, 1]),
+        "bigint_nulls": PrimitiveBlock.from_values(BIGINT, [None, 1, 7, None, 2**40]),
+        "bigint_all_null": PrimitiveBlock.from_values(BIGINT, [None, None]),
+        "bigint_empty": PrimitiveBlock.from_values(BIGINT, []),
+        "double": PrimitiveBlock.from_values(
+            DOUBLE, [1.0, 1.5, -0.0, 0.0, NAN, None, 7.0, NAN, 2.5]
+        ),
+        "varchar": block_from_values(VARCHAR, ["a", None, "\u00e9", "zz", "", "a"]),
+        "varchar_object_lane": legacy,
+        "dictionary_bigint": DictionaryBlock(
+            int_dictionary, np.array([0, 1, 2, 3, -1, 4, 0], dtype=np.int64)
+        ),
+        "dictionary_varchar": DictionaryBlock(
+            text_dictionary, np.array([3, 2, -1, 0, 1, 1], dtype=np.int64)
+        ),
+        # A value mix column_codes declines: the per-position loop.
+        "mixed_objects": block_from_values(VARCHAR, [1, "a", None, 1, "\u00e9"]),
+    }
+
+
+_MASK_FILTERS = {
+    "exact_ints": lambda: build_dynamic_filter([1, 7, None, 2**40]),
+    # 1.0 and -0.0 fold onto the ints 1 and 0; 2.5 stays a float.
+    "exact_mixed_numbers": lambda: build_dynamic_filter([1.0, -0.0, 2.5, True, NAN]),
+    "exact_texts": lambda: build_dynamic_filter(["a", "\u00e9", "\u6f22"]),
+    "bloom_ints": lambda: build_dynamic_filter(list(range(0, 60, 3)) + [7], exact_limit=5),
+    "bloom_doubles": lambda: build_dynamic_filter(
+        [0.5 * i for i in range(40)] + [NAN, -0.0], exact_limit=5
+    ),
+    "bloom_texts": lambda: build_dynamic_filter(
+        [chr(97 + i) for i in range(20)] + ["\u00e9"], exact_limit=5
+    ),
+    "unorderable": lambda: build_dynamic_filter([1, "a"]),
+    "out_of_int64": lambda: build_dynamic_filter([1, 2**70]),
+    "empty_build": lambda: build_dynamic_filter([None, None]),
+}
+
+
+class TestMask:
+    @pytest.mark.parametrize("filter_name", sorted(_MASK_FILTERS))
+    @pytest.mark.parametrize("block_name", sorted(_mask_blocks()))
+    def test_mask_is_matches_of_every_position(self, filter_name, block_name):
+        dynamic_filter = _MASK_FILTERS[filter_name]()
+        block = _mask_blocks()[block_name]
+        mask = dynamic_filter.mask(block)
+        assert mask.dtype == bool
+        assert mask.tolist() == [dynamic_filter.matches(v) for v in block.to_list()]
+
+    def test_null_nan_and_numeric_representations(self):
+        f = build_dynamic_filter([1.0, -0.0, NAN])
+        block = PrimitiveBlock.from_values(DOUBLE, [1.0, 0.0, -0.0, NAN, None, 2.0])
+        assert f.mask(block).tolist() == [True, True, True, False, False, False]
+        ints = PrimitiveBlock.from_values(BIGINT, [1, 0, None, 2])
+        assert f.mask(ints).tolist() == [True, True, False, False]
+        assert not f.matches(NAN) and not f.matches(None)
+
+    def test_matches_runs_at_most_once_per_distinct_value(self):
+        calls = []
+
+        class Counting(DynamicFilter):
+            def matches(self, value):
+                calls.append(value)
+                return super().matches(value)
+
+        built = build_dynamic_filter(range(0, 50, 2), exact_limit=5)
+        counting = Counting(**vars(built))
+        values = [4.0, 5.0, 4.0, None, 6.0, 5.0, NAN] * 50
+        block = PrimitiveBlock.from_values(DOUBLE, values)
+        mask = counting.mask(block)
+        assert sorted(calls) == [4.0, 5.0, 6.0]
+        assert mask.tolist() == [built.matches(v) for v in values]
 
 
 # -- unit: expression forms --------------------------------------------------

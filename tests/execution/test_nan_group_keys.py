@@ -81,3 +81,22 @@ def test_nan_aggregate_inputs_survive(engine):
         else:
             sums[d] = total
     assert sums == {1.0: 7, 2.0: 4, "nan-or-null": 10}
+
+
+# -- negative zero ------------------------------------------------------------
+
+ZERO_ROWS = [(0.0, 1), (0.0, 2), (-0.0, 3), (-0.0, 4), (1.0, 5), (1.0, 6)]
+
+
+@pytest.mark.parametrize("split_size", [6, 2], ids=["one_split", "three_splits"])
+def test_negative_zero_and_zero_are_one_group(split_size):
+    # -0.0 == 0.0 in SQL, but the two print differently: with a partial
+    # aggregation per split, each task emits its own representative, and
+    # the repartition exchange must send both to one FINAL task.
+    connector = MemoryConnector(split_size=split_size)
+    connector.create_table("db", "t", [("x", DOUBLE), ("v", BIGINT)], ZERO_ROWS)
+    engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
+    engine.register_connector("memory", connector)
+    sql = "SELECT x, count(*), sum(v) FROM t GROUP BY x"
+    for run in (engine.execute, engine.execute_direct):
+        assert sorted(run(sql).rows) == [(0.0, 4, 10), (1.0, 2, 11)]

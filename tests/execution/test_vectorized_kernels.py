@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.hashing import stable_hash
 from repro.core.blocks import (
     DictionaryBlock,
     PrimitiveBlock,
@@ -853,3 +854,121 @@ class TestKernels:
         assert merged.to_rows() == [(1, "x"), (None, None), (3, "y")]
         assert isinstance(merged.block(0), PrimitiveBlock)
         assert merged.block(0).values.dtype == np.int64
+
+
+# -- group keys and partition placement against the row loop ------------------
+
+NAN = float("nan")
+_KEY_CELLS = [
+    (BIGINT, st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([2**62, -(2**63)]))),
+    (
+        DOUBLE,
+        st.one_of(
+            st.none(),
+            st.sampled_from([0.0, -0.0, NAN, 1.5, -2.0, 1e300, float("inf")]),
+        ),
+    ),
+    (
+        VARCHAR,
+        st.one_of(
+            st.none(),
+            st.sampled_from(["", "a", "b", "\u00e9", "\u6f22\u5b57", "a'b", "x\\y", "\x00"]),
+        ),
+    ),
+]
+
+
+@st.composite
+def key_blocks(draw):
+    """One to three key columns of equal length, flat or dictionary-encoded."""
+    count = draw(st.integers(0, 25))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        presto_type, cell = draw(st.sampled_from(_KEY_CELLS))
+        if draw(st.booleans()):
+            dictionary = draw(st.lists(cell, min_size=1, max_size=5))
+            ids = draw(
+                st.lists(
+                    st.integers(-1, len(dictionary) - 1), min_size=count, max_size=count
+                )
+            )
+            block = DictionaryBlock(
+                block_from_values(presto_type, dictionary), np.array(ids, dtype=np.int64)
+            )
+        else:
+            block = block_from_values(
+                presto_type, draw(st.lists(cell, min_size=count, max_size=count))
+            )
+        blocks.append(block)
+    return blocks
+
+
+def row_keys(blocks) -> list[tuple]:
+    """The key tuple of every row, the way the row-at-a-time lanes build it."""
+    return [
+        tuple(kernels.canonical_key(block.get(i)) for block in blocks)
+        for i in range(blocks[0].position_count)
+    ]
+
+
+def partition_of(key: tuple, n: int) -> int:
+    # Negative zero hashes as zero: the two are one SQL group.
+    folded = tuple(0.0 if isinstance(v, float) and v == 0.0 else v for v in key)
+    return stable_hash(folded) % n
+
+
+class TestKeysAgainstTheRowLoop:
+    @given(key_blocks(), st.sampled_from([1, 4, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_partition_assignments_hash_every_rows_key_tuple(self, blocks, n):
+        expected = [partition_of(key, n) for key in row_keys(blocks)]
+        assert kernels.partition_assignments(blocks, n).tolist() == expected
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_partition_assignments_row_lane(self, n):
+        # A mixed-type object column does not factorize: rows hash one by one.
+        blocks = [
+            block_from_values(VARCHAR, [1, "a", None, None, 1, "a"]),
+            PrimitiveBlock.from_values(DOUBLE, [-0.0, 0.0, NAN, None, 0.0, -0.0]),
+        ]
+        assert kernels.factorize_keys(blocks) is None
+        expected = [partition_of(key, n) for key in row_keys(blocks)]
+        assigned = kernels.partition_assignments(blocks, n).tolist()
+        assert assigned == expected
+        # +-0.0 and NaN/NULL fold here too: rows 0=4, 1=5 and 2=3 are one key each.
+        assert assigned[:3] == [assigned[4], assigned[5], assigned[3]]
+
+    def test_zero_and_negative_zero_share_a_partition(self):
+        # Each in a page of its own, as two partial tasks would emit them:
+        # within one page np.unique already merges the pair.
+        for n in (4, 7):
+            zero, negative = (
+                kernels.partition_assignments(
+                    [PrimitiveBlock.from_values(DOUBLE, [value, 1.0])], n
+                )[0]
+                for value in (0.0, -0.0)
+            )
+            assert zero == negative == stable_hash((0.0,)) % n
+
+    @given(key_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_factorize_keys_uniques_are_the_row_loops_keys(self, blocks):
+        keys = row_keys(blocks)
+        codes, uniques = kernels.factorize_keys(blocks)
+        assert [uniques[c] for c in codes.tolist()] == keys
+        # First-appearance order; 0.0 and -0.0 are one key, NaN is NULL.
+        expected = list(dict.fromkeys(keys))
+        assert uniques == expected
+        # Python scalars, never numpy ones: int, not np.int64.
+        assert [tuple(map(type, key)) for key in uniques] == [
+            tuple(map(type, key)) for key in expected
+        ]
+
+    def test_group_index_numbers_groups_like_the_per_key_loop(self):
+        index, reference = kernels.GroupIndex(), kernels.GroupIndex()
+        for values in ([5, 3, 5, None], [3, 9, None, 9, 7], [1, 1], [9, 5]):
+            block = PrimitiveBlock.from_values(BIGINT, values)
+            codes, uniques = kernels.factorize_keys([block])
+            group_ids = index.map_codes(codes, uniques)
+            assert group_ids.tolist() == [reference.ensure_group((v,)) for v in values]
+        assert index.keys == reference.keys == [(5,), (3,), (None,), (9,), (7,), (1,)]
