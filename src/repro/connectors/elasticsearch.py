@@ -20,6 +20,7 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
+    SingleSchemaMetadata,
 )
 from repro.core.expressions import (
     ColumnTest,
@@ -140,23 +141,13 @@ class ElasticsearchConnector(Connector):
         super().__init__(_EsMetadata(self), _EsSplitManager(self), _EsProvider(self))
 
 
-class _EsMetadata(ConnectorMetadata):
-    def __init__(self, connector: ElasticsearchConnector) -> None:
-        self._connector = connector
-
-    def list_schemas(self) -> list[str]:
-        return [self._connector.schema_name]
-
-    def list_tables(self, schema_name: str) -> list[str]:
-        if schema_name != self._connector.schema_name:
-            return []
+class _EsMetadata(SingleSchemaMetadata):
+    def table_names(self) -> list[str]:
         return self._connector.cluster.indices()
 
-    def table_columns(
-        self, schema_name: str, table_name: str
-    ) -> Optional[list[tuple[str, PrestoType]]]:
+    def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
         cluster = self._connector.cluster
-        if schema_name != self._connector.schema_name or table_name not in cluster.indices():
+        if table_name not in cluster.indices():
             return None
         return cluster.fields(table_name)
 
@@ -166,21 +157,11 @@ class _EsMetadata(ConnectorMetadata):
         """Absorb term (equality/IN) and range conjuncts; leave the rest."""
         return conjunct if _as_term_or_range(conjunct) is not None else None
 
-    def apply_limit(
-        self, handle: ConnectorTableHandle, limit: int
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_limit(limit)
-
-    def apply_projection(
-        self, handle: ConnectorTableHandle, columns: Sequence[str]
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_top_level_columns(columns)
+    apply_limit = ConnectorMetadata.absorb_limit
+    apply_projection = ConnectorMetadata.absorb_top_level_columns
 
 
 class _EsSplitManager(ConnectorSplitManager):
-    def __init__(self, connector: ElasticsearchConnector) -> None:
-        self._connector = connector
-
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         shards = self._connector.cluster.shards_per_index
         return [
@@ -193,9 +174,6 @@ class _EsSplitManager(ConnectorSplitManager):
 
 
 class _EsProvider(ConnectorRecordSetProvider):
-    def __init__(self, connector: ElasticsearchConnector) -> None:
-        self._connector = connector
-
     def pages(
         self,
         handle: ConnectorTableHandle,

@@ -42,6 +42,7 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
+    project_rows,
 )
 from repro.cache.file_list_cache import FileListCache
 from repro.cache.footer_cache import FileHandleAndFooterCache
@@ -114,9 +115,6 @@ class HiveConnector(Connector):
 
 
 class _HiveMetadata(ConnectorMetadata):
-    def __init__(self, connector: HiveConnector) -> None:
-        self._connector = connector
-
     def list_schemas(self) -> list[str]:
         return self._connector.metastore.list_databases()
 
@@ -233,10 +231,7 @@ class _HiveMetadata(ConnectorMetadata):
             return normalized
         return None
 
-    def apply_projection(
-        self, handle: ConnectorTableHandle, columns: Sequence[str]
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_(projected_columns=tuple(columns))
+    apply_projection = ConnectorMetadata.absorb_column_paths
 
     def _scalar_leaf_paths(self, table: TableInfo) -> set[str]:
         """Dotted paths of scalar leaves reachable through structs only."""
@@ -255,9 +250,6 @@ class _HiveMetadata(ConnectorMetadata):
 
 
 class _HiveSplitManager(ConnectorSplitManager):
-    def __init__(self, connector: HiveConnector) -> None:
-        self._connector = connector
-
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         connector = self._connector
         table = connector._table(handle)
@@ -335,9 +327,6 @@ class _HiveSplitManager(ConnectorSplitManager):
 
 
 class _HiveRecordSetProvider(ConnectorRecordSetProvider):
-    def __init__(self, connector: HiveConnector) -> None:
-        self._connector = connector
-
     def pages(
         self,
         handle: ConnectorTableHandle,
@@ -380,7 +369,7 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
         if dynamic_partition is not None and not self._partition_matches(
             dynamic_partition, partition_values, partition_types
         ):
-            return iter([self._empty_page(columns, table, partition_types)])
+            return iter([project_rows(table.all_columns(), [], columns)])
         # Schema evolution: columns added to the table after this file was
         # written are absent from the file schema and read as nulls.
         file_top_level = set(file.schema.column_names())
@@ -417,7 +406,7 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
                 page, columns, present, partition_values, partition_types, table
             )
         if not produced:
-            yield self._empty_page(columns, table, partition_types)
+            yield project_rows(table.all_columns(), [], columns)
 
     def _partition_matches(
         self,
@@ -476,12 +465,6 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
                 column_type = dict(table.columns)[column]
                 blocks.append(constant_block(None, column_type, page.position_count))
         return Page(blocks, page.position_count)
-
-    def _empty_page(
-        self, columns: Sequence[str], table: TableInfo, partition_types: dict
-    ) -> Page:
-        all_types = dict(table.all_columns())
-        return Page.from_rows([all_types[c] for c in columns], [])
 
 
 class _ReaderPages:

@@ -24,6 +24,7 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
+    SingleSchemaMetadata,
 )
 from repro.core.expressions import (
     ColumnTest,
@@ -170,23 +171,13 @@ class KafkaConnector(Connector):
         return self.broker.fields(topic) + HIDDEN_COLUMNS
 
 
-class _KafkaMetadata(ConnectorMetadata):
-    def __init__(self, connector: KafkaConnector) -> None:
-        self._connector = connector
-
-    def list_schemas(self) -> list[str]:
-        return [self._connector.schema_name]
-
-    def list_tables(self, schema_name: str) -> list[str]:
-        if schema_name != self._connector.schema_name:
-            return []
+class _KafkaMetadata(SingleSchemaMetadata):
+    def table_names(self) -> list[str]:
         return self._connector.broker.topics()
 
-    def table_columns(
-        self, schema_name: str, table_name: str
-    ) -> Optional[list[tuple[str, PrestoType]]]:
+    def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
         connector = self._connector
-        if schema_name != connector.schema_name or table_name not in connector.broker.topics():
+        if table_name not in connector.broker.topics():
             return None
         return connector.all_columns(table_name)
 
@@ -196,15 +187,8 @@ class _KafkaMetadata(ConnectorMetadata):
         """Absorb offset/timestamp range conjuncts as log seeks."""
         return conjunct if _as_log_range(conjunct) is not None else None
 
-    def apply_projection(
-        self, handle: ConnectorTableHandle, columns: Sequence[str]
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_top_level_columns(columns)
-
-    def apply_limit(
-        self, handle: ConnectorTableHandle, limit: int
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_limit(limit)
+    apply_projection = ConnectorMetadata.absorb_top_level_columns
+    apply_limit = ConnectorMetadata.absorb_limit
 
 
 def _as_log_range(conjunct: RowExpression) -> Optional[ColumnTest]:
@@ -226,9 +210,6 @@ def _as_log_range(conjunct: RowExpression) -> Optional[ColumnTest]:
 
 
 class _KafkaSplitManager(ConnectorSplitManager):
-    def __init__(self, connector: KafkaConnector) -> None:
-        self._connector = connector
-
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         count = self._connector.broker.partition_count(handle.table_name)
         return [
@@ -241,9 +222,6 @@ class _KafkaSplitManager(ConnectorSplitManager):
 
 
 class _KafkaProvider(ConnectorRecordSetProvider):
-    def __init__(self, connector: KafkaConnector) -> None:
-        self._connector = connector
-
     def pages(
         self,
         handle: ConnectorTableHandle,

@@ -19,6 +19,8 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
+    SingleSchemaMetadata,
+    project_rows,
 )
 from repro.core.page import Page
 from repro.core.types import PrestoType
@@ -61,24 +63,14 @@ def _parse_table_name(name: str) -> tuple[str, Optional[int]]:
     return name, None
 
 
-class _IcebergMetadata(ConnectorMetadata):
-    def __init__(self, connector: IcebergConnector) -> None:
-        self._connector = connector
-
-    def list_schemas(self) -> list[str]:
-        return [self._connector.schema_name]
-
-    def list_tables(self, schema_name: str) -> list[str]:
-        if schema_name != self._connector.schema_name:
-            return []
+class _IcebergMetadata(SingleSchemaMetadata):
+    def table_names(self) -> list[str]:
         return sorted(self._connector._tables)
 
-    def table_columns(
-        self, schema_name: str, table_name: str
-    ) -> Optional[list[tuple[str, PrestoType]]]:
+    def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
         base, snapshot_id = _parse_table_name(table_name)
         table = self._connector._tables.get(base)
-        if schema_name != self._connector.schema_name or table is None:
+        if table is None:
             return None
         if snapshot_id is not None:
             # Validate eagerly so bad snapshot ids fail at analysis time.
@@ -88,16 +80,10 @@ class _IcebergMetadata(ConnectorMetadata):
     # The parquet reader evaluates any predicate over the table's columns.
     absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
-    def apply_projection(
-        self, handle: ConnectorTableHandle, columns: Sequence[str]
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_(projected_columns=tuple(columns))
+    apply_projection = ConnectorMetadata.absorb_column_paths
 
 
 class _IcebergSplitManager(ConnectorSplitManager):
-    def __init__(self, connector: IcebergConnector) -> None:
-        self._connector = connector
-
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         base, snapshot_id = _parse_table_name(handle.table_name)
         table = self._connector.table(base)
@@ -120,9 +106,6 @@ class _IcebergSplitManager(ConnectorSplitManager):
 
 
 class _IcebergProvider(ConnectorRecordSetProvider):
-    def __init__(self, connector: IcebergConnector) -> None:
-        self._connector = connector
-
     def pages(
         self,
         handle: ConnectorTableHandle,
@@ -132,13 +115,11 @@ class _IcebergProvider(ConnectorRecordSetProvider):
         base, _ = _parse_table_name(handle.table_name)
         table = self._connector.table(base)
         path = split.info_dict()["path"]
-        column_types = dict(table.columns)
-        output_types = [column_types[c.split(".")[0]] for c in columns]
         if not path:
-            yield Page.from_rows(output_types, [])
+            yield project_rows(table.columns, [], columns)
             return
         yield from data_file_pages(
-            ParquetFile(table.filesystem.open(path)), handle, columns, output_types
+            ParquetFile(table.filesystem.open(path)), handle, columns, table.columns
         )
 
 
@@ -146,7 +127,7 @@ def data_file_pages(
     file: ParquetFile,
     handle: ConnectorTableHandle,
     columns: Sequence[str],
-    output_types: Sequence[PrestoType],
+    layout: Sequence[tuple[str, PrestoType]],
 ) -> Iterator[Page]:
     """Stream one parquet data file with the handle's constraint pushed
     into the reader; one empty typed page when no row group survives."""
@@ -158,4 +139,4 @@ def data_file_pages(
         produced = True
         yield page
     if not produced:
-        yield Page.from_rows(output_types, [])
+        yield project_rows(layout, [], columns)

@@ -75,9 +75,6 @@ class MemoryConnector(Connector):
 
 
 class _MemoryMetadata(ConnectorMetadata):
-    def __init__(self, connector: MemoryConnector) -> None:
-        self._connector = connector
-
     def list_schemas(self) -> list[str]:
         return sorted({s for s, _ in self._connector._tables})
 
@@ -90,10 +87,7 @@ class _MemoryMetadata(ConnectorMetadata):
         table = self._connector._tables.get((schema_name, table_name))
         return None if table is None else table.columns
 
-    def apply_projection(
-        self, handle: ConnectorTableHandle, columns: Sequence[str]
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_(projected_columns=tuple(columns))
+    apply_projection = ConnectorMetadata.absorb_column_paths
 
     def collect_table_statistics(self, handle: ConnectorTableHandle):
         """ANALYZE: exact statistics, trivially — the rows are in memory."""
@@ -114,9 +108,6 @@ class _MemoryMetadata(ConnectorMetadata):
 
 
 class _MemorySplitManager(ConnectorSplitManager):
-    def __init__(self, connector: MemoryConnector) -> None:
-        self._connector = connector
-
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         table = self._connector._table(handle.schema_name, handle.table_name)
         size = self._connector._split_size
@@ -136,9 +127,6 @@ class _MemorySplitManager(ConnectorSplitManager):
 
 class _MemoryRecordSetProvider(ConnectorRecordSetProvider):
     PAGE_SIZE = 4096
-
-    def __init__(self, connector: MemoryConnector) -> None:
-        self._connector = connector
 
     def pages(
         self,

@@ -113,9 +113,6 @@ class MySqlConnector(Connector):
 
 
 class _MySqlMetadata(ConnectorMetadata):
-    def __init__(self, connector: MySqlConnector) -> None:
-        self._connector = connector
-
     def list_schemas(self) -> list[str]:
         return self._connector.server.databases()
 
@@ -133,15 +130,8 @@ class _MySqlMetadata(ConnectorMetadata):
     # The server evaluates arbitrary predicates (WHERE) itself.
     absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
-    def apply_limit(
-        self, handle: ConnectorTableHandle, limit: int
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_limit(limit)
-
-    def apply_projection(
-        self, handle: ConnectorTableHandle, columns: Sequence[str]
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_top_level_columns(columns)
+    apply_limit = ConnectorMetadata.absorb_limit
+    apply_projection = ConnectorMetadata.absorb_top_level_columns
 
 
 class _MySqlSplitManager(ConnectorSplitManager):
@@ -155,9 +145,6 @@ class _MySqlSplitManager(ConnectorSplitManager):
 
 
 class _MySqlProvider(ConnectorRecordSetProvider):
-    def __init__(self, connector: MySqlConnector) -> None:
-        self._connector = connector
-
     def pages(
         self,
         handle: ConnectorTableHandle,

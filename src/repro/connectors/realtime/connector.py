@@ -22,6 +22,7 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
+    SingleSchemaMetadata,
     project_rows,
 )
 from repro.core.page import Page
@@ -47,23 +48,13 @@ class RealtimeOlapConnector(Connector):
         super().__init__(_Metadata(self), _SplitManager(self), _Provider(self))
 
 
-class _Metadata(ConnectorMetadata):
-    def __init__(self, connector: RealtimeOlapConnector) -> None:
-        self._connector = connector
-
-    def list_schemas(self) -> list[str]:
-        return [self._connector.schema_name]
-
-    def list_tables(self, schema_name: str) -> list[str]:
-        if schema_name != self._connector.schema_name:
-            return []
+class _Metadata(SingleSchemaMetadata):
+    def table_names(self) -> list[str]:
         return self._connector.store.datasource_names()
 
-    def table_columns(
-        self, schema_name: str, table_name: str
-    ) -> Optional[list[tuple[str, PrestoType]]]:
+    def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
         store = self._connector.store
-        if schema_name != self._connector.schema_name or table_name not in store.datasource_names():
+        if table_name not in store.datasource_names():
             return None
         return store.datasource_columns(table_name)
 
@@ -71,15 +62,8 @@ class _Metadata(ConnectorMetadata):
     # conjuncts are served from inverted indexes, the rest by scanning).
     absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
-    def apply_limit(
-        self, handle: ConnectorTableHandle, limit: int
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_limit(limit)
-
-    def apply_projection(
-        self, handle: ConnectorTableHandle, columns: Sequence[str]
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_top_level_columns(columns)
+    apply_limit = ConnectorMetadata.absorb_limit
+    apply_projection = ConnectorMetadata.absorb_top_level_columns
 
     def apply_aggregation(
         self,
@@ -113,9 +97,6 @@ class _Metadata(ConnectorMetadata):
 
 
 class _SplitManager(ConnectorSplitManager):
-    def __init__(self, connector: RealtimeOlapConnector) -> None:
-        self._connector = connector
-
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         segments = self._connector.store.segments(handle.table_name)
         return [
@@ -133,9 +114,6 @@ class _SplitManager(ConnectorSplitManager):
 
 
 class _Provider(ConnectorRecordSetProvider):
-    def __init__(self, connector: RealtimeOlapConnector) -> None:
-        self._connector = connector
-
     def pages(
         self,
         handle: ConnectorTableHandle,

@@ -26,7 +26,7 @@ from repro.core.expressions import (
     expression_from_dict,
     match_column_test,
 )
-from repro.core.functions import FunctionHandle, default_registry
+from repro.core.functions import GroupFold, default_registry
 from repro.core.types import BIGINT, DOUBLE, PrestoType, VARCHAR
 
 
@@ -288,62 +288,44 @@ class RealtimeOlapStore:
     def _aggregate(
         self, segment: Segment, selected: np.ndarray, native: NativeQuery
     ) -> list[tuple]:
-        registry = default_registry()
-        from repro.connectors.spi import AggregationFunction
-
-        functions = [AggregationFunction.from_dict(a) for a in native.aggregations]
-        implementations = [registry.aggregate_for(f.function_handle) for f in functions]
         group_columns = [segment.columns[c] for c in native.grouping]
-        agg_inputs = [[segment.columns[c] for c in f.inputs] for f in functions]
-
-        groups: dict[tuple, list[Any]] = {}
-        order: list[tuple] = []
+        input_names, implementations = _pushed_aggregates(native)
+        agg_inputs = [[segment.columns[c] for c in names] for names in input_names]
+        fold = GroupFold(implementations)
         for row_id in selected:
-            key = tuple(column[row_id] for column in group_columns)
-            states = groups.get(key)
-            if states is None:
-                states = [impl.create_state() for impl in implementations]
-                groups[key] = states
-                order.append(key)
-            for i, impl in enumerate(implementations):
-                arguments = tuple(column[row_id] for column in agg_inputs[i])
-                states[i] = impl.add_input(states[i], arguments)
-        return [
-            key + tuple(impl.finalize(s) for impl, s in zip(implementations, groups[key]))
-            for key in order
-        ]
+            fold.fold(
+                tuple(column[row_id] for column in group_columns),
+                [tuple(column[row_id] for column in inputs) for inputs in agg_inputs],
+            )
+        return fold.rows()
 
     def _merge(
         self, native: NativeQuery, per_segment: list[list[tuple]]
     ) -> list[tuple]:
         if not native.is_aggregation:
             merged = [row for rows in per_segment for row in rows]
-            if native.limit is not None:
-                merged = merged[: native.limit]
-            return merged
-        registry = default_registry()
-        from repro.connectors.spi import AggregationFunction
-
-        functions = [AggregationFunction.from_dict(a) for a in native.aggregations]
-        implementations = [registry.aggregate_for(f.function_handle) for f in functions]
-        key_width = len(native.grouping)
-        groups: dict[tuple, list[Any]] = {}
-        order: list[tuple] = []
-        for rows in per_segment:
-            for row in rows:
-                key = row[:key_width]
-                partials = row[key_width:]
-                states = groups.get(key)
-                if states is None:
-                    states = [impl.create_state() for impl in implementations]
-                    groups[key] = states
-                    order.append(key)
-                for i, impl in enumerate(implementations):
-                    states[i] = impl.merge(states[i], partials[i])
-        merged = [
-            key + tuple(impl.finalize(s) for impl, s in zip(implementations, groups[key]))
-            for key in order
-        ]
+        else:
+            # Segments hand back *finalized* values; merging them as partial
+            # states is right because only MERGEABLE_AGGREGATES are pushed
+            # down (planner/rules/aggregation_pushdown.py).
+            fold = GroupFold(_pushed_aggregates(native)[1], merge=True)
+            key_width = len(native.grouping)
+            for rows in per_segment:
+                for row in rows:
+                    fold.fold(row[:key_width], row[key_width:])
+            merged = fold.rows()
         if native.limit is not None:
             merged = merged[: native.limit]
         return merged
+
+
+def _pushed_aggregates(native: NativeQuery) -> tuple[list[tuple[str, ...]], list]:
+    """(input column names, implementation) of each aggregate in ``native``."""
+    from repro.connectors.spi import AggregationFunction
+
+    registry = default_registry()
+    functions = [AggregationFunction.from_dict(a) for a in native.aggregations]
+    return (
+        [f.inputs for f in functions],
+        [registry.aggregate_for(f.function_handle) for f in functions],
+    )

@@ -191,12 +191,21 @@ class AggregationPushdownResult:
     output_columns: tuple[ColumnMetadata, ...]
 
 
-class ConnectorMetadata:
+class _ConnectorPart:
+    """An SPI object holds the connector it serves as ``self._connector``."""
+
+    def __init__(self, connector: Optional["Connector"] = None) -> None:
+        self._connector = connector
+
+
+class ConnectorMetadata(_ConnectorPart):
     """Schemas, tables, columns — and the pushdown negotiation surface.
 
     A connector states two facts, :meth:`table_columns` and
     :meth:`absorb_conjunct`; table lookup and the filter negotiation are
-    derived from them here, once, for every connector.
+    derived from them here, once, for every connector.  The limit and
+    projection answers most connectors give are here too, to be opted
+    into the same way: ``apply_limit = ConnectorMetadata.absorb_limit``.
     """
 
     def list_schemas(self) -> list[str]:
@@ -303,11 +312,32 @@ class ConnectorMetadata:
         """Offer a row limit.  Default: decline."""
         return None
 
+    def absorb_limit(
+        self, handle: ConnectorTableHandle, limit: int
+    ) -> Optional[ConnectorTableHandle]:
+        """The :meth:`apply_limit` answer of a provider that honours
+        ``handle.limit``: take it unless one at least as tight is held."""
+        return handle.with_limit(limit)
+
     def apply_projection(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
     ) -> Optional[ConnectorTableHandle]:
         """Offer a column projection.  Default: decline."""
         return None
+
+    def absorb_top_level_columns(
+        self, handle: ConnectorTableHandle, columns: Sequence[str]
+    ) -> Optional[ConnectorTableHandle]:
+        """The :meth:`apply_projection` answer of a provider that reads
+        whole top-level columns: a dotted path widens to its column."""
+        return handle.with_top_level_columns(columns)
+
+    def absorb_column_paths(
+        self, handle: ConnectorTableHandle, columns: Sequence[str]
+    ) -> Optional[ConnectorTableHandle]:
+        """The :meth:`apply_projection` answer of a provider that reads
+        dotted paths as they are (nested column pruning)."""
+        return handle.with_(projected_columns=tuple(columns))
 
     def apply_aggregation(
         self,
@@ -319,14 +349,40 @@ class ConnectorMetadata:
         return None
 
 
-class ConnectorSplitManager:
+class SingleSchemaMetadata(ConnectorMetadata):
+    """Metadata of a connector that serves exactly one schema,
+    ``connector.schema_name``: it states :meth:`table_names` and
+    :meth:`columns_of`, and the schema is checked here, once."""
+
+    def table_names(self) -> list[str]:
+        raise NotImplementedError
+
+    def columns_of(self, table_name: str) -> Optional[Sequence[tuple[str, PrestoType]]]:
+        """:meth:`table_columns` within the connector's own schema."""
+        raise NotImplementedError
+
+    def list_schemas(self) -> list[str]:
+        return [self._connector.schema_name]
+
+    def list_tables(self, schema_name: str) -> list[str]:
+        return self.table_names() if schema_name == self._connector.schema_name else []
+
+    def table_columns(
+        self, schema_name: str, table_name: str
+    ) -> Optional[Sequence[tuple[str, PrestoType]]]:
+        if schema_name != self._connector.schema_name:
+            return None
+        return self.columns_of(table_name)
+
+
+class ConnectorSplitManager(_ConnectorPart):
     """Divides a table (as constrained by its handle) into parallel splits."""
 
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         raise NotImplementedError
 
 
-class ConnectorRecordSetProvider:
+class ConnectorRecordSetProvider(_ConnectorPart):
     """Streams a split's data into the engine as pages."""
 
     def pages(

@@ -66,11 +66,8 @@ def _normalize(value: Any) -> Any:
     onto ints and negative zero onto zero so the bloom filter never gives
     a false *negative*.
     """
-    if isinstance(value, float):
-        if value != value:  # NaN never equals anything; keep as-is
-            return value
-        if value.is_integer():
-            return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     return value
 
 
@@ -241,12 +238,16 @@ class DynamicFilterSet:
 def build_dynamic_filter(
     values: Iterable[Any], exact_limit: int = DEFAULT_EXACT_VALUES_LIMIT
 ) -> DynamicFilter:
-    """Summarize one build-side key column's values (NULLs excluded)."""
+    """Summarize one build-side key column's values.
+
+    NULL and NaN equal no probe key, so neither is a member, a bound or
+    counted in ``build_distinct``: a build side holding nothing else is empty.
+    """
     distinct: set = set()
     rows = 0
     for value in values:
         rows += 1
-        if value is not None:
+        if value is not None and value == value:
             distinct.add(_normalize(value))
     if not distinct:
         return DynamicFilter(build_rows=rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ExecutionError, PrestoError, SemanticError
@@ -27,7 +27,7 @@ from repro.planner.analyzer import Analyzer, Session
 from repro.planner.fragmenter import Fragmenter
 from repro.planner.optimizer import Optimizer
 from repro.planner.plan import OutputNode
-from repro.sql import parse_sql
+from repro.sql import ast, parse_sql, parse_statement
 
 
 @dataclass
@@ -39,6 +39,16 @@ class QueryResult:
     stats: QueryStats
     # The query's span tree (None when the engine runs with tracing off).
     trace: Optional[QueryTrace] = None
+
+    @classmethod
+    def from_pages(
+        cls, column_names, pages: Iterable[Page], stats: QueryStats, trace=None
+    ) -> "QueryResult":
+        """Drain ``pages`` into rows: the one place pages become a result."""
+        rows: list[tuple] = []
+        for page in pages:
+            rows.extend(page.to_rows())
+        return cls(list(column_names), rows, stats, trace)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -67,33 +77,21 @@ class QueryHandle:
     across the whole query.
     """
 
-    def __init__(self, engine: "PrestoEngine", plan, ctx, machine) -> None:
+    def __init__(
+        self, engine: "PrestoEngine", plan, ctx, machine, result: Optional[QueryResult] = None
+    ) -> None:
+        # A metadata statement is answered at submit: its handle is born
+        # finished, holding ``result`` and no plan, context or machine.
         self._engine = engine
         self._plan = plan
         self.ctx = ctx
         self._machine = machine
-        self.trace: Optional[QueryTrace] = ctx.tracer
-        self.stats: QueryStats = ctx.stats
-        self.query_id: str = ctx.stats.query_id
+        self.trace: Optional[QueryTrace] = ctx.tracer if result is None else result.trace
+        self.stats: QueryStats = ctx.stats if result is None else result.stats
+        self.query_id: str = self.stats.query_id
         self.error: Optional[BaseException] = None
         self._query_span = None
-        self._result: Optional[QueryResult] = None
-
-    @classmethod
-    def completed(cls, result: QueryResult) -> "QueryHandle":
-        """Wrap an already-materialized result (metadata statements)."""
-        handle = cls.__new__(cls)
-        handle._engine = None
-        handle._plan = None
-        handle.ctx = None
-        handle._machine = None
-        handle.trace = result.trace
-        handle.stats = result.stats
-        handle.query_id = result.stats.query_id
-        handle.error = None
-        handle._query_span = None
-        handle._result = result
-        return handle
+        self._result = result
 
     # -- state ----------------------------------------------------------------
 
@@ -111,9 +109,7 @@ class QueryHandle:
 
     def peek_stage(self) -> Optional[int]:
         """Stage the next step will run in (None when nothing remains)."""
-        if self._machine is None or self.done:
-            return None
-        return self._machine.peek_stage()
+        return None if self.done else self._machine.peek_stage()
 
     # -- driving --------------------------------------------------------------
 
@@ -123,7 +119,7 @@ class QueryHandle:
         On terminal failure the error is recorded on :attr:`error` *and*
         raised, mirroring the blocking path's exception behavior.
         """
-        if self.done or self._machine is None:
+        if self.done:
             return None
         tracer = self.trace
         with activate(tracer) if tracer is not None else nullcontext():
@@ -143,9 +139,6 @@ class QueryHandle:
         return step
 
     def _finalize(self) -> None:
-        rows: list[tuple] = []
-        for page in self._machine.result_pages:
-            rows.extend(page.to_rows())
         tracer = self.trace
         if tracer is not None:
             if self._query_span is not None:
@@ -153,8 +146,8 @@ class QueryHandle:
             self._engine.metrics.histogram("query_simulated_ms").observe(
                 self.ctx.stats.simulated_ms
             )
-        self._result = QueryResult(
-            list(self._plan.column_names), rows, self.ctx.stats, trace=tracer
+        self._result = QueryResult.from_pages(
+            self._plan.column_names, self._machine.result_pages, self.ctx.stats, tracer
         )
 
     def run_to_completion(self) -> QueryResult:
@@ -250,9 +243,10 @@ class PrestoEngine:
 
     def plan(self, sql: str) -> OutputNode:
         """Parse, analyze and optimize ``sql``, returning the final plan."""
-        query = parse_sql(sql)
-        analyzer = Analyzer(self.catalog, self.session, self.registry)
-        plan = analyzer.analyze(query)
+        return self._plan_query(parse_sql(sql))
+
+    def _plan_query(self, query: ast.Query) -> OutputNode:
+        plan = Analyzer(self.catalog, self.session, self.registry).analyze(query)
         if self._optimizer is not None:
             plan = self._optimizer.optimize(plan, self.session)
         return plan
@@ -263,6 +257,27 @@ class PrestoEngine:
         Nodes whose subtree has ANALYZE statistics carry an estimated row
         count; un-analyzed plans render exactly as before.
         """
+        return self._explain(parse_sql(sql), "logical")
+
+    def explain_distributed(self, sql: str) -> str:
+        """EXPLAIN (TYPE DISTRIBUTED): the plan divided into fragments.
+
+        Shows the stages of section III — where partial aggregations run,
+        where the build side of a join is exchanged, where results gather.
+        """
+        return self._explain(parse_sql(sql), "distributed")
+
+    def explain_analyze(self, sql: str) -> str:
+        """EXPLAIN ANALYZE: run staged, report per-stage execution stats."""
+        return self._explain(parse_sql(sql), "analyze")
+
+    def _explain(self, query: ast.Query, mode: str) -> str:
+        """The text of ``EXPLAIN`` over ``query`` in an ``ast.Explain`` mode."""
+        plan = self._plan_query(query)
+        if mode == "distributed":
+            return Fragmenter().fragment(plan).describe()
+        if mode == "analyze":
+            return self._run_and_report(plan)
         from repro.planner.cost import CostEstimator
         from repro.planner.stats import StatsProvider
 
@@ -274,15 +289,7 @@ class PrestoEngine:
                 return ""
             return f"{{rows: {_format_row_estimate(estimate.row_count)}}}"
 
-        return self.plan(sql).pretty(annotate=annotate)
-
-    def explain_distributed(self, sql: str) -> str:
-        """EXPLAIN (TYPE DISTRIBUTED): the plan divided into fragments.
-
-        Shows the stages of section III — where partial aggregations run,
-        where the build side of a join is exchanged, where results gather.
-        """
-        return Fragmenter().fragment(self.plan(sql)).describe()
+        return plan.pretty(annotate=annotate)
 
     def execute(self, sql: str) -> QueryResult:
         """Run ``sql`` to completion and materialize the result.
@@ -292,18 +299,16 @@ class PrestoEngine:
         and pages move between stages over exchange buffers.
         :meth:`execute_direct` is the single-pipeline reference.
 
-        Besides SELECT queries, the metadata statements are supported:
-        ``EXPLAIN [ANALYZE | (TYPE DISTRIBUTED)] <query>``,
-        ``SHOW CATALOGS``, ``SHOW SCHEMAS [FROM catalog]``, ``SHOW TABLES
-        [FROM catalog.schema]``, and ``DESCRIBE <table>``.
+        ``sql`` is any statement of the grammar in ``docs/API.md``
+        ("Statement grammar"): a query or EXPLAIN / SHOW / DESCRIBE /
+        ANALYZE, with an optional trailing ``;``.
         """
-        statement = _match_metadata_statement(sql)
-        if statement is not None:
-            return statement(self)
         # The blocking path is the steppable path driven to completion in
         # one go — one code path, so traces/stats cannot drift between
         # single-query and concurrent execution.
-        return self._submit_plan(self.plan(sql)).run_to_completion()
+        return self._dispatch(
+            sql, lambda plan: self._submit_plan(plan).run_to_completion()
+        )
 
     def execute_direct(self, sql: str) -> QueryResult:
         """Run ``sql`` through the single in-process pipeline.
@@ -312,10 +317,7 @@ class PrestoEngine:
         oracle (the convention the operator kernels also follow): staged
         and direct execution must return the same rows.
         """
-        statement = _match_metadata_statement(sql)
-        if statement is not None:
-            return statement(self)
-        return self._execute_pipeline(self.plan(sql))
+        return self._dispatch(sql, self._execute_pipeline)
 
     def submit(self, sql: str) -> QueryHandle:
         """Non-blocking submit: plan ``sql`` and return a steppable handle.
@@ -326,10 +328,59 @@ class PrestoEngine:
         cluster's event loop — steps the handle.  Metadata statements
         complete immediately.
         """
-        statement = _match_metadata_statement(sql)
-        if statement is not None:
-            return QueryHandle.completed(statement(self))
-        return self._submit_plan(self.plan(sql))
+        outcome = self._dispatch(sql, self._submit_plan)
+        if isinstance(outcome, QueryResult):
+            return QueryHandle(self, None, None, None, result=outcome)
+        return outcome
+
+    def _dispatch(self, sql: str, run_query: Callable[[OutputNode], Any]):
+        """The one way in: tokenize and parse ``sql`` once, then either
+        hand the planned query to ``run_query`` (the path the calling
+        method stands for) or answer the metadata statement here."""
+        try:
+            statement = parse_statement(sql)
+            if isinstance(statement, ast.Query):
+                plan = self._plan_query(statement)
+            elif isinstance(statement, ast.Explain):
+                text = self._explain(statement.query, statement.mode)
+                return _answer(["Query Plan"], [(line,) for line in text.splitlines()])
+            else:
+                return self._run_metadata_statement(statement)
+        except RecursionError:
+            raise SemanticError("statement is nested too deeply to plan") from None
+        return run_query(plan)
+
+    def _run_metadata_statement(self, statement: ast.Statement) -> QueryResult:
+        session = self.session
+        if isinstance(statement, ast.ShowCatalogs):
+            return _answer(["Catalog"], [(c,) for c in self.catalog.catalog_names()])
+        if isinstance(statement, ast.ShowSchemas):
+            catalog_name = statement.catalog or session.catalog
+            if catalog_name is None:
+                raise SemanticError("SHOW SCHEMAS requires a catalog")
+            metadata = self.catalog.connector(catalog_name).metadata()
+            return _answer(["Schema"], [(s,) for s in metadata.list_schemas()])
+        if isinstance(statement, ast.ShowTables):
+            catalog_name = statement.catalog or session.catalog
+            schema_name = statement.schema or session.schema
+            if catalog_name is None or schema_name is None:
+                raise SemanticError("SHOW TABLES requires a catalog and schema")
+            metadata = self.catalog.connector(catalog_name).metadata()
+            return _answer(["Table"], [(t,) for t in metadata.list_tables(schema_name)])
+        # DESCRIBE and ANALYZE name a table by the rules of a FROM clause.
+        analyzer = Analyzer(self.catalog, session, self.registry)
+        qualified, metadata, handle = analyzer.resolve_table(statement.table)
+        if isinstance(statement, ast.Describe):
+            columns = metadata.get_table_metadata(handle).columns
+            return _answer(["Column", "Type"], [(c.name, c.type.display()) for c in columns])
+        statistics = metadata.collect_table_statistics(handle)
+        if statistics is None:
+            raise SemanticError(f"connector {qualified[0]!r} does not support ANALYZE")
+        self.metrics.counter("engine_tables_analyzed_total").inc()
+        return _answer(
+            ["Table", "Rows", "Columns Analyzed"],
+            [(".".join(qualified), statistics.row_count, len(statistics.columns))],
+        )
 
     def _submit_plan(self, plan: OutputNode) -> QueryHandle:
         ctx = self._fresh_context()
@@ -376,26 +427,24 @@ class PrestoEngine:
 
     def _execute_pipeline(self, plan: OutputNode) -> QueryResult:
         ctx = self._fresh_context()
-        rows: list[tuple] = []
-        if ctx.tracer is None:
-            for page in execute_plan(plan, ctx):
-                rows.extend(page.to_rows())
-            return QueryResult(list(plan.column_names), rows, ctx.stats)
         tracer = ctx.tracer
+        if tracer is None:
+            return QueryResult.from_pages(
+                plan.column_names, execute_plan(plan, ctx), ctx.stats
+            )
         ctx.operator_rows = {}
         with activate(tracer), tracer.span(
             "query", query_id=ctx.stats.query_id, path="direct"
         ):
             try:
-                for page in execute_plan(plan, ctx):
-                    rows.extend(page.to_rows())
+                return QueryResult.from_pages(
+                    plan.column_names, execute_plan(plan, ctx), ctx.stats, tracer
+                )
             finally:
                 record_operator_spans(tracer, plan, ctx.operator_rows)
-        return QueryResult(list(plan.column_names), rows, ctx.stats, trace=tracer)
 
-    def explain_analyze(self, sql: str) -> str:
-        """EXPLAIN ANALYZE: run staged, report per-stage execution stats."""
-        handle = self._submit_plan(self.plan(sql))
+    def _run_and_report(self, plan: OutputNode) -> str:
+        handle = self._submit_plan(plan)
         fragmented = handle._machine.fragmented
         result = handle.run_to_completion()
         stats = result.stats
@@ -455,132 +504,6 @@ def _format_row_estimate(rows: float) -> str:
     return f"{rows:.2f}"
 
 
-def _resolve_table(engine: "PrestoEngine", name: str):
-    """``name`` → ((catalog, schema, table), connector metadata, table handle).
-
-    Reuses SELECT name resolution by parsing a probe query.
-    """
-    probe = parse_sql(f"SELECT count(*) FROM {name}")
-    analyzer = Analyzer(engine.catalog, engine.session, engine.registry)
-    qualified = analyzer.qualify(probe.from_relation.parts)
-    catalog_name, schema_name, table_name = qualified
-    metadata = engine.catalog.connector(catalog_name).metadata()
-    handle = metadata.get_table_handle(schema_name, table_name)
-    if handle is None:
-        raise SemanticError(f"table {'.'.join(qualified)} does not exist")
-    return qualified, metadata, handle
-
-
-def _match_metadata_statement(sql: str):
-    """Recognize EXPLAIN / SHOW / DESCRIBE; returns a handler or None."""
-    import re
-
-    stripped = sql.strip().rstrip(";")
-    lowered = stripped.lower()
-
-    analyze = re.match(r"explain\s+analyze\s+(.*)", stripped, re.IGNORECASE | re.DOTALL)
-    if analyze:
-        inner = analyze.group(1)
-
-        def run_explain_analyze(engine: "PrestoEngine") -> QueryResult:
-            text = engine.explain_analyze(inner)
-            return QueryResult(
-                ["Query Plan"], [(line,) for line in text.splitlines()], QueryStats()
-            )
-
-        return run_explain_analyze
-
-    explain = re.match(
-        r"explain\s*(\(\s*type\s+distributed\s*\))?\s+(.*)", stripped, re.IGNORECASE | re.DOTALL
-    )
-    if explain:
-        distributed = explain.group(1) is not None
-        inner = explain.group(2)
-
-        def run_explain(engine: "PrestoEngine") -> QueryResult:
-            text = (
-                engine.explain_distributed(inner) if distributed else engine.explain(inner)
-            )
-            return QueryResult(
-                ["Query Plan"], [(line,) for line in text.splitlines()], QueryStats()
-            )
-
-        return run_explain
-
-    if lowered == "show catalogs":
-        def run_show_catalogs(engine: "PrestoEngine") -> QueryResult:
-            rows = [(name,) for name in engine.catalog.catalog_names()]
-            return QueryResult(["Catalog"], rows, QueryStats())
-
-        return run_show_catalogs
-
-    # SHOW keyword matching is case-insensitive, but catalog/schema
-    # identifiers are matched against the *original* string so their case
-    # survives (``SHOW SCHEMAS FROM MyCatalog`` must look up "MyCatalog",
-    # not "mycatalog").
-    schemas = re.match(r"show\s+schemas(?:\s+from\s+(\w+))?$", stripped, re.IGNORECASE)
-    if schemas:
-        def run_show_schemas(engine: "PrestoEngine") -> QueryResult:
-            catalog_name = schemas.group(1) or engine.session.catalog
-            if catalog_name is None:
-                raise SemanticError("SHOW SCHEMAS requires a catalog")
-            metadata = engine.catalog.connector(catalog_name).metadata()
-            return QueryResult(
-                ["Schema"], [(s,) for s in metadata.list_schemas()], QueryStats()
-            )
-
-        return run_show_schemas
-
-    tables = re.match(
-        r"show\s+tables(?:\s+from\s+(\w+)(?:\.(\w+))?)?$", stripped, re.IGNORECASE
-    )
-    if tables:
-        def run_show_tables(engine: "PrestoEngine") -> QueryResult:
-            if tables.group(2):
-                catalog_name, schema_name = tables.group(1), tables.group(2)
-            elif tables.group(1):
-                catalog_name, schema_name = engine.session.catalog, tables.group(1)
-            else:
-                catalog_name, schema_name = engine.session.catalog, engine.session.schema
-            if catalog_name is None or schema_name is None:
-                raise SemanticError("SHOW TABLES requires a catalog and schema")
-            metadata = engine.catalog.connector(catalog_name).metadata()
-            return QueryResult(
-                ["Table"],
-                [(t,) for t in metadata.list_tables(schema_name)],
-                QueryStats(),
-            )
-
-        return run_show_tables
-
-    analyze_table = re.match(
-        r"analyze\s+(?:table\s+)?([\w.\"$=]+)$", stripped, re.IGNORECASE
-    )
-    if analyze_table:
-        def run_analyze(engine: "PrestoEngine") -> QueryResult:
-            qualified, metadata, handle = _resolve_table(engine, analyze_table.group(1))
-            statistics = metadata.collect_table_statistics(handle)
-            if statistics is None:
-                raise SemanticError(
-                    f"connector {qualified[0]!r} does not support ANALYZE"
-                )
-            engine.metrics.counter("engine_tables_analyzed_total").inc()
-            return QueryResult(
-                ["Table", "Rows", "Columns Analyzed"],
-                [(".".join(qualified), statistics.row_count, len(statistics.columns))],
-                QueryStats(),
-            )
-
-        return run_analyze
-
-    describe = re.match(r"(?:describe|desc)\s+([\w.\"$=]+)$", stripped, re.IGNORECASE)
-    if describe:
-        def run_describe(engine: "PrestoEngine") -> QueryResult:
-            _, metadata, handle = _resolve_table(engine, describe.group(1))
-            table_metadata = metadata.get_table_metadata(handle)
-            rows = [(c.name, c.type.display()) for c in table_metadata.columns]
-            return QueryResult(["Column", "Type"], rows, QueryStats())
-
-        return run_describe
-
-    return None
+def _answer(column_names: list[str], rows: list[tuple]) -> QueryResult:
+    """A metadata statement's result: made at the coordinator, no stages run."""
+    return QueryResult(column_names, rows, QueryStats())

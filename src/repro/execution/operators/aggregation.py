@@ -13,8 +13,9 @@ kernel covers (DISTINCT, object-dtype arguments, FINAL avg, exotic
 functions), or whose kernel raises ``FallbackNeeded``, runs on the
 reference state machine (``GenericAccumulator``).  Either way the page
 counts in ``rows_processed_fallback``.  :func:`execute_aggregation_rows`
-is the original implementation, kept verbatim as the differential-test
-oracle and benchmark baseline.
+is the original row-at-a-time implementation (one ``GroupFold`` plus the
+DISTINCT bookkeeping), kept as the differential-test oracle and benchmark
+baseline.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.core.blocks import PrimitiveBlock, block_from_values
+from repro.core.functions import GroupFold
 from repro.core.page import Page
 from repro.execution.context import ExecutionContext
 from repro.execution import kernels
@@ -155,15 +157,12 @@ def execute_aggregation_rows(
     source_outputs = node.source.outputs
     key_names = [k.name for k in node.group_keys]
     agg_argument_names = [[a.name for a in agg.arguments] for agg in node.aggregations]
-    distinct_flags = [agg.distinct for agg in node.aggregations]
     merge_mode = node.step == "FINAL"
 
-    groups: dict[tuple, list[Any]] = {}
+    fold = GroupFold(implementations, merge=merge_mode)
+    # DISTINCT: the argument tuples each (group, aggregate) has already seen.
+    distinct_indexes = [i for i, agg in enumerate(node.aggregations) if agg.distinct]
     distinct_seen: dict[tuple, list[set]] = {}
-    group_order: list[tuple] = []
-
-    def new_states() -> list[Any]:
-        return [impl.create_state() for impl in implementations]
 
     for page in source:
         if page.position_count == 0:
@@ -177,44 +176,37 @@ def execute_aggregation_rows(
             key = tuple(
                 kernels.canonical_key(block.get(position)) for block in key_blocks
             )
-            states = groups.get(key)
-            if states is None:
-                states = new_states()
-                groups[key] = states
-                group_order.append(key)
-                if any(distinct_flags):
-                    distinct_seen[key] = [set() for _ in implementations]
-            for index, impl in enumerate(implementations):
-                arguments = tuple(
-                    block.get(position) for block in argument_blocks[index]
-                )
-                if distinct_flags[index]:
-                    if arguments in distinct_seen[key][index]:
-                        continue
-                    distinct_seen[key][index].add(arguments)
-                if merge_mode:
-                    states[index] = impl.merge(states[index], arguments[0])
-                else:
-                    states[index] = impl.add_input(states[index], arguments)
+            inputs: list[Any] = [
+                tuple(block.get(position) for block in blocks)
+                for blocks in argument_blocks
+            ]
+            if distinct_indexes:
+                seen = distinct_seen.get(key)
+                if seen is None:
+                    seen = distinct_seen[key] = [set() for _ in implementations]
+                for index in distinct_indexes:
+                    if inputs[index] in seen[index]:
+                        inputs[index] = GroupFold.SKIP
+                    else:
+                        seen[index].add(inputs[index])
+            if merge_mode:
+                # A FINAL step's single argument is the partial state.
+                inputs = [i if i is GroupFold.SKIP else i[0] for i in inputs]
+            fold.fold(key, inputs)
 
-    if not groups and not node.group_keys:
+    if not fold.groups and not node.group_keys:
         # Global aggregation over empty input still yields one row.
-        groups[()] = new_states()
-        group_order.append(())
+        fold.states(())
 
     output_types = [v.type for v in node.outputs]
     if node.step == AggregationStep.PARTIAL:
         key_count = len(key_names)
+        group_order = list(fold.groups)
         columns = [
             [key[channel] for key in group_order] for channel in range(key_count)
         ]
         for index in range(len(implementations)):
-            columns.append([groups[key][index] for key in group_order])
+            columns.append([fold.groups[key][index] for key in group_order])
         yield _partial_page(output_types, key_count, columns, len(group_order))
         return
-    rows = []
-    for key in group_order:
-        states = groups[key]
-        finals = [impl.finalize(state) for impl, state in zip(implementations, states)]
-        rows.append(tuple(key) + tuple(finals))
-    yield Page.from_rows(output_types, rows)
+    yield Page.from_rows(output_types, fold.rows())

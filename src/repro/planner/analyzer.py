@@ -346,14 +346,7 @@ class Analyzer:
         raise SemanticError(f"unsupported relation {type(relation).__name__}")
 
     def _plan_table(self, table: ast.TableReference) -> tuple[PlanNode, Scope]:
-        catalog_name, schema_name, table_name = self.qualify(table.parts)
-        connector = self._catalog.connector(catalog_name)
-        metadata = connector.metadata()
-        handle = metadata.get_table_handle(schema_name, table_name)
-        if handle is None:
-            raise SemanticError(
-                f"table {catalog_name}.{schema_name}.{table_name} does not exist"
-            )
+        (catalog_name, _, table_name), metadata, handle = self.resolve_table(table.parts)
         table_metadata = metadata.get_table_metadata(handle)
         alias = table.alias or table_name
         assignments: list[tuple[str, str]] = []
@@ -475,8 +468,8 @@ class Analyzer:
     def qualify(self, parts: tuple[str, ...]) -> tuple[str, str, str]:
         """Resolve a 1-3 part table name against the session defaults.
 
-        Public because metadata statements (DESCRIBE) resolve table names
-        with the same catalog/schema defaulting rules as SELECT.
+        Public because metadata statements (DESCRIBE, ANALYZE) resolve
+        table names with the same catalog/schema defaulting rules as SELECT.
         """
         if len(parts) == 3:
             return parts[0], parts[1], parts[2]
@@ -489,6 +482,17 @@ class Analyzer:
                 raise SemanticError(f"no default schema set for table {parts[0]}")
             return self._session.catalog, self._session.schema, parts[0]
         raise SemanticError(f"invalid table name {'.'.join(parts)!r}")
+
+    def resolve_table(self, parts: tuple[str, ...]):
+        """``parts`` → (qualified name, connector metadata, table handle):
+        the lookup a FROM clause, DESCRIBE and ANALYZE share."""
+        qualified = self.qualify(parts)
+        catalog_name, schema_name, table_name = qualified
+        metadata = self._catalog.connector(catalog_name).metadata()
+        handle = metadata.get_table_handle(schema_name, table_name)
+        if handle is None:
+            raise SemanticError(f"table {'.'.join(qualified)} does not exist")
+        return qualified, metadata, handle
 
     # -- aggregation ----------------------------------------------------------------
 
@@ -787,7 +791,10 @@ class _ExpressionLowerer:
         return not_(result) if expression.negated else result
 
     def _lower_cast(self, expression: ast.Cast) -> RowExpression:
-        target = parse_type(expression.target_type)
+        try:
+            target = parse_type(expression.target_type)
+        except ValueError as error:  # the type text is the user's
+            raise SemanticError(f"CAST: {error}") from None
         inner = self.lower(expression.expression)
         if target.is_nested():
             raise SemanticError(f"CAST to {target.display()} is not supported")

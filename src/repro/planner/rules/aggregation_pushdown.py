@@ -20,6 +20,7 @@ from repro.core.expressions import (
     ConstantExpression,
     VariableReferenceExpression,
 )
+from repro.core.functions import MERGEABLE_AGGREGATES
 from repro.planner.plan import (
     Aggregation,
     AggregationNode,
@@ -30,9 +31,6 @@ from repro.planner.plan import (
     rewrite_plan,
 )
 
-# Aggregates whose per-split partial results merge losslessly engine-side.
-_PUSHABLE = {"count", "sum", "min", "max"}
-
 
 def push_aggregations(plan: PlanNode, ctx) -> PlanNode:
     def rewriter(node: PlanNode) -> Optional[PlanNode]:
@@ -40,7 +38,7 @@ def push_aggregations(plan: PlanNode, ctx) -> PlanNode:
             return None
         if any(a.distinct for a in node.aggregations):
             return None
-        if not all(a.function_handle.name in _PUSHABLE for a in node.aggregations):
+        if not all(a.function_handle.name in MERGEABLE_AGGREGATES for a in node.aggregations):
             return None
 
         source = node.source

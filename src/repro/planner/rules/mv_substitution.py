@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.connectors.spi import ConnectorTableHandle
 from repro.core.expressions import VariableReferenceExpression
+from repro.core.functions import MERGEABLE_AGGREGATES
 from repro.planner.plan import (
     AggregationNode,
     AggregationStep,
@@ -34,9 +35,6 @@ from repro.planner.plan import (
     rewrite_plan,
 )
 
-# The aggregate folds a view can maintain incrementally (append-only log).
-_SUBSTITUTABLE = {"count", "sum", "min", "max"}
-
 
 def substitute_materialized_views(plan: PlanNode, ctx) -> PlanNode:
     def rewriter(node: PlanNode) -> Optional[PlanNode]:
@@ -44,7 +42,7 @@ def substitute_materialized_views(plan: PlanNode, ctx) -> PlanNode:
             return None
         if any(a.distinct for a in node.aggregations):
             return None
-        if not all(a.function_handle.name in _SUBSTITUTABLE for a in node.aggregations):
+        if not all(a.function_handle.name in MERGEABLE_AGGREGATES for a in node.aggregations):
             return None
 
         source = node.source

@@ -36,6 +36,7 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorSplitManager,
     ConnectorTableHandle,
+    SingleSchemaMetadata,
     project_rows,
 )
 from repro.core.evaluator import Evaluator
@@ -145,26 +146,16 @@ class HybridTableConnector(Connector):
         raise ConnectorError(f"hybrid: no table or view {name!r}")
 
 
-class _HybridMetadata(ConnectorMetadata):
-    def __init__(self, connector: HybridTableConnector) -> None:
-        self._connector = connector
-
-    def list_schemas(self) -> list[str]:
-        return [self._connector.schema_name]
-
-    def list_tables(self, schema_name: str) -> list[str]:
-        if schema_name != self._connector.schema_name:
-            return []
+class _HybridMetadata(SingleSchemaMetadata):
+    def table_names(self) -> list[str]:
         return sorted(self._connector._tables) + sorted(self._connector._views)
 
-    def table_columns(
-        self, schema_name: str, table_name: str
-    ) -> Optional[list[tuple[str, PrestoType]]]:
+    def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
         base, watermark = parse_table_name(table_name)
         connector = self._connector
         table = connector._tables.get(base)
         view = connector._views.get(base)
-        if schema_name != connector.schema_name or (table is None and view is None):
+        if table is None and view is None:
             return None
         if watermark is not None and table is not None:
             if watermark.partitions != table.partitions:
@@ -189,16 +180,10 @@ class _HybridMetadata(ConnectorMetadata):
     # both with the engine's own evaluator: any predicate is served.
     absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
-    def apply_projection(
-        self, handle: ConnectorTableHandle, columns: Sequence[str]
-    ) -> Optional[ConnectorTableHandle]:
-        return handle.with_top_level_columns(columns)
+    apply_projection = ConnectorMetadata.absorb_top_level_columns
 
 
 class _HybridSplitManager(ConnectorSplitManager):
-    def __init__(self, connector: HybridTableConnector) -> None:
-        self._connector = connector
-
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         base, pinned = parse_table_name(handle.table_name)
         connector = self._connector
@@ -276,7 +261,7 @@ class _HybridSplitManager(ConnectorSplitManager):
 
 class _HybridProvider(ConnectorRecordSetProvider):
     def __init__(self, connector: HybridTableConnector) -> None:
-        self._connector = connector
+        super().__init__(connector)
         self._evaluator = Evaluator()
 
     def pages(
@@ -288,15 +273,13 @@ class _HybridProvider(ConnectorRecordSetProvider):
         info = split.info_dict()
         kind = info["kind"]
         layout = self._connector._columns(handle.table_name)
-        column_types = dict(layout)
-        output_types = [column_types[c.split(".")[0]] for c in columns]
 
         if kind == "empty":
-            yield Page.from_rows(output_types, [])
+            yield project_rows(layout, [], columns)
             return
 
         if kind == "lake":
-            yield from self._lake_pages(handle, info, columns, layout, output_types)
+            yield from self._lake_pages(handle, info, columns, layout)
             return
 
         # Tail and view splits carry their rows pinned in the split.
@@ -316,7 +299,6 @@ class _HybridProvider(ConnectorRecordSetProvider):
         info: dict,
         columns: Sequence[str],
         layout: list[tuple[str, PrestoType]],
-        output_types: list[PrestoType],
     ) -> Iterator[Page]:
         table = self._connector.table(info["table"])
         file = ParquetFile(table.lake.filesystem.open(info["path"]))
@@ -324,7 +306,7 @@ class _HybridProvider(ConnectorRecordSetProvider):
         if cut is None:
             # The whole file is visible: stream straight from the reader
             # with predicate pushdown, exactly like the iceberg connector.
-            yield from data_file_pages(file, handle, columns, output_types)
+            yield from data_file_pages(file, handle, columns, layout)
             return
         # Time travel below the sealed watermark: materialize full rows,
         # mask by the pinned offset cut, then filter and project.

@@ -24,12 +24,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.common.errors import SemanticError
-from repro.core.functions import default_registry, parse_type
+from repro.core.functions import (
+    MERGEABLE_AGGREGATES,
+    GroupFold,
+    default_registry,
+    parse_type,
+)
 from repro.core.types import PrestoType
 from repro.realtime.hybrid import HybridTable
 from repro.realtime.watermark import Watermark
-
-SUPPORTED_AGGREGATES = ("count", "sum", "min", "max")
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,14 @@ class MaterializedView:
             if column not in table_types:
                 raise SemanticError(f"view {name!r}: unknown group column {column!r}")
         registry = default_registry()
-        self._implementations = []
+        implementations = []
         self.columns: list[tuple[str, PrestoType]] = [
             (c, table_types[c]) for c in self.group_by
         ]
         self._input_indexes: list[Optional[int]] = []
         names = table.column_names()
         for aggregate in self.aggregates:
-            if aggregate.function not in SUPPORTED_AGGREGATES:
+            if aggregate.function not in MERGEABLE_AGGREGATES:
                 raise SemanticError(
                     f"view {name!r}: unsupported aggregate {aggregate.function!r}"
                 )
@@ -88,12 +91,11 @@ class MaterializedView:
             handle, implementation = registry.resolve_aggregate(
                 aggregate.function, argument_types
             )
-            self._implementations.append(implementation)
+            implementations.append(implementation)
             self.columns.append((aggregate.output, parse_type(handle.return_type)))
 
         self._group_indexes = [names.index(c) for c in self.group_by]
-        self._states: dict[tuple, list] = {}
-        self._order: list[tuple] = []
+        self._fold = GroupFold(implementations)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -114,16 +116,10 @@ class MaterializedView:
             return 0
         delta = self.table.read_rows_between(self.watermark, target)
         for row in delta:
-            key = tuple(row[i] for i in self._group_indexes)
-            states = self._states.get(key)
-            if states is None:
-                states = [impl.create_state() for impl in self._implementations]
-                self._states[key] = states
-                self._order.append(key)
-            for i, implementation in enumerate(self._implementations):
-                index = self._input_indexes[i]
-                arguments = () if index is None else (row[index],)
-                states[i] = implementation.add_input(states[i], arguments)
+            self._fold.fold(
+                tuple(row[i] for i in self._group_indexes),
+                [() if i is None else (row[i],) for i in self._input_indexes],
+            )
         self.watermark = target
         self.refreshes += 1
         self.rows_folded += len(delta)
@@ -133,14 +129,7 @@ class MaterializedView:
 
     def rows(self) -> list[tuple]:
         """Finalized view rows in a deterministic (sorted-key) order."""
-        finalized = [
-            key
-            + tuple(
-                impl.finalize(state)
-                for impl, state in zip(self._implementations, self._states[key])
-            )
-            for key in self._order
-        ]
+        finalized = self._fold.rows()
         width = len(self.group_by)
         finalized.sort(key=lambda row: tuple(_sort_key(v) for v in row[:width]))
         return finalized

@@ -91,9 +91,9 @@ class BatchSqlEngine:
             # No hard limit: oversized build sides spill instead of failing.
             max_build_rows=2**62,
         )
-        rows = []
-        for page in execute_plan(plan, ctx):
-            rows.extend(page.rows())
+        result = QueryResult.from_pages(
+            plan.column_names, execute_plan(plan, ctx), ctx.stats
+        )
         self.jobs_run += 1
         # Spill accounting: anything beyond the in-memory budget hit disk.
         overflow = max(0, ctx.stats.peak_build_rows - self.memory_budget_rows)
@@ -101,4 +101,4 @@ class BatchSqlEngine:
             self.spilled_rows += overflow
             if self.clock is not None:
                 self.clock.advance(overflow * self.spill_ms_per_row)
-        return QueryResult(list(plan.column_names), rows, ctx.stats)
+        return result

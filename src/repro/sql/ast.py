@@ -197,3 +197,54 @@ class Query(Node):
     # (query, distinct) where distinct=True means plain UNION semantics
     # (duplicates eliminated over the combined result).
     unions: tuple[tuple["Query", bool], ...] = ()
+
+
+# ---------------------------------------------------------------------------
+# Metadata statements
+# ---------------------------------------------------------------------------
+
+
+class Statement(Node):
+    """What ``parse_statement`` returns when the text is not a query."""
+
+
+@dataclass(frozen=True)
+class Explain(Statement):
+    """``EXPLAIN [ANALYZE | (TYPE DISTRIBUTED)] <query>``."""
+
+    query: Query
+    mode: str = "logical"  # 'logical' | 'distributed' | 'analyze'
+
+
+@dataclass(frozen=True)
+class ShowCatalogs(Statement):
+    pass
+
+
+@dataclass(frozen=True)
+class ShowSchemas(Statement):
+    """``SHOW SCHEMAS [FROM catalog]``; the name keeps the case it was typed in."""
+
+    catalog: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class ShowTables(Statement):
+    """``SHOW TABLES [FROM [catalog.]schema]``; names keep their case."""
+
+    catalog: Optional[str] = None
+    schema: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Describe(Statement):
+    """``DESCRIBE | DESC <table>``; ``table`` is a FROM-clause name."""
+
+    table: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Analyze(Statement):
+    """``ANALYZE [TABLE] <table>``; ``table`` is a FROM-clause name."""
+
+    table: tuple[str, ...]

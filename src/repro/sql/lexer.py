@@ -33,7 +33,7 @@ KEYWORDS = {
 
 _OPERATORS = [
     "<>", "<=", ">=", "!=", "->", "||",
-    "=", "<", ">", "+", "-", "*", "/", "%", ".", ",", "(", ")", "[", "]",
+    "=", "<", ">", "+", "-", "*", "/", "%", ".", ",", "(", ")", "[", "]", ";",
 ]
 
 
@@ -123,23 +123,27 @@ def tokenize(sql: str) -> list[Token]:
             continue
 
         # -- number -------------------------------------------------------------
-        if ch.isdigit():
+        # isdecimal(), not isdigit(): int() and float() reject digits such
+        # as a superscript two.
+        if ch.isdecimal():
             start = pos
             start_col = column()
-            while pos < n and sql[pos].isdigit():
+            while pos < n and sql[pos].isdecimal():
                 pos += 1
             is_decimal = False
-            if pos < n and sql[pos] == "." and pos + 1 < n and sql[pos + 1].isdigit():
+            if pos < n and sql[pos] == "." and pos + 1 < n and sql[pos + 1].isdecimal():
                 is_decimal = True
                 pos += 1
-                while pos < n and sql[pos].isdigit():
+                while pos < n and sql[pos].isdecimal():
                     pos += 1
             if pos < n and sql[pos] in "eE":
                 is_decimal = True
                 pos += 1
                 if pos < n and sql[pos] in "+-":
                     pos += 1
-                while pos < n and sql[pos].isdigit():
+                if pos >= n or not sql[pos].isdecimal():
+                    raise SyntaxError_(f"malformed number {sql[start:pos]!r}", line, start_col)
+                while pos < n and sql[pos].isdecimal():
                     pos += 1
             kind = TokenType.DECIMAL if is_decimal else TokenType.INTEGER
             tokens.append(Token(kind, sql[start:pos], line, start_col))

@@ -2,21 +2,34 @@
 
 Grammar (simplified)::
 
+    statement  := (query | explain | show | describe | analyze) [';']
+    explain    := EXPLAIN [ANALYZE | '(' TYPE DISTRIBUTED ')'] query
+    show       := SHOW CATALOGS | SHOW SCHEMAS [FROM name]
+                | SHOW TABLES [FROM name ['.' name]]
+    describe   := (DESCRIBE | DESC) tableName
+    analyze    := ANALYZE [TABLE] tableName
     query      := SELECT [DISTINCT] selectItem (',' selectItem)*
                   [FROM relation] [WHERE expr]
                   [GROUP BY expr (',' expr)*] [HAVING expr]
                   [ORDER BY orderItem (',' orderItem)*] [LIMIT int]
-    relation   := tableRef | '(' query ')' [alias] | relation joinClause
+    relation   := tableName [alias] | '(' query ')' [alias] | relation joinClause
+    tableName  := identifier ('.' identifier)*
     expr       := or-precedence climbing down to primary
 
 Operator precedence (loosest to tightest): OR, AND, NOT, comparison /
 IN / BETWEEN / LIKE / IS NULL, additive (+ - ||), multiplicative (* / %),
 unary minus, subscript/dereference, primary.
+
+EXPLAIN, SHOW, DESCRIBE, ANALYZE and the words after them are not reserved:
+they are matched by value where a statement may start, so ``SELECT type
+FROM tables`` stays legal.  The names after SHOW ... FROM keep the case they
+were typed in; every other unquoted name is lowercased, as in a query.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from typing import Optional, Union
 
 from repro.common.errors import SyntaxError_
 from repro.sql import ast
@@ -29,6 +42,17 @@ def parse_sql(sql: str) -> ast.Query:
     query = parser.parse_query()
     parser.expect_end()
     return query
+
+
+def parse_statement(sql: str) -> Union[ast.Query, ast.Statement]:
+    """Parse one statement: a query or a metadata statement."""
+    parser = _Parser(tokenize(sql))
+    statement = parser.parse_statement()
+    parser.expect_end()
+    return statement
+
+
+_NAME_TOKENS = (TokenType.IDENTIFIER, TokenType.QUOTED_IDENTIFIER)
 
 
 class _Parser:
@@ -56,14 +80,16 @@ class _Parser:
             return self._advance().value
         return None
 
-    def _expect_keyword(self, keyword: str) -> None:
+    def _expected(self, what: str) -> SyntaxError_:
+        """The error for the current token standing where ``what`` should."""
         token = self._peek()
+        return SyntaxError_(
+            f"expected {what}, found {token.text or 'end of input'!r}", token.line, token.column
+        )
+
+    def _expect_keyword(self, keyword: str) -> None:
         if not self._check_keyword(keyword):
-            raise SyntaxError_(
-                f"expected {keyword.upper()}, found {token.text or 'end of input'!r}",
-                token.line,
-                token.column,
-            )
+            raise self._expected(keyword.upper())
         self._advance()
 
     def _check_operator(self, *ops: str) -> bool:
@@ -76,29 +102,73 @@ class _Parser:
         return None
 
     def _expect_operator(self, op: str) -> None:
-        token = self._peek()
         if not self._check_operator(op):
-            raise SyntaxError_(
-                f"expected {op!r}, found {token.text or 'end of input'!r}",
-                token.line,
-                token.column,
-            )
+            raise self._expected(repr(op))
         self._advance()
 
     def expect_end(self) -> None:
+        self._accept_operator(";")
         token = self._peek()
         if token.type is not TokenType.END:
             raise SyntaxError_(f"unexpected trailing input {token.text!r}", token.line, token.column)
 
+    def _identifier_token(self) -> Token:
+        if self._peek().type in _NAME_TOKENS:
+            return self._advance()
+        raise self._expected("identifier")
+
     def _identifier(self) -> str:
+        return self._identifier_token().value
+
+    def _accept_word(self, *words: str) -> Optional[str]:
+        """An unreserved statement word (EXPLAIN, SHOW, TABLES, ...)."""
         token = self._peek()
-        if token.type in (TokenType.IDENTIFIER, TokenType.QUOTED_IDENTIFIER):
+        if token.type in (TokenType.IDENTIFIER, TokenType.KEYWORD) and token.value in words:
             return self._advance().value
-        raise SyntaxError_(
-            f"expected identifier, found {token.text or 'end of input'!r}",
-            token.line,
-            token.column,
-        )
+        return None
+
+    def _expect_word(self, *words: str) -> str:
+        word = self._accept_word(*words)
+        if word is None:
+            raise self._expected(" or ".join(w.upper() for w in words))
+        return word
+
+    # -- statements ------------------------------------------------------------
+
+    def parse_statement(self) -> Union[ast.Query, ast.Statement]:
+        if self._accept_word("explain"):
+            mode = "logical"
+            if self._accept_word("analyze"):
+                mode = "analyze"
+            elif self._accept_operator("("):
+                self._expect_word("type")
+                self._expect_word("distributed")
+                self._expect_operator(")")
+                mode = "distributed"
+            return ast.Explain(self.parse_query(), mode)
+        if self._accept_word("show"):
+            listed = self._expect_word("catalogs", "schemas", "tables")
+            if listed == "catalogs":
+                return ast.ShowCatalogs()
+            if listed == "schemas":
+                return ast.ShowSchemas(*self._from_names(1))
+            names = self._from_names(2)
+            return ast.ShowTables(*names) if len(names) == 2 else ast.ShowTables(None, *names)
+        if self._accept_word("describe", "desc"):
+            return ast.Describe(self._table_name())
+        if self._accept_word("analyze"):
+            self._accept_word("table")
+            return ast.Analyze(self._table_name())
+        return self.parse_query()
+
+    def _from_names(self, limit: int) -> list[str]:
+        """``[FROM name ['.' name]]`` after SHOW: at most ``limit`` names, as typed."""
+        names: list[str] = []
+        if self._accept_keyword("from"):
+            names.append(self._identifier_token().text)
+            while len(names) < limit and self._accept_operator("."):
+                names.append(self._identifier_token().text)
+        return names
 
     # -- query ----------------------------------------------------------------
 
@@ -164,34 +234,10 @@ class _Parser:
                 branch_distinct = True
             branch = self.parse_query()
             # Flatten right-recursive parses into one branch list.
-            unions.append((branch, branch_distinct))
-            if branch.unions:
-                unions.extend(branch.unions)
-                unions[-len(branch.unions) - 1] = (
-                    ast.Query(
-                        select_items=branch.select_items,
-                        from_relation=branch.from_relation,
-                        where=branch.where,
-                        group_by=branch.group_by,
-                        having=branch.having,
-                        order_by=branch.order_by,
-                        limit=branch.limit,
-                        distinct=branch.distinct,
-                    ),
-                    branch_distinct,
-                )
+            unions.append((replace(branch, unions=()), branch_distinct))
+            unions.extend(branch.unions)
         if unions:
-            query = ast.Query(
-                select_items=query.select_items,
-                from_relation=query.from_relation,
-                where=query.where,
-                group_by=query.group_by,
-                having=query.having,
-                order_by=query.order_by,
-                limit=query.limit,
-                distinct=query.distinct,
-                unions=tuple(unions),
-            )
+            query = replace(query, unions=tuple(unions))
         return query
 
     def _select_item(self) -> ast.SelectItem:
@@ -203,7 +249,7 @@ class _Parser:
         alias = None
         if self._accept_keyword("as"):
             alias = self._identifier()
-        elif self._peek().type in (TokenType.IDENTIFIER, TokenType.QUOTED_IDENTIFIER):
+        elif self._peek().type in _NAME_TOKENS:
             alias = self._identifier()
         return ast.SelectItem(expression, alias)
 
@@ -252,20 +298,19 @@ class _Parser:
             self._expect_operator(")")
             alias = self._relation_alias()
             return ast.SubqueryRelation(query, alias)
+        return ast.TableReference(self._table_name(), self._relation_alias())
+
+    def _table_name(self) -> tuple[str, ...]:
         parts = [self._identifier()]
-        while self._check_operator(".") and self._peek(1).type in (
-            TokenType.IDENTIFIER,
-            TokenType.QUOTED_IDENTIFIER,
-        ):
+        while self._check_operator(".") and self._peek(1).type in _NAME_TOKENS:
             self._advance()
             parts.append(self._identifier())
-        alias = self._relation_alias()
-        return ast.TableReference(tuple(parts), alias)
+        return tuple(parts)
 
     def _relation_alias(self) -> Optional[str]:
         if self._accept_keyword("as"):
             return self._identifier()
-        if self._peek().type in (TokenType.IDENTIFIER, TokenType.QUOTED_IDENTIFIER):
+        if self._peek().type in _NAME_TOKENS:
             return self._identifier()
         return None
 
@@ -367,7 +412,7 @@ class _Parser:
             if (
                 self._check_operator(".")
                 and not isinstance(expression, ast.Identifier)
-                and self._peek(1).type in (TokenType.IDENTIFIER, TokenType.QUOTED_IDENTIFIER)
+                and self._peek(1).type in _NAME_TOKENS
             ):
                 self._advance()
                 field_name = self._identifier()
@@ -417,7 +462,7 @@ class _Parser:
             self._expect_operator(")")
             return inner
 
-        if token.type in (TokenType.IDENTIFIER, TokenType.QUOTED_IDENTIFIER):
+        if token.type in _NAME_TOKENS:
             # Single-parameter lambda: x -> expr
             if self._peek(1).type is TokenType.OPERATOR and self._peek(1).text == "->":
                 name = self._identifier()
@@ -446,10 +491,7 @@ class _Parser:
             return ast.FunctionCall(name, tuple(arguments), distinct)
 
         parts = [name]
-        while self._check_operator(".") and self._peek(1).type in (
-            TokenType.IDENTIFIER,
-            TokenType.QUOTED_IDENTIFIER,
-        ):
+        while self._check_operator(".") and self._peek(1).type in _NAME_TOKENS:
             self._advance()
             parts.append(self._identifier())
         if self._check_operator(".") and self._peek(1).text == "*":
@@ -478,7 +520,7 @@ class _Parser:
         """Look ahead past '(' for ``ident (, ident)* ) ->``."""
         offset = 0
         while True:
-            if self._peek(offset).type not in (TokenType.IDENTIFIER, TokenType.QUOTED_IDENTIFIER):
+            if self._peek(offset).type not in _NAME_TOKENS:
                 return False
             offset += 1
             token = self._peek(offset)

@@ -26,6 +26,7 @@ from repro.core.functions import default_registry
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.dynamic_filters import (
+    IN_EXPRESSION_LIMIT,
     BloomFilter,
     DynamicFilter,
     build_dynamic_filter,
@@ -108,6 +109,8 @@ class TestBloomFilter:
 
 # -- unit: build_dynamic_filter ---------------------------------------------
 
+NAN = float("nan")
+
 
 class TestBuildDynamicFilter:
     def test_small_build_keeps_exact_set(self):
@@ -138,10 +141,36 @@ class TestBuildDynamicFilter:
         assert f.min_value is None and f.matches(1) and f.matches("a")
         assert not f.matches(2)
 
+    @pytest.mark.parametrize(
+        "values",
+        [[NAN, 1.0, 2.0], [1.0, NAN, 2.0], [1.0, 2.0, NAN], [NAN, None, 2.0, NAN, 1.0]],
+    )
+    def test_nan_is_dropped_like_null(self, values):
+        # min()/max() over a set holding NaN depend on iteration order:
+        # NaN first used to come back as both bounds.
+        f = build_dynamic_filter(values)
+        assert (f.min_value, f.max_value) == (1, 2)
+        assert f.values == frozenset({1, 2})
+        assert f.build_distinct == 2 and f.build_rows == len(values)
+        assert f.matches(1.0) and not f.matches(NAN)
+
+    def test_nan_only_build_is_empty(self):
+        f = build_dynamic_filter([NAN, NAN, None])
+        assert f.is_empty and f.build_rows == 3
+        assert f.min_value is None and f.values is None
+        assert not f.matches(NAN) and not f.matches(1.0)
+
+    def test_range_expression_never_has_a_nan_bound(self):
+        # Past IN_EXPRESSION_LIMIT the filter becomes ``k >= min AND k <=
+        # max``; a NaN bound made that false for every probe row.
+        values = [NAN] + [float(i) + 0.5 for i in range(IN_EXPRESSION_LIMIT + 1)]
+        f = build_dynamic_filter(values)
+        assert (f.min_value, f.max_value) == (0.5, IN_EXPRESSION_LIMIT + 0.5)
+        expression = f.to_expression("k", DOUBLE, default_registry())
+        assert "nan" not in repr(expression.to_dict()).lower()
+
 
 # -- unit: page masks ---------------------------------------------------------
-
-NAN = float("nan")
 
 
 def _mask_blocks():
@@ -344,6 +373,34 @@ class TestMemoryEndToEnd:
             dynamic_filters_built=lambda n: n == 1,
             dynamic_filter_rows_pruned=lambda n: n > 0,
         )
+
+
+class TestNanBuildKey:
+    """A NaN on the build side of a DOUBLE-key join equals no probe row and
+    must not turn the dynamic filter into one that drops the others."""
+
+    SQL = "SELECT p.k, p.v, b.w FROM probe p JOIN build b ON p.k = b.k"
+    # More build keys than IN_EXPRESSION_LIMIT: the filter is the range form.
+    KEYS = [float(i) + 0.5 for i in range(IN_EXPRESSION_LIMIT + 20)]
+
+    @pytest.mark.parametrize("dynamic_filtering", [True, False])
+    @pytest.mark.parametrize("splits", [1, 3])
+    def test_rows_are_the_same_with_and_without_the_filter(self, splits, dynamic_filtering):
+        build = [(NAN, -1)] + [(k, i) for i, k in enumerate(self.KEYS)] + [(None, -2)]
+        probe = [(k, i) for i, k in enumerate(self.KEYS[::2] + [NAN, None, 1e9])]
+        connector = MemoryConnector(split_size=-(-len(build) // splits))
+        connector.create_table("db", "build", [("k", DOUBLE), ("w", BIGINT)], build)
+        connector.create_table("db", "probe", [("k", DOUBLE), ("v", BIGINT)], probe)
+        engine = PrestoEngine(
+            session=Session(catalog="memory", schema="db"),
+            enable_dynamic_filtering=dynamic_filtering,
+        )
+        engine.register_connector("memory", connector)
+        result = engine.execute(self.SQL)
+        assert result.stats.dynamic_filters_built == int(dynamic_filtering)
+        expected = [(k, i, 2 * i) for i, k in enumerate(self.KEYS[::2])]
+        assert sorted(result.rows) == expected
+        assert sorted(engine.execute_direct(self.SQL).rows) == expected
 
 
 class TestRetrySafety:

@@ -1,16 +1,16 @@
-"""EXPLAIN / SHOW / DESCRIBE statement tests."""
+"""EXPLAIN / SHOW / DESCRIBE / ANALYZE statement tests, and the one front
+door every statement enters through (``parse_statement`` + one dispatcher)."""
 
 import pytest
 
-from repro.common.errors import SemanticError
+from repro.common.errors import PrestoError, SemanticError, SyntaxError_
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, RowType, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
 
 
-@pytest.fixture
-def engine():
+def make_engine():
     connector = MemoryConnector()
     connector.create_table(
         "db",
@@ -23,6 +23,11 @@ def engine():
     engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
     engine.register_connector("memory", connector)
     return engine
+
+
+@pytest.fixture
+def engine():
+    return make_engine()
 
 
 class TestExplain:
@@ -111,3 +116,143 @@ class TestDescribe:
         assert analyzer.qualify(("other", "misc")) == ("memory", "other", "misc")
         with pytest.raises(SemanticError):
             analyzer.qualify(())
+
+
+# One statement of every kind the grammar has.
+STATEMENTS = [
+    "SELECT datestr FROM trips",
+    "EXPLAIN SELECT count(*) FROM trips",
+    "EXPLAIN (TYPE DISTRIBUTED) SELECT datestr, count(*) FROM trips GROUP BY datestr",
+    "EXPLAIN ANALYZE SELECT count(*) FROM trips",
+    "SHOW CATALOGS",
+    "SHOW SCHEMAS",
+    "SHOW SCHEMAS FROM memory",
+    "SHOW TABLES",
+    "SHOW TABLES FROM other",
+    "SHOW TABLES FROM memory.other",
+    "DESCRIBE trips",
+    "DESC memory.other.misc",
+    "ANALYZE trips",
+    "ANALYZE TABLE memory.db.cities",
+]
+
+
+def answer(sql, path="execute"):
+    """(column names, rows) of ``sql`` on a fresh engine, so query ids and
+    ANALYZE side effects cannot differ between the runs being compared."""
+    engine = make_engine()
+    if path == "submit":
+        result = engine.submit(sql).run_to_completion()
+    else:
+        result = getattr(engine, path)(sql)
+    return result.column_names, result.rows
+
+
+class TestOneFrontDoor:
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_one_trailing_semicolon_is_accepted(self, sql):
+        assert answer(sql + ";") == answer(sql)
+        assert answer(sql + " ;\n") == answer(sql)
+        with pytest.raises(SyntaxError_, match=r"unexpected trailing input ';'"):
+            make_engine().execute(sql + ";;")
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_leading_comments_are_skipped(self, sql):
+        assert answer("-- hi\n" + sql) == answer(sql)
+        assert answer("/* c */ " + sql + " -- bye") == answer(sql)
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_every_path_gives_the_same_result(self, sql):
+        assert answer(sql, "execute_direct") == answer(sql)
+        assert answer(sql, "submit") == answer(sql)
+
+    def test_a_metadata_statement_submitted_is_finished_at_once(self, engine):
+        handle = engine.submit("SHOW TABLES")
+        assert handle.done and handle.state == "finished"
+        assert handle.step() is None and handle.peek_stage() is None
+        assert handle.result().rows == engine.execute("SHOW TABLES").rows
+        assert handle.stats is handle.result().stats and handle.trace is None
+
+    @pytest.mark.parametrize(
+        "sql, line, column",
+        [
+            ("DESCRIBE trips$x=1", 1, 17),
+            ("EXPLAIN ANALYZE", 1, 16),
+            ("EXPLAIN (TYPE LOGICAL) SELECT 1", 1, 15),
+            ("SHOW TABLES FROM a.b.c", 1, 21),
+            ("DESCRIBE", 1, 9),
+            ("-- a comment line\nEXPLAIN\n  SELECT FROM trips", 3, 10),
+            ("SHOW\nGRANTS", 2, 1),
+            ("ANALYZE TABLE", 1, 14),
+            ("DESCRIBE trips t", 1, 16),
+            ("SELECT 1 1e", 1, 10),
+        ],
+    )
+    def test_errors_point_into_the_text_that_was_sent(self, engine, sql, line, column):
+        with pytest.raises(SyntaxError_) as raised:
+            engine.execute(sql)
+        assert (raised.value.line, raised.value.column) == (line, column)
+        assert f"at line {line}:{column}" in str(raised.value)
+        lines = sql.split("\n")
+        assert line <= len(lines) and column <= len(lines[line - 1]) + 1
+
+    def test_describe_reads_names_as_a_from_clause_does(self, engine):
+        described = engine.execute('DESC "memory"."db".\n"trips"')
+        assert described.rows == engine.execute("DESCRIBE TRIPS").rows
+        with pytest.raises(SemanticError, match=r"table memory\.db\.trips\$x does not exist"):
+            engine.execute('DESCRIBE "trips$x"')
+
+    def test_analyze_needs_a_connector_that_collects_statistics(self, engine):
+        from repro.connectors.kafka import KafkaBroker, KafkaConnector
+
+        broker = KafkaBroker()
+        broker.create_topic("t", [("x", BIGINT)])
+        engine.register_connector("kafka", KafkaConnector(broker))
+        with pytest.raises(SemanticError, match="'kafka' does not support ANALYZE"):
+            engine.execute("ANALYZE kafka.kafka.t")
+
+    def test_statement_words_are_not_reserved(self):
+        connector = MemoryConnector()
+        connector.create_table(
+            "db", "tables", [("type", BIGINT), ("explain", BIGINT), ("show", BIGINT)], [(1, 2, 3)]
+        )
+        engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
+        engine.register_connector("memory", connector)
+        assert engine.execute("SELECT type, explain, show FROM tables").rows == [(1, 2, 3)]
+        assert engine.execute("DESCRIBE tables").rows[0] == ("type", "bigint")
+
+    @pytest.mark.parametrize("path", ["execute", "execute_direct", "submit", "plan"])
+    def test_a_select_is_tokenized_exactly_once(self, engine, monkeypatch, path):
+        import repro.sql.parser as parser_module
+
+        calls = []
+        tokenize = parser_module.tokenize
+
+        def counting(sql):
+            calls.append(sql)
+            return tokenize(sql)
+
+        monkeypatch.setattr(parser_module, "tokenize", counting)
+        sql = "SELECT count(*) FROM trips;"
+        getattr(engine, path)(sql)
+        assert calls == [sql]
+        del calls[:]
+        engine.execute("DESCRIBE trips")
+        engine.execute("EXPLAIN ANALYZE SELECT count(*) FROM trips")
+        assert calls == ["DESCRIBE trips", "EXPLAIN ANALYZE SELECT count(*) FROM trips"]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT " + "(" * 400 + "1" + ")" * 400,
+            "SELECT " + "1+" * 3000 + "1",
+            "SELECT " + "NOT " * 2000 + "true",
+            "EXPLAIN SELECT " + "- " * 2000 + "1",
+        ],
+        ids=["parentheses", "sum", "not", "minus"],
+    )
+    def test_runaway_nesting_is_a_user_error(self, engine, sql):
+        with pytest.raises(PrestoError) as raised:
+            engine.execute(sql)
+        assert raised.value.category.value == "USER_ERROR"
+        assert engine.execute("SELECT 1").rows == [(1,)]
