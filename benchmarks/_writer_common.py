@@ -8,19 +8,20 @@ Gzip improves most; all-LINEITEM gains ≈50%.
 
 Throughput here = logical (in-memory) bytes written per second of writer
 wall-clock time, on deterministically generated datasets scaled to run in
-seconds instead of hours.
+seconds instead of hours; the two writers are timed against each other
+by ``lane_ratio`` and must produce identical files.
 """
 
 from __future__ import annotations
 
-from _harness import print_table, wall_time_ms
+from _harness import LANE_RATIO, WORK_COUNT, gate, lane_ratio
 from repro.formats.parquet.writer_native import NativeParquetWriter
 from repro.formats.parquet.writer_old import OldParquetWriter
+from repro.workloads.tpch import WRITER_DATASET_NAMES, writer_benchmark_dataset
 
 FLAT_ROWS = 60_000
 NESTED_ROWS = 6_000
-
-_NESTED = ("Map", "Array", "Lineitem")
+SMOKE_SHRINK = 20
 
 
 def dataset_rows(name: str) -> int:
@@ -32,45 +33,56 @@ def dataset_rows(name: str) -> int:
     return FLAT_ROWS
 
 
-def run_writer_comparison(codec: str):
-    """Return [(dataset, old MB/s, native MB/s, gain)] for one codec."""
-    from repro.workloads.tpch import WRITER_DATASET_NAMES, writer_benchmark_dataset
-
-    import gc
-
-    results = []
+def run_writer_comparison(benchmark: str, codec: str, smoke: bool) -> dict:
+    """One entry per dataset: old MB/s, native MB/s and the gain."""
+    datasets = []
     for name in WRITER_DATASET_NAMES:
-        _, schema, page = writer_benchmark_dataset(name, dataset_rows(name))
+        rows = dataset_rows(name) // (SMOKE_SHRINK if smoke else 1)
+        _, schema, page = writer_benchmark_dataset(name, rows)
         logical_mb = page.size_in_bytes() / 1_000_000
-        gc.collect()
-        old_ms, old_blob = wall_time_ms(
+        timed = lane_ratio(
             lambda: OldParquetWriter(schema, codec=codec).write_pages([page]),
-            repeat=2,
-        )
-        gc.collect()
-        native_ms, native_blob = wall_time_ms(
             lambda: NativeParquetWriter(schema, codec=codec).write_pages([page]),
-            repeat=2,
+            repeat=1 if smoke else 2,
         )
-        assert old_blob == native_blob  # identical files, different cost
-        old_mbs = logical_mb / (old_ms / 1000.0)
-        native_mbs = logical_mb / (native_ms / 1000.0)
-        results.append((name, old_mbs, native_mbs, native_mbs / old_mbs))
-    return results
+        datasets.append(
+            {
+                "name": name,
+                "rows": rows,
+                "old_mb_per_s": round(logical_mb / (timed.slow_ms / 1000.0), 2),
+                "native_mb_per_s": round(logical_mb / (timed.fast_ms / 1000.0), 2),
+                "gain": round(timed.ratio, 2),
+                # Identical files, different cost.
+                "identical": timed.slow_result == timed.fast_result,
+            }
+        )
+    return {
+        "benchmark": benchmark,
+        "smoke": smoke,
+        "codec": codec,
+        "datasets": datasets,
+    }
 
 
-def report_and_assert(results, codec: str, benchmark) -> None:
-    print_table(
-        f"Writer throughput comparison: {codec}",
-        ["dataset", "old MB/s", "native MB/s", "gain"],
-        [(n, f"{o:.1f}", f"{v:.1f}", f"{g:.2f}x") for n, o, v, g in results],
-    )
-    gains = {name: gain for name, _, _, gain in results}
-    benchmark.extra_info["gains"] = {k: round(v, 2) for k, v in gains.items()}
+def gains(report: dict) -> dict[str, float]:
+    return {d["name"]: d["gain"] for d in report["datasets"]}
 
-    # Paper shape: native consistently ≥20% faster on every dataset.
-    assert all(gain > 1.2 for gain in gains.values()), gains
-    # Bigint is among the biggest winners (the paper's standout was
-    # bigint+Gzip at +650%).
-    assert gains["Bigint Sequential"] > 2.0
-    assert gains["Bigint Random"] > 2.0
+
+def common_gates(report: dict) -> list:
+    """Paper shape: native consistently >= 20% faster on every dataset, and
+    bigint among the biggest winners (the standout was bigint+Gzip, +650%)."""
+    found = [
+        gate("datasets where the two writers produce different files",
+             WORK_COUNT, sum(not d["identical"] for d in report["datasets"]), "==", 0)
+    ]
+    if not report["smoke"]:
+        gain = gains(report)
+        found += [
+            gate(f"{name}: native / old writer throughput", LANE_RATIO, value, ">", 1.2)
+            for name, value in gain.items()
+        ]
+        found += [
+            gate(f"{name}: bigint among the biggest winners", LANE_RATIO, gain[name], ">", 2.0)
+            for name in ("Bigint Sequential", "Bigint Random")
+        ]
+    return found

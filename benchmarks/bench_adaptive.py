@@ -18,24 +18,15 @@ Three configs run the same queries and must return identical rows:
                   exchange partition counts.
 
 Full-mode gates: the dynamic filter must skip >= 50% of probe-side row
-groups, the full stack must beat config (1) by >= 2x simulated time, a
-repeat run must reproduce rows and stats exactly, and per-config
-throughput must not regress against the committed baseline.
+groups and the full stack must beat config (1) by >= 2x simulated time;
+in every mode a repeat run must reproduce rows and stats exactly.
 
 All times are simulated milliseconds; results are deterministic per seed.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_adaptive.py            # full
-    PYTHONPATH=src python benchmarks/bench_adaptive.py --smoke    # CI
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-
-from _harness import assert_no_regression, load_committed_baseline, print_table
+from _harness import SIMULATED, gate, run_script
 from repro.connectors.hive import HiveConnector, write_hive_partition
 from repro.connectors.memory import MemoryConnector
 from repro.core.page import Page
@@ -44,6 +35,8 @@ from repro.execution.engine import PrestoEngine
 from repro.metastore.metastore import HiveMetastore
 from repro.planner.analyzer import Session
 from repro.storage.hdfs import HdfsFileSystem
+
+OUTPUT = "BENCH_adaptive.json"
 
 
 def make_environment(rows_per_partition: int, row_group_size: int, **engine_kwargs):
@@ -146,8 +139,6 @@ def run_config(name, engine_kwargs, analyzed, rows_per_partition, row_group_size
     entry["row_group_skip_fraction"] = round(
         entry["row_groups_skipped_by_dynamic_filter"] / total, 4
     ) if total else 0.0
-    # Bigger-is-better speed for the committed-baseline guard (rows
-    # scanned per ms would punish a *better* filter for scanning less).
     entry["query_sets_per_sim_sec"] = round(1000.0 / entry["simulated_ms"], 3)
     return entry, rows
 
@@ -155,7 +146,7 @@ def run_config(name, engine_kwargs, analyzed, rows_per_partition, row_group_size
 def run(smoke: bool) -> dict:
     rows_per_partition = 500 if smoke else 4_000
     row_group_size = 50 if smoke else 100
-    report = {"smoke": smoke, "benchmarks": []}
+    report = {"benchmark": "adaptive", "smoke": smoke, "benchmarks": []}
     results_by_config = {}
     for name, engine_kwargs, analyzed in CONFIGS:
         entry, rows = run_config(
@@ -181,70 +172,18 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny tables + skip gates (CI)"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_adaptive.json", help="result JSON path"
-    )
-    args = parser.parse_args()
-
-    # Load the committed baseline *before* the run overwrites it.
-    baseline = load_committed_baseline("BENCH_adaptive.json")
-
-    report = run(args.smoke)
-    print_table(
-        "Adaptive execution: rule-based vs statistics-fed vs full stack",
-        [
-            "config",
-            "sim ms",
-            "rows scanned",
-            "tasks",
-            "row groups",
-            "skipped (df)",
-            "skip %",
-            "rows pruned",
-        ],
-        [
-            [
-                e["name"],
-                e["simulated_ms"],
-                e["rows_scanned"],
-                e["tasks_total"],
-                e["row_groups_total"],
-                e["row_groups_skipped_by_dynamic_filter"],
-                e["row_group_skip_fraction"] * 100.0,
-                e["dynamic_filter_rows_pruned"],
-            ]
-            for e in report["benchmarks"]
-        ],
-    )
-    print(report["determinism"])
-
-    with open(args.output, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {args.output}")
-
+def gates(report: dict) -> list:
+    if report["smoke"]:
+        return []
     by_name = {e["name"]: e for e in report["benchmarks"]}
     off, full = by_name["off"], by_name["cbo+df"]
-    if not args.smoke:
-        assert full["row_group_skip_fraction"] >= 0.5, (
-            f"dynamic filter skipped only "
-            f"{full['row_group_skip_fraction']:.0%} of probe row groups"
-        )
-        speedup = off["simulated_ms"] / full["simulated_ms"]
-        assert speedup >= 2.0, (
-            f"full adaptive stack only {speedup:.2f}x vs rule-based baseline"
-        )
-        assert_no_regression(baseline, report, metric="query_sets_per_sim_sec")
-        print(
-            f"targets met: {full['row_group_skip_fraction']:.0%} probe row "
-            f"groups skipped (>= 50%), {speedup:.2f}x vs adaptive-off "
-            f"(>= 2x), deterministic rerun, no throughput regression"
-        )
+    return [
+        gate("dynamic filter skips at least half of the probe-side row groups",
+             SIMULATED, full["row_group_skip_fraction"], ">=", 0.5),
+        gate("full adaptive stack vs rule-based plan, simulated time",
+             SIMULATED, round(off["simulated_ms"] / full["simulated_ms"], 3), ">=", 2.0),
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_script(__name__))

@@ -18,30 +18,19 @@ RaptorX/Alluxio line) on the simulated tiered cache:
    changes when one worker crashes (the consistent-hash guarantee).
 
 All latencies are simulated milliseconds; results are deterministic per
-seed and safe to regression-guard across commits.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_data_cache.py            # full
-    PYTHONPATH=src python benchmarks/bench_data_cache.py --smoke    # CI
+seed, and a full run is compared leaf for leaf with the committed file.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-
-from _harness import (
-    assert_no_ratio_regression,
-    load_committed_baseline,
-    percentile,
-    print_table,
-)
+from _harness import SIMULATED, WORK_COUNT, gate, percentile, run_script
 from repro.cache.data_cache import MIB, DataCacheConfig, TieredDataCache
 from repro.common.clock import SimulatedClock
 from repro.common.ring import ConsistentHashRing
 from repro.execution.cluster import PrestoClusterSim
 from repro.workloads.traffic_storm import CacheStorm, build_cache_storm
+
+OUTPUT = "BENCH_data_cache.json"
 
 MISS_READ_MS = 5.0  # simulated remote-storage read charged on a miss
 POLICIES = ["lru", "lfu", "tinylfu"]
@@ -218,102 +207,29 @@ def run(smoke: bool) -> dict:
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny storm + skip gates (CI)"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_data_cache.json", help="result JSON path"
-    )
-    args = parser.parse_args()
-
-    # Load the committed baseline *before* the run overwrites it.
-    baseline = load_committed_baseline("BENCH_data_cache.json")
-
-    report = run(args.smoke)
-    print_table(
-        "Data cache: hit ratio and read latency by policy and tier size",
-        [
-            "config",
-            "hit ratio",
-            "hot",
-            "ssd",
-            "miss",
-            "evicted",
-            "rejected",
-            "mean ms",
-            "p95 ms",
-        ],
-        [
-            [
-                entry["name"],
-                entry["hit_ratio"],
-                entry["hot_hits"],
-                entry["ssd_hits"],
-                entry["misses"],
-                entry["evictions"],
-                entry["admission_rejects"],
-                entry["mean_read_ms"],
-                entry["p95_read_ms"],
-            ]
-            for entry in report["sweep"]
-        ],
-    )
-    cached = report["cluster"]["cached"]
-    cold = report["cluster"]["no_cache"]
-    print_table(
-        "End-to-end: affinity-scheduled splits, cached vs no cache",
-        ["mode", "cache hits", "p50 ms", "p95 ms", "mean ms"],
-        [
-            ["tiered cache", cached["cache_hits"], cached["p50_ms"], cached["p95_ms"], cached["mean_ms"]],
-            ["no cache", cold["cache_hits"], cold["p50_ms"], cold["p95_ms"], cold["mean_ms"]],
-        ],
-    )
-    shadow = report["shadow"]
+def gates(report: dict) -> list:
+    cached, cold = report["cluster"]["cached"], report["cluster"]["no_cache"]
     remap = report["crash_remap"]
-    print(
-        f"shadow: estimate {shadow['estimate']:.4f} vs actual "
-        f"{shadow['actual_at_factor']:.4f} at {shadow['factor']}x "
-        f"(error {shadow['error']:.4f})"
-    )
-    print(
-        f"crash remap: {remap['remapped']}/{remap['keys']} keys "
-        f"({remap['remap_fraction']:.4f}) <= bound {remap['bound_fraction']:.4f}"
-    )
-
-    with open(args.output, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {args.output}")
-
-    # Structural gates hold even in smoke mode.
-    assert remap["remap_fraction"] <= remap["bound_fraction"], (
-        "single crash remapped more than 2/N of keys"
-    )
-    assert cached["cache_hits"] > 0, "cluster replay produced no cache hits"
-    if not args.smoke:
-        by_policy = {
-            (e["policy"], e["hot_mib"]): e["hit_ratio"] for e in report["sweep"]
-        }
-        for hot_mib in {e["hot_mib"] for e in report["sweep"]}:
-            assert by_policy[("tinylfu", hot_mib)] >= by_policy[("lru", hot_mib)], (
-                f"TinyLFU lost to LRU at hot={hot_mib}MiB on the zipfian storm"
-            )
-        assert cached["p95_ms"] < cold["p95_ms"], (
-            "tiered cache did not beat no-cache p95 latency"
-        )
-        assert shadow["error"] <= 0.05, (
-            "shadow estimate off by more than 0.05 from the actual larger cache"
-        )
-        assert_no_ratio_regression(
-            baseline, report, metric="hit_ratio", section="sweep"
-        )
-        print(
-            "targets met: TinyLFU >= LRU hit ratio, cached p95 beats "
-            "no-cache, shadow within 0.05, remap <= 2/N, no hit-ratio "
-            "regression vs committed baseline"
-        )
+    # Structural gates hold even at the smoke sizes.
+    found = [
+        gate("one crash remaps at most 2/N of the keys",
+             WORK_COUNT, remap["remap_fraction"], "<=", remap["bound_fraction"]),
+        gate("the cluster replay hits the cache", WORK_COUNT, cached["cache_hits"], ">", 0),
+    ]
+    if report["smoke"]:
+        return found
+    hit_ratio = {(e["policy"], e["hot_mib"]): e["hit_ratio"] for e in report["sweep"]}
+    found += [
+        gate(f"TinyLFU hit ratio vs LRU on the zipfian storm, hot={hot_mib}MiB",
+             SIMULATED, hit_ratio[("tinylfu", hot_mib)], ">=", hit_ratio[("lru", hot_mib)])
+        for hot_mib in sorted({e["hot_mib"] for e in report["sweep"]})
+    ]
+    return found + [
+        gate("tiered cache p95 vs no cache", SIMULATED, cached["p95_ms"], "<", cold["p95_ms"]),
+        gate("shadow estimate within 0.05 of the actual larger cache",
+             SIMULATED, report["shadow"]["error"], "<=", 0.05),
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_script(__name__))

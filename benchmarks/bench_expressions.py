@@ -6,24 +6,16 @@ changes: null-bearing numeric filters (the old "any null ⇒ Python loop"
 bail-out), string-heavy predicates (the old object-dtype bail-out), and
 dictionary-encoded columns (O(rows) → O(distinct) evaluation, paper §V).
 Each suite runs the identical expression through the compiled lane and
-the retained interpreter oracle, asserts byte-identical output, and
-records the speedups in ``BENCH_expressions.json``.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_expressions.py            # full
-    PYTHONPATH=src python benchmarks/bench_expressions.py --smoke    # CI
+the retained interpreter oracle, interleaved by ``lane_ratio``, gates on
+byte-identical output, and records the speedups in
+``BENCH_expressions.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-
 import numpy as np
 
-from _harness import print_table
+from _harness import LANE_RATIO, WORK_COUNT, gate, lane_ratio, run_script
 from repro.core.blocks import DictionaryBlock, PrimitiveBlock
 from repro.core.compiler import INTERPRETED, EvaluatorOptions
 from repro.core.evaluator import Evaluator
@@ -37,6 +29,8 @@ from repro.core.expressions import (
 )
 from repro.core.functions import default_registry
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
+
+OUTPUT = "BENCH_expressions.json"
 
 PAGE_SIZE = 8192
 REGISTRY = default_registry()
@@ -168,47 +162,43 @@ def dictionary_suite(rows: int, distinct: int = 200, seed: int = 13):
 # -- measurement -------------------------------------------------------------
 
 
-def _run_lane(evaluator: Evaluator, predicate, pages) -> tuple[float, list]:
-    start = time.perf_counter()
-    masks = [
-        evaluator.filter_mask(predicate, bindings, count) for bindings, count in pages
-    ]
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return elapsed, masks
-
-
-def bench_suite(name: str, predicate, pages, rows: int) -> dict:
+def bench_suite(name: str, predicate, pages, rows: int, repeat: int) -> dict:
     compiled_evaluator = Evaluator(REGISTRY)
     interpreted_evaluator = Evaluator(REGISTRY, options=EvaluatorOptions(mode=INTERPRETED))
     # Warm the compile cache so the measured loop shows steady-state cost.
     if pages:
         compiled_evaluator.filter_mask(predicate, pages[0][0], pages[0][1])
-    compiled_ms, compiled_masks = _run_lane(compiled_evaluator, predicate, pages)
-    interpreted_ms, interpreted_masks = _run_lane(interpreted_evaluator, predicate, pages)
-    identical = all(
-        np.array_equal(a, b) for a, b in zip(compiled_masks, interpreted_masks)
-    )
+
+    def lane(evaluator):
+        return lambda: [
+            evaluator.filter_mask(predicate, bindings, count) for bindings, count in pages
+        ]
+
+    timed = lane_ratio(lane(interpreted_evaluator), lane(compiled_evaluator), repeat)
     return {
         "name": name,
         "rows": rows,
-        "compiled_ms": round(compiled_ms, 3),
-        "interpreted_ms": round(interpreted_ms, 3),
-        "speedup": round(interpreted_ms / compiled_ms, 2) if compiled_ms else None,
-        "rows_per_sec": round(rows / (compiled_ms / 1000.0)) if compiled_ms else None,
-        "identical": identical,
+        "compiled_ms": round(timed.fast_ms, 3),
+        "interpreted_ms": round(timed.slow_ms, 3),
+        "speedup": round(timed.ratio, 2),
+        "rows_per_sec": round(rows / (timed.fast_ms / 1000.0)),
+        "identical": all(
+            np.array_equal(a, b) for a, b in zip(timed.fast_result, timed.slow_result)
+        ),
     }
 
 
 def run(smoke: bool) -> dict:
     rows = 5_000 if smoke else 200_000
     dict_rows = 5_000 if smoke else 100_000
+    repeat = 1 if smoke else 3
     suites = [
         ("null_filter", *null_filter_suite(rows), rows),
         ("string_filter", *string_filter_suite(rows), rows),
         ("dictionary", *dictionary_suite(dict_rows), dict_rows),
     ]
     benchmarks = [
-        bench_suite(name, predicate, pages, total)
+        bench_suite(name, predicate, pages, total, repeat)
         for name, predicate, pages, total in suites
     ]
     return {
@@ -219,48 +209,24 @@ def run(smoke: bool) -> dict:
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny sizes + skip speedup gates (CI)"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_expressions.json", help="result JSON path"
-    )
-    args = parser.parse_args()
+SPEEDUP_GATES = {"null_filter": 5.0, "dictionary": 10.0}
 
-    report = run(args.smoke)
-    print_table(
-        "Expression evaluation: compiled kernels vs interpreter",
-        ["suite", "rows", "compiled ms", "interpreted ms", "speedup", "identical"],
-        [
-            [
-                b["name"],
-                b["rows"],
-                b["compiled_ms"],
-                b["interpreted_ms"],
-                b["speedup"],
-                b["identical"],
-            ]
-            for b in report["benchmarks"]
-        ],
-    )
 
-    with open(args.output, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {args.output}")
-
-    assert all(b["identical"] for b in report["benchmarks"]), "compiled lane diverged"
-    if not args.smoke:
-        gates = {"null_filter": 5.0, "dictionary": 10.0}
-        for b in report["benchmarks"]:
-            gate = gates.get(b["name"])
-            if gate is not None:
-                assert b["speedup"] >= gate, (
-                    f"{b['name']}: speedup {b['speedup']}x below the {gate}x target"
-                )
-        print("speedup targets met: >=5x null_filter, >=10x dictionary")
+def gates(report: dict) -> list:
+    suites = report["benchmarks"]
+    found = [
+        gate("suites whose compiled masks differ from the interpreter's",
+             WORK_COUNT, sum(not b["identical"] for b in suites), "==", 0)
+    ]
+    if not report["smoke"]:
+        found += [
+            gate(f"{b['name']}: interpreted / compiled",
+                 LANE_RATIO, b["speedup"], ">=", SPEEDUP_GATES[b["name"]])
+            for b in suites
+            if b["name"] in SPEEDUP_GATES
+        ]
+    return found
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_script(__name__))

@@ -15,25 +15,19 @@ most multi-task queries — while with retries the success rate stays at
 or near 1.0 until the rate is so high that some task exhausts its
 attempt budget.  Correctness is also asserted: every successful faulty
 run must return exactly the zero-fault rows.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_fault_tolerance.py            # full
-    PYTHONPATH=src python benchmarks/bench_fault_tolerance.py --smoke    # CI
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-
-from _harness import print_table
+from _harness import SIMULATED, gate, normalized, run_script
 from repro.common.errors import PrestoError
 from repro.connectors.memory import MemoryConnector
 from repro.execution.engine import PrestoEngine
 from repro.execution.faults import FaultInjector
 from repro.planner.analyzer import Session
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
+
+OUTPUT = "BENCH_fault_tolerance.json"
 
 SQL = (
     "SELECT returnflag, linestatus, sum(quantity), avg(extendedprice), count(*) "
@@ -48,13 +42,6 @@ def make_engine(rows: int, **kwargs) -> PrestoEngine:
     engine = PrestoEngine(session=Session(catalog="memory", schema="db"), **kwargs)
     engine.register_connector("memory", connector)
     return engine
-
-
-def normalize(rows):
-    return [
-        tuple(float(f"{v:.10g}") if isinstance(v, float) else v for v in row)
-        for row in rows
-    ]
 
 
 def sweep_point(
@@ -77,7 +64,7 @@ def sweep_point(
             result = engine.execute(SQL)
         except PrestoError:
             continue
-        assert normalize(result.rows) == oracle_rows, (
+        assert normalized(result.rows) == oracle_rows, (
             f"faulty run diverged from oracle (rate={rate}, seed={seed})"
         )
         succeeded += 1
@@ -103,7 +90,7 @@ def run(smoke: bool) -> dict:
     else:
         rows, seeds = 250, range(20)
         rates = [0.0, 0.05, 0.1, 0.2, 0.4]
-    oracle_rows = normalize(make_engine(rows).execute_direct(SQL).rows)
+    oracle_rows = normalized(make_engine(rows).execute_direct(SQL).rows)
     points = []
     for rate in rates:
         for max_task_retries in (0, 3):
@@ -120,62 +107,33 @@ def run(smoke: bool) -> dict:
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny sweep for CI"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_fault_tolerance.json", help="result JSON path"
-    )
-    args = parser.parse_args()
-
-    report = run(args.smoke)
-    print_table(
-        "Query success vs injected task-failure rate",
-        ["fail rate", "retries", "succeeded", "success", "mean retried", "mean sim ms"],
-        [
-            [
-                p["task_failure_rate"],
-                p["max_task_retries"],
-                f"{p['succeeded']}/{p['queries']}",
-                p["success_rate"],
-                p["mean_tasks_retried"],
-                p["mean_simulated_ms"] if p["mean_simulated_ms"] is not None else "-",
-            ]
-            for p in report["benchmarks"]
-        ],
-    )
-
-    with open(args.output, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {args.output}")
-
+def gates(report: dict) -> list:
+    """Retries never hurt, and at nonzero rates they recover queries the
+    no-retry configuration loses; the sweep is seeded, so also in smoke."""
     by_key = {
-        (p["task_failure_rate"], p["max_task_retries"]): p
-        for p in report["benchmarks"]
+        (p["task_failure_rate"], p["max_task_retries"]): p for p in report["benchmarks"]
     }
     rates = sorted({p["task_failure_rate"] for p in report["benchmarks"]})
-    # Shape assertions: retries never hurt, and at every nonzero rate they
-    # recover queries the no-retry configuration loses.
-    for rate in rates:
-        with_retries = by_key[(rate, 3)]
-        without = by_key[(rate, 0)]
-        assert with_retries["success_rate"] >= without["success_rate"], (
-            f"retries reduced success at rate {rate}"
-        )
-        if rate > 0:
-            assert with_retries["mean_tasks_retried"] > 0, (
-                f"no retries recorded at rate {rate}"
-            )
-    assert by_key[(0.0, 3)]["success_rate"] == 1.0
-    nonzero = [r for r in rates if r > 0]
-    assert any(
-        by_key[(r, 3)]["success_rate"] > by_key[(r, 0)]["success_rate"]
-        for r in nonzero
-    ), "retries never improved success anywhere in the sweep"
-    print("shape holds: retries dominate no-retries at every failure rate")
+    margins = [
+        round(by_key[(r, 3)]["success_rate"] - by_key[(r, 0)]["success_rate"], 3)
+        for r in rates
+    ]
+    return [
+        gate("no faults, no retries: every query succeeds",
+             SIMULATED, by_key[(0.0, 0)]["success_rate"], "==", 1.0),
+        gate("no faults, retries on: every query succeeds",
+             SIMULATED, by_key[(0.0, 3)]["success_rate"], "==", 1.0),
+        gate("no faults: nothing is retried",
+             SIMULATED, by_key[(0.0, 3)]["mean_tasks_retried"], "==", 0.0),
+        gate("success with retries minus without, worst failure rate",
+             SIMULATED, min(margins), ">=", 0),
+        gate("success with retries minus without, best failure rate",
+             SIMULATED, max(margins), ">", 0),
+        gate("mean tasks retried, lowest over the nonzero failure rates",
+             SIMULATED, min(by_key[(r, 3)]["mean_tasks_retried"] for r in rates if r > 0),
+             ">", 0),
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_script(__name__))

@@ -11,17 +11,15 @@ Here both sides run on the simulated Druid cluster with a shared
 deterministic clock: the native path queries the cluster directly; the
 connector path goes through the full engine (parse → plan → pushdown →
 per-segment splits → final merge), with engine CPU time added to the
-simulated latency.  An ablation run disables the pushdowns to show why
-they are what makes the connector viable.
+simulated latency: the host time ``lane_ratio`` reads for each side of a
+query plus what the shared store clock advanced.  An ablation run
+disables the pushdowns to show why they are what makes the connector
+viable.
 """
 
 from __future__ import annotations
 
-import time
-
-import pytest
-
-from _harness import geometric_mean, percentile, print_table
+from _harness import LANE_RATIO, WORK_COUNT, gate, geometric_mean, lane_ratio, run_script
 from repro.common.clock import SimulatedClock
 from repro.connectors.realtime.druid import DruidConnector
 from repro.execution.engine import PrestoEngine
@@ -29,17 +27,9 @@ from repro.planner.analyzer import Session
 from repro.planner.optimizer import Optimizer, OptimizerOptions
 from repro.workloads.druid_queries import build_druid_workload
 
-SEGMENTS = 16
-ROWS_PER_SEGMENT = 12_000
+OUTPUT = "BENCH_fig16_druid_connector.json"
+
 NODES = 100
-
-
-@pytest.fixture(scope="module")
-def workload():
-    clock = SimulatedClock()
-    return build_druid_workload(
-        segments=SEGMENTS, rows_per_segment=ROWS_PER_SEGMENT, nodes=NODES, clock=clock
-    )
 
 
 def make_engine(workload, options=None):
@@ -53,68 +43,88 @@ def make_engine(workload, options=None):
     return engine
 
 
-def run_query_simulated_ms(workload, fn) -> float:
-    """Run ``fn`` and return simulated + engine wall time in ms."""
-    clock = workload.cluster.clock
-    start_simulated = clock.now_ms()
-    start_wall = time.perf_counter()
-    fn()
-    wall_ms = (time.perf_counter() - start_wall) * 1000.0
-    return (clock.now_ms() - start_simulated) + wall_ms
-
-
-def run_figure16(workload, options=None):
+def run_figure16(workload, repeat: int, options=None) -> list[dict]:
     engine = make_engine(workload, options)
+    clock = workload.cluster.clock
+
+    def simulated_ms(fn):
+        """A lane that returns what the store clock advanced while it ran."""
+
+        def lane():
+            start = clock.now_ms()
+            fn()
+            return clock.now_ms() - start
+
+        return lane
+
     rows = []
     for query in workload.queries:
-        druid_ms = run_query_simulated_ms(
-            workload, lambda: workload.cluster.query(query.native)
+        timed = lane_ratio(
+            simulated_ms(lambda: engine.execute(query.sql)),
+            simulated_ms(lambda: workload.cluster.query(query.native)),
+            repeat,
         )
-        presto_ms = run_query_simulated_ms(
-            workload, lambda: engine.execute(query.sql)
+        druid_ms = timed.fast_result + timed.fast_ms
+        presto_ms = timed.slow_result + timed.slow_ms
+        rows.append(
+            {
+                "query": query.query_id,
+                "druid_ms": round(druid_ms, 3),
+                "presto_druid_ms": round(presto_ms, 3),
+                "ratio": round(presto_ms / druid_ms, 4),
+            }
         )
-        rows.append((query.query_id, druid_ms, presto_ms, presto_ms / druid_ms))
     return rows
 
 
-def test_fig16_druid_vs_presto_druid_connector(workload, benchmark):
-    rows = benchmark.pedantic(
-        lambda: run_figure16(workload), rounds=1, iterations=1
-    )
-    print_table(
-        "Figure 16: Druid and Presto-Druid connector performance comparison",
-        ["query", "druid_ms", "presto_druid_ms", "ratio"],
-        [(q, f"{d:.1f}", f"{p:.1f}", f"{r:.3f}") for q, d, p, r in rows],
-    )
-    ratios = [r for _, _, _, r in rows]
-    overhead = geometric_mean(ratios) - 1.0
-    presto_latencies = [p for _, _, p, _ in rows]
-    print(
-        f"geomean connector overhead: {overhead * 100.0:.1f}%  "
-        f"(paper: <15%); queries under 1s: "
-        f"{sum(1 for p in presto_latencies if p < 1000)}/{len(presto_latencies)}"
-    )
-    benchmark.extra_info["geomean_overhead_pct"] = overhead * 100.0
-
-    # Paper shape: <15% aggregate overhead, most queries sub-second.
-    assert overhead < 0.15
-    assert sum(1 for p in presto_latencies if p < 1000.0) >= len(presto_latencies) * 0.7
+def overhead_pct(rows: list[dict]) -> float:
+    return round((geometric_mean([r["ratio"] for r in rows]) - 1.0) * 100.0, 2)
 
 
-def test_fig16_ablation_without_pushdown(workload, benchmark):
-    """Without pushdown, raw rows stream into the engine and the connector
-    stops being competitive — the motivation for section IV.B."""
-    options = OptimizerOptions(
-        predicate_pushdown=False, limit_pushdown=False, aggregation_pushdown=False
+def run(smoke: bool) -> dict:
+    segments, rows_per_segment, repeat = (4, 1_000, 1) if smoke else (16, 12_000, 3)
+    workload = build_druid_workload(
+        segments=segments, rows_per_segment=rows_per_segment, nodes=NODES,
+        clock=SimulatedClock(),
     )
-    rows = benchmark.pedantic(
-        lambda: run_figure16(workload, options), rounds=1, iterations=1
+    rows = run_figure16(workload, repeat)
+    # Without pushdown, raw rows stream into the engine and the connector
+    # stops being competitive — the motivation for section IV.B.
+    ablation = run_figure16(
+        workload,
+        1,
+        OptimizerOptions(
+            predicate_pushdown=False, limit_pushdown=False, aggregation_pushdown=False
+        ),
     )
-    ratios = [r for _, _, _, r in rows]
-    overhead = geometric_mean(ratios) - 1.0
-    print(
-        f"geomean connector overhead WITHOUT pushdowns: {overhead * 100.0:.1f}% "
-        "(paper motivation: pushdown is what makes the connector real-time)"
-    )
-    benchmark.extra_info["geomean_overhead_pct"] = overhead * 100.0
-    assert overhead > 0.5  # dramatically worse than the <15% pushdown run
+    return {
+        "benchmark": "fig16_druid_connector",
+        "smoke": smoke,
+        "queries": rows,
+        "geomean_overhead_pct": overhead_pct(rows),
+        "queries_under_1s": sum(r["presto_druid_ms"] < 1000.0 for r in rows),
+        "geomean_overhead_pct_without_pushdown": overhead_pct(ablation),
+    }
+
+
+def gates(report: dict) -> list:
+    found = [
+        gate("queries of the 20-query mix run down both paths", WORK_COUNT,
+             len(report["queries"]), "==", 20)
+    ]
+    if report["smoke"]:
+        return found
+    # Paper shape: <15% aggregate overhead, most queries sub-second, and
+    # dramatically worse than that without the pushdowns.
+    return found + [
+        gate("geomean connector overhead, (simulated + host) Presto-Druid / Druid - 1",
+             LANE_RATIO, report["geomean_overhead_pct"] / 100.0, "<", 0.15),
+        gate("queries under 1 s through the connector",
+             LANE_RATIO, report["queries_under_1s"], ">=", len(report["queries"]) * 0.7),
+        gate("geomean connector overhead without pushdowns",
+             LANE_RATIO, report["geomean_overhead_pct_without_pushdown"] / 100.0, ">", 0.5),
+    ]
+
+
+if __name__ == "__main__":
+    raise SystemExit(run_script(__name__))

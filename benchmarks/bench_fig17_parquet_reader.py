@@ -7,17 +7,23 @@ Parquet reader consistently achieves 2X-10X speedup", with the largest
 wins on needle-in-a-haystack scans; turning the reader on dropped P90
 from 5 minutes to 40 seconds.
 
-Here both readers run over the same simulated-HDFS trips table and we
-measure engine wall-clock per query.  A second test ablates each reader
-optimization to show its individual contribution.
+Here both readers run over the same simulated-HDFS trips table and
+``lane_ratio`` times the engine per query, old reader against new.  That
+the needle scans benefit most is read from a count, not a clock: the old
+reader materializes every row of the files it opens and the engine
+filters them, the new one hands over only the rows its pushed-down
+predicate keeps (``QueryStats.rows_scanned``, exact per seed).  A second
+table ablates each reader optimization to show its individual
+contribution.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from _harness import geometric_mean, percentile, print_table, wall_time_ms
+from _harness import (
+    LANE_RATIO, WORK_COUNT, gate, geometric_mean, lane_ratio, percentile, run_script,
+)
 from repro.connectors.hive import HiveConnector
+from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.formats.parquet.options import ReaderOptions
@@ -26,27 +32,25 @@ from repro.planner.analyzer import Session
 from repro.storage.hdfs import HdfsFileSystem
 from repro.workloads.trips import load_trips_table
 
+OUTPUT = "BENCH_fig17_parquet_reader.json"
+
 DATES = ["2017-03-01", "2017-03-02", "2017-03-03"]
-ROWS_PER_DATE = 1_200
 NUM_CITIES = 120
 
 
-@pytest.fixture(scope="module")
-def environment():
+def make_environment(rows_per_date: int):
     metastore = HiveMetastore()
     fs = HdfsFileSystem()
     load_trips_table(
         metastore,
         fs,
         DATES,
-        rows_per_date=ROWS_PER_DATE,
+        rows_per_date=rows_per_date,
         files_per_partition=2,
         row_group_size=200,
         num_cities=NUM_CITIES,
     )
     # Small dimension table for the join queries.
-    from repro.connectors.memory import MemoryConnector
-
     dimension = MemoryConnector()
     dimension.create_table(
         "dim",
@@ -100,44 +104,6 @@ QUERIES = [
 ]
 
 
-def test_fig17_old_vs_new_reader(environment, benchmark):
-    old_engine = make_engine(environment, reader="old")
-    new_engine = make_engine(environment, reader="new")
-
-    def run():
-        rows = []
-        for name, sql in QUERIES:
-            old_ms, old_result = wall_time_ms(lambda: old_engine.execute(sql))
-            new_ms, new_result = wall_time_ms(lambda: new_engine.execute(sql))
-            assert sorted(map(repr, old_result.rows)) == sorted(map(repr, new_result.rows))
-            rows.append((name, old_ms, new_ms, old_ms / new_ms))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "Figure 17: Parquet readers for Presto (21 Uber benchmark queries)",
-        ["query", "old_reader_ms", "new_reader_ms", "speedup"],
-        [(n, f"{o:.1f}", f"{w:.1f}", f"{s:.2f}x") for n, o, w, s in rows],
-    )
-    speedups = [s for _, _, _, s in rows]
-    needle = [s for n, _, _, s in rows if "needle" in n]
-    old_p90 = percentile([o for _, o, _, _ in rows], 90)
-    new_p90 = percentile([w for _, _, w, _ in rows], 90)
-    print(
-        f"geomean speedup: {geometric_mean(speedups):.2f}x (paper: 2-10x); "
-        f"needle-in-haystack speedups: {[f'{s:.1f}x' for s in needle]}; "
-        f"P90 old={old_p90:.0f}ms new={new_p90:.0f}ms "
-        f"({old_p90 / new_p90:.1f}x, paper: 5min -> 40s = 7.5x)"
-    )
-    benchmark.extra_info["geomean_speedup"] = geometric_mean(speedups)
-
-    # Paper shape: consistent speedup, 2-10x band, needles fastest.
-    assert geometric_mean(speedups) > 2.0
-    assert all(s > 1.0 for s in speedups)
-    assert max(needle) >= geometric_mean(speedups)  # needles benefit most
-    assert old_p90 / new_p90 > 2.0
-
-
 ABLATION_CASES = [
     ("all optimizations", ReaderOptions.all_enabled()),
     ("no nested column pruning", ReaderOptions(nested_column_pruning=False)),
@@ -156,26 +122,91 @@ ABLATION_SQL = (
 )
 
 
-def test_fig17_ablation_each_optimization(environment, benchmark):
-    def run():
-        rows = []
-        reference = None
-        for name, options in ABLATION_CASES:
-            engine = make_engine(environment, reader="new", reader_options=options)
-            ms, result = wall_time_ms(lambda: engine.execute(ABLATION_SQL), repeat=2)
-            if reference is None:
-                reference = sorted(result.rows)
-            assert sorted(result.rows) == reference
-            rows.append((name, ms))
-        return rows
+def run_queries(environment, repeat: int) -> list[dict]:
+    old_engine = make_engine(environment, reader="old")
+    new_engine = make_engine(environment, reader="new")
+    entries = []
+    for name, sql in QUERIES:
+        timed = lane_ratio(
+            lambda: old_engine.execute(sql), lambda: new_engine.execute(sql), repeat
+        )
+        entries.append(
+            {
+                "query": name,
+                "old_reader_ms": round(timed.slow_ms, 3),
+                "new_reader_ms": round(timed.fast_ms, 3),
+                "speedup": round(timed.ratio, 2),
+                "identical": sorted(map(repr, timed.slow_result.rows))
+                == sorted(map(repr, timed.fast_result.rows)),
+                # Rows each reader materializes and hands to the engine.
+                "old_rows_scanned": timed.slow_result.stats.rows_scanned,
+                "new_rows_scanned": timed.fast_result.stats.rows_scanned,
+            }
+        )
+    return entries
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    base = rows[0][1]
-    print_table(
-        "Figure 17 ablation: contribution of each reader optimization "
-        "(needle-in-a-haystack scan)",
-        ["configuration", "ms", "slowdown vs all-on"],
-        [(n, f"{ms:.1f}", f"{ms / base:.2f}x") for n, ms in rows],
-    )
-    all_off = rows[-1][1]
-    assert all_off > base  # everything off is the slowest configuration
+
+def run_ablation(environment, repeat: int) -> list[dict]:
+    all_on = make_engine(environment, "new", ABLATION_CASES[0][1])
+    entries = []
+    for name, options in ABLATION_CASES:
+        engine = make_engine(environment, "new", options)
+        timed = lane_ratio(
+            lambda: engine.execute(ABLATION_SQL), lambda: all_on.execute(ABLATION_SQL), repeat
+        )
+        entries.append(
+            {
+                "configuration": name,
+                "ms": round(timed.slow_ms, 3),
+                "slowdown_vs_all_on": round(timed.ratio, 2),
+                "identical": sorted(timed.slow_result.rows) == sorted(timed.fast_result.rows),
+            }
+        )
+    return entries
+
+
+def run(smoke: bool) -> dict:
+    rows_per_date, repeat = (400, 1) if smoke else (1_200, 2)
+    environment = make_environment(rows_per_date)
+    return {
+        "benchmark": "fig17_parquet_reader",
+        "smoke": smoke,
+        "queries": run_queries(environment, repeat),
+        "ablation": run_ablation(environment, repeat),
+    }
+
+
+def rows_avoided(query: dict) -> float:
+    """Rows the old reader materializes per row the new reader does."""
+    return query["old_rows_scanned"] / max(query["new_rows_scanned"], 1)
+
+
+def gates(report: dict) -> list:
+    queries, ablation = report["queries"], report["ablation"]
+    needles = [q for q in queries if "needle" in q["query"]]
+    found = [
+        gate("queries or ablation cases whose rows differ between the lanes", WORK_COUNT,
+             sum(not e["identical"] for e in queries + ablation), "==", 0),
+        # Needles benefit most, read from the work avoided rather than a clock.
+        gate("old / new rows scanned, best needle vs geomean of all queries", WORK_COUNT,
+             max(map(rows_avoided, needles)), ">=",
+             round(geometric_mean(list(map(rows_avoided, queries))), 3)),
+    ]
+    if report["smoke"]:
+        return found
+    speedups = [q["speedup"] for q in queries]
+    old_p90 = percentile([q["old_reader_ms"] for q in queries], 90)
+    new_p90 = percentile([q["new_reader_ms"] for q in queries], 90)
+    # Paper shape: consistent speedup in the 2-10x band, P90 5 min -> 40 s.
+    return found + [
+        gate("geomean old / new reader", LANE_RATIO,
+             round(geometric_mean(speedups), 2), ">", 2.0),
+        gate("slowest old / new reader of the 21 queries", LANE_RATIO, min(speedups), ">", 1.0),
+        gate("P90 old / new reader", LANE_RATIO, round(old_p90 / new_p90, 2), ">", 2.0),
+        gate("every optimization off / all on, needle scan", LANE_RATIO,
+             ablation[-1]["slowdown_vs_all_on"], ">", 1.0),
+    ]
+
+
+if __name__ == "__main__":
+    raise SystemExit(run_script(__name__))

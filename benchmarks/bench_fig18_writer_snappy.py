@@ -4,12 +4,16 @@ Paper result: "Native parquet writer consistently improves throughput by
 20% for snappy compressed files."
 """
 
-from _writer_common import report_and_assert, run_writer_comparison
+from _harness import run_script
+from _writer_common import common_gates as gates, run_writer_comparison
 from repro.formats.parquet.compression import SNAPPY
 
+OUTPUT = "BENCH_fig18_writer_snappy.json"
 
-def test_fig18_writer_throughput_snappy(benchmark):
-    results = benchmark.pedantic(
-        lambda: run_writer_comparison(SNAPPY), rounds=1, iterations=1
-    )
-    report_and_assert(results, "Snappy", benchmark)
+
+def run(smoke: bool) -> dict:
+    return run_writer_comparison("fig18_writer_snappy", SNAPPY, smoke)
+
+
+if __name__ == "__main__":
+    raise SystemExit(run_script(__name__))

@@ -17,45 +17,28 @@ where the rows live differs.  Per interval it reports sealed-lane
 freshness lag, tail residency, snapshot/file counts, and the simulated
 cost of the hybrid query set.
 
-Gates (full mode): every interval returns byte-identical query rows and
-matches the batch oracle over the replayed log at the committed
-watermark; sealed freshness lag and tail residency grow monotonically
-with the interval; an identical rerun reproduces rows and stats exactly;
-per-interval query throughput must not regress against the committed
-baseline.
+Every interval returns byte-identical query rows and matches the batch
+oracle over the replayed log at the committed watermark, and an
+identical rerun reproduces rows and stats exactly (asserted in every
+mode).  Gates (full mode): sealed freshness lag and tail residency grow
+monotonically with the interval and the snapshot count shrinks.
 
 All times are simulated milliseconds; results are deterministic per seed.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_lakehouse_freshness.py            # full
-    PYTHONPATH=src python benchmarks/bench_lakehouse_freshness.py --smoke    # CI
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-
-from _harness import assert_no_regression, load_committed_baseline, print_table
+from _harness import SIMULATED, WORK_COUNT, gate, normalized, run_script
 from repro.realtime import StreamingLakehouse, oracle_engine
 from repro.workloads.streaming_events import EVENT_FIELDS, produce_events
+
+OUTPUT = "BENCH_lakehouse_freshness.json"
 
 QUERIES = [
     "SELECT city, count(*), sum(amount) FROM events GROUP BY city ORDER BY city",
     "SELECT count(*) FROM events WHERE amount > 100.0",
     "SELECT max(order_id), count(*) FROM events WHERE city = 'sf'",
 ]
-
-
-def normalized(rows):
-    return [
-        tuple(
-            float(f"{value:.10g}") if isinstance(value, float) else value
-            for value in row
-        )
-        for row in rows
-    ]
 
 
 def run_interval(compaction_interval_ms, events, ticks, seed):
@@ -118,7 +101,7 @@ def run(smoke: bool) -> dict:
     intervals = [500.0, 2_000.0] if smoke else [500.0, 2_000.0, 8_000.0]
     events = 300 if smoke else 3_000
     ticks = 12 if smoke else 60
-    report = {"smoke": smoke, "benchmarks": []}
+    report = {"benchmark": "lakehouse_freshness", "smoke": smoke, "benchmarks": []}
     rows_by_interval = {}
     for interval in intervals:
         entry, rows = run_interval(interval, events, ticks, seed=7)
@@ -139,74 +122,30 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny stream + skip gates (CI)"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_lakehouse_freshness.json", help="result JSON path"
-    )
-    args = parser.parse_args()
-
-    baseline = load_committed_baseline("BENCH_lakehouse_freshness.json")
-
-    report = run(args.smoke)
-    print_table(
-        "Streaming lakehouse: compaction cadence vs freshness and query cost",
-        [
-            "config",
-            "committed",
-            "sealed",
-            "tail rows",
-            "snapshots",
-            "lake files",
-            "sealed lag ms",
-            "query sim ms",
-        ],
-        [
-            [
-                e["name"],
-                e["rows_committed"],
-                e["rows_sealed"],
-                e["tail_rows"],
-                e["snapshots_committed"],
-                e["lake_files"],
-                e["sealed_freshness_lag_ms"],
-                e["query_set_sim_ms"],
-            ]
-            for e in report["benchmarks"]
-        ],
-    )
-    print(report["determinism"])
-
-    with open(args.output, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {args.output}")
-
-    if not args.smoke:
-        entries = report["benchmarks"]
-        assert len(entries) >= 3, "full mode must sweep >= 3 compaction intervals"
-        lags = [e["sealed_freshness_lag_ms"] for e in entries]
-        tails = [e["tail_rows"] for e in entries]
-        snapshots = [e["snapshots_committed"] for e in entries]
-        assert lags == sorted(lags) and lags[-1] > lags[0], (
-            f"sealed freshness lag not increasing with interval: {lags}"
-        )
-        assert tails == sorted(tails) and tails[-1] > tails[0], (
-            f"tail residency not increasing with interval: {tails}"
-        )
-        assert snapshots == sorted(snapshots, reverse=True) and (
-            snapshots[0] > snapshots[-1]
-        ), f"snapshot count not decreasing with interval: {snapshots}"
-        assert_no_regression(baseline, report, metric="query_sets_per_sim_sec")
-        print(
-            "targets met: freshness lag and tail residency grow with the "
-            "compaction interval, snapshot count shrinks, every cadence "
-            "matches the batch oracle, deterministic rerun, no throughput "
-            "regression"
-        )
+def gates(report: dict) -> list:
+    entries = report["benchmarks"]
+    found = [
+        gate("cadences whose sealed + tail rows differ from the committed rows", WORK_COUNT,
+             sum(e["rows_sealed"] + e["tail_rows"] != e["rows_committed"] for e in entries),
+             "==", 0)
+    ]
+    if report["smoke"]:
+        return found
+    found.append(gate("compaction intervals swept", WORK_COUNT, len(entries), ">=", 3))
+    for what, key, descending in (
+        ("sealed freshness lag grows", "sealed_freshness_lag_ms", False),
+        ("tail residency grows", "tail_rows", False),
+        ("snapshot count shrinks", "snapshots_committed", True),
+    ):
+        series = [e[key] for e in entries]
+        found += [
+            gate(f"{what} with the interval, in order",
+                 SIMULATED, series, "==", sorted(series, reverse=descending)),
+            gate(f"{what} with the interval, end to end",
+                 SIMULATED, abs(series[-1] - series[0]), ">", 0),
+        ]
+    return found
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_script(__name__))

@@ -5,25 +5,16 @@ instead of row by row" — only pays off if the relational operators keep
 data columnar.  This bench measures the operators that dominate
 analytics CPU time, grouped aggregation, hash join and top-N, through both
 the vectorized kernel layer (``repro.execution.kernels``) and the retained
-row-at-a-time reference implementations, asserts the outputs are
-identical, and records the speedup trajectory in ``BENCH_operators.json``
-for later PRs.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_operator_kernels.py            # full
-    PYTHONPATH=src python benchmarks/bench_operator_kernels.py --smoke    # CI
+row-at-a-time reference implementations, interleaved by ``lane_ratio``,
+gates on identical outputs, and records the speedup trajectory in
+``BENCH_operators.json`` for later PRs.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-
 import numpy as np
 
-from _harness import print_table
+from _harness import LANE_RATIO, WORK_COUNT, gate, lane_ratio, run_script
 from repro.core.blocks import PrimitiveBlock
 from repro.core.expressions import variable
 from repro.core.functions import default_registry
@@ -43,6 +34,8 @@ from repro.planner.plan import (
     TopNNode,
     ValuesNode,
 )
+
+OUTPUT = "BENCH_operators.json"
 
 PAGE_SIZE = 8192
 
@@ -132,18 +125,6 @@ def make_join_node() -> JoinNode:
     )
 
 
-def _time(fn) -> tuple[float, list[Page]]:
-    """Time draining an operator into pages (rows are materialized later).
-
-    Both paths produce fully realized blocks, so ``list`` captures the
-    operator cost without charging either side for ``to_rows`` — the
-    row conversion is only needed for the identical-output check.
-    """
-    start = time.perf_counter()
-    result = list(fn())
-    return (time.perf_counter() - start) * 1000.0, result
-
-
 def _rows(pages: list[Page]) -> list[tuple]:
     rows: list[tuple] = []
     for page in pages:
@@ -151,28 +132,28 @@ def _rows(pages: list[Page]) -> list[tuple]:
     return rows
 
 
-def _bench(name: str, rows: int, shape: dict, vectorized, reference, compare: bool) -> dict:
-    """Time the kernel lane and, when ``compare``, the reference; both yield pages."""
-    vec_ms, vec_pages = _time(vectorized)
-    entry = {
+def _bench(name: str, rows: int, shape: dict, vectorized, reference, repeat: int) -> dict:
+    """Time the reference against the kernel lane; both yield pages.
+
+    Both paths produce fully realized blocks, so draining into a ``list``
+    captures the operator cost without charging either side for
+    ``to_rows`` — the row conversion is only needed for the
+    identical-output check.
+    """
+    timed = lane_ratio(lambda: list(reference()), lambda: list(vectorized()), repeat)
+    return {
         "name": name,
         "rows": rows,
         **shape,
-        "vectorized_ms": round(vec_ms, 3),
-        "rows_per_sec": round(rows / (vec_ms / 1000.0)) if vec_ms else None,
-        "reference_ms": None,
-        "speedup": None,
-        "identical": None,
+        "vectorized_ms": round(timed.fast_ms, 3),
+        "rows_per_sec": round(rows / (timed.fast_ms / 1000.0)),
+        "reference_ms": round(timed.slow_ms, 3),
+        "speedup": round(timed.ratio, 2),
+        "identical": _rows(timed.fast_result) == _rows(timed.slow_result),
     }
-    if compare:
-        ref_ms, ref_pages = _time(reference)
-        entry["reference_ms"] = round(ref_ms, 3)
-        entry["speedup"] = round(ref_ms / vec_ms, 2) if vec_ms else None
-        entry["identical"] = _rows(vec_pages) == _rows(ref_pages)
-    return entry
 
 
-def bench_aggregation(rows: int, groups: int, compare: bool) -> dict:
+def bench_aggregation(rows: int, groups: int, repeat: int) -> dict:
     node = make_aggregation_node()
     pages = make_aggregation_input(rows, groups)
     return _bench(
@@ -181,11 +162,11 @@ def bench_aggregation(rows: int, groups: int, compare: bool) -> dict:
         {"groups": groups, "aggregates": ["sum", "count", "avg"]},
         lambda: execute_aggregation(node, ExecutionContext(catalog=None), iter(pages)),
         lambda: execute_aggregation_rows(node, ExecutionContext(catalog=None), iter(pages)),
-        compare,
+        repeat,
     )
 
 
-def bench_join(probe_rows: int, build_rows: int, compare: bool) -> dict:
+def bench_join(probe_rows: int, build_rows: int, repeat: int) -> dict:
     node = make_join_node()
     probe_pages, build_pages = make_join_inputs(probe_rows, build_rows)
 
@@ -198,7 +179,7 @@ def bench_join(probe_rows: int, build_rows: int, compare: bool) -> dict:
         {"build_rows": build_rows},
         lambda: run_with(execute_join),
         lambda: run_with(_hash_join_rows),
-        compare,
+        repeat,
     )
 
 
@@ -225,7 +206,7 @@ def make_topn_node(count: int) -> TopNNode:
     return TopNNode(source=source, count=count, order_by=((price, False), (row_id, True)))
 
 
-def bench_topn(rows: int, count: int, compare: bool) -> dict:
+def bench_topn(rows: int, count: int, repeat: int) -> dict:
     node = make_topn_node(count)
     pages = make_topn_input(rows)
     types = [v.type for v in node.outputs]
@@ -235,28 +216,21 @@ def bench_topn(rows: int, count: int, compare: bool) -> dict:
         {"count": count},
         lambda: execute_topn(node, ExecutionContext(catalog=None), iter(pages)),
         lambda: [Page.from_rows(types, _sorted_rows(node, iter(pages))[:count])],
-        compare,
+        repeat,
     )
 
 
 def run(smoke: bool) -> dict:
     if smoke:
-        agg_cases = [(5_000, 100, True), (5_000, 5_000, True)]
-        join_cases = [(5_000, 500, True)]
-        topn_cases = [(5_000, 100, True)]
+        size, repeat = 5_000, 1
+        agg_groups, build_rows = (100, 5_000), 500
     else:
-        # Reference timed at 100k (the acceptance comparison); the 1M-row
-        # case tracks vectorized throughput only, to keep the bench quick.
-        agg_cases = [
-            (100_000, 1_000, True),
-            (100_000, 100_000, True),  # high cardinality: most keys are distinct
-            (1_000_000, 1_000, False),
-        ]
-        join_cases = [(100_000, 10_000, True), (1_000_000, 10_000, False)]
-        topn_cases = [(100_000, 100, True), (1_000_000, 100, False)]
-    benchmarks = [bench_aggregation(r, g, c) for r, g, c in agg_cases]
-    benchmarks += [bench_join(p, b, c) for p, b, c in join_cases]
-    benchmarks += [bench_topn(r, n, c) for r, n, c in topn_cases]
+        size, repeat = 100_000, 3
+        # 100 000 possible keys: high cardinality, most keys are distinct.
+        agg_groups, build_rows = (1_000, 100_000), 10_000
+    benchmarks = [bench_aggregation(size, groups, repeat) for groups in agg_groups]
+    benchmarks.append(bench_join(size, build_rows, repeat))
+    benchmarks.append(bench_topn(size, 100, repeat))
     return {
         "benchmark": "operator_kernels",
         "paper_section": "III (vectorized engine)",
@@ -265,48 +239,20 @@ def run(smoke: bool) -> dict:
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny sizes + skip speedup gate (CI)"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_operators.json", help="result JSON path"
-    )
-    args = parser.parse_args()
-
-    report = run(args.smoke)
-    rows = [
-        [
-            b["name"],
-            b["rows"],
-            b.get("groups") or b.get("build_rows") or b.get("count"),
-            b["vectorized_ms"],
-            b["reference_ms"] if b["reference_ms"] is not None else "-",
-            b["speedup"] if b["speedup"] is not None else "-",
-            b["identical"] if b["identical"] is not None else "-",
-        ]
-        for b in report["benchmarks"]
+def gates(report: dict) -> list:
+    cases = report["benchmarks"]
+    found = [
+        gate("operators whose vectorized output differs from the reference's",
+             WORK_COUNT, sum(not b["identical"] for b in cases), "==", 0)
     ]
-    print_table(
-        "Operator kernels: vectorized vs row-at-a-time",
-        ["operator", "rows", "groups/build/n", "vec ms", "ref ms", "speedup", "identical"],
-        rows,
-    )
-
-    with open(args.output, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {args.output}")
-
-    compared = [b for b in report["benchmarks"] if b["speedup"] is not None]
-    assert all(b["identical"] for b in compared), "vectorized output diverged"
-    if not args.smoke:
-        for b in compared:
-            assert b["speedup"] >= 5.0, (
-                f"{b['name']}: speedup {b['speedup']}x below the 5x target"
-            )
-        print("speedup target met: >=5x on all compared operators")
+    if not report["smoke"]:
+        found += [
+            gate(f"{b['name']} ({b.get('groups') or b.get('build_rows') or b['count']}): "
+                 "reference / vectorized", LANE_RATIO, b["speedup"], ">=", 5.0)
+            for b in cases
+        ]
+    return found
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_script(__name__))

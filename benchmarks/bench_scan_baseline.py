@@ -5,33 +5,24 @@ rows/sec-per-core.  Each suite runs twice on identical data: once with
 offsets-based :class:`VarcharBlock` columns (the native representation)
 and once with the legacy object-array lane (``object_varchar_lane()``).
 Results must match exactly; the varchar-heavy suites must clear a >=3x
-rows/sec target and the numeric suite must stay within noise — the new
-buffers are not allowed to tax numeric scans.
+object/native ratio and the numeric suite must stay within noise — the
+new buffers are not allowed to tax numeric scans.  The lanes are timed
+against each other by ``lane_ratio`` (interleaved, best of five); the
+rows/sec leaves are what this host read and gate nothing.
 
 Page construction happens outside the timed region (both lanes pay the
 same row->block conversion); repetitions re-wrap blocks to drop
 per-block caches so steady-state kernel cost is what gets measured.
 The ``page_shredding`` suite times that row->page conversion itself —
 ``Page.from_rows`` transposes with one ``zip`` and each column converts in
-bulk (one ``np.array``; one join and one encode for ASCII text) — so the
-conversion cost is tracked against the committed baseline too.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_scan_baseline.py            # full
-    PYTHONPATH=src python benchmarks/bench_scan_baseline.py --smoke    # CI
+bulk (one ``np.array``; one join and one encode for ASCII text).
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import json
-import time
-
 import numpy as np
 
-from _harness import assert_no_regression, load_committed_baseline, print_table
+from _harness import LANE_RATIO, WORK_COUNT, gate, lane_ratio, run_script
 from repro.core.blocks import (
     Block,
     PrimitiveBlock,
@@ -52,6 +43,8 @@ from repro.core.page import Page
 from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR
 from repro.execution import kernels
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
+
+OUTPUT = "BENCH_scan_baseline.json"
 
 PAGE_SIZE = 8192
 REGISTRY = default_registry()
@@ -265,11 +258,29 @@ def _shred_fingerprint(pages: list[Page]) -> tuple:
     )
 
 
-def _timed(fn, pages, evaluator):
-    trial = _fresh(pages)
-    start = time.perf_counter()
-    result = fn(trial, evaluator)
-    return time.perf_counter() - start, result
+def _entry(name: str, kind: str, rows_count: int, timed) -> dict:
+    """``timed`` ran the object lane as the slow side, the native as the fast."""
+    return {
+        "name": name,
+        "kind": kind,
+        "rows": rows_count,
+        "native_ms": round(timed.fast_ms, 3),
+        "object_ms": round(timed.slow_ms, 3),
+        "native_rows_per_sec_per_core": round(rows_count / (timed.fast_ms / 1000.0)),
+        "object_rows_per_sec_per_core": round(rows_count / (timed.slow_ms / 1000.0)),
+        "speedup": round(timed.ratio, 2),
+        "identical": timed.fast_result == timed.slow_result,
+    }
+
+
+def _object_lane(work):
+    """``work``, run under the legacy object-array varchar representation."""
+
+    def lane():
+        with object_varchar_lane():
+            return work()
+
+    return lane
 
 
 def run(smoke: bool) -> dict:
@@ -282,70 +293,24 @@ def run(smoke: bool) -> dict:
     native_evaluator = Evaluator(REGISTRY)
     object_evaluator = Evaluator(REGISTRY)
 
-    # Interleave lane repetitions per suite so cache/frequency drift hits
-    # both representations equally; keep best-of-N per lane.
-    native_ms: dict[str, float] = {}
-    object_ms: dict[str, float] = {}
-    native_results: dict[str, dict] = {}
-    object_results: dict[str, dict] = {}
-    for name, _, fn in SUITES:
-        fn(_fresh(native_pages), native_evaluator)  # warm the compile cache
-        with object_varchar_lane():
-            fn(_fresh(object_pages), object_evaluator)
-        native_best = object_best = float("inf")
-        for _ in range(repeat):
-            elapsed, native_results[name] = _timed(fn, native_pages, native_evaluator)
-            native_best = min(native_best, elapsed)
-            with object_varchar_lane():
-                elapsed, object_results[name] = _timed(
-                    fn, object_pages, object_evaluator
-                )
-            object_best = min(object_best, elapsed)
-        native_ms[name] = native_best
-        object_ms[name] = object_best
-
-    # Page shredding: the rows -> pages conversion itself, per lane.
-    native_shred = object_shred = float("inf")
-    shred_fingerprints = {}
-    for _ in range(repeat):
-        start = time.perf_counter()
-        shredded = build_pages(rows)
-        native_shred = min(native_shred, time.perf_counter() - start)
-        shred_fingerprints["native"] = _shred_fingerprint(shredded)
-        with object_varchar_lane():
-            start = time.perf_counter()
-            shredded = build_pages(rows)
-            object_shred = min(object_shred, time.perf_counter() - start)
-            shred_fingerprints["object"] = _shred_fingerprint(shredded)
+    def shred():
+        """The rows -> pages conversion itself."""
+        return _shred_fingerprint(build_pages(rows))
 
     benchmarks = [
-        {
-            "name": "page_shredding",
-            "kind": "shredding",
-            "rows": rows_count,
-            "native_ms": round(native_shred * 1000.0, 3),
-            "object_ms": round(object_shred * 1000.0, 3),
-            "native_rows_per_sec_per_core": round(rows_count / native_shred),
-            "object_rows_per_sec_per_core": round(rows_count / object_shred),
-            "speedup": round(object_shred / native_shred, 2),
-            "identical": shred_fingerprints["native"] == shred_fingerprints["object"],
-        }
+        _entry("page_shredding", "shredding", rows_count,
+               lane_ratio(_object_lane(shred), shred, repeat))
     ]
-    for name, kind, _ in SUITES:
-        native_s, object_s = native_ms[name], object_ms[name]
-        benchmarks.append(
-            {
-                "name": name,
-                "kind": kind,
-                "rows": rows_count,
-                "native_ms": round(native_s * 1000.0, 3),
-                "object_ms": round(object_s * 1000.0, 3),
-                "native_rows_per_sec_per_core": round(rows_count / native_s),
-                "object_rows_per_sec_per_core": round(rows_count / object_s),
-                "speedup": round(object_s / native_s, 2),
-                "identical": native_results[name] == object_results[name],
-            }
-        )
+    for name, kind, fn in SUITES:
+        # One fresh wrap per run, made before any clock starts; each lane's
+        # first run is untimed and warms the compile cache.
+        native_trials = iter([_fresh(native_pages) for _ in range(repeat + 1)])
+        object_trials = iter([_fresh(object_pages) for _ in range(repeat + 1)])
+        native = lambda: fn(next(native_trials), native_evaluator)
+        legacy = _object_lane(lambda: fn(next(object_trials), object_evaluator))
+        native()
+        legacy()
+        benchmarks.append(_entry(name, kind, rows_count, lane_ratio(legacy, native, repeat)))
     return {
         "benchmark": "scan_baseline",
         "paper_section": "III (vectorized engine) / V (columnar data plane)",
@@ -355,58 +320,25 @@ def run(smoke: bool) -> dict:
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny sizes + skip speedup gates (CI)"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_scan_baseline.json", help="result JSON path"
-    )
-    args = parser.parse_args()
+# Varchar-heavy suites clear 3x; the numeric suite stays within noise.
+SPEEDUP_GATES = {"varchar": 3.0, "numeric": 0.85}
 
-    # Load the committed baseline *before* the run overwrites it: full-mode
-    # runs must not regress rows/sec-per-core by more than 15% vs what the
-    # repo last published (the ROADMAP's "track the baseline across PRs").
-    baseline = load_committed_baseline("BENCH_scan_baseline.json")
 
-    report = run(args.smoke)
-    print_table(
-        "Single-core scan baseline: offsets-based varchar vs object lane",
-        ["suite", "kind", "rows", "native ms", "object ms", "native rows/s", "speedup", "identical"],
-        [
-            [
-                b["name"],
-                b["kind"],
-                b["rows"],
-                b["native_ms"],
-                b["object_ms"],
-                b["native_rows_per_sec_per_core"],
-                b["speedup"],
-                b["identical"],
-            ]
-            for b in report["benchmarks"]
-        ],
-    )
-
-    with open(args.output, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {args.output}")
-
-    assert all(b["identical"] for b in report["benchmarks"]), "lanes diverged"
-    if not args.smoke:
-        assert_no_regression(baseline, report, "native_rows_per_sec_per_core")
-        for b in report["benchmarks"]:
-            if b["kind"] == "varchar":
-                assert b["speedup"] >= 3.0, (
-                    f"{b['name']}: {b['speedup']}x below the 3x varchar target"
-                )
-            elif b["kind"] == "numeric":
-                assert b["speedup"] >= 0.85, (
-                    f"{b['name']}: numeric scan regressed ({b['speedup']}x)"
-                )
-        print("targets met: >=3x varchar-heavy, numeric within noise")
+def gates(report: dict) -> list:
+    suites = report["benchmarks"]
+    found = [
+        gate("suites whose lanes return different results",
+             WORK_COUNT, sum(not b["identical"] for b in suites), "==", 0)
+    ]
+    if not report["smoke"]:
+        found += [
+            gate(f"{b['name']}: object lane / native lane",
+                 LANE_RATIO, b["speedup"], ">=", SPEEDUP_GATES[b["kind"]])
+            for b in suites
+            if b["kind"] in SPEEDUP_GATES
+        ]
+    return found
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_script(__name__))

@@ -13,19 +13,16 @@ pairwise ``st_contains``.
 
 from __future__ import annotations
 
-import pytest
-
-from _harness import print_table, wall_time_ms
+from _harness import LANE_RATIO, WORK_COUNT, gate, lane_ratio, run_script
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, DOUBLE, GEOMETRY, VARCHAR
 from repro.execution.engine import PrestoEngine
+from repro.geo.quadtree import GeoIndex
 from repro.planner.analyzer import Session
 from repro.planner.plan import SpatialJoinNode
 from repro.workloads.geofences import generate_cities, generate_trip_points
 
-NUM_CITIES = 150
-VERTICES = 400
-NUM_TRIPS = 4_000
+OUTPUT = "BENCH_sec6_geospatial.json"
 
 SQL = (
     "SELECT c.city_id, count(*) AS trips FROM trips_table t "
@@ -35,10 +32,7 @@ SQL = (
 )
 
 
-@pytest.fixture(scope="module")
-def connector():
-    cities = generate_cities(NUM_CITIES, vertices_per_city=VERTICES)
-    points = generate_trip_points(NUM_TRIPS, cities, in_city_fraction=0.6)
+def make_connector(cities, points) -> MemoryConnector:
     connector = MemoryConnector()
     connector.create_table(
         "geo",
@@ -64,60 +58,55 @@ def make_engine(connector, use_index: bool):
     return engine
 
 
-def test_sec6_quadtree_vs_brute_force(connector, benchmark):
+def run(smoke: bool) -> dict:
+    num_cities, vertices, num_trips = (30, 100, 400) if smoke else (150, 400, 4_000)
+    cities = generate_cities(num_cities, vertices_per_city=vertices)
+    points = generate_trip_points(num_trips, cities, in_city_fraction=0.6)
+    connector = make_connector(cities, points)
     indexed_engine = make_engine(connector, use_index=True)
     brute_engine = make_engine(connector, use_index=False)
-
-    def run():
-        indexed_ms, indexed = wall_time_ms(lambda: indexed_engine.execute(SQL))
-        brute_ms, brute = wall_time_ms(lambda: brute_engine.execute(SQL))
-        assert sorted(indexed.rows) == sorted(brute.rows)
-        return indexed_ms, brute_ms, len(indexed.rows)
-
-    indexed_ms, brute_ms, groups = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedup = brute_ms / indexed_ms
-    print_table(
-        "Section VI: trips-per-city geospatial join",
-        ["strategy", "latency_ms", "speedup"],
-        [
-            ("brute force st_contains", f"{brute_ms:.0f}", "1.0x"),
-            ("QuadTree (build_geo_index)", f"{indexed_ms:.0f}", f"{speedup:.1f}x"),
-        ],
+    timed = lane_ratio(
+        lambda: brute_engine.execute(SQL), lambda: indexed_engine.execute(SQL), repeat=1
     )
-    print(
-        f"{NUM_TRIPS} trips x {NUM_CITIES} geofences x {VERTICES} vertices; "
-        f"speedup {speedup:.1f}x (paper: >50x vs brute-force Hive MapReduce)"
-    )
-    benchmark.extra_info["speedup"] = speedup
-    assert speedup > 10.0  # paper: >50x vs a MapReduce baseline
 
+    # Figure 13: the optimizer rewrites st_contains joins to SpatialJoin.
+    spatial = [n for n in indexed_engine.plan(SQL).walk() if isinstance(n, SpatialJoinNode)]
 
-def test_sec6_plan_rewrite_applies(connector):
-    """Figure 13: the optimizer rewrites st_contains joins to SpatialJoin."""
-    engine = make_engine(connector, use_index=True)
-    plan = engine.plan(SQL)
-    spatial = [n for n in plan.walk() if isinstance(n, SpatialJoinNode)]
-    assert len(spatial) == 1
-    assert spatial[0].use_index
-
-
-def test_sec6_quadtree_filters_most_candidates(connector, benchmark):
-    """'The majority of bounded rectangles that do not contain target point
-    could be filtered out.'"""
-    from repro.geo.quadtree import GeoIndex
-
-    cities = generate_cities(NUM_CITIES, vertices_per_city=VERTICES)
-    points = generate_trip_points(500, cities, in_city_fraction=0.6)
+    # "The majority of bounded rectangles that do not contain target point
+    # could be filtered out."
+    probes = generate_trip_points(500, cities, in_city_fraction=0.6)
     index = GeoIndex.build(cities)
+    candidates = sum(len(index.candidates(p)) for p in probes)
+    return {
+        "benchmark": "sec6_geospatial",
+        "smoke": smoke,
+        "trips": num_trips,
+        "geofences": num_cities,
+        "vertices_per_geofence": vertices,
+        "groups": len(timed.fast_result.rows),
+        "brute_force_ms": round(timed.slow_ms, 3),
+        "quadtree_ms": round(timed.fast_ms, 3),
+        "speedup": round(timed.ratio, 2),
+        "identical": sorted(timed.slow_result.rows) == sorted(timed.fast_result.rows),
+        "spatial_join_nodes_using_index": sum(n.use_index for n in spatial),
+        "candidate_fraction": round(candidates / (len(probes) * num_cities), 5),
+    }
 
-    def probe_all():
-        return sum(len(index.candidates(p)) for p in points)
 
-    total_candidates = benchmark(probe_all)
-    pairs = len(points) * NUM_CITIES
-    fraction = total_candidates / pairs
-    print(
-        f"candidate fraction after QuadTree filtering: {fraction * 100:.2f}% "
-        f"of {pairs} (point, geofence) pairs"
-    )
-    assert fraction < 0.05  # >95% of pairs never reach st_contains
+def gates(report: dict) -> list:
+    found = [
+        gate("the two strategies return the same rows", WORK_COUNT, report["identical"], "==", True),
+        gate("st_contains join rewritten to one SpatialJoin that uses the index",
+             WORK_COUNT, report["spatial_join_nodes_using_index"], "==", 1),
+        # >95% of pairs never reach st_contains.
+        gate("share of (point, geofence) pairs the QuadTree leaves as candidates",
+             WORK_COUNT, report["candidate_fraction"], "<", 0.05),
+    ]
+    if not report["smoke"]:
+        # Paper: >50x vs a MapReduce baseline.
+        found.append(gate("brute force / QuadTree", LANE_RATIO, report["speedup"], ">", 10.0))
+    return found
+
+
+if __name__ == "__main__":
+    raise SystemExit(run_script(__name__))

@@ -12,18 +12,20 @@ partitions that must stay cache-bypassing for freshness.
 
 from __future__ import annotations
 
-import pytest
-
-from _harness import print_table
+from _harness import SIMULATED, WORK_COUNT, gate, run_script
 from repro.cache.file_list_cache import FileListCache
 from repro.cache.footer_cache import FileHandleAndFooterCache
 from repro.connectors.hive import HiveConnector, write_hive_partition
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.engine import PrestoEngine
+from repro.formats.parquet.schema import ParquetSchema
+from repro.formats.parquet.writer_native import NativeParquetWriter
 from repro.metastore.metastore import HiveMetastore
 from repro.planner.analyzer import Session
 from repro.storage.hdfs import HdfsFileSystem
+
+OUTPUT = "BENCH_sec7_caches.json"
 
 HOT_TABLES = [f"hot_table_{i}" for i in range(5)]
 DATES = ["2024-01-01", "2024-01-02"]
@@ -72,44 +74,15 @@ def replay(metastore, fs, use_caches: bool):
             engine.execute(f"SELECT sum(v) FROM {table} WHERE ds = '2024-01-01'")
             engine.execute(f"SELECT count(*) FROM {table}")
     elapsed_ms = fs.clock.now_ms() - start_ms
-    return (
-        fs.namenode.stats.list_files_calls,
-        fs.namenode.stats.get_file_info_calls,
-        elapsed_ms,
-    )
+    return {
+        "configuration": "file list + footer cache" if use_caches else "no caches",
+        "list_files_calls": fs.namenode.stats.list_files_calls,
+        "get_file_info_calls": fs.namenode.stats.get_file_info_calls,
+        "simulated_ms": round(elapsed_ms, 3),
+    }
 
 
-def test_sec7_file_list_and_footer_caches(benchmark):
-    def run():
-        metastore, fs = build_warehouse()
-        baseline = replay(metastore, fs, use_caches=False)
-        cached = replay(metastore, fs, use_caches=True)
-        return baseline, cached
-
-    (baseline, cached) = benchmark.pedantic(run, rounds=1, iterations=1)
-    list_ratio = cached[0] / baseline[0]
-    info_reduction = 1.0 - cached[1] / baseline[1]
-    print_table(
-        "Section VII: cache effect on NameNode traffic (5 hot tables replay)",
-        ["configuration", "listFiles calls", "getFileInfo calls", "simulated_ms"],
-        [
-            ("no caches", baseline[0], baseline[1], f"{baseline[2]:.0f}"),
-            ("file list + footer cache", cached[0], cached[1], f"{cached[2]:.0f}"),
-        ],
-    )
-    print(
-        f"listFiles reduced to {list_ratio * 100:.0f}% (paper: <40%); "
-        f"getFileInfo reduced by {info_reduction * 100:.0f}% (paper: ~90%)"
-    )
-    benchmark.extra_info["list_files_ratio"] = list_ratio
-    benchmark.extra_info["get_file_info_reduction"] = info_reduction
-
-    assert list_ratio < 0.40
-    assert info_reduction > 0.85
-    assert cached[2] < baseline[2]  # caches shorten simulated latency
-
-
-def test_sec7_open_partitions_stay_fresh_under_cache(benchmark):
+def open_partition_counts() -> dict:
     """Freshness guarantee: open partitions bypass the cache every query."""
     metastore, fs = build_warehouse()
     connector = HiveConnector(
@@ -119,29 +92,57 @@ def test_sec7_open_partitions_stay_fresh_under_cache(benchmark):
     )
     engine = PrestoEngine(session=Session(catalog="hive", schema="warehouse"))
     engine.register_connector("hive", connector)
+    schema = ParquetSchema([("k", BIGINT), ("v", DOUBLE)])
+    counts = []
+    for round_index in range(3):
+        # Micro-batch ingestion appends a file to the open partition.
+        partition = metastore.get_partition("warehouse", HOT_TABLES[0], ["2024-01-03"])
+        blob = NativeParquetWriter(schema).write_pages(
+            [Page.from_rows([BIGINT, DOUBLE], [(round_index, 1.0)])]
+        )
+        fs.create(f"{partition.location}/micro-{round_index}.parquet", blob)
+        result = engine.execute(
+            f"SELECT count(*) FROM {HOT_TABLES[0]} WHERE ds = '2024-01-03'"
+        )
+        counts.append(result.rows[0][0])
+    return {
+        "row_counts": counts,
+        "cache_bypasses": connector.file_list_cache.open_partition_bypasses,
+    }
 
-    def run():
-        counts = []
-        for round_index in range(3):
-            # Micro-batch ingestion appends a file to the open partition.
-            partition = metastore.get_partition(
-                "warehouse", HOT_TABLES[0], ["2024-01-03"]
-            )
-            from repro.formats.parquet.schema import ParquetSchema
-            from repro.formats.parquet.writer_native import NativeParquetWriter
 
-            schema = ParquetSchema([("k", BIGINT), ("v", DOUBLE)])
-            blob = NativeParquetWriter(schema).write_pages(
-                [Page.from_rows([BIGINT, DOUBLE], [(round_index, 1.0)])]
-            )
-            fs.create(f"{partition.location}/micro-{round_index}.parquet", blob)
-            result = engine.execute(
-                f"SELECT count(*) FROM {HOT_TABLES[0]} WHERE ds = '2024-01-03'"
-            )
-            counts.append(result.rows[0][0])
-        return counts
+def run(smoke: bool) -> dict:
+    metastore, fs = build_warehouse()
+    baseline = replay(metastore, fs, use_caches=False)
+    cached = replay(metastore, fs, use_caches=True)
+    return {
+        "benchmark": "sec7_caches",
+        "smoke": smoke,
+        "replay": [baseline, cached],
+        "list_files_ratio": round(cached["list_files_calls"] / baseline["list_files_calls"], 4),
+        "get_file_info_reduction": round(
+            1.0 - cached["get_file_info_calls"] / baseline["get_file_info_calls"], 4
+        ),
+        "open_partition": open_partition_counts(),
+    }
 
-    counts = benchmark.pedantic(run, rounds=1, iterations=1)
-    # Every round sees the newly ingested file immediately: 2, 3, 4 rows.
-    assert counts == [2, 3, 4]
-    assert connector.file_list_cache.open_partition_bypasses >= 3
+
+def gates(report: dict) -> list:
+    baseline, cached = report["replay"]
+    fresh = report["open_partition"]
+    return [
+        gate("listFiles calls with caches / without", WORK_COUNT, report["list_files_ratio"], "<", 0.40),
+        gate("getFileInfo calls removed by the caches", WORK_COUNT,
+             report["get_file_info_reduction"], ">", 0.85),
+        gate("caches shorten the simulated replay", SIMULATED,
+             cached["simulated_ms"], "<", baseline["simulated_ms"]),
+        # Every round sees the newly ingested file immediately.
+        gate("open-partition row counts after each micro-batch", WORK_COUNT,
+             fresh["row_counts"], "==", [2, 3, 4]),
+        gate("file-list cache bypasses for the open partition", WORK_COUNT,
+             fresh["cache_bypasses"], ">=", 3),
+    ]
+
+
+if __name__ == "__main__":
+    raise SystemExit(run_script(__name__))

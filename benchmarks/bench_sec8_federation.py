@@ -12,12 +12,12 @@ simulated query latency.
 
 from __future__ import annotations
 
-import pytest
-
-from _harness import print_table
+from _harness import SIMULATED, WORK_COUNT, gate, run_script
 from repro.common.clock import SimulatedClock
 from repro.execution.cluster import PrestoClusterSim
 from repro.federation.gateway import PrestoGateway
+
+OUTPUT = "BENCH_sec8_federation.json"
 
 TOTAL_WORKERS = 1800
 CONCURRENT_QUERIES = 600
@@ -25,19 +25,19 @@ SPLITS_PER_QUERY = 8
 SPLIT_MS = 250.0
 
 
-def run_single_cluster() -> float:
+def run_single_cluster(queries: int) -> float:
     cluster = PrestoClusterSim(
         workers=TOTAL_WORKERS, slots_per_worker=2, clock=SimulatedClock(), name="mono"
     )
     executions = [
         cluster.submit_query([SPLIT_MS] * SPLITS_PER_QUERY)
-        for _ in range(CONCURRENT_QUERIES)
+        for _ in range(queries)
     ]
     cluster.run_until_idle()
     return sum(e.latency_ms for e in executions) / len(executions)
 
 
-def run_federated(clusters: int = 3) -> float:
+def run_federated(queries: int, clusters: int = 3) -> float:
     gateway = PrestoGateway()
     for index in range(clusters):
         gateway.register_cluster(
@@ -51,7 +51,7 @@ def run_federated(clusters: int = 3) -> float:
         gateway.routing.assign_group(f"team{index}", f"fed{index}")
     gateway.routing.set_default("fed0")
     executions = []
-    for i in range(CONCURRENT_QUERIES):
+    for i in range(queries):
         executions.append(
             gateway.submit(
                 f"user{i}", [SPLIT_MS] * SPLITS_PER_QUERY, groups=(f"team{i % clusters}",)
@@ -62,75 +62,88 @@ def run_federated(clusters: int = 3) -> float:
     return sum(e.latency_ms for e in executions) / len(executions)
 
 
-def test_sec8_federation_beats_monolith(benchmark):
-    def run():
-        return run_single_cluster(), run_federated()
-
-    single_ms, federated_ms = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "Section VIII: coordinator bottleneck vs gateway federation "
-        f"({TOTAL_WORKERS} workers total, {CONCURRENT_QUERIES} concurrent queries)",
-        ["deployment", "mean query latency ms"],
-        [
-            (f"single cluster ({TOTAL_WORKERS} workers, 1 coordinator)", f"{single_ms:.0f}"),
-            ("3 federated clusters behind gateway", f"{federated_ms:.0f}"),
-        ],
-    )
-    print(
-        f"federation speedup: {single_ms / federated_ms:.2f}x "
-        "(paper: single coordinator degrades >1000 machines / >500 queries)"
-    )
-    benchmark.extra_info["federation_speedup"] = single_ms / federated_ms
-    assert federated_ms < single_ms
-
-
-def test_sec8_coordinator_degradation_sweep(benchmark):
+def coordinator_degradation_sweep(sizes, queries: int) -> list[dict]:
     """Latency vs cluster size at fixed per-query work: the knee >1000."""
-
-    def run():
-        rows = []
-        for workers in (250, 500, 1000, 2000, 3000):
-            cluster = PrestoClusterSim(
-                workers=workers, slots_per_worker=2, clock=SimulatedClock()
-            )
-            executions = [cluster.submit_query([SPLIT_MS] * 4) for _ in range(50)]
-            cluster.run_until_idle()
-            mean = sum(e.latency_ms for e in executions) / len(executions)
-            rows.append((workers, mean))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "Section VIII: single-coordinator latency vs cluster size",
-        ["workers", "mean query latency ms"],
-        [(w, f"{ms:.0f}") for w, ms in rows],
-    )
-    latencies = dict(rows)
-    # Shape: gentle growth through 1000 machines, steep beyond the knee.
-    assert latencies[3000] > latencies[1000] * 1.5
-    assert latencies[1000] < latencies[250] * 2.0
+    rows = []
+    for workers in sizes:
+        cluster = PrestoClusterSim(
+            workers=workers, slots_per_worker=2, clock=SimulatedClock()
+        )
+        executions = [cluster.submit_query([SPLIT_MS] * 4) for _ in range(queries)]
+        cluster.run_until_idle()
+        mean = sum(e.latency_ms for e in executions) / len(executions)
+        rows.append({"workers": workers, "mean_latency_ms": round(mean, 3)})
+    return rows
 
 
-def test_sec8_zero_downtime_maintenance(benchmark):
+def zero_downtime_maintenance() -> dict:
     """Drain a cluster for upgrade; its users keep running on the shared one."""
+    gateway = PrestoGateway()
+    dedicated = PrestoClusterSim(workers=4, clock=SimulatedClock(), name="dedicated")
+    shared = PrestoClusterSim(workers=8, clock=SimulatedClock(), name="shared")
+    gateway.register_cluster(dedicated)
+    gateway.register_cluster(shared)
+    gateway.routing.assign_user("alice", "dedicated")
+    gateway.routing.set_default("shared")
 
-    def run():
-        gateway = PrestoGateway()
-        dedicated = PrestoClusterSim(workers=4, clock=SimulatedClock(), name="dedicated")
-        shared = PrestoClusterSim(workers=8, clock=SimulatedClock(), name="shared")
-        gateway.register_cluster(dedicated)
-        gateway.register_cluster(shared)
-        gateway.routing.assign_user("alice", "dedicated")
-        gateway.routing.set_default("shared")
+    before = gateway.submit("alice", [10.0])
+    gateway.drain_cluster("dedicated", fallback="shared")
+    during = gateway.submit("alice", [10.0])
+    for cluster in gateway.clusters.values():
+        cluster.run_until_idle()
+    return {
+        "before_drain_ran_on": before.query_id.split("-")[0],
+        "during_drain_ran_on": during.query_id.split("-")[0],
+        "finished": sum(e.finished_at is not None for e in (before, during)),
+    }
 
-        before = gateway.submit("alice", [10.0])
-        gateway.drain_cluster("dedicated", fallback="shared")
-        during = gateway.submit("alice", [10.0])
-        for cluster in gateway.clusters.values():
-            cluster.run_until_idle()
-        return before, during
 
-    before, during = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert before.query_id.startswith("dedicated")
-    assert during.query_id.startswith("shared")  # no downtime for alice
-    assert before.finished_at is not None and during.finished_at is not None
+def run(smoke: bool) -> dict:
+    # The knee is a property of the worker count, and building a cluster
+    # of thousands of workers is what takes the time: smoke keeps the three
+    # gated sizes and a tenth of the queries.
+    if smoke:
+        queries, sweep_sizes, sweep_queries = CONCURRENT_QUERIES // 10, (250, 1000, 3000), 5
+    else:
+        queries, sweep_sizes, sweep_queries = CONCURRENT_QUERIES, (250, 500, 1000, 2000, 3000), 50
+    single_ms, federated_ms = run_single_cluster(queries), run_federated(queries)
+    return {
+        "benchmark": "sec8_federation",
+        "smoke": smoke,
+        "total_workers": TOTAL_WORKERS,
+        "concurrent_queries": queries,
+        "deployments": [
+            {"deployment": f"single cluster ({TOTAL_WORKERS} workers, 1 coordinator)",
+             "mean_latency_ms": round(single_ms, 3)},
+            {"deployment": "3 federated clusters behind gateway",
+             "mean_latency_ms": round(federated_ms, 3)},
+        ],
+        "federation_speedup": round(single_ms / federated_ms, 3),
+        "degradation_sweep": coordinator_degradation_sweep(sweep_sizes, sweep_queries),
+        "maintenance": zero_downtime_maintenance(),
+    }
+
+
+def gates(report: dict) -> list:
+    single, federated = report["deployments"]
+    latency = {r["workers"]: r["mean_latency_ms"] for r in report["degradation_sweep"]}
+    maintenance = report["maintenance"]
+    return [
+        gate("federated mean latency vs one oversized cluster", SIMULATED,
+             federated["mean_latency_ms"], "<", single["mean_latency_ms"]),
+        # Shape: gentle growth through 1000 machines, steep beyond the knee.
+        gate("latency at 3000 workers / at 1000", SIMULATED,
+             round(latency[3000] / latency[1000], 3), ">", 1.5),
+        gate("latency at 1000 workers / at 250", SIMULATED,
+             round(latency[1000] / latency[250], 3), "<", 2.0),
+        gate("alice runs on her dedicated cluster before the drain", WORK_COUNT,
+             maintenance["before_drain_ran_on"], "==", "dedicated"),
+        # No downtime for alice.
+        gate("alice runs on the shared cluster during the drain", WORK_COUNT,
+             maintenance["during_drain_ran_on"], "==", "shared"),
+        gate("alice's queries that finished", WORK_COUNT, maintenance["finished"], "==", 2),
+    ]
+
+
+if __name__ == "__main__":
+    raise SystemExit(run_script(__name__))

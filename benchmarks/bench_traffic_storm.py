@@ -12,30 +12,19 @@ retry-after, so *goodput* (completed queries per simulated second) is
 what scales with concurrency.
 
 All latencies are simulated milliseconds, so results are deterministic
-per seed and safe to regression-guard across commits.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_traffic_storm.py            # full
-    PYTHONPATH=src python benchmarks/bench_traffic_storm.py --smoke    # CI
+per seed, and a full run is compared leaf for leaf with the committed file.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-
-from _harness import (
-    assert_no_regression,
-    load_committed_baseline,
-    percentile,
-    print_table,
-)
+from _harness import SIMULATED, WORK_COUNT, gate, percentile, run_script
 from repro.common.clock import SimulatedClock
 from repro.common.errors import AdmissionRejectedError
 from repro.execution.cluster import PrestoClusterSim
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.traffic_storm import TrafficStorm, build_traffic_storm, make_storm_engine
+
+OUTPUT = "BENCH_traffic_storm.json"
 
 QUEUE_SLO_MS = 30_000.0
 
@@ -137,77 +126,24 @@ def run(smoke: bool) -> dict:
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny storm + skip gates (CI)"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_traffic_storm.json", help="result JSON path"
-    )
-    args = parser.parse_args()
-
-    # Load the committed baseline *before* the run overwrites it.
-    baseline = load_committed_baseline("BENCH_traffic_storm.json")
-
-    report = run(args.smoke)
-    print_table(
-        "Traffic storm: latency and goodput vs concurrency cap",
-        [
-            "concurrency",
-            "completed",
-            "shed",
-            "failed",
-            "p50 ms",
-            "p95 ms",
-            "p99 ms",
-            "queued p95",
-            "goodput q/s",
-            "max in flight",
-        ],
-        [
-            [
-                level["concurrency"],
-                level["completed"],
-                level["shed"],
-                level["failed"],
-                level["p50_ms"],
-                level["p95_ms"],
-                level["p99_ms"],
-                level["queued_p95_ms"],
-                level["goodput_qps"],
-                level["max_in_flight"],
-            ]
-            for level in report["levels"]
-        ],
-    )
-
-    with open(args.output, "w") as f:
-        json.dump(report, f, indent=2)
-    print(f"wrote {args.output}")
-
+def gates(report: dict) -> list:
     levels = report["levels"]
-    top = levels[-1]
-    serial = levels[0]
-    # The acceptance bar: >1 query genuinely in flight at once.
-    assert top["max_in_flight"] > 1, "no query overlap at the top concurrency cap"
-    assert serial["max_in_flight"] <= 1, "cap=1 must serialize queries"
-    assert all(level["failed"] == 0 for level in levels), "queries failed"
-    if not args.smoke:
-        assert top["goodput_qps"] >= serial["goodput_qps"], (
-            "goodput did not improve with concurrency"
-        )
-        assert top["p95_ms"] <= serial["p95_ms"], (
-            "tail latency did not improve with concurrency"
-        )
-        assert_no_regression(
-            baseline, report, "goodput_qps", key="concurrency", section="levels"
-        )
-        print(
-            "targets met: overlap proven, goodput and p95 improve with "
-            "concurrency, no goodput regression vs committed baseline"
-        )
+    serial, top = levels[0], levels[-1]
+    found = [
+        # The acceptance bar: more than one query genuinely in flight at once.
+        gate("queries in flight at once at the top cap", WORK_COUNT, top["max_in_flight"], ">", 1),
+        gate("queries in flight at once at cap 1", WORK_COUNT, serial["max_in_flight"], "<=", 1),
+        gate("queries failed, all caps", WORK_COUNT, sum(level["failed"] for level in levels), "==", 0),
+    ]
+    if not report["smoke"]:
+        found += [
+            gate("goodput at the top cap vs cap 1",
+                 SIMULATED, top["goodput_qps"], ">=", serial["goodput_qps"]),
+            gate("p95 latency at the top cap vs cap 1",
+                 SIMULATED, top["p95_ms"], "<=", serial["p95_ms"]),
+        ]
+    return found
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_script(__name__))

@@ -49,12 +49,11 @@ def main() -> None:
     print("\n-- trace JSON (first lines; byte-identical across runs) --")
     print("\n".join(trace.to_json(indent=2).splitlines()[:14]))
 
-    print("\n-- metrics snapshot (counters reconcile with QueryStats) --")
+    print("\n-- metrics snapshot (one query on a fresh engine: totals == its QueryStats) --")
     metrics = engine.metrics
-    query_id = stats.query_id
-    print(f"tasks run:      {metrics.total('scheduler_tasks_run_total', query_id=query_id)}"
+    print(f"tasks run:      {metrics.total('scheduler_tasks_run_total')}"
           f"  (stats.tasks_total = {stats.tasks_total})")
-    print(f"rows exchanged: {metrics.total('exchange_rows_total', query_id=query_id)}"
+    print(f"rows exchanged: {metrics.total('exchange_rows_total')}"
           f"  (stats.rows_exchanged = {stats.rows_exchanged})")
     print("\n".join(metrics.to_json(indent=2).splitlines()[:16]))
 

@@ -183,11 +183,12 @@ class _HiveMetadata(ConnectorMetadata):
                             continue
                         dictionary = None
                         if chunk.has_dictionary:
-                            data = file.read_segment(group_index, name, "dict")
-                            dictionary = decode_plain_scalar(
-                                data, accumulators[name].presto_type,
-                                count_prefixed_entries(data),
-                            )
+                            with file.decoding():
+                                data = file.read_segment(group_index, name, "dict")
+                                dictionary = decode_plain_scalar(
+                                    data, accumulators[name].presto_type,
+                                    count_prefixed_entries(data),
+                                )
                         accumulators[name].add_chunk(chunk.statistics, dictionary)
 
         columns = {

@@ -223,11 +223,12 @@ class QueryScheduler:
 
     # -- observability -------------------------------------------------------
 
+    # No series carries a query id: the registry is bounded by kinds of
+    # things, and the per-query numbers are in QueryStats and the trace.
+
     def _count_task(self, name: str, stage: int, amount: float = 1.0) -> None:
         if self.ctx.metrics is not None:
-            self.ctx.metrics.counter(
-                name, query_id=self.ctx.stats.query_id, stage=stage
-            ).inc(amount)
+            self.ctx.metrics.counter(name, stage=stage).inc(amount)
 
     def _record_exchange(
         self, buffer: ExchangeBuffer, task_index: int, rows: int, pages: list[Page]
@@ -250,15 +251,10 @@ class QueryScheduler:
                 bytes=size,
             )
         if self.ctx.metrics is not None:
-            query_id = self.ctx.stats.query_id
             metrics = self.ctx.metrics
-            metrics.counter("exchange_rows_total", query_id=query_id, kind=kind).inc(rows)
-            metrics.counter("exchange_pages_total", query_id=query_id, kind=kind).inc(
-                len(pages)
-            )
-            metrics.counter("exchange_bytes_total", query_id=query_id, kind=kind).inc(
-                size
-            )
+            metrics.counter("exchange_rows_total", kind=kind).inc(rows)
+            metrics.counter("exchange_pages_total", kind=kind).inc(len(pages))
+            metrics.counter("exchange_bytes_total", kind=kind).inc(size)
 
     # -- task execution ------------------------------------------------------
 
@@ -766,9 +762,7 @@ class QueryScheduler:
         stats.tasks_total += 1
         self._count_task("scheduler_tasks_run_total", fragment.fragment_id)
         if self.ctx.metrics is not None:
-            self.ctx.metrics.histogram(
-                "scheduler_task_sim_ms", query_id=stats.query_id
-            ).observe(record.sim_ms)
+            self.ctx.metrics.histogram("scheduler_task_sim_ms").observe(record.sim_ms)
         self._stage_rows_in += record.rows_in
         self._stage_rows_out += record.rows_out
         self._stage_sim_ms += record.sim_ms

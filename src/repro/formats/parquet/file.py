@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -169,19 +171,43 @@ class ParquetBlobWriter:
         )
 
 
+# What the decoders raise when the bytes they are given are not the bytes
+# that were written: a short or misaligned buffer (``struct.error``), a
+# broken deflate stream (``zlib.error``), bad JSON, bad UTF-8, a seek past
+# the end or a count that does not fit its buffer (``ValueError``), a
+# missing footer key (``KeyError``), a dictionary index or level out of
+# range (``IndexError``).  No ``PrestoError`` is among them, so an error
+# that already has a category keeps it.
+_DAMAGE = (struct.error, zlib.error, ValueError, KeyError, IndexError)
+
+
+@contextmanager
+def damage_as_storage_error(name: str) -> Iterator[None]:
+    """Reading file ``name``: damaged bytes end in a ``StorageError`` — the
+    storage layer's EXTERNAL failure — not in whichever raw exception the
+    decoder they reached happens to raise."""
+    try:
+        yield
+    except _DAMAGE as exc:
+        raise StorageError(
+            f"corrupt parquet file {name}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def read_footer(stream: SeekableInput) -> FileMetadata:
     """Read and parse the footer from the end of the file."""
     size = stream.size()
     if size < FOOTER_SUFFIX_LENGTH:
-        raise StorageError("not a parquet file: too small")
-    suffix = stream.read_fully(size - FOOTER_SUFFIX_LENGTH, FOOTER_SUFFIX_LENGTH)
-    if suffix[8:] != MAGIC:
-        raise StorageError("not a parquet file: bad magic")
-    (footer_length,) = struct.unpack("<Q", suffix[:8])
-    footer_bytes = stream.read_fully(
-        size - FOOTER_SUFFIX_LENGTH - footer_length, footer_length
-    )
-    return FileMetadata.from_dict(json.loads(footer_bytes.decode("utf-8")))
+        raise StorageError(f"not a parquet file: {stream.name} is too small")
+    with damage_as_storage_error(stream.name):
+        suffix = stream.read_fully(size - FOOTER_SUFFIX_LENGTH, FOOTER_SUFFIX_LENGTH)
+        if suffix[8:] != MAGIC:
+            raise StorageError(f"not a parquet file: bad magic in {stream.name}")
+        (footer_length,) = struct.unpack("<Q", suffix[:8])
+        footer_bytes = stream.read_fully(
+            size - FOOTER_SUFFIX_LENGTH - footer_length, footer_length
+        )
+        return FileMetadata.from_dict(json.loads(footer_bytes.decode("utf-8")))
 
 
 class ParquetFile:
@@ -216,6 +242,11 @@ class ParquetFile:
         self._data_cache = cache
         self._data_cache_key = file_key
 
+    def decoding(self):
+        """The boundary every reader decodes this file's segments inside:
+        see :func:`damage_as_storage_error`."""
+        return damage_as_storage_error(self._stream.name)
+
     @property
     def metadata(self) -> FileMetadata:
         return self._metadata
@@ -231,7 +262,10 @@ class ParquetFile:
         """Read and decompress one segment of one column chunk."""
         chunk = self._metadata.row_groups[group_index].column(path)
         if name not in chunk.segments:
-            raise StorageError(f"chunk {path} has no segment {name!r}")
+            raise StorageError(
+                f"corrupt parquet file {self._stream.name}: "
+                f"chunk {path} has no segment {name!r}"
+            )
         offset, length = chunk.segments[name]
         if self._data_cache is not None:
             # Cache the raw compressed segment bytes (what a real data

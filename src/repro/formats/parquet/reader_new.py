@@ -155,19 +155,20 @@ class NewParquetReader:
         predicate_paths = self._predicate_paths()
         for group_index in range(self.file.num_row_groups()):
             self.stats.row_groups_total += 1
-            if self.options.predicate_pushdown:
-                if self._skippable_by_stats(group_index, self._static_tests):
-                    self.stats.row_groups_skipped_by_stats += 1
-                    continue
-                if self._skippable_by_dictionary(group_index, self._static_tests):
-                    self.stats.row_groups_skipped_by_dictionary += 1
-                    continue
-                if self._skippable_by_stats(
-                    group_index, self._dynamic_tests
-                ) or self._skippable_by_dictionary(group_index, self._dynamic_tests):
-                    self.stats.row_groups_skipped_by_dynamic_filter += 1
-                    continue
-            page = self._read_group(group_index, predicate_paths)
+            with self.file.decoding():
+                if self.options.predicate_pushdown:
+                    if self._skippable_by_stats(group_index, self._static_tests):
+                        self.stats.row_groups_skipped_by_stats += 1
+                        continue
+                    if self._skippable_by_dictionary(group_index, self._static_tests):
+                        self.stats.row_groups_skipped_by_dictionary += 1
+                        continue
+                    if self._skippable_by_stats(
+                        group_index, self._dynamic_tests
+                    ) or self._skippable_by_dictionary(group_index, self._dynamic_tests):
+                        self.stats.row_groups_skipped_by_dynamic_filter += 1
+                        continue
+                page = self._read_group(group_index, predicate_paths)
             if page is not None:
                 yield page
 
@@ -345,11 +346,14 @@ class NewParquetReader:
         decoded: dict[str, _DecodedLeaf],
     ) -> Block:
         output_type = self._output_type(path)
-        return LazyBlock(
-            output_type,
-            num_rows,
-            lambda: self._materialize_path(group_index, path, num_rows, decoded),
-        )
+
+        def load() -> Block:
+            # Runs when the engine first touches the block, long after
+            # read_pages has moved on: the same boundary, entered again.
+            with self.file.decoding():
+                return self._materialize_path(group_index, path, num_rows, decoded)
+
+        return LazyBlock(output_type, num_rows, load)
 
     def _output_type(self, path: str) -> PrestoType:
         return self.file.schema.type_at(path)

@@ -37,33 +37,34 @@ class OldParquetReader:
 
     def read_pages(self) -> Iterator[Page]:
         """Yield one page per row group containing every schema column."""
-        schema = self.file.schema
-        column_types = [t for _, t in schema.columns]
         for group_index in range(self.file.num_row_groups()):
-            num_rows = self.file.metadata.row_groups[group_index].num_rows
-            # Step 1: read ALL leaf columns of ALL fields, value by value.
-            per_column_values: list[list[Any]] = []
-            for name, presto_type in schema.columns:
-                chunks: dict[str, ColumnLevels] = {}
-                for leaf in schema.leaves_under(name):
-                    chunks[leaf.path] = self._read_chunk_scalar(group_index, leaf.path)
-                per_column_values.append(
-                    assemble_column(name, presto_type, chunks, num_rows)
-                )
-            # Row-by-row: materialize full records.
-            records = [
-                tuple(column[i] for column in per_column_values)
-                for i in range(num_rows)
-            ]
-            # Step 2: transform row-based records into columnar blocks.
-            blocks = []
-            for channel, presto_type in enumerate(column_types):
-                blocks.append(
-                    block_from_values(
-                        presto_type, [record[channel] for record in records]
-                    )
-                )
-            yield Page(blocks, num_rows)
+            with self.file.decoding():
+                page = self._read_group(group_index)
+            yield page
+
+    def _read_group(self, group_index: int) -> Page:
+        schema = self.file.schema
+        num_rows = self.file.metadata.row_groups[group_index].num_rows
+        # Step 1: read ALL leaf columns of ALL fields, value by value.
+        per_column_values: list[list[Any]] = []
+        for name, presto_type in schema.columns:
+            chunks: dict[str, ColumnLevels] = {}
+            for leaf in schema.leaves_under(name):
+                chunks[leaf.path] = self._read_chunk_scalar(group_index, leaf.path)
+            per_column_values.append(
+                assemble_column(name, presto_type, chunks, num_rows)
+            )
+        # Row-by-row: materialize full records.
+        records = [
+            tuple(column[i] for column in per_column_values)
+            for i in range(num_rows)
+        ]
+        # Step 2: transform row-based records into columnar blocks.
+        blocks = [
+            block_from_values(presto_type, [record[channel] for record in records])
+            for channel, (_, presto_type) in enumerate(schema.columns)
+        ]
+        return Page(blocks, num_rows)
 
     def _read_chunk_scalar(self, group_index: int, path: str) -> ColumnLevels:
         """Decode one leaf chunk one value at a time."""

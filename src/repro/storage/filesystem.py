@@ -51,6 +51,10 @@ class FileStatus:
 class SeekableInput:
     """A readable, seekable stream over one file."""
 
+    # What the stream reads, for error messages; a file system's ``open``
+    # sets the path.
+    name = "<bytes>"
+
     def read(self, length: int) -> bytes:
         raise NotImplementedError
 

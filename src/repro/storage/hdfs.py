@@ -177,7 +177,9 @@ class HdfsFileSystem(FileSystem):
         observe_storage_call(
             "hdfs", "open", latency, self.namenode.metrics, bytes=len(data)
         )
-        return BytesInput(data)
+        stream = BytesInput(data)
+        stream.name = path
+        return stream
 
     def create(self, path: str, data: bytes) -> None:
         self.namenode.put_file(path, data, self.clock.now_ms())

@@ -159,6 +159,7 @@ class S3Input(SeekableInput):
     def __init__(self, fs: PrestoS3FileSystem, key: str, size: int) -> None:
         self._fs = fs
         self._key = key
+        self.name = f"s3://{fs.bucket}/{key}"
         self._size = size
         self._position = 0
         # Current buffered window: [buffer_start, buffer_start + len(buffer))

@@ -1,17 +1,9 @@
-"""Smoke test for benchmarks/bench_expressions.py + TPC-H lane assertion.
+"""The TPC-H-style workload takes the compiled vectorized lane end to end.
 
-Runs the expression benchmark in ``--smoke`` mode (tiny inputs, no speedup
-gates) and validates the ``BENCH_expressions.json`` schema; then runs the
-TPC-H-style workload end to end and asserts its filters and projections
-take the compiled vectorized lane — the interpreter-fallback counter must
-stay at zero for the whitelisted function set.
+The interpreter-fallback counter must stay at zero for the whitelisted
+function set.  (The ``--smoke`` run of ``bench_expressions.py`` that used
+to sit here is one case of ``test_bench_committed_figures.py::test_smoke_run``.)
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,42 +11,6 @@ from repro.connectors.memory import MemoryConnector
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH = REPO_ROOT / "benchmarks" / "bench_expressions.py"
-
-
-def test_bench_expressions_smoke(tmp_path):
-    output = tmp_path / "BENCH_expressions.json"
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    )
-    result = subprocess.run(
-        [sys.executable, str(BENCH), "--smoke", "--output", str(output)],
-        cwd=str(REPO_ROOT),
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-
-    report = json.loads(output.read_text())
-    assert report["benchmark"] == "expressions"
-    assert report["smoke"] is True
-
-    entries = report["benchmarks"]
-    assert {b["name"] for b in entries} == {"null_filter", "string_filter", "dictionary"}
-    for entry in entries:
-        assert entry["rows"] > 0
-        assert entry["compiled_ms"] > 0
-        assert entry["interpreted_ms"] > 0
-        assert entry["speedup"] > 0
-        assert entry["rows_per_sec"] > 0
-        # Smoke mode skips the speedup gates but never the correctness gate.
-        assert entry["identical"] is True
 
 
 @pytest.fixture(scope="module")

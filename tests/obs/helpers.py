@@ -20,6 +20,9 @@ including retried and failed-over ones — is checked for:
 
 from __future__ import annotations
 
+import collections
+import weakref
+
 import pytest
 
 
@@ -119,21 +122,42 @@ def assert_trace_reconciles(result) -> None:
         assert span.duration_ms == pytest.approx(record["sim_ms"], abs=1e-6)
 
 
-def assert_metrics_reconcile(metrics, stats) -> None:
-    """The registry's per-query series must match the QueryStats counters."""
-    query_id = stats.query_id
-    assert metrics.total(
-        "scheduler_tasks_run_total", query_id=query_id
-    ) == pytest.approx(stats.tasks_total)
-    assert metrics.total(
-        "scheduler_tasks_retried_total", query_id=query_id
-    ) == pytest.approx(stats.tasks_retried)
-    assert metrics.total(
-        "scheduler_tasks_failed_total", query_id=query_id
-    ) == pytest.approx(stats.tasks_failed)
-    assert metrics.total(
-        "exchange_rows_total", query_id=query_id
-    ) == pytest.approx(stats.rows_exchanged)
+# Per registry: what the results reconciled so far account for.
+_ACCOUNTED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def assert_metrics_reconcile(metrics, trace) -> None:
+    """The registry's scheduler and exchange series must match the traces.
+
+    No series carries a query id (the registry is bounded by kinds of
+    things, not by queries run), so this reconciles cumulatively: what this
+    result's whole trace shows — a failed-over query's doomed attempt
+    included — is added to what earlier results on the same registry
+    showed.  The registry can never hold less than that, and holds exactly
+    that once every query that finished on it has been reconciled;
+    ``assert_trace_reconciles`` ties the same spans to ``QueryStats``.
+    """
+    names = collections.Counter(span.name for span in trace.spans)
+    failed_attempts = sum(
+        span.name == "attempt" and span.attributes.get("outcome") == "failed"
+        for span in trace.spans
+    )
+    accounted = _ACCOUNTED.setdefault(metrics, collections.Counter())
+    accounted["results"] += 1
+    accounted["scheduler_tasks_run_total"] += names["task"]
+    accounted["scheduler_tasks_retried_total"] += names["backoff"]
+    # A failed attempt is either backed off from or the task's last.
+    accounted["scheduler_tasks_failed_total"] += failed_attempts - names["backoff"]
+    accounted["exchange_rows_total"] += sum(
+        span.attributes["rows"] for span in trace.spans if span.name == "exchange"
+    )
+    all_reconciled = (
+        metrics.histogram("query_simulated_ms").count == accounted["results"]
+    )
+    for name in accounted.keys() - {"results"}:
+        assert metrics.total(name) >= accounted[name], name
+        if all_reconciled:
+            assert metrics.total(name) == pytest.approx(accounted[name]), name
 
 
 def assert_cache_metrics_reconcile(metrics, name: str, cache_stats) -> None:
@@ -153,4 +177,4 @@ def assert_query_observable(result, metrics=None) -> None:
     """The one-call bundle the suites use after each staged query."""
     assert_trace_reconciles(result)
     if metrics is not None:
-        assert_metrics_reconcile(metrics, result.stats)
+        assert_metrics_reconcile(metrics, result.trace)

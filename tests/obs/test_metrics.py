@@ -123,3 +123,20 @@ class TestRegistry:
             {"a": "1"},
             {"z": "2"},
         ]
+
+
+def test_an_engines_registry_is_bounded_by_kinds_of_things_not_queries_run():
+    # A series per query (a query_id label) grew the registry by eight
+    # series a query, for the life of the engine.
+    from repro.workloads.traffic_storm import QUERY_TEMPLATES, make_storm_engine
+
+    engine = make_storm_engine(rows=120)
+
+    def series_after(queries: int) -> int:
+        for index in range(queries):
+            engine.execute(QUERY_TEMPLATES[index % len(QUERY_TEMPLATES)][1])
+        snapshot = engine.metrics.snapshot()
+        return sum(len(series) for kind in snapshot.values() for series in kind.values())
+
+    after_20 = series_after(20)
+    assert series_after(180) == after_20
