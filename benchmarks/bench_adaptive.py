@@ -9,13 +9,15 @@ hashes the *fact* side.
 
 Three configs run the same queries and must return identical rows:
 
-1. **off**      — no statistics, no dynamic filters, fixed partitioning;
-                  the plan is exactly what the rule-based pipeline builds.
+1. **off**      — no statistics, no dynamic filters; the plan is exactly
+                  what the rule-based pipeline builds.
 2. **cbo**      — ANALYZE statistics feed cost-based join reordering and
                   broadcast selection; dynamic filters stay off.
 3. **cbo+df**   — the full adaptive stack: reordering plus runtime dynamic
-                  filters (split, row-group, and row tiers) plus adaptive
-                  exchange partition counts.
+                  filters (split, row-group, and row tiers).
+
+Every config sizes its hash stages from the rows they observed; that is
+the scheduler's one rule, not a lane.
 
 Full-mode gates: the dynamic filter must skip >= 50% of probe-side row
 groups and the full stack must beat config (1) by >= 2x simulated time;
@@ -96,11 +98,7 @@ QUERIES = [
 CONFIGS = [
     ("off", {"enable_dynamic_filtering": False}, False),
     ("cbo", {"enable_dynamic_filtering": False}, True),
-    (
-        "cbo+df",
-        {"adaptive_partitioning": True, "target_partition_rows": 4_096},
-        True,
-    ),
+    ("cbo+df", {}, True),
 ]
 
 

@@ -97,11 +97,6 @@ class _IcebergSplitManager(ConnectorSplitManager):
                 ),
             )
             for data_file in files
-        ] or [
-            ConnectorSplit(
-                split_id=f"iceberg:{base}@{snapshot.snapshot_id}:empty",
-                info=(("path", ""), ("data_version", snapshot.snapshot_id)),
-            )
         ]
 
 
@@ -115,9 +110,6 @@ class _IcebergProvider(ConnectorRecordSetProvider):
         base, _ = _parse_table_name(handle.table_name)
         table = self._connector.table(base)
         path = split.info_dict()["path"]
-        if not path:
-            yield project_rows(table.columns, [], columns)
-            return
         yield from data_file_pages(
             ParquetFile(table.filesystem.open(path)), handle, columns, table.columns
         )

@@ -113,7 +113,7 @@ class _MemorySplitManager(ConnectorSplitManager):
         size = self._connector._split_size
         splits = []
         total = len(table.rows)
-        for start in range(0, max(total, 1), size):
+        for start in range(0, total, size):
             end = min(start + size, total)
             splits.append(
                 ConnectorSplit(

@@ -105,11 +105,6 @@ class _SplitManager(ConnectorSplitManager):
                 info=(("segment", index),),
             )
             for index in range(len(segments))
-        ] or [
-            ConnectorSplit(
-                split_id=f"{self._connector.name}:{handle.table_name}:empty",
-                info=(("segment", -1),),
-            )
         ]
 
 
@@ -151,20 +146,17 @@ class _Provider(ConnectorRecordSetProvider):
             types = dict(store.datasource_columns(handle.table_name))
             layout = [(c, types[c]) for c in columns]
 
-        if segment_index < 0:
-            rows: list[tuple] = []
-        else:
-            rows, cost_ms = store.query_segment_costed(
-                handle.table_name, segment_index, native
-            )
-            # Splits execute in parallel across Presto workers; charging
-            # cost/lanes per split makes the sequential in-process driver
-            # accumulate the balanced-parallel wall clock (sum/lanes).
-            lanes = max(
-                1,
-                min(len(store.segments(handle.table_name)), connector.presto_workers),
-            )
-            store.clock.advance(cost_ms / lanes)
+        rows, cost_ms = store.query_segment_costed(
+            handle.table_name, segment_index, native
+        )
+        # Splits execute in parallel across Presto workers; charging
+        # cost/lanes per split makes the sequential in-process driver
+        # accumulate the balanced-parallel wall clock (sum/lanes).
+        lanes = max(
+            1,
+            min(len(store.segments(handle.table_name)), connector.presto_workers),
+        )
+        store.clock.advance(cost_ms / lanes)
         # Streaming into the engine costs network time per row.
         store.clock.advance(len(rows) * connector.stream_ms_per_row)
 

@@ -20,7 +20,7 @@ from repro.core.functions import FunctionRegistry, default_registry
 from repro.core.page import Page
 from repro.execution.context import ExecutionContext, QueryStats
 from repro.execution.driver import execute_plan, record_operator_spans
-from repro.execution.scheduler import DEFAULT_TARGET_PARTITION_ROWS, QueryScheduler
+from repro.execution.scheduler import QueryScheduler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import QueryTrace, activate, current_tracer
 from repro.planner.analyzer import Analyzer, Session
@@ -185,8 +185,6 @@ class PrestoEngine:
         retry_backoff_ms: float = 10.0,
         task_timeout_ms: Optional[float] = None,
         enable_dynamic_filtering: bool = True,
-        adaptive_partitioning: bool = False,
-        target_partition_rows: int = DEFAULT_TARGET_PARTITION_ROWS,
         metrics: Optional[MetricsRegistry] = None,
         tracing: bool = True,
     ) -> None:
@@ -203,6 +201,8 @@ class PrestoEngine:
         # Staged execution (section III): execute() fragments the plan and
         # runs it stage by stage through exchanges.  The direct pipeline
         # stays available as execute_direct(), the differential oracle.
+        # hash_partitions caps a hash stage's task count; below the cap the
+        # scheduler sizes each stage from the rows it observed.
         self.hash_partitions = hash_partitions
         # Fault tolerance (sections VIII/IX/XII.C): an optional seeded
         # FaultInjector dooms a deterministic fraction of task attempts;
@@ -215,12 +215,6 @@ class PrestoEngine:
         # Adaptive execution: push each hash join's build-side key summary
         # into not-yet-started probe scans (staged execution only).
         self.enable_dynamic_filtering = enable_dynamic_filtering
-        # Adaptive exchange sizing: choose each hash stage's partition
-        # count from the observed input volume instead of always running
-        # hash_partitions tasks.  Off by default — it changes task counts
-        # (and thus the simulated schedule), not results.
-        self.adaptive_partitioning = adaptive_partitioning
-        self.target_partition_rows = target_partition_rows
         # Observability (on by default): every query gets a deterministic
         # span tree on ``QueryResult.trace``, and the engine's components
         # report into one shared metrics registry.
@@ -393,8 +387,6 @@ class PrestoEngine:
             retry_backoff_ms=self.retry_backoff_ms,
             task_timeout_ms=self.task_timeout_ms,
             dynamic_filtering=self.enable_dynamic_filtering,
-            adaptive_partitioning=self.adaptive_partitioning,
-            target_partition_rows=self.target_partition_rows,
         )
         return QueryHandle(self, plan, ctx, machine)
 

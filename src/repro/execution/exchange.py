@@ -40,21 +40,20 @@ class ExchangeBuffer:
 
     Partitioning is **lazy**: producer pages accumulate in arrival order
     and are routed into partitions only at the first partitioned read.
-    That window — after the producer finished, before the consumer is
-    planned — is where adaptive execution calls
-    :meth:`set_partition_count` to right-size the downstream stage from
-    the observed row volume.
+    A buffer is one partition wide until told otherwise; in that window —
+    after the producer finished, before the consumer is planned — the
+    scheduler calls :meth:`set_partition_count` with the width it chose
+    for the consuming stage from ``rows_added``.
     """
 
     def __init__(
         self,
         exchange: Optional[Exchange],
-        partition_count: int = 1,
         key_channels: Optional[list[int]] = None,
     ) -> None:
         self.exchange = exchange
         self.partitioned = bool(exchange is not None and exchange.partitioned)
-        self.partition_count = partition_count if self.partitioned else 1
+        self.partition_count = 1
         self.key_channels = key_channels or []
         if self.partitioned and not self.key_channels:
             raise ExecutionError(
@@ -71,7 +70,7 @@ class ExchangeBuffer:
         self._partitions = None  # late adds re-partition lazily
 
     def set_partition_count(self, count: int) -> None:
-        """Adapt the downstream partition count before the first read."""
+        """Set the consuming stage's width, before its first read."""
         if count < 1:
             raise ExecutionError("partition count must be at least 1")
         if not self.partitioned:

@@ -9,9 +9,10 @@ input data."  This module is the execution half of that sentence —
 - **source** fragments expand into one task per connector split (the SPI
   split enumeration that the direct pipeline hides inside the scan
   operator), each task scanning only its split;
-- **hash** fragments run one task per hash partition when fed by a
-  partitioned REPARTITION exchange (the final side of a split
-  aggregation), otherwise a single task;
+- **hash** fragments fed by a partitioned REPARTITION exchange (the
+  final side of a split aggregation) run one task per
+  ``TARGET_PARTITION_ROWS`` rows that exchange buffered, at least one and
+  at most ``hash_partitions``; otherwise a single task;
 - **single** fragments (gathers, global sorts, final limits, the output)
   run one coordinator-side task.
 
@@ -87,10 +88,9 @@ from repro.planner.plan import (
 # these may have their probe scans dynamically filtered.
 _DYNAMIC_FILTER_JOIN_TYPES = ("inner", "right")
 
-# Adaptive partitioning: rows each hash-stage task should own; the
-# partition count is ceil(observed rows / target), clamped to
-# [1, hash_partitions].
-DEFAULT_TARGET_PARTITION_ROWS = 65_536
+# Rows each hash-stage task should own: a hash stage runs
+# ceil(observed rows / target) tasks, clamped to [1, hash_partitions].
+TARGET_PARTITION_ROWS = 65_536
 
 # Cost model: simulated milliseconds per task (task creation, the
 # coordinator RPC of section VIII) and per row in and out of a task.
@@ -151,11 +151,12 @@ class QueryScheduler:
     fragments are topologically ordered and a stage's tasks are planned
     lazily when the previous stage's output buffers are complete.
 
-    ``hash_partitions`` fixes the task count of hash-distributed stages.
-    The cost model charges ``TASK_OVERHEAD_MS`` per task plus
-    ``ROW_COST_MS`` per row in and out — deterministic, derived only from
-    real row counts, so the same query always produces the same simulated
-    schedule.
+    ``hash_partitions`` caps the task count of hash-distributed stages;
+    below the cap a stage is as wide as the rows its producers buffered
+    (``TARGET_PARTITION_ROWS`` per task).  The cost model charges
+    ``TASK_OVERHEAD_MS`` per task plus ``ROW_COST_MS`` per row in and
+    out — deterministic, derived only from real row counts, so the same
+    query always produces the same simulated schedule.
 
     ``fault_injector`` (optional) dooms a deterministic fraction of task
     attempts and split reads; ``max_task_retries`` bounds how many times
@@ -175,15 +176,11 @@ class QueryScheduler:
         retry_backoff_ms: float = 10.0,
         task_timeout_ms: Optional[float] = None,
         dynamic_filtering: bool = True,
-        adaptive_partitioning: bool = False,
-        target_partition_rows: int = DEFAULT_TARGET_PARTITION_ROWS,
     ) -> None:
         if hash_partitions < 1:
             raise ExecutionError("hash_partitions must be at least 1")
         if max_task_retries < 0:
             raise ExecutionError("max_task_retries must be non-negative")
-        if target_partition_rows < 1:
-            raise ExecutionError("target_partition_rows must be at least 1")
         self.ctx = ctx
         self.fragmented = fragmented
         self.hash_partitions = hash_partitions
@@ -196,12 +193,6 @@ class QueryScheduler:
         # started probe-side scans.  Results are identical either way —
         # the filter only removes probe rows the join would drop.
         self.dynamic_filtering = dynamic_filtering
-        # Adaptive exchange sizing: once a stage's inputs are fully
-        # buffered, shrink the downstream hash-partition count so each
-        # task owns ~target_partition_rows rows instead of paying the
-        # per-task overhead of hash_partitions near-empty tasks.
-        self.adaptive_partitioning = adaptive_partitioning
-        self.target_partition_rows = target_partition_rows
         if dynamic_filtering and ctx.dynamic_filters is None:
             ctx.dynamic_filters = {}
         self.buffers: dict[Exchange, ExchangeBuffer] = {}
@@ -480,9 +471,17 @@ class QueryScheduler:
             return [({scan.id: []}, inputs_for(None), f"stage{fragment.fragment_id}.task0", 0)]
 
         if fragment.distribution == "hash" and partitioned_inputs:
-            # Task count follows the input buffers (adaptive partitioning
-            # may have shrunk them below hash_partitions).
-            partition_count = buffers[partitioned_inputs[0]].partition_count
+            # The one fan-out rule.  The producers have finished and
+            # nothing has been read (partitioning is lazy), so the stage is
+            # as wide as the rows it observed; every partitioned input gets
+            # the same width, which keeps join sides co-partitioned.
+            feeds = [buffers[e] for e in partitioned_inputs]
+            rows = max(feed.rows_added for feed in feeds)
+            partition_count = min(
+                self.hash_partitions, max(1, -(-rows // TARGET_PARTITION_ROWS))
+            )
+            for feed in feeds:
+                feed.set_partition_count(partition_count)
             return [
                 (
                     None,
@@ -528,16 +527,12 @@ class QueryScheduler:
                 if exchange.partitioned
                 else None
             )
-            buffer = ExchangeBuffer(
-                exchange, self.hash_partitions, key_channels
-            )
+            buffer = ExchangeBuffer(exchange, key_channels)
             self.buffers[exchange] = buffer
             self._out_buffers.append(buffer)
 
         if self.dynamic_filtering:
             self._collect_dynamic_filters(fragment)
-        if self.adaptive_partitioning:
-            self._adapt_partition_counts(fragment)
         self._tasks = self._plan_tasks(fragment)
         self._task_index = 0
         self._stage_rows_in = 0
@@ -550,44 +545,6 @@ class QueryScheduler:
                 stage=fragment.fragment_id,
                 distribution=fragment.distribution,
                 tasks=len(self._tasks),
-            )
-
-    # -- adaptive partitioning ------------------------------------------------
-
-    def _adapt_partition_counts(self, fragment: PlanFragment) -> None:
-        """Right-size this hash stage from its buffered input volume.
-
-        Runs after the producer stages completed (their rows are fully
-        buffered, not yet partitioned — partitioning is lazy) and before
-        this stage's tasks are planned.  Every partitioned input gets the
-        *same* count, keeping join sides co-partitioned.
-        """
-        if fragment.distribution != "hash":
-            return
-        partitioned = [
-            self.buffers[e]
-            for e in fragment.inputs
-            if e.partitioned and e in self.buffers
-        ]
-        if not partitioned:
-            return
-        rows = max(buffer.rows_added for buffer in partitioned)
-        count = min(
-            self.hash_partitions, max(1, -(-rows // self.target_partition_rows))
-        )
-        if all(buffer.partition_count == count for buffer in partitioned):
-            return
-        for buffer in partitioned:
-            buffer.set_partition_count(count)
-        self._count_task(
-            "scheduler_adaptive_partitions_total", fragment.fragment_id
-        )
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.instant(
-                "adaptive_partitioning",
-                stage=fragment.fragment_id,
-                rows=rows,
-                partitions=count,
             )
 
     # -- dynamic filters ------------------------------------------------------

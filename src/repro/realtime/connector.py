@@ -251,12 +251,7 @@ class _HybridSplitManager(ConnectorSplitManager):
                     ),
                 )
             )
-        return splits or [
-            ConnectorSplit(
-                split_id=f"hybrid:{base}@{read.encode()}:empty",
-                info=(("kind", "empty"), ("table", base)),
-            )
-        ]
+        return splits
 
 
 class _HybridProvider(ConnectorRecordSetProvider):
@@ -273,10 +268,6 @@ class _HybridProvider(ConnectorRecordSetProvider):
         info = split.info_dict()
         kind = info["kind"]
         layout = self._connector._columns(handle.table_name)
-
-        if kind == "empty":
-            yield project_rows(layout, [], columns)
-            return
 
         if kind == "lake":
             yield from self._lake_pages(handle, info, columns, layout)

@@ -100,11 +100,11 @@ KAFKA_PREDICATES = [
 ]
 
 
-def _hive_connector() -> HiveConnector:
+def _hive_connector(halves=HALVES) -> HiveConnector:
     metastore = HiveMetastore()
     filesystem = HdfsFileSystem()
     metastore.create_table("db", "t", COLUMNS, partition_keys=[("ds", VARCHAR)])
-    for index, half in enumerate(HALVES):
+    for index, half in enumerate(halves):
         write_hive_partition(
             metastore, filesystem, "db", "t", [f"d{index}"],
             [Page.from_rows([t for _, t in COLUMNS], half)],
@@ -113,19 +113,19 @@ def _hive_connector() -> HiveConnector:
     return HiveConnector(metastore, filesystem)
 
 
-def _iceberg_connector() -> IcebergConnector:
+def _iceberg_connector(halves=HALVES) -> IcebergConnector:
     table = IcebergTable(HdfsFileSystem(), "/lake/t", COLUMNS)
-    for half in HALVES:
+    for half in halves:
         table.append(half)
     connector = IcebergConnector()
     connector.register_table("t", table)
     return connector
 
 
-def _store_connector(cluster_cls, connector_cls):
+def _store_connector(cluster_cls, connector_cls, halves=HALVES):
     cluster = cluster_cls(nodes=2)
     cluster.create_datasource("t", COLUMNS)
-    for half in HALVES:
+    for half in halves:
         cluster.add_segment("t", half)
     return connector_cls(cluster)
 

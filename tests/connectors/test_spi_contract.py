@@ -14,6 +14,13 @@ import pytest
 
 from repro.common.errors import ConnectorError, SemanticError
 from repro.connectors.hive.connector import _dereferences_to_paths
+from repro.connectors.memory import MemoryConnector
+from repro.connectors.realtime import (
+    DruidCluster,
+    DruidConnector,
+    PinotCluster,
+    PinotConnector,
+)
 from repro.connectors.spi import AggregationFunction
 from repro.core.expressions import (
     VariableReferenceExpression,
@@ -24,12 +31,16 @@ from repro.core.expressions import (
 from repro.core.types import BIGINT
 from repro.planner.analyzer import Analyzer
 from repro.planner.plan import FilterNode, TableScanNode
+from repro.realtime import StreamingLakehouse
 from repro.sql.parser import parse_sql
 from tests.connectors.test_pushdown_differential import (  # noqa: F401 (engine is a fixture)
     COLUMNS,
     KAFKA_PREDICATES,
     PREDICATES,
     TABLES,
+    _hive_connector,
+    _iceberg_connector,
+    _store_connector,
     engine,
 )
 
@@ -184,3 +195,57 @@ def test_pinned_versions_are_validated_at_analysis(engine):
         engine.plan('SELECT count(*) FROM iceberg.lake."t$snapshot=99"')
     with pytest.raises(ConnectorError, match="future watermark"):
         engine.plan('SELECT count(*) FROM hybrid.rt."t$watermark=999-999-999"')
+
+
+# -- an empty table: ``get_splits`` may answer ``[]`` ---------------------------
+
+EMPTY_TABLES = {
+    "memory": "memory.db.t",
+    "druid": "druid.druid.t",
+    "pinot": "pinot.pinot.t",
+    "iceberg": "iceberg.lake.t",
+    "hive": "hive.db.t",
+    "hybrid": "hybrid.rt.t",
+}
+# (query over {t} beside the three-row memory.db.dim, rows, dim splits it may read)
+EMPTY_TABLE_QUERIES = {
+    "select": ("SELECT * FROM {t}", [], 0),
+    "count": ("SELECT count(*) FROM {t}", [(0,)], 0),
+    "group_by": ("SELECT level, count(*) FROM {t} GROUP BY level", [], 0),
+    "probe": ("SELECT e.id FROM {t} e JOIN memory.db.dim d ON e.id = d.id", [], 1),
+    "build": ("SELECT d.id FROM memory.db.dim d JOIN {t} e ON d.id = e.id", [], 1),
+}
+
+
+@pytest.fixture(scope="module")
+def empty_engine():
+    """The fixture's tables with zero rows behind each catalog that used
+    to forge a split for them (and hive, which never did)."""
+    lakehouse = StreamingLakehouse(
+        fields=COLUMNS, topic="t", poll_interval_ms=100, compaction_interval_ms=400
+    )
+    lakehouse.pipeline.run_for(1000)  # nothing was produced
+    engine = lakehouse.make_engine()
+    memory = MemoryConnector()
+    memory.create_table("db", "t", COLUMNS, [])
+    memory.create_table("db", "dim", [("id", BIGINT)], [(1,), (2,), (3,)])
+    for catalog, connector in [
+        ("memory", memory),
+        ("druid", _store_connector(DruidCluster, DruidConnector, halves=[])),
+        ("pinot", _store_connector(PinotCluster, PinotConnector, halves=[])),
+        ("iceberg", _iceberg_connector(halves=[])),
+        ("hive", _hive_connector(halves=[])),
+    ]:
+        engine.register_connector(catalog, connector)
+    return engine
+
+
+@pytest.mark.parametrize("query", sorted(EMPTY_TABLE_QUERIES))
+@pytest.mark.parametrize("connector", sorted(EMPTY_TABLES))
+def test_an_empty_table_has_no_splits_and_still_answers(empty_engine, connector, query):
+    sql, rows, dim_splits = EMPTY_TABLE_QUERIES[query]
+    sql = sql.format(t=EMPTY_TABLES[connector])
+    for run in (empty_engine.execute, empty_engine.execute_direct):
+        result = run(sql)
+        assert result.rows == rows
+        assert result.stats.splits_scanned <= dim_splits

@@ -8,8 +8,11 @@ prefix, and ``writer_*``-style globs match any module of that shape.
 """
 
 import importlib
+import inspect
 import re
 from pathlib import Path
+
+from repro.execution.engine import PrestoEngine
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
@@ -66,3 +69,15 @@ def test_every_documented_symbol_imports():
         if not resolves(name, pattern)
     ]
     assert not missing, f"docs/API.md names symbols that do not import: {missing}"
+
+
+def test_engine_constructor_knobs_are_the_signature():
+    """An option cannot be added or removed without the docs saying so."""
+    (row,) = [
+        line
+        for line in (REPO / "docs" / "API.md").read_text().splitlines()
+        if line.startswith("| `PrestoEngine` |")
+    ]
+    knobs = row.split("Constructor knobs:", 1)[1]
+    parameters = list(inspect.signature(PrestoEngine.__init__).parameters)[1:]
+    assert QUOTED.findall(knobs) == parameters

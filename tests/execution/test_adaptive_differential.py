@@ -1,8 +1,8 @@
 """Differential oracle for the adaptive execution stack.
 
 Every query runs with the full adaptive stack on — ANALYZE statistics
-feeding cost-based join ordering, runtime dynamic filters, and adaptive
-exchange partitioning — and must return exactly what the direct
+feeding cost-based join ordering, runtime dynamic filters, and hash
+stages sized from observed rows — and must return exactly what the direct
 in-process pipeline (the repo's standing oracle) returns: with fault
 injection at 10% rates, under the concurrent cluster event loop, and
 bit-for-bit deterministically across identical runs.
@@ -46,8 +46,6 @@ def make_adaptive_engine(analyzed=True, **engine_kwargs):
     )
     engine = PrestoEngine(
         session=Session(catalog="memory", schema="db"),
-        adaptive_partitioning=True,
-        target_partition_rows=500,
         **engine_kwargs,
     )
     engine.register_connector("memory", connector)
@@ -69,7 +67,7 @@ QUERIES = [
     # Empty build side: every probe split skips.
     "SELECT count(*) FROM lineitem l JOIN orders o ON l.orderkey = o.orderkey "
     "WHERE o.priority = 'no-such'",
-    # Grouped aggregation exercising adaptive repartitioning.
+    # Grouped aggregation through a hash stage sized from its input.
     "SELECT returnflag, linestatus, sum(extendedprice), count(*) "
     "FROM lineitem GROUP BY returnflag, linestatus",
     # Left join must bypass dynamic filtering yet still agree.

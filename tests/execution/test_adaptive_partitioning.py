@@ -1,21 +1,22 @@
-"""Adaptive exchange partitioning tests.
+"""Hash-stage fan-out tests.
 
 The exchange buffer partitions lazily — producer pages accumulate in
 arrival order and are routed only at the first partitioned read — which
-opens the window where the scheduler right-sizes the downstream stage's
-partition count from the observed build volume.  These tests cover the
-buffer's laziness contract and the end-to-end effect: small intermediate
-volumes run fewer hash tasks, with byte-identical results.
+opens the window where the scheduler sizes the consuming stage from the
+rows it observed: ``ceil(rows / TARGET_PARTITION_ROWS)`` tasks, at least
+one, at most ``hash_partitions``.  These tests cover the buffer's
+laziness contract and the rule's boundaries, with rows equal to the
+direct pipeline's.
 """
 
 import pytest
 
 from repro.common.errors import ExecutionError
 from repro.core.page import Page
-from repro.core.types import BIGINT, DOUBLE, VARCHAR
+from repro.core.types import BIGINT, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.execution.exchange import ExchangeBuffer
-from repro.execution.scheduler import DEFAULT_TARGET_PARTITION_ROWS
+from repro.execution.scheduler import TARGET_PARTITION_ROWS
 from repro.planner.analyzer import Session
 from repro.planner.fragmenter import Exchange, ExchangeKind
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
@@ -27,14 +28,17 @@ def page_of(keys):
     return Page.from_rows([BIGINT], [(k,) for k in keys])
 
 
-def partitioned_buffer(count=4):
+def partitioned_buffer(count=None):
     exchange = Exchange(
         kind=ExchangeKind.REPARTITION,
         source_fragment=1,
         partition_keys=("k",),
         partitioned=True,
     )
-    return ExchangeBuffer(exchange, partition_count=count, key_channels=[0])
+    buffer = ExchangeBuffer(exchange, key_channels=[0])
+    if count is not None:
+        buffer.set_partition_count(count)
+    return buffer
 
 
 class TestLazyExchangeBuffer:
@@ -43,6 +47,12 @@ class TestLazyExchangeBuffer:
         buffer.add(page_of(range(10)))
         buffer.add(page_of(range(7)))
         assert buffer.rows_added == 17
+
+    def test_one_partition_wide_until_told_otherwise(self):
+        buffer = partitioned_buffer()
+        buffer.add(page_of(range(20)))
+        assert buffer.partition_count == 1
+        assert sum(p.position_count for p in buffer.pages_for_partition(0)) == 20
 
     def test_set_partition_count_before_read_routes_accordingly(self):
         buffer = partitioned_buffer(count=4)
@@ -121,55 +131,77 @@ GROUP_BY_SQL = (
 )
 
 
+def hash_stages(result):
+    """(rows observed, tasks run) of every hash stage, in plan order."""
+    return [
+        (stage["rows_in"], stage["tasks"])
+        for stage in result.stats.stage_summaries
+        if stage["distribution"] == "hash"
+    ]
+
+
+def distinct_keys_engine(rows, hash_partitions):
+    """GROUP BY a unique key: the hash stage observes exactly ``rows`` rows."""
+    connector = MemoryConnector()
+    connector.create_table("db", "t", [("k", BIGINT)], [(i,) for i in range(rows)])
+    engine = PrestoEngine(
+        session=Session(catalog="memory", schema="db"), hash_partitions=hash_partitions
+    )
+    engine.register_connector("memory", connector)
+    return engine
+
+
 class TestAdaptivePartitioning:
+    CAP = 2
+
+    @pytest.mark.parametrize(
+        "rows, tasks",
+        [
+            (0, 1),
+            (1, 1),
+            (TARGET_PARTITION_ROWS, 1),
+            (TARGET_PARTITION_ROWS + 1, 2),
+            (CAP * TARGET_PARTITION_ROWS + 1, CAP),
+        ],
+    )
+    def test_width_from_rows(self, rows, tasks):
+        engine = distinct_keys_engine(rows, hash_partitions=self.CAP)
+        sql = "SELECT k, count(*) FROM t GROUP BY k"
+        staged = engine.execute(sql)
+        assert hash_stages(staged) == [(rows, tasks)]
+        assert sorted(staged.rows) == sorted(engine.execute_direct(sql).rows)
+
     def test_small_volume_runs_fewer_tasks(self):
-        baseline = make_engine().execute(GROUP_BY_SQL)
-        adaptive = make_engine(
-            adaptive_partitioning=True, target_partition_rows=1_000
-        ).execute(GROUP_BY_SQL)
-        assert adaptive.stats.tasks_total < baseline.stats.tasks_total
-        assert sorted(adaptive.rows) == sorted(baseline.rows)
-
-    def test_large_target_collapses_to_single_partition(self):
-        adaptive = make_engine(
-            adaptive_partitioning=True, target_partition_rows=10_000_000
-        ).execute(GROUP_BY_SQL)
-        baseline = make_engine().execute(GROUP_BY_SQL)
-        assert adaptive.stats.tasks_total < baseline.stats.tasks_total
-        assert sorted(adaptive.rows) == sorted(baseline.rows)
-
-    def test_tiny_target_keeps_configured_partitions(self):
-        # Target of 1 row/partition wants more partitions than configured;
-        # the count is capped at hash_partitions, so plans are unchanged.
-        adaptive = make_engine(
-            adaptive_partitioning=True, target_partition_rows=1
-        ).execute(GROUP_BY_SQL)
-        baseline = make_engine().execute(GROUP_BY_SQL)
-        assert adaptive.stats.tasks_total == baseline.stats.tasks_total
-        assert sorted(adaptive.rows) == sorted(baseline.rows)
-
-    def test_default_is_off(self):
         engine = make_engine()
-        assert engine.adaptive_partitioning is False
-        assert DEFAULT_TARGET_PARTITION_ROWS == 65_536
+        result = engine.execute(GROUP_BY_SQL)
+        assert [tasks for _, tasks in hash_stages(result)] == [1]
+        assert 1 < engine.hash_partitions
+
+    def test_join_inside_a_hash_stage_shares_the_stage_width(self):
+        # The probe side is a hash stage (a grouped subquery); the join's
+        # build side is read whole by each of its tasks, so every key meets
+        # its match whatever width the partitioned input chose.
+        rows = TARGET_PARTITION_ROWS + 1
+        engine = distinct_keys_engine(rows, hash_partitions=4)
+        engine.catalog.connector("memory").create_table(
+            "db", "dim", [("k", BIGINT), ("label", VARCHAR)], [(7, "seven"), (rows, "none")]
+        )
+        sql = (
+            "SELECT g.k, g.n, d.label FROM "
+            "(SELECT k, count(*) AS n FROM t GROUP BY k) g JOIN dim d ON g.k = d.k"
+        )
+        staged = engine.execute(sql)
+        assert [tasks for _, tasks in hash_stages(staged)] == [2]
+        assert staged.rows == engine.execute_direct(sql).rows == [(7, 1, "seven")]
 
     def test_agrees_with_direct_oracle(self):
-        engine = make_engine(adaptive_partitioning=True, target_partition_rows=500)
+        engine = make_engine()
         staged = engine.execute(GROUP_BY_SQL)
         direct = engine.execute_direct(GROUP_BY_SQL)
         assert sorted(staged.rows) == sorted(direct.rows)
 
-    def test_invalid_target_rejected(self):
-        engine = make_engine(adaptive_partitioning=True, target_partition_rows=0)
-        with pytest.raises(ExecutionError):
-            engine.execute(GROUP_BY_SQL)
-
     def test_deterministic_across_runs(self):
-        runs = [
-            make_engine(adaptive_partitioning=True, target_partition_rows=1_000)
-            .execute(GROUP_BY_SQL)
-            for _ in range(2)
-        ]
+        runs = [make_engine().execute(GROUP_BY_SQL) for _ in range(2)]
         assert runs[0].rows == runs[1].rows
         a, b = (r.stats.as_dict() for r in runs)
         a.pop("query_id"), b.pop("query_id")

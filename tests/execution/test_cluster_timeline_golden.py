@@ -1,11 +1,12 @@
 """The cluster timeline, read from the query records, matches a golden.
 
-``golden_storm_smoke_timeline.json`` was captured at commit 766f0a0 —
-when finished runs were still copied into a separate timeline list —
-from ``bench_traffic_storm.py``'s smoke storm at its three concurrency
-caps.  ``timeline_trace()`` and ``max_concurrent_running()`` now read
-FINISHED/FAILED records straight out of ``cluster.queries``; their
-output must not have moved.
+``golden_storm_smoke_timeline.json`` holds ``bench_traffic_storm.py``'s
+smoke storm at its three concurrency caps.  ``timeline_trace()`` and
+``max_concurrent_running()`` read FINISHED/FAILED records straight out of
+``cluster.queries``; their output moves only when the simulated schedule
+is changed on purpose (last: hash stages as wide as the rows they
+observed, which moved query starts and ends by under a
+millisecond and no span's order).
 """
 
 import importlib

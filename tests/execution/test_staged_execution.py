@@ -10,6 +10,7 @@ from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, VARCHAR
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
+from repro.execution.scheduler import TARGET_PARTITION_ROWS
 from repro.federation.gateway import PrestoGateway
 from repro.planner.analyzer import Session
 
@@ -35,10 +36,16 @@ class TestStagedStats:
     def test_hash_stage_runs_one_task_per_partition(self):
         engine = make_engine(hash_partitions=3)
         result = engine.execute("SELECT k, sum(v) FROM events GROUP BY k")
-        hash_stages = [
+        (stage,) = [
             s for s in result.stats.stage_summaries if s["distribution"] == "hash"
         ]
-        assert hash_stages and hash_stages[0]["tasks"] == 3
+        chosen = min(3, max(1, -(-stage["rows_in"] // TARGET_PARTITION_ROWS)))
+        assert stage["tasks"] == chosen
+        assert [
+            r["data_key"]
+            for r in result.stats.task_records
+            if r["stage"] == stage["stage"]
+        ] == [f"stage{stage['stage']}.part{p}" for p in range(chosen)]
 
     def test_rows_exchanged_counted(self):
         engine = make_engine()
