@@ -144,10 +144,11 @@ def scan_varchar_q1(pages, evaluator):
             qty = np.concatenate([qty, np.zeros(groups - len(qty), np.float64)])
         counts[: len(page_counts)] += page_counts.astype(np.int64)
         qty[: len(page_qty)] += page_qty
+    flags, statuses = (block.to_list() for block in index.key_blocks([VARCHAR, VARCHAR]))
     return {
         "groups": [
-            [list(key), int(counts[g]), round(float(qty[g]), 2)]
-            for g, key in enumerate(index.keys)
+            [[flags[g], statuses[g]], int(counts[g]), round(float(qty[g]), 2)]
+            for g in range(len(index))
         ]
     }
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.common.errors import SemanticError
+from repro.common.errors import InvalidValueError, SemanticError
 from repro.core.types import (
     ArrayType,
     BIGINT,
@@ -545,12 +545,22 @@ def _register_builtin_aggregates(registry: FunctionRegistry) -> None:
             return ts[0]
         return None
 
+    def checked_add(a: Any, b: Any) -> Any:
+        # A bigint sum that leaves int64 is Presto's
+        # NUMERIC_VALUE_OUT_OF_RANGE, never a Python big integer.
+        total = a + b
+        if isinstance(total, int) and not -(2**63) <= total < 2**63:
+            raise InvalidValueError("bigint sum out of range")
+        return total
+
     aggregate(
         "sum",
         resolve_numeric_agg,
         lambda: None,
-        lambda state, args: state if args[0] is None else (args[0] if state is None else state + args[0]),
-        lambda a, b: b if a is None else (a if b is None else a + b),
+        lambda state, args: state
+        if args[0] is None
+        else (args[0] if state is None else checked_add(state, args[0])),
+        lambda a, b: b if a is None else (a if b is None else checked_add(a, b)),
         lambda state: state,
     )
 

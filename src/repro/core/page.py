@@ -119,6 +119,42 @@ def concat_pages(types: Sequence[PrestoType], pages: Sequence[Page]) -> Page:
     return Page(blocks, position_count)
 
 
+def concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:
+    """One column's blocks end to end, dictionary encoding kept.
+
+    What hash aggregation batches its key and argument columns with: a
+    lone block passes through as it is, and dictionary blocks stay ids
+    over the (concatenated) dictionaries, so the kernels downstream still
+    factorize ids instead of decoded values.  At least one block.
+    """
+    blocks = [block.loaded() for block in blocks]
+    if len(blocks) == 1:
+        return blocks[0]
+    if all(isinstance(block, DictionaryBlock) for block in blocks):
+        # A page per column chunk, a dictionary per page: the dictionaries
+        # go end to end and each page's ids shift past the ones before.
+        # (A value in two of them is two entries; the kernels deduplicate.)
+        ids, start = [], 0
+        for block in blocks:
+            ids.append(np.where(block.ids < 0, -1, block.ids + start))
+            start += block.dictionary.position_count
+        dictionary = _concat_blocks(presto_type, [block.dictionary for block in blocks])
+        return DictionaryBlock(dictionary, np.concatenate(ids))
+    if all(
+        isinstance(block, PrimitiveBlock) and block.values.dtype == blocks[0].values.dtype
+        for block in blocks
+    ):
+        # Storage as it is, never coerced to the declared type: partial
+        # states ((sum, count) pairs, sets) travel as objects under it.
+        nulls = None
+        if any(block.nulls is not None for block in blocks):
+            nulls = np.concatenate([block.null_mask() for block in blocks])
+        return PrimitiveBlock(
+            presto_type, np.concatenate([block.values for block in blocks]), nulls
+        )
+    return _concat_blocks(presto_type, blocks)
+
+
 def _concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:
     """Concatenate one column's blocks; vectorized for flat columns."""
     loaded: list[Block] = []

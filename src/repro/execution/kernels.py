@@ -7,23 +7,28 @@ fall back to ``block.get(position)`` loops over Python tuples.  This
 module is the kernel layer that keeps them columnar:
 
 - **Group-key factorization** (:func:`factorize_keys`): encode the key
-  columns of a page into one dense ``int64`` code array plus the list of
-  distinct key tuples.  Dictionary-encoded columns factorize directly on
-  their id arrays without decoding; primitive columns go through
-  ``np.unique``; offsets-based :class:`VarcharBlock` columns factorize on
-  padded byte views (no per-element Python compares); legacy object-dtype
-  (varchar) columns get a null-safe ``np.unique`` over the non-null
-  values.  Unsupported block kinds (row, array, map, mixed-type object
-  columns) return ``None`` and the caller falls back to the retained
-  row-at-a-time reference path.
+  columns of a batch into one dense ``int64`` code array plus the
+  distinct keys, one block per key column (``block.take`` of each key's
+  first row: no key ever becomes a Python tuple).  Dictionary-encoded
+  columns factorize directly on their id arrays without decoding;
+  primitive columns go through ``np.unique``; offsets-based
+  :class:`VarcharBlock` columns factorize on padded byte views (no
+  per-element Python compares); legacy object-dtype (varchar) columns get
+  a null-safe ``np.unique`` over the non-null values.  Unsupported block
+  kinds (row, array, map, mixed-type object columns) return ``None`` and
+  the caller falls back to the retained row-at-a-time reference path.
+  :class:`GroupIndex` keeps those key blocks from the first batch to the
+  output page; its tuple-keyed dict exists only once a second batch has
+  to be matched against the first.
 - **Grouped accumulators**: count/sum/min/max/avg accumulate per group
   code with ``np.bincount`` / ``np.add.at`` / ``np.minimum.at`` instead
-  of a per-row dict of Python states.  ``np.add.at`` applies updates in
-  row order, so float results are bit-identical to the row loop.  The
-  :class:`GenericAccumulator` wraps any aggregate's create/add/merge
-  state machine for the cases the array kernels do not cover (DISTINCT,
-  object-dtype inputs, avg in merge mode) and is also the differential
-  reference.
+  of a per-row dict of Python states, and hand their states and final
+  values back as ``(values, nulls)`` arrays that become blocks as they
+  are.  ``np.add.at`` applies updates in row order, so float results are
+  bit-identical to the row loop.  The :class:`GenericAccumulator` wraps
+  any aggregate's create/add/merge state machine for the cases the array
+  kernels do not cover (DISTINCT, object-dtype inputs, avg in merge mode)
+  and is also the differential reference.
 - **Hash-join index** (:class:`JoinKeyIndex`): the build side factorizes
   once; probe pages map into the same code space and expand into the
   ``(probe_positions, build_positions)`` index pair in probe-row order.
@@ -45,6 +50,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.common.errors import InvalidValueError
 from repro.common.hashing import stable_hash, stable_hash_keys
 from repro.core.blocks import (
     Block,
@@ -52,11 +58,22 @@ from repro.core.blocks import (
     PrimitiveBlock,
     VarcharBlock,
     _numpy_dtype_for,
+    block_from_values,
     masked_tolist,
 )
-from repro.core.types import parse_type
+from repro.core.page import Page, concat_pages
+from repro.core.types import PrestoType, parse_type
 
 EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
+
+# Mixed-radix key codes re-compact through ``np.unique`` before their
+# product could leave int64.
+_MAX_RADIX = 2**62
+
+# Rows one hash-stage task should own (the scheduler runs ceil(observed
+# rows / target) of them), and so the rows hash aggregation factorizes at
+# once: a FINAL task's whole input is one batch.
+TARGET_PARTITION_ROWS = 65_536
 
 
 class FallbackNeeded(Exception):
@@ -164,7 +181,7 @@ def _factorize(
     radix = 1
     for codes, uniques in columns:
         width = len(uniques) + 1  # +1 slot so null (-1) encodes as 0
-        if radix > (2**62) // max(width, 1):
+        if radix > _MAX_RADIX // max(width, 1):
             _, combined = np.unique(combined, return_inverse=True)
             combined = combined.astype(np.int64, copy=False)
             radix = int(combined.max()) + 1 if n else 1
@@ -219,20 +236,61 @@ def _key_tuples(
     return zip(*gathered)
 
 
-def factorize_keys(blocks: Sequence[Block]) -> Optional[tuple[np.ndarray, list[tuple]]]:
+def _array_block(
+    presto_type: PrestoType, values: np.ndarray, nulls: Optional[np.ndarray]
+) -> Block:
+    """``values`` / ``nulls`` as the block their Python values would build.
+
+    No Python value in between: the null mask is dropped when nothing is
+    null and storage is zeroed under it, so the block is the one
+    ``block_from_values`` makes, byte for byte.  Only object-dtype storage
+    (the legacy varchar lane, dates) is rebuilt from its values.
+    """
+    dtype = _numpy_dtype_for(presto_type)
+    if dtype is object or values.dtype == object:
+        return block_from_values(presto_type, masked_tolist(values, nulls))
+    if nulls is not None and nulls.any():
+        values = np.where(nulls, values.dtype.type(0), values)
+    else:
+        nulls = None
+    return PrimitiveBlock(presto_type, values.astype(dtype, copy=False), nulls)
+
+
+def _distinct_key_block(block: Block, reps: np.ndarray) -> Block:
+    """The distinct keys of one column: ``block`` at rows ``reps``.
+
+    One gather.  NaN keys are nulled (they group, and so print, as NULL)
+    and a dictionary decodes over the distinct keys only.
+    """
+    taken = block.take(reps)
+    if isinstance(taken, DictionaryBlock):
+        taken = taken.decode()
+    nulls = taken.null_mask()
+    if isinstance(taken, VarcharBlock):
+        return VarcharBlock(
+            taken.type, taken.data, taken.offsets, nulls if nulls.any() else None
+        )
+    if np.issubdtype(taken.values.dtype, np.floating):
+        nulls = nulls | np.isnan(taken.values)
+    return _array_block(taken.type, taken.values, nulls)
+
+
+def factorize_keys(
+    blocks: Sequence[Block],
+) -> Optional[tuple[np.ndarray, list[Block]]]:
     """Encode multi-column row keys into dense int64 group codes.
 
-    Returns ``(codes, uniques)`` where ``codes[row]`` indexes into
-    ``uniques``, the distinct key tuples in first-appearance order
-    (``None`` components for null keys; pairwise unequal).  Returns
-    ``None`` when any column is unsupported so the caller can take the
-    row-at-a-time path.
+    Returns ``(codes, keys)`` where ``keys`` holds one block per key
+    column and row ``codes[row]`` of them is that row's key: the distinct
+    keys in first-appearance order (NULL where the key is NULL or NaN;
+    pairwise unequal).  Returns ``None`` when any column is unsupported
+    so the caller can take the row-at-a-time path.
     """
     factorized = _factorize(blocks)
     if factorized is None:
         return None
-    group_codes, reps, columns = factorized
-    return group_codes, list(_key_tuples(columns, reps))
+    group_codes, reps, _ = factorized
+    return group_codes, [_distinct_key_block(block.loaded(), reps) for block in blocks]
 
 
 def _positive_zero(value: Any) -> Any:
@@ -284,60 +342,97 @@ def partition_assignments(blocks: Sequence[Block], n_partitions: int) -> np.ndar
 
 
 class GroupIndex:
-    """Incremental key-tuple -> dense group id mapping, first-seen order.
+    """Distinct group keys, numbered in first-seen order and kept as blocks.
 
-    Pages factorize locally; only each page's *distinct* keys touch the
-    Python dict, so the per-row cost is one vectorized gather.
+    A batch factorizes locally (:func:`factorize_keys`) and hands over its
+    distinct keys as one block per key column; they stay blocks until
+    :meth:`key_blocks` lays them into the output page.  The first batch's
+    codes are the group ids.  Only when a second batch has to be matched
+    against what is stored does a ``key tuple -> id`` dict get built, from
+    the stored blocks, and from then on each batch's *distinct* keys go
+    through it; :meth:`map_rows` is the one place a tuple is made per row.
     """
 
     def __init__(self) -> None:
-        self._ids: dict[tuple, int] = {}
-        self.keys: list[tuple] = []
+        # One entry per batch that minted groups: its new keys, a block
+        # per key column.
+        self._segments: list[list[Block]] = []
+        self._count = 0
+        self._ids: Optional[dict[tuple, int]] = None
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self._count
 
-    def map_codes(self, codes: np.ndarray, uniques: Sequence[tuple]) -> np.ndarray:
-        """Translate page-local codes into global group ids.
+    def _lookup(self) -> dict[tuple, int]:
+        if self._ids is None:
+            self._ids = dict(
+                zip(
+                    (key for segment in self._segments for key in _block_rows(segment)),
+                    range(self._count),
+                )
+            )
+        return self._ids
 
-        ``uniques`` are pairwise unequal (:func:`factorize_keys`), so the
-        keys not seen before take consecutive new ids in page order.
+    def _append(self, keys: Sequence[Block]) -> None:
+        self._segments.append(list(keys))
+        self._count += keys[0].position_count
+
+    def map_codes(self, codes: np.ndarray, keys: Sequence[Block]) -> np.ndarray:
+        """Translate batch-local codes into global group ids.
+
+        ``keys`` are pairwise unequal (:func:`factorize_keys`), so the
+        ones not seen before take consecutive new ids in batch order.
         """
+        if not self._count:
+            self._append(keys)
+            return codes
+        ids = self._lookup()
+        distinct = list(_block_rows(keys))
         remap = np.fromiter(
-            map(self._ids.get, uniques, repeat(-1)), dtype=np.int64, count=len(uniques)
+            map(ids.get, distinct, repeat(-1)), dtype=np.int64, count=len(distinct)
         )
         unseen = np.flatnonzero(remap < 0)
         if len(unseen):
-            new_keys = uniques
-            if len(unseen) < len(uniques):
-                new_keys = [uniques[i] for i in unseen.tolist()]
-            first = len(self.keys)
-            self._ids.update(zip(new_keys, range(first, first + len(new_keys))))
-            self.keys.extend(new_keys)
-            remap[unseen] = np.arange(first, first + len(new_keys), dtype=np.int64)
+            first = self._count
+            if len(unseen) < len(distinct):
+                distinct = [distinct[i] for i in unseen.tolist()]
+                keys = [block.take(unseen) for block in keys]
+            ids.update(zip(distinct, range(first, first + len(distinct))))
+            self._append(keys)
+            remap[unseen] = np.arange(first, first + len(distinct), dtype=np.int64)
         return remap[codes]
 
     def map_rows(self, key_blocks: Sequence[Block], count: int) -> np.ndarray:
         """Row-at-a-time fallback for unsupported key block kinds."""
         group_ids = np.empty(count, dtype=np.int64)
-        ids = self._ids
+        ids = self._lookup()
+        minted: list[tuple] = []
         for position in range(count):
             key = tuple(canonical_key(block.get(position)) for block in key_blocks)
             group = ids.get(key)
             if group is None:
-                group = len(self.keys)
-                ids[key] = group
-                self.keys.append(key)
+                group = ids[key] = self._count + len(minted)
+                minted.append(key)
             group_ids[position] = group
+        if minted:
+            self._append(
+                [
+                    block_from_values(block.type, column)
+                    for block, column in zip(key_blocks, zip(*minted))
+                ]
+            )
         return group_ids
 
-    def ensure_group(self, key: tuple) -> int:
-        group = self._ids.get(key)
-        if group is None:
-            group = len(self.keys)
-            self._ids[key] = group
-            self.keys.append(key)
-        return group
+    def key_blocks(self, types: Sequence[PrestoType]) -> list[Block]:
+        """Every group's key, one block per key column, in group-id order."""
+        if len(self._segments) == 1:
+            return self._segments[0]
+        return concat_pages(types, [Page(segment) for segment in self._segments]).blocks
+
+
+def _block_rows(blocks: Sequence[Block]) -> Iterator[tuple]:
+    """Row tuples of parallel blocks: one ``to_list`` each, one ``zip``."""
+    return zip(*(block.to_list() for block in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +451,7 @@ def _numeric_input(block: Block) -> tuple[np.ndarray, np.ndarray]:
 
 
 class GroupedAccumulator:
-    """One aggregate accumulated across pages, keyed by dense group ids."""
+    """One aggregate accumulated across batches, keyed by dense group ids."""
 
     vectorized = True
 
@@ -369,7 +464,12 @@ class GroupedAccumulator:
     ) -> None:
         raise NotImplementedError
 
-    def finalize_all(self, group_count: int) -> list:
+    def final_block(self, group_count: int, presto_type: PrestoType) -> Block:
+        """Every group's finalized value."""
+        raise NotImplementedError
+
+    def state_block(self, group_count: int, presto_type: PrestoType) -> Block:
+        """Every group's partial state, for a FINAL step to merge."""
         raise NotImplementedError
 
     def to_states(self) -> list:
@@ -377,11 +477,34 @@ class GroupedAccumulator:
         raise NotImplementedError
 
 
+_SCALAR_STATE_TYPES = (int, float, str, bool, bytes, type(None))
+
+
+def states_block(presto_type: PrestoType, states: Sequence[Any]) -> Block:
+    """Partial states as a block, tolerating non-scalar states.
+
+    States that are not scalars (avg's (sum, count), approx_distinct's
+    set) travel in object storage under the declared output type.
+    """
+    # One test per distinct type in the column, not one per group.
+    if all(issubclass(t, _SCALAR_STATE_TYPES) for t in set(map(type, states))):
+        try:
+            return block_from_values(presto_type, states)
+        except Exception:
+            pass
+    return PrimitiveBlock(presto_type, _object_array(states))
+
+
+def _object_array(values: Sequence[Any]) -> np.ndarray:
+    # Element by element: numpy would broadcast equal-length tuples.
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 class GenericAccumulator(GroupedAccumulator):
     """Row-at-a-time reference: drives any AggregateFunction state machine.
 
     Handles DISTINCT, merge (FINAL) mode, and object-dtype inputs; also
-    the target the vector accumulators spill into when a later page turns
+    the target the vector accumulators spill into when a later batch turns
     out not to be vectorizable.
     """
 
@@ -423,16 +546,26 @@ class GenericAccumulator(GroupedAccumulator):
             else:
                 states[group] = impl.add_input(states[group], arguments)
 
-    def finalize_all(self, group_count):
+    def final_block(self, group_count, presto_type):
         self._grow(group_count)
-        return [self.impl.finalize(state) for state in self.states]
+        return block_from_values(
+            presto_type, [self.impl.finalize(state) for state in self.states]
+        )
+
+    def state_block(self, group_count, presto_type):
+        self._grow(group_count)
+        return states_block(presto_type, self.states)
 
     def to_states(self):
         return list(self.states)
 
 
 class _ArrayAccumulator(GroupedAccumulator):
-    """Shared growable-array plumbing for the vector accumulators."""
+    """Shared growable-array plumbing for the vector accumulators.
+
+    A subclass answers :meth:`_arrays` with its ``(values, nulls)``; they
+    become the output block as they are (:func:`_array_block`).
+    """
 
     def __init__(self) -> None:
         self._size = 0
@@ -445,6 +578,20 @@ class _ArrayAccumulator(GroupedAccumulator):
 
     def _grow_arrays(self, old: int, new: int) -> None:
         raise NotImplementedError
+
+    def _arrays(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Per-group values and the mask of groups that have none."""
+        raise NotImplementedError
+
+    def final_block(self, group_count, presto_type):
+        self._grow(group_count)
+        return _array_block(presto_type, *self._arrays())
+
+    # count, sum, min and max finalize to their state.
+    state_block = final_block
+
+    def to_states(self):
+        return masked_tolist(*self._arrays())
 
 
 def _extended(array: np.ndarray, new_size: int, fill) -> np.ndarray:
@@ -481,21 +628,28 @@ class CountAccumulator(_ArrayAccumulator):
         counts = np.bincount(group_ids, minlength=self._size)
         self.counts[: len(counts)] += counts.astype(np.int64, copy=False)
 
-    def finalize_all(self, group_count):
-        self._grow(group_count)
-        return self.counts.tolist()
+    def _arrays(self):
+        return self.counts, None
 
-    def to_states(self):
-        return self.counts.tolist()
+
+_INT64_MAX = 2**63 - 1
 
 
 class SumAccumulator(_ArrayAccumulator):
-    """sum(x); merge mode is the same null-skipping addition."""
+    """sum(x); merge mode is the same null-skipping addition.
+
+    An integer sum that leaves int64 raises (Presto's
+    NUMERIC_VALUE_OUT_OF_RANGE) instead of wrapping.  ``_reach`` bounds
+    every group's ``|sum|`` from above: each batch adds ``max|value| x
+    rows`` to it, and only a batch that takes it past int64 is added
+    exactly, in Python integers.
+    """
 
     def __init__(self, dtype) -> None:
         super().__init__()
         self.sums = np.zeros(0, dtype=dtype)
         self.has_value = np.zeros(0, dtype=bool)
+        self._reach = 0
 
     def _grow_arrays(self, old, new):
         self.sums = _extended(self.sums, new, 0)
@@ -510,15 +664,27 @@ class SumAccumulator(_ArrayAccumulator):
             keep = ~nulls
             group_ids = group_ids[keep]
             values = values[keep]
+        if np.issubdtype(self.sums.dtype, np.integer) and len(values):
+            largest = max(abs(int(values.min())), abs(int(values.max())))
+            self._reach += largest * len(values)
+            if self._reach > _INT64_MAX:
+                self._add_exactly(group_ids, values)
+                return
         np.add.at(self.sums, group_ids, values)
         self.has_value[group_ids] = True
 
-    def finalize_all(self, group_count):
-        self._grow(group_count)
-        return self.to_states()
+    def _add_exactly(self, group_ids: np.ndarray, values: np.ndarray) -> None:
+        exact = self.sums.astype(object)
+        np.add.at(exact, group_ids, values.astype(object))
+        low, high = min(exact), max(exact)
+        if low < -_INT64_MAX - 1 or high > _INT64_MAX:
+            raise InvalidValueError("bigint sum out of range")
+        self._reach = max(-low, high)
+        self.sums = exact.astype(self.sums.dtype)
+        self.has_value[group_ids] = True
 
-    def to_states(self):
-        return masked_tolist(self.sums, ~self.has_value)
+    def _arrays(self):
+        return self.sums, ~self.has_value
 
 
 class MinMaxAccumulator(_ArrayAccumulator):
@@ -551,15 +717,12 @@ class MinMaxAccumulator(_ArrayAccumulator):
             group_ids = group_ids[keep]
             values = values[keep]
         ufunc = np.minimum if self.is_min else np.maximum
-        ufunc.at(self.best, group_ids, values)
+        with np.errstate(invalid="ignore"):  # a NaN input is a value, not an error
+            ufunc.at(self.best, group_ids, values)
         self.has_value[group_ids] = True
 
-    def finalize_all(self, group_count):
-        self._grow(group_count)
-        return self.to_states()
-
-    def to_states(self):
-        return masked_tolist(self.best, ~self.has_value)
+    def _arrays(self):
+        return self.best, ~self.has_value
 
 
 class AvgAccumulator(_ArrayAccumulator):
@@ -584,14 +747,18 @@ class AvgAccumulator(_ArrayAccumulator):
         np.add.at(self.sums, group_ids, values)
         self.counts[: self._size] += np.bincount(group_ids, minlength=self._size)
 
-    def finalize_all(self, group_count):
-        self._grow(group_count)
+    def _arrays(self):
         empty = self.counts == 0
         # float64 / int64 is the division ``float / int`` does, elementwise.
         means = np.divide(
             self.sums, self.counts, out=np.zeros_like(self.sums), where=~empty
         )
-        return masked_tolist(means, empty)
+        return means, empty
+
+    def state_block(self, group_count, presto_type):
+        # (sum, count) pairs, in object storage under the declared type.
+        self._grow(group_count)
+        return PrimitiveBlock(presto_type, _object_array(self.to_states()))
 
     def to_states(self):
         return list(zip(self.sums.tolist(), self.counts.tolist()))
@@ -796,7 +963,7 @@ def build_join_index(blocks: Sequence[Block]) -> Optional[JoinKeyIndex]:
     radix = 1
     for i, (codes, uniq) in enumerate(columns):
         width = len(uniq) + 1  # +1 slot so null (-1) encodes as 0
-        if radix > (2**62) // max(width, 1):
+        if radix > _MAX_RADIX // max(width, 1):
             # Same overflow guard as factorize_keys, but the compaction
             # table is kept so probe pages can replay the mapping.
             table = np.unique(combined)

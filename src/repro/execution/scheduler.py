@@ -69,6 +69,7 @@ from repro.execution.dynamic_filters import (
 )
 from repro.execution.exchange import ExchangeBuffer, key_channels_for
 from repro.execution.faults import FaultInjector
+from repro.execution.kernels import TARGET_PARTITION_ROWS
 from repro.execution.operators.scan import plan_scan
 from repro.planner.fragmenter import (
     Exchange,
@@ -87,10 +88,6 @@ from repro.planner.plan import (
 # Join types whose probe side drops rows lacking a build-side match; only
 # these may have their probe scans dynamically filtered.
 _DYNAMIC_FILTER_JOIN_TYPES = ("inner", "right")
-
-# Rows each hash-stage task should own: a hash stage runs
-# ceil(observed rows / target) tasks, clamped to [1, hash_partitions].
-TARGET_PARTITION_ROWS = 65_536
 
 # Cost model: simulated milliseconds per task (task creation, the
 # coordinator RPC of section VIII) and per row in and out of a task.

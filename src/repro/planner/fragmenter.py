@@ -14,7 +14,8 @@ machines and groups the operators between boundaries into
 - at each join: the build side ends in a REPARTITION (partitioned
   distribution) or REPLICATE (broadcast) exchange;
 - below each LIMIT over distributed input: a partial per-task limit, with
-  the final limit applied after the gather;
+  the final limit applied after the gather; below each ORDER BY ... LIMIT
+  (TopN) likewise a partial per-task TopN, the final one after the gather;
 - each UNION ALL branch becomes its own fragment, gathered in order;
 - at the top: a GATHER exchange into the single-node output fragment.
 
@@ -288,7 +289,11 @@ class Fragmenter:
             child, inputs, distribution = self._visit(node.source)
             if distribution == "single":
                 return node.replace_sources([child]), inputs, "single"
-            # Global ordering requires gathering to one node.
+            # Global ordering requires gathering to one node.  A TopN first
+            # cuts each task's rows to its own top ``count``: the final one
+            # then orders at most tasks x count rows, not the whole input.
+            if isinstance(node, TopNNode):
+                child = replace(node, source=child, partial=True)
             source_fragment = self._add_fragment(child, inputs, distribution)
             exchange = Exchange(ExchangeKind.GATHER, source_fragment.fragment_id)
             remote = RemoteSourceNode(exchange, child.outputs)

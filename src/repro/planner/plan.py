@@ -342,6 +342,7 @@ class TopNNode(PlanNode):
     source: PlanNode
     count: int
     order_by: tuple[tuple[VariableReferenceExpression, bool], ...]
+    partial: bool = False
     id: str = field(default_factory=next_plan_id)
 
     @property
@@ -356,7 +357,7 @@ class TopNNode(PlanNode):
 
     def describe(self) -> str:
         keys = ", ".join(f"{v.name} {'ASC' if asc else 'DESC'}" for v, asc in self.order_by)
-        return f"TopN[{self.count}, {keys}]"
+        return f"TopN[{self.count}{', partial' if self.partial else ''}, {keys}]"
 
 
 @dataclass(frozen=True)

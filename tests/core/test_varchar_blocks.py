@@ -49,6 +49,20 @@ def build_both(values):
     return native, legacy
 
 
+def factorized_keys(blocks):
+    """``factorize_keys``: the codes, and the distinct keys as row tuples."""
+    factorized = kernels.factorize_keys(blocks)
+    assert factorized is not None
+    codes, keys = factorized
+    return codes, list(zip(*(block.to_list() for block in keys)))
+
+
+def factorized_rows(blocks):
+    """Every row's key, read back through its code."""
+    codes, uniques = factorized_keys(blocks)
+    return [uniques[c] for c in codes]
+
+
 def call(name, args, arg_types):
     handle, _ = REGISTRY.resolve_scalar(name, arg_types)
     return CallExpression(name, handle, handle.resolved_return_type(), tuple(args))
@@ -134,11 +148,8 @@ def test_factorize_reconstructs(values):
 @settings(max_examples=150, deadline=None)
 def test_factorize_keys_differential(values):
     native, legacy = build_both(values)
-    native_keys = kernels.factorize_keys([native])
-    legacy_keys = kernels.factorize_keys([legacy])
-    assert native_keys is not None and legacy_keys is not None
-    native_rows = [native_keys[1][c] for c in native_keys[0]]
-    legacy_rows = [legacy_keys[1][c] for c in legacy_keys[0]]
+    native_rows = factorized_rows([native])
+    legacy_rows = factorized_rows([legacy])
     assert native_rows == legacy_rows
     assert native_rows == [(v,) for v in values]
 
@@ -153,11 +164,8 @@ def test_factorize_keys_multi_column(values, flags):
 
     flag_block = block_from_values(BOOLEAN, flags)
     native, legacy = build_both(values)
-    native_keys = kernels.factorize_keys([native, flag_block])
-    legacy_keys = kernels.factorize_keys([legacy, flag_block])
-    assert native_keys is not None and legacy_keys is not None
-    native_rows = [native_keys[1][c] for c in native_keys[0]]
-    legacy_rows = [legacy_keys[1][c] for c in legacy_keys[0]]
+    native_rows = factorized_rows([native, flag_block])
+    legacy_rows = factorized_rows([legacy, flag_block])
     assert native_rows == legacy_rows == list(zip(values, flags))
 
 
@@ -357,10 +365,7 @@ def test_nan_groups_with_null():
     """
     values = [1.0, float("nan"), None, 2.0, float("nan"), 1.0, None]
     block = block_from_values(DOUBLE, values)
-    factorized = kernels.factorize_keys([block])
-    assert factorized is not None
-    codes, uniques = factorized
-    rows = [uniques[c] for c in codes]
+    rows = factorized_rows([block])
     assert rows == [(1.0,), (None,), (None,), (2.0,), (None,), (1.0,), (None,)]
     # Exactly three groups: 1.0, 2.0, and the merged NaN/NULL sentinel.
     assert len({tuple(r) for r in rows}) == 3
@@ -379,9 +384,7 @@ def test_nan_groups_with_null():
 @settings(max_examples=150, deadline=None)
 def test_nan_group_keys_match_row_oracle(values):
     block = block_from_values(DOUBLE, values)
-    factorized = kernels.factorize_keys([block])
-    assert factorized is not None
-    codes, uniques = factorized
+    codes, uniques = factorized_keys([block])
 
     def canonical(v):
         return None if v is None or (isinstance(v, float) and v != v) else v

@@ -1,10 +1,14 @@
 """Engine edge cases: empty inputs, nulls everywhere, odd-but-legal SQL."""
 
+import math
+import warnings
+
 import pytest
 
 from repro.common.errors import (
     ErrorCategory,
     ExecutionError,
+    InvalidValueError,
     PrestoError,
     SemanticError,
 )
@@ -14,8 +18,8 @@ from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
 
 
-def make_engine(rows, columns=None):
-    connector = MemoryConnector(split_size=4)
+def make_engine(rows, columns=None, split_size=4):
+    connector = MemoryConnector(split_size=split_size)
     connector.create_table(
         "db",
         "t",
@@ -195,6 +199,58 @@ class TestRuntimeErrorsAreCategorized:
         assert isinstance(error.__cause__, KeyError)
         assert handle.state == "failed"
         assert handle.stats.tasks_retried == 0
+
+
+class TestBigintSumLeavesInt64:
+    """``sum(bigint)`` past int64 is NUMERIC_VALUE_OUT_OF_RANGE, never a wrap."""
+
+    COLUMNS = [("k", BIGINT), ("g", BIGINT)]
+
+    @pytest.mark.parametrize("split_size", [4, 1])  # one task; a FINAL merge of three
+    @pytest.mark.parametrize(
+        "sql", ["SELECT sum(k) FROM t", "SELECT g, sum(k) FROM t GROUP BY g"]
+    )
+    def test_overflow_raises_on_every_path(self, sql, split_size):
+        engine = make_engine([(2**62, 1)] * 3, self.COLUMNS, split_size)
+        for run in (engine.execute, engine.execute_direct):
+            with pytest.raises(InvalidValueError) as raised:
+                run(sql)
+            assert raised.value.category is ErrorCategory.USER_ERROR
+
+    @pytest.mark.parametrize("split_size", [4, 1])
+    def test_sums_that_fit_are_exact(self, split_size):
+        # Each group's running bound passes int64 (so it is added exactly)
+        # while the sum itself stays inside, at either end of the range.
+        rows = [
+            (2**62, 1), (2**62 - 1, 1),
+            (-(2**62), 2), (-(2**62), 2),
+            (2**62, 3), (-(2**62), 3), (5, 3),
+        ]  # fmt: skip
+        engine = make_engine(rows, self.COLUMNS, split_size)
+        expected = [(1, 2**63 - 1), (2, -(2**63)), (3, 5)]
+        for run in (engine.execute, engine.execute_direct):
+            assert sorted(run("SELECT g, sum(k) FROM t GROUP BY g").rows) == expected
+            assert run("SELECT sum(k) FROM t WHERE g = 3").rows == [(5,)]
+
+
+class TestMinMaxOverNaN:
+    def test_no_warning_and_nan_propagates(self):
+        nan = float("nan")
+        rows = [
+            (1, nan, "a"), (1, 1.0, "a"), (1, 3.0, "a"),
+            (2, 2.0, "b"), (2, nan, "b"),
+            (3, None, "c"),
+        ]  # fmt: skip
+        engine = make_engine(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (engine.execute, engine.execute_direct):
+                result = run("SELECT k, max(v), min(v) FROM t GROUP BY k")
+                by_key = {k: (hi, lo) for k, hi, lo in result.rows}
+                # np.maximum / np.minimum propagate NaN wherever it arrives.
+                assert all(math.isnan(x) for k in (1, 2) for x in by_key[k])
+                assert by_key[3] == (None, None)
+                assert result.stats.rows_processed_fallback == 0
 
 
 class TestSessionProperties:

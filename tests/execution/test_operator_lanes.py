@@ -63,13 +63,43 @@ def test_final_count_star_merges_on_the_kernel(engine):
 @pytest.mark.parametrize("limit", [1, 10, 500])
 def test_order_by_limit_is_the_head_of_order_by(engine, order_by, limit):
     full = f"SELECT k, d, s FROM t ORDER BY {order_by}"
-    for run in (engine.execute, engine.execute_direct):
+    # A TopN counts the rows entering it, once per fragment it runs in.  The
+    # direct plan has one.  Staged, every scanned row enters a per-task
+    # partial TopN in the source fragment (splits of 17 rows: seven full and
+    # one of a single row) and each task's survivors the final one beyond
+    # the gather.
+    survivors = 7 * min(limit, 17) + 1
+    for run, topn_rows in ((engine.execute, 120 + survivors), (engine.execute_direct, 120)):
         top = run(f"{full} LIMIT {limit}")
         everything = run(full)
         # repr keeps NaN comparable and tells -0.0 from 0.0.
         assert list(map(repr, top.rows)) == list(map(repr, everything.rows[:limit]))
         assert top.stats.rows_processed_fallback == 0
-        assert top.stats.rows_processed_vectorized == 120
+        assert top.stats.rows_processed_vectorized == topn_rows
+
+
+@pytest.mark.parametrize("limit", [0, 3, 500])
+def test_topn_above_a_final_aggregation_runs_in_the_hash_fragment(engine, limit):
+    # count(*) ties on every k, so the order rests on the second key; the
+    # per-task TopN sits above the FINAL aggregation, below the gather.
+    full = "SELECT k, count(*) AS c FROM t GROUP BY k ORDER BY c DESC, k DESC"
+    everything = engine.execute_direct(full).rows
+    assert len(everything) == 8  # k in 0..6 and NULL
+    for run in (engine.execute, engine.execute_direct):
+        top = run(f"{full} LIMIT {limit}")
+        assert top.rows == everything[:limit]
+        assert top.stats.rows_processed_fallback == 0
+    staged = engine.execute(f"{full} LIMIT {limit}").stats
+    hash_stage = [s for s in staged.stage_summaries if s["distribution"] == "hash"]
+    assert [s["rows_out"] for s in hash_stage] == [min(limit, 8) * hash_stage[0]["tasks"]]
+
+
+def test_limit_zero_is_empty_on_both_paths(engine):
+    sql = "SELECT k, d FROM t ORDER BY d, k LIMIT 0"
+    for run in (engine.execute, engine.execute_direct):
+        assert run(sql).rows == []
+    # Nothing survives a task's partial TopN, so nothing is exchanged.
+    assert engine.execute(sql).stats.rows_exchanged == 0
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +135,7 @@ def test_dashboard_mix_fallback_rows_are_avg_states_and_varchar_min(dashboard):
     }
     topn = dashboard["topn_wide"]
     assert topn.splits_scanned == LINEITEM_ROWS // SPLIT_SIZE
-    # The plan has one TopN, beyond the gather: every scanned row enters it.
-    assert topn.rows_processed_vectorized == LINEITEM_ROWS
+    # TopN rows count once per fragment: every scanned row enters its task's
+    # partial TopN, and each task's 100 survivors the final one beyond the gather.
+    assert topn.rows_processed_vectorized == LINEITEM_ROWS + topn.splits_scanned * 100
     assert dashboard["highcard_groupby"].rows_processed_vectorized > 2 * LINEITEM_ROWS

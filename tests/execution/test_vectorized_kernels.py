@@ -12,12 +12,14 @@ inputs, DISTINCT, merge (FINAL) mode, empty input, and object-dtype
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import InvalidValueError
 from repro.common.hashing import stable_hash
 from repro.core.blocks import (
     DictionaryBlock,
@@ -28,9 +30,10 @@ from repro.core.blocks import (
 from repro.core.expressions import CallExpression, variable
 from repro.core.functions import default_registry
 from repro.core.page import Page, concat_pages
-from repro.core.types import BIGINT, DOUBLE, VARCHAR, ArrayType
+from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR, ArrayType
 from repro.execution import kernels
 from repro.execution.context import ExecutionContext
+from repro.execution.exchange import ExchangeBuffer
 from repro.execution.operators.aggregation import (
     execute_aggregation,
     execute_aggregation_rows,
@@ -41,6 +44,7 @@ from repro.execution.operators.sorting import (
     execute_sort,
     execute_topn,
 )
+from repro.planner.fragmenter import Exchange, ExchangeKind
 from repro.planner.plan import (
     Aggregation,
     AggregationNode,
@@ -332,6 +336,40 @@ class TestAggregationDifferential:
         assert_identical(vec, ref)
         assert ctx.stats.rows_processed_fallback == 6
 
+    @pytest.mark.parametrize("step", ["SINGLE", "FINAL"])
+    def test_bigint_sum_out_of_range_raises_in_both_lanes(self, step):
+        pages = paged([BIGINT, BIGINT], [(1, 2**62), (2, 7), (1, 2**62 - 1), (1, 1)], 3)
+        node = agg_node(
+            source_node([("k", BIGINT), ("v", BIGINT)]),
+            ["k"],
+            [("sum", ["v"], False, "s")],
+            step=step,
+        )
+        for operator in (execute_aggregation, execute_aggregation_rows):
+            with pytest.raises(InvalidValueError, match="out of range"):
+                rows_of(operator(node, make_ctx(), iter(pages)))
+        # One row fewer fits: both lanes return the largest int64.
+        vec, ref = run_agg_both(node, pages[:1])
+        assert_identical(vec, ref)
+        assert vec == [(1, 2**63 - 1), (2, 7)]
+
+    def test_min_max_over_nan_warns_nothing(self):
+        nan = float("nan")
+        pages = paged([BIGINT, DOUBLE], [(1, nan), (1, 1.0), (2, 2.0), (2, nan), (1, 3.0)], 2)
+        node = agg_node(
+            source_node([("k", BIGINT), ("v", DOUBLE)]),
+            ["k"],
+            [("max", ["v"], False, "hi"), ("min", ["v"], False, "lo")],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec, ref = run_agg_both(node, pages)
+        # The kernel propagates NaN wherever it arrives.  The row fold keeps
+        # a NaN only when it arrives first: ``x > nan`` and ``nan > x`` are
+        # both false, so group 1 stays NaN and group 2 stays 2.0.
+        assert list(map(repr, vec)) == ["(1, nan, nan)", "(2, nan, nan)"]
+        assert list(map(repr, ref)) == ["(1, nan, nan)", "(2, 2.0, 2.0)"]
+
     def test_stats_count_vectorized_rows(self):
         rows = self._random_rows(2, 60, [1, 2, 3])
         pages = paged([BIGINT, DOUBLE], rows)
@@ -374,6 +412,224 @@ class TestAggregationDifferential:
         )
         vec, ref = run_agg_both(node, pages)
         assert_identical(vec, ref)
+
+
+# -- the array-native lane: batches, block-keyed groups, PARTIAL -> FINAL ------
+
+NAN = float("nan")
+# Rows per aggregation batch while these tests run (65 536 in production),
+# so the BATCH - 1 / BATCH / BATCH + 1 / 2 x BATCH + 1 shapes stay small.
+BATCH = 16
+
+_GROUP_KEY_CELLS = {
+    BIGINT: st.one_of(st.none(), st.integers(-2, 6)),
+    DOUBLE: st.one_of(st.none(), st.sampled_from([NAN, 0.0, -0.0, 1.5, -3.0, 2.0**60])),
+    VARCHAR: st.one_of(st.none(), st.sampled_from(["", "a", "b", "ab", "\u00e9", "\u6f22\u5b57"])),
+    BOOLEAN: st.one_of(st.none(), st.booleans()),
+}
+_VALUE_CELL = st.one_of(st.none(), st.integers(-50, 50))
+
+# How many rows arrive, in pages of what size; ``odd`` appends one page whose
+# varchar keys do not factorize, after the ones that do.
+_SHAPES = {
+    "one page": lambda draw: (draw(st.integers(0, BATCH)), BATCH),
+    "many pages, one batch": lambda draw: (draw(st.integers(4, BATCH)), 3),
+    "BATCH - 1": lambda draw: (BATCH - 1, draw(st.sampled_from([1, 5, BATCH]))),
+    "BATCH": lambda draw: (BATCH, draw(st.sampled_from([1, 4, BATCH]))),
+    "BATCH + 1": lambda draw: (BATCH + 1, draw(st.sampled_from([1, 4, BATCH + 1]))),
+    "2 x BATCH + 1": lambda draw: (2 * BATCH + 1, draw(st.sampled_from([3, BATCH]))),
+    "odd": lambda draw: (draw(st.integers(1, 2 * BATCH + 1)), draw(st.sampled_from([3, BATCH]))),
+}
+
+
+@st.composite
+def grouped_inputs(draw):
+    """(key types, pages): one to three key columns and a bigint value column."""
+    shape = draw(st.sampled_from(sorted(_SHAPES)))
+    key_types = draw(st.lists(st.sampled_from(list(_GROUP_KEY_CELLS)), min_size=1, max_size=3))
+    if shape == "odd":
+        key_types[0] = VARCHAR
+    count, page_size = _SHAPES[shape](draw)
+    encoded = [draw(st.booleans()) for _ in key_types]
+    columns = [
+        draw(st.lists(_GROUP_KEY_CELLS[t], min_size=count, max_size=count))
+        for t in key_types
+    ]
+    values = draw(st.lists(_VALUE_CELL, min_size=count, max_size=count))
+    pages = []
+    for start in range(0, count, page_size):
+        blocks = []
+        for presto_type, column, as_dictionary in zip(key_types, columns, encoded):
+            cells = column[start : start + page_size]
+            if as_dictionary:
+                # One dictionary per page, as one per parquet column chunk.
+                # Keyed by repr: nan finds itself, -0.0 stays apart from 0.0.
+                entries = {repr(c): c for c in cells if c is not None}
+                slots = {text: slot for slot, text in enumerate(entries)}
+                block = DictionaryBlock(
+                    block_from_values(presto_type, list(entries.values()) or [None]),
+                    np.array(
+                        [-1 if c is None else slots[repr(c)] for c in cells],
+                        dtype=np.int64,
+                    ),
+                )
+            else:
+                block = block_from_values(presto_type, cells)
+            blocks.append(block)
+        blocks.append(block_from_values(BIGINT, values[start : start + page_size]))
+        pages.append(Page(blocks))
+    if shape == "odd":
+        odd_keys = [1, "a", None, "a", 1]
+        blocks = [PrimitiveBlock.from_values(VARCHAR, odd_keys)]
+        blocks += [constant_block(None, t, len(odd_keys)) for t in key_types[1:]]
+        blocks.append(block_from_values(BIGINT, [1, 2, 3, 4, 5]))
+        pages.append(Page(blocks))
+    return key_types, pages
+
+
+def grouped_node(key_types, step="SINGLE") -> AggregationNode:
+    names = [f"k{i}" for i in range(len(key_types))]
+    source = source_node(list(zip(names, key_types)) + [("v", BIGINT)])
+    return agg_node(
+        source,
+        names,
+        [
+            ("count", [], False, "c"),
+            ("sum", ["v"], False, "s"),
+            ("avg", ["v"], False, "a"),
+            ("min", ["v"], False, "lo"),
+            ("max", ["v"], False, "hi"),
+        ],
+        step=step,
+    )
+
+
+def final_node(partial: AggregationNode) -> AggregationNode:
+    """The FINAL step the fragmenter puts beyond the exchange."""
+    remote = source_node([(v.name, v.type) for v in partial.outputs])
+    merging = tuple(replace(a, arguments=(a.output,)) for a in partial.aggregations)
+    return AggregationNode(
+        source=remote, group_keys=partial.group_keys, aggregations=merging, step="FINAL"
+    )
+
+
+def staged_rows(operator, key_types, pages) -> list[tuple]:
+    """PARTIAL per task, a partitioned exchange, FINAL per partition."""
+    partial = grouped_node(key_types, step="PARTIAL")
+    names = tuple(v.name for v in partial.group_keys)
+    buffer = ExchangeBuffer(
+        Exchange(ExchangeKind.REPARTITION, 0, names, partitioned=True),
+        list(range(len(names))),
+    )
+    for task in range(3):
+        for page in operator(partial, make_ctx(), iter(pages[task::3])):
+            buffer.add(page)
+    buffer.set_partition_count(2)
+    final = final_node(partial)
+    return [
+        row
+        for partition in range(2)
+        for row in rows_of(
+            operator(final, make_ctx(), iter(buffer.pages_for_partition(partition)))
+        )
+    ]
+
+
+def assert_same_groups(actual: list[tuple], expected: list[tuple]) -> None:
+    """Equal values, types and group order; repr tells -0.0 from 0.0."""
+    assert_identical(actual, expected)
+    assert list(map(repr, actual)) == list(map(repr, expected))
+
+
+class TestArrayNativeAggregation:
+    @pytest.fixture(autouse=True, scope="class")
+    def small_batches(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "TARGET_PARTITION_ROWS", BATCH)
+            # Two key columns of a handful of values already re-compact.
+            patch.setattr(kernels, "_MAX_RADIX", 12)
+            yield
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_inputs())
+    def test_single_step_matches_the_row_reference(self, grouped):
+        key_types, pages = grouped
+        node = grouped_node(key_types)
+        vec, ref = run_agg_both(node, pages)
+        assert_same_groups(vec, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_inputs())
+    def test_partial_to_final_through_an_exchange_matches_the_row_reference(self, grouped):
+        key_types, pages = grouped
+        assert_same_groups(
+            staged_rows(execute_aggregation, key_types, pages),
+            staged_rows(execute_aggregation_rows, key_types, pages),
+        )
+
+    def test_the_shapes_cross_batch_boundaries(self):
+        # The strategy above is only as good as its shapes: count the batches.
+        sizes = []
+        original = kernels.factorize_keys
+
+        def counting(blocks):
+            sizes.append(blocks[0].position_count)
+            return original(blocks)
+
+        node = grouped_node([BIGINT])
+        rows = [(i % 5, i) for i in range(2 * BATCH + 1)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "factorize_keys", counting)
+            rows_of(execute_aggregation(node, make_ctx(), iter(paged([BIGINT, BIGINT], rows, 4))))
+        assert sizes == [BATCH, BATCH, 1]
+
+    def test_wide_keys_recompact_the_radix(self):
+        calls = []
+        original = np.unique
+
+        def counting(array, *args, **kwargs):
+            calls.append(kwargs)
+            return original(array, *args, **kwargs)
+
+        blocks = [
+            PrimitiveBlock.from_values(BIGINT, [1, 2, 3, 4, 1]),
+            PrimitiveBlock.from_values(BIGINT, [5, 6, 7, 8, 5]),
+            PrimitiveBlock.from_values(BIGINT, [9, 9, 8, 8, 9]),
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "unique", counting)
+            codes, keys = kernels.factorize_keys(blocks)
+        # One per column, and one re-compaction before the second and third.
+        assert len(calls) == 5
+        assert codes.tolist() == [0, 1, 2, 3, 0]
+        assert key_rows(keys) == [(1, 5, 9), (2, 6, 9), (3, 7, 8), (4, 8, 8)]
+
+    def test_one_batch_never_builds_the_key_dict(self):
+        indexes = []
+
+        class Recording(kernels.GroupIndex):
+            def __init__(self):
+                super().__init__()
+                indexes.append(self)
+
+        node = grouped_node([BIGINT, VARCHAR])
+        rows = [(i % 3, "ab"[i % 2], i) for i in range(BATCH)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "GroupIndex", Recording)
+            one = rows_of(
+                execute_aggregation(node, make_ctx(), iter(paged([BIGINT, VARCHAR, BIGINT], rows, 3)))
+            )
+            two = rows_of(
+                execute_aggregation(
+                    node, make_ctx(), iter(paged([BIGINT, VARCHAR, BIGINT], rows + rows, 3))
+                )
+            )
+        assert len(one) == len(two) == 6
+        single_batch, two_batches = indexes
+        # Keys went from the batch to the output page as blocks.
+        assert single_batch._ids is None
+        # A second batch is matched against the first through the dict.
+        assert len(two_batches._ids) == 6
 
 
 def join_node(join_type, left_spec, right_spec, criteria_names, join_filter=None):
@@ -808,7 +1064,8 @@ class TestSortAndTopNDifferential:
 class TestKernels:
     def test_factorize_keys_null_and_values(self):
         block = PrimitiveBlock.from_values(BIGINT, [3, None, 3, 1, None])
-        codes, uniques = kernels.factorize_keys([block])
+        codes, keys = kernels.factorize_keys([block])
+        uniques = key_rows(keys)
         assert uniques[codes[0]] == (3,)
         assert uniques[codes[1]] == (None,)
         assert uniques[codes[3]] == (1,)
@@ -911,6 +1168,11 @@ def row_keys(blocks) -> list[tuple]:
     ]
 
 
+def key_rows(key_blocks) -> list[tuple]:
+    """Distinct keys of ``factorize_keys``, as the tuples the row lanes build."""
+    return list(zip(*(block.to_list() for block in key_blocks)))
+
+
 def partition_of(key: tuple, n: int) -> int:
     # Negative zero hashes as zero: the two are one SQL group.
     folded = tuple(0.0 if isinstance(v, float) and v == 0.0 else v for v in key)
@@ -954,7 +1216,8 @@ class TestKeysAgainstTheRowLoop:
     @settings(max_examples=300, deadline=None)
     def test_factorize_keys_uniques_are_the_row_loops_keys(self, blocks):
         keys = row_keys(blocks)
-        codes, uniques = kernels.factorize_keys(blocks)
+        codes, key_blocks_ = kernels.factorize_keys(blocks)
+        uniques = key_rows(key_blocks_)
         assert [uniques[c] for c in codes.tolist()] == keys
         # First-appearance order; 0.0 and -0.0 are one key, NaN is NULL.
         expected = list(dict.fromkeys(keys))
@@ -965,10 +1228,16 @@ class TestKeysAgainstTheRowLoop:
         ]
 
     def test_group_index_numbers_groups_like_the_per_key_loop(self):
-        index, reference = kernels.GroupIndex(), kernels.GroupIndex()
+        index, reference = kernels.GroupIndex(), {}
         for values in ([5, 3, 5, None], [3, 9, None, 9, 7], [1, 1], [9, 5]):
             block = PrimitiveBlock.from_values(BIGINT, values)
-            codes, uniques = kernels.factorize_keys([block])
-            group_ids = index.map_codes(codes, uniques)
-            assert group_ids.tolist() == [reference.ensure_group((v,)) for v in values]
-        assert index.keys == reference.keys == [(5,), (3,), (None,), (9,), (7,), (1,)]
+            codes, keys = kernels.factorize_keys([block])
+            group_ids = index.map_codes(codes, keys)
+            assert group_ids.tolist() == [
+                reference.setdefault((v,), len(reference)) for v in values
+            ]
+        assert (
+            key_rows(index.key_blocks([BIGINT]))
+            == list(reference)
+            == [(5,), (3,), (None,), (9,), (7,), (1,)]
+        )

@@ -7,6 +7,7 @@ from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
 from repro.planner.fragmenter import ExchangeKind, Fragmenter
+from repro.planner.plan import TopNNode
 
 
 @pytest.fixture
@@ -78,6 +79,42 @@ class TestFragmentation:
             e for f in plan.fragments for e in f.inputs if e.kind == ExchangeKind.GATHER
         ]
         assert gathers  # the sort runs single-node after a gather
+
+    def test_topn_runs_per_task_below_the_gather_and_once_above(self, engine):
+        plan = fragment(engine, "SELECT k, v FROM facts ORDER BY v DESC LIMIT 5")
+        assert plan.stage_count() == 2
+        below, above = (
+            next(n for n in f.root.walk() if isinstance(n, TopNNode))
+            for f in plan.fragments
+        )
+        assert (below.partial, above.partial) == (True, False)
+        assert below.count == above.count == 5
+        assert below.order_by == above.order_by
+        assert plan.fragments[0].distribution == "source"
+        assert "TopN[5, partial, " in plan.fragments[0].root.pretty()
+        assert "TopN[5, v" in plan.root_fragment.root.pretty()
+        assert plan.root_fragment.inputs[0].kind == ExchangeKind.GATHER
+
+    def test_topn_above_an_aggregation_lands_in_the_hash_fragment(self, engine):
+        plan = fragment(
+            engine, "SELECT k, count(*) FROM facts GROUP BY k ORDER BY 2 DESC LIMIT 3"
+        )
+        assert [f.distribution for f in plan.fragments] == ["source", "hash", "single"]
+        partial = [
+            [n.partial for n in f.root.walk() if isinstance(n, TopNNode)]
+            for f in plan.fragments
+        ]
+        assert partial == [[], [True], [False]]
+
+    def test_sort_without_limit_and_single_node_topn_are_unchanged(self, engine):
+        plan = fragment(engine, "SELECT k FROM facts ORDER BY k")
+        assert not any(
+            isinstance(n, TopNNode) for f in plan.fragments for n in f.root.walk()
+        )
+        # Above a global aggregation the child is already on one node.
+        plan = fragment(engine, "SELECT count(*) AS c FROM facts ORDER BY c LIMIT 1")
+        topns = [n for f in plan.fragments for n in f.root.walk() if isinstance(n, TopNNode)]
+        assert [n.partial for n in topns] == [False]
 
     def test_describe_renders_all_fragments(self, engine):
         text = engine.explain_distributed(
