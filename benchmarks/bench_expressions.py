@@ -17,7 +17,7 @@ import numpy as np
 
 from _harness import LANE_RATIO, WORK_COUNT, gate, lane_ratio, run_script
 from repro.core.blocks import DictionaryBlock, PrimitiveBlock
-from repro.core.compiler import INTERPRETED, EvaluatorOptions
+from repro.core.compiler import bool_arrays
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
     CallExpression,
@@ -163,18 +163,23 @@ def dictionary_suite(rows: int, distinct: int = 200, seed: int = 13):
 
 
 def bench_suite(name: str, predicate, pages, rows: int, repeat: int) -> dict:
-    compiled_evaluator = Evaluator(REGISTRY)
-    interpreted_evaluator = Evaluator(REGISTRY, options=EvaluatorOptions(mode=INTERPRETED))
+    evaluator = Evaluator(REGISTRY)
     # Warm the compile cache so the measured loop shows steady-state cost.
     if pages:
-        compiled_evaluator.filter_mask(predicate, pages[0][0], pages[0][1])
+        evaluator.filter_mask(predicate, pages[0][0], pages[0][1])
 
-    def lane(evaluator):
-        return lambda: [
-            evaluator.filter_mask(predicate, bindings, count) for bindings, count in pages
-        ]
+    def interpreted_mask(bindings, count):
+        block = evaluator.evaluate_interpreted(predicate, bindings, count)
+        return bool_arrays(block)[0]
 
-    timed = lane_ratio(lane(interpreted_evaluator), lane(compiled_evaluator), repeat)
+    def lane(mask):
+        return lambda: [mask(bindings, count) for bindings, count in pages]
+
+    timed = lane_ratio(
+        lane(interpreted_mask),
+        lane(lambda bindings, count: evaluator.filter_mask(predicate, bindings, count)),
+        repeat,
+    )
     return {
         "name": name,
         "rows": rows,

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from _harness import LANE_RATIO, WORK_COUNT, gate, geometric_mean, lane_ratio, run_script
 from repro.common.clock import SimulatedClock
-from repro.connectors.realtime.druid import DruidConnector
+from repro.connectors.olap.druid import DruidConnector
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
-from repro.planner.optimizer import Optimizer, OptimizerOptions
+from repro.planner.optimizer import Optimizer
 from repro.workloads.druid_queries import build_druid_workload
 
 OUTPUT = "BENCH_fig16_druid_connector.json"
@@ -32,19 +32,19 @@ OUTPUT = "BENCH_fig16_druid_connector.json"
 NODES = 100
 
 
-def make_engine(workload, options=None):
+def make_engine(workload, pushdown=True):
     engine = PrestoEngine(
         session=Session(catalog="druid", schema="druid"),
         clock=workload.cluster.clock,
     )
     engine.register_connector("druid", DruidConnector(workload.cluster))
-    if options is not None:
-        engine._optimizer = Optimizer(engine.catalog, options=options)
+    if not pushdown:
+        engine._optimizer = Optimizer(engine.catalog, pushdown=False)
     return engine
 
 
-def run_figure16(workload, repeat: int, options=None) -> list[dict]:
-    engine = make_engine(workload, options)
+def run_figure16(workload, repeat: int, pushdown=True) -> list[dict]:
+    engine = make_engine(workload, pushdown)
     clock = workload.cluster.clock
 
     def simulated_ms(fn):
@@ -90,13 +90,7 @@ def run(smoke: bool) -> dict:
     rows = run_figure16(workload, repeat)
     # Without pushdown, raw rows stream into the engine and the connector
     # stops being competitive — the motivation for section IV.B.
-    ablation = run_figure16(
-        workload,
-        1,
-        OptimizerOptions(
-            predicate_pushdown=False, limit_pushdown=False, aggregation_pushdown=False
-        ),
-    )
+    ablation = run_figure16(workload, 1, pushdown=False)
     return {
         "benchmark": "fig16_druid_connector",
         "smoke": smoke,

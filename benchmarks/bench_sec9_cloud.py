@@ -167,7 +167,7 @@ def gates(report: dict) -> list:
              lazy["simulated_ms"], "<", eager["simulated_ms"]),
         gate("the payload survives the outage", WORK_COUNT, backoff["payload_survived"], "==", True),
         gate("retries through the ten-failure outage", WORK_COUNT, backoff["retries"], "==", 10),
-        # Exponential growth capped at backoff_max_ms (default 10 s).
+        # Exponential growth capped at BACKOFF_MAX_MS (10 s).
         gate("total backoff, exponential from 50 ms", SIMULATED, backoff["backoff_ms_total"],
              "==", sum(min(50 * 2**i, 10_000) for i in range(10))),
         gate("S3 Select returns the rows the engine-side filter does", WORK_COUNT,

@@ -21,7 +21,7 @@ from repro import PrestoEngine, Session
 from repro.connectors.elasticsearch import ElasticsearchCluster, ElasticsearchConnector
 from repro.connectors.hive import HiveConnector, write_hive_partition
 from repro.connectors.mysql import MySqlConnector, MySqlServer
-from repro.connectors.realtime import DruidCluster, DruidConnector
+from repro.connectors.olap import DruidCluster, DruidConnector
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.metastore.metastore import HiveMetastore

@@ -324,26 +324,27 @@ class ShadowCache:
 
 # -- the tiered cache ---------------------------------------------------------
 
+# Simulated milliseconds charged per read served by each tier.
+HOT_READ_MS = 0.05
+SSD_READ_MS = 0.5
+
 
 @dataclass(frozen=True)
 class DataCacheConfig:
-    """Sizing, policy, and latency model of one worker's cache.
+    """Sizing, policy, and miss latency of one worker's cache.
 
-    Latencies are simulated milliseconds charged per read; the miss
-    latency models only the *extra* remote round-trip — the bulk remote
-    read cost lives in the split's own duration.
+    Latencies are simulated milliseconds charged per read (the tiers'
+    are ``HOT_READ_MS`` and ``SSD_READ_MS``); the miss latency models
+    only the *extra* remote round-trip — the bulk remote read cost lives
+    in the split's own duration.
     """
 
     policy: str = "lru"
     hot_bytes: int = 64 * MIB
     ssd_bytes: int = 512 * MIB
-    hot_read_ms: float = 0.05
-    ssd_read_ms: float = 0.5
     miss_read_ms: float = 0.0
     shadow_factor: int = 4
     default_entry_bytes: int = 1 * MIB
-    sketch_width: int = 1024
-    sketch_sample: int = 4096
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -410,10 +411,7 @@ class TieredDataCache:
         make_policy = POLICIES[self.config.policy]
         if self.config.policy == "tinylfu":
             # One sketch observes all traffic; both tiers consult it.
-            sketch = FrequencySketch(
-                width=self.config.sketch_width,
-                sample_size=self.config.sketch_sample,
-            )
+            sketch = FrequencySketch()
             self.hot = CacheTier(HOT_TIER, self.config.hot_bytes, TinyLfuPolicy(sketch))
             self.ssd = CacheTier(SSD_TIER, self.config.ssd_bytes, TinyLfuPolicy(sketch))
             self._sketch: Optional[FrequencySketch] = sketch
@@ -481,7 +479,7 @@ class TieredDataCache:
             self.stats.hits_hot += 1
             self._count("hits", HOT_TIER)
             self._instant(key, HOT_TIER, entry[0])
-            return CacheRead(HOT_TIER, self.config.hot_read_ms, entry[1])
+            return CacheRead(HOT_TIER, HOT_READ_MS, entry[1])
         entry = self.ssd.get(key)
         if entry is not None:
             self.stats.hits_ssd += 1
@@ -490,7 +488,7 @@ class TieredDataCache:
             # Promotion: the key is hot again; demotes a hot victim.
             self.ssd.remove(key)
             self._admit(key, entry[0], entry[1])
-            return CacheRead(SSD_TIER, self.config.ssd_read_ms, entry[1])
+            return CacheRead(SSD_TIER, SSD_READ_MS, entry[1])
         self.stats.misses += 1
         self._count("misses")
         self._instant(key, MISS, size)

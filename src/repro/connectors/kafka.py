@@ -42,6 +42,10 @@ HIDDEN_COLUMNS: list[tuple[str, PrestoType]] = [
 ]
 
 
+# Simulated milliseconds a consumer fetch spends per record.
+FETCH_MS_PER_RECORD = 0.0005
+
+
 @dataclass
 class _Record:
     offset: int
@@ -52,11 +56,8 @@ class _Record:
 class KafkaBroker:
     """Topics as partitioned, append-only, timestamp-ordered logs."""
 
-    def __init__(
-        self, clock: Optional[SimulatedClock] = None, fetch_ms_per_record: float = 0.0005
-    ) -> None:
+    def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock or SimulatedClock()
-        self.fetch_ms_per_record = fetch_ms_per_record
         self._topics: dict[str, tuple[list[tuple[str, PrestoType]], list[list[_Record]]]] = {}
         self.records_fetched = 0
 
@@ -151,7 +152,7 @@ class KafkaBroker:
         if max_timestamp_ms is not None:
             records = [r for r in records if r.timestamp_ms <= max_timestamp_ms]
         self.records_fetched += len(records)
-        self.clock.advance(len(records) * self.fetch_ms_per_record)
+        self.clock.advance(len(records) * FETCH_MS_PER_RECORD)
         return records
 
 

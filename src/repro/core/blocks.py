@@ -877,6 +877,13 @@ class LazyBlock(Block):
         return self._delegate.size_in_bytes() if self._delegate is not None else 0
 
 
+# What block_from_values raises on values its type cannot hold: text or an
+# unconvertible object under a numeric type (ValueError, TypeError), an
+# integer past int64 (OverflowError), a scalar under a row, array or map
+# type (AttributeError, TypeError).
+BLOCK_VALUE_ERRORS = (ValueError, TypeError, OverflowError, AttributeError)
+
+
 def block_from_values(presto_type: PrestoType, values: Sequence[Any]) -> Block:
     """Build the natural block kind for ``presto_type`` from Python values."""
     if isinstance(presto_type, RowType):

@@ -35,10 +35,11 @@ The compiled lane removes the interpreter's three big bail-outs:
 Constant-foldable subtrees are evaluated once at compile time, so
 ``WHERE 1 = 1``-style conjuncts vanish before any page is scanned.
 
-The row-at-a-time interpreter (:class:`repro.core.evaluator.Evaluator` in
-``interpreted`` mode) stays as the differential oracle; unsupported
-constructs (lambdas, non-constant IN lists) compile to a kernel that
-delegates to it and counts its positions as interpreter fallback.
+The row-at-a-time interpreter
+(:meth:`repro.core.evaluator.Evaluator.evaluate_interpreted`) stays as the
+differential oracle and folds constants; unsupported constructs (lambdas,
+non-constant IN lists) compile to a kernel that delegates to it and counts
+its positions as interpreter fallback.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ from __future__ import annotations
 import json
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, PrestoError, SemanticError
 from repro.core.blocks import (
     Block,
     DictionaryBlock,
@@ -76,24 +76,22 @@ from repro.core.expressions import (
 from repro.core.functions import FunctionRegistry, ScalarFunction, like_regex
 from repro.core.types import BOOLEAN, PrestoType
 
-COMPILED = "compiled"
-INTERPRETED = "interpreted"
+# Compiled expressions kept per registry, least recently used evicted.
+COMPILE_CACHE_SIZE = 256
 
-
-@dataclass
-class EvaluatorOptions:
-    """Switch between the compiled kernel lane and the interpreter oracle.
-
-    ``mode`` selects the lane (``"compiled"`` is the default hot path;
-    ``"interpreted"`` is the retained row-at-a-time reference).  The two
-    optimization toggles exist for ablation: disabling them keeps the
-    compiled lane but without constant folding / dictionary evaluation.
-    """
-
-    mode: str = COMPILED
-    constant_folding: bool = True
-    dictionary_optimization: bool = True
-    cache_size: int = 256
+# What the row interpreter raises while folding a literal-only subtree:
+# its own engine errors, the row functions' arithmetic errors (1 / 0, an
+# int64 overflow) and bad values (CAST('x' AS bigint)), a geometry function
+# given the wrong shape (st_x of a polygon), and numpy's floating-point
+# warnings when warnings are errors (ln(0.0)).  The subtree stays unfolded
+# and raises when it is evaluated, as it would have without folding.
+_FOLDING_ERRORS = (
+    PrestoError,
+    ArithmeticError,
+    ValueError,
+    AttributeError,
+    RuntimeWarning,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -817,27 +815,25 @@ class CompiledExpression:
 class ExpressionCompiler:
     """Compiles RowExpressions for one FunctionRegistry."""
 
-    def __init__(self, registry: FunctionRegistry, options: EvaluatorOptions) -> None:
+    def __init__(self, registry: FunctionRegistry) -> None:
         self._registry = registry
-        self._options = options
         self._interpreter = None
         self._interpreter_nodes = 0
 
     def interpreter(self):
-        """The row-at-a-time oracle used for folding and fallback kernels."""
+        """The evaluator whose row-at-a-time ``evaluate_interpreted`` folds
+        constants and backs the fallback kernels.  Folding must not go
+        through the compiled lane, which would recurse into this compiler."""
         if self._interpreter is None:
             from repro.core.evaluator import Evaluator
 
-            self._interpreter = Evaluator(
-                self._registry, options=EvaluatorOptions(mode=INTERPRETED)
-            )
+            self._interpreter = Evaluator(self._registry)
         return self._interpreter
 
     def compile(self, expression: RowExpression) -> CompiledExpression:
-        if self._options.constant_folding:
-            expression = self.fold(expression)
+        expression = self.fold(expression)
         self._interpreter_nodes = 0
-        kernel = self._compile(expression, self._options.dictionary_optimization)
+        kernel = self._compile(expression, allow_dictionary=True)
         return CompiledExpression(expression, kernel, self._interpreter_nodes)
 
     # -- constant folding ---------------------------------------------------
@@ -907,21 +903,27 @@ class ExpressionCompiler:
         if not self._literal_only(expression):
             return expression
         try:
-            value = self.interpreter().evaluate_scalar(expression)
-        except Exception:
+            value = self.interpreter().evaluate_interpreted(expression, {}, 1).get(0)
+        except _FOLDING_ERRORS:
             # Errors (division by zero, bad casts) must surface at run
             # time with interpreter-identical behaviour; leave unfolded.
             return expression
         return ConstantExpression(value, expression.type)
 
     def _literal_only(self, expression: RowExpression) -> bool:
-        for node in expression.walk():
-            if isinstance(node, (VariableReferenceExpression, LambdaDefinitionExpression)):
-                return False
+        nodes = list(expression.walk())
+        # Variables and lambdas first: a call taking a lambda has no
+        # registry entry to look up (its handle names a ``function`` type).
+        if any(
+            isinstance(node, (VariableReferenceExpression, LambdaDefinitionExpression))
+            for node in nodes
+        ):
+            return False
+        for node in nodes:
             if isinstance(node, CallExpression):
                 try:
                     fn = self._registry.implementation_for(node.function_handle)
-                except Exception:
+                except SemanticError:
                     return False
                 if not fn.deterministic:
                     return False
@@ -954,7 +956,7 @@ class ExpressionCompiler:
             return self._interpreter_kernel(call)
         try:
             fn = self._registry.implementation_for(call.function_handle)
-        except Exception:
+        except SemanticError:
             return self._interpreter_kernel(call)
         if (
             call.function_handle.name == "like"
@@ -1044,7 +1046,7 @@ class ExpressionCompiler:
                 return False, False
             try:
                 fn = self._registry.implementation_for(expression.function_handle)
-            except Exception:
+            except SemanticError:
                 return False, False
             if not fn.deterministic:
                 return False, False
@@ -1086,26 +1088,20 @@ def canonical_form(expression: RowExpression) -> str:
 
 
 def compile_cached(
-    registry: FunctionRegistry,
-    options: EvaluatorOptions,
-    expression: RowExpression,
+    registry: FunctionRegistry, expression: RowExpression
 ) -> CompiledExpression:
     """Compile ``expression`` once per canonical form and registry."""
     cache = _SHARED_CACHE.get(registry)
     if cache is None:
         cache = OrderedDict()
         _SHARED_CACHE[registry] = cache
-    key = (
-        canonical_form(expression),
-        options.constant_folding,
-        options.dictionary_optimization,
-    )
+    key = canonical_form(expression)
     compiled = cache.get(key)
     if compiled is not None:
         cache.move_to_end(key)
         return compiled
-    compiled = ExpressionCompiler(registry, options).compile(expression)
+    compiled = ExpressionCompiler(registry).compile(expression)
     cache[key] = compiled
-    while len(cache) > max(options.cache_size, 1):
+    while len(cache) > COMPILE_CACHE_SIZE:
         cache.popitem(last=False)
     return compiled

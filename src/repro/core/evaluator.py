@@ -8,8 +8,8 @@ array kernels and reuses it for every page.
 
 The original row-at-a-time interpreter is retained in full as the
 differential oracle — the same pattern as ``execute_aggregation_rows`` for
-the operator kernels — selected with
-``EvaluatorOptions(mode="interpreted")``.  Null semantics follow SQL
+the operator kernels — reached by calling
+:meth:`Evaluator.evaluate_interpreted`.  Null semantics follow SQL
 three-valued logic in both lanes: function calls propagate null when any
 argument is null; AND/OR use Kleene logic; ``IS_NULL`` and ``COALESCE``
 observe nulls without propagating them.
@@ -33,14 +33,7 @@ from repro.core.blocks import (
     constant_block,
     with_extra_nulls,
 )
-from repro.core.compiler import (
-    COMPILED,
-    INTERPRETED,
-    CompiledExpression,
-    EvaluatorOptions,
-    bool_arrays,
-    compile_cached,
-)
+from repro.core.compiler import CompiledExpression, bool_arrays, compile_cached
 from repro.core.expressions import (
     CallExpression,
     ConstantExpression,
@@ -57,29 +50,22 @@ from repro.core.types import BOOLEAN, PrestoType
 class Evaluator:
     """Evaluates RowExpressions over column bindings.
 
-    ``options.mode`` selects the lane: ``"compiled"`` (default) runs the
-    kernel DAGs from :mod:`repro.core.compiler`; ``"interpreted"`` runs the
-    row-at-a-time reference implementation.  ``stats`` (a
-    :class:`repro.execution.context.QueryStats`, optional) receives the
+    :meth:`evaluate` runs the kernel DAGs from :mod:`repro.core.compiler`;
+    :meth:`evaluate_interpreted` is the row-at-a-time reference.  ``stats``
+    (a :class:`repro.execution.context.QueryStats`, optional) receives the
     ``expr_positions_*`` counters surfaced by EXPLAIN ANALYZE.
     """
 
     def __init__(
         self,
         registry: Optional[FunctionRegistry] = None,
-        options: Optional[EvaluatorOptions] = None,
         stats=None,
     ) -> None:
         self._registry = registry or default_registry()
-        self._options = options or EvaluatorOptions()
         self._stats = stats
         # Per-evaluator memo keyed on expression identity; holds a strong
         # reference to the expression so the id stays valid.
         self._compiled_memo: dict[int, tuple[RowExpression, CompiledExpression]] = {}
-
-    @property
-    def options(self) -> EvaluatorOptions:
-        return self._options
 
     # -- public API ---------------------------------------------------------
 
@@ -88,7 +74,7 @@ class Evaluator:
         memo = self._compiled_memo.get(id(expression))
         if memo is not None and memo[0] is expression:
             return memo[1]
-        compiled = compile_cached(self._registry, self._options, expression)
+        compiled = compile_cached(self._registry, expression)
         self._compiled_memo[id(expression)] = (expression, compiled)
         return compiled
 
@@ -105,26 +91,14 @@ class Evaluator:
             return bindings[expression.name]
         if isinstance(expression, ConstantExpression):
             return constant_block(expression.value, expression.type, position_count)
-        if self._options.mode == INTERPRETED:
-            if self._stats is not None:
-                self._stats.expr_positions_fallback += position_count
-            return self.evaluate_interpreted(expression, bindings, position_count)
         return self.compiled(expression).evaluate(bindings, position_count, self._stats)
 
     def evaluate_scalar(self, expression: RowExpression) -> Any:
         """Evaluate a variable-free expression to a single Python value."""
-        if self._options.mode == INTERPRETED:
-            block = self.evaluate_interpreted(expression, {}, 1)
-        else:
-            block = self.evaluate(expression, {}, 1)
-        return block.get(0)
+        return self.evaluate(expression, {}, 1).get(0)
 
     def predicate_is_always_true(self, predicate: RowExpression) -> bool:
         """True when ``predicate`` constant-folds to TRUE (safe to skip)."""
-        if self._options.mode == INTERPRETED or not self._options.constant_folding:
-            return (
-                isinstance(predicate, ConstantExpression) and predicate.value is True
-            )
         return self.compiled(predicate).is_always_true()
 
     def filter_mask(
@@ -134,7 +108,7 @@ class Evaluator:
         position_count: int,
     ) -> np.ndarray:
         """Boolean selection mask: True where the predicate is true (not null)."""
-        if self._options.mode != INTERPRETED and self.compiled(predicate).is_always_true():
+        if self.compiled(predicate).is_always_true():
             return np.ones(position_count, dtype=bool)
         block = self.evaluate(predicate, bindings, position_count)
         values, nulls = bool_arrays(block)

@@ -313,6 +313,13 @@ class CoordinatorModel:
         return self.planning_base_ms * (1.0 + 4.0 * worker_load + 8.0 * concurrency_load)
 
 
+# A split read through a worker's tiered data cache: a hot-tier hit cuts
+# its remote-read work to this share of its duration, an SSD-tier hit to
+# the second; each tier also charges its read latency.
+CACHE_HIT_SPEEDUP = 0.3
+SSD_HIT_SPEEDUP = 0.65
+
+
 class PrestoClusterSim:
     """One simulated Presto cluster (one coordinator, many workers)."""
 
@@ -324,8 +331,6 @@ class PrestoClusterSim:
         coordinator: Optional[CoordinatorModel] = None,
         name: str = "cluster",
         affinity_scheduling: bool = False,
-        cache_hit_speedup: float = 0.3,
-        ssd_hit_speedup: float = 0.65,
         data_cache: Optional[DataCacheConfig] = None,
         metrics=None,
     ) -> None:
@@ -339,12 +344,8 @@ class PrestoClusterSim:
         self.slots_per_worker = slots_per_worker
         # Affinity scheduling (section VII, RaptorX): route splits for the
         # same data to the same worker so its local tiered cache gets
-        # hits.  A hot-tier hit cuts the split's remote-read work to
-        # ``cache_hit_speedup`` of its duration, an SSD-tier hit to
-        # ``ssd_hit_speedup``; each tier also charges its read latency.
+        # hits (``CACHE_HIT_SPEEDUP``, ``SSD_HIT_SPEEDUP``).
         self.affinity_scheduling = affinity_scheduling
-        self.cache_hit_speedup = cache_hit_speedup
-        self.ssd_hit_speedup = ssd_hit_speedup
         self.data_cache_config = data_cache or DataCacheConfig()
         # Placement: a consistent-hash ring of ACTIVE workers — one crash
         # or drain remaps only ~1/N of the keyspace, so the surviving
@@ -989,9 +990,9 @@ class PrestoClusterSim:
                         split.data_key, split.data_size_bytes
                     )
                     if read.tier == "hot":
-                        duration = duration * self.cache_hit_speedup
+                        duration = duration * CACHE_HIT_SPEEDUP
                     elif read.tier == "ssd":
-                        duration = duration * self.ssd_hit_speedup
+                        duration = duration * SSD_HIT_SPEEDUP
                     duration += read.latency_ms
                     if read.hit:
                         worker.cache_hits += 1

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.common.clock import SimulatedClock
@@ -69,34 +69,15 @@ class QueryStats:
     task_records: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "splits_scanned": self.splits_scanned,
-            "rows_scanned": self.rows_scanned,
-            "pages_produced": self.pages_produced,
-            "rows_output": self.rows_output,
-            "peak_build_rows": self.peak_build_rows,
-            "fragment_cache_hits": self.fragment_cache_hits,
-            "rows_processed_vectorized": self.rows_processed_vectorized,
-            "rows_processed_fallback": self.rows_processed_fallback,
-            "stages_total": self.stages_total,
-            "tasks_total": self.tasks_total,
-            "rows_exchanged": self.rows_exchanged,
-            "simulated_ms": self.simulated_ms,
-            "tasks_failed": self.tasks_failed,
-            "tasks_retried": self.tasks_retried,
-            "row_groups_total": self.row_groups_total,
-            "row_groups_skipped_by_stats": self.row_groups_skipped_by_stats,
-            "row_groups_skipped_by_dictionary": self.row_groups_skipped_by_dictionary,
-            "row_groups_skipped_by_dynamic_filter": self.row_groups_skipped_by_dynamic_filter,
-            "dynamic_filters_built": self.dynamic_filters_built,
-            "dynamic_filter_rows_pruned": self.dynamic_filter_rows_pruned,
-            "dynamic_filter_splits_skipped": self.dynamic_filter_splits_skipped,
-            "expr_positions_vectorized": self.expr_positions_vectorized,
-            "expr_positions_fallback": self.expr_positions_fallback,
-            "expr_positions_dictionary_saved": self.expr_positions_dictionary_saved,
-            "stage_summaries": list(self.stage_summaries),
+        """Every counter, in field order; ``stage_summaries`` is copied and
+        ``task_records`` left out."""
+        stats = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "task_records"
         }
+        stats["stage_summaries"] = list(self.stage_summaries)
+        return stats
 
 
 @dataclass

@@ -182,7 +182,6 @@ class PrestoEngine:
         hash_partitions: int = 4,
         fault_injector=None,
         max_task_retries: int = 3,
-        retry_backoff_ms: float = 10.0,
         task_timeout_ms: Optional[float] = None,
         enable_dynamic_filtering: bool = True,
         metrics: Optional[MetricsRegistry] = None,
@@ -210,7 +209,6 @@ class PrestoEngine:
         # max_task_retries with exponential simulated backoff.
         self.fault_injector = fault_injector
         self.max_task_retries = max_task_retries
-        self.retry_backoff_ms = retry_backoff_ms
         self.task_timeout_ms = task_timeout_ms
         # Adaptive execution: push each hash join's build-side key summary
         # into not-yet-started probe scans (staged execution only).
@@ -384,7 +382,6 @@ class PrestoEngine:
             hash_partitions=self.hash_partitions,
             fault_injector=self.fault_injector,
             max_task_retries=self.max_task_retries,
-            retry_backoff_ms=self.retry_backoff_ms,
             task_timeout_ms=self.task_timeout_ms,
             dynamic_filtering=self.enable_dynamic_filtering,
         )

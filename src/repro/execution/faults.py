@@ -13,13 +13,13 @@ failure patterns.  The coin is MD5, not the engine's CRC32
 ``stable_hash`` — CRC32 is linear, so nearby seeds and task indexes
 would fail in correlated pairs instead of independently.
 
-Three levels can fail, each with its own rate and error category:
+Three levels can fail, each with its own rate:
 
 - **tasks** (``task_failure_rate``) — a whole task attempt in the
   ``QueryScheduler`` fails before doing work, default INTERNAL_ERROR
   (a worker died mid-task);
 - **splits** (``split_failure_rate``) — reading one assigned connector
-  split fails, default EXTERNAL (the storage system refused the read);
+  split fails, always EXTERNAL (the storage system refused the read);
 - **storage requests** (``storage_failure_rate``) — the adapter from
   :meth:`storage_failure_injector` plugs into the simulated
   ``S3Client(failure_injector=...)`` hook and fails that fraction of
@@ -45,6 +45,8 @@ _HASH_SPACE = 2**64
 class FaultInjector:
     """Seeded, hash-driven failure source for tasks, splits, and storage."""
 
+    SPLIT_ERROR_CATEGORY = ErrorCategory.EXTERNAL
+
     def __init__(
         self,
         seed: int = 0,
@@ -53,7 +55,6 @@ class FaultInjector:
         storage_failure_rate: float = 0.0,
         pipeline_failure_rate: float = 0.0,
         task_error_category: ErrorCategory = ErrorCategory.INTERNAL_ERROR,
-        split_error_category: ErrorCategory = ErrorCategory.EXTERNAL,
     ) -> None:
         for name, rate in (
             ("task_failure_rate", task_failure_rate),
@@ -69,7 +70,6 @@ class FaultInjector:
         self.storage_failure_rate = storage_failure_rate
         self.pipeline_failure_rate = pipeline_failure_rate
         self.task_error_category = task_error_category
-        self.split_error_category = split_error_category
         self.tasks_failed = 0
         self.splits_failed = 0
         self.storage_requests_failed = 0
@@ -124,7 +124,7 @@ class FaultInjector:
             raise InjectedFaultError(
                 f"injected split read failure: query {query_id!r} stage {stage} "
                 f"task {task} split {split_key!r} attempt {attempt}",
-                category=self.split_error_category,
+                category=self.SPLIT_ERROR_CATEGORY,
             )
 
     # -- pipeline level ------------------------------------------------------

@@ -53,6 +53,7 @@ import numpy as np
 from repro.common.errors import InvalidValueError
 from repro.common.hashing import stable_hash, stable_hash_keys
 from repro.core.blocks import (
+    BLOCK_VALUE_ERRORS,
     Block,
     DictionaryBlock,
     PrimitiveBlock,
@@ -490,7 +491,7 @@ def states_block(presto_type: PrestoType, states: Sequence[Any]) -> Block:
     if all(issubclass(t, _SCALAR_STATE_TYPES) for t in set(map(type, states))):
         try:
             return block_from_values(presto_type, states)
-        except Exception:
+        except BLOCK_VALUE_ERRORS:
             pass
     return PrimitiveBlock(presto_type, _object_array(states))
 

@@ -27,7 +27,12 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.core.blocks import Block, PrimitiveBlock, block_from_values
+from repro.core.blocks import (
+    BLOCK_VALUE_ERRORS,
+    Block,
+    PrimitiveBlock,
+    block_from_values,
+)
 from repro.core.functions import GroupFold
 from repro.core.page import Page, concat_blocks
 from repro.core.types import PrestoType
@@ -152,7 +157,7 @@ def _partial_page(output_types, key_count, columns, group_count) -> Page:
             continue
         try:
             blocks.append(block_from_values(presto_type, values))
-        except Exception:
+        except BLOCK_VALUE_ERRORS:
             storage = np.empty(len(values), dtype=object)
             for i, v in enumerate(values):
                 storage[i] = v

@@ -46,7 +46,7 @@ query's results are identical to a zero-fault run.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from typing import Optional
 
 from repro.common.errors import (
@@ -93,6 +93,8 @@ _DYNAMIC_FILTER_JOIN_TYPES = ("inner", "right")
 # coordinator RPC of section VIII) and per row in and out of a task.
 TASK_OVERHEAD_MS = 1.0
 ROW_COST_MS = 0.001
+# Simulated backoff before a task's first retry; it doubles per retry.
+RETRY_BACKOFF_MS = 10.0
 
 
 @dataclass
@@ -116,18 +118,7 @@ class TaskRecord:
     failed: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "task": self.task,
-            "splits": self.splits,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "data_key": self.data_key,
-            "sim_ms": self.sim_ms,
-            "data_bytes": self.data_bytes,
-            "attempts": self.attempts,
-            "failed": self.failed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class QueryScheduler:
@@ -158,7 +149,7 @@ class QueryScheduler:
     ``fault_injector`` (optional) dooms a deterministic fraction of task
     attempts and split reads; ``max_task_retries`` bounds how many times
     a task is re-run after a retryable failure, each retry charging
-    ``retry_backoff_ms * 2**(attempt-1)`` of simulated backoff; a task
+    ``RETRY_BACKOFF_MS * 2**(attempt-1)`` of simulated backoff; a task
     whose attempt cost exceeds ``task_timeout_ms`` (when set) fails with
     a retryable :class:`TaskTimeoutError`.
     """
@@ -170,7 +161,6 @@ class QueryScheduler:
         hash_partitions: int = 4,
         fault_injector: Optional[FaultInjector] = None,
         max_task_retries: int = 3,
-        retry_backoff_ms: float = 10.0,
         task_timeout_ms: Optional[float] = None,
         dynamic_filtering: bool = True,
     ) -> None:
@@ -183,7 +173,6 @@ class QueryScheduler:
         self.hash_partitions = hash_partitions
         self.fault_injector = fault_injector
         self.max_task_retries = max_task_retries
-        self.retry_backoff_ms = retry_backoff_ms
         self.task_timeout_ms = task_timeout_ms
         # Runtime dynamic filters (adaptive execution): summarize each
         # completed join build side and push the summary into not-yet-
@@ -350,7 +339,7 @@ class QueryScheduler:
                     self._count_task("scheduler_tasks_retried_total", stage)
                     # Exponential backoff, charged to the simulated clock only
                     # (deterministic — no wall-clock sleeping).
-                    backoff_ms = self.retry_backoff_ms * (2 ** (attempts - 1))
+                    backoff_ms = RETRY_BACKOFF_MS * (2 ** (attempts - 1))
                     penalty_ms += backoff_ms
                     self._count_task(
                         "scheduler_retry_backoff_ms_total", stage, backoff_ms

@@ -59,8 +59,8 @@ class GatewaySubmission:
 class PrestoGateway:
     """Routing-only federation gateway over multiple cluster simulations."""
 
-    def __init__(self, routing: Optional[RoutingTable] = None, metrics=None) -> None:
-        self.routing = routing or RoutingTable()
+    def __init__(self, metrics=None) -> None:
+        self.routing = RoutingTable()
         self.clusters: dict[str, PrestoClusterSim] = {}
         self._drained: set[str] = set()
         self._fallback: Optional[str] = None

@@ -8,29 +8,21 @@ MySQL server, so an administrator UPDATE takes effect on the next lookup.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.common.errors import GatewayError
 from repro.connectors.mysql import MySqlServer
 from repro.core.types import VARCHAR
 
 ROUTING_DATABASE = "presto_gateway"
 ROUTING_TABLE = "routing"
+ROUTING_COLUMNS = [("principal", VARCHAR), ("kind", VARCHAR), ("cluster", VARCHAR)]
 
 
 class RoutingTable:
-    """Reads/writes the user/group→cluster mapping in MySQL."""
+    """Reads/writes the user/group→cluster mapping in its own MySQL server."""
 
-    def __init__(self, mysql: Optional[MySqlServer] = None) -> None:
-        self.mysql = mysql or MySqlServer()
-        try:
-            self.mysql.columns(ROUTING_DATABASE, ROUTING_TABLE)
-        except Exception:
-            self.mysql.create_table(
-                ROUTING_DATABASE,
-                ROUTING_TABLE,
-                [("principal", VARCHAR), ("kind", VARCHAR), ("cluster", VARCHAR)],
-            )
+    def __init__(self) -> None:
+        self.mysql = MySqlServer()
+        self._write([])
 
     # -- administration ------------------------------------------------------
 
@@ -44,35 +36,24 @@ class RoutingTable:
         self._assign("*", "default", cluster)
 
     def _assign(self, principal: str, kind: str, cluster: str) -> None:
-        rows = [
-            row
-            for row in self._all_rows()
-            if not (row[0] == principal and row[1] == kind)
-        ]
-        rows.append((principal, kind, cluster))
-        self.mysql.create_table(
-            ROUTING_DATABASE,
-            ROUTING_TABLE,
-            [("principal", VARCHAR), ("kind", VARCHAR), ("cluster", VARCHAR)],
-            rows,
-        )
+        self._write(self._rows_except(principal, kind) + [(principal, kind, cluster)])
 
     def remove(self, principal: str, kind: str = "user") -> None:
-        rows = [
+        self._write(self._rows_except(principal, kind))
+
+    def _rows_except(self, principal: str, kind: str) -> list[tuple]:
+        return [
             row
             for row in self._all_rows()
             if not (row[0] == principal and row[1] == kind)
         ]
-        self.mysql.create_table(
-            ROUTING_DATABASE,
-            ROUTING_TABLE,
-            [("principal", VARCHAR), ("kind", VARCHAR), ("cluster", VARCHAR)],
-            rows,
-        )
+
+    def _write(self, rows: list[tuple]) -> None:
+        self.mysql.create_table(ROUTING_DATABASE, ROUTING_TABLE, ROUTING_COLUMNS, rows)
 
     def _all_rows(self) -> list[tuple]:
         return self.mysql.execute(
-            ROUTING_DATABASE, ROUTING_TABLE, ["principal", "kind", "cluster"]
+            ROUTING_DATABASE, ROUTING_TABLE, [name for name, _ in ROUTING_COLUMNS]
         )
 
     # -- resolution ---------------------------------------------------------------

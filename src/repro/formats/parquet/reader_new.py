@@ -96,7 +96,6 @@ class NewParquetReader:
         columns: Sequence[str],
         options: Optional[ReaderOptions] = None,
         predicate: Optional[RowExpression] = None,
-        evaluator: Optional[Evaluator] = None,
         restrict: Optional[dict[str, Sequence[str]]] = None,
         dynamic_predicate: Optional[RowExpression] = None,
     ) -> None:
@@ -120,7 +119,7 @@ class NewParquetReader:
         self._static_tests = _column_tests(predicate)
         self._dynamic_tests = _column_tests(dynamic_predicate)
         self.stats = ReaderStats()
-        self._evaluator = evaluator or Evaluator()
+        self._evaluator = Evaluator()
         self._dictionary_cache: dict[tuple[int, str], Block] = {}
         self.columns = self._resolve_columns(columns)
         if restrict is not None and self.options.nested_column_pruning:

@@ -16,6 +16,9 @@ substitution → aggregation pushdown → cost-based join reordering +
 distribution selection → column pruning (incl. nested paths) → final
 cleanup.  MV substitution precedes aggregation pushdown so a matching
 view wins; both rules self-gate, leaving unmatched plans untouched.
+The three pushdown rules (predicate, limit, aggregation) are the one rule
+ablation the paper reports (section IV.B, Figure 16): ``pushdown=False``
+skips all three.
 """
 
 from __future__ import annotations
@@ -46,23 +49,6 @@ class OptimizerContext:
     session: Session
 
 
-@dataclass
-class OptimizerOptions:
-    """Feature switches so benchmarks can ablate individual rules."""
-
-    predicate_pushdown: bool = True
-    limit_pushdown: bool = True
-    aggregation_pushdown: bool = True
-    column_pruning: bool = True
-    geo_rewrite: bool = True
-    # Self-gating: only rewrites aggregations whose connector offers a
-    # materialized view at the query's exact read watermark.
-    mv_substitution: bool = True
-    # Self-gating: only reorders joins whose relations all have ANALYZE
-    # statistics, so un-analyzed workloads are byte-identical either way.
-    cost_based_join_ordering: bool = True
-
-
 class Optimizer:
     """Applies the rule pipeline to an analyzed plan."""
 
@@ -70,50 +56,45 @@ class Optimizer:
         self,
         catalog: Catalog,
         registry: Optional[FunctionRegistry] = None,
-        options: Optional[OptimizerOptions] = None,
+        pushdown: bool = True,
     ) -> None:
         self._catalog = catalog
         self._registry = registry or default_registry()
-        self.options = options or OptimizerOptions()
+        self.pushdown = pushdown
 
     def optimize(self, plan: OutputNode, session: Optional[Session] = None) -> OutputNode:
         ctx = OptimizerContext(self._catalog, self._registry, session or Session())
-        options = self.options
         result: PlanNode = plan
 
         result = merge_filters(result, ctx)
         result = remove_identity_projections(result, ctx)
 
-        if options.predicate_pushdown:
+        if self.pushdown:
             result = _to_fixpoint(push_predicates, result, ctx)
             result = merge_filters(result, ctx)
-        if options.geo_rewrite:
-            result = rewrite_geospatial_joins(result, ctx)
-            if options.predicate_pushdown:
-                result = _to_fixpoint(push_predicates, result, ctx)
+        result = rewrite_geospatial_joins(result, ctx)
+        if self.pushdown:
+            result = _to_fixpoint(push_predicates, result, ctx)
         result = sort_limit_to_topn(result, ctx)
-        if options.limit_pushdown:
+        if self.pushdown:
             result = push_limits(result, ctx)
-        if options.mv_substitution:
-            result = substitute_materialized_views(result, ctx)
-        if options.aggregation_pushdown:
+        result = substitute_materialized_views(result, ctx)
+        if self.pushdown:
             result = push_aggregations(result, ctx)
         estimator = CostEstimator(StatsProvider(self._catalog))
-        if options.cost_based_join_ordering:
-            result = reorder_joins(result, ctx, estimator)
+        result = reorder_joins(result, ctx, estimator)
         # Always resolve distribution='automatic' placeholders — the
         # fragmenter should only ever see broadcast or partitioned.
         result = choose_join_distribution(result, ctx, estimator)
-        if options.column_pruning:
-            # To fixpoint: the first pass may drop identity-forwarding
-            # assignments whose bare variable uses were masking narrower
-            # (nested) access paths for the second pass.
-            result = _to_fixpoint(
-                lambda p, c: remove_identity_projections(prune_columns(p, c), c),
-                result,
-                ctx,
-                max_iterations=3,
-            )
+        # To fixpoint: the first pass may drop identity-forwarding
+        # assignments whose bare variable uses were masking narrower
+        # (nested) access paths for the second pass.
+        result = _to_fixpoint(
+            lambda p, c: remove_identity_projections(prune_columns(p, c), c),
+            result,
+            ctx,
+            max_iterations=3,
+        )
         result = remove_identity_projections(result, ctx)
 
         assert isinstance(result, OutputNode)

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from repro.common.errors import ConnectorError
 from repro.connectors.kafka import HIDDEN_COLUMNS
 from repro.connectors.lakehouse.table_format import IcebergTable
-from repro.connectors.realtime.store import RealtimeOlapStore, Segment
+from repro.connectors.olap.store import RealtimeOlapStore, Segment
 from repro.core.types import PrestoType
 from repro.realtime.watermark import Watermark
 

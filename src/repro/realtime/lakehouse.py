@@ -25,7 +25,7 @@ from repro.common.clock import SimulatedClock
 from repro.connectors.kafka import HIDDEN_COLUMNS, KafkaBroker, KafkaConnector
 from repro.connectors.lakehouse.connector import IcebergConnector
 from repro.connectors.lakehouse.table_format import IcebergTable
-from repro.connectors.realtime.store import RealtimeOlapStore
+from repro.connectors.olap.store import RealtimeOlapStore
 from repro.connectors.spi import Catalog
 from repro.core.types import PrestoType
 from repro.execution.engine import PrestoEngine
@@ -40,6 +40,10 @@ from repro.realtime.pipeline import Compactor, IngestionPipeline
 from repro.storage.hdfs import HdfsFileSystem, NameNode
 
 
+# Nodes of the real-time store that serves the hybrid table's tail.
+TAIL_STORE_NODES = 8
+
+
 class StreamingLakehouse:
     """The composed system: log, tail, lake, pipeline, and connectors."""
 
@@ -52,8 +56,6 @@ class StreamingLakehouse:
         compaction_interval_ms: float = 5000.0,
         fault_injector: Optional[FaultInjector] = None,
         clock: Optional[SimulatedClock] = None,
-        store_nodes: int = 8,
-        trace_pipeline: bool = True,
     ) -> None:
         self.clock = clock or SimulatedClock()
         self.topic = topic
@@ -65,7 +67,7 @@ class StreamingLakehouse:
         self.broker.create_topic(topic, fields, partitions)
         self.filesystem = HdfsFileSystem(namenode=NameNode(clock=self.clock))
         self.store = RealtimeOlapStore(
-            name="tail", nodes=store_nodes, clock=self.clock
+            name="tail", nodes=TAIL_STORE_NODES, clock=self.clock
         )
         self.lake = IcebergTable(
             self.filesystem,
@@ -74,9 +76,7 @@ class StreamingLakehouse:
         )
         self.table = HybridTable(topic, fields, partitions, self.lake, self.store)
         self.compactor = Compactor(self.table, fault_injector=fault_injector)
-        self.pipeline_trace = (
-            QueryTrace(clock=self.clock) if trace_pipeline else None
-        )
+        self.pipeline_trace = QueryTrace(clock=self.clock)
         self.pipeline = IngestionPipeline(
             self.broker,
             topic,

@@ -16,7 +16,7 @@ advances the clock to the next due event and executes it — so pipeline
 activity interleaves deterministically with concurrently stepping
 queries.  Crash points sit immediately before every state transition
 (append, offset commit, file write, snapshot commit, prune); an injected
-crash costs ``restart_ms`` of simulated downtime and runs
+crash costs ``RESTART_MS`` of simulated downtime and runs
 :meth:`HybridTable.recover`, after which the next poll/cycle resumes
 from the committed state.  The property suite drives exactly these
 points to show no crash schedule can duplicate or drop a row.
@@ -38,6 +38,12 @@ from repro.realtime.hybrid import (
     HybridTable,
 )
 
+# Simulated cost model: compaction writes each sealed row and commits one
+# snapshot per cycle; a crashed pipeline is down this long before recovery.
+COMPACTION_WRITE_MS_PER_ROW = 0.002
+COMPACTION_COMMIT_MS = 10.0
+RESTART_MS = 500.0
+
 
 class Compactor:
     """Seals committed tail rows into lakehouse snapshots.
@@ -55,13 +61,9 @@ class Compactor:
         self,
         table: HybridTable,
         fault_injector: Optional[FaultInjector] = None,
-        write_ms_per_row: float = 0.002,
-        commit_ms: float = 10.0,
     ) -> None:
         self.table = table
         self.fault_injector = fault_injector
-        self.write_ms_per_row = write_ms_per_row
-        self.commit_ms = commit_ms
         self.cycles = 0  # attempts, crashed or not — the crash-coin step
         self.rows_sealed = 0
         self.snapshots_committed = 0
@@ -84,7 +86,7 @@ class Compactor:
 
         self._crash_point("write")
         data_file = table.lake.write_data_file(rows) if rows else None
-        table.clock.advance(len(rows) * self.write_ms_per_row)
+        table.clock.advance(len(rows) * COMPACTION_WRITE_MS_PER_ROW)
 
         self._crash_point("commit")
         max_ts = table.sealed_max_timestamp_ms()
@@ -98,7 +100,7 @@ class Compactor:
         table.lake.commit_add_files(
             [data_file] if data_file is not None else [], properties=properties
         )
-        table.clock.advance(self.commit_ms)
+        table.clock.advance(COMPACTION_COMMIT_MS)
         self.snapshots_committed += 1
         self.rows_sealed += len(rows)
 
@@ -114,7 +116,7 @@ class IngestionPipeline:
     the simulated clock.  ``step()`` runs the earliest due event;
     ``run_until()`` drains events up to a deadline.  Every injected crash
     is caught here: it increments the crash counter, charges
-    ``restart_ms`` of downtime, and recovers the table, so callers see an
+    ``RESTART_MS`` of downtime, and recovers the table, so callers see an
     always-on pipeline whose visible state is exactly-once regardless of
     the crash schedule.
     """
@@ -130,7 +132,6 @@ class IngestionPipeline:
         fault_injector: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[QueryTrace] = None,
-        restart_ms: float = 500.0,
     ) -> None:
         self.broker = broker
         self.topic = topic
@@ -142,7 +143,6 @@ class IngestionPipeline:
         self.fault_injector = fault_injector
         self.metrics = metrics
         self.tracer = tracer
-        self.restart_ms = restart_ms
         self.polls = 0  # poll attempts, crashed or not — the crash-coin step
         self.records_ingested = 0
         self.crashes = 0
@@ -245,7 +245,7 @@ class IngestionPipeline:
                 component=component,
             ).inc()
         with self._span("pipeline.restart", component=component, error=str(error)):
-            self.clock.advance(self.restart_ms)
+            self.clock.advance(RESTART_MS)
             self.table.recover()
 
     def run_until(self, deadline_ms: float) -> None:

@@ -47,6 +47,12 @@ def _register_spark_function_names() -> None:
 
 _register_spark_function_names()
 
+# Batch cost model (simulated ms): job startup, one shuffle materialization
+# per stage boundary, and disk time per row spilled past the memory budget.
+JOB_STARTUP_MS = 4_000.0
+SHUFFLE_MS_PER_STAGE = 1_500.0
+SPILL_MS_PER_ROW = 0.002
+
 
 class BatchSqlEngine:
     """Executes (Spark-dialect) SQL with batch semantics."""
@@ -57,17 +63,11 @@ class BatchSqlEngine:
         session: Optional[Session] = None,
         clock: Optional[SimulatedClock] = None,
         memory_budget_rows: int = 1_000_000,
-        job_startup_ms: float = 4_000.0,
-        shuffle_ms_per_stage: float = 1_500.0,
-        spill_ms_per_row: float = 0.002,
     ) -> None:
         # Reuse the same frontend/planner; only execution semantics differ.
         self._inner = PrestoEngine(catalog=catalog, session=session, clock=clock)
         self.clock = clock
         self.memory_budget_rows = memory_budget_rows
-        self.job_startup_ms = job_startup_ms
-        self.shuffle_ms_per_stage = shuffle_ms_per_stage
-        self.spill_ms_per_row = spill_ms_per_row
         self.spilled_rows = 0
         self.jobs_run = 0
 
@@ -80,9 +80,7 @@ class BatchSqlEngine:
             if isinstance(node, (JoinNode, SpatialJoinNode, AggregationNode))
         )
         if self.clock is not None:
-            self.clock.advance(
-                self.job_startup_ms + stage_boundaries * self.shuffle_ms_per_stage
-            )
+            self.clock.advance(JOB_STARTUP_MS + stage_boundaries * SHUFFLE_MS_PER_STAGE)
         ctx = ExecutionContext(
             catalog=self._inner.catalog,
             session=self._inner.session,
@@ -100,5 +98,5 @@ class BatchSqlEngine:
         if overflow:
             self.spilled_rows += overflow
             if self.clock is not None:
-                self.clock.advance(overflow * self.spill_ms_per_row)
+                self.clock.advance(overflow * SPILL_MS_PER_ROW)
         return result

@@ -27,6 +27,16 @@ from repro.storage.filesystem import (
 )
 
 
+# Simulated latency model (ms): a listFiles call plus a per-entry component
+# (big directories are slower to list), a getFileInfo call, the multiplier
+# an overloaded NameNode applies to both, and datanode reads per MB.
+LIST_FILES_LATENCY_MS = 20.0
+PER_ENTRY_LATENCY_MS = 0.01
+GET_FILE_INFO_LATENCY_MS = 2.0
+DEGRADATION_FACTOR = 10.0
+READ_LATENCY_MS_PER_MB = 5.0
+
+
 @dataclass
 class NameNodeStats:
     list_files_calls: int = 0
@@ -42,10 +52,11 @@ class NameNodeStats:
 class NameNode:
     """HDFS metadata server with per-call latency and overload degradation.
 
-    ``list_files_latency_ms`` applies per listFiles call plus a per-entry
-    component (big directories are slower to list).  When the metadata
-    call rate within the last simulated second exceeds
-    ``degradation_threshold_calls_per_sec``, latency multiplies — the
+    ``LIST_FILES_LATENCY_MS`` applies per listFiles call plus
+    ``PER_ENTRY_LATENCY_MS`` per entry.  When the metadata call rate within
+    the last simulated second exceeds
+    ``degradation_threshold_calls_per_sec``, latency multiplies by
+    ``DEGRADATION_FACTOR`` — the
     "single HDFS NameNode listFiles performance degradation [that] could
     hurt Presto performance badly" (sections VII, XII.D).
     """
@@ -53,18 +64,10 @@ class NameNode:
     def __init__(
         self,
         clock: Optional[SimulatedClock] = None,
-        list_files_latency_ms: float = 20.0,
-        per_entry_latency_ms: float = 0.01,
-        get_file_info_latency_ms: float = 2.0,
         degradation_threshold_calls_per_sec: int = 1000,
-        degradation_factor: float = 10.0,
     ) -> None:
         self.clock = clock or SimulatedClock()
-        self.list_files_latency_ms = list_files_latency_ms
-        self.per_entry_latency_ms = per_entry_latency_ms
-        self.get_file_info_latency_ms = get_file_info_latency_ms
         self.degradation_threshold_calls_per_sec = degradation_threshold_calls_per_sec
-        self.degradation_factor = degradation_factor
         self.stats = NameNodeStats()
         self.metrics = None
         # path → FileStatus for files; directories implied by prefixes
@@ -85,7 +88,7 @@ class NameNode:
         while self._recent_calls and self._recent_calls[0] < now - 1_000.0:
             self._recent_calls.popleft()
         if len(self._recent_calls) > self.degradation_threshold_calls_per_sec:
-            return self.degradation_factor
+            return DEGRADATION_FACTOR
         return 1.0
 
     # -- namespace management ------------------------------------------------
@@ -118,7 +121,7 @@ class NameNode:
             if path.startswith(directory) and "/" not in path[len(directory) :]
         ]
         latency = multiplier * (
-            self.list_files_latency_ms + self.per_entry_latency_ms * len(entries)
+            LIST_FILES_LATENCY_MS + PER_ENTRY_LATENCY_MS * len(entries)
         )
         self.clock.advance(latency)
         observe_storage_call(
@@ -128,7 +131,7 @@ class NameNode:
 
     def get_file_info(self, path: str) -> FileStatus:
         self.stats.get_file_info_calls += 1
-        latency = self.get_file_info_latency_ms * self._overload_multiplier()
+        latency = GET_FILE_INFO_LATENCY_MS * self._overload_multiplier()
         self.clock.advance(latency)
         observe_storage_call("hdfs", "getFileInfo", latency, self.metrics)
         path = _normalize(path)
@@ -148,13 +151,8 @@ class NameNode:
 class HdfsFileSystem(FileSystem):
     """FileSystem facade over a NameNode (+ implicit datanodes)."""
 
-    def __init__(
-        self,
-        namenode: Optional[NameNode] = None,
-        read_latency_ms_per_mb: float = 5.0,
-    ) -> None:
+    def __init__(self, namenode: Optional[NameNode] = None) -> None:
         self.namenode = namenode or NameNode()
-        self.read_latency_ms_per_mb = read_latency_ms_per_mb
 
     @property
     def clock(self) -> SimulatedClock:
@@ -172,7 +170,7 @@ class HdfsFileSystem(FileSystem):
     def open(self, path: str) -> SeekableInput:
         self.namenode.stats.open_calls += 1
         data = self.namenode.file_data(path)
-        latency = self.read_latency_ms_per_mb * len(data) / 1_000_000
+        latency = READ_LATENCY_MS_PER_MB * len(data) / 1_000_000
         self.clock.advance(latency)
         observe_storage_call(
             "hdfs", "open", latency, self.namenode.metrics, bytes=len(data)

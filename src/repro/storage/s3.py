@@ -17,6 +17,12 @@ from repro.common.errors import StorageError
 from repro.storage.filesystem import observe_storage_call
 
 
+# Simulated latency model (ms): a fixed cost per request plus transfer time
+# per MB of payload.
+REQUEST_LATENCY_MS = 10.0
+TRANSFER_MS_PER_MB = 20.0
+
+
 class S3ServerError(StorageError):
     """Transient 5xx/throttling failure; the caller should back off."""
 
@@ -66,13 +72,9 @@ class S3Client:
     def __init__(
         self,
         clock: Optional[SimulatedClock] = None,
-        request_latency_ms: float = 10.0,
-        transfer_ms_per_mb: float = 20.0,
         failure_injector: Optional[Callable[[str], bool]] = None,
     ) -> None:
         self.clock = clock or SimulatedClock()
-        self.request_latency_ms = request_latency_ms
-        self.transfer_ms_per_mb = transfer_ms_per_mb
         self.failure_injector = failure_injector
         self.stats = S3Stats()
         self.metrics = None
@@ -90,14 +92,12 @@ class S3Client:
     def _request(self, operation: str, payload_bytes: int = 0) -> None:
         if self.failure_injector is not None and self.failure_injector(operation):
             self.stats.failed_requests += 1
-            self.clock.advance(self.request_latency_ms)
+            self.clock.advance(REQUEST_LATENCY_MS)
             observe_storage_call(
-                "s3", operation, self.request_latency_ms, self.metrics, failed=True
+                "s3", operation, REQUEST_LATENCY_MS, self.metrics, failed=True
             )
             raise S3ServerError(f"S3 {operation}: service unavailable (injected)")
-        latency = (
-            self.request_latency_ms + self.transfer_ms_per_mb * payload_bytes / 1_000_000
-        )
+        latency = REQUEST_LATENCY_MS + TRANSFER_MS_PER_MB * payload_bytes / 1_000_000
         self.clock.advance(latency)
         observe_storage_call("s3", operation, latency, self.metrics)
 
@@ -205,7 +205,7 @@ class S3Client:
         self._multipart[upload_id]["parts"][part_number] = data
 
     def part_upload_cost_ms(self, part_size: int) -> float:
-        return self.request_latency_ms + self.transfer_ms_per_mb * part_size / 1_000_000
+        return REQUEST_LATENCY_MS + TRANSFER_MS_PER_MB * part_size / 1_000_000
 
     def complete_multipart_upload(self, upload_id: str) -> None:
         upload = self._multipart.pop(upload_id, None)

@@ -35,6 +35,10 @@ class S3FileSystemStats:
     single_part_uploads: int = 0
 
 
+# Ceiling on one exponential-backoff delay (simulated ms).
+BACKOFF_MAX_MS = 10_000.0
+
+
 class PrestoS3FileSystem(FileSystem):
     """FileSystem over S3 with lazy seek, backoff, select, multipart."""
 
@@ -45,7 +49,6 @@ class PrestoS3FileSystem(FileSystem):
         lazy_seek: bool = True,
         max_retries: int = 8,
         backoff_base_ms: float = 100.0,
-        backoff_max_ms: float = 10_000.0,
         multipart_threshold: int = 16 * 1024 * 1024,
         multipart_part_size: int = 8 * 1024 * 1024,
         read_buffer_size: int = 1024 * 1024,
@@ -55,7 +58,6 @@ class PrestoS3FileSystem(FileSystem):
         self.lazy_seek = lazy_seek
         self.max_retries = max_retries
         self.backoff_base_ms = backoff_base_ms
-        self.backoff_max_ms = backoff_max_ms
         self.multipart_threshold = multipart_threshold
         self.multipart_part_size = multipart_part_size
         self.read_buffer_size = read_buffer_size
@@ -71,9 +73,7 @@ class PrestoS3FileSystem(FileSystem):
             except S3ServerError:
                 if attempt >= self.max_retries:
                     raise
-                delay = min(
-                    self.backoff_base_ms * (2**attempt), self.backoff_max_ms
-                )
+                delay = min(self.backoff_base_ms * (2**attempt), BACKOFF_MAX_MS)
                 self.client.clock.advance(delay)
                 self.stats.retries += 1
                 self.stats.backoff_ms_total += delay

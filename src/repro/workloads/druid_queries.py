@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.connectors.realtime.druid import DruidCluster
-from repro.connectors.realtime.store import NativeQuery
+from repro.connectors.olap.druid import DruidCluster
+from repro.connectors.olap.store import NativeQuery
 from repro.connectors.spi import AggregationFunction
 from repro.core.expressions import (
     CallExpression,

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cache.data_cache import (
+    HOT_READ_MS,
+    SSD_READ_MS,
     CacheTier,
     DataCacheConfig,
     FrequencySketch,
@@ -39,7 +41,7 @@ class TestTieredReads:
         assert first.tier == "miss" and not first.hit
         second = cache.read("a")
         assert second.tier == "hot" and second.hit
-        assert second.latency_ms == cache.config.hot_read_ms
+        assert second.latency_ms == HOT_READ_MS
         assert cache.tier_of("a") == "hot"
 
     def test_hot_eviction_demotes_to_ssd(self):
@@ -59,7 +61,7 @@ class TestTieredReads:
         cache.read("c")  # "a" now on ssd
         read = cache.read("a")
         assert read.tier == "ssd"
-        assert read.latency_ms == cache.config.ssd_read_ms
+        assert read.latency_ms == SSD_READ_MS
         assert cache.tier_of("a") == "hot"  # promoted
         assert cache.tier_of("b") == "ssd"  # displaced by the promotion
 

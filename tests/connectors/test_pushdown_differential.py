@@ -17,7 +17,7 @@ from repro.connectors.kafka import HIDDEN_COLUMNS
 from repro.connectors.lakehouse import IcebergConnector, IcebergTable
 from repro.connectors.memory import MemoryConnector
 from repro.connectors.mysql import MySqlConnector, MySqlServer
-from repro.connectors.realtime import (
+from repro.connectors.olap import (
     DruidCluster,
     DruidConnector,
     PinotCluster,

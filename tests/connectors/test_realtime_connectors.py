@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.connectors.realtime import (
+from repro.connectors.olap import (
     DruidCluster,
     DruidConnector,
     NativeQuery,
@@ -159,11 +159,9 @@ class TestConnectorQueries:
         pushed = engine.execute("SELECT city, count(*) FROM events GROUP BY city")
         assert pushed.stats.rows_scanned <= 7 * 4  # ≤ groups × segments
 
-        from repro.planner.optimizer import Optimizer, OptimizerOptions
+        from repro.planner.optimizer import Optimizer
 
-        engine._optimizer = Optimizer(
-            engine.catalog, options=OptimizerOptions(aggregation_pushdown=False)
-        )
+        engine._optimizer = Optimizer(engine.catalog, pushdown=False)
         unpushed = engine.execute("SELECT city, count(*) FROM events GROUP BY city")
         assert unpushed.stats.rows_scanned == 400
         assert pushed.rows == unpushed.rows or sorted(pushed.rows) == sorted(unpushed.rows)

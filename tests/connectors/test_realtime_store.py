@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.connectors.realtime.store import (
+from repro.connectors.olap.store import (
     NativeQuery,
     RealtimeOlapStore,
     Segment,

@@ -15,7 +15,7 @@ import pytest
 from repro.common.errors import ConnectorError, SemanticError
 from repro.connectors.hive.connector import _dereferences_to_paths
 from repro.connectors.memory import MemoryConnector
-from repro.connectors.realtime import (
+from repro.connectors.olap import (
     DruidCluster,
     DruidConnector,
     PinotCluster,

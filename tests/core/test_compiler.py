@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import DictionaryBlock, PrimitiveBlock
+from repro.common.errors import InvalidValueError, SemanticError
+from repro.core import compiler
 from repro.core.compiler import (
-    INTERPRETED,
     ConstantKernel,
-    EvaluatorOptions,
+    DictionaryKernel,
+    ExpressionCompiler,
+    InterpreterKernel,
     compile_cached,
 )
 from repro.core.evaluator import Evaluator
@@ -28,7 +31,7 @@ from repro.core.expressions import (
     or_,
     variable,
 )
-from repro.core.functions import default_registry
+from repro.core.functions import FunctionHandle, default_registry
 from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR
 from repro.execution.context import QueryStats
 
@@ -50,7 +53,7 @@ def evaluator(stats):
 
 @pytest.fixture
 def oracle():
-    return Evaluator(options=EvaluatorOptions(mode=INTERPRETED))
+    return Evaluator().evaluate_interpreted
 
 
 class TestNullAwareApply:
@@ -92,7 +95,7 @@ class TestNullAwareApply:
             "multiply", [variable("x", DOUBLE), constant(2.0, DOUBLE)], [DOUBLE, DOUBLE]
         )
         compiled = evaluator.evaluate(expr, {"x": x}, 4).to_list()
-        interpreted = oracle.evaluate(expr, {"x": x}, 4).to_list()
+        interpreted = oracle(expr, {"x": x}, 4).to_list()
         assert compiled == interpreted
 
 
@@ -151,7 +154,7 @@ class TestStringKernels:
             )
             assert (
                 evaluator.evaluate(expr, {"s": s}, 4).to_list()
-                == oracle.evaluate(expr, {"s": s}, 4).to_list()
+                == oracle(expr, {"s": s}, 4).to_list()
             ), pattern
 
 
@@ -178,7 +181,7 @@ class TestDictionaryEvaluation:
         block = DictionaryBlock(dictionary, ids)
         expr = call("length", [variable("s", VARCHAR)], [VARCHAR])
         compiled = evaluator.evaluate(expr, {"s": block}, 4).to_list()
-        interpreted = oracle.evaluate(expr, {"s": block}, 4).to_list()
+        interpreted = oracle(expr, {"s": block}, 4).to_list()
         assert compiled == interpreted == [1, None, 2, None]
 
     def test_is_null_not_dictionary_evaluated(self, evaluator):
@@ -192,17 +195,6 @@ class TestDictionaryEvaluation:
         x = PrimitiveBlock.from_values(BIGINT, [1, 2, 3])
         expr = call("negate", [variable("x", BIGINT)], [BIGINT])
         assert evaluator.evaluate(expr, {"x": x}, 3).to_list() == [-1, -2, -3]
-
-    def test_disabled_by_option(self, stats):
-        evaluator = Evaluator(
-            options=EvaluatorOptions(dictionary_optimization=False), stats=stats
-        )
-        dictionary = PrimitiveBlock.from_values(VARCHAR, ["aa", "bbb"])
-        block = DictionaryBlock(dictionary, np.array([0, 1, 0]))
-        expr = call("length", [variable("s", VARCHAR)], [VARCHAR])
-        result = evaluator.evaluate(expr, {"s": block}, 3)
-        assert result.to_list() == [2, 3, 2]
-        assert stats.expr_positions_dictionary_saved == 0
 
 
 class TestConstantFolding:
@@ -238,7 +230,7 @@ class TestConstantFolding:
         x = PrimitiveBlock.from_values(BOOLEAN, [True, False, None])
         expr = and_(variable("x", BOOLEAN), constant(None, BOOLEAN))
         compiled = evaluator.evaluate(expr, {"x": x}, 3).to_list()
-        interpreted = oracle.evaluate(expr, {"x": x}, 3).to_list()
+        interpreted = oracle(expr, {"x": x}, 3).to_list()
         assert compiled == interpreted == [None, False, None]
 
     def test_folding_never_raises_at_compile_time(self, evaluator):
@@ -258,22 +250,8 @@ class TestConstantFolding:
         assert isinstance(folded, SpecialFormExpression)
         assert folded.arguments[0] == variable("x", BIGINT)
 
-    def test_disabled_by_option(self):
-        evaluator = Evaluator(options=EvaluatorOptions(constant_folding=False))
-        expr = call("multiply", [constant(6, BIGINT), constant(7, BIGINT)], [BIGINT, BIGINT])
-        assert not isinstance(evaluator.compiled(expr).kernel, ConstantKernel)
-        assert evaluator.evaluate_scalar(expr) == 42
-
 
 class TestLanes:
-    def test_interpreted_mode_counts_fallback(self, stats):
-        evaluator = Evaluator(options=EvaluatorOptions(mode=INTERPRETED), stats=stats)
-        x = PrimitiveBlock.from_values(BIGINT, [1, 2, 3])
-        expr = call("add", [variable("x", BIGINT), constant(1, BIGINT)], [BIGINT, BIGINT])
-        assert evaluator.evaluate(expr, {"x": x}, 3).to_list() == [2, 3, 4]
-        assert stats.expr_positions_fallback == 3
-        assert stats.expr_positions_vectorized == 0
-
     def test_kleene_and_not_in_are_vectorized(self, evaluator, stats):
         a = PrimitiveBlock.from_values(BOOLEAN, [True, None, False])
         x = PrimitiveBlock.from_values(BIGINT, [1, 2, None])
@@ -307,25 +285,65 @@ class TestCompileCache:
         assert expr_a is not expr_b
         assert a.compiled(expr_a) is b.compiled(expr_b)
 
-    def test_distinct_options_compile_separately(self):
+    def test_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(compiler, "COMPILE_CACHE_SIZE", 2)
         registry = default_registry()
-        expr = call("multiply", [constant(6, BIGINT), constant(7, BIGINT)], [BIGINT, BIGINT])
-        folded = compile_cached(registry, EvaluatorOptions(), expr)
-        unfolded = compile_cached(
-            registry, EvaluatorOptions(constant_folding=False), expr
-        )
-        assert isinstance(folded.kernel, ConstantKernel)
-        assert not isinstance(unfolded.kernel, ConstantKernel)
-
-    def test_lru_bound(self):
-        registry = default_registry()
-        options = EvaluatorOptions(cache_size=2)
         exprs = [
             call("add", [variable("x", BIGINT), constant(i, BIGINT)], [BIGINT, BIGINT])
             for i in range(4)
         ]
-        first = compile_cached(registry, options, exprs[0])
+        first = compile_cached(registry, exprs[0])
         for e in exprs[1:]:
-            compile_cached(registry, options, e)
+            compile_cached(registry, e)
         # exprs[0] was evicted; recompiling yields a fresh object.
-        assert compile_cached(registry, options, exprs[0]) is not first
+        assert compile_cached(registry, exprs[0]) is not first
+
+
+def unknown_call(argument):
+    """A call whose handle names no registered function: the
+    ``SemanticError`` that ``implementation_for`` raises."""
+    handle = FunctionHandle("no_such_function", ("bigint",), "bigint")
+    return CallExpression("no_such_function", handle, BIGINT, (argument,))
+
+
+class TestFallbackTriggers:
+    """Each fallback catches the errors it names, and only those."""
+
+    @pytest.mark.parametrize(
+        "error", [InvalidValueError("bad"), ZeroDivisionError(), OverflowError(),
+                  ValueError(), AttributeError(), RuntimeWarning()],
+    )
+    def test_fold_leaves_a_failing_subtree_unfolded(self, monkeypatch, error):
+        def fail(*_):
+            raise error
+
+        monkeypatch.setattr(Evaluator, "evaluate_interpreted", fail)
+        expr = call("add", [constant(1, BIGINT), constant(2, BIGINT)], [BIGINT, BIGINT])
+        assert ExpressionCompiler(default_registry()).fold(expr) == expr
+
+    def test_fold_lets_an_unnamed_error_through(self, monkeypatch):
+        def fail(*_):
+            raise KeyError("engine defect")
+
+        monkeypatch.setattr(Evaluator, "evaluate_interpreted", fail)
+        expr = call("add", [constant(1, BIGINT), constant(2, BIGINT)], [BIGINT, BIGINT])
+        with pytest.raises(KeyError):
+            ExpressionCompiler(default_registry()).fold(expr)
+
+    def test_unresolvable_call_is_not_literal(self):
+        compiler_ = ExpressionCompiler(default_registry())
+        assert not compiler_._literal_only(unknown_call(constant(1, BIGINT)))
+
+    def test_unresolvable_call_compiles_to_the_interpreter(self, evaluator):
+        compiled = evaluator.compiled(unknown_call(variable("x", BIGINT)))
+        assert isinstance(compiled.kernel, InterpreterKernel)
+        assert compiled.interpreter_nodes == 1
+        with pytest.raises(SemanticError):
+            compiled.evaluate({"x": PrimitiveBlock.from_values(BIGINT, [1])}, 1)
+
+    def test_unresolvable_call_is_not_dictionary_evaluated(self):
+        compiler_ = ExpressionCompiler(default_registry())
+        expr = unknown_call(variable("x", BIGINT))
+        assert compiler_._dictionary_safe(expr) == (False, False)
+        assert not isinstance(compiler_.compile(expr).kernel, DictionaryKernel)
+

@@ -5,6 +5,8 @@ that defines them.  Each back-quoted name in a row's first cell must be
 an attribute of that module (``Class.method(args)`` is checked as
 ``Class``); the module may be written with or without the ``repro.``
 prefix, and ``writer_*``-style globs match any module of that shape.
+A row that says "Constructor knobs:" lists exactly the constructor
+parameters of the class its first cell names, in order.
 """
 
 import importlib
@@ -12,7 +14,7 @@ import inspect
 import re
 from pathlib import Path
 
-from repro.execution.engine import PrestoEngine
+import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
@@ -71,13 +73,41 @@ def test_every_documented_symbol_imports():
     assert not missing, f"docs/API.md names symbols that do not import: {missing}"
 
 
-def test_engine_constructor_knobs_are_the_signature():
+def constructor_knob_rows() -> list[tuple[str, str, list[str]]]:
+    """(class, module, documented knobs) for every row saying "Constructor
+    knobs:"; the knobs are those of the first name in the row's first cell."""
+    rows = []
+    for line in (REPO / "docs" / "API.md").read_text().splitlines():
+        if not line.startswith("|") or "Constructor knobs:" not in line:
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        name = QUOTED.findall(cells[0])[0]
+        module = candidate_modules(QUOTED.findall(cells[1])[0])[0]
+        knobs = QUOTED.findall(line.split("Constructor knobs:", 1)[1])
+        rows.append((name, module, knobs))
+    return rows
+
+
+KNOB_ROWS = constructor_knob_rows()
+
+
+def test_knob_rows_are_seen():
+    assert {name for name, _, _ in KNOB_ROWS} >= {
+        "PrestoEngine",
+        "Optimizer",
+        "Evaluator",
+        "PrestoClusterSim",
+        "StreamingLakehouse",
+        "FaultInjector",
+        "PrestoGateway",
+        "DataCacheConfig",
+    }
+
+
+@pytest.mark.parametrize(
+    "name, module, knobs", KNOB_ROWS, ids=[name for name, _, _ in KNOB_ROWS]
+)
+def test_constructor_knobs_are_the_signature(name, module, knobs):
     """An option cannot be added or removed without the docs saying so."""
-    (row,) = [
-        line
-        for line in (REPO / "docs" / "API.md").read_text().splitlines()
-        if line.startswith("| `PrestoEngine` |")
-    ]
-    knobs = row.split("Constructor knobs:", 1)[1]
-    parameters = list(inspect.signature(PrestoEngine.__init__).parameters)[1:]
-    assert QUOTED.findall(knobs) == parameters
+    cls = getattr(importlib.import_module(module), name)
+    assert knobs == list(inspect.signature(cls.__init__).parameters)[1:]

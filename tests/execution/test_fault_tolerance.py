@@ -21,6 +21,7 @@ from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, VARCHAR
 from repro.execution.faults import FaultInjector
 from repro.execution.engine import PrestoEngine
+from repro.execution.scheduler import RETRY_BACKOFF_MS
 from repro.planner.analyzer import Session
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
 
@@ -169,7 +170,6 @@ class TestTaskRetries:
     def test_retried_tasks_record_attempts_and_backoff(self):
         engine = make_engine(
             fault_injector=FaultInjector(seed=7, task_failure_rate=0.1),
-            retry_backoff_ms=100.0,
         )
         result = engine.execute(TPCH_SQL)
         retried = [r for r in result.stats.task_records if r["attempts"] > 1]
@@ -179,7 +179,7 @@ class TestTaskRetries:
         assert result.stats.simulated_ms > clean.stats.simulated_ms
         for record in retried:
             assert record["failed"] is False
-            assert record["sim_ms"] >= 100.0
+            assert record["sim_ms"] >= RETRY_BACKOFF_MS
 
     def test_internal_error_retried_to_bound_then_surfaces(self):
         injector = FaultInjector(seed=1, task_failure_rate=1.0)

@@ -30,11 +30,12 @@ from repro.core.blocks import (
 from repro.core.expressions import CallExpression, variable
 from repro.core.functions import default_registry
 from repro.core.page import Page, concat_pages
-from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR, ArrayType
+from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR, ArrayType, parse_type
 from repro.execution import kernels
 from repro.execution.context import ExecutionContext
 from repro.execution.exchange import ExchangeBuffer
 from repro.execution.operators.aggregation import (
+    _partial_page,
     execute_aggregation,
     execute_aggregation_rows,
 )
@@ -1241,3 +1242,29 @@ class TestKeysAgainstTheRowLoop:
             == list(reference)
             == [(5,), (3,), (None,), (9,), (7,), (1,)]
         )
+
+
+class TestUntypableColumns:
+    """A column ``block_from_values`` cannot type travels in object storage:
+    the fallback catches what that raises (``BLOCK_VALUE_ERRORS``)."""
+
+    UNTYPABLE = [
+        (BIGINT, ["text", 1]),  # ValueError
+        (BIGINT, [2**70, 1]),  # OverflowError
+        (DOUBLE, [{1}, 2.0]),  # TypeError
+        (ArrayType(BIGINT), [3, None]),  # TypeError
+        (parse_type("row(a bigint)"), [3, 4]),  # AttributeError
+    ]
+
+    @pytest.mark.parametrize("presto_type, values", UNTYPABLE)
+    def test_states_block_keeps_untypable_states(self, presto_type, values):
+        block = kernels.states_block(presto_type, values)
+        assert block.values.dtype == object
+        assert block.to_list() == values
+
+    @pytest.mark.parametrize("presto_type, values", UNTYPABLE)
+    def test_partial_page_keeps_untypable_keys(self, presto_type, values):
+        page = _partial_page([presto_type], 1, [values], len(values))
+        assert page.block(0).values.dtype == object
+        assert page.block(0).to_list() == values
+

@@ -17,6 +17,7 @@ from repro.core.types import BIGINT
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
 from repro.execution.faults import FaultInjector
+from repro.execution.scheduler import RETRY_BACKOFF_MS
 from repro.federation.gateway import PrestoGateway
 from repro.planner.analyzer import Session
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
@@ -108,7 +109,6 @@ class TestFaultInjectionTrace:
     def test_failed_attempts_and_backoffs_appear_as_spans(self):
         engine = make_engine(
             fault_injector=FaultInjector(seed=7, task_failure_rate=0.1),
-            retry_backoff_ms=100.0,
         )
         result = engine.execute(TPCH_SQL)
         assert_trace_reconciles(result)
@@ -124,6 +124,9 @@ class TestFaultInjectionTrace:
         assert backoffs
         for span in backoffs:
             assert span.duration_ms == pytest.approx(span.attributes["backoff_ms"])
+            assert span.attributes["backoff_ms"] in {
+                RETRY_BACKOFF_MS * 2**retry for retry in range(3)
+            }
 
 
 class TestGatewayTrace:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.connectors.memory import MemoryConnector
-from repro.connectors.realtime.druid import DruidCluster, DruidConnector
+from repro.connectors.olap.druid import DruidCluster, DruidConnector
 from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session

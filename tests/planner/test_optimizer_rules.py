@@ -3,10 +3,13 @@
 import pytest
 
 from repro.connectors.memory import MemoryConnector
+from repro.connectors.olap import DruidCluster, DruidConnector
 from repro.core.types import BIGINT, DOUBLE, GEOMETRY, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
+from repro.planner.optimizer import Optimizer
 from repro.planner.plan import (
+    AggregationNode,
     FilterNode,
     JoinNode,
     LimitNode,
@@ -158,3 +161,45 @@ class TestCleanupRules:
         )
         # Both predicates over the same scan end up in a single Filter.
         assert len(nodes(plan, FilterNode)) == 1
+
+
+class TestPushdownSwitch:
+    """``Optimizer(pushdown=False)`` is Figure 16's no-pushdown ablation."""
+
+    FILTER_LIMIT = "SELECT city FROM events WHERE status = 'err' LIMIT 3"
+    AGGREGATE = "SELECT city, count(*) FROM events GROUP BY city"
+
+    @staticmethod
+    def druid_engine(pushdown):
+        cluster = DruidCluster(nodes=2)
+        cluster.create_datasource("events", [("city", VARCHAR), ("status", VARCHAR)])
+        cluster.add_segment("events", [("a", "ok"), ("b", "err"), ("a", "err")])
+        engine = PrestoEngine(session=Session(catalog="druid", schema="druid"))
+        engine.register_connector("druid", DruidConnector(cluster, schema_name="druid"))
+        engine._optimizer = Optimizer(engine.catalog, pushdown=pushdown)
+        return engine
+
+    def test_one_keyword_gates_predicate_limit_and_aggregation_pushdown(self):
+        pushed, kept = self.druid_engine(True), self.druid_engine(False)
+
+        plan = pushed.plan(self.FILTER_LIMIT)
+        handle = nodes(plan, TableScanNode)[0].handle
+        assert handle.constraint is not None and handle.limit == 3
+        assert nodes(plan, FilterNode) == []
+        plan = pushed.plan(self.AGGREGATE)
+        assert nodes(plan, TableScanNode)[0].handle.aggregation is not None
+        assert [a.step for a in nodes(plan, AggregationNode)] == ["FINAL"]
+
+        plan = kept.plan(self.FILTER_LIMIT)
+        scan = nodes(plan, TableScanNode)[0]
+        assert (scan.handle.constraint, scan.handle.limit) == (None, None)
+        (limit,) = nodes(plan, LimitNode)
+        (filter_node,) = nodes(limit, FilterNode)
+        assert filter_node.source is scan
+        plan = kept.plan(self.AGGREGATE)
+        scan = nodes(plan, TableScanNode)[0]
+        assert scan.handle.aggregation is None
+        (aggregation,) = nodes(plan, AggregationNode)
+        assert aggregation.step == "SINGLE" and scan in list(aggregation.walk())
+        for engine in (pushed, kept):
+            assert sorted(engine.execute(self.AGGREGATE).rows) == [("a", 2), ("b", 1)]

@@ -6,6 +6,7 @@ from repro.common.errors import ConnectorError
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.faults import FaultInjector
 from repro.realtime import StreamingLakehouse, Watermark, assert_exactly_once
+from repro.realtime.pipeline import RESTART_MS
 
 FIELDS = [("order_id", BIGINT), ("city", VARCHAR), ("amount", DOUBLE)]
 
@@ -180,7 +181,7 @@ class TestRecovery:
         produce_n(lh, 10)
         before = lh.clock.now_ms()
         lh.pipeline.step()  # poll crashes, restart costs 500ms
-        assert lh.clock.now_ms() >= before + lh.pipeline.restart_ms
+        assert lh.clock.now_ms() >= before + RESTART_MS
         assert lh.table.tail_row_count() == 0  # nothing committed
 
 

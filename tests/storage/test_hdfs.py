@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import StorageError
-from repro.storage.hdfs import HdfsFileSystem, NameNode
+from repro.storage.hdfs import GET_FILE_INFO_LATENCY_MS, HdfsFileSystem, NameNode
 
 
 @pytest.fixture
@@ -100,7 +100,7 @@ class TestOverloadDegradation:
         namenode.clock.advance(5_000)  # storm passes
         start = namenode.clock.now_ms()
         namenode.get_file_info("/d/f")
-        assert namenode.clock.now_ms() - start == namenode.get_file_info_latency_ms
+        assert namenode.clock.now_ms() - start == GET_FILE_INFO_LATENCY_MS
 
 
 class TestReadWrite:

@@ -6,7 +6,12 @@ import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import StorageError
-from repro.storage.s3 import S3Client, S3ServerError
+from repro.storage.s3 import (
+    REQUEST_LATENCY_MS,
+    TRANSFER_MS_PER_MB,
+    S3Client,
+    S3ServerError,
+)
 from repro.storage.s3_filesystem import PrestoS3FileSystem
 
 
@@ -50,7 +55,7 @@ class TestS3Client:
         clock = SimulatedClock()
         client = S3Client(clock=clock)
         client.put_object("b", "k", b"x" * 1_000_000)
-        assert clock.now_ms() >= client.request_latency_ms + client.transfer_ms_per_mb
+        assert clock.now_ms() >= REQUEST_LATENCY_MS + TRANSFER_MS_PER_MB
 
 
 class TestS3Select:

@@ -117,7 +117,7 @@ class TestDruidWorkload:
         assert sum(q.is_aggregation for q in workload.queries) == 12
 
     def test_sql_and_native_agree(self):
-        from repro.connectors.realtime.druid import DruidConnector
+        from repro.connectors.olap.druid import DruidConnector
         from repro.execution.engine import PrestoEngine
         from repro.planner.analyzer import Session
 
