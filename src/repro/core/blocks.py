@@ -143,13 +143,9 @@ class Block:
         return [self.get(i) for i in range(self.position_count)]
 
     def null_mask(self) -> np.ndarray:
-        """Boolean array, True where the value is null.
-
-        Subclasses override with O(1)/array-op versions; this per-row
-        fallback only serves block kinds without mask storage.  Callers
-        must not mutate the returned array.
-        """
-        return np.array([self.is_null(i) for i in range(self.position_count)], dtype=bool)
+        """Boolean array, True where the value is null; callers must not
+        mutate it."""
+        raise NotImplementedError
 
     def size_in_bytes(self) -> int:
         """Approximate retained size, used by memory accounting."""

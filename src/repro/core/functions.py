@@ -34,6 +34,7 @@ from repro.core.types import (
     INTEGER,
     MapType,
     PrestoType,
+    RowType,
     TIMESTAMP,
     UNKNOWN,
     VARCHAR,
@@ -103,14 +104,31 @@ class AggregateFunction:
 # store's cross-segment merge relies on.
 MERGEABLE_AGGREGATES = frozenset({"count", "sum", "min", "max"})
 
+# Aggregates the fragmenter splits into PARTIAL and FINAL steps around an
+# exchange.  approx_distinct, array_agg, DISTINCT and plugin aggregates run
+# once beyond it over their raw input: no set or list state crosses one.
+SPLIT_AGGREGATES = MERGEABLE_AGGREGATES | {"avg"}
+
+# avg's PARTIAL output, like Presto's intermediate types: the FINAL step
+# adds the sums and the counts.
+AVG_INTERMEDIATE = RowType.of(("sum", DOUBLE), ("count", BIGINT))
+
+
+def intermediate_type(handle: FunctionHandle) -> PrestoType:
+    """The type of one split aggregate's PARTIAL output."""
+    if handle.name == "avg":
+        return AVG_INTERMEDIATE
+    return handle.resolved_return_type()
+
 
 class GroupFold:
     """Row-at-a-time grouped aggregation: ``group key → one state per
     aggregate``, groups kept in first-seen order.
 
     The one spelling of create_state / add_input | merge / finalize: the
-    aggregation operator's reference lane, the realtime store's per-segment
-    and cross-segment steps and materialized-view refresh all fold here.
+    aggregation operator's reference lane and its plugin aggregates, the
+    realtime store's per-segment and cross-segment steps and
+    materialized-view refresh all fold here.
     """
 
     #: In place of an aggregate's input: leave that state as it is (how the
@@ -604,13 +622,14 @@ def _register_builtin_aggregates(registry: FunctionRegistry) -> None:
         lambda state: state[0] / state[1] if state[1] else None,
     )
 
-    def resolve_any_to_bigint(ts: Sequence[PrestoType]) -> Optional[PrestoType]:
-        return BIGINT if len(ts) == 1 else None
+    def resolve_distinct_count(ts: Sequence[PrestoType]) -> Optional[PrestoType]:
+        # The kernel counts the argument's distinct codes, which orders them.
+        return BIGINT if len(ts) == 1 and ts[0].is_orderable() else None
 
     # approx_distinct modeled with an exact set: correctness over memory.
     aggregate(
         "approx_distinct",
-        resolve_any_to_bigint,
+        resolve_distinct_count,
         lambda: set(),
         lambda state, args: state if args[0] is None else (state.add(args[0]) or state),
         lambda a, b: a | b,

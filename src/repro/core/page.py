@@ -16,12 +16,13 @@ from repro.core.blocks import (
     Block,
     DictionaryBlock,
     PrimitiveBlock,
+    RowBlock,
     VarcharBlock,
     _numpy_dtype_for,
     block_from_values,
     concat_varchar_blocks,
 )
-from repro.core.types import PrestoType
+from repro.core.types import PrestoType, RowType
 
 
 class Page:
@@ -106,7 +107,8 @@ def concat_pages(types: Sequence[PrestoType], pages: Sequence[Page]) -> Page:
 
     Used by final operators (Output, aggregation build, sort, join build)
     and tests.  Primitive columns concatenate as numpy arrays (dictionary
-    blocks decode first); nested columns fall back to Python values,
+    blocks decode first), and so do the fields of a row column that holds
+    all of them; other nested columns fall back to Python values,
     per-column, with the declared type's coercion semantics either way.
     """
     if not pages:
@@ -140,18 +142,6 @@ def concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:
             start += block.dictionary.position_count
         dictionary = _concat_blocks(presto_type, [block.dictionary for block in blocks])
         return DictionaryBlock(dictionary, np.concatenate(ids))
-    if all(
-        isinstance(block, PrimitiveBlock) and block.values.dtype == blocks[0].values.dtype
-        for block in blocks
-    ):
-        # Storage as it is, never coerced to the declared type: partial
-        # states ((sum, count) pairs, sets) travel as objects under it.
-        nulls = None
-        if any(block.nulls is not None for block in blocks):
-            nulls = np.concatenate([block.null_mask() for block in blocks])
-        return PrimitiveBlock(
-            presto_type, np.concatenate([block.values for block in blocks]), nulls
-        )
     return _concat_blocks(presto_type, blocks)
 
 
@@ -166,6 +156,19 @@ def _concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:
     expected_dtype = _numpy_dtype_for(presto_type)
     if loaded and all(isinstance(b, VarcharBlock) for b in loaded):
         return concat_varchar_blocks(presto_type, loaded)
+    if isinstance(presto_type, RowType) and all(
+        isinstance(b, RowBlock) and list(b.field_blocks) == presto_type.field_names()
+        for b in loaded
+    ):
+        # Every field present (avg's intermediate among them): field by field.
+        fields = {
+            f.name: _concat_blocks(f.type, [b.field(f.name) for b in loaded])
+            for f in presto_type.fields
+        }
+        nulls = None
+        if any(b.nulls is not None for b in loaded):
+            nulls = np.concatenate([b.null_mask() for b in loaded])
+        return RowBlock(presto_type, fields, nulls, sum(b.position_count for b in loaded))
     if any(isinstance(b, VarcharBlock) for b in loaded):
         # Mixed representations (native pages meeting legacy object pages):
         # normalize to the permissive object lane.

@@ -119,6 +119,10 @@ class RowType(PrestoType):
     def is_nested(self) -> bool:
         return True
 
+    def is_orderable(self) -> bool:
+        # Its values are dicts: no key kernel orders or hashes them.
+        return False
+
     def field_names(self) -> list[str]:
         return [f.name for f in self.fields]
 
@@ -165,6 +169,9 @@ class ArrayType(PrestoType):
     def is_nested(self) -> bool:
         return True
 
+    def is_orderable(self) -> bool:
+        return self.element_type.is_orderable()
+
     def display(self) -> str:
         return f"array({self.element_type.display()})"
 
@@ -186,6 +193,10 @@ class MapType(PrestoType):
 
     def is_nested(self) -> bool:
         return True
+
+    def is_orderable(self) -> bool:
+        # Presto's maps are not orderable.
+        return False
 
     def display(self) -> str:
         return f"map({self.key_type.display()}, {self.value_type.display()})"

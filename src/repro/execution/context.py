@@ -28,7 +28,8 @@ class QueryStats:
     peak_build_rows: int = 0
     fragment_cache_hits: int = 0
     # Operator-kernel counters (section III): rows that went through the
-    # vectorized group-by/join/sort kernels vs the row-at-a-time fallback.
+    # vectorized group-by/join/sort kernels.  No production operator counts
+    # a fallback row; the field stays because the e2e ledger reads it.
     rows_processed_vectorized: int = 0
     rows_processed_fallback: int = 0
     # Staged execution counters (section III: fragments → stages → tasks):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -151,13 +151,7 @@ class DynamicFilter:
 
     def mask(self, block: Block) -> np.ndarray:
         """``matches`` of every position, asked once per distinct value."""
-        factorized = column_codes(block)
-        if factorized is None:
-            values = block.loaded().to_list()
-            return np.fromiter(
-                (self.matches(v) for v in values), dtype=bool, count=len(values)
-            )
-        codes, uniq = factorized
+        codes, uniq = column_codes(block)
         # One trailing False slot: code -1 (NULL, NaN) indexes it.
         table = np.zeros(len(uniq) + 1, dtype=bool)
         if uniq.dtype == np.int64 and self._int64_values is not None:
@@ -249,6 +243,24 @@ def build_dynamic_filter(
         rows += 1
         if value is not None and value == value:
             distinct.add(_normalize(value))
+    return _summarize(distinct, rows, exact_limit)
+
+
+def dynamic_filter_for(blocks: Sequence[Block]) -> DynamicFilter:
+    """:func:`build_dynamic_filter` of the values of ``blocks``, each block
+    factorized through :func:`column_codes`: a value is summarized once per
+    block it occurs in, not once per row, and code ``-1`` (NULL, NaN) is
+    no member."""
+    distinct: set = set()
+    for block in blocks:
+        codes, uniq = column_codes(block)
+        # Only the codes rows use: a dictionary may hold other values.
+        distinct.update(map(_normalize, uniq[np.unique(codes[codes >= 0])].tolist()))
+    rows = sum(block.position_count for block in blocks)
+    return _summarize(distinct, rows, DEFAULT_EXACT_VALUES_LIMIT)
+
+
+def _summarize(distinct: set, rows: int, exact_limit: int) -> DynamicFilter:
     if not distinct:
         return DynamicFilter(build_rows=rows)
     try:

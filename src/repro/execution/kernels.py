@@ -2,68 +2,73 @@
 
 The block layer (section III: Presto "processes a bunch of in memory
 encoded column values vectorized, instead of row by row") keeps column
-values in numpy storage, but the relational operators downstream used to
-fall back to ``block.get(position)`` loops over Python tuples.  This
-module is the kernel layer that keeps them columnar:
+values in numpy storage, and this module keeps the relational operators
+downstream columnar too.  It is their one production lane: every key and
+every aggregate the dialect accepts runs here.
 
 - **Group-key factorization** (:func:`factorize_keys`): encode the key
   columns of a batch into one dense ``int64`` code array plus the
   distinct keys, one block per key column (``block.take`` of each key's
-  first row: no key ever becomes a Python tuple).  Dictionary-encoded
-  columns factorize directly on their id arrays without decoding;
-  primitive columns go through ``np.unique``; offsets-based
-  :class:`VarcharBlock` columns factorize on padded byte views (no
-  per-element Python compares); legacy object-dtype (varchar) columns get
-  a null-safe ``np.unique`` over the non-null values.  Unsupported block
-  kinds (row, array, map, mixed-type object columns) return ``None`` and
-  the caller falls back to the retained row-at-a-time reference path.
-  :class:`GroupIndex` keeps those key blocks from the first batch to the
-  output page; its tuple-keyed dict exists only once a second batch has
-  to be matched against the first.
-- **Grouped accumulators**: count/sum/min/max/avg accumulate per group
-  code with ``np.bincount`` / ``np.add.at`` / ``np.minimum.at`` instead
-  of a per-row dict of Python states, and hand their states and final
-  values back as ``(values, nulls)`` arrays that become blocks as they
-  are.  ``np.add.at`` applies updates in row order, so float results are
-  bit-identical to the row loop.  The :class:`GenericAccumulator` wraps
-  any aggregate's create/add/merge state machine for the cases the array
-  kernels do not cover (DISTINCT, object-dtype inputs, avg in merge mode)
-  and is also the differential reference.
+  first row: no key ever becomes a Python tuple).  :func:`column_codes`
+  is total over the key blocks the analyzer admits: dictionary-encoded
+  columns factorize on their id arrays without decoding; primitive
+  columns go through ``np.unique`` (object values of kinds that do not
+  compare with each other order by kind first); offsets-based
+  :class:`VarcharBlock` columns factorize on padded byte views; ARRAY
+  columns factorize through their elements' codes.  ROW and MAP keys
+  never arrive: the analyzer rejects them.  :class:`GroupIndex` keeps the
+  key blocks from the first batch to the output page; its tuple-keyed
+  dict exists only once a second batch has to be matched against the
+  first.
+- **Grouped accumulators**: count/sum/avg accumulate per group code with
+  ``np.bincount`` / ``np.add.at``, min/max with ``np.minimum.at`` over
+  numeric values or over the ranks :func:`column_codes` gives any other
+  orderable column, and hand their states and final values back as arrays
+  that become blocks as they are.  ``np.add.at`` applies updates in row
+  order, so float results are bit-identical to the row loop.  avg's
+  partial state is the ``AVG_INTERMEDIATE`` row of its sums and counts.
+  DISTINCT deduplicates (group, argument) pairs with one factorization
+  before the plain kernel; ``approx_distinct`` is that distinct count and
+  ``array_agg`` a stable argsort by group into ``ArrayBlock`` offsets.
 - **Hash-join index** (:class:`JoinKeyIndex`): the build side factorizes
   once; probe pages map into the same code space and expand into the
   ``(probe_positions, build_positions)`` index pair in probe-row order.
 - **Sort ranks** (:func:`sort_order`): per-key rank arrays (nulls
-  ranked last ascending, first descending — matching ``_SortKey``) fed
-  to a stable ``np.lexsort``.
+  ranked last ascending, first descending) fed to a stable ``np.lexsort``.
 
 NaN keys canonicalize to the null sentinel before factorization (NaN is
 not equal to itself, so ``np.unique`` grouping and dict-keyed grouping
 would otherwise disagree); :func:`canonical_key` applies the same rule to
-the row-at-a-time reference paths, so both lanes treat a NaN key exactly
-like SQL NULL.  NULL keys are handled exactly.
+the row-at-a-time reference lanes that only tests and the operator
+benchmark call, so both treat a NaN key exactly like SQL NULL.  NULL keys
+are handled exactly.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from numbers import Real
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.common.errors import InvalidValueError
-from repro.common.hashing import stable_hash, stable_hash_keys
+from repro.common.errors import EngineDefectError, InvalidValueError
+from repro.common.hashing import stable_hash_keys
 from repro.core.blocks import (
-    BLOCK_VALUE_ERRORS,
+    ArrayBlock,
     Block,
     DictionaryBlock,
     PrimitiveBlock,
+    RowBlock,
     VarcharBlock,
     _numpy_dtype_for,
     block_from_values,
+    constant_block,
     masked_tolist,
 )
-from repro.core.page import Page, concat_pages
-from repro.core.types import PrestoType, parse_type
+from repro.core.functions import AVG_INTERMEDIATE, GroupFold
+from repro.core.page import Page, concat_blocks, concat_pages
+from repro.core.types import BIGINT, BOOLEAN, DOUBLE, PrestoType, parse_type
 
 EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
@@ -77,16 +82,12 @@ _MAX_RADIX = 2**62
 TARGET_PARTITION_ROWS = 65_536
 
 
-class FallbackNeeded(Exception):
-    """Raised by a vector kernel when a page needs the row-at-a-time path."""
-
-
 def canonical_key(value: Any) -> Any:
     """Canonical form of one key component: NaN becomes the null sentinel.
 
-    Every row-at-a-time reference path that builds key tuples (group by,
-    hash join, partitioning) routes values through here so the dict-keyed
-    lanes agree with the factorized lanes, where NaN maps to code ``-1``.
+    Every row-at-a-time reference lane that builds key tuples (group by,
+    hash join) routes values through here so the dict-keyed lanes agree
+    with the factorized ones, where NaN maps to code ``-1``.
     """
     if isinstance(value, float) and value != value:
         return None
@@ -98,22 +99,25 @@ def canonical_key(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def column_codes(block: Block) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def column_codes(block: Block) -> tuple[np.ndarray, np.ndarray]:
     """Factorize one column into ``(codes, uniques)``.
 
     ``codes`` is an int64 array with ``-1`` marking nulls; ``uniques`` is
     the ascending sorted ndarray of the distinct non-null values, so
     ``uniques[c]`` is the value for code ``c`` and ``uniques.tolist()``
-    the distinct values as Python scalars.  Returns ``None`` when the
-    block kind or value mix is unsupported.
+    the distinct values as Python scalars (lists for an ARRAY column).
+    Total over every key block the analyzer admits; a ROW or MAP block,
+    which it rejects, raises ``TypeError``.
     """
     block = block.loaded()
     if isinstance(block, DictionaryBlock):
         return _dictionary_codes(block)
     if isinstance(block, VarcharBlock):
         return block.factorize()
+    if isinstance(block, ArrayBlock):
+        return _array_codes(block)
     if not isinstance(block, PrimitiveBlock):
-        return None
+        raise TypeError(f"{block.type.display()} values have no key codes")
     values = block.values
     nulls = block.null_mask()
     if np.issubdtype(values.dtype, np.floating):
@@ -121,22 +125,28 @@ def column_codes(block: Block) -> Optional[tuple[np.ndarray, np.ndarray]]:
         nulls = nulls | np.isnan(values)
     if values.dtype == object or nulls.any():
         non_null = ~nulls
-        try:
-            uniq, inverse = np.unique(values[non_null], return_inverse=True)
-        except TypeError:
-            return None  # mixed or non-orderable object values
+        uniq, inverse = _unique(values[non_null])
         codes = np.full(len(values), -1, dtype=np.int64)
         codes[non_null] = inverse
     else:
-        try:
-            uniq, inverse = np.unique(values, return_inverse=True)
-        except TypeError:
-            return None
+        uniq, inverse = np.unique(values, return_inverse=True)
         codes = inverse.astype(np.int64, copy=False)
     return codes, uniq
 
 
-def _dictionary_codes(block: DictionaryBlock) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` and its inverse; object values of kinds that do not
+    compare with each other (ints beside strings) order by kind first."""
+    try:
+        return np.unique(values, return_inverse=True)
+    except TypeError:
+        kinds = (("" if isinstance(v, Real) else type(v).__name__, v) for v in values)
+        keyed = np.fromiter(kinds, dtype=object, count=len(values))
+        _, first, inverse = np.unique(keyed, return_index=True, return_inverse=True)
+        return values[first], inverse
+
+
+def _dictionary_codes(block: DictionaryBlock) -> tuple[np.ndarray, np.ndarray]:
     """Factorize on the id array without decoding the column.
 
     The dictionary itself is deduplicated defensively (a dictionary with
@@ -144,22 +154,50 @@ def _dictionary_codes(block: DictionaryBlock) -> Optional[tuple[np.ndarray, np.n
     dictionary is factorized once, then the remap table is applied to
     the full id array with one vectorized gather.
     """
-    raw = column_codes(block.dictionary)
-    if raw is None:
-        return None
-    dict_codes, uniq = raw
+    dict_codes, uniq = column_codes(block.dictionary)
     # remap[dict_id] -> code; the extra trailing slot catches id == -1.
-    remap = np.empty(len(dict_codes) + 1, dtype=np.int64)
-    remap[: len(dict_codes)] = dict_codes
-    remap[len(dict_codes)] = -1
-    ids = block.ids
-    safe_ids = np.where(ids < 0, len(dict_codes), ids)
-    return remap[safe_ids], uniq
+    remap = np.append(dict_codes, -1)
+    return remap[block.ids], uniq
+
+
+def _array_codes(block: ArrayBlock) -> tuple[np.ndarray, np.ndarray]:
+    """An array is the sequence of its elements' codes.
+
+    Each array becomes one row of a matrix of element ranks, zero-padded
+    on the right: rank 0 pads past an array's end, so a prefix orders
+    first, and a NULL element ranks after every value.  One stable
+    ``np.lexsort`` of the rows orders the arrays element by element, as
+    Python orders lists, and adjacent unequal rows number the distinct
+    arrays.  ``uniques`` holds each one's first row as a list.
+    """
+    count = block.position_count
+    element_codes, element_uniques = column_codes(block.elements)
+    ranks = np.where(element_codes < 0, len(element_uniques) + 1, element_codes + 1)
+    offsets = block.offsets
+    lengths = offsets[1:] - offsets[:-1]
+    width = max(int(lengths.max()) if count else 0, 1)
+    matrix = np.zeros((count, width), dtype=np.int64)
+    row_of = np.repeat(np.arange(count, dtype=np.int64), lengths)
+    column_of = np.arange(len(row_of), dtype=np.int64) - np.repeat(
+        offsets[:-1] - offsets[0], lengths
+    )
+    matrix[row_of, column_of] = ranks[offsets[0] : offsets[-1]]
+    valid = np.flatnonzero(~block.null_mask())
+    order = np.lexsort(matrix[valid].T[::-1])  # column 0 is the primary key
+    ordered = matrix[valid[order]]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    codes = np.full(count, -1, dtype=np.int64)
+    codes[valid[order]] = np.cumsum(first) - 1
+    uniques = np.empty(int(first.sum()), dtype=object)
+    for code, row in enumerate(valid[order[first]].tolist()):
+        uniques[code] = block.get(row)
+    return codes, uniques
 
 
 def _factorize(
     blocks: Sequence[Block],
-) -> Optional[tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Dense group codes, one representative row per group, per-column codes.
 
     ``group_codes[row]`` numbers the distinct keys in first-appearance
@@ -167,16 +205,8 @@ def _factorize(
     ``columns`` are the :func:`column_codes` pairs the keys decode
     from.  Columns are combined with mixed-radix arithmetic, re-compacting
     through ``np.unique`` whenever the radix product could overflow int64.
-    Returns ``None`` when any column is unsupported.
     """
-    if not blocks:
-        return None
-    columns = []
-    for block in blocks:
-        factorized = column_codes(block)
-        if factorized is None:
-            return None
-        columns.append(factorized)
+    columns = [column_codes(block) for block in blocks]
     n = len(columns[0][0])
     combined = np.zeros(n, dtype=np.int64)
     radix = 1
@@ -266,45 +296,29 @@ def _distinct_key_block(block: Block, reps: np.ndarray) -> Block:
     taken = block.take(reps)
     if isinstance(taken, DictionaryBlock):
         taken = taken.decode()
-    nulls = taken.null_mask()
     if isinstance(taken, VarcharBlock):
+        nulls = taken.null_mask()
         return VarcharBlock(
             taken.type, taken.data, taken.offsets, nulls if nulls.any() else None
         )
-    if np.issubdtype(taken.values.dtype, np.floating):
-        nulls = nulls | np.isnan(taken.values)
-    return _array_block(taken.type, taken.values, nulls)
+    if isinstance(taken, PrimitiveBlock):
+        nulls = taken.null_mask()
+        if np.issubdtype(taken.values.dtype, np.floating):
+            nulls = nulls | np.isnan(taken.values)
+        return _array_block(taken.type, taken.values, nulls)
+    return taken  # an ARRAY key
 
 
-def factorize_keys(
-    blocks: Sequence[Block],
-) -> Optional[tuple[np.ndarray, list[Block]]]:
+def factorize_keys(blocks: Sequence[Block]) -> tuple[np.ndarray, list[Block]]:
     """Encode multi-column row keys into dense int64 group codes.
 
     Returns ``(codes, keys)`` where ``keys`` holds one block per key
     column and row ``codes[row]`` of them is that row's key: the distinct
     keys in first-appearance order (NULL where the key is NULL or NaN;
-    pairwise unequal).  Returns ``None`` when any column is unsupported
-    so the caller can take the row-at-a-time path.
+    pairwise unequal).
     """
-    factorized = _factorize(blocks)
-    if factorized is None:
-        return None
-    group_codes, reps, _ = factorized
+    group_codes, reps, _ = _factorize(blocks)
     return group_codes, [_distinct_key_block(block.loaded(), reps) for block in blocks]
-
-
-def _positive_zero(value: Any) -> Any:
-    """``-0.0`` equals ``0.0`` in SQL but prints differently: hash it as zero.
-
-    Takes one key component or a column's distinct values.  IEEE addition:
-    ``-0.0 + 0.0`` is ``+0.0``, every other float is itself.
-    """
-    if isinstance(value, float) or (
-        isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating)
-    ):
-        return value + 0.0
-    return value
 
 
 def partition_assignments(blocks: Sequence[Block], n_partitions: int) -> np.ndarray:
@@ -313,29 +327,21 @@ def partition_assignments(blocks: Sequence[Block], n_partitions: int) -> np.ndar
     ``out[row] == stable_hash(key_tuple) % n_partitions`` where the key
     tuple holds :func:`canonical_key` components with negative zero
     folded onto zero, so keys that are one SQL group share a partition.
-    Vectorized path: the key columns factorize into dense codes, one hash
-    is computed per *distinct* key tuple, and the per-row assignment is a
-    single gather.  Unsupported key kinds hash row tuples directly.  The
-    CRC32-based hash makes placement identical across processes (no
+    The key columns factorize into dense codes, one hash is computed per
+    *distinct* key tuple, and the per-row assignment is a single gather.
+    The CRC32-based hash makes placement identical across processes (no
     ``PYTHONHASHSEED`` dependence).
     """
     if not blocks:
         raise ValueError("partitioning requires at least one key column")
-    count = blocks[0].position_count
-    factorized = _factorize(blocks)
-    if factorized is None:
-        loaded = [b.loaded() for b in blocks]
-        out = np.empty(count, dtype=np.int64)
-        for position in range(count):
-            key = tuple(
-                _positive_zero(canonical_key(block.get(position))) for block in loaded
-            )
-            out[position] = stable_hash(key) % n_partitions
-        return out
-    codes, reps, columns = factorized
+    codes, reps, columns = _factorize(blocks)
     if not len(reps):
-        return np.zeros(count, dtype=np.int64)
-    columns = [(column, _positive_zero(uniq)) for column, uniq in columns]
+        return np.zeros(len(codes), dtype=np.int64)
+    # -0.0 equals 0.0 in SQL but prints differently: hash it as zero (IEEE
+    # addition: -0.0 + 0.0 is +0.0, every other float is itself).
+    columns = [
+        (codes, uniq + 0.0 if uniq.dtype.kind == "f" else uniq) for codes, uniq in columns
+    ]
     hashes = np.fromiter(
         stable_hash_keys(_key_tuples(columns, reps)), dtype=np.int64, count=len(reps)
     )
@@ -351,7 +357,7 @@ class GroupIndex:
     codes are the group ids.  Only when a second batch has to be matched
     against what is stored does a ``key tuple -> id`` dict get built, from
     the stored blocks, and from then on each batch's *distinct* keys go
-    through it; :meth:`map_rows` is the one place a tuple is made per row.
+    through it (an ARRAY key's lists as tuples).
     """
 
     def __init__(self) -> None:
@@ -364,65 +370,31 @@ class GroupIndex:
     def __len__(self) -> int:
         return self._count
 
-    def _lookup(self) -> dict[tuple, int]:
-        if self._ids is None:
-            self._ids = dict(
-                zip(
-                    (key for segment in self._segments for key in _block_rows(segment)),
-                    range(self._count),
-                )
-            )
-        return self._ids
-
-    def _append(self, keys: Sequence[Block]) -> None:
-        self._segments.append(list(keys))
-        self._count += keys[0].position_count
-
     def map_codes(self, codes: np.ndarray, keys: Sequence[Block]) -> np.ndarray:
         """Translate batch-local codes into global group ids.
 
         ``keys`` are pairwise unequal (:func:`factorize_keys`), so the
         ones not seen before take consecutive new ids in batch order.
         """
-        if not self._count:
-            self._append(keys)
+        first = self._count
+        if not first:
+            self._segments.append(list(keys))
+            self._count = keys[0].position_count
             return codes
-        ids = self._lookup()
+        if self._ids is None:
+            stored = (key for segment in self._segments for key in _block_rows(segment))
+            self._ids = dict(zip(stored, range(first)))
         distinct = list(_block_rows(keys))
         remap = np.fromiter(
-            map(ids.get, distinct, repeat(-1)), dtype=np.int64, count=len(distinct)
+            map(self._ids.get, distinct, repeat(-1)), dtype=np.int64, count=len(distinct)
         )
         unseen = np.flatnonzero(remap < 0)
         if len(unseen):
-            first = self._count
-            if len(unseen) < len(distinct):
-                distinct = [distinct[i] for i in unseen.tolist()]
-                keys = [block.take(unseen) for block in keys]
-            ids.update(zip(distinct, range(first, first + len(distinct))))
-            self._append(keys)
-            remap[unseen] = np.arange(first, first + len(distinct), dtype=np.int64)
+            self._count += len(unseen)
+            self._ids.update(zip((distinct[i] for i in unseen.tolist()), range(first, self._count)))
+            self._segments.append([block.take(unseen) for block in keys])
+            remap[unseen] = np.arange(first, self._count, dtype=np.int64)
         return remap[codes]
-
-    def map_rows(self, key_blocks: Sequence[Block], count: int) -> np.ndarray:
-        """Row-at-a-time fallback for unsupported key block kinds."""
-        group_ids = np.empty(count, dtype=np.int64)
-        ids = self._lookup()
-        minted: list[tuple] = []
-        for position in range(count):
-            key = tuple(canonical_key(block.get(position)) for block in key_blocks)
-            group = ids.get(key)
-            if group is None:
-                group = ids[key] = self._count + len(minted)
-                minted.append(key)
-            group_ids[position] = group
-        if minted:
-            self._append(
-                [
-                    block_from_values(block.type, column)
-                    for block, column in zip(key_blocks, zip(*minted))
-                ]
-            )
-        return group_ids
 
     def key_blocks(self, types: Sequence[PrestoType]) -> list[Block]:
         """Every group's key, one block per key column, in group-id order."""
@@ -433,7 +405,15 @@ class GroupIndex:
 
 def _block_rows(blocks: Sequence[Block]) -> Iterator[tuple]:
     """Row tuples of parallel blocks: one ``to_list`` each, one ``zip``."""
-    return zip(*(block.to_list() for block in blocks))
+    return zip(*(
+        map(_hashable, block.to_list()) if block.type.is_nested() else block.to_list()
+        for block in blocks
+    ))
+
+
+def _hashable(value: Any) -> Any:
+    """A key value a dict can hold: lists (ARRAY values) become tuples."""
+    return tuple(map(_hashable, value)) if isinstance(value, list) else value
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +422,15 @@ def _block_rows(blocks: Sequence[Block]) -> Iterator[tuple]:
 
 
 def _numeric_input(block: Block) -> tuple[np.ndarray, np.ndarray]:
-    """Values + null mask of a numeric column, or FallbackNeeded."""
+    """Values + null mask of a numeric column."""
     block = block.loaded()
     if isinstance(block, DictionaryBlock):
         block = block.decode()
-    if not isinstance(block, PrimitiveBlock) or block.values.dtype == object:
-        raise FallbackNeeded
     return block.values, block.null_mask()
 
 
 class GroupedAccumulator:
     """One aggregate accumulated across batches, keyed by dense group ids."""
-
-    vectorized = True
 
     def add_page(
         self,
@@ -470,95 +446,11 @@ class GroupedAccumulator:
         raise NotImplementedError
 
     def state_block(self, group_count: int, presto_type: PrestoType) -> Block:
-        """Every group's partial state, for a FINAL step to merge."""
-        raise NotImplementedError
+        """Every group's partial state, for a FINAL step to merge.
 
-    def to_states(self) -> list:
-        """Convert array state to per-group Python states (for fallback)."""
-        raise NotImplementedError
-
-
-_SCALAR_STATE_TYPES = (int, float, str, bool, bytes, type(None))
-
-
-def states_block(presto_type: PrestoType, states: Sequence[Any]) -> Block:
-    """Partial states as a block, tolerating non-scalar states.
-
-    States that are not scalars (avg's (sum, count), approx_distinct's
-    set) travel in object storage under the declared output type.
-    """
-    # One test per distinct type in the column, not one per group.
-    if all(issubclass(t, _SCALAR_STATE_TYPES) for t in set(map(type, states))):
-        try:
-            return block_from_values(presto_type, states)
-        except BLOCK_VALUE_ERRORS:
-            pass
-    return PrimitiveBlock(presto_type, _object_array(states))
-
-
-def _object_array(values: Sequence[Any]) -> np.ndarray:
-    # Element by element: numpy would broadcast equal-length tuples.
-    return np.fromiter(values, dtype=object, count=len(values))
-
-
-class GenericAccumulator(GroupedAccumulator):
-    """Row-at-a-time reference: drives any AggregateFunction state machine.
-
-    Handles DISTINCT, merge (FINAL) mode, and object-dtype inputs; also
-    the target the vector accumulators spill into when a later batch turns
-    out not to be vectorizable.
-    """
-
-    vectorized = False
-
-    def __init__(
-        self,
-        impl,
-        distinct: bool,
-        merge_mode: bool,
-        initial_states: Optional[list] = None,
-    ) -> None:
-        self.impl = impl
-        self.distinct = distinct
-        self.merge_mode = merge_mode
-        self.states: list = list(initial_states) if initial_states else []
-        self.seen: list[set] = [set() for _ in self.states] if distinct else []
-
-    def _grow(self, group_count: int) -> None:
-        while len(self.states) < group_count:
-            self.states.append(self.impl.create_state())
-            if self.distinct:
-                self.seen.append(set())
-
-    def add_page(self, group_count, group_ids, argument_blocks, position_count):
-        self._grow(group_count)
-        impl = self.impl
-        states = self.states
-        blocks = [b.loaded() for b in argument_blocks]
-        for position in range(position_count):
-            group = int(group_ids[position])
-            arguments = tuple(block.get(position) for block in blocks)
-            if self.distinct:
-                if arguments in self.seen[group]:
-                    continue
-                self.seen[group].add(arguments)
-            if self.merge_mode:
-                states[group] = impl.merge(states[group], arguments[0])
-            else:
-                states[group] = impl.add_input(states[group], arguments)
-
-    def final_block(self, group_count, presto_type):
-        self._grow(group_count)
-        return block_from_values(
-            presto_type, [self.impl.finalize(state) for state in self.states]
-        )
-
-    def state_block(self, group_count, presto_type):
-        self._grow(group_count)
-        return states_block(presto_type, self.states)
-
-    def to_states(self):
-        return list(self.states)
+        count, sum, min and max finalize to their state; avg overrides.
+        """
+        return self.final_block(group_count, presto_type)
 
 
 class _ArrayAccumulator(GroupedAccumulator):
@@ -588,12 +480,6 @@ class _ArrayAccumulator(GroupedAccumulator):
         self._grow(group_count)
         return _array_block(presto_type, *self._arrays())
 
-    # count, sum, min and max finalize to their state.
-    state_block = final_block
-
-    def to_states(self):
-        return masked_tolist(*self._arrays())
-
 
 def _extended(array: np.ndarray, new_size: int, fill) -> np.ndarray:
     out = np.full(new_size, fill, dtype=array.dtype)
@@ -618,9 +504,8 @@ class CountAccumulator(_ArrayAccumulator):
         if self.merge_mode:
             values, nulls = _numeric_input(argument_blocks[0])
             if nulls.any():
-                # The reference merge raises on a null partial count; fall
-                # back so behavior (including the error) matches exactly.
-                raise FallbackNeeded
+                # A PARTIAL count is never NULL: something upstream broke.
+                raise EngineDefectError("FINAL count received a NULL partial count")
             np.add.at(self.counts, group_ids, values.astype(np.int64, copy=False))
             return
         if self.has_argument:
@@ -659,8 +544,6 @@ class SumAccumulator(_ArrayAccumulator):
     def add_page(self, group_count, group_ids, argument_blocks, position_count):
         self._grow(group_count)
         values, nulls = _numeric_input(argument_blocks[0])
-        if not np.can_cast(values.dtype, self.sums.dtype, casting="same_kind"):
-            raise FallbackNeeded
         if nulls.any():
             keep = ~nulls
             group_ids = group_ids[keep]
@@ -689,13 +572,11 @@ class SumAccumulator(_ArrayAccumulator):
 
 
 class MinMaxAccumulator(_ArrayAccumulator):
-    """min(x) / max(x) over numeric inputs via ufunc.at."""
+    """min(x) / max(x) over bigint or double inputs via ufunc.at."""
 
     def __init__(self, dtype, is_min: bool) -> None:
         super().__init__()
         self.is_min = is_min
-        if np.issubdtype(dtype, np.bool_):
-            raise FallbackNeeded
         if np.issubdtype(dtype, np.floating):
             self._sentinel = np.inf if is_min else -np.inf
         else:
@@ -711,8 +592,6 @@ class MinMaxAccumulator(_ArrayAccumulator):
     def add_page(self, group_count, group_ids, argument_blocks, position_count):
         self._grow(group_count)
         values, nulls = _numeric_input(argument_blocks[0])
-        if not np.can_cast(values.dtype, self.best.dtype, casting="same_kind"):
-            raise FallbackNeeded
         if nulls.any():
             keep = ~nulls
             group_ids = group_ids[keep]
@@ -726,11 +605,55 @@ class MinMaxAccumulator(_ArrayAccumulator):
         return self.best, ~self.has_value
 
 
-class AvgAccumulator(_ArrayAccumulator):
-    """avg(x): float64 running sums + int64 counts, row-ordered adds."""
+class RankMinMaxAccumulator(GroupedAccumulator):
+    """min(x) / max(x) over any other orderable column (varchar, date,
+    boolean, array), through the ranks :func:`column_codes` gives it.
 
-    def __init__(self) -> None:
+    The best value so far is one row per group, kept as a block.  Each
+    batch goes after it, the ranks of the two together reduce per group
+    with ``np.minimum.at`` (max negates them), and the first row holding
+    its group's best rank is gathered back: the first arrival among equal
+    values, as the row fold keeps.
+    """
+
+    def __init__(self, is_min: bool) -> None:
+        self.sign = 1 if is_min else -1
+        self.best: Optional[Block] = None
+
+    def add_page(self, group_count, group_ids, argument_blocks, position_count):
+        block = argument_blocks[0]
+        if self.best is not None:
+            stored = self.best.position_count
+            block = concat_blocks(block.type, [self.best, block])
+            group_ids = np.concatenate([np.arange(stored, dtype=np.int64), group_ids])
+        codes, _ = column_codes(block)
+        rows = np.flatnonzero(codes >= 0)
+        ranks = self.sign * codes[rows]
+        groups = group_ids[rows]
+        best = np.full(group_count, _INT64_MAX, dtype=np.int64)
+        np.minimum.at(best, groups, ranks)
+        holders = rows[ranks == best[groups]]
+        positions = np.full(group_count, -1, dtype=np.int64)
+        # Reversed assignment leaves each group its first holder.
+        positions[group_ids[holders][::-1]] = holders[::-1]
+        self.best = take_nullable(block, positions, positions < 0)
+
+    def final_block(self, group_count, presto_type):
+        if self.best is None:
+            return constant_block(None, presto_type, group_count)
+        return self.best
+
+
+class AvgAccumulator(_ArrayAccumulator):
+    """avg(x): float64 running sums + int64 counts, row-ordered adds.
+
+    The partial state is one ``AVG_INTERMEDIATE`` row per group, and in
+    merge mode the FINAL step adds those rows' sums and counts.
+    """
+
+    def __init__(self, merge_mode: bool) -> None:
         super().__init__()
+        self.merge_mode = merge_mode
         self.sums = np.zeros(0, dtype=np.float64)
         self.counts = np.zeros(0, dtype=np.int64)
 
@@ -740,6 +663,11 @@ class AvgAccumulator(_ArrayAccumulator):
 
     def add_page(self, group_count, group_ids, argument_blocks, position_count):
         self._grow(group_count)
+        if self.merge_mode:
+            state = argument_blocks[0].loaded()
+            np.add.at(self.sums, group_ids, _numeric_input(state.field("sum"))[0])
+            np.add.at(self.counts, group_ids, _numeric_input(state.field("count"))[0])
+            return
         values, nulls = _numeric_input(argument_blocks[0])
         if nulls.any():
             keep = ~nulls
@@ -757,40 +685,135 @@ class AvgAccumulator(_ArrayAccumulator):
         return means, empty
 
     def state_block(self, group_count, presto_type):
-        # (sum, count) pairs, in object storage under the declared type.
         self._grow(group_count)
-        return PrimitiveBlock(presto_type, _object_array(self.to_states()))
+        return RowBlock(
+            AVG_INTERMEDIATE,
+            {
+                "sum": PrimitiveBlock(DOUBLE, self.sums),
+                "count": PrimitiveBlock(BIGINT, self.counts),
+            },
+        )
 
-    def to_states(self):
-        return list(zip(self.sums.tolist(), self.counts.tolist()))
+
+def _nan_flags(blocks: Sequence[Block]) -> list[Block]:
+    """One flag column per double argument: NaN is a value of its own to
+    DISTINCT, where :func:`column_codes` reads it as NULL."""
+    flags = []
+    for block in blocks:
+        if isinstance(block, DictionaryBlock):
+            block = block.decode()
+        if isinstance(block, PrimitiveBlock) and block.values.dtype.kind == "f":
+            flags.append(PrimitiveBlock(BOOLEAN, np.isnan(block.values)))
+    return flags
+
+
+class DistinctAccumulator(GroupedAccumulator):
+    """An aggregate over DISTINCT arguments, and approx_distinct's count.
+
+    Every (group, argument) pair seen so far is kept, one row each, ahead
+    of the batch.  One factorization of the two numbers the pairs; the
+    rows that first show a pair feed the plain kernel, in arrival order.
+    """
+
+    def __init__(self, inner: GroupedAccumulator) -> None:
+        self.inner = inner
+        self._groups = EMPTY_POSITIONS
+        self._arguments: list[Block] = []
+
+    def add_page(self, group_count, group_ids, argument_blocks, position_count):
+        blocks = [block.loaded() for block in argument_blocks]
+        seen = len(self._groups)
+        if seen:
+            blocks = [
+                concat_blocks(block.type, [stored, block])
+                for stored, block in zip(self._arguments, blocks)
+            ]
+            group_ids = np.concatenate([self._groups, group_ids])
+        pairs = [PrimitiveBlock(BIGINT, group_ids), *blocks, *_nan_flags(blocks)]
+        _, reps, _ = _factorize(pairs)
+        self._groups = group_ids[reps]
+        self._arguments = [block.take(reps) for block in blocks]
+        fresh = reps[seen:]  # the stored pairs come first, each its own
+        self.inner.add_page(
+            group_count, group_ids[fresh], [block.take(fresh) for block in blocks], len(fresh)
+        )
+
+    def final_block(self, group_count, presto_type):
+        return self.inner.final_block(group_count, presto_type)
+
+
+class ArrayAggAccumulator(GroupedAccumulator):
+    """array_agg(x): the non-null arguments in arrival order, then one
+    stable argsort by group into ``ArrayBlock`` offsets."""
+
+    def __init__(self) -> None:
+        self._groups: list[np.ndarray] = []
+        self._values: list[Block] = []
+
+    def add_page(self, group_count, group_ids, argument_blocks, position_count):
+        block = argument_blocks[0].loaded()
+        keep = np.flatnonzero(~block.null_mask())
+        self._groups.append(group_ids[keep])
+        self._values.append(block.take(keep))
+
+    def final_block(self, group_count, presto_type):
+        if not self._values:
+            return block_from_values(presto_type, [[]] * group_count)
+        groups = np.concatenate(self._groups)
+        offsets = np.zeros(group_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(groups, minlength=group_count), out=offsets[1:])
+        elements = concat_blocks(presto_type.element_type, self._values)
+        return ArrayBlock(
+            presto_type, offsets, elements.take(np.argsort(groups, kind="stable"))
+        )
+
+
+class PluginAccumulator(GroupedAccumulator):
+    """An aggregate a plugin registers, outside the built-in seven.
+
+    Its ``add_input`` is Python, so it runs once per row, as Presto's
+    generated accumulators call a plugin's input function once per
+    position.  The fragmenter never splits it, so it never merges states.
+    """
+
+    def __init__(self, impl) -> None:
+        self.impl = impl
+        self.fold = GroupFold([impl])
+
+    def add_page(self, group_count, group_ids, argument_blocks, position_count):
+        columns = [block.loaded().to_list() for block in argument_blocks]
+        rows = zip(*columns) if columns else repeat((), position_count)
+        for group, arguments in zip(group_ids.tolist(), rows):
+            self.fold.fold(group, [arguments])
+
+    def final_block(self, group_count, presto_type):
+        states = [self.fold.states(group)[0] for group in range(group_count)]
+        return block_from_values(presto_type, list(map(self.impl.finalize, states)))
 
 
 def make_accumulator(aggregation, impl, merge_mode: bool) -> GroupedAccumulator:
-    """Pick the vector kernel for one aggregate, or the generic reference.
-
-    DISTINCT aggregates, object-dtype (varchar/date) inputs, avg in merge
-    mode, and any function outside count/sum/min/max/avg always use
-    :class:`GenericAccumulator`, whose semantics are the row-at-a-time
-    reference by construction.
-    """
-    if aggregation.distinct:
-        return GenericAccumulator(impl, True, merge_mode)
+    """The array kernel of one aggregate; DISTINCT deduplicates ahead of it."""
     name = impl.name
     argument_types = [parse_type(t) for t in aggregation.function_handle.argument_types]
-    dtypes = [_numpy_dtype_for(t) for t in argument_types]
-    try:
-        if name == "count" and len(dtypes) <= 1:
-            return CountAccumulator(bool(dtypes), merge_mode)
-        if len(dtypes) == 1 and dtypes[0] is not object:
-            if name == "sum":
-                return SumAccumulator(dtypes[0])
-            if name in ("min", "max"):
-                return MinMaxAccumulator(dtypes[0], name == "min")
-            if name == "avg" and not merge_mode:
-                return AvgAccumulator()
-    except FallbackNeeded:
-        pass
-    return GenericAccumulator(impl, aggregation.distinct, merge_mode)
+    dtype = _numpy_dtype_for(argument_types[0]) if argument_types else None
+    if name == "count":
+        accumulator: GroupedAccumulator = CountAccumulator(bool(argument_types), merge_mode)
+    elif name == "sum":
+        accumulator = SumAccumulator(dtype)
+    elif name in ("min", "max"):
+        if dtype in (np.int64, np.float64):
+            accumulator = MinMaxAccumulator(dtype, name == "min")
+        else:
+            accumulator = RankMinMaxAccumulator(name == "min")
+    elif name == "avg":
+        accumulator = AvgAccumulator(merge_mode)
+    elif name == "approx_distinct":
+        accumulator = DistinctAccumulator(CountAccumulator(True, False))
+    elif name == "array_agg":
+        accumulator = ArrayAggAccumulator()
+    else:
+        accumulator = PluginAccumulator(impl)
+    return DistinctAccumulator(accumulator) if aggregation.distinct else accumulator
 
 
 # ---------------------------------------------------------------------------
@@ -827,11 +850,7 @@ class JoinKeyIndex:
         self.flat = flat  # build positions grouped by code, insertion order
 
     def probe_codes(self, blocks: Sequence[Block], count: int) -> np.ndarray:
-        """Map probe rows to build code space; ``-1`` means no match.
-
-        Raises :class:`FallbackNeeded` when a probe column holds values
-        that cannot be compared against the build side's.
-        """
+        """Map probe rows to build code space; ``-1`` means no match."""
         combined = np.zeros(count, dtype=np.int64)
         invalid = np.zeros(count, dtype=bool)
         for i, block in enumerate(blocks):
@@ -887,37 +906,21 @@ class JoinKeyIndex:
 
     def _map_column(self, i: int, block: Block) -> np.ndarray:
         block = block.loaded()
-        if isinstance(block, DictionaryBlock):
-            dict_codes = self._map_flat(i, block.dictionary)
-            lookup = np.empty(len(dict_codes) + 1, dtype=np.int64)
-            lookup[: len(dict_codes)] = dict_codes
-            lookup[len(dict_codes)] = -1  # id == -1 (null row)
-            ids = block.ids
-            safe_ids = np.where(ids < 0, len(dict_codes), ids)
-            return lookup[safe_ids]
-        return self._map_flat(i, block)
-
-    def _map_flat(self, i: int, block: Block) -> np.ndarray:
-        if isinstance(block, VarcharBlock):
-            # Factorize the probe page once, match only its distinct
-            # strings against the build side, then gather per row.
-            local_codes, local_uniques = block.factorize()
-            mapped = self._match_values(
-                i, local_uniques, np.zeros(len(local_uniques), dtype=bool)
-            )
-            lookup = np.empty(len(local_uniques) + 1, dtype=np.int64)
-            lookup[: len(local_uniques)] = mapped
-            lookup[len(local_uniques)] = -1
-            safe = np.where(local_codes < 0, len(local_uniques), local_codes)
-            return lookup[safe]
-        if not isinstance(block, PrimitiveBlock):
-            raise FallbackNeeded("unsupported probe key block")
-        values = block.values
-        nulls = block.null_mask()
-        if np.issubdtype(values.dtype, np.floating):
-            # NaN probe keys canonicalize to null: they never match.
-            nulls = nulls | np.isnan(values)
-        return self._match_values(i, values, nulls)
+        if isinstance(block, PrimitiveBlock) and block.values.dtype != object:
+            values = block.values
+            nulls = block.null_mask()
+            if np.issubdtype(values.dtype, np.floating):
+                # NaN probe keys canonicalize to null: they never match.
+                nulls = nulls | np.isnan(values)
+            return self._match_values(i, values, nulls)
+        # Strings, dictionaries, objects and arrays: factorize the probe page
+        # once, match only its distinct values against the build side, then
+        # gather per row (code -1, a NULL key, reads the trailing -1).
+        local_codes, local_uniques = column_codes(block)
+        mapped = self._match_values(
+            i, local_uniques, np.zeros(len(local_uniques), dtype=bool)
+        )
+        return np.append(mapped, -1)[local_codes]
 
     def _match_values(
         self, i: int, values: np.ndarray, nulls: np.ndarray
@@ -929,33 +932,22 @@ class JoinKeyIndex:
         if not len(uniq) or not len(candidates):
             return codes
         try:
-            idx = np.searchsorted(uniq, candidates)
+            idx = np.clip(np.searchsorted(uniq, candidates), 0, len(uniq) - 1)
+            codes[non_null] = np.where(uniq[idx] == candidates, idx, -1)
         except TypeError:
-            raise FallbackNeeded("unorderable probe key values")
-        idx = np.clip(idx, 0, len(uniq) - 1)
-        try:
-            matched = uniq[idx] == candidates
-        except TypeError:
-            raise FallbackNeeded("incomparable probe key values")
-        codes[non_null] = np.where(matched, idx, -1)
+            # Values that do not compare with the build side's (ints beside
+            # strings, arrays holding NULLs): look each distinct one up.
+            position = {_hashable(v): c for c, v in enumerate(uniq.tolist())}
+            codes[non_null] = [position.get(_hashable(v), -1) for v in candidates.tolist()]
         return codes
 
 
-def build_join_index(blocks: Sequence[Block]) -> Optional[JoinKeyIndex]:
+def build_join_index(blocks: Sequence[Block]) -> JoinKeyIndex:
     """Factorize the build side of a hash join into a :class:`JoinKeyIndex`.
 
-    Returns ``None`` when a key column's block kind or value mix is
-    unsupported, in which case the caller takes the row-at-a-time path.
     Build rows whose key contains NULL are excluded (SQL join semantics).
     """
-    columns = []
-    for block in blocks:
-        raw = column_codes(block)
-        if raw is None:
-            return None
-        columns.append(raw)
-    if not columns:
-        return None
+    columns = [column_codes(block) for block in blocks]
     n = len(columns[0][0])
     combined = np.zeros(n, dtype=np.int64)
     null_row = np.zeros(n, dtype=bool)
@@ -1024,8 +1016,6 @@ def take_nullable(block: Block, positions: np.ndarray, null_mask: np.ndarray) ->
         else:
             ids = np.where(null_mask, -1, block.ids[safe])
         return DictionaryBlock(block.dictionary, ids)
-    from repro.core.blocks import block_from_values
-
     values = [
         None if null_mask[i] else block.get(int(positions[i]))
         for i in range(len(positions))
@@ -1038,25 +1028,18 @@ def take_nullable(block: Block, positions: np.ndarray, null_mask: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def sort_order(
-    blocks: Sequence[Block], ascending_flags: Sequence[bool]
-) -> Optional[np.ndarray]:
-    """Stable row order for multi-key ORDER BY, or ``None`` to fall back.
+def sort_order(blocks: Sequence[Block], ascending_flags: Sequence[bool]) -> np.ndarray:
+    """Stable row order for multi-key ORDER BY.
 
     Each key column factorizes to dense ranks; nulls rank above every
     value, so after direction negation they sort last ascending and
-    first descending — exactly the ``_SortKey`` total order.
+    first descending.
     """
     rank_keys = []
     for block, ascending in zip(blocks, ascending_flags):
         # Only the number of distinct values is needed, not the values.
-        factorized = column_codes(block)
-        if factorized is None:
-            return None
-        codes, uniques = factorized
+        codes, uniques = column_codes(block)
         ranks = np.where(codes < 0, len(uniques), codes)
         rank_keys.append(ranks if ascending else -ranks)
-    if not rank_keys:
-        return None  # nothing to rank by: arrival order is the caller's
     # np.lexsort treats its *last* key as primary.
     return np.lexsort(rank_keys[::-1]).astype(np.int64, copy=False)

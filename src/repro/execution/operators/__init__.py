@@ -1,22 +1,15 @@
 """Vectorized operator implementations, one module per operator family.
 
-The ``*_rows`` entries are the retained row-at-a-time reference
-implementations: fallbacks for key kinds the vectorized kernels do not
-cover, oracles for the differential tests, and baselines for
-``benchmarks/bench_operator_kernels.py``.
+Each module also keeps its original row-at-a-time implementation (the
+``*_rows`` functions) as the oracle of the differential tests and the
+baseline of ``benchmarks/bench_operator_kernels.py``; callers import those
+from the module itself.
 """
 
 from repro.execution.operators.scan import execute_table_scan, execute_values
 from repro.execution.operators.filter_project import execute_filter, execute_project
-from repro.execution.operators.aggregation import (
-    execute_aggregation,
-    execute_aggregation_rows,
-)
-from repro.execution.operators.joins import (
-    execute_join,
-    execute_spatial_join,
-    _hash_join_rows,
-)
+from repro.execution.operators.aggregation import execute_aggregation
+from repro.execution.operators.joins import execute_join, execute_spatial_join
 from repro.execution.operators.sorting import execute_limit, execute_sort, execute_topn
 
 __all__ = [
@@ -25,7 +18,6 @@ __all__ = [
     "execute_filter",
     "execute_project",
     "execute_aggregation",
-    "execute_aggregation_rows",
     "execute_join",
     "execute_spatial_join",
     "execute_limit",

@@ -5,20 +5,19 @@ Supports grouped and global aggregation, DISTINCT aggregates, and the
 returns pre-aggregated rows (figure 2), the engine's final aggregation
 combines them with merge semantics rather than re-accumulating raw rows.
 
-The hot path is vectorized (section III) and never leaves arrays: the
+The operator is vectorized (section III) and never leaves arrays: the
 input coalesces into batches of up to ``kernels.TARGET_PARTITION_ROWS`` rows
 (key and argument columns only), each batch's group keys factorize once
 into dense int64 codes plus the distinct keys as blocks
-(:mod:`repro.execution.kernels`), count/sum/min/max/avg accumulate with
-array kernels, and the output page is those key blocks beside the
-accumulators' arrays.  A batch whose keys do not factorize maps them row
-by row (``GroupIndex.map_rows``); an aggregate no array kernel covers
-(DISTINCT, object-dtype arguments, FINAL avg, exotic functions), or whose
-kernel raises ``FallbackNeeded``, runs on the reference state machine
-(``GenericAccumulator``).  Either way the batch counts in
-``rows_processed_fallback``.  :func:`execute_aggregation_rows` is the
-original row-at-a-time implementation (one ``GroupFold`` plus the DISTINCT
-bookkeeping), kept as the differential-test oracle and benchmark baseline.
+(:mod:`repro.execution.kernels`), every aggregate accumulates with its
+array kernel, and the output page is those key blocks beside the
+accumulators' blocks.  A PARTIAL step emits avg's state as the
+``AVG_INTERMEDIATE`` row of its sums and counts.
+
+:func:`execute_aggregation_rows` is the original row-at-a-time
+implementation (one ``GroupFold`` plus the DISTINCT bookkeeping), kept as
+the differential-test oracle and benchmark baseline; no production path
+calls it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from repro.core.blocks import (
 )
 from repro.core.functions import GroupFold
 from repro.core.page import Page, concat_blocks
-from repro.core.types import PrestoType
+from repro.core.types import PrestoType, RowType
 from repro.execution.context import ExecutionContext
 from repro.execution import kernels
 from repro.execution.operators.filter_project import bindings_for
@@ -77,9 +76,6 @@ def _batches(
 def execute_aggregation(
     node: AggregationNode, ctx: ExecutionContext, source: Iterator[Page]
 ) -> Iterator[Page]:
-    implementations = [
-        ctx.registry.aggregate_for(a.function_handle) for a in node.aggregations
-    ]
     key_names = [k.name for k in node.group_keys]
     agg_argument_names = [[a.name for a in agg.arguments] for agg in node.aggregations]
     merge_mode = node.step == "FINAL"
@@ -93,46 +89,23 @@ def execute_aggregation(
 
     index = kernels.GroupIndex()
     accumulators = [
-        kernels.make_accumulator(aggregation, impl, merge_mode)
-        for aggregation, impl in zip(node.aggregations, implementations)
+        kernels.make_accumulator(a, ctx.registry.aggregate_for(a.function_handle), merge_mode)
+        for a in node.aggregations
     ]
 
     for bindings, count in _batches(source, columns):
-        batch_vectorized = True
         if key_names:
-            key_blocks = [bindings[name] for name in key_names]
-            factorized = kernels.factorize_keys(key_blocks)
-            if factorized is None:
-                group_ids = index.map_rows(key_blocks, count)
-                batch_vectorized = False
-            else:
-                group_ids = index.map_codes(*factorized)
+            codes, keys = kernels.factorize_keys([bindings[name] for name in key_names])
+            group_ids = index.map_codes(codes, keys)
             group_count = len(index)
         else:
             group_ids = np.zeros(count, dtype=np.int64)
             group_count = 1
-
-        for i, accumulator in enumerate(accumulators):
-            arguments = [bindings[name] for name in agg_argument_names[i]]
-            try:
-                accumulator.add_page(group_count, group_ids, arguments, count)
-            except kernels.FallbackNeeded:
-                # Spill this aggregate's array state into the generic
-                # per-group state machine and replay the batch row-wise.
-                accumulator = kernels.GenericAccumulator(
-                    implementations[i],
-                    node.aggregations[i].distinct,
-                    merge_mode,
-                    initial_states=accumulator.to_states(),
-                )
-                accumulators[i] = accumulator
-                accumulator.add_page(group_count, group_ids, arguments, count)
-            if not accumulator.vectorized:
-                batch_vectorized = False
-        if batch_vectorized:
-            ctx.stats.rows_processed_vectorized += count
-        else:
-            ctx.stats.rows_processed_fallback += count
+        for accumulator, names in zip(accumulators, agg_argument_names):
+            accumulator.add_page(
+                group_count, group_ids, [bindings[name] for name in names], count
+            )
+        ctx.stats.rows_processed_vectorized += count
 
     # Global aggregation over empty input still yields one row.
     group_count = len(index) if key_names else 1
@@ -149,12 +122,12 @@ def execute_aggregation(
 
 
 def _partial_page(output_types, key_count, columns, group_count) -> Page:
-    """Page of per-group partial states (the row reference's)."""
+    """Page of per-group partial states (the row reference's), typed as the
+    kernel's: avg's ``(sum, count)`` tuples become its intermediate rows."""
     blocks = []
     for channel, (presto_type, values) in enumerate(zip(output_types, columns)):
-        if channel >= key_count:
-            blocks.append(kernels.states_block(presto_type, values))
-            continue
+        if channel >= key_count and isinstance(presto_type, RowType):
+            values = [dict(zip(presto_type.field_names(), state)) for state in values]
         try:
             blocks.append(block_from_values(presto_type, values))
         except BLOCK_VALUE_ERRORS:
@@ -212,8 +185,14 @@ def execute_aggregation_rows(
                     else:
                         seen[index].add(inputs[index])
             if merge_mode:
-                # A FINAL step's single argument is the partial state.
-                inputs = [i if i is GroupFold.SKIP else i[0] for i in inputs]
+                # A FINAL step's single argument is the partial state; avg's
+                # arrives as its intermediate row, whose fields are the tuple.
+                inputs = [
+                    i if i is GroupFold.SKIP
+                    else tuple(i[0].values()) if isinstance(i[0], dict)
+                    else i[0]
+                    for i in inputs
+                ]
             fold.fold(key, inputs)
 
     if not fold.groups and not node.group_keys:

@@ -9,9 +9,9 @@ The equi-join probe is vectorized (section III): the build side stays in
 columnar blocks, keys factorize into dense codes, and each probe page
 expands into ``(probe_positions, build_positions)`` index arrays that
 construct the output with ``Block.take`` instead of ``Page.from_rows``.
-Key kinds the factorizer does not support fall back to the retained
-row-at-a-time reference, :func:`_hash_join_rows` — the original
-implementation, kept verbatim as the differential-test oracle.
+Every key kind the analyzer admits factorizes.  :func:`_hash_join_rows`
+is the original row-at-a-time implementation, kept verbatim as the
+differential-test oracle; no production path calls it.
 
 The spatial join implements both execution strategies of section VI: the
 brute-force path evaluates ``st_contains`` for every (point, polygon) pair,
@@ -118,13 +118,6 @@ def _hash_join(
     index = kernels.build_join_index(
         [build_page.block(i) for i in right_key_indexes]
     )
-    if index is None:
-        # Unsupported key kind (nested types, mixed object values): the
-        # original row-at-a-time join is the reference fallback.
-        yield from _hash_join_rows(
-            node, ctx, _counted_fallback(ctx, left_source), iter(pages)
-        )
-        return
 
     evaluator = ctx.evaluator
     join_filter = node.filter
@@ -134,21 +127,11 @@ def _hash_join(
 
     for page in left_source:
         count = page.position_count
-        try:
-            codes = (
-                index.probe_codes(
-                    [page.block(i).loaded() for i in left_key_indexes], count
-                )
-                if count
-                else kernels.EMPTY_POSITIONS
-            )
-        except kernels.FallbackNeeded:
-            # Probe values incomparable with the build side's (e.g. mixed
-            # object types): the reference joins this one page.
-            yield from _hash_join_rows(
-                node, ctx, _counted_fallback(ctx, iter([page])), iter(pages)
-            )
-            continue
+        codes = (
+            index.probe_codes([page.block(i).loaded() for i in left_key_indexes], count)
+            if count
+            else kernels.EMPTY_POSITIONS
+        )
         ctx.stats.rows_processed_vectorized += count
         probe_positions, build_positions = index.expand(codes)
 
@@ -191,12 +174,6 @@ def _hash_join(
         yield Page(blocks, len(probe_positions))
 
 
-def _counted_fallback(ctx: ExecutionContext, pages: Iterator[Page]) -> Iterator[Page]:
-    for page in pages:
-        ctx.stats.rows_processed_fallback += page.position_count
-        yield page
-
-
 def _hash_join_rows(
     node: JoinNode,
     ctx: ExecutionContext,
@@ -205,9 +182,8 @@ def _hash_join_rows(
 ) -> Iterator[Page]:
     """Row-at-a-time reference join (the pre-kernel hot path).
 
-    Retained as the semantics oracle for the differential tests, the
-    baseline for ``benchmarks/bench_operator_kernels.py``, and the
-    fallback when build keys cannot be factorized.
+    Retained as the semantics oracle for the differential tests and the
+    baseline for ``benchmarks/bench_operator_kernels.py``.
     """
     right_outputs = node.right.outputs
     right_key_indexes = [

@@ -5,13 +5,14 @@ Sort and TopN share one vectorized lane: pages concatenate block-wise
 dense rank array, and one stable ``np.lexsort`` orders the page
 (:func:`repro.execution.kernels.sort_order`).  Sort orders its whole
 input once; TopN orders its ``count`` survivors plus the next page and
-cuts back to ``count``.  Key kinds the factorizer does not support go to
-the retained row-at-a-time reference, :func:`_sorted_rows`.
+cuts back to ``count``.  :func:`_sorted_rows` is the original
+row-at-a-time sort, kept as the differential-test oracle; no production
+path calls it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -61,8 +62,8 @@ def _sorted_rows(node, source: Iterator[Page]) -> list[tuple]:
     return rows
 
 
-def _kernel_order(page: Page, key_indexes) -> Optional[np.ndarray]:
-    """Stable kernel order of ``page``; ``None`` sends it to ``_sorted_rows``."""
+def _kernel_order(page: Page, key_indexes) -> np.ndarray:
+    """Stable kernel order of ``page``."""
     return kernels.sort_order(
         [page.block(i) for i, _ in key_indexes],
         [ascending for _, ascending in key_indexes],
@@ -74,13 +75,8 @@ def execute_sort(
 ) -> Iterator[Page]:
     types = [v.type for v in node.outputs]
     page = concat_pages(types, list(source))
-    order = _kernel_order(page, _key_indexes(node))
-    if order is None:
-        ctx.stats.rows_processed_fallback += page.position_count
-        yield Page.from_rows(types, _sorted_rows(node, iter([page])))
-        return
     ctx.stats.rows_processed_vectorized += page.position_count
-    yield page.take(order)
+    yield page.take(_kernel_order(page, _key_indexes(node)))
 
 
 def execute_topn(
@@ -92,18 +88,9 @@ def execute_topn(
     key_indexes = _key_indexes(node)
     types = [v.type for v in node.outputs]
     survivors: list[Page] = []  # one page once any input has been seen
-    pages = iter(source)
-    for page in pages:
+    for page in source:
         merged = concat_pages(types, survivors + [page])
         order = _kernel_order(merged, key_indexes)
-        if order is None:
-            # This page's keys have no kernel order: the reference sorts the
-            # survivors, this page and everything after it.
-            rest = [page, *pages]
-            ctx.stats.rows_processed_fallback += sum(p.position_count for p in rest)
-            rows = _sorted_rows(node, iter(survivors + rest))[: node.count]
-            yield Page.from_rows(types, rows)
-            return
         ctx.stats.rows_processed_vectorized += page.position_count
         survivors = [merged.take(order[: node.count])]
     yield concat_pages(types, survivors)

@@ -63,10 +63,7 @@ from repro.core.expressions import (
 from repro.core.page import Page
 from repro.execution.context import ExecutionContext
 from repro.execution.driver import execute_plan, record_operator_spans
-from repro.execution.dynamic_filters import (
-    DynamicFilterSet,
-    build_dynamic_filter,
-)
+from repro.execution.dynamic_filters import DynamicFilterSet, dynamic_filter_for
 from repro.execution.exchange import ExchangeBuffer, key_channels_for
 from repro.execution.faults import FaultInjector
 from repro.execution.kernels import TARGET_PARTITION_ROWS
@@ -392,14 +389,8 @@ class QueryScheduler:
             pages = [page.loaded() for page in execute_plan(fragment.root, task_ctx)]
         except PrestoError:
             raise
-        except (ArithmeticError, ValueError) as error:
-            # Division by zero, an unparseable cast, integer overflow: the
-            # query's own data made an expression fail.
-            raise InvalidValueError(str(error)) from error
         except Exception as error:
-            # Anything raw is an engine defect; categorize it so it fails
-            # this query instead of escaping the cluster's event loop.
-            raise EngineDefectError(f"{type(error).__name__}: {error}") from error
+            raise _categorized(error) from error
         finally:
             # Emit operator spans even when the pipeline fails mid-drain:
             # the rows it did process are in QueryStats, so the spans must
@@ -564,17 +555,16 @@ class QueryScheduler:
             for left_variable, right_variable in node.criteria:
                 if right_variable.name not in build_names:
                     continue
+                if right_variable.type.is_nested():
+                    continue  # an ARRAY key has no expression form
                 traced = _trace_to_scan_column(node.left, left_variable.name)
                 if traced is None:
                     continue  # probe key is computed, or lives beyond an exchange
                 scan, column = traced
                 channel = build_names.index(right_variable.name)
-                values = (
-                    value
-                    for page in build_pages
-                    for value in page.block(channel).loaded().to_list()
+                dynamic_filter = dynamic_filter_for(
+                    [page.block(channel) for page in build_pages]
                 )
-                dynamic_filter = build_dynamic_filter(values)
                 filter_set = ctx.dynamic_filters.setdefault(
                     scan.id, DynamicFilterSet()
                 )
@@ -689,6 +679,11 @@ class QueryScheduler:
         except PrestoError:
             self._fail()
             raise
+        except Exception as error:
+            # Building dynamic filters and planning splits run outside any
+            # task attempt: what they raise raw is categorized the same way.
+            self._fail()
+            raise _categorized(error) from error
         # Commit only after success: a retried attempt never
         # double-publishes rows.
         if fragment.fragment_id == self.fragmented.root_fragment.fragment_id:
@@ -716,6 +711,16 @@ class QueryScheduler:
             if self._fragment_index >= len(fragments):
                 self._finish()
         return record
+
+
+def _categorized(error: Exception) -> PrestoError:
+    """A raw exception as the query's categorized failure, never one that
+    escapes the cluster's event loop: division by zero, an unparseable
+    cast, integer overflow are the query's own data; anything else is an
+    engine defect."""
+    if isinstance(error, (ArithmeticError, ValueError)):
+        return InvalidValueError(str(error))
+    return EngineDefectError(f"{type(error).__name__}: {error}")
 
 
 def _trace_to_scan_column(

@@ -233,6 +233,7 @@ class Analyzer:
                     order_variable = self._new_variable("sortkey", target.type)
                     assignments.append((order_variable, target))
                     hidden_count += 1
+            self._require_orderable(order_variable.type, "ORDER BY")
             order_specs.append((order_variable, order_item.ascending))
 
         node = ProjectNode(source=node, assignments=tuple(assignments))
@@ -242,6 +243,8 @@ class Analyzer:
                 raise SemanticError(
                     "ORDER BY expressions must appear in SELECT list when DISTINCT is used"
                 )
+            for variable in node.outputs:
+                self._require_orderable(variable.type, "SELECT DISTINCT")
             node = AggregationNode(
                 source=node,
                 group_keys=node.outputs,
@@ -320,6 +323,8 @@ class Analyzer:
         )
         node: PlanNode = UnionNode(union_sources=projected, output_variables=shared)
         if any_distinct:
+            for presto_type in column_types:
+                self._require_orderable(presto_type, "UNION")
             node = AggregationNode(
                 source=node,
                 group_keys=shared,
@@ -460,6 +465,7 @@ class Analyzer:
             extras.append((variable, expression))
             return variable
 
+        self._require_orderable(left_expr.type, "JOIN ON")
         return (
             as_variable(left_expr, extra_left),
             as_variable(right_expr, extra_right),
@@ -526,6 +532,7 @@ class Analyzer:
         group_keys: list[VariableReferenceExpression] = []
         for key_ast in group_key_asts:
             lowered = self._lower(key_ast, scope, allow_aggregates=False)
+            self._require_orderable(lowered.type, "GROUP BY")
             variable = self._new_variable("groupkey", lowered.type)
             pre_assignments.append((variable, lowered))
             key_map[key_ast] = variable
@@ -548,6 +555,8 @@ class Analyzer:
         for spec in aggregates.specs():
             argument_variables: list[VariableReferenceExpression] = []
             for argument in spec.lowered_arguments:
+                if spec.distinct:
+                    self._require_orderable(argument.type, "DISTINCT aggregate")
                 variable = self._new_variable("aggarg", argument.type)
                 pre_assignments.append((variable, argument))
                 argument_variables.append(variable)
@@ -610,6 +619,14 @@ class Analyzer:
     def _new_variable(self, hint: str, presto_type: PrestoType) -> VariableReferenceExpression:
         safe = hint.replace(".", "_")
         return VariableReferenceExpression(f"{safe}${next(self._counter)}", presto_type)
+
+    def _require_orderable(self, presto_type: PrestoType, clause: str) -> None:
+        """Keys factorize by ordering their values: ROW, MAP and GEOMETRY
+        values (and arrays of them) have no order, as in Presto."""
+        if not presto_type.is_orderable():
+            raise SemanticError(
+                f"{clause} key of type {presto_type.display()} is not orderable"
+            )
 
     def _require_boolean(self, expression: RowExpression, context: str) -> None:
         if expression.type not in (BOOLEAN, UNKNOWN):

@@ -27,14 +27,16 @@ also drive the distributed EXPLAIN, ``EXPLAIN ANALYZE``, the cluster
 simulation's task accounting, and the federation benchmarks.
 
 Aggregation splitting follows the partial/final protocol: the fragment
-below the exchange runs with ``step=PARTIAL`` and emits raw accumulator
-*states* (not finalized values); the fragment above merges them with
-``step=FINAL``.  DISTINCT aggregates and aggregations that are already in
-merge mode (``step=FINAL`` after connector aggregation pushdown) are not
-split again — their raw input is repartitioned on the grouping keys (or
-gathered, for global aggregates) and the node runs once beyond the
-exchange, which is equivalent because every row of a group lands in the
-same partition.
+below the exchange runs with ``step=PARTIAL`` and emits accumulator
+*states* (not finalized values), typed like Presto's intermediate types
+(avg's is ``row(sum double, count bigint)``); the fragment above merges
+them with ``step=FINAL``.  Only aggregations of ``SPLIT_AGGREGATES`` (count,
+sum, min, max, avg) are split.  DISTINCT, approx_distinct, array_agg and
+plugin aggregates, and aggregations that are already in merge mode
+(``step=FINAL`` after connector aggregation pushdown) are not — their raw
+input is repartitioned on the grouping keys (or gathered, for global
+aggregates) and the node runs once beyond the exchange, which is
+equivalent because every row of a group lands in the same partition.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.core.expressions import VariableReferenceExpression
+from repro.core.functions import SPLIT_AGGREGATES, intermediate_type
 from repro.planner.plan import (
     Aggregation,
     AggregationNode,
@@ -217,22 +221,34 @@ class Fragmenter:
             if distribution == "single":
                 return node.replace_sources([child]), inputs, "single"
             keys = tuple(k.name for k in node.group_keys)
-            splittable = node.step == AggregationStep.SINGLE and not any(
-                a.distinct for a in node.aggregations
+            splittable = node.step == AggregationStep.SINGLE and all(
+                not a.distinct and a.function_handle.name in SPLIT_AGGREGATES
+                for a in node.aggregations
             )
             if splittable:
-                # Partial aggregation (emitting accumulator states) runs in
-                # the child's fragment; the final aggregation merges states
-                # after a repartition on the grouping keys.
-                below = replace(
-                    node.replace_sources([child]), step=AggregationStep.PARTIAL
+                # Partial aggregation (emitting states of their intermediate
+                # types) runs in the child's fragment; the final aggregation
+                # merges states after a repartition on the grouping keys.
+                partial_aggregations = tuple(
+                    replace(
+                        a,
+                        output=VariableReferenceExpression(
+                            a.output.name, intermediate_type(a.function_handle)
+                        ),
+                    )
+                    for a in node.aggregations
                 )
-                remote_outputs = node.outputs
+                below = replace(
+                    node.replace_sources([child]),
+                    aggregations=partial_aggregations,
+                    step=AggregationStep.PARTIAL,
+                )
+                remote_outputs = below.outputs
             else:
-                # DISTINCT or already-FINAL (pushdown merge) aggregations
-                # run once beyond the exchange over their raw input: the
-                # repartition on grouping keys keeps them correct because
-                # a group never straddles partitions.
+                # DISTINCT, set- or list-state or already-FINAL (pushdown
+                # merge) aggregations run once beyond the exchange over
+                # their raw input: the repartition on grouping keys keeps
+                # them correct because a group never straddles partitions.
                 below = child
                 remote_outputs = child.outputs
             source_fragment = self._add_fragment(below, inputs, distribution)
@@ -250,9 +266,9 @@ class Fragmenter:
                     Aggregation(
                         output=a.output,
                         function_handle=a.function_handle,
-                        arguments=(a.output,),
+                        arguments=(p.output,),
                     )
-                    for a in node.aggregations
+                    for a, p in zip(node.aggregations, partial_aggregations)
                 )
                 beyond: PlanNode = AggregationNode(
                     source=remote,

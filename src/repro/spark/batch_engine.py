@@ -37,10 +37,10 @@ def _register_spark_function_names() -> None:
     registry = default_registry()
     if registry.is_aggregate("approx_count_distinct"):
         return
-    approx = registry._aggregates["approx_distinct"][0]
     from dataclasses import replace
 
-    registry.register_aggregate(replace(approx, name="approx_count_distinct"))
+    # Another name for the same implementation, which picks its kernel.
+    registry._aggregates["approx_count_distinct"] = registry._aggregates["approx_distinct"]
     instr = registry._scalars["strpos"][0]
     registry.register_scalar(replace(instr, name="instr"))
 

@@ -25,11 +25,13 @@ from repro.core.blocks import (
 from repro.core.functions import default_registry
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
+from repro.execution import dynamic_filters
 from repro.execution.dynamic_filters import (
     IN_EXPRESSION_LIMIT,
     BloomFilter,
     DynamicFilter,
     build_dynamic_filter,
+    dynamic_filter_for,
     _normalize,
 )
 from repro.execution.engine import PrestoEngine
@@ -194,7 +196,7 @@ def _mask_blocks():
         "dictionary_varchar": DictionaryBlock(
             text_dictionary, np.array([3, 2, -1, 0, 1, 1], dtype=np.int64)
         ),
-        # A value mix column_codes declines: the per-position loop.
+        # A value mix np.unique cannot order: column_codes orders it by kind.
         "mixed_objects": block_from_values(VARCHAR, [1, "a", None, 1, "\u00e9"]),
     }
 
@@ -234,6 +236,27 @@ class TestMask:
         ints = PrimitiveBlock.from_values(BIGINT, [1, 0, None, 2])
         assert f.mask(ints).tolist() == [True, True, False, False]
         assert not f.matches(NAN) and not f.matches(None)
+
+    @pytest.mark.parametrize("block_name", sorted(_mask_blocks()) + ["unused_entries"])
+    def test_the_build_from_codes_is_the_build_from_values(self, block_name):
+        # The scheduler's build reads column_codes, not every row; a
+        # dictionary's unused entries ("q") are no members.
+        unused = DictionaryBlock(
+            block_from_values(VARCHAR, ["a", "q", "b"]), np.array([0, 2, -1, 2], dtype=np.int64)
+        )
+        block = {**_mask_blocks(), "unused_entries": unused}[block_name]
+        pages = [block, block.take(np.arange(block.position_count)[::-1])]
+        for limit in (2, 10_000):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamic_filters, "DEFAULT_EXACT_VALUES_LIMIT", limit)
+                built = dynamic_filter_for(pages)
+            expected = build_dynamic_filter(
+                [v for page in pages for v in page.to_list()], exact_limit=limit
+            )
+            bits = [None if f.bloom is None else f.bloom.bits.tolist() for f in (built, expected)]
+            assert bits[0] == bits[1]
+            built.bloom = expected.bloom = None
+            assert built == expected
 
     def test_matches_runs_at_most_once_per_distinct_value(self):
         calls = []

@@ -6,7 +6,9 @@ and the retained reference (``execute_aggregation_rows``,
 ``_hash_join_rows``, ``_sorted_rows``), and asserts row-for-row identical
 output — values *and* Python types — across NULL keys, NULL aggregate
 inputs, DISTINCT, merge (FINAL) mode, empty input, and object-dtype
-(varchar) keys.
+(varchar) keys.  The references are test-only: the kernels are the one
+production lane and never count a row as fallback.  Where the reference
+has no answer (it cannot hash ARRAY keys), the expectation is built here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import InvalidValueError
+from repro.common.errors import EngineDefectError, InvalidValueError
 from repro.common.hashing import stable_hash
 from repro.core.blocks import (
     DictionaryBlock,
@@ -28,9 +30,17 @@ from repro.core.blocks import (
     constant_block,
 )
 from repro.core.expressions import CallExpression, variable
-from repro.core.functions import default_registry
+from repro.core.functions import default_registry, intermediate_type
 from repro.core.page import Page, concat_pages
-from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR, ArrayType, parse_type
+from repro.core.types import (
+    BIGINT,
+    BOOLEAN,
+    DATE,
+    DOUBLE,
+    VARCHAR,
+    ArrayType,
+    parse_type,
+)
 from repro.execution import kernels
 from repro.execution.context import ExecutionContext
 from repro.execution.exchange import ExchangeBuffer
@@ -114,8 +124,11 @@ def paged(types, rows, page_size=7) -> list[Page]:
 
 
 def run_agg_both(node, pages) -> tuple[list[tuple], list[tuple]]:
-    vec = rows_of(execute_aggregation(node, make_ctx(), iter(pages)))
+    ctx = make_ctx()
+    vec = rows_of(execute_aggregation(node, ctx, iter(pages)))
     ref = rows_of(execute_aggregation_rows(node, make_ctx(), iter(pages)))
+    assert ctx.stats.rows_processed_fallback == 0
+    assert ctx.stats.rows_processed_vectorized == sum(p.position_count for p in pages)
     return vec, ref
 
 
@@ -213,6 +226,21 @@ class TestAggregationDifferential:
         vec, ref = run_agg_both(node, pages)
         assert_identical(vec, ref)
 
+    def test_distinct_tells_nan_from_null(self):
+        # column_codes reads NaN as NULL; DISTINCT keeps the two apart, so a
+        # NaN after a NULL still reaches sum and avg.  count(DISTINCT) counts
+        # NaN once, as Presto does; the reference counts each NaN object.
+        nan = float("nan")
+        rows = [(1, None), (1, nan), (1, 2.0), (1, nan), (2, nan), (2, None)]
+        node = agg_node(
+            source_node([("k", BIGINT), ("v", DOUBLE)]),
+            ["k"],
+            [("sum", ["v"], True, "ds"), ("avg", ["v"], True, "da"), ("count", ["v"], True, "dc")],
+        )
+        vec, ref = run_agg_both(node, paged([BIGINT, DOUBLE], rows, 2))
+        assert list(map(repr, vec)) == ["(1, nan, nan, 2)", "(2, nan, nan, 1)"]
+        assert [repr(row[:3]) for row in ref] == [repr(row[:3]) for row in vec]
+
     def test_merge_mode_final_step(self):
         # Partial rows as a connector would return them after pushdown:
         # (key, partial_sum, partial_count, partial_min, partial_max).
@@ -267,15 +295,13 @@ class TestAggregationDifferential:
         assert ctx.stats.rows_processed_vectorized == 50
         assert ctx.stats.rows_processed_fallback == 0
 
-        # A NULL partial count spills to GenericAccumulator mid-stream, so
-        # the error is the reference's own.
+        # A partial count is never NULL: the kernel names the defect, where
+        # the reference's ``a + b`` raises a raw TypeError.
         pages = paged([BIGINT, BIGINT], rows + [(1, None)])
-        errors = []
-        for operator in (execute_aggregation, execute_aggregation_rows):
-            with pytest.raises(TypeError) as raised:
-                rows_of(operator(node, make_ctx(), iter(pages)))
-            errors.append(str(raised.value))
-        assert errors[0] == errors[1]
+        with pytest.raises(EngineDefectError, match="NULL partial count"):
+            rows_of(execute_aggregation(node, make_ctx(), iter(pages)))
+        with pytest.raises(TypeError):
+            rows_of(execute_aggregation_rows(node, make_ctx(), iter(pages)))
 
     def test_empty_input_grouped_and_global(self):
         types = [BIGINT, DOUBLE]
@@ -321,8 +347,9 @@ class TestAggregationDifferential:
         assert sorted(r[0] for r in vec) == ["ny", "sf"]
 
     def test_mixed_type_object_keys_fall_back(self):
-        # ints and strings in one object column defeat np.unique; the
-        # row-at-a-time key path must kick in transparently.
+        # ints and strings in one object column defeat a plain np.unique;
+        # they factorize ordered by kind first, still on the kernel
+        # (run_agg_both checks that no row counts as fallback).
         keys = PrimitiveBlock.from_values(VARCHAR, [1, "a", 1, "a", "b", None])
         values = PrimitiveBlock.from_values(BIGINT, [1, 2, 3, 4, 5, 6])
         pages = [Page([keys, values])]
@@ -331,11 +358,9 @@ class TestAggregationDifferential:
             ["k"],
             [("sum", ["v"], False, "s")],
         )
-        ctx = make_ctx()
-        vec = rows_of(execute_aggregation(node, ctx, iter(pages)))
-        ref = rows_of(execute_aggregation_rows(node, make_ctx(), iter(pages)))
+        vec, ref = run_agg_both(node, pages)
         assert_identical(vec, ref)
-        assert ctx.stats.rows_processed_fallback == 6
+        assert vec == [(1, 4), ("a", 6), ("b", 5), (None, 6)]
 
     @pytest.mark.parametrize("step", ["SINGLE", "FINAL"])
     def test_bigint_sum_out_of_range_raises_in_both_lanes(self, step):
@@ -431,7 +456,7 @@ _GROUP_KEY_CELLS = {
 _VALUE_CELL = st.one_of(st.none(), st.integers(-50, 50))
 
 # How many rows arrive, in pages of what size; ``odd`` appends one page whose
-# varchar keys do not factorize, after the ones that do.
+# varchar keys mix ints with strings, after the ones that hold strings only.
 _SHAPES = {
     "one page": lambda draw: (draw(st.integers(0, BATCH)), BATCH),
     "many pages, one batch": lambda draw: (draw(st.integers(4, BATCH)), 3),
@@ -441,6 +466,20 @@ _SHAPES = {
     "2 x BATCH + 1": lambda draw: (2 * BATCH + 1, draw(st.sampled_from([3, BATCH]))),
     "odd": lambda draw: (draw(st.integers(1, 2 * BATCH + 1)), draw(st.sampled_from([3, BATCH]))),
 }
+
+
+def column_block(presto_type, cells, as_dictionary):
+    """``cells`` as a flat block or, as one per parquet column chunk, a
+    dictionary block of its own."""
+    if not as_dictionary:
+        return block_from_values(presto_type, cells)
+    # Keyed by repr: nan finds itself, -0.0 stays apart from 0.0.
+    entries = {repr(c): c for c in cells if c is not None}
+    slots = {text: slot for slot, text in enumerate(entries)}
+    return DictionaryBlock(
+        block_from_values(presto_type, list(entries.values()) or [None]),
+        np.array([-1 if c is None else slots[repr(c)] for c in cells], dtype=np.int64),
+    )
 
 
 @st.composite
@@ -459,24 +498,10 @@ def grouped_inputs(draw):
     values = draw(st.lists(_VALUE_CELL, min_size=count, max_size=count))
     pages = []
     for start in range(0, count, page_size):
-        blocks = []
-        for presto_type, column, as_dictionary in zip(key_types, columns, encoded):
-            cells = column[start : start + page_size]
-            if as_dictionary:
-                # One dictionary per page, as one per parquet column chunk.
-                # Keyed by repr: nan finds itself, -0.0 stays apart from 0.0.
-                entries = {repr(c): c for c in cells if c is not None}
-                slots = {text: slot for slot, text in enumerate(entries)}
-                block = DictionaryBlock(
-                    block_from_values(presto_type, list(entries.values()) or [None]),
-                    np.array(
-                        [-1 if c is None else slots[repr(c)] for c in cells],
-                        dtype=np.int64,
-                    ),
-                )
-            else:
-                block = block_from_values(presto_type, cells)
-            blocks.append(block)
+        blocks = [
+            column_block(presto_type, column[start : start + page_size], as_dictionary)
+            for presto_type, column, as_dictionary in zip(key_types, columns, encoded)
+        ]
         blocks.append(block_from_values(BIGINT, values[start : start + page_size]))
         pages.append(Page(blocks))
     if shape == "odd":
@@ -488,7 +513,7 @@ def grouped_inputs(draw):
     return key_types, pages
 
 
-def grouped_node(key_types, step="SINGLE") -> AggregationNode:
+def grouped_node(key_types) -> AggregationNode:
     names = [f"k{i}" for i in range(len(key_types))]
     source = source_node(list(zip(names, key_types)) + [("v", BIGINT)])
     return agg_node(
@@ -501,37 +526,50 @@ def grouped_node(key_types, step="SINGLE") -> AggregationNode:
             ("min", ["v"], False, "lo"),
             ("max", ["v"], False, "hi"),
         ],
-        step=step,
     )
 
 
-def final_node(partial: AggregationNode) -> AggregationNode:
+def partial_node(single: AggregationNode) -> AggregationNode:
+    """The PARTIAL step the fragmenter puts below the exchange: each
+    output typed as its intermediate (avg's is a row of sum and count)."""
+    outputs = tuple(
+        replace(a, output=variable(a.output.name, intermediate_type(a.function_handle)))
+        for a in single.aggregations
+    )
+    return replace(single, aggregations=outputs, step="PARTIAL")
+
+
+def final_node(single: AggregationNode, partial: AggregationNode) -> AggregationNode:
     """The FINAL step the fragmenter puts beyond the exchange."""
     remote = source_node([(v.name, v.type) for v in partial.outputs])
-    merging = tuple(replace(a, arguments=(a.output,)) for a in partial.aggregations)
+    merging = tuple(
+        replace(a, arguments=(p.output,))
+        for a, p in zip(single.aggregations, partial.aggregations)
+    )
     return AggregationNode(
-        source=remote, group_keys=partial.group_keys, aggregations=merging, step="FINAL"
+        source=remote, group_keys=single.group_keys, aggregations=merging, step="FINAL"
     )
 
 
-def staged_rows(operator, key_types, pages) -> list[tuple]:
-    """PARTIAL per task, a partitioned exchange, FINAL per partition."""
-    partial = grouped_node(key_types, step="PARTIAL")
+def staged_rows(partial_operator, final_operator, key_types, pages) -> list[tuple]:
+    """PARTIAL per task, a real partitioned exchange, FINAL per partition."""
+    single = grouped_node(key_types)
+    partial = partial_node(single)
     names = tuple(v.name for v in partial.group_keys)
     buffer = ExchangeBuffer(
         Exchange(ExchangeKind.REPARTITION, 0, names, partitioned=True),
         list(range(len(names))),
     )
     for task in range(3):
-        for page in operator(partial, make_ctx(), iter(pages[task::3])):
+        for page in partial_operator(partial, make_ctx(), iter(pages[task::3])):
             buffer.add(page)
     buffer.set_partition_count(2)
-    final = final_node(partial)
+    final = final_node(single, partial)
     return [
         row
         for partition in range(2)
         for row in rows_of(
-            operator(final, make_ctx(), iter(buffer.pages_for_partition(partition)))
+            final_operator(final, make_ctx(), iter(buffer.pages_for_partition(partition)))
         )
     ]
 
@@ -540,6 +578,38 @@ def assert_same_groups(actual: list[tuple], expected: list[tuple]) -> None:
     """Equal values, types and group order; repr tells -0.0 from 0.0."""
     assert_identical(actual, expected)
     assert list(map(repr, actual)) == list(map(repr, expected))
+
+
+# Orderable columns that are not numbers: min/max rank them.
+_ORDERED_CELLS = {
+    VARCHAR: st.one_of(st.none(), st.sampled_from(["", "a", "b", "ab", "\u00e9", "\u6f22\u5b57"])),
+    DATE: st.one_of(st.none(), st.sampled_from(["2021-03-01", "2020-12-31", "2021-02-28"])),
+    BOOLEAN: st.one_of(st.none(), st.booleans()),
+}
+
+
+@st.composite
+def ordered_inputs(draw):
+    """(value type, grouped, pages): a bigint key, an orderable non-numeric
+    column ``x``, flat or dictionary-encoded, and a bigint column ``v``."""
+    value_type = draw(st.sampled_from(list(_ORDERED_CELLS)))
+    shape = draw(st.sampled_from(sorted(set(_SHAPES) - {"odd"})))
+    count, page_size = _SHAPES[shape](draw)
+    keys = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=count, max_size=count))
+    cells = draw(st.lists(_ORDERED_CELLS[value_type], min_size=count, max_size=count))
+    values = draw(st.lists(_VALUE_CELL, min_size=count, max_size=count))
+    encoded = draw(st.booleans())
+    pages = [
+        Page(
+            [
+                block_from_values(BIGINT, keys[start : start + page_size]),
+                column_block(value_type, cells[start : start + page_size], encoded),
+                block_from_values(BIGINT, values[start : start + page_size]),
+            ]
+        )
+        for start in range(0, count, page_size)
+    ]
+    return value_type, draw(st.booleans()), pages
 
 
 class TestArrayNativeAggregation:
@@ -563,10 +633,63 @@ class TestArrayNativeAggregation:
     @given(grouped_inputs())
     def test_partial_to_final_through_an_exchange_matches_the_row_reference(self, grouped):
         key_types, pages = grouped
+        expected = staged_rows(execute_aggregation_rows, execute_aggregation_rows, key_types, pages)
         assert_same_groups(
-            staged_rows(execute_aggregation, key_types, pages),
-            staged_rows(execute_aggregation_rows, key_types, pages),
+            staged_rows(execute_aggregation, execute_aggregation, key_types, pages), expected
         )
+        # The reference's partial states (avg's as its intermediate row)
+        # feed the kernel's FINAL step.
+        assert_same_groups(
+            staged_rows(execute_aggregation_rows, execute_aggregation, key_types, pages), expected
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(ordered_inputs())
+    def test_the_other_aggregates_match_the_row_reference(self, inputs):
+        # min/max over varchar (empty, non-ASCII), date and boolean;
+        # DISTINCT count and sum; approx_distinct; array_agg.
+        value_type, grouped, pages = inputs
+        node = agg_node(
+            source_node([("k", BIGINT), ("x", value_type), ("v", BIGINT)]),
+            ["k"] if grouped else [],
+            [
+                ("min", ["x"], False, "lo"),
+                ("max", ["x"], False, "hi"),
+                ("count", ["x"], True, "dx"),
+                ("count", ["v"], True, "dv"),
+                ("sum", ["v"], True, "ds"),
+                ("approx_distinct", ["x"], False, "ad"),
+                ("array_agg", ["x"], False, "ax"),
+                ("array_agg", ["v"], True, "av"),
+            ],
+        )
+        vec, ref = run_agg_both(node, pages)
+        assert_same_groups(vec, ref)
+
+    def test_array_keys_group_on_the_kernel(self):
+        # The reference cannot hash a list; the expectation is a dict keyed
+        # by tuples, in first-seen order.  Three batches of BATCH rows.
+        array = ArrayType(BIGINT)
+        pool = [[1, 2], [1], [], [2], None, [1, 2, 3], [10]]
+        rows = [(pool[(i * 5) % len(pool)], i % 4) for i in range(3 * BATCH)]
+        expected: dict = {}
+        for key, value in rows:
+            group = expected.setdefault(None if key is None else tuple(key), [0, 0])
+            group[0] += 1
+            group[1] += value
+        node = agg_node(
+            source_node([("a", array), ("v", BIGINT)]),
+            ["a"],
+            [("count", [], False, "c"), ("sum", ["v"], False, "s")],
+        )
+        ctx = make_ctx()
+        got = rows_of(execute_aggregation(node, ctx, iter(paged([array, BIGINT], rows, 5))))
+        assert got == [
+            (None if key is None else list(key), count, total)
+            for key, (count, total) in expected.items()
+        ]
+        assert ctx.stats.rows_processed_vectorized == len(rows)
+        assert ctx.stats.rows_processed_fallback == 0
 
     def test_the_shapes_cross_batch_boundaries(self):
         # The strategy above is only as good as its shapes: count the batches.
@@ -816,9 +939,9 @@ class TestJoinDifferential:
         assert ctx.stats.peak_build_rows == 40
 
     def test_mixed_type_probe_keys_fall_back_per_page(self):
-        # Probe values that cannot be ordered against the build side's
-        # (str vs int) make JoinKeyIndex raise FallbackNeeded; the page
-        # must route through the row-at-a-time probe with identical output.
+        # Probe values that do not order against the build side's (str vs
+        # int) are looked up one distinct value at a time, still on the
+        # kernel, with output identical to the row-at-a-time probe.
         left = [("a", 1), (7, 2), ("b", 3), (None, 4)]
         right = [("a", 10), ("b", 20), ("b", 30)]
         left_pages = paged([VARCHAR, BIGINT], left, page_size=2)
@@ -833,13 +956,12 @@ class TestJoinDifferential:
         vec = rows_of(execute_join(node, ctx, iter(left_pages), iter(right_pages)))
         ref = rows_of(reference_join(node, make_ctx(), left_pages, right_pages))
         assert_identical(vec, ref)
-        # The ("a", 7) page is incomparable; the ("b", None) page is fine.
-        assert ctx.stats.rows_processed_fallback == 2
-        assert ctx.stats.rows_processed_vectorized == 2
+        assert ctx.stats.rows_processed_fallback == 0
+        assert ctx.stats.rows_processed_vectorized == 4
 
     def test_unfactorizable_build_keys_count_probe_rows_as_fallback(self):
-        # str and int build keys in one object column defeat np.unique, so
-        # there is no index and the reference joins every probe page.
+        # str and int build keys in one object column order by kind first;
+        # the index is built and every probe row is counted on the kernel.
         left_pages = paged([VARCHAR, BIGINT], [("a", 1), ("b", 2), (None, 3), ("a", 4)], 3)
         build_keys = PrimitiveBlock.from_values(VARCHAR, ["a", 7, "a"])
         right_pages = [Page([build_keys, PrimitiveBlock.from_values(BIGINT, [10, 70, 11])])]
@@ -853,8 +975,42 @@ class TestJoinDifferential:
         vec = rows_of(execute_join(node, ctx, iter(left_pages), iter(right_pages)))
         ref = rows_of(reference_join(node, make_ctx(), left_pages, right_pages))
         assert_identical(vec, ref)
-        assert ctx.stats.rows_processed_fallback == 4
-        assert ctx.stats.rows_processed_vectorized == 0
+        assert ctx.stats.rows_processed_fallback == 0
+        assert ctx.stats.rows_processed_vectorized == 4
+
+    @pytest.mark.parametrize("join_type", ["inner", "left", "right"])
+    def test_array_keys(self, join_type):
+        # The reference cannot hash a list: the expectation is the nested
+        # loop over Python lists, in probe order, build rows in arrival order.
+        array = ArrayType(BIGINT)
+        left = [([1, 2], 0), ([], 1), (None, 2), ([3], 3), ([1, 2], 4), ([1], 5)]
+        right = [([1], "x"), ([1, 2], "y"), (None, "z"), ([1, 2], "w"), ([], "v")]
+        node = join_node(
+            join_type,
+            [("lk", array), ("lv", BIGINT)],
+            [("rk", array), ("rv", VARCHAR)],
+            [("lk", "rk")],
+        )
+        ctx = make_ctx()
+        got = rows_of(
+            execute_join(
+                node,
+                ctx,
+                iter(paged([array, BIGINT], left, 4)),
+                iter(paged([array, VARCHAR], right, 2)),
+            )
+        )
+        outer, inner = (right, left) if join_type == "right" else (left, right)
+        expected = []
+        for probe in outer:
+            matches = [b for b in inner if probe[0] is not None and b[0] == probe[0]]
+            pairs = [(b + probe if join_type == "right" else probe + b) for b in matches]
+            if not pairs and join_type != "inner":
+                pad = (None, None)
+                pairs = [pad + probe if join_type == "right" else probe + pad]
+            expected.extend(pairs)
+        assert got == expected
+        assert ctx.stats.rows_processed_fallback == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1007,18 +1163,19 @@ class TestSortAndTopNDifferential:
             full = rows_of(execute_sort(sort, make_ctx(), iter(pages)))
             assert_identical(*nan_tagged(got, full[:4]))
 
-    def test_array_keys_take_the_reference_lane(self):
-        # Arrays order fine in Python but do not factorize.  The first page
-        # carries the key column as the all-NULL block a hive scan fills in
-        # for a column its file predates, which the kernel ranks; the
-        # ArrayBlock on the second page sends the survivors and everything
-        # after them to ``_sorted_rows``.
+    def test_array_keys_rank_on_the_kernel(self):
+        # Arrays rank through their elements' codes, as Python orders lists.
+        # The first page carries the key column as the all-NULL block a
+        # hive scan fills in for a column its file predates; the later
+        # pages are ArrayBlocks, a prefix ([1]) and an empty array among them.
         array = ArrayType(BIGINT)
         first = Page(
             [constant_block(None, array, 3), PrimitiveBlock.from_values(BIGINT, [0, 1, 2])]
         )
         rest = paged(
-            [array, BIGINT], [([2], 3), ([1, 5], 4), (None, 5), ([1], 6), ([2], 7)], 2
+            [array, BIGINT],
+            [([2], 3), ([1, 5], 4), (None, 5), ([1], 6), ([2], 7), ([], 8), ([1, 5, 0], 9)],
+            2,
         )
         pages = [first] + rest
         for ascending in (True, False):
@@ -1026,15 +1183,15 @@ class TestSortAndTopNDifferential:
             ctx = make_ctx()
             got = rows_of(execute_topn(node, ctx, iter(pages)))
             assert_identical(got, _sorted_rows(node, iter(pages))[:4])
-            assert ctx.stats.rows_processed_vectorized == 3
-            assert ctx.stats.rows_processed_fallback == 5
+            assert ctx.stats.rows_processed_vectorized == 10
+            assert ctx.stats.rows_processed_fallback == 0
 
             sort = SortNode(source=node.source, order_by=node.order_by)
             ctx = make_ctx()
             got = rows_of(execute_sort(sort, ctx, iter(pages)))
             assert_identical(got, _sorted_rows(sort, iter(pages)))
-            assert ctx.stats.rows_processed_vectorized == 0
-            assert ctx.stats.rows_processed_fallback == 8
+            assert ctx.stats.rows_processed_vectorized == 10
+            assert ctx.stats.rows_processed_fallback == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1072,9 +1229,17 @@ class TestKernels:
         assert uniques[codes[3]] == (1,)
         assert codes[0] == codes[2] and codes[1] == codes[4]
 
-    def test_factorize_keys_unsupported_returns_none(self):
-        block = block_from_values(ArrayType(BIGINT), [[1], [2]])
-        assert kernels.factorize_keys([block]) is None
+    def test_factorize_keys_array_columns(self):
+        # ARRAY keys factorize through their elements; a ROW block, which
+        # the analyzer never admits as a key, has no codes.
+        block = block_from_values(ArrayType(BIGINT), [[1], [2], None, [1], [], [1, 0]])
+        codes, keys = kernels.factorize_keys([block])
+        assert codes.tolist() == [0, 1, 2, 0, 3, 4]
+        assert keys[0].to_list() == [[1], [2], None, [], [1, 0]]
+        assert kernels.column_codes(block)[1].tolist() == [[], [1], [1, 0], [2]]
+        row = block_from_values(parse_type("row(a bigint)"), [{"a": 1}])
+        with pytest.raises(TypeError, match="no key codes"):
+            kernels.factorize_keys([row])
 
     def test_take_nullable_pads_nulls(self):
         block = PrimitiveBlock.from_values(BIGINT, [10, 20, 30])
@@ -1189,12 +1354,13 @@ class TestKeysAgainstTheRowLoop:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_partition_assignments_row_lane(self, n):
-        # A mixed-type object column does not factorize: rows hash one by one.
+        # A mixed-type object column factorizes too (ordered by kind first)
+        # and hashes like the row lane's key tuples.
         blocks = [
             block_from_values(VARCHAR, [1, "a", None, None, 1, "a"]),
             PrimitiveBlock.from_values(DOUBLE, [-0.0, 0.0, NAN, None, 0.0, -0.0]),
         ]
-        assert kernels.factorize_keys(blocks) is None
+        assert kernels.factorize_keys(blocks)[0].tolist() == [0, 1, 2, 2, 0, 1]
         expected = [partition_of(key, n) for key in row_keys(blocks)]
         assigned = kernels.partition_assignments(blocks, n).tolist()
         assert assigned == expected
@@ -1245,8 +1411,9 @@ class TestKeysAgainstTheRowLoop:
 
 
 class TestUntypableColumns:
-    """A column ``block_from_values`` cannot type travels in object storage:
-    the fallback catches what that raises (``BLOCK_VALUE_ERRORS``)."""
+    """A key column ``block_from_values`` cannot type travels in object
+    storage: the reference's partial page catches what that raises
+    (``BLOCK_VALUE_ERRORS``)."""
 
     UNTYPABLE = [
         (BIGINT, ["text", 1]),  # ValueError
@@ -1257,14 +1424,7 @@ class TestUntypableColumns:
     ]
 
     @pytest.mark.parametrize("presto_type, values", UNTYPABLE)
-    def test_states_block_keeps_untypable_states(self, presto_type, values):
-        block = kernels.states_block(presto_type, values)
-        assert block.values.dtype == object
-        assert block.to_list() == values
-
-    @pytest.mark.parametrize("presto_type, values", UNTYPABLE)
     def test_partial_page_keeps_untypable_keys(self, presto_type, values):
         page = _partial_page([presto_type], 1, [values], len(values))
         assert page.block(0).values.dtype == object
         assert page.block(0).to_list() == values
-
