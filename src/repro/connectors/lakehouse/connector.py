@@ -91,6 +91,7 @@ class _IcebergSplitManager(ConnectorSplitManager):
         return [
             ConnectorSplit(
                 split_id=f"iceberg:{data_file.path}@{snapshot.snapshot_id}",
+                rows=data_file.row_count,
                 info=(
                     ("path", data_file.path),
                     ("data_version", snapshot.snapshot_id),

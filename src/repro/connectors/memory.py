@@ -118,6 +118,7 @@ class _MemorySplitManager(ConnectorSplitManager):
             splits.append(
                 ConnectorSplit(
                     split_id=f"memory:{handle.schema_name}.{handle.table_name}:{start}-{end}",
+                    rows=end - start,
                     # Row count doubles as the data version: inserts bump it.
                     info=(("start", start), ("end", end), ("data_version", total)),
                 )

@@ -99,9 +99,10 @@ class _SplitManager(ConnectorSplitManager):
         return [
             ConnectorSplit(
                 split_id=f"{self._connector.name}:{handle.table_name}:{index}",
+                rows=segment.num_rows,
                 info=(("segment", index),),
             )
-            for index in range(len(segments))
+            for index, segment in enumerate(segments)
         ]
 
 

@@ -133,8 +133,10 @@ class ConnectorSplit:
     """One shard of underlying data, the unit of parallel processing."""
 
     split_id: str
-    # Hosts that hold this split's data; the affinity scheduler prefers them.
-    addresses: tuple[str, ...] = ()
+    # Rows the split holds before any pushdown, when the connector knows
+    # the count without I/O; the scheduler sizes source stages by it.
+    # ``None``: unknown, and the split's stage runs one task per split.
+    rows: Optional[int] = None
     # Connector-specific payload (file path, segment id, row range, ...).
     info: tuple[tuple[str, Any], ...] = ()
 

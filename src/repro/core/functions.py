@@ -309,9 +309,98 @@ def _vec_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _mod(a: Any, b: Any) -> Any:
-    if b == 0:
+    if isinstance(a, int) and isinstance(b, int):
+        if b == 0:
+            raise ZeroDivisionError("modulo by zero")
+        return int(np.fmod(a, b))
+    # Double modulus is IEEE fmod: x % 0.0 and inf % y are NaN, silently.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.fmod(a, b))
+
+
+def _vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if _both_bigint(a, b) and np.any(b == 0):
         raise ZeroDivisionError("modulo by zero")
-    return int(np.fmod(a, b)) if isinstance(a, int) and isinstance(b, int) else float(np.fmod(a, b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.fmod(a, b)
+
+
+# Bigint arithmetic whose true result leaves int64 is an error, as Presto's
+# "bigint multiplication overflow" is, never a wrapped or widened value.
+_BIGINT_MIN = -(2**63)
+_BIGINT_MAX = 2**63 - 1
+
+
+def _both_bigint(*arrays: np.ndarray) -> bool:
+    return all(a.dtype.kind == "i" for a in arrays)
+
+
+def _overflow(operation: str, text: str) -> InvalidValueError:
+    return InvalidValueError(f"bigint {operation} overflow: {text}")
+
+
+def _checked(operation: str, symbol: str, op: Callable[..., Any]) -> Callable[..., Any]:
+    """The row form of bigint ``op``: exact on Python ints, and an error
+    when the result leaves int64.  Any other operand types pass through."""
+
+    def row_fn(*args: Any) -> Any:
+        if not all(isinstance(a, (int, np.integer)) for a in args):
+            return op(*args)
+        result = op(*(int(a) for a in args))
+        if not _BIGINT_MIN <= result <= _BIGINT_MAX:
+            raise _overflow(operation, f" {symbol} ".join(str(int(a)) for a in args))
+        return result
+
+    return row_fn
+
+
+def _raise_on_wrapped(
+    operation: str, symbol: str, wrapped: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> None:
+    if wrapped.any():
+        lane = int(np.argmax(wrapped))
+        raise _overflow(operation, f"{int(a[lane])} {symbol} {int(b[lane])}")
+
+
+def _vec_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        result = np.add(a, b)
+    if _both_bigint(a, b):
+        # Two's complement: the sum wrapped iff its sign differs from both.
+        _raise_on_wrapped("addition", "+", ((a ^ result) & (b ^ result)) < 0, a, b)
+    return result
+
+
+def _vec_subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        result = np.subtract(a, b)
+    if _both_bigint(a, b):
+        # Wrapped iff the operands' signs differ and the result's is b's.
+        _raise_on_wrapped("subtraction", "-", ((a ^ b) & (a ^ result)) < 0, a, b)
+    return result
+
+
+def _vec_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        result = np.multiply(a, b)
+    if _both_bigint(a, b):
+        # The float product is within a few ulps of the true one, so only
+        # lanes at or above 2**62 can have left int64; check those exactly.
+        suspect = np.flatnonzero(np.abs(np.multiply(a, b, dtype=np.float64)) >= 2.0**62)
+        if len(suspect):
+            wrapped = np.zeros(len(result), dtype=bool)
+            wrapped[suspect] = [
+                not _BIGINT_MIN <= left * right <= _BIGINT_MAX
+                for left, right in zip(a[suspect].tolist(), b[suspect].tolist())
+            ]
+            _raise_on_wrapped("multiplication", "*", wrapped, a, b)
+    return result
+
+
+def _vec_negate(a: np.ndarray) -> np.ndarray:
+    if _both_bigint(a) and np.any(a == _BIGINT_MIN):
+        raise _overflow("negation", str(_BIGINT_MIN))
+    return -a
 
 
 def _register_builtin_scalars(registry: FunctionRegistry) -> None:
@@ -321,16 +410,20 @@ def _register_builtin_scalars(registry: FunctionRegistry) -> None:
         )
 
     # Arithmetic
-    scalar("add", _numeric_pair, lambda a, b: a + b, lambda a, b: a + b)
-    scalar("subtract", _numeric_pair, lambda a, b: a - b, lambda a, b: a - b)
-    scalar("multiply", _numeric_pair, lambda a, b: a * b, lambda a, b: a * b)
+    scalar("add", _numeric_pair, _checked("addition", "+", lambda a, b: a + b), _vec_add)
+    scalar(
+        "subtract", _numeric_pair, _checked("subtraction", "-", lambda a, b: a - b), _vec_subtract
+    )
+    scalar(
+        "multiply", _numeric_pair, _checked("multiplication", "*", lambda a, b: a * b), _vec_multiply
+    )
     scalar("divide", _numeric_pair, _div, _vec_div)
-    scalar("modulus", _numeric_pair, _mod, lambda a, b: np.fmod(a, b))
+    scalar("modulus", _numeric_pair, _mod, _vec_mod)
     scalar(
         "negate",
         lambda ts: ts[0] if len(ts) == 1 and ts[0].is_numeric() else None,
-        lambda a: -a,
-        lambda a: -a,
+        _checked("negation", "-", lambda a: -a),
+        _vec_negate,
     )
 
     # Comparison (equals works on any comparable pair, including varchar;

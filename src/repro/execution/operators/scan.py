@@ -33,8 +33,9 @@ def plan_scan(
     """``(handle, dynamic filters, splits)`` for one scan of ``node``.
 
     The one place a runtime dynamic filter meets split enumeration, shared
-    by the staged scheduler (which plans a task per split) and the direct
-    pipeline: an empty build side matches nothing, so every split is
+    by the staged scheduler (which hands each task a contiguous run of the
+    splits, sized by their ``rows``) and the direct pipeline: an empty
+    build side matches nothing, so every split is
     skipped (and counted); otherwise the filter's expression form rides on
     the handle, where split managers that understand it (hive) prune
     partitions at enumeration.  ``pinned`` splits — a staged task's

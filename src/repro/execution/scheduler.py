@@ -6,9 +6,12 @@ input data."  This module is the execution half of that sentence —
 :class:`repro.planner.fragmenter.Fragmenter` produces the fragments, one
 :class:`QueryScheduler` per query turns each into a stage:
 
-- **source** fragments expand into one task per connector split (the SPI
-  split enumeration that the direct pipeline hides inside the scan
-  operator), each task scanning only its split;
+- **source** fragments enumerate their connector splits (the SPI split
+  enumeration that the direct pipeline hides inside the scan operator)
+  and run one task per ``TARGET_PARTITION_ROWS`` rows those splits hold,
+  at least one and at most one per split; each task scans a contiguous
+  run of splits.  When a connector cannot count a split's rows
+  (``ConnectorSplit.rows is None``) the stage runs one task per split;
 - **hash** fragments fed by a partitioned REPARTITION exchange (the
   final side of a split aggregation) run one task per
   ``TARGET_PARTITION_ROWS`` rows that exchange buffered, at least one and
@@ -136,15 +139,17 @@ class QueryScheduler:
     fragments are topologically ordered and a stage's tasks are planned
     lazily when the previous stage's output buffers are complete.
 
-    ``hash_partitions`` caps the task count of hash-distributed stages;
-    below the cap a stage is as wide as the rows its producers buffered
-    (``TARGET_PARTITION_ROWS`` per task).  The cost model charges
-    ``TASK_OVERHEAD_MS`` per task plus ``ROW_COST_MS`` per row in and
-    out — deterministic, derived only from real row counts, so the same
-    query always produces the same simulated schedule.
+    A source or hash stage is as wide as its rows, ``TARGET_PARTITION_ROWS``
+    per task: the rows its splits hold, at most one task per split, or
+    the rows its producers buffered, at most ``hash_partitions`` tasks.
+    The cost model charges ``TASK_OVERHEAD_MS`` per task plus
+    ``ROW_COST_MS`` per row in and out — deterministic, derived only from
+    real row counts, so the same query always produces the same simulated
+    schedule.
 
     ``fault_injector`` (optional) dooms a deterministic fraction of task
-    attempts and split reads; ``max_task_retries`` bounds how many times
+    attempts and split reads (an attempt fails when any of its splits'
+    reads is doomed); ``max_task_retries`` bounds how many times
     a task is re-run after a retryable failure, each retry charging
     ``RETRY_BACKOFF_MS * 2**(attempt-1)`` of simulated backoff; a task
     whose attempt cost exceeds ``task_timeout_ms`` (when set) fails with
@@ -435,28 +440,21 @@ class QueryScheduler:
             _, _, splits = plan_scan(scan, self.ctx)
             if splits:
                 return [
-                    (
-                        {scan.id: [split]},
-                        inputs_for(None),
-                        split.split_id,
-                        1,
-                    )
-                    for split in splits
+                    ({scan.id: run}, inputs_for(None), run[0].split_id, len(run))
+                    for run in _split_runs(splits)
                 ]
             # Empty tables still run one task (a global aggregation over
             # no input must produce its single row).
             return [({scan.id: []}, inputs_for(None), f"stage{fragment.fragment_id}.task0", 0)]
 
         if fragment.distribution == "hash" and partitioned_inputs:
-            # The one fan-out rule.  The producers have finished and
-            # nothing has been read (partitioning is lazy), so the stage is
-            # as wide as the rows it observed; every partitioned input gets
-            # the same width, which keeps join sides co-partitioned.
+            # The producers have finished and nothing has been read
+            # (partitioning is lazy), so the stage is as wide as the rows it
+            # observed; every partitioned input gets the same width, which
+            # keeps join sides co-partitioned.
             feeds = [buffers[e] for e in partitioned_inputs]
             rows = max(feed.rows_added for feed in feeds)
-            partition_count = min(
-                self.hash_partitions, max(1, -(-rows // TARGET_PARTITION_ROWS))
-            )
+            partition_count = _stage_width(rows, self.hash_partitions)
             for feed in feeds:
                 feed.set_partition_count(partition_count)
             return [
@@ -711,6 +709,38 @@ class QueryScheduler:
             if self._fragment_index >= len(fragments):
                 self._finish()
         return record
+
+
+def _stage_width(rows: int, cap: int) -> int:
+    """The one fan-out rule, for source and hash stages alike: one task
+    per ``TARGET_PARTITION_ROWS`` rows, at least one and at most ``cap``."""
+    return min(cap, max(1, -(-rows // TARGET_PARTITION_ROWS)))
+
+
+def _split_runs(splits: list) -> list[list]:
+    """A source stage's splits, one contiguous run per task.
+
+    When every split reports ``rows``, the stage is ``_stage_width(rows,
+    len(splits))`` tasks wide and each task takes the next run of splits
+    in enumeration order, cut where the running row total passes the
+    task's share.  A split that cannot count keeps one task per split.
+    """
+    if any(split.rows is None for split in splits):
+        return [[split] for split in splits]
+    total = sum(split.rows for split in splits)
+    width = _stage_width(total, len(splits))
+    runs: list[list] = [[]]
+    seen = 0
+    for index, split in enumerate(splits):
+        runs[-1].append(split)
+        seen += split.rows
+        still_to_open = width - len(runs)
+        splits_left = len(splits) - index - 1
+        if still_to_open and (
+            seen * width >= total * len(runs) or splits_left == still_to_open
+        ):
+            runs.append([])
+    return runs
 
 
 def _categorized(error: Exception) -> PrestoError:

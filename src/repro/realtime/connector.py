@@ -193,6 +193,7 @@ class _HybridSplitManager(ConnectorSplitManager):
             return [
                 ConnectorSplit(
                     split_id=f"hybrid:view:{base}@{view.watermark.encode()}",
+                    rows=len(rows),
                     info=(("kind", "view"), ("view", base), ("rows", rows)),
                 )
             ]
@@ -218,6 +219,9 @@ class _HybridSplitManager(ConnectorSplitManager):
             splits.append(
                 ConnectorSplit(
                     split_id=f"hybrid:lake:{data_file.path}@{snapshot.snapshot_id}",
+                    # Below the cut, how many rows survive is known only
+                    # after reading the file.
+                    rows=data_file.row_count if cut is None else None,
                     info=(
                         ("kind", "lake"),
                         ("table", base),
@@ -243,6 +247,7 @@ class _HybridSplitManager(ConnectorSplitManager):
                         f"hybrid:tail:{base}:{partition}"
                         f"@{sealed.offset(partition)}-{read.offset(partition)}"
                     ),
+                    rows=len(rows),
                     info=(
                         ("kind", "tail"),
                         ("table", base),

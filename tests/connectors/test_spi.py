@@ -69,8 +69,8 @@ class TestConnectorSplit:
         split = ConnectorSplit("id-1", info=(("path", "/x"), ("n", 3)))
         assert split.info_dict() == {"path": "/x", "n": 3}
 
-    def test_addresses_default_empty(self):
-        assert ConnectorSplit("id-2").addresses == ()
+    def test_rows_default_unknown(self):
+        assert ConnectorSplit("id-2").rows is None
 
 
 class TestAggregationFunction:

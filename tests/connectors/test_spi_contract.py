@@ -197,6 +197,29 @@ def test_pinned_versions_are_validated_at_analysis(engine):
         engine.plan('SELECT count(*) FROM hybrid.rt."t$watermark=999-999-999"')
 
 
+# -- ``ConnectorSplit.rows``: what a source stage is sized by -------------------
+
+# The connectors that count a split's rows without I/O; hive would need a
+# footer read, and the rest do not know before they ask their store.
+COUNTING = {"memory", "druid", "pinot", "iceberg", "hybrid"}
+
+
+@pytest.mark.parametrize("connector", sorted(ALL_TABLES))
+def test_a_split_holds_the_rows_it_reports(engine, connector):
+    catalog, schema_name, table_name = ALL_TABLES[connector].split(".")
+    spi = engine.catalog.connector(catalog)
+    handle = spi.metadata().get_table_handle(schema_name, table_name)
+    columns = [name for name, _ in spi.metadata().table_columns(schema_name, table_name)]
+    splits = spi.split_manager().get_splits(handle)
+    assert splits
+    if connector not in COUNTING:
+        assert all(split.rows is None for split in splits)
+        return
+    for split in splits:
+        pages = spi.record_set_provider().pages(handle, split, columns)
+        assert split.rows == sum(page.position_count for page in pages), split.split_id
+
+
 # -- an empty table: ``get_splits`` may answer ``[]`` ---------------------------
 
 EMPTY_TABLES = {

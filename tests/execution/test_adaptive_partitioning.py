@@ -1,12 +1,13 @@
-"""Hash-stage fan-out tests.
+"""Stage fan-out tests.
 
 The exchange buffer partitions lazily — producer pages accumulate in
 arrival order and are routed only at the first partitioned read — which
 opens the window where the scheduler sizes the consuming stage from the
 rows it observed: ``ceil(rows / TARGET_PARTITION_ROWS)`` tasks, at least
-one, at most ``hash_partitions``.  These tests cover the buffer's
-laziness contract and the rule's boundaries, with rows equal to the
-direct pipeline's.
+one, at most ``hash_partitions``.  A source stage follows the same rule
+over the rows its splits report, at most one task per split.  These
+tests cover the buffer's laziness contract and the rule's boundaries,
+with rows equal to the direct pipeline's.
 """
 
 import pytest
@@ -16,7 +17,8 @@ from repro.core.page import Page
 from repro.core.types import BIGINT, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.execution.exchange import ExchangeBuffer
-from repro.execution.scheduler import TARGET_PARTITION_ROWS
+from repro.connectors.spi import ConnectorSplit
+from repro.execution.scheduler import TARGET_PARTITION_ROWS, _split_runs
 from repro.planner.analyzer import Session
 from repro.planner.fragmenter import Exchange, ExchangeKind
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
@@ -206,3 +208,33 @@ class TestAdaptivePartitioning:
         a, b = (r.stats.as_dict() for r in runs)
         a.pop("query_id"), b.pop("query_id")
         assert a == b
+
+
+def split_rows(*rows):
+    return [ConnectorSplit(f"s{i}", rows=count) for i, count in enumerate(rows)]
+
+
+class TestSourceStageRuns:
+    """The same rule sizes a source stage by the rows its splits hold."""
+
+    @pytest.mark.parametrize(
+        "rows, widths",
+        [
+            ((5, 5, 5, 5, 4), [5]),  # every split in one task
+            ((TARGET_PARTITION_ROWS - 1, 1), [2]),
+            ((TARGET_PARTITION_ROWS, 1), [1, 1]),
+            ((TARGET_PARTITION_ROWS,) * 3, [1, 1, 1]),
+            ((1, 1, 2 * TARGET_PARTITION_ROWS, 1), [2, 1, 1]),  # balanced by rows
+            ((3 * TARGET_PARTITION_ROWS, 0, 0), [1, 1, 1]),  # at most one task per split
+            ((0, 0), [2]),
+        ],
+    )
+    def test_contiguous_runs_balanced_by_rows(self, rows, widths):
+        splits = split_rows(*rows)
+        runs = _split_runs(splits)
+        assert [len(run) for run in runs] == widths
+        assert [split for run in runs for split in run] == splits
+
+    def test_a_split_that_cannot_count_keeps_one_task_per_split(self):
+        splits = split_rows(1, 2) + [ConnectorSplit("unknown")]
+        assert _split_runs(splits) == [[split] for split in splits]

@@ -19,6 +19,7 @@ from repro.common.errors import (
 )
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT
+from repro.execution import scheduler
 from repro.execution.cluster import (
     PrestoClusterSim,
     QueryState,
@@ -103,7 +104,10 @@ class TestQuerySchedulerStateMachine:
         assert handle.step() is None
         assert handle.state == "finished"
 
-    def test_finished_query_keeps_rows_not_intermediates(self):
+    def test_finished_query_keeps_rows_not_intermediates(self, monkeypatch):
+        # One split's rows per source task, so the first step leaves the
+        # stage open with pages buffered.
+        monkeypatch.setattr(scheduler, "TARGET_PARTITION_ROWS", 7)
         handle = make_engine().submit(SQL)
         machine = handle._machine
         handle.step()
@@ -366,7 +370,9 @@ class TestInterleavedExecution:
 
 
 class TestCrashRecoveryAcrossQueries:
-    def test_crash_requeues_splits_of_all_inflight_queries(self):
+    def test_crash_requeues_splits_of_all_inflight_queries(self, monkeypatch):
+        # One split's rows per source task: 24 tasks per query to crash under.
+        monkeypatch.setattr(scheduler, "TARGET_PARTITION_ROWS", 5)
         cluster = PrestoClusterSim(workers=2, slots_per_worker=2)
         engine = make_engine(rows=120, split_size=5)
         handles = [submit(cluster, engine, SQL)[0] for _ in range(3)]

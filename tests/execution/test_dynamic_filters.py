@@ -444,8 +444,10 @@ class TestRetrySafety:
 
     def test_split_level_faults_do_not_change_results(self):
         clean = make_memory_engine().execute(JOIN_SQL)
+        # The probe's one source task reads fact's five splits; a split
+        # rate of 1 - 0.9 ** (1 / 5) fails 10 % of its attempts.
         faulty = make_memory_engine(
-            fault_injector=FaultInjector(seed=3, split_failure_rate=0.1)
+            fault_injector=FaultInjector(seed=3, split_failure_rate=1 - 0.9 ** (1 / 5))
         ).execute(JOIN_SQL)
         assert faulty.rows == clean.rows
 

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.common.errors import (
@@ -231,6 +232,105 @@ class TestBigintSumLeavesInt64:
         for run in (engine.execute, engine.execute_direct):
             assert sorted(run("SELECT g, sum(k) FROM t GROUP BY g").rows) == expected
             assert run("SELECT sum(k) FROM t WHERE g = 3").rows == [(5,)]
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+# operator → (function, [(operands, result or None when it leaves int64)])
+ARITHMETIC_EDGES = {
+    "+": ("add", [
+        ((INT64_MAX - 1, 1), INT64_MAX),
+        ((INT64_MAX, 1), None),
+        ((INT64_MIN, -1), None),
+        ((24, 9223372036854775807), None),
+    ]),
+    "-": ("subtract", [
+        ((INT64_MIN + 1, 1), INT64_MIN),
+        ((INT64_MIN, 1), None),
+        ((INT64_MAX, -1), None),
+    ]),
+    "*": ("multiply", [
+        ((2**62, -2), INT64_MIN),
+        ((2**62, 2), None),
+        ((INT64_MIN, -1), None),
+        ((24, 4611686018427387904), None),  # wrapped to 0 once
+    ]),
+    "unary -": ("negate", [
+        ((INT64_MAX,), -INT64_MAX),
+        ((INT64_MIN,), None),
+    ]),
+}  # fmt: skip
+
+
+def _literal(value: int) -> str:
+    # 9223372036854775808 is not a bigint literal, so neither is its negation.
+    return "(-9223372036854775807 - 1)" if value == INT64_MIN else f"({value})"
+
+
+class TestBigintArithmeticLeavesInt64:
+    """``+``, ``-``, ``*`` and unary ``-`` on bigints raise a categorized
+    error exactly when the true result leaves int64, never wrap."""
+
+    @pytest.mark.parametrize("operator", sorted(ARITHMETIC_EDGES))
+    @pytest.mark.parametrize("operands_from", ["column", "literal"])
+    def test_raises_exactly_when_the_result_leaves_int64(self, operands_from, operator):
+        function, cases = ARITHMETIC_EDGES[operator]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for operands, expected in cases:
+                if operands_from == "column":
+                    names = ["a", "b"][: len(operands)]
+                    engine = make_engine([operands], [(n, BIGINT) for n in names])
+                    source = " FROM t"
+                else:
+                    names = [_literal(value) for value in operands]
+                    engine = make_engine([])
+                    source = ""
+                expression = (
+                    f"-{names[0]}" if operator == "unary -" else f" {operator} ".join(names)
+                )
+                sql = f"SELECT {expression}{source}"
+                for run in (engine.execute, engine.execute_direct):
+                    if expected is not None:
+                        assert run(sql).rows == [(expected,)], sql
+                        continue
+                    with pytest.raises(InvalidValueError, match="bigint .* overflow") as raised:
+                        run(sql)
+                    assert raised.value.category is ErrorCategory.USER_ERROR
+
+    @pytest.mark.parametrize("operator", sorted(ARITHMETIC_EDGES))
+    def test_row_and_vector_lanes_agree(self, operator):
+        function, cases = ARITHMETIC_EDGES[operator]
+        _, implementation = make_engine([]).registry.resolve_scalar(
+            function, [BIGINT] * len(cases[0][0])
+        )
+        for operands, expected in cases:
+            arrays = [np.array([value], dtype=np.int64) for value in operands]
+            if expected is None:
+                for call, arguments in (
+                    (implementation.row_fn, operands),
+                    (implementation.vectorized, arrays),
+                ):
+                    with pytest.raises(InvalidValueError):
+                        call(*arguments)
+            else:
+                assert implementation.row_fn(*operands) == expected
+                assert implementation.vectorized(*arrays).tolist() == [expected]
+
+    def test_double_modulus_is_nan_without_a_warning(self):
+        inf = float("inf")
+        engine = make_engine([(1, inf, "a"), (0, 2.5, "b")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (engine.execute, engine.execute_direct):
+                rows = run("SELECT v % v, v % 0.0, 1e999 % 1e999 FROM t ORDER BY k").rows
+                assert [[math.isnan(x) for x in row] for row in rows] == [
+                    [False, True, True],
+                    [True, True, True],
+                ]
+            # A bigint has no NaN: its modulus by zero is an error, not 0.
+            with pytest.raises(InvalidValueError, match="modulo by zero"):
+                engine.execute("SELECT k % 0 FROM t")
 
 
 class TestMinMaxOverNaN:

@@ -18,6 +18,7 @@ from repro.common.errors import (
     TaskTimeoutError,
 )
 from repro.connectors.memory import MemoryConnector
+from repro.connectors.spi import ConnectorTableHandle
 from repro.core.types import BIGINT, VARCHAR
 from repro.execution.faults import FaultInjector
 from repro.execution.engine import PrestoEngine
@@ -206,8 +207,10 @@ class TestTaskRetries:
         assert injector.tasks_failed == 1
 
     def test_split_faults_are_retryable_external(self):
+        # One source task reads all nine splits; a split rate of
+        # 1 - 0.9 ** (1 / 9) fails 10 % of its attempts.
         engine = make_engine(
-            fault_injector=FaultInjector(seed=3, split_failure_rate=0.1)
+            fault_injector=FaultInjector(seed=3, split_failure_rate=1 - 0.9 ** (1 / 9))
         )
         result = engine.execute(TPCH_SQL)
         oracle = make_engine().execute_direct(TPCH_SQL)
@@ -215,6 +218,41 @@ class TestTaskRetries:
         assert engine.fault_injector.splits_failed > 0
         assert result.stats.tasks_retried > 0
         assert_query_observable(result, engine.metrics)
+
+    def test_split_faults_compound_over_a_tasks_splits(self):
+        # A task holding k splits at split rate r fails an attempt with
+        # probability 1 - (1 - r) ** k: an attempt fails exactly when the
+        # coin of at least one of its splits says so.
+        injector = FaultInjector(seed=3, split_failure_rate=0.1)
+        engine = make_engine(fault_injector=injector, max_task_retries=10)
+        result = engine.execute(TPCH_SQL)
+        (source,) = [r for r in result.stats.task_records if r["splits"]]
+        splits = (
+            engine.catalog.connector("memory")
+            .split_manager()
+            .get_splits(ConnectorTableHandle("db", "lineitem"))
+        )
+        assert source["splits"] == len(splits) == 9
+        doomed = [
+            any(
+                injector.should_fail_split(
+                    result.stats.query_id, source["stage"], source["task"],
+                    split.split_id, attempt,
+                )
+                for split in splits
+            )
+            for attempt in range(1, source["attempts"] + 1)
+        ]
+        assert source["attempts"] > 1
+        assert doomed == [True] * (source["attempts"] - 1) + [False]
+        outcomes = [
+            span.attributes["outcome"]
+            for span in result.trace.find("attempt")
+            if span.attributes["stage"] == source["stage"]
+        ]
+        assert outcomes == ["failed"] * (source["attempts"] - 1) + ["ok"]
+        # The first doomed split ends its attempt: one failure counted each.
+        assert injector.splits_failed == source["attempts"] - 1
 
     def test_task_timeout_is_bounded_and_surfaces(self):
         # A 0.5ms budget is below the 1ms per-task overhead, so every

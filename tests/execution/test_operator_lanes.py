@@ -65,10 +65,10 @@ def test_order_by_limit_is_the_head_of_order_by(engine, order_by, limit):
     full = f"SELECT k, d, s FROM t ORDER BY {order_by}"
     # A TopN counts the rows entering it, once per fragment it runs in.  The
     # direct plan has one.  Staged, every scanned row enters a per-task
-    # partial TopN in the source fragment (splits of 17 rows: seven full and
-    # one of a single row) and each task's survivors the final one beyond
-    # the gather.
-    survivors = 7 * min(limit, 17) + 1
+    # partial TopN in the source fragment (its eight splits hold 120 rows,
+    # one task's worth) and that task's survivors the final one beyond the
+    # gather.
+    survivors = min(limit, 120)
     for run, topn_rows in ((engine.execute, 120 + survivors), (engine.execute_direct, 120)):
         top = run(f"{full} LIMIT {limit}")
         everything = run(full)
@@ -134,6 +134,7 @@ def test_dashboard_mix_has_no_fallback_rows(dashboard):
     topn = dashboard["topn_wide"]
     assert topn.splits_scanned == LINEITEM_ROWS // SPLIT_SIZE
     # TopN rows count once per fragment: every scanned row enters its task's
-    # partial TopN, and each task's 100 survivors the final one beyond the gather.
-    assert topn.rows_processed_vectorized == LINEITEM_ROWS + topn.splits_scanned * 100
+    # partial TopN, and each task's 100 survivors the final one beyond the
+    # gather.  The eight splits hold 2 000 rows, one source task's worth.
+    assert topn.rows_processed_vectorized == LINEITEM_ROWS + 100
     assert dashboard["highcard_groupby"].rows_processed_vectorized > 2 * LINEITEM_ROWS

@@ -1,6 +1,8 @@
 """Staged execution: stages, tasks, exchanges, EXPLAIN ANALYZE, and the
 bridge into the cluster simulation (section III + section VIII)."""
 
+from itertools import accumulate
+
 import pytest
 
 from repro.common.clock import SimulatedClock
@@ -8,11 +10,13 @@ from repro.common.hashing import stable_hash
 from repro.common.ring import ConsistentHashRing
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, VARCHAR
+from repro.execution import scheduler
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
 from repro.execution.scheduler import TARGET_PARTITION_ROWS
 from repro.federation.gateway import PrestoGateway
 from repro.planner.analyzer import Session
+from tests.connectors.test_pushdown_differential import engine  # noqa: F401 (a fixture)
 
 
 def make_engine(split_size=5, **kwargs):
@@ -24,14 +28,82 @@ def make_engine(split_size=5, **kwargs):
     return engine
 
 
+FAN_OUT_SQL = "SELECT level, count(*) FROM {t} GROUP BY level"
+# The 24 rows of the pushdown suite behind each connector: (table,
+# splits_scanned, rows_scanned) of FAN_OUT_SQL, as they were when every
+# split ran as its own task.  Druid pushes the partial aggregation down,
+# so its splits stream 8 group rows.
+FAN_OUT_TABLES = {
+    "memory": ("memory.db.t", 5, 24),
+    "druid": ("druid.druid.t", 2, 8),
+    "iceberg": ("iceberg.lake.t", 2, 24),
+    "hybrid": ("hybrid.rt.t", 4, 24),
+    "hive": ("hive.db.t", 2, 24),
+}
+
+
 class TestStagedStats:
-    def test_one_task_per_split_on_leaf_stage(self):
-        engine = make_engine(split_size=5)  # 40 rows → 8 splits
-        result = engine.execute("SELECT k, count(*) FROM events GROUP BY k")
+    @pytest.mark.parametrize("target", [TARGET_PARTITION_ROWS, 10])
+    @pytest.mark.parametrize("connector", sorted(FAN_OUT_TABLES))
+    def test_source_stage_follows_the_fan_out_rule(
+        self, engine, monkeypatch, connector, target
+    ):
+        monkeypatch.setattr(scheduler, "TARGET_PARTITION_ROWS", target)
+        table, splits_scanned, rows_scanned = FAN_OUT_TABLES[connector]
+        sql = FAN_OUT_SQL.format(t=table)
+        result = engine.execute(sql)
+        catalog, schema_name, table_name = table.split(".")
+        spi = engine.catalog.connector(catalog)
+        splits = spi.split_manager().get_splits(
+            spi.metadata().get_table_handle(schema_name, table_name)
+        )
+        if connector == "hive":  # counting would need a footer read
+            assert all(split.rows is None for split in splits)
+            width = len(splits)
+        else:
+            rows = sum(split.rows for split in splits)
+            width = min(len(splits), max(1, -(-rows // target)))
+        (leaf,) = [s for s in result.stats.stage_summaries if s["distribution"] == "source"]
+        assert leaf["tasks"] == width
+        # Each task takes the next contiguous run of splits and is keyed
+        # by the first of them.
+        records = [r for r in result.stats.task_records if r["stage"] == leaf["stage"]]
+        starts = list(accumulate([0] + [r["splits"] for r in records]))
+        assert starts[-1] == len(splits)
+        assert [r["data_key"] for r in records] == [splits[i].split_id for i in starts[:-1]]
+        stats = result.stats
+        assert (stats.splits_scanned, stats.rows_scanned) == (splits_scanned, rows_scanned)
+        direct = engine.execute_direct(sql)
+        assert sorted(map(repr, result.rows)) == sorted(map(repr, direct.rows))
+
+    def test_empty_table_runs_one_source_task(self):
+        engine = make_engine()
+        engine.catalog.connector("memory").create_table(
+            "db", "empty", [("k", VARCHAR), ("v", BIGINT)], []
+        )
+        result = engine.execute("SELECT count(*) FROM empty")
+        assert result.rows == [(0,)]
         leaf = result.stats.stage_summaries[0]
-        assert leaf["distribution"] == "source"
-        assert leaf["tasks"] == 8
-        assert result.stats.splits_scanned == 8
+        assert (leaf["distribution"], leaf["tasks"]) == ("source", 1)
+
+    def test_scan_emptied_by_a_dynamic_filter_runs_one_task(self):
+        engine = make_engine()  # 40 rows → 8 splits
+        result = engine.execute(
+            "SELECT count(*) FROM events e "
+            "JOIN (SELECT k FROM events WHERE v < 0) n ON e.k = n.k"
+        )
+        assert result.rows == [(0,)]
+        assert result.stats.dynamic_filter_splits_skipped == 8
+        (probe,) = [
+            r for r in result.stats.task_records
+            if r["splits"] == 0 and r["data_key"].endswith(".task0")
+            and any(
+                s["stage"] == r["stage"] and s["distribution"] == "source"
+                for s in result.stats.stage_summaries
+            )
+        ]
+        (stage,) = [s for s in result.stats.stage_summaries if s["stage"] == probe["stage"]]
+        assert stage["tasks"] == 1
 
     def test_hash_stage_runs_one_task_per_partition(self):
         engine = make_engine(hash_partitions=3)
@@ -120,7 +192,9 @@ class TestClusterBridge:
         # One cluster task per staged-execution task, not a synthetic count.
         assert execution.splits_total == handle.result().stats.tasks_total
 
-    def test_engine_queries_warm_affinity_caches(self):
+    def test_engine_queries_warm_affinity_caches(self, monkeypatch):
+        # One split's rows per source task: 8 tasks, each with its own key.
+        monkeypatch.setattr(scheduler, "TARGET_PARTITION_ROWS", 5)
         engine = make_engine()
         cluster = PrestoClusterSim(
             workers=4, clock=SimulatedClock(), affinity_scheduling=True

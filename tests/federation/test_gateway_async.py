@@ -13,6 +13,7 @@ import pytest
 from repro.common.errors import AdmissionRejectedError
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT
+from repro.execution import scheduler
 from repro.execution.cluster import PrestoClusterSim, QueryState
 from repro.execution.engine import PrestoEngine
 from repro.federation.gateway import PrestoGateway
@@ -229,6 +230,12 @@ class TestFailoverWithInflightQueries:
     concurrent alice queries — the second, on the third task of its source
     stage, with the first two splits of that stage still on workers.
     """
+
+    @pytest.fixture(autouse=True)
+    def one_split_per_source_task(self, monkeypatch):
+        # A source stage of several tasks to fail in the middle of: one
+        # split's rows (split_size=10) per task.
+        monkeypatch.setattr(scheduler, "TARGET_PARTITION_ROWS", 10)
 
     def run_storm(self, **fault_options):
         from repro.execution.faults import FaultInjector

@@ -168,7 +168,11 @@ class TestMaterializedViews:
 class TestUnderEngineFaults:
     def test_scan_matches_oracle_at_ten_percent_fault_rates(self):
         lh = build_lakehouse()
-        injector = FaultInjector(seed=11, task_failure_rate=0.1, split_failure_rate=0.1)
+        # One source task reads all four splits; a split rate of
+        # 1 - 0.9 ** (1 / 4) fails 10 % of its attempts, as the task rate does.
+        injector = FaultInjector(
+            seed=11, task_failure_rate=0.1, split_failure_rate=1 - 0.9 ** (1 / 4)
+        )
         engine = lh.make_engine(fault_injector=injector)
         pinned = watermark_table_name(lh.topic, lh.table.committed)
         oracle = oracle_engine(lh.broker, lh.topic, lh.table.committed)
