@@ -7,9 +7,6 @@ broker fan-out slightly leaner); the connector surface is identical.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.common.clock import SimulatedClock
 from repro.connectors.olap.connector import RealtimeOlapConnector
 from repro.connectors.olap.store import RealtimeOlapStore, StoreCostModel
 
@@ -24,10 +21,8 @@ class PinotCluster(RealtimeOlapStore):
         aggregate_ns_per_value=4.0,
     )
 
-    def __init__(self, nodes: int = 100, clock: Optional[SimulatedClock] = None) -> None:
-        super().__init__(
-            name="pinot", nodes=nodes, clock=clock, cost_model=self.COST_MODEL
-        )
+    def __init__(self, nodes: int = 100) -> None:
+        super().__init__(name="pinot", nodes=nodes, cost_model=self.COST_MODEL)
 
 
 class PinotConnector(RealtimeOlapConnector):

@@ -7,7 +7,7 @@ into a :class:`CompiledExpression` — a DAG of kernel objects compiled once
 per canonical expression form and cached process-wide — instead of
 re-dispatching on the tree shape for every page of every operator.
 
-The compiled lane removes the interpreter's three big bail-outs:
+The compiled lane removes the row interpreter's big bail-outs:
 
 - **null-aware apply** — a call with any null argument no longer drops to a
   per-position Python loop.  The kernel fills null lanes of every argument
@@ -31,15 +31,16 @@ The compiled lane removes the interpreter's three big bail-outs:
   subtree over a single variable evaluates on the *dictionary* of a
   :class:`DictionaryBlock` and re-wraps the ids, turning O(rows) work into
   O(distinct) (paper §V's dictionary optimizations applied to expressions).
+- **lambdas** — ``transform``/``filter``/``any_match`` run their compiled
+  body once per page over every element of every array.
 
-Constant-foldable subtrees are evaluated once at compile time, so
-``WHERE 1 = 1``-style conjuncts vanish before any page is scanned.
+Constant-foldable subtrees are evaluated once at compile time, by their own
+kernels on one position, so ``WHERE 1 = 1``-style conjuncts vanish before
+any page is scanned.
 
-The row-at-a-time interpreter
-(:meth:`repro.core.evaluator.Evaluator.evaluate_interpreted`) stays as the
-differential oracle and folds constants; unsupported constructs (lambdas,
-non-constant IN lists) compile to a kernel that delegates to it and counts
-its positions as interpreter fallback.
+Every expression the analyzer emits compiles to kernels; what cannot
+compile raises here, not on the first page.  The row-at-a-time reference
+in :mod:`repro.core.evaluator` is for tests only.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.common.errors import ExecutionError, PrestoError, SemanticError
+from repro.common.errors import ExecutionError, PrestoError
 from repro.core.blocks import (
+    ArrayBlock,
     Block,
     DictionaryBlock,
     PrimitiveBlock,
@@ -79,12 +81,12 @@ from repro.core.types import BOOLEAN, PrestoType
 # Compiled expressions kept per registry, least recently used evicted.
 COMPILE_CACHE_SIZE = 256
 
-# What the row interpreter raises while folding a literal-only subtree:
-# its own engine errors, the row functions' arithmetic errors (1 / 0, an
-# int64 overflow) and bad values (CAST('x' AS bigint)), a geometry function
-# given the wrong shape (st_x of a polygon), and numpy's floating-point
-# warnings when warnings are errors (ln(0.0)).  The subtree stays unfolded
-# and raises when it is evaluated, as it would have without folding.
+# What a literal-only subtree's kernels raise while folding: engine errors,
+# the functions' arithmetic errors (1 / 0, an int64 overflow) and bad values
+# (CAST('x' AS bigint)), a geometry function given the wrong shape (st_x of
+# a polygon), and numpy's floating-point warnings when warnings are errors
+# (ln(0.0)).  The subtree stays unfolded and raises when it is evaluated,
+# as it would have without folding.
 _FOLDING_ERRORS = (
     PrestoError,
     ArithmeticError,
@@ -342,7 +344,7 @@ class CallKernel(Kernel):
     sentinel-filled, then masks the result — no "any null ⇒ Python loop"
     bail-out.  The per-row loop remains only for non-primitive blocks and
     functions without a (type-compatible) vectorized implementation, and
-    its positions are counted as interpreter fallback.
+    its positions are counted as row-at-a-time (``expr_positions_fallback``).
     """
 
     def __init__(
@@ -602,6 +604,27 @@ class InConstantKernel(Kernel):
         return PrimitiveBlock(BOOLEAN, matches, nulls if nulls.any() else None)
 
 
+# The binding under which InKernel hands the value to its equal kernels: a
+# key that no variable name, always a string, can equal.
+_IN_VALUE = object()
+
+
+class InKernel(Kernel):
+    """``value IN (expressions...)``: the value runs once, then an OR of
+    ``value = candidate`` kernels decides under Kleene logic (NULL when
+    nothing matches and some comparison is NULL)."""
+
+    def __init__(self, value_kernel: Kernel, any_equal: Kernel) -> None:
+        self.value_kernel = value_kernel
+        self.any_equal = any_equal
+
+    def run(self, bindings, position_count, stats) -> Block:
+        value = self.value_kernel.run(bindings, position_count, stats)
+        return self.any_equal.run(
+            {**bindings, _IN_VALUE: value}, position_count, stats
+        )
+
+
 class IfKernel(Kernel):
     def __init__(
         self,
@@ -650,57 +673,6 @@ class IfKernel(Kernel):
             then_block.get(i) if take_then[i] else else_block.get(i)
             for i in range(position_count)
         ]
-        return block_from_values(self.return_type, values_out)
-
-
-class CoalesceKernel(Kernel):
-    def __init__(self, arg_kernels: list[Kernel], return_type: PrestoType) -> None:
-        self.arg_kernels = arg_kernels
-        self.return_type = return_type
-        self._target_dtype = _numpy_dtype_for(return_type)
-
-    def run(self, bindings, position_count, stats) -> Block:
-        blocks = [
-            _flat(k.run(bindings, position_count, stats)) for k in self.arg_kernels
-        ]
-        blocks = [
-            b.to_primitive() if isinstance(b, VarcharBlock) else b for b in blocks
-        ]
-        if all(isinstance(b, PrimitiveBlock) for b in blocks):
-            target = self._target_dtype
-            values: Optional[np.ndarray] = None
-            nulls: Optional[np.ndarray] = None
-            for block in blocks:
-                block_values = block.values
-                if target is object and block_values.dtype != object:
-                    block_values = block_values.astype(object)
-                elif target is not object and block_values.dtype != target:
-                    block_values = block_values.astype(target)
-                block_nulls = block.null_mask()
-                if values is None:
-                    values = block_values.copy()
-                    nulls = block_nulls.copy()
-                else:
-                    fill = nulls & ~block_nulls
-                    values[fill] = block_values[fill]
-                    nulls = nulls & block_nulls
-            if stats is not None:
-                stats.expr_positions_vectorized += position_count
-            return PrimitiveBlock(
-                self.return_type, values, nulls if nulls is not None and nulls.any() else None
-            )
-        if stats is not None:
-            stats.expr_positions_fallback += position_count
-        values_out: list[Any] = [None] * position_count
-        remaining = np.ones(position_count, dtype=bool)
-        for block in blocks:
-            if not remaining.any():
-                break
-            block_nulls = block.null_mask()
-            for i in np.nonzero(remaining)[0]:
-                if not block_nulls[i]:
-                    values_out[int(i)] = block.get(int(i))
-                    remaining[i] = False
         return block_from_values(self.return_type, values_out)
 
 
@@ -759,18 +731,60 @@ class DictionaryKernel(Kernel):
         return self.inner.run(bindings, position_count, stats)
 
 
-class InterpreterKernel(Kernel):
-    """Fallback: delegate an unsupported subtree to the interpreter oracle."""
+class LambdaKernel(Kernel):
+    """``transform``/``filter``/``any_match`` over an array column.
 
-    def __init__(self, expression: RowExpression, compiler: "ExpressionCompiler") -> None:
-        self.expression = expression
-        self._compiler = compiler
+    The compiled body runs once over the flattened elements of every
+    non-null array, with each captured outer column gathered to its
+    elements' rows; ``filter`` and ``any_match`` then reduce per row.
+    ``any_match`` is TRUE when some element matches, else NULL when the
+    body is NULL for some element, else FALSE (an empty array).
+    """
+
+    def __init__(
+        self, call: CallExpression, array_kernel: Kernel, body_kernel: Kernel
+    ) -> None:
+        lam = call.arguments[1]
+        self.name = call.function_handle.name
+        self.return_type = call.type
+        self.parameter = lam.argument_names[0]
+        self.captured = [v.name for v in lam.body.variables() if v.name != self.parameter]
+        self.array_kernel = array_kernel
+        self.body_kernel = body_kernel
 
     def run(self, bindings, position_count, stats) -> Block:
+        arrays = self.array_kernel.run(bindings, position_count, stats).loaded()
+        if not isinstance(arrays, ArrayBlock):  # an all-NULL constant block
+            arrays = block_from_values(arrays.type, arrays.to_list())
+        nulls = arrays.null_mask()
+        # A NULL array holds no elements, so every element has a live row.
+        rows = np.repeat(np.arange(position_count), np.diff(arrays.offsets))
+        inner = {
+            name: bindings[name].take(rows) for name in self.captured if name in bindings
+        }
+        inner[self.parameter] = arrays.elements
+        body = _flat(self.body_kernel.run(inner, len(rows), stats))
         if stats is not None:
-            stats.expr_positions_fallback += position_count
-        return self._compiler.interpreter().evaluate_interpreted(
-            self.expression, bindings, position_count
+            stats.expr_positions_vectorized += position_count
+        array_nulls = nulls if nulls.any() else None
+        if self.name == "transform":
+            return ArrayBlock(self.return_type, arrays.offsets, body, array_nulls)
+        matched, unknown = bool_arrays(body)
+        if self.name == "filter":
+            kept = np.zeros(position_count + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows[matched], minlength=position_count), out=kept[1:])
+            return ArrayBlock(
+                self.return_type,
+                kept,
+                arrays.elements.take(np.flatnonzero(matched)),
+                array_nulls,
+            )
+        any_matched = np.bincount(rows[matched], minlength=position_count) > 0
+        result_nulls = nulls | (
+            ~any_matched & (np.bincount(rows[unknown], minlength=position_count) > 0)
+        )
+        return PrimitiveBlock(
+            BOOLEAN, any_matched, result_nulls if result_nulls.any() else None
         )
 
 
@@ -782,19 +796,9 @@ class InterpreterKernel(Kernel):
 class CompiledExpression:
     """A RowExpression compiled to a kernel DAG, reusable across pages."""
 
-    def __init__(
-        self,
-        expression: RowExpression,
-        kernel: Kernel,
-        interpreter_nodes: int,
-    ) -> None:
+    def __init__(self, expression: RowExpression, kernel: Kernel) -> None:
         self.expression = expression  # post-folding form
         self.kernel = kernel
-        # Compile-time count of subtrees that delegate to the interpreter;
-        # 0 means the whole DAG is kernel-evaluated (runtime row-loop
-        # bail-outs for odd block shapes can still occur and are counted
-        # in QueryStats.expr_positions_fallback).
-        self.interpreter_nodes = interpreter_nodes
 
     def evaluate(
         self, bindings: dict[str, Block], position_count: int, stats=None
@@ -817,24 +821,12 @@ class ExpressionCompiler:
 
     def __init__(self, registry: FunctionRegistry) -> None:
         self._registry = registry
-        self._interpreter = None
-        self._interpreter_nodes = 0
-
-    def interpreter(self):
-        """The evaluator whose row-at-a-time ``evaluate_interpreted`` folds
-        constants and backs the fallback kernels.  Folding must not go
-        through the compiled lane, which would recurse into this compiler."""
-        if self._interpreter is None:
-            from repro.core.evaluator import Evaluator
-
-            self._interpreter = Evaluator(self._registry)
-        return self._interpreter
 
     def compile(self, expression: RowExpression) -> CompiledExpression:
         expression = self.fold(expression)
-        self._interpreter_nodes = 0
-        kernel = self._compile(expression, allow_dictionary=True)
-        return CompiledExpression(expression, kernel, self._interpreter_nodes)
+        return CompiledExpression(
+            expression, self._compile(expression, allow_dictionary=True)
+        )
 
     # -- constant folding ---------------------------------------------------
 
@@ -880,33 +872,21 @@ class ExpressionCompiler:
                 if len(arguments) > 2:
                     return arguments[2]
                 return ConstantExpression(None, expression.type)
-            if form is SpecialForm.COALESCE:
-                kept = []
-                for argument in arguments:
-                    if isinstance(argument, ConstantExpression):
-                        if argument.value is None:
-                            continue
-                        kept.append(argument)
-                        break  # later arguments are unreachable
-                    kept.append(argument)
-                if not kept:
-                    return ConstantExpression(None, expression.type)
-                if len(kept) == 1 and kept[0].type == expression.type:
-                    return kept[0]
-                return SpecialFormExpression(form, expression.type, tuple(kept))
             folded = SpecialFormExpression(form, expression.type, arguments)
             return self._fold_whole(folded)
         return expression
 
     def _fold_whole(self, expression: RowExpression) -> RowExpression:
-        """Replace a variable-free deterministic subtree with its value."""
+        """Replace a variable-free deterministic subtree with its value,
+        computed by the subtree's own kernels on one position."""
         if not self._literal_only(expression):
             return expression
+        kernel = self._compile(expression, allow_dictionary=False)
         try:
-            value = self.interpreter().evaluate_interpreted(expression, {}, 1).get(0)
+            value = kernel.run({}, 1, None).get(0)
         except _FOLDING_ERRORS:
             # Errors (division by zero, bad casts) must surface at run
-            # time with interpreter-identical behaviour; leave unfolded.
+            # time, from the same kernels; leave unfolded.
             return expression
         return ConstantExpression(value, expression.type)
 
@@ -919,15 +899,11 @@ class ExpressionCompiler:
             for node in nodes
         ):
             return False
-        for node in nodes:
-            if isinstance(node, CallExpression):
-                try:
-                    fn = self._registry.implementation_for(node.function_handle)
-                except SemanticError:
-                    return False
-                if not fn.deterministic:
-                    return False
-        return True
+        return all(
+            self._registry.implementation_for(node.function_handle).deterministic
+            for node in nodes
+            if isinstance(node, CallExpression)
+        )
 
     # -- kernel construction ------------------------------------------------
 
@@ -953,11 +929,8 @@ class ExpressionCompiler:
 
     def _compile_call(self, call: CallExpression, allow_dictionary: bool) -> Kernel:
         if any(isinstance(a, LambdaDefinitionExpression) for a in call.arguments):
-            return self._interpreter_kernel(call)
-        try:
-            fn = self._registry.implementation_for(call.function_handle)
-        except SemanticError:
-            return self._interpreter_kernel(call)
+            return self._compile_lambda_call(call, allow_dictionary)
+        fn = self._registry.implementation_for(call.function_handle)
         if (
             call.function_handle.name == "like"
             and len(call.arguments) == 2
@@ -972,6 +945,21 @@ class ExpressionCompiler:
             fn,
             call.type,
             [self._compile(a, allow_dictionary) for a in call.arguments],
+        )
+
+    def _compile_lambda_call(
+        self, call: CallExpression, allow_dictionary: bool
+    ) -> Kernel:
+        name = call.function_handle.name
+        array, lam = call.arguments
+        if name not in ("transform", "filter", "any_match") or not isinstance(
+            lam, LambdaDefinitionExpression
+        ):
+            raise ExecutionError(f"{name}() does not take an array and a lambda")
+        return LambdaKernel(
+            call,
+            self._compile(array, allow_dictionary),
+            self._compile(lam.body, allow_dictionary),
         )
 
     def _compile_special(
@@ -989,18 +977,25 @@ class ExpressionCompiler:
         if form is SpecialForm.IS_NULL:
             return IsNullKernel(compile_(arguments[0]))
         if form is SpecialForm.IN:
-            candidates = arguments[1:]
-            if all(isinstance(c, ConstantExpression) for c in candidates):
-                in_list = [c.value for c in candidates if c.value is not None]
-                try:
-                    return InConstantKernel(
-                        compile_(arguments[0]),
-                        in_list,
-                        has_null_candidate=any(c.value is None for c in candidates),
-                    )
-                except TypeError:
-                    pass  # unhashable candidate values: leave to the oracle
-            return self._interpreter_kernel(expression)
+            value, candidates = arguments[0], arguments[1:]
+            # Nested values (lists, dicts) do not hash: they compare by equal.
+            if not value.type.is_nested() and all(
+                isinstance(c, ConstantExpression) for c in candidates
+            ):
+                return InConstantKernel(
+                    compile_(value),
+                    [c.value for c in candidates if c.value is not None],
+                    has_null_candidate=any(c.value is None for c in candidates),
+                )
+            equals = [
+                CallKernel(
+                    self._registry.resolve_scalar("equal", [value.type, c.type])[1],
+                    BOOLEAN,
+                    [VariableKernel(_IN_VALUE), compile_(c)],
+                )
+                for c in candidates
+            ]
+            return InKernel(compile_(value), KleeneKernel(equals, is_and=False))
         if form is SpecialForm.IF:
             else_kernel: Kernel
             if len(arguments) > 2:
@@ -1013,19 +1008,13 @@ class ExpressionCompiler:
                 else_kernel,
                 expression.type,
             )
-        if form is SpecialForm.COALESCE:
-            return CoalesceKernel([compile_(a) for a in arguments], expression.type)
         if form is SpecialForm.DEREFERENCE:
-            if isinstance(arguments[1], ConstantExpression):
-                return DereferenceKernel(
-                    compile_(arguments[0]), arguments[1].value, expression.type
-                )
-            return self._interpreter_kernel(expression)
-        return self._interpreter_kernel(expression)
-
-    def _interpreter_kernel(self, expression: RowExpression) -> Kernel:
-        self._interpreter_nodes += 1
-        return InterpreterKernel(expression, self)
+            if not isinstance(arguments[1], ConstantExpression):
+                raise ExecutionError("DEREFERENCE field name must be constant")
+            return DereferenceKernel(
+                compile_(arguments[0]), arguments[1].value, expression.type
+            )
+        raise ExecutionError(f"unsupported special form {form}")
 
     # -- dictionary candidates ----------------------------------------------
 
@@ -1044,11 +1033,7 @@ class ExpressionCompiler:
         if isinstance(expression, CallExpression):
             if any(isinstance(a, LambdaDefinitionExpression) for a in expression.arguments):
                 return False, False
-            try:
-                fn = self._registry.implementation_for(expression.function_handle)
-            except SemanticError:
-                return False, False
-            if not fn.deterministic:
+            if not self._registry.implementation_for(expression.function_handle).deterministic:
                 return False, False
             for argument in expression.arguments:
                 safe, _ = self._dictionary_safe(argument)
@@ -1064,7 +1049,7 @@ class ExpressionCompiler:
             ):
                 safe, _ = self._dictionary_safe(expression.arguments[0])
                 return safe, True
-            # IS_NULL / COALESCE / IF / AND / OR map null inputs to non-null
+            # IS_NULL / IF / AND / OR map null inputs to non-null
             # outputs and must see the real per-position null mask.
             return False, False
         return False, False

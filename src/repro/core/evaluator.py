@@ -9,10 +9,10 @@ array kernels and reuses it for every page.
 The original row-at-a-time interpreter is retained in full as the
 differential oracle — the same pattern as ``execute_aggregation_rows`` for
 the operator kernels — reached by calling
-:meth:`Evaluator.evaluate_interpreted`.  Null semantics follow SQL
-three-valued logic in both lanes: function calls propagate null when any
-argument is null; AND/OR use Kleene logic; ``IS_NULL`` and ``COALESCE``
-observe nulls without propagating them.
+:meth:`Evaluator.evaluate_interpreted`; no production path calls it.  Null
+semantics follow SQL three-valued logic in both lanes: function calls
+propagate null when any argument is null; AND/OR, IN and ``any_match`` use
+Kleene logic; ``IS_NULL`` observes nulls without propagating them.
 """
 
 from __future__ import annotations
@@ -299,8 +299,9 @@ class Evaluator:
                     if keep
                 ]
                 results.append(kept)
-            else:  # any_match
-                results.append(any(bool(v) for v in body_block.to_list() if v is not None))
+            else:  # any_match: TRUE, else NULL if some element is NULL
+                matches = body_block.to_list()
+                results.append(True if True in matches else None if None in matches else False)
         return block_from_values(call.type, results)
 
     # -- special forms ---------------------------------------------------------
@@ -331,8 +332,6 @@ class Evaluator:
             return self._evaluate_in(expression, bindings, position_count)
         if form is SpecialForm.IF:
             return self._evaluate_if(expression, bindings, position_count)
-        if form is SpecialForm.COALESCE:
-            return self._evaluate_coalesce(expression, bindings, position_count)
         if form is SpecialForm.DEREFERENCE:
             return self._evaluate_dereference(expression, bindings, position_count)
         raise ExecutionError(f"unsupported special form {form}")
@@ -391,16 +390,20 @@ class Evaluator:
             matches = matches & ~nulls
             return PrimitiveBlock(BOOLEAN, matches, nulls if nulls.any() else None)
 
-        # General form: compare against each candidate expression.
+        # General form: compare against each candidate expression; with no
+        # match, a NULL candidate makes the answer NULL.
         matches = np.zeros(position_count, dtype=bool)
+        unknown = np.zeros(position_count, dtype=bool)
         for candidate in candidates:
             candidate_block = self.evaluate_interpreted(
                 candidate, bindings, position_count
             ).loaded()
             for i in range(position_count):
-                if not nulls[i] and not candidate_block.is_null(i):
-                    if value_block.get(i) == candidate_block.get(i):
-                        matches[i] = True
+                if candidate_block.is_null(i):
+                    unknown[i] = True
+                elif not nulls[i] and value_block.get(i) == candidate_block.get(i):
+                    matches[i] = True
+        nulls = nulls | (unknown & ~matches)
         matches = matches & ~nulls
         return PrimitiveBlock(BOOLEAN, matches, nulls if nulls.any() else None)
 
@@ -428,25 +431,6 @@ class Evaluator:
             then_block.get(i) if take_then[i] else else_block.get(i)
             for i in range(position_count)
         ]
-        return block_from_values(expression.type, values)
-
-    def _evaluate_coalesce(
-        self,
-        expression: SpecialFormExpression,
-        bindings: dict[str, Block],
-        position_count: int,
-    ) -> Block:
-        values: list[Any] = [None] * position_count
-        remaining = np.ones(position_count, dtype=bool)
-        for argument in expression.arguments:
-            if not remaining.any():
-                break
-            block = self.evaluate_interpreted(argument, bindings, position_count).loaded()
-            nulls = block.null_mask()
-            for i in np.nonzero(remaining)[0]:
-                if not nulls[i]:
-                    values[int(i)] = block.get(int(i))
-                    remaining[i] = False
         return block_from_values(expression.type, values)
 
     def _evaluate_dereference(

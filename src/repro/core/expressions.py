@@ -14,7 +14,7 @@ ConstantExpression           Literal values such as (1, BIGINT)
 VariableReferenceExpression  Reference to an input column / previous output
 CallExpression               Function calls: arithmetic, casts, UDFs
 SpecialFormExpression        Built-ins: IN, IF, IS_NULL, AND, OR, NOT,
-                             COALESCE, DEREFERENCE
+                             DEREFERENCE
 LambdaDefinitionExpression   Anonymous lambda functions
 ===========================  ==============================================
 
@@ -158,7 +158,6 @@ class SpecialForm(enum.Enum):
     IN = "IN"
     IF = "IF"
     IS_NULL = "IS_NULL"
-    COALESCE = "COALESCE"
     DEREFERENCE = "DEREFERENCE"
 
 

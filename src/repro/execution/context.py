@@ -55,9 +55,11 @@ class QueryStats:
     dynamic_filter_rows_pruned: int = 0
     dynamic_filter_splits_skipped: int = 0
     # Expression-compiler counters: positions evaluated by vectorized
-    # kernels vs positions that dropped to the row-at-a-time interpreter,
-    # and positions *not* evaluated at all thanks to dictionary-aware
-    # evaluation (rows − distinct per dictionary-encoded expression run).
+    # kernels vs positions a kernel applied one row at a time (a function
+    # with only a ``row_fn`` or over nested values, IF over nested
+    # branches, LIKE over non-string blocks), and positions *not* evaluated
+    # at all thanks to dictionary-aware evaluation (rows − distinct per
+    # dictionary-encoded expression run).
     expr_positions_vectorized: int = 0
     expr_positions_fallback: int = 0
     expr_positions_dictionary_saved: int = 0

@@ -443,7 +443,7 @@ class PrestoEngine:
             f"{stats.rows_exchanged} rows exchanged, "
             f"{stats.simulated_ms:.2f} simulated ms",
             f"Expressions: {stats.expr_positions_vectorized} positions vectorized, "
-            f"{stats.expr_positions_fallback} interpreter fallback, "
+            f"{stats.expr_positions_fallback} row-at-a-time, "
             f"{stats.expr_positions_dictionary_saved} saved by dictionary evaluation",
         ]
         if stats.dynamic_filters_built:

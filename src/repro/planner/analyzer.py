@@ -38,6 +38,7 @@ from repro.core.types import (
     RowType,
     UNKNOWN,
     VARCHAR,
+    common_super_type,
     parse_type,
 )
 from repro.planner.plan import (
@@ -278,7 +279,6 @@ class Analyzer:
         unions: tuple,
     ) -> tuple[PlanNode, list[Field]]:
         """Combine UNION branches onto shared output variables."""
-        from repro.core.types import common_super_type
         from repro.planner.plan import UnionNode
 
         branches: list[PlanNode] = [first]
@@ -293,19 +293,13 @@ class Analyzer:
             branches.append(branch_node)
             any_distinct = any_distinct or branch_distinct
 
-        column_types: list[PrestoType] = []
-        for position in range(len(output_names)):
-            common = branches[0].outputs[position].type
-            for branch in branches[1:]:
-                merged = common_super_type(common, branch.outputs[position].type)
-                if merged is None:
-                    raise SemanticError(
-                        f"UNION column {position + 1} has incompatible types "
-                        f"{common.display()} and "
-                        f"{branch.outputs[position].type.display()}"
-                    )
-                common = merged
-            column_types.append(common)
+        column_types = [
+            _common_type(
+                [branch.outputs[position].type for branch in branches],
+                f"UNION column {position + 1}",
+            )
+            for position in range(len(output_names))
+        ]
 
         shared = tuple(
             self._new_variable(output_names[i] or "col", column_types[i])
@@ -786,6 +780,7 @@ class _ExpressionLowerer:
     def _lower_in(self, expression: ast.InPredicate) -> RowExpression:
         value = self.lower(expression.value)
         candidates = [self.lower(c) for c in expression.candidates]
+        _common_type([e.type for e in [value] + candidates], "IN")
         result = SpecialFormExpression(
             SpecialForm.IN, BOOLEAN, tuple([value] + candidates)
         )
@@ -823,13 +818,13 @@ class _ExpressionLowerer:
             default = self.lower(expression.default)
         else:
             default = ConstantExpression(None, UNKNOWN)
+        clauses = [
+            (self.lower(condition), self.lower(value))
+            for condition, value in reversed(expression.when_clauses)
+        ]
+        result_type = _common_type([default.type] + [v.type for _, v in clauses], "CASE")
         result = default
-        result_type = default.type
-        for condition_ast, value_ast in reversed(expression.when_clauses):
-            condition = self.lower(condition_ast)
-            value = self.lower(value_ast)
-            if result_type is UNKNOWN:
-                result_type = value.type
+        for condition, value in clauses:
             result = SpecialFormExpression(
                 SpecialForm.IF, result_type, (condition, value, result)
             )
@@ -1015,3 +1010,18 @@ def _literal_type(value: object) -> PrestoType:
     if isinstance(value, str):
         return VARCHAR
     raise SemanticError(f"unsupported literal {value!r}")
+
+
+def _common_type(types: Sequence[PrestoType], what: str) -> PrestoType:
+    """The one type ``types`` widen to (integer → bigint → double, NULL to
+    anything): of a UNION column, an IN list or a CASE's branches."""
+    common = types[0]
+    for presto_type in types[1:]:
+        merged = common_super_type(common, presto_type)
+        if merged is None:
+            raise SemanticError(
+                f"{what} has incompatible types "
+                f"{common.display()} and {presto_type.display()}"
+            )
+        common = merged
+    return common

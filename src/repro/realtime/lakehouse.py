@@ -55,9 +55,8 @@ class StreamingLakehouse:
         poll_interval_ms: float = 200.0,
         compaction_interval_ms: float = 5000.0,
         fault_injector: Optional[FaultInjector] = None,
-        clock: Optional[SimulatedClock] = None,
     ) -> None:
-        self.clock = clock or SimulatedClock()
+        self.clock = SimulatedClock()
         self.topic = topic
         self.fields = list(fields)
         self.metrics = MetricsRegistry()

@@ -6,7 +6,9 @@ Python types) from the compiled lane and ``evaluate_interpreted``, the
 same convention the vectorized operator kernels follow
 (tests/execution/test_vectorized_kernels.py).
 Kleene AND/OR/NOT and NULL-in-IN get both property coverage and explicit
-exhaustive cases.
+exhaustive cases; so do the lambdas (``transform``/``filter``/``any_match``
+over an ARRAY(BIGINT) column with NULL and empty arrays, NULL elements and a
+captured outer column) and IN lists of column expressions.
 """
 
 from __future__ import annotations
@@ -14,18 +16,19 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.blocks import DictionaryBlock, PrimitiveBlock
+from repro.core.blocks import ArrayBlock, DictionaryBlock, PrimitiveBlock
 from repro.core.compiler import bool_arrays
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
     CallExpression,
+    LambdaDefinitionExpression,
     SpecialForm,
     SpecialFormExpression,
     constant,
     variable,
 )
-from repro.core.functions import default_registry
-from repro.core.types import BIGINT, BOOLEAN, VARCHAR
+from repro.core.functions import FunctionHandle, default_registry
+from repro.core.types import BIGINT, BOOLEAN, VARCHAR, ArrayType
 
 REGISTRY = default_registry()
 
@@ -80,9 +83,6 @@ def int_expressions(depth):
         ),
         st.tuples(bool_expressions(depth - 1), smaller, smaller).map(
             lambda t: SpecialFormExpression(SpecialForm.IF, BIGINT, (t[0], t[1], t[2]))
-        ),
-        st.lists(smaller, min_size=2, max_size=3).map(
-            lambda args: SpecialFormExpression(SpecialForm.COALESCE, BIGINT, tuple(args))
         ),
     )
 
@@ -164,6 +164,61 @@ def bool_expressions(depth):
                 (t[0],) + tuple(constant(v, BIGINT) for v in t[1]),
             )
         ),
+        in_lists(int_smaller),
+        lambda_bool_bodies().map(lambda body: higher_order("any_match", body)),
+    )
+
+
+def in_lists(ints):
+    """``value IN (...)`` whose candidates are expressions, NULL among them."""
+    candidate = st.one_of(ints, st.just(constant(None, BIGINT)))
+    return st.tuples(ints, st.lists(candidate, min_size=1, max_size=3)).map(
+        lambda t: SpecialFormExpression(SpecialForm.IN, BOOLEAN, (t[0],) + tuple(t[1]))
+    )
+
+
+# -- lambdas over the ARRAY(BIGINT) column ``a``; ``x`` is captured -----------
+
+ARRAYS = ArrayType(BIGINT)
+ELEMENT = variable("v", BIGINT)
+
+
+def lambda_int_bodies():
+    base = st.one_of(
+        st.sampled_from([ELEMENT, variable("x", BIGINT)]),
+        SMALL_INT.map(lambda v: constant(v, BIGINT)),
+        st.just(constant(None, BIGINT)),
+    )
+    return st.one_of(
+        base,
+        st.tuples(st.sampled_from(["add", "subtract", "multiply"]), base, base).map(
+            lambda t: call(t[0], [t[1], t[2]], [BIGINT, BIGINT])
+        ),
+    )
+
+
+def lambda_bool_bodies():
+    ints = lambda_int_bodies()
+    return st.one_of(
+        st.tuples(st.sampled_from(COMPARISONS), ints, ints).map(
+            lambda t: call(t[0], [t[1], t[2]], [BIGINT, BIGINT])
+        ),
+        in_lists(ints),
+    )
+
+
+def higher_order(name, body):
+    return_type = {"transform": ArrayType(body.type), "filter": ARRAYS}.get(name, BOOLEAN)
+    handle = FunctionHandle(name, (ARRAYS.display(), "function"), return_type.display())
+    lam = LambdaDefinitionExpression(("v",), (BIGINT,), body, body.type)
+    return CallExpression(name, handle, return_type, (variable("a", ARRAYS), lam))
+
+
+def lambda_expressions():
+    return st.one_of(
+        lambda_int_bodies().map(lambda body: higher_order("transform", body)),
+        lambda_bool_bodies().map(lambda body: higher_order("filter", body)),
+        lambda_bool_bodies().map(lambda body: higher_order("any_match", body)),
     )
 
 
@@ -176,6 +231,13 @@ def pages(draw):
     xs = draw(st.lists(st.one_of(SMALL_INT, st.none()), min_size=n, max_size=n))
     ys = draw(st.lists(st.one_of(SMALL_INT, st.none()), min_size=n, max_size=n))
     bs = draw(st.lists(st.one_of(st.booleans(), st.none()), min_size=n, max_size=n))
+    arrays = draw(
+        st.lists(
+            st.one_of(st.none(), st.lists(st.one_of(SMALL_INT, st.none()), max_size=4)),
+            min_size=n,
+            max_size=n,
+        )
+    )
 
     if draw(st.booleans()) and n > 0:
         # Dictionary-encode the varchar column: ids into a small pool,
@@ -200,6 +262,7 @@ def pages(draw):
         "y": PrimitiveBlock.from_values(BIGINT, ys),
         "b": PrimitiveBlock.from_values(BOOLEAN, bs),
         "s": s_block,
+        "a": ArrayBlock.from_values(ARRAYS, arrays),
     }
     return bindings, n
 
@@ -229,6 +292,15 @@ def test_random_integer_expressions_identical(expression, page):
 def test_random_string_expressions_identical(expression, page):
     bindings, n = page
     assert_identical(expression, bindings, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression=lambda_expressions(), page=pages())
+def test_random_lambdas_identical(expression, page):
+    bindings, n = page
+    compiled = compiled_evaluator().evaluate(expression, bindings, n).to_list()
+    # repr tells 1 from 1.0 and from True, and a numpy scalar from both.
+    assert repr(compiled) == repr(interpreted(expression, bindings, n).to_list())
 
 
 # -- explicit edge cases -----------------------------------------------------
@@ -270,3 +342,37 @@ def test_empty_page():
     )
     empty = PrimitiveBlock.from_values(BIGINT, [])
     assert_identical(expression, {"x": empty}, 0)
+
+
+def test_in_list_of_columns_with_nulls():
+    # (x, y, z) = (1, 2, NULL): no match and a NULL candidate → NULL;
+    # (3, NULL, 4) likewise; (2, 2, NULL): a match wins over the NULL.
+    bindings = {
+        "x": PrimitiveBlock.from_values(BIGINT, [1, 3, 2]),
+        "y": PrimitiveBlock.from_values(BIGINT, [2, None, 2]),
+        "z": PrimitiveBlock.from_values(BIGINT, [None, 4, None]),
+    }
+    expression = SpecialFormExpression(
+        SpecialForm.IN,
+        BOOLEAN,
+        (variable("x", BIGINT), variable("y", BIGINT), variable("z", BIGINT)),
+    )
+    assert_identical(expression, bindings, 3)
+    result = compiled_evaluator().evaluate(expression, bindings, 3)
+    assert result.to_list() == [None, None, True]
+
+
+def test_any_match_three_valued():
+    # [1, NULL, 3] with v > 3: nothing matches, one element is NULL → NULL;
+    # an empty array → FALSE; a NULL array → NULL.  filter drops the
+    # NULL-predicate element.
+    bindings = {"a": ArrayBlock.from_values(ARRAYS, [[1, None, 3], [], None, [4]])}
+    above_3 = call("greater_than", [ELEMENT, constant(3, BIGINT)], [BIGINT, BIGINT])
+    any_match = higher_order("any_match", above_3)
+    assert_identical(any_match, bindings, 4)
+    assert compiled_evaluator().evaluate(any_match, bindings, 4).to_list() == [
+        None, False, None, True,
+    ]
+    above_1 = call("greater_than", [ELEMENT, constant(1, BIGINT)], [BIGINT, BIGINT])
+    kept = compiled_evaluator().evaluate(higher_order("filter", above_1), bindings, 4)
+    assert kept.to_list() == [[3], [], None, [4]]

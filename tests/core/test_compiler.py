@@ -9,20 +9,21 @@ counters the EXPLAIN ANALYZE output reports.
 import numpy as np
 import pytest
 
-from repro.core.blocks import DictionaryBlock, PrimitiveBlock
-from repro.common.errors import InvalidValueError, SemanticError
+from repro.core.blocks import ArrayBlock, DictionaryBlock, PrimitiveBlock
+from repro.common.errors import ExecutionError, InvalidValueError, SemanticError
 from repro.core import compiler
 from repro.core.compiler import (
+    CallKernel,
     ConstantKernel,
-    DictionaryKernel,
     ExpressionCompiler,
-    InterpreterKernel,
+    canonical_form,
     compile_cached,
 )
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
     CallExpression,
     ConstantExpression,
+    LambdaDefinitionExpression,
     SpecialForm,
     SpecialFormExpression,
     and_,
@@ -32,7 +33,7 @@ from repro.core.expressions import (
     variable,
 )
 from repro.core.functions import FunctionHandle, default_registry
-from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR
+from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR, ArrayType, RowType
 from repro.execution.context import QueryStats
 
 
@@ -240,15 +241,46 @@ class TestConstantFolding:
         with pytest.raises(ZeroDivisionError):
             compiled.evaluate({}, 1)
 
-    def test_coalesce_drops_leading_nulls(self, evaluator):
-        expr = SpecialFormExpression(
-            SpecialForm.COALESCE,
-            BIGINT,
-            (constant(None, BIGINT), variable("x", BIGINT), constant(0, BIGINT)),
-        )
+    @pytest.mark.parametrize(
+        "expr, value, display",
+        [
+            (call("divide", [constant(7, BIGINT), constant(-2, BIGINT)], [BIGINT, BIGINT]), -3, "-3"),
+            (call("sqrt", [constant(2.25, DOUBLE)], [DOUBLE]), 1.5, "1.5"),
+            (call("upper", [constant("ab", VARCHAR)], [VARCHAR]), "AB", "'AB'"),
+            (call("length", [constant("héllo", VARCHAR)], [VARCHAR]), 5, "5"),
+            (call("cast_bigint", [constant("12", VARCHAR)], [VARCHAR]), 12, "12"),
+            (call("cast_varchar", [constant(2.0, DOUBLE)], [DOUBLE]), "2.0", "'2.0'"),
+            (call("cast_date", [constant("2020-01-02", VARCHAR)], [VARCHAR]), "2020-01-02", "'2020-01-02'"),
+            (call("power", [constant(2.0, DOUBLE), constant(3.0, DOUBLE)], [DOUBLE, DOUBLE]), 8.0, "8.0"),
+            (call("like", [constant("air", VARCHAR), constant("a%", VARCHAR)], [VARCHAR, VARCHAR]), True, "True"),
+            (call("add", [constant(1, BIGINT), constant(None, BIGINT)], [BIGINT, BIGINT]), None, "None"),
+            (
+                SpecialFormExpression(
+                    SpecialForm.IN, BOOLEAN,
+                    (constant("b", VARCHAR), constant("a", VARCHAR), constant("b", VARCHAR)),
+                ),
+                True,
+                "True",
+            ),
+            (
+                SpecialFormExpression(
+                    SpecialForm.IN, BOOLEAN, (constant(3, BIGINT), constant(1, BIGINT), constant(None, BIGINT))
+                ),
+                None,
+                "None",
+            ),
+            (not_(call("equal", [constant(1, BIGINT), constant(1.0, DOUBLE)], [BIGINT, DOUBLE])), False, "False"),
+        ],
+    )
+    def test_folded_constants_are_the_references_python_values(self, evaluator, oracle, expr, value, display):
+        # Folding runs the kernels; the value, its Python type, EXPLAIN's
+        # text and the compile-cache key are what the row reference gives.
         folded = evaluator.compiled(expr).expression
-        assert isinstance(folded, SpecialFormExpression)
-        assert folded.arguments[0] == variable("x", BIGINT)
+        reference = oracle(expr, {}, 1).get(0)
+        assert isinstance(folded, ConstantExpression)
+        assert (type(folded.value), folded.value) == (type(reference), reference) == (type(value), value)
+        assert folded.display() == display
+        assert canonical_form(folded) == canonical_form(ConstantExpression(value, expr.type))
 
 
 class TestLanes:
@@ -267,12 +299,33 @@ class TestLanes:
         assert result.to_list() == [True, None, None]
         assert stats.expr_positions_fallback == 0
 
-    def test_interpreter_nodes_zero_for_supported_tree(self, evaluator):
-        expr = and_(
-            call("less_than", [variable("x", BIGINT), constant(5, BIGINT)], [BIGINT, BIGINT]),
-            not_(SpecialFormExpression(SpecialForm.IS_NULL, BOOLEAN, (variable("x", BIGINT),))),
-        )
-        assert evaluator.compiled(expr).interpreter_nodes == 0
+    def test_lambdas_and_column_in_lists_are_vectorized(self, evaluator, stats, oracle):
+        arrays = ArrayType(BIGINT)
+        a = ArrayBlock.from_values(arrays, [[1, None, 3], [], None, [4, 5]])
+        x = PrimitiveBlock.from_values(BIGINT, [1, 3, 2, 4])
+        y = PrimitiveBlock.from_values(BIGINT, [2, None, 5, 4])
+        bindings = {"a": a, "x": x, "y": y}
+        v = variable("v", BIGINT)
+
+        def higher_order(name, body, return_type):
+            handle = FunctionHandle(name, (arrays.display(), "function"), return_type.display())
+            lam = LambdaDefinitionExpression(("v",), (BIGINT,), body, body.type)
+            return CallExpression(name, handle, return_type, (variable("a", arrays), lam))
+
+        plus_x = call("add", [v, variable("x", BIGINT)], [BIGINT, BIGINT])
+        above_y = call("greater_than", [v, variable("y", BIGINT)], [BIGINT, BIGINT])
+        cases = {
+            higher_order("transform", plus_x, arrays): [[2, None, 4], [], None, [8, 9]],
+            higher_order("filter", above_y, arrays): [[3], [], None, [5]],
+            higher_order("any_match", above_y, BOOLEAN): [True, False, None, True],
+            SpecialFormExpression(
+                SpecialForm.IN, BOOLEAN, (variable("x", BIGINT), variable("y", BIGINT), constant(None, BIGINT))
+            ): [None, None, None, True],
+        }
+        for expr, expected in cases.items():
+            assert evaluator.evaluate(expr, bindings, 4).to_list() == expected
+            assert oracle(expr, bindings, 4).to_list() == expected
+        assert stats.expr_positions_fallback == 0
 
 
 class TestCompileCache:
@@ -307,7 +360,8 @@ def unknown_call(argument):
 
 
 class TestFallbackTriggers:
-    """Each fallback catches the errors it names, and only those."""
+    """Folding catches the errors it names, and only those; what cannot
+    compile raises at compile time, never on the first page."""
 
     @pytest.mark.parametrize(
         "error", [InvalidValueError("bad"), ZeroDivisionError(), OverflowError(),
@@ -317,7 +371,7 @@ class TestFallbackTriggers:
         def fail(*_):
             raise error
 
-        monkeypatch.setattr(Evaluator, "evaluate_interpreted", fail)
+        monkeypatch.setattr(CallKernel, "run", fail)
         expr = call("add", [constant(1, BIGINT), constant(2, BIGINT)], [BIGINT, BIGINT])
         assert ExpressionCompiler(default_registry()).fold(expr) == expr
 
@@ -325,25 +379,23 @@ class TestFallbackTriggers:
         def fail(*_):
             raise KeyError("engine defect")
 
-        monkeypatch.setattr(Evaluator, "evaluate_interpreted", fail)
+        monkeypatch.setattr(CallKernel, "run", fail)
         expr = call("add", [constant(1, BIGINT), constant(2, BIGINT)], [BIGINT, BIGINT])
         with pytest.raises(KeyError):
             ExpressionCompiler(default_registry()).fold(expr)
 
-    def test_unresolvable_call_is_not_literal(self):
-        compiler_ = ExpressionCompiler(default_registry())
-        assert not compiler_._literal_only(unknown_call(constant(1, BIGINT)))
+    def test_unresolvable_literal_call_raises_at_compile_time(self, evaluator):
+        with pytest.raises(SemanticError, match="no_such_function"):
+            evaluator.compiled(unknown_call(constant(1, BIGINT)))
 
-    def test_unresolvable_call_compiles_to_the_interpreter(self, evaluator):
-        compiled = evaluator.compiled(unknown_call(variable("x", BIGINT)))
-        assert isinstance(compiled.kernel, InterpreterKernel)
-        assert compiled.interpreter_nodes == 1
-        with pytest.raises(SemanticError):
-            compiled.evaluate({"x": PrimitiveBlock.from_values(BIGINT, [1])}, 1)
+    def test_unresolvable_call_raises_at_compile_time(self, evaluator):
+        with pytest.raises(SemanticError, match="no_such_function"):
+            evaluator.compiled(unknown_call(variable("x", BIGINT)))
 
-    def test_unresolvable_call_is_not_dictionary_evaluated(self):
-        compiler_ = ExpressionCompiler(default_registry())
-        expr = unknown_call(variable("x", BIGINT))
-        assert compiler_._dictionary_safe(expr) == (False, False)
-        assert not isinstance(compiler_.compile(expr).kernel, DictionaryKernel)
-
+    def test_non_constant_dereference_field_raises_at_compile_time(self, evaluator):
+        row = RowType.of(("a", BIGINT))
+        expr = SpecialFormExpression(
+            SpecialForm.DEREFERENCE, BIGINT, (variable("r", row), variable("f", VARCHAR))
+        )
+        with pytest.raises(ExecutionError, match="must be constant"):
+            evaluator.compiled(expr)

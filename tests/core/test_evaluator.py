@@ -134,16 +134,6 @@ class TestSpecialForms:
         )
         assert evaluator.evaluate(expr, {"c": cond}, 3).to_list() == [1, 2, 2]
 
-    def test_coalesce(self, evaluator):
-        a = PrimitiveBlock.from_values(BIGINT, [None, 1, None])
-        b = PrimitiveBlock.from_values(BIGINT, [5, 6, None])
-        expr = SpecialFormExpression(
-            SpecialForm.COALESCE,
-            BIGINT,
-            (variable("a", BIGINT), variable("b", BIGINT), constant(0, BIGINT)),
-        )
-        assert evaluator.evaluate(expr, {"a": a, "b": b}, 3).to_list() == [5, 1, 0]
-
     def test_dereference_on_row_block(self, evaluator):
         row_type = RowType.of(("city_id", BIGINT))
         base = RowBlock.from_values(row_type, [{"city_id": 12}, None, {"city_id": 7}])

@@ -97,9 +97,6 @@ class TestSpecialFormExpression:
             SpecialFormExpression(
                 SpecialForm.IF, BIGINT, (x, constant(1, BIGINT), constant(2, BIGINT))
             ),
-            SpecialFormExpression(
-                SpecialForm.COALESCE, BIGINT, (variable("v", BIGINT), constant(0, BIGINT))
-            ),
         ]:
             assert expression_from_dict(expr.to_dict()) == expr
 

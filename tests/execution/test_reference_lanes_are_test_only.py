@@ -1,7 +1,10 @@
 """The row-at-a-time reference lanes have no production caller.
 
 Each operator's reference stays beside its kernel as the oracle of the
-differential tests and the baseline of ``benchmarks/bench_operator_kernels.py``.
+differential tests and the baseline of ``benchmarks/bench_operator_kernels.py``;
+the expression interpreter stays beside the compiler, the oracle of
+``tests/core/test_compiled_differential.py`` and the baseline of
+``benchmarks/bench_expressions.py``.
 This walks the AST of every module under ``src/repro`` and fails where a
 module other than the defining one names a reference, outside the body of
 another reference (the row join and the row aggregation canonicalize their
@@ -22,6 +25,7 @@ REFERENCES = {
     "_sorted_rows": "execution/operators/sorting.py",
     "_SortKey": "execution/operators/sorting.py",
     "canonical_key": "execution/kernels.py",
+    "evaluate_interpreted": "core/evaluator.py",
 }
 
 
@@ -62,8 +66,10 @@ def test_no_module_but_the_defining_one_names_a_reference():
 @pytest.mark.parametrize("name, module", sorted(REFERENCES.items()))
 def test_each_reference_is_defined_where_the_walk_expects_it(name, module):
     tree = ast.parse((SRC / module).read_text())
-    defined = {
-        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    defined = {  # methods too: evaluate_interpreted belongs to Evaluator
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert name in defined
 

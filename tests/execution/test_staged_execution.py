@@ -156,6 +156,7 @@ class TestExplainAnalyze:
         assert "rows exchanged" in text
         assert "simulated ms" in text
         assert "Stage 0" in text
+        assert "0 row-at-a-time" in text
 
     def test_analyze_not_swallowed_by_plain_explain(self):
         engine = make_engine()
