@@ -26,9 +26,14 @@ from repro.connectors.spi import (
 
 
 class _MemoryTable:
-    def __init__(self, columns: list[tuple[str, PrestoType]], rows: list[tuple]) -> None:
+    def __init__(
+        self, columns: list[tuple[str, PrestoType]], rows: list[tuple], data_version: int
+    ) -> None:
         self.columns = columns
         self.rows = rows
+        # The connector's version when these rows last changed: the
+        # fragment-result cache keys each split on it.
+        self.data_version = data_version
         # ANALYZE results plus the row count they were computed at, so
         # stale statistics are dropped after inserts rather than served.
         self.statistics = None
@@ -43,11 +48,22 @@ class MemoryConnector(Connector):
     def __init__(self, split_size: int = 10_000) -> None:
         self._tables: dict[tuple[str, str], _MemoryTable] = {}
         self._split_size = split_size
+        # Bumped by every change a plan or a cached page could depend on:
+        # create_table, insert and ANALYZE.  One counter for all tables,
+        # so a replaced table never comes back at an old version.
+        self._version = 0
         super().__init__(
             _MemoryMetadata(self),
             _MemorySplitManager(self),
             _MemoryRecordSetProvider(self),
         )
+
+    def plan_version(self) -> int:
+        return self._version
+
+    def _bump(self) -> int:
+        self._version += 1
+        return self._version
 
     # -- population API ----------------------------------------------------
 
@@ -60,12 +76,13 @@ class MemoryConnector(Connector):
     ) -> None:
         """Create (or replace) a table with the given columns and rows."""
         self._tables[(schema_name, table_name)] = _MemoryTable(
-            list(columns), [tuple(r) for r in rows]
+            list(columns), [tuple(r) for r in rows], self._bump()
         )
 
     def insert(self, schema_name: str, table_name: str, rows: Sequence[Sequence[Any]]) -> None:
         table = self._table(schema_name, table_name)
         table.rows.extend(tuple(r) for r in rows)
+        table.data_version = self._bump()
 
     def _table(self, schema_name: str, table_name: str) -> _MemoryTable:
         table = self._tables.get((schema_name, table_name))
@@ -98,6 +115,7 @@ class _MemoryMetadata(ConnectorMetadata):
             [n for n, _ in table.columns], table.rows
         )
         table.statistics_row_count = len(table.rows)
+        self._connector._bump()  # the CBO's plans change; the rows do not
         return table.statistics
 
     def get_table_statistics(self, handle: ConnectorTableHandle):
@@ -119,8 +137,11 @@ class _MemorySplitManager(ConnectorSplitManager):
                 ConnectorSplit(
                     split_id=f"memory:{handle.schema_name}.{handle.table_name}:{start}-{end}",
                     rows=end - start,
-                    # Row count doubles as the data version: inserts bump it.
-                    info=(("start", start), ("end", end), ("data_version", total)),
+                    info=(
+                        ("start", start),
+                        ("end", end),
+                        ("data_version", table.data_version),
+                    ),
                 )
             )
         return splits

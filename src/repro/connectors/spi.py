@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Hashable, Iterator, Optional, Sequence
 
 from repro.common.errors import ConnectorError
 from repro.core.expressions import (
@@ -438,6 +438,17 @@ class Connector:
     def record_set_provider(self) -> ConnectorRecordSetProvider:
         return self._record_set_provider
 
+    def plan_version(self) -> Optional[Hashable]:
+        """A value that changes whenever a plan over this connector could.
+
+        The engine reuses a statement's plan only while every connector
+        answers the same version.  ``None`` (the default) means plans over
+        this connector are never reused: a connector whose tables, files,
+        statistics, snapshots or watermarks can move without telling it
+        keeps the default.
+        """
+        return None
+
 
 class Catalog:
     """Registry of connectors by catalog name.
@@ -448,9 +459,22 @@ class Catalog:
 
     def __init__(self) -> None:
         self._connectors: dict[str, Connector] = {}
+        self._registrations = 0
 
     def register(self, catalog_name: str, connector: Connector) -> None:
         self._connectors[catalog_name.lower()] = connector
+        self._registrations += 1
+
+    def plan_version(self) -> Optional[tuple]:
+        """The registrations so far and every connector's ``plan_version()``;
+        ``None`` when any connector's plans are never reused."""
+        versions = []
+        for connector in self._connectors.values():
+            version = connector.plan_version()
+            if version is None:
+                return None
+            versions.append(version)
+        return (self._registrations, tuple(versions))
 
     def connector(self, catalog_name: str) -> Connector:
         connector = self._connectors.get(catalog_name.lower())

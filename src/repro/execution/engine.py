@@ -13,6 +13,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
+from repro.cache.lru import LruCache
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ExecutionError, PrestoError, SemanticError
 from repro.connectors.spi import Catalog
@@ -24,10 +25,27 @@ from repro.execution.scheduler import QueryScheduler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import QueryTrace, activate, current_tracer
 from repro.planner.analyzer import Analyzer, Session
-from repro.planner.fragmenter import Fragmenter
+from repro.planner.fragmenter import FragmentedPlan, Fragmenter
 from repro.planner.optimizer import Optimizer
 from repro.planner.plan import OutputNode
 from repro.sql import ast, parse_sql, parse_statement
+
+# Prepared queries one engine keeps, bounded the way COMPILE_CACHE_SIZE
+# bounds compiled expressions: a dashboard's texts fit many times over.
+PLAN_CACHE_SIZE = 256
+
+
+@dataclass(frozen=True)
+class PreparedQuery:
+    """A query planned once: its optimized plan and that plan's stages.
+
+    Plan nodes are frozen and every run keeps its state in its own
+    ``ExecutionContext`` and scheduler, so one prepared query serves any
+    number of runs, staged, direct or concurrent.
+    """
+
+    plan: OutputNode
+    fragmented: FragmentedPlan
 
 
 @dataclass
@@ -227,6 +245,9 @@ class PrestoEngine:
         # attached: coordinator parse/plan/schedule plus result streaming.
         self.coordinator_overhead_ms = 15.0
         self._optimizer = Optimizer(self.catalog, self.registry) if enable_optimizer else None
+        # Query texts planned under a plan version (_plan_key), reused
+        # until the session, a registration or a connector's version moves.
+        self._plans = LruCache(PLAN_CACHE_SIZE, name="plan", metrics=self.metrics)
 
     # -- public API ----------------------------------------------------------
 
@@ -265,11 +286,12 @@ class PrestoEngine:
 
     def _explain(self, query: ast.Query, mode: str) -> str:
         """The text of ``EXPLAIN`` over ``query`` in an ``ast.Explain`` mode."""
-        plan = self._plan_query(query)
+        prepared = self._prepare(query)
         if mode == "distributed":
-            return Fragmenter().fragment(plan).describe()
+            return prepared.fragmented.describe()
         if mode == "analyze":
-            return self._run_and_report(plan)
+            return self._run_and_report(prepared)
+        plan = prepared.plan
         from repro.planner.cost import CostEstimator
         from repro.planner.stats import StatsProvider
 
@@ -299,7 +321,7 @@ class PrestoEngine:
         # one go — one code path, so traces/stats cannot drift between
         # single-query and concurrent execution.
         return self._dispatch(
-            sql, lambda plan: self._submit_plan(plan).run_to_completion()
+            sql, lambda prepared: self._submit_plan(prepared).run_to_completion()
         )
 
     def execute_direct(self, sql: str) -> QueryResult:
@@ -325,22 +347,48 @@ class PrestoEngine:
             return QueryHandle(self, None, None, None, result=outcome)
         return outcome
 
-    def _dispatch(self, sql: str, run_query: Callable[[OutputNode], Any]):
-        """The one way in: tokenize and parse ``sql`` once, then either
-        hand the planned query to ``run_query`` (the path the calling
-        method stands for) or answer the metadata statement here."""
-        try:
-            statement = parse_statement(sql)
-            if isinstance(statement, ast.Query):
-                plan = self._plan_query(statement)
-            elif isinstance(statement, ast.Explain):
-                text = self._explain(statement.query, statement.mode)
-                return _answer(["Query Plan"], [(line,) for line in text.splitlines()])
-            else:
-                return self._run_metadata_statement(statement)
-        except RecursionError:
-            raise SemanticError("statement is nested too deeply to plan") from None
-        return run_query(plan)
+    def _dispatch(self, sql: str, run_query: Callable[[PreparedQuery], Any]):
+        """The one way in: hand the prepared query to ``run_query`` (the
+        path the calling method stands for), or answer the metadata
+        statement here.
+
+        A query text already planned under the current plan version is
+        not read again; anything else is tokenized and parsed once, and a
+        query it plans is kept for the next time.
+        """
+        key = self._plan_key(sql)
+        prepared = None if key is None else self._plans.get(key)
+        if prepared is None:
+            try:
+                statement = parse_statement(sql)
+                if isinstance(statement, ast.Query):
+                    prepared = self._prepare(statement)
+                elif isinstance(statement, ast.Explain):
+                    text = self._explain(statement.query, statement.mode)
+                    return _answer(["Query Plan"], [(line,) for line in text.splitlines()])
+                else:
+                    return self._run_metadata_statement(statement)
+            except RecursionError:
+                raise SemanticError("statement is nested too deeply to plan") from None
+            if key is not None:
+                self._plans.put(key, prepared)
+        return run_query(prepared)
+
+    def _plan_key(self, sql: str) -> Optional[tuple]:
+        """``sql`` with everything its plan depends on: the session's
+        namespace and properties, the catalog's registrations and every
+        connector's ``plan_version()``; ``None`` when a connector's plans
+        are never reused."""
+        catalog_version = self.catalog.plan_version()
+        if catalog_version is None:
+            return None
+        session = self.session
+        properties = tuple(sorted(session.properties.items()))
+        return (sql, session.catalog, session.schema, properties, catalog_version)
+
+    def _prepare(self, query: ast.Query) -> PreparedQuery:
+        plan = self._plan_query(query)
+        return PreparedQuery(plan, Fragmenter().fragment(plan))
 
     def _run_metadata_statement(self, statement: ast.Statement) -> QueryResult:
         session = self.session
@@ -374,18 +422,18 @@ class PrestoEngine:
             [(".".join(qualified), statistics.row_count, len(statistics.columns))],
         )
 
-    def _submit_plan(self, plan: OutputNode) -> QueryHandle:
+    def _submit_plan(self, prepared: PreparedQuery) -> QueryHandle:
         ctx = self._fresh_context()
         machine = QueryScheduler(
             ctx,
-            Fragmenter().fragment(plan),
+            prepared.fragmented,
             hash_partitions=self.hash_partitions,
             fault_injector=self.fault_injector,
             max_task_retries=self.max_task_retries,
             task_timeout_ms=self.task_timeout_ms,
             dynamic_filtering=self.enable_dynamic_filtering,
         )
-        return QueryHandle(self, plan, ctx, machine)
+        return QueryHandle(self, prepared.plan, ctx, machine)
 
     # -- internals -----------------------------------------------------------
 
@@ -414,7 +462,8 @@ class PrestoEngine:
             metrics=self.metrics,
         )
 
-    def _execute_pipeline(self, plan: OutputNode) -> QueryResult:
+    def _execute_pipeline(self, prepared: PreparedQuery) -> QueryResult:
+        plan = prepared.plan
         ctx = self._fresh_context()
         tracer = ctx.tracer
         if tracer is None:
@@ -432,10 +481,9 @@ class PrestoEngine:
             finally:
                 record_operator_spans(tracer, plan, ctx.operator_rows)
 
-    def _run_and_report(self, plan: OutputNode) -> str:
-        handle = self._submit_plan(plan)
-        fragmented = handle._machine.fragmented
-        result = handle.run_to_completion()
+    def _run_and_report(self, prepared: PreparedQuery) -> str:
+        fragmented = prepared.fragmented
+        result = self._submit_plan(prepared).run_to_completion()
         stats = result.stats
         lines = [
             f"Query: {stats.stages_total} stages, {stats.tasks_total} tasks "

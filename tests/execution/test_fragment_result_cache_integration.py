@@ -57,6 +57,26 @@ class TestDashboardQueries:
         assert result.rows == [(21,)]  # fresh data, no stale cache hit
         assert result.stats.fragment_cache_hits == 0
 
+    def test_replaced_table_with_as_many_rows_is_not_served_stale(self):
+        # As many rows as before: a data_version taken from the row count
+        # would serve all four splits' old sums.
+        engine, connector = memory_engine()
+        engine.execute("SELECT k, sum(v) FROM t GROUP BY k")
+        connector.create_table(
+            "db", "t", [("k", BIGINT), ("v", DOUBLE)], [(i % 3, float(100 + i)) for i in range(20)]
+        )
+        result = engine.execute("SELECT k, sum(v) FROM t GROUP BY k")
+        assert sorted(result.rows) == [(0, 763.0), (1, 770.0), (2, 657.0)]
+        assert result.stats.fragment_cache_hits == 0
+
+    def test_analyze_keeps_the_cached_pages(self):
+        engine, _ = memory_engine()
+        first = engine.execute("SELECT k, sum(v) FROM t GROUP BY k")
+        engine.execute("ANALYZE TABLE t")
+        result = engine.execute("SELECT k, sum(v) FROM t GROUP BY k")
+        assert result.stats.fragment_cache_hits == 4  # statistics are not data
+        assert sorted(result.rows) == sorted(first.rows)
+
     def test_projection_changes_miss(self):
         engine, _ = memory_engine()
         engine.execute("SELECT sum(v) FROM t")
