@@ -170,13 +170,17 @@ class ResourceGroup:
         return f"{self.parent.path}.{self.name}"
 
     def child(self, name: str, **limits) -> "ResourceGroup":
-        """Get-or-create a child group; ``limits`` (re)configure it."""
+        """Get-or-create a child group; ``limits`` (re)configure it.
+
+        Only the four limits are settable; the usage counters are live
+        state that admission keeps consistent up the tree.
+        """
         group = self.children.get(name)
         if group is None:
             group = ResourceGroup(name, parent=self)
             self.children[name] = group
         for key, value in limits.items():
-            if not hasattr(group, key):
+            if key not in ("max_running", "memory_limit_mb", "max_queued", "queue_slo_ms"):
                 raise ExecutionError(f"unknown resource-group limit {key!r}")
             setattr(group, key, value)
         return group
@@ -283,7 +287,6 @@ class QueryExecution:
     # FIFO: splits schedule in submission order (popleft); crash-requeued
     # splits go back to the front so recovered work runs first.
     pending: deque = field(default_factory=deque)
-    inflight: int = 0  # dispatched-but-uncompleted splits
     last_stage: Optional[int] = None
     admission_span: Optional[object] = None
     on_finish: Optional[Callable[["QueryExecution"], None]] = None
@@ -368,8 +371,6 @@ class PrestoClusterSim:
         self._completed_runs = 0
         self._completed_running_ms = 0.0
         self.queries_shed = 0
-        # Workers the coordinator will never schedule on again (crashed).
-        self.blacklisted_workers: set[str] = set()
         # In-flight split assignments: id -> (worker, execution, split).
         # Completion events resolve through this table so a crash can
         # cancel them and requeue the splits.
@@ -503,7 +504,6 @@ class PrestoClusterSim:
         worker.crashed_at = self.clock.now_ms()
         self._count("cluster_worker_crashes_total")
         self._update_worker_gauge()
-        self.blacklisted_workers.add(worker_id)
         self.affinity_ring.remove(worker_id)
         if worker.data_cache is not None:
             worker.data_cache.clear()
@@ -725,7 +725,7 @@ class PrestoClusterSim:
         run.group.acquire(run.memory_mb)
         self._user_running[run.user] = self._user_running.get(run.user, 0) + 1
         run.queued_ms = now - run.submitted_at
-        tracer = getattr(run.handle, "trace", None)
+        tracer = run.handle.trace
         if tracer is not None:
             run.admission_span = tracer.open_span(
                 "cluster.admission",
@@ -774,7 +774,7 @@ class PrestoClusterSim:
             if (
                 run.last_stage is not None
                 and next_stage != run.last_stage
-                and run.inflight > 0
+                and run.splits_done < run.splits_total
             ):
                 break  # stage barrier: previous stage still in flight
             try:
@@ -785,7 +785,6 @@ class PrestoClusterSim:
             if step is None:
                 break
             run.last_stage = step.stage
-            run.inflight += 1
             run.splits_total += 1
             run.pending.append(
                 SplitWork(
@@ -796,7 +795,7 @@ class PrestoClusterSim:
                 )
             )
             dispatched = True
-        if handle.done and run.inflight == 0 and not run.pending:
+        if handle.done and run.splits_done == run.splits_total and not run.pending:
             self._finish_run(run)
             return
         if dispatched:
@@ -830,7 +829,7 @@ class PrestoClusterSim:
         self._user_running[run.user] -= 1
         self._completed_runs += 1
         self._completed_running_ms += run.running_ms
-        tracer = getattr(run.handle, "trace", None)
+        tracer = run.handle.trace
         if tracer is not None and run.admission_span is not None:
             run.admission_span.set(running_ms=run.running_ms, state=run.state.value)
             tracer.close_span(run.admission_span)
@@ -1005,11 +1004,7 @@ class PrestoClusterSim:
                 )
 
     def _pick_worker(self, now_ms: float, split: Optional[SplitWork] = None) -> Optional[Worker]:
-        candidates = [
-            w
-            for w in self.workers.values()
-            if w.worker_id not in self.blacklisted_workers and w.schedulable(now_ms)
-        ]
+        candidates = [w for w in self.workers.values() if w.schedulable(now_ms)]
         if not candidates:
             return None
         if (
@@ -1028,10 +1023,7 @@ class PrestoClusterSim:
             preferred_id = self.affinity_ring.lookup(split.data_key)
             if preferred_id is not None:
                 preferred = self.workers[preferred_id]
-                if (
-                    preferred.state is WorkerState.ACTIVE
-                    and preferred.schedulable(now_ms)
-                ):
+                if preferred.schedulable(now_ms):
                     return preferred
         return min(candidates, key=lambda w: w.running / w.slots)
 
@@ -1048,7 +1040,6 @@ class PrestoClusterSim:
         execution.splits_done += 1
         # splits_total grows as stages dispatch, so completion is decided
         # by the pump (handle done + every dispatched split drained).
-        execution.inflight -= 1
         self._pump(execution)
         if worker.state is WorkerState.SHUTTING_DOWN and worker.running == 0:
             visible = (

@@ -236,9 +236,7 @@ class PrestoEngine:
         # report into one shared metrics registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracing = tracing
-        if self.fragment_result_cache is not None and hasattr(
-            self.fragment_result_cache, "bind_metrics"
-        ):
+        if self.fragment_result_cache is not None:
             self.fragment_result_cache.bind_metrics(self.metrics)
         self._query_sequence = itertools.count()
         # Simulated control-plane costs charged per query when a clock is

@@ -11,14 +11,14 @@ Plans whose tables were never analyzed are untouched by that pass, so the
 rule-only behaviour is preserved by default.
 
 Rule order: cleanup → predicate pushdown (to fixpoint) → geospatial
-rewrite → TopN formation and limit pushdown → materialized-view
-substitution → aggregation pushdown → cost-based join reordering +
-distribution selection → column pruning (incl. nested paths) → final
-cleanup.  MV substitution precedes aggregation pushdown so a matching
-view wins; both rules self-gate, leaving unmatched plans untouched.
+rewrite → TopN formation and limit pushdown → aggregation pushdown →
+cost-based join reordering + distribution selection → column pruning
+(incl. nested paths) → final cleanup.  Rules reach connectors only
+through ``ConnectorMetadata``: a materialized view is the hybrid
+connector's answer to aggregation pushdown, not a rule of its own.
 The three pushdown rules (predicate, limit, aggregation) are the one rule
 ablation the paper reports (section IV.B, Figure 16): ``pushdown=False``
-skips all three.
+skips all three, views included.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.planner.rules.column_pruning import prune_columns
 from repro.planner.rules.geo_rewrite import rewrite_geospatial_joins
 from repro.planner.rules.limit_pushdown import push_limits, sort_limit_to_topn
 from repro.planner.rules.join_reorder import choose_join_distribution, reorder_joins
-from repro.planner.rules.mv_substitution import substitute_materialized_views
 from repro.planner.rules.predicate_pushdown import push_predicates
 from repro.planner.cost import CostEstimator
 from repro.planner.stats import StatsProvider
@@ -78,8 +77,6 @@ class Optimizer:
         result = sort_limit_to_topn(result, ctx)
         if self.pushdown:
             result = push_limits(result, ctx)
-        result = substitute_materialized_views(result, ctx)
-        if self.pushdown:
             result = push_aggregations(result, ctx)
         estimator = CostEstimator(StatsProvider(self._catalog))
         result = reorder_joins(result, ctx, estimator)

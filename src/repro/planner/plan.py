@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
+from repro.connectors.spi import ConnectorTableHandle
 from repro.core.expressions import (
     RowExpression,
     VariableReferenceExpression,
@@ -78,7 +79,7 @@ class TableScanNode(PlanNode):
     """
 
     catalog: str
-    handle: object  # ConnectorTableHandle; typed loosely to avoid cycle
+    handle: ConnectorTableHandle
     assignments: tuple[tuple[str, str], ...]  # (variable name, column name)
     output_variables: tuple[VariableReferenceExpression, ...]
     id: str = field(default_factory=next_plan_id)
@@ -101,11 +102,11 @@ class TableScanNode(PlanNode):
         handle = self.handle
         columns = ", ".join(c for _, c in self.assignments)
         extras = []
-        if getattr(handle, "constraint", None) is not None:
+        if handle.constraint is not None:
             extras.append("pushed-filter")
-        if getattr(handle, "limit", None) is not None:
+        if handle.limit is not None:
             extras.append(f"pushed-limit={handle.limit}")
-        if getattr(handle, "aggregation", None) is not None:
+        if handle.aggregation is not None:
             extras.append("pushed-aggregation")
         suffix = f" [{', '.join(extras)}]" if extras else ""
         return (

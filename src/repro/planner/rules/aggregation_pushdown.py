@@ -6,7 +6,8 @@ the aggregation to the connector; if accepted, the scan streams
 *pre-aggregated* rows ("only stream aggregated results to Presto") and the
 engine keeps a FINAL aggregation that merges per-split partial results —
 exactly figure 2's "final aggregation max(columnB)" box above the
-connector.
+connector.  The OLAP stores answer with per-segment partials; the hybrid
+connector answers with a materialized view at the read watermark.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def push_aggregations(plan: PlanNode, ctx) -> PlanNode:
             project, scan = None, source
         else:
             return None
-        if getattr(scan.handle, "aggregation", None) is not None:
+        if scan.handle.aggregation is not None:
             return None
 
         variable_to_column = scan.assignments_dict()

@@ -19,8 +19,9 @@ Time travel uses the table-name suffix ``events$watermark=5-7-3`` to pin
 a historical read watermark; plain names read at the committed watermark
 of split-generation time.  Materialized views registered on the
 connector are exposed as tables too (their finalized rows pinned the
-same way), which is what the planner's MV-substitution rule rewrites
-matching aggregations into.
+same way), and they are this connector's aggregation pushdown: a view
+answering an offered aggregation at the read watermark becomes the
+scan, under the engine's FINAL aggregation (section IV.B, figure 2).
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from typing import Iterator, Optional, Sequence
 from repro.common.errors import ConnectorError
 from repro.connectors.lakehouse.connector import data_file_pages
 from repro.connectors.spi import (
+    AggregationFunction,
+    AggregationPushdownResult,
+    ColumnMetadata,
     Connector,
     ConnectorMetadata,
     ConnectorRecordSetProvider,
@@ -100,43 +104,6 @@ class HybridTableConnector(Connector):
             raise ConnectorError(f"hybrid: no view {name!r}")
         return view
 
-    # -- planner surface ------------------------------------------------------
-
-    def find_materialized_view(
-        self,
-        table_name: str,
-        grouping_columns: Sequence[str],
-        aggregates: Sequence[tuple[str, Optional[str]]],
-    ) -> Optional[tuple[str, dict]]:
-        """A view answering this aggregation at the read watermark.
-
-        ``table_name`` may carry a ``$watermark=`` suffix; plain names
-        read at the committed watermark.  A view qualifies only when its
-        shape matches *and* its own watermark equals the read watermark —
-        a stale or over-fresh view would silently change results, so it
-        is simply not offered.  Returns ``(view_name, outputs)`` where
-        ``outputs`` maps each ``(function, input-column)`` pair to the
-        view column holding that aggregate; group columns keep the base
-        table's column names.
-        """
-        base, pinned = parse_table_name(table_name)
-        table = self._tables.get(base)
-        if table is None:
-            return None
-        read = pinned if pinned is not None else table.committed
-        for name in sorted(self._views):
-            view = self._views[name]
-            if (
-                view.table is table
-                and view.watermark == read
-                and view.matches(grouping_columns, aggregates)
-            ):
-                outputs = {
-                    (a.function, a.input): a.output for a in view.aggregates
-                }
-                return name, outputs
-        return None
-
     def _columns(self, name: str) -> list[tuple[str, PrestoType]]:
         base, _ = parse_table_name(name)
         if base in self._tables:
@@ -181,6 +148,54 @@ class _HybridMetadata(SingleSchemaMetadata):
     absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
 
     apply_projection = ConnectorMetadata.absorb_top_level_columns
+
+    def apply_aggregation(
+        self,
+        handle: ConnectorTableHandle,
+        aggregations: Sequence[AggregationFunction],
+        grouping_columns: Sequence[str],
+    ) -> Optional[AggregationPushdownResult]:
+        """Answer the aggregation from a registered view of the table.
+
+        A view folds the whole table, so nothing may be pushed before it
+        (filter, limit, aggregation), and it qualifies only when its
+        watermark equals the read watermark (a pinned ``$watermark=``
+        suffix, or the committed watermark for plain names): a stale or
+        over-fresh view would change results, so it is not offered.  The
+        view streams one finalized row per group; the engine's FINAL step
+        merges them like any connector's partial results.
+        """
+        connector = self._connector
+        base, pinned = parse_table_name(handle.table_name)
+        table = connector._tables.get(base)
+        if (
+            table is None
+            or handle.constraint is not None
+            or handle.limit is not None
+            or handle.aggregation is not None
+            or any(len(a.inputs) > 1 for a in aggregations)
+        ):
+            return None
+        read = pinned if pinned is not None else table.committed
+        wanted = [
+            (a.function_handle.name, a.inputs[0] if a.inputs else None)
+            for a in aggregations
+        ]
+        for name in sorted(connector._views):
+            view = connector._views[name]
+            if (
+                view.table is table
+                and view.watermark == read
+                and view.matches(grouping_columns, wanted)
+            ):
+                types = dict(view.columns)
+                outputs = {(a.function, a.input): a.output for a in view.aggregates}
+                columns = [*grouping_columns, *(outputs[w] for w in wanted)]
+                return AggregationPushdownResult(
+                    ConnectorTableHandle(handle.schema_name, name),
+                    tuple(ColumnMetadata(c, types[c]) for c in columns),
+                )
+        return None
 
 
 class _HybridSplitManager(ConnectorSplitManager):

@@ -11,11 +11,12 @@ and the delta ranges never overlap, every event contributes to the view
 exactly once, no matter how ingestion, compaction, and refresh
 interleave.
 
-The planner substitutes a view for a matching ``AggregationNode`` only
-when the view's watermark equals the query's read watermark (see
-``planner/rules/mv_substitution.py``), so a substituted plan returns
-byte-identical rows to the unsubstituted one — which the differential
-tests pin.
+A view is the hybrid connector's aggregation pushdown: the connector's
+``apply_aggregation`` answers an offered aggregation with a view that
+:meth:`MaterializedView.matches` it, and only when the view's watermark
+equals the query's read watermark; the engine's FINAL aggregation
+merges the view's rows.  An answered plan returns the same rows as a
+scan of the table, which the differential tests pin.
 """
 
 from __future__ import annotations
@@ -149,9 +150,8 @@ class MaterializedView:
         """
         if sorted(grouping_columns) != sorted(self.group_by):
             return False
-        wanted = [(f, c) for f, c in aggregates]
-        have = [(a.function, a.input) for a in self.aggregates]
-        return all(w in have for w in wanted)
+        have = {(a.function, a.input) for a in self.aggregates}
+        return all(tuple(w) in have for w in aggregates)
 
 
 def _sort_key(value) -> tuple[str, str]:

@@ -8,7 +8,7 @@ Kafka log (the one component no crash schedule can corrupt):
   ``PrestoEngine.execute_direct`` — the repo's standing oracle path.
   A hybrid query at watermark ``W`` must return exactly the rows the
   batch oracle returns over the replayed log at ``W``, for scans, time
-  travel, and substituted materialized views alike.
+  travel, and aggregations a materialized view answers alike.
 - :func:`visible_log_keys` walks the hybrid connector's own split
   manager and record-set provider (no engine involved) and returns the
   multiset of ``(_partition_id, _offset)`` coordinates a read at ``W``

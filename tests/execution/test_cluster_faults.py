@@ -39,7 +39,7 @@ class TestWorkerCrash:
         cluster.run_until_idle()
         assert execution.finished_at is not None
         assert cluster.workers[victim].completed_splits == 0
-        assert victim in cluster.blacklisted_workers
+        assert cluster.workers[victim].state is WorkerState.CRASHED
 
     def test_crash_loses_worker_cache(self):
         cluster = PrestoClusterSim(

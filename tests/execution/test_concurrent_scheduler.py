@@ -179,6 +179,19 @@ class TestResourceGroups:
         assert cluster.resource_group("etl.nightly") is group
         assert group.parent is cluster.resource_group("etl")
 
+    @pytest.mark.parametrize(
+        "name", ["running", "queued", "memory_used_mb", "queries_completed", "parent"]
+    )
+    def test_only_limits_are_settable(self, name):
+        cluster = PrestoClusterSim(workers=1)
+        group = cluster.resource_group("etl")
+        with pytest.raises(ExecutionError, match="unknown resource-group limit"):
+            cluster.resource_group("etl", **{name: 5})
+        assert (group.running, group.queued, group.memory_used_mb) == (0, 0, 0.0)
+        assert group.queries_completed == 0 and group.parent is cluster.root_group
+        cluster.resource_group("etl", max_running=5)
+        assert group.can_admit(0.0)
+
 
 class TestAdmissionControl:
     def make_cluster(self, **kwargs):

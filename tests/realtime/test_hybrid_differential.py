@@ -1,7 +1,7 @@
 """Differential oracle: hybrid queries vs batch replay of the full log.
 
 Every read surface of the streaming lakehouse — hybrid scans, pinned
-time travel, substituted materialized views — must return exactly what a
+time travel, materialized views answering an aggregation — must return exactly what a
 batch engine returns over the *fully replayed* Kafka log cut at the same
 watermark (``execute_direct`` over a memory table: the repo's standing
 oracle).  And it must keep doing so under 10% task/split fault rates,
@@ -15,6 +15,7 @@ import pytest
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.faults import FaultInjector
+from repro.planner.optimizer import Optimizer
 from repro.realtime import (
     StreamingLakehouse,
     ViewAggregate,
@@ -114,12 +115,57 @@ class TestTimeTravel:
             )
 
 
+def explain(engine, sql):
+    return "\n".join(row[0] for row in engine.execute("EXPLAIN " + sql).rows)
+
+
+def city_stats_lakehouse():
+    """``build_lakehouse`` plus a ``count(*)``/``sum(amount)`` view by city."""
+    lh = build_lakehouse()
+    view = lh.create_materialized_view(
+        "city_stats",
+        ["city"],
+        [
+            ViewAggregate("count", None, "n"),
+            ViewAggregate("sum", "amount", "total"),
+        ],
+    )
+    view.refresh()
+    return lh, view
+
+
+# The query city_stats answers, when nothing stops it.
+CITY_STATS_SQL = (
+    'SELECT city, count(*), sum(amount) FROM "{table}" GROUP BY city ORDER BY city'
+)
+
+
 class TestMaterializedViews:
+    """A view is the hybrid connector's answer to aggregation pushdown."""
+
     def test_substituted_view_matches_oracle(self):
-        lh = build_lakehouse()
+        lh, view = city_stats_lakehouse()
+        engine = lh.make_engine()
+        sql = 'SELECT city, count(*), sum(amount) FROM "{table}" GROUP BY city ORDER BY city'
+        plan = explain(engine, sql.format(table=lh.topic))
+        assert "city_stats" in plan, f"view not substituted:\n{plan}"
+        # The engine keeps the FINAL merge directly above the view's rows.
+        lines = [line.strip() for line in plan.splitlines()]
+        final = next(i for i, line in enumerate(lines) if line.startswith("Aggregation["))
+        assert lines[final].startswith("Aggregation[FINAL]"), plan
+        assert lines[final + 1] == "TableScan[hybrid.rt.city_stats](city, n, total)", plan
+        oracle = oracle_engine(lh.broker, lh.topic, view.watermark)
+        assert normalized(engine.execute(sql.format(table=lh.topic)).rows) == normalized(
+            oracle.execute_direct(sql.format(table=lh.topic)).rows
+        )
+
+    def test_empty_view_answers_global_aggregate(self):
+        # No group keys over an empty table: one row, like any aggregate
+        # without GROUP BY, not the view's zero rows.
+        lh = StreamingLakehouse(fields=FIELDS)
         view = lh.create_materialized_view(
-            "city_stats",
-            ["city"],
+            "totals",
+            [],
             [
                 ViewAggregate("count", None, "n"),
                 ViewAggregate("sum", "amount", "total"),
@@ -127,13 +173,49 @@ class TestMaterializedViews:
         )
         view.refresh()
         engine = lh.make_engine()
-        sql = 'SELECT city, count(*), sum(amount) FROM "{table}" GROUP BY city ORDER BY city'
-        plan = "\n".join(
-            r[0] for r in engine.execute("EXPLAIN " + sql.format(table=lh.topic)).rows
-        )
-        assert "city_stats" in plan, f"view not substituted:\n{plan}"
+        sql = f'SELECT count(*), sum(amount) FROM "{lh.topic}"'
+        assert "TableScan[hybrid.rt.totals]" in explain(engine, sql)
+        assert engine.execute(sql).rows == [(0, None)]
         oracle = oracle_engine(lh.broker, lh.topic, view.watermark)
-        assert normalized(engine.execute(sql.format(table=lh.topic)).rows) == normalized(
+        assert oracle.execute_direct(sql).rows == [(0, None)]
+
+    @pytest.mark.parametrize(
+        "sql, pinned, pushdown",
+        [
+            (  # a pushed WHERE: the view folds the whole table
+                CITY_STATS_SQL.replace("GROUP BY", "WHERE amount > 5.0 GROUP BY"),
+                False,
+                True,
+            ),
+            (  # count(amount) is not the view's count(*)
+                CITY_STATS_SQL.replace("count(*)", "count(amount)"),
+                False,
+                True,
+            ),
+            (  # avg is not mergeable, so it is never offered
+                CITY_STATS_SQL.replace("count(*), sum(amount)", "avg(amount)"),
+                False,
+                True,
+            ),
+            # The view was refreshed past the pinned read watermark.
+            (CITY_STATS_SQL, True, True),
+            # Figure 16's ablation: no aggregation pushdown, no view.
+            (CITY_STATS_SQL, False, False),
+        ],
+        ids=["where", "count-column", "avg", "past-pin", "no-pushdown"],
+    )
+    def test_declined_view_matches_oracle(self, sql, pinned, pushdown):
+        lh, view = city_stats_lakehouse()
+        watermark = lh.table.sealed_watermark() if pinned else view.watermark
+        assert not pinned or watermark != view.watermark
+        table = watermark_table_name(lh.topic, watermark) if pinned else lh.topic
+        engine = lh.make_engine()
+        engine._optimizer = Optimizer(engine.catalog, pushdown=pushdown)
+        plan = explain(engine, sql.format(table=table))
+        assert "city_stats" not in plan, plan
+        assert f"TableScan[hybrid.rt.{table}]" in plan, plan
+        oracle = oracle_engine(lh.broker, lh.topic, watermark)
+        assert normalized(engine.execute(sql.format(table=table)).rows) == normalized(
             oracle.execute_direct(sql.format(table=lh.topic)).rows
         )
 
