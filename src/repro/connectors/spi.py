@@ -194,7 +194,12 @@ class AggregationPushdownResult:
 
 
 class _ConnectorPart:
-    """An SPI object holds the connector it serves as ``self._connector``."""
+    """An SPI object holds the connector it serves as ``self._connector``.
+
+    The connector holds its parts too, so that is a reference cycle, freed
+    only by the cyclic collector.  A connector whose tables are large
+    hands its parts a state object instead (``MemoryConnector``).
+    """
 
     def __init__(self, connector: Optional["Connector"] = None) -> None:
         self._connector = connector

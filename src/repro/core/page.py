@@ -133,14 +133,25 @@ def concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:
     if len(blocks) == 1:
         return blocks[0]
     if all(isinstance(block, DictionaryBlock) for block in blocks):
-        # A page per column chunk, a dictionary per page: the dictionaries
-        # go end to end and each page's ids shift past the ones before.
-        # (A value in two of them is two entries; the kernels deduplicate.)
+        # Each distinct dictionary goes in once, matched by identity (the
+        # pages of one column chunk or one memory split share theirs), and
+        # each page's ids shift by where its dictionary starts.  (A value
+        # in two dictionaries is two entries; the kernels deduplicate.)
+        starts: dict[int, int] = {}
+        dictionaries: list[Block] = []
         ids, start = [], 0
         for block in blocks:
-            ids.append(np.where(block.ids < 0, -1, block.ids + start))
-            start += block.dictionary.position_count
-        dictionary = _concat_blocks(presto_type, [block.dictionary for block in blocks])
+            offset = starts.get(id(block.dictionary))
+            if offset is None:
+                offset = starts[id(block.dictionary)] = start
+                dictionaries.append(block.dictionary)
+                start += block.dictionary.position_count
+            ids.append(np.where(block.ids < 0, -1, block.ids + offset))
+        dictionary = (
+            dictionaries[0]
+            if len(dictionaries) == 1
+            else _concat_blocks(presto_type, dictionaries)
+        )
         return DictionaryBlock(dictionary, np.concatenate(ids))
     return _concat_blocks(presto_type, blocks)
 

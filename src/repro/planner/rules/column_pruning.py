@@ -164,101 +164,112 @@ def collapse_paths(paths: set[str]) -> set[str]:
 
 def prune_columns(plan: PlanNode, ctx) -> PlanNode:
     """Drop unused columns and push (possibly nested) projections to scans."""
-    access_paths = collect_access_paths(plan)
+    return _prune(plan, {v.name for v in plan.outputs}, collect_access_paths(plan), ctx)
 
-    def visit(node: PlanNode, required: set[str]) -> PlanNode:
-        if isinstance(node, OutputNode):
-            needed = {v.name for v in node.source.outputs[: len(node.column_names)]}
-            # Hidden sort columns (beyond the visible ones) stay required.
-            needed |= {v.name for v in node.source.outputs}
-            return node.replace_sources([visit(node.source, needed)])
 
-        if isinstance(node, ProjectNode):
-            kept = [
-                (variable, expression)
-                for variable, expression in node.assignments
-                if variable.name in required
-            ]
-            needed = set()
-            for _, expression in kept:
-                needed |= {v.name for v in expression.variables()}
-            return ProjectNode(
-                source=visit(node.source, needed), assignments=tuple(kept)
-            )
+def _prune(
+    node: PlanNode, required: set[str], access_paths: dict[str, set[str]], ctx
+) -> PlanNode:
+    # A module function rather than a closure: a recursive closure is a
+    # reference cycle, and this one would keep ``ctx`` (and through it the
+    # catalog's connectors) alive until the cyclic collector runs.
+    if isinstance(node, OutputNode):
+        needed = {v.name for v in node.source.outputs[: len(node.column_names)]}
+        # Hidden sort columns (beyond the visible ones) stay required.
+        needed |= {v.name for v in node.source.outputs}
+        return node.replace_sources([_prune(node.source, needed, access_paths, ctx)])
 
-        if isinstance(node, FilterNode):
-            needed = set(required) | {v.name for v in node.predicate.variables()}
-            return node.replace_sources([visit(node.source, needed)])
-
-        if isinstance(node, AggregationNode):
-            kept_aggs = tuple(
-                a for a in node.aggregations if a.output.name in required
-            )
-            needed = {k.name for k in node.group_keys}
-            for aggregation in kept_aggs:
-                for argument in aggregation.arguments:
-                    needed |= {v.name for v in argument.variables()}
-            new_node = AggregationNode(
-                source=visit(node.source, needed),
-                group_keys=node.group_keys,
-                aggregations=kept_aggs,
-                step=node.step,
-            )
-            return new_node
-
-        if isinstance(node, JoinNode):
-            needed = set(required)
-            for left, right in node.criteria:
-                needed.add(left.name)
-                needed.add(right.name)
-            if node.filter is not None:
-                needed |= {v.name for v in node.filter.variables()}
-            left_required = {v.name for v in node.left.outputs if v.name in needed}
-            right_required = {v.name for v in node.right.outputs if v.name in needed}
-            return node.replace_sources(
-                [visit(node.left, left_required), visit(node.right, right_required)]
-            )
-
-        if isinstance(node, SpatialJoinNode):
-            needed = set(required)
-            needed |= {v.name for v in node.point_expression.variables()}
-            needed.add(node.polygon_variable.name)
-            left_required = {v.name for v in node.left.outputs if v.name in needed}
-            right_required = {v.name for v in node.right.outputs if v.name in needed}
-            return node.replace_sources(
-                [visit(node.left, left_required), visit(node.right, right_required)]
-            )
-
-        if isinstance(node, (SortNode, TopNNode)):
-            needed = set(required) | {v.name for v, _ in node.order_by}
-            return node.replace_sources([visit(node.source, needed)])
-
-        if isinstance(node, LimitNode):
-            return node.replace_sources([visit(node.source, set(required))])
-
-        if isinstance(node, UnionNode):
-            kept = [v for v in node.output_variables if v.name in required]
-            if not kept:
-                kept = [node.output_variables[0]]
-            kept_names = {v.name for v in kept}
-            return UnionNode(
-                union_sources=tuple(
-                    visit(source, set(kept_names)) for source in node.union_sources
-                ),
-                output_variables=tuple(kept),
-            )
-
-        if isinstance(node, TableScanNode):
-            return _prune_scan(node, required, access_paths, ctx)
-
-        if isinstance(node, ValuesNode):
-            return node
-
-        return node.replace_sources(
-            [visit(source, set(required)) for source in node.sources()]
+    if isinstance(node, ProjectNode):
+        kept = [
+            (variable, expression)
+            for variable, expression in node.assignments
+            if variable.name in required
+        ]
+        needed = set()
+        for _, expression in kept:
+            needed |= {v.name for v in expression.variables()}
+        return ProjectNode(
+            source=_prune(node.source, needed, access_paths, ctx), assignments=tuple(kept)
         )
 
-    return visit(plan, {v.name for v in plan.outputs})
+    if isinstance(node, FilterNode):
+        needed = set(required) | {v.name for v in node.predicate.variables()}
+        return node.replace_sources([_prune(node.source, needed, access_paths, ctx)])
+
+    if isinstance(node, AggregationNode):
+        kept_aggs = tuple(
+            a for a in node.aggregations if a.output.name in required
+        )
+        needed = {k.name for k in node.group_keys}
+        for aggregation in kept_aggs:
+            for argument in aggregation.arguments:
+                needed |= {v.name for v in argument.variables()}
+        new_node = AggregationNode(
+            source=_prune(node.source, needed, access_paths, ctx),
+            group_keys=node.group_keys,
+            aggregations=kept_aggs,
+            step=node.step,
+        )
+        return new_node
+
+    if isinstance(node, JoinNode):
+        needed = set(required)
+        for left, right in node.criteria:
+            needed.add(left.name)
+            needed.add(right.name)
+        if node.filter is not None:
+            needed |= {v.name for v in node.filter.variables()}
+        left_required = {v.name for v in node.left.outputs if v.name in needed}
+        right_required = {v.name for v in node.right.outputs if v.name in needed}
+        return node.replace_sources(
+            [
+                _prune(node.left, left_required, access_paths, ctx),
+                _prune(node.right, right_required, access_paths, ctx),
+            ]
+        )
+
+    if isinstance(node, SpatialJoinNode):
+        needed = set(required)
+        needed |= {v.name for v in node.point_expression.variables()}
+        needed.add(node.polygon_variable.name)
+        left_required = {v.name for v in node.left.outputs if v.name in needed}
+        right_required = {v.name for v in node.right.outputs if v.name in needed}
+        return node.replace_sources(
+            [
+                _prune(node.left, left_required, access_paths, ctx),
+                _prune(node.right, right_required, access_paths, ctx),
+            ]
+        )
+
+    if isinstance(node, (SortNode, TopNNode)):
+        needed = set(required) | {v.name for v, _ in node.order_by}
+        return node.replace_sources([_prune(node.source, needed, access_paths, ctx)])
+
+    if isinstance(node, LimitNode):
+        return node.replace_sources([_prune(node.source, set(required), access_paths, ctx)])
+
+    if isinstance(node, UnionNode):
+        kept = [v for v in node.output_variables if v.name in required]
+        if not kept:
+            kept = [node.output_variables[0]]
+        kept_names = {v.name for v in kept}
+        return UnionNode(
+            union_sources=tuple(
+                _prune(source, set(kept_names), access_paths, ctx)
+                for source in node.union_sources
+            ),
+            output_variables=tuple(kept),
+        )
+
+    if isinstance(node, TableScanNode):
+        return _prune_scan(node, required, access_paths, ctx)
+
+    if isinstance(node, ValuesNode):
+        return node
+
+    return node.replace_sources(
+        [_prune(source, set(required), access_paths, ctx) for source in node.sources()]
+    )
 
 
 def _prune_scan(

@@ -49,27 +49,29 @@ def reorder_joins(plan: PlanNode, _ctx, estimator: CostEstimator) -> PlanNode:
     root; a bottom-up rewrite would wrap nested joins in restoring
     projections that block the parent from flattening through them.
     """
+    # A module function rather than a recursive closure, which would be a
+    # reference cycle holding the estimator (and through it the catalog).
+    return _reorder_top_down(plan, estimator)
 
-    def visit(node: PlanNode) -> PlanNode:
-        if isinstance(node, JoinNode) and _is_reorderable(node):
-            leaves = [visit(leaf) for leaf in _flatten(node)]
-            reordered = _reorder(node, leaves, estimator)
-            if reordered is not None and [l.id for l in _flatten(reordered)] != [
-                l.id for l in leaves
-            ]:
-                # JoinNode outputs are left.outputs + right.outputs, so
-                # reordering permutes columns; restore the original order.
-                return ProjectNode(
-                    source=reordered,
-                    assignments=tuple((v, v) for v in node.outputs),
-                )
-            return _rebuild(node, iter(leaves))
-        new_sources = [visit(s) for s in node.sources()]
-        if list(node.sources()) != new_sources:
-            return node.replace_sources(new_sources)
-        return node
 
-    return visit(plan)
+def _reorder_top_down(node: PlanNode, estimator: CostEstimator) -> PlanNode:
+    if isinstance(node, JoinNode) and _is_reorderable(node):
+        leaves = [_reorder_top_down(leaf, estimator) for leaf in _flatten(node)]
+        reordered = _reorder(node, leaves, estimator)
+        if reordered is not None and [l.id for l in _flatten(reordered)] != [
+            l.id for l in leaves
+        ]:
+            # JoinNode outputs are left.outputs + right.outputs, so
+            # reordering permutes columns; restore the original order.
+            return ProjectNode(
+                source=reordered,
+                assignments=tuple((v, v) for v in node.outputs),
+            )
+        return _rebuild(node, iter(leaves))
+    new_sources = [_reorder_top_down(s, estimator) for s in node.sources()]
+    if list(node.sources()) != new_sources:
+        return node.replace_sources(new_sources)
+    return node
 
 
 def _rebuild(node: PlanNode, leaf_iter) -> PlanNode:

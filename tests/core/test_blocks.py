@@ -19,7 +19,7 @@ from repro.core.blocks import (
     block_from_values,
     object_varchar_lane,
 )
-from repro.core.page import Page, concat_pages
+from repro.core.page import Page, concat_blocks, concat_pages
 from repro.core.types import (
     ArrayType,
     BIGINT,
@@ -221,6 +221,27 @@ class TestPage:
         b = Page.from_rows([BIGINT], [(3,)])
         merged = concat_pages([BIGINT], [a, b])
         assert merged.to_rows() == [(1,), (2,), (3,)]
+
+    def test_concat_blocks_lays_a_shared_dictionary_down_once(self):
+        dictionary = VarcharBlock.from_values(["a", "é", "zz"])
+        ids = [[0, 1], [2, -1, 0], [1], [-1, 2, 2]]
+        pages = [DictionaryBlock(dictionary, np.array(i, dtype=np.int32)) for i in ids]
+        merged = concat_blocks(VARCHAR, pages)
+        assert isinstance(merged, DictionaryBlock)
+        assert merged.dictionary.position_count == dictionary.position_count
+        assert merged.to_list() == [v for page in pages for v in page.to_list()]
+
+    def test_concat_blocks_appends_distinct_dictionaries(self):
+        first = VarcharBlock.from_values(["a", "b"])
+        second = VarcharBlock.from_values(["b", "c", None])
+        pages = [
+            DictionaryBlock(first, np.array([1, 0], dtype=np.int32)),
+            DictionaryBlock(second, np.array([2, 1, -1], dtype=np.int32)),
+            DictionaryBlock(first, np.array([0], dtype=np.int32)),
+        ]
+        merged = concat_blocks(VARCHAR, pages)
+        assert merged.dictionary.position_count == 5
+        assert merged.to_list() == ["b", "a", None, "c", None, "a"]
 
     def test_empty_page(self):
         page = Page.from_rows([BIGINT, VARCHAR], [])
