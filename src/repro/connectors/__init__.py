@@ -1,13 +1,14 @@
 """Presto connectors: unified SQL on heterogeneous storage without data copy.
 
-Section IV: a connector provides ``ConnectorMetadata`` (schemas/tables/
-columns), ``ConnectorSplitManager`` (how data divides into parallel splits),
-``ConnectorSplit`` (one processing unit), and
-``ConnectorRecordSetProvider`` (how streams become Presto pages).  Tables
-are addressed as ``catalog.schema.table`` where the catalog names the
-connector instance.
+Section IV: a catalog registers one ``Connector`` object, whose method
+groups are the connector's jobs — metadata ("defines schemas, tables,
+columns etc."), the split manager (how data divides into parallel
+splits, ``get_splits``) and the record set provider (how streams become
+Presto pages, ``pages``); a ``ConnectorSplit`` is one processing unit.
+Tables are addressed as ``catalog.schema.table`` where the catalog names
+the connector instance.
 
-Pushdown (IV.A/IV.B) is negotiated through the metadata interface: the
+Pushdown (IV.A/IV.B) is negotiated through the metadata methods: the
 optimizer offers filters, projections, limits and aggregations as
 serialized RowExpressions and the connector absorbs what its storage can
 evaluate natively.
@@ -17,10 +18,7 @@ from repro.connectors.spi import (
     Catalog,
     ColumnMetadata,
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
     AggregationFunction,
     AggregationPushdownResult,
@@ -33,10 +31,7 @@ __all__ = [
     "Catalog",
     "ColumnMetadata",
     "Connector",
-    "ConnectorMetadata",
-    "ConnectorRecordSetProvider",
     "ConnectorSplit",
-    "ConnectorSplitManager",
     "ConnectorTableHandle",
     "AggregationFunction",
     "AggregationPushdownResult",

@@ -15,12 +15,9 @@ from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.connectors.spi import (
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
-    SingleSchemaMetadata,
+    SingleSchemaConnector,
 )
 from repro.core.expressions import (
     ColumnTest,
@@ -130,7 +127,7 @@ class ElasticsearchCluster:
         return hits
 
 
-class ElasticsearchConnector(Connector):
+class ElasticsearchConnector(SingleSchemaConnector):
     """Presto-Elasticsearch connector: index → table, field → column."""
 
     name = "elasticsearch"
@@ -138,18 +135,14 @@ class ElasticsearchConnector(Connector):
     def __init__(self, cluster: ElasticsearchCluster, schema_name: str = "default") -> None:
         self.cluster = cluster
         self.schema_name = schema_name
-        super().__init__(_EsMetadata(self), _EsSplitManager(self), _EsProvider(self))
 
-
-class _EsMetadata(SingleSchemaMetadata):
     def table_names(self) -> list[str]:
-        return self._connector.cluster.indices()
+        return self.cluster.indices()
 
     def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
-        cluster = self._connector.cluster
-        if table_name not in cluster.indices():
+        if table_name not in self.cluster.indices():
             return None
-        return cluster.fields(table_name)
+        return self.cluster.fields(table_name)
 
     def absorb_conjunct(
         self, handle: ConnectorTableHandle, conjunct: RowExpression
@@ -157,13 +150,11 @@ class _EsMetadata(SingleSchemaMetadata):
         """Absorb term (equality/IN) and range conjuncts; leave the rest."""
         return conjunct if _as_term_or_range(conjunct) is not None else None
 
-    apply_limit = ConnectorMetadata.absorb_limit
-    apply_projection = ConnectorMetadata.absorb_top_level_columns
+    apply_limit = Connector.absorb_limit
+    apply_projection = Connector.absorb_top_level_columns
 
-
-class _EsSplitManager(ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
-        shards = self._connector.cluster.shards_per_index
+        shards = self.cluster.shards_per_index
         return [
             ConnectorSplit(
                 split_id=f"es:{handle.table_name}:{shard}",
@@ -172,15 +163,13 @@ class _EsSplitManager(ConnectorSplitManager):
             for shard in range(shards)
         ]
 
-
-class _EsProvider(ConnectorRecordSetProvider):
     def pages(
         self,
         handle: ConnectorTableHandle,
         split: ConnectorSplit,
         columns: Sequence[str],
     ) -> Iterator[Page]:
-        cluster = self._connector.cluster
+        cluster = self.cluster
         term_filters: list[tuple[str, list[Any]]] = []
         range_filters: dict[str, tuple[Optional[float], Optional[float]]] = {}
         for conjunct in conjuncts(handle.constraint_expression()):

@@ -21,7 +21,12 @@ from typing import Any, Iterator, Optional, Sequence
 from repro.core.blocks import Block, block_from_values, constant_block
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
+    CallExpression,
+    ConstantExpression,
     RowExpression,
+    SpecialForm,
+    SpecialFormExpression,
+    VariableReferenceExpression,
     combine_conjuncts,
     conjuncts,
     expression_from_dict,
@@ -37,10 +42,7 @@ from repro.core.types import (
 )
 from repro.connectors.spi import (
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
     project_rows,
 )
@@ -86,9 +88,6 @@ class HiveConnector(Connector):
         # attached per-file so reads skip storage IO on cache hits.
         self.data_cache = data_cache
         self._evaluator = Evaluator()
-        super().__init__(
-            _HiveMetadata(self), _HiveSplitManager(self), _HiveRecordSetProvider(self)
-        )
 
     # -- shared internals ---------------------------------------------------
 
@@ -113,21 +112,20 @@ class HiveConnector(Connector):
             file.attach_data_cache(self.data_cache, path)
         return file
 
+    # -- metadata ------------------------------------------------------------
 
-class _HiveMetadata(ConnectorMetadata):
     def list_schemas(self) -> list[str]:
-        return self._connector.metastore.list_databases()
+        return self.metastore.list_databases()
 
     def list_tables(self, schema_name: str) -> list[str]:
-        return self._connector.metastore.list_tables(schema_name)
+        return self.metastore.list_tables(schema_name)
 
     def table_columns(
         self, schema_name: str, table_name: str
     ) -> Optional[list[tuple[str, PrestoType]]]:
-        metastore = self._connector.metastore
-        if not metastore.has_table(schema_name, table_name):
+        if not self.metastore.has_table(schema_name, table_name):
             return None
-        return metastore.get_table(schema_name, table_name).all_columns()
+        return self.metastore.get_table(schema_name, table_name).all_columns()
 
     # -- statistics (ANALYZE TABLE) ----------------------------------------
 
@@ -143,10 +141,9 @@ class _HiveMetadata(ConnectorMetadata):
         columns it falls back to a range heuristic for integers and the
         non-null count otherwise.
         """
-        connector = self._connector
-        table = connector._table(handle)
+        table = self._table(handle)
         statistics = self._footer_statistics(table)
-        connector.metastore.set_table_statistics(
+        self.metastore.set_table_statistics(
             handle.schema_name, handle.table_name, statistics
         )
         return statistics
@@ -154,12 +151,11 @@ class _HiveMetadata(ConnectorMetadata):
     def get_table_statistics(
         self, handle: ConnectorTableHandle
     ) -> Optional[TableStatistics]:
-        return self._connector.metastore.get_table_statistics(
+        return self.metastore.get_table_statistics(
             handle.schema_name, handle.table_name
         )
 
     def _footer_statistics(self, table: TableInfo) -> TableStatistics:
-        connector = self._connector
         scalar_columns = [(n, t) for n, t in table.columns if not t.is_nested()]
         accumulators = {name: _ColumnAccumulator(t) for name, t in scalar_columns}
         row_count = 0
@@ -170,8 +166,8 @@ class _HiveMetadata(ConnectorMetadata):
         if not table.partition_keys and not table.partitions:
             locations.append((table.location, (), True))
         for location, _, sealed in locations:
-            for status in connector._list_files(location, sealed):
-                file = connector._open_parquet(status.path)
+            for status in self._list_files(location, sealed):
+                file = self._open_parquet(status.path)
                 for group_index, group in enumerate(file.metadata.row_groups):
                     row_count += group.num_rows
                     for name, _ in scalar_columns:
@@ -213,16 +209,15 @@ class _HiveMetadata(ConnectorMetadata):
         """Partition-key conjuncts as they are; with the new reader's
         predicate pushdown on, conjuncts over scalar data leaves too.
 
-        Both kinds land in the handle's one conjunction; the split manager
+        Both kinds land in the handle's one conjunction; ``get_splits``
         and the reader each take their half of it with
         ``_split_on_partition_keys``.
         """
-        connector = self._connector
-        table = connector._table(handle)
+        table = self._table(handle)
         names = {v.name for v in conjunct.variables()}
         if names and names <= set(table.partition_key_names()):
             return conjunct
-        if connector.reader != NEW_READER or not connector.reader_options.predicate_pushdown:
+        if self.reader != NEW_READER or not self.reader_options.predicate_pushdown:
             return None
         # Nested field access arrives as DEREFERENCE chains; normalize
         # them into dotted-path variables the reader understands.
@@ -232,28 +227,19 @@ class _HiveMetadata(ConnectorMetadata):
             return normalized
         return None
 
-    apply_projection = ConnectorMetadata.absorb_column_paths
+    apply_projection = Connector.absorb_column_paths
 
     def _scalar_leaf_paths(self, table: TableInfo) -> set[str]:
         """Dotted paths of scalar leaves reachable through structs only."""
         paths: set[str] = set()
-
-        def walk(prefix: str, presto_type: PrestoType) -> None:
-            if isinstance(presto_type, RowType):
-                for f in presto_type.fields:
-                    walk(f"{prefix}.{f.name}", f.type)
-            elif not presto_type.is_nested():
-                paths.add(prefix)
-
         for name, presto_type in table.columns:
-            walk(name, presto_type)
+            _add_scalar_leaf_paths(name, presto_type, paths)
         return paths
 
+    # -- splits --------------------------------------------------------------
 
-class _HiveSplitManager(ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
-        connector = self._connector
-        table = connector._table(handle)
+        table = self._table(handle)
         partition_predicate, _ = _split_on_partition_keys(handle.constraint, table)
         # Runtime dynamic filters: conjuncts over partition keys prune
         # partitions right here, before any file is even listed.
@@ -266,7 +252,7 @@ class _HiveSplitManager(ConnectorSplitManager):
             ) + [dynamic_partition]
             partition_predicate = combine_conjuncts(terms)
 
-        partitions = connector.metastore.list_partitions(
+        partitions = self.metastore.list_partitions(
             handle.schema_name, handle.table_name
         )
         if partition_predicate is not None:
@@ -274,7 +260,7 @@ class _HiveSplitManager(ConnectorSplitManager):
 
         splits: list[ConnectorSplit] = []
         for partition in partitions:
-            for status in connector._list_files(partition.location, partition.sealed):
+            for status in self._list_files(partition.location, partition.sealed):
                 splits.append(
                     ConnectorSplit(
                         split_id=f"hive:{status.path}",
@@ -290,7 +276,7 @@ class _HiveSplitManager(ConnectorSplitManager):
                 )
         if not table.partition_keys and not table.partitions:
             # Unpartitioned table: files live directly at the table location.
-            for status in connector._list_files(table.location, True):
+            for status in self._list_files(table.location, True):
                 splits.append(
                     ConnectorSplit(
                         split_id=f"hive:{status.path}",
@@ -321,21 +307,20 @@ class _HiveSplitManager(ConnectorSplitManager):
                 key_type,
                 [_coerce(partition.values[index], key_type) for partition in partitions],
             )
-        mask = self._connector._evaluator.filter_mask(
+        mask = self._evaluator.filter_mask(
             predicate, bindings, len(partitions)
         )
         return [partition for partition, keep in zip(partitions, mask) if keep]
 
+    # -- pages ---------------------------------------------------------------
 
-class _HiveRecordSetProvider(ConnectorRecordSetProvider):
     def pages(
         self,
         handle: ConnectorTableHandle,
         split: ConnectorSplit,
         columns: Sequence[str],
     ) -> Iterator[Page]:
-        connector = self._connector
-        table = connector._table(handle)
+        table = self._table(handle)
         info = split.info_dict()
         path = info["path"]
         partition_values = dict(
@@ -345,9 +330,9 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
         data_column_names = [n for n, _ in table.columns]
 
         data_columns = [c for c in columns if c in data_column_names]
-        file = connector._open_parquet(path)
+        file = self._open_parquet(path)
 
-        if connector.reader == OLD_READER:
+        if self.reader == OLD_READER:
             # The old reader decodes every column of the file, in file order.
             return self._stream_reader(
                 OldParquetReader(file),
@@ -379,7 +364,7 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
         reader = NewParquetReader(
             file,
             present,
-            options=connector.reader_options,
+            options=self.reader_options,
             predicate=predicate,
             restrict=restrict,
             dynamic_predicate=dynamic_data,
@@ -421,7 +406,7 @@ class _HiveRecordSetProvider(ConnectorRecordSetProvider):
             )
             for key, value in partition_values.items()
         }
-        mask = self._connector._evaluator.filter_mask(predicate, bindings, 1)
+        mask = self._evaluator.filter_mask(predicate, bindings, 1)
         return bool(mask[0])
 
     def _restriction(
@@ -564,51 +549,49 @@ class _ColumnAccumulator:
         )
 
 
+def _add_scalar_leaf_paths(prefix: str, presto_type: PrestoType, paths: set[str]) -> None:
+    if isinstance(presto_type, RowType):
+        for f in presto_type.fields:
+            _add_scalar_leaf_paths(f"{prefix}.{f.name}", f.type, paths)
+    elif not presto_type.is_nested():
+        paths.add(prefix)
+
+
 def _dereferences_to_paths(expression: RowExpression) -> RowExpression:
     """Rewrite DEREFERENCE(var, 'f')... chains as dotted-path variables."""
-    from repro.core.expressions import (
-        CallExpression,
-        ConstantExpression,
-        SpecialForm,
-        SpecialFormExpression,
-        VariableReferenceExpression,
-    )
+    if isinstance(expression, SpecialFormExpression) and expression.form is SpecialForm.DEREFERENCE:
+        path = _dereference_path(expression)
+        if path is not None:
+            return VariableReferenceExpression(path, expression.type)
+    if isinstance(expression, CallExpression):
+        return CallExpression(
+            expression.display_name,
+            expression.function_handle,
+            expression.type,
+            tuple(_dereferences_to_paths(a) for a in expression.arguments),
+        )
+    if isinstance(expression, SpecialFormExpression):
+        return SpecialFormExpression(
+            expression.form,
+            expression.type,
+            tuple(_dereferences_to_paths(a) for a in expression.arguments),
+        )
+    return expression
 
-    def chain(expr) -> Optional[str]:
-        if isinstance(expr, VariableReferenceExpression):
-            return expr.name
-        if (
-            isinstance(expr, SpecialFormExpression)
-            and expr.form is SpecialForm.DEREFERENCE
-            and isinstance(expr.arguments[1], ConstantExpression)
-        ):
-            base = chain(expr.arguments[0])
-            if base is not None:
-                return f"{base}.{expr.arguments[1].value}"
-        return None
 
-    def rewrite(expr: RowExpression) -> RowExpression:
-        if (
-            isinstance(expr, SpecialFormExpression)
-            and expr.form is SpecialForm.DEREFERENCE
-        ):
-            path = chain(expr)
-            if path is not None:
-                return VariableReferenceExpression(path, expr.type)
-        if isinstance(expr, CallExpression):
-            return CallExpression(
-                expr.display_name,
-                expr.function_handle,
-                expr.type,
-                tuple(rewrite(a) for a in expr.arguments),
-            )
-        if isinstance(expr, SpecialFormExpression):
-            return SpecialFormExpression(
-                expr.form, expr.type, tuple(rewrite(a) for a in expr.arguments)
-            )
-        return expr
-
-    return rewrite(expression)
+def _dereference_path(expression: RowExpression) -> Optional[str]:
+    """``a.b.c`` for a DEREFERENCE chain over variable ``a``, else ``None``."""
+    if isinstance(expression, VariableReferenceExpression):
+        return expression.name
+    if (
+        isinstance(expression, SpecialFormExpression)
+        and expression.form is SpecialForm.DEREFERENCE
+        and isinstance(expression.arguments[1], ConstantExpression)
+    ):
+        base = _dereference_path(expression.arguments[0])
+        if base is not None:
+            return f"{base}.{expression.arguments[1].value}"
+    return None
 
 
 def _coerce(value: str, presto_type: PrestoType) -> Any:

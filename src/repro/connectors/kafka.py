@@ -19,12 +19,9 @@ from repro.common.errors import ConnectorError
 from repro.common.hashing import stable_hash
 from repro.connectors.spi import (
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
-    SingleSchemaMetadata,
+    SingleSchemaConnector,
 )
 from repro.core.expressions import (
     ColumnTest,
@@ -156,7 +153,7 @@ class KafkaBroker:
         return records
 
 
-class KafkaConnector(Connector):
+class KafkaConnector(SingleSchemaConnector):
     """Presto-Kafka connector: topic → table with hidden log coordinates."""
 
     name = "kafka"
@@ -164,23 +161,17 @@ class KafkaConnector(Connector):
     def __init__(self, broker: KafkaBroker, schema_name: str = "kafka") -> None:
         self.broker = broker
         self.schema_name = schema_name
-        super().__init__(
-            _KafkaMetadata(self), _KafkaSplitManager(self), _KafkaProvider(self)
-        )
 
     def all_columns(self, topic: str) -> list[tuple[str, PrestoType]]:
         return self.broker.fields(topic) + HIDDEN_COLUMNS
 
-
-class _KafkaMetadata(SingleSchemaMetadata):
     def table_names(self) -> list[str]:
-        return self._connector.broker.topics()
+        return self.broker.topics()
 
     def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
-        connector = self._connector
-        if table_name not in connector.broker.topics():
+        if table_name not in self.broker.topics():
             return None
-        return connector.all_columns(table_name)
+        return self.all_columns(table_name)
 
     def absorb_conjunct(
         self, handle: ConnectorTableHandle, conjunct: RowExpression
@@ -188,31 +179,11 @@ class _KafkaMetadata(SingleSchemaMetadata):
         """Absorb offset/timestamp range conjuncts as log seeks."""
         return conjunct if _as_log_range(conjunct) is not None else None
 
-    apply_projection = ConnectorMetadata.absorb_top_level_columns
-    apply_limit = ConnectorMetadata.absorb_limit
+    apply_projection = Connector.absorb_top_level_columns
+    apply_limit = Connector.absorb_limit
 
-
-def _as_log_range(conjunct: RowExpression) -> Optional[ColumnTest]:
-    """The conjunct as an ``_offset``/``_timestamp_ms`` log seek, else ``None``.
-
-    The log is sought by integer positions only: a NULL or fractional
-    bound stays with the engine.
-    """
-    test = match_column_test(conjunct)
-    if (
-        test is not None
-        and test.column in ("_offset", "_timestamp_ms")
-        and test.op in ("greater_than_or_equal", "less_than_or_equal", "equal")
-        and test.values
-        and type(test.values[0]) is int
-    ):
-        return test
-    return None
-
-
-class _KafkaSplitManager(ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
-        count = self._connector.broker.partition_count(handle.table_name)
+        count = self.broker.partition_count(handle.table_name)
         return [
             ConnectorSplit(
                 split_id=f"kafka:{handle.table_name}:{partition}",
@@ -221,15 +192,12 @@ class _KafkaSplitManager(ConnectorSplitManager):
             for partition in range(count)
         ]
 
-
-class _KafkaProvider(ConnectorRecordSetProvider):
     def pages(
         self,
         handle: ConnectorTableHandle,
         split: ConnectorSplit,
         columns: Sequence[str],
     ) -> Iterator[Page]:
-        connector = self._connector
         partition = split.info_dict()["partition"]
 
         ranges = {
@@ -248,7 +216,7 @@ class _KafkaProvider(ConnectorRecordSetProvider):
                 high = bound if high is None else min(high, bound)
             ranges[test.column] = [low, high]
 
-        records = connector.broker.fetch(
+        records = self.broker.fetch(
             handle.table_name,
             partition,
             min_offset=ranges["_offset"][0] or 0,
@@ -259,8 +227,8 @@ class _KafkaProvider(ConnectorRecordSetProvider):
         if handle.limit is not None:
             records = records[: handle.limit]
 
-        field_names = [n for n, _ in connector.broker.fields(handle.table_name)]
-        types = dict(connector.all_columns(handle.table_name))
+        field_names = [n for n, _ in self.broker.fields(handle.table_name)]
+        types = dict(self.all_columns(handle.table_name))
         rows = []
         for record in records:
             full = {
@@ -271,3 +239,21 @@ class _KafkaProvider(ConnectorRecordSetProvider):
             }
             rows.append(tuple(full[c] for c in columns))
         yield Page.from_rows([types[c] for c in columns], rows)
+
+
+def _as_log_range(conjunct: RowExpression) -> Optional[ColumnTest]:
+    """The conjunct as an ``_offset``/``_timestamp_ms`` log seek, else ``None``.
+
+    The log is sought by integer positions only: a NULL or fractional
+    bound stays with the engine.
+    """
+    test = match_column_test(conjunct)
+    if (
+        test is not None
+        and test.column in ("_offset", "_timestamp_ms")
+        and test.op in ("greater_than_or_equal", "less_than_or_equal", "equal")
+        and test.values
+        and type(test.values[0]) is int
+    ):
+        return test
+    return None

@@ -14,12 +14,9 @@ from repro.common.errors import ConnectorError
 from repro.connectors.lakehouse.table_format import IcebergTable
 from repro.connectors.spi import (
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
-    SingleSchemaMetadata,
+    SingleSchemaConnector,
     project_rows,
 )
 from repro.core.page import Page
@@ -30,7 +27,7 @@ from repro.formats.parquet.reader_new import NewParquetReader
 SNAPSHOT_SUFFIX = "$snapshot="
 
 
-class IcebergConnector(Connector):
+class IcebergConnector(SingleSchemaConnector):
     """Connector over a set of registered :class:`IcebergTable` objects."""
 
     name = "iceberg"
@@ -38,9 +35,6 @@ class IcebergConnector(Connector):
     def __init__(self, schema_name: str = "lake") -> None:
         self.schema_name = schema_name
         self._tables: dict[str, IcebergTable] = {}
-        super().__init__(
-            _IcebergMetadata(self), _IcebergSplitManager(self), _IcebergProvider(self)
-        )
 
     def register_table(self, name: str, table: IcebergTable) -> None:
         self._tables[name] = table
@@ -51,25 +45,12 @@ class IcebergConnector(Connector):
             raise ConnectorError(f"iceberg: no table {name!r}")
         return table
 
-
-def _parse_table_name(name: str) -> tuple[str, Optional[int]]:
-    """``trips$snapshot=3`` → ("trips", 3); plain names → (name, None)."""
-    if SNAPSHOT_SUFFIX in name:
-        base, _, snapshot = name.partition(SNAPSHOT_SUFFIX)
-        try:
-            return base, int(snapshot)
-        except ValueError as error:
-            raise ConnectorError(f"bad snapshot id in {name!r}") from error
-    return name, None
-
-
-class _IcebergMetadata(SingleSchemaMetadata):
     def table_names(self) -> list[str]:
-        return sorted(self._connector._tables)
+        return sorted(self._tables)
 
     def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
         base, snapshot_id = _parse_table_name(table_name)
-        table = self._connector._tables.get(base)
+        table = self._tables.get(base)
         if table is None:
             return None
         if snapshot_id is not None:
@@ -78,15 +59,13 @@ class _IcebergMetadata(SingleSchemaMetadata):
         return table.columns
 
     # The parquet reader evaluates any predicate over the table's columns.
-    absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
+    absorb_conjunct = Connector.absorb_over_own_columns
 
-    apply_projection = ConnectorMetadata.absorb_column_paths
+    apply_projection = Connector.absorb_column_paths
 
-
-class _IcebergSplitManager(ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         base, snapshot_id = _parse_table_name(handle.table_name)
-        table = self._connector.table(base)
+        table = self.table(base)
         snapshot, files = table.scan_files(snapshot_id)
         return [
             ConnectorSplit(
@@ -100,8 +79,6 @@ class _IcebergSplitManager(ConnectorSplitManager):
             for data_file in files
         ]
 
-
-class _IcebergProvider(ConnectorRecordSetProvider):
     def pages(
         self,
         handle: ConnectorTableHandle,
@@ -109,11 +86,22 @@ class _IcebergProvider(ConnectorRecordSetProvider):
         columns: Sequence[str],
     ) -> Iterator[Page]:
         base, _ = _parse_table_name(handle.table_name)
-        table = self._connector.table(base)
+        table = self.table(base)
         path = split.info_dict()["path"]
         yield from data_file_pages(
             ParquetFile(table.filesystem.open(path)), handle, columns, table.columns
         )
+
+
+def _parse_table_name(name: str) -> tuple[str, Optional[int]]:
+    """``trips$snapshot=3`` → ("trips", 3); plain names → (name, None)."""
+    if SNAPSHOT_SUFFIX in name:
+        base, _, snapshot = name.partition(SNAPSHOT_SUFFIX)
+        try:
+            return base, int(snapshot)
+        except ValueError as error:
+            raise ConnectorError(f"bad snapshot id in {name!r}") from error
+    return name, None
 
 
 def data_file_pages(

@@ -36,10 +36,7 @@ from repro.core.page import Page
 from repro.core.types import VARCHAR, PrestoType
 from repro.connectors.spi import (
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
 )
 from repro.formats.parquet.encoding import build_dictionary
@@ -117,39 +114,6 @@ def _varchar_dictionary(values: list) -> Optional[tuple[VarcharBlock, np.ndarray
     return dictionary, ids
 
 
-class _MemoryState:
-    """What the connector and its SPI parts share.
-
-    The parts hold this rather than the connector, so no reference cycle
-    keeps a dropped connector's tables alive until the cyclic collector
-    runs.
-    """
-
-    def __init__(self, split_size: int) -> None:
-        self.tables: dict[tuple[str, str], _MemoryTable] = {}
-        self.split_size = split_size
-        # Bumped by every change a plan or a cached page could depend on:
-        # create_table, insert and ANALYZE.  One counter for all tables,
-        # so a replaced table never comes back at an old version.
-        self.version = 0
-
-    def bump(self) -> int:
-        self.version += 1
-        return self.version
-
-    def table(self, schema_name: str, table_name: str) -> _MemoryTable:
-        table = self.tables.get((schema_name, table_name))
-        if table is None:
-            raise ConnectorError(f"memory table {schema_name}.{table_name} does not exist")
-        return table
-
-
-class _MemoryPart:
-    def __init__(self, state: _MemoryState) -> None:
-        super().__init__()
-        self._state = state
-
-
 class MemoryConnector(Connector):
     """Connector over in-memory tables, sharded into splits and scanned from
     column blocks built once per split."""
@@ -157,15 +121,25 @@ class MemoryConnector(Connector):
     name = "memory"
 
     def __init__(self, split_size: int = 10_000) -> None:
-        self._state = _MemoryState(split_size)
-        super().__init__(
-            _MemoryMetadata(self._state),
-            _MemorySplitManager(self._state),
-            _MemoryRecordSetProvider(self._state),
-        )
+        self._tables: dict[tuple[str, str], _MemoryTable] = {}
+        self._split_size = split_size
+        # Bumped by every change a plan or a cached page could depend on:
+        # create_table, insert and ANALYZE.  One counter for all tables,
+        # so a replaced table never comes back at an old version.
+        self._version = 0
 
     def plan_version(self) -> int:
-        return self._state.version
+        return self._version
+
+    def _bump(self) -> int:
+        self._version += 1
+        return self._version
+
+    def _table(self, schema_name: str, table_name: str) -> _MemoryTable:
+        table = self._tables.get((schema_name, table_name))
+        if table is None:
+            raise ConnectorError(f"memory table {schema_name}.{table_name} does not exist")
+        return table
 
     # -- population API ----------------------------------------------------
 
@@ -177,54 +151,52 @@ class MemoryConnector(Connector):
         rows: Sequence[Sequence[Any]] = (),
     ) -> None:
         """Create (or replace) a table with the given columns and rows."""
-        state = self._state
-        state.tables[(schema_name, table_name)] = _MemoryTable(
-            list(columns), [tuple(r) for r in rows], state.bump()
+        self._tables[(schema_name, table_name)] = _MemoryTable(
+            list(columns), [tuple(r) for r in rows], self._bump()
         )
 
     def insert(self, schema_name: str, table_name: str, rows: Sequence[Sequence[Any]]) -> None:
-        state = self._state
-        state.table(schema_name, table_name).append(rows, state.bump(), state.split_size)
+        self._table(schema_name, table_name).append(rows, self._bump(), self._split_size)
 
+    # -- metadata ------------------------------------------------------------
 
-class _MemoryMetadata(_MemoryPart, ConnectorMetadata):
     def list_schemas(self) -> list[str]:
-        return sorted({s for s, _ in self._state.tables})
+        return sorted({s for s, _ in self._tables})
 
     def list_tables(self, schema_name: str) -> list[str]:
-        return sorted(t for s, t in self._state.tables if s == schema_name)
+        return sorted(t for s, t in self._tables if s == schema_name)
 
     def table_columns(
         self, schema_name: str, table_name: str
     ) -> Optional[list[tuple[str, PrestoType]]]:
-        table = self._state.tables.get((schema_name, table_name))
+        table = self._tables.get((schema_name, table_name))
         return None if table is None else table.columns
 
-    apply_projection = ConnectorMetadata.absorb_column_paths
+    apply_projection = Connector.absorb_column_paths
 
     def collect_table_statistics(self, handle: ConnectorTableHandle):
         """ANALYZE: exact statistics, trivially — the rows are in memory."""
         from repro.metastore.statistics import statistics_from_rows
 
-        table = self._state.table(handle.schema_name, handle.table_name)
+        table = self._table(handle.schema_name, handle.table_name)
         table.statistics = statistics_from_rows(
             [n for n, _ in table.columns], table.rows
         )
         table.statistics_row_count = len(table.rows)
-        self._state.bump()  # the CBO's plans change; the rows do not
+        self._bump()  # the CBO's plans change; the rows do not
         return table.statistics
 
     def get_table_statistics(self, handle: ConnectorTableHandle):
-        table = self._state.table(handle.schema_name, handle.table_name)
+        table = self._table(handle.schema_name, handle.table_name)
         if table.statistics_row_count != len(table.rows):
             return None  # inserts since ANALYZE: stats are stale
         return table.statistics
 
+    # -- splits and pages ----------------------------------------------------
 
-class _MemorySplitManager(_MemoryPart, ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
-        table = self._state.table(handle.schema_name, handle.table_name)
-        size = self._state.split_size
+        table = self._table(handle.schema_name, handle.table_name)
+        size = self._split_size
         splits = []
         total = len(table.rows)
         for start in range(0, total, size):
@@ -242,8 +214,6 @@ class _MemorySplitManager(_MemoryPart, ConnectorSplitManager):
             )
         return splits
 
-
-class _MemoryRecordSetProvider(_MemoryPart, ConnectorRecordSetProvider):
     def pages(
         self,
         handle: ConnectorTableHandle,
@@ -254,7 +224,7 @@ class _MemoryRecordSetProvider(_MemoryPart, ConnectorRecordSetProvider):
 
         A dotted path selects its top-level column, whole.
         """
-        table = self._state.table(handle.schema_name, handle.table_name)
+        table = self._table(handle.schema_name, handle.table_name)
         info = split.info_dict()
         start, end = info["start"], info["end"]
         names = [n for n, _ in table.columns]

@@ -16,10 +16,7 @@ from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.connectors.spi import (
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
 )
 from repro.core.evaluator import Evaluator
@@ -107,34 +104,27 @@ class MySqlConnector(Connector):
 
     def __init__(self, server: MySqlServer) -> None:
         self.server = server
-        super().__init__(
-            _MySqlMetadata(self), _MySqlSplitManager(), _MySqlProvider(self)
-        )
 
-
-class _MySqlMetadata(ConnectorMetadata):
     def list_schemas(self) -> list[str]:
-        return self._connector.server.databases()
+        return self.server.databases()
 
     def list_tables(self, schema_name: str) -> list[str]:
-        return self._connector.server.tables(schema_name)
+        return self.server.tables(schema_name)
 
     def table_columns(
         self, schema_name: str, table_name: str
     ) -> Optional[list[tuple[str, PrestoType]]]:
         try:
-            return self._connector.server.columns(schema_name, table_name)
+            return self.server.columns(schema_name, table_name)
         except ConnectorError:
             return None
 
     # The server evaluates arbitrary predicates (WHERE) itself.
-    absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
+    absorb_conjunct = Connector.absorb_over_own_columns
 
-    apply_limit = ConnectorMetadata.absorb_limit
-    apply_projection = ConnectorMetadata.absorb_top_level_columns
+    apply_limit = Connector.absorb_limit
+    apply_projection = Connector.absorb_top_level_columns
 
-
-class _MySqlSplitManager(ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         # MySQL is a single server: one split, no parallel scanning.
         return [
@@ -143,15 +133,13 @@ class _MySqlSplitManager(ConnectorSplitManager):
             )
         ]
 
-
-class _MySqlProvider(ConnectorRecordSetProvider):
     def pages(
         self,
         handle: ConnectorTableHandle,
         split: ConnectorSplit,
         columns: Sequence[str],
     ) -> Iterator[Page]:
-        server = self._connector.server
+        server = self.server
         rows = server.execute(
             handle.schema_name,
             handle.table_name,

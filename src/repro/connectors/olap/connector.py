@@ -17,19 +17,16 @@ from repro.connectors.spi import (
     AggregationPushdownResult,
     ColumnMetadata,
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
-    SingleSchemaMetadata,
+    SingleSchemaConnector,
     project_rows,
 )
 from repro.core.page import Page
 from repro.core.types import PrestoType, parse_type
 
 
-class RealtimeOlapConnector(Connector):
+class RealtimeOlapConnector(SingleSchemaConnector):
     """Connector over a :class:`RealtimeOlapStore` (Druid/Pinot)."""
 
     # Network cost of streaming a row from the store into the engine.
@@ -42,25 +39,21 @@ class RealtimeOlapConnector(Connector):
         self.store = store
         self.schema_name = schema_name
         self.name = store.name
-        super().__init__(_Metadata(self), _SplitManager(self), _Provider(self))
 
-
-class _Metadata(SingleSchemaMetadata):
     def table_names(self) -> list[str]:
-        return self._connector.store.datasource_names()
+        return self.store.datasource_names()
 
     def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
-        store = self._connector.store
-        if table_name not in store.datasource_names():
+        if table_name not in self.store.datasource_names():
             return None
-        return store.datasource_columns(table_name)
+        return self.store.datasource_columns(table_name)
 
     # The store evaluates arbitrary RowExpressions over its columns (indexed
     # conjuncts are served from inverted indexes, the rest by scanning).
-    absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
+    absorb_conjunct = Connector.absorb_over_own_columns
 
-    apply_limit = ConnectorMetadata.absorb_limit
-    apply_projection = ConnectorMetadata.absorb_top_level_columns
+    apply_limit = Connector.absorb_limit
+    apply_projection = Connector.absorb_top_level_columns
 
     def apply_aggregation(
         self,
@@ -70,7 +63,7 @@ class _Metadata(SingleSchemaMetadata):
     ) -> Optional[AggregationPushdownResult]:
         if handle.aggregation is not None:
             return None
-        store_columns = dict(self._connector.store.datasource_columns(handle.table_name))
+        store_columns = dict(self.store.datasource_columns(handle.table_name))
         for aggregation in aggregations:
             if not all(c in store_columns for c in aggregation.inputs):
                 return None
@@ -92,29 +85,24 @@ class _Metadata(SingleSchemaMetadata):
             handle.with_(aggregation=spec), tuple(output_columns)
         )
 
-
-class _SplitManager(ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
-        segments = self._connector.store.segments(handle.table_name)
+        segments = self.store.segments(handle.table_name)
         return [
             ConnectorSplit(
-                split_id=f"{self._connector.name}:{handle.table_name}:{index}",
+                split_id=f"{self.name}:{handle.table_name}:{index}",
                 rows=segment.num_rows,
                 info=(("segment", index),),
             )
             for index, segment in enumerate(segments)
         ]
 
-
-class _Provider(ConnectorRecordSetProvider):
     def pages(
         self,
         handle: ConnectorTableHandle,
         split: ConnectorSplit,
         columns: Sequence[str],
     ) -> Iterator[Page]:
-        connector = self._connector
-        store = connector.store
+        store = self.store
         segment_index = split.info_dict()["segment"]
 
         if handle.aggregation is not None:
@@ -128,7 +116,7 @@ class _Provider(ConnectorRecordSetProvider):
             )
             layout = [
                 (c.name, c.type)
-                for c in connector.metadata().apply_aggregation(
+                for c in self.apply_aggregation(
                     ConnectorTableHandle(handle.schema_name, handle.table_name),
                     [AggregationFunction.from_dict(a) for a in spec["aggregations"]],
                     spec["grouping"],
@@ -152,10 +140,10 @@ class _Provider(ConnectorRecordSetProvider):
         # accumulate the balanced-parallel wall clock (sum/lanes).
         lanes = max(
             1,
-            min(len(store.segments(handle.table_name)), connector.presto_workers),
+            min(len(store.segments(handle.table_name)), self.presto_workers),
         )
         store.clock.advance(cost_ms / lanes)
         # Streaming into the engine costs network time per row.
-        store.clock.advance(len(rows) * connector.stream_ms_per_row)
+        store.clock.advance(len(rows) * self.stream_ms_per_row)
 
         yield project_rows(layout, rows, columns)

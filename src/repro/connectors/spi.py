@@ -1,16 +1,17 @@
 """Connector Service Provider Interface.
 
-The four interfaces the paper names in section IV, plus the pushdown
-negotiation surface of sections IV.A and IV.B:
+A catalog registers one :class:`Connector` object.  Its method groups are
+the jobs the paper names in section IV, plus the pushdown negotiation
+surface of sections IV.A and IV.B:
 
-- :class:`ConnectorMetadata` — "defines schemas, tables, columns etc."
-- :class:`ConnectorSplitManager` — "defines how Presto divide the
-  underlying data into splits, and process them in parallel."
+- metadata — "defines schemas, tables, columns etc.";
+- split manager — "defines how Presto divide the underlying data into
+  splits, and process them in parallel." (``get_splits``);
 - :class:`ConnectorSplit` — "defines one processing unit, or one shard of
-  underlying data."
-- :class:`ConnectorRecordSetProvider` — "defines upon getting data streams
-  from underlying systems, how Presto parse and transform them into Presto
-  engine" (pages).
+  underlying data.";
+- record set provider — "defines upon getting data streams from
+  underlying systems, how Presto parse and transform them into Presto
+  engine" (``pages``).
 
 Pushdown contracts return ``None`` when the connector cannot absorb the
 construct, in which case the engine evaluates it itself.  Expressions cross
@@ -193,27 +194,40 @@ class AggregationPushdownResult:
     output_columns: tuple[ColumnMetadata, ...]
 
 
-class _ConnectorPart:
-    """An SPI object holds the connector it serves as ``self._connector``.
+def project_rows(
+    layout: Sequence[tuple[str, PrestoType]],
+    rows: Sequence[Sequence[Any]],
+    columns: Sequence[str],
+) -> Page:
+    """One page holding ``columns`` of row tuples laid out as ``layout``.
 
-    The connector holds its parts too, so that is a reference cycle, freed
-    only by the cyclic collector.  A connector whose tables are large
-    hands its parts a state object instead (``MemoryConnector``).
+    A dotted path selects its top-level column, whole — what
+    ``with_top_level_columns`` promised the engine.
+    """
+    names = [n for n, _ in layout]
+    indexes = [names.index(c.split(".")[0]) for c in columns]
+    return Page.from_columns(
+        [layout[i][1] for i in indexes],
+        [[row[i] for row in rows] for i in indexes],
+    )
+
+
+class Connector:
+    """One connector, registered under a catalog name.
+
+    Its method groups are the section IV jobs the module docstring quotes:
+    metadata (with the pushdown negotiation), :meth:`get_splits` and
+    :meth:`pages`.  A connector states two metadata facts,
+    :meth:`table_columns` and :meth:`absorb_conjunct`; table lookup and
+    the filter negotiation are derived from them here, once, for every
+    connector.  The limit and projection answers most connectors give are
+    here too, to be opted into by assignment:
+    ``apply_limit = Connector.absorb_limit``.
     """
 
-    def __init__(self, connector: Optional["Connector"] = None) -> None:
-        self._connector = connector
+    name: str = "connector"
 
-
-class ConnectorMetadata(_ConnectorPart):
-    """Schemas, tables, columns — and the pushdown negotiation surface.
-
-    A connector states two facts, :meth:`table_columns` and
-    :meth:`absorb_conjunct`; table lookup and the filter negotiation are
-    derived from them here, once, for every connector.  The limit and
-    projection answers most connectors give are here too, to be opted
-    into the same way: ``apply_limit = ConnectorMetadata.absorb_limit``.
-    """
+    # -- metadata: "defines schemas, tables, columns etc." --------------------
 
     def list_schemas(self) -> list[str]:
         raise NotImplementedError
@@ -322,7 +336,7 @@ class ConnectorMetadata(_ConnectorPart):
     def absorb_limit(
         self, handle: ConnectorTableHandle, limit: int
     ) -> Optional[ConnectorTableHandle]:
-        """The :meth:`apply_limit` answer of a provider that honours
+        """The :meth:`apply_limit` answer of a connector whose pages honour
         ``handle.limit``: take it unless one at least as tight is held."""
         return handle.with_limit(limit)
 
@@ -335,14 +349,14 @@ class ConnectorMetadata(_ConnectorPart):
     def absorb_top_level_columns(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
     ) -> Optional[ConnectorTableHandle]:
-        """The :meth:`apply_projection` answer of a provider that reads
+        """The :meth:`apply_projection` answer of a connector that reads
         whole top-level columns: a dotted path widens to its column."""
         return handle.with_top_level_columns(columns)
 
     def absorb_column_paths(
         self, handle: ConnectorTableHandle, columns: Sequence[str]
     ) -> Optional[ConnectorTableHandle]:
-        """The :meth:`apply_projection` answer of a provider that reads
+        """The :meth:`apply_projection` answer of a connector that reads
         dotted paths as they are (nested column pruning)."""
         return handle.with_(projected_columns=tuple(columns))
 
@@ -355,42 +369,13 @@ class ConnectorMetadata(_ConnectorPart):
         """Offer an aggregation (section IV.B).  Default: decline."""
         return None
 
-
-class SingleSchemaMetadata(ConnectorMetadata):
-    """Metadata of a connector that serves exactly one schema,
-    ``connector.schema_name``: it states :meth:`table_names` and
-    :meth:`columns_of`, and the schema is checked here, once."""
-
-    def table_names(self) -> list[str]:
-        raise NotImplementedError
-
-    def columns_of(self, table_name: str) -> Optional[Sequence[tuple[str, PrestoType]]]:
-        """:meth:`table_columns` within the connector's own schema."""
-        raise NotImplementedError
-
-    def list_schemas(self) -> list[str]:
-        return [self._connector.schema_name]
-
-    def list_tables(self, schema_name: str) -> list[str]:
-        return self.table_names() if schema_name == self._connector.schema_name else []
-
-    def table_columns(
-        self, schema_name: str, table_name: str
-    ) -> Optional[Sequence[tuple[str, PrestoType]]]:
-        if schema_name != self._connector.schema_name:
-            return None
-        return self.columns_of(table_name)
-
-
-class ConnectorSplitManager(_ConnectorPart):
-    """Divides a table (as constrained by its handle) into parallel splits."""
+    # -- split manager: "how Presto divide the underlying data into splits" --
 
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
+        """Divide a table (as constrained by its handle) into parallel splits."""
         raise NotImplementedError
 
-
-class ConnectorRecordSetProvider(_ConnectorPart):
-    """Streams a split's data into the engine as pages."""
+    # -- record set provider: data streams become pages ----------------------
 
     def pages(
         self,
@@ -398,50 +383,18 @@ class ConnectorRecordSetProvider(_ConnectorPart):
         split: ConnectorSplit,
         columns: Sequence[str],
     ) -> Iterator[Page]:
+        """Stream a split's data into the engine as pages."""
         raise NotImplementedError
 
+    def split_manager(self) -> "Connector":
+        """The connector itself.  Kept only because the end-to-end ledger
+        (``benchmarks/e2e/ledger.py``) calls it; delete with that call."""
+        return self
 
-def project_rows(
-    layout: Sequence[tuple[str, PrestoType]],
-    rows: Sequence[Sequence[Any]],
-    columns: Sequence[str],
-) -> Page:
-    """One page holding ``columns`` of row tuples laid out as ``layout``.
-
-    A dotted path selects its top-level column, whole — what
-    ``with_top_level_columns`` promised the engine.
-    """
-    names = [n for n, _ in layout]
-    indexes = [names.index(c.split(".")[0]) for c in columns]
-    return Page.from_columns(
-        [layout[i][1] for i in indexes],
-        [[row[i] for row in rows] for i in indexes],
-    )
-
-
-class Connector:
-    """A bundle of the four SPI objects, registered under a catalog name."""
-
-    name: str = "connector"
-
-    def __init__(
-        self,
-        metadata: ConnectorMetadata,
-        split_manager: ConnectorSplitManager,
-        record_set_provider: ConnectorRecordSetProvider,
-    ) -> None:
-        self._metadata = metadata
-        self._split_manager = split_manager
-        self._record_set_provider = record_set_provider
-
-    def metadata(self) -> ConnectorMetadata:
-        return self._metadata
-
-    def split_manager(self) -> ConnectorSplitManager:
-        return self._split_manager
-
-    def record_set_provider(self) -> ConnectorRecordSetProvider:
-        return self._record_set_provider
+    def record_set_provider(self) -> "Connector":
+        """The connector itself.  Kept only because the end-to-end ledger
+        (``benchmarks/e2e/ledger.py``) calls it; delete with that call."""
+        return self
 
     def plan_version(self) -> Optional[Hashable]:
         """A value that changes whenever a plan over this connector could.
@@ -455,6 +408,32 @@ class Connector:
         return None
 
 
+class SingleSchemaConnector(Connector):
+    """A connector that serves exactly one schema, ``self.schema_name``:
+    it states :meth:`table_names` and :meth:`columns_of`, and the schema
+    is checked here, once."""
+
+    def table_names(self) -> list[str]:
+        raise NotImplementedError
+
+    def columns_of(self, table_name: str) -> Optional[Sequence[tuple[str, PrestoType]]]:
+        """:meth:`table_columns` within the connector's own schema."""
+        raise NotImplementedError
+
+    def list_schemas(self) -> list[str]:
+        return [self.schema_name]
+
+    def list_tables(self, schema_name: str) -> list[str]:
+        return self.table_names() if schema_name == self.schema_name else []
+
+    def table_columns(
+        self, schema_name: str, table_name: str
+    ) -> Optional[Sequence[tuple[str, PrestoType]]]:
+        if schema_name != self.schema_name:
+            return None
+        return self.columns_of(table_name)
+
+
 class Catalog:
     """Registry of connectors by catalog name.
 
@@ -463,18 +442,18 @@ class Catalog:
     """
 
     def __init__(self) -> None:
-        self._connectors: dict[str, Connector] = {}
+        self._by_name: dict[str, Connector] = {}
         self._registrations = 0
 
     def register(self, catalog_name: str, connector: Connector) -> None:
-        self._connectors[catalog_name.lower()] = connector
+        self._by_name[catalog_name.lower()] = connector
         self._registrations += 1
 
     def plan_version(self) -> Optional[tuple]:
         """The registrations so far and every connector's ``plan_version()``;
         ``None`` when any connector's plans are never reused."""
         versions = []
-        for connector in self._connectors.values():
+        for connector in self._by_name.values():
             version = connector.plan_version()
             if version is None:
                 return None
@@ -482,13 +461,13 @@ class Catalog:
         return (self._registrations, tuple(versions))
 
     def connector(self, catalog_name: str) -> Connector:
-        connector = self._connectors.get(catalog_name.lower())
+        connector = self._by_name.get(catalog_name.lower())
         if connector is None:
             raise ConnectorError(f"catalog {catalog_name!r} not registered")
         return connector
 
     def has_catalog(self, catalog_name: str) -> bool:
-        return catalog_name.lower() in self._connectors
+        return catalog_name.lower() in self._by_name
 
     def catalog_names(self) -> list[str]:
-        return sorted(self._connectors)
+        return sorted(self._by_name)

@@ -67,10 +67,7 @@ def record_operator_spans(tracer, root: PlanNode, operator_rows: dict) -> None:
     identified by the node's *position* in the plan, not its process-wide
     id, so traces stay byte-identical across runs.
     """
-    ordinal = 0
-
-    def walk(node: PlanNode) -> None:
-        nonlocal ordinal
+    for ordinal, node in enumerate(root.walk()):
         if node.id in operator_rows:
             tracer.instant(
                 "operator",
@@ -78,11 +75,6 @@ def record_operator_spans(tracer, root: PlanNode, operator_rows: dict) -> None:
                 node=type(node).__name__,
                 rows=operator_rows[node.id],
             )
-        ordinal += 1
-        for source in node.sources():
-            walk(source)
-
-    walk(root)
 
 
 def _dispatch(node: PlanNode, ctx: ExecutionContext) -> Iterator[Page]:

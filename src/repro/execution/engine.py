@@ -396,22 +396,22 @@ class PrestoEngine:
             catalog_name = statement.catalog or session.catalog
             if catalog_name is None:
                 raise SemanticError("SHOW SCHEMAS requires a catalog")
-            metadata = self.catalog.connector(catalog_name).metadata()
-            return _answer(["Schema"], [(s,) for s in metadata.list_schemas()])
+            connector = self.catalog.connector(catalog_name)
+            return _answer(["Schema"], [(s,) for s in connector.list_schemas()])
         if isinstance(statement, ast.ShowTables):
             catalog_name = statement.catalog or session.catalog
             schema_name = statement.schema or session.schema
             if catalog_name is None or schema_name is None:
                 raise SemanticError("SHOW TABLES requires a catalog and schema")
-            metadata = self.catalog.connector(catalog_name).metadata()
-            return _answer(["Table"], [(t,) for t in metadata.list_tables(schema_name)])
+            connector = self.catalog.connector(catalog_name)
+            return _answer(["Table"], [(t,) for t in connector.list_tables(schema_name)])
         # DESCRIBE and ANALYZE name a table by the rules of a FROM clause.
         analyzer = Analyzer(self.catalog, session, self.registry)
-        qualified, metadata, handle = analyzer.resolve_table(statement.table)
+        qualified, connector, handle = analyzer.resolve_table(statement.table)
         if isinstance(statement, ast.Describe):
-            columns = metadata.get_table_metadata(handle).columns
+            columns = connector.get_table_metadata(handle).columns
             return _answer(["Column", "Type"], [(c.name, c.type.display()) for c in columns])
-        statistics = metadata.collect_table_statistics(handle)
+        statistics = connector.collect_table_statistics(handle)
         if statistics is None:
             raise SemanticError(f"connector {qualified[0]!r} does not support ANALYZE")
         self.metrics.counter("engine_tables_analyzed_total").inc()

@@ -1,8 +1,7 @@
 """Table scan and values operators.
 
-The scan asks the connector's split manager for splits and streams every
-split's pages through the record-set provider, renaming connector columns
-to plan variables.  Splits are the unit of parallelism (section III); the
+The scan asks the connector for splits and streams every split's pages
+from it, renaming connector columns to plan variables.  Splits are the unit of parallelism (section III); the
 cluster simulation layer accounts their costs across workers.
 
 When a runtime dynamic filter targets the scan (adaptive execution), the
@@ -37,26 +36,26 @@ def plan_scan(
     splits, sized by their ``rows``) and the direct pipeline: an empty
     build side matches nothing, so every split is
     skipped (and counted); otherwise the filter's expression form rides on
-    the handle, where split managers that understand it (hive) prune
+    the handle, where connectors that understand it (hive) prune
     partitions at enumeration.  ``pinned`` splits — a staged task's
     assignment — are read as given.
     """
-    split_manager = ctx.catalog.connector(node.catalog).split_manager()
+    connector = ctx.catalog.connector(node.catalog)
     filter_set = (ctx.dynamic_filters or {}).get(node.id)
     handle = node.handle
     if pinned is None and filter_set is not None and filter_set.is_empty:
-        skipped = len(split_manager.get_splits(handle))
+        skipped = len(connector.get_splits(handle))
         ctx.stats.dynamic_filter_splits_skipped += skipped
         return handle, filter_set, []
     if filter_set is not None and filter_set.expression_dict:
         handle = handle.with_(dynamic_filter=filter_set.expression_dict)
     if pinned is None:
-        pinned = split_manager.get_splits(handle)
+        pinned = connector.get_splits(handle)
     return handle, filter_set, pinned
 
 
 def execute_table_scan(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]:
-    provider = ctx.catalog.connector(node.catalog).record_set_provider()
+    connector = ctx.catalog.connector(node.catalog)
     columns = [column for _, column in node.assignments]
     # Staged execution pins each task to its assigned splits; the direct
     # pipeline enumerates every split of the table in one pass.
@@ -74,7 +73,7 @@ def execute_table_scan(node: TableScanNode, ctx: ExecutionContext) -> Iterator[P
             ctx.clock.advance(0.2)
         split_rows = 0
         pages, cache_status = _split_pages(
-            node, ctx, provider, handle, split, columns, filter_set
+            node, ctx, connector, handle, split, columns, filter_set
         )
         for page in pages:
             if mask_channels:
@@ -138,7 +137,7 @@ def _apply_dynamic_mask(page: Page, mask_channels, ctx: ExecutionContext) -> Pag
 def _harvest_reader_stats(ctx: ExecutionContext, pages) -> None:
     """Fold a drained split's reader statistics into the query counters.
 
-    Providers that wrap a format reader (hive/parquet) expose its stats
+    Connectors that wrap a format reader (hive/parquet) expose its stats
     as a ``reader_stats`` attribute on the returned page iterator; plain
     generators (memory connector, cached results) simply have none.
     """
@@ -155,7 +154,7 @@ def _harvest_reader_stats(ctx: ExecutionContext, pages) -> None:
     )
 
 
-def _split_pages(node, ctx, provider, handle, split, columns, filter_set):
+def _split_pages(node, ctx, connector, handle, split, columns, filter_set):
     """One split's pages, optionally served from the fragment result cache.
 
     The cache key is the scan's description and columns, the handle's
@@ -171,14 +170,14 @@ def _split_pages(node, ctx, provider, handle, split, columns, filter_set):
     cache = ctx.fragment_cache
     data_version = split.info_dict().get("data_version")
     if cache is None or data_version is None or filter_set is not None:
-        return provider.pages(handle, split, columns), None
+        return connector.pages(handle, split, columns), None
     key = cache.fragment_key(
         "|".join((node.describe(), ",".join(columns), handle.pushdown_key())),
         split.split_id,
         data_version,
     )
     pages, hit = cache.get_or_compute_with_status(
-        key, lambda: provider.pages(handle, split, columns)
+        key, lambda: connector.pages(handle, split, columns)
     )
     if hit:
         ctx.stats.fragment_cache_hits += 1

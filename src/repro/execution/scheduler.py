@@ -785,16 +785,5 @@ def _trace_to_scan_column(
 
 
 def _find_table_scans(node: PlanNode) -> list[TableScanNode]:
-    found: list[TableScanNode] = []
-
-    def walk(current: PlanNode) -> None:
-        if isinstance(current, TableScanNode):
-            found.append(current)
-            return
-        if isinstance(current, RemoteSourceNode):
-            return
-        for source in current.sources():
-            walk(source)
-
-    walk(node)
-    return found
+    """The fragment's scans, pre-order; a remote source has no sources."""
+    return [n for n in node.walk() if isinstance(n, TableScanNode)]

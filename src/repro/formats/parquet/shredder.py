@@ -57,82 +57,96 @@ def shred_column(
         for leaf_path in paths_under(path):
             out[leaf_path].append(rep, definition, None)
 
-    def shred(
-        presto_type: PrestoType,
-        value: Any,
-        path: str,
-        rep: int,
-        definition: int,
-        rep_depth: int,
-    ) -> None:
-        if isinstance(presto_type, RowType):
-            if value is None:
-                emit_all(path, rep, definition)
-                return
-            for f in presto_type.fields:
-                shred(
-                    f.type,
-                    value.get(f.name) if isinstance(value, dict) else None,
-                    f"{path}.{f.name}",
-                    rep,
-                    definition + 1,
-                    rep_depth,
-                )
-            return
-        if isinstance(presto_type, ArrayType):
-            if value is None:
-                emit_all(path, rep, definition)
-                return
-            if not value:
-                emit_all(path, rep, definition + 1)
-                return
-            own_rep = rep_depth + 1
-            for i, element in enumerate(value):
-                shred(
-                    presto_type.element_type,
-                    element,
-                    f"{path}.element",
-                    rep if i == 0 else own_rep,
-                    definition + 2,
-                    own_rep,
-                )
-            return
-        if isinstance(presto_type, MapType):
-            if value is None:
-                emit_all(path, rep, definition)
-                return
-            if not value:
-                emit_all(path, rep, definition + 1)
-                return
-            own_rep = rep_depth + 1
-            for i, (key, entry_value) in enumerate(value.items()):
-                entry_rep = rep if i == 0 else own_rep
-                shred(
-                    presto_type.key_type,
-                    key,
-                    f"{path}.key",
-                    entry_rep,
-                    definition + 2,
-                    own_rep,
-                )
-                shred(
-                    presto_type.value_type,
-                    entry_value,
-                    f"{path}.value",
-                    entry_rep,
-                    definition + 2,
-                    own_rep,
-                )
-            return
-        # Scalar leaf.
-        if value is None:
-            out[path].append(rep, definition, None)
-        else:
-            out[path].append(rep, definition + 1, value)
-
     for value in values:
-        shred(presto_type, value, name, 0, 0, 0)
+        _shred(presto_type, value, name, 0, 0, 0, out, emit_all)
     return out
+
+
+def _shred(
+    presto_type: PrestoType,
+    value: Any,
+    path: str,
+    rep: int,
+    definition: int,
+    rep_depth: int,
+    out: dict[str, ColumnLevels],
+    emit_all,
+) -> None:
+    """Append ``value``'s triplets at ``path`` to the leaf streams in ``out``;
+    ``emit_all(path, rep, definition)`` writes a null to every leaf under
+    ``path``."""
+    if isinstance(presto_type, RowType):
+        if value is None:
+            emit_all(path, rep, definition)
+            return
+        for f in presto_type.fields:
+            _shred(
+                f.type,
+                value.get(f.name) if isinstance(value, dict) else None,
+                f"{path}.{f.name}",
+                rep,
+                definition + 1,
+                rep_depth,
+                out,
+                emit_all,
+            )
+        return
+    if isinstance(presto_type, ArrayType):
+        if value is None:
+            emit_all(path, rep, definition)
+            return
+        if not value:
+            emit_all(path, rep, definition + 1)
+            return
+        own_rep = rep_depth + 1
+        for i, element in enumerate(value):
+            _shred(
+                presto_type.element_type,
+                element,
+                f"{path}.element",
+                rep if i == 0 else own_rep,
+                definition + 2,
+                own_rep,
+                out,
+                emit_all,
+            )
+        return
+    if isinstance(presto_type, MapType):
+        if value is None:
+            emit_all(path, rep, definition)
+            return
+        if not value:
+            emit_all(path, rep, definition + 1)
+            return
+        own_rep = rep_depth + 1
+        for i, (key, entry_value) in enumerate(value.items()):
+            entry_rep = rep if i == 0 else own_rep
+            _shred(
+                presto_type.key_type,
+                key,
+                f"{path}.key",
+                entry_rep,
+                definition + 2,
+                own_rep,
+                out,
+                emit_all,
+            )
+            _shred(
+                presto_type.value_type,
+                entry_value,
+                f"{path}.value",
+                entry_rep,
+                definition + 2,
+                own_rep,
+                out,
+                emit_all,
+            )
+        return
+    # Scalar leaf.
+    if value is None:
+        out[path].append(rep, definition, None)
+    else:
+        out[path].append(rep, definition + 1, value)
 
 
 class _Cursor:
@@ -181,78 +195,67 @@ def assemble_column(
             paths_under_cache[path] = cached
         return cached
 
-    def consume_all(path: str) -> None:
-        for leaf_path in paths_under(path):
-            cursors[leaf_path].take()
+    return [_read(presto_type, name, 0, 0, cursors, paths_under) for _ in range(num_records)]
 
-    def representative(path: str) -> _Cursor:
-        return cursors[paths_under(path)[0]]
 
-    def read(
-        presto_type: PrestoType, path: str, definition: int, rep_depth: int
-    ) -> Any:
-        if isinstance(presto_type, RowType):
-            if representative(path).peek_definition() <= definition:
-                consume_all(path)
-                return None
-            return {
-                f.name: read(f.type, f"{path}.{f.name}", definition + 1, rep_depth)
-                for f in presto_type.fields
-            }
-        if isinstance(presto_type, ArrayType):
-            head = representative(path).peek_definition()
-            if head <= definition:
-                consume_all(path)
-                return None
-            if head == definition + 1:
-                consume_all(path)
-                return []
-            own_rep = rep_depth + 1
-            elements = [
-                read(presto_type.element_type, f"{path}.element", definition + 2, own_rep)
-            ]
-            while (
-                not representative(path).exhausted()
-                and representative(path).peek_repetition() == own_rep
-            ):
-                elements.append(
-                    read(
-                        presto_type.element_type,
-                        f"{path}.element",
-                        definition + 2,
-                        own_rep,
-                    )
-                )
-            return elements
-        if isinstance(presto_type, MapType):
-            head = representative(path).peek_definition()
-            if head <= definition:
-                consume_all(path)
-                return None
-            if head == definition + 1:
-                consume_all(path)
-                return {}
-            own_rep = rep_depth + 1
-            result: dict = {}
-
-            def read_entry() -> None:
-                key = read(presto_type.key_type, f"{path}.key", definition + 2, own_rep)
-                entry_value = read(
-                    presto_type.value_type, f"{path}.value", definition + 2, own_rep
-                )
-                result[key] = entry_value
-
-            read_entry()
-            while (
-                not representative(path).exhausted()
-                and representative(path).peek_repetition() == own_rep
-            ):
-                read_entry()
-            return result
-        # Scalar leaf.
+def _read(
+    presto_type: PrestoType,
+    path: str,
+    definition: int,
+    rep_depth: int,
+    cursors: dict[str, _Cursor],
+    paths_under,
+) -> Any:
+    """One value at ``path``, taken from the leaf cursors;
+    ``paths_under(path)`` lists the leaves under ``path``, and the first
+    of them stands for all."""
+    if not isinstance(presto_type, (RowType, ArrayType, MapType)):
         _, leaf_definition, value = cursors[path].take()
-        if leaf_definition >= definition + 1:
-            return value
+        return value if leaf_definition >= definition + 1 else None
+    leaves = paths_under(path)
+    first = cursors[leaves[0]]
+    head = first.peek_definition()
+    if head <= definition:
+        _consume(cursors, leaves)
         return None
+    if isinstance(presto_type, RowType):
+        return {
+            f.name: _read(
+                f.type, f"{path}.{f.name}", definition + 1, rep_depth, cursors, paths_under
+            )
+            for f in presto_type.fields
+        }
+    if head == definition + 1:
+        _consume(cursors, leaves)
+        return [] if isinstance(presto_type, ArrayType) else {}
+    own_rep = rep_depth + 1
+    if isinstance(presto_type, ArrayType):
+        elements = []
+        while True:
+            elements.append(
+                _read(
+                    presto_type.element_type,
+                    f"{path}.element",
+                    definition + 2,
+                    own_rep,
+                    cursors,
+                    paths_under,
+                )
+            )
+            if first.exhausted() or first.peek_repetition() != own_rep:
+                return elements
+    result: dict = {}
+    while True:
+        key = _read(
+            presto_type.key_type, f"{path}.key", definition + 2, own_rep, cursors, paths_under
+        )
+        result[key] = _read(
+            presto_type.value_type, f"{path}.value", definition + 2, own_rep, cursors, paths_under
+        )
+        if first.exhausted() or first.peek_repetition() != own_rep:
+            return result
 
-    return [read(presto_type, name, 0, 0) for _ in range(num_records)]
+
+def _consume(cursors: dict[str, _Cursor], leaves: list[str]) -> None:
+    for leaf_path in leaves:
+        cursors[leaf_path].take()

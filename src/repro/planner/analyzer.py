@@ -345,8 +345,8 @@ class Analyzer:
         raise SemanticError(f"unsupported relation {type(relation).__name__}")
 
     def _plan_table(self, table: ast.TableReference) -> tuple[PlanNode, Scope]:
-        (catalog_name, _, table_name), metadata, handle = self.resolve_table(table.parts)
-        table_metadata = metadata.get_table_metadata(handle)
+        (catalog_name, _, table_name), connector, handle = self.resolve_table(table.parts)
+        table_metadata = connector.get_table_metadata(handle)
         alias = table.alias or table_name
         assignments: list[tuple[str, str]] = []
         variables: list[VariableReferenceExpression] = []
@@ -484,15 +484,15 @@ class Analyzer:
         raise SemanticError(f"invalid table name {'.'.join(parts)!r}")
 
     def resolve_table(self, parts: tuple[str, ...]):
-        """``parts`` → (qualified name, connector metadata, table handle):
+        """``parts`` → (qualified name, connector, table handle):
         the lookup a FROM clause, DESCRIBE and ANALYZE share."""
         qualified = self.qualify(parts)
         catalog_name, schema_name, table_name = qualified
-        metadata = self._catalog.connector(catalog_name).metadata()
-        handle = metadata.get_table_handle(schema_name, table_name)
+        connector = self._catalog.connector(catalog_name)
+        handle = connector.get_table_handle(schema_name, table_name)
         if handle is None:
             raise SemanticError(f"table {'.'.join(qualified)} does not exist")
-        return qualified, metadata, handle
+        return qualified, connector, handle
 
     # -- aggregation ----------------------------------------------------------------
 
@@ -953,35 +953,37 @@ def _find_aggregate_calls(
     registry: FunctionRegistry, expression: ast.Expression
 ) -> list[ast.FunctionCall]:
     found: list[ast.FunctionCall] = []
-
-    def visit(node: ast.Expression) -> None:
-        if isinstance(node, ast.FunctionCall):
-            if registry.is_aggregate(node.name):
-                found.append(node)
-                return  # nested aggregates are invalid; don't descend
-            for argument in node.arguments:
-                visit(argument)
-            return
-        for attr in (
-            "left", "right", "operand", "value", "low", "high", "pattern",
-            "expression", "base", "index", "default",
-        ):
-            child = getattr(node, attr, None)
-            if isinstance(child, ast.Expression):
-                visit(child)
-        for attr in ("candidates",):
-            children = getattr(node, attr, None)
-            if children:
-                for child in children:
-                    visit(child)
-        when_clauses = getattr(node, "when_clauses", None)
-        if when_clauses:
-            for condition, value in when_clauses:
-                visit(condition)
-                visit(value)
-
-    visit(expression)
+    _collect_aggregate_calls(registry, expression, found)
     return found
+
+
+def _collect_aggregate_calls(
+    registry: FunctionRegistry, node: ast.Expression, found: list[ast.FunctionCall]
+) -> None:
+    if isinstance(node, ast.FunctionCall):
+        if registry.is_aggregate(node.name):
+            found.append(node)
+            return  # nested aggregates are invalid; don't descend
+        for argument in node.arguments:
+            _collect_aggregate_calls(registry, argument, found)
+        return
+    for attr in (
+        "left", "right", "operand", "value", "low", "high", "pattern",
+        "expression", "base", "index", "default",
+    ):
+        child = getattr(node, attr, None)
+        if isinstance(child, ast.Expression):
+            _collect_aggregate_calls(registry, child, found)
+    for attr in ("candidates",):
+        children = getattr(node, attr, None)
+        if children:
+            for child in children:
+                _collect_aggregate_calls(registry, child, found)
+    when_clauses = getattr(node, "when_clauses", None)
+    if when_clauses:
+        for condition, value in when_clauses:
+            _collect_aggregate_calls(registry, condition, found)
+            _collect_aggregate_calls(registry, value, found)
 
 
 def _contains_aggregate(

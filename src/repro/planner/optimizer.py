@@ -14,7 +14,7 @@ Rule order: cleanup → predicate pushdown (to fixpoint) → geospatial
 rewrite → TopN formation and limit pushdown → aggregation pushdown →
 cost-based join reordering + distribution selection → column pruning
 (incl. nested paths) → final cleanup.  Rules reach connectors only
-through ``ConnectorMetadata``: a materialized view is the hybrid
+through the ``Connector`` SPI: a materialized view is the hybrid
 connector's answer to aggregation pushdown, not a rule of its own.
 The three pushdown rules (predicate, limit, aggregation) are the one rule
 ablation the paper reports (section IV.B, Figure 16): ``pushdown=False``

@@ -54,21 +54,6 @@ def push_aggregations(plan: PlanNode, ctx) -> PlanNode:
 
         variable_to_column = scan.assignments_dict()
 
-        def column_path(expression) -> Optional[str]:
-            """Resolve a scan-level expression to a connector column path."""
-            if isinstance(expression, VariableReferenceExpression):
-                return variable_to_column.get(expression.name)
-            if (
-                isinstance(expression, SpecialFormExpression)
-                and expression.form is SpecialForm.DEREFERENCE
-            ):
-                base = column_path(expression.arguments[0])
-                field_name = expression.arguments[1]
-                if base is None or not isinstance(field_name, ConstantExpression):
-                    return None
-                return f"{base}.{field_name.value}"
-            return None
-
         def scan_column(expression) -> Optional[str]:
             """Resolve a post-projection variable to a connector column path."""
             if not isinstance(expression, VariableReferenceExpression):
@@ -77,8 +62,8 @@ def push_aggregations(plan: PlanNode, ctx) -> PlanNode:
                 inner = project.assignments_dict().get(expression.name)
                 if inner is None:
                     return None
-                return column_path(inner)
-            return column_path(expression)
+                return _column_path(inner, variable_to_column)
+            return _column_path(expression, variable_to_column)
 
         grouping_columns: list[str] = []
         for key in node.group_keys:
@@ -103,8 +88,8 @@ def push_aggregations(plan: PlanNode, ctx) -> PlanNode:
                 )
             )
 
-        metadata = ctx.catalog.connector(scan.catalog).metadata()
-        result = metadata.apply_aggregation(scan.handle, offered, grouping_columns)
+        connector = ctx.catalog.connector(scan.catalog)
+        result = connector.apply_aggregation(scan.handle, offered, grouping_columns)
         if result is None:
             return None
 
@@ -149,3 +134,19 @@ def push_aggregations(plan: PlanNode, ctx) -> PlanNode:
         )
 
     return rewrite_plan(plan, rewriter)
+
+
+def _column_path(expression, variable_to_column: dict[str, str]) -> Optional[str]:
+    """Resolve a scan-level expression to a connector column path."""
+    if isinstance(expression, VariableReferenceExpression):
+        return variable_to_column.get(expression.name)
+    if (
+        isinstance(expression, SpecialFormExpression)
+        and expression.form is SpecialForm.DEREFERENCE
+    ):
+        base = _column_path(expression.arguments[0], variable_to_column)
+        field_name = expression.arguments[1]
+        if base is None or not isinstance(field_name, ConstantExpression):
+            return None
+        return f"{base}.{field_name.value}"
+    return None

@@ -51,35 +51,20 @@ def collect_access_paths(plan: PlanNode) -> dict[str, set[str]]:
     # Forwarding edges (out name → in name) from identity assignments.
     forwards: list[tuple[str, str]] = []
 
-    def record(name: str, path: str) -> None:
-        paths.setdefault(name, set()).add(path)
-
-    def visit(expression: RowExpression) -> None:
-        chain = _dereference_chain(expression)
-        if chain is not None:
-            variable, fields = chain
-            record(variable.name, ".".join(fields))
-            return
-        if isinstance(expression, VariableReferenceExpression):
-            record(expression.name, BARE)
-            return
-        for child in expression.children():
-            visit(child)
-
     for node in plan.walk():
         if isinstance(node, ProjectNode):
             for variable, expression in node.assignments:
                 if isinstance(expression, VariableReferenceExpression):
                     forwards.append((variable.name, expression.name))
                 else:
-                    visit(expression)
+                    _record_access_paths(expression, paths)
         else:
             for expression in _node_expressions(node):
-                visit(expression)
+                _record_access_paths(expression, paths)
         # Variables used structurally (join criteria, group keys, sort
         # keys) need their whole value: bare uses.
         for variable in _node_forwarded_variables(node):
-            record(variable.name, BARE)
+            paths.setdefault(variable.name, set()).add(BARE)
 
     # Propagate downstream paths through forwarding chains to fixpoint.
     changed = True
@@ -96,6 +81,20 @@ def collect_access_paths(plan: PlanNode) -> dict[str, set[str]]:
                 current |= downstream
                 changed = True
     return paths
+
+
+def _record_access_paths(expression: RowExpression, paths: dict[str, set[str]]) -> None:
+    """Add the access paths ``expression`` uses to ``paths``."""
+    chain = _dereference_chain(expression)
+    if chain is not None:
+        variable, fields = chain
+        paths.setdefault(variable.name, set()).add(".".join(fields))
+        return
+    if isinstance(expression, VariableReferenceExpression):
+        paths.setdefault(expression.name, set()).add(BARE)
+        return
+    for child in expression.children():
+        _record_access_paths(child, paths)
 
 
 def _dereference_chain(
@@ -293,8 +292,8 @@ def _prune_scan(
         else:
             projected.extend(f"{column}.{path}" for path in sorted(paths))
 
-    metadata = ctx.catalog.connector(scan.catalog).metadata()
-    handle = metadata.apply_projection(scan.handle, projected)
+    connector = ctx.catalog.connector(scan.catalog)
+    handle = connector.apply_projection(scan.handle, projected)
     if handle is None:
         handle = scan.handle
     return TableScanNode(

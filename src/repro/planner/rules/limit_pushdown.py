@@ -51,8 +51,8 @@ def push_limits(plan: PlanNode, ctx) -> PlanNode:
             handle = source.handle
             if handle.limit is not None and handle.limit <= node.count:
                 return node  # already pushed
-            metadata = ctx.catalog.connector(source.catalog).metadata()
-            new_handle = metadata.apply_limit(handle, node.count)
+            connector = ctx.catalog.connector(source.catalog)
+            new_handle = connector.apply_limit(handle, node.count)
             if new_handle is None:
                 return None
             new_scan = TableScanNode(

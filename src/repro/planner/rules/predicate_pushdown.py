@@ -92,7 +92,7 @@ def _through_join(filter_node: FilterNode, join: JoinNode) -> Optional[PlanNode]
 def _into_scan(
     filter_node: FilterNode, scan: TableScanNode, ctx
 ) -> Optional[PlanNode]:
-    metadata = ctx.catalog.connector(scan.catalog).metadata()
+    connector = ctx.catalog.connector(scan.catalog)
     variable_to_column = scan.assignments_dict()
     scan_variables = {v.name: v for v in scan.output_variables}
     if not all(v.name in variable_to_column for v in filter_node.predicate.variables()):
@@ -105,7 +105,7 @@ def _into_scan(
         for name, column in variable_to_column.items()
     }
     offered = substitute(filter_node.predicate, to_columns)
-    result = metadata.apply_filter(scan.handle, offered)
+    result = connector.apply_filter(scan.handle, offered)
     if result is None:
         return None
     if result.remaining_expression is not None and result.remaining_expression == offered.to_dict():

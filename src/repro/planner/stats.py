@@ -32,8 +32,8 @@ class StatsProvider:
     ) -> Optional[TableStatistics]:
         key = (catalog_name, handle.schema_name, handle.table_name)
         if key not in self._cache:
-            metadata = self._catalog.connector(catalog_name).metadata()
-            self._cache[key] = metadata.get_table_statistics(handle)
+            connector = self._catalog.connector(catalog_name)
+            self._cache[key] = connector.get_table_statistics(handle)
         return self._cache[key]
 
     def stats_for_scan(

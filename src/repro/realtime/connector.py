@@ -35,12 +35,9 @@ from repro.connectors.spi import (
     AggregationPushdownResult,
     ColumnMetadata,
     Connector,
-    ConnectorMetadata,
-    ConnectorRecordSetProvider,
     ConnectorSplit,
-    ConnectorSplitManager,
     ConnectorTableHandle,
-    SingleSchemaMetadata,
+    SingleSchemaConnector,
     project_rows,
 )
 from repro.core.evaluator import Evaluator
@@ -71,7 +68,7 @@ def watermark_table_name(base: str, watermark: Watermark) -> str:
     return f"{base}{WATERMARK_SUFFIX}{watermark.encode()}"
 
 
-class HybridTableConnector(Connector):
+class HybridTableConnector(SingleSchemaConnector):
     """Connector over registered hybrid tables and materialized views."""
 
     name = "hybrid"
@@ -80,9 +77,7 @@ class HybridTableConnector(Connector):
         self.schema_name = schema_name
         self._tables: dict[str, HybridTable] = {}
         self._views: dict[str, MaterializedView] = {}
-        super().__init__(
-            _HybridMetadata(self), _HybridSplitManager(self), _HybridProvider(self)
-        )
+        self._evaluator = Evaluator()
 
     def register_table(self, table: HybridTable) -> None:
         self._tables[table.name] = table
@@ -112,16 +107,13 @@ class HybridTableConnector(Connector):
             return list(self._views[base].columns)
         raise ConnectorError(f"hybrid: no table or view {name!r}")
 
-
-class _HybridMetadata(SingleSchemaMetadata):
     def table_names(self) -> list[str]:
-        return sorted(self._connector._tables) + sorted(self._connector._views)
+        return sorted(self._tables) + sorted(self._views)
 
     def columns_of(self, table_name: str) -> Optional[list[tuple[str, PrestoType]]]:
         base, watermark = parse_table_name(table_name)
-        connector = self._connector
-        table = connector._tables.get(base)
-        view = connector._views.get(base)
+        table = self._tables.get(base)
+        view = self._views.get(base)
         if table is None and view is None:
             return None
         if watermark is not None and table is not None:
@@ -141,13 +133,13 @@ class _HybridMetadata(SingleSchemaMetadata):
                 f"hybrid: view {base!r} is at {view.watermark.encode()}, "
                 f"not {watermark.encode()}"
             )
-        return connector._columns(table_name)
+        return self._columns(table_name)
 
     # Tail rows are filtered here and lake files by the parquet reader,
     # both with the engine's own evaluator: any predicate is served.
-    absorb_conjunct = ConnectorMetadata.absorb_over_own_columns
+    absorb_conjunct = Connector.absorb_over_own_columns
 
-    apply_projection = ConnectorMetadata.absorb_top_level_columns
+    apply_projection = Connector.absorb_top_level_columns
 
     def apply_aggregation(
         self,
@@ -165,9 +157,8 @@ class _HybridMetadata(SingleSchemaMetadata):
         view streams one finalized row per group; the engine's FINAL step
         merges them like any connector's partial results.
         """
-        connector = self._connector
         base, pinned = parse_table_name(handle.table_name)
-        table = connector._tables.get(base)
+        table = self._tables.get(base)
         if (
             table is None
             or handle.constraint is not None
@@ -181,8 +172,8 @@ class _HybridMetadata(SingleSchemaMetadata):
             (a.function_handle.name, a.inputs[0] if a.inputs else None)
             for a in aggregations
         ]
-        for name in sorted(connector._views):
-            view = connector._views[name]
+        for name in sorted(self._views):
+            view = self._views[name]
             if (
                 view.table is table
                 and view.watermark == read
@@ -197,13 +188,10 @@ class _HybridMetadata(SingleSchemaMetadata):
                 )
         return None
 
-
-class _HybridSplitManager(ConnectorSplitManager):
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
         base, pinned = parse_table_name(handle.table_name)
-        connector = self._connector
-        if base in connector._views:
-            view = connector.view(base)
+        if base in self._views:
+            view = self.view(base)
             rows = tuple(view.rows())
             return [
                 ConnectorSplit(
@@ -213,7 +201,7 @@ class _HybridSplitManager(ConnectorSplitManager):
                 )
             ]
 
-        table = connector.table(base)
+        table = self.table(base)
         # Pin one consistent cut: the snapshot, its sealed watermark, and
         # the read watermark are captured together, here, once.
         snapshot = table.lake.current_snapshot()
@@ -274,11 +262,6 @@ class _HybridSplitManager(ConnectorSplitManager):
         return splits
 
 
-class _HybridProvider(ConnectorRecordSetProvider):
-    def __init__(self, connector: HybridTableConnector) -> None:
-        super().__init__(connector)
-        self._evaluator = Evaluator()
-
     def pages(
         self,
         handle: ConnectorTableHandle,
@@ -287,7 +270,7 @@ class _HybridProvider(ConnectorRecordSetProvider):
     ) -> Iterator[Page]:
         info = split.info_dict()
         kind = info["kind"]
-        layout = self._connector._columns(handle.table_name)
+        layout = self._columns(handle.table_name)
 
         if kind == "lake":
             yield from self._lake_pages(handle, info, columns, layout)
@@ -296,7 +279,7 @@ class _HybridProvider(ConnectorRecordSetProvider):
         # Tail and view splits carry their rows pinned in the split.
         rows = list(info["rows"])
         if kind == "tail":
-            table = self._connector.table(info["table"])
+            table = self.table(info["table"])
             # Charge an index-free columnar scan of the pinned micro-batch.
             table.clock.advance(
                 len(rows) * len(layout) * table.store.cost.scan_ns_per_value / 1e6
@@ -311,7 +294,7 @@ class _HybridProvider(ConnectorRecordSetProvider):
         columns: Sequence[str],
         layout: list[tuple[str, PrestoType]],
     ) -> Iterator[Page]:
-        table = self._connector.table(info["table"])
+        table = self.table(info["table"])
         file = ParquetFile(table.lake.filesystem.open(info["path"]))
         cut = info.get("cut")
         if cut is None:

@@ -9,8 +9,8 @@ Kafka log (the one component no crash schedule can corrupt):
   A hybrid query at watermark ``W`` must return exactly the rows the
   batch oracle returns over the replayed log at ``W``, for scans, time
   travel, and aggregations a materialized view answers alike.
-- :func:`visible_log_keys` walks the hybrid connector's own split
-  manager and record-set provider (no engine involved) and returns the
+- :func:`visible_log_keys` walks the hybrid connector's own
+  ``get_splits`` and ``pages`` (no engine involved) and returns the
   multiset of ``(_partition_id, _offset)`` coordinates a read at ``W``
   makes visible.  The exactly-once property suite compares it against
   the set the log says must be visible: equal as *multisets*, so a
@@ -84,21 +84,20 @@ def visible_log_keys(
 ) -> Counter:
     """Multiset of ``(partition, offset)`` a hybrid read makes visible.
 
-    Drives the connector's real split manager and provider — the same
+    Drives the connector's real ``get_splits`` and ``pages`` — the same
     code path queries use — so it sees exactly what a query would,
     including pinned tail rows and time-travel cuts.  Returned as a
     Counter: exactly-once means every key maps to 1 and the key set
     equals the log prefix below the read watermark.
     """
-    handle = connector.metadata().get_table_handle(
+    handle = connector.get_table_handle(
         connector.schema_name, table_name
     )
     if handle is None:
         raise ValueError(f"no hybrid table {table_name!r}")
     keys: Counter = Counter()
-    provider = connector.record_set_provider()
-    for split in connector.split_manager().get_splits(handle):
-        for page in provider.pages(handle, split, ["_partition_id", "_offset"]):
+    for split in connector.get_splits(handle):
+        for page in connector.pages(handle, split, ["_partition_id", "_offset"]):
             for partition, offset in page.loaded().rows():
                 keys[(partition, offset)] += 1
     return keys

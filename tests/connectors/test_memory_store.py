@@ -3,25 +3,41 @@
 A (split, column) pair becomes blocks on the first scan that reads it and
 stays blocks: later scans hand out the same objects, ``insert`` rebuilds
 only the split it grows, and the pages equal what ``project_rows`` builds
-from the row tuples, row for row.
+from the row tuples, row for row.  A dropped engine frees its memory
+connector by reference counting, and so does every other connector.
 """
 
+import contextlib
 import gc
 import sys
 import weakref
 from collections import Counter
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.connectors import memory
+from repro.connectors.kafka import KafkaBroker, KafkaConnector
 from repro.connectors.memory import MemoryConnector
+from repro.connectors.mysql import MySqlConnector, MySqlServer
+from repro.connectors.olap import DruidCluster, DruidConnector, PinotCluster, PinotConnector
 from repro.connectors.spi import ConnectorSplit, ConnectorTableHandle, project_rows
 from repro.core.blocks import DictionaryBlock, VarcharBlock, block_from_values
 from repro.core.types import BIGINT, DOUBLE, VARCHAR, ArrayType, MapType, RowType
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
+from repro.realtime import StreamingLakehouse
+from tests.connectors.test_pushdown_differential import (
+    COLUMNS,
+    HALVES,
+    ROWS,
+    _elasticsearch_connector,
+    _hive_connector,
+    _iceberg_connector,
+    _store_connector,
+)
 
 HANDLE = ConnectorTableHandle("db", "t")
 
@@ -36,7 +52,7 @@ def scan(connector, columns, handle=HANDLE):
 
 
 def stored_keys(connector, table="t"):
-    return set(connector._state.tables[("db", table)].blocks)
+    return set(connector._tables[("db", table)].blocks)
 
 
 def make_connector(rows, split_size=4):
@@ -232,3 +248,80 @@ def test_dropping_an_engine_frees_its_memory_connector():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def _mysql_connector():
+    server = MySqlServer()
+    server.create_table("db", "t", COLUMNS, ROWS)
+    return MySqlConnector(server)
+
+
+def _kafka_connector():
+    broker = KafkaBroker()
+    broker.create_topic("t", COLUMNS)
+    for row in ROWS:
+        broker.produce("t", row)
+    return KafkaConnector(broker)
+
+
+# One loaded connector of every other module, built as the pushdown
+# differential suite builds them: kind -> (schema.table, build).
+OTHER_CONNECTORS = {
+    "mysql": ("db.t", _mysql_connector),
+    "elasticsearch": ("default.t", _elasticsearch_connector),
+    "druid": ("druid.t", lambda: _store_connector(DruidCluster, DruidConnector)),
+    "pinot": ("pinot.t", lambda: _store_connector(PinotCluster, PinotConnector)),
+    "iceberg": ("lake.t", _iceberg_connector),
+    "hive": ("db.t", _hive_connector),
+    "kafka": ("kafka.t", _kafka_connector),
+}
+
+
+@contextlib.contextmanager
+def cyclic_collector_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def count_rows(engine, table):
+    [(count,)] = engine.execute(f"SELECT count(*) FROM {table}").rows
+    assert count > 0
+
+
+@pytest.mark.parametrize("kind", sorted(OTHER_CONNECTORS))
+def test_dropping_an_engine_frees_its_connector(kind):
+    """Every other connector module, as the memory connector above."""
+    table, build = OTHER_CONNECTORS[kind]
+    with cyclic_collector_off():
+        connector = build()
+        engine = PrestoEngine()
+        engine.register_connector(kind, connector)
+        count_rows(engine, f"{kind}.{table}")
+        alive = weakref.ref(connector)
+        del connector, engine
+        assert alive() is None
+
+
+@pytest.mark.parametrize(
+    "catalog, table", [("hybrid", "rt.t"), ("kafka", "kafka.t"), ("lake", "lake.t")]
+)
+def test_dropping_a_lakehouse_frees_its_catalogs(catalog, table):
+    with cyclic_collector_off():
+        lakehouse = StreamingLakehouse(
+            fields=COLUMNS, topic="t", poll_interval_ms=100, compaction_interval_ms=400
+        )
+        for row in HALVES[0]:
+            lakehouse.produce(row, timestamp_ms=row[0] * 4)
+        lakehouse.pipeline.run_for(1000)  # sealed into the lake
+        for row in HALVES[1]:
+            lakehouse.produce(row, timestamp_ms=1100 + row[0])
+        lakehouse.pipeline.run_for(150)  # stays in the tail
+        engine = lakehouse.make_engine()
+        count_rows(engine, f"{catalog}.{table}")
+        alive = weakref.ref(engine.catalog.connector(catalog))
+        del lakehouse, engine
+        assert alive() is None

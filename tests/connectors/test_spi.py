@@ -84,10 +84,10 @@ class TestAggregationFunction:
 
 class TestDefaultPushdownDeclines:
     def test_base_metadata_declines_everything(self):
-        from repro.connectors.spi import ConnectorMetadata
+        from repro.connectors.spi import Connector
         from repro.core.expressions import constant
 
-        metadata = ConnectorMetadata()
+        metadata = Connector()
         handle = ConnectorTableHandle("s", "t")
         from repro.core.types import BOOLEAN
 

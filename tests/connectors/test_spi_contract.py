@@ -1,6 +1,6 @@
 """One SPI contract, every connector.
 
-``ConnectorMetadata`` derives table lookup and the filter negotiation
+``Connector`` derives table lookup and the filter negotiation
 from two facts each connector states (``table_columns`` and
 ``absorb_conjunct``).  These tests hold all eight connector modules —
 nine catalogs, Druid and Pinot sharing one — to what the engine relies
@@ -52,7 +52,7 @@ SINGLE_SCHEMA = ["elasticsearch", "kafka", "druid", "pinot", "iceberg", "hybrid"
 def _spi(engine, connector: str):
     """(metadata, schema name, table name) behind one catalog of the fixture."""
     catalog, schema_name, table_name = ALL_TABLES[connector].split(".")
-    return engine.catalog.connector(catalog).metadata(), schema_name, table_name
+    return engine.catalog.connector(catalog), schema_name, table_name
 
 
 def _offered(engine, sql: str):
@@ -122,7 +122,7 @@ def test_hive_absorbs_a_nested_leaf_as_its_dotted_path():
     from repro.cli import build_demo_engine
 
     demo = build_demo_engine()
-    metadata = demo.catalog.connector("hive").metadata()
+    metadata = demo.catalog.connector("hive")
     handle, offered = _offered(
         demo, "SELECT fare_usd FROM trips WHERE base.city_id = 12 AND fare_usd % 2 = 0"
     )
@@ -208,8 +208,8 @@ COUNTING = {"memory", "druid", "pinot", "iceberg", "hybrid"}
 def test_a_split_holds_the_rows_it_reports(engine, connector):
     catalog, schema_name, table_name = ALL_TABLES[connector].split(".")
     spi = engine.catalog.connector(catalog)
-    handle = spi.metadata().get_table_handle(schema_name, table_name)
-    columns = [name for name, _ in spi.metadata().table_columns(schema_name, table_name)]
+    handle = spi.get_table_handle(schema_name, table_name)
+    columns = [name for name, _ in spi.table_columns(schema_name, table_name)]
     splits = spi.split_manager().get_splits(handle)
     assert splits
     if connector not in COUNTING:

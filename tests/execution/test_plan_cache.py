@@ -8,6 +8,7 @@ its rows are what an engine that never saw the text produces.
 """
 
 import copy
+import gc
 
 import pytest
 
@@ -114,6 +115,44 @@ class TestReuse:
         assert_cache_metrics_reconcile(engine.metrics, "plan", engine._plans.stats)
         # Metadata statements and EXPLAIN look up and miss; only queries are kept.
         assert (hits(engine), misses(engine), len(engine._plans)) == (2, 4, 2)
+
+    @pytest.mark.parametrize("engine_kind", ["memory", "hive"])
+    def test_a_query_leaves_nothing_for_the_cyclic_collector(self, engine_kind):
+        """New texts and plan-cache hits free every object they make by
+        reference counting: no plan, trace or closure waits for the
+        cyclic collector."""
+        from repro.cli import build_demo_engine
+
+        texts = {
+            "memory": [
+                GROUPED,
+                THREE_WAY,
+                "SELECT k, label FROM mid WHERE k > 3 ORDER BY k LIMIT 5",
+                "SELECT count(DISTINCT k) FROM big WHERE v % 3 = 0",
+            ],
+            "hive": [
+                "SELECT base.city_id, count(*) FROM trips WHERE base.city_id = 12 GROUP BY 1",
+                "SELECT fare_usd FROM trips WHERE fare_usd > 10 ORDER BY 1 DESC LIMIT 3",
+            ],
+        }[engine_kind]
+
+        def build():
+            return make_engine()[0] if engine_kind == "memory" else build_demo_engine()
+
+        warm = build()
+        for sql in texts:  # first-use imports are not a query's garbage
+            warm.execute(sql)
+        engine = build()
+        gc.collect()
+        gc.disable()
+        try:
+            for sql in texts + texts:
+                engine.execute(sql)
+                assert gc.collect() == 0, sql
+        finally:
+            gc.enable()
+        if engine_kind == "memory":
+            assert (hits(engine), misses(engine)) == (len(texts), len(texts))
 
 
 class TestInvalidation:

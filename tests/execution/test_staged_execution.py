@@ -55,7 +55,7 @@ class TestStagedStats:
         catalog, schema_name, table_name = table.split(".")
         spi = engine.catalog.connector(catalog)
         splits = spi.split_manager().get_splits(
-            spi.metadata().get_table_handle(schema_name, table_name)
+            spi.get_table_handle(schema_name, table_name)
         )
         if connector == "hive":  # counting would need a footer read
             assert all(split.rows is None for split in splits)

@@ -1,4 +1,4 @@
-"""Optimizer rules reach connectors only through ``ConnectorMetadata``.
+"""Optimizer rules reach connectors only through the ``Connector`` SPI.
 
 A rule that probes a connector with ``getattr``/``hasattr`` for a method
 outside the SPI opens a side channel the other connectors cannot answer
