@@ -14,6 +14,9 @@ every script: the two flags, the tables (printed from the report), the
 JSON, reading the committed file before overwriting it, gate evaluation
 and the exit code.  The command shape is the same for all of them:
 ``PYTHONPATH=src python benchmarks/bench_<name>.py [--smoke] [--output FILE]``.
+Importing this module puts the repository root on ``sys.path``, so a script
+reaches the reference lanes of ``tests/reference/`` (its baselines and
+oracles) as ``tests.reference.*`` without touching the path itself.
 
 Absolute numbers differ from the paper's — the substrate is a simulator,
 not the authors' testbed — so a gate is one of three kinds a loaded host
@@ -38,6 +41,8 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))
 
 LANE_RATIO = "lane ratio"
 WORK_COUNT = "work count"

@@ -6,9 +6,9 @@ changes: null-bearing numeric filters (the old "any null ⇒ Python loop"
 bail-out), string-heavy predicates (the old object-dtype bail-out), and
 dictionary-encoded columns (O(rows) → O(distinct) evaluation, paper §V).
 Each suite runs the identical expression through the compiled lane and
-the retained interpreter oracle, interleaved by ``lane_ratio``, gates on
-byte-identical output, and records the speedups in
-``BENCH_expressions.json``.
+the interpreter in ``tests/reference/interpreter.py``, interleaved by
+``lane_ratio``, gates on byte-identical output, and records the speedups
+in ``BENCH_expressions.json``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.core.expressions import (
 )
 from repro.core.functions import default_registry
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
+from tests.reference.interpreter import evaluate_interpreted
 
 OUTPUT = "BENCH_expressions.json"
 
@@ -169,7 +170,7 @@ def bench_suite(name: str, predicate, pages, rows: int, repeat: int) -> dict:
         evaluator.filter_mask(predicate, pages[0][0], pages[0][1])
 
     def interpreted_mask(bindings, count):
-        block = evaluator.evaluate_interpreted(predicate, bindings, count)
+        block = evaluate_interpreted(REGISTRY, predicate, bindings, count)
         return bool_arrays(block)[0]
 
     def lane(mask):

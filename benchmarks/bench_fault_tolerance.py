@@ -26,6 +26,7 @@ from repro.execution.engine import PrestoEngine
 from repro.execution.faults import FaultInjector
 from repro.planner.analyzer import Session
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
+from tests.reference.pipeline import execute_direct
 
 OUTPUT = "BENCH_fault_tolerance.json"
 
@@ -90,7 +91,7 @@ def run(smoke: bool) -> dict:
     else:
         rows, seeds = 250, range(20)
         rates = [0.0, 0.05, 0.1, 0.2, 0.4]
-    oracle_rows = normalized(make_engine(rows).execute_direct(SQL).rows)
+    oracle_rows = normalized(execute_direct(make_engine(rows), SQL).rows)
     points = []
     for rate in rates:
         for max_task_retries in (0, 3):

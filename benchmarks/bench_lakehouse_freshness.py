@@ -29,8 +29,10 @@ All times are simulated milliseconds; results are deterministic per seed.
 from __future__ import annotations
 
 from _harness import SIMULATED, WORK_COUNT, gate, normalized, run_script
-from repro.realtime import StreamingLakehouse, oracle_engine
+from repro.realtime import StreamingLakehouse
 from repro.workloads.streaming_events import EVENT_FIELDS, produce_events
+from tests.reference.lakehouse import oracle_engine
+from tests.reference.pipeline import execute_direct
 
 OUTPUT = "BENCH_lakehouse_freshness.json"
 
@@ -90,7 +92,7 @@ def run_interval(compaction_interval_ms, events, ticks, seed):
     # the fully replayed log cut at the same watermark.
     oracle = oracle_engine(lakehouse.broker, lakehouse.topic, table.committed)
     for sql, got in zip(QUERIES, rows):
-        expected = normalized(oracle.execute_direct(sql).rows)
+        expected = normalized(execute_direct(oracle, sql).rows)
         assert got == expected, f"hybrid != oracle for {sql!r}"
 
     assert entry["rows_committed"] == produced, "pipeline lost events"

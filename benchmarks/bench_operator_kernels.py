@@ -4,10 +4,10 @@ Section III's engine claim — column values are processed "vectorized,
 instead of row by row" — only pays off if the relational operators keep
 data columnar.  This bench measures the operators that dominate
 analytics CPU time, grouped aggregation, hash join and top-N, through both
-the vectorized kernel layer (``repro.execution.kernels``) and the retained
-row-at-a-time reference implementations, interleaved by ``lane_ratio``,
-gates on identical outputs, and records the speedup trajectory in
-``BENCH_operators.json`` for later PRs.
+the vectorized kernel layer (``repro.execution.kernels``) and the
+row-at-a-time references in ``tests/reference/operators.py``, interleaved
+by ``lane_ratio``, gates on identical outputs, and records the speedup
+trajectory in ``BENCH_operators.json`` for later PRs.
 """
 
 from __future__ import annotations
@@ -21,18 +21,20 @@ from repro.core.functions import default_registry
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.context import ExecutionContext
-from repro.execution.operators.aggregation import (
-    execute_aggregation,
-    execute_aggregation_rows,
-)
-from repro.execution.operators.joins import _hash_join_rows, execute_join
-from repro.execution.operators.sorting import _sorted_rows, execute_topn
+from repro.execution.operators.aggregation import execute_aggregation
+from repro.execution.operators.joins import execute_join
+from repro.execution.operators.sorting import execute_topn
 from repro.planner.plan import (
     Aggregation,
     AggregationNode,
     JoinNode,
     TopNNode,
     ValuesNode,
+)
+from tests.reference.operators import (
+    _hash_join_rows,
+    _sorted_rows,
+    execute_aggregation_rows,
 )
 
 OUTPUT = "BENCH_operators.json"

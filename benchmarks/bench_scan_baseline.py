@@ -3,7 +3,8 @@
 TPC-H Q1/Q6-style scans over LINEITEM pages, one core, reporting
 rows/sec-per-core.  Each suite runs twice on identical data: once with
 offsets-based :class:`VarcharBlock` columns (the native representation)
-and once with the legacy object-array lane (``object_varchar_lane()``).
+and once with the legacy object-array lane: the same VARCHAR columns
+built as object-dtype ``PrimitiveBlock`` columns (``build_object_pages``).
 Results must match exactly; the varchar-heavy suites must clear a >=3x
 object/native ratio and the numeric suite must stay within noise — the
 new buffers are not allowed to tax numeric scans.  The lanes are timed
@@ -27,7 +28,7 @@ from repro.core.blocks import (
     Block,
     PrimitiveBlock,
     VarcharBlock,
-    object_varchar_lane,
+    block_from_values,
 )
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
@@ -249,6 +250,20 @@ def build_pages(rows: list[tuple]) -> list[Page]:
     ]
 
 
+def build_object_pages(rows: list[tuple]) -> list[Page]:
+    """:func:`build_pages` with each VARCHAR column in the object-array
+    form; every other column is built as ``Page.from_rows`` builds it."""
+    pages = []
+    for start in range(0, len(rows), PAGE_SIZE):
+        columns = list(zip(*rows[start : start + PAGE_SIZE]))
+        blocks = [
+            (PrimitiveBlock.from_values if t is VARCHAR else block_from_values)(t, c)
+            for t, c in zip(LINEITEM_TYPES, columns)
+        ]
+        pages.append(Page(blocks, len(columns[0])))
+    return pages
+
+
 def _shred_fingerprint(pages: list[Page]) -> tuple:
     """Cheap lane-independent identity: shape plus boundary rows."""
     return (
@@ -274,33 +289,22 @@ def _entry(name: str, kind: str, rows_count: int, timed) -> dict:
     }
 
 
-def _object_lane(work):
-    """``work``, run under the legacy object-array varchar representation."""
-
-    def lane():
-        with object_varchar_lane():
-            return work()
-
-    return lane
-
-
 def run(smoke: bool) -> dict:
     rows_count = 4_000 if smoke else 200_000
     repeat = 1 if smoke else 5
     rows = generate_lineitem(rows_count)
     native_pages = build_pages(rows)
-    with object_varchar_lane():
-        object_pages = build_pages(rows)
+    object_pages = build_object_pages(rows)
     native_evaluator = Evaluator(REGISTRY)
     object_evaluator = Evaluator(REGISTRY)
 
-    def shred():
+    def shred(build):
         """The rows -> pages conversion itself."""
-        return _shred_fingerprint(build_pages(rows))
+        return lambda: _shred_fingerprint(build(rows))
 
     benchmarks = [
         _entry("page_shredding", "shredding", rows_count,
-               lane_ratio(_object_lane(shred), shred, repeat))
+               lane_ratio(shred(build_object_pages), shred(build_pages), repeat))
     ]
     for name, kind, fn in SUITES:
         # One fresh wrap per run, made before any clock starts; each lane's
@@ -308,7 +312,7 @@ def run(smoke: bool) -> dict:
         native_trials = iter([_fresh(native_pages) for _ in range(repeat + 1)])
         object_trials = iter([_fresh(object_pages) for _ in range(repeat + 1)])
         native = lambda: fn(next(native_trials), native_evaluator)
-        legacy = _object_lane(lambda: fn(next(object_trials), object_evaluator))
+        legacy = lambda: fn(next(object_trials), object_evaluator)
         native()
         legacy()
         benchmarks.append(_entry(name, kind, rows_count, lane_ratio(legacy, native, repeat)))

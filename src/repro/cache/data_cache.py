@@ -327,6 +327,8 @@ class ShadowCache:
 # Simulated milliseconds charged per read served by each tier.
 HOT_READ_MS = 0.05
 SSD_READ_MS = 0.5
+# The size a read is charged when its caller does not know it.
+DEFAULT_ENTRY_BYTES = 1 * MIB
 
 
 @dataclass(frozen=True)
@@ -344,7 +346,6 @@ class DataCacheConfig:
     ssd_bytes: int = 512 * MIB
     miss_read_ms: float = 0.0
     shadow_factor: int = 4
-    default_entry_bytes: int = 1 * MIB
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -466,11 +467,11 @@ class TieredDataCache:
     ) -> CacheRead:
         """Read ``key``: returns the serving tier and its latency.
 
-        ``size_bytes`` defaults to the config's estimate; ``loader`` (for
+        ``size_bytes`` defaults to ``DEFAULT_ENTRY_BYTES``; ``loader`` (for
         real byte payloads, e.g. parquet segments) runs only on a miss
         and its result is cached alongside the size.
         """
-        size = size_bytes if size_bytes is not None else self.config.default_entry_bytes
+        size = size_bytes if size_bytes is not None else DEFAULT_ENTRY_BYTES
         self.shadow.access(key, size)
         if self._sketch is not None:
             self._sketch.increment(key)

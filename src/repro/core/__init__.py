@@ -42,8 +42,6 @@ from repro.core.blocks import (
     ArrayBlock,
     MapBlock,
     LazyBlock,
-    object_varchar_lane,
-    varchar_blocks_enabled,
 )
 from repro.core.page import Page
 
@@ -70,7 +68,5 @@ __all__ = [
     "ArrayBlock",
     "MapBlock",
     "LazyBlock",
-    "object_varchar_lane",
-    "varchar_blocks_enabled",
     "Page",
 ]

@@ -7,8 +7,9 @@ values for a batch of rows.  The variants mirror Presto's:
 - :class:`PrimitiveBlock` — flat scalar values over numpy storage.
 - :class:`VarcharBlock` — strings as one contiguous UTF-8 byte buffer plus
   int64 offsets, so factorize/compare/substr run as numpy array ops over
-  bytes instead of per-element Python dispatch.  Objects materialize only
-  at the final-result boundary (and as the differential oracle).
+  bytes instead of per-element Python dispatch.  Every VARCHAR column of
+  ``str`` is built this way; objects materialize only at the final-result
+  boundary and where a string function has no offsets-native kernel.
 - :class:`DictionaryBlock` — ids into a shared dictionary; produced by the
   new Parquet reader when a column chunk is dictionary-encoded, and consumed
   by dictionary-aware operators without decoding.
@@ -24,8 +25,7 @@ Blocks are immutable once constructed; ``take`` produces new blocks.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,42 +41,9 @@ from repro.core.types import (
 )
 
 
-# When True (the default), VARCHAR columns built through block_from_values /
-# constant_block / the Parquet reader use the offsets-based VarcharBlock.
-# The legacy object-array lane stays available as the differential oracle:
-# benchmarks and tests flip this off to measure/verify against it.
-_VARCHAR_BLOCKS_ENABLED = True
-
 # Padded fixed-width views cost O(rows * max_len) transient memory; beyond
-# this width the object fallback (same as the legacy lane) is cheaper.
+# this width the object fallback is cheaper.
 _FIXED_WIDTH_CAP = 256
-
-
-def varchar_blocks_enabled() -> bool:
-    """True when VARCHAR columns natively use :class:`VarcharBlock`."""
-    return _VARCHAR_BLOCKS_ENABLED
-
-
-def set_varchar_blocks_enabled(enabled: bool) -> bool:
-    """Toggle the native varchar lane; returns the previous setting."""
-    global _VARCHAR_BLOCKS_ENABLED
-    previous = _VARCHAR_BLOCKS_ENABLED
-    _VARCHAR_BLOCKS_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def object_varchar_lane() -> Iterator[None]:
-    """Force the legacy object-array representation for VARCHAR columns.
-
-    Differential tests and the scan baseline benchmark run queries under
-    this context to compare the offsets-native lane against the oracle.
-    """
-    previous = set_varchar_blocks_enabled(False)
-    try:
-        yield
-    finally:
-        set_varchar_blocks_enabled(previous)
 
 
 def _gather_slices(
@@ -262,7 +229,7 @@ class VarcharBlock(Block):
     kernels exploit this with padded fixed-width (``S``-dtype) views.  The
     padding trick is unsafe when the payload itself contains NUL bytes
     (numpy strips trailing NULs), so every padded path is guarded by
-    :meth:`has_nul` and falls back to the object oracle.
+    :meth:`has_nul` and falls back to the object lane.
     """
 
     def __init__(
@@ -348,7 +315,7 @@ class VarcharBlock(Block):
         """Decode every row to a Python string (cached).
 
         This is the only place offsets-native data becomes objects; it runs
-        at the final-result boundary and inside oracle fallbacks.
+        at the final-result boundary and inside object-lane fallbacks.
         """
         if self._objects is None:
             out = np.empty(self.position_count, dtype=object)
@@ -364,7 +331,7 @@ class VarcharBlock(Block):
         return self._objects
 
     def to_primitive(self) -> PrimitiveBlock:
-        """Legacy object-array representation (the differential oracle)."""
+        """The object-array form: an object-dtype ``PrimitiveBlock``."""
         return PrimitiveBlock(self.type, self.to_object_array(), self.nulls)
 
     # -- vectorized structure ----------------------------------------------
@@ -888,7 +855,7 @@ def block_from_values(presto_type: PrestoType, values: Sequence[Any]) -> Block:
         return ArrayBlock.from_values(presto_type, values)
     if isinstance(presto_type, MapType):
         return MapBlock.from_values(presto_type, values)
-    if presto_type is VARCHAR and _VARCHAR_BLOCKS_ENABLED:
+    if presto_type is VARCHAR:
         try:
             return VarcharBlock.from_values(values, presto_type)
         except (AttributeError, TypeError, UnicodeEncodeError):
@@ -906,7 +873,7 @@ def constant_block(value: Any, presto_type: PrestoType, count: int) -> Block:
         return PrimitiveBlock(presto_type, storage, np.ones(count, dtype=bool))
     if presto_type.is_nested():
         return block_from_values(presto_type, [value] * count)
-    if presto_type is VARCHAR and _VARCHAR_BLOCKS_ENABLED and isinstance(value, str):
+    if presto_type is VARCHAR and isinstance(value, str):
         encoded = np.frombuffer(value.encode("utf-8"), dtype=np.uint8)
         offsets = np.arange(count + 1, dtype=np.int64) * len(encoded)
         return VarcharBlock(presto_type, np.tile(encoded, count), offsets)

@@ -39,8 +39,9 @@ kernels on one position, so ``WHERE 1 = 1``-style conjuncts vanish before
 any page is scanned.
 
 Every expression the analyzer emits compiles to kernels; what cannot
-compile raises here, not on the first page.  The row-at-a-time reference
-in :mod:`repro.core.evaluator` is for tests only.
+compile raises here, not on the first page.  The row-at-a-time
+interpreter the compiler replaced lives in
+``tests/reference/interpreter.py``, the oracle of the differential tests.
 """
 
 from __future__ import annotations
@@ -161,6 +162,23 @@ def _flat(block: Block) -> Block:
     if isinstance(block, DictionaryBlock):
         return block.decode()
     return block
+
+
+def _object_form(block: Block, constant: Any, position_count: int) -> Block:
+    """``block`` in the object lane: a :class:`VarcharBlock` decoded to a
+    ``PrimitiveBlock`` of ``str``.  ``constant`` is the value a constant
+    kernel produced it from (``None`` otherwise); a constant fills its
+    array from that value instead of decoding every row of its tiled bytes.
+    """
+    if not isinstance(block, VarcharBlock):
+        return block
+    if isinstance(constant, str):
+        # Slice assignment keeps the str object; np.full would go through a
+        # numpy unicode array, which drops trailing NULs.
+        values = np.empty(position_count, dtype=object)
+        values[:] = constant
+        return PrimitiveBlock(block.type, values)
+    return block.to_primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +344,11 @@ class ConstantKernel(Kernel):
         return constant_block(self.value, self.type, position_count)
 
 
+def _constant_of(kernel: Kernel) -> Any:
+    """The value a :class:`ConstantKernel` produces; ``None`` for any other."""
+    return kernel.value if isinstance(kernel, ConstantKernel) else None
+
+
 class VariableKernel(Kernel):
     def __init__(self, name: str) -> None:
         self.name = name
@@ -357,9 +380,7 @@ class CallKernel(Kernel):
         self.return_type = return_type
         self.arg_kernels = arg_kernels
         self._target_dtype = _numpy_dtype_for(return_type)
-        self._const_args = [
-            k.value if isinstance(k, ConstantKernel) else None for k in arg_kernels
-        ]
+        self._const_args = [_constant_of(k) for k in arg_kernels]
 
     def run(self, bindings, position_count, stats) -> Block:
         blocks = [
@@ -384,11 +405,11 @@ class CallKernel(Kernel):
                 if stats is not None:
                     stats.expr_positions_vectorized += position_count
                 return native
-            # No offsets-native form: decode to the object oracle so the
+            # No offsets-native form: decode to the object lane so the
             # ``vectorized_on_objects`` kernels still run whole-array.
             blocks = [
-                b.to_primitive() if isinstance(b, VarcharBlock) else b
-                for b in blocks
+                _object_form(b, const, position_count)
+                for b, const in zip(blocks, self._const_args)
             ]
         vector_ok = (
             fn.vectorized is not None
@@ -638,17 +659,23 @@ class IfKernel(Kernel):
         self.else_kernel = else_kernel
         self.return_type = return_type
         self._target_dtype = _numpy_dtype_for(return_type)
+        self._then_constant = _constant_of(then_kernel)
+        self._else_constant = _constant_of(else_kernel)
 
     def run(self, bindings, position_count, stats) -> Block:
         condition = self.condition.run(bindings, position_count, stats)
         cond_values, cond_nulls = bool_arrays(condition)
         take_then = cond_values & ~cond_nulls
-        then_block = _flat(self.then_kernel.run(bindings, position_count, stats))
-        else_block = _flat(self.else_kernel.run(bindings, position_count, stats))
-        if isinstance(then_block, VarcharBlock):
-            then_block = then_block.to_primitive()
-        if isinstance(else_block, VarcharBlock):
-            else_block = else_block.to_primitive()
+        then_block = _object_form(
+            _flat(self.then_kernel.run(bindings, position_count, stats)),
+            self._then_constant,
+            position_count,
+        )
+        else_block = _object_form(
+            _flat(self.else_kernel.run(bindings, position_count, stats)),
+            self._else_constant,
+            position_count,
+        )
         if isinstance(then_block, PrimitiveBlock) and isinstance(
             else_block, PrimitiveBlock
         ):

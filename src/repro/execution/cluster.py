@@ -316,6 +316,10 @@ class CoordinatorModel:
         return self.planning_base_ms * (1.0 + 4.0 * worker_load + 8.0 * concurrency_load)
 
 
+# The coordinator every cluster models (tests patch in a spy).
+COORDINATOR = CoordinatorModel()
+
+
 # A split read through a worker's tiered data cache: a hot-tier hit cuts
 # its remote-read work to this share of its duration, an SSD-tier hit to
 # the second; each tier also charges its read latency.
@@ -331,7 +335,6 @@ class PrestoClusterSim:
         workers: int = 10,
         slots_per_worker: int = 4,
         clock: Optional[SimulatedClock] = None,
-        coordinator: Optional[CoordinatorModel] = None,
         name: str = "cluster",
         affinity_scheduling: bool = False,
         data_cache: Optional[DataCacheConfig] = None,
@@ -343,7 +346,6 @@ class PrestoClusterSim:
         # active-worker gauge, labeled ``cluster=<name>``.
         self.metrics = metrics
         self.clock = clock or SimulatedClock()
-        self.coordinator = coordinator or CoordinatorModel()
         self.slots_per_worker = slots_per_worker
         # Affinity scheduling (section VII, RaptorX): route splits for the
         # same data to the same worker so its local tiered cache gets
@@ -740,7 +742,7 @@ class PrestoClusterSim:
             )
         # planning_cost_ms's concurrent_queries argument sees the *real*
         # number of in-flight queries (this one included).
-        planning = self.coordinator.planning_cost_ms(
+        planning = COORDINATOR.planning_cost_ms(
             len(
                 [
                     w

@@ -20,7 +20,6 @@ from repro.connectors.spi import Catalog
 from repro.core.functions import FunctionRegistry, default_registry
 from repro.core.page import Page
 from repro.execution.context import ExecutionContext, QueryStats
-from repro.execution.driver import execute_plan, record_operator_spans
 from repro.execution.scheduler import QueryScheduler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import QueryTrace, activate, current_tracer
@@ -41,7 +40,7 @@ class PreparedQuery:
 
     Plan nodes are frozen and every run keeps its state in its own
     ``ExecutionContext`` and scheduler, so one prepared query serves any
-    number of runs, staged, direct or concurrent.
+    number of runs, one after another or concurrent.
     """
 
     plan: OutputNode
@@ -216,10 +215,9 @@ class PrestoEngine:
         self.max_build_rows = max_build_rows
         self.fragment_result_cache = fragment_result_cache
         # Staged execution (section III): execute() fragments the plan and
-        # runs it stage by stage through exchanges.  The direct pipeline
-        # stays available as execute_direct(), the differential oracle.
-        # hash_partitions caps a hash stage's task count; below the cap the
-        # scheduler sizes each stage from the rows it observed.
+        # runs it stage by stage through exchanges.  hash_partitions caps a
+        # hash stage's task count; below the cap the scheduler sizes each
+        # stage from the rows it observed.
         self.hash_partitions = hash_partitions
         # Fault tolerance (sections VIII/IX/XII.C): an optional seeded
         # FaultInjector dooms a deterministic fraction of task attempts;
@@ -309,7 +307,6 @@ class PrestoEngine:
         SELECT queries run through staged execution: the plan is
         fragmented (section III), each fragment runs as a stage of tasks,
         and pages move between stages over exchange buffers.
-        :meth:`execute_direct` is the single-pipeline reference.
 
         ``sql`` is any statement of the grammar in ``docs/API.md``
         ("Statement grammar"): a query or EXPLAIN / SHOW / DESCRIBE /
@@ -318,18 +315,10 @@ class PrestoEngine:
         # The blocking path is the steppable path driven to completion in
         # one go — one code path, so traces/stats cannot drift between
         # single-query and concurrent execution.
-        return self._dispatch(
-            sql, lambda prepared: self._submit_plan(prepared).run_to_completion()
+        return self.dispatch(
+            sql,
+            lambda prepared, ctx: self._submit_plan(prepared, ctx).run_to_completion(),
         )
-
-    def execute_direct(self, sql: str) -> QueryResult:
-        """Run ``sql`` through the single in-process pipeline.
-
-        The pre-staged execution path, retained as the differential
-        oracle (the convention the operator kernels also follow): staged
-        and direct execution must return the same rows.
-        """
-        return self._dispatch(sql, self._execute_pipeline)
 
     def submit(self, sql: str) -> QueryHandle:
         """Non-blocking submit: plan ``sql`` and return a steppable handle.
@@ -340,15 +329,17 @@ class PrestoEngine:
         cluster's event loop — steps the handle.  Metadata statements
         complete immediately.
         """
-        outcome = self._dispatch(sql, self._submit_plan)
+        outcome = self.dispatch(sql, self._submit_plan)
         if isinstance(outcome, QueryResult):
             return QueryHandle(self, None, None, None, result=outcome)
         return outcome
 
-    def _dispatch(self, sql: str, run_query: Callable[[PreparedQuery], Any]):
-        """The one way in: hand the prepared query to ``run_query`` (the
-        path the calling method stands for), or answer the metadata
-        statement here.
+    def dispatch(
+        self, sql: str, run_query: Callable[[PreparedQuery, ExecutionContext], Any]
+    ):
+        """The one way in: hand the prepared query and a fresh execution
+        context to ``run_query`` (the run the caller stands for), or answer
+        the metadata statement here.
 
         A query text already planned under the current plan version is
         not read again; anything else is tokenized and parsed once, and a
@@ -370,7 +361,7 @@ class PrestoEngine:
                 raise SemanticError("statement is nested too deeply to plan") from None
             if key is not None:
                 self._plans.put(key, prepared)
-        return run_query(prepared)
+        return run_query(prepared, self._fresh_context())
 
     def _plan_key(self, sql: str) -> Optional[tuple]:
         """``sql`` with everything its plan depends on: the session's
@@ -420,8 +411,9 @@ class PrestoEngine:
             [(".".join(qualified), statistics.row_count, len(statistics.columns))],
         )
 
-    def _submit_plan(self, prepared: PreparedQuery) -> QueryHandle:
-        ctx = self._fresh_context()
+    def _submit_plan(
+        self, prepared: PreparedQuery, ctx: ExecutionContext
+    ) -> QueryHandle:
         machine = QueryScheduler(
             ctx,
             prepared.fragmented,
@@ -460,28 +452,9 @@ class PrestoEngine:
             metrics=self.metrics,
         )
 
-    def _execute_pipeline(self, prepared: PreparedQuery) -> QueryResult:
-        plan = prepared.plan
-        ctx = self._fresh_context()
-        tracer = ctx.tracer
-        if tracer is None:
-            return QueryResult.from_pages(
-                plan.column_names, execute_plan(plan, ctx), ctx.stats
-            )
-        ctx.operator_rows = {}
-        with activate(tracer), tracer.span(
-            "query", query_id=ctx.stats.query_id, path="direct"
-        ):
-            try:
-                return QueryResult.from_pages(
-                    plan.column_names, execute_plan(plan, ctx), ctx.stats, tracer
-                )
-            finally:
-                record_operator_spans(tracer, plan, ctx.operator_rows)
-
     def _run_and_report(self, prepared: PreparedQuery) -> str:
         fragmented = prepared.fragmented
-        result = self._submit_plan(prepared).run_to_completion()
+        result = self._submit_plan(prepared, self._fresh_context()).run_to_completion()
         stats = result.stats
         lines = [
             f"Query: {stats.stages_total} stages, {stats.tasks_total} tasks "

@@ -38,10 +38,10 @@ every aggregate the dialect accepts runs here.
 
 NaN keys canonicalize to the null sentinel before factorization (NaN is
 not equal to itself, so ``np.unique`` grouping and dict-keyed grouping
-would otherwise disagree); :func:`canonical_key` applies the same rule to
-the row-at-a-time reference lanes that only tests and the operator
-benchmark call, so both treat a NaN key exactly like SQL NULL.  NULL keys
-are handled exactly.
+would otherwise disagree), so a NaN key groups, joins and partitions
+exactly like SQL NULL; the row-at-a-time references in
+``tests/reference/operators.py`` apply the same rule to their key tuples.
+NULL keys are handled exactly.
 """
 
 from __future__ import annotations
@@ -80,18 +80,6 @@ _MAX_RADIX = 2**62
 # rows / target) of them), and so the rows hash aggregation factorizes at
 # once: a FINAL task's whole input is one batch.
 TARGET_PARTITION_ROWS = 65_536
-
-
-def canonical_key(value: Any) -> Any:
-    """Canonical form of one key component: NaN becomes the null sentinel.
-
-    Every row-at-a-time reference lane that builds key tuples (group by,
-    hash join) routes values through here so the dict-keyed lanes agree
-    with the factorized ones, where NaN maps to code ``-1``.
-    """
-    if isinstance(value, float) and value != value:
-        return None
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +313,8 @@ def partition_assignments(blocks: Sequence[Block], n_partitions: int) -> np.ndar
     """Per-row partition indexes for a hash-partitioned exchange.
 
     ``out[row] == stable_hash(key_tuple) % n_partitions`` where the key
-    tuple holds :func:`canonical_key` components with negative zero
-    folded onto zero, so keys that are one SQL group share a partition.
+    tuple holds each component with NaN as NULL and negative zero folded
+    onto zero, so keys that are one SQL group share a partition.
     The key columns factorize into dense codes, one hash is computed per
     *distinct* key tuple, and the per-row assignment is a single gather.
     The CRC32-based hash makes placement identical across processes (no

@@ -1,9 +1,8 @@
 """Vectorized operator implementations, one module per operator family.
 
-Each module also keeps its original row-at-a-time implementation (the
-``*_rows`` functions) as the oracle of the differential tests and the
-baseline of ``benchmarks/bench_operator_kernels.py``; callers import those
-from the module itself.
+The row-at-a-time implementations they replaced live outside the package,
+in ``tests/reference/operators.py``: the oracles of the differential tests
+and the baselines of ``benchmarks/bench_operator_kernels.py``.
 """
 
 from repro.execution.operators.scan import execute_table_scan, execute_values

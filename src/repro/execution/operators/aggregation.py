@@ -13,31 +13,19 @@ into dense int64 codes plus the distinct keys as blocks
 array kernel, and the output page is those key blocks beside the
 accumulators' blocks.  A PARTIAL step emits avg's state as the
 ``AVG_INTERMEDIATE`` row of its sums and counts.
-
-:func:`execute_aggregation_rows` is the original row-at-a-time
-implementation (one ``GroupFold`` plus the DISTINCT bookkeeping), kept as
-the differential-test oracle and benchmark baseline; no production path
-calls it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from repro.core.blocks import (
-    BLOCK_VALUE_ERRORS,
-    Block,
-    PrimitiveBlock,
-    block_from_values,
-)
-from repro.core.functions import GroupFold
+from repro.core.blocks import Block
 from repro.core.page import Page, concat_blocks
-from repro.core.types import PrestoType, RowType
+from repro.core.types import PrestoType
 from repro.execution.context import ExecutionContext
 from repro.execution import kernels
-from repro.execution.operators.filter_project import bindings_for
 from repro.planner.plan import AggregationNode, AggregationStep
 
 
@@ -119,95 +107,3 @@ def execute_aggregation(
         make = accumulator.state_block if partial else accumulator.final_block
         out.append(make(group_count, presto_type))
     yield Page(out, group_count)
-
-
-def _partial_page(output_types, key_count, columns, group_count) -> Page:
-    """Page of per-group partial states (the row reference's), typed as the
-    kernel's: avg's ``(sum, count)`` tuples become its intermediate rows."""
-    blocks = []
-    for channel, (presto_type, values) in enumerate(zip(output_types, columns)):
-        if channel >= key_count and isinstance(presto_type, RowType):
-            values = [dict(zip(presto_type.field_names(), state)) for state in values]
-        try:
-            blocks.append(block_from_values(presto_type, values))
-        except BLOCK_VALUE_ERRORS:
-            storage = np.empty(len(values), dtype=object)
-            for i, v in enumerate(values):
-                storage[i] = v
-            blocks.append(PrimitiveBlock(presto_type, storage))
-    return Page(blocks, group_count)
-
-
-def execute_aggregation_rows(
-    node: AggregationNode, ctx: ExecutionContext, source: Iterator[Page]
-) -> Iterator[Page]:
-    """Row-at-a-time reference implementation (the pre-kernel hot path).
-
-    Retained as the semantics oracle for the differential tests and the
-    baseline for ``benchmarks/bench_operator_kernels.py``.
-    """
-    implementations = [
-        ctx.registry.aggregate_for(a.function_handle) for a in node.aggregations
-    ]
-    source_outputs = node.source.outputs
-    key_names = [k.name for k in node.group_keys]
-    agg_argument_names = [[a.name for a in agg.arguments] for agg in node.aggregations]
-    merge_mode = node.step == "FINAL"
-
-    fold = GroupFold(implementations, merge=merge_mode)
-    # DISTINCT: the argument tuples each (group, aggregate) has already seen.
-    distinct_indexes = [i for i, agg in enumerate(node.aggregations) if agg.distinct]
-    distinct_seen: dict[tuple, list[set]] = {}
-
-    for page in source:
-        if page.position_count == 0:
-            continue
-        bindings = bindings_for(page, source_outputs)
-        key_blocks = [bindings[name].loaded() for name in key_names]
-        argument_blocks = [
-            [bindings[name].loaded() for name in names] for names in agg_argument_names
-        ]
-        for position in range(page.position_count):
-            key = tuple(
-                kernels.canonical_key(block.get(position)) for block in key_blocks
-            )
-            inputs: list[Any] = [
-                tuple(block.get(position) for block in blocks)
-                for blocks in argument_blocks
-            ]
-            if distinct_indexes:
-                seen = distinct_seen.get(key)
-                if seen is None:
-                    seen = distinct_seen[key] = [set() for _ in implementations]
-                for index in distinct_indexes:
-                    if inputs[index] in seen[index]:
-                        inputs[index] = GroupFold.SKIP
-                    else:
-                        seen[index].add(inputs[index])
-            if merge_mode:
-                # A FINAL step's single argument is the partial state; avg's
-                # arrives as its intermediate row, whose fields are the tuple.
-                inputs = [
-                    i if i is GroupFold.SKIP
-                    else tuple(i[0].values()) if isinstance(i[0], dict)
-                    else i[0]
-                    for i in inputs
-                ]
-            fold.fold(key, inputs)
-
-    if not fold.groups and not node.group_keys:
-        # Global aggregation over empty input still yields one row.
-        fold.states(())
-
-    output_types = [v.type for v in node.outputs]
-    if node.step == AggregationStep.PARTIAL:
-        key_count = len(key_names)
-        group_order = list(fold.groups)
-        columns = [
-            [key[channel] for key in group_order] for channel in range(key_count)
-        ]
-        for index in range(len(implementations)):
-            columns.append([fold.groups[key][index] for key in group_order])
-        yield _partial_page(output_types, key_count, columns, len(group_order))
-        return
-    yield Page.from_rows(output_types, fold.rows())

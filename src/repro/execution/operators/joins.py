@@ -9,9 +9,7 @@ The equi-join probe is vectorized (section III): the build side stays in
 columnar blocks, keys factorize into dense codes, and each probe page
 expands into ``(probe_positions, build_positions)`` index arrays that
 construct the output with ``Block.take`` instead of ``Page.from_rows``.
-Every key kind the analyzer admits factorizes.  :func:`_hash_join_rows`
-is the original row-at-a-time implementation, kept verbatim as the
-differential-test oracle; no production path calls it.
+Every key kind the analyzer admits factorizes.
 
 The spatial join implements both execution strategies of section VI: the
 brute-force path evaluates ``st_contains`` for every (point, polygon) pair,
@@ -174,63 +172,6 @@ def _hash_join(
         yield Page(blocks, len(probe_positions))
 
 
-def _hash_join_rows(
-    node: JoinNode,
-    ctx: ExecutionContext,
-    left_source: Iterator[Page],
-    right_source: Iterator[Page],
-) -> Iterator[Page]:
-    """Row-at-a-time reference join (the pre-kernel hot path).
-
-    Retained as the semantics oracle for the differential tests and the
-    baseline for ``benchmarks/bench_operator_kernels.py``.
-    """
-    right_outputs = node.right.outputs
-    right_key_indexes = [
-        [v.name for v in right_outputs].index(r.name) for _, r in node.criteria
-    ]
-    left_outputs = node.left.outputs
-    left_key_indexes = [
-        [v.name for v in left_outputs].index(l.name) for l, _ in node.criteria
-    ]
-    output_types = [v.type for v in node.outputs]
-
-    build_rows = _build_rows(ctx, right_source)
-    table: dict[tuple, list[tuple]] = {}
-    for row in build_rows:
-        key = tuple(kernels.canonical_key(row[i]) for i in right_key_indexes)
-        if any(k is None for k in key):
-            continue  # SQL: NULL keys (and canonicalized NaN) never match
-        table.setdefault(key, []).append(row)
-
-    evaluator = ctx.evaluator
-    join_filter = node.filter
-    all_outputs = node.outputs
-    is_left_join = node.join_type == "left"
-    right_null_row = (None,) * len(right_outputs)
-
-    for page in left_source:
-        page = page.loaded()
-        result_rows: list[tuple] = []
-        for probe_row in page.rows():
-            key = tuple(
-                kernels.canonical_key(probe_row[i]) for i in left_key_indexes
-            )
-            matches = [] if any(k is None for k in key) else table.get(key, [])
-            matched = False
-            for build_row in matches:
-                combined = probe_row + build_row
-                if join_filter is not None and not _filter_row(
-                    evaluator, join_filter, all_outputs, combined
-                ):
-                    continue
-                matched = True
-                result_rows.append(combined)
-            if is_left_join and not matched:
-                result_rows.append(probe_row + right_null_row)
-        yield Page.from_rows(output_types, result_rows)
-
-
 def _nested_loop_join(
     node: JoinNode,
     ctx: ExecutionContext,
@@ -272,17 +213,6 @@ def _nested_loop_join(
             for position in np.nonzero(~matched)[0]:
                 result_rows.append(probe_rows[int(position)] + right_null_row)
         yield Page.from_rows(output_types, result_rows)
-
-
-def _filter_row(evaluator, predicate, outputs, row: tuple) -> bool:
-    from repro.core.blocks import block_from_values
-
-    bindings = {
-        variable.name: block_from_values(variable.type, [value])
-        for variable, value in zip(outputs, row)
-    }
-    mask = evaluator.filter_mask(predicate, bindings, 1)
-    return bool(mask[0])
 
 
 def execute_spatial_join(

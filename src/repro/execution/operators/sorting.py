@@ -5,9 +5,7 @@ Sort and TopN share one vectorized lane: pages concatenate block-wise
 dense rank array, and one stable ``np.lexsort`` orders the page
 (:func:`repro.execution.kernels.sort_order`).  Sort orders its whole
 input once; TopN orders its ``count`` survivors plus the next page and
-cuts back to ``count``.  :func:`_sorted_rows` is the original
-row-at-a-time sort, kept as the differential-test oracle; no production
-path calls it.
+cuts back to ``count``.
 """
 
 from __future__ import annotations
@@ -22,44 +20,11 @@ from repro.execution.context import ExecutionContext
 from repro.planner.plan import LimitNode, SortNode, TopNNode
 
 
-class _SortKey:
-    """Total order over possibly-null values: nulls sort last ascending."""
-
-    __slots__ = ("value", "ascending")
-
-    def __init__(self, value, ascending: bool) -> None:
-        self.value = value
-        self.ascending = ascending
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.ascending
-        if b is None:
-            return self.ascending
-        return a < b if self.ascending else b < a
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self.value == other.value
-
-
 def _key_indexes(node) -> list[tuple[int, bool]]:
     return [
         ([v.name for v in node.source.outputs].index(variable.name), ascending)
         for variable, ascending in node.order_by
     ]
-
-
-def _sorted_rows(node, source: Iterator[Page]) -> list[tuple]:
-    """Row-at-a-time reference sort (retained as the differential oracle)."""
-    key_indexes = _key_indexes(node)
-    rows: list[tuple] = []
-    for page in source:
-        rows.extend(page.loaded().rows())
-    rows.sort(key=lambda row: tuple(_SortKey(row[i], asc) for i, asc in key_indexes))
-    return rows
 
 
 def _kernel_order(page: Page, key_indexes) -> np.ndarray:

@@ -35,7 +35,6 @@ from repro.core.blocks import (
     RowBlock,
     VarcharBlock,
     block_from_values,
-    varchar_blocks_enabled,
 )
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
@@ -278,7 +277,7 @@ class NewParquetReader:
         data = self.file.read_segment(group_index, path, "dict")
         size = count_prefixed_entries(data)
         if self.options.vectorized:
-            if leaf.type is VARCHAR and varchar_blocks_enabled():
+            if leaf.type is VARCHAR:
                 # Dictionary page straight into the offsets layout: the
                 # dictionary under DictionaryBlock becomes a VarcharBlock.
                 dict_data, dict_offsets = decode_plain_varchar(data, size)
@@ -321,11 +320,7 @@ class NewParquetReader:
             block: Block = DictionaryBlock(dictionary, ids)
         else:
             raw = self.file.read_segment(group_index, path, "data")
-            if (
-                self.options.vectorized
-                and leaf.type is VARCHAR
-                and varchar_blocks_enabled()
-            ):
+            if self.options.vectorized and leaf.type is VARCHAR:
                 block = _scatter_varchar(leaf.type, raw, nulls, count, defined_count)
             elif self.options.vectorized:
                 defined_values = decode_plain_vectorized(raw, leaf.type, defined_count)

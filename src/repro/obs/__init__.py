@@ -15,8 +15,8 @@ that layer for the reproduction:
   snapshot-able as a plain dict and dumpable as JSON from the CLI.
 
 Both are pure added instrumentation: query results are identical with
-tracing on or off, and the differential oracles (``execute_direct``, the
-interpreted evaluator) stay reachable with tracing enabled.
+tracing on or off, so the references in ``tests/reference/`` compare
+rows with tracing enabled.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

@@ -15,13 +15,6 @@ from repro.realtime.connector import (
 from repro.realtime.hybrid import HybridTable, TailSegment
 from repro.realtime.lakehouse import StreamingLakehouse
 from repro.realtime.mv import MaterializedView, ViewAggregate
-from repro.realtime.oracle import (
-    assert_exactly_once,
-    expected_log_keys,
-    oracle_engine,
-    replayed_log_rows,
-    visible_log_keys,
-)
 from repro.realtime.pipeline import Compactor, IngestionPipeline
 from repro.realtime.watermark import Watermark
 
@@ -35,11 +28,6 @@ __all__ = [
     "TailSegment",
     "ViewAggregate",
     "Watermark",
-    "assert_exactly_once",
-    "expected_log_keys",
-    "oracle_engine",
     "parse_table_name",
-    "replayed_log_rows",
-    "visible_log_keys",
     "watermark_table_name",
 ]

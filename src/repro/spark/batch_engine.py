@@ -52,6 +52,8 @@ _register_spark_function_names()
 JOB_STARTUP_MS = 4_000.0
 SHUFFLE_MS_PER_STAGE = 1_500.0
 SPILL_MS_PER_ROW = 0.002
+# Build-side rows a batch job holds in memory before the rest spill.
+MEMORY_BUDGET_ROWS = 1_000_000
 
 
 class BatchSqlEngine:
@@ -62,12 +64,10 @@ class BatchSqlEngine:
         catalog: Catalog,
         session: Optional[Session] = None,
         clock: Optional[SimulatedClock] = None,
-        memory_budget_rows: int = 1_000_000,
     ) -> None:
         # Reuse the same frontend/planner; only execution semantics differ.
         self._inner = PrestoEngine(catalog=catalog, session=session, clock=clock)
         self.clock = clock
-        self.memory_budget_rows = memory_budget_rows
         self.spilled_rows = 0
         self.jobs_run = 0
 
@@ -94,7 +94,7 @@ class BatchSqlEngine:
         )
         self.jobs_run += 1
         # Spill accounting: anything beyond the in-memory budget hit disk.
-        overflow = max(0, ctx.stats.peak_build_rows - self.memory_budget_rows)
+        overflow = max(0, ctx.stats.peak_build_rows - MEMORY_BUDGET_ROWS)
         if overflow:
             self.spilled_rows += overflow
             if self.clock is not None:

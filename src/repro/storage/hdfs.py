@@ -35,6 +35,9 @@ PER_ENTRY_LATENCY_MS = 0.01
 GET_FILE_INFO_LATENCY_MS = 2.0
 DEGRADATION_FACTOR = 10.0
 READ_LATENCY_MS_PER_MB = 5.0
+# Metadata calls within one simulated second past which the NameNode is
+# overloaded.
+DEGRADATION_THRESHOLD_CALLS_PER_SEC = 1000
 
 
 @dataclass
@@ -55,19 +58,14 @@ class NameNode:
     ``LIST_FILES_LATENCY_MS`` applies per listFiles call plus
     ``PER_ENTRY_LATENCY_MS`` per entry.  When the metadata call rate within
     the last simulated second exceeds
-    ``degradation_threshold_calls_per_sec``, latency multiplies by
+    ``DEGRADATION_THRESHOLD_CALLS_PER_SEC``, latency multiplies by
     ``DEGRADATION_FACTOR`` — the
     "single HDFS NameNode listFiles performance degradation [that] could
     hurt Presto performance badly" (sections VII, XII.D).
     """
 
-    def __init__(
-        self,
-        clock: Optional[SimulatedClock] = None,
-        degradation_threshold_calls_per_sec: int = 1000,
-    ) -> None:
+    def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock or SimulatedClock()
-        self.degradation_threshold_calls_per_sec = degradation_threshold_calls_per_sec
         self.stats = NameNodeStats()
         self.metrics = None
         # path → FileStatus for files; directories implied by prefixes
@@ -87,7 +85,7 @@ class NameNode:
         self._recent_calls.append(now)
         while self._recent_calls and self._recent_calls[0] < now - 1_000.0:
             self._recent_calls.popleft()
-        if len(self._recent_calls) > self.degradation_threshold_calls_per_sec:
+        if len(self._recent_calls) > DEGRADATION_THRESHOLD_CALLS_PER_SEC:
             return DEGRADATION_FACTOR
         return 1.0
 

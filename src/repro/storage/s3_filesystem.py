@@ -37,6 +37,8 @@ class S3FileSystemStats:
 
 # Ceiling on one exponential-backoff delay (simulated ms).
 BACKOFF_MAX_MS = 10_000.0
+# Bytes one materialized seek fetches ahead into the stream's buffer.
+READ_BUFFER_SIZE = 1024 * 1024
 
 
 class PrestoS3FileSystem(FileSystem):
@@ -51,7 +53,6 @@ class PrestoS3FileSystem(FileSystem):
         backoff_base_ms: float = 100.0,
         multipart_threshold: int = 16 * 1024 * 1024,
         multipart_part_size: int = 8 * 1024 * 1024,
-        read_buffer_size: int = 1024 * 1024,
     ) -> None:
         self.client = client
         self.bucket = bucket
@@ -60,7 +61,6 @@ class PrestoS3FileSystem(FileSystem):
         self.backoff_base_ms = backoff_base_ms
         self.multipart_threshold = multipart_threshold
         self.multipart_part_size = multipart_part_size
-        self.read_buffer_size = read_buffer_size
         self.stats = S3FileSystemStats()
 
     # -- retry with exponential backoff ------------------------------------
@@ -183,7 +183,7 @@ class S3Input(SeekableInput):
 
     def _fill(self, position: int) -> None:
         self._fs.stats.seeks_materialized += 1
-        end = min(position + self._fs.read_buffer_size, self._size)
+        end = min(position + READ_BUFFER_SIZE, self._size)
         self._buffer = self._fs._with_backoff(
             lambda: self._fs.client.get_object(
                 self._fs.bucket, self._key, (position, end)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import data_cache
 from repro.cache.data_cache import (
     HOT_READ_MS,
     SSD_READ_MS,
@@ -18,8 +19,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import QueryTrace, activate
 
 
+@pytest.fixture(autouse=True)
+def ten_byte_entries(monkeypatch):
+    """A read that names no size is charged 10 bytes: a few keys fill a tier."""
+    monkeypatch.setattr(data_cache, "DEFAULT_ENTRY_BYTES", 10)
+
+
 def make_cache(**overrides) -> TieredDataCache:
-    defaults = dict(hot_bytes=100, ssd_bytes=300, default_entry_bytes=10)
+    defaults = dict(hot_bytes=100, ssd_bytes=300)
     defaults.update(overrides)
     return TieredDataCache(DataCacheConfig(**defaults))
 
@@ -45,7 +52,7 @@ class TestTieredReads:
         assert cache.tier_of("a") == "hot"
 
     def test_hot_eviction_demotes_to_ssd(self):
-        cache = make_cache(hot_bytes=20, ssd_bytes=100, default_entry_bytes=10)
+        cache = make_cache(hot_bytes=20, ssd_bytes=100)
         cache.read("a")
         cache.read("b")
         cache.read("c")  # hot full: "a" (LRU) demotes to ssd
@@ -55,7 +62,7 @@ class TestTieredReads:
         assert cache.stats.evictions_hot == 1
 
     def test_ssd_hit_promotes_back_to_hot(self):
-        cache = make_cache(hot_bytes=20, ssd_bytes=100, default_entry_bytes=10)
+        cache = make_cache(hot_bytes=20, ssd_bytes=100)
         cache.read("a")
         cache.read("b")
         cache.read("c")  # "a" now on ssd
@@ -66,7 +73,7 @@ class TestTieredReads:
         assert cache.tier_of("b") == "ssd"  # displaced by the promotion
 
     def test_ssd_eviction_leaves_the_cache(self):
-        cache = make_cache(hot_bytes=10, ssd_bytes=20, default_entry_bytes=10)
+        cache = make_cache(hot_bytes=10, ssd_bytes=20)
         for key in ("a", "b", "c", "d"):
             cache.read(key)
         # 4 entries into 10+20 bytes of capacity: someone is gone for good.
@@ -95,7 +102,7 @@ class TestTieredReads:
         assert len(calls) == 1
 
     def test_clear_drops_both_tiers(self):
-        cache = make_cache(hot_bytes=20, default_entry_bytes=10)
+        cache = make_cache(hot_bytes=20)
         for key in ("a", "b", "c"):
             cache.read(key)
         cache.clear()
@@ -164,8 +171,7 @@ class TestPolicies:
         assert [e[0] for e in evicted] == ["cold"]
 
     def test_tiered_cache_counts_admission_rejects(self):
-        cache = make_cache(policy="tinylfu", hot_bytes=10, ssd_bytes=10,
-                           default_entry_bytes=10)
+        cache = make_cache(policy="tinylfu", hot_bytes=10, ssd_bytes=10)
         for _ in range(4):
             cache.read("popular")
         cache.read("scan-once")
@@ -231,7 +237,7 @@ class TestShadowCache:
 class TestObservability:
     def test_labeled_metrics_series(self):
         metrics = MetricsRegistry()
-        config = DataCacheConfig(hot_bytes=20, ssd_bytes=40, default_entry_bytes=10)
+        config = DataCacheConfig(hot_bytes=20, ssd_bytes=40)
         cache = TieredDataCache(config, worker="w0", metrics=metrics)
         for key in ("a", "b", "c"):
             cache.read(key)
@@ -246,7 +252,7 @@ class TestObservability:
 
     def test_used_bytes_gauge_tracks_tiers(self):
         metrics = MetricsRegistry()
-        config = DataCacheConfig(hot_bytes=20, ssd_bytes=40, default_entry_bytes=10)
+        config = DataCacheConfig(hot_bytes=20, ssd_bytes=40)
         cache = TieredDataCache(config, worker="w0", metrics=metrics)
         for key in ("a", "b", "c"):
             cache.read(key)

@@ -8,9 +8,11 @@ the LRU inclusion property holds).
 """
 
 from collections import OrderedDict
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import data_cache
 from repro.cache.data_cache import (
     CacheTier,
     DataCacheConfig,
@@ -139,10 +141,10 @@ class TestShadowCacheBound:
             hot_bytes=hot_slots * entry_bytes,
             ssd_bytes=ssd_slots * entry_bytes,
             shadow_factor=shadow_factor,
-            default_entry_bytes=entry_bytes,
         )
         cache = TieredDataCache(config)
-        for key in trace:
-            cache.read(key)
+        with patch.object(data_cache, "DEFAULT_ENTRY_BYTES", entry_bytes):
+            for key in trace:
+                cache.read(key)
         estimate = cache.shadow.estimated_hit_ratio()
         assert cache.hit_ratio() <= estimate <= 1.0

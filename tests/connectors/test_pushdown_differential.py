@@ -27,8 +27,8 @@ from repro.core.page import Page
 from repro.core.types import BIGINT, VARCHAR
 from repro.metastore.metastore import HiveMetastore
 from repro.realtime import StreamingLakehouse
-from repro.realtime.oracle import replayed_log_rows
 from repro.storage.hdfs import HdfsFileSystem
+from tests.reference.lakehouse import replayed_log_rows
 
 COLUMNS = [("id", BIGINT), ("level", VARCHAR), ("code", BIGINT)]
 LEVELS = ["error", "info", None, "warn", "info", "info"]

@@ -9,6 +9,7 @@ differential suite.
 """
 
 import json
+from functools import partial
 
 import pytest
 
@@ -43,6 +44,7 @@ from tests.connectors.test_pushdown_differential import (  # noqa: F401 (engine 
     _store_connector,
     engine,
 )
+from tests.reference.pipeline import execute_direct
 
 ALL_TABLES = {**TABLES, "memory": "memory.db.t", "kafka": "kafka.kafka.t"}
 # The six connectors that serve exactly one schema, ``connector.schema_name``.
@@ -268,7 +270,7 @@ def empty_engine():
 def test_an_empty_table_has_no_splits_and_still_answers(empty_engine, connector, query):
     sql, rows, dim_splits = EMPTY_TABLE_QUERIES[query]
     sql = sql.format(t=EMPTY_TABLES[connector])
-    for run in (empty_engine.execute, empty_engine.execute_direct):
+    for run in (empty_engine.execute, partial(execute_direct, empty_engine)):
         result = run(sql)
         assert result.rows == rows
         assert result.stats.splits_scanned <= dim_splits

@@ -1,7 +1,5 @@
 """Unit tests for columnar blocks and pages."""
 
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from repro.core.blocks import (
     RowBlock,
     VarcharBlock,
     block_from_values,
-    object_varchar_lane,
 )
 from repro.core.page import Page, concat_blocks, concat_pages
 from repro.core.types import (
@@ -354,21 +351,17 @@ class TestRowsBecomeBlocksInBulk:
     def test_every_entry_point_builds_what_the_per_value_code_builds(self, rows):
         columns = [[row[i] for row in rows] for i in range(len(TABLE_TYPES))]
         names = [name for name, _ in LAYOUT]
-        for lane in (nullcontext, object_varchar_lane):
-            with lane():
-                expected = [
-                    per_value_block(t, c) for t, c in zip(TABLE_TYPES, columns)
-                ]
-                pages = [
-                    Page.from_rows(TABLE_TYPES, rows),
-                    Page.from_columns(TABLE_TYPES, columns),
-                    project_rows(LAYOUT, rows, names),
-                ]
-            for page in pages:
-                assert page.position_count == len(rows)
-                for block, reference in zip(page.blocks, expected):
-                    assert_same_block(block, reference)
-                assert repr(page.to_rows()) == repr(list(page.rows()))
+        expected = [per_value_block(t, c) for t, c in zip(TABLE_TYPES, columns)]
+        pages = [
+            Page.from_rows(TABLE_TYPES, rows),
+            Page.from_columns(TABLE_TYPES, columns),
+            project_rows(LAYOUT, rows, names),
+        ]
+        for page in pages:
+            assert page.position_count == len(rows)
+            for block, reference in zip(page.blocks, expected):
+                assert_same_block(block, reference)
+            assert repr(page.to_rows()) == repr(list(page.rows()))
 
     def test_project_rows_selects_and_reorders(self):
         rows = [(1, 1.5, True, "a", [1]), (2, 2.5, False, "b", None)]
@@ -411,8 +404,7 @@ class TestToRows:
     def test_every_block_kind(self):
         row_type = RowType.of(("a", BIGINT), ("b", VARCHAR))
         dictionary = block_from_values(VARCHAR, ["x", None, "\u6f22"])
-        with object_varchar_lane():
-            legacy = block_from_values(VARCHAR, ["p", None, "q", ""])
+        legacy = PrimitiveBlock.from_values(VARCHAR, ["p", None, "q", ""])
         blocks = [
             PrimitiveBlock.from_values(BIGINT, [1, None, 3, -4]),
             PrimitiveBlock.from_values(DOUBLE, [0.5, -0.0, None, float("nan")]),

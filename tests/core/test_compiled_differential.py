@@ -29,6 +29,7 @@ from repro.core.expressions import (
 )
 from repro.core.functions import FunctionHandle, default_registry
 from repro.core.types import BIGINT, BOOLEAN, VARCHAR, ArrayType
+from tests.reference.interpreter import evaluate_interpreted
 
 REGISTRY = default_registry()
 
@@ -44,7 +45,7 @@ def compiled_evaluator():
 
 def interpreted(expression, bindings, position_count):
     """The row-at-a-time oracle's result block."""
-    return Evaluator(REGISTRY).evaluate_interpreted(expression, bindings, position_count)
+    return evaluate_interpreted(REGISTRY, expression, bindings, position_count)
 
 
 def assert_identical(expression, bindings, position_count):

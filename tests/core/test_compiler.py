@@ -6,6 +6,8 @@ evaluation, constant folding, the compile cache, and the QueryStats lane
 counters the EXPLAIN ANALYZE output reports.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from repro.core.expressions import (
 from repro.core.functions import FunctionHandle, default_registry
 from repro.core.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR, ArrayType, RowType
 from repro.execution.context import QueryStats
+from tests.reference.interpreter import evaluate_interpreted
 
 
 def call(name, args, arg_types):
@@ -54,7 +57,7 @@ def evaluator(stats):
 
 @pytest.fixture
 def oracle():
-    return Evaluator().evaluate_interpreted
+    return partial(evaluate_interpreted, default_registry())
 
 
 class TestNullAwareApply:

@@ -2,9 +2,9 @@
 
 Every property here runs the same operation twice — once on the native
 :class:`VarcharBlock` (contiguous UTF-8 bytes + int64 offsets) and once on
-the legacy object-array representation built under
-``object_varchar_lane()`` — and requires identical results.  Values are
-drawn to hit the layout's edge cases: NULLs, empty strings, non-ASCII
+the legacy object-array representation, an object-dtype ``PrimitiveBlock``
+of the same strings — and requires identical results.  Values are drawn
+to hit the layout's edge cases: NULLs, empty strings, non-ASCII
 UTF-8 (multi-byte code points, where byte length != char length), and
 strings containing NUL bytes (which force the S-dtype fast paths to fall
 back, since numpy S arrays strip trailing ``\\x00``).
@@ -22,7 +22,6 @@ from repro.core.blocks import (
     VarcharBlock,
     block_from_values,
     concat_varchar_blocks,
-    object_varchar_lane,
 )
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import CallExpression, constant, variable
@@ -42,8 +41,7 @@ values_lists = st.lists(st.one_of(st.none(), texts), min_size=0, max_size=40)
 def build_both(values):
     """The same logical column in both representations."""
     native = block_from_values(VARCHAR, values)
-    with object_varchar_lane():
-        legacy = block_from_values(VARCHAR, values)
+    legacy = PrimitiveBlock.from_values(VARCHAR, values)
     assert isinstance(native, VarcharBlock)
     assert isinstance(legacy, PrimitiveBlock)
     return native, legacy
@@ -201,10 +199,9 @@ def assert_expression_differential(expression, values, more_bindings=None):
     native_bindings = {"s": native, **(more_bindings or {})}
     legacy_bindings = {"s": legacy, **(more_bindings or {})}
     native_out = evaluator.evaluate(expression, native_bindings, count).to_list()
-    with object_varchar_lane():
-        legacy_out = (
-            Evaluator(REGISTRY).evaluate(expression, legacy_bindings, count).to_list()
-        )
+    legacy_out = (
+        Evaluator(REGISTRY).evaluate(expression, legacy_bindings, count).to_list()
+    )
     assert native_out == legacy_out
     return native_out
 
@@ -248,8 +245,7 @@ def test_compare_two_columns(left, right):
     n = min(len(left), len(right))
     left, right = left[:n], right[:n]
     other_native = block_from_values(VARCHAR, right)
-    with object_varchar_lane():
-        other_legacy = block_from_values(VARCHAR, right)
+    other_legacy = PrimitiveBlock.from_values(VARCHAR, right)
     expression = call(
         "less_than", [variable("s", VARCHAR), variable("t", VARCHAR)], [VARCHAR, VARCHAR]
     )
@@ -258,12 +254,11 @@ def test_compare_two_columns(left, right):
     native_out = evaluator.evaluate(
         expression, {"s": native, "t": other_native}, n
     ).to_list()
-    with object_varchar_lane():
-        legacy_out = (
-            Evaluator(REGISTRY)
-            .evaluate(expression, {"s": legacy, "t": other_legacy}, n)
-            .to_list()
-        )
+    legacy_out = (
+        Evaluator(REGISTRY)
+        .evaluate(expression, {"s": legacy, "t": other_legacy}, n)
+        .to_list()
+    )
     assert native_out == legacy_out
     assert native_out == [
         None if a is None or b is None else a < b for a, b in zip(left, right)
@@ -322,6 +317,41 @@ def test_in_list(values, needles):
     for v, got in zip(values, out):
         if v is not None:
             assert got == (v in needles)
+
+
+def test_a_constant_enters_the_object_lane_without_a_decode(monkeypatch):
+    """Beside an object-form argument, in a call with no offsets-native
+    kernel, and as a CASE's THEN/ELSE, a VARCHAR constant's object array
+    is filled from its value: its tiled bytes are never decoded row by row."""
+    from repro.core.expressions import SpecialForm, SpecialFormExpression
+
+    decoded = []
+    decode = VarcharBlock.to_object_array
+
+    def counting(block):
+        decoded.append(block.position_count)
+        return decode(block)
+
+    monkeypatch.setattr(VarcharBlock, "to_object_array", counting)
+    legacy = PrimitiveBlock.from_values(VARCHAR, ["a", None, "b", "c"])
+    def with_literal(name, literal):
+        return call(
+            name, [variable("s", VARCHAR), constant(literal, VARCHAR)], [VARCHAR, VARCHAR]
+        )
+
+    is_b = with_literal("equal", "b")
+    bang = with_literal("concat", "!")
+    yes, no = constant("yes", VARCHAR), constant("no", VARCHAR)
+    case = SpecialFormExpression(SpecialForm.IF, VARCHAR, (is_b, yes, no))
+    evaluator = Evaluator(REGISTRY)
+    bindings = {"s": legacy}
+    assert evaluator.evaluate(is_b, bindings, 4).to_list() == [False, None, True, False]
+    assert evaluator.evaluate(bang, bindings, 4).to_list() == ["a!", None, "b!", "c!"]
+    assert evaluator.evaluate(case, bindings, 4).to_list() == ["no", "no", "yes", "no"]
+    assert decoded == []
+    # The filled array holds the constant itself, trailing NUL included.
+    is_b_nul = with_literal("equal", "b\x00")
+    assert evaluator.evaluate(is_b_nul, bindings, 4).to_list() == [False, None, False, False]
 
 
 # -- join keys ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.execution.engine import PrestoEngine
 from repro.execution.faults import FaultInjector
 from repro.planner.analyzer import Session
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
+from tests.reference.pipeline import execute_direct
 
 
 def normalize(row):
@@ -94,7 +95,7 @@ class TestAdaptiveDifferential:
         engine = make_adaptive_engine()
         for sql in QUERIES:
             staged = engine.execute(sql)
-            direct = engine.execute_direct(sql)
+            direct = execute_direct(engine, sql)
             assert canonical(staged.rows) == canonical(direct.rows), sql
 
     def test_adaptive_stack_actually_engaged(self):
@@ -107,7 +108,7 @@ class TestAdaptiveDifferential:
         engine = make_adaptive_engine(analyzed=False)
         for sql in QUERIES:
             staged = engine.execute(sql)
-            direct = engine.execute_direct(sql)
+            direct = execute_direct(engine, sql)
             assert canonical(staged.rows) == canonical(direct.rows), sql
 
 

@@ -24,6 +24,7 @@ from repro.planner.fragmenter import Exchange, ExchangeKind
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
 
 from repro.connectors.memory import MemoryConnector
+from tests.reference.pipeline import execute_direct
 
 
 def page_of(keys):
@@ -171,7 +172,7 @@ class TestAdaptivePartitioning:
         sql = "SELECT k, count(*) FROM t GROUP BY k"
         staged = engine.execute(sql)
         assert hash_stages(staged) == [(rows, tasks)]
-        assert sorted(staged.rows) == sorted(engine.execute_direct(sql).rows)
+        assert sorted(staged.rows) == sorted(execute_direct(engine, sql).rows)
 
     def test_small_volume_runs_fewer_tasks(self):
         engine = make_engine()
@@ -194,12 +195,12 @@ class TestAdaptivePartitioning:
         )
         staged = engine.execute(sql)
         assert [tasks for _, tasks in hash_stages(staged)] == [2]
-        assert staged.rows == engine.execute_direct(sql).rows == [(7, 1, "seven")]
+        assert staged.rows == execute_direct(engine, sql).rows == [(7, 1, "seven")]
 
     def test_agrees_with_direct_oracle(self):
         engine = make_engine()
         staged = engine.execute(GROUP_BY_SQL)
-        direct = engine.execute_direct(GROUP_BY_SQL)
+        direct = execute_direct(engine, GROUP_BY_SQL)
         assert sorted(staged.rows) == sorted(direct.rows)
 
     def test_deterministic_across_runs(self):

@@ -16,6 +16,7 @@ import pytest
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.faults import FaultInjector
 from repro.workloads.traffic_storm import QUERY_TEMPLATES, make_storm_engine
+from tests.reference.pipeline import execute_direct
 
 QUERIES = [sql for _, sql in QUERY_TEMPLATES]
 
@@ -64,7 +65,7 @@ class TestConcurrentVsDirectOracle:
         oracle = make_storm_engine(rows=250)
         for handle, sql in zip(handles, QUERIES):
             assert list(map(normalize, handle.result().rows)) == list(
-                map(normalize, oracle.execute_direct(sql).rows)
+                map(normalize, execute_direct(oracle, sql).rows)
             )
 
     def test_rows_equal_direct_pipeline_under_faults(self):
@@ -79,7 +80,7 @@ class TestConcurrentVsDirectOracle:
             result = handle.result()
             retried += result.stats.tasks_retried
             assert list(map(normalize, result.rows)) == list(
-                map(normalize, oracle.execute_direct(sql).rows)
+                map(normalize, execute_direct(oracle, sql).rows)
             )
         assert retried > 0, "fault rate injected no retries; test is vacuous"
 

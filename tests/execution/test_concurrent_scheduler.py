@@ -19,6 +19,7 @@ from repro.common.errors import (
 )
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT
+from repro.execution import cluster as cluster_module
 from repro.execution import scheduler
 from repro.execution.cluster import (
     PrestoClusterSim,
@@ -309,7 +310,7 @@ class TestAdmissionControl:
             == 0
         )
 
-    def test_planning_cost_sees_real_concurrency(self):
+    def test_planning_cost_sees_real_concurrency(self, monkeypatch):
         calls = []
 
         class SpyCoordinator:
@@ -319,7 +320,8 @@ class TestAdmissionControl:
                 calls.append(concurrent_queries)
                 return 1.0
 
-        cluster = PrestoClusterSim(workers=4, coordinator=SpyCoordinator())
+        monkeypatch.setattr(cluster_module, "COORDINATOR", SpyCoordinator())
+        cluster = PrestoClusterSim(workers=4)
         engine = make_engine()
         for _ in range(3):
             submit(cluster, engine, SQL)

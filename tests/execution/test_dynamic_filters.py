@@ -20,7 +20,6 @@ from repro.core.blocks import (
     DictionaryBlock,
     PrimitiveBlock,
     block_from_values,
-    object_varchar_lane,
 )
 from repro.core.functions import default_registry
 from repro.core.page import Page
@@ -39,6 +38,7 @@ from repro.execution.faults import FaultInjector
 from repro.metastore.metastore import HiveMetastore
 from repro.planner.analyzer import Session
 from repro.storage.hdfs import HdfsFileSystem
+from tests.reference.pipeline import execute_direct
 
 
 def normalize(row):
@@ -53,7 +53,7 @@ def canonical(rows):
 
 def assert_same(engine, sql, **expectations):
     staged = engine.execute(sql)
-    direct = engine.execute_direct(sql)
+    direct = execute_direct(engine, sql)
     assert canonical(staged.rows) == canonical(direct.rows), sql
     for field, predicate in expectations.items():
         value = getattr(staged.stats, field)
@@ -176,8 +176,7 @@ class TestBuildDynamicFilter:
 
 
 def _mask_blocks():
-    with object_varchar_lane():
-        legacy = block_from_values(VARCHAR, ["a", None, "\u00e9", "zz", "a"])
+    legacy = PrimitiveBlock.from_values(VARCHAR, ["a", None, "\u00e9", "zz", "a"])
     int_dictionary = PrimitiveBlock.from_values(BIGINT, [1, 7, 7, None, 99])
     text_dictionary = block_from_values(VARCHAR, ["a", "\u6f22", None, "q"])
     return {
@@ -423,7 +422,7 @@ class TestNanBuildKey:
         assert result.stats.dynamic_filters_built == int(dynamic_filtering)
         expected = [(k, i, 2 * i) for i, k in enumerate(self.KEYS[::2])]
         assert sorted(result.rows) == expected
-        assert sorted(engine.execute_direct(self.SQL).rows) == expected
+        assert sorted(execute_direct(engine, self.SQL).rows) == expected
 
 
 class TestRetrySafety:

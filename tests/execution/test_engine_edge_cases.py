@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.connectors.memory import MemoryConnector
 from repro.core.types import ArrayType, BIGINT, BOOLEAN, DOUBLE, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
+from tests.reference.pipeline import execute_direct
 
 
 def make_engine(rows, columns=None, split_size=4):
@@ -213,7 +215,7 @@ class TestBigintSumLeavesInt64:
     )
     def test_overflow_raises_on_every_path(self, sql, split_size):
         engine = make_engine([(2**62, 1)] * 3, self.COLUMNS, split_size)
-        for run in (engine.execute, engine.execute_direct):
+        for run in (engine.execute, partial(execute_direct, engine)):
             with pytest.raises(InvalidValueError) as raised:
                 run(sql)
             assert raised.value.category is ErrorCategory.USER_ERROR
@@ -229,7 +231,7 @@ class TestBigintSumLeavesInt64:
         ]  # fmt: skip
         engine = make_engine(rows, self.COLUMNS, split_size)
         expected = [(1, 2**63 - 1), (2, -(2**63)), (3, 5)]
-        for run in (engine.execute, engine.execute_direct):
+        for run in (engine.execute, partial(execute_direct, engine)):
             assert sorted(run("SELECT g, sum(k) FROM t GROUP BY g").rows) == expected
             assert run("SELECT sum(k) FROM t WHERE g = 3").rows == [(5,)]
 
@@ -290,7 +292,7 @@ class TestBigintArithmeticLeavesInt64:
                     f"-{names[0]}" if operator == "unary -" else f" {operator} ".join(names)
                 )
                 sql = f"SELECT {expression}{source}"
-                for run in (engine.execute, engine.execute_direct):
+                for run in (engine.execute, partial(execute_direct, engine)):
                     if expected is not None:
                         assert run(sql).rows == [(expected,)], sql
                         continue
@@ -322,7 +324,7 @@ class TestBigintArithmeticLeavesInt64:
         engine = make_engine([(1, inf, "a"), (0, 2.5, "b")])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for run in (engine.execute, engine.execute_direct):
+            for run in (engine.execute, partial(execute_direct, engine)):
                 rows = run("SELECT v % v, v % 0.0, 1e999 % 1e999 FROM t ORDER BY k").rows
                 assert [[math.isnan(x) for x in row] for row in rows] == [
                     [False, True, True],
@@ -344,7 +346,7 @@ class TestMinMaxOverNaN:
         engine = make_engine(rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for run in (engine.execute, engine.execute_direct):
+            for run in (engine.execute, partial(execute_direct, engine)):
                 result = run("SELECT k, max(v), min(v) FROM t GROUP BY k")
                 by_key = {k: (hi, lo) for k, hi, lo in result.rows}
                 # np.maximum / np.minimum propagate NaN wherever it arrives.

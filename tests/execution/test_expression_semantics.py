@@ -7,6 +7,8 @@ and the predicate is NULL for some element.  Every one of these runs on
 the compiled kernels, so none counts a row-at-a-time position.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.common.errors import SemanticError
@@ -14,6 +16,7 @@ from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, DOUBLE, VARCHAR, ArrayType, MapType
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
+from tests.reference.pipeline import execute_direct
 
 ROWS = [
     # x, y, z, d, s, a, m
@@ -40,6 +43,8 @@ def engine():
 
 @pytest.fixture(params=["execute", "execute_direct"])
 def run(request, engine):
+    if request.param == "execute_direct":
+        return partial(execute_direct, engine)
     return getattr(engine, request.param)
 
 

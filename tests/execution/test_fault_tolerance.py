@@ -27,6 +27,7 @@ from repro.planner.analyzer import Session
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
 
 from tests.obs.helpers import assert_query_observable
+from tests.reference.pipeline import execute_direct
 
 TPCH_SQL = (
     "SELECT returnflag, linestatus, sum(quantity), avg(extendedprice), count(*) "
@@ -140,7 +141,7 @@ class TestTaskRetries:
         )
         clean = make_engine()
         result = faulty.execute(TPCH_SQL)
-        oracle = clean.execute_direct(TPCH_SQL)
+        oracle = execute_direct(clean, TPCH_SQL)
         assert normalize(result.rows) == normalize(oracle.rows)
         assert result.stats.tasks_retried > 0
         assert result.stats.tasks_failed == 0
@@ -213,7 +214,7 @@ class TestTaskRetries:
             fault_injector=FaultInjector(seed=3, split_failure_rate=1 - 0.9 ** (1 / 9))
         )
         result = engine.execute(TPCH_SQL)
-        oracle = make_engine().execute_direct(TPCH_SQL)
+        oracle = execute_direct(make_engine(), TPCH_SQL)
         assert normalize(result.rows) == normalize(oracle.rows)
         assert engine.fault_injector.splits_failed > 0
         assert result.stats.tasks_retried > 0

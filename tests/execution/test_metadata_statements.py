@@ -1,6 +1,8 @@
 """EXPLAIN / SHOW / DESCRIBE / ANALYZE statement tests, and the one front
 door every statement enters through (``parse_statement`` + one dispatcher)."""
 
+from functools import partial
+
 import pytest
 
 from repro.common.errors import PrestoError, SemanticError, SyntaxError_
@@ -8,6 +10,7 @@ from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, RowType, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
+from tests.reference.pipeline import execute_direct
 
 
 def make_engine():
@@ -144,8 +147,15 @@ def answer(sql, path="execute"):
     if path == "submit":
         result = engine.submit(sql).run_to_completion()
     else:
-        result = getattr(engine, path)(sql)
+        result = run_on(engine, path)(sql)
     return result.column_names, result.rows
+
+
+def run_on(engine, path):
+    """``engine``'s method named ``path``, or the single-pipeline reference."""
+    if path == "execute_direct":
+        return partial(execute_direct, engine)
+    return getattr(engine, path)
 
 
 class TestOneFrontDoor:
@@ -234,7 +244,7 @@ class TestOneFrontDoor:
 
         monkeypatch.setattr(parser_module, "tokenize", counting)
         sql = "SELECT count(*) FROM trips;"
-        getattr(engine, path)(sql)
+        run_on(engine, path)(sql)
         assert calls == [sql]
         del calls[:]
         engine.execute("DESCRIBE trips")

@@ -9,6 +9,7 @@ raised inside a task attempt.
 """
 
 import re
+from functools import partial
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.execution import scheduler
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
+from tests.reference.pipeline import execute_direct
 
 ROW = parse_type("row(x bigint, y varchar)")
 MAP = parse_type("map(varchar, bigint)")
@@ -44,7 +46,7 @@ def engine():
 
 
 def both(engine):
-    return (engine.execute, engine.execute_direct)
+    return (engine.execute, partial(execute_direct, engine))
 
 
 def list_order(value):

@@ -8,6 +8,7 @@ changes the rows.
 """
 
 import importlib
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
+from tests.reference.pipeline import execute_direct
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 LINEITEM_ROWS = 2000
@@ -48,7 +50,8 @@ def test_final_count_star_merges_on_the_kernel(engine):
     assert staged.stats.rows_processed_fallback == 0
     # 120 rows into the PARTIAL steps, then their states into the FINAL ones.
     assert staged.stats.rows_processed_vectorized > 120
-    assert sorted(map(repr, staged.rows)) == sorted(map(repr, engine.execute_direct(sql).rows))
+    direct = execute_direct(engine, sql)
+    assert sorted(map(repr, staged.rows)) == sorted(map(repr, direct.rows))
 
 
 @pytest.mark.parametrize(
@@ -69,7 +72,8 @@ def test_order_by_limit_is_the_head_of_order_by(engine, order_by, limit):
     # one task's worth) and that task's survivors the final one beyond the
     # gather.
     survivors = min(limit, 120)
-    for run, topn_rows in ((engine.execute, 120 + survivors), (engine.execute_direct, 120)):
+    direct = partial(execute_direct, engine)
+    for run, topn_rows in ((engine.execute, 120 + survivors), (direct, 120)):
         top = run(f"{full} LIMIT {limit}")
         everything = run(full)
         # repr keeps NaN comparable and tells -0.0 from 0.0.
@@ -83,9 +87,9 @@ def test_topn_above_a_final_aggregation_runs_in_the_hash_fragment(engine, limit)
     # count(*) ties on every k, so the order rests on the second key; the
     # per-task TopN sits above the FINAL aggregation, below the gather.
     full = "SELECT k, count(*) AS c FROM t GROUP BY k ORDER BY c DESC, k DESC"
-    everything = engine.execute_direct(full).rows
+    everything = execute_direct(engine, full).rows
     assert len(everything) == 8  # k in 0..6 and NULL
-    for run in (engine.execute, engine.execute_direct):
+    for run in (engine.execute, partial(execute_direct, engine)):
         top = run(f"{full} LIMIT {limit}")
         assert top.rows == everything[:limit]
         assert top.stats.rows_processed_fallback == 0
@@ -96,7 +100,7 @@ def test_topn_above_a_final_aggregation_runs_in_the_hash_fragment(engine, limit)
 
 def test_limit_zero_is_empty_on_both_paths(engine):
     sql = "SELECT k, d FROM t ORDER BY d, k LIMIT 0"
-    for run in (engine.execute, engine.execute_direct):
+    for run in (engine.execute, partial(execute_direct, engine)):
         assert run(sql).rows == []
     # Nothing survives a task's partial TopN, so nothing is exchanged.
     assert engine.execute(sql).stats.rows_exchanged == 0

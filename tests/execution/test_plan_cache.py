@@ -25,6 +25,7 @@ from repro.workloads.traffic_storm import build_traffic_storm
 from tests.execution.test_cluster_timeline_golden import replay_storm  # noqa: F401 (a fixture)
 from tests.execution.test_fragment_result_cache_integration import _hive_connector
 from tests.obs.helpers import assert_cache_metrics_reconcile
+from tests.reference.pipeline import execute_direct
 
 THREE_WAY = (
     "SELECT count(*), sum(b.v) FROM small s "
@@ -91,7 +92,7 @@ class TestReuse:
     def test_execute_submit_and_direct_share_one_entry(self):
         engine, _ = make_engine()
         staged = engine.execute(GROUPED).rows
-        assert engine.execute_direct(GROUPED).rows == staged
+        assert execute_direct(engine, GROUPED).rows == staged
         assert engine.submit(GROUPED).run_to_completion().rows == staged
         assert (hits(engine), misses(engine)) == (2, 1)
         assert len(engine._plans) == 1
@@ -111,7 +112,7 @@ class TestReuse:
         engine, _ = make_engine()
         for sql in [GROUPED, THREE_WAY, GROUPED, "SHOW TABLES", "EXPLAIN " + GROUPED]:
             engine.execute(sql)
-        engine.execute_direct(THREE_WAY)
+        execute_direct(engine, THREE_WAY)
         assert_cache_metrics_reconcile(engine.metrics, "plan", engine._plans.stats)
         # Metadata statements and EXPLAIN look up and miss; only queries are kept.
         assert (hits(engine), misses(engine), len(engine._plans)) == (2, 4, 2)
@@ -233,7 +234,7 @@ class TestNeverCached:
         catalog, _, hive = _hive_connector()
         engine.register_connector(catalog, hive)
         for _ in range(3):
-            assert engine.execute(GROUPED).rows == engine.execute_direct(GROUPED).rows
+            assert engine.execute(GROUPED).rows == execute_direct(engine, GROUPED).rows
             assert engine.execute("SELECT count(*), sum(v) FROM hive.db.t").rows == [(10, 45.0)]
         assert (hits(engine), misses(engine), len(engine._plans)) == (0, 0, 0)
 
@@ -271,7 +272,7 @@ class TestSharing:
         text, pretty = fragmented.describe(), first._plan.pretty()
         expected = first.run_to_completion().rows
         assert engine.execute(THREE_WAY).rows == expected
-        assert engine.execute_direct(THREE_WAY).rows == expected
+        assert execute_direct(engine, THREE_WAY).rows == expected
 
         cluster = PrestoClusterSim(workers=2, slots_per_worker=2)
         cluster.resource_group("g", max_running=3)

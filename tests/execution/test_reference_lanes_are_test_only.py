@@ -1,14 +1,14 @@
-"""The row-at-a-time reference lanes have no production caller.
+"""No oracle in production: the reference lanes live in ``tests/reference/``.
 
-Each operator's reference stays beside its kernel as the oracle of the
-differential tests and the baseline of ``benchmarks/bench_operator_kernels.py``;
-the expression interpreter stays beside the compiler, the oracle of
-``tests/core/test_compiled_differential.py`` and the baseline of
-``benchmarks/bench_expressions.py``.
-This walks the AST of every module under ``src/repro`` and fails where a
-module other than the defining one names a reference, outside the body of
-another reference (the row join and the row aggregation canonicalize their
-keys through ``canonical_key``), so the fork to a row lane cannot grow back.
+The row-at-a-time operators, the expression interpreter, the
+single-pipeline run and the lakehouse oracle are the references the
+differential tests compare against and the baselines some benchmarks
+time; ``tests/reference/`` defines each of them.  The process-wide switch
+that once built VARCHAR columns as object arrays is deleted.  This walks
+the AST of every module under ``src/repro`` and fails where one names a
+reference or the switch (a definition, a name, an attribute, an import, a
+``global``), or imports anything from ``tests``, so neither a reference
+nor the switch can grow back into production.
 """
 
 import ast
@@ -16,59 +16,103 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
+REFERENCE = REPO / "tests" / "reference"
 
-# Reference -> the module that defines it, relative to src/repro.
+# Reference -> the module of tests/reference that defines it.
 REFERENCES = {
-    "execute_aggregation_rows": "execution/operators/aggregation.py",
-    "_hash_join_rows": "execution/operators/joins.py",
-    "_sorted_rows": "execution/operators/sorting.py",
-    "_SortKey": "execution/operators/sorting.py",
-    "canonical_key": "execution/kernels.py",
-    "evaluate_interpreted": "core/evaluator.py",
+    "evaluate_interpreted": "interpreter.py",
+    "execute_aggregation_rows": "operators.py",
+    "_hash_join_rows": "operators.py",
+    "_sorted_rows": "operators.py",
+    "_SortKey": "operators.py",
+    "canonical_key": "operators.py",
+    "execute_direct": "pipeline.py",
+    "_execute_pipeline": "pipeline.py",
+    "oracle_engine": "lakehouse.py",
+    "replayed_log_rows": "lakehouse.py",
+    "visible_log_keys": "lakehouse.py",
+    "expected_log_keys": "lakehouse.py",
+    "assert_exactly_once": "lakehouse.py",
 }
 
+# The deleted varchar switch: nothing defines these any more.
+SWITCH = {
+    "object_varchar_lane",
+    "varchar_blocks_enabled",
+    "set_varchar_blocks_enabled",
+    "_VARCHAR_BLOCKS_ENABLED",
+}
 
-def names_outside_references(tree: ast.AST) -> list[tuple[int, str]]:
-    """``(line, name)`` of every reference named outside a reference's body."""
+FORBIDDEN = set(REFERENCES) | SWITCH
+
+
+def forbidden_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` of every forbidden name the module defines or uses."""
     found = []
-
-    def visit(node: ast.AST, inside: bool) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in REFERENCES:
-            inside = True
-        if isinstance(node, ast.Name):
-            name = node.id
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
         elif isinstance(node, ast.Attribute):
-            name = node.attr
+            names = [node.attr]
         elif isinstance(node, ast.alias):
-            name = node.name.rsplit(".", 1)[-1]
+            names = [node.name.rsplit(".", 1)[-1]]
+        elif isinstance(node, ast.Global):
+            names = node.names
         else:
-            name = None
-        if name in REFERENCES and not inside:
-            found.append((getattr(node, "lineno", 0), name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            continue
+        line = getattr(node, "lineno", 0)
+        found.extend((line, name) for name in names if name in FORBIDDEN)
+    return sorted(found)
 
-    visit(tree, False)
-    return found
+
+def imports_from_tests(tree: ast.AST) -> list[int]:
+    """Lines of every import of the ``tests`` package or a module in it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(module.split(".")[0] == "tests" for module in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def src_modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
 
 
 def test_no_module_but_the_defining_one_names_a_reference():
-    offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        for line, name in names_outside_references(ast.parse(path.read_text())):
-            if REFERENCES[name] != module:
-                offenders.append(f"{module}:{line} names {name}")
+    offenders = [
+        f"{module}:{line} names {name}"
+        for module, tree in src_modules()
+        for line, name in forbidden_names(tree)
+    ]
+    assert offenders == []
+
+
+def test_no_module_under_src_imports_from_tests():
+    offenders = [
+        f"{module}:{line}"
+        for module, tree in src_modules()
+        for line in imports_from_tests(tree)
+    ]
     assert offenders == []
 
 
 @pytest.mark.parametrize("name, module", sorted(REFERENCES.items()))
 def test_each_reference_is_defined_where_the_walk_expects_it(name, module):
-    tree = ast.parse((SRC / module).read_text())
-    defined = {  # methods too: evaluate_interpreted belongs to Evaluator
+    tree = ast.parse((REFERENCE / module).read_text())
+    defined = {
         node.name
-        for node in ast.walk(tree)
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert name in defined
@@ -76,14 +120,20 @@ def test_each_reference_is_defined_where_the_walk_expects_it(name, module):
 
 def test_the_walk_sees_imports_attributes_and_calls():
     source = (
-        "from repro.execution.operators.joins import _hash_join_rows\n"
+        "from tests.reference.operators import _hash_join_rows\n"
         "def execute(node):\n"
         "    return kernels.canonical_key(node), _sorted_rows(node)\n"
-        "def _hash_join_rows(node):\n"
-        "    return kernels.canonical_key(node)\n"
+        "def evaluate_interpreted(node):\n"
+        "    global _VARCHAR_BLOCKS_ENABLED\n"
+        "import tests.reference.pipeline\n"
+        "from repro.core import blocks\n"
     )
-    assert names_outside_references(ast.parse(source)) == [
+    tree = ast.parse(source)
+    assert forbidden_names(tree) == [
         (1, "_hash_join_rows"),
-        (3, "canonical_key"),
         (3, "_sorted_rows"),
+        (3, "canonical_key"),
+        (4, "evaluate_interpreted"),
+        (5, "_VARCHAR_BLOCKS_ENABLED"),
     ]
+    assert imports_from_tests(tree) == [1, 6]

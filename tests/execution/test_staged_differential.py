@@ -17,6 +17,7 @@ from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
 from repro.workloads.trips import TRIPS_BASE_TYPE, generate_trips_rows
 
 from tests.obs.helpers import assert_query_observable
+from tests.reference.pipeline import execute_direct
 
 
 def normalize(row):
@@ -34,7 +35,7 @@ def canonical(rows):
 
 def assert_same(engine, sql, ordered=False):
     staged = engine.execute(sql)
-    direct = engine.execute_direct(sql)
+    direct = execute_direct(engine, sql)
     assert staged.column_names == direct.column_names
     if ordered:
         assert list(map(normalize, staged.rows)) == list(map(normalize, direct.rows)), sql

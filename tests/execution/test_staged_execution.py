@@ -17,6 +17,7 @@ from repro.execution.scheduler import TARGET_PARTITION_ROWS
 from repro.federation.gateway import PrestoGateway
 from repro.planner.analyzer import Session
 from tests.connectors.test_pushdown_differential import engine  # noqa: F401 (a fixture)
+from tests.reference.pipeline import execute_direct
 
 
 def make_engine(split_size=5, **kwargs):
@@ -73,7 +74,7 @@ class TestStagedStats:
         assert [r["data_key"] for r in records] == [splits[i].split_id for i in starts[:-1]]
         stats = result.stats
         assert (stats.splits_scanned, stats.rows_scanned) == (splits_scanned, rows_scanned)
-        direct = engine.execute_direct(sql)
+        direct = execute_direct(engine, sql)
         assert sorted(map(repr, result.rows)) == sorted(map(repr, direct.rows))
 
     def test_empty_table_runs_one_source_task(self):
@@ -169,13 +170,13 @@ class TestExplainAnalyze:
 class TestDirectOracle:
     def test_execute_direct_runs_single_pipeline(self):
         engine = make_engine()
-        result = engine.execute_direct("SELECT k, count(*) FROM events GROUP BY k")
+        result = execute_direct(engine, "SELECT k, count(*) FROM events GROUP BY k")
         assert result.stats.stages_total == 0
         assert result.stats.task_records == []
 
     def test_execute_direct_does_not_stage(self):
         engine = make_engine()
-        result = engine.execute_direct("SELECT count(*) FROM events")
+        result = execute_direct(engine, "SELECT count(*) FROM events")
         assert result.stats.stages_total == 0
         assert result.rows == [(40,)]
         # execute() has no such switch: it always stages.

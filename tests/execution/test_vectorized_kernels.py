@@ -44,17 +44,9 @@ from repro.core.types import (
 from repro.execution import kernels
 from repro.execution.context import ExecutionContext
 from repro.execution.exchange import ExchangeBuffer
-from repro.execution.operators.aggregation import (
-    _partial_page,
-    execute_aggregation,
-    execute_aggregation_rows,
-)
-from repro.execution.operators.joins import _hash_join_rows, execute_join
-from repro.execution.operators.sorting import (
-    _sorted_rows,
-    execute_sort,
-    execute_topn,
-)
+from repro.execution.operators.aggregation import execute_aggregation
+from repro.execution.operators.joins import execute_join
+from repro.execution.operators.sorting import execute_sort, execute_topn
 from repro.planner.fragmenter import Exchange, ExchangeKind
 from repro.planner.plan import (
     Aggregation,
@@ -63,6 +55,13 @@ from repro.planner.plan import (
     SortNode,
     TopNNode,
     ValuesNode,
+)
+from tests.reference.operators import (
+    _hash_join_rows,
+    _partial_page,
+    _sorted_rows,
+    canonical_key,
+    execute_aggregation_rows,
 )
 
 
@@ -1329,7 +1328,7 @@ def key_blocks(draw):
 def row_keys(blocks) -> list[tuple]:
     """The key tuple of every row, the way the row-at-a-time lanes build it."""
     return [
-        tuple(kernels.canonical_key(block.get(i)) for block in blocks)
+        tuple(canonical_key(block.get(i)) for block in blocks)
         for i in range(blocks[0].position_count)
     ]
 

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import DictionaryBlock, VarcharBlock, object_varchar_lane
+from repro.core.blocks import DictionaryBlock, VarcharBlock
 from repro.core.page import Page
 from repro.core.types import BIGINT, VARCHAR
 from repro.formats.parquet.encoding import decode_plain_varchar, encode_plain
@@ -80,14 +80,6 @@ def test_scalar_lane_unaffected():
     scalar_blocks, scalar = read_column(blob, vectorized=False)
     assert scalar == vectorized == values
     assert not any(isinstance(b, VarcharBlock) for b in scalar_blocks)
-
-
-def test_object_lane_toggle_respected():
-    blob = write_column([f"v{i}" for i in range(32)])
-    with object_varchar_lane():
-        blocks, decoded = read_column(blob)
-    assert decoded == [f"v{i}" for i in range(32)]
-    assert not any(isinstance(b, VarcharBlock) for b in blocks)
 
 
 @given(values_lists)

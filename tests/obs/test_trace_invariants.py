@@ -30,6 +30,7 @@ from tests.obs.helpers import (
     query_span,
     spans_under,
 )
+from tests.reference.pipeline import execute_direct
 
 TPCH_SQL = (
     "SELECT returnflag, linestatus, sum(quantity), avg(extendedprice), count(*) "
@@ -83,7 +84,7 @@ class TestStagedQueryTrace:
 
     def test_direct_oracle_still_traced_without_simulated_time(self):
         engine = make_engine()
-        result = engine.execute_direct(TPCH_SQL)
+        result = execute_direct(engine, TPCH_SQL)
         assert_well_formed(result.trace)
         query = query_span(result.trace)
         assert query.attributes["path"] == "direct"

@@ -24,10 +24,9 @@ from repro.execution.faults import FaultInjector
 from repro.realtime import (
     StreamingLakehouse,
     Watermark,
-    expected_log_keys,
-    visible_log_keys,
     watermark_table_name,
 )
+from tests.reference.lakehouse import expected_log_keys, visible_log_keys
 
 FIELDS = [("k", BIGINT), ("tag", VARCHAR)]
 

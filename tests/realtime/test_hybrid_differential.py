@@ -20,9 +20,10 @@ from repro.realtime import (
     StreamingLakehouse,
     ViewAggregate,
     Watermark,
-    oracle_engine,
     watermark_table_name,
 )
+from tests.reference.lakehouse import oracle_engine
+from tests.reference.pipeline import execute_direct
 
 FIELDS = [("order_id", BIGINT), ("city", VARCHAR), ("amount", DOUBLE)]
 
@@ -71,7 +72,7 @@ def assert_matches_oracle(lh, engine, watermark, table_name):
     oracle = oracle_engine(lh.broker, lh.topic, watermark)
     for template in TEMPLATES:
         hybrid = engine.execute(template.format(table=table_name))
-        expected = oracle.execute_direct(template.format(table=lh.topic))
+        expected = execute_direct(oracle, template.format(table=lh.topic))
         assert normalized(hybrid.rows) == normalized(expected.rows), template
 
 
@@ -156,7 +157,7 @@ class TestMaterializedViews:
         assert lines[final + 1] == "TableScan[hybrid.rt.city_stats](city, n, total)", plan
         oracle = oracle_engine(lh.broker, lh.topic, view.watermark)
         assert normalized(engine.execute(sql.format(table=lh.topic)).rows) == normalized(
-            oracle.execute_direct(sql.format(table=lh.topic)).rows
+            execute_direct(oracle, sql.format(table=lh.topic)).rows
         )
 
     def test_empty_view_answers_global_aggregate(self):
@@ -177,7 +178,7 @@ class TestMaterializedViews:
         assert "TableScan[hybrid.rt.totals]" in explain(engine, sql)
         assert engine.execute(sql).rows == [(0, None)]
         oracle = oracle_engine(lh.broker, lh.topic, view.watermark)
-        assert oracle.execute_direct(sql).rows == [(0, None)]
+        assert execute_direct(oracle, sql).rows == [(0, None)]
 
     @pytest.mark.parametrize(
         "sql, pinned, pushdown",
@@ -216,7 +217,7 @@ class TestMaterializedViews:
         assert f"TableScan[hybrid.rt.{table}]" in plan, plan
         oracle = oracle_engine(lh.broker, lh.topic, watermark)
         assert normalized(engine.execute(sql.format(table=table)).rows) == normalized(
-            oracle.execute_direct(sql.format(table=lh.topic)).rows
+            execute_direct(oracle, sql.format(table=lh.topic)).rows
         )
 
     def test_incremental_refresh_spans_compactions(self):
@@ -235,7 +236,7 @@ class TestMaterializedViews:
             view.refresh()
         sql = 'SELECT city, count(*) FROM "{table}" GROUP BY city ORDER BY city'
         oracle = oracle_engine(lh.broker, lh.topic, view.watermark)
-        expected = oracle.execute_direct(sql.format(table=lh.topic)).rows
+        expected = execute_direct(oracle, sql.format(table=lh.topic)).rows
         pinned = watermark_table_name(lh.topic, view.watermark)
         engine = lh.make_engine()
         plan = "\n".join(
@@ -263,7 +264,7 @@ class TestUnderEngineFaults:
             result = engine.execute(template.format(table=pinned))
             retried += result.stats.tasks_retried
             assert normalized(result.rows) == normalized(
-                oracle.execute_direct(template.format(table=lh.topic)).rows
+                execute_direct(oracle, template.format(table=lh.topic)).rows
             ), template
         assert retried > 0, "no retries happened; fault test is vacuous"
 
@@ -322,5 +323,5 @@ class TestConcurrentWithLivePipeline:
         oracle = oracle_engine(lh.broker, lh.topic, watermark)
         for handle, template in zip(handles, TEMPLATES):
             assert normalized(handle.result().rows) == normalized(
-                oracle.execute_direct(template.format(table=lh.topic)).rows
+                execute_direct(oracle, template.format(table=lh.topic)).rows
             ), template

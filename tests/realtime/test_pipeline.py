@@ -5,8 +5,9 @@ import pytest
 from repro.common.errors import ConnectorError
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.faults import FaultInjector
-from repro.realtime import StreamingLakehouse, Watermark, assert_exactly_once
+from repro.realtime import StreamingLakehouse, Watermark
 from repro.realtime.pipeline import RESTART_MS
+from tests.reference.lakehouse import assert_exactly_once
 
 FIELDS = [("order_id", BIGINT), ("city", VARCHAR), ("amount", DOUBLE)]
 

@@ -1,0 +1,16 @@
+"""Reference implementations: the slow, obvious lanes the engine replaced.
+
+Nothing under ``src/`` imports this package; the differential tests use
+each module as their oracle and the benchmarks as their baseline lane
+(benchmark scripts reach it through ``benchmarks/_harness.py``, which puts
+the repository root on ``sys.path``).
+
+- :mod:`tests.reference.interpreter`: the row-at-a-time expression
+  interpreter, against :mod:`repro.core.compiler`.
+- :mod:`tests.reference.operators`: the row-at-a-time aggregation, hash
+  join and sort, against :mod:`repro.execution.operators`.
+- :mod:`tests.reference.pipeline`: the single-pipeline run of a whole
+  plan, against staged execution.
+- :mod:`tests.reference.lakehouse`: the replayed-log oracle and the
+  exactly-once visibility check of the streaming lakehouse.
+"""

@@ -4,8 +4,8 @@ Two independent verification surfaces, both phrased against the durable
 Kafka log (the one component no crash schedule can corrupt):
 
 - :func:`oracle_engine` replays the *full* log below a watermark into a
-  plain in-memory table and answers SQL over it through
-  ``PrestoEngine.execute_direct`` — the repo's standing oracle path.
+  plain in-memory table; its callers answer SQL over it through
+  :func:`tests.reference.pipeline.execute_direct`, the single-pipeline run.
   A hybrid query at watermark ``W`` must return exactly the rows the
   batch oracle returns over the replayed log at ``W``, for scans, time
   travel, and aggregations a materialized view answers alike.
@@ -27,10 +27,10 @@ from collections import Counter
 
 from repro.connectors.kafka import HIDDEN_COLUMNS, KafkaBroker
 from repro.connectors.memory import MemoryConnector
-from repro.connectors.spi import Catalog, ConnectorTableHandle
+from repro.connectors.spi import Catalog
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
-from repro.realtime.connector import HybridTableConnector, parse_table_name
+from repro.realtime.connector import HybridTableConnector
 from repro.realtime.watermark import Watermark
 
 ORACLE_SCHEMA = "oracle"
@@ -62,8 +62,8 @@ def oracle_engine(
     """A batch engine over the replayed log at ``watermark``.
 
     The returned engine has one memory table ``memory.oracle.<topic>``
-    with the hybrid table's exact column layout; compare its
-    ``execute_direct`` output against the hybrid engine's.  It owns a
+    with the hybrid table's exact column layout; compare what
+    ``execute_direct`` returns over it against the hybrid engine's.  It owns a
     private clock so oracle work never advances the simulation.
     """
     memory = MemoryConnector()

@@ -9,6 +9,7 @@ from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
 from repro.spark import BatchSqlEngine, FallbackQueryRunner, QueryTranslator
+from repro.spark import batch_engine
 from repro.sql import parse_sql
 from repro.sql.formatter import PRESTO, SPARK, format_query
 
@@ -109,11 +110,10 @@ class TestBatchEngine:
         # interactive queries.
         assert batch_ms > 3 * presto_ms
 
-    def test_big_join_succeeds_with_spill(self):
+    def test_big_join_succeeds_with_spill(self, monkeypatch):
+        monkeypatch.setattr(batch_engine, "MEMORY_BUDGET_ROWS", 100)
         presto = make_catalog_engine()
-        batch = BatchSqlEngine(
-            presto.catalog, presto.session, memory_budget_rows=100
-        )
+        batch = BatchSqlEngine(presto.catalog, presto.session)
         result = batch.execute(
             "SELECT count(*) FROM facts a JOIN facts b ON a.k = b.k"
         )

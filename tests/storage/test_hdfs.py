@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import StorageError
+from repro.storage import hdfs
 from repro.storage.hdfs import GET_FILE_INFO_LATENCY_MS, HdfsFileSystem, NameNode
 
 
@@ -61,11 +62,12 @@ class TestGetFileInfo:
 
 
 class TestOverloadDegradation:
-    def test_metadata_storm_multiplies_latency(self):
+    def test_metadata_storm_multiplies_latency(self, monkeypatch):
         # Section XII.D: "performance degradation is due to the single
         # HDFS NameNode listFiles stuck".  With a low QPS ceiling, a
         # metadata storm crosses the knee and calls get 10x slower.
-        namenode = NameNode(degradation_threshold_calls_per_sec=10)
+        monkeypatch.setattr(hdfs, "DEGRADATION_THRESHOLD_CALLS_PER_SEC", 10)
+        namenode = NameNode()
         fs = HdfsFileSystem(namenode)
         fs.create("/d/f", b"x")
 
@@ -91,8 +93,9 @@ class TestOverloadDegradation:
             per_call.append(namenode.clock.now_ms() - start)
         assert max(per_call) == min(per_call)  # no degradation kicks in
 
-    def test_recovery_after_quiet_period(self):
-        namenode = NameNode(degradation_threshold_calls_per_sec=5)
+    def test_recovery_after_quiet_period(self, monkeypatch):
+        monkeypatch.setattr(hdfs, "DEGRADATION_THRESHOLD_CALLS_PER_SEC", 5)
+        namenode = NameNode()
         fs = HdfsFileSystem(namenode)
         fs.create("/d/f", b"x")
         for _ in range(12):

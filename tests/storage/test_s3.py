@@ -12,6 +12,7 @@ from repro.storage.s3 import (
     S3Client,
     S3ServerError,
 )
+from repro.storage import s3_filesystem
 from repro.storage.s3_filesystem import PrestoS3FileSystem
 
 
@@ -126,8 +127,9 @@ class TestLazySeek:
         stream.read(10)  # still inside the 1MB buffer
         assert client.stats.get_requests == gets
 
-    def test_read_across_windows(self):
-        fs, client = make_fs(read_buffer_size=8)
+    def test_read_across_windows(self, monkeypatch):
+        monkeypatch.setattr(s3_filesystem, "READ_BUFFER_SIZE", 8)
+        fs, client = make_fs()
         client.put_object("warehouse", "f", b"0123456789abcdef")
         stream = fs.open("/f")
         assert stream.read(12) == b"0123456789ab"
