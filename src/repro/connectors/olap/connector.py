@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from repro.connectors.olap.store import NativeQuery, RealtimeOlapStore
+from repro.connectors.olap.store import (
+    NativeQuery,
+    RealtimeOlapStore,
+    aggregation_layout,
+)
 from repro.connectors.spi import (
     AggregationFunction,
     AggregationPushdownResult,
@@ -23,7 +27,7 @@ from repro.connectors.spi import (
     project_rows,
 )
 from repro.core.page import Page
-from repro.core.types import PrestoType, parse_type
+from repro.core.types import PrestoType
 
 
 class RealtimeOlapConnector(SingleSchemaConnector):
@@ -73,16 +77,10 @@ class RealtimeOlapConnector(SingleSchemaConnector):
             "grouping": list(grouping_columns),
             "aggregations": [a.to_dict() for a in aggregations],
         }
-        output_columns = [
-            ColumnMetadata(c, store_columns[c]) for c in grouping_columns
-        ] + [
-            ColumnMetadata(
-                a.output_name, parse_type(a.function_handle.return_type)
-            )
-            for a in aggregations
-        ]
+        layout = aggregation_layout(store_columns, grouping_columns, aggregations)
         return AggregationPushdownResult(
-            handle.with_(aggregation=spec), tuple(output_columns)
+            handle.with_(aggregation=spec),
+            tuple(ColumnMetadata(name, presto_type) for name, presto_type in layout),
         )
 
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
@@ -105,6 +103,7 @@ class RealtimeOlapConnector(SingleSchemaConnector):
         store = self.store
         segment_index = split.info_dict()["segment"]
 
+        types = dict(store.datasource_columns(handle.table_name))
         if handle.aggregation is not None:
             spec = handle.aggregation
             native = NativeQuery(
@@ -114,14 +113,11 @@ class RealtimeOlapConnector(SingleSchemaConnector):
                 aggregations=tuple(spec["aggregations"]),
                 limit=handle.limit,
             )
-            layout = [
-                (c.name, c.type)
-                for c in self.apply_aggregation(
-                    ConnectorTableHandle(handle.schema_name, handle.table_name),
-                    [AggregationFunction.from_dict(a) for a in spec["aggregations"]],
-                    spec["grouping"],
-                ).output_columns
-            ]
+            layout = aggregation_layout(
+                types,
+                spec["grouping"],
+                [AggregationFunction.from_dict(a) for a in spec["aggregations"]],
+            )
         else:
             native = NativeQuery(
                 datasource=handle.table_name,
@@ -129,7 +125,6 @@ class RealtimeOlapConnector(SingleSchemaConnector):
                 filter=handle.constraint,
                 limit=handle.limit,
             )
-            types = dict(store.datasource_columns(handle.table_name))
             layout = [(c, types[c]) for c in columns]
 
         rows, cost_ms = store.query_segment_costed(

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
-from repro.core.blocks import Block, PrimitiveBlock
+from repro.connectors.spi import AggregationFunction
+from repro.core.blocks import Block, block_from_values
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
     RowExpression,
@@ -26,8 +27,9 @@ from repro.core.expressions import (
     expression_from_dict,
     match_column_test,
 )
-from repro.core.functions import GroupFold, default_registry
-from repro.core.types import BIGINT, DOUBLE, PrestoType, VARCHAR
+from repro.core.functions import default_registry
+from repro.core.types import BIGINT, PrestoType, VARCHAR
+from repro.execution.kernels import HashAggregation
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,9 @@ class RealtimeOlapStore:
 
         if residual_conjuncts:
             residual = combine_conjuncts(residual_conjuncts)
-            bindings = self._bindings(segment, selected, residual.variables())
+            bindings = self._bindings(
+                segment, selected, [(v.name, v.type) for v in residual.variables()]
+            )
             mask = self._evaluator.filter_mask(residual, bindings, len(selected))
             selected = selected[np.nonzero(mask)[0]]
 
@@ -278,29 +282,35 @@ class RealtimeOlapStore:
         return np.unique(np.concatenate(parts))
 
     def _bindings(
-        self, segment: Segment, selected: np.ndarray, variables
+        self,
+        segment: Segment,
+        selected: np.ndarray,
+        columns: Sequence[tuple[str, PrestoType]],
     ) -> dict[str, Block]:
+        """A block of each ``(name, type)`` column, over the ``selected`` rows."""
+        rows = selected.tolist()
         bindings: dict[str, Block] = {}
-        for variable in variables:
-            values = segment.columns[variable.name]
-            bindings[variable.name] = PrimitiveBlock.from_values(
-                variable.type, [values[r] for r in selected]
-            )
+        for name, presto_type in columns:
+            values = segment.columns[name]
+            bindings[name] = block_from_values(presto_type, [values[r] for r in rows])
         return bindings
 
     def _aggregate(
         self, segment: Segment, selected: np.ndarray, native: NativeQuery
     ) -> list[tuple]:
-        group_columns = [segment.columns[c] for c in native.grouping]
-        input_names, implementations = _pushed_aggregates(native)
-        agg_inputs = [[segment.columns[c] for c in names] for names in input_names]
-        fold = GroupFold(implementations)
-        for row_id in selected:
-            fold.fold(
-                tuple(column[row_id] for column in group_columns),
-                [tuple(column[row_id] for column in inputs) for inputs in agg_inputs],
-            )
-        return fold.rows()
+        functions, types, aggregation = self._pushed(native, merge_mode=False)
+        read = {*native.grouping, *(c for f in functions for c in f.inputs)}
+        bindings = self._bindings(
+            segment,
+            selected,
+            [(c, t) for c, t in self._require(native.datasource)[0] if c in read],
+        )
+        aggregation.add(
+            [bindings[c] for c in native.grouping],
+            [[bindings[c] for c in f.inputs] for f in functions],
+            len(selected),
+        )
+        return aggregation.page(types).to_rows()
 
     def _merge(
         self, native: NativeQuery, per_segment: list[list[tuple]]
@@ -311,24 +321,47 @@ class RealtimeOlapStore:
             # Segments hand back *finalized* values; merging them as partial
             # states is right because only MERGEABLE_AGGREGATES are pushed
             # down (planner/rules/aggregation_pushdown.py).
-            fold = GroupFold(_pushed_aggregates(native)[1], merge=True)
-            key_width = len(native.grouping)
-            for rows in per_segment:
-                for row in rows:
-                    fold.fold(row[:key_width], row[key_width:])
-            merged = fold.rows()
+            _, types, aggregation = self._pushed(native, merge_mode=True)
+            rows = [row for part in per_segment for row in part]
+            blocks = [
+                block_from_values(presto_type, [row[i] for row in rows])
+                for i, presto_type in enumerate(types)
+            ]
+            key_count = len(native.grouping)
+            aggregation.add(
+                blocks[:key_count], [[state] for state in blocks[key_count:]], len(rows)
+            )
+            merged = aggregation.page(types).to_rows()
         if native.limit is not None:
             merged = merged[: native.limit]
         return merged
 
+    def _pushed(
+        self, native: NativeQuery, merge_mode: bool
+    ) -> tuple[list[AggregationFunction], list[PrestoType], HashAggregation]:
+        """The aggregates of ``native``, the column types of its rows, and
+        an empty aggregation that computes them."""
+        functions = [AggregationFunction.from_dict(a) for a in native.aggregations]
+        layout = aggregation_layout(
+            dict(self._require(native.datasource)[0]), native.grouping, functions
+        )
+        aggregation = HashAggregation(
+            len(native.grouping),
+            [(f.function_handle, False) for f in functions],
+            default_registry(),
+            merge_mode,
+        )
+        return functions, [t for _, t in layout], aggregation
 
-def _pushed_aggregates(native: NativeQuery) -> tuple[list[tuple[str, ...]], list]:
-    """(input column names, implementation) of each aggregate in ``native``."""
-    from repro.connectors.spi import AggregationFunction
 
-    registry = default_registry()
-    functions = [AggregationFunction.from_dict(a) for a in native.aggregations]
-    return (
-        [f.inputs for f in functions],
-        [registry.aggregate_for(f.function_handle) for f in functions],
-    )
+def aggregation_layout(
+    columns: dict[str, PrestoType],
+    grouping: Sequence[str],
+    functions: Sequence[AggregationFunction],
+) -> list[tuple[str, PrestoType]]:
+    """``(name, type)`` of each column of a pushed aggregation's rows: the
+    grouping columns, then one per aggregate.  ``columns`` are the
+    datasource's."""
+    return [(c, columns[c]) for c in grouping] + [
+        (f.output_name, f.function_handle.resolved_return_type()) for f in functions
+    ]

@@ -88,7 +88,12 @@ class ScalarFunction:
 
 @dataclass
 class AggregateFunction:
-    """One aggregate function: create/add/merge/finalize state machine."""
+    """One aggregate function: create/add/merge/finalize state machine.
+
+    Production runs a plugin aggregate's callables
+    (``kernels.PluginAccumulator``); a built-in's have array kernels, and
+    their callables are the row-at-a-time reference's semantics.
+    """
 
     name: str
     resolve: Callable[[Sequence[PrestoType]], Optional[PrestoType]]
@@ -119,64 +124,6 @@ def intermediate_type(handle: FunctionHandle) -> PrestoType:
     if handle.name == "avg":
         return AVG_INTERMEDIATE
     return handle.resolved_return_type()
-
-
-class GroupFold:
-    """Row-at-a-time grouped aggregation: ``group key → one state per
-    aggregate``, groups kept in first-seen order.
-
-    The one spelling of create_state / add_input | merge / finalize: the
-    aggregation operator's reference lane and its plugin aggregates, the
-    realtime store's per-segment and cross-segment steps and
-    materialized-view refresh all fold here.
-    """
-
-    #: In place of an aggregate's input: leave that state as it is (how the
-    #: operator's DISTINCT bookkeeping drops a repeated argument).
-    SKIP = object()
-
-    def __init__(
-        self, implementations: Sequence[AggregateFunction], merge: bool = False
-    ) -> None:
-        self._implementations = list(implementations)
-        # Under ``merge`` the inputs are partial states, not argument tuples.
-        self._steps = [
-            impl.merge if merge else impl.add_input for impl in self._implementations
-        ]
-        self.groups: dict[tuple, list[Any]] = {}
-
-    def states(self, key: tuple) -> list[Any]:
-        """The states of ``key``, created on first sight."""
-        states = self.groups.get(key)
-        if states is None:
-            states = self.groups[key] = [
-                impl.create_state() for impl in self._implementations
-            ]
-        return states
-
-    def fold(self, key: tuple, inputs: Sequence[Any]) -> None:
-        """Advance each aggregate of ``key`` by its entry of ``inputs``."""
-        # Called once per row by every caller: the dict probe and the index
-        # arithmetic are spelled out because a nested call or a zip here is
-        # a fifth of the realtime store's host time.
-        states = self.groups.get(key)
-        if states is None:
-            states = self.states(key)
-        steps = self._steps
-        index = 0
-        for value in inputs:
-            if value is not GroupFold.SKIP:
-                states[index] = steps[index](states[index], value)
-            index += 1
-
-    def rows(self) -> list[tuple]:
-        """One finalized ``key + values`` row per group."""
-        implementations = self._implementations
-        return [
-            tuple(key)
-            + tuple(impl.finalize(s) for impl, s in zip(implementations, states))
-            for key, states in self.groups.items()
-        ]
 
 
 class FunctionRegistry:

@@ -91,12 +91,12 @@ class ExecutionContext:
     it raises ``InsufficientResourcesError``, reproducing the
     "Insufficient Resource" failures of section XII.C.
 
-    During staged execution the QueryScheduler derives one shallow copy of
-    the query context per task (sharing ``stats``): ``scan_splits`` pins
-    each table scan to the task's assigned connector splits, and
-    ``exchange_inputs`` resolves the task's RemoteSource leaves to pages
-    buffered by upstream stages.  Both are ``None`` on the direct
-    (single-pipeline) path.
+    The QueryScheduler derives one shallow copy of the query context per
+    task (sharing ``stats``): ``scan_splits`` pins each table scan to the
+    task's assigned connector splits, and ``exchange_inputs`` resolves the
+    task's RemoteSource leaves to pages buffered by upstream stages.
+    ``scan_splits`` is ``None`` for the one task of a fragment that holds
+    several scans: each of them enumerates its own splits.
     """
 
     catalog: Catalog
@@ -108,9 +108,9 @@ class ExecutionContext:
     # Fragment result cache (section VII): caches per-(leaf fragment,
     # split) pages, keyed additionally by the split's data version.
     fragment_cache: Optional[object] = None
-    # Staged execution, per task: TableScanNode id -> assigned splits.
+    # Per task: TableScanNode id -> assigned splits.
     scan_splits: Optional[dict] = None
-    # Staged execution, per task: Exchange -> list of input pages.
+    # Per task: Exchange -> list of input pages.
     exchange_inputs: Optional[dict] = None
     # Runtime dynamic filters, shared by every task of the query:
     # TableScanNode id -> DynamicFilterSet.  The QueryScheduler fills it
@@ -122,10 +122,10 @@ class ExecutionContext:
     # metrics registry.  Both optional — None disables instrumentation.
     tracer: Optional[QueryTrace] = None
     metrics: Optional[MetricsRegistry] = None
-    # Per-pipeline operator row accounting: plan node id -> rows produced.
-    # The driver fills it when a tracer is attached; the scheduler (staged)
-    # or engine (direct) turns it into operator spans after the pipeline
-    # drains, so lazily-abandoned iterators (LIMIT) still account.
+    # Per-task operator row accounting: plan node id -> rows produced.
+    # The driver fills it when a tracer is attached; the scheduler turns
+    # it into operator spans after the task's pipeline drains, so
+    # lazily-abandoned iterators (LIMIT) still account.
     operator_rows: Optional[dict] = None
 
     _evaluator: Optional[Evaluator] = None

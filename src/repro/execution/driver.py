@@ -41,8 +41,8 @@ def execute_plan(node: PlanNode, ctx: ExecutionContext) -> Iterator[Page]:
     """Execute ``node``, yielding result pages.
 
     With a tracer attached, every operator's output rows are accumulated
-    into ``ctx.operator_rows`` (plan node id → rows); the scheduler or
-    engine renders them as operator spans once the pipeline drains.
+    into ``ctx.operator_rows`` (plan node id → rows); the scheduler
+    renders them as operator spans once the task's pipeline drains.
     """
     pipeline = _dispatch(node, ctx)
     if ctx.operator_rows is None:

@@ -229,45 +229,29 @@ class DynamicFilterSet:
         )
 
 
-def build_dynamic_filter(
-    values: Iterable[Any], exact_limit: int = DEFAULT_EXACT_VALUES_LIMIT
-) -> DynamicFilter:
-    """Summarize one build-side key column's values.
-
-    NULL and NaN equal no probe key, so neither is a member, a bound or
-    counted in ``build_distinct``: a build side holding nothing else is empty.
-    """
-    distinct: set = set()
-    rows = 0
-    for value in values:
-        rows += 1
-        if value is not None and value == value:
-            distinct.add(_normalize(value))
-    return _summarize(distinct, rows, exact_limit)
-
-
 def dynamic_filter_for(blocks: Sequence[Block]) -> DynamicFilter:
-    """:func:`build_dynamic_filter` of the values of ``blocks``, each block
-    factorized through :func:`column_codes`: a value is summarized once per
-    block it occurs in, not once per row, and code ``-1`` (NULL, NaN) is
-    no member."""
+    """Summarize one build-side key column, the values of ``blocks``.
+
+    Each block factorizes through :func:`column_codes`, so a value is
+    summarized once per block it occurs in, not once per row.  NULL and
+    NaN (code ``-1``) equal no probe key, so neither is a member, a bound
+    or counted in ``build_distinct``: a build side holding nothing else
+    is empty.  Past ``DEFAULT_EXACT_VALUES_LIMIT`` distinct values the
+    exact set gives way to a bloom filter.
+    """
     distinct: set = set()
     for block in blocks:
         codes, uniq = column_codes(block)
         # Only the codes rows use: a dictionary may hold other values.
         distinct.update(map(_normalize, uniq[np.unique(codes[codes >= 0])].tolist()))
     rows = sum(block.position_count for block in blocks)
-    return _summarize(distinct, rows, DEFAULT_EXACT_VALUES_LIMIT)
-
-
-def _summarize(distinct: set, rows: int, exact_limit: int) -> DynamicFilter:
     if not distinct:
         return DynamicFilter(build_rows=rows)
     try:
         low, high = min(distinct), max(distinct)
     except TypeError:  # mixed/unorderable values: keep membership forms only
         low = high = None
-    if len(distinct) <= exact_limit:
+    if len(distinct) <= DEFAULT_EXACT_VALUES_LIMIT:
         return DynamicFilter(
             min_value=low,
             max_value=high,

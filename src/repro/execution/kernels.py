@@ -30,6 +30,10 @@ every aggregate the dialect accepts runs here.
   DISTINCT deduplicates (group, argument) pairs with one factorization
   before the plain kernel; ``approx_distinct`` is that distinct count and
   ``array_agg`` a stable argsort by group into ``ArrayBlock`` offsets.
+- **Hash aggregation** (:class:`HashAggregation`): the factorization, the
+  group index and one accumulator per aggregate, fed batch by batch; the
+  aggregation operator, the realtime store and materialized views all
+  aggregate through it.
 - **Hash-join index** (:class:`JoinKeyIndex`): the build side factorizes
   once; probe pages map into the same code space and expand into the
   ``(probe_positions, build_positions)`` index pair in probe-row order.
@@ -66,7 +70,12 @@ from repro.core.blocks import (
     constant_block,
     masked_tolist,
 )
-from repro.core.functions import AVG_INTERMEDIATE, GroupFold
+from repro.core.functions import (
+    AVG_INTERMEDIATE,
+    AggregateFunction,
+    FunctionHandle,
+    FunctionRegistry,
+)
 from repro.core.page import Page, concat_blocks, concat_pages
 from repro.core.types import BIGINT, BOOLEAN, DOUBLE, PrestoType, parse_type
 
@@ -766,23 +775,35 @@ class PluginAccumulator(GroupedAccumulator):
 
     def __init__(self, impl) -> None:
         self.impl = impl
-        self.fold = GroupFold([impl])
+        self.states: list[Any] = []
+
+    def _grow(self, group_count: int) -> None:
+        missing = group_count - len(self.states)
+        self.states.extend(self.impl.create_state() for _ in range(missing))
 
     def add_page(self, group_count, group_ids, argument_blocks, position_count):
+        self._grow(group_count)
+        states, add_input = self.states, self.impl.add_input
         columns = [block.loaded().to_list() for block in argument_blocks]
         rows = zip(*columns) if columns else repeat((), position_count)
         for group, arguments in zip(group_ids.tolist(), rows):
-            self.fold.fold(group, [arguments])
+            states[group] = add_input(states[group], arguments)
 
     def final_block(self, group_count, presto_type):
-        states = [self.fold.states(group)[0] for group in range(group_count)]
-        return block_from_values(presto_type, list(map(self.impl.finalize, states)))
+        self._grow(group_count)
+        return block_from_values(presto_type, list(map(self.impl.finalize, self.states)))
 
 
-def make_accumulator(aggregation, impl, merge_mode: bool) -> GroupedAccumulator:
-    """The array kernel of one aggregate; DISTINCT deduplicates ahead of it."""
-    name = impl.name
-    argument_types = [parse_type(t) for t in aggregation.function_handle.argument_types]
+def make_accumulator(
+    handle: FunctionHandle, distinct: bool, impl: AggregateFunction, merge_mode: bool
+) -> GroupedAccumulator:
+    """The array kernel of one aggregate; DISTINCT deduplicates ahead of it.
+
+    ``impl`` is the registry's implementation of ``handle``; only a plugin
+    aggregate runs it.
+    """
+    name = handle.name
+    argument_types = [parse_type(t) for t in handle.argument_types]
     dtype = _numpy_dtype_for(argument_types[0]) if argument_types else None
     if name == "count":
         accumulator: GroupedAccumulator = CountAccumulator(bool(argument_types), merge_mode)
@@ -801,7 +822,65 @@ def make_accumulator(aggregation, impl, merge_mode: bool) -> GroupedAccumulator:
         accumulator = ArrayAggAccumulator()
     else:
         accumulator = PluginAccumulator(impl)
-    return DistinctAccumulator(accumulator) if aggregation.distinct else accumulator
+    return DistinctAccumulator(accumulator) if distinct else accumulator
+
+
+class HashAggregation:
+    """One grouped (or global) aggregation, fed batch by batch.
+
+    A batch's key blocks factorize once (:func:`factorize_keys`),
+    :class:`GroupIndex` maps them to global group ids, and each
+    aggregate's accumulator (:func:`make_accumulator`) adds the batch's
+    argument blocks.  Without keys there is one group, answered even when
+    no row arrived.  In ``merge_mode`` each aggregate's one argument is a
+    partial state.
+    """
+
+    def __init__(
+        self,
+        key_count: int,
+        aggregates: Sequence[tuple[FunctionHandle, bool]],
+        registry: FunctionRegistry,
+        merge_mode: bool,
+    ) -> None:
+        self.key_count = key_count
+        self.index = GroupIndex()
+        self.accumulators = [
+            make_accumulator(handle, distinct, registry.aggregate_for(handle), merge_mode)
+            for handle, distinct in aggregates
+        ]
+
+    def add(
+        self, keys: Sequence[Block], arguments: Sequence[Sequence[Block]], count: int
+    ) -> None:
+        """Fold one batch of ``count`` rows: its key blocks and, per
+        aggregate, its argument blocks."""
+        if not count:
+            return
+        if self.key_count:
+            codes, distinct = factorize_keys(keys)
+            group_ids = self.index.map_codes(codes, distinct)
+            group_count = len(self.index)
+        else:
+            group_ids = np.zeros(count, dtype=np.int64)
+            group_count = 1
+        for accumulator, blocks in zip(self.accumulators, arguments):
+            accumulator.add_page(group_count, group_ids, blocks, count)
+
+    def page(self, types: Sequence[PrestoType], partial: bool = False) -> Page:
+        """Every group's key beside its aggregates, in group-id order.
+
+        ``types`` are the output columns', keys first.  A ``partial`` page
+        holds the states a merge-mode aggregation reads (avg's
+        ``AVG_INTERMEDIATE`` row), the final values otherwise.
+        """
+        key_count = self.key_count
+        group_count = len(self.index) if key_count else 1
+        out = list(self.index.key_blocks(types[:key_count])) if key_count else []
+        for accumulator, presto_type in zip(self.accumulators, types[key_count:]):
+            make = accumulator.state_block if partial else accumulator.final_block
+            out.append(make(group_count, presto_type))
+        return Page(out, group_count)
 
 
 # ---------------------------------------------------------------------------

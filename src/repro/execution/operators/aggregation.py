@@ -7,19 +7,17 @@ combines them with merge semantics rather than re-accumulating raw rows.
 
 The operator is vectorized (section III) and never leaves arrays: the
 input coalesces into batches of up to ``kernels.TARGET_PARTITION_ROWS`` rows
-(key and argument columns only), each batch's group keys factorize once
-into dense int64 codes plus the distinct keys as blocks
-(:mod:`repro.execution.kernels`), every aggregate accumulates with its
-array kernel, and the output page is those key blocks beside the
-accumulators' blocks.  A PARTIAL step emits avg's state as the
-``AVG_INTERMEDIATE`` row of its sums and counts.
+(key and argument columns only) and each batch feeds one
+:class:`~repro.execution.kernels.HashAggregation`: the group keys
+factorize once into dense int64 codes plus the distinct keys as blocks,
+every aggregate accumulates with its array kernel, and the output page is
+those key blocks beside the accumulators' blocks.  A PARTIAL step emits
+avg's state as the ``AVG_INTERMEDIATE`` row of its sums and counts.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
-
-import numpy as np
 
 from repro.core.blocks import Block
 from repro.core.page import Page, concat_blocks
@@ -66,7 +64,6 @@ def execute_aggregation(
 ) -> Iterator[Page]:
     key_names = [k.name for k in node.group_keys]
     agg_argument_names = [[a.name for a in agg.arguments] for agg in node.aggregations]
-    merge_mode = node.step == "FINAL"
     # The input columns the node reads: keys and aggregate arguments.
     used = {name for names in [key_names, *agg_argument_names] for name in names}
     columns = {
@@ -74,36 +71,21 @@ def execute_aggregation(
         for channel, variable in enumerate(node.source.outputs)
         if variable.name in used
     }
-
-    index = kernels.GroupIndex()
-    accumulators = [
-        kernels.make_accumulator(a, ctx.registry.aggregate_for(a.function_handle), merge_mode)
-        for a in node.aggregations
-    ]
-
+    aggregation = kernels.HashAggregation(
+        len(key_names),
+        [(a.function_handle, a.distinct) for a in node.aggregations],
+        ctx.registry,
+        merge_mode=node.step == AggregationStep.FINAL,
+    )
     for bindings, count in _batches(source, columns):
-        if key_names:
-            codes, keys = kernels.factorize_keys([bindings[name] for name in key_names])
-            group_ids = index.map_codes(codes, keys)
-            group_count = len(index)
-        else:
-            group_ids = np.zeros(count, dtype=np.int64)
-            group_count = 1
-        for accumulator, names in zip(accumulators, agg_argument_names):
-            accumulator.add_page(
-                group_count, group_ids, [bindings[name] for name in names], count
-            )
+        aggregation.add(
+            [bindings[name] for name in key_names],
+            [[bindings[name] for name in names] for names in agg_argument_names],
+            count,
+        )
         ctx.stats.rows_processed_vectorized += count
-
-    # Global aggregation over empty input still yields one row.
-    group_count = len(index) if key_names else 1
-    output_types = [v.type for v in node.outputs]
-    key_count = len(key_names)
-    out = list(index.key_blocks(output_types[:key_count])) if key_count else []
     # Partial aggregations (staged execution) emit raw accumulator states:
     # the FINAL stage beyond the exchange merges them.
-    partial = node.step == AggregationStep.PARTIAL
-    for accumulator, presto_type in zip(accumulators, output_types[key_count:]):
-        make = accumulator.state_block if partial else accumulator.final_block
-        out.append(make(group_count, presto_type))
-    yield Page(out, group_count)
+    yield aggregation.page(
+        [v.type for v in node.outputs], partial=node.step == AggregationStep.PARTIAL
+    )

@@ -32,13 +32,13 @@ def plan_scan(
     """``(handle, dynamic filters, splits)`` for one scan of ``node``.
 
     The one place a runtime dynamic filter meets split enumeration, shared
-    by the staged scheduler (which hands each task a contiguous run of the
-    splits, sized by their ``rows``) and the direct pipeline: an empty
-    build side matches nothing, so every split is
-    skipped (and counted); otherwise the filter's expression form rides on
-    the handle, where connectors that understand it (hive) prune
-    partitions at enumeration.  ``pinned`` splits — a staged task's
-    assignment — are read as given.
+    by the scheduler (which hands each task of a single-scan source stage
+    a contiguous run of the splits, sized by their ``rows``) and the scans
+    of a fragment holding several, which enumerate their own: an empty
+    build side matches nothing, so every split is skipped (and counted);
+    otherwise the filter's expression form rides on the handle, where
+    connectors that understand it (hive) prune partitions at enumeration.
+    ``pinned`` splits — a task's assignment — are read as given.
     """
     connector = ctx.catalog.connector(node.catalog)
     filter_set = (ctx.dynamic_filters or {}).get(node.id)
@@ -57,8 +57,8 @@ def plan_scan(
 def execute_table_scan(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]:
     connector = ctx.catalog.connector(node.catalog)
     columns = [column for _, column in node.assignments]
-    # Staged execution pins each task to its assigned splits; the direct
-    # pipeline enumerates every split of the table in one pass.
+    # A single-scan source task reads its assigned splits; a scan in a
+    # fragment holding several enumerates every split of its table.
     handle, filter_set, splits = plan_scan(
         node, ctx, (ctx.scan_splits or {}).get(node.id)
     )

@@ -6,12 +6,13 @@ input data."  This module is the execution half of that sentence —
 :class:`repro.planner.fragmenter.Fragmenter` produces the fragments, one
 :class:`QueryScheduler` per query turns each into a stage:
 
-- **source** fragments enumerate their connector splits (the SPI split
-  enumeration that the direct pipeline hides inside the scan operator)
-  and run one task per ``TARGET_PARTITION_ROWS`` rows those splits hold,
-  at least one and at most one per split; each task scans a contiguous
-  run of splits.  When a connector cannot count a split's rows
-  (``ConnectorSplit.rows is None``) the stage runs one task per split;
+- **source** fragments with one table scan enumerate its connector
+  splits and run one task per ``TARGET_PARTITION_ROWS`` rows those splits
+  hold, at least one and at most one per split; each task scans a
+  contiguous run of splits.  When a connector cannot count a split's rows
+  (``ConnectorSplit.rows is None``) the stage runs one task per split.  A
+  fragment with several scans runs one task, whose scans enumerate their
+  own splits;
 - **hash** fragments fed by a partitioned REPARTITION exchange (the
   final side of a split aggregation) run one task per
   ``TARGET_PARTITION_ROWS`` rows that exchange buffered, at least one and
@@ -628,7 +629,12 @@ class QueryScheduler:
         self._fragment_index += 1
 
     def _fail(self) -> None:
-        """Terminal failure: close the open stage span, freeze the machine."""
+        """Terminal failure: charge the open stage's finished tasks, close
+        its span, freeze the machine."""
+        if self._tasks is not None:
+            # The trace clock advanced for them already (the failed task
+            # charged its own attempts).
+            self.ctx.stats.simulated_ms += self._stage_sim_ms
         tracer = self.ctx.tracer
         if tracer is not None and self._stage_span is not None:
             tracer.close_span(self._stage_span)

@@ -5,8 +5,9 @@ plus ``count``/``sum``/``min``/``max`` aggregates) maintained *as a
 watermark fold*: ``refresh(to)`` reads exactly the rows in
 ``[self.watermark, to)`` through
 :meth:`~repro.realtime.hybrid.HybridTable.read_rows_between` — the lake
-below the sealed watermark, the tail above — and folds them into
-per-group aggregation states.  Because the underlying log is append-only
+below the sealed watermark, the tail above — and adds them as one batch
+to the view's :class:`~repro.execution.kernels.HashAggregation`, the
+engine's own aggregation lane.  Because the underlying log is append-only
 and the delta ranges never overlap, every event contributes to the view
 exactly once, no matter how ingestion, compaction, and refresh
 interleave.
@@ -25,13 +26,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.common.errors import SemanticError
-from repro.core.functions import (
-    MERGEABLE_AGGREGATES,
-    GroupFold,
-    default_registry,
-    parse_type,
-)
+from repro.core.blocks import Block, block_from_values
+from repro.core.functions import MERGEABLE_AGGREGATES, default_registry, parse_type
 from repro.core.types import PrestoType
+from repro.execution.kernels import HashAggregation
 from repro.realtime.hybrid import HybridTable
 from repro.realtime.watermark import Watermark
 
@@ -68,7 +66,7 @@ class MaterializedView:
             if column not in table_types:
                 raise SemanticError(f"view {name!r}: unknown group column {column!r}")
         registry = default_registry()
-        implementations = []
+        handles = []
         self.columns: list[tuple[str, PrestoType]] = [
             (c, table_types[c]) for c in self.group_by
         ]
@@ -89,14 +87,16 @@ class MaterializedView:
                     )
                 argument_types = [table_types[aggregate.input]]
                 self._input_indexes.append(names.index(aggregate.input))
-            handle, implementation = registry.resolve_aggregate(
-                aggregate.function, argument_types
-            )
-            implementations.append(implementation)
+            handle, _ = registry.resolve_aggregate(aggregate.function, argument_types)
+            handles.append((handle, False))
             self.columns.append((aggregate.output, parse_type(handle.return_type)))
 
         self._group_indexes = [names.index(c) for c in self.group_by]
-        self._fold = GroupFold(implementations)
+        self._types = [table_types[c] for c in names]
+        # One aggregation for the view's life: each refresh is one batch.
+        self._aggregation = HashAggregation(
+            len(self.group_by), handles, registry, merge_mode=False
+        )
 
     # -- maintenance ----------------------------------------------------------
 
@@ -116,11 +116,15 @@ class MaterializedView:
         if target == self.watermark:
             return 0
         delta = self.table.read_rows_between(self.watermark, target)
-        for row in delta:
-            self._fold.fold(
-                tuple(row[i] for i in self._group_indexes),
-                [() if i is None else (row[i],) for i in self._input_indexes],
-            )
+
+        def column(index: int) -> Block:
+            return block_from_values(self._types[index], [row[index] for row in delta])
+
+        self._aggregation.add(
+            [column(i) for i in self._group_indexes],
+            [[] if i is None else [column(i)] for i in self._input_indexes],
+            len(delta),
+        )
         self.watermark = target
         self.refreshes += 1
         self.rows_folded += len(delta)
@@ -130,7 +134,7 @@ class MaterializedView:
 
     def rows(self) -> list[tuple]:
         """Finalized view rows in a deterministic (sorted-key) order."""
-        finalized = self._fold.rows()
+        finalized = self._aggregation.page([t for _, t in self.columns]).to_rows()
         width = len(self.group_by)
         finalized.sort(key=lambda row: tuple(_sort_key(v) for v in row[:width]))
         return finalized

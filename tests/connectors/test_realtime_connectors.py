@@ -166,6 +166,23 @@ class TestConnectorQueries:
         assert unpushed.stats.rows_scanned == 400
         assert pushed.rows == unpushed.rows or sorted(pushed.rows) == sorted(unpushed.rows)
 
+    def test_splits_do_not_renegotiate_the_pushdown(self):
+        # The pushdown is negotiated while planning; a split reads the
+        # handle's spec, so the count is the same however many segments.
+        calls = []
+        for segments in (1, 4):
+            engine = make_engine(make_druid(segments=segments))
+            connector = engine.catalog.connector("druid")
+            offer = connector.apply_aggregation
+
+            def counting(*args, **kwargs):
+                calls.append(segments)
+                return offer(*args, **kwargs)
+
+            connector.apply_aggregation = counting
+            engine.execute("SELECT city, count(*) FROM events GROUP BY city")
+        assert calls.count(1) == calls.count(4) > 0
+
     def test_avg_not_pushed_down(self):
         # avg partials don't merge losslessly from finalized values.
         engine = make_engine(make_druid())
@@ -205,3 +222,94 @@ class TestPinot:
 
     def test_pinot_faster_aggregation_profile(self):
         assert PinotCluster().cost.aggregate_ns_per_value < DruidCluster().cost.aggregate_ns_per_value
+
+
+NAN = float("nan")
+
+
+def nan_cluster(cluster_cls):
+    """Two segments where a NaN follows a number inside a group, beside
+    NULL and NaN group keys and NULL measures."""
+    cluster = cluster_cls(nodes=10)
+    cluster.create_datasource(
+        "m", [("tag", VARCHAR), ("bucket", DOUBLE), ("n", BIGINT), ("v", DOUBLE)]
+    )
+    cluster.add_segment(
+        "m",
+        [
+            ("a", 1.0, 5, 1.0),
+            ("a", NAN, 2, NAN),
+            ("a", 1.0, None, 3.0),
+            (None, None, 7, 2.0),
+            ("b", NAN, 1, None),
+        ],
+    )
+    cluster.add_segment(
+        "m",
+        [
+            ("b", 2.0, 4, 7.0),
+            ("a", None, 3, 0.5),
+            (None, 2.0, None, NAN),
+            ("c", 1.0, 9, 4.0),
+        ],
+    )
+    return cluster
+
+
+def comparable(rows):
+    """Rows with NaN spelled out (NaN equals nothing), in a fixed order."""
+    spelled = [
+        tuple("NaN" if isinstance(v, float) and v != v else v for v in row)
+        for row in rows
+    ]
+    return sorted(spelled, key=repr)
+
+
+AGGREGATES = "count(*), count(v), sum(v), min(v), max(v), sum(n), min(n), max(n)"
+
+
+class TestPushdownAgreesWithEngine:
+    """The store's native aggregation returns what the engine computes
+    over the same rows with the pushdowns off."""
+
+    @pytest.mark.parametrize(
+        "cluster_cls, connector_cls",
+        [(DruidCluster, DruidConnector), (PinotCluster, PinotConnector)],
+        ids=["druid", "pinot"],
+    )
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            f"SELECT tag, {AGGREGATES} FROM m GROUP BY tag",
+            f"SELECT bucket, {AGGREGATES} FROM m GROUP BY bucket",
+            f"SELECT tag, bucket, {AGGREGATES} FROM m GROUP BY tag, bucket",
+            f"SELECT {AGGREGATES} FROM m",
+            f"SELECT {AGGREGATES} FROM m WHERE tag = 'zzz'",
+            f"SELECT {AGGREGATES} FROM m WHERE v > 100.0",
+            f"SELECT tag, {AGGREGATES} FROM m WHERE tag = 'zzz' GROUP BY tag",
+            f"SELECT tag, {AGGREGATES} FROM m WHERE n >= 2 GROUP BY tag",
+        ],
+        ids=[
+            "by-tag", "by-nan-key", "by-two-keys", "global", "global-indexed-none",
+            "global-scanned-none", "grouped-none", "grouped-filtered",
+        ],
+    )
+    def test_pushed_aggregation_matches_engine(self, cluster_cls, connector_cls, sql):
+        from repro.planner.optimizer import Optimizer
+
+        engine = make_engine(nan_cluster(cluster_cls), connector_cls, catalog="olap")
+        scans = [n for n in engine.plan(sql).walk() if isinstance(n, TableScanNode)]
+        assert scans[0].handle.aggregation is not None
+        pushed = engine.execute(sql).rows
+        engine._optimizer = Optimizer(engine.catalog, pushdown=False)
+        assert comparable(pushed) == comparable(engine.execute(sql).rows)
+
+    def test_store_answers_nan_as_the_engine_does(self):
+        # min/max over a group whose NaN follows a number is NaN, and a
+        # NaN key groups with NULL.
+        rows = make_engine(nan_cluster(DruidCluster)).execute(
+            "SELECT bucket, min(v), max(v) FROM m GROUP BY bucket"
+        ).rows
+        assert comparable(rows) == comparable(
+            [(1.0, 1.0, 4.0), (2.0, NAN, NAN), (None, NAN, NAN)]
+        )

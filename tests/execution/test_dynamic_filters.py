@@ -29,7 +29,6 @@ from repro.execution.dynamic_filters import (
     IN_EXPRESSION_LIMIT,
     BloomFilter,
     DynamicFilter,
-    build_dynamic_filter,
     dynamic_filter_for,
     _normalize,
 )
@@ -38,6 +37,7 @@ from repro.execution.faults import FaultInjector
 from repro.metastore.metastore import HiveMetastore
 from repro.planner.analyzer import Session
 from repro.storage.hdfs import HdfsFileSystem
+from tests.reference.dynamic_filters import build_dynamic_filter
 from tests.reference.pipeline import execute_direct
 
 

@@ -1,7 +1,8 @@
 """No oracle in production: the reference lanes live in ``tests/reference/``.
 
-The row-at-a-time operators, the expression interpreter, the
-single-pipeline run and the lakehouse oracle are the references the
+The row-at-a-time operators and their grouped fold, the expression
+interpreter, the single-pipeline run, the row-at-a-time dynamic-filter
+build and the lakehouse oracle are the references the
 differential tests compare against and the baselines some benchmarks
 time; ``tests/reference/`` defines each of them.  The process-wide switch
 that once built VARCHAR columns as object arrays is deleted.  This walks
@@ -24,12 +25,14 @@ REFERENCE = REPO / "tests" / "reference"
 REFERENCES = {
     "evaluate_interpreted": "interpreter.py",
     "execute_aggregation_rows": "operators.py",
+    "GroupFold": "operators.py",
     "_hash_join_rows": "operators.py",
     "_sorted_rows": "operators.py",
     "_SortKey": "operators.py",
     "canonical_key": "operators.py",
     "execute_direct": "pipeline.py",
     "_execute_pipeline": "pipeline.py",
+    "build_dynamic_filter": "dynamic_filters.py",
     "oracle_engine": "lakehouse.py",
     "replayed_log_rows": "lakehouse.py",
     "visible_log_keys": "lakehouse.py",

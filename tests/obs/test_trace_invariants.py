@@ -12,6 +12,7 @@ import io
 import pytest
 
 from repro.cache.fragment_result_cache import FragmentResultCache
+from repro.common.errors import ErrorCategory, PrestoError
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT
 from repro.execution.cluster import PrestoClusterSim
@@ -128,6 +129,33 @@ class TestFaultInjectionTrace:
             assert span.attributes["backoff_ms"] in {
                 RETRY_BACKOFF_MS * 2**retry for retry in range(3)
             }
+
+    def test_failed_query_stats_match_its_query_span(self):
+        # The stage fails in its second task: the first one's finished
+        # work is on the trace clock and must be in the stats too.
+        connector = MemoryConnector(split_size=1000)
+        connector.create_table(
+            "db", "t", [("a", BIGINT), ("b", BIGINT)], [(i, i % 7) for i in range(200_000)]
+        )
+        engine = PrestoEngine(
+            session=Session(catalog="memory", schema="db"),
+            fault_injector=FaultInjector(
+                seed=1, task_failure_rate=0.3, task_error_category=ErrorCategory.USER_ERROR
+            ),
+            max_task_retries=0,
+        )
+        engine.register_connector("memory", connector)
+        handle = engine.submit("SELECT b, count(*) FROM t GROUP BY b")
+        with pytest.raises(PrestoError):
+            while not handle.done:
+                handle.step()
+        assert handle.stats.tasks_failed == 1
+        assert len(handle.stats.task_records) > 1
+        (query,) = handle.trace.find("query")
+        assert handle.stats.simulated_ms == pytest.approx(query.duration_ms)
+        assert handle.stats.simulated_ms == pytest.approx(
+            sum(record["sim_ms"] for record in handle.stats.task_records)
+        )
 
 
 class TestGatewayTrace:

@@ -220,6 +220,43 @@ class TestMaterializedViews:
             execute_direct(oracle, sql.format(table=lh.topic)).rows
         )
 
+    @pytest.mark.parametrize("refreshes", [1, 2], ids=["one-refresh", "two-refreshes"])
+    def test_view_answers_nan_as_the_scan_does(self, refreshes):
+        # A NaN after a number in a group: min, max and sum are NaN, in
+        # the view's answer as in a scan of the table.
+        lh = StreamingLakehouse(fields=FIELDS)
+        view = lh.create_materialized_view(
+            "nan_stats",
+            ["city"],
+            [
+                ViewAggregate("count", None, "n"),
+                ViewAggregate("sum", "amount", "total"),
+                ViewAggregate("min", "amount", "low"),
+                ViewAggregate("max", "amount", "high"),
+            ],
+        )
+        for i, row in enumerate([(0, "sf", 1.0), (1, "sf", float("nan")), (2, "la", 2.0)]):
+            lh.produce(row, partition=0, timestamp_ms=i)
+            if refreshes == 2:
+                lh.pipeline.run_for(200)
+                view.refresh()
+        lh.pipeline.run_for(200)
+        view.refresh()
+        sql = (
+            f'SELECT city, count(*), sum(amount), min(amount), max(amount) '
+            f'FROM "{lh.topic}" GROUP BY city'
+        )
+        engine = lh.make_engine()
+        assert "TableScan[hybrid.rt.nan_stats]" in explain(engine, sql)
+        answered = engine.execute(sql).rows
+        engine._optimizer = Optimizer(engine.catalog, pushdown=False)
+        assert "nan_stats" not in explain(engine, sql)
+        scanned = engine.execute(sql).rows
+        assert sorted(map(repr, answered)) == sorted(map(repr, scanned))
+        assert sorted(map(repr, answered)) == [
+            "('la', 1, 2.0, 2.0, 2.0)", "('sf', 2, nan, nan, nan)"
+        ]
+
     def test_incremental_refresh_spans_compactions(self):
         # Refresh deltas straddle seal boundaries: fold some rows from the
         # tail, compact them into the lake, fold the next delta, repeat.

@@ -7,8 +7,11 @@ the repository root on ``sys.path``).
 
 - :mod:`tests.reference.interpreter`: the row-at-a-time expression
   interpreter, against :mod:`repro.core.compiler`.
-- :mod:`tests.reference.operators`: the row-at-a-time aggregation, hash
-  join and sort, against :mod:`repro.execution.operators`.
+- :mod:`tests.reference.operators`: the row-at-a-time aggregation (its
+  ``GroupFold``), hash join and sort, against
+  :mod:`repro.execution.operators`.
+- :mod:`tests.reference.dynamic_filters`: the row-at-a-time build of a
+  join's dynamic filter, against the scheduler's build from key codes.
 - :mod:`tests.reference.pipeline`: the single-pipeline run of a whole
   plan, against staged execution.
 - :mod:`tests.reference.lakehouse`: the replayed-log oracle and the
