@@ -2,14 +2,14 @@
 the Spark fallback for oversized joins.
 
 Combines the paper's newer surfaces end to end: the ingestion pipeline
-tails a Kafka topic into the realtime store, the compactor seals the
-tail into Iceberg snapshots whose metadata carries the offset watermark
-(so every record is visible exactly once — never from both the tail and
-the lake), hybrid queries union the two at a consistent watermark with
-time travel to any earlier cut, a materialized view answers aggregates
-straight from its incrementally-refreshed state, and a join too big for
-Presto's memory limit automatically translates to the batch engine
-(section XII.C).
+tails a Kafka topic into the hybrid table's in-memory tail, the compactor
+seals the tail into Iceberg snapshots whose metadata carries the offset
+watermark (so every record is visible exactly once — never from both the
+tail and the lake), hybrid queries union the two at a consistent
+watermark with time travel to any earlier cut, a materialized view
+answers aggregates straight from its incrementally-refreshed state, and
+a join too big for Presto's memory limit automatically translates to the
+batch engine (section XII.C).
 
 Run:  python examples/realtime_lakehouse.py
 """

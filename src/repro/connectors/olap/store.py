@@ -127,16 +127,6 @@ class RealtimeOlapStore:
         segments.append(segment)
         return segment
 
-    def remove_segment(self, datasource: str, segment: Segment) -> None:
-        """Drop one segment (by identity) from a datasource.
-
-        Real-time stores hand their in-memory tail segments off to deep
-        storage and drop them; the streaming compactor does the same after
-        sealing a tail segment into a lakehouse snapshot.
-        """
-        _, segments = self._require(datasource)
-        segments.remove(segment)
-
     def datasource_names(self) -> list[str]:
         return sorted(self._datasources)
 
@@ -178,21 +168,13 @@ class RealtimeOlapStore:
         self.clock.advance(len(merged) * RESULT_MS_PER_ROW)
         return merged
 
-    def query_segment(self, datasource: str, segment_index: int, native: NativeQuery) -> list[tuple]:
-        """Single-segment query, the unit a connector split executes.
-
-        Only the segment's own cost is charged — the engine's scheduler
-        accounts for cross-split parallelism.
-        """
-        rows, cost_ms = self.query_segment_costed(datasource, segment_index, native)
-        self.clock.advance(cost_ms)
-        return rows
-
     def query_segment_costed(
         self, datasource: str, segment_index: int, native: NativeQuery
     ) -> tuple[list[tuple], float]:
-        """Like :meth:`query_segment` but returns the cost instead of
-        charging it, so a parallel caller can account lanes itself."""
+        """Single-segment query, the unit a connector split executes.
+
+        Returns the rows and the segment's own cost without charging it:
+        the caller accounts cross-split parallelism itself."""
         self.queries_served += 1
         _, segments = self._require(datasource)
         rows, cost_ms = self._execute_segment(segments[segment_index], native)

@@ -576,11 +576,10 @@ class PrestoClusterSim:
 
         Queries sitting in an admission queue are *not* running — they
         hold no resources and no coordinator attention; count them with
-        :meth:`queued_query_count`.
+        :meth:`queued_query_count`.  Admission and completion keep the
+        count up the resource-group tree, so the root holds it.
         """
-        return sum(
-            1 for run in self.queries.values() if run.state is QueryState.RUNNING
-        )
+        return self.root_group.running
 
     def queued_query_count(self) -> int:
         """Queries admitted to a queue but not yet holding resources."""
@@ -656,11 +655,11 @@ class PrestoClusterSim:
         :meth:`run_until_idle` (or keep submitting) and collect the result
         from ``handle.result()``.
 
-        ``resource_group`` is a dotted path, a :class:`ResourceGroup`, or
-        None for the per-user default queue ``root.<user>``.  If the
-        group is at quota the query queues (fair-share dequeue); if the
-        queue itself is over capacity or the estimated wait breaches the
-        group's SLO, the query is shed with
+        ``resource_group`` is a dotted path, a :class:`ResourceGroup` of
+        this cluster's tree, or None for the per-user default queue
+        ``root.<user>``.  If the group is at quota the query queues
+        (fair-share dequeue); if the queue itself is over capacity or the
+        estimated wait breaches the group's SLO, the query is shed with
         :class:`~repro.common.errors.AdmissionRejectedError` carrying a
         retry-after hint — never silently dropped.
         """

@@ -195,16 +195,3 @@ class MultiPolygon(Geometry):
 
     def __repr__(self) -> str:
         return f"MultiPolygon({len(self.polygons)} polygons, {self.vertex_count()} vertices)"
-
-
-def _on_segment(
-    px: float, py: float, x1: float, y1: float, x2: float, y2: float, eps: float = 1e-12
-) -> bool:
-    cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-    if abs(cross) > eps:
-        return False
-    if min(x1, x2) - eps <= px <= max(x1, x2) + eps and min(y1, y2) - eps <= py <= max(
-        y1, y2
-    ) + eps:
-        return True
-    return False

@@ -1,7 +1,7 @@
 """The streaming lakehouse: seconds-fresh hybrid queries (Figs 15–16).
 
-Composes the Kafka connector (durable log), the realtime store (the
-in-memory tail), and the Iceberg table format (the sealed past) into one
+Composes the Kafka connector (durable log), the hybrid table's own
+in-memory tail, and the Iceberg table format (the sealed past) into one
 exactly-once queryable table; see :mod:`repro.realtime.hybrid` for the
 watermark protocol and :mod:`repro.realtime.lakehouse` for one-call
 assembly.

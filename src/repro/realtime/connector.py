@@ -51,6 +51,9 @@ from repro.realtime.watermark import Watermark
 
 WATERMARK_SUFFIX = "$watermark="
 
+# Simulated nanoseconds to scan one value of a pinned tail row.
+TAIL_SCAN_NS_PER_VALUE = 4.0
+
 
 def parse_table_name(name: str) -> tuple[str, Optional[Watermark]]:
     """``events$watermark=5-7-3`` → ("events", Watermark(5-7-3))."""
@@ -282,7 +285,7 @@ class HybridTableConnector(SingleSchemaConnector):
             table = self.table(info["table"])
             # Charge an index-free columnar scan of the pinned micro-batch.
             table.clock.advance(
-                len(rows) * len(layout) * table.store.cost.scan_ns_per_value / 1e6
+                len(rows) * len(layout) * TAIL_SCAN_NS_PER_VALUE / 1e6
             )
         rows = self._evaluator.filter_rows(handle.constraint_expression(), layout, rows)
         yield project_rows(layout, rows, columns)

@@ -5,9 +5,10 @@ into a single queryable object (the paper's batch→real-time arc,
 Figs 15–16):
 
 - a **Kafka topic** is the durable source of truth (the replayable log);
-- the **realtime store** hosts the in-memory *tail* — one immutable
-  store segment per ingested micro-batch, carrying the log coordinates
-  (``_partition_id``, ``_offset``, ``_timestamp_ms``) as real columns;
+- the in-memory *tail* is the table's own: one immutable segment of
+  row tuples per ingested micro-batch, each row carrying its log
+  coordinates (``_partition_id``, ``_offset``, ``_timestamp_ms``) as real
+  columns, so an offset range of a segment is one slice;
 - an **Iceberg table** holds the sealed past as parquet snapshots whose
   summary records the *sealed watermark*.
 
@@ -33,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.connectors.kafka import HIDDEN_COLUMNS
 from repro.connectors.lakehouse.table_format import IcebergTable
-from repro.connectors.olap.store import RealtimeOlapStore, Segment
 from repro.core.types import PrestoType
 from repro.realtime.watermark import Watermark
 
@@ -46,11 +47,12 @@ MAX_TIMESTAMP_PROPERTY = "max-sealed-timestamp-ms"
 
 @dataclass
 class TailSegment:
-    """Bookkeeping for one in-memory micro-batch segment.
+    """One in-memory micro-batch: a consecutive slice of one partition's log.
 
-    The row data itself lives in the realtime store's :class:`Segment`;
-    this records which slice of which partition's log the segment holds,
-    which is what compaction, pruning, and watermark cuts reason over.
+    ``rows`` are the full-width row tuples of offsets
+    ``[base_offset, end_offset)`` in offset order, so the row of offset
+    ``o`` is ``rows[o - base_offset]``; compaction, pruning and watermark
+    cuts reason over the offset range.
     """
 
     segment_id: int
@@ -58,7 +60,7 @@ class TailSegment:
     base_offset: int  # inclusive
     end_offset: int  # exclusive
     max_timestamp_ms: int
-    segment: Segment
+    rows: tuple[tuple, ...]
 
     @property
     def row_count(self) -> int:
@@ -74,14 +76,13 @@ class HybridTable:
         fields: Sequence[tuple[str, PrestoType]],
         partitions: int,
         lake: IcebergTable,
-        store: RealtimeOlapStore,
+        clock: SimulatedClock,
     ) -> None:
         self.name = name
         self.fields = list(fields)
         self.partitions = partitions
         self.lake = lake
-        self.store = store
-        self.clock = store.clock
+        self.clock = clock
         # Full row layout: user fields then the hidden log coordinates.
         self.columns: list[tuple[str, PrestoType]] = list(fields) + list(HIDDEN_COLUMNS)
         expected = [n for n, _ in self.columns]
@@ -90,8 +91,6 @@ class HybridTable:
                 f"hybrid table {name!r}: lake columns {[n for n, _ in lake.columns]} "
                 f"must equal stream layout {expected}"
             )
-        if name not in store.datasource_names():
-            store.create_datasource(name, self.columns)
         self.committed: Watermark = Watermark.zero(partitions)
         self.tail_segments: list[TailSegment] = []
         self._segment_ids = 0
@@ -125,7 +124,8 @@ class HybridTable:
         ``values``).  Records below the committed offset are dropped —
         re-delivery after a crash is idempotent — and any previously
         staged-but-uncommitted segment for the partition is replaced, so
-        the tail never holds two copies of an offset.
+        the tail never holds two copies of an offset.  The fresh records
+        must continue the committed offset without a gap.
         """
         committed = self.committed.offset(partition)
         fresh = [r for r in records if r.offset >= committed]
@@ -136,22 +136,21 @@ class HybridTable:
         )
         if not fresh:
             return None
-        if fresh[0].offset != committed:
-            raise ConnectorError(
-                f"hybrid table {self.name!r}: partition {partition} append gap "
-                f"(expected offset {committed}, got {fresh[0].offset})"
-            )
-        rows = [
-            tuple(r.values) + (partition, r.offset, r.timestamp_ms) for r in fresh
-        ]
-        segment = self.store.add_segment(self.name, rows)
+        for expected, record in enumerate(fresh, start=committed):
+            if record.offset != expected:
+                raise ConnectorError(
+                    f"hybrid table {self.name!r}: partition {partition} append gap "
+                    f"(expected offset {expected}, got {record.offset})"
+                )
         tail_segment = TailSegment(
             segment_id=self._segment_ids,
             partition=partition,
-            base_offset=fresh[0].offset,
-            end_offset=fresh[-1].offset + 1,
+            base_offset=committed,
+            end_offset=committed + len(fresh),
             max_timestamp_ms=max(r.timestamp_ms for r in fresh),
-            segment=segment,
+            rows=tuple(
+                tuple(r.values) + (partition, r.offset, r.timestamp_ms) for r in fresh
+            ),
         )
         self._segment_ids += 1
         self.tail_segments.append(tail_segment)
@@ -183,7 +182,7 @@ class HybridTable:
         self.prune_sealed()
 
     def lose_tail(self) -> None:
-        """Model losing the whole in-memory store (node loss).
+        """Model losing the whole in-memory tail (node loss).
 
         Everything not sealed into the lake must be re-ingested: committed
         offsets rewind to the sealed watermark and the tail empties.  The
@@ -203,9 +202,7 @@ class HybridTable:
         return before - len(self.tail_segments)
 
     def _drop_segments(self, doomed) -> None:
-        for tail_segment in [s for s in self.tail_segments if doomed(s)]:
-            self.store.remove_segment(self.name, tail_segment.segment)
-            self.tail_segments.remove(tail_segment)
+        self.tail_segments = [s for s in self.tail_segments if not doomed(s)]
 
     # -- reads ----------------------------------------------------------------
 
@@ -221,7 +218,6 @@ class HybridTable:
         """
         read = read.meet(self.committed)
         rows: list[tuple] = []
-        offset_index = len(self.fields) + 1  # _offset position in full rows
         for tail_segment in sorted(
             self.tail_segments, key=lambda s: (s.partition, s.base_offset)
         ):
@@ -232,9 +228,8 @@ class HybridTable:
             high = min(read.offset(p), tail_segment.end_offset)
             if low >= high:
                 continue
-            for row in _segment_rows(tail_segment.segment):
-                if low <= row[offset_index] < high:
-                    rows.append(row)
+            base = tail_segment.base_offset
+            rows.extend(tail_segment.rows[low - base : high - base])
         return rows
 
     def lake_rows_between(self, low: Watermark, high: Watermark) -> list[tuple]:
@@ -281,12 +276,3 @@ class HybridTable:
     def column_names(self) -> list[str]:
         return [n for n, _ in self.columns]
 
-
-def _segment_rows(segment: Segment) -> list[tuple]:
-    """Rebuild row tuples from a columnar store segment.
-
-    Segment column dicts preserve datasource column order, which is the
-    hybrid table's full row layout (user fields then log coordinates).
-    """
-    columns = list(segment.columns.values())
-    return [tuple(c[i] for c in columns) for i in range(segment.num_rows)]

@@ -2,7 +2,7 @@
 
 :class:`StreamingLakehouse` wires the whole vertical slice on one shared
 simulated clock: a Kafka topic (durable log) → ingestion pipeline →
-hybrid table (realtime-store tail + Iceberg lake on simulated HDFS) →
+hybrid table (its own in-memory tail + Iceberg lake on simulated HDFS) →
 compactor, plus a metrics registry and a pipeline trace.  ``make_engine``
 returns a :class:`PrestoEngine` whose default namespace is the hybrid
 catalog, with the raw lake also mounted (catalog ``lake``) so freshness
@@ -25,7 +25,6 @@ from repro.common.clock import SimulatedClock
 from repro.connectors.kafka import HIDDEN_COLUMNS, KafkaBroker, KafkaConnector
 from repro.connectors.lakehouse.connector import IcebergConnector
 from repro.connectors.lakehouse.table_format import IcebergTable
-from repro.connectors.olap.store import RealtimeOlapStore
 from repro.connectors.spi import Catalog
 from repro.core.types import PrestoType
 from repro.execution.engine import PrestoEngine
@@ -38,10 +37,6 @@ from repro.realtime.hybrid import HybridTable
 from repro.realtime.mv import MaterializedView, ViewAggregate
 from repro.realtime.pipeline import Compactor, IngestionPipeline
 from repro.storage.hdfs import HdfsFileSystem, NameNode
-
-
-# Nodes of the real-time store that serves the hybrid table's tail.
-TAIL_STORE_NODES = 8
 
 
 class StreamingLakehouse:
@@ -65,15 +60,12 @@ class StreamingLakehouse:
         self.broker = KafkaBroker(clock=self.clock)
         self.broker.create_topic(topic, fields, partitions)
         self.filesystem = HdfsFileSystem(namenode=NameNode(clock=self.clock))
-        self.store = RealtimeOlapStore(
-            name="tail", nodes=TAIL_STORE_NODES, clock=self.clock
-        )
         self.lake = IcebergTable(
             self.filesystem,
             f"/lake/{topic}",
             list(fields) + list(HIDDEN_COLUMNS),
         )
-        self.table = HybridTable(topic, fields, partitions, self.lake, self.store)
+        self.table = HybridTable(topic, fields, partitions, self.lake, self.clock)
         self.compactor = Compactor(self.table, fault_injector=fault_injector)
         self.pipeline_trace = QueryTrace(clock=self.clock)
         self.pipeline = IngestionPipeline(

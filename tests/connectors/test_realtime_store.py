@@ -114,7 +114,7 @@ class TestNativeExecution:
         per_segment = [
             row
             for index in range(len(store.segments("m")))
-            for row in store.query_segment("m", index, native)
+            for row in store.query_segment_costed("m", index, native)[0]
         ]
         assert sorted(map(repr, merged)) == sorted(map(repr, per_segment))
 

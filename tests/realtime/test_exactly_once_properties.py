@@ -11,7 +11,8 @@ operation that:
 - the same holds at every lower watermark via pinned time-travel reads;
 - the tail and the sealed snapshots *partition* the visible log: lake
   rows live strictly below the sealed watermark (each exactly once),
-  committed tail rows live exactly in [sealed, committed).
+  committed tail rows live exactly in [sealed, committed), and a tail
+  read from a lower bound between them starts exactly there.
 """
 
 from collections import Counter
@@ -120,6 +121,16 @@ def check_invariants(lh):
     )
     assert all(n == 1 for n in tail_keys.values()), f"tail duplicates: {tail_keys}"
     assert tail_keys == expected - lake_keys
+
+    # A lower bound inside the tail (as a view refresh reads) cuts it there.
+    low = Watermark.of(
+        *((s + c) // 2 for s, c in zip(sealed.offsets, committed.offsets))
+    )
+    mid_keys = Counter(
+        (row[partition_index], row[partition_index + 1])
+        for row in table.visible_tail_rows(low, committed)
+    )
+    assert mid_keys == expected - expected_log_keys(lh.broker, lh.topic, low)
 
 
 @settings(max_examples=30, deadline=None)

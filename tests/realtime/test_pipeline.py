@@ -78,6 +78,15 @@ class TestIngestion:
         with pytest.raises(ConnectorError, match="append gap"):
             lh.table.append_tail(0, records[1:])
 
+    def test_append_gap_after_the_first_record_rejected(self):
+        lh = make_lakehouse()
+        produce_n(lh, 10)
+        records = lh.broker.log_records(lh.topic, 1)
+        assert len(records) > 2
+        with pytest.raises(ConnectorError, match="append gap"):
+            lh.table.append_tail(1, records[:1] + records[2:])
+        assert lh.table.tail_row_count() == 0
+
     def test_redelivery_is_idempotent(self):
         lh = make_lakehouse()
         produce_n(lh, 20)
