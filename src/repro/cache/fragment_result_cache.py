@@ -45,6 +45,3 @@ class FragmentResultCache:
     ) -> tuple[Sequence[Page], bool]:
         """Like :meth:`get_or_compute` but also reports ``(pages, hit)``."""
         return self._cache.get_or_load_with_status(key, lambda: list(compute()))
-
-    def invalidate_all(self) -> None:
-        self._cache.invalidate_all()

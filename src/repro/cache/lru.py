@@ -137,16 +137,6 @@ class LruCache:
             self.stats.invalidations += 1
             self._count("invalidations")
 
-    def invalidate_all(self) -> None:
-        count = len(self._entries)
-        self.stats.invalidations += count
-        self._entries.clear()
-        if self._metrics is not None and count:
-            self._metrics.counter(
-                "cache_invalidations_total", cache=self.name
-            ).inc(count)
-            self._metrics.gauge("cache_entries", cache=self.name).set(0)
-
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 

@@ -44,7 +44,7 @@ from repro.connectors.spi import (
     Connector,
     ConnectorSplit,
     ConnectorTableHandle,
-    project_rows,
+    empty_page,
 )
 from repro.cache.file_list_cache import FileListCache
 from repro.cache.footer_cache import FileHandleAndFooterCache
@@ -355,7 +355,7 @@ class HiveConnector(Connector):
         if dynamic_partition is not None and not self._partition_matches(
             dynamic_partition, partition_values, partition_types
         ):
-            return iter([project_rows(table.all_columns(), [], columns)])
+            return iter([empty_page(table.all_columns(), columns)])
         # Schema evolution: columns added to the table after this file was
         # written are absent from the file schema and read as nulls.
         file_top_level = set(file.schema.column_names())
@@ -392,7 +392,7 @@ class HiveConnector(Connector):
                 page, columns, present, partition_values, partition_types, table
             )
         if not produced:
-            yield project_rows(table.all_columns(), [], columns)
+            yield empty_page(table.all_columns(), columns)
 
     def _partition_matches(
         self,

@@ -22,6 +22,7 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorTableHandle,
     SingleSchemaConnector,
+    select_columns,
 )
 from repro.core.expressions import (
     ColumnTest,
@@ -227,18 +228,10 @@ class KafkaConnector(SingleSchemaConnector):
         if handle.limit is not None:
             records = records[: handle.limit]
 
-        field_names = [n for n, _ in self.broker.fields(handle.table_name)]
-        types = dict(self.all_columns(handle.table_name))
-        rows = []
-        for record in records:
-            full = {
-                **dict(zip(field_names, record.values)),
-                "_partition_id": partition,
-                "_offset": record.offset,
-                "_timestamp_ms": record.timestamp_ms,
-            }
-            rows.append(tuple(full[c] for c in columns))
-        yield Page.from_rows([types[c] for c in columns], rows)
+        # The log is a row store: the records read become one page.
+        layout = self.all_columns(handle.table_name)
+        rows = [tuple(r.values) + (partition, r.offset, r.timestamp_ms) for r in records]
+        yield select_columns(layout, Page.from_rows([t for _, t in layout], rows), columns)
 
 
 def _as_log_range(conjunct: RowExpression) -> Optional[ColumnTest]:

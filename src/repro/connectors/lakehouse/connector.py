@@ -17,7 +17,7 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorTableHandle,
     SingleSchemaConnector,
-    project_rows,
+    empty_page,
 )
 from repro.core.page import Page
 from repro.core.types import PrestoType
@@ -120,4 +120,4 @@ def data_file_pages(
         produced = True
         yield page
     if not produced:
-        yield project_rows(layout, [], columns)
+        yield empty_page(layout, columns)

@@ -18,10 +18,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.common.errors import ConnectorError
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import RowExpression
-from repro.core.page import Page
+from repro.core.page import Page, concat_pages
 from repro.core.types import PrestoType
 from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.reader_new import NewParquetReader
@@ -77,6 +79,7 @@ class IcebergTable:
         self.filesystem = filesystem
         self.location = location.rstrip("/")
         self.columns = list(columns)
+        self.types = [t for _, t in self.columns]
         self.schema = ParquetSchema(self.columns)
         self.row_group_size = row_group_size
         self._snapshots: list[Snapshot] = [Snapshot(0, "create", ())]
@@ -116,14 +119,14 @@ class IcebergTable:
 
     # -- writes ----------------------------------------------------------------
 
-    def write_data_file(self, rows: Sequence[tuple]) -> DataFile:
-        page = Page.from_rows([t for _, t in self.columns], list(rows))
+    def write_data_file(self, page: Page) -> DataFile:
+        """Write one page of the table's columns as a new data file."""
         blob = NativeParquetWriter(
             self.schema, row_group_size=self.row_group_size
         ).write_pages([page])
         path = f"{self.location}/data/{next(self._file_ids):08d}.parquet"
         self.filesystem.create(path, blob)
-        return DataFile(path, len(rows))
+        return DataFile(path, page.position_count)
 
     def append(
         self,
@@ -133,7 +136,7 @@ class IcebergTable:
         """Append rows as a new data file (fast, no rewrites)."""
         if not rows:
             return self._commit("append", self.current_snapshot().files, properties)
-        new_file = self.write_data_file(rows)
+        new_file = self.write_data_file(Page.from_rows(self.types, list(rows)))
         return self.commit_add_files([new_file], properties=properties)
 
     def commit_add_files(
@@ -174,28 +177,38 @@ class IcebergTable:
     ) -> Snapshot:
         kept_files: list[DataFile] = []
         rewritten: list[DataFile] = []
+        names = [n for n, _ in self.columns]
         for data_file in self.current_snapshot().files:
-            rows = self.read_file_rows(data_file)
-            matches = self._evaluator.row_mask(predicate, self.columns, rows)
-            if not any(matches):
+            page = self.read_file_page(data_file)
+            matches = self._evaluator.filter_mask(
+                predicate, dict(zip(names, page.blocks)), page.position_count
+            )
+            if not matches.any():
                 kept_files.append(data_file)  # untouched files stay as-is
                 continue
-            new_rows: list[tuple] = []
-            for row, matched in zip(rows, matches):
-                if not matched:
-                    new_rows.append(row)
-                elif update is not None:
-                    new_rows.append(update(row))
-            if new_rows:
-                rewritten.append(self.write_data_file(new_rows))
+            if update is None:
+                page = page.take(np.flatnonzero(~matches))
+            else:
+                # ``update`` maps a row tuple, so an updated file crosses to rows.
+                rows = page.to_rows()
+                page = Page.from_rows(
+                    self.types,
+                    [update(row) if matched else row for row, matched in zip(rows, matches)],
+                )
+            if page.position_count:
+                rewritten.append(self.write_data_file(page))
         return self._commit(operation, kept_files + rewritten)
 
     # -- reads ---------------------------------------------------------------------
 
-    def read_file_rows(self, data_file: DataFile) -> list[tuple]:
+    def read_file_page(self, data_file: DataFile) -> Page:
+        """Every row of one data file, as one page of the table's columns."""
         file = ParquetFile(self.filesystem.open(data_file.path))
         reader = NewParquetReader(file, [n for n, _ in self.columns])
-        return [row for page in reader.read_pages() for row in page.loaded().rows()]
+        return concat_pages(self.types, list(reader.read_pages()))
+
+    def read_file_rows(self, data_file: DataFile) -> list[tuple]:
+        return self.read_file_page(data_file).to_rows()
 
     def scan_files(self, snapshot_id: Optional[int] = None) -> tuple[Snapshot, tuple[DataFile, ...]]:
         snapshot = (

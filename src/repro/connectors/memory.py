@@ -4,16 +4,10 @@ A table keeps the Python row tuples it was created and inserted with; they
 are its input of record, and ``ANALYZE`` reads them.  The table is cut
 into fixed-size splits for parallel scanning.  The first scan that reads a
 (split, column) pair turns that column's values into blocks, one per
-4 096-row page, and the table keeps them, so every later scan only puts
-pages together from stored blocks:
-
-- a VARCHAR column is one :class:`VarcharBlock` dictionary per split plus
-  int32 ids (-1 at NULL) when the parquet writer's rule accepts the
-  split's values (``build_dictionary``: at most max(16, n/2) distinct
-  values and fewer than 65 536); each page is a :class:`DictionaryBlock`
-  over its slice of the ids;
-- every other column, and a VARCHAR column the rule declines, is stored
-  flat, built by ``block_from_values`` as any page of those values is.
+4 096-row page, by the stores' shared rule (``spi.column_blocks``: a
+low-cardinality VARCHAR column is one dictionary per split), and the
+table keeps them, so every later scan only puts pages together from
+stored blocks.
 
 ``create_table`` replaces a table and its blocks; ``insert`` drops only
 the blocks of the split whose row range it grows.
@@ -28,18 +22,16 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.common.errors import ConnectorError
-from repro.core.blocks import Block, DictionaryBlock, VarcharBlock, block_from_values
+from repro.core.blocks import Block
 from repro.core.page import Page
-from repro.core.types import VARCHAR, PrestoType
+from repro.core.types import PrestoType
 from repro.connectors.spi import (
     Connector,
     ConnectorSplit,
     ConnectorTableHandle,
+    column_blocks,
 )
-from repro.formats.parquet.encoding import build_dictionary
 
 PAGE_SIZE = 4096
 
@@ -75,43 +67,10 @@ class _MemoryTable:
         blocks = self.blocks.get(key)
         if blocks is None:
             values = [row[channel] for row in self.rows[start:end]]
-            blocks = self.blocks[key] = _column_blocks(self.columns[channel][1], values)
+            blocks = self.blocks[key] = column_blocks(
+                self.columns[channel][1], values, PAGE_SIZE
+            )
         return blocks
-
-
-def _column_blocks(presto_type: PrestoType, values: list) -> list[Block]:
-    """One split's values of a column as blocks, one per page (at least one)."""
-    starts = range(0, max(len(values), 1), PAGE_SIZE)
-    if presto_type is VARCHAR:
-        encoded = _varchar_dictionary(values)
-        if encoded is not None:
-            dictionary, ids = encoded
-            return [DictionaryBlock(dictionary, ids[s : s + PAGE_SIZE]) for s in starts]
-    return [block_from_values(presto_type, values[s : s + PAGE_SIZE]) for s in starts]
-
-
-def _varchar_dictionary(values: list) -> Optional[tuple[VarcharBlock, np.ndarray]]:
-    """``(dictionary, int32 ids)`` with NULL as id -1, or ``None`` when the
-    parquet writer's rule declines or a value is not text."""
-    try:
-        encoded = build_dictionary(values)
-    except TypeError:  # an unhashable payload
-        return None
-    if encoded is None:
-        return None
-    entries, ids = encoded
-    try:
-        dictionary = VarcharBlock.from_values(entries)
-    except (AttributeError, TypeError, UnicodeEncodeError):
-        return None  # block_from_values' permissive object lane takes it
-    if dictionary.nulls is not None:
-        slot = entries.index(None)
-        del entries[slot]
-        if not entries:
-            return None  # all NULL: a dictionary of nothing would decode nothing
-        dictionary = VarcharBlock.from_values(entries)
-        ids = np.where(ids == slot, -1, ids - (ids > slot)).astype(np.int32)
-    return dictionary, ids
 
 
 class MemoryConnector(Connector):

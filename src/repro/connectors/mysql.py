@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.connectors.spi import (
     Connector,
     ConnectorSplit,
     ConnectorTableHandle,
+    select_columns,
 )
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import RowExpression
@@ -80,18 +83,19 @@ class MySqlServer:
         predicate: Optional[RowExpression] = None,
         limit: Optional[int] = None,
     ) -> list[tuple]:
-        """Run a structured query server-side (WHERE, SELECT list, LIMIT)."""
+        """Run a structured query server-side (WHERE, SELECT list, LIMIT):
+        the table's rows become one page, filtered and cut on the page;
+        the result crosses back as rows."""
         columns, rows = self._require(database, table)
-        names = [n for n, _ in columns]
         self.stats.queries += 1
         self.stats.rows_examined += len(rows)
         self.clock.advance(self.query_latency_ms + len(rows) * self.row_eval_ms)
 
-        rows = self._evaluator.filter_rows(predicate, columns, rows)
-        if limit is not None:
-            rows = rows[:limit]
-        indexes = [names.index(c) for c in projection]
-        result = [tuple(row[i] for i in indexes) for row in rows]
+        page = Page.from_rows([t for _, t in columns], rows)
+        page = self._evaluator.filter_page(predicate, [n for n, _ in columns], page)
+        if limit is not None and page.position_count > limit:
+            page = page.take(np.arange(limit))
+        result = select_columns(columns, page, projection).to_rows()
         self.stats.rows_returned += len(result)
         self.clock.advance(len(result) * self.row_transfer_ms)
         return result

@@ -24,7 +24,7 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorTableHandle,
     SingleSchemaConnector,
-    project_rows,
+    select_columns,
 )
 from repro.core.page import Page
 from repro.core.types import PrestoType
@@ -121,13 +121,13 @@ class RealtimeOlapConnector(SingleSchemaConnector):
         else:
             native = NativeQuery(
                 datasource=handle.table_name,
-                columns=tuple(columns),
+                columns=tuple(c.split(".")[0] for c in columns),
                 filter=handle.constraint,
                 limit=handle.limit,
             )
-            layout = [(c, types[c]) for c in columns]
+            layout = [(c, types[c]) for c in native.columns]
 
-        rows, cost_ms = store.query_segment_costed(
+        page, cost_ms = store.query_segment_costed(
             handle.table_name, segment_index, native
         )
         # Splits execute in parallel across Presto workers; charging
@@ -139,6 +139,6 @@ class RealtimeOlapConnector(SingleSchemaConnector):
         )
         store.clock.advance(cost_ms / lanes)
         # Streaming into the engine costs network time per row.
-        store.clock.advance(len(rows) * self.stream_ms_per_row)
+        store.clock.advance(page.position_count * self.stream_ms_per_row)
 
-        yield project_rows(layout, rows, columns)
+        yield select_columns(layout, page, columns)

@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
-from repro.connectors.spi import AggregationFunction
-from repro.core.blocks import Block, block_from_values
+from repro.connectors.spi import AggregationFunction, stored_page
+from repro.core.blocks import Block
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import (
     RowExpression,
@@ -28,8 +28,9 @@ from repro.core.expressions import (
     match_column_test,
 )
 from repro.core.functions import default_registry
+from repro.core.page import Page, concat_pages
 from repro.core.types import BIGINT, PrestoType, VARCHAR
-from repro.execution.kernels import HashAggregation
+from repro.execution.kernels import HashAggregation, column_codes
 
 
 @dataclass(frozen=True)
@@ -70,25 +71,28 @@ RESULT_MS_PER_ROW = 0.0008
 
 @dataclass
 class Segment:
-    """One immutable segment: columnar data plus inverted indexes."""
+    """One immutable segment: one page of the datasource's columns, in
+    order, plus inverted indexes (column name → value → row ids)."""
 
-    columns: dict[str, list[Any]]
+    page: Page
     inverted: dict[str, dict[Any, np.ndarray]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) > 1:
-            raise ValueError("segment columns must have equal lengths")
-        self.num_rows = lengths.pop() if lengths else 0
+    @property
+    def num_rows(self) -> int:
+        return self.page.position_count
 
-    def build_inverted_index(self, column: str) -> None:
-        """Build an inverted index (value → row ids) for a column."""
-        postings: dict[Any, list[int]] = {}
-        for row_id, value in enumerate(self.columns[column]):
-            postings.setdefault(value, []).append(row_id)
-        self.inverted[column] = {
-            value: np.array(rows, dtype=np.int64) for value, rows in postings.items()
-        }
+
+def postings(block: Block) -> dict[Any, np.ndarray]:
+    """An inverted index of one column: each non-null value → its
+    ascending row ids, from the column's codes by one stable argsort."""
+    codes, uniques = column_codes(block)
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes + 1, minlength=len(uniques) + 1)
+    ends = np.cumsum(counts)
+    return {
+        value: order[start:end]
+        for value, start, end in zip(uniques.tolist(), ends[:-1].tolist(), ends[1:].tolist())
+    }
 
 
 class RealtimeOlapStore:
@@ -117,15 +121,12 @@ class RealtimeOlapStore:
         self._datasources[name] = (list(columns), [])
 
     def add_segment(self, datasource: str, rows: Sequence[tuple]) -> Segment:
+        """Store rows as one segment; its BIGINT and VARCHAR columns are indexed."""
         columns, segments = self._require(datasource)
-        segment = Segment(
-            {name: [row[i] for row in rows] for i, (name, _) in enumerate(columns)}
-        )
-        for column, presto_type in columns:
-            if presto_type is VARCHAR or presto_type is BIGINT:
-                segment.build_inverted_index(column)
-        segments.append(segment)
-        return segment
+        page = stored_page([t for _, t in columns], rows)
+        indexed = [(c, name) for c, (name, t) in enumerate(columns) if t in (VARCHAR, BIGINT)]
+        segments.append(Segment(page, {name: postings(page.block(c)) for c, name in indexed}))
+        return segments[-1]
 
     def datasource_names(self) -> list[str]:
         return sorted(self._datasources)
@@ -148,15 +149,15 @@ class RealtimeOlapStore:
         """Full-cluster native query: segments fan out across nodes.
 
         This is the baseline of figure 16 — what a user gets by querying
-        Druid/Pinot directly.
+        Druid/Pinot directly — and the store's one row boundary.
         """
         self.queries_served += 1
         _, segments = self._require(native.datasource)
-        per_segment_results: list[list[tuple]] = []
+        per_segment_results: list[Page] = []
         per_segment_cost: list[float] = []
         for segment in segments:
-            rows, cost_ms = self._execute_segment(segment, native)
-            per_segment_results.append(rows)
+            page, cost_ms = self._execute_segment(segment, native)
+            per_segment_results.append(page)
             per_segment_cost.append(cost_ms)
         # Segments run in parallel across nodes; each node sums its share.
         node_costs = [0.0] * max(self.nodes, 1)
@@ -165,26 +166,26 @@ class RealtimeOlapStore:
         self.clock.advance(self.cost.base_latency_ms)
         self.clock.parallel_advance(node_costs)
         merged = self._merge(native, per_segment_results)
-        self.clock.advance(len(merged) * RESULT_MS_PER_ROW)
-        return merged
+        self.clock.advance(merged.position_count * RESULT_MS_PER_ROW)
+        return merged.to_rows()
 
     def query_segment_costed(
         self, datasource: str, segment_index: int, native: NativeQuery
-    ) -> tuple[list[tuple], float]:
+    ) -> tuple[Page, float]:
         """Single-segment query, the unit a connector split executes.
 
-        Returns the rows and the segment's own cost without charging it:
-        the caller accounts cross-split parallelism itself."""
+        Returns the result page and the segment's own cost without
+        charging it: the caller accounts cross-split parallelism itself."""
         self.queries_served += 1
         _, segments = self._require(datasource)
-        rows, cost_ms = self._execute_segment(segments[segment_index], native)
-        return rows, cost_ms + len(rows) * RESULT_MS_PER_ROW
+        page, cost_ms = self._execute_segment(segments[segment_index], native)
+        return page, cost_ms + page.position_count * RESULT_MS_PER_ROW
 
     # -- execution internals ---------------------------------------------------------
 
     def _execute_segment(
         self, segment: Segment, native: NativeQuery
-    ) -> tuple[list[tuple], float]:
+    ) -> tuple[Page, float]:
         cost_ms = 0.0
         predicate = (
             expression_from_dict(native.filter) if native.filter is not None else None
@@ -206,43 +207,43 @@ class RealtimeOlapStore:
                 for rows in indexed_row_sets[1:]:
                     selected = np.intersect1d(selected, rows, assume_unique=True)
 
-        if selected is None:
-            selected = np.arange(segment.num_rows)
-            if predicate is not None and residual_conjuncts:
-                cost_ms += (
-                    segment.num_rows
-                    * len(residual_conjuncts)
-                    * self.cost.scan_ns_per_value
-                    / 1e6
-                )
-        elif residual_conjuncts:
-            cost_ms += (
-                len(selected) * len(residual_conjuncts) * self.cost.scan_ns_per_value / 1e6
-            )
-
-        if residual_conjuncts:
-            residual = combine_conjuncts(residual_conjuncts)
-            bindings = self._bindings(
-                segment, selected, [(v.name, v.type) for v in residual.variables()]
-            )
-            mask = self._evaluator.filter_mask(residual, bindings, len(selected))
-            selected = selected[np.nonzero(mask)[0]]
+        # Only the columns the query reads: the residual's, then the result's.
+        if native.is_aggregation:
+            functions, types, aggregation = self._pushed(native, merge_mode=False)
+            read = [*native.grouping, *(c for f in functions for c in f.inputs)]
+        else:
+            read = list(native.columns)
+        residual = combine_conjuncts(residual_conjuncts) if residual_conjuncts else None
+        if residual is not None:
+            read = [v.name for v in residual.variables()] + read
+            kept = segment.num_rows if selected is None else len(selected)
+            cost_ms += kept * len(residual_conjuncts) * self.cost.scan_ns_per_value / 1e6
+        names = list(dict.fromkeys(read))
+        layout = [n for n, _ in self._require(native.datasource)[0]]
+        page = segment.page.select_channels([layout.index(n) for n in names])
+        if selected is not None:
+            page = page.take(selected)
+        page = self._evaluator.filter_page(residual, names, page)
+        blocks = dict(zip(names, page.blocks))
 
         if native.is_aggregation:
-            rows = self._aggregate(segment, selected, native)
+            aggregation.add(
+                [blocks[c] for c in native.grouping],
+                [[blocks[c] for c in f.inputs] for f in functions],
+                page.position_count,
+            )
             cost_ms += (
-                len(selected)
+                page.position_count
                 * max(len(native.aggregations), 1)
                 * self.cost.aggregate_ns_per_value
                 / 1e6
             )
-        else:
-            if native.limit is not None:
-                selected = selected[: native.limit]
-            columns = [list(segment.columns[c]) for c in native.columns]
-            rows = [tuple(columns[i][r] for i in range(len(columns))) for r in selected]
-            cost_ms += len(selected) * len(native.columns) * self.cost.scan_ns_per_value / 1e6
-        return rows, cost_ms
+            return aggregation.page(types), cost_ms
+        page = _head(Page([blocks[c] for c in native.columns], page.position_count), native.limit)
+        cost_ms += (
+            page.position_count * len(native.columns) * self.cost.scan_ns_per_value / 1e6
+        )
+        return page, cost_ms
 
     def _probe_index(
         self, segment: Segment, conjunct: RowExpression
@@ -263,60 +264,24 @@ class RealtimeOlapStore:
             return parts[0]  # a posting list is already sorted and unique
         return np.unique(np.concatenate(parts))
 
-    def _bindings(
-        self,
-        segment: Segment,
-        selected: np.ndarray,
-        columns: Sequence[tuple[str, PrestoType]],
-    ) -> dict[str, Block]:
-        """A block of each ``(name, type)`` column, over the ``selected`` rows."""
-        rows = selected.tolist()
-        bindings: dict[str, Block] = {}
-        for name, presto_type in columns:
-            values = segment.columns[name]
-            bindings[name] = block_from_values(presto_type, [values[r] for r in rows])
-        return bindings
-
-    def _aggregate(
-        self, segment: Segment, selected: np.ndarray, native: NativeQuery
-    ) -> list[tuple]:
-        functions, types, aggregation = self._pushed(native, merge_mode=False)
-        read = {*native.grouping, *(c for f in functions for c in f.inputs)}
-        bindings = self._bindings(
-            segment,
-            selected,
-            [(c, t) for c, t in self._require(native.datasource)[0] if c in read],
-        )
-        aggregation.add(
-            [bindings[c] for c in native.grouping],
-            [[bindings[c] for c in f.inputs] for f in functions],
-            len(selected),
-        )
-        return aggregation.page(types).to_rows()
-
-    def _merge(
-        self, native: NativeQuery, per_segment: list[list[tuple]]
-    ) -> list[tuple]:
+    def _merge(self, native: NativeQuery, per_segment: list[Page]) -> Page:
         if not native.is_aggregation:
-            merged = [row for rows in per_segment for row in rows]
+            types = dict(self._require(native.datasource)[0])
+            merged = concat_pages([types[c] for c in native.columns], per_segment)
         else:
             # Segments hand back *finalized* values; merging them as partial
             # states is right because only MERGEABLE_AGGREGATES are pushed
             # down (planner/rules/aggregation_pushdown.py).
             _, types, aggregation = self._pushed(native, merge_mode=True)
-            rows = [row for part in per_segment for row in part]
-            blocks = [
-                block_from_values(presto_type, [row[i] for row in rows])
-                for i, presto_type in enumerate(types)
-            ]
+            pages = concat_pages(types, per_segment)
             key_count = len(native.grouping)
             aggregation.add(
-                blocks[:key_count], [[state] for state in blocks[key_count:]], len(rows)
+                pages.blocks[:key_count],
+                [[state] for state in pages.blocks[key_count:]],
+                pages.position_count,
             )
-            merged = aggregation.page(types).to_rows()
-        if native.limit is not None:
-            merged = merged[: native.limit]
-        return merged
+            merged = aggregation.page(types)
+        return _head(merged, native.limit)
 
     def _pushed(
         self, native: NativeQuery, merge_mode: bool
@@ -334,6 +299,13 @@ class RealtimeOlapStore:
             merge_mode,
         )
         return functions, [t for _, t in layout], aggregation
+
+
+def _head(page: Page, limit: Optional[int]) -> Page:
+    """The first ``limit`` positions of ``page`` (all when ``None``)."""
+    if limit is None or page.position_count <= limit:
+        return page
+    return page.take(np.arange(limit))
 
 
 def aggregation_layout(

@@ -26,7 +26,10 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Hashable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from repro.common.errors import ConnectorError
+from repro.core.blocks import Block, DictionaryBlock, VarcharBlock, block_from_values
 from repro.core.expressions import (
     RowExpression,
     and_,
@@ -36,7 +39,8 @@ from repro.core.expressions import (
 )
 from repro.core.functions import FunctionHandle
 from repro.core.page import Page
-from repro.core.types import PrestoType
+from repro.core.types import VARCHAR, PrestoType
+from repro.formats.parquet.encoding import build_dictionary
 
 
 @dataclass(frozen=True)
@@ -194,22 +198,79 @@ class AggregationPushdownResult:
     output_columns: tuple[ColumnMetadata, ...]
 
 
-def project_rows(
-    layout: Sequence[tuple[str, PrestoType]],
-    rows: Sequence[Sequence[Any]],
-    columns: Sequence[str],
+def column_blocks(
+    presto_type: PrestoType, values: Sequence[Any], page_size: int
+) -> list[Block]:
+    """One column's values as the blocks a store keeps, one per
+    ``page_size`` slice (at least one).
+
+    A VARCHAR column is one :class:`VarcharBlock` dictionary for all the
+    slices plus int32 ids (-1 at NULL) when the parquet writer's rule
+    accepts the values (``build_dictionary``: at most max(16, n/2)
+    distinct values and fewer than 65 536); each slice is a
+    :class:`DictionaryBlock` over its ids.  Every other column, and a
+    VARCHAR column the rule declines, is built by ``block_from_values``
+    slice by slice.
+    """
+    starts = range(0, max(len(values), 1), page_size)
+    if presto_type is VARCHAR:
+        encoded = _varchar_dictionary(values)
+        if encoded is not None:
+            dictionary, ids = encoded
+            return [DictionaryBlock(dictionary, ids[s : s + page_size]) for s in starts]
+    return [block_from_values(presto_type, values[s : s + page_size]) for s in starts]
+
+
+def _varchar_dictionary(values: Sequence[Any]) -> Optional[tuple[VarcharBlock, np.ndarray]]:
+    """``(dictionary, int32 ids)`` with NULL as id -1, or ``None`` when the
+    parquet writer's rule declines or a value is not text."""
+    try:
+        encoded = build_dictionary(values)
+    except TypeError:  # an unhashable payload
+        return None
+    if encoded is None:
+        return None
+    entries, ids = encoded
+    try:
+        dictionary = VarcharBlock.from_values(entries)
+    except (AttributeError, TypeError, UnicodeEncodeError):
+        return None  # block_from_values' permissive object lane takes it
+    if dictionary.nulls is not None:
+        slot = entries.index(None)
+        del entries[slot]
+        if not entries:
+            return None  # all NULL: a dictionary of nothing would decode nothing
+        dictionary = VarcharBlock.from_values(entries)
+        ids = np.where(ids == slot, -1, ids - (ids > slot)).astype(np.int32)
+    return dictionary, ids
+
+
+def stored_page(types: Sequence[PrestoType], rows: Sequence[Sequence[Any]]) -> Page:
+    """Row tuples as the one page a store keeps: each column by
+    :func:`column_blocks`, so low-cardinality VARCHAR is a dictionary."""
+    columns = list(zip(*rows)) if rows else [() for _ in types]
+    return Page(
+        [column_blocks(t, c, max(len(rows), 1))[0] for t, c in zip(types, columns)],
+        len(rows),
+    )
+
+
+def select_columns(
+    layout: Sequence[tuple[str, PrestoType]], page: Page, columns: Sequence[str]
 ) -> Page:
-    """One page holding ``columns`` of row tuples laid out as ``layout``.
+    """``columns`` of a page whose channels are laid out as ``layout``.
 
     A dotted path selects its top-level column, whole — what
     ``with_top_level_columns`` promised the engine.
     """
     names = [n for n, _ in layout]
-    indexes = [names.index(c.split(".")[0]) for c in columns]
-    return Page.from_columns(
-        [layout[i][1] for i in indexes],
-        [[row[i] for row in rows] for i in indexes],
-    )
+    return page.select_channels([names.index(c.split(".")[0]) for c in columns])
+
+
+def empty_page(layout: Sequence[tuple[str, PrestoType]], columns: Sequence[str]) -> Page:
+    """A page of no rows holding ``columns`` of ``layout``, as
+    :func:`select_columns` picks them."""
+    return select_columns(layout, Page.from_rows([t for _, t in layout], []), columns)
 
 
 class Connector:

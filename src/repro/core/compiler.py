@@ -280,8 +280,8 @@ def _varchar_native(
         starts = blocks[1].values
         valid = ~nulls
         if bool((starts[valid] < 1).any()):
-            # Zero/negative starts hit Python's negative-slice semantics;
-            # mirror them via the object oracle instead of byte arithmetic.
+            # Zero/negative starts follow ``functions.substr`` (counted
+            # from the end) on the object lane, not byte arithmetic.
             return None
         lengths = block.byte_lengths()
         begin = np.where(nulls, 0, starts - 1)

@@ -21,7 +21,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.common.errors import ExecutionError
-from repro.core.blocks import Block, block_from_values, constant_block
+from repro.core.blocks import Block, constant_block
 from repro.core.compiler import CompiledExpression, bool_arrays, compile_cached
 from repro.core.expressions import (
     ConstantExpression,
@@ -29,7 +29,7 @@ from repro.core.expressions import (
     VariableReferenceExpression,
 )
 from repro.core.functions import FunctionRegistry, default_registry
-from repro.core.types import PrestoType
+from repro.core.page import Page
 
 
 class Evaluator:
@@ -98,33 +98,13 @@ class Evaluator:
         values, nulls = bool_arrays(block)
         return values & ~nulls
 
-    def row_mask(
-        self,
-        predicate: RowExpression,
-        columns: Sequence[tuple[str, PrestoType]],
-        rows: Sequence[Sequence[Any]],
-    ) -> np.ndarray:
-        """:meth:`filter_mask` over row tuples laid out as ``columns``
-        (``(name, type)`` pairs); only the columns the predicate names
-        are shredded into blocks."""
-        names = [n for n, _ in columns]
-        bindings: dict[str, Block] = {}
-        for name in {v.name for v in predicate.variables()}:
-            index = names.index(name)
-            bindings[name] = block_from_values(
-                columns[index][1], [row[index] for row in rows]
-            )
-        return self.filter_mask(predicate, bindings, len(rows))
-
-    def filter_rows(
-        self,
-        predicate: Optional[RowExpression],
-        columns: Sequence[tuple[str, PrestoType]],
-        rows: list[tuple],
-    ) -> list[tuple]:
-        """The rows :meth:`row_mask` selects, in order; all of them when
-        ``predicate`` is ``None``."""
+    def filter_page(
+        self, predicate: Optional[RowExpression], names: Sequence[str], page: Page
+    ) -> Page:
+        """The positions of ``page`` (channels named ``names``) where
+        ``predicate`` is true; the page itself when ``predicate`` is
+        ``None`` or keeps every position."""
         if predicate is None:
-            return rows
-        mask = self.row_mask(predicate, columns, rows)
-        return [row for row, keep in zip(rows, mask) if keep]
+            return page
+        mask = self.filter_mask(predicate, dict(zip(names, page.blocks)), page.position_count)
+        return page if mask.all() else page.take(np.flatnonzero(mask))

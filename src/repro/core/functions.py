@@ -401,14 +401,14 @@ def _register_builtin_scalars(registry: FunctionRegistry) -> None:
     scalar(
         "substr",
         _fixed([VARCHAR, BIGINT, BIGINT], VARCHAR),
-        lambda s, start, length: s[int(start) - 1 : int(start) - 1 + int(length)],
+        lambda s, start, length: substr(s, int(start), int(length)),
         _vec_substr3,
         objects=True,
     )
     scalar(
         "substr",
         _fixed([VARCHAR, BIGINT], VARCHAR),
-        lambda s, start: s[int(start) - 1 :],
+        lambda s, start: substr(s, int(start)),
         _vec_substr2,
         objects=True,
     )
@@ -518,18 +518,27 @@ _VEC_FLOAT = np.frompyfunc(float, 1, 1)
 _VEC_STR = np.frompyfunc(str, 1, 1)
 
 
+def substr(s: str, start: int, length: Optional[int] = None) -> str:
+    """Presto's ``substr``: 1-based ``start``; a negative start counts from
+    the end; start 0, a start outside the string or a length <= 0 give ''."""
+    if start < 0:
+        start += len(s) + 1
+    if start <= 0 or start > len(s) or (length is not None and length <= 0):
+        return ""
+    return s[start - 1 :] if length is None else s[start - 1 : start - 1 + length]
+
+
 def _vec_substr3(s: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
     out = np.empty(len(s), dtype=object)
     for i, (v, b, n) in enumerate(zip(s, start, length)):
-        begin = int(b) - 1
-        out[i] = v[begin : begin + int(n)]
+        out[i] = substr(v, int(b), int(n))
     return out
 
 
 def _vec_substr2(s: np.ndarray, start: np.ndarray) -> np.ndarray:
     out = np.empty(len(s), dtype=object)
     for i, (v, b) in enumerate(zip(s, start)):
-        out[i] = v[int(b) - 1 :]
+        out[i] = substr(v, int(b))
     return out
 
 

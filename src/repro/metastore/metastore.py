@@ -82,11 +82,6 @@ class HiveMetastore:
         self._bump()
         return table
 
-    def drop_table(self, database: str, name: str) -> None:
-        self._tables.pop((database, name), None)
-        self._statistics.pop((database, name), None)
-        self._bump()
-
     def update_table_columns(
         self, database: str, name: str, columns: Sequence[tuple[str, PrestoType]]
     ) -> None:

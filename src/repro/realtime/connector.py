@@ -8,17 +8,17 @@ of splits, pinned to one consistent watermark at split-generation time:
   travel below the sealed watermark — an offset *cut* that masks rows
   the read watermark does not cover);
 - one **tail split** per partition with unsealed visible rows.  Tail
-  splits carry their row tuples *in the split* (``ConnectorSplit.info``):
-  between split generation and split execution the concurrent scheduler
-  may interleave ingestion polls and compaction cycles, and pinning the
-  rows makes the query's result a pure function of its splits — no
-  interleaving can lose or duplicate a row, and per-seed replay is
-  byte-identical.
+  splits carry their rows *in the split* (``ConnectorSplit.info``), as
+  the one page cut from the partition's tail segments: between split
+  generation and split execution the concurrent scheduler may interleave
+  ingestion polls and compaction cycles, and pinning the page makes the
+  query's result a pure function of its splits — no interleaving can
+  lose or duplicate a row, and per-seed replay is byte-identical.
 
 Time travel uses the table-name suffix ``events$watermark=5-7-3`` to pin
 a historical read watermark; plain names read at the committed watermark
 of split-generation time.  Materialized views registered on the
-connector are exposed as tables too (their finalized rows pinned the
+connector are exposed as tables too (their finalized page pinned the
 same way), and they are this connector's aggregation pushdown: a view
 answering an offered aggregation at the read watermark becomes the
 scan, under the engine's FINAL aggregation (section IV.B, figure 2).
@@ -27,6 +27,8 @@ scan, under the engine's FINAL aggregation (section IV.B, figure 2).
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import ConnectorError
 from repro.connectors.lakehouse.connector import data_file_pages
@@ -38,10 +40,10 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorTableHandle,
     SingleSchemaConnector,
-    project_rows,
+    select_columns,
 )
 from repro.core.evaluator import Evaluator
-from repro.core.page import Page
+from repro.core.page import Page, concat_pages
 from repro.core.types import PrestoType
 from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.reader_new import NewParquetReader
@@ -195,12 +197,12 @@ class HybridTableConnector(SingleSchemaConnector):
         base, pinned = parse_table_name(handle.table_name)
         if base in self._views:
             view = self.view(base)
-            rows = tuple(view.rows())
+            page = view.page()
             return [
                 ConnectorSplit(
                     split_id=f"hybrid:view:{base}@{view.watermark.encode()}",
-                    rows=len(rows),
-                    info=(("kind", "view"), ("view", base), ("rows", rows)),
+                    rows=page.position_count,
+                    info=(("kind", "view"), ("view", base), ("page", page)),
                 )
             ]
 
@@ -238,14 +240,12 @@ class HybridTableConnector(SingleSchemaConnector):
                 )
             )
         # Tail side: committed rows with sealed[p] <= offset < read[p],
-        # pinned by value so later compaction/pruning cannot touch them.
+        # pinned as one page so later compaction/pruning cannot touch them.
         for partition in range(table.partitions):
             if read.offset(partition) <= sealed.offset(partition):
                 continue
-            rows = tuple(
-                table.visible_tail_rows(sealed, read, partition=partition)
-            )
-            if not rows:
+            page = table.visible_tail_page(sealed, read, partition=partition)
+            if not page.position_count:
                 continue
             splits.append(
                 ConnectorSplit(
@@ -253,12 +253,12 @@ class HybridTableConnector(SingleSchemaConnector):
                         f"hybrid:tail:{base}:{partition}"
                         f"@{sealed.offset(partition)}-{read.offset(partition)}"
                     ),
-                    rows=len(rows),
+                    rows=page.position_count,
                     info=(
                         ("kind", "tail"),
                         ("table", base),
                         ("partition", partition),
-                        ("rows", rows),
+                        ("page", page),
                     ),
                 )
             )
@@ -276,47 +276,31 @@ class HybridTableConnector(SingleSchemaConnector):
         layout = self._columns(handle.table_name)
 
         if kind == "lake":
-            yield from self._lake_pages(handle, info, columns, layout)
-            return
-
-        # Tail and view splits carry their rows pinned in the split.
-        rows = list(info["rows"])
-        if kind == "tail":
             table = self.table(info["table"])
-            # Charge an index-free columnar scan of the pinned micro-batch.
-            table.clock.advance(
-                len(rows) * len(layout) * TAIL_SCAN_NS_PER_VALUE / 1e6
-            )
-        rows = self._evaluator.filter_rows(handle.constraint_expression(), layout, rows)
-        yield project_rows(layout, rows, columns)
-
-    def _lake_pages(
-        self,
-        handle: ConnectorTableHandle,
-        info: dict,
-        columns: Sequence[str],
-        layout: list[tuple[str, PrestoType]],
-    ) -> Iterator[Page]:
-        table = self.table(info["table"])
-        file = ParquetFile(table.lake.filesystem.open(info["path"]))
-        cut = info.get("cut")
-        if cut is None:
-            # The whole file is visible: stream straight from the reader
-            # with predicate pushdown, exactly like the iceberg connector.
-            yield from data_file_pages(file, handle, columns, layout)
-            return
-        # Time travel below the sealed watermark: materialize full rows,
-        # mask by the pinned offset cut, then filter and project.
-        watermark = Watermark.decode(cut)
-        names = [n for n, _ in layout]
-        reader = NewParquetReader(file, names)
-        rows = [row for page in reader.read_pages() for row in page.loaded().rows()]
-        partition_index = names.index("_partition_id")
-        offset_index = names.index("_offset")
-        rows = [
-            row
-            for row in rows
-            if watermark.covers(row[partition_index], row[offset_index])
-        ]
-        rows = self._evaluator.filter_rows(handle.constraint_expression(), layout, rows)
-        yield project_rows(layout, rows, columns)
+            file = ParquetFile(table.lake.filesystem.open(info["path"]))
+            cut = info.get("cut")
+            if cut is None:
+                # The whole file is visible: stream straight from the reader
+                # with predicate pushdown, exactly like the iceberg connector.
+                yield from data_file_pages(file, handle, columns, layout)
+                return
+            # Time travel below the sealed watermark: read the whole file,
+            # then keep the rows below the pinned offset cut.
+            reader = NewParquetReader(file, [n for n, _ in layout])
+            page = concat_pages(table.types, list(reader.read_pages()))
+            partitions, offsets = table.coordinates(page)
+            below = offsets < np.asarray(Watermark.decode(cut).offsets)[partitions]
+            page = page.take(np.flatnonzero(below))
+        else:
+            # Tail and view splits carry their page pinned in the split.
+            page = info["page"]
+            if kind == "tail":
+                table = self.table(info["table"])
+                # Charge an index-free columnar scan of the pinned micro-batch.
+                table.clock.advance(
+                    page.position_count * len(layout) * TAIL_SCAN_NS_PER_VALUE / 1e6
+                )
+        page = self._evaluator.filter_page(
+            handle.constraint_expression(), [n for n, _ in layout], page
+        )
+        yield select_columns(layout, page, columns)

@@ -5,10 +5,11 @@ into a single queryable object (the paper's batch→real-time arc,
 Figs 15–16):
 
 - a **Kafka topic** is the durable source of truth (the replayable log);
-- the in-memory *tail* is the table's own: one immutable segment of
-  row tuples per ingested micro-batch, each row carrying its log
-  coordinates (``_partition_id``, ``_offset``, ``_timestamp_ms``) as real
-  columns, so an offset range of a segment is one slice;
+- the in-memory *tail* is the table's own: one immutable segment per
+  ingested micro-batch, one page built when the batch arrives, each row
+  carrying its log coordinates (``_partition_id``, ``_offset``,
+  ``_timestamp_ms``) as real columns, so an offset range of a segment is
+  one contiguous ``take``;
 - an **Iceberg table** holds the sealed past as parquet snapshots whose
   summary records the *sealed watermark*.
 
@@ -34,10 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.connectors.kafka import HIDDEN_COLUMNS
 from repro.connectors.lakehouse.table_format import IcebergTable
+from repro.connectors.spi import stored_page
+from repro.core.page import Page, concat_pages
 from repro.core.types import PrestoType
 from repro.realtime.watermark import Watermark
 
@@ -49,10 +54,10 @@ MAX_TIMESTAMP_PROPERTY = "max-sealed-timestamp-ms"
 class TailSegment:
     """One in-memory micro-batch: a consecutive slice of one partition's log.
 
-    ``rows`` are the full-width row tuples of offsets
-    ``[base_offset, end_offset)`` in offset order, so the row of offset
-    ``o`` is ``rows[o - base_offset]``; compaction, pruning and watermark
-    cuts reason over the offset range.
+    ``page`` holds the full-width rows of offsets ``[base_offset,
+    end_offset)`` in offset order, so the row of offset ``o`` is position
+    ``o - base_offset``; compaction, pruning and watermark cuts reason
+    over the offset range.
     """
 
     segment_id: int
@@ -60,7 +65,7 @@ class TailSegment:
     base_offset: int  # inclusive
     end_offset: int  # exclusive
     max_timestamp_ms: int
-    rows: tuple[tuple, ...]
+    page: Page
 
     @property
     def row_count(self) -> int:
@@ -85,6 +90,7 @@ class HybridTable:
         self.clock = clock
         # Full row layout: user fields then the hidden log coordinates.
         self.columns: list[tuple[str, PrestoType]] = list(fields) + list(HIDDEN_COLUMNS)
+        self.types = [t for _, t in self.columns]
         expected = [n for n, _ in self.columns]
         if [n for n, _ in lake.columns] != expected:
             raise ConnectorError(
@@ -148,8 +154,9 @@ class HybridTable:
             base_offset=committed,
             end_offset=committed + len(fresh),
             max_timestamp_ms=max(r.timestamp_ms for r in fresh),
-            rows=tuple(
-                tuple(r.values) + (partition, r.offset, r.timestamp_ms) for r in fresh
+            page=stored_page(
+                self.types,
+                [tuple(r.values) + (partition, r.offset, r.timestamp_ms) for r in fresh],
             ),
         )
         self._segment_ids += 1
@@ -206,9 +213,9 @@ class HybridTable:
 
     # -- reads ----------------------------------------------------------------
 
-    def visible_tail_rows(
+    def visible_tail_page(
         self, sealed: Watermark, read: Watermark, partition: Optional[int] = None
-    ) -> list[tuple]:
+    ) -> Page:
         """Committed tail rows with ``sealed[p] <= offset < read[p]``.
 
         Deterministic order: partition-major, offset ascending.  ``read``
@@ -217,46 +224,53 @@ class HybridTable:
         — the tail side of the exactly-once partition.
         """
         read = read.meet(self.committed)
-        rows: list[tuple] = []
-        for tail_segment in sorted(
-            self.tail_segments, key=lambda s: (s.partition, s.base_offset)
-        ):
-            p = tail_segment.partition
-            if partition is not None and p != partition:
-                continue
-            low = max(sealed.offset(p), tail_segment.base_offset)
-            high = min(read.offset(p), tail_segment.end_offset)
-            if low >= high:
-                continue
-            base = tail_segment.base_offset
-            rows.extend(tail_segment.rows[low - base : high - base])
-        return rows
+        pages: list[Page] = []
+        for segment in sorted(self.tail_segments, key=lambda s: (s.partition, s.base_offset)):
+            p, base, end = segment.partition, segment.base_offset, segment.end_offset
+            low, high = max(sealed.offset(p), base), min(read.offset(p), end)
+            if (partition is None or p == partition) and low < high:
+                page = segment.page
+                if (low, high) != (base, end):
+                    page = page.take(np.arange(low - base, high - base))
+                pages.append(page)
+        return self._concat(pages)
 
-    def lake_rows_between(self, low: Watermark, high: Watermark) -> list[tuple]:
-        """Lake rows with ``low[p] <= offset < high[p]`` (full-width tuples)."""
-        partition_index = len(self.fields)
-        offset_index = partition_index + 1
-        rows: list[tuple] = []
-        for data_file in self.lake.current_snapshot().files:
-            for row in self.lake.read_file_rows(data_file):
-                p, offset = row[partition_index], row[offset_index]
-                if low.offset(p) <= offset < high.offset(p):
-                    rows.append(row)
-        rows.sort(key=lambda r: (r[partition_index], r[offset_index]))
-        return rows
+    def visible_tail_rows(
+        self, sealed: Watermark, read: Watermark, partition: Optional[int] = None
+    ) -> list[tuple]:
+        """:meth:`visible_tail_page` as row tuples."""
+        return self.visible_tail_page(sealed, read, partition).to_rows()
 
-    def read_rows_between(self, low: Watermark, high: Watermark) -> list[tuple]:
+    def read_page_between(self, low: Watermark, high: Watermark) -> Page:
         """All visible rows in ``[low, high)``, wherever they live.
 
         Used by incremental materialized-view refresh: the range below the
-        sealed watermark is served by the lake, the rest by the tail, and
-        the split point guarantees no row is returned twice even while
-        compaction is racing ahead.
+        sealed watermark is served by the lake (partition-major, offset
+        ascending), the rest by the tail, and the split point guarantees
+        no row is returned twice even while compaction is racing ahead.
         """
         sealed = self.sealed_watermark()
-        lake_part = self.lake_rows_between(low, high.meet(sealed))
-        tail_part = self.visible_tail_rows(low.join(sealed), high)
-        return lake_part + tail_part
+        files = self.lake.current_snapshot().files
+        lake = concat_pages(self.types, [self.lake.read_file_page(f) for f in files])
+        partitions, offsets = self.coordinates(lake)
+        keep = np.flatnonzero(
+            (np.asarray(low.offsets)[partitions] <= offsets)
+            & (offsets < np.asarray(high.meet(sealed).offsets)[partitions])
+        )
+        lake = lake.take(keep[np.lexsort((offsets[keep], partitions[keep]))])
+        return self._concat([lake, self.visible_tail_page(low.join(sealed), high)])
+
+    def coordinates(self, page: Page) -> tuple[np.ndarray, np.ndarray]:
+        """The ``_partition_id`` and ``_offset`` columns of a full-width
+        page as int64 arrays: BIGINT pages are flat, and log coordinates
+        are never NULL."""
+        width = len(self.fields)
+        return page.block(width).values, page.block(width + 1).values
+
+    def _concat(self, pages: Sequence[Page]) -> Page:
+        """Full-width pages end to end; a lone non-empty page as it is."""
+        pages = [page for page in pages if page.position_count]
+        return pages[0] if len(pages) == 1 else concat_pages(self.types, pages)
 
     # -- introspection --------------------------------------------------------
 

@@ -4,8 +4,8 @@ A :class:`MaterializedView` is a grouped aggregation (``GROUP BY`` keys
 plus ``count``/``sum``/``min``/``max`` aggregates) maintained *as a
 watermark fold*: ``refresh(to)`` reads exactly the rows in
 ``[self.watermark, to)`` through
-:meth:`~repro.realtime.hybrid.HybridTable.read_rows_between` — the lake
-below the sealed watermark, the tail above — and adds them as one batch
+:meth:`~repro.realtime.hybrid.HybridTable.read_page_between` — the lake
+below the sealed watermark, the tail above — and adds that page as one batch
 to the view's :class:`~repro.execution.kernels.HashAggregation`, the
 engine's own aggregation lane.  Because the underlying log is append-only
 and the delta ranges never overlap, every event contributes to the view
@@ -25,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.common.errors import SemanticError
-from repro.core.blocks import Block, block_from_values
 from repro.core.functions import MERGEABLE_AGGREGATES, default_registry, parse_type
+from repro.core.page import Page
 from repro.core.types import PrestoType
 from repro.execution.kernels import HashAggregation
 from repro.realtime.hybrid import HybridTable
@@ -92,7 +94,6 @@ class MaterializedView:
             self.columns.append((aggregate.output, parse_type(handle.return_type)))
 
         self._group_indexes = [names.index(c) for c in self.group_by]
-        self._types = [table_types[c] for c in names]
         # One aggregation for the view's life: each refresh is one batch.
         self._aggregation = HashAggregation(
             len(self.group_by), handles, registry, merge_mode=False
@@ -115,29 +116,32 @@ class MaterializedView:
             )
         if target == self.watermark:
             return 0
-        delta = self.table.read_rows_between(self.watermark, target)
-
-        def column(index: int) -> Block:
-            return block_from_values(self._types[index], [row[index] for row in delta])
-
+        delta = self.table.read_page_between(self.watermark, target)
         self._aggregation.add(
-            [column(i) for i in self._group_indexes],
-            [[] if i is None else [column(i)] for i in self._input_indexes],
-            len(delta),
+            [delta.block(i) for i in self._group_indexes],
+            [[] if i is None else [delta.block(i)] for i in self._input_indexes],
+            delta.position_count,
         )
         self.watermark = target
         self.refreshes += 1
-        self.rows_folded += len(delta)
-        return len(delta)
+        self.rows_folded += delta.position_count
+        return delta.position_count
 
     # -- reads ----------------------------------------------------------------
 
-    def rows(self) -> list[tuple]:
+    def page(self) -> Page:
         """Finalized view rows in a deterministic (sorted-key) order."""
-        finalized = self._aggregation.page([t for _, t in self.columns]).to_rows()
-        width = len(self.group_by)
-        finalized.sort(key=lambda row: tuple(_sort_key(v) for v in row[:width]))
-        return finalized
+        page = self._aggregation.page([t for _, t in self.columns])
+        keys = [block.to_list() for block in page.blocks[: len(self.group_by)]]
+        order = sorted(
+            range(page.position_count),
+            key=lambda i: tuple(_sort_key(key[i]) for key in keys),
+        )
+        return page.take(np.array(order, dtype=np.int64))
+
+    def rows(self) -> list[tuple]:
+        """:meth:`page` as row tuples."""
+        return self.page().to_rows()
 
     def column_names(self) -> list[str]:
         return [n for n, _ in self.columns]

@@ -82,17 +82,18 @@ class Compactor:
         target = table.committed
         if target == sealed:
             return 0
-        rows = table.visible_tail_rows(sealed, target)
+        page = table.visible_tail_page(sealed, target)
+        rows = page.position_count
 
         self._crash_point("write")
-        data_file = table.lake.write_data_file(rows) if rows else None
-        table.clock.advance(len(rows) * COMPACTION_WRITE_MS_PER_ROW)
+        data_file = table.lake.write_data_file(page) if rows else None
+        table.clock.advance(rows * COMPACTION_WRITE_MS_PER_ROW)
 
         self._crash_point("commit")
         max_ts = table.sealed_max_timestamp_ms()
         if rows:
-            timestamp_index = len(table.fields) + 2
-            max_ts = max(max_ts, max(row[timestamp_index] for row in rows))
+            timestamps = page.block(len(table.fields) + 2).values
+            max_ts = max(max_ts, int(timestamps.max()))
         properties = [
             (SEALED_WATERMARK_PROPERTY, target.encode()),
             (MAX_TIMESTAMP_PROPERTY, str(max_ts)),
@@ -102,11 +103,11 @@ class Compactor:
         )
         table.clock.advance(COMPACTION_COMMIT_MS)
         self.snapshots_committed += 1
-        self.rows_sealed += len(rows)
+        self.rows_sealed += rows
 
         self._crash_point("prune")
         table.prune_sealed()
-        return len(rows)
+        return rows
 
 
 class IngestionPipeline:

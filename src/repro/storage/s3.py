@@ -46,16 +46,6 @@ class S3Stats:
     bytes_uploaded: int = 0
     failed_requests: int = 0
 
-    def total_requests(self) -> int:
-        return (
-            self.get_requests
-            + self.put_requests
-            + self.list_requests
-            + self.head_requests
-            + self.select_requests
-            + self.multipart_part_uploads
-        )
-
     def reset(self) -> None:
         for name in vars(self):
             setattr(self, name, 0)

@@ -2,8 +2,8 @@
 
 A (split, column) pair becomes blocks on the first scan that reads it and
 stays blocks: later scans hand out the same objects, ``insert`` rebuilds
-only the split it grows, and the pages equal what ``project_rows`` builds
-from the row tuples, row for row.  A dropped engine frees its memory
+only the split it grows, and the pages equal what ``Page.from_rows``
+builds from the selected columns of the row tuples, row for row.  A dropped engine frees its memory
 connector by reference counting, and so does every other connector.
 """
 
@@ -23,12 +23,15 @@ from repro.connectors.kafka import KafkaBroker, KafkaConnector
 from repro.connectors.memory import MemoryConnector
 from repro.connectors.mysql import MySqlConnector, MySqlServer
 from repro.connectors.olap import DruidCluster, DruidConnector, PinotCluster, PinotConnector
-from repro.connectors.spi import ConnectorSplit, ConnectorTableHandle, project_rows
+from repro.connectors.spi import ConnectorSplit, ConnectorTableHandle
 from repro.core.blocks import DictionaryBlock, VarcharBlock, block_from_values
+from repro.core.expressions import CallExpression, and_, constant, variable
+from repro.core.functions import default_registry
+from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR, ArrayType, MapType, RowType
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
-from repro.realtime import StreamingLakehouse
+from repro.realtime import StreamingLakehouse, ViewAggregate
 from tests.connectors.test_pushdown_differential import (
     COLUMNS,
     HALVES,
@@ -132,10 +135,36 @@ class TestInsert:
         assert scan(connector, ["k"])[0][0].to_rows() == [(7,)] * 4
 
 
+def _call(name, left, right):
+    handle, _ = default_registry().resolve_scalar(name, [left.type, right.type])
+    return CallExpression(name, handle, handle.resolved_return_type(), (left, right))
+
+
+# ``level = 'info' AND code > 1``: an indexed conjunct and a residual.
+INFO_ABOVE_ONE = and_(
+    _call("equal", variable("level", VARCHAR), constant("info", VARCHAR)),
+    _call("greater_than", variable("code", BIGINT), constant(1, BIGINT)),
+)
+
+
+def _tail_lakehouse():
+    """The matrix's rows, half sealed in the lake and half in the tail."""
+    lakehouse = StreamingLakehouse(
+        fields=COLUMNS, topic="t", poll_interval_ms=100, compaction_interval_ms=400
+    )
+    for row in HALVES[0]:
+        lakehouse.produce(row, timestamp_ms=row[0] * 4)
+    lakehouse.pipeline.run_for(1000)  # sealed into the lake
+    for row in HALVES[1]:
+        lakehouse.produce(row, timestamp_ms=1100 + row[0])
+    lakehouse.pipeline.run_for(150)  # stays in the tail
+    return lakehouse
+
+
 class TestNoPerScanBuild:
     """A repeat scan of a split calls no block builder at all."""
 
-    BUILDERS = {block_from_values.__code__, project_rows.__code__}
+    BUILDERS = {block_from_values.__code__, Page.from_rows.__func__.__code__}
 
     def _builder_calls(self, fn) -> Counter:
         calls: Counter = Counter()
@@ -156,11 +185,60 @@ class TestNoPerScanBuild:
         connector = make_connector(rows)
         first = self._builder_calls(lambda: scan(connector, ["k", "s"]))
         assert first["block_from_values"] > 0  # the counter sees the first build
-        assert first["project_rows"] == 0
+        assert first["from_rows"] == 0
         assert self._builder_calls(lambda: scan(connector, ["k", "s"])) == Counter()
 
+    def _read_twice(self, connector, handle, splits, columns):
+        """Every split's rows; reading the splits again builds no block."""
 
-# -- stored pages equal project_rows' pages ---------------------------------
+        def read():
+            return sorted(
+                (
+                    row
+                    for split in splits
+                    for page in connector.pages(handle, split, columns)
+                    for row in page.to_rows()
+                ),
+                key=repr,
+            )
+
+        first, second = read(), []
+        assert self._builder_calls(lambda: second.extend(read())) == Counter()
+        assert second == first
+        return first
+
+    def test_repeat_druid_segment_read_builds_nothing(self):
+        connector = _store_connector(DruidCluster, DruidConnector)
+        handle = ConnectorTableHandle("druid", "t", constraint=INFO_ABOVE_ONE.to_dict())
+        splits = connector.get_splits(handle)
+        assert self._read_twice(connector, handle, splits, ["id", "code"]) == sorted(
+            ((i, code) for i, level, code in ROWS if level == "info" and (code or 0) > 1),
+            key=repr,
+        )
+
+    def test_repeat_hybrid_tail_read_builds_nothing(self):
+        lakehouse = _tail_lakehouse()
+        handle = ConnectorTableHandle("rt", "t", constraint=INFO_ABOVE_ONE.to_dict())
+        splits = [s for s in lakehouse.connector.get_splits(handle) if ":tail:" in s.split_id]
+        assert self._read_twice(lakehouse.connector, handle, splits, ["id"]) == sorted(
+            ((i,) for i, level, code in HALVES[1] if level == "info" and (code or 0) > 1),
+            key=repr,
+        )
+
+    def test_repeat_view_read_builds_nothing(self):
+        lakehouse = _tail_lakehouse()
+        view = lakehouse.create_materialized_view(
+            "v", ["level"], [ViewAggregate("count", None, "n")]
+        )
+        view.refresh()
+        handle = ConnectorTableHandle("rt", "v")
+        splits = lakehouse.connector.get_splits(handle)
+        assert self._read_twice(lakehouse.connector, handle, splits, ["n", "level"]) == sorted(
+            ((n, level) for level, n in view.rows()), key=repr
+        )
+
+
+# -- stored pages equal Page.from_rows' pages --------------------------------
 
 ROW = RowType.of(("x", BIGINT), ("y", VARCHAR))
 ARRAY = ArrayType(VARCHAR)
@@ -196,7 +274,7 @@ rows_strategy = st.lists(
     page_size=st.integers(1, 5),
     columns=st.lists(st.sampled_from(PATHS), min_size=1, max_size=4),
 )
-def test_stored_pages_equal_project_rows(rows, split_size, page_size, columns):
+def test_stored_pages_equal_from_rows(rows, split_size, page_size, columns):
     with mock.patch.object(memory, "PAGE_SIZE", page_size):
         connector = MemoryConnector(split_size=split_size)
         connector.create_table("db", "t", LAYOUT, rows)
@@ -204,11 +282,17 @@ def test_stored_pages_equal_project_rows(rows, split_size, page_size, columns):
         # An empty table has no splits; its empty range still reads as one empty page.
         splits.append(ConnectorSplit("empty", 0, (("start", len(rows)), ("end", len(rows)))))
         provider = connector.record_set_provider()
+        # A dotted path selects its top-level column, whole.
+        names = [n for n, _ in LAYOUT]
+        channels = [names.index(c.split(".")[0]) for c in columns]
+        types = [LAYOUT[c][1] for c in channels]
         for split in splits:
             info = split.info_dict()
-            split_rows = rows[info["start"] : info["end"]]
+            split_rows = [
+                tuple(row[c] for c in channels) for row in rows[info["start"] : info["end"]]
+            ]
             expected = [
-                project_rows(LAYOUT, split_rows[s : s + page_size], columns)
+                Page.from_rows(types, split_rows[s : s + page_size])
                 for s in range(0, max(len(split_rows), 1), page_size)
             ]
             for _ in range(2):  # the first scan builds, the second reads the store
@@ -311,15 +395,7 @@ def test_dropping_an_engine_frees_its_connector(kind):
 )
 def test_dropping_a_lakehouse_frees_its_catalogs(catalog, table):
     with cyclic_collector_off():
-        lakehouse = StreamingLakehouse(
-            fields=COLUMNS, topic="t", poll_interval_ms=100, compaction_interval_ms=400
-        )
-        for row in HALVES[0]:
-            lakehouse.produce(row, timestamp_ms=row[0] * 4)
-        lakehouse.pipeline.run_for(1000)  # sealed into the lake
-        for row in HALVES[1]:
-            lakehouse.produce(row, timestamp_ms=1100 + row[0])
-        lakehouse.pipeline.run_for(150)  # stays in the tail
+        lakehouse = _tail_lakehouse()
         engine = lakehouse.make_engine()
         count_rows(engine, f"{catalog}.{table}")
         alive = weakref.ref(engine.catalog.connector(catalog))

@@ -33,9 +33,16 @@ from tests.reference.lakehouse import replayed_log_rows
 COLUMNS = [("id", BIGINT), ("level", VARCHAR), ("code", BIGINT)]
 LEVELS = ["error", "info", None, "warn", "info", "info"]
 CODES = [1, 2, None, 5, 7, 3, 2]
-ROWS = [(i, LEVELS[i % len(LEVELS)], CODES[i % len(CODES)]) for i in range(24)]
-# Two files / segments / partitions per store, so skipping has a choice.
-HALVES = [ROWS[:12], ROWS[12:]]
+# Strings a posting list built from codes, or a dictionary built per
+# batch, could get wrong: the empty string, a multi-byte one, and one that
+# differs from another only by a trailing NUL.
+ODD_LEVELS = ["", "été", "info\x00"]
+ROWS = [(i, LEVELS[i % len(LEVELS)], CODES[i % len(CODES)]) for i in range(24)] + [
+    (24 + i, level, CODES[i]) for i, level in enumerate(ODD_LEVELS * 2)
+]
+# Two files / segments / partitions per store, so skipping has a choice;
+# each half holds every odd string once.
+HALVES = [ROWS[:12] + ROWS[24:27], ROWS[12:24] + ROWS[27:]]
 
 PREDICATES = [
     # NULL constants: a comparison with NULL is never true.
@@ -78,6 +85,13 @@ PREDICATES = [
     # Mixed with a conjunct no connector index serves.
     "level = 'info' AND id % 2 = 0",
     "code IN (2, 5) AND level IN ('info', NULL)",
+    # The odd strings: equality, IN and ranges that hit them.
+    "level = ''",
+    "level = 'été'",
+    "level = 'info\x00'",
+    "level IN ('', 'été', 'info\x00')",
+    "level > 'info'",
+    "level < 'a'",
 ]
 
 KAFKA_PREDICATES = [
@@ -217,6 +231,10 @@ def test_the_matrix_discriminates(engine):
     assert counts["code >= 1.5"] == counts["code >= 2"] > 0
     assert counts["code >= 5 AND code <= 3"] == 0
     assert 0 < counts["NOT (code IN (1, 2))"] < len(ROWS)
+    assert counts["level = ''"] == counts["level = 'été'"] == 2
+    assert counts["level = 'info\x00'"] == 2
+    assert counts["'info' = level"] == 12
+    assert counts["level < 'a'"] == 2
 
 
 @pytest.mark.parametrize("predicate", KAFKA_PREDICATES)

@@ -10,13 +10,16 @@ from repro.connectors.olap import (
     PinotCluster,
     PinotConnector,
 )
-from repro.connectors.spi import AggregationFunction
+from repro.connectors.spi import AggregationFunction, ConnectorTableHandle
 from repro.core.expressions import CallExpression, constant, variable
 from repro.core.functions import default_registry
-from repro.core.types import BIGINT, DOUBLE, VARCHAR
+from repro.core.types import BIGINT, DOUBLE, VARCHAR, RowType
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
 from repro.planner.plan import AggregationNode, TableScanNode
+
+
+ROW = RowType.of(("x", BIGINT), ("y", VARCHAR))
 
 
 def make_druid(rows_per_segment=100, segments=4, clock=None):
@@ -207,6 +210,21 @@ class TestConnectorQueries:
             "GROUP BY a.city ORDER BY a.city"
         )
         assert sum(r[1] for r in result.rows) == 400
+
+    def test_a_dotted_path_reads_its_column_whole(self):
+        cluster = DruidCluster(nodes=2)
+        cluster.create_datasource("t", [("k", BIGINT), ("r", ROW)])
+        cluster.add_segment("t", [(1, {"x": 1, "y": "a"}), (2, None)])
+        connector = DruidConnector(cluster)
+        handle = ConnectorTableHandle("druid", "t")
+        (split,) = connector.get_splits(handle)
+        (page,) = connector.pages(handle, split, ["r.y", "k", "r"])
+        assert page.to_rows() == [
+            ({"x": 1, "y": "a"}, 1, {"x": 1, "y": "a"}),
+            (None, 2, None),
+        ]
+        engine = make_engine(cluster)
+        assert engine.execute("SELECT r.y, k FROM t ORDER BY k").rows == [("a", 1), (None, 2)]
 
 
 class TestPinot:

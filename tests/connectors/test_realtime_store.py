@@ -9,6 +9,7 @@ from repro.connectors.olap.store import (
     Segment,
 )
 from repro.connectors.spi import AggregationFunction
+from repro.core.blocks import block_from_values
 from repro.core.expressions import (
     CallExpression,
     and_,
@@ -16,6 +17,7 @@ from repro.core.expressions import (
     variable,
 )
 from repro.core.functions import default_registry
+from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 
 
@@ -58,7 +60,7 @@ class TestSegments:
 
     def test_uneven_columns_rejected(self):
         with pytest.raises(ValueError):
-            Segment({"a": [1, 2], "b": [1]})
+            Segment(Page([block_from_values(BIGINT, [1, 2]), block_from_values(BIGINT, [1])]))
 
 
 class TestNativeExecution:
@@ -114,19 +116,19 @@ class TestNativeExecution:
         per_segment = [
             row
             for index in range(len(store.segments("m")))
-            for row in store.query_segment_costed("m", index, native)[0]
+            for row in store.query_segment_costed("m", index, native)[0].to_rows()
         ]
         assert sorted(map(repr, merged)) == sorted(map(repr, per_segment))
 
     def test_costed_variant_charges_nothing(self, store):
         clock = store.clock
         before = clock.now_ms()
-        rows, cost = store.query_segment_costed(
+        page, cost = store.query_segment_costed(
             "m", 0, NativeQuery("m", columns=("tag",))
         )
         assert clock.now_ms() == before
         assert cost > 0
-        assert len(rows) == 3
+        assert page.position_count == 3
 
     def test_queries_served_counter(self, store):
         served = store.queries_served

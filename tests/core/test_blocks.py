@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connectors.spi import project_rows
 from repro.core.blocks import (
     ArrayBlock,
     DictionaryBlock,
@@ -285,7 +284,6 @@ class TestBlockFromValues:
 # -- rows -> blocks: the bulk lanes against the per-value code ---------------
 
 TABLE_TYPES = [BIGINT, DOUBLE, BOOLEAN, VARCHAR, ArrayType(BIGINT)]
-LAYOUT = [(f"c{i}", t) for i, t in enumerate(TABLE_TYPES)]
 
 _int64 = st.integers(-(2**63), 2**63 - 1)
 # ASCII, 2/3/4-byte UTF-8, an embedded NUL and a lone surrogate.
@@ -350,24 +348,16 @@ class TestRowsBecomeBlocksInBulk:
     @settings(max_examples=300, deadline=None)
     def test_every_entry_point_builds_what_the_per_value_code_builds(self, rows):
         columns = [[row[i] for row in rows] for i in range(len(TABLE_TYPES))]
-        names = [name for name, _ in LAYOUT]
         expected = [per_value_block(t, c) for t, c in zip(TABLE_TYPES, columns)]
         pages = [
             Page.from_rows(TABLE_TYPES, rows),
             Page.from_columns(TABLE_TYPES, columns),
-            project_rows(LAYOUT, rows, names),
         ]
         for page in pages:
             assert page.position_count == len(rows)
             for block, reference in zip(page.blocks, expected):
                 assert_same_block(block, reference)
             assert repr(page.to_rows()) == repr(list(page.rows()))
-
-    def test_project_rows_selects_and_reorders(self):
-        rows = [(1, 1.5, True, "a", [1]), (2, 2.5, False, "b", None)]
-        page = project_rows(LAYOUT, rows, ["c3", "c0.anything", "c3"])
-        assert page.to_rows() == [("a", 1, "a"), ("b", 2, "b")]
-        assert project_rows(LAYOUT, [], ["c1"]).position_count == 0
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_zero_and_one_row(self, count):

@@ -76,6 +76,14 @@ class TestStrings:
     def test_substr(self):
         assert call("substr", "presto", 2, 3) == "res"
         assert call("substr", "presto", 4) == "sto"
+        # Presto's rule at the edges: start 0 and starts before the first
+        # character give '', a negative start counts from the end.
+        assert call("substr", "abc", 0) == ""
+        assert call("substr", "a%c", -1) == "c"
+        assert call("substr", "abc", -3, 2) == "ab"
+        assert call("substr", "abc", -4) == ""
+        assert call("substr", "abc", 4) == ""
+        assert call("substr", "abc", 2, 0) == ""
 
     def test_strpos(self):
         assert call("strpos", "hello", "ll") == 3

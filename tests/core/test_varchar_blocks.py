@@ -273,7 +273,22 @@ def test_length(values):
     assert out == [None if v is None else len(v) for v in values]
 
 
-@given(values_lists, st.integers(1, 6), st.integers(0, 6))
+def presto_substr(value, start, length=None):
+    """Presto's rule: start 0 gives ''; a negative start counts from the
+    end and gives '' if still <= 0; past the end, or length <= 0, ''."""
+    if start == 0:
+        return ""
+    if start < 0:
+        start += len(value) + 1
+        if start <= 0:
+            return ""
+    if start > len(value) or (length is not None and length <= 0):
+        return ""
+    end = len(value) if length is None else min(len(value), start - 1 + length)
+    return value[start - 1 : end]
+
+
+@given(values_lists, st.integers(-7, 6), st.integers(0, 6))
 @settings(max_examples=150, deadline=None)
 def test_substr(values, start, length):
     expression = call(
@@ -282,24 +297,66 @@ def test_substr(values, start, length):
         [VARCHAR, BIGINT, BIGINT],
     )
     out = assert_expression_differential(expression, values)
-    assert out == [
-        None if v is None else v[start - 1 : start - 1 + length] for v in values
-    ]
+    assert out == [None if v is None else presto_substr(v, start, length) for v in values]
+    # The two-argument form: to the end of the string.
+    expression = call(
+        "substr", [variable("s", VARCHAR), constant(start, BIGINT)], [VARCHAR, BIGINT]
+    )
+    out = assert_expression_differential(expression, values)
+    assert out == [None if v is None else presto_substr(v, start) for v in values]
+
+
+def like_oracle(value, pattern):
+    """SQL LIKE by dynamic programming: % any run, _ one character."""
+    matches = [True] + [False] * len(value)
+    for symbol in pattern:
+        if symbol == "%":
+            matches = list(accumulate(matches, lambda a, b: a or b))
+        else:
+            matches = [False] + [
+                matches[i] and (symbol == "_" or value[i] == symbol)
+                for i in range(len(value))
+            ]
+    return matches[-1]
+
+
+PATTERN_PIECES = ["a", "é", "漢", "%", "_", "ab"]
 
 
 @given(
     values_lists,
-    st.lists(st.sampled_from(["a", "é", "漢", "%", "_", "ab"]), max_size=4),
+    st.lists(st.sampled_from(PATTERN_PIECES), max_size=4),
+    st.lists(st.one_of(st.none(), st.lists(st.sampled_from(PATTERN_PIECES), max_size=4))),
 )
 @settings(max_examples=150, deadline=None)
-def test_like(values, pieces):
+def test_like(values, pieces, column_pieces):
     pattern = "".join(pieces)
     expression = call(
         "like",
         [variable("s", VARCHAR), constant(pattern, VARCHAR)],
         [VARCHAR, VARCHAR],
     )
-    assert_expression_differential(expression, values)
+    out = assert_expression_differential(expression, values)
+    assert out == [None if v is None else like_oracle(v, pattern) for v in values]
+    # A pattern that is a column: one pattern per row.
+    patterns = [
+        None if p is None else "".join(p)
+        for p in (column_pieces * len(values))[: len(values)]
+    ]
+    if len(patterns) < len(values):
+        patterns += [""] * (len(values) - len(patterns))
+    by_column = call(
+        "like",
+        [variable("s", VARCHAR), variable("p", VARCHAR)],
+        [VARCHAR, VARCHAR],
+    )
+    out = assert_expression_differential(
+        by_column, values, {"p": block_from_values(VARCHAR, patterns)}
+    )
+    assert out == [
+        None if v is None or p is None else like_oracle(v, p)
+        for v, p in zip(values, patterns)
+    ]
 
 
 @given(values_lists, st.lists(texts, min_size=1, max_size=12))

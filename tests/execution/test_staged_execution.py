@@ -30,16 +30,16 @@ def make_engine(split_size=5, **kwargs):
 
 
 FAN_OUT_SQL = "SELECT level, count(*) FROM {t} GROUP BY level"
-# The 24 rows of the pushdown suite behind each connector: (table,
+# The 30 rows of the pushdown suite behind each connector: (table,
 # splits_scanned, rows_scanned) of FAN_OUT_SQL, as they were when every
 # split ran as its own task.  Druid pushes the partial aggregation down,
-# so its splits stream 8 group rows.
+# so its splits stream 14 group rows.
 FAN_OUT_TABLES = {
-    "memory": ("memory.db.t", 5, 24),
-    "druid": ("druid.druid.t", 2, 8),
-    "iceberg": ("iceberg.lake.t", 2, 24),
-    "hybrid": ("hybrid.rt.t", 4, 24),
-    "hive": ("hive.db.t", 2, 24),
+    "memory": ("memory.db.t", 6, 30),
+    "druid": ("druid.druid.t", 2, 14),
+    "iceberg": ("iceberg.lake.t", 2, 30),
+    "hybrid": ("hybrid.rt.t", 4, 30),
+    "hive": ("hive.db.t", 2, 30),
 }
 
 
