@@ -48,10 +48,9 @@ from repro.connectors.spi import (
 )
 from repro.cache.file_list_cache import FileListCache
 from repro.cache.footer_cache import FileHandleAndFooterCache
-from repro.formats.parquet.encoding import count_prefixed_entries, decode_plain_scalar
 from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.options import ReaderOptions
-from repro.formats.parquet.reader_new import NewParquetReader
+from repro.formats.parquet.reader_new import NewParquetReader, decode_dictionary_page
 from repro.formats.parquet.reader_old import OldParquetReader
 from repro.metastore.metastore import HiveMetastore, TableInfo
 from repro.metastore.statistics import ColumnStatisticsEntry, TableStatistics
@@ -181,10 +180,9 @@ class HiveConnector(Connector):
                         if chunk.has_dictionary:
                             with file.decoding():
                                 data = file.read_segment(group_index, name, "dict")
-                                dictionary = decode_plain_scalar(
-                                    data, accumulators[name].presto_type,
-                                    count_prefixed_entries(data),
-                                )
+                                dictionary = decode_dictionary_page(
+                                    data, accumulators[name].presto_type
+                                ).to_list()
                         accumulators[name].add_chunk(chunk.statistics, dictionary)
 
         columns = {

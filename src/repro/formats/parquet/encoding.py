@@ -1,11 +1,24 @@
 """Column encodings: PLAIN, DICTIONARY, and RLE for levels.
 
-The decoder has two code paths per encoding:
+PLAIN for bigint/integer/double/boolean is the little-endian value array.
+PLAIN for varchar/date/timestamp is one length block and then the payload,
+in the style of parquet's DELTA_LENGTH_BYTE_ARRAY::
 
-- **vectorized** — numpy bulk decode ("a vectorized parquet reader batch
-  reads 1000 triplets ... decoder state is kept in registers", section V.I);
-- **scalar** — a value-at-a-time ``struct.unpack`` loop, the pre-vectorized
-  behaviour the new reader's benchmark compares against.
+    [u32 count][count x u32 byte lengths][UTF-8 payloads back to back]
+
+so a page is read in bulk: one ``frombuffer`` of the lengths, one
+``cumsum`` into offsets and one view of the payload.  A dictionary page is
+such a page, and its header is the dictionary's entry count.
+
+Each direction has two code paths over the same bytes:
+
+- **vectorized** — numpy bulk encode and decode ("a vectorized parquet
+  reader batch reads 1000 triplets ... decoder state is kept in
+  registers", section V.I), straight from and into the
+  ``(data, offsets)`` buffers of a varchar block;
+- **scalar / value-at-a-time** — one ``struct`` call per value, the
+  pre-vectorized reader and the legacy writer the benchmarks compare
+  against.
 """
 
 from __future__ import annotations
@@ -99,21 +112,24 @@ def decode_levels(data: bytes, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _fixed_width_dtype(presto_type: PrestoType) -> Optional[type]:
+    if presto_type in (BIGINT, INTEGER):
+        return np.int64
+    if presto_type is DOUBLE:
+        return np.float64
+    if presto_type is BOOLEAN:
+        return np.uint8
+    return None
+
+
 def encode_plain(values: Sequence[Any], presto_type: PrestoType) -> bytes:
     """PLAIN-encode non-null values."""
-    if presto_type in (BIGINT, INTEGER):
-        return np.asarray(values, dtype=np.int64).tobytes()
-    if presto_type is DOUBLE:
-        return np.asarray(values, dtype=np.float64).tobytes()
-    if presto_type is BOOLEAN:
-        return np.asarray(values, dtype=np.uint8).tobytes()
-    # varchar / date / timestamp: 4-byte length prefix + UTF-8 bytes.
-    out = bytearray()
-    for value in values:
-        encoded = str(value).encode("utf-8")
-        out.extend(struct.pack("<I", len(encoded)))
-        out.extend(encoded)
-    return bytes(out)
+    dtype = _fixed_width_dtype(presto_type)
+    if dtype is not None:
+        return np.asarray(values, dtype=dtype).tobytes()
+    encoded = [str(value).encode("utf-8") for value in values]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    return _varchar_page(lengths, b"".join(encoded))
 
 
 def encode_plain_array(array: np.ndarray, presto_type: PrestoType) -> bytes:
@@ -121,13 +137,26 @@ def encode_plain_array(array: np.ndarray, presto_type: PrestoType) -> bytes:
 
     This is the native writer's fast path for flat numeric columns.
     """
-    if presto_type in (BIGINT, INTEGER):
-        return np.ascontiguousarray(array, dtype=np.int64).tobytes()
-    if presto_type is DOUBLE:
-        return np.ascontiguousarray(array, dtype=np.float64).tobytes()
-    if presto_type is BOOLEAN:
-        return np.ascontiguousarray(array, dtype=np.uint8).tobytes()
+    dtype = _fixed_width_dtype(presto_type)
+    if dtype is not None:
+        return np.ascontiguousarray(array, dtype=dtype).tobytes()
     return encode_plain(list(array), presto_type)
+
+
+def encode_plain_varchar(data: np.ndarray, offsets: np.ndarray) -> bytes:
+    """PLAIN-encode a varchar block's ``(data, offsets)`` buffers.
+
+    Byte-identical to :func:`encode_plain` over the decoded strings: the
+    lengths are the offsets' differences and the payload is the one byte
+    range the offsets span.
+    """
+    payload = data[int(offsets[0]) : int(offsets[-1])]
+    return _varchar_page(np.diff(offsets), payload.tobytes())
+
+
+def _varchar_page(lengths: np.ndarray, payload: bytes) -> bytes:
+    header = np.array([len(lengths)], dtype="<u4").tobytes()
+    return header + lengths.astype("<u4").tobytes() + payload
 
 
 def encode_plain_value_at_a_time(values: Sequence[Any], presto_type: PrestoType) -> bytes:
@@ -150,10 +179,13 @@ def encode_plain_value_at_a_time(values: Sequence[Any], presto_type: PrestoType)
         for value in values:
             out.append(1 if value else 0)
         return bytes(out)
+    out.extend(struct.pack("<I", len(values)))
+    payload = bytearray()
     for value in values:
         encoded = str(value).encode("utf-8")
         out.extend(struct.pack("<I", len(encoded)))
-        out.extend(encoded)
+        payload.extend(encoded)
+    out.extend(payload)
     return bytes(out)
 
 
@@ -167,21 +199,40 @@ def encode_dictionary_indices_value_at_a_time(indices: Sequence[int]) -> bytes:
 def decode_plain_vectorized(
     data: bytes, presto_type: PrestoType, count: int
 ) -> np.ndarray:
-    """Bulk numpy decode (the vectorized reader path)."""
-    if presto_type in (BIGINT, INTEGER):
-        return np.frombuffer(data, dtype=np.int64, count=count)
-    if presto_type is DOUBLE:
-        return np.frombuffer(data, dtype=np.float64, count=count)
-    if presto_type is BOOLEAN:
-        return np.frombuffer(data, dtype=np.uint8, count=count).astype(bool)
+    """Bulk numpy decode (the vectorized reader path).
+
+    Varchar-like types come back as an object array of ``str``: the
+    object form that date and timestamp columns keep.
+    """
+    dtype = _fixed_width_dtype(presto_type)
+    if dtype is not None:
+        values = np.frombuffer(data, dtype=dtype, count=count)
+        return values.astype(bool) if presto_type is BOOLEAN else values
+    payload, offsets = decode_plain_varchar(data, count)
+    raw = payload.tobytes()
+    bounds = offsets.tolist()
     result = np.empty(count, dtype=object)
-    pos = 0
-    for i in range(count):
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        result[i] = data[pos : pos + length].decode("utf-8")
-        pos += length
+    result[:] = [raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
     return result
+
+
+def plain_varchar_count(data: bytes) -> int:
+    """The count header of a PLAIN varchar page (a dictionary page's entry
+    count), checked to fit the page before anything is sized from it."""
+    if len(data) < 4:
+        raise ValueError(f"varchar page of {len(data)} bytes has no count header")
+    (count,) = struct.unpack_from("<I", data)
+    if 4 + 4 * count > len(data):
+        raise ValueError(
+            f"varchar page of {len(data)} bytes cannot hold {count} lengths"
+        )
+    return count
+
+
+def _expect_count(data: bytes, count: int) -> None:
+    found = plain_varchar_count(data)
+    if found != count:
+        raise ValueError(f"varchar page holds {found} values, expected {count}")
 
 
 def decode_plain_varchar(data: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,39 +240,22 @@ def decode_plain_varchar(data: bytes, count: int) -> tuple[np.ndarray, np.ndarra
 
     Returns ``(payload uint8 buffer, int64 offsets)`` for a
     :class:`repro.core.blocks.VarcharBlock` — no per-value ``str`` objects.
-    The wire format ([u32 length][payload] repeated) is self-describing,
-    so the length scan is sequential; payload extraction is one vectorized
-    gather over the raw bytes.
+    The page's lengths are one ``frombuffer`` and one ``cumsum``, and the
+    payload is a view of the page's tail.  A count header that is not
+    ``count``, or lengths that do not sum to the payload's size, raise
+    ``ValueError``; both are checked before an array is sized.
     """
-    lengths = np.empty(count, dtype=np.int64)
-    pos = 0
-    for i in range(count):
-        (length,) = struct.unpack_from("<I", data, pos)
-        lengths[i] = length
-        pos += 4 + length
+    _expect_count(data, count)
+    lengths = np.frombuffer(data, dtype="<u4", count=count, offset=4)
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    # Value i's payload starts after i+1 length prefixes and i payloads.
-    starts = offsets[:-1] + 4 * np.arange(1, count + 1, dtype=np.int64)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    total = int(offsets[-1])
-    if total == 0:
-        return np.empty(0, dtype=np.uint8), offsets
-    index = np.repeat(starts - offsets[:-1], lengths) + np.arange(
-        total, dtype=np.int64
-    )
-    return raw[index], offsets
-
-
-def count_prefixed_entries(data: bytes) -> int:
-    """Entry count of a length-prefixed PLAIN segment (dictionary pages)."""
-    count = 0
-    pos = 0
-    while pos < len(data):
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4 + length
-        count += 1
-    return count
+    start = 4 + 4 * count
+    if int(offsets[-1]) != len(data) - start:
+        raise ValueError(
+            f"varchar lengths sum to {int(offsets[-1])} bytes, "
+            f"the payload is {len(data) - start}"
+        )
+    return np.frombuffer(data, dtype=np.uint8, offset=start), offsets
 
 
 def decode_plain_scalar(data: bytes, presto_type: PrestoType, count: int) -> list[Any]:
@@ -245,11 +279,16 @@ def decode_plain_scalar(data: bytes, presto_type: PrestoType, count: int) -> lis
             values.append(bool(data[pos]))
             pos += 1
         return values
-    for _ in range(count):
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4
+    _expect_count(data, count)
+    pos = 4 + 4 * count
+    for index in range(count):
+        (length,) = struct.unpack_from("<I", data, 4 + 4 * index)
+        if pos + length > len(data):
+            raise ValueError("varchar lengths overrun the payload")
         values.append(data[pos : pos + length].decode("utf-8"))
         pos += length
+    if pos != len(data):
+        raise ValueError("varchar lengths underrun the payload")
     return values
 
 
@@ -279,6 +318,114 @@ def build_dictionary(values: Sequence[Any]) -> Optional[tuple[list[Any], np.ndar
     if len(index_of) > max(16, len(values) // 2):
         return None
     return list(index_of), indices
+
+
+def varchar_dictionary(
+    data: np.ndarray, offsets: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """:func:`build_dictionary` over a varchar block's buffers, in bulk.
+
+    Returns ``(entry rows, int32 ids)``: entry ``k`` is the value at row
+    ``entry_rows[k]``, entries in first-occurrence order, so the pages
+    written are byte for byte the ones ``build_dictionary`` over the
+    decoded strings gives; ``None`` where that rule declines.
+    """
+    count = len(offsets) - 1
+    if count == 0:
+        return None
+    codes = _byte_codes(data, offsets, limit=min(max(16, count // 2), 65536))
+    if codes is None:
+        return None
+    _, first = np.unique(codes, return_index=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return first[order], rank[codes]
+
+
+def _byte_codes(
+    data: np.ndarray, offsets: np.ndarray, limit: int
+) -> Optional[np.ndarray]:
+    """Int64 codes, equal exactly where two values' bytes are; ``None`` as
+    soon as more than ``limit`` distinct values are told apart.
+
+    Each round splits the groups of values by their next eight bytes (zero
+    past a value's end) while a group of two or more has bytes left; a last
+    step splits by length what differs only in trailing zero bytes.  A
+    round's group count is a lower bound of the distinct count, so text
+    that is distinct in its first eight bytes is declined after one round,
+    not after a sort of whole values.
+    """
+    starts, lengths = offsets[:-1], np.diff(offsets)
+    words = _words(data)
+    codes = np.zeros(len(lengths), dtype=np.int64)
+    sizes = np.array([len(lengths)])
+    position = 0
+    while ((sizes[codes] > 1) & (lengths > position)).any():
+        key = _word_at(words, starts, lengths, position)
+        if position:  # within the groups so far
+            _, key = np.unique(key, return_inverse=True)
+            key = codes * (int(key.max()) + 1) + key
+        _, codes, sizes = np.unique(key, return_inverse=True, return_counts=True)
+        if len(sizes) > limit:
+            return None
+        position += 8
+    if lengths.min() < lengths.max():
+        key = codes * (int(lengths.max()) + 1) + lengths
+        _, codes, sizes = np.unique(key, return_inverse=True, return_counts=True)
+    return None if len(sizes) > limit else codes
+
+
+def varchar_min_max(
+    data: np.ndarray, offsets: np.ndarray
+) -> tuple[Optional[str], Optional[str]]:
+    """The least and the greatest value of a varchar block's buffers, as
+    ``str``; ``(None, None)`` when there is none.  UTF-8 byte order is
+    code-point order, so these are ``min``/``max`` over the strings."""
+    if len(offsets) == 1:
+        return None, None
+    words = _words(data)
+    return _extreme(data, offsets, words, np.min), _extreme(data, offsets, words, np.max)
+
+
+def _extreme(data: np.ndarray, offsets: np.ndarray, words: np.ndarray, pick) -> str:
+    """The value ``pick`` (``np.min`` or ``np.max``) selects, found by
+    narrowing the candidate rows eight bytes at a time."""
+    starts, lengths = offsets[:-1], np.diff(offsets)
+    rows = np.arange(len(lengths))
+    position = 0
+    while len(rows) > 1 and position < int(lengths[rows].max()):
+        word = _word_at(words, starts[rows], lengths[rows], position)
+        rows = rows[word == pick(word)]
+        position += 8
+    # The rows left agree on every byte, zero padded: the shorter is less.
+    row = rows[lengths[rows] == pick(lengths[rows])][0]
+    return data[starts[row] : starts[row] + lengths[row]].tobytes().decode("utf-8")
+
+
+# _KEEP[k] keeps the first k bytes of a big-endian word.
+_KEEP = np.array(
+    [(0xFFFF_FFFF_FFFF_FFFF << (8 * (8 - k))) & 0xFFFF_FFFF_FFFF_FFFF for k in range(9)],
+    dtype=np.uint64,
+)
+
+
+def _words(data: np.ndarray) -> np.ndarray:
+    """One unaligned big-endian uint64 at every byte offset of ``data``
+    (zero padded past its end): integer order is byte order."""
+    padded = np.zeros(len(data) + 8, dtype=np.uint8)
+    padded[: len(data)] = data
+    return np.ndarray((len(data) + 1,), dtype=">u8", buffer=padded, strides=(1,))
+
+
+def _word_at(
+    words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, position: int
+) -> np.ndarray:
+    """Each value's bytes from ``position`` on, eight at most and zero past
+    its end, as one uint64 per value."""
+    index = np.minimum(starts + position, len(words) - 1)
+    left = np.minimum(np.maximum(lengths - position, 0), 8)
+    return words[index].astype(np.uint64) & _KEEP[left]
 
 
 def encode_dictionary_indices(indices: np.ndarray) -> bytes:

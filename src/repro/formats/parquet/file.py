@@ -22,6 +22,7 @@ from typing import Any, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from repro.common.errors import StorageError
+from repro.core.blocks import VarcharBlock
 from repro.formats.parquet import compression
 from repro.formats.parquet.encoding import (
     DICTIONARY,
@@ -34,6 +35,9 @@ from repro.formats.parquet.encoding import (
     encode_plain,
     encode_plain_array,
     encode_plain_value_at_a_time,
+    encode_plain_varchar,
+    varchar_dictionary,
+    varchar_min_max,
 )
 from repro.formats.parquet.metadata import (
     ColumnChunkMetadata,
@@ -53,18 +57,26 @@ class LeafChunk:
     """One leaf column's data for one row group, ready to serialize.
 
     ``defined_values`` holds only the non-null values (definition level ==
-    max); ``statistics_values`` may be provided when the caller already has
-    a cheap value list for stats (defaults to ``defined_values``).
+    max): a list (the old writer), a numpy array, or a ``VarcharBlock``
+    without nulls, which the native writer keeps columnar down to the
+    page bytes.
     """
 
     leaf: LeafColumn
     repetition: Union[Sequence[int], np.ndarray]
     definition: Union[Sequence[int], np.ndarray]
-    defined_values: Union[Sequence[Any], np.ndarray]
+    defined_values: Union[Sequence[Any], np.ndarray, VarcharBlock]
     num_slots: int
 
-    def compute_statistics(self) -> ColumnStatistics:
+    def compute_statistics(self, dictionary: Any = None) -> ColumnStatistics:
+        """Min/max/null statistics; a varchar block's min and max come from
+        its ``dictionary`` entries when one was built (the same values,
+        fewer rows)."""
         values = self.defined_values
+        if isinstance(values, VarcharBlock):
+            entries = dictionary if isinstance(dictionary, VarcharBlock) else values
+            low, high = varchar_min_max(entries.data, entries.offsets)
+            return ColumnStatistics(low, high, self.num_slots - len(values), self.num_slots)
         if isinstance(values, np.ndarray) and values.dtype != object:
             if len(values) == 0:
                 return ColumnStatistics(None, None, self.num_slots, self.num_slots)
@@ -117,11 +129,7 @@ class ParquetBlobWriter:
             indices_encoder = encode_dictionary_indices_value_at_a_time
         else:
             levels_encoder = encode_levels
-            plain_encoder = lambda values, t: (
-                encode_plain_array(values, t)
-                if isinstance(values, np.ndarray)
-                else encode_plain(values, t)
-            )
+            plain_encoder = _encode_plain
             indices_encoder = encode_dictionary_indices
 
         columns: dict[str, ColumnChunkMetadata] = {}
@@ -133,11 +141,12 @@ class ParquetBlobWriter:
             encoding = PLAIN
             values = chunk.defined_values
             dictionary = None
+            dict_values = None
             # Dictionary-encode string-like columns only, so both writers
             # make identical encoding decisions regardless of whether the
             # values arrive as numpy arrays or Python lists.
             if chunk.leaf.type.name in ("varchar", "date", "timestamp"):
-                dictionary = build_dictionary(list(values))
+                dictionary = _build_dictionary(values)
             if dictionary is not None:
                 dict_values, indices = dictionary
                 encoding = DICTIONARY
@@ -155,7 +164,7 @@ class ParquetBlobWriter:
                 encoding=encoding,
                 codec=self.codec,
                 num_values=chunk.num_slots,
-                statistics=chunk.compute_statistics(),
+                statistics=chunk.compute_statistics(dict_values),
                 segments=segments,
             )
         self._row_groups.append(RowGroupMetadata(num_rows, columns))
@@ -163,12 +172,29 @@ class ParquetBlobWriter:
     def finish(self) -> bytes:
         footer = FileMetadata(self.schema, self._row_groups)
         footer_bytes = json.dumps(footer.to_dict()).encode("utf-8")
-        return (
-            bytes(self._body)
-            + footer_bytes
-            + struct.pack("<Q", len(footer_bytes))
-            + MAGIC
+        return b"".join(
+            (self._body, footer_bytes, struct.pack("<Q", len(footer_bytes)), MAGIC)
         )
+
+
+def _build_dictionary(values) -> Optional[tuple[Any, np.ndarray]]:
+    """``build_dictionary``'s decision and ids; a varchar block's in bulk,
+    its dictionary the block's entry rows."""
+    if not isinstance(values, VarcharBlock):
+        return build_dictionary(list(values))
+    found = varchar_dictionary(values.data, values.offsets)
+    if found is None:
+        return None
+    entry_rows, ids = found
+    return values.take(entry_rows), ids
+
+
+def _encode_plain(values, presto_type) -> bytes:
+    if isinstance(values, VarcharBlock):
+        return encode_plain_varchar(values.data, values.offsets)
+    if isinstance(values, np.ndarray):
+        return encode_plain_array(values, presto_type)
+    return encode_plain(values, presto_type)
 
 
 # What the decoders raise when the bytes they are given are not the bytes

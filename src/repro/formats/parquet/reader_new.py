@@ -48,13 +48,13 @@ from repro.core.page import Page
 from repro.core.types import VARCHAR, ArrayType, MapType, PrestoType, RowType
 from repro.formats.parquet.encoding import (
     DICTIONARY,
-    count_prefixed_entries,
     decode_dictionary_indices_scalar,
     decode_dictionary_indices_vectorized,
     decode_levels,
     decode_plain_scalar,
     decode_plain_varchar,
     decode_plain_vectorized,
+    plain_varchar_count,
 )
 from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.metadata import ColumnChunkMetadata
@@ -275,18 +275,11 @@ class NewParquetReader:
             return cached
         leaf = self.file.schema.leaf(path)
         data = self.file.read_segment(group_index, path, "dict")
-        size = count_prefixed_entries(data)
         if self.options.vectorized:
-            if leaf.type is VARCHAR:
-                # Dictionary page straight into the offsets layout: the
-                # dictionary under DictionaryBlock becomes a VarcharBlock.
-                dict_data, dict_offsets = decode_plain_varchar(data, size)
-                block: Block = VarcharBlock(leaf.type, dict_data, dict_offsets)
-            else:
-                values = decode_plain_vectorized(data, leaf.type, size)
-                block = PrimitiveBlock(leaf.type, np.asarray(values, dtype=object))
+            block = decode_dictionary_page(data, leaf.type)
         else:
-            block = PrimitiveBlock.from_values(leaf.type, decode_plain_scalar(data, leaf.type, size))
+            values = decode_plain_scalar(data, leaf.type, plain_varchar_count(data))
+            block = PrimitiveBlock.from_values(leaf.type, values)
         self._dictionary_cache[key] = block
         return block
 
@@ -484,6 +477,17 @@ class NewParquetReader:
             nulls if nulls.any() else None,
             num_rows,
         )
+
+
+def decode_dictionary_page(data: bytes, presto_type: PrestoType) -> Block:
+    """A dictionary page as a flat block, sized by the page's own count
+    header: for varchar straight into the offsets layout (the dictionary
+    under a ``DictionaryBlock`` is a ``VarcharBlock``), for date and
+    timestamp the ``str`` objects those columns keep."""
+    count = plain_varchar_count(data)
+    if presto_type is VARCHAR:
+        return VarcharBlock(presto_type, *decode_plain_varchar(data, count))
+    return PrimitiveBlock(presto_type, decode_plain_vectorized(data, presto_type, count))
 
 
 def _scatter_varchar(

@@ -23,6 +23,7 @@ from repro.formats.parquet.encoding import (
     decode_dictionary_indices_scalar,
     decode_levels,
     decode_plain_scalar,
+    plain_varchar_count,
 )
 from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.shredder import ColumnLevels, assemble_column
@@ -106,15 +107,6 @@ class OldParquetReader:
 
 
 def _dictionary_size(file: ParquetFile, group_index: int, path: str) -> int:
-    """Number of dictionary entries, recovered by scanning the segment."""
-    import struct
-
-    data = file.read_segment(group_index, path, "dict")
-    # varchar dictionary: length-prefixed entries.
-    count = 0
-    pos = 0
-    while pos < len(data):
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4 + length
-        count += 1
-    return count
+    """Number of dictionary entries, from a read of its own of the
+    dictionary segment's count header."""
+    return plain_varchar_count(file.read_segment(group_index, path, "dict"))

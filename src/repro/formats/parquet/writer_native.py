@@ -7,11 +7,17 @@ definition values" — no intermediate row-based records.
 Fast paths:
 
 - flat scalar columns: numpy null masks become definition levels and the
-  value array is encoded with zero Python-level boxing;
+  value array is encoded with zero Python-level boxing; a varchar column
+  stays a ``VarcharBlock``, and its PLAIN page, its dictionary and its
+  min/max statistics all come from the block's ``(data, offsets)``;
 - pure struct trees: definition levels accumulate vectorized down the
   field-block hierarchy;
-- columns containing arrays/maps fall back to per-value shredding (still
-  one pass, no record reconstruction).
+- arrays and maps of scalars: levels from the offsets, values as above;
+- deeper nesting falls back to per-value shredding (still one pass, no
+  record reconstruction).
+
+A row group is a contiguous row range of the page, so flat columns are
+cut from it as views rather than gathered.
 """
 
 from __future__ import annotations
@@ -40,16 +46,41 @@ from repro.formats.parquet.shredder import shred_column
 
 
 def _flat_values(block: Block) -> Block:
-    """Decode dictionary/varchar blocks to flat ``.values`` storage.
-
-    The shredder consumes object arrays; offsets-based varchar blocks
-    decode here, at the write boundary.
-    """
+    """Decode a dictionary block to its flat form (a ``PrimitiveBlock`` or
+    a ``VarcharBlock``), the two kinds the shredders take."""
     if isinstance(block, DictionaryBlock):
-        block = block.decode()
-    if isinstance(block, VarcharBlock):
-        block = block.to_primitive()
+        return block.decode()
     return block
+
+
+def _defined(block: Block, present: np.ndarray):
+    """The values at ``present``: a ``VarcharBlock`` for varchar, otherwise
+    the value array."""
+    if isinstance(block, VarcharBlock):
+        return block if present.all() else block.take(np.flatnonzero(present))
+    return block.values[present]  # type: ignore[union-attr]
+
+
+def _row_range(block: Block, start: int, end: int) -> Block:
+    """Rows ``[start, end)``: views of a flat block's buffers, a gather
+    only for the other kinds."""
+    if (start, end) == (0, block.position_count):
+        return block
+    if isinstance(block, VarcharBlock):
+        offsets = block.offsets[start : end + 1]
+        return VarcharBlock(
+            block.type,
+            block.data[int(offsets[0]) : int(offsets[-1])],
+            offsets - offsets[0],
+            None if block.nulls is None else block.nulls[start:end],
+        )
+    if isinstance(block, PrimitiveBlock):
+        return PrimitiveBlock(
+            block.type,
+            block.values[start:end],
+            None if block.nulls is None else block.nulls[start:end],
+        )
+    return block.take(np.arange(start, end))
 
 
 class NativeParquetWriter:
@@ -71,12 +102,8 @@ class NativeParquetWriter:
         for page in pages:
             for start in range(0, page.position_count, self.row_group_size):
                 end = min(start + self.row_group_size, page.position_count)
-                group = (
-                    page
-                    if (start, end) == (0, page.position_count)
-                    else page.take(np.arange(start, end))
-                )
-                blob.add_row_group(group.position_count, self._shred_group(group))
+                blocks = [_row_range(block.loaded(), start, end) for block in page.blocks]
+                blob.add_row_group(end - start, self._shred_group(Page(blocks, end - start)))
         return blob.finish()
 
     def _shred_group(self, page: Page) -> dict[str, LeafChunk]:
@@ -90,15 +117,13 @@ class NativeParquetWriter:
         self, name: str, presto_type: PrestoType, block: Block, chunks: dict[str, LeafChunk]
     ) -> None:
         count = block.position_count
-        if isinstance(block, PrimitiveBlock) and not presto_type.is_nested():
-            leaf = self.schema.leaf(name)
-            nulls = block.null_mask()
-            definition = (~nulls).astype(np.int32)
+        if isinstance(block, (PrimitiveBlock, VarcharBlock)) and not presto_type.is_nested():
+            present = ~block.null_mask()
             chunks[name] = LeafChunk(
-                leaf=leaf,
+                leaf=self.schema.leaf(name),
                 repetition=np.zeros(count, dtype=np.int32),
-                definition=definition,
-                defined_values=block.values[~nulls],
+                definition=present.astype(np.int32),
+                defined_values=_defined(block, present),
                 num_slots=count,
             )
             return
@@ -174,7 +199,7 @@ class NativeParquetWriter:
             leaf=leaf,
             repetition=repetition,
             definition=definition,
-            defined_values=elements.values[~element_nulls],  # type: ignore[union-attr]
+            defined_values=_defined(elements, ~element_nulls),
             num_slots=len(definition),
         )
 
@@ -196,7 +221,7 @@ class NativeParquetWriter:
             leaf=key_leaf,
             repetition=repetition,
             definition=key_definition,
-            defined_values=keys.values,  # type: ignore[union-attr]
+            defined_values=_defined(keys, ~keys.null_mask()),
             num_slots=len(key_definition),
         )
         value_nulls = values.null_mask()
@@ -206,7 +231,7 @@ class NativeParquetWriter:
             leaf=value_leaf,
             repetition=repetition,
             definition=value_definition,
-            defined_values=values.values[~value_nulls],  # type: ignore[union-attr]
+            defined_values=_defined(values, ~value_nulls),
             num_slots=len(value_definition),
         )
 
@@ -243,6 +268,6 @@ class NativeParquetWriter:
                     leaf=leaf,
                     repetition=np.zeros(count, dtype=np.int32),
                     definition=leaf_def,
-                    defined_values=field_block.values[value_present],  # type: ignore[union-attr]
+                    defined_values=_defined(field_block, value_present),
                     num_slots=count,
                 )

@@ -10,6 +10,7 @@ inflates to plausible values reads as rows.
 
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -19,11 +20,13 @@ from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR, ArrayType, RowType
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
+from repro.formats.parquet.compression import UNCOMPRESSED
 from repro.formats.parquet.file import (
     FOOTER_SUFFIX_LENGTH,
     ParquetFile,
     damage_as_storage_error,
 )
+from repro.formats.parquet.options import ReaderOptions
 from repro.formats.parquet.reader_new import NewParquetReader
 from repro.formats.parquet.reader_old import OldParquetReader
 from repro.formats.parquet.schema import ParquetSchema
@@ -152,3 +155,101 @@ def test_hive_query_over_a_damaged_file_fails_external_and_names_it(warehouse, w
     cluster.submit_handle(admitted, resource_group="g")
     cluster.run_until_idle()
     assert admitted.result().rows == good
+
+
+# -- targeted damage to a varchar page -----------------------------------
+# On an uncompressed file the readers see exactly the bytes written, so a
+# damaged count header or length block reaches the varchar decoders as it
+# is.  The decoders check both against the page's length before they size
+# anything from them.
+
+VARCHAR_COLUMNS = [("k", BIGINT), ("plain", VARCHAR), ("dict", VARCHAR)]
+VARCHAR_ROWS = [(i, f"plain-{i}" if i % 6 else None, f"d{i % 3}") for i in range(40)]
+
+
+def _set_count(page: bytearray, count: int) -> None:
+    page[:4] = count.to_bytes(4, "little")
+
+
+def _shift_first_length(page: bytearray, delta: int) -> None:
+    first = int.from_bytes(page[4:8], "little")
+    page[4:8] = (first + delta).to_bytes(4, "little")
+
+
+PAGE_DAMAGE = {
+    "count_header_max": lambda page: _set_count(page, 2**32 - 1),
+    "count_off_by_one": lambda page: _set_count(page, int.from_bytes(page[:4], "little") + 1),
+    "lengths_overrun_payload": lambda page: _shift_first_length(page, +1),
+    "lengths_underrun_payload": lambda page: _shift_first_length(page, -1),
+}
+# The PLAIN data page of ``plain`` and the dictionary page of ``dict``.
+PAGES = {"plain_data": ("plain", "data"), "dictionary": ("dict", "dict")}
+
+
+@pytest.fixture
+def uncompressed_warehouse():
+    metastore, fs = HiveMetastore(), HdfsFileSystem()
+    metastore.create_table("wh", "v", VARCHAR_COLUMNS, partition_keys=[("ds", VARCHAR)])
+    (path,) = write_hive_partition(
+        metastore, fs, "wh", "v", ["2024-01-01"],
+        [Page.from_rows([t for _, t in VARCHAR_COLUMNS], VARCHAR_ROWS)],
+        codec=UNCOMPRESSED,
+    )
+    engine = PrestoEngine(session=Session(catalog="hive", schema="wh"), clock=fs.clock)
+    engine.register_connector("hive", HiveConnector(metastore, fs))
+    return engine, fs, path
+
+
+def _damaged_page(blob: bytes, page: str, damage: str) -> bytes:
+    path, segment = PAGES[page]
+    (group,) = ParquetFile(blob).metadata.row_groups
+    chunk = group.column(path)
+    assert chunk.codec == UNCOMPRESSED and chunk.encoding == ("dictionary" if page == "dictionary" else "plain")
+    offset, length = chunk.segments[segment]
+    bytes_ = bytearray(blob[offset : offset + length])
+    PAGE_DAMAGE[damage](bytes_)
+    return blob[:offset] + bytes(bytes_) + blob[offset + length :]
+
+
+def _readers(blob: bytes) -> dict:
+    names = [name for name, _ in VARCHAR_COLUMNS]
+
+    def new_reader(vectorized: bool):
+        options = ReaderOptions(vectorized=vectorized)
+        pages = NewParquetReader(ParquetFile(blob), names, options=options).read_pages()
+        return lambda: [row for page in pages for row in page.to_rows()]
+
+    return {
+        "new_vectorized": new_reader(True),
+        "new_scalar": new_reader(False),
+        "old": lambda: [row for page in OldParquetReader(ParquetFile(blob)).read_pages()
+                        for row in page.to_rows()],
+    }
+
+
+@pytest.mark.parametrize("damage", sorted(PAGE_DAMAGE))
+@pytest.mark.parametrize("page", sorted(PAGES))
+def test_a_damaged_varchar_page_is_a_storage_error_and_allocates_nothing(
+    uncompressed_warehouse, page, damage
+):
+    engine, fs, path = uncompressed_warehouse
+    healthy = fs.namenode.file_data(path)
+    for read in _readers(healthy).values():
+        assert len(read()) == len(VARCHAR_ROWS)
+    blob = _damaged_page(healthy, page, damage)
+    for lane, read in _readers(blob).items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(StorageError) as raised:
+                read()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "<bytes>" in str(raised.value), lane
+        assert peak < 1_000_000, (lane, peak)
+    if page == "dictionary":  # ANALYZE decodes dictionary pages only
+        fs.namenode.put_file(path, blob)
+        with pytest.raises(PrestoError) as raised:
+            engine.execute("ANALYZE TABLE v")
+        assert raised.value.category is ErrorCategory.EXTERNAL
+        assert path in str(raised.value)

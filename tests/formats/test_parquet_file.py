@@ -1,5 +1,7 @@
 """Round-trip tests for the parquet file format, writers, and readers."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,12 +131,69 @@ class TestFooter:
         assert file.metadata is metadata
 
 
+# Every varchar leaf shape the native writer keeps columnar: top level, a
+# struct field, an array element and a map value.
+VARCHAR_LEAVES_SCHEMA = ParquetSchema(
+    [
+        ("s", VARCHAR),
+        ("r", RowType.of(("v", VARCHAR))),
+        ("a", ArrayType(VARCHAR)),
+        ("m", MapType(BIGINT, VARCHAR)),
+    ]
+)
+
+
+def varchar_leaves_page(defined, distinct, seed=5):
+    """``defined`` values per leaf over exactly ``distinct`` strings (the
+    empty string, non-ASCII text and an embedded NUL among them), repeated
+    in shuffled order, so first-occurrence order is not sorted order; a
+    NULL row after every fourth value leaves every leaf's defined count
+    at ``defined``."""
+    rng = random.Random(seed)
+    prefixes = ["", "é", "k", "a\x00", "漢字"]
+    pool = [""] + [f"{prefixes[i % 5]}{i}" for i in range(1, distinct)]
+    values = pool + [rng.choice(pool) for _ in range(defined - distinct)]
+    rng.shuffle(values)
+    rows = []
+    for i, value in enumerate(values):
+        rows.append((value, {"v": value}, [value], {i: value}))
+        if i % 4 == 3:
+            rows.append((None, {"v": None}, None, None))
+    types = [t for _, t in VARCHAR_LEAVES_SCHEMA.columns]
+    return Page.from_rows(types, rows)
+
+
 class TestWritersProduceSameFiles:
     @pytest.mark.parametrize("codec", list(compression.CODECS))
     def test_identical_bytes(self, codec):
         old = write_trips(60, codec=codec, writer_cls=OldParquetWriter)
         native = write_trips(60, codec=codec, writer_cls=NativeParquetWriter)
         assert old == native
+
+    # The dictionary rule accepts at most max(16, n // 2) distinct values
+    # of n: each pair sits on one side of that edge.
+    @pytest.mark.parametrize(
+        "defined,distinct,encoding",
+        [
+            (20, 16, "dictionary"),
+            (20, 17, "plain"),
+            (60, 29, "dictionary"),
+            (60, 30, "dictionary"),
+            (60, 31, "plain"),
+        ],
+    )
+    @pytest.mark.parametrize("codec", list(compression.CODECS))
+    def test_identical_varchar_bytes_at_the_dictionary_edges(
+        self, codec, defined, distinct, encoding
+    ):
+        page = varchar_leaves_page(defined, distinct)
+        old = OldParquetWriter(VARCHAR_LEAVES_SCHEMA, codec=codec).write_pages([page])
+        native = NativeParquetWriter(VARCHAR_LEAVES_SCHEMA, codec=codec).write_pages([page])
+        assert old == native
+        (group,) = ParquetFile(native).metadata.row_groups
+        leaves = [group.column(path) for path in ("s", "r.v", "a.element", "m.value")]
+        assert {chunk.encoding for chunk in leaves} == {encoding}
+        assert {c.statistics.num_values - c.statistics.null_count for c in leaves} == {defined}
 
 
 class TestOldReader:

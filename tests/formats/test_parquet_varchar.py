@@ -9,13 +9,22 @@ scalar (non-vectorized) lane stays the differential oracle.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import DictionaryBlock, VarcharBlock
 from repro.core.page import Page
 from repro.core.types import BIGINT, VARCHAR
-from repro.formats.parquet.encoding import decode_plain_varchar, encode_plain
+from repro.formats.parquet.encoding import (
+    build_dictionary,
+    decode_plain_scalar,
+    decode_plain_varchar,
+    encode_plain,
+    encode_plain_value_at_a_time,
+    encode_plain_varchar,
+    varchar_dictionary,
+    varchar_min_max,
+)
 from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.options import ReaderOptions
 from repro.formats.parquet.reader_new import NewParquetReader
@@ -28,6 +37,9 @@ texts = st.text(
     alphabet="abc XYZ0-éλ漢🎈", max_size=12
 )
 values_lists = st.lists(st.one_of(st.none(), texts), min_size=1, max_size=60)
+# The empty string, non-ASCII text and embedded NULs, which padded views
+# of the payload cannot tell from their neighbours.
+edge_texts = st.text(alphabet=["a", "Z", " ", "é", "漢", "🎈", "\x00"], max_size=10)
 
 
 def write_column(values):
@@ -105,3 +117,38 @@ def test_decode_plain_varchar_matches_wire_format(values):
         for i in range(len(values))
     ]
     assert out == values
+
+
+@given(st.lists(edge_texts, max_size=40))
+@settings(max_examples=200, deadline=None)
+@example([])
+@example(["", "\x00", "a\x00", "a", "é"])
+def test_one_layout_from_every_encoder_and_decoder(values):
+    """The list, value-at-a-time and block encoders write the same page,
+    and the vectorized and scalar decoders both invert it."""
+    wire = encode_plain(values, VARCHAR)
+    block = VarcharBlock.from_values(values)
+    assert encode_plain_value_at_a_time(values, VARCHAR) == wire
+    assert encode_plain_varchar(block.data, block.offsets) == wire
+    data, offsets = decode_plain_varchar(wire, len(values))
+    assert VarcharBlock(VARCHAR, data, offsets).to_list() == values
+    assert decode_plain_scalar(wire, VARCHAR, len(values)) == values
+
+
+@given(st.lists(st.text(alphabet=["a", "é", "\x00"], max_size=3), max_size=80))
+@settings(max_examples=200, deadline=None)
+@example(["a", "a\x00", "a\x00\x00", "a"])
+def test_bulk_dictionary_and_statistics_match_the_value_rule(values):
+    """The block's dictionary decision, entries, ids and min/max are the
+    ones ``build_dictionary`` and ``min``/``max`` give over the strings."""
+    block = VarcharBlock.from_values(values)
+    expected = build_dictionary(values)
+    found = varchar_dictionary(block.data, block.offsets)
+    if expected is None:
+        assert found is None
+    else:
+        entry_rows, ids = found
+        assert [values[row] for row in entry_rows] == expected[0]
+        assert ids.dtype == np.int32 and ids.tolist() == expected[1].tolist()
+    bounds = (min(values), max(values)) if values else (None, None)
+    assert varchar_min_max(block.data, block.offsets) == bounds
