@@ -46,6 +46,22 @@ from repro.core.types import (
 _FIXED_WIDTH_CAP = 256
 
 
+def _slice_positions(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the ranges ``[starts[i], starts[i] + lengths[i])``,
+    concatenated, and the offsets of each range in the result."""
+    count = len(lengths)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    # Absolute index = repeat(starts) + within-row position, where the
+    # within-row position is a global arange minus each row's output start.
+    index = np.repeat(
+        np.asarray(starts, dtype=np.int64) - offsets[:-1], lengths
+    ) + np.arange(int(offsets[-1]), dtype=np.int64)
+    return index, offsets
+
+
 def _gather_slices(
     data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -54,18 +70,17 @@ def _gather_slices(
     Returns (new byte buffer, new offsets).  This is the core varchar
     primitive: ``take``, dictionary decode, and substr are all one gather.
     """
-    count = len(lengths)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    if total == 0:
-        return np.empty(0, dtype=np.uint8), offsets
-    # Absolute index = repeat(starts) + within-row position, where the
-    # within-row position is a global arange minus each row's output start.
-    index = np.repeat(
-        np.asarray(starts, dtype=np.int64) - offsets[:-1], lengths
-    ) + np.arange(total, dtype=np.int64)
+    index, offsets = _slice_positions(starts, lengths)
     return data[index], offsets
+
+
+def _take_collections(
+    offsets: np.ndarray, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For the collections at ``positions`` of an offsets array: the
+    positions of their entries, and the taken block's offsets."""
+    starts = offsets[:-1][positions]
+    return _slice_positions(starts, offsets[1:][positions] - starts)
 
 
 def _numpy_dtype_for(presto_type: PrestoType) -> Any:
@@ -718,9 +733,10 @@ class ArrayBlock(Block):
         return self.nulls
 
     def take(self, positions: np.ndarray) -> "ArrayBlock":
-        # Rebuild via Python values: arrays are small relative to scalars and
-        # take() on collection columns is rare in the paper's workloads.
-        return ArrayBlock.from_values(self.type, [self.get(int(p)) for p in positions])
+        positions = np.asarray(positions)
+        entries, offsets = _take_collections(self.offsets, positions)
+        new_nulls = self.nulls[positions] if self.nulls is not None else None
+        return ArrayBlock(self.type, offsets, self.elements.take(entries), new_nulls)
 
     def size_in_bytes(self) -> int:
         total = int(self.offsets.nbytes) + self.elements.size_in_bytes()
@@ -779,7 +795,12 @@ class MapBlock(Block):
         return self.nulls
 
     def take(self, positions: np.ndarray) -> "MapBlock":
-        return MapBlock.from_values(self.type, [self.get(int(p)) for p in positions])
+        positions = np.asarray(positions)
+        entries, offsets = _take_collections(self.offsets, positions)
+        new_nulls = self.nulls[positions] if self.nulls is not None else None
+        return MapBlock(
+            self.type, offsets, self.keys.take(entries), self.values.take(entries), new_nulls
+        )
 
     def size_in_bytes(self) -> int:
         total = int(self.offsets.nbytes) + self.keys.size_in_bytes() + self.values.size_in_bytes()

@@ -57,9 +57,10 @@ class LeafChunk:
     """One leaf column's data for one row group, ready to serialize.
 
     ``defined_values`` holds only the non-null values (definition level ==
-    max): a list (the old writer), a numpy array, or a ``VarcharBlock``
-    without nulls, which the native writer keeps columnar down to the
-    page bytes.
+    max): a list (the old writer); or, from the native writer, a numpy
+    array or a ``VarcharBlock`` without nulls that it keeps columnar down
+    to the page bytes — a view of the source block's buffers when the
+    values are one contiguous run of it, a gather otherwise.
     """
 
     leaf: LeafColumn
@@ -90,8 +91,10 @@ class LeafChunk:
                 return ColumnStatistics(
                     None, None, self.num_slots - len(values), self.num_slots
                 )
-            low = comparable.min().item()
-            high = comparable.max().item()
+            # The first least and greatest, as min()/max() over the list
+            # pick them: 0.0 and -0.0 tie, and the footer keeps the sign.
+            low = comparable[comparable.argmin()].item()
+            high = comparable[comparable.argmax()].item()
             return ColumnStatistics(low, high, self.num_slots - len(values), self.num_slots)
         return ColumnStatistics.of(list(values), self.num_slots)
 

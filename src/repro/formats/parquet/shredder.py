@@ -2,9 +2,11 @@
 
 Shredding converts one top-level column's values into per-leaf triplet
 streams (repetition level, definition level, value); assembly reconstructs
-the original values.  This is the machinery underneath both writers and
-both readers; the *old* reader assembles full records for every column,
-the *new* reader avoids assembly wherever it can (columnar reads).
+the original values, one value at a time.  Shredding sits under the *old*
+writer; the native writer computes the same levels from block offsets and
+null masks instead.  Assembly sits under the readers' record lane: the
+*old* reader assembles full records for every column, the *new* reader
+avoids assembly wherever it can (columnar reads).
 """
 
 from __future__ import annotations

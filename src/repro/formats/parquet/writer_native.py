@@ -4,83 +4,64 @@
 columnar file format, including data values, repetition values, and
 definition values" — no intermediate row-based records.
 
-Fast paths:
+One walk shreds every type tree: Dremel's level computation (Melnik et
+al., VLDB 2010) done over block offsets and null masks instead of over
+records.  The walk carries one slot per position, ``-1`` where an
+ancestor is NULL or empty:
 
-- flat scalar columns: numpy null masks become definition levels and the
-  value array is encoded with zero Python-level boxing; a varchar column
-  stays a ``VarcharBlock``, and its PLAIN page, its dictionary and its
-  min/max statistics all come from the block's ``(data, offsets)``;
-- pure struct trees: definition levels accumulate vectorized down the
-  field-block hierarchy;
-- arrays and maps of scalars: levels from the offsets, values as above;
-- deeper nesting falls back to per-value shredding (still one pass, no
-  record reconstruction).
+- a struct adds a definition level where it is present and hands the
+  same slots to its fields;
+- an array or map expands each slot through its offsets: a NULL
+  collection adds no level, an empty one 1, an element slot 2; the first
+  slot of a collection keeps its parent's repetition level, the others
+  repeat at the collection's depth;
+- a leaf adds its own presence and emits its levels and its defined
+  values, a view of the block's buffers when they are one contiguous run
+  and a gather otherwise.  A varchar leaf stays a ``VarcharBlock``, so
+  its PLAIN page, its dictionary and its min/max statistics all come
+  from the block's ``(data, offsets)``.
 
-A row group is a contiguous row range of the page, so flat columns are
-cut from it as views rather than gathered.
+A row group is the positions ``[start, end)`` of the page, so no block
+is cut to write it.  Leaves are visited in schema leaf order (fields in
+order, a map's key before its value), the order the file stores them in.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.blocks import (
-    ArrayBlock,
-    Block,
-    DictionaryBlock,
-    MapBlock,
-    PrimitiveBlock,
-    RowBlock,
-    VarcharBlock,
-)
-
-
+from repro.core.blocks import Block, DictionaryBlock, VarcharBlock
 from repro.core.page import Page
-from repro.core.types import PrestoType, RowType
+from repro.core.types import ArrayType, MapType, PrestoType, RowType
 from repro.formats.parquet import compression
 from repro.formats.parquet.file import LeafChunk, ParquetBlobWriter
-from repro.formats.parquet.schema import LeafColumn, ParquetSchema, _enumerate_leaves
-from repro.formats.parquet.shredder import shred_column
+from repro.formats.parquet.schema import ParquetSchema
 
 
 def _flat_values(block: Block) -> Block:
-    """Decode a dictionary block to its flat form (a ``PrimitiveBlock`` or
-    a ``VarcharBlock``), the two kinds the shredders take."""
+    """The loaded block, a dictionary block decoded to its flat form."""
+    block = block.loaded()
     if isinstance(block, DictionaryBlock):
         return block.decode()
     return block
 
 
-def _defined(block: Block, present: np.ndarray):
-    """The values at ``present``: a ``VarcharBlock`` for varchar, otherwise
-    the value array."""
-    if isinstance(block, VarcharBlock):
-        return block if present.all() else block.take(np.flatnonzero(present))
-    return block.values[present]  # type: ignore[union-attr]
-
-
-def _row_range(block: Block, start: int, end: int) -> Block:
-    """Rows ``[start, end)``: views of a flat block's buffers, a gather
-    only for the other kinds."""
-    if (start, end) == (0, block.position_count):
-        return block
+def _defined_values(block: Block, positions: np.ndarray):
+    """The values at ``positions`` (all non-NULL): a ``VarcharBlock`` for
+    varchar, otherwise the value array; views of the block's buffers when
+    the positions are one contiguous run, a gather otherwise."""
+    if len(positions) == 0 or positions[-1] - positions[0] != len(positions) - 1:
+        if isinstance(block, VarcharBlock):
+            return block.take(positions)
+        return block.values[positions]  # type: ignore[attr-defined]
+    start, end = int(positions[0]), int(positions[-1]) + 1
     if isinstance(block, VarcharBlock):
         offsets = block.offsets[start : end + 1]
-        return VarcharBlock(
-            block.type,
-            block.data[int(offsets[0]) : int(offsets[-1])],
-            offsets - offsets[0],
-            None if block.nulls is None else block.nulls[start:end],
-        )
-    if isinstance(block, PrimitiveBlock):
-        return PrimitiveBlock(
-            block.type,
-            block.values[start:end],
-            None if block.nulls is None else block.nulls[start:end],
-        )
-    return block.take(np.arange(start, end))
+        data = block.data[int(offsets[0]) : int(offsets[-1])]
+        return VarcharBlock(block.type, data, offsets - offsets[0])
+    return block.values[start:end]  # type: ignore[attr-defined]
 
 
 class NativeParquetWriter:
@@ -100,174 +81,80 @@ class NativeParquetWriter:
         """Serialize pages (channel order == schema column order) to bytes."""
         blob = ParquetBlobWriter(self.schema, self.codec)
         for page in pages:
+            # Loaded and decoded once per page, not once per row group.
+            blocks = [_flat_values(block) for block in page.blocks]
             for start in range(0, page.position_count, self.row_group_size):
                 end = min(start + self.row_group_size, page.position_count)
-                blocks = [_row_range(block.loaded(), start, end) for block in page.blocks]
-                blob.add_row_group(end - start, self._shred_group(Page(blocks, end - start)))
+                positions = np.arange(start, end, dtype=np.int64)
+                levels = np.zeros(end - start, dtype=np.int32)
+                chunks: dict[str, LeafChunk] = {}
+                for (name, presto_type), block in zip(self.schema.columns, blocks):
+                    self._shred(name, presto_type, block, levels, levels, positions, 0, chunks)
+                blob.add_row_group(end - start, chunks)
         return blob.finish()
 
-    def _shred_group(self, page: Page) -> dict[str, LeafChunk]:
-        chunks: dict[str, LeafChunk] = {}
-        for (name, presto_type), block in zip(self.schema.columns, page.blocks):
-            block = _flat_values(block.loaded())
-            self._shred_block(name, presto_type, block, chunks)
-        return chunks
-
-    def _shred_block(
-        self, name: str, presto_type: PrestoType, block: Block, chunks: dict[str, LeafChunk]
-    ) -> None:
-        count = block.position_count
-        if isinstance(block, (PrimitiveBlock, VarcharBlock)) and not presto_type.is_nested():
-            present = ~block.null_mask()
-            chunks[name] = LeafChunk(
-                leaf=self.schema.leaf(name),
-                repetition=np.zeros(count, dtype=np.int32),
-                definition=present.astype(np.int32),
-                defined_values=_defined(block, present),
-                num_slots=count,
-            )
-            return
-        if isinstance(block, RowBlock) and self._is_pure_struct(presto_type):
-            parent_present = ~block.null_mask()
-            parent_def = parent_present.astype(np.int32)
-            self._shred_struct(
-                name, presto_type, block, parent_present, parent_def, chunks
-            )
-            return
-        if (
-            isinstance(block, ArrayBlock)
-            and not presto_type.element_type.is_nested()  # type: ignore[union-attr]
-        ):
-            self._shred_flat_array(name, block, chunks)
-            return
-        if (
-            isinstance(block, MapBlock)
-            and not presto_type.key_type.is_nested()  # type: ignore[union-attr]
-            and not presto_type.value_type.is_nested()  # type: ignore[union-attr]
-        ):
-            self._shred_flat_map(name, block, chunks)
-            return
-        # Deeply nested collections (or unexpected block kinds): per-value
-        # shredding.
-        for path, levels in shred_column(name, presto_type, block.to_list()).items():
-            leaf = self.schema.leaf(path)
-            max_def = leaf.max_definition_level
-            defined = [
-                v for v, d in zip(levels.values, levels.definition) if d == max_def
-            ]
-            chunks[path] = LeafChunk(
-                leaf=leaf,
-                repetition=levels.repetition,
-                definition=levels.definition,
-                defined_values=defined,
-                num_slots=len(levels),
-            )
-
-    def _collection_levels(
-        self, offsets: np.ndarray, nulls: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized slot layout for a top-level collection column.
-
-        Returns (repetition, base definition per slot, slots per row,
-        element-slot mask).  Base definition: 0 null, 1 empty, 2 element
-        present (the element's own presence adds the final level).
-        """
-        counts = np.diff(offsets)
-        slots = np.where(counts > 0, counts, 1)
-        total = int(slots.sum())
-        row_base = np.where(nulls, 0, np.where(counts == 0, 1, 2)).astype(np.int32)
-        definition = np.repeat(row_base, slots)
-        element_slot = np.repeat((~nulls) & (counts > 0), slots)
-        repetition = np.ones(total, dtype=np.int32)
-        row_starts = np.concatenate(([0], np.cumsum(slots)[:-1]))
-        repetition[row_starts] = 0
-        return repetition, definition, slots, element_slot
-
-    def _shred_flat_array(
-        self, name: str, block: ArrayBlock, chunks: dict[str, LeafChunk]
-    ) -> None:
-        """Columnar shredding of array(scalar): levels from offsets."""
-        elements = _flat_values(block.elements.loaded())
-        repetition, definition, _, element_slot = self._collection_levels(
-            block.offsets, block.null_mask()
-        )
-        element_nulls = elements.null_mask()
-        definition = definition.copy()
-        definition[element_slot] += (~element_nulls).astype(np.int32)
-        leaf = self.schema.leaf(f"{name}.element")
-        chunks[leaf.path] = LeafChunk(
-            leaf=leaf,
-            repetition=repetition,
-            definition=definition,
-            defined_values=_defined(elements, ~element_nulls),
-            num_slots=len(definition),
-        )
-
-    def _shred_flat_map(
-        self, name: str, block: MapBlock, chunks: dict[str, LeafChunk]
-    ) -> None:
-        """Columnar shredding of map(scalar, scalar)."""
-        keys = _flat_values(block.keys.loaded())
-        values = _flat_values(block.values.loaded())
-        repetition, base_definition, _, entry_slot = self._collection_levels(
-            block.offsets, block.null_mask()
-        )
-        key_leaf = self.schema.leaf(f"{name}.key")
-        value_leaf = self.schema.leaf(f"{name}.value")
-        # Keys are never null: every entry slot gets the full level.
-        key_definition = base_definition.copy()
-        key_definition[entry_slot] += 1
-        chunks[key_leaf.path] = LeafChunk(
-            leaf=key_leaf,
-            repetition=repetition,
-            definition=key_definition,
-            defined_values=_defined(keys, ~keys.null_mask()),
-            num_slots=len(key_definition),
-        )
-        value_nulls = values.null_mask()
-        value_definition = base_definition.copy()
-        value_definition[entry_slot] += (~value_nulls).astype(np.int32)
-        chunks[value_leaf.path] = LeafChunk(
-            leaf=value_leaf,
-            repetition=repetition,
-            definition=value_definition,
-            defined_values=_defined(values, ~value_nulls),
-            num_slots=len(value_definition),
-        )
-
-    def _is_pure_struct(self, presto_type: PrestoType) -> bool:
-        """True when the type tree contains only structs and scalars."""
-        if isinstance(presto_type, RowType):
-            return all(self._is_pure_struct(f.type) for f in presto_type.fields)
-        return not presto_type.is_nested()
-
-    def _shred_struct(
+    def _shred(
         self,
         path: str,
-        row_type: RowType,
-        block: RowBlock,
-        present: np.ndarray,
+        presto_type: PrestoType,
+        block: Block,
+        repetition: np.ndarray,
         definition: np.ndarray,
+        positions: np.ndarray,
+        depth: int,
         chunks: dict[str, LeafChunk],
     ) -> None:
-        count = block.position_count
-        for field in row_type.fields:
-            field_path = f"{path}.{field.name}"
-            field_block = _flat_values(block.field(field.name).loaded())
-            if isinstance(field.type, RowType):
-                child_present = present & ~field_block.null_mask()
-                child_def = definition + child_present.astype(np.int32)
-                self._shred_struct(
-                    field_path, field.type, field_block, child_present, child_def, chunks
+        """Add the leaf chunks under ``path`` to ``chunks``.
+
+        One slot per entry of ``positions`` (a position of ``block``, or
+        -1 under a NULL or empty ancestor), with the slot's repetition
+        level and the definition level its ancestors reached; ``depth``
+        is the number of repeated ancestors.
+        """
+        block = _flat_values(block)
+        live = positions >= 0
+        present = live.copy()
+        present[live] = ~block.null_mask()[positions[live]]
+        definition = definition + present
+        if isinstance(presto_type, RowType):
+            positions = np.where(present, positions, -1)
+            for field in presto_type.fields:
+                self._shred(
+                    f"{path}.{field.name}", field.type, block.field(field.name),
+                    repetition, definition, positions, depth, chunks,
                 )
+            return
+        if isinstance(presto_type, (ArrayType, MapType)):
+            offsets = block.offsets  # type: ignore[attr-defined]
+            starts = np.zeros(len(positions), dtype=np.int64)
+            counts = np.zeros(len(positions), dtype=np.int64)
+            starts[present] = offsets[positions[present]]
+            counts[present] = offsets[positions[present] + 1] - starts[present]
+            slots = np.maximum(counts, 1)
+            first = np.cumsum(slots) - slots
+            total = int(slots.sum())
+            positions = np.repeat(starts - first, slots) + np.arange(total)
+            positions[np.repeat(counts == 0, slots)] = -1
+            child_repetition = np.full(total, depth + 1, dtype=np.int32)
+            child_repetition[first] = repetition
+            definition = np.repeat(definition + (counts > 0), slots)
+            if isinstance(presto_type, ArrayType):
+                children = [("element", presto_type.element_type, block.elements)]  # type: ignore[attr-defined]
             else:
-                leaf = self.schema.leaf(field_path)
-                value_present = present & ~field_block.null_mask()
-                leaf_def = definition + value_present.astype(np.int32)
-                chunks[field_path] = LeafChunk(
-                    leaf=leaf,
-                    repetition=np.zeros(count, dtype=np.int32),
-                    definition=leaf_def,
-                    defined_values=_defined(field_block, value_present),
-                    num_slots=count,
+                children = [
+                    ("key", presto_type.key_type, block.keys),  # type: ignore[attr-defined]
+                    ("value", presto_type.value_type, block.values),  # type: ignore[attr-defined]
+                ]
+            for name, child_type, child in children:
+                self._shred(
+                    f"{path}.{name}", child_type, child,
+                    child_repetition, definition, positions, depth + 1, chunks,
                 )
+            return
+        chunks[path] = LeafChunk(
+            leaf=self.schema.leaf(path),
+            repetition=repetition,
+            definition=definition,
+            defined_values=_defined_values(block, positions[present]),
+            num_slots=len(positions),
+        )

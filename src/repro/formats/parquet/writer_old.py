@@ -46,10 +46,8 @@ class OldParquetWriter:
         for page in pages:
             # Conversion 1: columnar page → row-based records.
             records = [dict(zip(column_names, row)) for row in page.loaded().rows()]
-            for start in range(0, max(len(records), 1), self.row_group_size):
+            for start in range(0, len(records), self.row_group_size):
                 group = records[start : start + self.row_group_size]
-                if not group and start > 0:
-                    break
                 blob.add_row_group(len(group), self._shred_records(group))
         return blob.finish()
 

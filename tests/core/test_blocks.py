@@ -153,6 +153,56 @@ class TestCollectionBlocks:
         assert taken.to_list() == [None, ["b", "c"]]
 
 
+def values_of(presto_type):
+    """A strategy for values of ``presto_type``, NULLs and empty
+    collections among them."""
+    if isinstance(presto_type, ArrayType):
+        element = values_of(presto_type.element_type)
+        return st.one_of(st.none(), st.lists(element, max_size=3))
+    if isinstance(presto_type, MapType):
+        value = values_of(presto_type.value_type)
+        return st.one_of(
+            st.none(), st.dictionaries(st.text("abc", max_size=2), value, max_size=3)
+        )
+    if isinstance(presto_type, RowType):
+        fields = {f.name: values_of(f.type) for f in presto_type.fields}
+        return st.one_of(st.none(), st.fixed_dictionaries(fields))
+    if presto_type == VARCHAR:
+        return st.one_of(st.none(), st.text(max_size=3))
+    return st.one_of(st.none(), st.integers(-5, 5))
+
+
+COLLECTION_TYPES = [
+    ArrayType(BIGINT),
+    ArrayType(VARCHAR),
+    ArrayType(ArrayType(BIGINT)),
+    ArrayType(RowType.of(("a", BIGINT), ("b", ArrayType(VARCHAR)))),
+    MapType(VARCHAR, BIGINT),
+    MapType(VARCHAR, ArrayType(MapType(VARCHAR, VARCHAR))),
+]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_collection_take_gathers_through_offsets(data):
+    presto_type = data.draw(st.sampled_from(COLLECTION_TYPES))
+    values = data.draw(st.lists(values_of(presto_type), min_size=1, max_size=8))
+    full = block_from_values(presto_type, values)
+    # The block over the rows after the first ``skip``: its offsets do not
+    # start at 0.
+    skip = data.draw(st.integers(0, len(values) - 1))
+    nulls = None if full.nulls is None else full.nulls[skip:]
+    if isinstance(full, ArrayBlock):
+        block = ArrayBlock(presto_type, full.offsets[skip:], full.elements, nulls)
+    else:
+        block = MapBlock(presto_type, full.offsets[skip:], full.keys, full.values, nulls)
+    positions = data.draw(
+        st.lists(st.integers(0, block.position_count - 1), max_size=10)
+    )
+    taken = block.take(np.array(positions, dtype=np.int64))
+    assert taken.to_list() == [block.get(i) for i in positions]
+
+
 class TestLazyBlock:
     def test_defers_loading(self):
         loads = []

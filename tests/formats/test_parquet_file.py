@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.blocks import ArrayBlock, MapBlock, RowBlock
 from repro.core.page import Page
 from repro.core.types import (
     ArrayType,
@@ -26,6 +27,7 @@ from repro.formats.parquet.schema import ParquetSchema
 from repro.formats.parquet.writer_native import NativeParquetWriter
 from repro.formats.parquet.writer_old import OldParquetWriter
 from repro.storage.filesystem import BytesInput
+from repro.workloads.trips import TRIPS_COLUMNS, generate_trips_rows
 
 
 TRIPS_BASE = RowType.of(
@@ -194,6 +196,72 @@ class TestWritersProduceSameFiles:
         leaves = [group.column(path) for path in ("s", "r.v", "a.element", "m.value")]
         assert {chunk.encoding for chunk in leaves} == {encoding}
         assert {c.statistics.num_values - c.statistics.null_count for c in leaves} == {defined}
+
+    @pytest.mark.parametrize("codec", list(compression.CODECS))
+    def test_null_collections_over_empty_entry_blocks(self, codec):
+        # Every collection is NULL, so the element, key and value blocks
+        # hold no positions at all.
+        schema = ParquetSchema(
+            [
+                ("a", ArrayType(RowType.of(("x", BIGINT), ("y", VARCHAR)))),
+                ("m", MapType(VARCHAR, ArrayType(DOUBLE))),
+            ]
+        )
+        page = Page.from_rows([t for _, t in schema.columns], [(None, None), (None, None)])
+        old = OldParquetWriter(schema, codec=codec, row_group_size=1).write_pages([page])
+        native = NativeParquetWriter(schema, codec=codec, row_group_size=1).write_pages([page])
+        assert old == native
+        reader = NewParquetReader(ParquetFile(native), ["a", "m"])
+        rows = [row for p in reader.read_pages() for row in p.loaded().rows()]
+        assert rows == [(None, None), (None, None)]
+
+    @pytest.mark.parametrize("writer_cls", [OldParquetWriter, NativeParquetWriter])
+    def test_empty_page_writes_no_row_group(self, writer_cls):
+        page = Page.from_rows([BIGINT, VARCHAR], [])
+        schema = ParquetSchema([("id", BIGINT), ("name", VARCHAR)])
+        blob = writer_cls(schema).write_pages([page])
+        assert blob == NativeParquetWriter(schema).write_pages([])
+        assert ParquetFile(blob).num_row_groups() == 0
+        assert list(OldParquetReader(ParquetFile(blob)).read_pages()) == []
+        assert list(NewParquetReader(ParquetFile(blob), ["id", "name"]).read_pages()) == []
+
+
+def refuse_per_value_access(monkeypatch):
+    """Make ``get`` raise on every nested block kind."""
+
+    def refuse(block, position):
+        raise AssertionError(f"per-value get() on a {type(block).__name__}")
+
+    for block_cls in (RowBlock, ArrayBlock, MapBlock):
+        monkeypatch.setattr(block_cls, "get", refuse)
+
+
+class TestNativeWriterStaysColumnar:
+    """The native writer shreds nested blocks without rebuilding a value:
+    with the nested blocks' per-value ``get`` disabled it still writes."""
+
+    def test_trips_page(self, monkeypatch):
+        page = Page.from_rows([t for _, t in TRIPS_COLUMNS], generate_trips_rows(200))
+        writer = NativeParquetWriter(ParquetSchema(TRIPS_COLUMNS), row_group_size=64)
+        refuse_per_value_access(monkeypatch)
+        # The round-robin spread of a partition's files takes the page first.
+        for written in (page, page.take(np.arange(1, 200, 2))):
+            blob = writer.write_pages([written])
+            assert ParquetFile(blob).metadata.num_rows == written.position_count
+
+    def test_map_of_arrays_of_structs(self, monkeypatch):
+        presto_type = MapType(VARCHAR, ArrayType(RowType.of(("a", BIGINT), ("b", VARCHAR))))
+        rows = [
+            ({"k": [{"a": 1, "b": "x"}, None, {"a": None, "b": ""}], "j": []},),
+            (None,),
+            ({},),
+            ({"k": None, "é": [{"a": 2, "b": None}]},),
+        ]
+        page = Page.from_rows([presto_type], rows)
+        schema = ParquetSchema([("m", presto_type)])
+        expected = OldParquetWriter(schema, row_group_size=3).write_pages([page])
+        refuse_per_value_access(monkeypatch)
+        assert NativeParquetWriter(schema, row_group_size=3).write_pages([page]) == expected
 
 
 class TestOldReader:

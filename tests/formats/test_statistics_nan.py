@@ -52,6 +52,15 @@ class TestLeafChunkStatistics:
         assert (stats.min_value, stats.max_value) == (0.5, 2.5)
         assert stats.null_count == 0
 
+    def test_signed_zeros_keep_the_first_as_the_list_path_does(self):
+        # 0.0 and -0.0 tie: both paths report the first of them, so the
+        # two writers' footers agree on the sign.
+        for values in ([0.0, -0.0], [-0.0, 0.0, 1.0], [1.0, -0.0, 0.0]):
+            stats = leaf_chunk(values).compute_statistics()
+            expected = ColumnStatistics.of(values, len(values))
+            assert math.copysign(1, stats.min_value) == math.copysign(1, expected.min_value)
+            assert math.copysign(1, stats.max_value) == math.copysign(1, expected.max_value)
+
 
 class TestColumnStatisticsOf:
     def test_nan_excluded_from_list_min_max(self):
