@@ -3,9 +3,11 @@
 Section III's engine claim — column values are processed "vectorized,
 instead of row by row" — only pays off if the relational operators keep
 data columnar.  This bench measures the operators that dominate
-analytics CPU time, grouped aggregation, hash join and top-N, through both
-the vectorized kernel layer (``repro.execution.kernels``) and the
-row-at-a-time references in ``tests/reference/operators.py``, interleaved
+analytics CPU time, grouped aggregation, hash join and top-N, and the
+hash exchange between stages, through both the vectorized kernel layer
+(``repro.execution.kernels``, ``ExchangeBuffer``) and the row-at-a-time
+references in ``tests/reference/operators.py`` and
+``tests/reference/hashing.py``, interleaved
 by ``lane_ratio``, gates on identical outputs, and records the speedup
 trajectory in ``BENCH_operators.json`` for later PRs.
 """
@@ -15,15 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 from _harness import LANE_RATIO, WORK_COUNT, gate, lane_ratio, run_script
-from repro.core.blocks import PrimitiveBlock
+from repro.core.blocks import PrimitiveBlock, VarcharBlock
 from repro.core.expressions import variable
 from repro.core.functions import default_registry
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.context import ExecutionContext
+from repro.execution.exchange import ExchangeBuffer
 from repro.execution.operators.aggregation import execute_aggregation
 from repro.execution.operators.joins import execute_join
 from repro.execution.operators.sorting import execute_topn
+from repro.planner.fragmenter import Exchange, ExchangeKind
 from repro.planner.plan import (
     Aggregation,
     AggregationNode,
@@ -31,6 +35,7 @@ from repro.planner.plan import (
     TopNNode,
     ValuesNode,
 )
+from tests.reference.hashing import partition_of
 from tests.reference.operators import (
     _hash_join_rows,
     _sorted_rows,
@@ -134,8 +139,11 @@ def _rows(pages: list[Page]) -> list[tuple]:
     return rows
 
 
-def _bench(name: str, rows: int, shape: dict, vectorized, reference, repeat: int) -> dict:
-    """Time the reference against the kernel lane; both yield pages.
+def _bench(
+    name: str, rows: int, shape: dict, vectorized, reference, repeat: int, rows_of=_rows
+) -> dict:
+    """Time the reference against the kernel lane; both yield pages, or
+    what ``rows_of`` turns into the rows the identical-output check compares.
 
     Both paths produce fully realized blocks, so draining into a ``list``
     captures the operator cost without charging either side for
@@ -151,7 +159,7 @@ def _bench(name: str, rows: int, shape: dict, vectorized, reference, repeat: int
         "rows_per_sec": round(rows / (timed.fast_ms / 1000.0)),
         "reference_ms": round(timed.slow_ms, 3),
         "speedup": round(timed.ratio, 2),
-        "identical": _rows(timed.fast_result) == _rows(timed.slow_result),
+        "identical": rows_of(timed.fast_result) == rows_of(timed.slow_result),
     }
 
 
@@ -222,6 +230,62 @@ def bench_topn(rows: int, count: int, repeat: int) -> dict:
     )
 
 
+EXCHANGE_TYPES = [BIGINT, VARCHAR, DOUBLE]
+
+
+def make_exchange_input(rows: int, seed: int = 17) -> list[Page]:
+    """Partial-aggregation output: a BIGINT and a VARCHAR key, a DOUBLE state."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, rows, size=rows).astype(np.int64)
+    names = [f"customer#{k % 5000:05d}" for k in keys.tolist()]
+    values = rng.uniform(0.0, 1000.0, size=rows)
+
+    def blocks(start, end):
+        return [
+            PrimitiveBlock(BIGINT, keys[start:end]),
+            VarcharBlock.from_values(names[start:end]),
+            PrimitiveBlock(DOUBLE, values[start:end]),
+        ]
+
+    return _paged(blocks, rows)
+
+
+def route_pages(pages: list[Page], partitions: int) -> list[list[Page]]:
+    """The exchange: every page routed on its two key channels."""
+    exchange = Exchange(ExchangeKind.REPARTITION, 0, ("k", "name"), partitioned=True)
+    buffer = ExchangeBuffer(exchange, [0, 1])
+    for page in pages:
+        buffer.add(page)
+    buffer.set_partition_count(partitions)
+    return [buffer.pages_for_partition(p) for p in range(partitions)]
+
+
+def route_rows(pages: list[Page], partitions: int) -> list[list[Page]]:
+    """The same routing one row at a time, with the scalar hash."""
+    routed: list[list[Page]] = [[] for _ in range(partitions)]
+    for page in pages:
+        rows: list[list[tuple]] = [[] for _ in range(partitions)]
+        for row in page.to_rows():
+            rows[partition_of(row[:2], partitions)].append(row)
+        for partition, kept in enumerate(rows):
+            if kept:
+                routed[partition].append(Page.from_rows(EXCHANGE_TYPES, kept))
+    return routed
+
+
+def bench_exchange(rows: int, partitions: int, repeat: int) -> dict:
+    pages = make_exchange_input(rows)
+    return _bench(
+        "exchange_partitioning",
+        rows,
+        {"partitions": partitions},
+        lambda: route_pages(pages, partitions),
+        lambda: route_rows(pages, partitions),
+        repeat,
+        rows_of=lambda routed: [_rows(partition) for partition in routed],
+    )
+
+
 def run(smoke: bool) -> dict:
     if smoke:
         size, repeat = 5_000, 1
@@ -237,6 +301,7 @@ def run(smoke: bool) -> dict:
     benchmarks.append(bench_aggregation(10 * size, 10 * size, 1))
     benchmarks.append(bench_join(size, build_rows, repeat))
     benchmarks.append(bench_topn(size, 100, repeat))
+    benchmarks.append(bench_exchange(size, 8, repeat))
     return {
         "benchmark": "operator_kernels",
         "paper_section": "III (vectorized engine)",
@@ -252,11 +317,10 @@ def gates(report: dict) -> list:
              WORK_COUNT, sum(not b["identical"] for b in cases), "==", 0)
     ]
     if not report["smoke"]:
-        found += [
-            gate(f"{b['name']} ({b.get('groups') or b.get('build_rows') or b['count']}): "
-                 "reference / vectorized", LANE_RATIO, b["speedup"], ">=", 5.0)
-            for b in cases
-        ]
+        for b in cases:
+            shape = b.get("groups") or b.get("build_rows") or b.get("partitions") or b["count"]
+            found.append(gate(f"{b['name']} ({shape}): reference / vectorized",
+                              LANE_RATIO, b["speedup"], ">=", 5.0))
     return found
 
 

@@ -2,17 +2,21 @@
 
 Python's builtin ``hash`` is salted per process (``PYTHONHASHSEED``), so
 anything that routes work by hash — affinity scheduling in the cluster
-simulation, hash-partitioned exchanges in staged execution — would place
-differently on every run and make experiments unreproducible.  Everything
-that partitions by value goes through :func:`stable_hash` instead, which
-is CRC32-based and therefore identical across processes and platforms.
+simulation, Kafka partitions, the cache sketch, fault draws, the dynamic
+filter's bloom — would place differently on every run and make
+experiments unreproducible.  They hash one value at a time through
+:func:`stable_hash` instead, which is CRC32-based and therefore identical
+across processes and platforms.
+
+Hash-partitioned exchanges do not come through here: they hash whole key
+blocks with numpy (:func:`repro.execution.kernels.block_hash`), which is
+just as reproducible and does no Python work per key.
 """
 
 from __future__ import annotations
 
 import zlib
-from operator import methodcaller
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 
 def stable_hash(value: Any) -> int:
@@ -20,7 +24,7 @@ def stable_hash(value: Any) -> int:
 
     Strings and bytes hash their contents directly; everything else
     (numbers, None, tuples of key values) hashes its ``repr``, which is
-    stable for the scalar types that can appear in partition keys.
+    stable for the scalar types placement keys hold.
     """
     if isinstance(value, bytes):
         data = value
@@ -30,10 +34,3 @@ def stable_hash(value: Any) -> int:
         data = repr(value).encode("utf-8", "surrogatepass")
     return zlib.crc32(data)
 
-
-_encode = methodcaller("encode", "utf-8", "surrogatepass")
-
-
-def stable_hash_keys(keys: Iterable[tuple]) -> Iterator[int]:
-    """:func:`stable_hash` of each key tuple, with no Python frame per key."""
-    return map(zlib.crc32, map(_encode, map(repr, keys)))

@@ -7,12 +7,12 @@ the upstream stage's tasks, in task order, so staged execution stays
 deterministic.
 
 Partitioning is columnar: the producer's key channels go through
-:func:`repro.execution.kernels.partition_assignments` (the PR-1 kernel
-layer — distinct key tuples factorize once and hash once, rows gather
-their partition index in one vectorized take), and each partition's rows
-are extracted with ``Page.take``.  The hash is the CRC32-based
-:func:`repro.common.hashing.stable_hash`, so partition placement is
-reproducible across processes.
+:func:`repro.execution.kernels.partition_assignments`, which hashes each
+key block's buffers with numpy (:func:`repro.execution.kernels.block_hash`:
+no key tuple, no Python work per key) and takes the combined hash modulo
+the partition count; each partition's rows are extracted with
+``Page.take``.  The hash is a fixed function of the SQL value, so
+partition placement is reproducible across processes.
 """
 
 from __future__ import annotations

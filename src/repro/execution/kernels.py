@@ -37,6 +37,14 @@ every aggregate the dialect accepts runs here.
 - **Hash-join index** (:class:`JoinKeyIndex`): the build side factorizes
   once; probe pages map into the same code space and expand into the
   ``(probe_positions, build_positions)`` index pair in probe-row order.
+- **Exchange partitioning** (:func:`partition_assignments`): a row's
+  partition is its key's hash modulo the partition count.
+  :func:`block_hash` computes a ``uint64`` per position from the block's
+  own buffers (integers and doubles through a splitmix64 finalizer,
+  strings as a positional sum over their bytes, dictionaries through
+  their dictionary, arrays through their elements), so the hash is a
+  function of the SQL value whichever block holds it, and no key becomes
+  a Python tuple.  ``tests/reference/hashing.py`` is its scalar reference.
 - **Sort ranks** (:func:`sort_order`): per-key rank arrays (nulls
   ranked last ascending, first descending) fed to a stable ``np.lexsort``.
 
@@ -50,6 +58,7 @@ NULL keys are handled exactly.
 
 from __future__ import annotations
 
+import zlib
 from itertools import repeat
 from numbers import Real
 from typing import Any, Iterator, Optional, Sequence
@@ -57,7 +66,6 @@ from typing import Any, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.common.errors import EngineDefectError, InvalidValueError
-from repro.common.hashing import stable_hash_keys
 from repro.core.blocks import (
     ArrayBlock,
     Block,
@@ -242,28 +250,6 @@ def _factorize(
     return group_codes, reps, columns
 
 
-def _key_tuples(
-    columns: Sequence[tuple[np.ndarray, np.ndarray]], reps: np.ndarray
-) -> Iterator[tuple]:
-    """Key tuples of the rows ``reps``: one gather per column, one ``zip``.
-
-    Values leave numpy through ``tolist()``, so numeric components are
-    Python scalars (``int``, never ``np.int64``); an object column's
-    elements pass through as they are.  ``None`` at nulls.
-    """
-    gathered = []
-    for codes, uniq in columns:
-        rep_codes = codes[reps]
-        if len(rep_codes) and rep_codes.min() < 0:
-            # One trailing None slot: code -1 indexes it.
-            table = np.empty(len(uniq) + 1, dtype=object)
-            table[:-1] = uniq
-            gathered.append(table[rep_codes].tolist())
-        else:
-            gathered.append(uniq[rep_codes].tolist())
-    return zip(*gathered)
-
-
 def _array_block(
     presto_type: PrestoType, values: np.ndarray, nulls: Optional[np.ndarray]
 ) -> Block:
@@ -318,31 +304,155 @@ def factorize_keys(blocks: Sequence[Block]) -> tuple[np.ndarray, list[Block]]:
     return group_codes, [_distinct_key_block(block.loaded(), reps) for block in blocks]
 
 
-def partition_assignments(blocks: Sequence[Block], n_partitions: int) -> np.ndarray:
-    """Per-row partition indexes for a hash-partitioned exchange.
+# ---------------------------------------------------------------------------
+# Block hashing
+# ---------------------------------------------------------------------------
 
-    ``out[row] == stable_hash(key_tuple) % n_partitions`` where the key
-    tuple holds each component with NaN as NULL and negative zero folded
-    onto zero, so keys that are one SQL group share a partition.
-    The key columns factorize into dense codes, one hash is computed per
-    *distinct* key tuple, and the per-row assignment is a single gather.
-    The CRC32-based hash makes placement identical across processes (no
-    ``PYTHONHASHSEED`` dependence).
+# Every lane ends in splitmix64's finalizer over uint64 (wrapping).
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+# SQL NULL (and a NaN double) hashes to one constant in every lane.
+NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
+# A sequence (a string's bytes, an array's element hashes) is summed with
+# ``_POSITION ** index`` weights; its length is salted before it joins.
+_POSITION = np.uint64(0x100000001B3)
+_LENGTH_SALT = np.uint64(0xC2B2AE3D27D4EB4F)
+# Key columns join left to right: ``mix(acc * _COMBINE + column)``.
+_COMBINE = np.uint64(0xFF51AFD7ED558CCD)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, elementwise over a uint64 array."""
+    x = (x ^ (x >> np.uint64(30))) * _MIX_1
+    x = (x ^ (x >> np.uint64(27))) * _MIX_2
+    return x ^ (x >> np.uint64(31))
+
+
+def _int_hash(values: np.ndarray) -> np.ndarray:
+    """BIGINT, INTEGER and BOOLEAN: the finalizer over the int64 bits."""
+    return _mix(values.astype(np.int64, copy=False).view(np.uint64))
+
+
+def _double_hash(values: np.ndarray) -> np.ndarray:
+    """DOUBLE: the finalizer over the bits, ``-0.0`` folded onto ``0.0``
+    (IEEE addition: ``-0.0 + 0.0`` is ``+0.0``).  NaN is the caller's NULL."""
+    return _mix((values.astype(np.float64, copy=False) + 0.0).view(np.uint64))
+
+
+def _sequence_hash(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Hash of each segment ``terms[offsets[i]:offsets[i + 1]]``: a
+    VARCHAR row's bytes, or an ARRAY's element hashes.
+
+    ``sum(terms[start + j] * _POSITION ** j)`` per segment, from one
+    wrapping cumulative sum (so empty segments and offsets that do not
+    start at 0 need no special case), then mixed with the segment length.
     """
+    base = offsets[0]
+    lengths = (offsets[1:] - offsets[:-1]).astype(np.int64, copy=False)
+    terms = terms[base : offsets[-1]].astype(np.uint64, copy=False)
+    width = int(lengths.max()) if len(lengths) else 0
+    powers = np.full(max(width, 1), _POSITION, dtype=np.uint64)
+    powers[0] = 1
+    powers = np.multiply.accumulate(powers)  # _POSITION ** j
+    position = np.arange(len(terms), dtype=np.int64) - np.repeat(offsets[:-1] - base, lengths)
+    sums = np.zeros(len(terms) + 1, dtype=np.uint64)
+    np.cumsum(terms * powers[position], out=sums[1:])
+    totals = sums[offsets[1:] - base] - sums[offsets[:-1] - base]
+    return _mix(totals + _mix(lengths.view(np.uint64) ^ _LENGTH_SALT))
+
+
+def _object_hash(block: PrimitiveBlock) -> np.ndarray:
+    """Object storage (DATE, TIMESTAMP, a VARCHAR column of non-``str``):
+    each distinct value hashed once, by the rule of its Python type.
+
+    A ``str`` hashes as its UTF-8 bytes in a :class:`VarcharBlock`, an
+    ``int`` as int64 and a ``float`` as a double; any other value (or an
+    ``int`` past int64) is CRC32 of its ``repr``, then the finalizer.
+    """
+    codes, uniques = column_codes(block)
+    texts: list[bytes] = []
+    text_at, ints, int_at, floats, float_at = [], [], [], [], []
+    hashes = np.empty(len(uniques) + 1, dtype=np.uint64)
+    hashes[-1] = NULL_HASH  # code -1
+    for code, value in enumerate(uniques.tolist()):
+        if isinstance(value, np.generic):
+            value = value.item()  # as ``block.get`` returns it
+        if isinstance(value, str):
+            texts.append(value.encode("utf-8", "surrogatepass"))
+            text_at.append(code)
+        elif isinstance(value, int) and -(2**63) <= value < 2**63:
+            ints.append(value)
+            int_at.append(code)
+        elif isinstance(value, float):
+            floats.append(value)
+            float_at.append(code)
+        else:
+            crc = zlib.crc32(repr(value).encode("utf-8", "surrogatepass"))
+            hashes[code] = _mix(np.array([crc], dtype=np.uint64))[0]
+    if texts:
+        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)), out=offsets[1:])
+        hashes[text_at] = _sequence_hash(np.frombuffer(b"".join(texts), dtype=np.uint8), offsets)
+    if ints:
+        hashes[int_at] = _int_hash(np.array(ints, dtype=np.int64))
+    if floats:
+        values = np.array(floats, dtype=np.float64)
+        hashes[float_at] = np.where(np.isnan(values), NULL_HASH, _double_hash(values))
+    return hashes[codes]
+
+
+def block_hash(block: Block) -> np.ndarray:
+    """A ``uint64`` hash of each position's SQL value, from the block's buffers.
+
+    A function of (type, value), whichever block holds the value: a
+    dictionary hashes its dictionary once and gathers by id, an ARRAY
+    combines its elements' hashes by position, and object storage hashes
+    each distinct value once.  NULL, a NaN double and a dictionary id of
+    ``-1`` are :data:`NULL_HASH`; ``-0.0`` hashes as ``0.0``.  A ROW or
+    MAP block, which the analyzer never admits as a key, raises
+    ``TypeError``.
+    """
+    block = block.loaded()
+    if isinstance(block, DictionaryBlock):
+        # The trailing slot is id -1's.
+        return np.append(block_hash(block.dictionary), NULL_HASH)[block.ids]
+    nulls = block.null_mask()
+    if isinstance(block, VarcharBlock):
+        hashes = _sequence_hash(block.data, block.offsets)
+    elif isinstance(block, ArrayBlock):
+        hashes = _sequence_hash(block_hash(block.elements), block.offsets)
+    elif not isinstance(block, PrimitiveBlock):
+        raise TypeError(f"{block.type.display()} values have no hash")
+    elif block.values.dtype.kind == "f":
+        nulls = nulls | np.isnan(block.values)
+        hashes = _double_hash(block.values)
+    elif block.values.dtype.kind in "iub":
+        hashes = _int_hash(block.values)
+    else:
+        return _object_hash(block)
+    return np.where(nulls, NULL_HASH, hashes) if nulls.any() else hashes
+
+
+def key_hash(blocks: Sequence[Block]) -> np.ndarray:
+    """One ``uint64`` per row over several key columns: :func:`block_hash`
+    of each, joined left to right by ``mix(acc * _COMBINE + column)``."""
     if not blocks:
         raise ValueError("partitioning requires at least one key column")
-    codes, reps, columns = _factorize(blocks)
-    if not len(reps):
-        return np.zeros(len(codes), dtype=np.int64)
-    # -0.0 equals 0.0 in SQL but prints differently: hash it as zero (IEEE
-    # addition: -0.0 + 0.0 is +0.0, every other float is itself).
-    columns = [
-        (codes, uniq + 0.0 if uniq.dtype.kind == "f" else uniq) for codes, uniq in columns
-    ]
-    hashes = np.fromiter(
-        stable_hash_keys(_key_tuples(columns, reps)), dtype=np.int64, count=len(reps)
-    )
-    return (hashes % n_partitions)[codes]
+    hashes = block_hash(blocks[0])
+    for block in blocks[1:]:
+        hashes = _mix(hashes * _COMBINE + block_hash(block))
+    return hashes
+
+
+def partition_assignments(blocks: Sequence[Block], n_partitions: int) -> np.ndarray:
+    """Per-row partition indexes for a hash-partitioned exchange:
+    ``key_hash(blocks) % n_partitions``, as int64.
+
+    Keys that are one SQL group (``0.0`` and ``-0.0``, NaN and NULL, the
+    same array in any block) share a partition, and placement is the same
+    in every process (no ``PYTHONHASHSEED`` dependence).
+    """
+    return (key_hash(blocks) % np.uint64(n_partitions)).astype(np.int64)
 
 
 class GroupIndex:

@@ -10,6 +10,8 @@ the repository root on ``sys.path``).
 - :mod:`tests.reference.operators`: the row-at-a-time aggregation (its
   ``GroupFold``), hash join and sort, against
   :mod:`repro.execution.operators`.
+- :mod:`tests.reference.hashing`: the exchange hash one key tuple at a
+  time in plain Python ints, against :func:`repro.execution.kernels.block_hash`.
 - :mod:`tests.reference.dynamic_filters`: the row-at-a-time build of a
   join's dynamic filter, against the scheduler's build from key codes.
 - :mod:`tests.reference.pipeline`: the single-pipeline run of a whole
