@@ -23,6 +23,7 @@ class QueryStats:
     query_id: str = ""
     splits_scanned: int = 0
     rows_scanned: int = 0
+    # Pages the connectors yielded, counted before the scan coalesces them.
     pages_produced: int = 0
     rows_output: int = 0
     peak_build_rows: int = 0

@@ -37,14 +37,21 @@ from repro.planner.plan import (
 )
 
 
-def execute_plan(node: PlanNode, ctx: ExecutionContext) -> Iterator[Page]:
+def execute_plan(
+    node: PlanNode, ctx: ExecutionContext, stream: bool = False
+) -> Iterator[Page]:
     """Execute ``node``, yielding result pages.
 
     With a tracer attached, every operator's output rows are accumulated
     into ``ctx.operator_rows`` (plan node id → rows); the scheduler
     renders them as operator spans once the task's pipeline drains.
+
+    ``stream`` says a LIMIT pulls from ``node`` with no blocking operator
+    (aggregation, sort, top-N, join build) in between: a scan below then
+    hands over each split's pages as they come instead of coalescing
+    them, so the LIMIT reads no split it does not need.
     """
-    pipeline = _dispatch(node, ctx)
+    pipeline = _dispatch(node, ctx, stream)
     if ctx.operator_rows is None:
         return pipeline
     # Register eagerly so operators that are never pulled (LIMIT upstream)
@@ -77,37 +84,43 @@ def record_operator_spans(tracer, root: PlanNode, operator_rows: dict) -> None:
             )
 
 
-def _dispatch(node: PlanNode, ctx: ExecutionContext) -> Iterator[Page]:
+def _dispatch(node: PlanNode, ctx: ExecutionContext, stream: bool) -> Iterator[Page]:
     if isinstance(node, TableScanNode):
-        return execute_table_scan(node, ctx)
+        return execute_table_scan(node, ctx, stream)
     if isinstance(node, ValuesNode):
         return execute_values(node, ctx)
     if isinstance(node, FilterNode):
-        return execute_filter(node, ctx, execute_plan(node.source, ctx))
+        return execute_filter(node, ctx, execute_plan(node.source, ctx, stream))
     if isinstance(node, ProjectNode):
-        return execute_project(node, ctx, execute_plan(node.source, ctx))
+        return execute_project(node, ctx, execute_plan(node.source, ctx, stream))
     if isinstance(node, AggregationNode):
         return execute_aggregation(node, ctx, execute_plan(node.source, ctx))
     if isinstance(node, JoinNode):
+        # A right join probes with its right side (it runs as the swapped
+        # left join); the build side is drained whole either way.
+        right_probes = node.join_type == "right"
         return execute_join(
-            node, ctx, execute_plan(node.left, ctx), execute_plan(node.right, ctx)
+            node,
+            ctx,
+            execute_plan(node.left, ctx, stream and not right_probes),
+            execute_plan(node.right, ctx, stream and right_probes),
         )
     if isinstance(node, SpatialJoinNode):
         return execute_spatial_join(
-            node, ctx, execute_plan(node.left, ctx), execute_plan(node.right, ctx)
+            node, ctx, execute_plan(node.left, ctx, stream), execute_plan(node.right, ctx)
         )
     if isinstance(node, SortNode):
         return execute_sort(node, ctx, execute_plan(node.source, ctx))
     if isinstance(node, TopNNode):
         return execute_topn(node, ctx, execute_plan(node.source, ctx))
     if isinstance(node, LimitNode):
-        return execute_limit(node, ctx, execute_plan(node.source, ctx))
+        return execute_limit(node, ctx, execute_plan(node.source, ctx, stream=True))
     if isinstance(node, UnionNode):
-        return _execute_union(node, ctx)
+        return _execute_union(node, ctx, stream)
     if isinstance(node, RemoteSourceNode):
         return _execute_remote_source(node, ctx)
     if isinstance(node, OutputNode):
-        return _execute_output(node, ctx)
+        return _execute_output(node, ctx, stream)
     raise ExecutionError(f"no operator for plan node {type(node).__name__}")
 
 
@@ -122,16 +135,16 @@ def _execute_remote_source(node: RemoteSourceNode, ctx: ExecutionContext) -> Ite
     yield from ctx.exchange_inputs[node.exchange]
 
 
-def _execute_union(node: UnionNode, ctx: ExecutionContext) -> Iterator[Page]:
+def _execute_union(node: UnionNode, ctx: ExecutionContext, stream: bool) -> Iterator[Page]:
     # UNION ALL: branches stream in order; every branch was projected onto
     # the same output variables, so pages pass through positionally.
     for source in node.union_sources:
-        yield from execute_plan(source, ctx)
+        yield from execute_plan(source, ctx, stream)
 
 
-def _execute_output(node: OutputNode, ctx: ExecutionContext) -> Iterator[Page]:
+def _execute_output(node: OutputNode, ctx: ExecutionContext, stream: bool) -> Iterator[Page]:
     visible = len(node.column_names)
-    for page in execute_plan(node.source, ctx):
+    for page in execute_plan(node.source, ctx, stream):
         page = page.loaded()
         if page.channel_count > visible:
             page = page.select_channels(list(range(visible)))

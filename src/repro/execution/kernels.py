@@ -61,7 +61,7 @@ from __future__ import annotations
 import zlib
 from itertools import repeat
 from numbers import Real
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -97,6 +97,37 @@ _MAX_RADIX = 2**62
 # rows / target) of them), and so the rows hash aggregation factorizes at
 # once: a FINAL task's whole input is one batch.
 TARGET_PARTITION_ROWS = 65_536
+
+
+def page_runs(
+    pages: Iterable[Page], alone: Optional[Callable[[Page], bool]] = None
+) -> Iterator[list[Page]]:
+    """Consecutive pages grouped greedily within ``TARGET_PARTITION_ROWS`` rows.
+
+    A run grows while its rows stay within the target; a page larger than
+    the target is a run of its own.  A page for which ``alone`` holds
+    leaves as a run of its own, cutting the pending run short, yet still
+    counts toward the rows of the run it fell in.  The runs are therefore
+    always pieces of the plain greedy runs, and grouping them greedily
+    again (hash aggregation over a scan) gives back exactly those runs.
+    """
+    pending: list[Page] = []
+    rows = 0
+    for page in pages:
+        if rows and rows + page.position_count > TARGET_PARTITION_ROWS:
+            if pending:
+                yield pending
+            pending, rows = [], 0
+        rows += page.position_count
+        if alone is not None and alone(page):
+            if pending:
+                yield pending
+                pending = []
+            yield [page]
+        else:
+            pending.append(page)
+    if pending:
+        yield pending
 
 
 # ---------------------------------------------------------------------------

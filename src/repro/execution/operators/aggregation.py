@@ -32,31 +32,20 @@ def _batches(
 ) -> Iterator[tuple[dict[str, Block], int]]:
     """The input coalesced: ``(name -> block, row count)`` per batch.
 
-    Only ``columns`` (name -> channel and type) are kept.  Pages join a
-    batch while it stays within ``TARGET_PARTITION_ROWS`` rows (a page
-    larger than that is a batch of its own), so group keys factorize once
-    per batch, not once per page.
+    Only ``columns`` (name -> channel and type) are kept.  Batches are
+    :func:`kernels.page_runs` of the non-empty pages, so group keys
+    factorize once per batch, not once per page.  A scan's pages are
+    already such runs (or pieces of them), and regrouping pieces gives the
+    same runs back: a batch is the same rows whether the scan coalesced
+    them or not.
     """
-    pending: list[Page] = []
-    rows = 0
-
-    def flush() -> tuple[dict[str, Block], int]:
+    pages = (page for page in source if page.position_count)
+    for run in kernels.page_runs(pages):
         bindings = {
-            name: concat_blocks(presto_type, [page.block(channel) for page in pending])
+            name: concat_blocks(presto_type, [page.block(channel) for page in run])
             for name, (channel, presto_type) in columns.items()
         }
-        return bindings, rows
-
-    for page in source:
-        if page.position_count == 0:
-            continue
-        if pending and rows + page.position_count > kernels.TARGET_PARTITION_ROWS:
-            yield flush()
-            pending, rows = [], 0
-        pending.append(page)
-        rows += page.position_count
-    if pending:
-        yield flush()
+        yield bindings, sum(page.position_count for page in run)
 
 
 def execute_aggregation(

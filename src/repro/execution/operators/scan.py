@@ -1,8 +1,19 @@
 """Table scan and values operators.
 
 The scan asks the connector for splits and streams every split's pages
-from it, renaming connector columns to plan variables.  Splits are the unit of parallelism (section III); the
-cluster simulation layer accounts their costs across workers.
+from it, renaming connector columns to plan variables.  Splits are the
+unit of parallelism (section III); the cluster simulation layer accounts
+their costs across workers.  Each split is charged, cached, masked and
+traced on its own, and its span and reader statistics are recorded even
+when the consumer stops mid-split.  The split pages then coalesce before
+any operator sees them (Presto's scan merges small pages the same way):
+consecutive pages join while they stay within
+``kernels.TARGET_PARTITION_ROWS`` rows, so a task of many small splits
+runs its filter, projection, join probe and top-N once, not once per
+split.  A page still holding an unloaded lazy block passes through alone,
+so lazy reads (section V.H) load only surviving rows, and a scan a LIMIT
+streams from (no blocking operator in between) hands over each page as it
+comes, so the LIMIT reads no split it does not need.
 
 When a runtime dynamic filter targets the scan (adaptive execution), the
 scan pushes its expression form into the connector handle — so readers
@@ -20,7 +31,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.connectors.spi import ConnectorTableHandle
-from repro.core.page import Page
+from repro.core.blocks import LazyBlock
+from repro.core.page import Page, concat_blocks
+from repro.execution import kernels
 from repro.execution.context import ExecutionContext
 from repro.execution.dynamic_filters import DynamicFilterSet
 from repro.planner.plan import TableScanNode, ValuesNode
@@ -54,7 +67,49 @@ def plan_scan(
     return handle, filter_set, pinned
 
 
-def execute_table_scan(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]:
+def execute_table_scan(
+    node: TableScanNode, ctx: ExecutionContext, stream: bool = False
+) -> Iterator[Page]:
+    """The scan's pages, coalesced unless ``stream``.
+
+    Coalesced, consecutive split pages join while they stay within
+    ``kernels.TARGET_PARTITION_ROWS`` rows (:func:`kernels.page_runs`), so
+    the operators above run once per task's worth of small splits; a
+    page still holding an unloaded lazy block goes out alone.  With
+    ``stream`` (a LIMIT streams from this scan) every page goes out as its
+    split yields it, so no split is read that the LIMIT does not need.
+    """
+    pages = _scanned_pages(node, ctx)
+    if stream:
+        yield from pages
+        return
+    types = [variable.type for variable in node.outputs]
+    for run in kernels.page_runs(pages, alone=_has_unloaded_block):
+        if len(run) == 1:
+            yield run[0]
+        else:
+            yield Page(
+                [
+                    concat_blocks(presto_type, [page.block(channel) for page in run])
+                    for channel, presto_type in enumerate(types)
+                ],
+                sum(page.position_count for page in run),
+            )
+
+
+def _has_unloaded_block(page: Page) -> bool:
+    return any(
+        isinstance(block, LazyBlock) and not block.is_loaded for block in page.blocks
+    )
+
+
+def _scanned_pages(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]:
+    """Every split's pages in split order, as the connector yields them.
+
+    ``pages_produced`` counts these connector pages.  A split's span and
+    reader statistics are recorded however its pages end: drained, or cut
+    short by a consumer that stopped pulling.
+    """
     connector = ctx.catalog.connector(node.catalog)
     columns = [column for _, column in node.assignments]
     # A single-scan source task reads its assigned splits; a scan in a
@@ -75,25 +130,27 @@ def execute_table_scan(node: TableScanNode, ctx: ExecutionContext) -> Iterator[P
         pages, cache_status = _split_pages(
             node, ctx, connector, handle, split, columns, filter_set
         )
-        for page in pages:
-            if mask_channels:
-                page = _apply_dynamic_mask(page, mask_channels, ctx)
-            ctx.stats.rows_scanned += page.position_count
-            split_rows += page.position_count
-            ctx.stats.pages_produced += 1
-            if page.position_count or not produced_any:
-                produced_any = True
-                yield page
-        _harvest_reader_stats(ctx, pages)
-        if ctx.tracer is not None:
-            span = ctx.tracer.instant(
-                "split",
-                split_id=split.split_id,
-                catalog=node.catalog,
-                rows=split_rows,
-            )
-            if cache_status is not None:
-                span.set(cache=cache_status)
+        try:
+            for page in pages:
+                if mask_channels:
+                    page = _apply_dynamic_mask(page, mask_channels, ctx)
+                ctx.stats.rows_scanned += page.position_count
+                split_rows += page.position_count
+                ctx.stats.pages_produced += 1
+                if page.position_count or not produced_any:
+                    produced_any = True
+                    yield page
+        finally:
+            _harvest_reader_stats(ctx, pages)
+            if ctx.tracer is not None:
+                span = ctx.tracer.instant(
+                    "split",
+                    split_id=split.split_id,
+                    catalog=node.catalog,
+                    rows=split_rows,
+                )
+                if cache_status is not None:
+                    span.set(cache=cache_status)
 
 
 def _dynamic_mask_channels(node, filter_set):

@@ -64,14 +64,16 @@ def execute_topn(
 def execute_limit(
     node: LimitNode, ctx: ExecutionContext, source: Iterator[Page]
 ) -> Iterator[Page]:
+    # Returns as soon as it holds ``count`` rows: pulling once more would
+    # read a split whose rows it drops.
     remaining = node.count
+    if remaining <= 0:
+        return
     for page in source:
-        if remaining <= 0:
-            break
         page = page.loaded()
-        if page.position_count <= remaining:
+        if page.position_count < remaining:
             remaining -= page.position_count
             yield page
-        else:
-            yield page.take(np.arange(remaining))
-            remaining = 0
+            continue
+        yield page if page.position_count == remaining else page.take(np.arange(remaining))
+        return
