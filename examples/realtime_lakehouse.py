@@ -33,11 +33,16 @@ def main() -> None:
     )
 
     print("-- produce, ingest, and compact on the simulated clock --")
-    for i in range(40):
-        lakehouse.produce((i, f"city{i % 3}", float(i)), timestamp_ms=i * 500)
+    # One batch per call: the broker lays each out as a page per partition.
+    lakehouse.produce(
+        [(i, f"city{i % 3}", float(i)) for i in range(40)],
+        timestamps_ms=[i * 500 for i in range(40)],
+    )
     lakehouse.pipeline.run_for(12_000)  # several polls, two compaction cycles
-    for i in range(40, 52):
-        lakehouse.produce((i, f"city{i % 3}", float(i)), timestamp_ms=20_000 + i)
+    lakehouse.produce(
+        [(i, f"city{i % 3}", float(i)) for i in range(40, 52)],
+        timestamps_ms=[20_000 + i for i in range(40, 52)],
+    )
     lakehouse.pipeline.run_for(300)  # ingested into the tail, not yet sealed
 
     table = lakehouse.table

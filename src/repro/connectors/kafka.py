@@ -1,18 +1,21 @@
 """Simulated Kafka and the Presto-Kafka connector (section XI's list).
 
-The simulated broker keeps topics as partitioned append-only logs.  The
-connector maps each topic to a table: message fields become columns and
-three hidden columns expose log coordinates (``_partition_id``,
-``_offset``, ``_timestamp_ms``).  Range predicates on the hidden columns
-push down as log seeks, so "tail the last five minutes" queries do not
-scan the whole topic.
+The simulated broker keeps topics as partitioned append-only logs of
+pages.  The connector maps each topic to a table: message fields become
+columns and three hidden columns expose log coordinates
+(``_partition_id``, ``_offset``, ``_timestamp_ms``).  The broker alone
+lays a record out: a produced batch becomes one page per partition, the
+fields then the coordinates, and every read is a slice of those pages.
+Range predicates on the hidden columns push down as log seeks, so "tail
+the last five minutes" queries do not scan the whole topic.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
@@ -23,14 +26,16 @@ from repro.connectors.spi import (
     ConnectorTableHandle,
     SingleSchemaConnector,
     select_columns,
+    stored_page,
 )
+from repro.core.blocks import PrimitiveBlock
 from repro.core.expressions import (
     ColumnTest,
     RowExpression,
     conjuncts,
     match_column_test,
 )
-from repro.core.page import Page
+from repro.core.page import Page, concat_pages
 from repro.core.types import BIGINT, PrestoType
 
 HIDDEN_COLUMNS: list[tuple[str, PrestoType]] = [
@@ -51,12 +56,20 @@ class _Record:
     values: tuple
 
 
+class _Log:
+    """One partition: a stored page per produce batch, and every record's timestamp."""
+
+    def __init__(self) -> None:
+        self.pages: list[Page] = []
+        self.timestamps = np.empty(0, np.int64)
+
+
 class KafkaBroker:
     """Topics as partitioned, append-only, timestamp-ordered logs."""
 
     def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock or SimulatedClock()
-        self._topics: dict[str, tuple[list[tuple[str, PrestoType]], list[list[_Record]]]] = {}
+        self._topics: dict[str, tuple[list[tuple[str, PrestoType]], list[_Log]]] = {}
         self.records_fetched = 0
 
     def create_topic(
@@ -65,35 +78,57 @@ class KafkaBroker:
         fields: Sequence[tuple[str, PrestoType]],
         partitions: int = 3,
     ) -> None:
-        self._topics[name] = (list(fields), [[] for _ in range(partitions)])
+        self._topics[name] = (list(fields), [_Log() for _ in range(partitions)])
 
     def produce(
         self,
         topic: str,
-        values: Sequence[Any],
+        messages: Sequence[Sequence[Any]],
         partition: Optional[int] = None,
-        timestamp_ms: Optional[int] = None,
-    ) -> int:
-        """Append one message; returns its offset."""
-        fields, partitions = self._require(topic)
-        if len(values) != len(fields):
+        timestamps_ms: Optional[Sequence[int]] = None,
+    ) -> list[int]:
+        """Append a batch of messages; returns their offsets in input order.
+
+        A message goes to ``partition``, by default to the key hash of its
+        first field, stamped ``timestamps_ms[i]`` (by default the clock's
+        now) but never before its partition's last record: logs are
+        time-ordered.  Nothing is appended unless the whole batch is valid.
+        """
+        fields, logs = self._require(topic)
+        messages = [tuple(values) for values in messages]
+        widths = sorted({len(values) for values in messages} - {len(fields)})
+        now = [int(self.clock.now_ms())] * len(messages)
+        stamps = np.array(now if timestamps_ms is None else timestamps_ms, np.int64)
+        if widths or len(stamps) != len(messages) or partition not in (None, *range(len(logs))):
             raise ConnectorError(
-                f"kafka: message has {len(values)} fields, topic {topic!r} has {len(fields)}"
+                f"kafka: topic {topic!r} has {len(fields)} fields and {len(logs)} partitions; "
+                f"got messages of {widths or len(fields)} fields, partition {partition}, "
+                f"{len(stamps)} timestamps for {len(messages)} messages"
             )
-        if partition is None:
-            # Key-hash partitioning must be process-stable: builtin hash()
-            # of a string varies with PYTHONHASHSEED, which would scatter
-            # the same produce sequence differently on every run.
-            partition = stable_hash(str(values[0])) % len(partitions)
-        log = partitions[partition]
-        timestamp = int(
-            timestamp_ms if timestamp_ms is not None else self.clock.now_ms()
+        # Process-stable placement: builtin hash() of a string varies with
+        # PYTHONHASHSEED, which would scatter the same produce sequence.
+        targets = np.array(
+            [stable_hash(str(v[0])) % len(logs) for v in messages]
+            if partition is None
+            else [partition] * len(messages),
+            np.int64,
         )
-        if log and timestamp < log[-1].timestamp_ms:
-            timestamp = log[-1].timestamp_ms  # logs are time-ordered
-        record = _Record(len(log), timestamp, tuple(values))
-        log.append(record)
-        return record.offset
+        offsets, appends = np.empty(len(messages), np.int64), []
+        for target in np.unique(targets):
+            log, positions = logs[target], np.flatnonzero(targets == target)
+            base = len(log.timestamps)
+            offsets[positions] = np.arange(base, base + len(positions))
+            timestamps = np.maximum.accumulate(
+                np.concatenate([log.timestamps[-1:], stamps[positions]])
+            )[-len(positions):]
+            page = stored_page([t for _, t in fields], [messages[i] for i in positions])
+            coordinates = (np.full(len(positions), target), offsets[positions], timestamps)
+            page = Page(page.blocks + [PrimitiveBlock(BIGINT, c) for c in coordinates])
+            appends.append((log, page, timestamps))
+        for log, page, timestamps in appends:
+            log.pages.append(page)
+            log.timestamps = np.concatenate([log.timestamps, timestamps])
+        return offsets.tolist()
 
     def _require(self, topic: str):
         entry = self._topics.get(topic)
@@ -116,17 +151,19 @@ class KafkaBroker:
         A metadata lookup, not a consume: costs no simulated time.  The
         streaming pipeline uses it for consumer-lag gauges.
         """
-        return [len(log) for log in self._require(topic)[1]]
+        return [len(log.timestamps) for log in self._require(topic)[1]]
 
     def log_records(self, topic: str, partition: int) -> list[_Record]:
-        """The raw partition log, free of charge.
+        """The raw partition log as records, free of charge.
 
         The differential-oracle surface: test harnesses replay the full
         event log through a batch engine and compare it against hybrid
         reads, and that replay must not perturb the simulated clock or the
         ``records_fetched`` accounting of the run under test.
         """
-        return list(self._require(topic)[1][partition])
+        fields, logs = self._require(topic)
+        rows = self._read(fields, logs[partition], 0, len(logs[partition].timestamps)).to_rows()
+        return [_Record(row[-2], row[-1], row[: len(fields)]) for row in rows]
 
     def fetch(
         self,
@@ -136,22 +173,35 @@ class KafkaBroker:
         max_offset: Optional[int] = None,
         min_timestamp_ms: Optional[int] = None,
         max_timestamp_ms: Optional[int] = None,
-    ) -> list[_Record]:
-        """Consume a partition range; only fetched records cost time."""
-        _, partitions = self._require(topic)
-        log = partitions[partition]
-        start = max(min_offset, 0)
-        end = len(log) if max_offset is None else min(max_offset + 1, len(log))
+    ) -> Page:
+        """Consume a partition range as one full-width page; only fetched
+        records cost time."""
+        fields, logs = self._require(topic)
+        log = logs[partition]
+        start, end = min_offset, len(log.timestamps) if max_offset is None else max_offset + 1
+        # Timestamp index: logs are time-ordered, so binary search.
         if min_timestamp_ms is not None:
-            # Timestamp index: logs are time-ordered, so binary search.
-            timestamps = [r.timestamp_ms for r in log]
-            start = max(start, bisect.bisect_left(timestamps, min_timestamp_ms))
-        records = log[start:end]
+            start = max(start, int(np.searchsorted(log.timestamps, min_timestamp_ms, "left")))
         if max_timestamp_ms is not None:
-            records = [r for r in records if r.timestamp_ms <= max_timestamp_ms]
-        self.records_fetched += len(records)
-        self.clock.advance(len(records) * FETCH_MS_PER_RECORD)
-        return records
+            end = min(end, int(np.searchsorted(log.timestamps, max_timestamp_ms, "right")))
+        page = self._read(fields, log, start, end)
+        self.records_fetched += page.position_count
+        self.clock.advance(page.position_count * FETCH_MS_PER_RECORD)
+        return page
+
+    @staticmethod
+    def _read(fields: list[tuple[str, PrestoType]], log: _Log, start: int, end: int) -> Page:
+        """Offsets ``[start, end)`` of a log, each bound clamped into each
+        page (a negative one never wraps), as one full-width page."""
+        pieces, base = [], 0
+        for page in log.pages:
+            positions = np.arange(max(start - base, 0), min(end - base, page.position_count))
+            if len(positions):
+                whole = len(positions) == page.position_count
+                pieces.append(page if whole else page.take(positions))
+            base += page.position_count
+        types = [t for _, t in fields + HIDDEN_COLUMNS]
+        return pieces[0] if len(pieces) == 1 else concat_pages(types, pieces)
 
 
 class KafkaConnector(SingleSchemaConnector):
@@ -201,10 +251,7 @@ class KafkaConnector(SingleSchemaConnector):
     ) -> Iterator[Page]:
         partition = split.info_dict()["partition"]
 
-        ranges = {
-            "_offset": [0, None],
-            "_timestamp_ms": [None, None],
-        }
+        ranges = {"_offset": [0, None], "_timestamp_ms": [None, None]}
         for conjunct in conjuncts(handle.constraint_expression()):
             test = _as_log_range(conjunct)
             if test is None:
@@ -217,21 +264,11 @@ class KafkaConnector(SingleSchemaConnector):
                 high = bound if high is None else min(high, bound)
             ranges[test.column] = [low, high]
 
-        records = self.broker.fetch(
-            handle.table_name,
-            partition,
-            min_offset=ranges["_offset"][0] or 0,
-            max_offset=ranges["_offset"][1],
-            min_timestamp_ms=ranges["_timestamp_ms"][0],
-            max_timestamp_ms=ranges["_timestamp_ms"][1],
-        )
-        if handle.limit is not None:
-            records = records[: handle.limit]
-
-        # The log is a row store: the records read become one page.
-        layout = self.all_columns(handle.table_name)
-        rows = [tuple(r.values) + (partition, r.offset, r.timestamp_ms) for r in records]
-        yield select_columns(layout, Page.from_rows([t for _, t in layout], rows), columns)
+        (low, high), (since, until) = ranges["_offset"], ranges["_timestamp_ms"]
+        page = self.broker.fetch(handle.table_name, partition, low, high, since, until)
+        if handle.limit is not None and page.position_count > handle.limit:
+            page = page.take(np.arange(handle.limit))
+        yield select_columns(self.all_columns(handle.table_name), page, columns)
 
 
 def _as_log_range(conjunct: RowExpression) -> Optional[ColumnTest]:

@@ -207,9 +207,6 @@ class IcebergTable:
         reader = NewParquetReader(file, [n for n, _ in self.columns])
         return concat_pages(self.types, list(reader.read_pages()))
 
-    def read_file_rows(self, data_file: DataFile) -> list[tuple]:
-        return self.read_file_page(data_file).to_rows()
-
     def scan_files(self, snapshot_id: Optional[int] = None) -> tuple[Snapshot, tuple[DataFile, ...]]:
         snapshot = (
             self.current_snapshot() if snapshot_id is None else self.snapshot(snapshot_id)

@@ -1,10 +1,11 @@
 """Simulated MySQL server and the Presto-MySQL connector.
 
 "MySQL is used widely in all companies with transaction support" (section
-IV).  The simulated server is a row store that can evaluate arbitrary
-predicates, projections and limits server-side; the connector pushes all
-three down so "only filtered, projected, and limited rows" stream into the
-engine — tables are addressed as ``mysql.schemaName.tableName``.
+IV).  The simulated server keeps a table as one page built where its rows
+arrive, and evaluates arbitrary predicates, projections and limits on it;
+the connector pushes all three down so "only filtered, projected, and
+limited rows" stream into the engine — tables are addressed as
+``mysql.schemaName.tableName``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from repro.connectors.spi import (
     ConnectorSplit,
     ConnectorTableHandle,
     select_columns,
+    stored_page,
 )
 from repro.core.evaluator import Evaluator
 from repro.core.expressions import RowExpression
-from repro.core.page import Page
+from repro.core.page import Page, concat_pages
 from repro.core.types import PrestoType
 
 
@@ -36,12 +38,12 @@ class MySqlStats:
 
 
 class MySqlServer:
-    """A toy row-store standing in for MySQL."""
+    """A toy server standing in for MySQL: one stored page per table."""
 
     def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock or SimulatedClock()
         self.stats = MySqlStats()
-        self._tables: dict[tuple[str, str], tuple[list[tuple[str, PrestoType]], list[tuple]]] = {}
+        self._tables: dict[tuple[str, str], tuple[list[tuple[str, PrestoType]], Page]] = {}
         self._evaluator = Evaluator()
         # Latency model: connection overhead plus per-row evaluation/transfer.
         self.query_latency_ms = 2.0
@@ -55,10 +57,14 @@ class MySqlServer:
         columns: Sequence[tuple[str, PrestoType]],
         rows: Sequence[tuple] = (),
     ) -> None:
-        self._tables[(database, table)] = (list(columns), [tuple(r) for r in rows])
+        columns = list(columns)
+        self._tables[(database, table)] = (columns, stored_page([t for _, t in columns], rows))
 
     def insert(self, database: str, table: str, rows: Sequence[tuple]) -> None:
-        self._require(database, table)[1].extend(tuple(r) for r in rows)
+        columns, page = self._require(database, table)
+        types = [t for _, t in columns]
+        added = stored_page(types, rows)
+        self._tables[(database, table)] = (columns, concat_pages(types, [page, added]))
 
     def _require(self, database: str, table: str):
         entry = self._tables.get((database, table))
@@ -82,22 +88,20 @@ class MySqlServer:
         projection: Sequence[str],
         predicate: Optional[RowExpression] = None,
         limit: Optional[int] = None,
-    ) -> list[tuple]:
+    ) -> Page:
         """Run a structured query server-side (WHERE, SELECT list, LIMIT):
-        the table's rows become one page, filtered and cut on the page;
-        the result crosses back as rows."""
-        columns, rows = self._require(database, table)
+        the table's page filtered, cut and projected."""
+        columns, page = self._require(database, table)
         self.stats.queries += 1
-        self.stats.rows_examined += len(rows)
-        self.clock.advance(self.query_latency_ms + len(rows) * self.row_eval_ms)
+        self.stats.rows_examined += page.position_count
+        self.clock.advance(self.query_latency_ms + page.position_count * self.row_eval_ms)
 
-        page = Page.from_rows([t for _, t in columns], rows)
         page = self._evaluator.filter_page(predicate, [n for n, _ in columns], page)
         if limit is not None and page.position_count > limit:
             page = page.take(np.arange(limit))
-        result = select_columns(columns, page, projection).to_rows()
-        self.stats.rows_returned += len(result)
-        self.clock.advance(len(result) * self.row_transfer_ms)
+        result = select_columns(columns, page, projection)
+        self.stats.rows_returned += result.position_count
+        self.clock.advance(result.position_count * self.row_transfer_ms)
         return result
 
 
@@ -143,13 +147,10 @@ class MySqlConnector(Connector):
         split: ConnectorSplit,
         columns: Sequence[str],
     ) -> Iterator[Page]:
-        server = self.server
-        rows = server.execute(
+        yield self.server.execute(
             handle.schema_name,
             handle.table_name,
             projection=list(columns),
             predicate=handle.constraint_expression(),
             limit=handle.limit,
         )
-        types = dict(server.columns(handle.schema_name, handle.table_name))
-        yield Page.from_rows([types[c] for c in columns], rows)

@@ -54,7 +54,7 @@ class RoutingTable:
     def _all_rows(self) -> list[tuple]:
         return self.mysql.execute(
             ROUTING_DATABASE, ROUTING_TABLE, [name for name, _ in ROUTING_COLUMNS]
-        )
+        ).to_rows()
 
     # -- resolution ---------------------------------------------------------------
 

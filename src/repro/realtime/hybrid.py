@@ -6,10 +6,10 @@ Figs 15–16):
 
 - a **Kafka topic** is the durable source of truth (the replayable log);
 - the in-memory *tail* is the table's own: one immutable segment per
-  ingested micro-batch, one page built when the batch arrives, each row
-  carrying its log coordinates (``_partition_id``, ``_offset``,
-  ``_timestamp_ms``) as real columns, so an offset range of a segment is
-  one contiguous ``take``;
+  ingested micro-batch, the page the broker fetched kept as it is, each
+  row carrying the log coordinates the broker laid out
+  (``_partition_id``, ``_offset``, ``_timestamp_ms``) as real columns, so
+  an offset range of a segment is one contiguous ``take``;
 - an **Iceberg table** holds the sealed past as parquet snapshots whose
   summary records the *sealed watermark*.
 
@@ -41,7 +41,6 @@ from repro.common.clock import SimulatedClock
 from repro.common.errors import ConnectorError
 from repro.connectors.kafka import HIDDEN_COLUMNS
 from repro.connectors.lakehouse.table_format import IcebergTable
-from repro.connectors.spi import stored_page
 from repro.core.page import Page, concat_pages
 from repro.core.types import PrestoType
 from repro.realtime.watermark import Watermark
@@ -66,10 +65,6 @@ class TailSegment:
     end_offset: int  # exclusive
     max_timestamp_ms: int
     page: Page
-
-    @property
-    def row_count(self) -> int:
-        return self.end_offset - self.base_offset
 
 
 class HybridTable:
@@ -123,41 +118,41 @@ class HybridTable:
 
     # -- ingestion ------------------------------------------------------------
 
-    def append_tail(self, partition: int, records: Sequence) -> Optional[TailSegment]:
+    def append_tail(self, partition: int, page: Page) -> Optional[TailSegment]:
         """Stage one fetched micro-batch as an (uncommitted) tail segment.
 
-        ``records`` are broker records (``offset`` / ``timestamp_ms`` /
-        ``values``).  Records below the committed offset are dropped —
-        re-delivery after a crash is idempotent — and any previously
+        ``page`` is a full-width page as :meth:`KafkaBroker.fetch` returns
+        it.  Rows below the committed offset are dropped — re-delivery
+        after a crash is idempotent — and any previously
         staged-but-uncommitted segment for the partition is replaced, so
-        the tail never holds two copies of an offset.  The fresh records
-        must continue the committed offset without a gap.
+        the tail never holds two copies of an offset.  The fresh rows must
+        continue the committed offset without a gap.
         """
         committed = self.committed.offset(partition)
-        fresh = [r for r in records if r.offset >= committed]
+        fresh = np.flatnonzero(self.coordinates(page)[1] >= committed)
         # Self-healing: an earlier append that crashed before its offset
         # commit may have left an uncommitted segment; replace it.
         self._drop_segments(
             lambda s: s.partition == partition and s.base_offset >= committed
         )
-        if not fresh:
+        if not len(fresh):
             return None
-        for expected, record in enumerate(fresh, start=committed):
-            if record.offset != expected:
-                raise ConnectorError(
-                    f"hybrid table {self.name!r}: partition {partition} append gap "
-                    f"(expected offset {expected}, got {record.offset})"
-                )
+        if len(fresh) < page.position_count:
+            page = page.take(fresh)
+        offsets = self.coordinates(page)[1]
+        gaps = np.flatnonzero(offsets != np.arange(committed, committed + len(offsets)))
+        if len(gaps):
+            raise ConnectorError(
+                f"hybrid table {self.name!r}: partition {partition} append gap "
+                f"(expected offset {committed + gaps[0]}, got {offsets[gaps[0]]})"
+            )
         tail_segment = TailSegment(
             segment_id=self._segment_ids,
             partition=partition,
             base_offset=committed,
-            end_offset=committed + len(fresh),
-            max_timestamp_ms=max(r.timestamp_ms for r in fresh),
-            page=stored_page(
-                self.types,
-                [tuple(r.values) + (partition, r.offset, r.timestamp_ms) for r in fresh],
-            ),
+            end_offset=committed + len(offsets),
+            max_timestamp_ms=int(page.block(len(self.fields) + 2).values.max()),
+            page=page,
         )
         self._segment_ids += 1
         self.tail_segments.append(tail_segment)
@@ -235,12 +230,6 @@ class HybridTable:
                 pages.append(page)
         return self._concat(pages)
 
-    def visible_tail_rows(
-        self, sealed: Watermark, read: Watermark, partition: Optional[int] = None
-    ) -> list[tuple]:
-        """:meth:`visible_tail_page` as row tuples."""
-        return self.visible_tail_page(sealed, read, partition).to_rows()
-
     def read_page_between(self, low: Watermark, high: Watermark) -> Page:
         """All visible rows in ``[low, high)``, wherever they live.
 
@@ -275,18 +264,4 @@ class HybridTable:
     # -- introspection --------------------------------------------------------
 
     def tail_row_count(self) -> int:
-        return sum(s.row_count for s in self.tail_segments)
-
-    def tail_layout(self) -> list[tuple]:
-        """Deterministic tail descriptor for byte-identical replay tests."""
-        return [
-            (s.segment_id, s.partition, s.base_offset, s.end_offset, s.max_timestamp_ms)
-            for s in sorted(self.tail_segments, key=lambda s: s.segment_id)
-        ]
-
-    def column_types(self) -> dict[str, PrestoType]:
-        return dict(self.columns)
-
-    def column_names(self) -> list[str]:
-        return [n for n, _ in self.columns]
-
+        return sum(s.page.position_count for s in self.tail_segments)

@@ -11,7 +11,7 @@ experiments can query the sealed-only view of the same data.
 Typical use::
 
     lh = StreamingLakehouse(fields=[("city", VARCHAR), ("amount", DOUBLE)])
-    lh.produce(("sf", 1.5))
+    lh.produce([("sf", 1.5)])
     lh.pipeline.run_for(10_000)
     engine = lh.make_engine()
     engine.execute("SELECT city, sum(amount) FROM events GROUP BY city")
@@ -86,12 +86,13 @@ class StreamingLakehouse:
 
     def produce(
         self,
-        values: Sequence,
+        messages: Sequence[Sequence],
         partition: Optional[int] = None,
-        timestamp_ms: Optional[int] = None,
-    ) -> int:
+        timestamps_ms: Optional[Sequence[int]] = None,
+    ) -> list[int]:
+        """Append a batch of messages to the topic; returns their offsets."""
         return self.broker.produce(
-            self.topic, values, partition=partition, timestamp_ms=timestamp_ms
+            self.topic, messages, partition=partition, timestamps_ms=timestamps_ms
         )
 
     # -- views -----------------------------------------------------------------

@@ -63,7 +63,7 @@ class MaterializedView:
         self.refreshes = 0
         self.rows_folded = 0
 
-        table_types = table.column_types()
+        table_types = dict(table.columns)
         for column in self.group_by:
             if column not in table_types:
                 raise SemanticError(f"view {name!r}: unknown group column {column!r}")
@@ -73,7 +73,7 @@ class MaterializedView:
             (c, table_types[c]) for c in self.group_by
         ]
         self._input_indexes: list[Optional[int]] = []
-        names = table.column_names()
+        names = [n for n, _ in table.columns]
         for aggregate in self.aggregates:
             if aggregate.function not in MERGEABLE_AGGREGATES:
                 raise SemanticError(
@@ -138,13 +138,6 @@ class MaterializedView:
             key=lambda i: tuple(_sort_key(key[i]) for key in keys),
         )
         return page.take(np.array(order, dtype=np.int64))
-
-    def rows(self) -> list[tuple]:
-        """:meth:`page` as row tuples."""
-        return self.page().to_rows()
-
-    def column_names(self) -> list[str]:
-        return [n for n, _ in self.columns]
 
     def matches(
         self,

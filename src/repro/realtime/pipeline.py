@@ -162,16 +162,15 @@ class IngestionPipeline:
         table = self.table
         ingested = 0
         for partition in range(table.partitions):
-            records = self.broker.fetch(
-                self.topic, partition, min_offset=table.committed.offset(partition)
-            )
-            if not records:
+            committed = table.committed.offset(partition)
+            page = self.broker.fetch(self.topic, partition, min_offset=committed)
+            if not page.position_count:
                 continue
             self._crash_point("ingest", self.polls, partition, "append")
-            table.append_tail(partition, records)
+            table.append_tail(partition, page)
             self._crash_point("ingest", self.polls, partition, "commit")
-            table.commit_offsets(partition, records[-1].offset + 1)
-            ingested += len(records)
+            table.commit_offsets(partition, committed + page.position_count)
+            ingested += page.position_count
         self.records_ingested += ingested
         if self.metrics is not None and ingested:
             self.metrics.counter(

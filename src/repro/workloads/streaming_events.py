@@ -62,17 +62,9 @@ def produce_events(
 ) -> int:
     """Feed ``count`` generated events into a :class:`StreamingLakehouse`.
 
-    Returns the number of events produced.  Partition assignment is left
-    to the broker's stable key-hash partitioner.
+    One batch; returns the number of events produced.  Partition
+    assignment is left to the broker's stable key-hash partitioner.
     """
-    produced = 0
-    for values, timestamp_ms in event_stream(
-        count,
-        seed=seed,
-        events_per_second=events_per_second,
-        start_ms=start_ms,
-        start_id=start_id,
-    ):
-        lakehouse.produce(values, timestamp_ms=timestamp_ms)
-        produced += 1
-    return produced
+    events = list(event_stream(count, seed, events_per_second, start_ms, start_id))
+    lakehouse.produce([e for e, _ in events], timestamps_ms=[t for _, t in events])
+    return len(events)

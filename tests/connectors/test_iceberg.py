@@ -69,7 +69,7 @@ class TestTableFormat:
         rows = [
             r
             for f in table.current_snapshot().files
-            for r in table.read_file_rows(f)
+            for r in table.read_file_page(f).to_rows()
         ]
         assert (2, "cancelled", 20.0) in rows
         assert (1, "open", 10.0) in rows  # unmatched rows preserved

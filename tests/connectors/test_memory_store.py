@@ -152,11 +152,9 @@ def _tail_lakehouse():
     lakehouse = StreamingLakehouse(
         fields=COLUMNS, topic="t", poll_interval_ms=100, compaction_interval_ms=400
     )
-    for row in HALVES[0]:
-        lakehouse.produce(row, timestamp_ms=row[0] * 4)
+    lakehouse.produce(HALVES[0], timestamps_ms=[row[0] * 4 for row in HALVES[0]])
     lakehouse.pipeline.run_for(1000)  # sealed into the lake
-    for row in HALVES[1]:
-        lakehouse.produce(row, timestamp_ms=1100 + row[0])
+    lakehouse.produce(HALVES[1], timestamps_ms=[1100 + row[0] for row in HALVES[1]])
     lakehouse.pipeline.run_for(150)  # stays in the tail
     return lakehouse
 
@@ -234,7 +232,7 @@ class TestNoPerScanBuild:
         handle = ConnectorTableHandle("rt", "v")
         splits = lakehouse.connector.get_splits(handle)
         assert self._read_twice(lakehouse.connector, handle, splits, ["n", "level"]) == sorted(
-            ((n, level) for level, n in view.rows()), key=repr
+            ((n, level) for level, n in view.page().to_rows()), key=repr
         )
 
 
@@ -343,8 +341,7 @@ def _mysql_connector():
 def _kafka_connector():
     broker = KafkaBroker()
     broker.create_topic("t", COLUMNS)
-    for row in ROWS:
-        broker.produce("t", row)
+    broker.produce("t", ROWS)
     return KafkaConnector(broker)
 
 

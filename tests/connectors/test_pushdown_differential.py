@@ -158,11 +158,9 @@ def engine():
     lakehouse = StreamingLakehouse(
         fields=COLUMNS, topic="t", poll_interval_ms=100, compaction_interval_ms=400
     )
-    for row in HALVES[0]:
-        lakehouse.produce(row, timestamp_ms=row[0] * 4)
+    lakehouse.produce(HALVES[0], timestamps_ms=[row[0] * 4 for row in HALVES[0]])
     lakehouse.pipeline.run_for(1000)  # sealed into the lake
-    for row in HALVES[1]:
-        lakehouse.produce(row, timestamp_ms=1100 + row[0])
+    lakehouse.produce(HALVES[1], timestamps_ms=[1100 + row[0] for row in HALVES[1]])
     lakehouse.pipeline.run_for(150)  # stays in the tail
     assert lakehouse.table.sealed_watermark() != lakehouse.table.committed
 

@@ -16,6 +16,7 @@ from repro.connectors.kafka import KafkaBroker
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution.faults import FaultInjector
 from repro.realtime import StreamingLakehouse
+from tests.reference.lakehouse import tail_layout
 
 FIELDS = [("order_id", BIGINT), ("city", VARCHAR), ("amount", DOUBLE)]
 
@@ -30,9 +31,11 @@ def run_lakehouse(seed):
         compaction_interval_ms=700,
         fault_injector=injector,
     )
-    for i in range(240):
-        # No explicit partition: exercises the key-hash partitioner.
-        lh.produce((i, f"c{i % 5}", i / 9), timestamp_ms=i * 6)
+    # No explicit partition: exercises the key-hash partitioner.
+    lh.produce(
+        [(i, f"c{i % 5}", i / 9) for i in range(240)],
+        timestamps_ms=[i * 6 for i in range(240)],
+    )
     lh.pipeline.run_for(3500)
     engine = lh.make_engine()
     result = engine.execute(SQL)
@@ -48,7 +51,7 @@ def fingerprint(lh, result):
         broker_layout,
         lh.table.committed.encode(),
         lh.table.sealed_watermark().encode(),
-        tuple(lh.table.tail_layout()),
+        tuple(tail_layout(lh.table)),
         tuple((f.path, f.row_count) for f in lh.lake.current_snapshot().files),
         tuple(
             (s.snapshot_id, s.operation, s.properties, tuple(f.path for f in s.files))
@@ -90,7 +93,7 @@ class TestKafkaPartitionerStability:
         broker = KafkaBroker()
         broker.create_topic("t", [("k", VARCHAR)], partitions=4)
         for value in ("alpha", "beta", "gamma", "delta"):
-            offset = broker.produce("t", (value,))
+            (offset,) = broker.produce("t", [(value,)])
             expected_partition = stable_hash(value) % 4
             log = broker.log_records("t", expected_partition)
             assert log and log[-1].offset == offset
@@ -102,7 +105,7 @@ class TestKafkaPartitionerStability:
         broker = KafkaBroker()
         broker.create_topic("t", [("k", VARCHAR)], partitions=3)
         for i in range(12):
-            broker.produce("t", (f"key-{i}",))
+            broker.produce("t", [(f"key-{i}",)])
         layout = [
             [r.values[0] for r in broker.log_records("t", p)] for p in range(3)
         ]

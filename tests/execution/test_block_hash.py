@@ -10,6 +10,7 @@ while a page is partitioned.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
@@ -185,7 +186,12 @@ def _page(rows: int) -> list:
 
 
 def _python_calls(blocks: list) -> int:
-    """Python and builtin calls made while one page is partitioned."""
+    """Python and builtin calls made while one page is partitioned.
+
+    The collector is off while it is counted: a collection that lands in
+    the call would count the finalizers of garbage earlier tests left (an
+    abandoned generator's ``finally``, a weak-dictionary callback).
+    """
     calls = 0
 
     def profile(frame, event, arg):
@@ -193,11 +199,16 @@ def _python_calls(blocks: list) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         kernels.partition_assignments(blocks, 4)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return calls
 
 

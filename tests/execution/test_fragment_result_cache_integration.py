@@ -150,11 +150,9 @@ def _hybrid_connector():
         fields=[("v", DOUBLE)], topic="t", poll_interval_ms=100, compaction_interval_ms=400
     )
     for wave in (ROWS[:4], ROWS[4:8]):
-        for (v,) in wave:
-            lakehouse.produce((v,))
+        lakehouse.produce(wave)
         lakehouse.pipeline.run_for(1000)  # sealed: lake splits carry a data_version
-    for (v,) in ROWS[8:]:
-        lakehouse.produce((v,))
+    lakehouse.produce(ROWS[8:])
     lakehouse.pipeline.run_for(150)  # tail rows ride pinned in their splits
     return "hybrid", "rt", lakehouse.connector
 

@@ -247,8 +247,7 @@ class TestNeverCached:
         sql = "SELECT count(*), sum(v) FROM t"
         seen = []
         for wave in range(3):
-            for i in range(4):
-                lakehouse.produce((float(wave * 4 + i),))
+            lakehouse.produce([(float(wave * 4 + i),) for i in range(4)])
             lakehouse.pipeline.run_for(1000)
             seen.append(engine.execute(sql).rows)
             engine.execute(sql)

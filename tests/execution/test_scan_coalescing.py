@@ -52,11 +52,15 @@ class TestSplitSpansMatchStats:
             poll_interval_ms=150,
             compaction_interval_ms=900,
         )
-        for i in range(200):
-            lakehouse.produce((i, f"c{i % 4}", i / 7), timestamp_ms=i * 4)
+        lakehouse.produce(
+            [(i, f"c{i % 4}", i / 7) for i in range(200)],
+            timestamps_ms=[i * 4 for i in range(200)],
+        )
         lakehouse.pipeline.run_for(2000)
-        for i in range(200, 240):
-            lakehouse.produce((i, f"c{i % 4}", i / 7), timestamp_ms=2100 + i)
+        lakehouse.produce(
+            [(i, f"c{i % 4}", i / 7) for i in range(200, 240)],
+            timestamps_ms=[2100 + i for i in range(200, 240)],
+        )
         lakehouse.pipeline.run_for(300)
         assert lakehouse.table.tail_row_count() > 0
         engine = lakehouse.make_engine()

@@ -100,7 +100,7 @@ class TestRoutingTable:
         routing.assign_user("alice", "a")
         rows = routing.mysql.execute(
             "presto_gateway", "routing", ["principal", "cluster"]
-        )
+        ).to_rows()
         assert ("alice", "a") in rows
 
     def test_remove(self):

@@ -27,7 +27,7 @@ from repro.realtime import (
     Watermark,
     watermark_table_name,
 )
-from tests.reference.lakehouse import expected_log_keys, visible_log_keys
+from tests.reference.lakehouse import expected_log_keys, tail_layout, visible_log_keys
 
 FIELDS = [("k", BIGINT), ("tag", VARCHAR)]
 
@@ -59,9 +59,9 @@ def run_schedule(schedule, partitions, seed, failure_rate):
         if operation == "produce":
             for _ in range(argument):
                 lh.produce(
-                    (produced, f"t{produced % 3}"),
+                    [(produced, f"t{produced % 3}")],
                     partition=produced % partitions,
-                    timestamp_ms=produced * 5,
+                    timestamps_ms=[produced * 5],
                 )
                 produced += 1
         elif operation == "poll":
@@ -109,7 +109,7 @@ def check_invariants(lh):
     lake_keys = Counter()
     partition_index = len(table.fields)
     for data_file in table.lake.current_snapshot().files:
-        for row in table.lake.read_file_rows(data_file):
+        for row in table.lake.read_file_page(data_file).to_rows():
             lake_keys[(row[partition_index], row[partition_index + 1])] += 1
     assert all(n == 1 for n in lake_keys.values()), f"lake duplicates: {lake_keys}"
     assert lake_keys == expected_log_keys(lh.broker, lh.topic, sealed)
@@ -117,7 +117,7 @@ def check_invariants(lh):
     # Committed tail rows cover exactly [sealed, committed).
     tail_keys = Counter(
         (row[partition_index], row[partition_index + 1])
-        for row in table.visible_tail_rows(sealed, committed)
+        for row in table.visible_tail_page(sealed, committed).to_rows()
     )
     assert all(n == 1 for n in tail_keys.values()), f"tail duplicates: {tail_keys}"
     assert tail_keys == expected - lake_keys
@@ -128,7 +128,7 @@ def check_invariants(lh):
     )
     mid_keys = Counter(
         (row[partition_index], row[partition_index + 1])
-        for row in table.visible_tail_rows(low, committed)
+        for row in table.visible_tail_page(low, committed).to_rows()
     )
     assert mid_keys == expected - expected_log_keys(lh.broker, lh.topic, low)
 
@@ -177,7 +177,7 @@ def test_replay_is_deterministic(schedule, partitions, seed):
         return (
             lh.table.committed.encode(),
             lh.table.sealed_watermark().encode(),
-            tuple(lh.table.tail_layout()),
+            tuple(tail_layout(lh.table)),
             tuple(
                 (f.path, f.row_count)
                 for f in lh.table.lake.current_snapshot().files

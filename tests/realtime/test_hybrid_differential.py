@@ -58,12 +58,16 @@ def build_lakehouse(fault_injector=None, produce=320):
         compaction_interval_ms=900,
         fault_injector=fault_injector,
     )
-    for i in range(produce):
-        lh.produce((i, f"c{i % 4}", i / 7), timestamp_ms=i * 4)
+    lh.produce(
+        [(i, f"c{i % 4}", i / 7) for i in range(produce)],
+        timestamps_ms=[i * 4 for i in range(produce)],
+    )
     lh.pipeline.run_for(2000)
     # A second wave that stays (at least partly) in the tail.
-    for i in range(produce, produce + 60):
-        lh.produce((i, f"c{i % 4}", i / 7), timestamp_ms=2100 + i)
+    wave = range(produce, produce + 60)
+    lh.produce(
+        [(i, f"c{i % 4}", i / 7) for i in wave], timestamps_ms=[2100 + i for i in wave]
+    )
     lh.pipeline.run_for(300)
     return lh
 
@@ -236,7 +240,7 @@ class TestMaterializedViews:
             ],
         )
         for i, row in enumerate([(0, "sf", 1.0), (1, "sf", float("nan")), (2, "la", 2.0)]):
-            lh.produce(row, partition=0, timestamp_ms=i)
+            lh.produce([row], partition=0, timestamps_ms=[i])
             if refreshes == 2:
                 lh.pipeline.run_for(200)
                 view.refresh()
@@ -267,8 +271,10 @@ class TestMaterializedViews:
             "city_stats", ["city"], [ViewAggregate("count", None, "n")]
         )
         for wave in range(4):
-            for i in range(wave * 50, (wave + 1) * 50):
-                lh.produce((i, f"c{i % 4}", i / 7), timestamp_ms=i * 4)
+            ids = range(wave * 50, (wave + 1) * 50)
+            lh.produce(
+                [(i, f"c{i % 4}", i / 7) for i in ids], timestamps_ms=[i * 4 for i in ids]
+            )
             lh.pipeline.run_for(700 if wave % 2 == 0 else 1100)
             view.refresh()
         sql = 'SELECT city, count(*) FROM "{table}" GROUP BY city ORDER BY city'
@@ -328,8 +334,10 @@ class TestConcurrentWithLivePipeline:
         cluster = PrestoClusterSim(workers=4, slots_per_worker=2, clock=lh.clock)
 
         # Keep producing so the pipeline has real work mid-flight.
-        for i in range(1000, 1120):
-            lh.produce((i, f"c{i % 4}", i / 7), timestamp_ms=4000 + i)
+        ids = range(1000, 1120)
+        lh.produce(
+            [(i, f"c{i % 4}", i / 7) for i in ids], timestamps_ms=[4000 + i for i in ids]
+        )
 
         deadline = lh.clock.now_ms() + 3000
 

@@ -1,5 +1,6 @@
 """Unit tests for watermarks, the hybrid table, and the pipeline."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConnectorError
@@ -20,8 +21,8 @@ def make_lakehouse(**kwargs):
 
 
 def produce_n(lh, n, start=0):
-    for i in range(start, start + n):
-        lh.produce((i, f"c{i % 4}", i / 10), timestamp_ms=i * 3)
+    ids = range(start, start + n)
+    lh.produce([(i, f"c{i % 4}", i / 10) for i in ids], timestamps_ms=[i * 3 for i in ids])
 
 
 class TestWatermark:
@@ -74,17 +75,17 @@ class TestIngestion:
     def test_append_gap_rejected(self):
         lh = make_lakehouse()
         produce_n(lh, 10)
-        records = lh.broker.log_records(lh.topic, 0)
+        page = lh.broker.fetch(lh.topic, 0)
         with pytest.raises(ConnectorError, match="append gap"):
-            lh.table.append_tail(0, records[1:])
+            lh.table.append_tail(0, page.take(np.arange(1, page.position_count)))
 
     def test_append_gap_after_the_first_record_rejected(self):
         lh = make_lakehouse()
         produce_n(lh, 10)
-        records = lh.broker.log_records(lh.topic, 1)
-        assert len(records) > 2
+        page = lh.broker.fetch(lh.topic, 1)
+        assert page.position_count > 2
         with pytest.raises(ConnectorError, match="append gap"):
-            lh.table.append_tail(1, records[:1] + records[2:])
+            lh.table.append_tail(1, page.take(np.r_[0, 2 : page.position_count]))
         assert lh.table.tail_row_count() == 0
 
     def test_redelivery_is_idempotent(self):
@@ -94,7 +95,7 @@ class TestIngestion:
         committed = lh.table.committed
         # Re-deliver the whole log: already-committed records are dropped.
         for p in range(lh.table.partitions):
-            lh.table.append_tail(p, lh.broker.log_records(lh.topic, p))
+            lh.table.append_tail(p, lh.broker.fetch(lh.topic, p))
         assert lh.table.committed == committed
         assert lh.table.tail_row_count() == committed.total()
 
@@ -141,8 +142,7 @@ class TestRecovery:
     def test_recover_drops_uncommitted_appends(self):
         lh = make_lakehouse()
         produce_n(lh, 12)
-        records = lh.broker.log_records(lh.topic, 0)
-        lh.table.append_tail(0, records)  # staged, never committed
+        lh.table.append_tail(0, lh.broker.fetch(lh.topic, 0))  # staged, never committed
         lh.table.recover()
         assert lh.table.tail_row_count() == 0
         assert lh.table.committed == Watermark.zero(3)

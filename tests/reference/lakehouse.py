@@ -116,6 +116,14 @@ def expected_log_keys(
     )
 
 
+def tail_layout(table) -> list[tuple]:
+    """A hybrid table's tail segments, for byte-identical replay checks."""
+    return [
+        (s.segment_id, s.partition, s.base_offset, s.end_offset, s.max_timestamp_ms)
+        for s in sorted(table.tail_segments, key=lambda s: s.segment_id)
+    ]
+
+
 def assert_exactly_once(
     connector: HybridTableConnector,
     broker: KafkaBroker,
