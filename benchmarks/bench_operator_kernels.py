@@ -195,7 +195,8 @@ def bench_join(probe_rows: int, build_rows: int, repeat: int) -> dict:
 
 def make_topn_input(rows: int, seed: int = 13) -> list[Page]:
     rng = np.random.default_rng(seed)
-    # Prices repeat (ties) and 5% are NULL; the row id breaks ties.
+    # Prices repeat (ties) and 5% are NULL; the row id breaks ties.  At
+    # ``count`` 100 the NULLs, first in DESC order, fill the cut alone.
     prices = rng.integers(0, rows // 4 + 1, size=rows) / 4.0
     null_mask = rng.random(rows) < 0.05
     ids = np.arange(rows, dtype=np.int64)
@@ -210,20 +211,41 @@ def make_topn_input(rows: int, seed: int = 13) -> list[Page]:
     return _paged(blocks, rows)
 
 
-def make_topn_node(count: int) -> TopNNode:
-    source = _source([("price", DOUBLE), ("id", BIGINT)])
-    price, row_id = source.outputs
-    return TopNNode(source=source, count=count, order_by=((price, False), (row_id, True)))
+def make_topn_count_input(rows: int, seed: int = 19) -> list[Page]:
+    """``highcard_groupby``'s shape: a per-key count (BIGINT, no NULL,
+    heavy ties), DESC, then the key, so the cut goes through
+    ``np.partition``."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(2.5, size=rows).astype(np.int64) + 1
+    keys = rng.permutation(rows).astype(np.int64)
+
+    def blocks(start, end):
+        return [PrimitiveBlock(BIGINT, counts[start:end]), PrimitiveBlock(BIGINT, keys[start:end])]
+
+    return _paged(blocks, rows)
 
 
-def bench_topn(rows: int, count: int, repeat: int) -> dict:
-    node = make_topn_node(count)
-    pages = make_topn_input(rows)
+TOPN_INPUTS = {
+    "double, 5% NULL": (DOUBLE, make_topn_input),
+    "bigint, no NULL": (BIGINT, make_topn_count_input),
+}
+
+
+def make_topn_node(count: int, first_type) -> TopNNode:
+    source = _source([("first", first_type), ("id", BIGINT)])
+    first, row_id = source.outputs
+    return TopNNode(source=source, count=count, order_by=((first, False), (row_id, True)))
+
+
+def bench_topn(rows: int, count: int, repeat: int, first_key: str) -> dict:
+    first_type, make_input = TOPN_INPUTS[first_key]
+    node = make_topn_node(count, first_type)
+    pages = make_input(rows)
     types = [v.type for v in node.outputs]
     return _bench(
         "topn",
         rows,
-        {"count": count},
+        {"count": count, "first_key": first_key},
         lambda: execute_topn(node, ExecutionContext(catalog=None), iter(pages)),
         lambda: [Page.from_rows(types, _sorted_rows(node, iter(pages))[:count])],
         repeat,
@@ -300,7 +322,7 @@ def run(smoke: bool) -> dict:
     # already stored.  Once is enough for a lane that takes seconds.
     benchmarks.append(bench_aggregation(10 * size, 10 * size, 1))
     benchmarks.append(bench_join(size, build_rows, repeat))
-    benchmarks.append(bench_topn(size, 100, repeat))
+    benchmarks += [bench_topn(size, 100, repeat, first_key) for first_key in TOPN_INPUTS]
     benchmarks.append(bench_exchange(size, 8, repeat))
     return {
         "benchmark": "operator_kernels",
@@ -318,7 +340,10 @@ def gates(report: dict) -> list:
     ]
     if not report["smoke"]:
         for b in cases:
-            shape = b.get("groups") or b.get("build_rows") or b.get("partitions") or b["count"]
+            shape = (
+                b.get("groups") or b.get("build_rows") or b.get("partitions")
+                or f"{b['count']}, {b['first_key']} first key"
+            )
             found.append(gate(f"{b['name']} ({shape}): reference / vectorized",
                               LANE_RATIO, b["speedup"], ">=", 5.0))
     return found

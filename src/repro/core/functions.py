@@ -432,7 +432,9 @@ def _register_builtin_scalars(registry: FunctionRegistry) -> None:
     scalar("sqrt", _fixed([DOUBLE], DOUBLE), lambda a: float(np.sqrt(a)), np.sqrt)
     scalar("floor", _fixed([DOUBLE], DOUBLE), lambda a: float(np.floor(a)), np.floor)
     scalar("ceil", _fixed([DOUBLE], DOUBLE), lambda a: float(np.ceil(a)), np.ceil)
-    scalar("round", _fixed([DOUBLE], DOUBLE), lambda a: float(np.round(a)), np.round)
+    scalar(
+        "round", _fixed([DOUBLE], DOUBLE), lambda a: float(_round_half_away(a)), _round_half_away
+    )
     scalar("power", _fixed([DOUBLE, DOUBLE], DOUBLE), lambda a, b: float(a) ** float(b))
     scalar("ln", _fixed([DOUBLE], DOUBLE), lambda a: float(np.log(a)), np.log)
 
@@ -443,8 +445,9 @@ def _register_builtin_scalars(registry: FunctionRegistry) -> None:
 
         return resolve
 
-    scalar("cast_bigint", resolve_cast_to(BIGINT), lambda v: int(v), _VEC_INT, objects=True)
-    scalar("cast_integer", resolve_cast_to(INTEGER), lambda v: int(v), _VEC_INT, objects=True)
+    for name, target in (("bigint", BIGINT), ("integer", INTEGER)):
+        row_fn, vectorized = _integral_cast(name)
+        scalar(f"cast_{name}", resolve_cast_to(target), row_fn, vectorized, objects=True)
     scalar("cast_double", resolve_cast_to(DOUBLE), lambda v: float(v), _VEC_FLOAT, objects=True)
     scalar("cast_varchar", resolve_cast_to(VARCHAR), _cast_varchar, _VEC_CAST_VARCHAR, objects=True)
     scalar("cast_boolean", resolve_cast_to(BOOLEAN), _cast_boolean, _VEC_CAST_BOOLEAN, objects=True)
@@ -513,7 +516,6 @@ _VEC_TRIM = np.frompyfunc(str.strip, 1, 1)
 _VEC_LTRIM = np.frompyfunc(str.lstrip, 1, 1)
 _VEC_RTRIM = np.frompyfunc(str.rstrip, 1, 1)
 _VEC_STRPOS = np.frompyfunc(lambda s, sub: s.find(sub) + 1, 2, 1)
-_VEC_INT = np.frompyfunc(int, 1, 1)
 _VEC_FLOAT = np.frompyfunc(float, 1, 1)
 _VEC_STR = np.frompyfunc(str, 1, 1)
 
@@ -540,6 +542,66 @@ def _vec_substr2(s: np.ndarray, start: np.ndarray) -> np.ndarray:
     for i, (v, b) in enumerate(zip(s, start)):
         out[i] = substr(v, int(b))
     return out
+
+
+def _round_half_away(values: Any) -> Any:
+    """Presto's ``round``: halves round away from zero (numpy's ``round``
+    rounds them to even).  ``magnitude - whole`` is exact, so no value
+    just below a half rounds up; NaN and the infinities pass through."""
+    magnitude = np.abs(values)
+    whole = np.floor(magnitude)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.copysign(whole + (magnitude - whole >= 0.5), values)
+
+
+# The half-open ranges of the integral types, bounds exact as doubles.
+_INTEGRAL_RANGES = {"bigint": (-(2**63), 2**63), "integer": (-(2**31), 2**31)}
+
+
+def _double_text(value: float) -> str:
+    """A double as Presto prints it in an error: ``Infinity``, ``NaN``."""
+    if value != value:
+        return "NaN"
+    if value in (float("inf"), float("-inf")):
+        return "Infinity" if value > 0 else "-Infinity"
+    return repr(float(value))
+
+
+def _integral_cast(name: str) -> tuple[Callable[[Any], int], Callable[[np.ndarray], np.ndarray]]:
+    """CAST to ``name`` (bigint or integer), row and array forms.
+
+    A double rounds half away from zero, as Presto's ``castToLong`` does
+    (``roundToLong(HALF_UP)``); NaN, the infinities and a number outside
+    the type's range are an error; text parses as ``int`` parses it.
+    """
+    low, high = _INTEGRAL_RANGES[name]
+
+    def out_of_range(text: str) -> InvalidValueError:
+        return InvalidValueError(f"Unable to cast {text} to {name}")
+
+    def row_fn(value: Any) -> int:
+        if isinstance(value, float):
+            rounded = float(_round_half_away(value))
+            if not low <= rounded < high:  # false for NaN too
+                raise out_of_range(_double_text(value))
+            return int(rounded)
+        result = int(value)
+        if not isinstance(value, str) and not low <= result < high:
+            raise out_of_range(str(result))
+        return result
+
+    def vectorized(values: np.ndarray) -> np.ndarray:
+        if values.dtype.kind not in "iuf":
+            return values.astype(np.int64) if values.dtype.kind == "b" else rows(values)
+        rounded = _round_half_away(values) if values.dtype.kind == "f" else values
+        bad = ~((rounded >= low) & (rounded < high))  # NaN is never in range
+        if bad.any():
+            value = values[int(np.argmax(bad))]
+            raise out_of_range(_double_text(value) if values.dtype.kind == "f" else str(value))
+        return rounded.astype(np.int64)
+
+    rows = np.frompyfunc(row_fn, 1, 1)
+    return row_fn, vectorized
 
 
 def _cast_varchar(value: Any) -> str:

@@ -47,6 +47,9 @@ every aggregate the dialect accepts runs here.
   a Python tuple.  ``tests/reference/hashing.py`` is its scalar reference.
 - **Sort ranks** (:func:`sort_order`): per-key rank arrays (nulls
   ranked last ascending, first descending) fed to a stable ``np.lexsort``.
+  :func:`top_positions` is that order cut to ``count``; on a numeric
+  first key it selects candidates with ``np.partition`` (every row that
+  beats or ties the cut-off) and sorts only those.
 
 NaN keys canonicalize to the null sentinel before factorization (NaN is
 not equal to itself, so ``np.unique`` grouping and dict-keyed grouping
@@ -241,6 +244,11 @@ def _factorize(
     ``columns`` are the :func:`column_codes` pairs the keys decode
     from.  Columns are combined with mixed-radix arithmetic, re-compacting
     through ``np.unique`` whenever the radix product could overflow int64.
+    The combined codes find each group's first row (a dense table over a
+    radix of at most 65 536, else ``np.unique``'s first indices).  Those
+    rows, marked and read back in row order, are ``reps`` in appearance
+    order, and numbering them numbers the groups: no step sorts the
+    distinct keys.
     """
     columns = [column_codes(block) for block in blocks]
     n = len(columns[0][0])
@@ -255,29 +263,22 @@ def _factorize(
         combined = combined * width + (codes + 1)
         radix *= width
     if radix <= 65536:
-        # Small key domain: dense first-occurrence table, no sort of the
-        # row codes.  Reversed assignment leaves each slot holding the
-        # SMALLEST row index that wrote it.
+        # Small key domain: dense first-occurrence table.  Reversed
+        # assignment leaves each slot holding the SMALLEST row index that
+        # wrote it.
         first = np.full(radix, -1, dtype=np.int64)
         first[combined[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        values = np.flatnonzero(first >= 0)
-        appearance = np.argsort(first[values], kind="stable")  # #distinct only
-        rank_table = np.zeros(radix, dtype=np.int64)
-        rank_table[values[appearance]] = np.arange(len(values), dtype=np.int64)
-        group_codes = rank_table[combined]
-        reps = first[values][appearance]
+        first_rows = first[first >= 0]
+        slots, slot_count = combined, radix
     else:
-        _, first_rows, inverse = np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        # Relabel so codes follow first-appearance order (np.unique sorts
-        # by value); group output order must match the row-at-a-time
-        # reference.
-        appearance = np.argsort(first_rows, kind="stable")
-        rank = np.empty(len(appearance), dtype=np.int64)
-        rank[appearance] = np.arange(len(appearance), dtype=np.int64)
-        group_codes = rank[inverse]
-        reps = first_rows[appearance]
+        _, first_rows, slots = np.unique(combined, return_index=True, return_inverse=True)
+        slot_count = len(first_rows)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first_rows] = True
+    reps = np.flatnonzero(is_first)
+    rank = np.zeros(slot_count, dtype=np.int64)
+    rank[slots[reps]] = np.arange(len(reps), dtype=np.int64)
+    group_codes = rank[slots]
     return group_codes, reps, columns
 
 
@@ -1251,3 +1252,49 @@ def sort_order(blocks: Sequence[Block], ascending_flags: Sequence[bool]) -> np.n
         rank_keys.append(ranks if ascending else -ranks)
     # np.lexsort treats its *last* key as primary.
     return np.lexsort(rank_keys[::-1]).astype(np.int64, copy=False)
+
+
+def top_positions(
+    blocks: Sequence[Block], ascending_flags: Sequence[bool], count: int
+) -> np.ndarray:
+    """``sort_order(blocks, ascending_flags)[:count]``, exactly.
+
+    When the first key is a numeric column and ``count`` cuts rows off,
+    only candidates are sorted: the NULL / NaN rows if they alone fill the
+    cut (they rank after every value ascending, before every value
+    descending), else every row that beats or ties the ``need``-th
+    non-null value ``np.partition`` finds.  Ties at the cut-off all stay,
+    so the candidates hold the first ``count`` rows of the full order;
+    they keep arrival order, so the stable sort over them orders those
+    rows as the full sort does.  Any other first key sorts every row.
+    """
+    n = blocks[0].position_count
+    if count <= 0:
+        return EMPTY_POSITIONS
+    first = blocks[0].loaded()
+    if not (
+        count < n
+        and isinstance(first, PrimitiveBlock)
+        and first.values.dtype.kind in "iuf"
+    ):
+        return sort_order(blocks, ascending_flags)[:count]
+    values = first.values
+    nulls = first.null_mask()
+    if values.dtype.kind == "f":
+        nulls = nulls | np.isnan(values)  # NaN ranks as NULL (column_codes)
+    present = values[~nulls]
+    if ascending_flags[0]:
+        if len(present) < count:
+            return sort_order(blocks, ascending_flags)[:count]
+        cutoff = np.partition(present, count - 1)[count - 1]
+        candidates = ~nulls & (values <= cutoff)
+    else:
+        need = count - (n - len(present))
+        if need <= 0:
+            candidates = nulls
+        else:
+            cutoff = np.partition(present, len(present) - need)[len(present) - need]
+            candidates = nulls | (values >= cutoff)
+    rows = np.flatnonzero(candidates)
+    order = sort_order([block.take(rows) for block in blocks], ascending_flags)
+    return rows[order[:count]]

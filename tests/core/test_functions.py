@@ -1,8 +1,13 @@
 """Unit tests for the builtin scalar and aggregate function library."""
 
+import math
+
 import pytest
 
-from repro.common.errors import SemanticError
+from repro.common.errors import InvalidValueError, SemanticError
+from repro.connectors.memory import MemoryConnector
+from repro.execution.engine import PrestoEngine
+from repro.planner.analyzer import Session
 from repro.core.functions import FunctionHandle, default_registry
 from repro.core.types import (
     ArrayType,
@@ -108,7 +113,7 @@ class TestMath:
         assert call("sqrt", 9.0) == 3.0
         assert call("floor", 2.7) == 2.0
         assert call("ceil", 2.2) == 3.0
-        assert call("round", 2.5) == 2.0  # numpy banker's rounding
+        assert call("round", 2.5) == 3.0  # Presto rounds halves away from zero
 
     def test_power_ln(self):
         assert call("power", 2.0, 10.0) == 1024.0
@@ -119,7 +124,23 @@ class TestCasts:
     def test_numeric_casts(self):
         assert call("cast_bigint", "42") == 42
         assert call("cast_double", "2.5") == 2.5
-        assert call("cast_bigint", 3.9) == 3
+        assert call("cast_bigint", 3.9) == 4  # Presto rounds, never truncates
+
+    @pytest.mark.parametrize(
+        "value, rounded", [(2.5, 3), (-2.5, -3), (2.7, 3), (-0.5, -1), (0.49999999999999994, 0)]
+    )
+    def test_double_to_integral_rounds_half_away_from_zero(self, value, rounded):
+        assert call("cast_bigint", value) == rounded
+        assert call("cast_integer", value) == rounded
+        assert call("round", value) == float(rounded)
+
+    @pytest.mark.parametrize(
+        "value, text", [(math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")]
+    )
+    def test_non_finite_doubles_do_not_cast(self, value, text):
+        for target in ("bigint", "integer"):
+            with pytest.raises(InvalidValueError, match=f"Unable to cast {text} to {target}"):
+                call(f"cast_{target}", value)
 
     def test_varchar_cast(self):
         assert call("cast_varchar", 42) == "42"
@@ -220,3 +241,67 @@ class TestAggregates:
         assert fn.merge(5, 9) == 9
         assert fn.merge(None, 4) == 4
         assert fn.merge(4, None) == 4
+
+
+class TestPrestoRoundingThroughSql:
+    """The compiled (array) lane over a column, and the row lane via
+    constant folding of a literal, agree with Presto's answers."""
+
+    DOUBLES = [2.5, -2.5, 2.7, -0.5, 2147483647.4, -2147483648.4]
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        connector = MemoryConnector()
+        connector.create_table(
+            "db", "t", [("i", BIGINT), ("d", DOUBLE)], list(enumerate(self.DOUBLES))
+        )
+        connector.create_table(
+            "db",
+            "edge",
+            [("i", BIGINT), ("d", DOUBLE)],
+            [(0, math.inf), (1, -math.inf), (2, math.nan), (3, 2147483647.5), (4, -2147483648.5)],
+        )
+        engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
+        engine.register_connector("memory", connector)
+        return engine
+
+    def test_column_casts_and_round(self, engine):
+        rows = engine.execute(
+            "SELECT CAST(d AS BIGINT), CAST(d AS INTEGER), round(d) FROM t ORDER BY i"
+        ).rows
+        assert rows == [
+            (3, 3, 3.0),
+            (-3, -3, -3.0),
+            (3, 3, 3.0),
+            (-1, -1, -1.0),
+            (2147483647, 2147483647, 2147483647.0),
+            (-2147483648, -2147483648, -2147483648.0),
+        ]
+
+    def test_literal_casts_and_round(self, engine):
+        assert engine.execute(
+            "SELECT CAST(2.5 AS BIGINT), CAST(-2.5E0 AS BIGINT), round(2.5), round(-2.5)"
+        ).rows == [(3, -3, 3.0, -3.0)]
+
+    @pytest.mark.parametrize(
+        "row, target, text",
+        [
+            (0, "BIGINT", "Infinity"),
+            (1, "BIGINT", "-Infinity"),
+            (2, "BIGINT", "NaN"),
+            (0, "INTEGER", "Infinity"),
+            (2, "INTEGER", "NaN"),
+            (3, "INTEGER", "2147483647.5"),
+            (4, "INTEGER", "-2147483648.5"),
+        ],
+    )
+    def test_values_outside_the_type_fail(self, engine, row, target, text):
+        with pytest.raises(InvalidValueError, match=f"Unable to cast {text} to {target.lower()}"):
+            engine.execute(f"SELECT CAST(d AS {target}) FROM edge WHERE i = {row}")
+
+    def test_integer_out_of_range_literal_fails(self, engine):
+        with pytest.raises(InvalidValueError, match="Unable to cast 2500000000.0 to integer"):
+            engine.execute("SELECT CAST(2.5e9 AS INTEGER)")
+        with pytest.raises(InvalidValueError, match="Unable to cast 3000000000 to integer"):
+            engine.execute("SELECT CAST(i + 3000000000 AS INTEGER) FROM t")
+
