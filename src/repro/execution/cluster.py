@@ -36,6 +36,15 @@ the queue exceeds its SLO, and — once admitted — has its tasks *pumped*
 into the split-scheduling machinery one stage at a time.  Many admitted
 queries interleave on the shared simulated clock; worker crashes requeue
 in-flight splits across all of them.
+
+**Work per event, not per query ever seen.**  ``cluster.queries`` is the
+record of every submission; the scheduler never walks it.  Split
+assignment walks the *runnable index*, the admitted and unfinished runs in
+submission order.  The admission queue is a set of FIFO *buckets*, one per
+(group, user, priority, memory) — runs that admit alike — so a dequeue
+asks each bucket's head, not each queued run, whether it fits.  Busy slots
+are the in-flight assignments, and the cluster's metric series are looked
+up once.
 """
 
 from __future__ import annotations
@@ -43,13 +52,19 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cache.data_cache import DataCacheConfig, TieredDataCache
 from repro.common.clock import SimulatedClock
-from repro.common.errors import AdmissionRejectedError, ExecutionError, PrestoError
+from repro.common.errors import (
+    AdmissionRejectedError,
+    ExecutionError,
+    InsufficientResourcesError,
+    PrestoError,
+)
 from repro.common.ring import ConsistentHashRing
 from repro.obs.trace import QueryTrace
 
@@ -150,6 +165,7 @@ class ResourceGroup:
     ) -> None:
         self.name = name
         self.parent = parent
+        self.path = name if parent is None else f"{parent.path}.{name}"
         self.children: dict[str, "ResourceGroup"] = {}
         self.max_running = max_running
         self.memory_limit_mb = memory_limit_mb
@@ -162,12 +178,6 @@ class ResourceGroup:
         # Lifetime accounting.
         self.queries_completed = 0
         self.queries_shed = 0
-
-    @property
-    def path(self) -> str:
-        if self.parent is None:
-            return self.name
-        return f"{self.parent.path}.{self.name}"
 
     def child(self, name: str, **limits) -> "ResourceGroup":
         """Get-or-create a child group; ``limits`` (re)configure it.
@@ -320,6 +330,11 @@ class CoordinatorModel:
 COORDINATOR = CoordinatorModel()
 
 
+def _sequence(run: QueryExecution) -> int:
+    """Submission order: how the runnable index and eviction sort runs."""
+    return run.sequence
+
+
 # A split read through a worker's tiered data cache: a hot-tier hit cuts
 # its remote-read work to this share of its duration, an SSD-tier hit to
 # the second; each tier also charges its read latency.
@@ -360,14 +375,18 @@ class PrestoClusterSim:
         self.workers: dict[str, Worker] = {}
         self._worker_ids = itertools.count()
         self._query_ids = itertools.count()
-        # Every query ever submitted, in submission order (split
-        # assignment iterates it, so the order is load-bearing).
+        # Every query ever submitted, in submission order: the record the
+        # timeline and the reports read, never the scheduler's work list.
         self.queries: dict[str, QueryExecution] = {}
-        # Admission: the resource-group tree and the admission queue
-        # (fair-share dequeue order is computed at dequeue time, so one
-        # list suffices).
+        # Admission: the resource-group tree and the admission queue, FIFO
+        # buckets keyed by (group, user, priority, memory_mb).  Runs in one
+        # bucket admit alike and rank by sequence alone, so the fair-share
+        # pick only ever compares bucket heads.
         self.root_group = ResourceGroup("root")
-        self._queued_runs: list[QueryExecution] = []
+        self._queue: dict[tuple, deque[QueryExecution]] = {}
+        # The runnable index: admitted, unfinished runs in sequence order
+        # (split assignment walks it, so the order is load-bearing).
+        self._runnable: list[QueryExecution] = []
         self._run_sequence = itertools.count()
         self._user_running: dict[str, int] = {}
         self._completed_runs = 0
@@ -378,6 +397,8 @@ class PrestoClusterSim:
         # cancel them and requeue the splits.
         self._assignments: dict[int, tuple[Worker, QueryExecution, SplitWork]] = {}
         self._assignment_sequence = itertools.count()
+        # Metric series by name, and a group's three gauges by the group.
+        self._instruments: dict = {}
         # Event heap: (time_ms, sequence, callback)
         self._events: list[tuple[float, int, Callable[[], None]]] = []
         self._event_sequence = itertools.count()
@@ -386,49 +407,65 @@ class PrestoClusterSim:
 
     # -- observability --------------------------------------------------------
 
+    # Each series below is looked up in the registry once, at its first
+    # use, so the registry holds the same series, created in the same
+    # order, as a lookup on every update would.
+
     def _count(self, name: str, amount: float = 1.0) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name, cluster=self.name).inc(amount)
+            counter = self._instruments.get(name)
+            if counter is None:
+                counter = self._instruments[name] = self.metrics.counter(name, cluster=self.name)
+            counter.inc(amount)
+
+    def _histogram(self, name: str):
+        histogram = self._instruments.get(name)
+        if histogram is None:
+            histogram = self._instruments[name] = self.metrics.histogram(name, cluster=self.name)
+        return histogram
+
+    def _gauge(self, name: str):
+        gauge = self._instruments.get(name)
+        if gauge is None:
+            gauge = self._instruments[name] = self.metrics.gauge(name, cluster=self.name)
+        return gauge
 
     def _update_worker_gauge(self) -> None:
         if self.metrics is not None:
-            self.metrics.gauge("cluster_active_workers", cluster=self.name).set(
-                self.active_worker_count()
-            )
+            self._gauge("cluster_active_workers").set(self.active_worker_count())
 
     def _set_query_gauges(self) -> None:
         """One deterministic update per query state transition."""
         if self.metrics is not None:
-            self.metrics.gauge("cluster_queries_running", cluster=self.name).set(
-                self.running_query_count()
-            )
-            self.metrics.gauge("cluster_queries_queued", cluster=self.name).set(
-                self.queued_query_count()
-            )
+            self._gauge("cluster_queries_running").set(self.running_query_count())
+            self._gauge("cluster_queries_queued").set(self.queued_query_count())
 
     def _set_slot_gauge(self) -> None:
-        """Busy worker slots; updated once per scheduling/completion event."""
+        """Busy worker slots; updated once per scheduling/completion event.
+
+        Every in-flight assignment holds one slot, and a crash drops its
+        worker's assignments with its slots.
+        """
         if self.metrics is not None:
-            busy = sum(
-                w.running
-                for w in self.workers.values()
-                if w.state in (WorkerState.ACTIVE, WorkerState.SHUTTING_DOWN)
-            )
-            self.metrics.gauge("cluster_busy_slots", cluster=self.name).set(busy)
+            self._gauge("cluster_busy_slots").set(len(self._assignments))
 
     def _set_group_gauges(self, group: ResourceGroup) -> None:
         """Refresh gauges for ``group`` and every ancestor it rolls into."""
         if self.metrics is None:
             return
-        node: Optional[ResourceGroup] = group
-        while node is not None:
-            labels = {"cluster": self.name, "group": node.path}
-            self.metrics.gauge("resource_group_running", **labels).set(node.running)
-            self.metrics.gauge("resource_group_queued", **labels).set(node.queued)
-            self.metrics.gauge("resource_group_memory_mb", **labels).set(
-                node.memory_used_mb
-            )
-            node = node.parent
+        for node in group._chain():
+            gauges = self._instruments.get(node)
+            if gauges is None:
+                labels = {"cluster": self.name, "group": node.path}
+                gauges = self._instruments[node] = (
+                    self.metrics.gauge("resource_group_running", **labels),
+                    self.metrics.gauge("resource_group_queued", **labels),
+                    self.metrics.gauge("resource_group_memory_mb", **labels),
+                )
+            running, queued, memory = gauges
+            running.set(node.running)
+            queued.set(node.queued)
+            memory.set(node.memory_used_mb)
 
     # -- elasticity -----------------------------------------------------------
 
@@ -582,8 +619,12 @@ class PrestoClusterSim:
         return self.root_group.running
 
     def queued_query_count(self) -> int:
-        """Queries admitted to a queue but not yet holding resources."""
-        return len(self._queued_runs)
+        """Queries admitted to a queue but not yet holding resources.
+
+        Queueing and dequeueing keep the count up the resource-group tree,
+        so the root holds it.
+        """
+        return self.root_group.queued
 
     # -- resource groups, admission, pump -------------------------------------
 
@@ -661,12 +702,22 @@ class PrestoClusterSim:
         (fair-share dequeue); if the queue itself is over capacity or the
         estimated wait breaches the group's SLO, the query is shed with
         :class:`~repro.common.errors.AdmissionRejectedError` carrying a
-        retry-after hint — never silently dropped.
+        retry-after hint — never silently dropped.  A query whose
+        ``memory_mb`` exceeds some group's ``memory_limit_mb`` up the chain
+        could never be admitted; it raises
+        :class:`~repro.common.errors.InsufficientResourcesError` instead of
+        queueing forever.
         """
         if isinstance(resource_group, ResourceGroup):
             group = resource_group
         else:
             group = self.resource_group(resource_group or user)
+        for node in group._chain():
+            if node.memory_limit_mb is not None and memory_mb > node.memory_limit_mb:
+                raise InsufficientResourcesError(
+                    f"{self.name}: query needs {memory_mb} MB but resource group "
+                    f"{node.path} allows {node.memory_limit_mb} MB"
+                )
         now = self.clock.now_ms()
         # Queue behind earlier arrivals of the same group — direct
         # admission while the group has a backlog would reorder peers.
@@ -710,7 +761,7 @@ class PrestoClusterSim:
         self._count("cluster_queries_total")
         if must_queue:
             group.enqueue()
-            self._queued_runs.append(run)
+            self._enqueue(run)
             self._count("cluster_queries_queued_total")
             self._set_query_gauges()
             self._set_group_gauges(group)
@@ -723,6 +774,7 @@ class PrestoClusterSim:
         now = self.clock.now_ms()
         run.state = QueryState.RUNNING
         run.admitted_at = now
+        insort(self._runnable, run, key=_sequence)
         run.group.acquire(run.memory_mb)
         self._user_running[run.user] = self._user_running.get(run.user, 0) + 1
         run.queued_ms = now - run.submitted_at
@@ -736,9 +788,7 @@ class PrestoClusterSim:
                 queued_ms=run.queued_ms,
             )
         if self.metrics is not None:
-            self.metrics.histogram("cluster_queued_ms", cluster=self.name).observe(
-                run.queued_ms
-            )
+            self._histogram("cluster_queued_ms").observe(run.queued_ms)
         # planning_cost_ms's concurrent_queries argument sees the *real*
         # number of in-flight queries (this one included).
         planning = COORDINATOR.planning_cost_ms(
@@ -820,6 +870,7 @@ class PrestoClusterSim:
             return
         now = self.clock.now_ms()
         run.state = QueryState.FAILED if failed else QueryState.FINISHED
+        self._runnable.remove(run)
         if failed:
             self._cancel_splits(run)
             self._count("cluster_queries_failed_total")
@@ -835,39 +886,53 @@ class PrestoClusterSim:
             run.admission_span.set(running_ms=run.running_ms, state=run.state.value)
             tracer.close_span(run.admission_span)
         if self.metrics is not None:
-            self.metrics.histogram("cluster_running_ms", cluster=self.name).observe(
-                run.running_ms
-            )
+            self._histogram("cluster_running_ms").observe(run.running_ms)
         self._set_query_gauges()
         self._set_group_gauges(run.group)
         if run.on_finish is not None:
             run.on_finish(run)
         self._dequeue_next()
 
+    def _enqueue(self, run: QueryExecution) -> None:
+        key = (run.group, run.user, run.priority, run.memory_mb)
+        bucket = self._queue.get(key)
+        if bucket is None:
+            bucket = self._queue[key] = deque()
+        bucket.append(run)
+
     def _dequeue_next(self) -> None:
         """Admit queued queries while capacity lasts (fair-share order).
 
         Pick order: highest priority first, then the user with the
         fewest queries currently running (fair share), then submission
-        order — all deterministic.
+        order — all deterministic.  Every run of a bucket shares its
+        group, memory, priority and user, so only the head (its oldest)
+        can be the pick, and ``can_admit`` is asked once per bucket.
         """
-        while self._queued_runs:
-            candidates = [
-                run for run in self._queued_runs if run.group.can_admit(run.memory_mb)
-            ]
-            if not candidates:
+        while self._queue:
+            chosen_key = None
+            chosen_rank: Optional[tuple] = None
+            for key, bucket in self._queue.items():
+                head = bucket[0]
+                if not head.group.can_admit(head.memory_mb):
+                    continue
+                rank = (-head.priority, self._user_running.get(head.user, 0), head.sequence)
+                if chosen_rank is None or rank < chosen_rank:
+                    chosen_key, chosen_rank = key, rank
+            if chosen_key is None:
                 return
-            chosen = min(
-                candidates,
-                key=lambda run: (
-                    -run.priority,
-                    self._user_running.get(run.user, 0),
-                    run.sequence,
-                ),
-            )
-            self._queued_runs.remove(chosen)
+            bucket = self._queue[chosen_key]
+            chosen = bucket.popleft()
+            if not bucket:
+                del self._queue[chosen_key]
             chosen.group.dequeue()
             self._admit(chosen)
+
+    def _drain_queue(self) -> list[QueryExecution]:
+        """Empty the admission queue; returns its runs in submission order."""
+        runs = sorted(itertools.chain.from_iterable(self._queue.values()), key=_sequence)
+        self._queue.clear()
+        return runs
 
     def evict_queued(self) -> list[QueryExecution]:
         """Drop every queued (never-admitted) query, e.g. for a drain.
@@ -875,10 +940,9 @@ class PrestoClusterSim:
         The runs never executed a task — no split was dispatched and no
         page published — so a gateway can resubmit their handles to
         another cluster without any double-publish risk.  Returns the
-        evicted runs in queue order.
+        evicted runs in submission order.
         """
-        evicted = list(self._queued_runs)
-        self._queued_runs.clear()
+        evicted = self._drain_queue()
         now = self.clock.now_ms()
         for run in evicted:
             run.group.dequeue()
@@ -966,43 +1030,50 @@ class PrestoClusterSim:
         self._set_slot_gauge()
 
     def _assign_splits(self) -> None:
+        """Place pending splits, runnable runs in submission order."""
         now = self.clock.now_ms()
-        for execution in self.queries.values():
-            if execution.finished_at is not None or now < execution.started_at:
-                continue
-            while execution.pending:
-                # FIFO: schedule splits in submission order so completion
-                # order, cache warm-up, and records match the order work
-                # was produced.
-                split = execution.pending[0]
-                worker = self._pick_worker(now, split)
-                if worker is None:
-                    return  # no capacity; a completion event will reschedule
-                execution.pending.popleft()
-                worker.running += 1
-                duration = split.duration_ms
-                if split.data_key is not None and worker.data_cache is not None:
-                    # The worker reads the split's data through its tiered
-                    # cache: a hot hit skips the remote read almost
-                    # entirely, an SSD hit costs more but still beats
-                    # remote, a miss pays full price and warms the tiers.
-                    read = worker.data_cache.read(
-                        split.data_key, split.data_size_bytes
-                    )
-                    if read.tier == "hot":
-                        duration = duration * CACHE_HIT_SPEEDUP
-                    elif read.tier == "ssd":
-                        duration = duration * SSD_HIT_SPEEDUP
-                    duration += read.latency_ms
-                    if read.hit:
-                        worker.cache_hits += 1
-                        self._count("cluster_affinity_cache_hits_total")
-                assignment_id = next(self._assignment_sequence)
-                self._assignments[assignment_id] = (worker, execution, split)
-                self.call_at(
-                    now + duration,
-                    lambda a=assignment_id: self._on_split_done(a),
+        for execution in self._runnable:
+            if now < execution.started_at:
+                continue  # still planning
+            if not self._place_pending(execution, now):
+                return  # no capacity; a completion event will reschedule
+
+    def _place_pending(self, execution: QueryExecution, now: float) -> bool:
+        """Assign ``execution``'s pending splits; False when slots run out."""
+        while execution.pending:
+            # FIFO: schedule splits in submission order so completion
+            # order, cache warm-up, and records match the order work
+            # was produced.
+            split = execution.pending[0]
+            worker = self._pick_worker(now, split)
+            if worker is None:
+                return False
+            execution.pending.popleft()
+            worker.running += 1
+            duration = split.duration_ms
+            if split.data_key is not None and worker.data_cache is not None:
+                # The worker reads the split's data through its tiered
+                # cache: a hot hit skips the remote read almost
+                # entirely, an SSD hit costs more but still beats
+                # remote, a miss pays full price and warms the tiers.
+                read = worker.data_cache.read(
+                    split.data_key, split.data_size_bytes
                 )
+                if read.tier == "hot":
+                    duration = duration * CACHE_HIT_SPEEDUP
+                elif read.tier == "ssd":
+                    duration = duration * SSD_HIT_SPEEDUP
+                duration += read.latency_ms
+                if read.hit:
+                    worker.cache_hits += 1
+                    self._count("cluster_affinity_cache_hits_total")
+            assignment_id = next(self._assignment_sequence)
+            self._assignments[assignment_id] = (worker, execution, split)
+            self.call_at(
+                now + duration,
+                lambda a=assignment_id: self._on_split_done(a),
+            )
+        return True
 
     def _pick_worker(self, now_ms: float, split: Optional[SplitWork] = None) -> Optional[Worker]:
         candidates = [w for w in self.workers.values() if w.schedulable(now_ms)]

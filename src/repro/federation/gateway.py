@@ -18,7 +18,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.errors import AdmissionRejectedError, GatewayError, PrestoError
+from repro.common.errors import (
+    AdmissionRejectedError,
+    GatewayError,
+    InsufficientResourcesError,
+    PrestoError,
+)
 from repro.execution.cluster import PrestoClusterSim, QueryExecution
 from repro.federation.routing import RoutingTable
 from repro.obs.trace import activate
@@ -199,7 +204,10 @@ class PrestoGateway:
         rejection with the *minimum* ``retry_after_ms`` propagates to the
         client: the soonest any cluster expects capacity is when the
         client should retry, not whenever the last-tried (deepest-queued)
-        cluster frees up.
+        cluster frees up.  A query larger than a memory limit of its
+        resource group on the routed cluster is not shed but refused
+        outright: the cluster's :class:`InsufficientResourcesError`
+        propagates without spilling.
 
         **Failover** (the Twitter hybrid-cloud gateway pattern).  When a
         run fails with a *retryable* error (INTERNAL_ERROR / EXTERNAL —
@@ -257,7 +265,7 @@ class PrestoGateway:
         )
         try:
             self._admit(submission, handle, spill_order, admission)
-        except AdmissionRejectedError:
+        except InsufficientResourcesError:
             if span is not None:
                 tracer.close_span(span)
             raise

@@ -3,9 +3,16 @@
 import pytest
 
 from repro.common.clock import SimulatedClock
+from repro.common.errors import (
+    AdmissionRejectedError,
+    ErrorCategory,
+    InsufficientResourcesError,
+)
 from repro.execution.cluster import (
     CoordinatorModel,
     PrestoClusterSim,
+    SyntheticQuery,
+    SyntheticStep,
     WorkerState,
 )
 
@@ -104,6 +111,65 @@ class TestOneAdmissionPath:
         cluster.run_until_idle()
         assert second.queued_ms == pytest.approx(first.running_ms)
         assert cluster.max_concurrent_running() == 1
+
+    @pytest.mark.parametrize("path", ["etl", "etl.nightly"])
+    def test_query_over_a_memory_limit_is_refused_not_queued(self, path):
+        # Regression: a query larger than its group's memory limit used to
+        # queue forever: run_until_idle ran no event and the handle stayed
+        # "still running".  The limit may sit on the group or an ancestor.
+        cluster = PrestoClusterSim(workers=2)
+        cluster.resource_group("etl", memory_limit_mb=50.0)
+        handle = SyntheticQuery("big", [SyntheticStep(10.0)])
+        with pytest.raises(InsufficientResourcesError) as refusal:
+            cluster.submit_handle(handle, resource_group=path, memory_mb=100.0)
+        error = refusal.value
+        assert not isinstance(error, AdmissionRejectedError)
+        assert error.category is ErrorCategory.INSUFFICIENT_RESOURCES
+        assert "root.etl" in str(error)
+        assert "100.0 MB" in str(error) and "50.0 MB" in str(error)
+        assert not cluster.queries and cluster.queued_query_count() == 0
+        # A query that fits the limit exactly is admitted and runs.
+        fits = cluster.submit_handle(
+            SyntheticQuery("fits", [SyntheticStep(10.0)]),
+            resource_group=path,
+            memory_mb=50.0,
+        )
+        cluster.run_until_idle()
+        assert fits.finished_at is not None
+
+
+class TestWorkPerEvent:
+    """The event loop's work grows with the queries in flight, not with all seen."""
+
+    def test_admission_checks_per_query_do_not_grow_with_the_storm(self, monkeypatch):
+        # A long storm keeps a deep queue; a dequeue that asked every queued
+        # run whether it fits made calls per query grow with the storm's
+        # length (119 per query at 500 queries, 455 at 2 000).
+        from pathlib import Path
+
+        from repro.execution.cluster import ResourceGroup
+        from repro.workloads.traffic_storm import build_traffic_storm
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[2] / "benchmarks"))
+        from bench_traffic_storm import replay_storm
+
+        calls = 0
+        can_admit = ResourceGroup.can_admit
+
+        def counting(group, memory_mb):
+            nonlocal calls
+            calls += 1
+            return can_admit(group, memory_mb)
+
+        monkeypatch.setattr(ResourceGroup, "can_admit", counting)
+        per_query = {}
+        for queries in (500, 2000):
+            calls = 0
+            storm = build_traffic_storm(queries=queries, users=40, seed=7)
+            report, _ = replay_storm(storm, max_running=8, rows=120)
+            assert report["completed"] == queries
+            per_query[queries] = calls / queries
+        assert per_query[2000] <= 1.2 * per_query[500], per_query
 
 
 class TestCoordinatorBottleneck:

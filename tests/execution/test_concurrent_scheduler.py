@@ -259,7 +259,8 @@ class TestAdmissionControl:
         b1, b1_ex = submit(
             cluster, engine, SQL, user="bob", resource_group="g"
         )
-        assert [run.handle for run in cluster._queued_runs] == [a3, b1]
+        queued = [run for run in cluster.queries.values() if run.state is QueryState.QUEUED]
+        assert [run.handle for run in queued] == [a3, b1]
         cluster.run_until_idle()
         assert a3.state == b1.state == "finished"
         # Fair share: when the first slot freed, bob (0 running) beat
@@ -467,7 +468,9 @@ class TestOneRecordPerQuery:
         assert (first_ex.handle, second_ex.handle) == (first, second)
         assert first_ex.state is QueryState.RUNNING
         assert second_ex.state is QueryState.QUEUED
-        assert cluster._queued_runs == [second_ex]
+        assert [
+            run for run in cluster.queries.values() if run.state is QueryState.QUEUED
+        ] == [second_ex]
         cluster.run_until_idle()
         # Queue → admit → finish happened to the very same two objects.
         assert finished[0] is first_ex and finished[1] is second_ex

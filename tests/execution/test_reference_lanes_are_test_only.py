@@ -2,7 +2,7 @@
 
 The row-at-a-time operators and their grouped fold, the expression
 interpreter, the single-pipeline run, the row-at-a-time dynamic-filter
-build and the lakehouse oracle are the references the
+build, the lakehouse oracle and the linear-scan cluster are the references the
 differential tests compare against and the baselines some benchmarks
 time; ``tests/reference/`` defines each of them.  The process-wide switch
 that once built VARCHAR columns as object arrays is deleted.  This walks
@@ -38,6 +38,7 @@ REFERENCES = {
     "visible_log_keys": "lakehouse.py",
     "expected_log_keys": "lakehouse.py",
     "assert_exactly_once": "lakehouse.py",
+    "LinearScanCluster": "cluster.py",
 }
 
 # The deleted varchar switch: nothing defines these any more.

@@ -10,7 +10,7 @@ the single-query oracle).
 
 import pytest
 
-from repro.common.errors import AdmissionRejectedError
+from repro.common.errors import AdmissionRejectedError, InsufficientResourcesError
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT
 from repro.execution import scheduler
@@ -99,6 +99,27 @@ class TestSubmitSql:
         assert rejection.value.retry_after_ms > 0
         assert gateway.all_sheds == 1
         gateway.run_until_idle()  # the occupying queries still complete
+
+    def test_query_over_a_memory_limit_is_refused(self):
+        # Regression: the gateway used to admit it to a queue it could
+        # never leave.  The refusal names the group and both sizes, and the
+        # gateway's span is closed.
+        gateway = make_gateway()
+        engine = make_engine()
+        handles = []
+        submit = engine.submit
+        engine.submit = lambda sql: handles.append(submit(sql)) or handles[-1]
+        gateway.clusters["dedicated-a"].resource_group("alice", memory_limit_mb=50.0)
+        sizes = r"100\.0 MB.*root\.alice.*50\.0 MB"
+        with pytest.raises(InsufficientResourcesError, match=sizes) as refusal:
+            gateway.submit_sql("alice", engine, SQL, memory_mb=100.0)
+        assert not isinstance(refusal.value, AdmissionRejectedError)
+        [handle] = handles
+        assert [s.name for s in handle.trace.spans] == ["gateway.submit", "gateway.route"]
+        assert all(s.end_ms is not None for s in handle.trace.spans)
+        assert gateway.all_sheds == gateway.load_sheds == 0
+        assert all(not cluster.queries for cluster in gateway.clusters.values())
+        assert gateway.queue_depths() == {name: 0 for name in gateway.clusters}
 
     def test_all_shed_raises_minimum_retry_after(self, monkeypatch):
         # Regression: the gateway used to propagate the *last* attempted
@@ -195,7 +216,9 @@ class TestDrainWithInflightQueries:
         gateway, engine, _, _ = self.setup_drain()
         drained = gateway.clusters["dedicated-a"]
         evicted_before = [
-            run for run in drained._queued_runs  # captured pre-drain
+            run
+            for run in drained.queries.values()
+            if run.state is QueryState.QUEUED  # captured pre-drain
         ]
         gateway.drain_cluster("dedicated-a", "shared")
         for run in evicted_before:
