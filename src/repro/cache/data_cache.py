@@ -408,6 +408,8 @@ class TieredDataCache:
         self.config = config or DataCacheConfig()
         self.worker = worker
         self.metrics = metrics
+        # Metric series: counters by (event, tier), gauges by tier name.
+        self._instruments: dict = {}
         self.stats = DataCacheStats()
         make_policy = POLICIES[self.config.policy]
         if self.config.policy == "tinylfu":
@@ -427,13 +429,21 @@ class TieredDataCache:
 
     # -- observability --------------------------------------------------------
 
+    # Each series is looked up in the registry once, at its first use, so
+    # the registry holds the same series, created in the same order, as a
+    # lookup on every update would.
+
     def _count(self, event: str, tier: Optional[str] = None) -> None:
         if self.metrics is None:
             return
-        labels = {"worker": self.worker, "policy": self.config.policy}
-        if tier is not None:
-            labels["tier"] = tier
-        self.metrics.counter(f"data_cache_{event}_total", **labels).inc()
+        counter = self._instruments.get((event, tier))
+        if counter is None:
+            labels = {"worker": self.worker, "policy": self.config.policy}
+            if tier is not None:
+                labels["tier"] = tier
+            counter = self.metrics.counter(f"data_cache_{event}_total", **labels)
+            self._instruments[(event, tier)] = counter
+        counter.inc()
 
     def _instant(self, key: str, tier: str, size_bytes: int) -> None:
         tracer = current_tracer()
@@ -450,12 +460,15 @@ class TieredDataCache:
         if self.metrics is None:
             return
         for tier in (self.hot, self.ssd):
-            self.metrics.gauge(
-                "data_cache_used_bytes",
-                worker=self.worker,
-                policy=self.config.policy,
-                tier=tier.name,
-            ).set(tier.used_bytes)
+            gauge = self._instruments.get(tier.name)
+            if gauge is None:
+                gauge = self._instruments[tier.name] = self.metrics.gauge(
+                    "data_cache_used_bytes",
+                    worker=self.worker,
+                    policy=self.config.policy,
+                    tier=tier.name,
+                )
+            gauge.set(tier.used_bytes)
 
     # -- reads ----------------------------------------------------------------
 

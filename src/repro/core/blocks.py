@@ -244,7 +244,9 @@ class VarcharBlock(Block):
     kernels exploit this with padded fixed-width (``S``-dtype) views.  The
     padding trick is unsafe when the payload itself contains NUL bytes
     (numpy strips trailing NULs), so every padded path is guarded by
-    :meth:`has_nul` and falls back to the object lane.
+    :meth:`has_nul` and falls back to the object lane.  The point lookups
+    (:meth:`exact_match`, :meth:`prefix_mask`) compare single bytes and
+    need no guard.
     """
 
     def __init__(
@@ -452,52 +454,42 @@ class VarcharBlock(Block):
         return self._factorized
 
     def exact_match(self, value: bytes) -> np.ndarray:
-        """Rows whose bytes equal ``value`` — gathers only same-length rows."""
-        count = self.position_count
-        k = len(value)
-        lengths = self.byte_lengths()
-        if self.nulls is not None:
-            lengths = np.where(self.nulls, -1, lengths)
-        candidates = lengths == k
-        if k == 0 or not candidates.any():
-            return candidates
-        if b"\x00" in value or self.has_nul():
-            return candidates & self.prefix_mask(value)
-        starts = self.offsets[:-1][candidates]
-        index = starts[:, None] + np.arange(k, dtype=np.int64)[None, :]
-        out = np.zeros(count, dtype=bool)
-        out[candidates] = self.data[index].reshape(-1).view(f"S{k}") == value
-        return out
+        """Rows whose bytes equal ``value``: the rows of its length,
+        narrowed byte by byte (:meth:`_narrow`)."""
+        return self._narrow(self._defined_lengths() == len(value), value)
 
     def prefix_mask(self, prefix: bytes) -> np.ndarray:
         """Rows whose bytes start with ``prefix`` (byte-exact ``startswith``)."""
-        count = self.position_count
-        if not prefix:
-            return ~self.null_mask()
-        k = len(prefix)
+        return self._narrow(self._defined_lengths() >= len(prefix), prefix)
+
+    def _defined_lengths(self) -> np.ndarray:
+        """Byte lengths with ``-1`` at NULL rows, which no length matches."""
         lengths = self.byte_lengths()
         if self.nulls is not None:
-            lengths = np.where(self.nulls, 0, lengths)
-        candidates = lengths >= k
-        if not candidates.any() or len(self.data) == 0:
-            return np.zeros(count, dtype=bool)
-        if b"\x00" not in prefix and not self.has_nul():
-            # Candidate rows own >= k bytes, so their first k bytes gather
-            # without bounds checks; one S{k} memcmp pass decides.
-            starts = self.offsets[:-1]
-            if not candidates.all():
-                starts = starts[candidates]
-            index = starts[:, None] + np.arange(k, dtype=np.int64)[None, :]
-            hits = self.data[index].reshape(-1).view(f"S{k}") == prefix
-            if candidates.all():
-                return hits
-            out = np.zeros(count, dtype=bool)
-            out[candidates] = hits
-            return out
-        lane = np.arange(k, dtype=np.int64)
-        index = np.clip(self.offsets[:-1][:, None] + lane[None, :], 0, len(self.data) - 1)
-        target = np.frombuffer(prefix, dtype=np.uint8)
-        return candidates & (self.data[index] == target[None, :]).all(axis=1)
+            lengths = np.where(self.nulls, -1, lengths)
+        return lengths
+
+    def _narrow(self, candidates: np.ndarray, prefix: bytes) -> np.ndarray:
+        """``candidates``, rows owning at least ``len(prefix)`` bytes, cut to
+        those whose bytes start with ``prefix``.
+
+        Each byte is compared only on the rows every byte before it kept,
+        so the work shrinks with the matches instead of gathering a
+        rows x ``len(prefix)`` matrix, and a NUL byte is compared like any
+        other.
+        """
+        if not prefix:
+            return candidates
+        rows = np.flatnonzero(candidates)
+        starts = self.offsets[:-1][rows]
+        for byte in prefix:
+            keep = self.data[starts] == byte
+            rows, starts = rows[keep], starts[keep] + 1
+            if not len(rows):
+                break
+        out = np.zeros(self.position_count, dtype=bool)
+        out[rows] = True
+        return out
 
     # -- block protocol ----------------------------------------------------
 

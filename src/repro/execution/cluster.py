@@ -703,7 +703,8 @@ class PrestoClusterSim:
         estimated wait breaches the group's SLO, the query is shed with
         :class:`~repro.common.errors.AdmissionRejectedError` carrying a
         retry-after hint — never silently dropped.  A query whose
-        ``memory_mb`` exceeds some group's ``memory_limit_mb`` up the chain
+        ``memory_mb`` exceeds some group's ``memory_limit_mb`` up the chain,
+        or whose chain holds a group with a ``max_running`` below one,
         could never be admitted; it raises
         :class:`~repro.common.errors.InsufficientResourcesError` instead of
         queueing forever.
@@ -717,6 +718,11 @@ class PrestoClusterSim:
                 raise InsufficientResourcesError(
                     f"{self.name}: query needs {memory_mb} MB but resource group "
                     f"{node.path} allows {node.memory_limit_mb} MB"
+                )
+            if node.max_running is not None and node.max_running < 1:
+                raise InsufficientResourcesError(
+                    f"{self.name}: resource group {node.path} allows "
+                    f"{node.max_running} running queries"
                 )
         now = self.clock.now_ms()
         # Queue behind earlier arrivals of the same group — direct

@@ -35,7 +35,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.common.hashing import stable_hash
-from repro.core.blocks import Block
+from repro.core.blocks import Block, PrimitiveBlock
 from repro.core.expressions import (
     CallExpression,
     ConstantExpression,
@@ -46,7 +46,7 @@ from repro.core.expressions import (
     combine_conjuncts,
 )
 from repro.core.types import BOOLEAN, PrestoType
-from repro.execution.kernels import column_codes
+from repro.execution.kernels import column_codes, dense_lookup, dense_table
 
 # Keep the exact value set up to this many distinct build keys; beyond it
 # the filter degrades to min/max + bloom.
@@ -149,8 +149,31 @@ class DynamicFilter:
         except OverflowError:
             return None
 
+    @cached_property
+    def _int64_bitmap(self) -> Optional[tuple[int, np.ndarray]]:
+        """The exact set's integers as a bitmap over their [min, max]
+        (:func:`dense_table`), or None: no exact set, no integer in it,
+        or a wide span."""
+        if self._int64_values is None:
+            return None
+        return dense_table(self._int64_values, True, False)
+
     def mask(self, block: Block) -> np.ndarray:
-        """``matches`` of every position, asked once per distinct value."""
+        """``matches`` of every position.
+
+        An int64 column whose exact set fits a bitmap reads it once per
+        row; any other column asks once per distinct value.
+        """
+        block = block.loaded()
+        if (
+            isinstance(block, PrimitiveBlock)
+            and block.values.dtype == np.int64
+            and self._int64_bitmap is not None
+        ):
+            mask = dense_lookup(*self._int64_bitmap, block.values)
+            if block.nulls is not None:
+                mask &= ~block.nulls
+            return mask
         codes, uniq = column_codes(block)
         # One trailing False slot: code -1 (NULL, NaN) indexes it.
         table = np.zeros(len(uniq) + 1, dtype=bool)
@@ -243,7 +266,11 @@ def dynamic_filter_for(blocks: Sequence[Block]) -> DynamicFilter:
     for block in blocks:
         codes, uniq = column_codes(block)
         # Only the codes rows use: a dictionary may hold other values.
-        distinct.update(map(_normalize, uniq[np.unique(codes[codes >= 0])].tolist()))
+        used = np.zeros(len(uniq), dtype=bool)
+        used[codes[codes >= 0]] = True
+        members = uniq[used].tolist()
+        # Integers and booleans are their own normal form.
+        distinct.update(members if uniq.dtype.kind in "iub" else map(_normalize, members))
     rows = sum(block.position_count for block in blocks)
     if not distinct:
         return DynamicFilter(build_rows=rows)

@@ -11,9 +11,11 @@ every aggregate the dialect accepts runs here.
   distinct keys, one block per key column (``block.take`` of each key's
   first row: no key ever becomes a Python tuple).  :func:`column_codes`
   is total over the key blocks the analyzer admits: dictionary-encoded
-  columns factorize on their id arrays without decoding; primitive
-  columns go through ``np.unique`` (object values of kinds that do not
-  compare with each other order by kind first); offsets-based
+  columns factorize on their id arrays without decoding; an int64
+  column whose value span is narrow (:func:`dense_table`) through a
+  presence table, other primitive columns through ``np.unique`` (object
+  values of kinds that do not compare with each other order by kind
+  first); offsets-based
   :class:`VarcharBlock` columns factorize on padded byte views; ARRAY
   columns factorize through their elements' codes.  ROW and MAP keys
   never arrive: the analyzer rejects them.  :class:`GroupIndex` keeps the
@@ -35,7 +37,8 @@ every aggregate the dialect accepts runs here.
   aggregation operator, the realtime store and materialized views all
   aggregate through it.
 - **Hash-join index** (:class:`JoinKeyIndex`): the build side factorizes
-  once; probe pages map into the same code space and expand into the
+  once; probe pages map into the same code space, narrow integer keys
+  through lookup tables built once per index, and expand into the
   ``(probe_positions, build_positions)`` index pair in probe-row order.
 - **Exchange partitioning** (:func:`partition_assignments`): a row's
   partition is its key's hash modulo the partition count.
@@ -96,6 +99,10 @@ EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 # product could leave int64.
 _MAX_RADIX = 2**62
 
+# Int64 keys whose value span is at most this many slots per key are
+# looked up in a table over the span (:func:`dense_table`), not sorted.
+_DENSE_SPAN = 8
+
 # Rows one hash-stage task should own (the scheduler runs ceil(observed
 # rows / target) of them), and so the rows hash aggregation factorizes at
 # once: a FINAL task's whole input is one batch.
@@ -134,6 +141,55 @@ def page_runs(
 
 
 # ---------------------------------------------------------------------------
+# Dense integer keys
+# ---------------------------------------------------------------------------
+
+
+def dense_table(
+    keys: np.ndarray, payload: Any, miss: Any
+) -> Optional[tuple[int, np.ndarray]]:
+    """``(low, table)`` over the int64 ``keys``' span, or None when it is wide.
+
+    ``table[key - low]`` holds ``payload`` (a scalar, or one entry per
+    key), every other slot ``miss``, and one trailing ``miss`` slot is
+    what :func:`dense_lookup` reads for a value outside ``[low, high]``.
+    The span is checked in Python ints before anything is subtracted, so
+    keys at the int64 extremes cannot overflow; it passes while it is at
+    most ``_DENSE_SPAN`` slots per key.  No keys, no table.
+    """
+    if not len(keys):
+        return None
+    low, high = int(keys.min()), int(keys.max())
+    if high - low >= _DENSE_SPAN * len(keys):
+        return None
+    table = np.full(high - low + 2, miss, dtype=np.asarray(payload).dtype)
+    table[keys - low] = payload
+    return low, table
+
+
+def dense_lookup(low: int, table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``table[value - low]`` per int64 value; values off the span read the
+    trailing ``miss`` slot.  The subtraction wraps in uint64, so a value
+    below ``low`` lands past the end with every other miss."""
+    slots = values.view(np.uint64) - np.uint64(low % 2**64)
+    np.minimum(slots, len(table) - 1, out=slots)
+    return table[slots.view(np.int64)]
+
+
+def _dense_codes(values: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``np.unique(values, return_inverse=True)`` of int64 ``values`` with
+    a narrow span: a presence table, ``flatnonzero`` and one gather."""
+    dense = dense_table(values, True, False)
+    if dense is None:
+        return None
+    low, present = dense
+    slots = np.flatnonzero(present)
+    codes = np.zeros(len(present), dtype=np.int64)
+    codes[slots] = np.arange(len(slots), dtype=np.int64)
+    return slots + low, codes[values - low]
+
+
+# ---------------------------------------------------------------------------
 # Factorization
 # ---------------------------------------------------------------------------
 
@@ -168,14 +224,20 @@ def column_codes(block: Block) -> tuple[np.ndarray, np.ndarray]:
         codes = np.full(len(values), -1, dtype=np.int64)
         codes[non_null] = inverse
     else:
-        uniq, inverse = np.unique(values, return_inverse=True)
+        uniq, inverse = _unique(values)
         codes = inverse.astype(np.int64, copy=False)
     return codes, uniq
 
 
 def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique`` and its inverse; object values of kinds that do not
-    compare with each other (ints beside strings) order by kind first."""
+    """``np.unique`` and its inverse.  Int64 values with a narrow span
+    give the same pair from a presence table (:func:`_dense_codes`), with
+    no sort; object values of kinds that do not compare with each other
+    (ints beside strings) order by kind first."""
+    if values.dtype == np.int64:
+        dense = _dense_codes(values)
+        if dense is not None:
+            return dense
     try:
         return np.unique(values, return_inverse=True)
     except TypeError:
@@ -245,7 +307,8 @@ def _factorize(
     from.  Columns are combined with mixed-radix arithmetic, re-compacting
     through ``np.unique`` whenever the radix product could overflow int64.
     The combined codes find each group's first row (a dense table over a
-    radix of at most 65 536, else ``np.unique``'s first indices).  Those
+    radix of at most 65 536 or ``_DENSE_SPAN`` slots per row, else
+    ``np.unique``'s first indices).  Those
     rows, marked and read back in row order, are ``reps`` in appearance
     order, and numbering them numbers the groups: no step sorts the
     distinct keys.
@@ -262,8 +325,8 @@ def _factorize(
             radix = int(combined.max()) + 1 if n else 1
         combined = combined * width + (codes + 1)
         radix *= width
-    if radix <= 65536:
-        # Small key domain: dense first-occurrence table.  Reversed
+    if radix <= max(65536, _DENSE_SPAN * n):
+        # Narrow key domain: dense first-occurrence table.  Reversed
         # assignment leaves each slot holding the SMALLEST row index that
         # wrote it.
         first = np.full(radix, -1, dtype=np.int64)
@@ -1034,10 +1097,14 @@ class JoinKeyIndex:
     """Code-space hash-join index: probe pages never materialize key tuples.
 
     The build side is factorized once into mixed-radix combined codes.
-    Probe columns are mapped into the *same* per-column code space with
-    ``np.searchsorted`` against the build side's sorted distinct values,
-    so an entire probe page resolves to build-row positions with a
-    handful of array operations — no per-key Python dict lookups.
+    Probe columns are mapped into the *same* per-column code space, and the
+    combined probe codes into the build's sorted distinct codes, so an
+    entire probe page resolves to build-row positions with a handful of
+    array operations — no per-key Python dict lookups.  Each lookup is a
+    gather through a table built once per index (:func:`dense_table`: one
+    per int64 build column, one per re-compaction, one for the combined
+    codes) while the keys' span is narrow, else ``np.searchsorted``
+    against the sorted distinct values.
     """
 
     def __init__(
@@ -1057,30 +1124,28 @@ class JoinKeyIndex:
         self.counts = counts  # build rows per code
         self.offsets = offsets  # exclusive prefix sums into ``flat``
         self.flat = flat  # build positions grouped by code, insertion order
+        self._column_tables = [
+            _position_table(uniq) if uniq.dtype == np.int64 else None
+            for uniq in column_uniques
+        ]
+        self._compaction_tables = [_position_table(table) for _, table in compactions]
+        self._code_table = _position_table(code_values)
 
     def probe_codes(self, blocks: Sequence[Block], count: int) -> np.ndarray:
         """Map probe rows to build code space; ``-1`` means no match."""
         combined = np.zeros(count, dtype=np.int64)
         invalid = np.zeros(count, dtype=bool)
         for i, block in enumerate(blocks):
-            for at_column, table in self.compactions:
+            for (at_column, table), dense in zip(self.compactions, self._compaction_tables):
                 if at_column == i:
-                    idx = np.searchsorted(table, combined)
-                    idx = np.clip(idx, 0, max(len(table) - 1, 0))
-                    if len(table):
-                        invalid |= table[idx] != combined
-                    else:
-                        invalid[:] = True
-                    combined = idx
+                    # A combination the build never held reads -1 and stays
+                    # negative through every later column: no code matches.
+                    combined = _positions(table, dense, combined)
             codes = self._map_column(i, block)
             invalid |= codes < 0
             combined = combined * self.widths[i] + (np.maximum(codes, -1) + 1)
-        if not len(self.code_values):
-            return np.full(count, -1, dtype=np.int64)
-        idx = np.searchsorted(self.code_values, combined)
-        idx = np.clip(idx, 0, len(self.code_values) - 1)
-        found = (self.code_values[idx] == combined) & ~invalid
-        return np.where(found, idx, -1)
+        found = _positions(self.code_values, self._code_table, combined)
+        return np.where(invalid, -1, found)
 
     def expand(self, probe_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cross probe rows with their matching build positions.
@@ -1134,21 +1199,44 @@ class JoinKeyIndex:
     def _match_values(
         self, i: int, values: np.ndarray, nulls: np.ndarray
     ) -> np.ndarray:
+        dense = self._column_tables[i]
+        if dense is not None and values.dtype == np.int64:
+            codes = dense_lookup(*dense, values)
+            if nulls.any():
+                codes[nulls] = -1
+            return codes
         uniq = self.column_uniques[i]
         codes = np.full(len(values), -1, dtype=np.int64)
         non_null = ~nulls
         candidates = values[non_null]
-        if not len(uniq) or not len(candidates):
-            return codes
         try:
-            idx = np.clip(np.searchsorted(uniq, candidates), 0, len(uniq) - 1)
-            codes[non_null] = np.where(uniq[idx] == candidates, idx, -1)
+            codes[non_null] = _positions(uniq, None, candidates)
         except TypeError:
             # Values that do not compare with the build side's (ints beside
             # strings, arrays holding NULLs): look each distinct one up.
             position = {_hashable(v): c for c, v in enumerate(uniq.tolist())}
             codes[non_null] = [position.get(_hashable(v), -1) for v in candidates.tolist()]
         return codes
+
+
+def _position_table(sorted_keys: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+    """:func:`dense_table` from each of the sorted distinct int64 keys to
+    its position among them, ``-1`` elsewhere."""
+    return dense_table(sorted_keys, np.arange(len(sorted_keys), dtype=np.int64), -1)
+
+
+def _positions(
+    sorted_keys: np.ndarray, dense: Optional[tuple[int, np.ndarray]], values: np.ndarray
+) -> np.ndarray:
+    """Each value's position among ``sorted_keys``, ``-1`` where it is
+    absent: a gather through ``dense`` (int64 values), else
+    ``np.searchsorted``."""
+    if dense is not None:
+        return dense_lookup(*dense, values)
+    if not len(sorted_keys):
+        return np.full(len(values), -1, dtype=np.int64)
+    idx = np.clip(np.searchsorted(sorted_keys, values), 0, len(sorted_keys) - 1)
+    return np.where(sorted_keys[idx] == values, idx, -1)
 
 
 def build_join_index(blocks: Sequence[Block]) -> JoinKeyIndex:
@@ -1177,7 +1265,7 @@ def build_join_index(blocks: Sequence[Block]) -> JoinKeyIndex:
         widths.append(width)
         radix *= width
     valid_positions = np.flatnonzero(~null_row)
-    code_values, inverse = np.unique(combined[valid_positions], return_inverse=True)
+    code_values, inverse = _unique(combined[valid_positions])
     # Stable sort by code keeps ascending original positions within each
     # code — exactly the dict-insertion order of the row-at-a-time build.
     order = np.argsort(inverse, kind="stable")

@@ -205,9 +205,10 @@ class PrestoGateway:
         client: the soonest any cluster expects capacity is when the
         client should retry, not whenever the last-tried (deepest-queued)
         cluster frees up.  A query larger than a memory limit of its
-        resource group on the routed cluster is not shed but refused
-        outright: the cluster's :class:`InsufficientResourcesError`
-        propagates without spilling.
+        resource group on the routed cluster, or in a group allowing no
+        running query there, is not shed but refused outright: the
+        cluster's :class:`InsufficientResourcesError` propagates without
+        spilling.
 
         **Failover** (the Twitter hybrid-cloud gateway pattern).  When a
         run fails with a *retryable* error (INTERNAL_ERROR / EXTERNAL —

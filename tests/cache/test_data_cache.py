@@ -250,6 +250,41 @@ class TestObservability:
         assert metrics.total("data_cache_hits_total", worker="w0", tier="ssd") == 1.0
         assert metrics.total("data_cache_evictions_total", worker="w0") >= 1.0
 
+    @pytest.mark.parametrize("policy", ["lru", "tinylfu"])
+    def test_each_series_is_looked_up_once(self, policy):
+        # Every update used to look its series up in the registry, sorting
+        # the label set each time.  The handles are cached now; the series,
+        # the order they were created in and their values are those of a
+        # lookup on every update.
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        config = DataCacheConfig(hot_bytes=20, ssd_bytes=40, policy=policy)
+        cached_metrics, per_update_metrics = MetricsRegistry(), MetricsRegistry()
+        lookups = []
+        for metrics in (cached_metrics, per_update_metrics):
+            for kind in ("counter", "gauge"):
+                original = getattr(metrics, kind)
+
+                def counting(name, _original=original, _metrics=metrics, **labels):
+                    lookups.append((_metrics, name))
+                    return _original(name, **labels)
+
+                setattr(metrics, kind, counting)
+        cached = TieredDataCache(config, worker="w0", metrics=cached_metrics)
+        per_update = TieredDataCache(config, worker="w0", metrics=per_update_metrics)
+        per_update._instruments = Forgetful()
+        for cache in (cached, per_update):
+            for key in "abcabcddaeb":
+                cache.read(key)
+        assert list(cached_metrics._counters) == list(per_update_metrics._counters)
+        assert list(cached_metrics._gauges) == list(per_update_metrics._gauges)
+        assert cached_metrics.to_json() == per_update_metrics.to_json()
+        series = len(cached_metrics._counters) + len(cached_metrics._gauges)
+        assert [m for m, _ in lookups].count(cached_metrics) == series
+        assert [m for m, _ in lookups].count(per_update_metrics) > 3 * series
+
     def test_used_bytes_gauge_tracks_tiers(self):
         metrics = MetricsRegistry()
         config = DataCacheConfig(hot_bytes=20, ssd_bytes=40)

@@ -137,6 +137,28 @@ class TestOneAdmissionPath:
         cluster.run_until_idle()
         assert fits.finished_at is not None
 
+    @pytest.mark.parametrize("path", ["etl", "etl.nightly"])
+    def test_query_in_a_group_allowing_no_running_query_is_refused(self, path):
+        # Regression: max_running=0 made the queue-wait estimate divide by
+        # zero, a bare ZeroDivisionError out of submit_handle.
+        cluster = PrestoClusterSim(workers=2)
+        cluster.resource_group("etl", max_running=0)
+        handle = SyntheticQuery("never", [SyntheticStep(10.0)])
+        with pytest.raises(InsufficientResourcesError) as refusal:
+            cluster.submit_handle(handle, resource_group=path)
+        error = refusal.value
+        assert not isinstance(error, AdmissionRejectedError)
+        assert error.category is ErrorCategory.INSUFFICIENT_RESOURCES
+        assert "root.etl allows 0 running queries" in str(error)
+        assert not cluster.queries and cluster.queued_query_count() == 0
+        # One slot admits it.
+        cluster.resource_group("etl", max_running=1)
+        runs = cluster.submit_handle(
+            SyntheticQuery("runs", [SyntheticStep(10.0)]), resource_group=path
+        )
+        cluster.run_until_idle()
+        assert runs.finished_at is not None
+
 
 class TestWorkPerEvent:
     """The event loop's work grows with the queries in flight, not with all seen."""

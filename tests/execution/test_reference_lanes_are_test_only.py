@@ -2,7 +2,8 @@
 
 The row-at-a-time operators and their grouped fold, the expression
 interpreter, the single-pipeline run, the row-at-a-time dynamic-filter
-build, the lakehouse oracle and the linear-scan cluster are the references the
+build, the lakehouse oracle, the linear-scan cluster and the sort-path key
+lookups are the references the
 differential tests compare against and the baselines some benchmarks
 time; ``tests/reference/`` defines each of them.  The process-wide switch
 that once built VARCHAR columns as object arrays is deleted.  This walks
@@ -39,6 +40,8 @@ REFERENCES = {
     "expected_log_keys": "lakehouse.py",
     "assert_exactly_once": "lakehouse.py",
     "LinearScanCluster": "cluster.py",
+    "unique_column_codes": "keys.py",
+    "searchsorted_probe_codes": "keys.py",
 }
 
 # The deleted varchar switch: nothing defines these any more.

@@ -714,10 +714,13 @@ class TestArrayNativeAggregation:
             calls.append(kwargs)
             return original(array, *args, **kwargs)
 
+        # Spans far wider than the rows: each column sorts, no column
+        # fits a presence table.
+        wide = 2**40
         blocks = [
-            PrimitiveBlock.from_values(BIGINT, [1, 2, 3, 4, 1]),
-            PrimitiveBlock.from_values(BIGINT, [5, 6, 7, 8, 5]),
-            PrimitiveBlock.from_values(BIGINT, [9, 9, 8, 8, 9]),
+            PrimitiveBlock.from_values(BIGINT, [1, wide, 3, 4, 1]),
+            PrimitiveBlock.from_values(BIGINT, [5, 6, -wide, 8, 5]),
+            PrimitiveBlock.from_values(BIGINT, [9, 9, wide, wide, 9]),
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np, "unique", counting)
@@ -725,7 +728,7 @@ class TestArrayNativeAggregation:
         # One per column, and one re-compaction before the second and third.
         assert len(calls) == 5
         assert codes.tolist() == [0, 1, 2, 3, 0]
-        assert key_rows(keys) == [(1, 5, 9), (2, 6, 9), (3, 7, 8), (4, 8, 8)]
+        assert key_rows(keys) == [(1, 5, 9), (wide, 6, 9), (3, -wide, wide), (4, 8, wide)]
 
     def test_one_batch_never_builds_the_key_dict(self):
         indexes = []

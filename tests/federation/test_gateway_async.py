@@ -121,6 +121,25 @@ class TestSubmitSql:
         assert all(not cluster.queries for cluster in gateway.clusters.values())
         assert gateway.queue_depths() == {name: 0 for name in gateway.clusters}
 
+    def test_query_in_a_group_allowing_no_running_query_is_refused(self):
+        # Regression: max_running=0 raised a bare ZeroDivisionError from the
+        # routed cluster's queue-wait estimate.  It is refused like an
+        # over-memory query: categorized, not spilled, the span closed.
+        gateway = make_gateway()
+        engine = make_engine()
+        handles = []
+        submit = engine.submit
+        engine.submit = lambda sql: handles.append(submit(sql)) or handles[-1]
+        gateway.clusters["dedicated-a"].resource_group("alice", max_running=0)
+        with pytest.raises(InsufficientResourcesError, match=r"root\.alice allows 0") as refusal:
+            gateway.submit_sql("alice", engine, SQL)
+        assert not isinstance(refusal.value, AdmissionRejectedError)
+        assert not refusal.value.retryable
+        [handle] = handles
+        assert all(s.end_ms is not None for s in handle.trace.spans)
+        assert gateway.all_sheds == gateway.load_sheds == 0
+        assert all(not cluster.queries for cluster in gateway.clusters.values())
+
     def test_all_shed_raises_minimum_retry_after(self, monkeypatch):
         # Regression: the gateway used to propagate the *last* attempted
         # cluster's retry-after hint; the client should back off only as
