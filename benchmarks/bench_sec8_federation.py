@@ -50,16 +50,12 @@ def run_federated(queries: int, clusters: int = 3) -> float:
         )
         gateway.routing.assign_group(f"team{index}", f"fed{index}")
     gateway.routing.set_default("fed0")
-    executions = []
-    for i in range(queries):
-        executions.append(
-            gateway.submit(
-                f"user{i}", [SPLIT_MS] * SPLITS_PER_QUERY, groups=(f"team{i % clusters}",)
-            )
-        )
-    for cluster in gateway.clusters.values():
-        cluster.run_until_idle()
-    return sum(e.latency_ms for e in executions) / len(executions)
+    submissions = [
+        gateway.submit(f"user{i}", [SPLIT_MS] * SPLITS_PER_QUERY, groups=(f"team{i % clusters}",))
+        for i in range(queries)
+    ]
+    gateway.run_until_idle()
+    return sum(s.execution.latency_ms for s in submissions) / len(submissions)
 
 
 def coordinator_degradation_sweep(sizes, queries: int) -> list[dict]:
@@ -89,12 +85,11 @@ def zero_downtime_maintenance() -> dict:
     before = gateway.submit("alice", [10.0])
     gateway.drain_cluster("dedicated", fallback="shared")
     during = gateway.submit("alice", [10.0])
-    for cluster in gateway.clusters.values():
-        cluster.run_until_idle()
+    gateway.run_until_idle()
     return {
-        "before_drain_ran_on": before.query_id.split("-")[0],
-        "during_drain_ran_on": during.query_id.split("-")[0],
-        "finished": sum(e.finished_at is not None for e in (before, during)),
+        "before_drain_ran_on": before.cluster_name,
+        "during_drain_ran_on": during.cluster_name,
+        "finished": sum(s.execution.finished_at is not None for s in (before, during)),
     }
 
 

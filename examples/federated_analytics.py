@@ -6,22 +6,24 @@ example stands up four storage systems —
 
 - a Hive warehouse (trips history in the Parquet-like format on HDFS),
 - a MySQL server (restaurant dimension data),
-- a Druid cluster (real-time order events, minutes old),
+- a Pinot cluster (real-time order events, minutes old),
 - an Elasticsearch cluster (service health logs),
 
 registers a connector for each, and answers one federated question with a
 single SQL query — no copy pipelines.  Watch the EXPLAIN output: the
 predicate, projection, and aggregation pushdowns land in each connector's
-table handle.
+table handle.  The engine runs with the fragment result cache (section
+VII), so the repeated report reads its Hive splits from the cache.
 
 Run:  python examples/federated_analytics.py
 """
 
 from repro import PrestoEngine, Session
+from repro.cache import FragmentResultCache
 from repro.connectors.elasticsearch import ElasticsearchCluster, ElasticsearchConnector
 from repro.connectors.hive import HiveConnector, write_hive_partition
 from repro.connectors.mysql import MySqlConnector, MySqlServer
-from repro.connectors.olap import DruidCluster, DruidConnector
+from repro.connectors.olap import PinotCluster, PinotConnector
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.metastore.metastore import HiveMetastore
@@ -69,9 +71,9 @@ def build_mysql():
     return MySqlConnector(server)
 
 
-def build_druid():
+def build_pinot():
     """Real-time layer: order events from the last few minutes."""
-    cluster = DruidCluster(nodes=4)
+    cluster = PinotCluster(nodes=4)
     cluster.create_datasource(
         "live_orders", [("restaurant_id", BIGINT), ("status", VARCHAR), ("amount", DOUBLE)]
     )
@@ -85,7 +87,7 @@ def build_druid():
             (3, "placed", 8.5),
         ],
     )
-    return DruidConnector(cluster)
+    return PinotConnector(cluster)
 
 
 def build_elasticsearch():
@@ -107,25 +109,39 @@ def build_elasticsearch():
 
 
 def main() -> None:
-    engine = PrestoEngine(session=Session(catalog="hive", schema="eats"))
+    fragments = FragmentResultCache()
+    engine = PrestoEngine(
+        session=Session(catalog="hive", schema="eats"), fragment_result_cache=fragments
+    )
     engine.register_connector("hive", build_hive_warehouse())
     engine.register_connector("mysql", build_mysql())
-    engine.register_connector("druid", build_druid())
+    engine.register_connector("pinot", build_pinot())
     engine.register_connector("es", build_elasticsearch())
 
-    print("-- the fresh Uber Eats report: batch history + live orders + dimension --")
+    print("-- one endpoint over four storage systems: what each catalog holds --")
+    for (catalog,) in engine.execute("SHOW CATALOGS").rows:
+        for (schema,) in engine.execute(f"SHOW SCHEMAS FROM {catalog}").rows:
+            tables = engine.execute(f"SHOW TABLES FROM {catalog}.{schema}").rows
+            print(f"{catalog}.{schema}: {', '.join(table for (table,) in tables)}")
+
+    print("\n-- the fresh Uber Eats report: batch history + live orders + dimension --")
     sql = (
         "SELECT r.name, "
         "       sum(h.amount) AS batch_revenue, "
         "       sum(l.amount) AS live_revenue "
         "FROM mysql.eats.restaurants r "
         "JOIN hive.eats.completed_orders h ON r.restaurant_id = h.restaurant_id "
-        "JOIN druid.druid.live_orders l ON r.restaurant_id = l.restaurant_id "
+        "JOIN pinot.pinot.live_orders l ON r.restaurant_id = l.restaurant_id "
         "WHERE l.status = 'placed' "
         "GROUP BY r.name ORDER BY 2 DESC"
     )
     for row in engine.execute(sql).rows:
         print(row)
+    engine.execute(sql)
+    print(
+        f"run again: {fragments.stats.hits} Hive splits served by the fragment "
+        f"result cache, {fragments.stats.misses} read"
+    )
 
     print("\n-- which restaurants had delivery errors today? (Elasticsearch join) --")
     sql = (
@@ -140,7 +156,7 @@ def main() -> None:
     print("\n-- aggregation pushdown in action (figure 2): EXPLAIN --")
     print(
         engine.explain(
-            "SELECT restaurant_id, max(amount) FROM druid.druid.live_orders "
+            "SELECT restaurant_id, max(amount) FROM pinot.pinot.live_orders "
             "GROUP BY restaurant_id"
         )
     )

@@ -6,12 +6,15 @@ hops, stages, task attempts, operators, exchanges, cache and storage
 accesses — and every component reports into one labeled metrics registry
 (`engine.metrics`).  This example runs a TPC-H-style aggregation, prints
 the critical path, and dumps both as JSON (the same payloads
-``python -m repro --trace --metrics`` emits).
+``python -m repro --trace --metrics`` emits).  Last, three copies of the
+query run on a simulated cluster, whose timeline shows them in flight at
+once on the shared clock.
 
 Run:  python examples/observability_trace.py
 """
 
 from repro import MemoryConnector, PrestoEngine, Session
+from repro.execution.cluster import PrestoClusterSim
 from repro.workloads.tpch import LINEITEM_COLUMNS, generate_lineitem
 
 TPCH_Q1 = (
@@ -45,6 +48,7 @@ def main() -> None:
     for entry in trace.critical_path(query_span):
         attrs = ", ".join(f"{k}={v}" for k, v in sorted(entry.span.attributes.items()))
         print(f"  {entry.span.name} [{attrs}]: {entry.contribution_ms:.2f} ms")
+    print(f"  total {trace.critical_path_ms(query_span):.2f} ms")
 
     print("\n-- trace JSON (first lines; byte-identical across runs) --")
     print("\n".join(trace.to_json(indent=2).splitlines()[:14]))
@@ -56,6 +60,19 @@ def main() -> None:
     print(f"rows exchanged: {metrics.total('exchange_rows_total')}"
           f"  (stats.rows_exchanged = {stats.rows_exchanged})")
     print("\n".join(metrics.to_json(indent=2).splitlines()[:16]))
+
+    print("\n-- cluster timeline: three queries overlap on the shared clock --")
+    cluster = PrestoClusterSim(workers=4)
+    for _ in range(3):
+        cluster.submit_handle(engine.submit(TPCH_Q1))
+    cluster.run_until_idle()
+    timeline = cluster.timeline_trace()
+    print(f"  {timeline.root.name}: {timeline.root.end_ms:.2f} ms")
+    for span in timeline.find("cluster.query"):
+        print(
+            f"  {span.attributes['query_id']}: {span.start_ms:.2f} -> {span.end_ms:.2f} ms "
+            f"({span.attributes['state']})"
+        )
 
 
 if __name__ == "__main__":

@@ -7,14 +7,15 @@ Demonstrates the operational side of the paper:
 2. a Hive warehouse living on S3 instead of HDFS, queried identically;
 3. graceful expansion and shrink of a simulated cluster (section IX);
 4. a federation gateway routing users to clusters, with a zero-downtime
-   maintenance drain (section VIII).
+   maintenance drain (section VIII): a SQL query submitted through the
+   gateway during the drain runs on the fallback cluster.
 
 Run:  python examples/presto_on_cloud.py
 """
 
 import itertools
 
-from repro import PrestoEngine, Session
+from repro import MemoryConnector, PrestoEngine, Session
 from repro.cloud.elasticity import Autoscaler, AutoscalerPolicy
 from repro.common.clock import SimulatedClock
 from repro.connectors.hive import HiveConnector, write_hive_partition
@@ -117,6 +118,21 @@ def federation() -> None:
     gateway.drain_cluster("interactive", fallback="shared")
     redirect = gateway.redirect("ceo-dashboard")
     print(f"  during maintenance drain: 'ceo-dashboard' -> {redirect.cluster_name!r} (no downtime)")
+
+    connector = MemoryConnector()
+    connector.create_table("kpi", "daily", [("day", VARCHAR), ("trips", BIGINT)],
+                           [("mon", 120), ("tue", 135)])
+    engine = PrestoEngine(session=Session(catalog="memory", schema="kpi"))
+    engine.register_connector("memory", connector)
+    submission = gateway.submit_sql("ceo-dashboard", engine, "SELECT sum(trips) FROM daily")
+    gateway.run_until_idle()
+    print(
+        f"  the dashboard's query ran on {submission.cluster_name!r}: "
+        f"{submission.handle.result().rows}"
+    )
+    gateway.undrain_cluster("interactive")
+    redirect = gateway.redirect("ceo-dashboard")
+    print(f"  maintenance over: 'ceo-dashboard' -> {redirect.cluster_name!r}")
 
 
 def main() -> None:

@@ -9,14 +9,21 @@ tail and the lake), hybrid queries union the two at a consistent
 watermark with time travel to any earlier cut, a materialized view
 answers aggregates straight from its incrementally-refreshed state, and
 a join too big for Presto's memory limit automatically translates to the
-batch engine (section XII.C).
+batch engine (section XII.C).  The raw Kafka topic is queryable too, by
+log offset, and the lake itself takes row-level updates and deletes as
+copy-on-write commits, every earlier snapshot staying queryable.
 
 Run:  python examples/realtime_lakehouse.py
 """
 
+from repro import PrestoEngine, Session
+from repro.connectors.lakehouse import IcebergConnector, IcebergTable
+from repro.core.expressions import CallExpression, constant, variable
+from repro.core.functions import default_registry
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.realtime import StreamingLakehouse, ViewAggregate, watermark_table_name
 from repro.spark import BatchSqlEngine, FallbackQueryRunner
+from repro.storage.hdfs import HdfsFileSystem
 
 
 def main() -> None:
@@ -60,6 +67,16 @@ def main() -> None:
     )
     print(f"  count/max/sum over all 52 events: {fresh.rows[0]}")
 
+    print("\n-- the raw topic is a table too: a seek by log offset --")
+    raw = engine.execute(
+        "SELECT count(*), min(_offset) FROM kafka.kafka.order_events WHERE _offset >= 10"
+    )
+    print(f"  events at offset >= 10 of their partition (count, first offset): {raw.rows[0]}")
+
+    print("\n-- the lake's snapshots, each committed with its offset watermark --")
+    for snapshot in lakehouse.lake.history():
+        print(f"  snapshot {snapshot.snapshot_id} ({snapshot.operation}): {snapshot.row_count} rows")
+
     print("\n-- time travel: pin the read to the sealed watermark --")
     sealed_name = watermark_table_name("order_events", table.sealed_watermark())
     sealed = engine.execute(f'SELECT count(*) FROM "{sealed_name}"')
@@ -88,6 +105,45 @@ def main() -> None:
         f"  served by {routed.engine!r}: {routed.result.rows[0][0]} joined rows "
         f"(fallbacks so far: {runner.fallbacks})"
     )
+
+    print("\n-- row-level corrections on the lake: copy-on-write, history kept --")
+    corrections()
+
+
+def status_is(status: str) -> CallExpression:
+    handle, _ = default_registry().resolve_scalar("equal", [VARCHAR, VARCHAR])
+    return CallExpression(
+        "equal",
+        handle,
+        handle.resolved_return_type(),
+        (variable("status", VARCHAR), constant(status, VARCHAR)),
+    )
+
+
+def corrections() -> None:
+    """Refund a shipped order and drop the unpaid ones: each is one commit
+    that rewrites only the files it touches."""
+    table = IcebergTable(
+        HdfsFileSystem(),
+        "/lake/orders",
+        [("order_id", BIGINT), ("status", VARCHAR), ("amount", DOUBLE)],
+    )
+    table.append([(1, "unpaid", 10.0), (2, "unpaid", 20.0)])
+    table.append([(3, "shipped", 30.0)])
+    table.update_where(status_is("shipped"), lambda row: (row[0], "refunded", -row[2]))
+    table.delete_where(status_is("unpaid"))
+    connector = IcebergConnector()
+    connector.register_table("orders", table)
+    engine = PrestoEngine(session=Session(catalog="iceberg", schema="lake"))
+    engine.register_connector("iceberg", connector)
+    for snapshot in table.history():
+        count, total = engine.execute(
+            f'SELECT count(*), sum(amount) FROM "orders$snapshot={snapshot.snapshot_id}"'
+        ).rows[0]
+        print(
+            f"  snapshot {snapshot.snapshot_id} ({snapshot.operation}): "
+            f"{count} orders, {total} total"
+        )
 
 
 if __name__ == "__main__":

@@ -52,9 +52,6 @@ class LruPolicy:
     def __init__(self) -> None:
         self._order: "OrderedDict[str, None]" = OrderedDict()
 
-    def record_access(self, key: str) -> None:
-        """Called once per cache *read*, hit or miss (TinyLFU's sketch)."""
-
     def on_hit(self, key: str) -> None:
         self._order.move_to_end(key)
 
@@ -154,10 +151,6 @@ class FrequencySketch:
                 row[slot] //= 2
         self._increments = 0
 
-    def clear(self) -> None:
-        self._counters = [[0] * self.width for _ in range(self.rows)]
-        self._increments = 0
-
 
 class TinyLfuPolicy(LruPolicy):
     """LRU eviction order gated by a TinyLFU admission filter.
@@ -174,16 +167,8 @@ class TinyLfuPolicy(LruPolicy):
         super().__init__()
         self.sketch = sketch or FrequencySketch()
 
-    def record_access(self, key: str) -> None:
-        self.sketch.increment(key)
-
     def admit(self, candidate: str, victim: str) -> bool:
         return self.sketch.estimate(candidate) > self.sketch.estimate(victim)
-
-    def clear(self) -> None:
-        # Keep the sketch: frequency history survives a cache flush, as
-        # in W-TinyLFU (the *contents* are gone, the knowledge is not).
-        super().clear()
 
 
 POLICIES: dict[str, Callable[[], LruPolicy]] = {
@@ -207,15 +192,6 @@ class CacheTier:
         self.policy = policy
         self.used_bytes = 0
         self._entries: dict[str, tuple[int, Any]] = {}
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def keys(self) -> list[str]:
-        return list(self._entries)
 
     def get(self, key: str) -> Optional[tuple[int, Any]]:
         entry = self._entries.get(key)
@@ -316,10 +292,6 @@ class ShadowCache:
     def estimated_hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._used = 0
 
 
 # -- the tiered cache ---------------------------------------------------------
@@ -540,22 +512,6 @@ class TieredDataCache:
 
     # -- inspection & lifecycle -----------------------------------------------
 
-    def tier_of(self, key: str) -> Optional[str]:
-        if key in self.hot:
-            return HOT_TIER
-        if key in self.ssd:
-            return SSD_TIER
-        return None
-
-    def __contains__(self, key: str) -> bool:
-        return self.tier_of(key) is not None
-
-    def __len__(self) -> int:
-        return len(self.hot) + len(self.ssd)
-
-    def keys(self) -> set[str]:
-        return set(self.hot.keys()) | set(self.ssd.keys())
-
     def hit_ratio(self) -> float:
         return self.stats.hit_ratio()
 
@@ -563,7 +519,8 @@ class TieredDataCache:
         """Drop both tiers (worker crash): the node restarts cold.
 
         The shadow cache and TinyLFU sketch persist — they model
-        knowledge about the *workload*, not bytes on the dead disk.
+        knowledge about the *workload*, not bytes on the dead disk (as in
+        W-TinyLFU, the *contents* are gone, the knowledge is not).
         """
         self.hot.clear()
         self.ssd.clear()

@@ -28,9 +28,6 @@ class FileListCache:
     def stats(self):
         return self._cache.stats
 
-    def bind_metrics(self, metrics) -> None:
-        self._cache.bind_metrics(metrics)
-
     def list_files(self, directory: str, sealed: bool) -> list[FileStatus]:
         """List a directory; served from cache only when ``sealed``.
 

@@ -32,16 +32,8 @@ class FileHandleAndFooterCache:
         self._footers = LruCache(max_entries, name="footer", metrics=metrics)
 
     @property
-    def handle_stats(self):
-        return self._handles.stats
-
-    @property
     def footer_stats(self):
         return self._footers.stats
-
-    def bind_metrics(self, metrics) -> None:
-        self._handles.bind_metrics(metrics)
-        self._footers.bind_metrics(metrics)
 
     def get_file_info(self, path: str) -> FileStatus:
         """getFileInfo through the handle cache."""

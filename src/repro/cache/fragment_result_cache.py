@@ -7,7 +7,7 @@ partition has not changed is served without rescanning."""
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.cache.lru import LruCache
 from repro.core.page import Page
@@ -26,22 +26,13 @@ class FragmentResultCache:
     def bind_metrics(self, metrics) -> None:
         self._cache.bind_metrics(metrics)
 
-    def fragment_key(self, plan_description: str, split_id: str, data_version: Hashable) -> tuple:
-        """Cache key: canonical fragment text + split + data version.
-
-        ``data_version`` should change whenever the underlying data does
-        (e.g. partition modification time) so stale results are never
-        served.
-        """
-        return (plan_description, split_id, data_version)
-
-    def get_or_compute(
-        self, key: tuple, compute: Callable[[], Sequence[Page]]
-    ) -> Sequence[Page]:
-        return self._cache.get_or_load(key, lambda: list(compute()))
-
     def get_or_compute_with_status(
         self, key: tuple, compute: Callable[[], Sequence[Page]]
     ) -> tuple[Sequence[Page], bool]:
-        """Like :meth:`get_or_compute` but also reports ``(pages, hit)``."""
+        """``(pages, hit)`` for ``key``, computing and caching on a miss.
+
+        ``key`` is the canonical fragment text, the split and the split's
+        data version, which changes whenever the underlying data does (e.g.
+        a file's modification time), so stale results are never served.
+        """
         return self._cache.get_or_load_with_status(key, lambda: list(compute()))

@@ -27,14 +27,6 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
 
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-
 # Distinguishes "not cached" from "cached None" — a legitimate value (a
 # file with no footer, a metastore miss) that must stay countable.
 _MISSING = object()
@@ -136,9 +128,3 @@ class LruCache:
         if self._entries.pop(key, _MISSING) is not _MISSING:
             self.stats.invalidations += 1
             self._count("invalidations")
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)

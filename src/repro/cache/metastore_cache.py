@@ -7,10 +7,8 @@ cached entry, giving strong freshness without explicit invalidation calls.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.cache.lru import LruCache
-from repro.metastore.metastore import HiveMetastore, PartitionInfo, TableInfo
+from repro.metastore.metastore import HiveMetastore, TableInfo
 
 
 class VersionedMetastoreCache:
@@ -26,23 +24,8 @@ class VersionedMetastoreCache:
     def stats(self):
         return self._cache.stats
 
-    def bind_metrics(self, metrics) -> None:
-        self._cache.bind_metrics(metrics)
-
     def get_table(self, database: str, name: str) -> TableInfo:
         key = ("table", self._metastore.version, database, name)
         return self._cache.get_or_load(
             key, lambda: self._metastore.get_table(database, name)
-        )
-
-    def list_partitions(self, database: str, name: str) -> list[PartitionInfo]:
-        key = ("partitions", self._metastore.version, database, name)
-        return self._cache.get_or_load(
-            key, lambda: self._metastore.list_partitions(database, name)
-        )
-
-    def list_tables(self, database: str) -> list[str]:
-        key = ("tables", self._metastore.version, database)
-        return self._cache.get_or_load(
-            key, lambda: self._metastore.list_tables(database)
         )

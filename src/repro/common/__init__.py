@@ -1,6 +1,6 @@
 """Shared infrastructure: simulated clock, errors, configuration, ids."""
 
-from repro.common.clock import SimulatedClock, SystemClock
+from repro.common.clock import SimulatedClock
 from repro.common.errors import (
     PrestoError,
     SyntaxError_,
@@ -15,7 +15,6 @@ from repro.common.errors import (
 
 __all__ = [
     "SimulatedClock",
-    "SystemClock",
     "PrestoError",
     "SyntaxError_",
     "SemanticError",

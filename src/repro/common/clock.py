@@ -16,8 +16,6 @@ deployment is distributed.
 
 from __future__ import annotations
 
-import time
-
 
 class SimulatedClock:
     """A monotonically advancing virtual clock measured in milliseconds.
@@ -49,43 +47,3 @@ class SimulatedClock:
         if lane_costs_ms:
             self.advance(max(lane_costs_ms))
         return self._now_ms
-
-    def reset(self, start_ms: float = 0.0) -> None:
-        """Rewind the clock; used between benchmark iterations."""
-        self._now_ms = float(start_ms)
-
-    class _Span:
-        """Context manager that reports elapsed virtual time."""
-
-        def __init__(self, clock: "SimulatedClock") -> None:
-            self._clock = clock
-            self.start_ms = 0.0
-            self.elapsed_ms = 0.0
-
-        def __enter__(self) -> "SimulatedClock._Span":
-            self.start_ms = self._clock.now_ms()
-            return self
-
-        def __exit__(self, *exc_info: object) -> None:
-            self.elapsed_ms = self._clock.now_ms() - self.start_ms
-
-    def span(self) -> "SimulatedClock._Span":
-        """Measure virtual time elapsed inside a ``with`` block."""
-        return SimulatedClock._Span(self)
-
-
-class SystemClock:
-    """Wall-clock with the same read interface as :class:`SimulatedClock`.
-
-    Used by components that genuinely run locally (e.g. the benchmark
-    harness); ``advance`` is a no-op because real time advances by itself.
-    """
-
-    def now_ms(self) -> float:
-        return time.monotonic() * 1000.0
-
-    def advance(self, delta_ms: float) -> float:
-        return self.now_ms()
-
-    def parallel_advance(self, lane_costs_ms: list[float]) -> float:
-        return self.now_ms()

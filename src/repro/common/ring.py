@@ -79,15 +79,6 @@ class ConsistentHashRing:
                 index = bisect.bisect_left(self._points, point)
                 del self._points[index]
 
-    def __contains__(self, node: str) -> bool:
-        return node in self._points_by_node
-
-    def __len__(self) -> int:
-        return len(self._points_by_node)
-
-    def nodes(self) -> set[str]:
-        return set(self._points_by_node)
-
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, key: str) -> Optional[str]:

@@ -52,6 +52,7 @@ from repro.formats.parquet.file import ParquetFile
 from repro.formats.parquet.options import ReaderOptions
 from repro.formats.parquet.reader_new import NewParquetReader, decode_dictionary_page
 from repro.formats.parquet.reader_old import OldParquetReader
+from repro.metastore.evolution import resolve_read_schema
 from repro.metastore.metastore import HiveMetastore, TableInfo
 from repro.metastore.statistics import ColumnStatisticsEntry, TableStatistics
 from repro.storage.filesystem import FileSystem
@@ -325,10 +326,16 @@ class HiveConnector(Connector):
             zip(table.partition_key_names(), info["partition_values"])
         )
         partition_types = dict(table.partition_keys)
-        data_column_names = [n for n, _ in table.columns]
-
-        data_columns = [c for c in columns if c in data_column_names]
         file = self._open_parquet(path)
+        # Schema evolution (section V.A): columns added to the table after
+        # this file was written read as nulls; a type change raises.
+        resolution = resolve_read_schema(file.schema.columns, table.columns)
+        in_file = {name for name, _, disposition in resolution if disposition == "read"}
+        added = {
+            name: column_type
+            for name, column_type, disposition in resolution
+            if disposition == "null"
+        }
 
         if self.reader == OLD_READER:
             # The old reader decodes every column of the file, in file order.
@@ -338,6 +345,7 @@ class HiveConnector(Connector):
                 file.schema.column_names(),
                 partition_values,
                 partition_types,
+                added,
                 table,
             )
 
@@ -354,10 +362,7 @@ class HiveConnector(Connector):
             dynamic_partition, partition_values, partition_types
         ):
             return iter([empty_page(table.all_columns(), columns)])
-        # Schema evolution: columns added to the table after this file was
-        # written are absent from the file schema and read as nulls.
-        file_top_level = set(file.schema.column_names())
-        present = [c for c in data_columns if c in file_top_level]
+        present = [c for c in columns if c in in_file]
         restrict = self._restriction(handle, present)
         reader = NewParquetReader(
             file,
@@ -369,7 +374,7 @@ class HiveConnector(Connector):
         )
         return _ReaderPages(
             self._stream_reader(
-                reader, columns, present, partition_values, partition_types, table
+                reader, columns, present, partition_values, partition_types, added, table
             ),
             reader.stats,
         )
@@ -381,13 +386,14 @@ class HiveConnector(Connector):
         present: list[str],
         partition_values: dict,
         partition_types: dict,
+        added: dict[str, PrestoType],
         table: TableInfo,
     ) -> Iterator[Page]:
         produced = False
         for page in reader.read_pages():
             produced = True
             yield self._attach_partition_columns(
-                page, columns, present, partition_values, partition_types, table
+                page, columns, present, partition_values, partition_types, added
             )
         if not produced:
             yield empty_page(table.all_columns(), columns)
@@ -430,7 +436,7 @@ class HiveConnector(Connector):
         present_columns: list[str],
         partition_values: dict,
         partition_types: dict,
-        table: TableInfo,
+        added: dict[str, PrestoType],
     ) -> Page:
         blocks: list[Block] = []
         for column in columns:
@@ -445,9 +451,7 @@ class HiveConnector(Connector):
             elif column in present_columns:
                 blocks.append(page.block(present_columns.index(column)))
             else:
-                # Column added to the table after this file was written.
-                column_type = dict(table.columns)[column]
-                blocks.append(constant_block(None, column_type, page.position_count))
+                blocks.append(constant_block(None, added[column], page.position_count))
         return Page(blocks, page.position_count)
 
 

@@ -527,8 +527,5 @@ class Catalog:
             raise ConnectorError(f"catalog {catalog_name!r} not registered")
         return connector
 
-    def has_catalog(self, catalog_name: str) -> bool:
-        return catalog_name.lower() in self._by_name
-
     def catalog_names(self) -> list[str]:
         return sorted(self._by_name)

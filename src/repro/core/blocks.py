@@ -140,12 +140,6 @@ class Block:
     def __len__(self) -> int:
         return self.position_count
 
-    def __repr__(self) -> str:
-        preview = ", ".join(repr(self.get(i)) for i in range(min(4, self.position_count)))
-        suffix = ", ..." if self.position_count > 4 else ""
-        return f"{type(self).__name__}({self.type.display()}, n={self.position_count}, [{preview}{suffix}])"
-
-
 class PrimitiveBlock(Block):
     """Flat scalar column backed by a numpy array plus an optional null mask."""
 
@@ -298,15 +292,6 @@ class VarcharBlock(Block):
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         return cls(presto_type, data, offsets, nulls)
-
-    @classmethod
-    def all_null(cls, count: int, presto_type: PrestoType = VARCHAR) -> "VarcharBlock":
-        return cls(
-            presto_type,
-            np.empty(0, dtype=np.uint8),
-            np.zeros(count + 1, dtype=np.int64),
-            np.ones(count, dtype=bool),
-        )
 
     # -- row access (the object boundary) ----------------------------------
 

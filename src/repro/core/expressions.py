@@ -60,9 +60,6 @@ class RowExpression:
                 seen[node.name] = node
         return list(seen.values())
 
-    def __repr__(self) -> str:
-        return self.display()
-
     def display(self) -> str:
         raise NotImplementedError
 

@@ -409,8 +409,6 @@ def _register_builtin_scalars(registry: FunctionRegistry) -> None:
         "substr",
         _fixed([VARCHAR, BIGINT], VARCHAR),
         lambda s, start: substr(s, int(start)),
-        _vec_substr2,
-        objects=True,
     )
     scalar(
         "strpos", _fixed([VARCHAR, VARCHAR], BIGINT),
@@ -423,8 +421,6 @@ def _register_builtin_scalars(registry: FunctionRegistry) -> None:
         "like",
         _fixed([VARCHAR, VARCHAR], BOOLEAN),
         _like_match,
-        _vec_like,
-        objects=True,
     )
 
     # Math
@@ -498,14 +494,6 @@ def _like_match(value: str, pattern: str) -> bool:
     return like_regex(pattern).match(value) is not None
 
 
-def _vec_like(values: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    return np.fromiter(
-        (like_regex(p).match(v) is not None for v, p in zip(values, patterns)),
-        dtype=bool,
-        count=len(values),
-    )
-
-
 # Object-array kernels for string functions and casts: each maps a Python
 # callable over an object array without per-position Block.get()/null checks
 # (the compiler masks nulls before and after).
@@ -534,13 +522,6 @@ def _vec_substr3(s: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.nda
     out = np.empty(len(s), dtype=object)
     for i, (v, b, n) in enumerate(zip(s, start, length)):
         out[i] = substr(v, int(b), int(n))
-    return out
-
-
-def _vec_substr2(s: np.ndarray, start: np.ndarray) -> np.ndarray:
-    out = np.empty(len(s), dtype=object)
-    for i, (v, b) in enumerate(zip(s, start)):
-        out[i] = substr(v, int(b))
     return out
 
 

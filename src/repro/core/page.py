@@ -98,10 +98,6 @@ class Page:
     def size_in_bytes(self) -> int:
         return sum(b.size_in_bytes() for b in self.blocks)
 
-    def __repr__(self) -> str:
-        return f"Page(channels={self.channel_count}, positions={self.position_count})"
-
-
 def concat_pages(types: Sequence[PrestoType], pages: Sequence[Page]) -> Page:
     """Concatenate pages row-wise into a single page.
 

@@ -251,10 +251,42 @@ class SyntheticQuery:
     """
 
     trace = None
+    error = None  # a synthetic query cannot fail
 
     def __init__(self, query_id: str, steps: list[SyntheticStep]) -> None:
         self.query_id = query_id
         self._steps = deque(steps)
+
+    @classmethod
+    def of(
+        cls,
+        query_id: str,
+        split_durations_ms: list[float],
+        split_keys: Optional[list[str]] = None,
+        split_sizes: Optional[list[int]] = None,
+    ) -> "SyntheticQuery":
+        """A query whose work is the given split durations.
+
+        ``split_keys`` (optional, parallel to the durations) name the data
+        each split reads, enabling affinity scheduling and cache hits;
+        ``split_sizes`` (optional, parallel) are the splits' data sizes in
+        bytes for cache capacity accounting.
+        """
+        if not split_durations_ms:
+            raise ExecutionError("query needs at least one split")
+        if split_keys is not None and len(split_keys) != len(split_durations_ms):
+            raise ExecutionError("split_keys length must match split durations")
+        if split_sizes is not None and len(split_sizes) != len(split_durations_ms):
+            raise ExecutionError("split_sizes length must match split durations")
+        steps = [
+            SyntheticStep(
+                duration,
+                split_keys[i] if split_keys else None,
+                split_sizes[i] if split_sizes else None,
+            )
+            for i, duration in enumerate(split_durations_ms)
+        ]
+        return cls(query_id, steps)
 
     @property
     def done(self) -> bool:
@@ -583,30 +615,15 @@ class PrestoClusterSim:
     ) -> QueryExecution:
         """Admit a synthetic query whose work is the given split durations.
 
-        The front door of the section VIII/IX simulations: wraps the
-        durations in a :class:`SyntheticQuery` and admits it through
-        :meth:`submit_handle` like any engine query.  ``split_keys``
-        (optional, parallel to the durations) name the data each split
-        reads, enabling affinity scheduling and cache hits;
-        ``split_sizes`` (optional, parallel) are the splits' data sizes in
-        bytes for cache capacity accounting.
+        The front door of the section VIII/IX simulations: builds a
+        :class:`SyntheticQuery` (see :meth:`SyntheticQuery.of` for the
+        optional ``split_keys`` and ``split_sizes``) and admits it through
+        :meth:`submit_handle` like any engine query.
         """
-        if not split_durations_ms:
-            raise ExecutionError("query needs at least one split")
-        if split_keys is not None and len(split_keys) != len(split_durations_ms):
-            raise ExecutionError("split_keys length must match split durations")
-        if split_sizes is not None and len(split_sizes) != len(split_durations_ms):
-            raise ExecutionError("split_sizes length must match split durations")
-        steps = [
-            SyntheticStep(
-                duration,
-                split_keys[i] if split_keys else None,
-                split_sizes[i] if split_sizes else None,
-            )
-            for i, duration in enumerate(split_durations_ms)
-        ]
         query_id = query_id or f"q{next(self._query_ids)}"
-        return self.submit_handle(SyntheticQuery(query_id, steps))
+        return self.submit_handle(
+            SyntheticQuery.of(query_id, split_durations_ms, split_keys, split_sizes)
+        )
 
     def running_query_count(self) -> int:
         """Admitted-and-unfinished queries (planning or executing).
@@ -858,19 +875,6 @@ class PrestoClusterSim:
         if dispatched:
             self._schedule_pending()
 
-    def _cancel_splits(self, execution: QueryExecution) -> None:
-        """Withdraw a failed query's dispatched-but-unfinished splits."""
-        stale = [
-            assignment_id
-            for assignment_id, (_, owner, _) in self._assignments.items()
-            if owner is execution
-        ]
-        for assignment_id in stale:
-            worker, _, _ = self._assignments.pop(assignment_id)
-            worker.running -= 1
-        execution.pending.clear()
-        self._set_slot_gauge()
-
     def _finish_run(self, run: QueryExecution, failed: bool = False) -> None:
         if run.state is not QueryState.RUNNING:
             return
@@ -878,7 +882,10 @@ class PrestoClusterSim:
         run.state = QueryState.FAILED if failed else QueryState.FINISHED
         self._runnable.remove(run)
         if failed:
-            self._cancel_splits(run)
+            # A handle fails only in _pump's step loop, which takes a whole
+            # stage's steps before any is placed and steps a new stage only
+            # once the last one drained: no split of the run is in flight.
+            run.pending.clear()
             self._count("cluster_queries_failed_total")
         run.finished_at = now
         run.running_ms = now - run.admitted_at

@@ -67,20 +67,6 @@ class QueryResult:
             rows.extend(page.to_rows())
         return cls(list(column_names), rows, stats, trace)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def column(self, name: str) -> list[Any]:
-        index = self.column_names.index(name)
-        return [row[index] for row in self.rows]
-
-    def to_dicts(self) -> list[dict]:
-        return [dict(zip(self.column_names, row)) for row in self.rows]
-
-    def __repr__(self) -> str:
-        return f"QueryResult(columns={self.column_names}, rows={len(self.rows)})"
-
-
 class QueryHandle:
     """A submitted-but-not-finished query: the non-blocking execute.
 

@@ -1303,7 +1303,12 @@ def take_nullable(block: Block, positions: np.ndarray, null_mask: np.ndarray) ->
         return PrimitiveBlock(block.type, values, nulls)
     if isinstance(block, VarcharBlock):
         if block.position_count == 0:
-            return VarcharBlock.all_null(len(positions), block.type)
+            return VarcharBlock(
+                block.type,
+                np.empty(0, dtype=np.uint8),
+                np.zeros(len(positions) + 1, dtype=np.int64),
+                np.ones(len(positions), dtype=bool),
+            )
         taken = block.take(safe)
         nulls = taken.null_mask() | null_mask
         return VarcharBlock(block.type, taken.data, taken.offsets, nulls)

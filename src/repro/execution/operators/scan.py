@@ -228,7 +228,7 @@ def _split_pages(node, ctx, connector, handle, split, columns, filter_set):
     data_version = split.info_dict().get("data_version")
     if cache is None or data_version is None or filter_set is not None:
         return connector.pages(handle, split, columns), None
-    key = cache.fragment_key(
+    key = (
         "|".join((node.describe(), ",".join(columns), handle.pushdown_key())),
         split.split_id,
         data_version,

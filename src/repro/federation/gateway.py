@@ -14,9 +14,10 @@ query's data path.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.common.errors import (
     AdmissionRejectedError,
@@ -24,7 +25,7 @@ from repro.common.errors import (
     InsufficientResourcesError,
     PrestoError,
 )
-from repro.execution.cluster import PrestoClusterSim, QueryExecution
+from repro.execution.cluster import PrestoClusterSim, QueryExecution, SyntheticQuery
 from repro.federation.routing import RoutingTable
 from repro.obs.trace import activate
 
@@ -41,7 +42,8 @@ class Redirect:
 class GatewaySubmission:
     """One gateway submission and where it currently lives.
 
-    ``handle`` is the engine-side query and owns the result;
+    ``handle`` is the engine-side query (or, from :meth:`PrestoGateway.submit`,
+    a :class:`SyntheticQuery`) and owns the result;
     ``cluster_name``/``execution`` say where it was last admitted
     (``execution`` is that cluster's own record, ``cluster.queries[id]``).  All
     three are updated when the gateway re-routes the query (admission
@@ -73,9 +75,10 @@ class PrestoGateway:
         self.failovers = 0
         self.load_sheds = 0
         self.all_sheds = 0
-        # Unfinished submit_sql submissions by handle, so a drain can
+        # Unfinished submissions by handle, so a drain can
         # re-point the ones it re-routes.
         self._submissions: dict[object, GatewaySubmission] = {}
+        self._synthetic_ids = itertools.count()
         # Optional observability: ``gateway_redirects_total``,
         # ``gateway_queries_routed_total{cluster}`` and
         # ``gateway_failovers_total{cluster}``.
@@ -150,14 +153,15 @@ class PrestoGateway:
         user: str,
         split_durations_ms: list[float],
         groups: tuple[str, ...] = (),
-    ) -> QueryExecution:
-        """Client convenience: follow the redirect and submit directly.
-
-        Note the two hops mirror production: the gateway answers instantly
-        with a redirect and the query itself runs on the target coordinator.
+    ) -> GatewaySubmission:
+        """The synthetic counterpart of :meth:`submit_sql`: route and admit
+        a query whose work is the given split durations (the section VIII
+        simulations), with the same spill, failover and drain handling.
         """
-        redirect = self.redirect(user, groups)
-        return self.clusters[redirect.cluster_name].submit_query(split_durations_ms)
+        query_id = f"q{next(self._synthetic_ids)}"
+        return self._route(
+            user, lambda: SyntheticQuery.of(query_id, split_durations_ms), groups
+        )
 
     def queue_depths(self) -> dict[str, int]:
         """Per-cluster admission-queue depth, surfaced to routing.
@@ -219,10 +223,27 @@ class PrestoGateway:
         INSUFFICIENT_RESOURCES stay failed — no amount of re-routing
         fixes a bad query or an over-large join.
         """
+        return self._route(
+            user, lambda: engine.submit(sql), groups, resource_group, memory_mb,
+            priority, max_failovers,
+        )
+
+    def _route(
+        self,
+        user: str,
+        plan: Callable[[], object],
+        groups: tuple[str, ...] = (),
+        resource_group: Optional[str] = None,
+        memory_mb: float = 100.0,
+        priority: int = 0,
+        max_failovers: Optional[int] = None,
+    ) -> GatewaySubmission:
+        """Route, plan (``plan()`` returns a fresh handle) and admit; see
+        :meth:`submit_sql`.  A failover calls ``plan`` again."""
         redirect = self.redirect(user, groups)
         if max_failovers is None:
             max_failovers = len(self.clusters) - 1
-        handle = engine.submit(sql)
+        handle = plan()
         # One trace per gateway submission, rooted at the routing hop, so
         # a failed-over query's tree shows every cluster it touched.
         tracer = handle.trace
@@ -240,7 +261,7 @@ class PrestoGateway:
                 failed_on = submission.cluster_name
                 try:
                     with activate(tracer) if tracer is not None else nullcontext():
-                        rerun = engine.submit(sql)
+                        rerun = plan()
                     self._admit(submission, rerun, candidates, admission)
                 except PrestoError:
                     pass  # no cluster took the rerun: the first error stands

@@ -18,7 +18,7 @@ figure-17 benchmark can ablate them individually:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,3 @@ class ReaderOptions:
             lazy_reads=False,
             vectorized=False,
         )
-
-    def with_(self, **updates: bool) -> "ReaderOptions":
-        return replace(self, **updates)

@@ -41,14 +41,6 @@ class BoundingBox:
             max(self.max_y, other.max_y),
         )
 
-    @property
-    def width(self) -> float:
-        return self.max_x - self.min_x
-
-    @property
-    def height(self) -> float:
-        return self.max_y - self.min_y
-
 
 class Geometry:
     """Base class for all geometries."""
@@ -154,12 +146,6 @@ class Polygon(Geometry):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.ring == other.ring
 
-    def __hash__(self) -> int:
-        return hash(tuple(self.ring))
-
-    def __repr__(self) -> str:
-        return f"Polygon({self.vertex_count()} vertices)"
-
 
 class MultiPolygon(Geometry):
     """A geofence may be "either a polygon or a multi-polygon" (VI.B)."""
@@ -186,12 +172,3 @@ class MultiPolygon(Geometry):
 
     def ray_cast(self, point: Point) -> bool:
         return any(p.ray_cast(point) for p in self.polygons)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultiPolygon) and self.polygons == other.polygons
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.polygons))
-
-    def __repr__(self) -> str:
-        return f"MultiPolygon({len(self.polygons)} polygons, {self.vertex_count()} vertices)"

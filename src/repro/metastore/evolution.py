@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import SchemaEvolutionError
-from repro.core.types import ArrayType, MapType, PrestoType, RowType
+from repro.core.types import PrestoType, RowType
 
 
 @dataclass
@@ -113,22 +113,18 @@ def resolve_read_schema(
     ``"read"`` (present in the file), ``"null"`` (added after the file was
     written → nulls), matching the paper's read-side rules.  Columns present
     only in the file (removed from the table) are simply not returned —
-    "Presto just ignores them."
+    "Presto just ignores them."  The file and the table are compared by
+    :meth:`SchemaEvolutionValidator.diff`, so a type change at any depth
+    raises :class:`SchemaEvolutionError`: Presto performs no coercion.
     """
-    file_types = dict(file_columns)
-    resolution: list[tuple[str, PrestoType, str]] = []
-    for name, table_type in table_columns:
-        if name not in file_types:
-            resolution.append((name, table_type, "null"))
-            continue
-        file_type = file_types[name]
-        if isinstance(table_type, RowType) and isinstance(file_type, RowType):
-            resolution.append((name, table_type, "read"))
-        elif file_type == table_type:
-            resolution.append((name, table_type, "read"))
-        else:
+    for change in SchemaEvolutionValidator().diff(file_columns, table_columns):
+        if change.kind == "type_change":
             raise SchemaEvolutionError(
-                f"schema mismatch for column {name!r}: file has "
-                f"{file_type.display()}, table has {table_type.display()}"
+                f"schema mismatch for column {change.path!r}: file has "
+                f"{change.old_type.display()}, table has {change.new_type.display()}"
             )
-    return resolution
+    file_names = {name for name, _ in file_columns}
+    return [
+        (name, table_type, "read" if name in file_names else "null")
+        for name, table_type in table_columns
+    ]

@@ -37,18 +37,6 @@ class ColumnStatisticsEntry:
     max_value: Optional[Any] = None
     null_fraction: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "ndv": self.ndv,
-            "min": self.min_value,
-            "max": self.max_value,
-            "nullFraction": self.null_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ColumnStatisticsEntry":
-        return cls(data["ndv"], data["min"], data["max"], data["nullFraction"])
-
 
 @dataclass(frozen=True)
 class TableStatistics:
@@ -59,22 +47,6 @@ class TableStatistics:
 
     def column(self, name: str) -> Optional[ColumnStatisticsEntry]:
         return self.columns.get(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "rowCount": self.row_count,
-            "columns": {n: c.to_dict() for n, c in self.columns.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TableStatistics":
-        return cls(
-            data["rowCount"],
-            {
-                n: ColumnStatisticsEntry.from_dict(c)
-                for n, c in data["columns"].items()
-            },
-        )
 
 
 def _is_nan(value: Any) -> bool:

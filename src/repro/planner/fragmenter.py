@@ -122,9 +122,6 @@ class FragmentedPlan:
     def root_fragment(self) -> PlanFragment:
         return self.fragments[-1]
 
-    def stage_count(self) -> int:
-        return len(self.fragments)
-
     def fragment_by_id(self, fragment_id: int) -> PlanFragment:
         for fragment in self.fragments:
             if fragment.fragment_id == fragment_id:

@@ -41,9 +41,6 @@ class PlanNode:
     def replace_sources(self, new_sources: Sequence["PlanNode"]) -> "PlanNode":
         raise NotImplementedError
 
-    def output_names(self) -> list[str]:
-        return [v.name for v in self.outputs]
-
     def walk(self):
         """Yield self and all descendants, pre-order."""
         yield self

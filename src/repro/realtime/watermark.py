@@ -108,6 +108,3 @@ class Watermark:
             return cls(tuple(int(part) for part in text.split("-")))
         except ValueError as error:
             raise ValueError(f"bad watermark encoding {text!r}") from error
-
-    def __repr__(self) -> str:
-        return f"Watermark({self.encode()})"

@@ -145,10 +145,6 @@ class TableReference(Relation):
     parts: tuple[str, ...]
     alias: Optional[str] = None
 
-    @property
-    def name(self) -> str:
-        return ".".join(self.parts)
-
 
 @dataclass(frozen=True)
 class SubqueryRelation(Relation):

@@ -51,10 +51,6 @@ class Token:
             return self.text.lower()
         return self.text
 
-    def __repr__(self) -> str:
-        return f"Token({self.type.value}, {self.text!r})"
-
-
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql``; raises :class:`SyntaxError_` on bad input."""
     tokens: list[Token] = []

@@ -75,10 +75,6 @@ class S3Client:
 
     # -- internals ------------------------------------------------------------
 
-    def bind_metrics(self, metrics) -> None:
-        """Report future requests into ``metrics``."""
-        self.metrics = metrics
-
     def _request(self, operation: str, payload_bytes: int = 0) -> None:
         if self.failure_injector is not None and self.failure_injector(operation):
             self.stats.failed_requests += 1
@@ -207,6 +203,3 @@ class S3Client:
         )
         self._objects[(upload["bucket"], upload["key"])] = assembled
         self._mtimes[(upload["bucket"], upload["key"])] = self.clock.now_ms()
-
-    def abort_multipart_upload(self, upload_id: str) -> None:
-        self._multipart.pop(upload_id, None)

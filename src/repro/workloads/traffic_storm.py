@@ -124,9 +124,6 @@ class CacheStorm:
     seed: int
     accesses: list[KeyAccess] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.accesses)
-
     def unique_keys(self) -> int:
         return len({access.key for access in self.accesses})
 

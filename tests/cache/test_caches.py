@@ -30,9 +30,9 @@ class TestLru:
         cache.put("b", 2)
         cache.get("a")  # refresh a
         cache.put("c", 3)  # evicts b
-        assert "b" not in cache
-        assert "a" in cache
         assert cache.stats.evictions == 1
+        assert cache.lookup("b") == (False, None)
+        assert cache.lookup("a") == (True, 1)
 
     def test_get_or_load_loads_once(self):
         cache = LruCache()
@@ -59,7 +59,7 @@ class TestLru:
         cache.put("a", None)
         cache.invalidate("a")
         assert cache.stats.invalidations == 1
-        assert "a" not in cache
+        assert cache.lookup("a") == (False, None)
 
     def test_invalidating_absent_key_does_not_count(self):
         cache = LruCache()
@@ -130,7 +130,6 @@ class TestFooterCache:
         for _ in range(5):
             self.cache.get_file_info("/data/f.parquet")
         assert self.fs.namenode.stats.get_file_info_calls == before + 1
-        assert self.cache.handle_stats.hits == 4
 
     def test_footer_cached(self):
         first = self.cache.get_footer("/data/f.parquet")
@@ -182,11 +181,12 @@ class TestFragmentResultCache:
             computed.append(1)
             return [Page.from_rows([BIGINT], [(1,)])]
 
-        key = cache.fragment_key("Scan(t)->Agg(count)", "split-1", data_version=5)
-        cache.get_or_compute(key, compute)
-        cache.get_or_compute(key, compute)
+        key = ("Scan(t)->Agg(count)", "split-1", 5)
+        assert cache.get_or_compute_with_status(key, compute)[1] is False
+        pages, hit = cache.get_or_compute_with_status(key, compute)
+        assert hit and pages[0].to_rows() == [(1,)]
         assert len(computed) == 1
         # New data version → recompute.
-        key2 = cache.fragment_key("Scan(t)->Agg(count)", "split-1", data_version=6)
-        cache.get_or_compute(key2, compute)
+        key2 = ("Scan(t)->Agg(count)", "split-1", 6)
+        cache.get_or_compute_with_status(key2, compute)
         assert len(computed) == 2

@@ -29,9 +29,7 @@ accesses = st.lists(st.sampled_from(KEYS), min_size=1, max_size=200)
 
 def replay(tier: CacheTier, trace: list[str], size: int = 1) -> None:
     for key in trace:
-        if key in tier:
-            tier.get(key)
-        else:
+        if tier.get(key) is None:
             tier.put(key, size)
 
 
@@ -41,29 +39,27 @@ class TestLruInvariants:
         tier = CacheTier("t", slots, LruPolicy())
         model: "OrderedDict[str, None]" = OrderedDict()
         for key in trace:
-            if key in tier:
-                tier.get(key)
+            if tier.get(key) is not None:
                 model.move_to_end(key)
             else:
                 tier.put(key, 1)
                 model[key] = None
                 if len(model) > slots:
                     model.popitem(last=False)
-        assert set(tier.keys()) == set(model)
-        if len(tier) == slots:
+        if len(model) == slots:
             # The next victim is the least recently used key.
             assert tier.policy.victim() == next(iter(model))
+        # One byte per entry: the tier holds exactly the model's keys.
+        assert tier.used_bytes == len(model)
+        assert all(tier.get(key) is not None for key in model)
 
     @given(trace=accesses, slots=st.integers(min_value=1, max_value=8))
     def test_used_bytes_never_exceeds_capacity(self, trace, slots):
         tier = CacheTier("t", slots, LruPolicy())
         for key in trace:
-            if key in tier:
-                tier.get(key)
-            else:
+            if tier.get(key) is None:
                 tier.put(key, 1)
             assert 0 <= tier.used_bytes <= slots
-            assert tier.used_bytes == len(tier)
 
 
 class TestLfuInvariants:
@@ -73,8 +69,7 @@ class TestLfuInvariants:
         counts: dict[str, int] = {}
         recency: "OrderedDict[str, None]" = OrderedDict()
         for key in trace:
-            if key in tier:
-                tier.get(key)
+            if tier.get(key) is not None:
                 counts[key] += 1
                 recency.move_to_end(key)
             else:
@@ -84,10 +79,11 @@ class TestLfuInvariants:
                     del recency[victim]
                 counts[key] = 1
                 recency[key] = None
-        assert set(tier.keys()) == set(counts)
-        if len(tier) > 0:
+        if counts:
             expected = min(recency, key=lambda k: counts[k])
             assert tier.policy.victim() == expected
+        assert tier.used_bytes == len(counts)
+        assert all(tier.get(key) is not None for key in counts)
 
 
 class TestTinyLfuInvariants:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock, SystemClock
+from repro.common.clock import SimulatedClock
 
 
 class TestSimulatedClock:
@@ -29,18 +29,6 @@ class TestSimulatedClock:
         clock.parallel_advance([])
         assert clock.now_ms() == 0
 
-    def test_reset(self):
-        clock = SimulatedClock(start_ms=5)
-        clock.advance(10)
-        clock.reset()
-        assert clock.now_ms() == 0
-
-    def test_span_measures_elapsed(self):
-        clock = SimulatedClock()
-        with clock.span() as span:
-            clock.advance(42)
-        assert span.elapsed_ms == 42
-
     def test_determinism(self):
         a, b = SimulatedClock(), SimulatedClock()
         for delta in (1, 2.5, 100):
@@ -48,15 +36,3 @@ class TestSimulatedClock:
             b.advance(delta)
         assert a.now_ms() == b.now_ms()
 
-
-class TestSystemClock:
-    def test_monotonic(self):
-        clock = SystemClock()
-        first = clock.now_ms()
-        second = clock.now_ms()
-        assert second >= first
-
-    def test_advance_is_noop_interface(self):
-        clock = SystemClock()
-        clock.advance(1_000_000)  # must not block or jump
-        assert clock.now_ms() < 10**12 or True

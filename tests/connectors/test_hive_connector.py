@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.file_list_cache import FileListCache
 from repro.cache.footer_cache import FileHandleAndFooterCache
+from repro.common.errors import ErrorCategory, SchemaEvolutionError
 from repro.connectors.hive import HiveConnector, write_hive_partition
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, RowType, VARCHAR
@@ -255,6 +256,46 @@ class TestSchemaEvolutionThroughHive:
         )
         result = engine.execute("SELECT count(*) FROM trips WHERE base.surge > 1.0")
         assert result.rows == [(0,)]
+
+    def test_analyze_counts_an_added_column_as_null_on_old_files(self):
+        engine, connector, metastore, fs = make_environment()
+        metastore.update_table_columns(
+            "rawdata",
+            "trips",
+            [("base", BASE_TYPE), ("fare", DOUBLE), ("tip", DOUBLE)],
+        )
+        engine.execute("ANALYZE trips")
+        statistics = metastore.get_table_statistics("rawdata", "trips")
+        assert statistics.row_count == 200
+        tip = statistics.column("tip")
+        assert tip.null_fraction == 1.0 and tip.ndv == 0
+        assert statistics.column("fare").null_fraction == 0.0
+
+    # Type changes are forbidden (Presto performs no coercion): a file read
+    # against a table whose column changed type fails as a USER_ERROR under
+    # both readers, instead of returning values of the file's type.
+    @pytest.mark.parametrize("reader", ["new", "old"])
+    @pytest.mark.parametrize("declared", [VARCHAR, BIGINT], ids=lambda t: t.display())
+    def test_top_level_type_change_fails_the_read(self, reader, declared):
+        engine, connector, metastore, fs = make_environment(reader=reader)
+        metastore.update_table_columns(
+            "rawdata", "trips", [("base", BASE_TYPE), ("fare", declared)]
+        )
+        with pytest.raises(SchemaEvolutionError, match="'fare': file has double") as raised:
+            engine.execute("SELECT fare FROM trips LIMIT 3")
+        assert raised.value.category is ErrorCategory.USER_ERROR
+
+    @pytest.mark.parametrize("reader", ["new", "old"])
+    def test_nested_type_change_fails_the_read(self, reader):
+        engine, connector, metastore, fs = make_environment(reader=reader)
+        changed = RowType.of(
+            ("city_id", VARCHAR), ("driver_uuid", VARCHAR), ("status", VARCHAR)
+        )
+        metastore.update_table_columns(
+            "rawdata", "trips", [("base", changed), ("fare", DOUBLE)]
+        )
+        with pytest.raises(SchemaEvolutionError, match="'base.city_id': file has bigint"):
+            engine.execute("SELECT base.city_id FROM trips LIMIT 3")
 
 
 class TestAnalyzedScanEstimate:

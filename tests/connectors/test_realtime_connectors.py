@@ -198,7 +198,7 @@ class TestConnectorQueries:
         plan = engine.plan("SELECT city FROM events LIMIT 3")
         scans = [n for n in plan.walk() if isinstance(n, TableScanNode)]
         assert scans[0].handle.limit == 3
-        assert len(engine.execute("SELECT city FROM events LIMIT 3")) == 3
+        assert len(engine.execute("SELECT city FROM events LIMIT 3").rows) == 3
 
     def test_join_druid_with_druid(self):
         # "bridge the gap between sub-second query latency and full SQL":

@@ -22,7 +22,6 @@ class TestCatalog:
         connector = MemoryConnector()
         catalog.register("Mem", connector)
         assert catalog.connector("mem") is connector  # case-insensitive
-        assert catalog.has_catalog("MEM")
         assert catalog.catalog_names() == ["mem"]
 
     def test_unknown_catalog(self):

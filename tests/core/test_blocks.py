@@ -233,6 +233,14 @@ class TestLazyBlock:
         assert taken.to_list() == [1, 2]
         assert len(loads) == 1
 
+    def test_null_accessors_load_and_delegate(self):
+        loaded = PrimitiveBlock.from_values(BIGINT, [1, None, 3])
+        block = LazyBlock(BIGINT, 3, lambda: loaded)
+        assert block.size_in_bytes() == 0  # nothing retained before the load
+        assert block.is_null(1) and not block.is_null(0)
+        assert block.null_mask().tolist() == [False, True, False]
+        assert block.size_in_bytes() == loaded.size_in_bytes()
+
     def test_loader_length_validated(self):
         block = LazyBlock(BIGINT, 5, lambda: PrimitiveBlock.from_values(BIGINT, [1]))
         with pytest.raises(ValueError):

@@ -160,6 +160,49 @@ class TestOneAdmissionPath:
         assert runs.finished_at is not None
 
 
+class _FailsInSecondStage(SyntheticQuery):
+    """Two stages; the first step of the second raises."""
+
+    def __init__(self, query_id: str) -> None:
+        super().__init__(
+            query_id, [SyntheticStep(50.0, stage=0), SyntheticStep(50.0, stage=1)]
+        )
+
+    def step(self):
+        if self.peek_stage() == 1:
+            from repro.common.errors import ExecutionError
+
+            raise ExecutionError("stage 1 failed")
+        return super().step()
+
+
+class TestFailedRunHoldsNoSlots:
+    def test_failure_in_a_later_stage_leaves_no_split_in_flight(self):
+        # A handle fails only while the pump steps it, and the pump steps a
+        # new stage only once the last one drained, so a failed run has no
+        # split on a worker to withdraw.  Other runs' splits are in flight
+        # when it fails, and the queue behind it is admitted.
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        cluster = PrestoClusterSim(workers=2, slots_per_worker=2, metrics=metrics)
+        cluster.resource_group("anonymous", max_running=2)
+        doomed = cluster.submit_handle(_FailsInSecondStage("doomed"))
+        busy = cluster.submit_query([500.0] * 3)
+        queued = cluster.submit_query([10.0])
+        assert cluster.queued_query_count() == 1
+        cluster.run_until_idle()
+        assert doomed.state.value == "failed"
+        assert doomed.splits_done == doomed.splits_total == 1
+        # The failure came while the busy query held its splits.
+        assert doomed.finished_at < busy.finished_at
+        assert busy.splits_done == 3
+        assert queued.finished_at is not None and queued.admitted_at == doomed.finished_at
+        assert all(worker.running == 0 for worker in cluster.workers.values())
+        assert metrics.gauge("cluster_busy_slots", cluster=cluster.name).value == 0
+        assert metrics.total("cluster_queries_failed_total") == 1
+
+
 class TestWorkPerEvent:
     """The event loop's work grows with the queries in flight, not with all seen."""
 

@@ -47,12 +47,13 @@ class TestWorkerCrash:
         )
         cluster.submit_query([10.0] * 4, split_keys=["a", "b", "c", "d"])
         cluster.run_until_idle()
-        crashed = [w for w in cluster.workers.values() if len(w.data_cache) > 0]
+        crashed = [w for w in cluster.workers.values() if w.data_cache.hot.used_bytes > 0]
         assert crashed
         cluster.crash_worker(crashed[0].worker_id)
         # Both tiers are gone: a restarted worker starts cold.
-        assert len(crashed[0].data_cache) == 0
-        assert crashed[0].data_cache.keys() == set()
+        cache = crashed[0].data_cache
+        assert cache.hot.used_bytes == cache.ssd.used_bytes == 0
+        assert all(tier.get(key) is None for tier in (cache.hot, cache.ssd) for key in "abcd")
 
     def test_stale_completion_event_ignored_after_crash(self):
         # The split's completion event fires after the crash requeued it;
@@ -127,8 +128,9 @@ class TestFifoScheduling:
         cluster.submit_query([10.0, 10.0], split_keys=["first", "second"])
         cluster.run_until_idle()
         worker = next(iter(cluster.workers.values()))
-        assert worker.data_cache.keys() == {"first", "second"}
-        assert worker.data_cache.tier_of("first") == "hot"
+        cache = worker.data_cache
+        assert cache.hot.get("first") is not None
+        assert cache.hot.get("second") is not None or cache.ssd.get("second") is not None
 
 
 class TestAffinityRingRehoming:
@@ -290,7 +292,8 @@ class TestCrashCacheConsistency:
     def test_crashed_tiers_empty_and_replay_deterministic(self):
         first_cluster, victim, first = self.run_once()
         # The crashed worker's cache is empty — both tiers dropped.
-        assert len(first_cluster.workers[victim].data_cache) == 0
+        crashed = first_cluster.workers[victim].data_cache
+        assert crashed.hot.used_bytes == crashed.ssd.used_bytes == 0
         # Survivors re-warmed: the second round hit their caches.
         assert any(
             w.cache_hits > 0
@@ -302,6 +305,29 @@ class TestCrashCacheConsistency:
         _, _, second = self.run_once()
         assert first["timeline"] == second["timeline"]
         assert first["metrics"] == second["metrics"]
+
+    def test_crash_on_an_lfu_tier_forgets_its_frequencies(self):
+        # The LFU tier counts hits per residency; a crash drops the entries
+        # and their counts together, so the restarted worker's first
+        # eviction picks among what it read since, not a pre-crash count.
+        from repro.cache.data_cache import DataCacheConfig
+
+        cluster = PrestoClusterSim(
+            workers=1,
+            slots_per_worker=1,
+            clock=SimulatedClock(),
+            data_cache=DataCacheConfig(policy="lfu", hot_bytes=20, ssd_bytes=0),
+        )
+        (worker_id,) = cluster.workers
+        cache = cluster.workers[worker_id].data_cache
+        for key in ("old", "old", "old", "a"):
+            cache.read(key, size_bytes=10)
+        cluster.crash_worker(worker_id)
+        assert cache.hot.used_bytes == 0
+        assert cache.hot.policy._counts == {}
+        for key in ("b", "b", "c"):
+            cache.read(key, size_bytes=10)
+        assert cache.hot.policy.victim() == "c"
 
 
 class TestQueryIdThreading:

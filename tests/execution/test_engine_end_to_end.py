@@ -43,7 +43,7 @@ def engine():
 class TestBasicQueries:
     def test_select_all(self, engine):
         result = engine.execute("SELECT * FROM orders")
-        assert len(result) == 7
+        assert len(result.rows) == 7
         assert result.column_names == ["order_id", "city", "amount", "open"]
 
     def test_projection(self, engine):
@@ -77,7 +77,7 @@ class TestBasicQueries:
 
     def test_limit(self, engine):
         result = engine.execute("SELECT order_id FROM orders LIMIT 3")
-        assert len(result) == 3
+        assert len(result.rows) == 3
 
     def test_select_without_from(self, engine):
         result = engine.execute("SELECT 1 + 1 AS two, 'x' AS s")

@@ -61,6 +61,11 @@ def misses(engine) -> float:
     return engine.metrics.total("cache_misses_total", cache="plan")
 
 
+def entries(engine) -> int:
+    """Plans the cache holds: its ``cache_entries`` gauge."""
+    return int(engine.metrics.gauge("cache_entries", cache="plan").value)
+
+
 def run(engine, sql):
     """The stages a run of ``sql`` executes (as EXPLAIN prints them) and its rows."""
     handle = engine.submit(sql)
@@ -95,14 +100,14 @@ class TestReuse:
         assert execute_direct(engine, GROUPED).rows == staged
         assert engine.submit(GROUPED).run_to_completion().rows == staged
         assert (hits(engine), misses(engine)) == (2, 1)
-        assert len(engine._plans) == 1
+        assert entries(engine) == 1
 
     def test_the_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(engine_module, "PLAN_CACHE_SIZE", 4)
         engine, _ = make_engine()
         for n in range(7):
             engine.execute(f"SELECT {n} FROM small LIMIT 1")
-        assert len(engine._plans) == 4
+        assert entries(engine) == 4
         assert engine._plans.stats.evictions == 3
         engine.execute("SELECT 6 FROM small LIMIT 1")
         engine.execute("SELECT 0 FROM small LIMIT 1")
@@ -115,7 +120,7 @@ class TestReuse:
         execute_direct(engine, THREE_WAY)
         assert_cache_metrics_reconcile(engine.metrics, "plan", engine._plans.stats)
         # Metadata statements and EXPLAIN look up and miss; only queries are kept.
-        assert (hits(engine), misses(engine), len(engine._plans)) == (2, 4, 2)
+        assert (hits(engine), misses(engine), entries(engine)) == (2, 4, 2)
 
     @pytest.mark.parametrize("engine_kind", ["memory", "hive"])
     def test_a_query_leaves_nothing_for_the_cyclic_collector(self, engine_kind):
@@ -236,7 +241,7 @@ class TestNeverCached:
         for _ in range(3):
             assert engine.execute(GROUPED).rows == execute_direct(engine, GROUPED).rows
             assert engine.execute("SELECT count(*), sum(v) FROM hive.db.t").rows == [(10, 45.0)]
-        assert (hits(engine), misses(engine), len(engine._plans)) == (0, 0, 0)
+        assert (hits(engine), misses(engine), entries(engine)) == (0, 0, 0)
 
     def test_a_hybrid_table_across_a_watermark_advance(self):
         lakehouse = StreamingLakehouse(
@@ -261,7 +266,7 @@ class TestSharing:
         for _ in range(3):
             with pytest.raises(SemanticError):
                 engine.execute("SELECT nosuch FROM big")
-        assert len(engine._plans) == 0
+        assert entries(engine) == 0
         assert (hits(engine), misses(engine)) == (0, 3)
 
     def test_runs_leave_the_shared_plan_as_it_was(self):

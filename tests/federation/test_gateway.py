@@ -120,10 +120,14 @@ class TestGateway:
 
     def test_submit_follows_redirect(self):
         gateway = make_gateway()
-        execution = gateway.submit("alice", [10.0])
+        submission = gateway.submit("alice", [10.0])
         gateway.clusters["dedicated-a"].run_until_idle()
-        assert execution.finished_at is not None
-        assert execution.query_id.startswith("dedicated-a")
+        assert submission.cluster_name == "dedicated-a"
+        assert submission.execution.finished_at is not None
+        assert submission.execution.query_id.startswith("dedicated-a")
+        # The user travels with the query, to its default resource group.
+        assert submission.execution.user == "alice"
+        assert submission.execution.group.path == "root.alice"
 
     def test_group_routing(self):
         gateway = make_gateway()

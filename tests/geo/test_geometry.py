@@ -20,6 +20,11 @@ class TestPoint:
         box = Point(2, 3).bounding_box()
         assert (box.min_x, box.min_y, box.max_x, box.max_y) == (2, 3, 2, 3)
 
+    def test_a_point_contains_only_itself(self):
+        assert Point(2, 3).contains_point(Point(2, 3))
+        assert not Point(2, 3).contains_point(Point(2, 4))
+        assert Point(2, 3).vertex_count() == 1
+
 
 class TestBoundingBox:
     def test_contains(self):
@@ -87,6 +92,11 @@ class TestMultiPolygon:
     def test_vertex_count_sums(self):
         other = Polygon([(10, 10), (12, 10), (12, 12), (10, 12), (10, 10)])
         assert MultiPolygon([SQUARE, other]).vertex_count() == 8
+
+    def test_ray_cast_in_any_member(self):
+        other = Polygon([(10, 10), (12, 10), (12, 12), (10, 12), (10, 10)])
+        multi = MultiPolygon([SQUARE, other])
+        assert multi.ray_cast(Point(11, 11)) and not multi.ray_cast(Point(7, 7))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

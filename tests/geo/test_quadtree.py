@@ -119,3 +119,46 @@ def test_quadtree_box_query_matches_brute_force(box_list, probe):
         tree.insert(i, box)
     expected = sorted(i for i, box in enumerate(box_list) if box.intersects(probe))
     assert sorted(tree.query_box(probe)) == expected
+
+
+class TestGeoSqlFunctions:
+    """The plugin's SQL surface: st_contains, st_within, build_geo_index
+    and geo_contains, evaluated row by row outside a spatial join."""
+
+    def make_engine(self):
+        from repro import MemoryConnector, PrestoEngine, Session
+        from repro.core.types import DOUBLE, VARCHAR
+
+        connector = MemoryConnector()
+        connector.create_table(
+            "geo",
+            "fences",
+            [("name", VARCHAR), ("wkt", VARCHAR)],
+            [
+                ("west", "POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))"),
+                ("east", "MULTIPOLYGON (((5 5, 7 5, 7 7, 5 7, 5 5)), ((8 8, 9 8, 9 9, 8 9, 8 8)))"),
+            ],
+        )
+        connector.create_table(
+            "geo", "points", [("lng", DOUBLE), ("lat", DOUBLE)], [(1.0, 1.0), (8.5, 8.5), (3.0, 3.0)]
+        )
+        engine = PrestoEngine(session=Session(catalog="memory", schema="geo"))
+        engine.register_connector("memory", connector)
+        return engine
+
+    def test_st_contains_and_st_within_per_row(self):
+        rows = self.make_engine().execute(
+            "SELECT name, st_contains(st_geometry_from_text(wkt), st_point(1.0, 1.0)), "
+            "st_within(st_point(8.5, 8.5), st_geometry_from_text(wkt)) "
+            "FROM fences ORDER BY name"
+        ).rows
+        assert rows == [("east", False, True), ("west", True, False)]
+
+    def test_geo_contains_probes_a_built_index(self):
+        rows = self.make_engine().execute(
+            "SELECT p.lng, geo_contains(i.idx, st_point(p.lng, p.lat)) "
+            "FROM points p CROSS JOIN "
+            "(SELECT build_geo_index(st_geometry_from_text(wkt)) AS idx FROM fences) i "
+            "ORDER BY p.lng"
+        ).rows
+        assert rows == [(1.0, True), (3.0, False), (8.5, True)]

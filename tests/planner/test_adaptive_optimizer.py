@@ -13,7 +13,6 @@ from repro.common.errors import SemanticError
 from repro.connectors.memory import MemoryConnector
 from repro.core.types import BIGINT, VARCHAR
 from repro.execution.engine import PrestoEngine
-from repro.metastore.statistics import ColumnStatisticsEntry, TableStatistics
 from repro.planner.analyzer import Session
 from repro.planner.plan import JoinNode, PlanNode, TableScanNode
 from repro.planner.stats import StatsProvider
@@ -76,12 +75,6 @@ class TestAnalyzeStatement:
         engine, _ = make_engine()
         with pytest.raises(SemanticError):
             engine.execute("ANALYZE TABLE no_such_table")
-
-    def test_column_statistics_roundtrip(self):
-        entry = ColumnStatisticsEntry(
-            ndv=40, min_value=0, max_value=39, null_fraction=0.25
-        )
-        assert ColumnStatisticsEntry.from_dict(entry.to_dict()) == entry
 
 
 class TestStatsProvider:

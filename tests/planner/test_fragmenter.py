@@ -32,7 +32,7 @@ class TestFragmentation:
     def test_simple_scan_has_two_stages(self, engine):
         # Source stage + coordinator output stage.
         plan = fragment(engine, "SELECT v FROM facts WHERE v > 1")
-        assert plan.stage_count() == 2
+        assert len(plan.fragments) == 2
         assert plan.fragments[0].distribution == "source"
         assert plan.root_fragment.distribution == "single"
         assert plan.fragments[-1].inputs[0].kind == ExchangeKind.GATHER
@@ -40,7 +40,7 @@ class TestFragmentation:
     def test_group_by_splits_partial_and_final(self, engine):
         plan = fragment(engine, "SELECT k, sum(v) FROM facts GROUP BY k")
         # source (partial agg) → hash (final agg) → single (output)
-        assert plan.stage_count() == 3
+        assert len(plan.fragments) == 3
         repartitions = [
             e
             for f in plan.fragments
@@ -82,7 +82,7 @@ class TestFragmentation:
 
     def test_topn_runs_per_task_below_the_gather_and_once_above(self, engine):
         plan = fragment(engine, "SELECT k, v FROM facts ORDER BY v DESC LIMIT 5")
-        assert plan.stage_count() == 2
+        assert len(plan.fragments) == 2
         below, above = (
             next(n for n in f.root.walk() if isinstance(n, TopNNode))
             for f in plan.fragments
@@ -135,7 +135,7 @@ class TestFragmentation:
         # and crash the fragmenter.  Each branch becomes its own fragment,
         # gathered in order.
         plan = fragment(engine, "SELECT k FROM facts UNION ALL SELECT k FROM dim")
-        assert plan.stage_count() == 3  # two branches + output
+        assert len(plan.fragments) == 3  # two branches + output
         union_inputs = plan.root_fragment.inputs
         assert [e.kind for e in union_inputs] == [
             ExchangeKind.GATHER,
@@ -156,7 +156,7 @@ class TestFragmentation:
             engine,
             "SELECT count(*) FROM facts UNION ALL SELECT count(*) FROM dim",
         )
-        assert plan.stage_count() >= 3
+        assert len(plan.fragments) >= 3
 
     def test_exchanges_mark_partitioned_consumers(self, engine):
         plan = fragment(engine, "SELECT k, sum(v) FROM facts GROUP BY k")

@@ -127,6 +127,22 @@ class TestLazySeek:
         stream.read(10)  # still inside the 1MB buffer
         assert client.stats.get_requests == gets
 
+    def test_tell_follows_seek_and_read(self):
+        fs, client = make_fs()
+        client.put_object("warehouse", "f", b"0123456789")
+        stream = fs.open("/f")
+        stream.seek(3)
+        assert stream.tell() == 3
+        assert stream.read(4) == b"3456"
+        assert stream.tell() == 7
+
+    def test_delete_removes_the_object(self):
+        fs, client = make_fs()
+        client.put_object("warehouse", "f", b"x")
+        assert fs.exists("/f")
+        fs.delete("/f")
+        assert not fs.exists("/f")
+
     def test_read_across_windows(self, monkeypatch):
         monkeypatch.setattr(s3_filesystem, "READ_BUFFER_SIZE", 8)
         fs, client = make_fs()
