@@ -139,7 +139,11 @@ class HiveConnector(Connector):
         exact for dictionary-encoded columns (the dictionary segments are
         unioned across files) and for partition keys; for plain-encoded
         columns it falls back to a range heuristic for integers and the
-        non-null count otherwise.
+        non-null count otherwise.  Each file meets the table's columns by
+        the read-side rule (``resolve_read_schema``): a column added after
+        the file was written counts as null, and a column whose type
+        changed fails ``ANALYZE`` with ``SchemaEvolutionError`` as it
+        fails a read.
         """
         table = self._table(handle)
         statistics = self._footer_statistics(table)
@@ -168,10 +172,20 @@ class HiveConnector(Connector):
         for location, _, sealed in locations:
             for status in self._list_files(location, sealed):
                 file = self._open_parquet(status.path)
+                # Section V.A's read-side rule, as a read applies it: a type
+                # change raises, so no footer bound of the file's type
+                # reaches the table's column.
+                in_file = {
+                    name
+                    for name, _, disposition in resolve_read_schema(
+                        file.schema.columns, table.columns
+                    )
+                    if disposition == "read"
+                }
                 for group_index, group in enumerate(file.metadata.row_groups):
                     row_count += group.num_rows
                     for name, _ in scalar_columns:
-                        chunk = group.columns.get(name)
+                        chunk = group.columns.get(name) if name in in_file else None
                         if chunk is None:
                             # Schema evolution: the column postdates this
                             # file, so every slot reads as null.

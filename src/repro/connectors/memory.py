@@ -3,14 +3,18 @@
 A table keeps the Python row tuples it was created and inserted with; they
 are its input of record, and ``ANALYZE`` reads them.  The table is cut
 into fixed-size splits for parallel scanning.  The first scan that reads a
-(split, column) pair turns that column's values into blocks, one per
-4 096-row page, by the stores' shared rule (``spi.column_blocks``: a
-low-cardinality VARCHAR column is one dictionary per split), and the
-table keeps them, so every later scan only puts pages together from
-stored blocks.
+column stores it as one block over every row, by the stores' shared rule
+(``spi.column_blocks``: a low-cardinality VARCHAR column is one
+dictionary), with read-only arrays.  A split's pages, one per 4 096 rows,
+are regions of that block (``region``: views, no copy), kept per (split,
+column), so every later scan only puts pages together from them, and the
+scan joins a task's consecutive pages as one wider region, again with no
+copy.  Nested columns, VARCHAR columns holding a non-``str`` value and
+values a column's type cannot hold are built split by split instead.
 
-``create_table`` replaces a table and its blocks; ``insert`` drops only
-the blocks of the split whose row range it grows.
+``create_table`` replaces a table and its store; ``insert`` drops only
+the regions of the split whose row range it grows, and the next scan
+stores that split and the new rows as one more segment of each column.
 
 The connector supports projection pushdown (it only builds and hands out
 the requested columns) and declines filter/limit/aggregation pushdown,
@@ -23,9 +27,15 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.common.errors import ConnectorError
-from repro.core.blocks import Block
-from repro.core.page import Page
-from repro.core.types import PrestoType
+from repro.core.blocks import (
+    BLOCK_VALUE_ERRORS,
+    Block,
+    DictionaryBlock,
+    VarcharBlock,
+    block_from_values,
+)
+from repro.core.page import Page, concat_blocks
+from repro.core.types import VARCHAR, PrestoType
 from repro.connectors.spi import (
     Connector,
     ConnectorSplit,
@@ -49,33 +59,108 @@ class _MemoryTable:
         # stale statistics are dropped after inserts rather than served.
         self.statistics = None
         self.statistics_row_count = -1
+        # column index -> its stored segments in row order, each
+        # (first row, end row, block over the rows from the first on, or
+        # None for a column built split by split); together they cover
+        # the rows from 0 to the last end.  Built by the first scan
+        # reading the column: one segment over every row, until an insert.
+        self.stored: dict[int, list[tuple[int, int, Optional[Block]]]] = {}
         # (split start, split end, column index) -> that column's blocks
         # over the split, one per page; built by the first scan reading it.
         self.blocks: dict[tuple[int, int, int], list[Block]] = {}
 
     def append(self, rows: Sequence[Sequence[Any]], data_version: int, split_size: int) -> None:
-        """Add rows at the end; the split they grow loses its blocks."""
+        """Add rows at the end; the split they grow loses its blocks, and
+        each stored column ends where that split starts, so the next scan
+        stores the grown split and the new rows as a new segment."""
         before = len(self.rows)
         self.rows.extend(tuple(r) for r in rows)
         self.data_version = data_version
         if len(self.rows) > before and before % split_size:
             grown = before - before % split_size
             self.blocks = {key: v for key, v in self.blocks.items() if key[0] != grown}
+            for channel, segments in self.stored.items():
+                self.stored[channel] = [
+                    (first, min(end, grown), block)
+                    for first, end, block in segments
+                    if first < grown
+                ]
 
     def column_blocks(self, start: int, end: int, channel: int) -> list[Block]:
         key = (start, end, channel)
         blocks = self.blocks.get(key)
         if blocks is None:
-            values = [row[channel] for row in self.rows[start:end]]
-            blocks = self.blocks[key] = column_blocks(
-                self.columns[channel][1], values, PAGE_SIZE
-            )
+            stored, first = self._segment(start, channel)
+            if stored is None:
+                values = [row[channel] for row in self.rows[start:end]]
+                blocks = column_blocks(self.columns[channel][1], values, PAGE_SIZE)
+            else:
+                blocks = [
+                    stored.region(page - first, min(page + PAGE_SIZE, end) - first)
+                    for page in range(start, max(end, start + 1), PAGE_SIZE)
+                ]
+            self.blocks[key] = blocks
         return blocks
+
+    def _segment(self, start: int, channel: int) -> tuple[Optional[Block], int]:
+        """``(block, first row)`` of the stored segment of column
+        ``channel`` that holds the split starting at row ``start``.  When
+        no segment holds it, the rows not yet stored become one."""
+        segments = self.stored.setdefault(channel, [])
+        covered = segments[-1][1] if segments else 0
+        if start >= covered and (covered < len(self.rows) or not segments):
+            block = _stored_column(self.columns[channel][1], self.rows, covered, channel)
+            segments.append((covered, len(self.rows), block))
+        return next((block, first) for first, _, block in reversed(segments) if first <= start)
+
+
+def _stored_column(
+    presto_type: PrestoType, rows: list[tuple], start: int, channel: int
+) -> Optional[Block]:
+    """Column ``channel`` of the rows from ``start`` on as one read-only
+    block, by ``spi.column_blocks``' rule (a low-cardinality VARCHAR column
+    is one dictionary), or None when the column is built split by split as
+    before: a nested column, a VARCHAR column holding a non-``str`` value,
+    or values its type cannot hold (a scan then fails only on the splits
+    holding them)."""
+    if presto_type.is_nested():
+        return None
+    try:
+        if presto_type is VARCHAR:
+            # The dictionary rule needs the column's values at once.
+            values = [row[channel] for row in rows[start:]]
+            pages = column_blocks(presto_type, values, PAGE_SIZE)
+        else:
+            # Page by page, each page's values converted while they are
+            # still in the processor's cache, then joined.
+            pages = [
+                block_from_values(
+                    presto_type, [row[channel] for row in rows[page : page + PAGE_SIZE]]
+                )
+                for page in range(start, max(len(rows), start + 1), PAGE_SIZE)
+            ]
+        block = concat_blocks(presto_type, pages)
+    except BLOCK_VALUE_ERRORS:
+        return None
+    if isinstance(block, DictionaryBlock):
+        arrays = [block.ids, block.dictionary.data, block.dictionary.offsets]
+    elif isinstance(block, VarcharBlock):
+        arrays = [block.data, block.offsets, block.nulls]
+    elif presto_type is not VARCHAR:
+        arrays = [block.values, block.nulls]
+    else:
+        return None  # the permissive object lane: per page, as before
+    # Pages view these arrays: a write into one raises instead of
+    # changing the table.
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return block
 
 
 class MemoryConnector(Connector):
     """Connector over in-memory tables, sharded into splits and scanned from
-    column blocks built once per split."""
+    regions of column blocks built once per column."""
 
     name = "memory"
 
@@ -179,7 +264,8 @@ class MemoryConnector(Connector):
         split: ConnectorSplit,
         columns: Sequence[str],
     ) -> Iterator[Page]:
-        """The split's pages, put together from its stored column blocks.
+        """The split's pages, put together from its regions of the stored
+        columns.
 
         A dotted path selects its top-level column, whole.
         """

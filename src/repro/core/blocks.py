@@ -109,6 +109,9 @@ class Block:
 
     type: PrestoType
     position_count: int
+    # ``(block, row)`` when this block is a region of ``block`` starting at
+    # ``row`` (see ``PrimitiveBlock.region``), else None.
+    region_of: Optional[tuple["Block", int]] = None
 
     def get(self, position: int) -> Any:
         """Value at ``position`` as a Python object (``None`` when null)."""
@@ -214,6 +217,17 @@ class PrimitiveBlock(Block):
     def take(self, positions: np.ndarray) -> "PrimitiveBlock":
         new_nulls = self.nulls[positions] if self.nulls is not None else None
         return PrimitiveBlock(self.type, self.values[positions], new_nulls)
+
+    def region(self, start: int, end: int) -> "PrimitiveBlock":
+        """Rows ``[start, end)`` as views of this block's arrays, no copy.
+
+        The region records the block it views and from which row (its
+        ``region_of``), so consecutive regions join as one wider region
+        (``concat_blocks``).  A null mask with no NULL in the range is
+        dropped, as ``from_values`` would drop it.
+        """
+        nulls = _region_nulls(self, start, end)
+        return _mark_region(PrimitiveBlock(self.type, self.values[start:end], nulls), self, start)
 
     def size_in_bytes(self) -> int:
         if self.values.dtype == object:
@@ -486,9 +500,41 @@ class VarcharBlock(Block):
         new_nulls = self.nulls[positions] if self.nulls is not None else None
         return VarcharBlock(self.type, data, offsets, new_nulls)
 
+    def region(self, start: int, end: int) -> "VarcharBlock":
+        """Rows ``[start, end)``: a view of their bytes and their offsets
+        rebased to 0 (one int64 subtraction per row); no byte is copied.
+        Recorded as ``PrimitiveBlock.region`` records it."""
+        offsets = self.offsets[start : end + 1]
+        first = int(offsets[0])
+        data = self.data[first : int(offsets[-1])]
+        nulls = _region_nulls(self, start, end)
+        region = VarcharBlock(self.type, data, offsets - first if first else offsets, nulls)
+        return _mark_region(region, self, start)
+
     def size_in_bytes(self) -> int:
         total = int(self.data.nbytes) + int(self.offsets.nbytes)
         return total + (int(self.nulls.nbytes) if self.nulls is not None else 0)
+
+
+def _region_nulls(
+    block: "PrimitiveBlock | VarcharBlock", start: int, end: int
+) -> Optional[np.ndarray]:
+    """``block``'s null mask over rows ``[start, end)`` (a view), or None
+    when no row there is NULL."""
+    if block.nulls is None:
+        return None
+    nulls = block.nulls[start:end]
+    return nulls if nulls.any() else None
+
+
+def _mark_region(region: Block, block: Block, start: int) -> Block:
+    """``region``, recorded as the rows from ``start`` on of ``block``, or of
+    the block ``block`` is itself a region of."""
+    if block.region_of is not None:
+        block, first = block.region_of
+        start += first
+    region.region_of = (block, start)
+    return region
 
 
 def _padded_view(
@@ -574,6 +620,11 @@ class DictionaryBlock(Block):
 
     def take(self, positions: np.ndarray) -> "DictionaryBlock":
         return DictionaryBlock(self.dictionary, self.ids[positions])
+
+    def region(self, start: int, end: int) -> "DictionaryBlock":
+        """Rows ``[start, end)``: a view of their ids over the same
+        dictionary.  Recorded as ``PrimitiveBlock.region`` records it."""
+        return _mark_region(DictionaryBlock(self.dictionary, self.ids[start:end]), self, start)
 
     def decode(self) -> Block:
         """Expand into a flat block (Primitive or Varchar, matching the dictionary)."""

@@ -120,14 +120,20 @@ def concat_pages(types: Sequence[PrestoType], pages: Sequence[Page]) -> Page:
 def concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:
     """One column's blocks end to end, dictionary encoding kept.
 
-    What hash aggregation batches its key and argument columns with: a
-    lone block passes through as it is, and dictionary blocks stay ids
-    over the (concatenated) dictionaries, so the kernels downstream still
-    factorize ids instead of decoded values.  At least one block.
+    What the scan joins a task's split pages with, and hash aggregation
+    its key and argument columns: a lone block passes through as it is;
+    consecutive regions of one block (``PrimitiveBlock.region``, such as
+    the memory store's pages) join as one wider region of it, with no
+    copy; and dictionary blocks stay ids over the (concatenated)
+    dictionaries, so the kernels downstream still factorize ids instead
+    of decoded values.  At least one block.
     """
     blocks = [block.loaded() for block in blocks]
     if len(blocks) == 1:
         return blocks[0]
+    joined = _joined_region(blocks)
+    if joined is not None:
+        return joined
     if all(isinstance(block, DictionaryBlock) for block in blocks):
         # Each distinct dictionary goes in once, matched by identity (the
         # pages of one column chunk or one memory split share theirs), and
@@ -150,6 +156,22 @@ def concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:
         )
         return DictionaryBlock(dictionary, np.concatenate(ids))
     return _concat_blocks(presto_type, blocks)
+
+
+def _joined_region(blocks: Sequence[Block]) -> Block | None:
+    """The region of one block that ``blocks`` make up end to end, when
+    each is the region of that block starting where the one before ends;
+    else None."""
+    if blocks[0].region_of is None:
+        return None
+    base, start = blocks[0].region_of
+    end = start
+    for block in blocks:
+        origin = block.region_of
+        if origin is None or origin[0] is not base or origin[1] != end:
+            return None
+        end += block.position_count
+    return base.region(start, end)
 
 
 def _concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:

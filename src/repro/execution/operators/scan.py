@@ -10,10 +10,12 @@ any operator sees them (Presto's scan merges small pages the same way):
 consecutive pages join while they stay within
 ``kernels.TARGET_PARTITION_ROWS`` rows, so a task of many small splits
 runs its filter, projection, join probe and top-N once, not once per
-split.  A page still holding an unloaded lazy block passes through alone,
-so lazy reads (section V.H) load only surviving rows, and a scan a LIMIT
-streams from (no blocking operator in between) hands over each page as it
-comes, so the LIMIT reads no split it does not need.
+split.  Pages that are consecutive regions of one stored column (the
+memory connector's) join as one wider region, with no copy
+(``concat_blocks``).  A page still holding an unloaded lazy block passes
+through alone, so lazy reads (section V.H) load only surviving rows, and
+a scan a LIMIT streams from (no blocking operator in between) hands over
+each page as it comes, so the LIMIT reads no split it does not need.
 
 When a runtime dynamic filter targets the scan (adaptive execution), the
 scan pushes its expression form into the connector handle — so readers

@@ -301,22 +301,23 @@ def build_dictionary(values: Sequence[Any]) -> Optional[tuple[list[Any], np.ndar
     """Dictionary-encode if beneficial; returns (dictionary, indices).
 
     Follows the usual writer heuristic: only when the distinct count is
-    small relative to the value count.
+    small relative to the value count (at most max(16, n/2) distinct
+    values, and at most 65 536).  It gives up at the first distinct value
+    past that count.
     """
     if not len(values):
         return None
+    limit = min(max(16, len(values) // 2), 65536)
     index_of: dict[Any, int] = {}
     indices = np.empty(len(values), dtype=np.int32)
     for i, value in enumerate(values):
         slot = index_of.get(value)
         if slot is None:
             slot = len(index_of)
+            if slot >= limit:
+                return None  # too many distinct values to pay off
             index_of[value] = slot
-            if slot >= 65536:
-                return None  # dictionary too large to pay off
         indices[i] = slot
-    if len(index_of) > max(16, len(values) // 2):
-        return None
     return list(index_of), indices
 
 

@@ -285,6 +285,19 @@ class TestSchemaEvolutionThroughHive:
             engine.execute("SELECT fare FROM trips LIMIT 3")
         assert raised.value.category is ErrorCategory.USER_ERROR
 
+    @pytest.mark.parametrize("declared", [VARCHAR, BIGINT], ids=lambda t: t.display())
+    def test_type_change_fails_analyze_as_it_fails_a_read(self, declared):
+        # Footer bounds are of the file's type (double): folded into the
+        # retyped column they would give a VARCHAR column float bounds.
+        engine, connector, metastore, fs = make_environment()
+        metastore.update_table_columns(
+            "rawdata", "trips", [("base", BASE_TYPE), ("fare", declared)]
+        )
+        with pytest.raises(SchemaEvolutionError, match="'fare': file has double") as raised:
+            engine.execute("ANALYZE trips")
+        assert raised.value.category is ErrorCategory.USER_ERROR
+        assert metastore.get_table_statistics("rawdata", "trips") is None
+
     @pytest.mark.parametrize("reader", ["new", "old"])
     def test_nested_type_change_fails_the_read(self, reader):
         engine, connector, metastore, fs = make_environment(reader=reader)
