@@ -2,9 +2,8 @@
 
 Python's builtin ``hash`` is salted per process (``PYTHONHASHSEED``), so
 anything that routes work by hash — affinity scheduling in the cluster
-simulation, Kafka partitions, the cache sketch, fault draws, the dynamic
-filter's bloom — would place differently on every run and make
-experiments unreproducible.  They hash one value at a time through
+simulation, Kafka partitions, the cache sketch, fault draws — would
+place differently on every run and make experiments unreproducible.  They hash one value at a time through
 :func:`stable_hash` instead, which is CRC32-based and therefore identical
 across processes and platforms.
 

@@ -37,9 +37,11 @@ every aggregate the dialect accepts runs here.
   aggregation operator, the realtime store and materialized views all
   aggregate through it.
 - **Hash-join index** (:class:`JoinKeyIndex`): the build side factorizes
-  once; probe pages map into the same code space, narrow integer keys
-  through lookup tables built once per index, and expand into the
-  ``(probe_positions, build_positions)`` index pair in probe-row order.
+  once; probe pages map into the same code space, each column through
+  :func:`key_positions` (narrow integer keys through lookup tables built
+  once per index), and expand into the ``(probe_positions,
+  build_positions)`` index pair in probe-row order.  A dynamic filter
+  looks its probe keys up through the same :func:`key_positions`.
 - **Exchange partitioning** (:func:`partition_assignments`): a row's
   partition is its key's hash modulo the partition count.
   :func:`block_hash` computes a ``uint64`` per position from the block's
@@ -296,6 +298,37 @@ def _array_codes(block: ArrayBlock) -> tuple[np.ndarray, np.ndarray]:
     return codes, uniques
 
 
+def _combine(
+    columns: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, int, list[int], list[tuple[int, np.ndarray]]]:
+    """Mixed-radix codes of the rows' keys: ``(combined, radix, widths,
+    compactions)``.
+
+    Each column's codes shift up one (a NULL, code ``-1``, encodes as 0)
+    and enter with ``width = len(uniques) + 1``.  Before the product could
+    leave int64 the codes so far re-compact onto their sorted distinct
+    values (``np.unique``'s inverse is the ``searchsorted`` into its
+    table): ``compactions`` holds each ``(column, table)``, so a probe page
+    can replay the mapping.  Every combined code is below ``radix``.
+    """
+    n = len(columns[0][0])
+    combined = np.zeros(n, dtype=np.int64)
+    widths: list[int] = []
+    compactions: list[tuple[int, np.ndarray]] = []
+    radix = 1
+    for i, (codes, uniques) in enumerate(columns):
+        width = len(uniques) + 1
+        if radix > _MAX_RADIX // width:
+            table, combined = np.unique(combined, return_inverse=True)
+            combined = combined.astype(np.int64, copy=False)
+            compactions.append((i, table))
+            radix = len(table)
+        combined = combined * width + (codes + 1)
+        widths.append(width)
+        radix *= width
+    return combined, radix, widths, compactions
+
+
 def _factorize(
     blocks: Sequence[Block],
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -304,27 +337,16 @@ def _factorize(
     ``group_codes[row]`` numbers the distinct keys in first-appearance
     order and ``reps[group]`` is the first row holding that key;
     ``columns`` are the :func:`column_codes` pairs the keys decode
-    from.  Columns are combined with mixed-radix arithmetic, re-compacting
-    through ``np.unique`` whenever the radix product could overflow int64.
-    The combined codes find each group's first row (a dense table over a
-    radix of at most 65 536 or ``_DENSE_SPAN`` slots per row, else
-    ``np.unique``'s first indices).  Those
-    rows, marked and read back in row order, are ``reps`` in appearance
-    order, and numbering them numbers the groups: no step sorts the
-    distinct keys.
+    from, combined by :func:`_combine`.  The combined codes find each
+    group's first row (a dense table over a radix of at most 65 536 or
+    ``_DENSE_SPAN`` slots per row, else ``np.unique``'s first indices).
+    Those rows, marked and read back in row order, are ``reps`` in
+    appearance order, and numbering them numbers the groups: no step
+    sorts the distinct keys.
     """
     columns = [column_codes(block) for block in blocks]
-    n = len(columns[0][0])
-    combined = np.zeros(n, dtype=np.int64)
-    radix = 1
-    for codes, uniques in columns:
-        width = len(uniques) + 1  # +1 slot so null (-1) encodes as 0
-        if radix > _MAX_RADIX // max(width, 1):
-            _, combined = np.unique(combined, return_inverse=True)
-            combined = combined.astype(np.int64, copy=False)
-            radix = int(combined.max()) + 1 if n else 1
-        combined = combined * width + (codes + 1)
-        radix *= width
+    combined, radix, _, _ = _combine(columns)
+    n = len(combined)
     if radix <= max(65536, _DENSE_SPAN * n):
         # Narrow key domain: dense first-occurrence table.  Reversed
         # assignment leaves each slot holding the SMALLEST row index that
@@ -1124,12 +1146,9 @@ class JoinKeyIndex:
         self.counts = counts  # build rows per code
         self.offsets = offsets  # exclusive prefix sums into ``flat``
         self.flat = flat  # build positions grouped by code, insertion order
-        self._column_tables = [
-            _position_table(uniq) if uniq.dtype == np.int64 else None
-            for uniq in column_uniques
-        ]
-        self._compaction_tables = [_position_table(table) for _, table in compactions]
-        self._code_table = _position_table(code_values)
+        self._column_tables = [position_table(uniq) for uniq in column_uniques]
+        self._compaction_tables = [position_table(table) for _, table in compactions]
+        self._code_table = position_table(code_values)
 
     def probe_codes(self, blocks: Sequence[Block], count: int) -> np.ndarray:
         """Map probe rows to build code space; ``-1`` means no match."""
@@ -1141,7 +1160,7 @@ class JoinKeyIndex:
                     # A combination the build never held reads -1 and stays
                     # negative through every later column: no code matches.
                     combined = _positions(table, dense, combined)
-            codes = self._map_column(i, block)
+            codes = key_positions(self.column_uniques[i], self._column_tables[i], block)
             invalid |= codes < 0
             combined = combined * self.widths[i] + (np.maximum(codes, -1) + 1)
         found = _positions(self.code_values, self._code_table, combined)
@@ -1178,50 +1197,12 @@ class JoinKeyIndex:
         ]
         return probe_positions, build_positions
 
-    def _map_column(self, i: int, block: Block) -> np.ndarray:
-        block = block.loaded()
-        if isinstance(block, PrimitiveBlock) and block.values.dtype != object:
-            values = block.values
-            nulls = block.null_mask()
-            if np.issubdtype(values.dtype, np.floating):
-                # NaN probe keys canonicalize to null: they never match.
-                nulls = nulls | np.isnan(values)
-            return self._match_values(i, values, nulls)
-        # Strings, dictionaries, objects and arrays: factorize the probe page
-        # once, match only its distinct values against the build side, then
-        # gather per row (code -1, a NULL key, reads the trailing -1).
-        local_codes, local_uniques = column_codes(block)
-        mapped = self._match_values(
-            i, local_uniques, np.zeros(len(local_uniques), dtype=bool)
-        )
-        return np.append(mapped, -1)[local_codes]
 
-    def _match_values(
-        self, i: int, values: np.ndarray, nulls: np.ndarray
-    ) -> np.ndarray:
-        dense = self._column_tables[i]
-        if dense is not None and values.dtype == np.int64:
-            codes = dense_lookup(*dense, values)
-            if nulls.any():
-                codes[nulls] = -1
-            return codes
-        uniq = self.column_uniques[i]
-        codes = np.full(len(values), -1, dtype=np.int64)
-        non_null = ~nulls
-        candidates = values[non_null]
-        try:
-            codes[non_null] = _positions(uniq, None, candidates)
-        except TypeError:
-            # Values that do not compare with the build side's (ints beside
-            # strings, arrays holding NULLs): look each distinct one up.
-            position = {_hashable(v): c for c, v in enumerate(uniq.tolist())}
-            codes[non_null] = [position.get(_hashable(v), -1) for v in candidates.tolist()]
-        return codes
-
-
-def _position_table(sorted_keys: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+def position_table(sorted_keys: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
     """:func:`dense_table` from each of the sorted distinct int64 keys to
-    its position among them, ``-1`` elsewhere."""
+    its position among them, ``-1`` elsewhere; None for other keys."""
+    if sorted_keys.dtype != np.int64:
+        return None
     return dense_table(sorted_keys, np.arange(len(sorted_keys), dtype=np.int64), -1)
 
 
@@ -1239,31 +1220,67 @@ def _positions(
     return np.where(sorted_keys[idx] == values, idx, -1)
 
 
+def key_positions(
+    sorted_keys: np.ndarray, dense: Optional[tuple[int, np.ndarray]], block: Block
+) -> np.ndarray:
+    """Each row's position among one key column's sorted distinct values
+    ``sorted_keys``, ``-1`` where it is NULL, NaN or absent.
+
+    ``dense`` is ``position_table(sorted_keys)``, built once by the
+    caller.  A numeric block is looked up row by row; strings,
+    dictionaries, objects and arrays factorize first, so only the page's
+    distinct values are looked up, then one gather reads them back (code
+    ``-1``, a NULL, reads the trailing ``-1``).
+    """
+    block = block.loaded()
+    if isinstance(block, PrimitiveBlock) and block.values.dtype != object:
+        values = block.values
+        nulls = block.null_mask()
+        if np.issubdtype(values.dtype, np.floating):
+            nulls = nulls | np.isnan(values)
+        return _value_positions(sorted_keys, dense, values, nulls)
+    local_codes, local_uniques = column_codes(block)
+    mapped = _value_positions(
+        sorted_keys, dense, local_uniques, np.zeros(len(local_uniques), dtype=bool)
+    )
+    return np.append(mapped, -1)[local_codes]
+
+
+def _value_positions(
+    sorted_keys: np.ndarray,
+    dense: Optional[tuple[int, np.ndarray]],
+    values: np.ndarray,
+    nulls: np.ndarray,
+) -> np.ndarray:
+    """:func:`key_positions` of an array of values: a gather through
+    ``dense`` for int64 values, else ``np.searchsorted`` (integers meet
+    doubles as doubles, as SQL compares BIGINT with DOUBLE), else (kinds
+    that do not compare, ints beside strings) a dict of the distinct
+    keys."""
+    if dense is not None and values.dtype == np.int64:
+        codes = dense_lookup(*dense, values)
+        if nulls.any():
+            codes[nulls] = -1
+        return codes
+    codes = np.full(len(values), -1, dtype=np.int64)
+    non_null = ~nulls
+    candidates = values[non_null]
+    try:
+        codes[non_null] = _positions(sorted_keys, None, candidates)
+    except TypeError:
+        position = {_hashable(v): c for c, v in enumerate(sorted_keys.tolist())}
+        codes[non_null] = [position.get(_hashable(v), -1) for v in candidates.tolist()]
+    return codes
+
+
 def build_join_index(blocks: Sequence[Block]) -> JoinKeyIndex:
     """Factorize the build side of a hash join into a :class:`JoinKeyIndex`.
 
     Build rows whose key contains NULL are excluded (SQL join semantics).
     """
     columns = [column_codes(block) for block in blocks]
-    n = len(columns[0][0])
-    combined = np.zeros(n, dtype=np.int64)
-    null_row = np.zeros(n, dtype=bool)
-    widths: list[int] = []
-    compactions: list[tuple[int, np.ndarray]] = []
-    radix = 1
-    for i, (codes, uniq) in enumerate(columns):
-        width = len(uniq) + 1  # +1 slot so null (-1) encodes as 0
-        if radix > _MAX_RADIX // max(width, 1):
-            # Same overflow guard as factorize_keys, but the compaction
-            # table is kept so probe pages can replay the mapping.
-            table = np.unique(combined)
-            compactions.append((i, table))
-            combined = np.searchsorted(table, combined).astype(np.int64, copy=False)
-            radix = len(table)
-        null_row |= codes < 0
-        combined = combined * width + (codes + 1)
-        widths.append(width)
-        radix *= width
+    combined, _, widths, compactions = _combine(columns)
+    null_row = np.logical_or.reduce([codes < 0 for codes, _ in columns])
     valid_positions = np.flatnonzero(~null_row)
     code_values, inverse = _unique(combined[valid_positions])
     # Stable sort by code keeps ascending original positions within each

@@ -20,8 +20,8 @@ each page as it comes, so the LIMIT reads no split it does not need.
 When a runtime dynamic filter targets the scan (adaptive execution), the
 scan pushes its expression form into the connector handle — so readers
 can skip whole row groups — and masks every surviving page against the
-full filters (including bloom summaries the expression form cannot
-carry).  The fragment result cache is bypassed for dynamically-filtered
+filters' full value sets, which the expression form carries only up to
+``IN_EXPRESSION_LIMIT`` keys.  The fragment result cache is bypassed for dynamically-filtered
 scans: the cache key does not include the filter, and filtered results
 must never be served to an unfiltered run.
 """

@@ -579,7 +579,7 @@ class QueryScheduler:
                         column=column,
                         build_rows=dynamic_filter.build_rows,
                         build_distinct=dynamic_filter.build_distinct,
-                        form="values" if dynamic_filter.values is not None else "bloom",
+                        form=dynamic_filter.form,
                     )
                 self._refresh_filter_expression(scan, filter_set)
 

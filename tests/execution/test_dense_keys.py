@@ -1,14 +1,17 @@
 """Integer keys are looked up, not sorted.
 
 An int64 key column whose value span is at most ``kernels._DENSE_SPAN``
-slots per key factorizes through a presence table, probes a join through
-tables built once per index, and meets a dynamic filter's exact set
-through a bitmap.  Each is compared here against the sort it replaces
-(``tests/reference/keys.py``, ``DynamicFilter.matches``) on both sides
-of the span bound, at the int64 extremes, and with garbage under NULL
-rows.  The string point lookups, which narrow the candidate rows one
-prefix byte at a time, are compared against ``bytes.startswith`` and
-``==``.  The last class counts the sorts the dense paths run: none.
+slots per key factorizes through a presence table, and probes a join or
+a dynamic filter's sorted values through position tables built once per
+index or filter (``kernels.key_positions``).  Each is compared here
+against the sort it replaces (``tests/reference/keys.py``) or the
+per-value rule (``tests/reference/dynamic_filters.py``) on both sides of
+the span bound, at the int64 extremes, and with garbage under NULL rows;
+a join index probed with its own build rows groups them as
+``factorize_keys`` does.  The string point lookups, which narrow the
+candidate rows one prefix byte at a time, are compared against
+``bytes.startswith`` and ``==``.  The last class counts the sorts the
+dense paths run: none.
 """
 
 import numpy as np
@@ -17,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import PrimitiveBlock, VarcharBlock
-from repro.core.types import BIGINT, VARCHAR
+from repro.core.types import BIGINT, DOUBLE, VARCHAR
 from repro.execution import kernels
-from repro.execution.dynamic_filters import DynamicFilter
-from tests.reference.dynamic_filters import build_dynamic_filter
+from repro.execution.dynamic_filters import DynamicFilter, dynamic_filter_for
+from tests.reference.dynamic_filters import build_dynamic_filter, expected_mask
 from tests.reference.keys import searchsorted_probe_codes, unique_column_codes
 
 INT64_MIN = -(2**63)
@@ -118,9 +121,9 @@ class TestColumnCodes:
 
 @st.composite
 def join_sides(draw):
-    """Build and probe key columns (1-3) of one join, probe values drawn
+    """Build and probe key columns (1-4) of one join, probe values drawn
     from the build's, from past either end and from the int64 extremes."""
-    width = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 4))
     kinds = [draw(st.sampled_from(SPAN_KINDS)) for _ in range(width)]
     build_rows = draw(st.integers(2, 30))
     build_columns, probe_columns = [], []
@@ -160,11 +163,19 @@ class TestProbeCodes:
             # A radix bound of 12 re-compacts before every second column.
             patch.setattr(kernels, "_MAX_RADIX", max_radix)
             index = kernels.build_join_index(build)
+            group_codes, _ = kernels.factorize_keys(build)
         codes = index.probe_codes(probe, rows)
         expected = searchsorted_probe_codes(index, probe, rows)
         assert codes.tolist() == expected.tolist()
         pairs = [array.tolist() for array in index.expand(codes)]
         assert pairs == [array.tolist() for array in index.expand(expected)]
+        # Probed with its own rows, the index groups them as factorize_keys
+        # does (both combine through kernels._combine), NULL keys excluded.
+        own = index.probe_codes(build, len(group_codes)).tolist()
+        has_null = np.logical_or.reduce([block.null_mask() for block in build]).tolist()
+        assert [code < 0 for code in own] == has_null
+        pairs = {(g, c) for g, c, null in zip(group_codes.tolist(), own, has_null) if not null}
+        assert len(pairs) == len({g for g, _ in pairs}) == len({c for _, c in pairs})
 
     def test_matches_are_the_build_rows_with_equal_keys(self):
         build = [
@@ -185,8 +196,13 @@ class TestDynamicFilterMask:
     @given(st.data())
     def test_mask_is_matches(self, data):
         values, _ = data.draw(spanned_values())
-        extras = data.draw(st.lists(st.sampled_from([None, 2.5, True, 3.0, float("nan")])))
-        dynamic_filter = build_dynamic_filter(values + extras)
+        extras = data.draw(st.lists(st.sampled_from([None, 2.5, 3.0, float("nan")])))
+        if extras:
+            # A DOUBLE build: integers meet its values as doubles.
+            build = PrimitiveBlock.from_values(DOUBLE, [float(v) for v in values] + extras)
+        else:
+            build = data.draw(int_blocks(values))
+        dynamic_filter = dynamic_filter_for([build])
         pool = sorted(set(values))
         probe = data.draw(
             st.lists(
@@ -201,25 +217,27 @@ class TestDynamicFilterMask:
         block = data.draw(int_blocks(probe))
         mask = dynamic_filter.mask(block)
         assert mask.dtype == bool
-        assert mask.tolist() == [dynamic_filter.matches(v) for v in block.to_list()]
+        expected = build_dynamic_filter(build.to_list())
+        assert mask.tolist() == expected_mask(expected, block.to_list())
         if not extras:
-            # The bitmap's bound counts the set's distinct values.
+            # The position table's bound counts the build's distinct values.
             members = set(values)
             narrow = max(members) - min(members) < SPAN * len(members)
-            assert (dynamic_filter._int64_bitmap is not None) == narrow
+            assert (dynamic_filter._dense is not None) == narrow
 
     def test_a_set_without_integers_matches_no_integer(self):
-        dynamic_filter = build_dynamic_filter(["a", 2.5])
+        dynamic_filter = dynamic_filter_for([PrimitiveBlock.from_values(DOUBLE, [2.5, -0.5])])
         block = PrimitiveBlock.from_values(BIGINT, [2, None, INT64_MIN])
         assert dynamic_filter.mask(block).tolist() == [False, False, False]
 
     def test_the_bitmap_is_built_once_per_filter(self):
-        dynamic_filter = build_dynamic_filter([3, 4, 9])
+        dynamic_filter = DynamicFilter(values=np.array([3, 4, 9], dtype=np.int64))
         block = PrimitiveBlock.from_values(BIGINT, [3, 5, 9])
-        first = dynamic_filter._int64_bitmap
+        first = dynamic_filter._dense
+        assert first is not None
         assert dynamic_filter.mask(block).tolist() == [True, False, True]
         assert dynamic_filter.mask(block).tolist() == [True, False, True]
-        assert dynamic_filter._int64_bitmap is first
+        assert dynamic_filter._dense is first
 
 
 # Texts over an alphabet with NUL, the empty string, and 2- and 3-byte
@@ -331,8 +349,6 @@ class TestDenseKeysSortNothing:
         assert sorts == []
 
     def test_dynamic_filter_mask(self, sorts):
-        dynamic_filter = DynamicFilter(
-            min_value=0, max_value=400, values=frozenset(range(0, 400, 3)), build_distinct=134
-        )
+        dynamic_filter = DynamicFilter(values=np.arange(0, 400, 3, dtype=np.int64))
         dynamic_filter.mask(PrimitiveBlock.from_values(BIGINT, self.keys))
         assert sorts == []

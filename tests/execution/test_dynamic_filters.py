@@ -1,43 +1,44 @@
 """Runtime dynamic filter tests: build-side summaries pruning probe scans.
 
-Covers the filter data structures (normalization, bloom determinism,
-expression forms), end-to-end pruning through the memory connector
-(row-level masks, empty-build split skips, the off switch, join types
-that must NOT filter), the hive tiers (partition pruning at split
-enumeration, row-group skips in the parquet reader), and retry safety
-under fault injection — a retried probe task must see the identical
-filter and produce identical rows.
+Covers the filter data structures (numeric representations, the build
+from page codes against the row-at-a-time oracle, the exact mask,
+expression forms), a differential
+of large builds against the oracle, end-to-end pruning through the memory
+connector (row-level masks, empty-build split skips, the off switch, join
+types that must NOT filter, the traced form), the hive tiers (partition
+pruning at split enumeration, row-group skips in the parquet reader), and
+retry safety under fault injection — a retried probe task must see the
+identical filter and produce identical rows.
 """
-
-import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.connectors.hive import HiveConnector, write_hive_partition
 from repro.connectors.memory import MemoryConnector
 from repro.core.blocks import (
     DictionaryBlock,
     PrimitiveBlock,
+    VarcharBlock,
     block_from_values,
 )
 from repro.core.functions import default_registry
 from repro.core.page import Page
 from repro.core.types import BIGINT, DOUBLE, VARCHAR
-from repro.execution import dynamic_filters
-from repro.execution.dynamic_filters import (
-    IN_EXPRESSION_LIMIT,
-    BloomFilter,
-    DynamicFilter,
-    dynamic_filter_for,
-    _normalize,
-)
+from repro.execution import kernels
+from repro.execution.dynamic_filters import IN_EXPRESSION_LIMIT, dynamic_filter_for
 from repro.execution.engine import PrestoEngine
 from repro.execution.faults import FaultInjector
 from repro.metastore.metastore import HiveMetastore
 from repro.planner.analyzer import Session
 from repro.storage.hdfs import HdfsFileSystem
-from tests.reference.dynamic_filters import build_dynamic_filter
+from tests.reference.dynamic_filters import (
+    build_dynamic_filter,
+    expected_mask,
+    filter_matches,
+)
 from tests.reference.pipeline import execute_direct
 
 
@@ -61,87 +62,98 @@ def assert_same(engine, sql, **expectations):
     return staged
 
 
-# -- unit: value normalization ----------------------------------------------
+def summary(dynamic_filter):
+    """What a filter holds, comparable with ``==`` (``1 == 1.0``)."""
+    values = None if dynamic_filter.is_empty else dynamic_filter.values.tolist()
+    return (
+        values,
+        dynamic_filter.bounds,
+        dynamic_filter.build_distinct,
+        dynamic_filter.build_rows,
+    )
+
+
+NAN = float("nan")
+
+
+def _filter(presto_type, values):
+    return dynamic_filter_for([PrimitiveBlock.from_values(presto_type, values)])
+
+
+def _mask(dynamic_filter, presto_type, values):
+    return dynamic_filter.mask(PrimitiveBlock.from_values(presto_type, values)).tolist()
+
+
+# -- unit: numeric representations --------------------------------------------
 
 
 class TestNormalize:
+    """Keys meet as SQL compares them: an integer and a double compare as
+    doubles, ``-0.0`` is ``0``, NaN equals nothing, and other kinds pass
+    through."""
+
     def test_integral_float_folds_to_int(self):
-        assert _normalize(1.0) == 1 and isinstance(_normalize(1.0), int)
+        assert _mask(_filter(BIGINT, [1, 5]), DOUBLE, [1.0, 5.0, 3.0]) == [True, True, False]
+        assert _mask(_filter(DOUBLE, [1.0, 5.0]), BIGINT, [1, 5, 3]) == [True, True, False]
 
     def test_negative_zero_folds_to_zero(self):
-        assert _normalize(-0.0) == 0 and isinstance(_normalize(-0.0), int)
+        assert _mask(_filter(DOUBLE, [-0.0]), BIGINT, [0, 1]) == [True, False]
+        assert _mask(_filter(DOUBLE, [-0.0]), DOUBLE, [0.0, -0.0]) == [True, True]
+        assert _mask(_filter(BIGINT, [0]), DOUBLE, [-0.0, 0.5]) == [True, False]
 
     def test_fractional_float_kept(self):
-        assert _normalize(1.5) == 1.5
+        doubles = _filter(DOUBLE, [1.5, 2.0])
+        assert _mask(doubles, BIGINT, [1, 2]) == [False, True]
+        assert _mask(doubles, DOUBLE, [1.5, 1.0]) == [True, False]
 
     def test_nan_kept(self):
-        result = _normalize(float("nan"))
-        assert isinstance(result, float) and math.isnan(result)
+        assert _filter(DOUBLE, [NAN, 1.0]).values.tolist() == [1.0]
+        assert _mask(_filter(DOUBLE, [NAN, 1.0]), DOUBLE, [NAN, 1.0]) == [False, True]
+        assert _mask(_filter(BIGINT, [1]), DOUBLE, [NAN]) == [False]
 
     def test_non_numeric_passthrough(self):
-        assert _normalize("abc") == "abc"
-
-
-# -- unit: bloom filter ------------------------------------------------------
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        values = [f"key-{i}" for i in range(500)]
-        bloom = BloomFilter.build(values, len(values))
-        assert all(bloom.contains(v) for v in values)
-
-    def test_false_positive_rate_is_low(self):
-        bloom = BloomFilter.build(range(1000), 1000)
-        absent = [f"absent-{i}" for i in range(1000)]
-        false_positives = sum(bloom.contains(v) for v in absent)
-        # 10 bits/value + 4 hashes gives ~1% theoretical; allow headroom.
-        assert false_positives < 50
-
-    def test_deterministic_across_builds(self):
-        a = BloomFilter.build(range(100), 100)
-        b = BloomFilter.build(range(100), 100)
-        assert (a.bits == b.bits).all()
-
-    def test_equal_representations_collide(self):
-        # 1 and 1.0 are SQL-equal; the bloom must not distinguish them.
-        bloom = BloomFilter.build([1.0, 2.0], 2)
-        assert bloom.contains(1) and bloom.contains(2)
+        texts = dynamic_filter_for([block_from_values(VARCHAR, ["abc", "é"])])
+        assert texts.mask(block_from_values(VARCHAR, ["abc", "ab", "é"])).tolist() == [
+            True,
+            False,
+            True,
+        ]
+        assert _mask(texts, VARCHAR, ["abc", 1, None]) == [True, False, False]
 
 
 # -- unit: build_dynamic_filter ---------------------------------------------
-
-NAN = float("nan")
 
 
 class TestBuildDynamicFilter:
     def test_small_build_keeps_exact_set(self):
         f = build_dynamic_filter([3, 1, 2, 2, None])
-        assert f.values == frozenset({1, 2, 3})
-        assert f.bloom is None
-        assert (f.min_value, f.max_value) == (1, 3)
+        assert f.values.tolist() == [1, 2, 3]
+        assert f.bounds == (1, 3)
         assert f.build_distinct == 3 and f.build_rows == 5
 
-    def test_large_build_degrades_to_bloom(self):
-        f = build_dynamic_filter(range(50), exact_limit=10)
-        assert f.values is None and f.bloom is not None
-        assert (f.min_value, f.max_value) == (0, 49)
-        assert all(f.matches(v) for v in range(50))
-        assert not f.matches(1000)  # outside min/max: definite miss
+    def test_large_build_keeps_every_value(self):
+        keys = np.arange(0, 150_000, 3, dtype=np.int64)
+        f = dynamic_filter_for([PrimitiveBlock(BIGINT, keys, None)])
+        assert f.values.tolist() == keys.tolist()
+        assert f.bounds == (0, 149_997) and f.build_distinct == 50_000
+        probe = PrimitiveBlock.from_values(BIGINT, [0, 1, 3, 149_997, 149_998, 10**6])
+        assert f.mask(probe).tolist() == [True, False, True, True, False, False]
 
     def test_all_null_build_is_empty(self):
         f = build_dynamic_filter([None, None])
         assert f.is_empty and f.build_rows == 2
-        assert not f.matches(1)
+        assert not filter_matches(f, 1)
 
     def test_null_probe_value_never_matches(self):
         f = build_dynamic_filter([1, 2, 3])
-        assert not f.matches(None)
+        assert not filter_matches(f, None)
 
     def test_mixed_type_build_keeps_membership(self):
-        f = build_dynamic_filter([1, "a"])  # unorderable: no min/max
-        assert f.min_value is None and f.matches(1) and f.matches("a")
-        assert not f.matches(2)
+        f = dynamic_filter_for([PrimitiveBlock.from_values(VARCHAR, [1, "a", 1])])
+        assert f.bounds is None  # unorderable: no min/max
+        assert f.values.tolist() == [1, "a"]
+        probe = PrimitiveBlock.from_values(VARCHAR, [1, "a", 2, None, "b"])
+        assert f.mask(probe).tolist() == [True, True, False, False, False]
 
     @pytest.mark.parametrize(
         "values",
@@ -150,24 +162,27 @@ class TestBuildDynamicFilter:
     def test_nan_is_dropped_like_null(self, values):
         # min()/max() over a set holding NaN depend on iteration order:
         # NaN first used to come back as both bounds.
-        f = build_dynamic_filter(values)
-        assert (f.min_value, f.max_value) == (1, 2)
-        assert f.values == frozenset({1, 2})
-        assert f.build_distinct == 2 and f.build_rows == len(values)
-        assert f.matches(1.0) and not f.matches(NAN)
+        for f in (
+            build_dynamic_filter(values),
+            dynamic_filter_for([PrimitiveBlock.from_values(DOUBLE, values)]),
+        ):
+            assert f.bounds == (1, 2)
+            assert f.values.tolist() == [1, 2]
+            assert f.build_distinct == 2 and f.build_rows == len(values)
+            assert filter_matches(f, 1.0) and not filter_matches(f, NAN)
 
     def test_nan_only_build_is_empty(self):
-        f = build_dynamic_filter([NAN, NAN, None])
+        f = dynamic_filter_for([PrimitiveBlock.from_values(DOUBLE, [NAN, NAN, None])])
         assert f.is_empty and f.build_rows == 3
-        assert f.min_value is None and f.values is None
-        assert not f.matches(NAN) and not f.matches(1.0)
+        assert f.bounds is None and f.values is None
+        assert f.mask(PrimitiveBlock.from_values(DOUBLE, [NAN, 1.0])).tolist() == [False, False]
 
     def test_range_expression_never_has_a_nan_bound(self):
         # Past IN_EXPRESSION_LIMIT the filter becomes ``k >= min AND k <=
         # max``; a NaN bound made that false for every probe row.
         values = [NAN] + [float(i) + 0.5 for i in range(IN_EXPRESSION_LIMIT + 1)]
-        f = build_dynamic_filter(values)
-        assert (f.min_value, f.max_value) == (0.5, IN_EXPRESSION_LIMIT + 0.5)
+        f = dynamic_filter_for([PrimitiveBlock.from_values(DOUBLE, values)])
+        assert f.bounds == (0.5, IN_EXPRESSION_LIMIT + 0.5)
         expression = f.to_expression("k", DOUBLE, default_registry())
         assert "nan" not in repr(expression.to_dict()).lower()
 
@@ -176,9 +191,9 @@ class TestBuildDynamicFilter:
 
 
 def _mask_blocks():
-    legacy = PrimitiveBlock.from_values(VARCHAR, ["a", None, "\u00e9", "zz", "a"])
+    legacy = PrimitiveBlock.from_values(VARCHAR, ["a", None, "é", "zz", "a"])
     int_dictionary = PrimitiveBlock.from_values(BIGINT, [1, 7, 7, None, 99])
-    text_dictionary = block_from_values(VARCHAR, ["a", "\u6f22", None, "q"])
+    text_dictionary = block_from_values(VARCHAR, ["a", "漢", None, "q"])
     return {
         "bigint": PrimitiveBlock.from_values(BIGINT, [1, 2, 2, 7, -3, 99, 1]),
         "bigint_nulls": PrimitiveBlock.from_values(BIGINT, [None, 1, 7, None, 2**40]),
@@ -187,7 +202,7 @@ def _mask_blocks():
         "double": PrimitiveBlock.from_values(
             DOUBLE, [1.0, 1.5, -0.0, 0.0, NAN, None, 7.0, NAN, 2.5]
         ),
-        "varchar": block_from_values(VARCHAR, ["a", None, "\u00e9", "zz", "", "a"]),
+        "varchar": block_from_values(VARCHAR, ["a", None, "é", "zz", "", "a"]),
         "varchar_object_lane": legacy,
         "dictionary_bigint": DictionaryBlock(
             int_dictionary, np.array([0, 1, 2, 3, -1, 4, 0], dtype=np.int64)
@@ -196,45 +211,65 @@ def _mask_blocks():
             text_dictionary, np.array([3, 2, -1, 0, 1, 1], dtype=np.int64)
         ),
         # A value mix np.unique cannot order: column_codes orders it by kind.
-        "mixed_objects": block_from_values(VARCHAR, [1, "a", None, 1, "\u00e9"]),
+        "mixed_objects": block_from_values(VARCHAR, [1, "a", None, 1, "é"]),
     }
 
 
-_MASK_FILTERS = {
-    "exact_ints": lambda: build_dynamic_filter([1, 7, None, 2**40]),
-    # 1.0 and -0.0 fold onto the ints 1 and 0; 2.5 stays a float.
-    "exact_mixed_numbers": lambda: build_dynamic_filter([1.0, -0.0, 2.5, True, NAN]),
-    "exact_texts": lambda: build_dynamic_filter(["a", "\u00e9", "\u6f22"]),
-    "bloom_ints": lambda: build_dynamic_filter(list(range(0, 60, 3)) + [7], exact_limit=5),
-    "bloom_doubles": lambda: build_dynamic_filter(
-        [0.5 * i for i in range(40)] + [NAN, -0.0], exact_limit=5
+# Build-side columns, each the one page of a build.  The ``bloom_*`` ones
+# hold more distinct keys than IN_EXPRESSION_LIMIT, so only the range
+# form reaches the readers and the mask alone is exact.
+_MASK_BUILDS = {
+    "exact_ints": lambda: PrimitiveBlock.from_values(BIGINT, [1, 7, None, 2**40]),
+    # True is 1.0 here; -0.0 equals 0.
+    "exact_mixed_numbers": lambda: PrimitiveBlock.from_values(
+        DOUBLE, [1.0, -0.0, 2.5, True, NAN]
     ),
-    "bloom_texts": lambda: build_dynamic_filter(
-        [chr(97 + i) for i in range(20)] + ["\u00e9"], exact_limit=5
+    "exact_texts": lambda: block_from_values(VARCHAR, ["a", "é", "漢"]),
+    "bloom_ints": lambda: PrimitiveBlock.from_values(BIGINT, list(range(0, 60_000, 3)) + [7]),
+    "bloom_doubles": lambda: PrimitiveBlock.from_values(
+        DOUBLE, [0.5 * i for i in range(40_000)] + [NAN, -0.0]
     ),
-    "unorderable": lambda: build_dynamic_filter([1, "a"]),
-    "out_of_int64": lambda: build_dynamic_filter([1, 2**70]),
-    "empty_build": lambda: build_dynamic_filter([None, None]),
+    "bloom_texts": lambda: block_from_values(
+        VARCHAR, [chr(97 + i % 26) * (1 + i // 26) for i in range(20_000)] + ["é"]
+    ),
+    "unorderable": lambda: PrimitiveBlock.from_values(VARCHAR, [1, "a"]),
+    "out_of_int64": lambda: PrimitiveBlock.from_values(VARCHAR, [1, 2**70]),
+    "empty_build": lambda: PrimitiveBlock.from_values(BIGINT, [None, None]),
 }
 
 
 class TestMask:
-    @pytest.mark.parametrize("filter_name", sorted(_MASK_FILTERS))
+    @pytest.mark.parametrize("filter_name", sorted(_MASK_BUILDS))
     @pytest.mark.parametrize("block_name", sorted(_mask_blocks()))
     def test_mask_is_matches_of_every_position(self, filter_name, block_name):
-        dynamic_filter = _MASK_FILTERS[filter_name]()
+        build = _MASK_BUILDS[filter_name]()
+        dynamic_filter = dynamic_filter_for([build])
         block = _mask_blocks()[block_name]
         mask = dynamic_filter.mask(block)
         assert mask.dtype == bool
-        assert mask.tolist() == [dynamic_filter.matches(v) for v in block.to_list()]
+        expected = build_dynamic_filter(build.to_list())
+        assert mask.tolist() == expected_mask(expected, block.to_list())
 
     def test_null_nan_and_numeric_representations(self):
-        f = build_dynamic_filter([1.0, -0.0, NAN])
+        f = dynamic_filter_for([PrimitiveBlock.from_values(DOUBLE, [1.0, -0.0, NAN])])
         block = PrimitiveBlock.from_values(DOUBLE, [1.0, 0.0, -0.0, NAN, None, 2.0])
         assert f.mask(block).tolist() == [True, True, True, False, False, False]
         ints = PrimitiveBlock.from_values(BIGINT, [1, 0, None, 2])
         assert f.mask(ints).tolist() == [True, True, False, False]
-        assert not f.matches(NAN) and not f.matches(None)
+        assert not filter_matches(f, NAN) and not filter_matches(f, None)
+
+    def test_integers_meet_doubles_as_doubles(self):
+        # SQL compares BIGINT with DOUBLE as doubles, and so does the join:
+        # float(2**53 + 1) == 2.0**53, float(2**63 - 1) == 2.0**63.
+        doubles = dynamic_filter_for(
+            [PrimitiveBlock.from_values(DOUBLE, [2.0**53, 2.0**63, 0.5])]
+        )
+        ints = [2**53, 2**53 + 1, 2**63 - 1, 0, 2**53 + 2]
+        assert _mask(doubles, BIGINT, ints) == [True, True, True, False, False]
+        integers = _filter(BIGINT, [2**53 + 1, 2**63 - 1])
+        probe = [2.0**53, 2.0**63, 2.0**53 + 4, 0.5]
+        assert _mask(integers, DOUBLE, probe) == [True, True, False, False]
+        assert _mask(integers, BIGINT, [2**53, 2**53 + 1]) == [False, True]
 
     @pytest.mark.parametrize("block_name", sorted(_mask_blocks()) + ["unused_entries"])
     def test_the_build_from_codes_is_the_build_from_values(self, block_name):
@@ -245,33 +280,172 @@ class TestMask:
         )
         block = {**_mask_blocks(), "unused_entries": unused}[block_name]
         pages = [block, block.take(np.arange(block.position_count)[::-1])]
-        for limit in (2, 10_000):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(dynamic_filters, "DEFAULT_EXACT_VALUES_LIMIT", limit)
-                built = dynamic_filter_for(pages)
-            expected = build_dynamic_filter(
-                [v for page in pages for v in page.to_list()], exact_limit=limit
-            )
-            bits = [None if f.bloom is None else f.bloom.bits.tolist() for f in (built, expected)]
-            assert bits[0] == bits[1]
-            built.bloom = expected.bloom = None
-            assert built == expected
+        built = dynamic_filter_for(pages)
+        expected = build_dynamic_filter([v for page in pages for v in page.to_list()])
+        assert summary(built) == summary(expected)
 
-    def test_matches_runs_at_most_once_per_distinct_value(self):
-        calls = []
+    def test_matches_runs_at_most_once_per_distinct_value(self, monkeypatch):
+        # A factorizable probe page looks up each distinct value once, and
+        # kinds that do not compare hash each distinct value once.
+        looked_up, hashed = [], []
+        lookup, hashable = kernels._value_positions, kernels._hashable
 
-        class Counting(DynamicFilter):
-            def matches(self, value):
-                calls.append(value)
-                return super().matches(value)
+        def counting_lookup(sorted_keys, dense, values, nulls):
+            looked_up.append(len(values))
+            return lookup(sorted_keys, dense, values, nulls)
 
-        built = build_dynamic_filter(range(0, 50, 2), exact_limit=5)
-        counting = Counting(**vars(built))
-        values = [4.0, 5.0, 4.0, None, 6.0, 5.0, NAN] * 50
-        block = PrimitiveBlock.from_values(DOUBLE, values)
-        mask = counting.mask(block)
-        assert sorted(calls) == [4.0, 5.0, 6.0]
-        assert mask.tolist() == [built.matches(v) for v in values]
+        def counting_hashable(value):
+            hashed.append(value)
+            return hashable(value)
+
+        monkeypatch.setattr(kernels, "_value_positions", counting_lookup)
+        monkeypatch.setattr(kernels, "_hashable", counting_hashable)
+        texts = dynamic_filter_for([block_from_values(VARCHAR, ["a", "c", "e"] * 20)])
+        values = ["a", "b", "a", None, "c", "b"] * 50
+        assert texts.mask(block_from_values(VARCHAR, values)).tolist() == expected_mask(
+            build_dynamic_filter(["a", "c", "e"]), values
+        )
+        assert looked_up == [3] and hashed == []
+        looked_up.clear()
+        mixed = dynamic_filter_for([PrimitiveBlock.from_values(VARCHAR, [1, "a", 1])])
+        values = [1, "b", "a", None, 1] * 50
+        assert mixed.mask(PrimitiveBlock.from_values(VARCHAR, values)).tolist() == (
+            expected_mask(build_dynamic_filter([1, "a"]), values)
+        )
+        assert looked_up == [3] and len(hashed) == 2 + 3
+
+
+# -- differential: large builds against the oracle ---------------------------
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _pages(block, cuts):
+    """``block`` cut into consecutive pages at the sorted ``cuts``."""
+    edges = [0, *sorted(c % (block.position_count + 1) for c in cuts), block.position_count]
+    return [block.take(np.arange(a, b)) for a, b in zip(edges, edges[1:])]
+
+
+def _int_build(rng, count, kind):
+    """``count`` distinct int64 keys: a narrow span (the presence-table
+    lookup), a wide one (``searchsorted``), or one at both int64 extremes."""
+    if kind == "narrow":
+        low = int(rng.integers(INT64_MIN, INT64_MAX - 4 * count))
+        return low + rng.choice(4 * count, count, replace=False).astype(np.int64)
+    keys = np.unique(rng.integers(INT64_MIN, INT64_MAX, count + 64, dtype=np.int64))
+    keys = rng.permutation(keys)[:count]
+    if kind == "extremes":
+        keys[:2] = [INT64_MIN, INT64_MAX]
+    return keys
+
+
+def _int_probe(rng, keys, rows):
+    """Build members, their neighbours and arbitrary int64 values."""
+    members = rng.choice(keys, rows // 3)
+    neighbours = np.clip(rng.choice(keys, rows // 3), INT64_MIN + 1, INT64_MAX - 1)
+    neighbours = neighbours + rng.choice(np.array([-1, 1]), len(neighbours))
+    strays = rng.integers(INT64_MIN, INT64_MAX, rows - 2 * (rows // 3), dtype=np.int64)
+    values = np.concatenate([members, neighbours, strays, [INT64_MIN, INT64_MAX]])
+    return rng.permutation(values)
+
+
+def _with_nulls(rng, block_type, values, share=0.05):
+    nulls = rng.random(len(values)) < share
+    return PrimitiveBlock(block_type, values, nulls if nulls.any() else None)
+
+
+def _texts(rng, count):
+    """``count`` distinct strings, ASCII and not, in a random order: a
+    marker, hex digits, a marker (no marker is a hex digit)."""
+    marks = ["", "é", "漢", "zé"]
+    return [f"{marks[i % 4]}{i:x}{marks[i % 3]}" for i in rng.permutation(count).tolist()]
+
+
+builds = st.integers(10_001, 50_000)
+seeds = st.integers(0, 2**32 - 1)
+cuts = st.lists(st.integers(0, 10**6), max_size=3)
+
+
+class TestLargeBuildDifferential:
+    """``dynamic_filter_for(pages).mask(probe)`` is the oracle's per-value
+    rule at every build size: no false positive, no false negative."""
+
+    def check(self, pages, probes):
+        dynamic_filter = dynamic_filter_for(pages)
+        expected = build_dynamic_filter(v for page in pages for v in page.to_list())
+        assert summary(dynamic_filter) == summary(expected)
+        for probe in probes:
+            mask = dynamic_filter.mask(probe)
+            assert mask.tolist() == expected_mask(expected, probe.to_list())
+
+    @settings(max_examples=12, deadline=None)
+    @given(builds, st.sampled_from(["narrow", "wide", "extremes"]), seeds, cuts)
+    def test_int64(self, count, kind, seed, page_cuts):
+        rng = np.random.default_rng(seed)
+        keys = _int_build(rng, count, kind)
+        pages = _pages(_with_nulls(rng, BIGINT, np.repeat(keys, 2)), page_cuts)
+        probe = _with_nulls(rng, BIGINT, _int_probe(rng, keys, 3_000))
+        self.check(pages, [probe, DictionaryBlock(probe, rng.integers(-1, 3_000, 500))])
+
+    @settings(max_examples=8, deadline=None)
+    @given(builds, seeds, cuts)
+    def test_double(self, count, seed, page_cuts):
+        rng = np.random.default_rng(seed)
+        whole = rng.integers(-(2**60), 2**60, count // 2).astype(np.float64)
+        halves = rng.integers(-(2**20), 2**20, count - count // 2) + 0.5
+        keys = np.concatenate([whole, halves, [-0.0, np.nan, 2.0**63, -(2.0**63)]])
+        pages = _pages(_with_nulls(rng, DOUBLE, rng.permutation(keys)), page_cuts)
+        members = rng.choice(keys, 1_000)
+        doubles = np.concatenate(
+            [
+                members,
+                np.nextafter(members, np.inf),
+                [0.0, -0.0, np.nan, np.inf],
+                halves[:50] + 0.25,
+            ]
+        )
+        ints = np.concatenate(
+            [
+                whole[:500].astype(np.int64),
+                whole[:500].astype(np.int64) + 1,
+                rng.integers(INT64_MIN, INT64_MAX, 500, dtype=np.int64),
+                [0, INT64_MIN, INT64_MAX, 2**53 + 1],
+            ]
+        )
+        self.check(
+            pages,
+            [_with_nulls(rng, DOUBLE, rng.permutation(doubles)), _with_nulls(rng, BIGINT, ints)],
+        )
+
+    @settings(max_examples=6, deadline=None)
+    @given(builds, seeds, cuts)
+    def test_varchar_and_dictionaries(self, count, seed, page_cuts):
+        rng = np.random.default_rng(seed)
+        words = _texts(rng, count + 200)
+        used, unused = words[:-200], words[-200:]
+        column = list(rng.permutation(np.array(used + used[:100], dtype=object)))
+        column[:: 37] = [None] * len(column[:: 37])
+        varchar = VarcharBlock.from_values(column)
+        # A dictionary page whose dictionary also holds words no row uses.
+        dictionary = VarcharBlock.from_values(used[:500] + unused + [None])
+        ids = rng.integers(-1, 500, 2_000)
+        pages = _pages(varchar, page_cuts) + [DictionaryBlock(dictionary, ids)]
+        probe_values = list(rng.choice(np.array(words, dtype=object), 2_000)) + [None, "", "a"]
+        probe = VarcharBlock.from_values(probe_values)
+        legacy = PrimitiveBlock.from_values(VARCHAR, probe_values)
+        self.check(pages, [probe, legacy, DictionaryBlock(probe, rng.integers(-1, 2_000, 700))])
+
+    @settings(max_examples=4, deadline=None)
+    @given(builds, seeds)
+    def test_mixed_kind_objects(self, count, seed):
+        rng = np.random.default_rng(seed)
+        ints = rng.choice(10 * count, count // 2, replace=False).tolist()
+        texts = [f"k{i}é" for i in rng.choice(10 * count, count - count // 2, replace=False)]
+        column = ints + texts + [None, 2.5]
+        pages = [PrimitiveBlock.from_values(VARCHAR, column)]
+        strays = [i + 1 for i in ints[:300]] + ["k", None, 2.5, 3.0]
+        probe_values = ints[:300] + texts[:300] + strays
+        self.check(pages, [PrimitiveBlock.from_values(VARCHAR, probe_values)])
 
 
 # -- unit: expression forms --------------------------------------------------
@@ -397,6 +571,32 @@ class TestMemoryEndToEnd:
         )
 
 
+class TestTracedForm:
+    """The ``dynamic_filter`` trace event names the expression form that was
+    pushed into the probe scan."""
+
+    BUILDS = {
+        "nulls": ([None] * 20, "none"),
+        "one": ([7, 7], "equal"),
+        "few": (list(range(IN_EXPRESSION_LIMIT)), "in"),
+        "many": (list(range(IN_EXPRESSION_LIMIT + 1)), "range"),
+    }
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_form_is_the_pushed_expression(self, build):
+        keys, form = self.BUILDS[build]
+        connector = MemoryConnector(split_size=100)
+        connector.create_table("db", "fact", [("fk", BIGINT)], [(i % 300,) for i in range(600)])
+        connector.create_table("db", "dim", [("k", BIGINT)], [(k,) for k in keys])
+        engine = PrestoEngine(session=Session(catalog="memory", schema="db"))
+        engine.register_connector("memory", connector)
+        result = engine.execute("SELECT count(*) FROM fact JOIN dim ON fact.fk = dim.k")
+        assert result.rows == [(sum(2 for k in keys if k is not None),)]
+        (event,) = result.trace.find("dynamic_filter")
+        assert event.attributes["form"] == form
+        assert event.attributes["build_rows"] == len(keys)
+
+
 class TestNanBuildKey:
     """A NaN on the build side of a DOUBLE-key join equals no probe row and
     must not turn the dynamic filter into one that drops the others."""
@@ -423,6 +623,29 @@ class TestNanBuildKey:
         expected = [(k, i, 2 * i) for i, k in enumerate(self.KEYS[::2])]
         assert sorted(result.rows) == expected
         assert sorted(execute_direct(engine, self.SQL).rows) == expected
+
+
+class TestMixedNumericKeys:
+    """A BIGINT probe key joined to a DOUBLE build key compares as doubles;
+    the filter must keep every probe row the join matches."""
+
+    SQL = "SELECT count(*) FROM fact JOIN dim ON fact.fk = dim.k"
+
+    @pytest.mark.parametrize("dynamic_filtering", [True, False])
+    def test_the_filter_keeps_what_the_join_matches(self, dynamic_filtering):
+        connector = MemoryConnector(split_size=100)
+        fact = [(i,) for i in range(300)] + [(2**53 + 1,)]
+        dim = [(float(i),) for i in range(0, 300, 3)] + [(2.0**53,)]
+        connector.create_table("db", "fact", [("fk", BIGINT)], fact)
+        connector.create_table("db", "dim", [("k", DOUBLE)], dim)
+        engine = PrestoEngine(
+            session=Session(catalog="memory", schema="db"),
+            enable_dynamic_filtering=dynamic_filtering,
+        )
+        engine.register_connector("memory", connector)
+        result = engine.execute(self.SQL)
+        assert result.stats.dynamic_filters_built == int(dynamic_filtering)
+        assert result.rows == [(101,)]
 
 
 class TestRetrySafety:

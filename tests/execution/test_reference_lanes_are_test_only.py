@@ -2,8 +2,8 @@
 
 The row-at-a-time operators and their grouped fold, the expression
 interpreter, the single-pipeline run, the row-at-a-time dynamic-filter
-build, the lakehouse oracle, the linear-scan cluster and the sort-path key
-lookups are the references the
+build and its per-value membership rule, the lakehouse oracle, the
+linear-scan cluster and the sort-path key lookups are the references the
 differential tests compare against and the baselines some benchmarks
 time; ``tests/reference/`` defines each of them.  The process-wide switch
 that once built VARCHAR columns as object arrays is deleted.  This walks
@@ -34,6 +34,8 @@ REFERENCES = {
     "execute_direct": "pipeline.py",
     "_execute_pipeline": "pipeline.py",
     "build_dynamic_filter": "dynamic_filters.py",
+    "filter_matches": "dynamic_filters.py",
+    "expected_mask": "dynamic_filters.py",
     "oracle_engine": "lakehouse.py",
     "replayed_log_rows": "lakehouse.py",
     "visible_log_keys": "lakehouse.py",

@@ -13,7 +13,8 @@ the repository root on ``sys.path``).
 - :mod:`tests.reference.hashing`: the exchange hash one key tuple at a
   time in plain Python ints, against :func:`repro.execution.kernels.block_hash`.
 - :mod:`tests.reference.dynamic_filters`: the row-at-a-time build of a
-  join's dynamic filter, against the scheduler's build from key codes.
+  join's dynamic filter and the per-value rule a probe row is kept by,
+  against the scheduler's build from key codes and the filter's mask.
 - :mod:`tests.reference.pipeline`: the single-pipeline run of a whole
   plan, against staged execution.
 - :mod:`tests.reference.lakehouse`: the replayed-log oracle and the
