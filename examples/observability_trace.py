@@ -40,6 +40,7 @@ def main() -> None:
     stats = result.stats
     print("\n-- span tree summary --")
     print(f"spans: {len(trace.spans)}  simulated: {stats.simulated_ms:.2f} ms")
+    print("charged by kind:", {k: round(ms, 3) for k, ms in stats.charged_ms.items() if ms})
     for name in ("query", "stage", "task", "attempt", "operator", "exchange", "split"):
         print(f"  {name:>8}: {len(trace.find(name))}")
 

@@ -8,6 +8,12 @@ every substrate in this repository charges its modeled latencies to a
 data always advances it by the same amount, which makes benchmark output
 reproducible across machines.
 
+A query's charges are one :class:`Account`, its own clock, made through
+``ExecutionContext.charge``; a running stage's tasks charge its lanes
+(accounts too), and the stage charges the query its most-loaded lane.
+A substrate charges its clock through :func:`charge`, which hands the
+charge to the running query when the query's engine runs on that clock.
+
 Operators that do *real* algorithmic work (decoding values, probing hash
 tables) are additionally measured with wall-clock time by the benchmark
 harness; the simulated clock only covers costs that exist because the real
@@ -16,14 +22,22 @@ deployment is distributed.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
+# What a query's simulated time is spent on, a closed set (docs/API.md,
+# "One simulated account per query").
+CHARGE_KINDS = ("coordinator", "split_rpc", "storage", "store", "network", "task", "retry")
+
 
 class SimulatedClock:
     """A monotonically advancing virtual clock measured in milliseconds.
 
     Components call :meth:`advance` to charge latency and :meth:`now_ms` to
-    read virtual time.  ``parallel_advance`` models work fanned out across
-    ``ways`` parallel units: the clock advances by the slowest lane.
+    read virtual time.  :meth:`parallel_advance` charges work that runs on
+    parallel lanes: the clock advances by the most-loaded lane.
     """
+
+    __slots__ = ("_now_ms",)
 
     def __init__(self, start_ms: float = 0.0) -> None:
         self._now_ms = float(start_ms)
@@ -39,11 +53,58 @@ class SimulatedClock:
         self._now_ms += delta_ms
         return self._now_ms
 
-    def parallel_advance(self, lane_costs_ms: list[float]) -> float:
-        """Advance by the maximum of ``lane_costs_ms`` (parallel execution).
-
-        An empty list of lanes costs nothing.
-        """
+    def parallel_advance(self, lane_costs_ms: list[float]) -> None:
+        """Advance by the largest of ``lane_costs_ms``, each the total load
+        of one parallel lane; no lanes cost nothing."""
         if lane_costs_ms:
             self.advance(max(lane_costs_ms))
-        return self._now_ms
+
+
+class Account(SimulatedClock):
+    """Simulated time charged by kind (``charged_ms``): a query's own
+    clock, or one lane of a running stage, a worker's share of it.  Each
+    advance also advances ``shared``, the clock the query's engine runs
+    on, if any, where queries' charges interleave."""
+
+    __slots__ = ("shared", "charged_ms")
+
+    def __init__(self, start_ms: float = 0.0, shared: SimulatedClock | None = None) -> None:
+        super().__init__(start_ms)
+        self.shared = shared
+        self.charged_ms = dict.fromkeys(CHARGE_KINDS, 0.0)
+
+    def advance(self, delta_ms: float) -> float:
+        if self.shared is not None:
+            self.shared.advance(delta_ms)
+        return super().advance(delta_ms)
+
+    def charge(self, kind: str, ms: float) -> None:
+        self.charged_ms[kind] += ms
+        self._now_ms += ms  # never negative: a charge is a cost
+        if self.shared is not None:
+            self.shared.advance(ms)
+
+    def charge_stage(self, lanes: list[Account]) -> float:
+        """Charge a stage whose ``lanes`` began at this account's time: it
+        lasts until its most-loaded lane is done.  Returns how long."""
+        busiest = max(lanes, key=attrgetter("_now_ms"))
+        for kind, ms in busiest.charged_ms.items():
+            self.charged_ms[kind] += ms
+        stage_ms = busiest.now_ms() - self.now_ms()
+        self.advance(stage_ms)
+        self._now_ms = busiest.now_ms()  # to the bit: its spans end there
+        return stage_ms
+
+
+RUNNING: list = []  # each ExecutionContext in a running ``with`` block
+
+
+def charge(clock: SimulatedClock, kind: str, ms: float) -> None:
+    """Charge a substrate's simulated ``ms`` of ``kind`` on its ``clock``:
+    to the running query when its engine runs on that clock (an engine
+    built on the store's clock), else to ``clock`` alone, the substrate's
+    own time line."""
+    if RUNNING and RUNNING[-1].stats.account.shared is clock:
+        RUNNING[-1].charge(kind, ms)
+    else:
+        clock.advance(ms)

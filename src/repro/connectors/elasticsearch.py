@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import SimulatedClock, charge
 from repro.common.errors import ConnectorError
 from repro.connectors.spi import (
     Connector,
@@ -97,7 +97,7 @@ class ElasticsearchCluster:
         documents = shards[shard]
         self.stats.searches += 1
         self.stats.docs_examined += len(documents)
-        self.clock.advance(self.search_latency_ms + len(documents) * self.doc_match_ms)
+        charge(self.clock, "store", self.search_latency_ms + len(documents) * self.doc_match_ms)
 
         hits: list[dict] = []
         for document in documents:
@@ -123,7 +123,7 @@ class ElasticsearchCluster:
             if size is not None and len(hits) >= size:
                 break
         self.stats.docs_returned += len(hits)
-        self.clock.advance(len(hits) * self.doc_fetch_ms)
+        charge(self.clock, "network", len(hits) * self.doc_fetch_ms)
         return hits
 
 

@@ -17,7 +17,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import SimulatedClock, charge
 from repro.common.errors import ConnectorError
 from repro.common.hashing import stable_hash
 from repro.connectors.spi import (
@@ -186,7 +186,7 @@ class KafkaBroker:
             end = min(end, int(np.searchsorted(log.timestamps, max_timestamp_ms, "right")))
         page = self._read(fields, log, start, end)
         self.records_fetched += page.position_count
-        self.clock.advance(page.position_count * FETCH_MS_PER_RECORD)
+        charge(self.clock, "store", page.position_count * FETCH_MS_PER_RECORD)
         return page
 
     @staticmethod

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import SimulatedClock, charge
 from repro.common.errors import ConnectorError
 from repro.connectors.spi import (
     Connector,
@@ -94,14 +94,15 @@ class MySqlServer:
         columns, page = self._require(database, table)
         self.stats.queries += 1
         self.stats.rows_examined += page.position_count
-        self.clock.advance(self.query_latency_ms + page.position_count * self.row_eval_ms)
+        query_ms = self.query_latency_ms + page.position_count * self.row_eval_ms
+        charge(self.clock, "store", query_ms)
 
         page = self._evaluator.filter_page(predicate, [n for n, _ in columns], page)
         if limit is not None and page.position_count > limit:
             page = page.take(np.arange(limit))
         result = select_columns(columns, page, projection)
         self.stats.rows_returned += result.position_count
-        self.clock.advance(result.position_count * self.row_transfer_ms)
+        charge(self.clock, "network", result.position_count * self.row_transfer_ms)
         return result
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
+from repro.common.clock import charge
 from repro.connectors.olap.store import (
     NativeQuery,
     RealtimeOlapStore,
@@ -35,9 +36,6 @@ class RealtimeOlapConnector(SingleSchemaConnector):
 
     # Network cost of streaming a row from the store into the engine.
     stream_ms_per_row: float = 0.001
-    # Presto workers the store's segments are read by in parallel (the
-    # figure 16 testbed's 100-node Presto cluster).
-    presto_workers: int = 100
 
     def __init__(self, store: RealtimeOlapStore, schema_name: str = "default") -> None:
         self.store = store
@@ -130,15 +128,9 @@ class RealtimeOlapConnector(SingleSchemaConnector):
         page, cost_ms = store.query_segment_costed(
             handle.table_name, segment_index, native
         )
-        # Splits execute in parallel across Presto workers; charging
-        # cost/lanes per split makes the sequential in-process driver
-        # accumulate the balanced-parallel wall clock (sum/lanes).
-        lanes = max(
-            1,
-            min(len(store.segments(handle.table_name)), self.presto_workers),
-        )
-        store.clock.advance(cost_ms / lanes)
-        # Streaming into the engine costs network time per row.
-        store.clock.advance(page.position_count * self.stream_ms_per_row)
+        # The segment's work, then streaming its rows into the engine, both
+        # on the reading task's stage lane.
+        charge(store.clock, "store", cost_ms)
+        charge(store.clock, "network", page.position_count * self.stream_ms_per_row)
 
         yield select_columns(layout, page, columns)

@@ -159,7 +159,8 @@ class RealtimeOlapStore:
             page, cost_ms = self._execute_segment(segment, native)
             per_segment_results.append(page)
             per_segment_cost.append(cost_ms)
-        # Segments run in parallel across nodes; each node sums its share.
+        # Segments run in parallel across nodes, segment i on node i mod
+        # nodes; the query waits for the most-loaded node.
         node_costs = [0.0] * max(self.nodes, 1)
         for index, cost_ms in enumerate(per_segment_cost):
             node_costs[index % len(node_costs)] += cost_ms
@@ -175,7 +176,7 @@ class RealtimeOlapStore:
         """Single-segment query, the unit a connector split executes.
 
         Returns the result page and the segment's own cost without
-        charging it: the caller accounts cross-split parallelism itself."""
+        charging it: the caller charges it to the query reading it."""
         self.queries_served += 1
         _, segments = self._require(datasource)
         page, cost_ms = self._execute_segment(segments[segment_index], native)

@@ -970,14 +970,14 @@ class PrestoClusterSim:
     # -- cluster timeline -----------------------------------------------------
 
     def timeline_trace(self) -> QueryTrace:
-        """The cluster-wide query timeline on the shared simulated clock.
+        """The cluster-wide query timeline on the cluster's event clock.
 
-        Unlike a per-query trace (private clock anchored at 0), these
-        spans carry cluster-clock timestamps — overlapping ``cluster
-        .query`` spans are the visible proof that more than one query was
-        in flight at once.
+        A per-query trace stamps from the query's own clock; the cluster
+        places its tasks by their records' ``sim_ms`` on its event clock,
+        whose timestamps these spans carry — overlapping ``cluster.query``
+        spans are the visible proof that queries were in flight at once.
         """
-        trace = QueryTrace()
+        trace = QueryTrace(self.clock)
         root = trace.add_span(
             "cluster.timeline", 0.0, self.clock.now_ms(), cluster=self.name
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import RUNNING, Account
 from repro.connectors.spi import Catalog
 from repro.core.evaluator import Evaluator
 from repro.core.functions import FunctionRegistry, default_registry
@@ -38,7 +38,8 @@ class QueryStats:
     stages_total: int = 0
     tasks_total: int = 0
     rows_exchanged: int = 0
-    simulated_ms: float = 0.0
+    # The query's simulated time: its own clock, charged by kind.
+    account: Account = field(default_factory=Account)
     # Fault tolerance (sections VIII/IX/XII.C): task attempts that failed
     # terminally and attempts that were retried after a retryable error.
     tasks_failed: int = 0
@@ -72,14 +73,23 @@ class QueryStats:
     # PrestoClusterSim's pump turns each stepped task into SplitWork.
     task_records: list = field(default_factory=list)
 
+    @property
+    def charged_ms(self) -> dict:
+        """Simulated milliseconds charged to the query, per ``CHARGE_KINDS``."""
+        return self.account.charged_ms
+
+    @property
+    def simulated_ms(self) -> float:
+        """The query's simulated latency: everything charged to it."""
+        return sum(self.charged_ms.values())
+
     def as_dict(self) -> dict:
-        """Every counter, in field order; ``stage_summaries`` is copied and
+        """Every counter, in field order, then ``charged_ms`` and
+        ``simulated_ms``; dicts and lists are copied, ``account`` and
         ``task_records`` left out."""
-        stats = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "task_records"
-        }
+        skip = ("account", "task_records")
+        stats = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        stats.update(charged_ms=dict(self.charged_ms), simulated_ms=self.simulated_ms)
         stats["stage_summaries"] = list(self.stage_summaries)
         return stats
 
@@ -103,7 +113,10 @@ class ExecutionContext:
     catalog: Catalog
     session: Session = field(default_factory=Session)
     registry: FunctionRegistry = field(default_factory=default_registry)
-    clock: Optional[SimulatedClock] = None
+    # A task's copy: its stage's lanes, split ``split`` of the stage
+    # charged on ``lanes[split % len(lanes)]``.  None elsewhere: charges
+    # land on ``stats.account``.
+    lanes: Optional[list] = None
     max_build_rows: int = 10_000_000
     stats: QueryStats = field(default_factory=QueryStats)
     # Fragment result cache (section VII): caches per-(leaf fragment,
@@ -119,7 +132,7 @@ class ExecutionContext:
     # are planned; task contexts share the dict by reference.
     dynamic_filters: Optional[dict] = None
     # Observability: the query's span tracer (one deterministic span tree
-    # per query, stamped from its own simulated clock) and the engine's
+    # per query, stamped from the query's clock) and the engine's
     # metrics registry.  Both optional — None disables instrumentation.
     tracer: Optional[QueryTrace] = None
     metrics: Optional[MetricsRegistry] = None
@@ -129,10 +142,28 @@ class ExecutionContext:
     # lazily-abandoned iterators (LIMIT) still account.
     operator_rows: Optional[dict] = None
 
-    _evaluator: Optional[Evaluator] = None
+    _evaluator: Optional[Evaluator] = field(default=None, init=False)
+    # The stage's index of the split being read: a task starts at its
+    # first split's (or its own, reading none), its scans count on.
+    split: int = field(default=0, init=False)
 
     @property
     def evaluator(self) -> Evaluator:
         if self._evaluator is None:
             self._evaluator = Evaluator(self.registry, stats=self.stats)
         return self._evaluator
+
+    def __enter__(self) -> "ExecutionContext":
+        """Run this query: the context substrates' charges reach."""
+        RUNNING.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        RUNNING.pop()
+
+    def charge(self, kind: str, ms: float) -> None:
+        """Charge ``ms`` simulated milliseconds of ``kind`` (one of
+        ``CHARGE_KINDS``) to the query, on its account or the running
+        split's lane."""
+        lanes = self.lanes
+        (lanes[self.split % len(lanes)] if lanes else self.stats.account).charge(kind, ms)

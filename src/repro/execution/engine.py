@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from repro.cache.lru import LruCache
-from repro.common.clock import SimulatedClock
+from repro.common.clock import Account, SimulatedClock
 from repro.common.errors import ExecutionError, PrestoError, SemanticError
 from repro.connectors.spi import Catalog
 from repro.core.functions import FunctionRegistry, default_registry
@@ -32,6 +32,10 @@ from repro.sql import ast, parse_sql, parse_statement
 # Prepared queries one engine keeps, bounded the way COMPILE_CACHE_SIZE
 # bounds compiled expressions: a dashboard's texts fit many times over.
 PLAN_CACHE_SIZE = 256
+
+# Coordinator parse, plan, schedule and result streaming: a query's first
+# step charges it when the engine has a clock (a cluster models its own).
+COORDINATOR_OVERHEAD_MS = 15.0
 
 
 @dataclass(frozen=True)
@@ -119,22 +123,24 @@ class QueryHandle:
     def step(self):
         """Run one task; returns its ``TaskRecord`` (None if finished).
 
+        The first step opens the query's span and charges the coordinator.
         On terminal failure the error is recorded on :attr:`error` *and*
         raised, mirroring the blocking path's exception behavior.
         """
         if self.done:
             return None
         tracer = self.trace
-        with activate(tracer) if tracer is not None else nullcontext():
-            if tracer is not None and self._query_span is None:
-                self._query_span = tracer.open_span(
-                    "query", query_id=self.query_id, path="staged"
-                )
+        with activate(tracer) if tracer is not None else nullcontext(), self.ctx:
+            if not self.stats.tasks_total:  # the first step
+                if tracer is not None:
+                    self._query_span = tracer.open_span("query", query_id=self.query_id, path="staged")
+                if self._engine.clock is not None:
+                    self.ctx.charge("coordinator", COORDINATOR_OVERHEAD_MS)
             try:
                 step = self._machine.step()
             except PrestoError as error:
                 self.error = error
-                if tracer is not None and self._query_span is not None:
+                if self._query_span is not None:
                     tracer.close_span(self._query_span)
                 raise
         if self._machine.done:
@@ -142,15 +148,14 @@ class QueryHandle:
         return step
 
     def _finalize(self) -> None:
-        tracer = self.trace
-        if tracer is not None:
-            if self._query_span is not None:
-                tracer.close_span(self._query_span)
-            self._engine.metrics.histogram("query_simulated_ms").observe(
-                self.ctx.stats.simulated_ms
-            )
+        """Close the query's span, observe its simulated latency."""
+        if self._query_span is not None:
+            self.trace.close_span(self._query_span)
+        self._engine.metrics.histogram("query_simulated_ms").observe(
+            self.ctx.stats.simulated_ms
+        )
         self._result = QueryResult.from_pages(
-            self._plan.column_names, self._machine.result_pages, self.ctx.stats, tracer
+            self._plan.column_names, self._machine.result_pages, self.ctx.stats, self.trace
         )
 
     def run_to_completion(self) -> QueryResult:
@@ -223,9 +228,6 @@ class PrestoEngine:
         if self.fragment_result_cache is not None:
             self.fragment_result_cache.bind_metrics(self.metrics)
         self._query_sequence = itertools.count()
-        # Simulated control-plane costs charged per query when a clock is
-        # attached: coordinator parse/plan/schedule plus result streaming.
-        self.coordinator_overhead_ms = 15.0
         self._optimizer = Optimizer(self.catalog, self.registry) if enable_optimizer else None
         # Query texts planned under a plan version (_plan_key), reused
         # until the session, a registration or a connector's version moves.
@@ -414,23 +416,26 @@ class PrestoEngine:
     # -- internals -----------------------------------------------------------
 
     def _fresh_context(self) -> ExecutionContext:
-        if self.clock is not None:
-            self.clock.advance(self.coordinator_overhead_ms)
-        tracer = None
-        if self.tracing:
+        """A new query's context.  Its account starts at the engine clock's
+        time, or the time of the trace it joins (a failover rerun), and
+        advances the engine's clock by each charge; its trace stamps from
+        the account."""
+        tracer = current_tracer() if self.tracing else None
+        starts = [clock.now_ms() for clock in (self.clock, tracer) if clock is not None]
+        account = Account(max(starts, default=0.0), self.clock)
+        if tracer is not None:
             # Inside a gateway/cluster submission the trace already exists
             # (with routing and admission spans open); the engine's spans
             # nest under it.  Standalone queries get their own tree.
-            tracer = current_tracer()
-            if tracer is None:
-                tracer = QueryTrace()
-        stats = QueryStats(query_id=f"query-{next(self._query_sequence)}")
+            tracer.clock = account
+        elif self.tracing:
+            tracer = QueryTrace(account)
+        stats = QueryStats(query_id=f"query-{next(self._query_sequence)}", account=account)
         self.metrics.counter("engine_queries_total").inc()
         return ExecutionContext(
             catalog=self.catalog,
             session=self.session,
             registry=self.registry,
-            clock=self.clock,
             max_build_rows=self.max_build_rows,
             fragment_cache=self.fragment_result_cache,
             stats=stats,

@@ -24,8 +24,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.common.errors import ExecutionError, InsufficientResourcesError
-from repro.core.blocks import constant_block
+from repro.core.blocks import Block, PrimitiveBlock, constant_block
 from repro.core.page import Page, concat_pages
+from repro.core.types import BIGINT, DOUBLE, INTEGER
 from repro.execution import kernels
 from repro.execution.context import ExecutionContext
 from repro.execution.operators.filter_project import bindings_for
@@ -113,9 +114,11 @@ def _hash_join(
     right_types = [v.type for v in right_outputs]
     build_page = concat_pages(right_types, pages)
 
-    index = kernels.build_join_index(
-        [build_page.block(i) for i in right_key_indexes]
-    )
+    build_keys = [build_page.block(i) for i in right_key_indexes]
+    for key, (left, right) in enumerate(node.criteria):
+        if left.type is DOUBLE and right.type in (BIGINT, INTEGER):
+            build_keys[key] = _as_double(build_keys[key])
+    index = kernels.build_join_index(build_keys)
 
     evaluator = ctx.evaluator
     join_filter = node.filter
@@ -170,6 +173,15 @@ def _hash_join(
                 build_page.block(i).take(build_positions) for i in range(right_width)
             )
         yield Page(blocks, len(probe_positions))
+
+
+def _as_double(block: Block) -> PrimitiveBlock:
+    """An integer build key as DOUBLE: SQL compares BIGINT with DOUBLE as
+    doubles, so integer keys equal as doubles (2**53 and 2**53 + 1) are
+    one key to a DOUBLE probe, as they are to the BIGINT-probe side."""
+    codes, uniques = kernels.column_codes(block)
+    values = np.append(uniques.astype(np.float64), 0.0)[codes]
+    return PrimitiveBlock(DOUBLE, values, codes < 0)
 
 
 def _nested_loop_join(

@@ -2,8 +2,8 @@
 
 The scan asks the connector for splits and streams every split's pages
 from it, renaming connector columns to plan variables.  Splits are the
-unit of parallelism (section III); the cluster simulation layer accounts
-their costs across workers.  Each split is charged, cached, masked and
+unit of parallelism (section III): each costs ``SPLIT_RPC_MS``, and it
+and the rest of its reading are charged on its own stage lane.  Each split is charged, cached, masked and
 traced on its own, and its span and reader statistics are recorded even
 when the consumer stops mid-split.  The split pages then coalesce before
 any operator sees them (Presto's scan merges small pages the same way):
@@ -39,6 +39,8 @@ from repro.execution import kernels
 from repro.execution.context import ExecutionContext
 from repro.execution.dynamic_filters import DynamicFilterSet
 from repro.planner.plan import TableScanNode, ValuesNode
+
+SPLIT_RPC_MS = 0.2  # simulated ms of the RPC that assigns one split to its task
 
 
 def plan_scan(
@@ -123,11 +125,11 @@ def _scanned_pages(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]
     mask_channels = _dynamic_mask_channels(node, filter_set)
 
     produced_any = False
-    for split in splits:
+    first = ctx.split
+    for index, split in enumerate(splits):
         ctx.stats.splits_scanned += 1
-        if ctx.clock is not None:
-            # Task creation/assignment RPC overhead per split.
-            ctx.clock.advance(0.2)
+        ctx.split = first + index  # its charges land on its lane
+        ctx.charge("split_rpc", SPLIT_RPC_MS)
         split_rows = 0
         pages, cache_status = _split_pages(
             node, ctx, connector, handle, split, columns, filter_set

@@ -23,17 +23,26 @@ input data."  This module is the execution half of that sentence —
 Every task executes through the ordinary operator pipeline
 (:func:`repro.execution.driver.execute_plan`) over a per-task copy of the
 query context that pins scans to the task's splits and resolves
-RemoteSource leaves against the upstream exchange buffers.  Task costs
-are simulated from real row counts (a fixed per-task overhead plus a per
-row cost) and recorded in :class:`repro.execution.context.QueryStats`;
-``EXPLAIN ANALYZE`` renders them and ``PrestoClusterSim.submit_handle``
-replays each stepped task as cluster work.
+RemoteSource leaves against the upstream exchange buffers.  A task costs
+``TASK_OVERHEAD_MS`` plus ``ROW_COST_MS`` per row in and out, recorded in
+:class:`repro.execution.context.QueryStats`; ``EXPLAIN ANALYZE`` renders
+them and ``PrestoClusterSim.submit_handle`` replays each stepped task as
+cluster work.
+
+**One parallel-charge rule.**  In Presto a source stage's splits run at
+once across the workers, and any other stage's tasks do.  So a stage of
+``n`` splits (or, reading none, ``n`` tasks) runs on ``min(n,
+PRESTO_WORKERS)`` lanes: split ``s`` of the stage on lane ``s mod
+lanes``, where its RPC and its reading are charged, and task ``i``'s own
+work (a task here is a run of contiguous splits) on lane ``i mod
+lanes``.  The stage charges the query its most-loaded lane
+(``Account.charge_stage``).
 
 **Fault tolerance.**  Each task runs inside a bounded retry loop.  A task
 attempt can fail three ways: the configured
 :class:`repro.execution.faults.FaultInjector` dooms the attempt (or one
 of its split reads), the operator pipeline raises a real
-:class:`~repro.common.errors.PrestoError`, or the attempt's simulated
+:class:`~repro.common.errors.PrestoError`, or the attempt's task work
 cost exceeds ``task_timeout_ms``.  A raw Python exception escaping the
 pipeline is categorized at that same boundary (arithmetic, cast and
 overflow failures are the query's own USER_ERROR; anything else is a
@@ -49,10 +58,11 @@ query's results are identical to a zero-fault run.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace as dc_replace
+import itertools
+from dataclasses import dataclass, field, fields, replace as dc_replace
 from typing import Optional
 
+from repro.common.clock import Account
 from repro.common.errors import (
     EngineDefectError,
     ExecutionError,
@@ -72,6 +82,7 @@ from repro.execution.exchange import ExchangeBuffer, key_channels_for
 from repro.execution.faults import FaultInjector
 from repro.execution.kernels import TARGET_PARTITION_ROWS
 from repro.execution.operators.scan import plan_scan
+from repro.obs.trace import maybe_span
 from repro.planner.fragmenter import (
     Exchange,
     FragmentedPlan,
@@ -94,6 +105,9 @@ _DYNAMIC_FILTER_JOIN_TYPES = ("inner", "right")
 # coordinator RPC of section VIII) and per row in and out of a task.
 TASK_OVERHEAD_MS = 1.0
 ROW_COST_MS = 0.001
+# Workers a stage's tasks spread over (the paper's 100-node Presto
+# clusters): a stage of n tasks runs on min(n, PRESTO_WORKERS) lanes.
+PRESTO_WORKERS = 100
 # Simulated backoff before a task's first retry; it doubles per retry.
 RETRY_BACKOFF_MS = 10.0
 
@@ -102,21 +116,22 @@ RETRY_BACKOFF_MS = 10.0
 class TaskRecord:
     """One executed task: the unit the cluster simulation schedules.
 
-    ``attempts`` counts every execution attempt including the successful
-    one; ``failed`` marks a task that exhausted its retries (or hit a
+    The fields after ``data_key`` fill in as the task runs: ``attempts``
+    counts every execution attempt including the successful one;
+    ``failed`` marks a task that exhausted its retries (or hit a
     non-retryable error) and killed the query.
     """
 
     stage: int
     task: int
     splits: int
-    rows_in: int
-    rows_out: int
     data_key: str
-    sim_ms: float
-    data_bytes: int = 0
-    attempts: int = 1
-    failed: bool = False
+    rows_in: int = field(default=0, init=False)
+    rows_out: int = field(default=0, init=False)
+    sim_ms: float = field(default=0.0, init=False)
+    data_bytes: int = field(default=0, init=False)
+    attempts: int = field(default=0, init=False)
+    failed: bool = field(default=False, init=False)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -133,28 +148,14 @@ class QueryScheduler:
     cluster-level event loop, interleaved with other queries on the
     shared simulated clock.
 
-    Each :meth:`step` runs exactly one task — retries, trace charging,
+    Each :meth:`step` runs exactly one task — retries, charges,
     exchange commits, and stats accounting included — so traces and
     :class:`QueryStats` are byte-identical however the steps are driven.
     The *ready-task frontier* is the remainder of the current stage:
     fragments are topologically ordered and a stage's tasks are planned
-    lazily when the previous stage's output buffers are complete.
-
-    A source or hash stage is as wide as its rows, ``TARGET_PARTITION_ROWS``
-    per task: the rows its splits hold, at most one task per split, or
-    the rows its producers buffered, at most ``hash_partitions`` tasks.
-    The cost model charges ``TASK_OVERHEAD_MS`` per task plus
-    ``ROW_COST_MS`` per row in and out — deterministic, derived only from
-    real row counts, so the same query always produces the same simulated
-    schedule.
-
-    ``fault_injector`` (optional) dooms a deterministic fraction of task
-    attempts and split reads (an attempt fails when any of its splits'
-    reads is doomed); ``max_task_retries`` bounds how many times
-    a task is re-run after a retryable failure, each retry charging
-    ``RETRY_BACKOFF_MS * 2**(attempt-1)`` of simulated backoff; a task
-    whose attempt cost exceeds ``task_timeout_ms`` (when set) fails with
-    a retryable :class:`TaskTimeoutError`.
+    lazily when the previous stage's output buffers are complete.  Stage
+    widths, costs and retries follow the module docstring; each retry
+    backs off ``RETRY_BACKOFF_MS * 2**(attempt-1)``.
     """
 
     def __init__(
@@ -197,9 +198,8 @@ class QueryScheduler:
         self._task_index = 0
         self._out_buffers: list[ExchangeBuffer] = []
         self._stage_span = None
-        self._stage_rows_in = 0
-        self._stage_rows_out = 0
-        self._stage_sim_ms = 0.0
+        self._lanes: list[Account] = []
+        self._firsts: list[int] = []
 
     # -- observability -------------------------------------------------------
 
@@ -244,168 +244,123 @@ class QueryScheduler:
         task_index: int,
         task_plan: tuple[Optional[dict], dict, str, int],
     ) -> tuple[TaskRecord, list[Page]]:
-        """Run one task to success (or terminal failure) with retries.
-
-        Trace-clock accounting mirrors the cost model exactly: a failed
-        attempt advances ``TASK_OVERHEAD_MS``, each retry backoff advances
-        its charge, and a successful attempt advances ``work_ms`` — so the
-        task span's duration equals the task record's ``sim_ms`` and the
-        whole trace telescopes to ``stats.simulated_ms``.
-        """
-        scan_splits, exchange_inputs, data_key, split_count = task_plan
-        stats = self.ctx.stats
-        tracer = self.ctx.tracer
+        """Run one task to success (or terminal failure) with retries, and
+        record it in ``stats.task_records`` either way.  Its own work (each
+        backoff as ``retry``) lands on its own lane, whose time its spans
+        stamp from, so its span lasts its ``sim_ms``; each split's reading
+        lands on that split's lane."""
+        stats, tracer = self.ctx.stats, self.ctx.tracer
+        _, _, data_key, splits = task_plan
         stage = fragment.fragment_id
-        attempts = 0
-        penalty_ms = 0.0  # failed-attempt overheads + retry backoffs
-        task_span = (
-            tracer.span(
-                "task", stage=stage, task=task_index, data_key=data_key,
-                splits=split_count,
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        with task_span:
-            while True:
-                attempts += 1
-                attempt_span = (
-                    tracer.span("attempt", stage=stage, task=task_index,
-                                attempt=attempts)
-                    if tracer is not None
-                    else nullcontext()
-                )
-                try:
-                    with attempt_span as span:
-                        try:
-                            rows_in, rows_out, pages = self._run_attempt(
-                                fragment, task_index, task_plan, attempts
-                            )
-                            work_ms = TASK_OVERHEAD_MS + ROW_COST_MS * (
-                                rows_in + rows_out
-                            )
-                            if (
-                                self.task_timeout_ms is not None
-                                and work_ms > self.task_timeout_ms
-                            ):
-                                raise TaskTimeoutError(
-                                    f"task {task_index} of stage {stage} exceeded its "
-                                    f"{self.task_timeout_ms}ms budget ({work_ms:.2f}ms)"
-                                )
-                        except PrestoError as error:
-                            if tracer is not None:
-                                # A failed attempt costs the task setup overhead.
-                                tracer.advance(TASK_OVERHEAD_MS)
-                                span.set(outcome="failed",
-                                         error=type(error).__name__)
+        record = TaskRecord(stage, task_index, splits, data_key)
+        lane = self._lanes[task_index % len(self._lanes)]
+        started_ms = lane.now_ms()
+        if tracer is not None:
+            query_clock, tracer.clock = tracer.clock, lane
+        try:
+            with maybe_span(
+                tracer, "task", stage=stage, task=task_index, data_key=data_key, splits=splits
+            ):
+                while True:
+                    record.attempts += 1
+                    try:
+                        pages = self._run_attempt(fragment, task_plan, record, lane)
+                        break
+                    except PrestoError as error:
+                        if not error.retryable or record.attempts > self.max_task_retries:
+                            record.failed = True
+                            stats.tasks_failed += 1
+                            self._count_task("scheduler_tasks_failed_total", stage)
                             raise
-                        if tracer is not None:
-                            tracer.advance(work_ms)
-                            span.set(outcome="ok", rows_in=rows_in,
-                                     rows_out=rows_out)
-                    record = TaskRecord(
-                        stage=stage,
-                        task=task_index,
-                        splits=split_count,
-                        rows_in=rows_in,
-                        rows_out=rows_out,
-                        data_key=data_key,
-                        sim_ms=work_ms + penalty_ms,
-                        data_bytes=sum(page.size_in_bytes() for page in pages),
-                        attempts=attempts,
-                    )
-                    return record, pages
-                except PrestoError as error:
-                    # A failed attempt still costs the task setup overhead.
-                    penalty_ms += TASK_OVERHEAD_MS
-                    if not error.retryable or attempts > self.max_task_retries:
-                        stats.tasks_failed += 1
-                        self._count_task("scheduler_tasks_failed_total", stage)
-                        stats.simulated_ms += penalty_ms
-                        stats.task_records.append(
-                            TaskRecord(
-                                stage=stage,
-                                task=task_index,
-                                splits=split_count,
-                                rows_in=0,
-                                rows_out=0,
-                                data_key=data_key,
-                                sim_ms=penalty_ms,
-                                attempts=attempts,
-                                failed=True,
-                            ).as_dict()
-                        )
-                        stats.tasks_total += 1
-                        self._count_task("scheduler_tasks_run_total", stage)
-                        raise
                     stats.tasks_retried += 1
                     self._count_task("scheduler_tasks_retried_total", stage)
-                    # Exponential backoff, charged to the simulated clock only
+                    # Exponential backoff, charged to simulated time only
                     # (deterministic — no wall-clock sleeping).
-                    backoff_ms = RETRY_BACKOFF_MS * (2 ** (attempts - 1))
-                    penalty_ms += backoff_ms
-                    self._count_task(
-                        "scheduler_retry_backoff_ms_total", stage, backoff_ms
-                    )
-                    if tracer is not None:
-                        with tracer.span(
-                            "backoff", stage=stage, task=task_index,
-                            attempt=attempts, backoff_ms=backoff_ms,
-                        ):
-                            tracer.advance(backoff_ms)
+                    backoff_ms = RETRY_BACKOFF_MS * (2 ** (record.attempts - 1))
+                    self._count_task("scheduler_retry_backoff_ms_total", stage, backoff_ms)
+                    with maybe_span(tracer, "backoff", stage=stage, task=task_index,
+                                    attempt=record.attempts, backoff_ms=backoff_ms):
+                        lane.charge("retry", backoff_ms)
+            record.data_bytes = sum(page.size_in_bytes() for page in pages)
+            return record, pages
+        finally:
+            if tracer is not None:
+                tracer.clock = query_clock
+            record.sim_ms = lane.now_ms() - started_ms
+            stats.task_records.append(record.as_dict())
+            stats.tasks_total += 1
+            self._count_task("scheduler_tasks_run_total", stage)
 
     def _run_attempt(
         self,
         fragment: PlanFragment,
-        task_index: int,
         task_plan: tuple[Optional[dict], dict, str, int],
-        attempt: int,
-    ) -> tuple[int, int, list[Page]]:
-        """One execution attempt: returns (rows_in, rows_out, pages)."""
-        scan_splits, exchange_inputs, data_key, _ = task_plan
-        stats = self.ctx.stats
-        injector = self.fault_injector
-        if injector is not None:
-            injector.maybe_fail_task(
-                stats.query_id, fragment.fragment_id, task_index, attempt
+        record: TaskRecord,
+        lane: Account,
+    ) -> list[Page]:
+        """One execution attempt: each split's reading is charged on its
+        stage lane, and the task's ``lane`` its work, ``TASK_OVERHEAD_MS`` plus ``ROW_COST_MS``
+        per row in and out, as ``task`` when it succeeds or
+        ``TASK_OVERHEAD_MS`` as ``retry`` when it fails; fills the record's
+        rows.  That work alone is held to ``task_timeout_ms``, whichever
+        clocks the engine and its substrates run on."""
+        scan_splits, exchange_inputs, _, _ = task_plan
+        stats, tracer = self.ctx.stats, self.ctx.tracer
+        stage, task_index, attempt = record.stage, record.task, record.attempts
+        with maybe_span(tracer, "attempt", stage=stage, task=task_index, attempt=attempt) as span:
+            attempt_ctx = dc_replace(
+                self.ctx,
+                lanes=self._lanes,
+                scan_splits=scan_splits,
+                exchange_inputs=exchange_inputs,
+                operator_rows={} if tracer is not None else None,
             )
-            for splits in (scan_splits or {}).values():
-                for split in splits:
-                    injector.maybe_fail_split(
-                        stats.query_id,
-                        fragment.fragment_id,
-                        task_index,
-                        split.split_id,
-                        attempt,
+            attempt_ctx.split = self._firsts[task_index]
+            scanned_before = stats.rows_scanned
+            try:
+                injector = self.fault_injector
+                if injector is not None:
+                    injector.maybe_fail_task(stats.query_id, stage, task_index, attempt)
+                    for splits in (scan_splits or {}).values():
+                        for split in splits:
+                            injector.maybe_fail_split(
+                                stats.query_id, stage, task_index, split.split_id, attempt
+                            )
+                try:
+                    with attempt_ctx:
+                        pages = [p.loaded() for p in execute_plan(fragment.root, attempt_ctx)]
+                except PrestoError:
+                    raise
+                except Exception as error:
+                    raise _categorized(error) from error
+                finally:
+                    # Emit operator spans even when the pipeline fails
+                    # mid-drain: the rows it did process are in QueryStats,
+                    # so the spans must account for them too.
+                    if tracer is not None:
+                        record_operator_spans(tracer, fragment.root, attempt_ctx.operator_rows)
+                rows_in = stats.rows_scanned - scanned_before + sum(
+                    page.position_count
+                    for pages_in in (exchange_inputs or {}).values()
+                    for page in pages_in
+                )
+                rows_out = sum(page.position_count for page in pages)
+                work_ms = TASK_OVERHEAD_MS + ROW_COST_MS * (rows_in + rows_out)
+                if self.task_timeout_ms is not None and work_ms > self.task_timeout_ms:
+                    raise TaskTimeoutError(
+                        f"task {task_index} of stage {stage} exceeded its "
+                        f"{self.task_timeout_ms}ms budget ({work_ms:.2f}ms)"
                     )
-        tracer = self.ctx.tracer
-        task_ctx = dc_replace(
-            self.ctx,
-            scan_splits=scan_splits,
-            exchange_inputs=exchange_inputs,
-            operator_rows={} if tracer is not None else None,
-        )
-        rows_in = sum(
-            page.position_count
-            for pages in (exchange_inputs or {}).values()
-            for page in pages
-        )
-        scanned_before = stats.rows_scanned
-        try:
-            pages = [page.loaded() for page in execute_plan(fragment.root, task_ctx)]
-        except PrestoError:
-            raise
-        except Exception as error:
-            raise _categorized(error) from error
-        finally:
-            # Emit operator spans even when the pipeline fails mid-drain:
-            # the rows it did process are in QueryStats, so the spans must
-            # account for them too.
-            if tracer is not None:
-                record_operator_spans(tracer, fragment.root, task_ctx.operator_rows)
-        rows_in += stats.rows_scanned - scanned_before
-        rows_out = sum(page.position_count for page in pages)
-        return rows_in, rows_out, pages
+            except PrestoError as error:
+                lane.charge("retry", TASK_OVERHEAD_MS)
+                if span is not None:
+                    span.set(outcome="failed", error=type(error).__name__)
+                raise
+            lane.charge("task", work_ms)
+            if span is not None:
+                span.set(outcome="ok", rows_in=rows_in, rows_out=rows_out)
+        record.rows_in, record.rows_out = rows_in, rows_out
+        return pages
 
     # -- task planning -------------------------------------------------------
 
@@ -511,9 +466,13 @@ class QueryScheduler:
             self._collect_dynamic_filters(fragment)
         self._tasks = self._plan_tasks(fragment)
         self._task_index = 0
-        self._stage_rows_in = 0
-        self._stage_rows_out = 0
-        self._stage_sim_ms = 0.0
+        # One lane a split where tasks read pinned splits, else a task;
+        # ``_firsts[i]``: task i's first split (or itself) in that order.
+        widths = [plan[3] if plan[0] else 1 for plan in self._tasks]
+        start_ms = self.ctx.stats.account.now_ms()
+        count = min(max(sum(widths), 1), PRESTO_WORKERS)
+        self._lanes = [Account(start_ms) for _ in range(count)]
+        self._firsts = list(itertools.accumulate(widths, initial=0))
         tracer = self.ctx.tracer
         if tracer is not None:
             self._stage_span = tracer.open_span(
@@ -607,39 +566,33 @@ class QueryScheduler:
         combined = combine_conjuncts(terms)
         filter_set.expression_dict = None if combined is None else combined.to_dict()
 
+    def _charge_stage(self) -> float:
+        """Charge the running stage's most-loaded lane to the query, close
+        the stage's span, and return the stage's simulated milliseconds."""
+        stage_ms = self.ctx.stats.account.charge_stage(self._lanes) if self._lanes else 0.0
+        self._lanes = []
+        if self._stage_span is not None:
+            self.ctx.tracer.close_span(self._stage_span)
+            self._stage_span = None
+        return stage_ms
+
     def _end_stage(self, fragment: PlanFragment) -> None:
         stats = self.ctx.stats
-        tracer = self.ctx.tracer
-        if tracer is not None and self._stage_span is not None:
-            tracer.close_span(self._stage_span)
-        self._stage_span = None
+        stage_ms = self._charge_stage()
+        records = stats.task_records[-len(self._tasks):]
         stats.stages_total += 1
-        stats.simulated_ms += self._stage_sim_ms
         stats.stage_summaries.append(
             {
                 "stage": fragment.fragment_id,
                 "distribution": fragment.distribution,
-                "tasks": len(self._tasks or []),
-                "rows_in": self._stage_rows_in,
-                "rows_out": self._stage_rows_out,
-                "sim_ms": self._stage_sim_ms,
+                "tasks": len(self._tasks),
+                "rows_in": sum(record["rows_in"] for record in records),
+                "rows_out": sum(record["rows_out"] for record in records),
+                "sim_ms": stage_ms,
             }
         )
         self._tasks = None
         self._fragment_index += 1
-
-    def _fail(self) -> None:
-        """Terminal failure: charge the open stage's finished tasks, close
-        its span, freeze the machine."""
-        if self._tasks is not None:
-            # The trace clock advanced for them already (the failed task
-            # charged its own attempts).
-            self.ctx.stats.simulated_ms += self._stage_sim_ms
-        tracer = self.ctx.tracer
-        if tracer is not None and self._stage_span is not None:
-            tracer.close_span(self._stage_span)
-        self._stage_span = None
-        self._release()
 
     def _finish(self) -> None:
         self.ctx.stats.rows_exchanged = sum(
@@ -648,11 +601,13 @@ class QueryScheduler:
         self._release()
 
     def _release(self) -> None:
-        """Done: keep ``result_pages``, drop every stage's intermediates.
+        """Done: charge a stage left open by a failure, keep
+        ``result_pages`` and drop every stage's intermediates.
 
         A cluster keeps finished handles for its lifetime; without this
         each would pin every exchange page of every stage.
         """
+        self._charge_stage()
         self.done = True
         self.buffers = {}
         self._out_buffers = []
@@ -670,7 +625,6 @@ class QueryScheduler:
         """
         if self.done:
             raise ExecutionError("query scheduler already finished")
-        stats = self.ctx.stats
         fragments = self.fragmented.fragments
         fragment = fragments[self._fragment_index]
         try:
@@ -681,12 +635,12 @@ class QueryScheduler:
                 fragment, task_index, self._tasks[task_index]
             )
         except PrestoError:
-            self._fail()
+            self._release()
             raise
         except Exception as error:
             # Building dynamic filters and planning splits run outside any
             # task attempt: what they raise raw is categorized the same way.
-            self._fail()
+            self._release()
             raise _categorized(error) from error
         # Commit only after success: a retried attempt never
         # double-publishes rows.
@@ -700,15 +654,8 @@ class QueryScheduler:
                 self._record_exchange(
                     buffer, task_index, buffer.rows_added - before, pages
                 )
-        stats.task_records.append(record.as_dict())
-        stats.tasks_total += 1
-        self._count_task("scheduler_tasks_run_total", fragment.fragment_id)
         if self.ctx.metrics is not None:
             self.ctx.metrics.histogram("scheduler_task_sim_ms").observe(record.sim_ms)
-        self._stage_rows_in += record.rows_in
-        self._stage_rows_out += record.rows_out
-        self._stage_sim_ms += record.sim_ms
-
         self._task_index += 1
         if self._task_index >= len(self._tasks):
             self._end_stage(fragment)

@@ -1,11 +1,11 @@
 """Deterministic span tracing on the simulated clock.
 
-A :class:`QueryTrace` owns a private :class:`~repro.common.clock.
-SimulatedClock` anchored at 0 and a flat list of :class:`Span` records
-with parent/child links.  Components *charge* simulated time to the trace
-clock (``advance``) and *stamp* spans from it (``span``/``instant``), so
-for a given seed the serialized trace is byte-identical across runs —
-span ids are a per-trace sequence, timestamps come only from deterministic
+A :class:`QueryTrace` stamps a flat list of :class:`Span` records, with
+parent/child links, from the clock a query is charged on (a task's spans
+from its stage lane, so a stage's tasks overlap); it charges nothing
+itself, and a query's simulated latency is its root's duration.  For a
+given seed the serialized trace is byte-identical across runs — span ids
+are a per-trace sequence, timestamps come only from deterministic
 simulated charges, and serialization sorts every key.
 
 The tree mirrors the paper's execution hierarchy: gateway routing →
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -81,14 +81,8 @@ class QueryTrace:
         self._stack: list[Span] = []
         self._ids = itertools.count()
 
-    # -- clock ----------------------------------------------------------------
-
     def now_ms(self) -> float:
         return self.clock.now_ms()
-
-    def advance(self, delta_ms: float) -> float:
-        """Charge simulated time inside the currently open span."""
-        return self.clock.advance(delta_ms)
 
     # -- span recording -------------------------------------------------------
 
@@ -185,9 +179,9 @@ class QueryTrace:
         """The chain of latest-ending spans from ``span`` (default root) down.
 
         Each entry's contribution is its duration minus the chosen child's,
-        so the contributions sum exactly to the starting span's duration —
-        the simulated schedule is sequential, hence everything on the chain
-        is critical.
+        so the contributions sum exactly to the starting span's duration.
+        A stage's tasks overlap on their lanes; the latest-ending one, the
+        last task of the most-loaded lane, is the one the stage waited for.
         """
         current = span if span is not None else self.root
         if current is None:
@@ -220,6 +214,11 @@ class QueryTrace:
 # -- active-trace discovery ----------------------------------------------------
 
 _ACTIVE: list[QueryTrace] = []
+
+
+def maybe_span(tracer: Optional[QueryTrace], name: str, **attributes: Any):
+    """``tracer.span(name, **attributes)``, or nothing without a tracer."""
+    return nullcontext() if tracer is None else tracer.span(name, **attributes)
 
 
 def current_tracer() -> Optional[QueryTrace]:

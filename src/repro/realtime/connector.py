@@ -30,6 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.common.clock import charge
 from repro.common.errors import ConnectorError
 from repro.connectors.lakehouse.connector import data_file_pages
 from repro.connectors.spi import (
@@ -297,9 +298,8 @@ class HybridTableConnector(SingleSchemaConnector):
             if kind == "tail":
                 table = self.table(info["table"])
                 # Charge an index-free columnar scan of the pinned micro-batch.
-                table.clock.advance(
-                    page.position_count * len(layout) * TAIL_SCAN_NS_PER_VALUE / 1e6
-                )
+                scan_ms = page.position_count * len(layout) * TAIL_SCAN_NS_PER_VALUE / 1e6
+                charge(table.clock, "store", scan_ms)
         page = self._evaluator.filter_page(
             handle.constraint_expression(), [n for n, _ in layout], page
         )

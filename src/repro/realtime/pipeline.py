@@ -24,14 +24,13 @@ points to show no crash schedule can duplicate or drop a row.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional
 
 from repro.common.errors import InjectedFaultError
 from repro.connectors.kafka import KafkaBroker
 from repro.execution.faults import FaultInjector
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import QueryTrace
+from repro.obs.trace import QueryTrace, maybe_span
 from repro.realtime.hybrid import (
     MAX_TIMESTAMP_PROPERTY,
     SEALED_WATERMARK_PROPERTY,
@@ -213,7 +212,7 @@ class IngestionPipeline:
             event = "poll"
         try:
             if event == "compact":
-                with self._span("compact.seal") as span:
+                with maybe_span(self.tracer, "compact.seal") as span:
                     sealed = self.compactor.compact()
                     if span is not None:
                         span.set(rows_sealed=sealed)
@@ -226,7 +225,7 @@ class IngestionPipeline:
                                 "streaming_rows_sealed_total", table=self.table.name
                             ).inc(sealed)
             else:
-                with self._span("ingest.poll") as span:
+                with maybe_span(self.tracer, "ingest.poll") as span:
                     ingested = self.poll()
                     if span is not None:
                         span.set(records=ingested)
@@ -244,7 +243,8 @@ class IngestionPipeline:
                 table=self.table.name,
                 component=component,
             ).inc()
-        with self._span("pipeline.restart", component=component, error=str(error)):
+        restart = dict(component=component, error=str(error))
+        with maybe_span(self.tracer, "pipeline.restart", **restart):
             self.clock.advance(RESTART_MS)
             self.table.recover()
 
@@ -259,11 +259,6 @@ class IngestionPipeline:
         self.run_until(self.clock.now_ms() + duration_ms)
 
     # -- observability --------------------------------------------------------
-
-    def _span(self, name: str, **attributes):
-        if self.tracer is not None:
-            return self.tracer.span(name, **attributes)
-        return contextlib.nullcontext()
 
     def _update_gauges(self) -> None:
         if self.metrics is None:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import Account, SimulatedClock
 from repro.connectors.spi import Catalog
-from repro.execution.context import ExecutionContext
+from repro.execution.context import ExecutionContext, QueryStats
 from repro.execution.driver import execute_plan
 from repro.execution.engine import PrestoEngine, QueryResult
 from repro.planner.analyzer import Session
@@ -81,11 +81,12 @@ class BatchSqlEngine:
         )
         if self.clock is not None:
             self.clock.advance(JOB_STARTUP_MS + stage_boundaries * SHUFFLE_MS_PER_STAGE)
+        clock = self.clock
         ctx = ExecutionContext(
             catalog=self._inner.catalog,
             session=self._inner.session,
             registry=self._inner.registry,
-            clock=self.clock,
+            stats=QueryStats(account=Account(clock.now_ms() if clock else 0.0, clock)),
             # No hard limit: oversized build sides spill instead of failing.
             max_build_rows=2**62,
         )

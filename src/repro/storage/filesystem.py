@@ -11,26 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.obs.trace import current_tracer
+from repro.common.clock import SimulatedClock, charge
+from repro.obs.trace import current_tracer, maybe_span
 
 
 def observe_storage_call(
-    system: str, operation: str, sim_ms: float, metrics=None, **attributes
+    clock: SimulatedClock, system: str, operation: str, sim_ms: float, metrics=None, **attributes
 ) -> None:
-    """Account one simulated storage round trip.
+    """Charge and account one simulated storage round trip.
 
-    Attaches an instant ``storage`` span to whatever query trace is active
-    (storage substrates are deep below the scheduler, so the tracer is
-    discovered rather than threaded), and mirrors the call into
+    The call's ``sim_ms`` is charged as ``storage`` on the storage
+    system's ``clock`` (:func:`~repro.common.clock.charge`) inside a
+    ``storage`` span of whatever query trace is active (storage substrates
+    are deep below the scheduler, so the tracer is discovered rather than
+    threaded), and mirrored into
     ``storage_requests_total{system,operation}`` /
     ``storage_simulated_ms_total{system}`` when a registry is bound.
     """
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.instant(
-            "storage", system=system, operation=operation, sim_ms=sim_ms,
-            **attributes,
-        )
+    span = dict(system=system, operation=operation, sim_ms=sim_ms, **attributes)
+    with maybe_span(current_tracer(), "storage", **span):
+        charge(clock, "storage", sim_ms)
     if metrics is not None:
         metrics.counter(
             "storage_requests_total", system=system, operation=operation

@@ -121,17 +121,15 @@ class NameNode:
         latency = multiplier * (
             LIST_FILES_LATENCY_MS + PER_ENTRY_LATENCY_MS * len(entries)
         )
-        self.clock.advance(latency)
         observe_storage_call(
-            "hdfs", "listFiles", latency, self.metrics, entries=len(entries)
+            self.clock, "hdfs", "listFiles", latency, self.metrics, entries=len(entries)
         )
         return entries
 
     def get_file_info(self, path: str) -> FileStatus:
         self.stats.get_file_info_calls += 1
         latency = GET_FILE_INFO_LATENCY_MS * self._overload_multiplier()
-        self.clock.advance(latency)
-        observe_storage_call("hdfs", "getFileInfo", latency, self.metrics)
+        observe_storage_call(self.clock, "hdfs", "getFileInfo", latency, self.metrics)
         path = _normalize(path)
         status = self._files.get(path)
         if status is None:
@@ -169,9 +167,8 @@ class HdfsFileSystem(FileSystem):
         self.namenode.stats.open_calls += 1
         data = self.namenode.file_data(path)
         latency = READ_LATENCY_MS_PER_MB * len(data) / 1_000_000
-        self.clock.advance(latency)
         observe_storage_call(
-            "hdfs", "open", latency, self.namenode.metrics, bytes=len(data)
+            self.clock, "hdfs", "open", latency, self.namenode.metrics, bytes=len(data)
         )
         stream = BytesInput(data)
         stream.name = path

@@ -78,14 +78,12 @@ class S3Client:
     def _request(self, operation: str, payload_bytes: int = 0) -> None:
         if self.failure_injector is not None and self.failure_injector(operation):
             self.stats.failed_requests += 1
-            self.clock.advance(REQUEST_LATENCY_MS)
             observe_storage_call(
-                "s3", operation, REQUEST_LATENCY_MS, self.metrics, failed=True
+                self.clock, "s3", operation, REQUEST_LATENCY_MS, self.metrics, failed=True
             )
             raise S3ServerError(f"S3 {operation}: service unavailable (injected)")
         latency = REQUEST_LATENCY_MS + TRANSFER_MS_PER_MB * payload_bytes / 1_000_000
-        self.clock.advance(latency)
-        observe_storage_call("s3", operation, latency, self.metrics)
+        observe_storage_call(self.clock, "s3", operation, latency, self.metrics)
 
     def _require(self, bucket: str, key: str) -> bytes:
         data = self._objects.get((bucket, key))

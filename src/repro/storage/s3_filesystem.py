@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.common.clock import charge
 from repro.common.errors import StorageError
 from repro.storage.filesystem import FileStatus, FileSystem, SeekableInput
 from repro.storage.s3 import S3Client, S3ServerError
@@ -74,7 +75,7 @@ class PrestoS3FileSystem(FileSystem):
                 if attempt >= self.max_retries:
                     raise
                 delay = min(self.backoff_base_ms * (2**attempt), BACKOFF_MAX_MS)
-                self.client.clock.advance(delay)
+                charge(self.client.clock, "retry", delay)
                 self.stats.retries += 1
                 self.stats.backoff_ms_total += delay
                 attempt += 1

@@ -647,6 +647,28 @@ class TestMixedNumericKeys:
         assert result.stats.dynamic_filters_built == int(dynamic_filtering)
         assert result.rows == [(101,)]
 
+    @pytest.mark.parametrize("dynamic_filtering", [True, False])
+    def test_a_double_probe_meets_integer_build_keys_as_doubles(self, dynamic_filtering):
+        # 2**53 and 2**53 + 1 are both 2.0**53 as doubles: the DOUBLE
+        # probe row 2.0**53 matches both, whichever side builds.
+        connector = MemoryConnector(split_size=100)
+        connector.create_table("db", "probe", [("k", DOUBLE)], [(2.0**53,), (1.0,)])
+        connector.create_table(
+            "db", "build", [("k", BIGINT)], [(2**53,), (2**53 + 1,), (1,)]
+        )
+        engine = PrestoEngine(
+            session=Session(catalog="memory", schema="db"),
+            enable_dynamic_filtering=dynamic_filtering,
+        )
+        engine.register_connector("memory", connector)
+        for sql in (
+            "SELECT count(*) FROM probe p JOIN build b ON p.k = b.k",
+            "SELECT count(*) FROM build b JOIN probe p ON p.k = b.k",
+        ):
+            result = engine.execute(sql)
+            assert result.stats.dynamic_filters_built == int(dynamic_filtering)
+            assert result.rows == [(3,)], sql
+
 
 class TestRetrySafety:
     def test_task_retries_see_identical_filter(self):

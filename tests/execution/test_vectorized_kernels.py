@@ -812,6 +812,21 @@ def scalar_call(name, args):
 
 
 class TestJoinDifferential:
+    @pytest.mark.parametrize("join_type", ["inner", "left", "right"])
+    def test_double_keys_meet_integer_keys_as_doubles(self, join_type):
+        # 2**53 and 2**53 + 1 are one key as doubles, in either direction.
+        doubles = paged([DOUBLE], [(2.0**53,), (1.0,), (None,)], page_size=2)
+        integers = paged([BIGINT], [(2**53,), (2**53 + 1,), (1,), (None,)], page_size=3)
+        for left_pages, right_pages, left_spec, right_spec in (
+            (doubles, integers, [("d", DOUBLE)], [("i", BIGINT)]),
+            (integers, doubles, [("i", BIGINT)], [("d", DOUBLE)]),
+        ):
+            names = (left_spec[0][0], right_spec[0][0])
+            node = join_node(join_type, left_spec, right_spec, [names])
+            vec, ref = run_join_both(node, left_pages, right_pages)
+            assert_identical(vec, ref)
+            assert sum(1 for row in vec if None not in row) == 3
+
     def _sides(self, seed, n_left=90, n_right=40, key_pool=None):
         rng = random.Random(seed)
         key_pool = key_pool or [None, 1, 2, 3, 4, 5, 6]

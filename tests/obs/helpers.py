@@ -80,12 +80,13 @@ def assert_trace_reconciles(result) -> None:
     query = query_span(trace)
     under = spans_under(trace, query)
 
-    # The scheduler is the only component that advances the trace clock,
-    # charging exactly the cost model's milliseconds — so the query span's
-    # duration, and the critical path through it, telescope to the
-    # simulated time.  (Float tolerance: the two sides add the same terms
-    # in different orders.)
+    # The trace stamps from the query's one account, where every charge
+    # lands — so the query span's duration, and the critical path through
+    # it, telescope to the simulated time, the sum of the per-kind
+    # charges.  (Float tolerance: the two sides add the same terms in
+    # different orders.)
     assert query.duration_ms == pytest.approx(stats.simulated_ms, abs=1e-6)
+    assert sum(stats.charged_ms.values()) == stats.simulated_ms
     assert trace.critical_path_ms(query) == pytest.approx(
         stats.simulated_ms, abs=1e-6
     )

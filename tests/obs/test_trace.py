@@ -10,11 +10,11 @@ def build_sample_trace():
     trace = QueryTrace()
     with trace.span("root"):
         with trace.span("fast"):
-            trace.advance(2.0)
+            trace.clock.advance(2.0)
         with trace.span("slow"):
-            trace.advance(3.0)
+            trace.clock.advance(3.0)
             with trace.span("leaf"):
-                trace.advance(5.0)
+                trace.clock.advance(5.0)
     return trace
 
 
@@ -45,7 +45,7 @@ class TestSpanTree:
     def test_instant_spans_have_zero_duration(self):
         trace = QueryTrace()
         with trace.span("root"):
-            trace.advance(1.0)
+            trace.clock.advance(1.0)
             span = trace.instant("event", rows=7)
         assert span.duration_ms == 0.0
         assert span.start_ms == 1.0
@@ -56,7 +56,7 @@ class TestSpanTree:
         trace = QueryTrace()
         with pytest.raises(RuntimeError):
             with trace.span("root"):
-                trace.advance(4.0)
+                trace.clock.advance(4.0)
                 raise RuntimeError("boom")
         assert trace.root.end_ms == 4.0
         # The stack unwound: the next span is a fresh root, not a child.

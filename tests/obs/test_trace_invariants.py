@@ -2,9 +2,9 @@
 
 Every staged query — plain, retried under fault injection, or failed
 over through the gateway — must yield a well-formed span tree whose
-critical path sums to the query's simulated milliseconds and whose
-row/task accounting reconciles exactly with QueryStats and the metrics
-registry (ISSUE 5 acceptance bar).
+critical path sums to the query's simulated milliseconds (its one
+account: the sum of its per-kind charges) and whose row/task accounting
+reconciles exactly with QueryStats and the metrics registry.
 """
 
 import io
@@ -18,6 +18,7 @@ from repro.core.types import BIGINT
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
 from repro.execution.faults import FaultInjector
+from repro.execution.operators.scan import SPLIT_RPC_MS
 from repro.execution.scheduler import RETRY_BACKOFF_MS
 from repro.federation.gateway import PrestoGateway
 from repro.planner.analyzer import Session
@@ -83,13 +84,19 @@ class TestStagedQueryTrace:
         assert untraced.trace is None
         assert untraced.rows == traced.rows
 
-    def test_direct_oracle_still_traced_without_simulated_time(self):
+    def test_direct_oracle_charges_only_split_rpcs(self):
+        # The single pipeline has no coordinator step, stages or tasks:
+        # its account holds only the scan's split RPCs, on its trace too.
         engine = make_engine()
         result = execute_direct(engine, TPCH_SQL)
         assert_well_formed(result.trace)
         query = query_span(result.trace)
         assert query.attributes["path"] == "direct"
-        assert query.duration_ms == 0.0 == result.stats.simulated_ms
+        charged = {kind: ms for kind, ms in result.stats.charged_ms.items() if ms}
+        assert charged == {
+            "split_rpc": pytest.approx(SPLIT_RPC_MS * result.stats.splits_scanned)
+        }
+        assert query.duration_ms == pytest.approx(result.stats.simulated_ms, abs=1e-9)
         operators = [s for s in result.trace.spans if s.name == "operator"]
         scan_rows = sum(
             s.attributes["rows"]
@@ -132,7 +139,8 @@ class TestFaultInjectionTrace:
 
     def test_failed_query_stats_match_its_query_span(self):
         # The stage fails in its second task: the first one's finished
-        # work is on the trace clock and must be in the stats too.
+        # work is on its lane, charged when the stage fails, and must be
+        # in the stats too.
         connector = MemoryConnector(split_size=1000)
         connector.create_table(
             "db", "t", [("a", BIGINT), ("b", BIGINT)], [(i, i % 7) for i in range(200_000)]
@@ -153,9 +161,14 @@ class TestFaultInjectionTrace:
         assert len(handle.stats.task_records) > 1
         (query,) = handle.trace.find("query")
         assert handle.stats.simulated_ms == pytest.approx(query.duration_ms)
-        assert handle.stats.simulated_ms == pytest.approx(
-            sum(record["sim_ms"] for record in handle.stats.task_records)
-        )
+        # Each stage, the failed one included, is charged its longest
+        # task (every task has a lane of its own); the engine has no
+        # clock, so no coordinator share.
+        longest = {}
+        for record in handle.stats.task_records:
+            longest[record["stage"]] = max(longest.get(record["stage"], 0.0), record["sim_ms"])
+        assert handle.stats.charged_ms["coordinator"] == 0.0
+        assert handle.stats.simulated_ms == pytest.approx(sum(longest.values()))
 
 
 class TestGatewayTrace:

@@ -21,7 +21,7 @@ from repro.core.blocks import (
 )
 from repro.core.functions import AggregateFunction
 from repro.core.page import Page
-from repro.core.types import RowType
+from repro.core.types import DOUBLE, RowType
 from repro.execution.context import ExecutionContext
 from repro.execution.operators.filter_project import bindings_for
 from repro.execution.operators.joins import _build_rows
@@ -209,7 +209,9 @@ def _hash_join_rows(
     right_source: Iterator[Page],
 ) -> Iterator[Page]:
     """Row-at-a-time hash join: a dict of build rows keyed by their join
-    key, probed one left row at a time."""
+    key, probed one left row at a time.  A key column that meets a DOUBLE
+    on the other side compares as doubles, as SQL compares BIGINT with
+    DOUBLE."""
     right_outputs = node.right.outputs
     right_key_indexes = [
         [v.name for v in right_outputs].index(r.name) for _, r in node.criteria
@@ -220,10 +222,18 @@ def _hash_join_rows(
     ]
     output_types = [v.type for v in node.outputs]
 
+    as_double = [DOUBLE in (l.type, r.type) for l, r in node.criteria]
+
+    def key_of(row: tuple, indexes: list[int]) -> tuple:
+        return tuple(
+            canonical_key(float(row[i]) if double and row[i] is not None else row[i])
+            for i, double in zip(indexes, as_double)
+        )
+
     build_rows = _build_rows(ctx, right_source)
     table: dict[tuple, list[tuple]] = {}
     for row in build_rows:
-        key = tuple(canonical_key(row[i]) for i in right_key_indexes)
+        key = key_of(row, right_key_indexes)
         if any(k is None for k in key):
             continue  # SQL: NULL keys (and canonicalized NaN) never match
         table.setdefault(key, []).append(row)
@@ -238,7 +248,7 @@ def _hash_join_rows(
         page = page.loaded()
         result_rows: list[tuple] = []
         for probe_row in page.rows():
-            key = tuple(canonical_key(probe_row[i]) for i in left_key_indexes)
+            key = key_of(probe_row, left_key_indexes)
             matches = [] if any(k is None for k in key) else table.get(key, [])
             matched = False
             for build_row in matches:

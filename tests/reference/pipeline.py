@@ -26,11 +26,12 @@ def _execute_pipeline(prepared: PreparedQuery, ctx: ExecutionContext) -> QueryRe
     plan = prepared.plan
     tracer = ctx.tracer
     if tracer is None:
-        return QueryResult.from_pages(
-            plan.column_names, execute_plan(plan, ctx), ctx.stats
-        )
+        with ctx:
+            return QueryResult.from_pages(
+                plan.column_names, execute_plan(plan, ctx), ctx.stats
+            )
     ctx.operator_rows = {}
-    with activate(tracer), tracer.span(
+    with ctx, activate(tracer), tracer.span(
         "query", query_id=ctx.stats.query_id, path="direct"
     ):
         try:
