@@ -8,14 +8,18 @@ guarantee data freshness."
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.cache.lru import LruCache
+from repro.metastore.metastore import PartitionInfo
 from repro.storage.filesystem import FileStatus, FileSystem
 
 
 class FileListCache:
-    """Caches ``listFiles`` results for sealed directories only."""
+    """Caches ``listFiles`` results for sealed partitions only.
+
+    Entries are keyed by (location, stamp): the stamp is the metastore
+    version that added the partition, so a partition added again at the
+    same location (a rewrite) is listed afresh.
+    """
 
     def __init__(
         self, filesystem: FileSystem, max_entries: int = 100_000, metrics=None
@@ -28,20 +32,17 @@ class FileListCache:
     def stats(self):
         return self._cache.stats
 
-    def list_files(self, directory: str, sealed: bool) -> list[FileStatus]:
-        """List a directory; served from cache only when ``sealed``.
+    def list_files(self, partition: PartitionInfo) -> list[FileStatus]:
+        """List a partition's directory; served from cache only when sealed.
 
         Open partitions always hit remote storage: the ingestion engine
         "will keep writing new files to the open partitions so that Presto
         can read near-real time data."
         """
-        if not sealed:
+        location = partition.location
+        if not partition.sealed:
             self.open_partition_bypasses += 1
-            return self._filesystem.list_files(directory)
+            return self._filesystem.list_files(location)
         return self._cache.get_or_load(
-            directory, lambda: self._filesystem.list_files(directory)
+            (location, partition.stamp), lambda: self._filesystem.list_files(location)
         )
-
-    def invalidate(self, directory: str) -> None:
-        """Drop a directory's entry (e.g. after a partition rewrite)."""
-        self._cache.invalidate(directory)

@@ -9,19 +9,17 @@ the indexes to the data itself."
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cache.lru import LruCache
 from repro.formats.parquet.file import ParquetFile, read_footer
-from repro.formats.parquet.metadata import FileMetadata
-from repro.storage.filesystem import FileStatus, FileSystem
+from repro.storage.filesystem import FileSystem
 
 
 class FileHandleAndFooterCache:
-    """Caches getFileInfo results and parsed Parquet footers by path.
+    """Caches getFileInfo results and parsed Parquet footers.
 
-    Entries are keyed by (path, modification time) so a rewritten file is
-    re-read rather than served stale.
+    Both are keyed by (path, version), the version being the write the
+    split's listing saw, so a rewritten file is a new key and is re-read
+    rather than served stale.
     """
 
     def __init__(
@@ -35,29 +33,15 @@ class FileHandleAndFooterCache:
     def footer_stats(self):
         return self._footers.stats
 
-    def get_file_info(self, path: str) -> FileStatus:
-        """getFileInfo through the handle cache."""
-        return self._handles.get_or_load(
-            path, lambda: self._filesystem.get_file_info(path)
-        )
+    def open_parquet(self, path: str, version: int) -> ParquetFile:
+        """Open one version of a Parquet file: getFileInfo through the
+        handle cache, the parsed footer through the footer cache."""
+        key = (path, version)
+        self._handles.get_or_load(key, lambda: self._filesystem.get_file_info(path))
 
-    def get_footer(self, path: str, status: Optional[FileStatus] = None) -> FileMetadata:
-        """Parsed footer through the footer cache."""
-        if status is None:
-            status = self.get_file_info(path)
-        key = (path, status.modification_time_ms)
-
-        def load() -> FileMetadata:
+        def load_footer():
             with self._filesystem.open(path) as stream:
                 return read_footer(stream)
 
-        return self._footers.get_or_load(key, load)
-
-    def open_parquet(self, path: str) -> ParquetFile:
-        """Open a Parquet file, supplying the cached footer when available."""
-        status = self.get_file_info(path)
-        metadata = self.get_footer(path, status)
+        metadata = self._footers.get_or_load(key, load_footer)
         return ParquetFile(self._filesystem.open(path), metadata=metadata)
-
-    def invalidate(self, path: str) -> None:
-        self._handles.invalidate(path)

@@ -4,13 +4,15 @@ Every cache class in :mod:`repro.cache` routes its accounting through the
 shared :class:`CacheStats` counters here, so the observability layer
 reports one consistent hit-rate definition: every *lookup* counts exactly
 one hit or one miss (a miss that triggers a fill is still one miss —
-``put`` never counts), and ``in``-containment probes count nothing.
+``put`` never counts).  No entry is ever invalidated: each cache keys on
+the version of what it holds, so a changed file or partition is a new key
+and its old entry ages out.
 
 A cache may additionally be bound to a
 :class:`repro.obs.metrics.MetricsRegistry` (``name`` labels the series);
 increments are then mirrored into ``cache_hits_total{cache=...}``,
-``cache_misses_total``, ``cache_evictions_total``,
-``cache_invalidations_total`` and the ``cache_entries`` gauge.
+``cache_misses_total``, ``cache_evictions_total`` and the
+``cache_entries`` gauge.
 """
 
 from __future__ import annotations
@@ -25,20 +27,15 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    invalidations: int = 0
-
-# Distinguishes "not cached" from "cached None" — a legitimate value (a
-# file with no footer, a metastore miss) that must stay countable.
-_MISSING = object()
 
 
 class LruCache:
     """Least-recently-used cache of bounded entry count.
 
-    ``None`` is an ordinary cacheable value: ``get_or_load`` and
-    ``invalidate`` test presence, never truthiness.  Only the plain
-    ``get`` is ambiguous for ``None`` values — pass a ``default``
-    sentinel of your own when that matters.
+    ``None`` is an ordinary cacheable value: ``get_or_load`` tests
+    presence, never truthiness.  Only the plain ``get`` is ambiguous for
+    ``None`` values — pass a ``default`` sentinel of your own when that
+    matters.
     """
 
     def __init__(
@@ -123,8 +120,3 @@ class LruCache:
             self._metrics.gauge("cache_entries", cache=self.name).set(
                 len(self._entries)
             )
-
-    def invalidate(self, key: Hashable) -> None:
-        if self._entries.pop(key, _MISSING) is not _MISSING:
-            self.stats.invalidations += 1
-            self._count("invalidations")

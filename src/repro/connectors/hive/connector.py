@@ -53,9 +53,9 @@ from repro.formats.parquet.options import ReaderOptions
 from repro.formats.parquet.reader_new import NewParquetReader, decode_dictionary_page
 from repro.formats.parquet.reader_old import OldParquetReader
 from repro.metastore.evolution import resolve_read_schema
-from repro.metastore.metastore import HiveMetastore, TableInfo
+from repro.metastore.metastore import HiveMetastore, PartitionInfo, TableInfo
 from repro.metastore.statistics import ColumnStatisticsEntry, TableStatistics
-from repro.storage.filesystem import FileSystem
+from repro.storage.filesystem import FileStatus, FileSystem
 
 OLD_READER = "old"
 NEW_READER = "new"
@@ -94,14 +94,24 @@ class HiveConnector(Connector):
     def _table(self, handle: ConnectorTableHandle) -> TableInfo:
         return self.metastore.get_table(handle.schema_name, handle.table_name)
 
-    def _list_files(self, location: str, sealed: bool):
-        if self.file_list_cache is not None:
-            return self.file_list_cache.list_files(location, sealed)
-        return self.filesystem.list_files(location)
+    def _files(
+        self, partitions: Sequence[PartitionInfo]
+    ) -> Iterator[tuple[PartitionInfo, FileStatus]]:
+        """Each data file of ``partitions``, with the partition it is in;
+        the listing is the file-list cache's when one is configured."""
+        for partition in partitions:
+            if self.file_list_cache is not None:
+                statuses = self.file_list_cache.list_files(partition)
+            else:
+                statuses = self.filesystem.list_files(partition.location)
+            for status in statuses:
+                yield partition, status
 
-    def _open_parquet(self, path: str) -> ParquetFile:
+    def _open_parquet(self, path: str, version: int) -> ParquetFile:
+        """Open the ``version`` of ``path`` its listing saw: every cache on
+        the way keys on the pair."""
         if self.footer_cache is not None:
-            file = self.footer_cache.open_parquet(path)
+            file = self.footer_cache.open_parquet(path, version)
         else:
             # A worker checks the file handle (getFileInfo) before reading;
             # the footer cache exists precisely to absorb these calls
@@ -109,7 +119,7 @@ class HiveConnector(Connector):
             self.filesystem.get_file_info(path)
             file = ParquetFile(self.filesystem.open(path))
         if self.data_cache is not None:
-            file.attach_data_cache(self.data_cache, path)
+            file.attach_data_cache(self.data_cache, f"{path}@{version}")
         return file
 
     # -- metadata ------------------------------------------------------------
@@ -164,41 +174,35 @@ class HiveConnector(Connector):
         accumulators = {name: _ColumnAccumulator(t) for name, t in scalar_columns}
         row_count = 0
 
-        locations: list[tuple[str, tuple[str, ...], bool]] = [
-            (p.location, p.values, p.sealed) for p in table.partitions.values()
-        ]
-        if not table.partition_keys and not table.partitions:
-            locations.append((table.location, (), True))
-        for location, _, sealed in locations:
-            for status in self._list_files(location, sealed):
-                file = self._open_parquet(status.path)
-                # Section V.A's read-side rule, as a read applies it: a type
-                # change raises, so no footer bound of the file's type
-                # reaches the table's column.
-                in_file = {
-                    name
-                    for name, _, disposition in resolve_read_schema(
-                        file.schema.columns, table.columns
-                    )
-                    if disposition == "read"
-                }
-                for group_index, group in enumerate(file.metadata.row_groups):
-                    row_count += group.num_rows
-                    for name, _ in scalar_columns:
-                        chunk = group.columns.get(name) if name in in_file else None
-                        if chunk is None:
-                            # Schema evolution: the column postdates this
-                            # file, so every slot reads as null.
-                            accumulators[name].add_missing(group.num_rows)
-                            continue
-                        dictionary = None
-                        if chunk.has_dictionary:
-                            with file.decoding():
-                                data = file.read_segment(group_index, name, "dict")
-                                dictionary = decode_dictionary_page(
-                                    data, accumulators[name].presto_type
-                                ).to_list()
-                        accumulators[name].add_chunk(chunk.statistics, dictionary)
+        for _, status in self._files(_partitions(table)):
+            file = self._open_parquet(status.path, status.version)
+            # Section V.A's read-side rule, as a read applies it: a type
+            # change raises, so no footer bound of the file's type
+            # reaches the table's column.
+            in_file = {
+                name
+                for name, _, disposition in resolve_read_schema(
+                    file.schema.columns, table.columns
+                )
+                if disposition == "read"
+            }
+            for group_index, group in enumerate(file.metadata.row_groups):
+                row_count += group.num_rows
+                for name, _ in scalar_columns:
+                    chunk = group.columns.get(name) if name in in_file else None
+                    if chunk is None:
+                        # Schema evolution: the column postdates this
+                        # file, so every slot reads as null.
+                        accumulators[name].add_missing(group.num_rows)
+                        continue
+                    dictionary = None
+                    if chunk.has_dictionary:
+                        with file.decoding():
+                            data = file.read_segment(group_index, name, "dict")
+                            dictionary = decode_dictionary_page(
+                                data, accumulators[name].presto_type
+                            ).to_list()
+                    accumulators[name].add_chunk(chunk.statistics, dictionary)
 
         columns = {
             name: accumulator.finish() for name, accumulator in accumulators.items()
@@ -265,45 +269,29 @@ class HiveConnector(Connector):
             ) + [dynamic_partition]
             partition_predicate = combine_conjuncts(terms)
 
-        partitions = self.metastore.list_partitions(
-            handle.schema_name, handle.table_name
-        )
+        partitions = _partitions(table)
         if partition_predicate is not None:
             partitions = self._prune_partitions(table, partitions, partition_predicate)
-
-        splits: list[ConnectorSplit] = []
-        for partition in partitions:
-            for status in self._list_files(partition.location, partition.sealed):
-                splits.append(
-                    ConnectorSplit(
-                        split_id=f"hive:{status.path}",
-                        info=(
-                            ("path", status.path),
-                            ("partition_values", partition.values),
-                            ("sealed", partition.sealed),
-                            # Version for the fragment result cache; a
-                            # rewritten file gets a new modification time.
-                            ("data_version", status.modification_time_ms),
-                        ),
-                    )
-                )
-        if not table.partition_keys and not table.partitions:
-            # Unpartitioned table: files live directly at the table location.
-            for status in self._list_files(table.location, True):
-                splits.append(
-                    ConnectorSplit(
-                        split_id=f"hive:{status.path}",
-                        info=(("path", status.path), ("partition_values", ()), ("sealed", True)),
-                    )
-                )
-        return splits
+        # The file's version keys every cache the split's read passes:
+        # handle, footer, data and fragment result.
+        return [
+            ConnectorSplit(
+                split_id=f"hive:{status.path}",
+                info=(
+                    ("path", status.path),
+                    ("partition_values", partition.values),
+                    ("data_version", status.version),
+                ),
+            )
+            for partition, status in self._files(partitions)
+        ]
 
     def _prune_partitions(
         self,
         table: TableInfo,
-        partitions: Sequence,
+        partitions: list[PartitionInfo],
         predicate: RowExpression,
-    ) -> list:
+    ) -> list[PartitionInfo]:
         """Batched partition pruning: one page over all partitions.
 
         Each partition key becomes one column whose rows are the
@@ -311,7 +299,6 @@ class HiveConnector(Connector):
         ``filter_mask`` call instead of one position_count=1 evaluation
         per partition.
         """
-        partitions = list(partitions)
         if not partitions:
             return partitions
         bindings: dict[str, Block] = {}
@@ -340,7 +327,7 @@ class HiveConnector(Connector):
             zip(table.partition_key_names(), info["partition_values"])
         )
         partition_types = dict(table.partition_keys)
-        file = self._open_parquet(path)
+        file = self._open_parquet(path, info["data_version"])
         # Schema evolution (section V.A): columns added to the table after
         # this file was written read as nulls; a type change raises.
         resolution = resolve_read_schema(file.schema.columns, table.columns)
@@ -486,6 +473,15 @@ class _ReaderPages:
 
     def __next__(self) -> Page:
         return next(self._pages)
+
+
+def _partitions(table: TableInfo) -> list[PartitionInfo]:
+    """The directories ``table``'s files live in: its partitions, or, for a
+    table without any, its own location.  The metastore seals no such
+    location, so it is listed afresh on every read."""
+    if table.partition_keys or table.partitions:
+        return list(table.partitions.values())
+    return [PartitionInfo((), table.location, sealed=False)]
 
 
 def _split_on_partition_keys(

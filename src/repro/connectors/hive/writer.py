@@ -28,10 +28,16 @@ def write_hive_partition(
     """Write pages as one or more Parquet files into a new partition.
 
     Returns the written file paths.  ``files`` > 1 spreads rows round-robin
-    across that many files (more splits → more parallelism).
+    across that many files (more splits → more parallelism).  Writing a
+    partition that exists replaces it, files included, as Hive's INSERT
+    OVERWRITE does.
     """
     info = metastore.get_table(database, table)
     schema = ParquetSchema(list(info.columns))
+    replaced = info.partitions.get(tuple(partition_values))
+    if replaced is not None:
+        for status in filesystem.list_files(replaced.location):
+            filesystem.delete(status.path)
     partition = metastore.add_partition(
         database, table, partition_values, sealed=sealed
     )

@@ -60,15 +60,6 @@ class TableMetadata:
     table_name: str
     columns: tuple[ColumnMetadata, ...]
 
-    def column(self, name: str) -> ColumnMetadata:
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise ConnectorError(f"column {name!r} not found in {self.schema_name}.{self.table_name}")
-
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
 
 @dataclass(frozen=True)
 class ConnectorTableHandle:

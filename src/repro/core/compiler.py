@@ -391,6 +391,14 @@ class CallKernel(Kernel):
             nulls = nulls | b.null_mask()
         if position_count and nulls.all():
             return constant_block(None, self.return_type, position_count)
+        # A double's inf - inf, 0 * inf, log(0) or overflow is an IEEE
+        # value, not an error: every implementation, on either lane, runs
+        # under one error state.  The results that are errors (bigint
+        # overflow, division or bigint modulo by zero) raise on their own.
+        with np.errstate(all="ignore"):
+            return self._apply(blocks, nulls, position_count, stats)
+
+    def _apply(self, blocks, nulls, position_count, stats) -> Block:
         fn = self.fn
         if any(isinstance(b, VarcharBlock) for b in blocks):
             native = _varchar_native(

@@ -16,7 +16,7 @@ tests and the baseline of ``benchmarks/bench_expressions.py``.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,10 +76,6 @@ class Evaluator:
         if isinstance(expression, ConstantExpression):
             return constant_block(expression.value, expression.type, position_count)
         return self.compiled(expression).evaluate(bindings, position_count, self._stats)
-
-    def evaluate_scalar(self, expression: RowExpression) -> Any:
-        """Evaluate a variable-free expression to a single Python value."""
-        return self.evaluate(expression, {}, 1).get(0)
 
     def predicate_is_always_true(self, predicate: RowExpression) -> bool:
         """True when ``predicate`` constant-folds to TRUE (safe to skip)."""

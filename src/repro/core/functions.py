@@ -260,16 +260,14 @@ def _mod(a: Any, b: Any) -> Any:
         if b == 0:
             raise ZeroDivisionError("modulo by zero")
         return int(np.fmod(a, b))
-    # Double modulus is IEEE fmod: x % 0.0 and inf % y are NaN, silently.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return float(np.fmod(a, b))
+    # Double modulus is IEEE fmod: x % 0.0 and inf % y are NaN.
+    return float(np.fmod(a, b))
 
 
 def _vec_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if _both_bigint(a, b) and np.any(b == 0):
         raise ZeroDivisionError("modulo by zero")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.fmod(a, b)
+    return np.fmod(a, b)
 
 
 # Bigint arithmetic whose true result leaves int64 is an error, as Presto's
@@ -310,8 +308,7 @@ def _raise_on_wrapped(
 
 
 def _vec_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        result = np.add(a, b)
+    result = np.add(a, b)
     if _both_bigint(a, b):
         # Two's complement: the sum wrapped iff its sign differs from both.
         _raise_on_wrapped("addition", "+", ((a ^ result) & (b ^ result)) < 0, a, b)
@@ -319,8 +316,7 @@ def _vec_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _vec_subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        result = np.subtract(a, b)
+    result = np.subtract(a, b)
     if _both_bigint(a, b):
         # Wrapped iff the operands' signs differ and the result's is b's.
         _raise_on_wrapped("subtraction", "-", ((a ^ b) & (a ^ result)) < 0, a, b)
@@ -328,8 +324,7 @@ def _vec_subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _vec_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        result = np.multiply(a, b)
+    result = np.multiply(a, b)
     if _both_bigint(a, b):
         # The float product is within a few ulps of the true one, so only
         # lanes at or above 2**62 can have left int64; check those exactly.
@@ -431,7 +426,7 @@ def _register_builtin_scalars(registry: FunctionRegistry) -> None:
     scalar(
         "round", _fixed([DOUBLE], DOUBLE), lambda a: float(_round_half_away(a)), _round_half_away
     )
-    scalar("power", _fixed([DOUBLE, DOUBLE], DOUBLE), lambda a, b: float(a) ** float(b))
+    scalar("power", _fixed([DOUBLE, DOUBLE], DOUBLE), lambda a, b: float(_power(a, b)), _power)
     scalar("ln", _fixed([DOUBLE], DOUBLE), lambda a: float(np.log(a)), np.log)
 
     # Casts — strict engine, but explicit CAST is allowed.
@@ -525,14 +520,25 @@ def _vec_substr3(s: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.nda
     return out
 
 
+def _power(base: Any, exponent: Any) -> Any:
+    """Presto's ``power``, which is Java's ``Math.pow``: IEEE results, so an
+    overflow is Infinity, a negative base to a non-integer power is NaN and
+    zero to a negative power is Infinity.  C's ``pow`` (numpy's) differs
+    from Java's only in that a NaN exponent, and an infinite one on a base
+    of magnitude 1, give 1.0 there and NaN here."""
+    base = np.asarray(base, dtype=np.float64)
+    exponent = np.asarray(exponent, dtype=np.float64)
+    undefined = np.isnan(exponent) | (np.isinf(exponent) & (np.abs(base) == 1.0))
+    return np.where(undefined, np.nan, np.power(base, exponent))
+
+
 def _round_half_away(values: Any) -> Any:
     """Presto's ``round``: halves round away from zero (numpy's ``round``
     rounds them to even).  ``magnitude - whole`` is exact, so no value
     just below a half rounds up; NaN and the infinities pass through."""
     magnitude = np.abs(values)
     whole = np.floor(magnitude)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        return np.copysign(whole + (magnitude - whole >= 0.5), values)
+    return np.copysign(whole + (magnitude - whole >= 0.5), values)
 
 
 # The half-open ranges of the integral types, bounds exact as doubles.

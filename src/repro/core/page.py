@@ -73,11 +73,6 @@ class Page:
         """Project to a subset/reordering of channels."""
         return Page([self.blocks[c] for c in channels], self.position_count)
 
-    def append_block(self, block: Block) -> "Page":
-        if block.position_count != self.position_count:
-            raise ValueError("appended block position count mismatch")
-        return Page(self.blocks + [block], self.position_count)
-
     def loaded(self) -> "Page":
         """Force all lazy blocks."""
         return Page([b.loaded() for b in self.blocks], self.position_count)

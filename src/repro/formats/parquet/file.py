@@ -264,9 +264,11 @@ class ParquetFile:
 
         ``cache`` is a :class:`repro.cache.data_cache.TieredDataCache`
         (duck-typed here so the formats layer stays import-free of the
-        cache package); ``file_key`` disambiguates files sharing one
-        cache.  Cached segments skip the stream read, so ``bytes_read``
-        counts only actual storage IO.
+        cache package); ``file_key`` names one version of one file (the
+        Hive connector passes ``path@version``), so neither two files
+        sharing the cache nor two writes of one path meet.  Cached
+        segments skip the stream read, so ``bytes_read`` counts only
+        actual storage IO.
         """
         self._data_cache = cache
         self._data_cache_key = file_key

@@ -7,7 +7,8 @@ partitions, Presto will skip caching those directories to guarantee data
 freshness" for near-real-time ingestion).
 
 Every mutation bumps a version counter, which the metastore versioned
-cache uses for invalidation.
+cache keys on; a partition keeps the version that added it as its stamp,
+which the file-list cache keys on.
 """
 
 from __future__ import annotations
@@ -22,11 +23,16 @@ from repro.metastore.statistics import TableStatistics
 
 @dataclass
 class PartitionInfo:
-    """One partition: its key values, storage location, and seal state."""
+    """One partition: its key values, storage location, and seal state.
+
+    ``stamp`` is the metastore version that added it: a partition added
+    again at the same location (a rewrite) is another partition.
+    """
 
     values: tuple[str, ...]
     location: str
     sealed: bool = True
+    stamp: int = field(default=0, init=False)
 
 
 @dataclass
@@ -113,6 +119,7 @@ class HiveMetastore:
         partition = PartitionInfo(values, location, sealed)
         table.partitions[values] = partition
         self._bump()
+        partition.stamp = self.version
         return partition
 
     def seal_partition(self, database: str, name: str, values: Sequence[str]) -> None:
@@ -129,9 +136,6 @@ class HiveMetastore:
         if partition is None:
             raise ConnectorError(f"no partition {values} in {database}.{name}")
         return partition
-
-    def list_partitions(self, database: str, name: str) -> list[PartitionInfo]:
-        return list(self.get_table(database, name).partitions.values())
 
     # -- statistics ------------------------------------------------------------
 

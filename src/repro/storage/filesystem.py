@@ -40,12 +40,17 @@ def observe_storage_call(
 
 @dataclass(frozen=True)
 class FileStatus:
-    """Metadata for one file, as returned by listFiles/getFileInfo."""
+    """Metadata for one file, as returned by listFiles/getFileInfo.
+
+    ``version`` names one write of the file: the file system numbers its
+    writes, so a file rewritten at the same path (in the same simulated
+    millisecond or not) never shows an earlier version again.  Every cache
+    above storage keys on it (section VII).
+    """
 
     path: str
     size: int
-    modification_time_ms: float = 0.0
-    is_directory: bool = False
+    version: int = 0
 
 
 class SeekableInput:

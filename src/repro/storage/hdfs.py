@@ -71,6 +71,9 @@ class NameNode:
         # path → FileStatus for files; directories implied by prefixes
         self._files: dict[str, FileStatus] = {}
         self._data: dict[str, bytes] = {}
+        # The last version handed out; like the inode id HDFS gives a
+        # re-created file, each write gets the next one.
+        self._last_version = 0
         from collections import deque
 
         self._recent_calls: "deque[float]" = deque()
@@ -91,9 +94,10 @@ class NameNode:
 
     # -- namespace management ------------------------------------------------
 
-    def put_file(self, path: str, data: bytes, modification_time_ms: float = 0.0) -> None:
+    def put_file(self, path: str, data: bytes) -> None:
         path = _normalize(path)
-        self._files[path] = FileStatus(path, len(data), modification_time_ms)
+        self._last_version += 1
+        self._files[path] = FileStatus(path, len(data), self._last_version)
         self._data[path] = data
 
     def delete_file(self, path: str) -> None:
@@ -175,7 +179,7 @@ class HdfsFileSystem(FileSystem):
         return stream
 
     def create(self, path: str, data: bytes) -> None:
-        self.namenode.put_file(path, data, self.clock.now_ms())
+        self.namenode.put_file(path, data)
 
     def delete(self, path: str) -> None:
         self.namenode.delete_file(path)

@@ -31,7 +31,9 @@ class S3ServerError(StorageError):
 class S3Object:
     key: str
     size: int
-    last_modified_ms: float = 0.0
+    # The write that made this object, numbered per client (an ETag that
+    # cannot collide).
+    version: int = 0
 
 
 @dataclass
@@ -69,7 +71,8 @@ class S3Client:
         self.stats = S3Stats()
         self.metrics = None
         self._objects: dict[tuple[str, str], bytes] = {}
-        self._mtimes: dict[tuple[str, str], float] = {}
+        self._versions: dict[tuple[str, str], int] = {}
+        self._last_version = 0
         self._multipart: dict[str, dict] = {}
         self._next_upload_id = 0
 
@@ -85,6 +88,11 @@ class S3Client:
         latency = REQUEST_LATENCY_MS + TRANSFER_MS_PER_MB * payload_bytes / 1_000_000
         observe_storage_call(self.clock, "s3", operation, latency, self.metrics)
 
+    def _store(self, bucket: str, key: str, data: bytes) -> None:
+        self._last_version += 1
+        self._objects[(bucket, key)] = data
+        self._versions[(bucket, key)] = self._last_version
+
     def _require(self, bucket: str, key: str) -> bytes:
         data = self._objects.get((bucket, key))
         if data is None:
@@ -97,8 +105,7 @@ class S3Client:
         self._request("PutObject", len(data))
         self.stats.put_requests += 1
         self.stats.bytes_uploaded += len(data)
-        self._objects[(bucket, key)] = data
-        self._mtimes[(bucket, key)] = self.clock.now_ms()
+        self._store(bucket, key, data)
 
     def get_object(
         self, bucket: str, key: str, byte_range: Optional[tuple[int, int]] = None
@@ -118,13 +125,13 @@ class S3Client:
         data = self._require(bucket, key)
         self._request("HeadObject")
         self.stats.head_requests += 1
-        return S3Object(key, len(data), self._mtimes.get((bucket, key), 0.0))
+        return S3Object(key, len(data), self._versions[(bucket, key)])
 
     def list_objects(self, bucket: str, prefix: str = "") -> list[S3Object]:
         self._request("ListObjectsV2")
         self.stats.list_requests += 1
         return [
-            S3Object(key, len(data), self._mtimes.get((b, key), 0.0))
+            S3Object(key, len(data), self._versions[(b, key)])
             for (b, key), data in sorted(self._objects.items())
             if b == bucket and key.startswith(prefix)
         ]
@@ -132,7 +139,7 @@ class S3Client:
     def delete_object(self, bucket: str, key: str) -> None:
         self._request("DeleteObject")
         self._objects.pop((bucket, key), None)
-        self._mtimes.pop((bucket, key), None)
+        self._versions.pop((bucket, key), None)
 
     # -- S3 Select ------------------------------------------------------------------
 
@@ -199,5 +206,4 @@ class S3Client:
         assembled = b"".join(
             data for _, data in sorted(upload["parts"].items())
         )
-        self._objects[(upload["bucket"], upload["key"])] = assembled
-        self._mtimes[(upload["bucket"], upload["key"])] = self.clock.now_ms()
+        self._store(upload["bucket"], upload["key"], assembled)

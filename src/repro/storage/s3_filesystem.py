@@ -88,13 +88,13 @@ class PrestoS3FileSystem(FileSystem):
             prefix += "/"
         objects = self._with_backoff(lambda: self.client.list_objects(self.bucket, prefix))
         return [
-            FileStatus(f"/{o.key}", o.size, o.last_modified_ms) for o in objects
+            FileStatus(f"/{o.key}", o.size, o.version) for o in objects
         ]
 
     def get_file_info(self, path: str) -> FileStatus:
         key = path.lstrip("/")
         obj = self._with_backoff(lambda: self.client.head_object(self.bucket, key))
-        return FileStatus(path, obj.size, obj.last_modified_ms)
+        return FileStatus(path, obj.size, obj.version)
 
     def exists(self, path: str) -> bool:
         try:

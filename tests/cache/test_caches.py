@@ -41,30 +41,9 @@ class TestLru:
             cache.get_or_load("k", lambda: loads.append(1) or "v")
         assert len(loads) == 1
 
-    def test_invalidate(self):
-        cache = LruCache()
-        cache.put("a", 1)
-        cache.invalidate("a")
-        assert cache.get("a") is None
-
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             LruCache(0)
-
-    def test_invalidating_cached_none_counts(self):
-        # Regression: invalidate() tested truthiness, so a cached None (a
-        # legitimate value: file with no footer, metastore miss) was
-        # popped without counting the invalidation.
-        cache = LruCache()
-        cache.put("a", None)
-        cache.invalidate("a")
-        assert cache.stats.invalidations == 1
-        assert cache.lookup("a") == (False, None)
-
-    def test_invalidating_absent_key_does_not_count(self):
-        cache = LruCache()
-        cache.invalidate("never-cached")
-        assert cache.stats.invalidations == 0
 
     def test_get_or_load_caches_none(self):
         cache = LruCache()
@@ -85,74 +64,95 @@ class TestLru:
 class TestFileListCache:
     def setup_method(self):
         self.fs = HdfsFileSystem()
-        self.fs.create("/t/sealed/f1", b"x")
-        self.fs.create("/t/open/f1", b"y")
+        self.metastore = HiveMetastore()
+        self.metastore.create_table("db", "t", [("x", BIGINT)], [("p", VARCHAR)])
+        self.sealed = self.metastore.add_partition("db", "t", ["sealed"])
+        self.open = self.metastore.add_partition("db", "t", ["open"], sealed=False)
+        self.fs.create(f"{self.sealed.location}/f1", b"x")
+        self.fs.create(f"{self.open.location}/f1", b"y")
         self.cache = FileListCache(self.fs)
 
     def test_sealed_directory_cached(self):
         before = self.fs.namenode.stats.list_files_calls
-        self.cache.list_files("/t/sealed", sealed=True)
-        self.cache.list_files("/t/sealed", sealed=True)
-        self.cache.list_files("/t/sealed", sealed=True)
+        for _ in range(3):
+            self.cache.list_files(self.sealed)
         assert self.fs.namenode.stats.list_files_calls == before + 1
         assert self.cache.stats.hits == 2
 
     def test_open_partition_always_remote(self):
         # Freshness: an open partition is being written by ingestion.
         before = self.fs.namenode.stats.list_files_calls
-        self.cache.list_files("/t/open", sealed=False)
-        self.fs.create("/t/open/f2", b"new data")
-        files = self.cache.list_files("/t/open", sealed=False)
+        self.cache.list_files(self.open)
+        self.fs.create(f"{self.open.location}/f2", b"new data")
+        files = self.cache.list_files(self.open)
         assert self.fs.namenode.stats.list_files_calls == before + 2
-        assert [f.path for f in files] == ["/t/open/f1", "/t/open/f2"]
+        assert [f.path for f in files] == [
+            f"{self.open.location}/f1",
+            f"{self.open.location}/f2",
+        ]
         assert self.cache.open_partition_bypasses == 2
 
-    def test_invalidate(self):
-        self.cache.list_files("/t/sealed", sealed=True)
-        self.cache.invalidate("/t/sealed")
-        before = self.fs.namenode.stats.list_files_calls
-        self.cache.list_files("/t/sealed", sealed=True)
-        assert self.fs.namenode.stats.list_files_calls == before + 1
+    def test_readded_partition_misses(self):
+        # A rewrite adds the partition again at the same location: it is
+        # another partition, listed afresh, with no invalidation call.
+        self.cache.list_files(self.sealed)
+        readded = self.metastore.add_partition("db", "t", ["sealed"])
+        assert readded.location == self.sealed.location
+        self.fs.create(f"{readded.location}/f2", b"z")
+        files = self.cache.list_files(readded)
+        assert [f.path for f in files] == [
+            f"{readded.location}/f1",
+            f"{readded.location}/f2",
+        ]
+        assert (self.cache.stats.hits, self.cache.stats.misses) == (0, 2)
+
+
+PATH = "/data/f.parquet"
+
+
+def _parquet_blob(rows: int) -> bytes:
+    schema = ParquetSchema([("x", BIGINT)])
+    return NativeParquetWriter(schema).write_pages(
+        [Page.from_rows([BIGINT], [(i,) for i in range(rows)])]
+    )
 
 
 class TestFooterCache:
     def setup_method(self):
         self.fs = HdfsFileSystem()
-        schema = ParquetSchema([("x", BIGINT)])
-        blob = NativeParquetWriter(schema).write_pages(
-            [Page.from_rows([BIGINT], [(i,) for i in range(10)])]
-        )
-        self.fs.create("/data/f.parquet", blob)
+        self.fs.create(PATH, _parquet_blob(10))
+        # The version a split carries: the one its listing saw.
+        (status,) = self.fs.list_files("/data")
+        self.version = status.version
         self.cache = FileHandleAndFooterCache(self.fs)
 
     def test_get_file_info_cached(self):
         before = self.fs.namenode.stats.get_file_info_calls
         for _ in range(5):
-            self.cache.get_file_info("/data/f.parquet")
+            self.cache.open_parquet(PATH, self.version)
         assert self.fs.namenode.stats.get_file_info_calls == before + 1
 
     def test_footer_cached(self):
-        first = self.cache.get_footer("/data/f.parquet")
-        second = self.cache.get_footer("/data/f.parquet")
+        first = self.cache.open_parquet(PATH, self.version).metadata
+        second = self.cache.open_parquet(PATH, self.version).metadata
         assert first is second
         assert self.cache.footer_stats.hits == 1
 
     def test_rewritten_file_not_served_stale(self):
-        self.cache.get_footer("/data/f.parquet")
-        # Rewrite with different contents and a new modification time.
-        self.fs.clock.advance(1000)
-        schema = ParquetSchema([("x", BIGINT)])
-        blob = NativeParquetWriter(schema).write_pages(
-            [Page.from_rows([BIGINT], [(99,)])]
-        )
-        self.fs.create("/data/f.parquet", blob)
-        self.cache.invalidate("/data/f.parquet")  # handle refresh
-        footer = self.cache.get_footer("/data/f.parquet")
-        assert footer.num_rows == 1
+        self.cache.open_parquet(PATH, self.version)
+        # Rewritten in the same simulated millisecond: the new write is a
+        # new version, so the next open misses both caches.
+        self.fs.create(PATH, _parquet_blob(1))
+        (status,) = self.fs.list_files("/data")
+        assert status.version != self.version
+        file = self.cache.open_parquet(PATH, status.version)
+        assert file.metadata.num_rows == 1
+        assert file.read_segment(0, "x", "data")
+        assert self.cache.footer_stats.misses == 2
 
     def test_open_parquet_uses_cached_footer(self):
-        self.cache.get_footer("/data/f.parquet")
-        file = self.cache.open_parquet("/data/f.parquet")
+        self.cache.open_parquet(PATH, self.version)
+        file = self.cache.open_parquet(PATH, self.version)
         assert file.metadata.num_rows == 10
         assert self.cache.footer_stats.hits >= 1
 

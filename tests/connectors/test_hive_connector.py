@@ -215,6 +215,23 @@ class TestHiveCaches:
         )
         assert second.rows == [(2,)]  # fresh data visible despite the cache
 
+    def test_rewriting_a_partition_replaces_its_files(self):
+        # Three files rewritten as one: the two files the new write does
+        # not overwrite used to stay, and every read returned their rows.
+        engine, connector, metastore, fs = make_environment(caches=True)
+        rows = [({"city_id": i, "driver_uuid": "d", "status": "s"}, 1.0) for i in range(3)]
+        for count, files in ((3, 3), (1, 1)):
+            write_hive_partition(
+                metastore, fs, "rawdata", "trips", ["2017-03-04"],
+                [Page.from_rows([BASE_TYPE, DOUBLE], rows[:count])], files=files,
+            )
+            result = engine.execute(
+                "SELECT count(*) FROM trips WHERE datestr = '2017-03-04'"
+            )
+            assert result.rows == [(count,)]
+        partition = metastore.get_partition("rawdata", "trips", ["2017-03-04"])
+        assert len(fs.list_files(partition.location)) == 1
+
 
 class TestSchemaEvolutionThroughHive:
     def test_added_struct_field_reads_null_on_old_files(self):

@@ -7,13 +7,11 @@ from repro.connectors.memory import MemoryConnector
 from repro.connectors.spi import (
     AggregationFunction,
     Catalog,
-    ColumnMetadata,
     ConnectorSplit,
     ConnectorTableHandle,
-    TableMetadata,
 )
 from repro.core.functions import default_registry
-from repro.core.types import BIGINT, VARCHAR
+from repro.core.types import BIGINT
 
 
 class TestCatalog:
@@ -47,20 +45,6 @@ class TestTableHandle:
         assert handle.limit == 5
         assert handle.projected_columns == ("a", "b.c")
         assert handle.constraint is not None
-
-
-class TestTableMetadata:
-    def test_column_lookup(self):
-        metadata = TableMetadata(
-            "s", "t", (ColumnMetadata("a", BIGINT), ColumnMetadata("b", VARCHAR))
-        )
-        assert metadata.column("b").type is VARCHAR
-        assert metadata.column_names() == ["a", "b"]
-
-    def test_missing_column(self):
-        metadata = TableMetadata("s", "t", (ColumnMetadata("a", BIGINT),))
-        with pytest.raises(ConnectorError):
-            metadata.column("zzz")
 
 
 class TestConnectorSplit:

@@ -74,7 +74,7 @@ class TestBasicEvaluation:
 
     def test_evaluate_scalar(self, evaluator):
         expr = call("multiply", [constant(6, BIGINT), constant(7, BIGINT)], [BIGINT, BIGINT])
-        assert evaluator.evaluate_scalar(expr) == 42
+        assert evaluator.evaluate(expr, {}, 1).get(0) == 42
 
 
 class TestThreeValuedLogic:

@@ -68,8 +68,3 @@ class TestPageErrors:
     def test_empty_page_without_count_rejected(self):
         with pytest.raises(ValueError):
             Page([])
-
-    def test_append_block_mismatch(self):
-        page = Page.from_rows([BIGINT], [(1,)])
-        with pytest.raises(ValueError):
-            page.append_block(PrimitiveBlock.from_values(BIGINT, [1, 2]))

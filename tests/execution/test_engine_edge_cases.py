@@ -335,6 +335,85 @@ class TestBigintArithmeticLeavesInt64:
                 engine.execute("SELECT k % 0 FROM t")
 
 
+    def test_ieee_double_results_without_a_warning(self):
+        # inf - inf, inf * 0, inf / inf, sqrt of a negative and ln(0) are
+        # IEEE values, as in Presto; numpy's RuntimeWarnings must not
+        # surface (under -W error they became an EngineDefectError).
+        engine = make_engine([(1, math.inf, "a")])
+        texts = {
+            "v - v": math.nan,
+            "v * 0.0": math.nan,
+            "v / v": math.nan,
+            "sqrt(-1.0)": math.nan,
+            "sqrt(v - v)": math.nan,
+            "ln(0.0)": -math.inf,
+            "ln(v * 0.0 + 0.0)": math.nan,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (engine.execute, partial(execute_direct, engine)):
+                for text, expected in texts.items():
+                    ((value,),) = run(f"SELECT {text} FROM t").rows
+                    assert value == expected or (math.isnan(value) and math.isnan(expected)), text
+                ((value,),) = run("SELECT sum(v) - sum(v) FROM t").rows
+                assert math.isnan(value)
+
+
+# (base, exponent) as SQL text and as a double, and Java's Math.pow,
+# which Presto's power is.
+POWER_EDGES = [
+    ("1e300", "2", 1e300, 2.0, math.inf),
+    ("-8.0", "1.0/3", -8.0, 1.0 / 3, math.nan),
+    ("0.0", "-1", 0.0, -1.0, math.inf),
+]
+
+
+def _same_double(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestPowerFollowsJavaMathPow:
+    """``x * x`` already overflowed to Infinity; ``power`` raised instead,
+    returned a complex number, or raised on a zero base."""
+
+    @pytest.mark.parametrize("edge", POWER_EDGES)
+    def test_sql_on_both_engine_lanes(self, edge):
+        base, exponent, _, _, expected = edge
+        engine = make_engine([(1, None, "a")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (engine.execute, partial(execute_direct, engine)):
+                for sql in (
+                    f"SELECT power({base}, {exponent})",
+                    f"SELECT power(k * {base}, k * ({exponent})) FROM t",
+                ):
+                    result = run(sql)
+                    ((value,),) = result.rows
+                    assert _same_double(value, expected), sql
+                    assert result.stats.expr_positions_fallback == 0
+
+    @pytest.mark.parametrize("edge", POWER_EDGES)
+    def test_row_and_vector_lanes_agree(self, edge):
+        _, _, base, exponent, expected = edge
+        _, implementation = make_engine([]).registry.resolve_scalar("power", [DOUBLE, DOUBLE])
+        with np.errstate(all="ignore"):  # as CallKernel.run applies both lanes
+            row = implementation.row_fn(base, exponent)
+            (vector,) = implementation.vectorized(np.array([base]), np.array([exponent]))
+        assert type(row) is float
+        assert _same_double(row, expected)
+        assert _same_double(float(vector), expected)
+
+    def test_nan_and_infinite_exponents(self):
+        # Java, not C: 1 ** NaN and (-1) ** inf are NaN; x ** 0 is 1, NaN too.
+        _, implementation = make_engine([]).registry.resolve_scalar("power", [DOUBLE, DOUBLE])
+        bases = np.array([1.0, -1.0, math.nan, 2.0, 0.5])
+        exponents = np.array([math.nan, math.inf, 0.0, -math.inf, math.inf])
+        with np.errstate(all="ignore"):
+            result = implementation.vectorized(bases, exponents).tolist()
+        assert [math.isnan(x) for x in result] == [True, True, False, False, False]
+        assert result[2:] == [1.0, 0.0, 0.0]
+
+
 class TestMinMaxOverNaN:
     def test_no_warning_and_nan_propagates(self):
         nan = float("nan")

@@ -131,3 +131,14 @@ class TestReadWrite:
     def test_hdfs_url_normalization(self, fs):
         fs.create("hdfs://namenode:8020/tmp/url", b"data")
         assert fs.exists("/tmp/url")
+
+    def test_every_write_gets_a_new_version(self, fs):
+        # No clock advance: a modification time would read the same.
+        versions = []
+        for data in (b"a", b"b", b"c"):
+            fs.create("/tmp/v", data)
+            versions.append(fs.get_file_info("/tmp/v").version)
+        fs.delete("/tmp/v")
+        fs.create("/tmp/v", b"a")
+        versions.append(fs.list_files("/tmp")[-1].version)
+        assert len(set(versions)) == 4

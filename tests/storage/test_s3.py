@@ -218,6 +218,17 @@ class TestFileSystemApi:
         assert [f.path for f in files] == ["/dir/a", "/dir/b"]
         assert [f.size for f in files] == [1, 2]
 
+    def test_every_write_gets_a_new_version(self):
+        fs, client = make_fs(multipart_threshold=4, multipart_part_size=2)
+        versions = []
+        for data in (b"1", b"22", b"333333"):  # the last one multipart
+            fs.create("/k", data)
+            versions.append(fs.get_file_info("/k").version)
+        fs.delete("/k")
+        client.put_object("warehouse", "k", b"1")
+        versions.append(fs.list_files("/")[0].version)
+        assert len(set(versions)) == 4
+
     def test_exists(self):
         fs, client = make_fs()
         client.put_object("warehouse", "x", b"1")
