@@ -61,17 +61,21 @@ class SimulatedClock:
 
 
 class Account(SimulatedClock):
-    """Simulated time charged by kind (``charged_ms``): a query's own
-    clock, or one lane of a running stage, a worker's share of it.  Each
-    advance also advances ``shared``, the clock the query's engine runs
-    on, if any, where queries' charges interleave."""
+    """Simulated time charged by kind: a query's own clock, or one lane of
+    a running stage, a worker's share of it.  Each advance also advances
+    ``shared``, the clock the query's engine runs on, if any, where
+    queries' charges interleave.
 
-    __slots__ = ("shared", "charged_ms")
+    ``charged`` holds only the kinds charged so far, each summed in charge
+    order from 0.0, so a stage's lanes, up to ``PRESTO_WORKERS`` of them,
+    cost one small dict each; :meth:`charged_ms` reads every kind."""
+
+    __slots__ = ("shared", "charged")
 
     def __init__(self, start_ms: float = 0.0, shared: SimulatedClock | None = None) -> None:
-        super().__init__(start_ms)
+        self._now_ms = float(start_ms)
         self.shared = shared
-        self.charged_ms = dict.fromkeys(CHARGE_KINDS, 0.0)
+        self.charged: dict[str, float] = {}
 
     def advance(self, delta_ms: float) -> float:
         if self.shared is not None:
@@ -79,20 +83,28 @@ class Account(SimulatedClock):
         return super().advance(delta_ms)
 
     def charge(self, kind: str, ms: float) -> None:
-        self.charged_ms[kind] += ms
+        charged = self.charged
+        charged[kind] = charged.get(kind, 0.0) + ms
         self._now_ms += ms  # never negative: a charge is a cost
         if self.shared is not None:
             self.shared.advance(ms)
+
+    def charged_ms(self) -> dict[str, float]:
+        """Milliseconds charged per kind, every one of ``CHARGE_KINDS`` in
+        order (0.0 for a kind never charged)."""
+        charged = self.charged
+        return {kind: charged.get(kind, 0.0) for kind in CHARGE_KINDS}
 
     def charge_stage(self, lanes: list[Account]) -> float:
         """Charge a stage whose ``lanes`` began at this account's time: it
         lasts until its most-loaded lane is done.  Returns how long."""
         busiest = max(lanes, key=attrgetter("_now_ms"))
-        for kind, ms in busiest.charged_ms.items():
-            self.charged_ms[kind] += ms
-        stage_ms = busiest.now_ms() - self.now_ms()
+        charged = self.charged
+        for kind, ms in busiest.charged.items():
+            charged[kind] = charged.get(kind, 0.0) + ms
+        stage_ms = busiest._now_ms - self._now_ms
         self.advance(stage_ms)
-        self._now_ms = busiest.now_ms()  # to the bit: its spans end there
+        self._now_ms = busiest._now_ms  # to the bit: its spans end there
         return stage_ms
 
 

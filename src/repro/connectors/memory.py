@@ -12,9 +12,16 @@ scan joins a task's consecutive pages as one wider region, again with no
 copy.  Nested columns, VARCHAR columns holding a non-``str`` value and
 values a column's type cannot hold are built split by split instead.
 
-``create_table`` replaces a table and its store; ``insert`` drops only
-the regions of the split whose row range it grows, and the next scan
-stores that split and the new rows as one more segment of each column.
+What a scan asks of a table is answered from what the table keeps for
+its current version: ``get_splits`` hands out the one split list built
+at that version, and a split's ``pages`` for a set of columns are the
+``Page`` objects first put together for it (each over the region views,
+so keeping them copies no data).
+
+``create_table`` replaces a table and its store; ``insert`` makes a new
+version: it drops the split list and only the regions and pages of the
+split whose row range it grows, and the next scan stores that split and
+the new rows as one more segment of each column.
 
 The connector supports projection pushdown (it only builds and hands out
 the requested columns) and declines filter/limit/aggregation pushdown,
@@ -51,6 +58,8 @@ class _MemoryTable:
         self, columns: list[tuple[str, PrestoType]], rows: list[tuple], data_version: int
     ) -> None:
         self.columns = columns
+        # Column name -> channel.
+        self.channels = {name: channel for channel, (name, _) in enumerate(columns)}
         self.rows = rows
         # The connector's version when these rows last changed: the
         # fragment-result cache keys each split on it.
@@ -68,6 +77,11 @@ class _MemoryTable:
         # (split start, split end, column index) -> that column's blocks
         # over the split, one per page; built by the first scan reading it.
         self.blocks: dict[tuple[int, int, int], list[Block]] = {}
+        # (split start, split end, column names) -> the split's pages of
+        # those columns, built by the first scan reading them.
+        self.pages: dict[tuple[int, int, tuple[str, ...]], list[Page]] = {}
+        # This version's splits, built by the first get_splits.
+        self.splits: Optional[list[ConnectorSplit]] = None
 
     def append(self, rows: Sequence[Sequence[Any]], data_version: int, split_size: int) -> None:
         """Add rows at the end; the split they grow loses its blocks, and
@@ -76,15 +90,49 @@ class _MemoryTable:
         before = len(self.rows)
         self.rows.extend(tuple(r) for r in rows)
         self.data_version = data_version
+        self.splits = None
         if len(self.rows) > before and before % split_size:
             grown = before - before % split_size
             self.blocks = {key: v for key, v in self.blocks.items() if key[0] != grown}
+            self.pages = {key: v for key, v in self.pages.items() if key[0] != grown}
             for channel, segments in self.stored.items():
                 self.stored[channel] = [
                     (first, min(end, grown), block)
                     for first, end, block in segments
                     if first < grown
                 ]
+
+    def split_list(self, schema_name: str, table_name: str, size: int) -> list[ConnectorSplit]:
+        """This version's splits, ``size`` rows each (the last one fewer)."""
+        if self.splits is None:
+            total = len(self.rows)
+            self.splits = []
+            for start in range(0, total, size):
+                end = min(start + size, total)
+                self.splits.append(
+                    ConnectorSplit(
+                        split_id=f"memory:{schema_name}.{table_name}:{start}-{end}",
+                        rows=end - start,
+                        info=(("start", start), ("end", end), ("data_version", self.data_version)),
+                    )
+                )
+        return self.splits
+
+    def split_pages(self, start: int, end: int, columns: tuple[str, ...]) -> list[Page]:
+        """The pages of rows ``start`` to ``end`` over ``columns``, one per
+        ``PAGE_SIZE`` rows; a dotted path selects its top-level column."""
+        key = (start, end, columns)
+        pages = self.pages.get(key)
+        if pages is None:
+            stored = [
+                self.column_blocks(start, end, self.channels[c.split(".")[0]]) for c in columns
+            ]
+            rows = max(0, min(end, len(self.rows)) - start)
+            pages = self.pages[key] = [
+                Page([blocks[page] for blocks in stored], min(PAGE_SIZE, rows - offset))
+                for page, offset in enumerate(range(0, max(rows, 1), PAGE_SIZE))
+            ]
+        return pages
 
     def column_blocks(self, start: int, end: int, channel: int) -> list[Block]:
         key = (start, end, channel)
@@ -239,24 +287,10 @@ class MemoryConnector(Connector):
     # -- splits and pages ----------------------------------------------------
 
     def get_splits(self, handle: ConnectorTableHandle) -> list[ConnectorSplit]:
+        """The table's splits at its current version: the same split
+        objects on every call until the table changes."""
         table = self._table(handle.schema_name, handle.table_name)
-        size = self._split_size
-        splits = []
-        total = len(table.rows)
-        for start in range(0, total, size):
-            end = min(start + size, total)
-            splits.append(
-                ConnectorSplit(
-                    split_id=f"memory:{handle.schema_name}.{handle.table_name}:{start}-{end}",
-                    rows=end - start,
-                    info=(
-                        ("start", start),
-                        ("end", end),
-                        ("data_version", table.data_version),
-                    ),
-                )
-            )
-        return splits
+        return list(table.split_list(handle.schema_name, handle.table_name, self._split_size))
 
     def pages(
         self,
@@ -265,17 +299,10 @@ class MemoryConnector(Connector):
         columns: Sequence[str],
     ) -> Iterator[Page]:
         """The split's pages, put together from its regions of the stored
-        columns.
+        columns once per table version and column list.
 
         A dotted path selects its top-level column, whole.
         """
         table = self._table(handle.schema_name, handle.table_name)
         info = split.info_dict()
-        start, end = info["start"], info["end"]
-        names = [n for n, _ in table.columns]
-        stored = [
-            table.column_blocks(start, end, names.index(c.split(".")[0])) for c in columns
-        ]
-        rows = max(0, min(end, len(table.rows)) - start)
-        for page, offset in enumerate(range(0, max(rows, 1), PAGE_SIZE)):
-            yield Page([blocks[page] for blocks in stored], min(PAGE_SIZE, rows - offset))
+        yield from table.split_pages(info["start"], info["end"], tuple(columns))

@@ -30,7 +30,7 @@ from repro.core.expressions import (
 from repro.core.functions import default_registry
 from repro.core.page import Page, concat_pages
 from repro.core.types import BIGINT, PrestoType, VARCHAR
-from repro.execution.kernels import HashAggregation, column_codes
+from repro.execution.kernels import HashAggregation, column_codes, resolve_aggregates
 
 
 @dataclass(frozen=True)
@@ -295,8 +295,9 @@ class RealtimeOlapStore:
         )
         aggregation = HashAggregation(
             len(native.grouping),
-            [(f.function_handle, False) for f in functions],
-            default_registry(),
+            resolve_aggregates(
+                [(f.function_handle, False) for f in functions], default_registry()
+            ),
             merge_mode,
         )
         return functions, [t for _, t in layout], aggregation

@@ -17,6 +17,7 @@ always carry a row-at-a-time fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
@@ -237,19 +238,21 @@ def _fixed(signature: Sequence[PrestoType], return_type: PrestoType):
 
 
 def _div(a: Any, b: Any) -> Any:
-    if b == 0:
-        raise ZeroDivisionError("division by zero")
     if isinstance(a, int) and isinstance(b, int):
+        if b == 0:
+            raise ZeroDivisionError("division by zero")
         # Presto integer division truncates toward zero.
         q = abs(a) // abs(b)
         return q if (a >= 0) == (b >= 0) else -q
+    if b == 0:  # double division is IEEE: ±Infinity, or NaN for 0.0 / 0.0
+        return float(np.true_divide(a, b))
     return a / b
 
 
 def _vec_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if np.any(b == 0):
-        raise ZeroDivisionError("division by zero")
     if a.dtype.kind in "iu" and b.dtype.kind in "iu":
+        if np.any(b == 0):
+            raise ZeroDivisionError("division by zero")
         q = np.abs(a) // np.abs(b)
         return np.where((a >= 0) == (b >= 0), q, -q)
     return a / b
@@ -594,8 +597,11 @@ def _integral_cast(name: str) -> tuple[Callable[[Any], int], Callable[[np.ndarra
 def _cast_varchar(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) and value == int(value):
-        return f"{value:.1f}"
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return _double_text(value)
+        if value.is_integer():
+            return f"{value:.1f}"
     return str(value)
 
 

@@ -28,6 +28,8 @@ from repro.core.types import PrestoType, RowType
 class Page:
     """An immutable batch of columnar blocks with equal position counts."""
 
+    __slots__ = ("blocks", "position_count")
+
     def __init__(self, blocks: list[Block], position_count: int | None = None) -> None:
         if position_count is None:
             if not blocks:
@@ -123,12 +125,14 @@ def concat_blocks(presto_type: PrestoType, blocks: Sequence[Block]) -> Block:
     dictionaries, so the kernels downstream still factorize ids instead
     of decoded values.  At least one block.
     """
-    blocks = [block.loaded() for block in blocks]
     if len(blocks) == 1:
-        return blocks[0]
+        return blocks[0].loaded()
+    # Only the memory store's pages (and their joins) are regions, and a
+    # region is never lazy: the check needs no block loaded.
     joined = _joined_region(blocks)
     if joined is not None:
         return joined
+    blocks = [block.loaded() for block in blocks]
     if all(isinstance(block, DictionaryBlock) for block in blocks):
         # Each distinct dictionary goes in once, matched by identity (the
         # pages of one column chunk or one memory split share theirs), and

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.clock import RUNNING, Account
 from repro.connectors.spi import Catalog
@@ -12,6 +12,9 @@ from repro.core.functions import FunctionRegistry, default_registry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import QueryTrace
 from repro.planner.analyzer import Session
+
+if TYPE_CHECKING:  # the template module imports the operators, which import this one
+    from repro.execution.stage import StageTemplate
 
 
 @dataclass
@@ -76,7 +79,7 @@ class QueryStats:
     @property
     def charged_ms(self) -> dict:
         """Simulated milliseconds charged to the query, per ``CHARGE_KINDS``."""
-        return self.account.charged_ms
+        return self.account.charged_ms()
 
     @property
     def simulated_ms(self) -> float:
@@ -103,29 +106,18 @@ class ExecutionContext:
     "Insufficient Resource" failures of section XII.C.
 
     The QueryScheduler derives one shallow copy of the query context per
-    task (sharing ``stats``): ``scan_splits`` pins each table scan to the
-    task's assigned connector splits, and ``exchange_inputs`` resolves the
-    task's RemoteSource leaves to pages buffered by upstream stages.
-    ``scan_splits`` is ``None`` for the one task of a fragment that holds
-    several scans: each of them enumerates its own splits.
+    task attempt (:meth:`for_task`, sharing ``stats``); the fields after
+    ``operator_rows`` are that copy's own.
     """
 
     catalog: Catalog
     session: Session = field(default_factory=Session)
     registry: FunctionRegistry = field(default_factory=default_registry)
-    # A task's copy: its stage's lanes, split ``split`` of the stage
-    # charged on ``lanes[split % len(lanes)]``.  None elsewhere: charges
-    # land on ``stats.account``.
-    lanes: Optional[list] = None
     max_build_rows: int = 10_000_000
     stats: QueryStats = field(default_factory=QueryStats)
     # Fragment result cache (section VII): caches per-(leaf fragment,
     # split) pages, keyed additionally by the split's data version.
     fragment_cache: Optional[object] = None
-    # Per task: TableScanNode id -> assigned splits.
-    scan_splits: Optional[dict] = None
-    # Per task: Exchange -> list of input pages.
-    exchange_inputs: Optional[dict] = None
     # Runtime dynamic filters, shared by every task of the query:
     # TableScanNode id -> DynamicFilterSet.  The QueryScheduler fills it
     # when a join's build side completes, before the probe stage's tasks
@@ -140,18 +132,56 @@ class ExecutionContext:
     # The driver fills it when a tracer is attached; the scheduler turns
     # it into operator spans after the task's pipeline drains, so
     # lazily-abandoned iterators (LIMIT) still account.
-    operator_rows: Optional[dict] = None
+    operator_rows: Optional[dict] = field(default=None, init=False)
 
     _evaluator: Optional[Evaluator] = field(default=None, init=False)
+    # A task's copy: its stage's template (``execution.stage``), which the
+    # operators read their plan-derived facts from.
+    stage: Optional[StageTemplate] = field(default=None, init=False)
+    # A task's copy: its stage's lanes, split ``split`` of the stage
+    # charged on ``lanes[split % len(lanes)]``.  None elsewhere: charges
+    # land on ``stats.account``.
+    lanes: Optional[list] = field(default=None, init=False)
     # The stage's index of the split being read: a task starts at its
     # first split's (or its own, reading none), its scans count on.
     split: int = field(default=0, init=False)
+    # A task's copy: TableScanNode id -> its assigned splits; None for
+    # the one task of a fragment that holds several scans, each of which
+    # enumerates its own splits.
+    scan_splits: Optional[dict] = field(default=None, init=False)
+    # A task's copy: Exchange -> the input pages of its RemoteSource leaf.
+    exchange_inputs: Optional[dict] = field(default=None, init=False)
 
     @property
     def evaluator(self) -> Evaluator:
         if self._evaluator is None:
             self._evaluator = Evaluator(self.registry, stats=self.stats)
         return self._evaluator
+
+    def for_task(
+        self,
+        stage: StageTemplate,
+        lanes: list,
+        split: int,
+        scan_splits: Optional[dict],
+        exchange_inputs: dict,
+    ) -> "ExecutionContext":
+        """A task attempt's copy of this query context.  It shares every
+        field but these: the task's own (``stage`` to ``exchange_inputs``)
+        come from the arguments, its evaluator is made when first used,
+        and ``operator_rows`` is fresh when tracing."""
+        task = object.__new__(ExecutionContext)
+        task.__dict__.update(
+            self.__dict__,
+            _evaluator=None,
+            stage=stage,
+            lanes=lanes,
+            split=split,
+            scan_splits=scan_splits,
+            exchange_inputs=exchange_inputs,
+            operator_rows={} if self.tracer is not None else None,
+        )
+        return task
 
     def __enter__(self) -> "ExecutionContext":
         """Run this query: the context substrates' charges reach."""

@@ -66,22 +66,26 @@ def _counted(node: PlanNode, ctx: ExecutionContext, pipeline: Iterator[Page]) ->
         yield page
 
 
-def record_operator_spans(tracer, root: PlanNode, operator_rows: dict) -> None:
+def operator_ordinals(root: PlanNode) -> list[tuple[int, str, str]]:
+    """``(ordinal, node id, node type name)`` of every node under ``root``,
+    pre-order: what :func:`record_operator_spans` names spans by."""
+    return [(ordinal, node.id, type(node).__name__) for ordinal, node in enumerate(root.walk())]
+
+
+def record_operator_spans(
+    tracer, operators: list[tuple[int, str, str]], operator_rows: dict
+) -> None:
     """Emit one instant operator span per plan node, in pre-order.
 
-    Spans are stamped at the current simulated time (operators do not
-    charge simulated time themselves; the task's cost model does) and
-    identified by the node's *position* in the plan, not its process-wide
-    id, so traces stay byte-identical across runs.
+    ``operators`` are the plan's :func:`operator_ordinals`.  Spans are
+    stamped at the current simulated time (operators do not charge
+    simulated time themselves; the task's cost model does) and identified
+    by the node's *position* in the plan, not its process-wide id, so
+    traces stay byte-identical across runs.
     """
-    for ordinal, node in enumerate(root.walk()):
-        if node.id in operator_rows:
-            tracer.instant(
-                "operator",
-                op=ordinal,
-                node=type(node).__name__,
-                rows=operator_rows[node.id],
-            )
+    for ordinal, node_id, name in operators:
+        if node_id in operator_rows:
+            tracer.instant("operator", op=ordinal, node=name, rows=operator_rows[node_id])
 
 
 def _dispatch(node: PlanNode, ctx: ExecutionContext, stream: bool) -> Iterator[Page]:

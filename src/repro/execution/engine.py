@@ -21,6 +21,7 @@ from repro.core.functions import FunctionRegistry, default_registry
 from repro.core.page import Page
 from repro.execution.context import ExecutionContext, QueryStats
 from repro.execution.scheduler import QueryScheduler
+from repro.execution.stage import StageTemplate, stage_templates
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import QueryTrace, activate, current_tracer
 from repro.planner.analyzer import Analyzer, Session
@@ -40,15 +41,18 @@ COORDINATOR_OVERHEAD_MS = 15.0
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """A query planned once: its optimized plan and that plan's stages.
+    """A query planned once: its optimized plan, that plan's fragments and
+    each fragment's :class:`~repro.execution.stage.StageTemplate`.
 
-    Plan nodes are frozen and every run keeps its state in its own
-    ``ExecutionContext`` and scheduler, so one prepared query serves any
-    number of runs, one after another or concurrent.
+    Plan nodes are frozen, templates are only read, and every run keeps
+    its state in its own ``ExecutionContext`` and scheduler, so one
+    prepared query serves any number of runs, one after another or
+    concurrent.
     """
 
     plan: OutputNode
     fragmented: FragmentedPlan
+    stages: tuple[StageTemplate, ...]
 
 
 @dataclass
@@ -365,7 +369,8 @@ class PrestoEngine:
 
     def _prepare(self, query: ast.Query) -> PreparedQuery:
         plan = self._plan_query(query)
-        return PreparedQuery(plan, Fragmenter().fragment(plan))
+        fragmented = Fragmenter().fragment(plan)
+        return PreparedQuery(plan, fragmented, stage_templates(fragmented, self.registry))
 
     def _run_metadata_statement(self, statement: ast.Statement) -> QueryResult:
         session = self.session
@@ -404,7 +409,7 @@ class PrestoEngine:
     ) -> QueryHandle:
         machine = QueryScheduler(
             ctx,
-            prepared.fragmented,
+            prepared.stages,
             hash_partitions=self.hash_partitions,
             fault_injector=self.fault_injector,
             max_task_retries=self.max_task_retries,

@@ -778,7 +778,8 @@ class SumAccumulator(_ArrayAccumulator):
             if self._reach > _INT64_MAX:
                 self._add_exactly(group_ids, values)
                 return
-        np.add.at(self.sums, group_ids, values)
+        with np.errstate(all="ignore"):  # inf - inf is NaN, an overflow inf
+            np.add.at(self.sums, group_ids, values)
         self.has_value[group_ids] = True
 
     def _add_exactly(self, group_ids: np.ndarray, values: np.ndarray) -> None:
@@ -889,7 +890,8 @@ class AvgAccumulator(_ArrayAccumulator):
         self._grow(group_count)
         if self.merge_mode:
             state = argument_blocks[0].loaded()
-            np.add.at(self.sums, group_ids, _numeric_input(state.field("sum"))[0])
+            with np.errstate(all="ignore"):  # as SumAccumulator's sums
+                np.add.at(self.sums, group_ids, _numeric_input(state.field("sum"))[0])
             np.add.at(self.counts, group_ids, _numeric_input(state.field("count"))[0])
             return
         values, nulls = _numeric_input(argument_blocks[0])
@@ -897,7 +899,8 @@ class AvgAccumulator(_ArrayAccumulator):
             keep = ~nulls
             group_ids = group_ids[keep]
             values = values[keep]
-        np.add.at(self.sums, group_ids, values)
+        with np.errstate(all="ignore"):
+            np.add.at(self.sums, group_ids, values)
         self.counts[: self._size] += np.bincount(group_ids, minlength=self._size)
 
     def _arrays(self):
@@ -1021,16 +1024,41 @@ class PluginAccumulator(GroupedAccumulator):
         return block_from_values(presto_type, list(map(self.impl.finalize, self.states)))
 
 
+# One aggregate, resolved once: its handle, argument types, DISTINCT flag
+# and the registry's implementation (only a plugin aggregate runs it).
+ResolvedAggregate = tuple[FunctionHandle, list[PrestoType], bool, AggregateFunction]
+
+
+def resolve_aggregates(
+    aggregates: Sequence[tuple[FunctionHandle, bool]], registry: FunctionRegistry
+) -> list[ResolvedAggregate]:
+    """Each ``(handle, distinct)`` with its parsed argument types and its
+    implementation: what every accumulator of it is made from."""
+    return [
+        (
+            handle,
+            [parse_type(t) for t in handle.argument_types],
+            distinct,
+            registry.aggregate_for(handle),
+        )
+        for handle, distinct in aggregates
+    ]
+
+
 def make_accumulator(
-    handle: FunctionHandle, distinct: bool, impl: AggregateFunction, merge_mode: bool
+    handle: FunctionHandle,
+    argument_types: Sequence[PrestoType],
+    distinct: bool,
+    impl: AggregateFunction,
+    merge_mode: bool,
 ) -> GroupedAccumulator:
     """The array kernel of one aggregate; DISTINCT deduplicates ahead of it.
 
-    ``impl`` is the registry's implementation of ``handle``; only a plugin
-    aggregate runs it.
+    ``argument_types`` are ``handle``'s, parsed; ``impl`` is the
+    registry's implementation of ``handle``, which only a plugin aggregate
+    runs.
     """
     name = handle.name
-    argument_types = [parse_type(t) for t in handle.argument_types]
     dtype = _numpy_dtype_for(argument_types[0]) if argument_types else None
     if name == "count":
         accumulator: GroupedAccumulator = CountAccumulator(bool(argument_types), merge_mode)
@@ -1064,17 +1092,13 @@ class HashAggregation:
     """
 
     def __init__(
-        self,
-        key_count: int,
-        aggregates: Sequence[tuple[FunctionHandle, bool]],
-        registry: FunctionRegistry,
-        merge_mode: bool,
+        self, key_count: int, aggregates: Sequence[ResolvedAggregate], merge_mode: bool
     ) -> None:
         self.key_count = key_count
         self.index = GroupIndex()
         self.accumulators = [
-            make_accumulator(handle, distinct, registry.aggregate_for(handle), merge_mode)
-            for handle, distinct in aggregates
+            make_accumulator(handle, argument_types, distinct, impl, merge_mode)
+            for handle, argument_types, distinct, impl in aggregates
         ]
 
     def add(

@@ -60,11 +60,16 @@ def execute_aggregation(
         for channel, variable in enumerate(node.source.outputs)
         if variable.name in used
     }
+    # A staged task's aggregates were resolved with its stage template.
+    aggregates = (
+        ctx.stage.aggregates[node.id]
+        if ctx.stage is not None
+        else kernels.resolve_aggregates(
+            [(a.function_handle, a.distinct) for a in node.aggregations], ctx.registry
+        )
+    )
     aggregation = kernels.HashAggregation(
-        len(key_names),
-        [(a.function_handle, a.distinct) for a in node.aggregations],
-        ctx.registry,
-        merge_mode=node.step == AggregationStep.FINAL,
+        len(key_names), aggregates, merge_mode=node.step == AggregationStep.FINAL
     )
     for bindings, count in _batches(source, columns):
         aggregation.add(

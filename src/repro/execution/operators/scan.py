@@ -94,7 +94,7 @@ def execute_table_scan(
         else:
             yield Page(
                 [
-                    concat_blocks(presto_type, [page.block(channel) for page in run])
+                    concat_blocks(presto_type, [page.blocks[channel] for page in run])
                     for channel, presto_type in enumerate(types)
                 ],
                 sum(page.position_count for page in run),
@@ -102,9 +102,10 @@ def execute_table_scan(
 
 
 def _has_unloaded_block(page: Page) -> bool:
-    return any(
-        isinstance(block, LazyBlock) and not block.is_loaded for block in page.blocks
-    )
+    for block in page.blocks:
+        if isinstance(block, LazyBlock) and not block.is_loaded:
+            return True
+    return False
 
 
 def _scanned_pages(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]:
@@ -124,10 +125,13 @@ def _scanned_pages(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]
 
     mask_channels = _dynamic_mask_channels(node, filter_set)
 
+    # What a split costs: its RPC charged on its lane, its counters and
+    # its span; everything else here is per page.
+    stats, tracer = ctx.stats, ctx.tracer
     produced_any = False
     first = ctx.split
     for index, split in enumerate(splits):
-        ctx.stats.splits_scanned += 1
+        stats.splits_scanned += 1
         ctx.split = first + index  # its charges land on its lane
         ctx.charge("split_rpc", SPLIT_RPC_MS)
         split_rows = 0
@@ -138,16 +142,17 @@ def _scanned_pages(node: TableScanNode, ctx: ExecutionContext) -> Iterator[Page]
             for page in pages:
                 if mask_channels:
                     page = _apply_dynamic_mask(page, mask_channels, ctx)
-                ctx.stats.rows_scanned += page.position_count
-                split_rows += page.position_count
-                ctx.stats.pages_produced += 1
-                if page.position_count or not produced_any:
+                rows = page.position_count
+                stats.rows_scanned += rows
+                split_rows += rows
+                stats.pages_produced += 1
+                if rows or not produced_any:
                     produced_any = True
                     yield page
         finally:
             _harvest_reader_stats(ctx, pages)
-            if ctx.tracer is not None:
-                span = ctx.tracer.instant(
+            if tracer is not None:
+                span = tracer.instant(
                     "split",
                     split_id=split.split_id,
                     catalog=node.catalog,
@@ -229,8 +234,9 @@ def _split_pages(node, ctx, connector, handle, split, columns, filter_set):
     key excludes the runtime filter.
     """
     cache = ctx.fragment_cache
-    data_version = split.info_dict().get("data_version")
-    if cache is None or data_version is None or filter_set is not None:
+    uncached = cache is None or filter_set is not None
+    data_version = None if uncached else split.info_dict().get("data_version")
+    if data_version is None:
         return connector.pages(handle, split, columns), None
     key = (
         "|".join((node.describe(), ",".join(columns), handle.pushdown_key())),

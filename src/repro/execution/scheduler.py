@@ -23,7 +23,11 @@ input data."  This module is the execution half of that sentence —
 Every task executes through the ordinary operator pipeline
 (:func:`repro.execution.driver.execute_plan`) over a per-task copy of the
 query context that pins scans to the task's splits and resolves
-RemoteSource leaves against the upstream exchange buffers.  A task costs
+RemoteSource leaves against the upstream exchange buffers.  What a stage
+reads off its fragment's plan (scans, output exchanges, dynamic-filter
+targets, operator ordinals, resolved aggregates) comes from the
+fragment's :class:`~repro.execution.stage.StageTemplate`, built once per
+prepared query.  A task costs
 ``TASK_OVERHEAD_MS`` plus ``ROW_COST_MS`` per row in and out, recorded in
 :class:`repro.execution.context.QueryStats`; ``EXPLAIN ANALYZE`` renders
 them and ``PrestoClusterSim.submit_handle`` replays each stepped task as
@@ -59,7 +63,7 @@ query's results are identical to a zero-fault run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace as dc_replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.common.clock import Account
@@ -70,36 +74,19 @@ from repro.common.errors import (
     PrestoError,
     TaskTimeoutError,
 )
-from repro.core.expressions import (
-    VariableReferenceExpression,
-    combine_conjuncts,
-)
+from repro.core.expressions import combine_conjuncts
 from repro.core.page import Page
+from repro.core.types import PrestoType
 from repro.execution.context import ExecutionContext
 from repro.execution.driver import execute_plan, record_operator_spans
 from repro.execution.dynamic_filters import DynamicFilterSet, dynamic_filter_for
-from repro.execution.exchange import ExchangeBuffer, key_channels_for
+from repro.execution.exchange import ExchangeBuffer
 from repro.execution.faults import FaultInjector
 from repro.execution.kernels import TARGET_PARTITION_ROWS
 from repro.execution.operators.scan import plan_scan
+from repro.execution.stage import StageTemplate
 from repro.obs.trace import maybe_span
-from repro.planner.fragmenter import (
-    Exchange,
-    FragmentedPlan,
-    PlanFragment,
-    RemoteSourceNode,
-)
-from repro.planner.plan import (
-    FilterNode,
-    JoinNode,
-    PlanNode,
-    ProjectNode,
-    TableScanNode,
-)
-
-# Join types whose probe side drops rows lacking a build-side match; only
-# these may have their probe scans dynamically filtered.
-_DYNAMIC_FILTER_JOIN_TYPES = ("inner", "right")
+from repro.planner.fragmenter import Exchange
 
 # Cost model: simulated milliseconds per task (task creation, the
 # coordinator RPC of section VIII) and per row in and out of a task.
@@ -134,11 +121,15 @@ class TaskRecord:
     failed: bool = field(default=False, init=False)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _TASK_RECORD_FIELDS}
+
+
+_TASK_RECORD_FIELDS = tuple(f.name for f in fields(TaskRecord))
 
 
 class QueryScheduler:
-    """Steppable execution of one query's :class:`FragmentedPlan`.
+    """Steppable execution of one query's stages: its fragments'
+    :class:`StageTemplate` objects, in execution order.
 
     Holds everything one query's execution needs (exchange buffers, the
     current fragment's planned tasks, the open stage span) so it can be
@@ -161,7 +152,7 @@ class QueryScheduler:
     def __init__(
         self,
         ctx: ExecutionContext,
-        fragmented: FragmentedPlan,
+        stages: tuple[StageTemplate, ...],
         hash_partitions: int = 4,
         fault_injector: Optional[FaultInjector] = None,
         max_task_retries: int = 3,
@@ -173,7 +164,7 @@ class QueryScheduler:
         if max_task_retries < 0:
             raise ExecutionError("max_task_retries must be non-negative")
         self.ctx = ctx
-        self.fragmented = fragmented
+        self.stages = stages
         self.hash_partitions = hash_partitions
         self.fault_injector = fault_injector
         self.max_task_retries = max_task_retries
@@ -186,11 +177,6 @@ class QueryScheduler:
         if dynamic_filtering and ctx.dynamic_filters is None:
             ctx.dynamic_filters = {}
         self.buffers: dict[Exchange, ExchangeBuffer] = {}
-        self._consumer_exchanges = [
-            exchange
-            for fragment in fragmented.fragments
-            for exchange in fragment.inputs
-        ]
         self.result_pages: list[Page] = []
         self.done = False
         self._fragment_index = 0
@@ -211,16 +197,16 @@ class QueryScheduler:
             self.ctx.metrics.counter(name, stage=stage).inc(amount)
 
     def _record_exchange(
-        self, buffer: ExchangeBuffer, task_index: int, rows: int, pages: list[Page]
+        self, buffer: ExchangeBuffer, task_index: int, rows: int, pages: list[Page], size: int
     ) -> None:
-        """Account one task's committed pages into one output exchange.
+        """Account one task's committed pages, ``size`` bytes, into one
+        output exchange.
 
         Every row of ``stats.rows_exchanged`` flows through exactly one
         commit, so the exchange spans (and the ``exchange_rows_total``
         series) sum back to it exactly.
         """
         kind = buffer.exchange.kind if buffer.exchange is not None else "GATHER"
-        size = sum(page.size_in_bytes() for page in pages)
         if self.ctx.tracer is not None:
             self.ctx.tracer.instant(
                 "exchange",
@@ -240,7 +226,7 @@ class QueryScheduler:
 
     def _run_task(
         self,
-        fragment: PlanFragment,
+        stage_template: StageTemplate,
         task_index: int,
         task_plan: tuple[Optional[dict], dict, str, int],
     ) -> tuple[TaskRecord, list[Page]]:
@@ -251,7 +237,7 @@ class QueryScheduler:
         lands on that split's lane."""
         stats, tracer = self.ctx.stats, self.ctx.tracer
         _, _, data_key, splits = task_plan
-        stage = fragment.fragment_id
+        stage = stage_template.fragment.fragment_id
         record = TaskRecord(stage, task_index, splits, data_key)
         lane = self._lanes[task_index % len(self._lanes)]
         started_ms = lane.now_ms()
@@ -264,7 +250,7 @@ class QueryScheduler:
                 while True:
                     record.attempts += 1
                     try:
-                        pages = self._run_attempt(fragment, task_plan, record, lane)
+                        pages = self._run_attempt(stage_template, task_plan, record, lane)
                         break
                     except PrestoError as error:
                         if not error.retryable or record.attempts > self.max_task_retries:
@@ -293,7 +279,7 @@ class QueryScheduler:
 
     def _run_attempt(
         self,
-        fragment: PlanFragment,
+        stage_template: StageTemplate,
         task_plan: tuple[Optional[dict], dict, str, int],
         record: TaskRecord,
         lane: Account,
@@ -308,14 +294,13 @@ class QueryScheduler:
         stats, tracer = self.ctx.stats, self.ctx.tracer
         stage, task_index, attempt = record.stage, record.task, record.attempts
         with maybe_span(tracer, "attempt", stage=stage, task=task_index, attempt=attempt) as span:
-            attempt_ctx = dc_replace(
-                self.ctx,
-                lanes=self._lanes,
-                scan_splits=scan_splits,
-                exchange_inputs=exchange_inputs,
-                operator_rows={} if tracer is not None else None,
+            attempt_ctx = self.ctx.for_task(
+                stage_template,
+                self._lanes,
+                self._firsts[task_index],
+                scan_splits,
+                exchange_inputs,
             )
-            attempt_ctx.split = self._firsts[task_index]
             scanned_before = stats.rows_scanned
             try:
                 injector = self.fault_injector
@@ -328,7 +313,8 @@ class QueryScheduler:
                             )
                 try:
                     with attempt_ctx:
-                        pages = [p.loaded() for p in execute_plan(fragment.root, attempt_ctx)]
+                        root = stage_template.fragment.root
+                        pages = [p.loaded() for p in execute_plan(root, attempt_ctx)]
                 except PrestoError:
                     raise
                 except Exception as error:
@@ -338,10 +324,12 @@ class QueryScheduler:
                     # mid-drain: the rows it did process are in QueryStats,
                     # so the spans must account for them too.
                     if tracer is not None:
-                        record_operator_spans(tracer, fragment.root, attempt_ctx.operator_rows)
+                        record_operator_spans(
+                            tracer, stage_template.operators, attempt_ctx.operator_rows
+                        )
                 rows_in = stats.rows_scanned - scanned_before + sum(
                     page.position_count
-                    for pages_in in (exchange_inputs or {}).values()
+                    for pages_in in exchange_inputs.values()
                     for page in pages_in
                 )
                 rows_out = sum(page.position_count for page in pages)
@@ -365,9 +353,10 @@ class QueryScheduler:
     # -- task planning -------------------------------------------------------
 
     def _plan_tasks(
-        self, fragment: PlanFragment
+        self, stage_template: StageTemplate
     ) -> list[tuple[Optional[dict], dict, str, int]]:
         """One entry per task: (scan_splits, exchange_inputs, data_key, splits)."""
+        fragment = stage_template.fragment
         buffers = self.buffers
         partitioned_inputs = [e for e in fragment.inputs if e.partitioned]
         full_inputs = [e for e in fragment.inputs if not e.partitioned]
@@ -390,7 +379,7 @@ class QueryScheduler:
                 )
             return exchange_inputs
 
-        scans = _find_table_scans(fragment.root)
+        scans = stage_template.scans
         if fragment.distribution == "source" and len(scans) == 1:
             scan = scans[0]
             _, _, splits = plan_scan(scan, self.ctx)
@@ -441,30 +430,21 @@ class QueryScheduler:
         """Fragment id the next :meth:`step` will run a task of (None if done)."""
         if self.done:
             return None
-        return self.fragmented.fragments[self._fragment_index].fragment_id
+        return self.stages[self._fragment_index].fragment.fragment_id
 
     # -- stage lifecycle ------------------------------------------------------
 
-    def _begin_stage(self, fragment: PlanFragment) -> None:
-        outgoing = [
-            e
-            for e in self._consumer_exchanges
-            if e.source_fragment == fragment.fragment_id
-        ]
+    def _begin_stage(self, stage_template: StageTemplate) -> None:
+        fragment = stage_template.fragment
         self._out_buffers = []
-        for exchange in outgoing:
-            key_channels = (
-                key_channels_for(exchange, fragment.root)
-                if exchange.partitioned
-                else None
-            )
+        for exchange, key_channels in stage_template.outputs:
             buffer = ExchangeBuffer(exchange, key_channels)
             self.buffers[exchange] = buffer
             self._out_buffers.append(buffer)
 
         if self.dynamic_filtering:
-            self._collect_dynamic_filters(fragment)
-        self._tasks = self._plan_tasks(fragment)
+            self._collect_dynamic_filters(stage_template)
+        self._tasks = self._plan_tasks(stage_template)
         self._task_index = 0
         # One lane a split where tasks read pinned splits, else a task;
         # ``_firsts[i]``: task i's first split (or itself) in that order.
@@ -484,7 +464,7 @@ class QueryScheduler:
 
     # -- dynamic filters ------------------------------------------------------
 
-    def _collect_dynamic_filters(self, fragment: PlanFragment) -> None:
+    def _collect_dynamic_filters(self, stage_template: StageTemplate) -> None:
         """Summarize completed build sides feeding this fragment's joins.
 
         Runs when the stage begins — the fragmenter schedules every build
@@ -493,33 +473,17 @@ class QueryScheduler:
         split has been planned.  Filters are built exactly once per query
         (this method runs once per stage) and task retries re-read the
         same :class:`DynamicFilterSet`, so a retried probe task can never
-        observe — or double-apply — a different filter.
+        observe — or double-apply — a different filter.  Which joins, keys
+        and scans take part is the template's ``dynamic_filters``.
         """
         ctx = self.ctx
         assert ctx.dynamic_filters is not None
-        for node in fragment.root.walk():
-            if (
-                not isinstance(node, JoinNode)
-                or node.join_type not in _DYNAMIC_FILTER_JOIN_TYPES
-                or not node.criteria
-                or not isinstance(node.right, RemoteSourceNode)
-            ):
-                continue
-            buffer = self.buffers.get(node.right.exchange)
+        for exchange, targets in stage_template.dynamic_filters:
+            buffer = self.buffers.get(exchange)
             if buffer is None:
                 continue
-            build_names = [v.name for v in node.right.outputs]
             build_pages = buffer.all_pages()
-            for left_variable, right_variable in node.criteria:
-                if right_variable.name not in build_names:
-                    continue
-                if right_variable.type.is_nested():
-                    continue  # an ARRAY key has no expression form
-                traced = _trace_to_scan_column(node.left, left_variable.name)
-                if traced is None:
-                    continue  # probe key is computed, or lives beyond an exchange
-                scan, column = traced
-                channel = build_names.index(right_variable.name)
+            for channel, scan, column in targets:
                 dynamic_filter = dynamic_filter_for(
                     [page.block(channel) for page in build_pages]
                 )
@@ -529,7 +493,8 @@ class QueryScheduler:
                 filter_set.filters.setdefault(column, []).append(dynamic_filter)
                 ctx.stats.dynamic_filters_built += 1
                 self._count_task(
-                    "scheduler_dynamic_filters_built_total", fragment.fragment_id
+                    "scheduler_dynamic_filters_built_total",
+                    stage_template.fragment.fragment_id,
                 )
                 if ctx.tracer is not None:
                     ctx.tracer.instant(
@@ -540,18 +505,14 @@ class QueryScheduler:
                         build_distinct=dynamic_filter.build_distinct,
                         form=dynamic_filter.form,
                     )
-                self._refresh_filter_expression(scan, filter_set)
+                self._refresh_filter_expression(
+                    filter_set, stage_template.column_types[scan.id]
+                )
 
     def _refresh_filter_expression(
-        self, scan: TableScanNode, filter_set: DynamicFilterSet
+        self, filter_set: DynamicFilterSet, column_types: dict[str, PrestoType]
     ) -> None:
         """Re-serialize the set's expression form over connector columns."""
-        types_by_variable = {v.name: v.type for v in scan.output_variables}
-        column_types = {
-            column: types_by_variable[variable]
-            for variable, column in scan.assignments
-            if variable in types_by_variable
-        }
         terms = []
         for column, filters in filter_set.filters.items():
             presto_type = column_types.get(column)
@@ -576,7 +537,8 @@ class QueryScheduler:
             self._stage_span = None
         return stage_ms
 
-    def _end_stage(self, fragment: PlanFragment) -> None:
+    def _end_stage(self, stage_template: StageTemplate) -> None:
+        fragment = stage_template.fragment
         stats = self.ctx.stats
         stage_ms = self._charge_stage()
         records = stats.task_records[-len(self._tasks):]
@@ -625,14 +587,14 @@ class QueryScheduler:
         """
         if self.done:
             raise ExecutionError("query scheduler already finished")
-        fragments = self.fragmented.fragments
-        fragment = fragments[self._fragment_index]
+        stages = self.stages
+        stage_template = stages[self._fragment_index]
         try:
             if self._tasks is None:
-                self._begin_stage(fragment)
+                self._begin_stage(stage_template)
             task_index = self._task_index
             record, pages = self._run_task(
-                fragment, task_index, self._tasks[task_index]
+                stage_template, task_index, self._tasks[task_index]
             )
         except PrestoError:
             self._release()
@@ -644,7 +606,7 @@ class QueryScheduler:
             raise _categorized(error) from error
         # Commit only after success: a retried attempt never
         # double-publishes rows.
-        if fragment.fragment_id == self.fragmented.root_fragment.fragment_id:
+        if stage_template is stages[-1]:
             self.result_pages.extend(pages)
         else:
             for buffer in self._out_buffers:
@@ -652,14 +614,14 @@ class QueryScheduler:
                 for page in pages:
                     buffer.add(page)
                 self._record_exchange(
-                    buffer, task_index, buffer.rows_added - before, pages
+                    buffer, task_index, buffer.rows_added - before, pages, record.data_bytes
                 )
         if self.ctx.metrics is not None:
             self.ctx.metrics.histogram("scheduler_task_sim_ms").observe(record.sim_ms)
         self._task_index += 1
         if self._task_index >= len(self._tasks):
-            self._end_stage(fragment)
-            if self._fragment_index >= len(fragments):
+            self._end_stage(stage_template)
+            if self._fragment_index >= len(stages):
                 self._finish()
         return record
 
@@ -678,10 +640,13 @@ def _split_runs(splits: list) -> list[list]:
     in enumeration order, cut where the running row total passes the
     task's share.  A split that cannot count keeps one task per split.
     """
-    if any(split.rows is None for split in splits):
+    counts = [split.rows for split in splits]
+    if None in counts:
         return [[split] for split in splits]
-    total = sum(split.rows for split in splits)
+    total = sum(counts)
     width = _stage_width(total, len(splits))
+    if width == 1:
+        return [list(splits)]
     runs: list[list] = [[]]
     seen = 0
     for index, split in enumerate(splits):
@@ -704,39 +669,3 @@ def _categorized(error: Exception) -> PrestoError:
     if isinstance(error, (ArithmeticError, ValueError)):
         return InvalidValueError(str(error))
     return EngineDefectError(f"{type(error).__name__}: {error}")
-
-
-def _trace_to_scan_column(
-    node: PlanNode, name: str
-) -> Optional[tuple[TableScanNode, str]]:
-    """Follow probe variable ``name`` down to the scan column feeding it.
-
-    Only forwarding edges are followed — filters, identity/renaming
-    projection assignments, and join sides that carry the variable
-    through unchanged.  A computed expression, an aggregation, or an
-    exchange boundary ends the trace (returns None): pushing a filter
-    below any of those could change which rows reach the join.
-    """
-    if isinstance(node, TableScanNode):
-        column = node.assignments_dict().get(name)
-        return None if column is None else (node, column)
-    if isinstance(node, FilterNode):
-        return _trace_to_scan_column(node.source, name)
-    if isinstance(node, ProjectNode):
-        for variable, expression in node.assignments:
-            if variable.name == name:
-                if isinstance(expression, VariableReferenceExpression):
-                    return _trace_to_scan_column(node.source, expression.name)
-                return None
-        return None
-    if isinstance(node, JoinNode):
-        for side in node.sources():
-            if any(v.name == name for v in side.outputs):
-                return _trace_to_scan_column(side, name)
-        return None
-    return None
-
-
-def _find_table_scans(node: PlanNode) -> list[TableScanNode]:
-    """The fragment's scans, pre-order; a remote source has no sources."""
-    return [n for n in node.walk() if isinstance(n, TableScanNode)]

@@ -28,6 +28,8 @@ DEFAULT_BUCKETS: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0,
 
 
 def _label_key(labels: dict) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

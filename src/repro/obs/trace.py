@@ -87,12 +87,14 @@ class QueryTrace:
     # -- span recording -------------------------------------------------------
 
     def _open(self, name: str, attributes: dict) -> Span:
+        stack = self._stack
         span = Span(
-            span_id=next(self._ids),
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            name=name,
-            start_ms=self.now_ms(),
-            attributes=attributes,
+            next(self._ids),
+            stack[-1].span_id if stack else None,
+            name,
+            self.clock.now_ms(),
+            None,
+            attributes,
         )
         self.spans.append(span)
         return span

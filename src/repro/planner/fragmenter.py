@@ -116,11 +116,8 @@ class PlanFragment:
 
 @dataclass
 class FragmentedPlan:
+    # In execution order: producers before consumers, the output fragment last.
     fragments: list[PlanFragment]
-
-    @property
-    def root_fragment(self) -> PlanFragment:
-        return self.fragments[-1]
 
     def fragment_by_id(self, fragment_id: int) -> PlanFragment:
         for fragment in self.fragments:

@@ -31,7 +31,7 @@ from repro.common.errors import SemanticError
 from repro.core.functions import MERGEABLE_AGGREGATES, default_registry, parse_type
 from repro.core.page import Page
 from repro.core.types import PrestoType
-from repro.execution.kernels import HashAggregation
+from repro.execution.kernels import HashAggregation, resolve_aggregates
 from repro.realtime.hybrid import HybridTable
 from repro.realtime.watermark import Watermark
 
@@ -96,7 +96,7 @@ class MaterializedView:
         self._group_indexes = [names.index(c) for c in self.group_by]
         # One aggregation for the view's life: each refresh is one batch.
         self._aggregation = HashAggregation(
-            len(self.group_by), handles, registry, merge_mode=False
+            len(self.group_by), resolve_aggregates(handles, registry), merge_mode=False
         )
 
     # -- maintenance ----------------------------------------------------------

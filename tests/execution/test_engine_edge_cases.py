@@ -414,6 +414,63 @@ class TestPowerFollowsJavaMathPow:
         assert result[2:] == [1.0, 0.0, 0.0]
 
 
+class TestNonFiniteDoubles:
+    """Double division by zero, a cast of a non-finite double to varchar
+    and sums that meet inf - inf or overflow are IEEE values, as in Presto;
+    each raised before (``division by zero``, ``cannot convert float
+    infinity to integer``, ``RuntimeWarning: invalid value encountered in
+    add``)."""
+
+    def test_double_division_by_zero(self):
+        engine = make_engine([(1, 2.5, "a"), (2, -2.5, "b"), (3, 0.0, "c")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (engine.execute, partial(execute_direct, engine)):
+                rows = run("SELECT v / 0.0, v / 0, 1.0 / 0.0 FROM t ORDER BY k").rows
+                assert [row[:2] for row in rows[:2]] == [(math.inf, math.inf), (-math.inf, -math.inf)]
+                assert all(math.isnan(x) for x in rows[2][:2])
+                assert [row[2] for row in rows] == [math.inf] * 3
+        # A bigint has no Infinity: its division by zero stays an error.
+        with pytest.raises(InvalidValueError, match="division by zero"):
+            engine.execute("SELECT k / 0 FROM t")
+
+    def test_division_row_and_vector_lanes_agree(self):
+        _, implementation = make_engine([]).registry.resolve_scalar("divide", [DOUBLE, DOUBLE])
+        numerators = [1.0, -1.0, 0.0]
+        with np.errstate(all="ignore"):  # as CallKernel.run applies both lanes
+            rows = [implementation.row_fn(x, 0.0) for x in numerators]
+            vector = implementation.vectorized(np.array(numerators), np.zeros(3)).tolist()
+        for values in (rows, vector):
+            assert values[:2] == [math.inf, -math.inf] and math.isnan(values[2])
+
+    def test_cast_to_varchar(self):
+        engine = make_engine([(1, math.inf, "a"), (2, -math.inf, "b"), (3, math.nan, "c"), (4, 2.0, "d")])
+        expected = ["Infinity", "-Infinity", "NaN", "2.0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (engine.execute, partial(execute_direct, engine)):
+                rows = run("SELECT CAST(v AS varchar) FROM t ORDER BY k").rows
+                assert [value for (value,) in rows] == expected
+        _, implementation = engine.registry.resolve_scalar("cast_varchar", [DOUBLE])
+        values = [math.inf, -math.inf, math.nan, 2.0]
+        with np.errstate(all="ignore"):  # as CallKernel.run applies both lanes
+            assert [implementation.row_fn(x) for x in values] == expected
+            assert implementation.vectorized(np.array(values)).tolist() == expected
+
+    def test_sum_and_avg(self):
+        # One row a split: the FINAL step merges the partial sums too.
+        rows = [(1, math.inf, "a"), (1, -math.inf, "a"), (2, 1e308, "b"), (2, 1e308, "b")]
+        for split_size in (1, 4):
+            engine = make_engine(rows, split_size=split_size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for run in (engine.execute, partial(execute_direct, engine)):
+                    result = run("SELECT k, sum(v), avg(v) FROM t GROUP BY k ORDER BY k").rows
+                    assert [k for k, _, _ in result] == [1, 2]
+                    assert all(math.isnan(x) for x in result[0][1:])
+                    assert result[1][1:] == (math.inf, math.inf)
+
+
 class TestMinMaxOverNaN:
     def test_no_warning_and_nan_propagates(self):
         nan = float("nan")

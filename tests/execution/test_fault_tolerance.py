@@ -274,6 +274,7 @@ class TestFailureAccounting:
     def test_exhausted_retries_counted_as_failed(self):
         from repro.execution.context import ExecutionContext, QueryStats
         from repro.execution.scheduler import QueryScheduler
+        from repro.execution.stage import stage_templates
         from repro.planner.fragmenter import Fragmenter
 
         engine = make_engine()
@@ -286,7 +287,7 @@ class TestFailureAccounting:
         )
         query = QueryScheduler(
             ctx,
-            Fragmenter().fragment(plan),
+            stage_templates(Fragmenter().fragment(plan), engine.registry),
             fault_injector=FaultInjector(seed=1, task_failure_rate=1.0),
             max_task_retries=2,
         )

@@ -19,6 +19,7 @@ from repro.execution import engine as engine_module
 from repro.execution.cluster import PrestoClusterSim
 from repro.execution.engine import PrestoEngine
 from repro.planner.analyzer import Session
+from repro.planner.fragmenter import FragmentedPlan
 from repro.planner.plan import JoinNode
 from repro.realtime import StreamingLakehouse
 from repro.workloads.traffic_storm import build_traffic_storm
@@ -69,7 +70,12 @@ def entries(engine) -> int:
 def run(engine, sql):
     """The stages a run of ``sql`` executes (as EXPLAIN prints them) and its rows."""
     handle = engine.submit(sql)
-    return handle._machine.fragmented.describe(), handle.run_to_completion().rows
+    return fragments(handle).describe(), handle.run_to_completion().rows
+
+
+def fragments(handle) -> FragmentedPlan:
+    """The fragments a handle's stages run."""
+    return FragmentedPlan([stage.fragment for stage in handle._machine.stages])
 
 
 def fresh_twin(engine):
@@ -90,7 +96,7 @@ class TestReuse:
         engine, _ = make_engine()
         first = engine.submit(GROUPED)
         second = engine.submit(GROUPED)
-        assert second._machine.fragmented is first._machine.fragmented
+        assert second._machine.stages is first._machine.stages
         assert (hits(engine), misses(engine)) == (1, 1)
         assert first.run_to_completion().rows == second.run_to_completion().rows
 
@@ -272,8 +278,8 @@ class TestSharing:
     def test_runs_leave_the_shared_plan_as_it_was(self):
         engine, _ = make_engine()
         first = engine.submit(THREE_WAY)
-        fragmented = first._machine.fragmented
-        text, pretty = fragmented.describe(), first._plan.pretty()
+        stages = first._machine.stages
+        text, pretty = fragments(first).describe(), first._plan.pretty()
         expected = first.run_to_completion().rows
         assert engine.execute(THREE_WAY).rows == expected
         assert execute_direct(engine, THREE_WAY).rows == expected
@@ -288,8 +294,8 @@ class TestSharing:
         assert [h.result().rows for h in handles] == [expected] * 4
 
         again = engine.submit(THREE_WAY)
-        assert again._machine.fragmented is fragmented
-        assert (fragmented.describe(), again._plan.pretty()) == (text, pretty)
+        assert again._machine.stages is stages
+        assert (fragments(again).describe(), again._plan.pretty()) == (text, pretty)
 
     def test_a_storm_replays_as_it_does_without_the_cache(self, replay_storm, monkeypatch):
         storm = build_traffic_storm(queries=40, users=6, seed=11)

@@ -34,7 +34,7 @@ class TestFragmentation:
         plan = fragment(engine, "SELECT v FROM facts WHERE v > 1")
         assert len(plan.fragments) == 2
         assert plan.fragments[0].distribution == "source"
-        assert plan.root_fragment.distribution == "single"
+        assert plan.fragments[-1].distribution == "single"
         assert plan.fragments[-1].inputs[0].kind == ExchangeKind.GATHER
 
     def test_group_by_splits_partial_and_final(self, engine):
@@ -92,8 +92,8 @@ class TestFragmentation:
         assert below.order_by == above.order_by
         assert plan.fragments[0].distribution == "source"
         assert "TopN[5, partial, " in plan.fragments[0].root.pretty()
-        assert "TopN[5, v" in plan.root_fragment.root.pretty()
-        assert plan.root_fragment.inputs[0].kind == ExchangeKind.GATHER
+        assert "TopN[5, v" in plan.fragments[-1].root.pretty()
+        assert plan.fragments[-1].inputs[0].kind == ExchangeKind.GATHER
 
     def test_topn_above_an_aggregation_lands_in_the_hash_fragment(self, engine):
         plan = fragment(
@@ -128,7 +128,7 @@ class TestFragmentation:
         plan = fragment(engine, "SELECT k, count(*) FROM facts GROUP BY k")
         ids = [f.fragment_id for f in plan.fragments]
         assert ids == sorted(set(ids))
-        assert plan.root_fragment.fragment_id == max(ids)
+        assert plan.fragments[-1].fragment_id == max(ids)
 
     def test_union_all_fragments_each_branch(self, engine):
         # Regression: UnionNode used to fall through to the generic case
@@ -136,7 +136,7 @@ class TestFragmentation:
         # gathered in order.
         plan = fragment(engine, "SELECT k FROM facts UNION ALL SELECT k FROM dim")
         assert len(plan.fragments) == 3  # two branches + output
-        union_inputs = plan.root_fragment.inputs
+        union_inputs = plan.fragments[-1].inputs
         assert [e.kind for e in union_inputs] == [
             ExchangeKind.GATHER,
             ExchangeKind.GATHER,

@@ -12,7 +12,7 @@ fault-tolerance benchmark and the lakehouse oracle compare against it.
 from __future__ import annotations
 
 from repro.execution.context import ExecutionContext
-from repro.execution.driver import execute_plan, record_operator_spans
+from repro.execution.driver import execute_plan, operator_ordinals, record_operator_spans
 from repro.execution.engine import PreparedQuery, PrestoEngine, QueryResult
 from repro.obs.trace import activate
 
@@ -39,4 +39,4 @@ def _execute_pipeline(prepared: PreparedQuery, ctx: ExecutionContext) -> QueryRe
                 plan.column_names, execute_plan(plan, ctx), ctx.stats, tracer
             )
         finally:
-            record_operator_spans(tracer, plan, ctx.operator_rows)
+            record_operator_spans(tracer, operator_ordinals(plan), ctx.operator_rows)

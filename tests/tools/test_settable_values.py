@@ -17,7 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 # The count at the last change that lowered it.
-CEILING = 818
+CEILING = 817
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
